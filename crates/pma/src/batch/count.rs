@@ -52,7 +52,7 @@ type NodeCache = HashMap<(usize, usize), usize, BuildHasherDefault<NodeHasher>>;
 /// one counting pass over the touched set catches leaves pushed over by
 /// the inserts and leaves drained under by the removes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BoundKind {
+pub enum BoundKind {
     Upper,
     Lower,
     Both,
@@ -199,6 +199,7 @@ pub(crate) fn count_phase<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{Inserts, Removes};
     use crate::Pma;
 
     /// Build a PMA and then force specific leaves over their bound by
@@ -212,8 +213,9 @@ mod tests {
         // order; we instead use a fresh structure where leaf order is free.
         let mut scratch = Vec::new();
         let shared = p.storage_mut().shared();
+        // SAFETY: single-threaded test, one leaf at a time.
         unsafe {
-            shared.merge_into_leaf(leaf, &add, &mut scratch);
+            shared.apply_run(leaf, Inserts::new(&add), &mut scratch);
         }
     }
 
@@ -294,8 +296,9 @@ mod tests {
         p.storage().collect_leaf(0, &mut elems0);
         let mut scratch = Vec::new();
         let shared = p.storage_mut().shared();
+        // SAFETY: single-threaded test, one leaf at a time.
         unsafe {
-            shared.remove_from_leaf(0, &elems0, &mut scratch);
+            shared.apply_run(0, Removes::new(&elems0), &mut scratch);
         }
         let out = count_phase(&p, &[0], BoundKind::Lower);
         assert!(out.resize_root.is_none());
@@ -323,8 +326,9 @@ mod tests {
         p.storage().collect_leaf(nl - 1, &mut last);
         let mut scratch = Vec::new();
         let shared = p.storage_mut().shared();
+        // SAFETY: single-threaded test, one leaf at a time.
         unsafe {
-            shared.remove_from_leaf(nl - 1, &last, &mut scratch);
+            shared.apply_run(nl - 1, Removes::new(&last), &mut scratch);
         }
         let out = count_phase(&p, &[0, nl - 1], BoundKind::Both);
         assert!(out.resize_root.is_none());

@@ -1,9 +1,14 @@
-//! The work-efficient parallel batch-update algorithm (§4 of the paper),
-//! one-sided *and* mixed.
+//! The work-efficient parallel batch-update algorithm (§4 of the paper):
+//! **one pipeline, three views**.
 //!
-//! All three batch entry points — `insert_batch_sorted`,
-//! `remove_batch_sorted`, and the mixed-op `apply_batch_sorted` — follow
-//! the paper's three regimes:
+//! `insert_batch_sorted`, `remove_batch_sorted` and the mixed-op
+//! `apply_batch_sorted` are thin wrappers that hand `run_batch` a
+//! [`Run`] — an [`Inserts`] or [`Removes`] view over the key slice, or the
+//! normal-form `&[BatchOp]` slice itself. The views are zero-copy and
+//! their op kind is a compile-time constant, so each wrapper
+//! monomorphises to the one-sided (or three-finger) loops with nothing
+//! materialised; everything below exists once. `run_batch` follows the
+//! paper's three regimes:
 //!
 //! * **tiny batches** (below [`crate::PmaConfig::point_update_cutoff`])
 //!   fall back to point updates (the paper uses point inserts "for small
@@ -12,32 +17,30 @@
 //! * **huge batches** (`k ≥ n /`
 //!   [`crate::PmaConfig::full_rebuild_divisor`]) rebuild the whole
 //!   structure with a linear merge ("the optimal algorithm is to rebuild
-//!   the entire data structure", §4) — two-finger for one-sided batches,
-//!   three-finger ([`par_set_merge_ops`]) for mixed ones;
+//!   the entire data structure", §4) — [`par_apply_run`], skipped when the
+//!   batch turns out to change nothing;
 //! * everything in between runs the four-phase pipeline —
 //!   `O(k(log n + log²n / B))` amortized work, `O(log²n)` span
 //!   (Theorem 5):
 //!   1. **route** (`route.rs`) — the recursive midpoint search partitions
-//!      the batch into per-leaf runs; op runs route exactly like key runs
-//!      (routing reads only keys);
-//!   2. **merge** — parallel rewrites of disjoint leaves; a mixed run
-//!      threads every key's insert-or-remove through **one** rewrite of
-//!      its leaf ([`crate::leaf::SharedLeaves::merge_ops_into_leaf`], on
-//!      both the uncompressed and the delta-coded leaf codec);
+//!      the run into per-leaf sub-runs (routing reads only keys);
+//!   2. **merge** — parallel rewrites of disjoint leaves; each sub-run,
+//!      inserts and removes alike, goes through **one** rewrite of its
+//!      leaf ([`crate::leaf::SharedLeaves::apply_run`]);
 //!   3. **count** (`count.rs`) — work-efficient counting from the leaves
-//!      up; a mixed batch can push leaves over the upper bound *and*
-//!      drain others under the lower bound, so both bands are checked in
-//!      the same pass (`BoundKind::Both`);
+//!      up, against the density band the run type can violate
+//!      ([`Run::BOUND`]: inserts → upper, removes → lower, mixed → both
+//!      in the same pass);
 //!   4. **redistribute** (`redistribute.rs`) — parallel re-spread of the
 //!      maximal violating ranges, or a root grow/shrink.
 //!
 //! A mixed batch therefore pays **one** route + merge + count +
-//! redistribute traversal where the legacy remove-then-insert split paid
-//! two full passes over the touched leaves. The required normal form —
-//! keys strictly ascending, one op per key, later submissions winning —
-//! is produced by [`cpma_api::normalize_ops`] (*last-op-wins*: a
-//! `Remove(k)` followed by `Insert(k)` in the same stream nets to
-//! `Insert(k)`, matching a sequential replay).
+//! redistribute traversal where a remove-then-insert split pays two full
+//! passes over the touched leaves. The required normal form — keys
+//! strictly ascending, one op per key, later submissions winning — is
+//! produced by [`cpma_api::normalize_ops`] (*last-op-wins*: a `Remove(k)`
+//! followed by `Insert(k)` in the same stream nets to `Insert(k)`,
+//! matching a sequential replay).
 
 mod count;
 mod redistribute;
@@ -46,7 +49,8 @@ mod route;
 pub(crate) use count::{count_phase, BoundKind, RootResize};
 pub(crate) use redistribute::redistribute_ranges;
 
-use crate::leaf::{apply_ops_into, set_difference_into, set_union_into, SharedLeaves};
+use crate::leaf::{apply_run_into, SharedLeaves};
+use crate::run::{Inserts, Removes, Run};
 use crate::tree::Node;
 use crate::{LeafStorage, PmaCore, PmaKey};
 use cpma_api::{BatchOp, BatchOutcome};
@@ -85,173 +89,12 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
 
     /// Batch insert of a sorted, deduplicated slice.
     pub fn insert_batch_sorted(&mut self, batch: &[K]) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
-        // Empty structure: bulk load at the target density.
-        if self.len == 0 {
-            let cap = self.capacity_for_target(batch);
-            self.rebuild_into(batch, cap);
-            return batch.len();
-        }
-        // Tiny batch: point updates win.
-        if batch.len() < self.cfg.point_update_cutoff {
-            self.batch_stats.point_fallbacks.inc();
-            return batch.iter().filter(|&&k| self.insert(k)).count();
-        }
-        // Huge batch: parallel linear two-finger merge + rebuild.
-        if batch.len() >= self.len / self.cfg.full_rebuild_divisor {
-            let current = self.collect_all_par();
-            let (merged, added) = par_set_union(&current, batch);
-            let cap = self.capacity_for_target(&merged);
-            self.rebuild_into(&merged, cap);
-            return added;
-        }
-
-        // Phase 1: batch merge (route, then parallel disjoint leaf merges).
-        // Small assignment sets run serially: fork-join overhead would
-        // otherwise dominate (work-efficiency, §4).
-        self.batch_stats.pipeline_batches.inc();
-        let spans = crate::stats::phase_spans();
-        let assignments = {
-            let mut s = cpma_obs::span_with(&spans.route, "pma.route");
-            let a = route::route_batch(self, batch);
-            s.set_items(a.len() as u64);
-            a
-        };
-        self.batch_stats.routed_runs.add(assignments.len() as u64);
-        self.batch_stats
-            .leaves_touched
-            .add(assignments.len() as u64);
-        let mut merge_span = cpma_obs::span_with(&spans.merge, "pma.merge");
-        merge_span.set_items(assignments.len() as u64);
-        let shared = self.storage.shared();
-        let (added, units_delta) = if assignments.len() <= serial_merge_cutoff() {
-            let mut scratch = Vec::new();
-            let mut acc = (0usize, 0isize);
-            for a in &assignments {
-                // SAFETY: single-threaded here.
-                let out =
-                    unsafe { shared.merge_into_leaf(a.leaf, &batch[a.start..a.end], &mut scratch) };
-                acc.0 += out.delta_count;
-                acc.1 += out.delta_units;
-            }
-            acc
-        } else {
-            assignments
-                .par_iter()
-                .map_init(Vec::new, |scratch, a| {
-                    // SAFETY: route_batch assigns each leaf at most once.
-                    let out =
-                        unsafe { shared.merge_into_leaf(a.leaf, &batch[a.start..a.end], scratch) };
-                    (out.delta_count, out.delta_units)
-                })
-                .reduce(|| (0usize, 0isize), |x, y| (x.0 + y.0, x.1 + y.1))
-        };
-        drop(merge_span);
-        self.len += added;
-        self.units = self.units.checked_add_signed(units_delta).unwrap();
-        if added == 0 {
-            return 0; // nothing changed; no bound can be newly violated
-        }
-
-        // Phase 2: counting.
-        let touched: Vec<usize> = assignments.iter().map(|a| a.leaf).collect();
-        let outcome = {
-            let mut s = cpma_obs::span_with(&spans.count, "pma.count");
-            s.set_items(touched.len() as u64);
-            count_phase(self, &touched, BoundKind::Upper)
-        };
-
-        // Phase 3: redistribute (or grow on root violation).
-        if outcome.resize_root.is_some() {
-            let elems = self.collect_all_par();
-            self.grow_and_rebuild(&elems);
-        } else {
-            self.redistribute_with_stats(&outcome.ranges);
-        }
-        self.debug_check_no_overflow();
-        added
+        self.run_batch(Inserts::new(batch)).added
     }
 
     /// Batch remove of a sorted, deduplicated slice.
     pub fn remove_batch_sorted(&mut self, batch: &[K]) -> usize {
-        if batch.is_empty() || self.len == 0 {
-            return 0;
-        }
-        if batch.len() < self.cfg.point_update_cutoff {
-            self.batch_stats.point_fallbacks.inc();
-            return batch.iter().filter(|&&k| self.remove(k)).count();
-        }
-        if batch.len() >= self.len / self.cfg.full_rebuild_divisor {
-            let current = self.collect_all_par();
-            let (remaining, removed) = par_set_difference(&current, batch);
-            if removed == 0 {
-                return 0;
-            }
-            let cap = self.capacity_for_target(&remaining);
-            self.rebuild_into(&remaining, cap);
-            return removed;
-        }
-
-        self.batch_stats.pipeline_batches.inc();
-        let spans = crate::stats::phase_spans();
-        let assignments = {
-            let mut s = cpma_obs::span_with(&spans.route, "pma.route");
-            let a = route::route_batch(self, batch);
-            s.set_items(a.len() as u64);
-            a
-        };
-        self.batch_stats.routed_runs.add(assignments.len() as u64);
-        self.batch_stats
-            .leaves_touched
-            .add(assignments.len() as u64);
-        let mut merge_span = cpma_obs::span_with(&spans.merge, "pma.merge");
-        merge_span.set_items(assignments.len() as u64);
-        let shared = self.storage.shared();
-        let (removed, units_delta) = if assignments.len() <= serial_merge_cutoff() {
-            let mut scratch = Vec::new();
-            let mut acc = (0usize, 0isize);
-            for a in &assignments {
-                // SAFETY: single-threaded here.
-                let out = unsafe {
-                    shared.remove_from_leaf(a.leaf, &batch[a.start..a.end], &mut scratch)
-                };
-                acc.0 += out.delta_count;
-                acc.1 += out.delta_units;
-            }
-            acc
-        } else {
-            assignments
-                .par_iter()
-                .map_init(Vec::new, |scratch, a| {
-                    // SAFETY: route_batch assigns each leaf at most once.
-                    let out =
-                        unsafe { shared.remove_from_leaf(a.leaf, &batch[a.start..a.end], scratch) };
-                    (out.delta_count, out.delta_units)
-                })
-                .reduce(|| (0usize, 0isize), |x, y| (x.0 + y.0, x.1 + y.1))
-        };
-        drop(merge_span);
-        self.len -= removed;
-        self.units = self.units.checked_add_signed(units_delta).unwrap();
-        if removed == 0 {
-            return 0;
-        }
-
-        let touched: Vec<usize> = assignments.iter().map(|a| a.leaf).collect();
-        let outcome = {
-            let mut s = cpma_obs::span_with(&spans.count, "pma.count");
-            s.set_items(touched.len() as u64);
-            count_phase(self, &touched, BoundKind::Lower)
-        };
-        if outcome.resize_root.is_some() {
-            self.resize_root_shrink();
-        } else {
-            self.redistribute_with_stats(&outcome.ranges);
-        }
-        self.debug_check_no_overflow();
-        removed
+        self.run_batch(Removes::new(batch)).removed
     }
 
     /// Apply a normal-form mixed batch (ascending keys, one op per key —
@@ -259,19 +102,19 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     /// route→merge→count→redistribute pass; see the module docs. Returns
     /// the keys actually added and removed.
     pub fn apply_batch_sorted(&mut self, ops: &[BatchOp<K>]) -> BatchOutcome {
-        if ops.is_empty() {
+        self.run_batch(ops)
+    }
+
+    /// The batch pipeline, once for every entry point; see the module docs.
+    fn run_batch<R: Run<K>>(&mut self, run: R) -> BatchOutcome {
+        if run.is_empty() {
             return BatchOutcome::default();
         }
-        debug_assert!(ops.windows(2).all(|w| w[0].key() < w[1].key()));
-        // Empty structure: removes are no-ops, the inserts bulk-load.
+        debug_assert!(run.is_strictly_ascending());
+        // Empty structure: removes are no-ops, the inserts bulk-load at the
+        // target density.
         if self.len == 0 {
-            let ins: Vec<K> = ops
-                .iter()
-                .filter_map(|op| match *op {
-                    BatchOp::Insert(k) => Some(k),
-                    BatchOp::Remove(_) => None,
-                })
-                .collect();
+            let ins = run.insert_keys();
             if ins.is_empty() {
                 return BatchOutcome::default();
             }
@@ -283,21 +126,22 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             };
         }
         // Tiny batch: point updates win.
-        if ops.len() < self.cfg.point_update_cutoff {
+        if run.len() < self.cfg.point_update_cutoff {
             self.batch_stats.point_fallbacks.inc();
             let mut out = BatchOutcome::default();
-            for op in ops {
-                match *op {
-                    BatchOp::Insert(k) => out.added += usize::from(self.insert(k)),
-                    BatchOp::Remove(k) => out.removed += usize::from(self.remove(k)),
+            for i in 0..run.len() {
+                if run.is_insert(i) {
+                    out.added += usize::from(self.insert(run.key(i)));
+                } else {
+                    out.removed += usize::from(self.remove(run.key(i)));
                 }
             }
             return out;
         }
-        // Huge batch: parallel linear three-finger merge + rebuild.
-        if ops.len() >= self.len / self.cfg.full_rebuild_divisor {
+        // Huge batch: parallel linear merge + rebuild.
+        if run.len() >= self.len / self.cfg.full_rebuild_divisor {
             let current = self.collect_all_par();
-            let (merged, outcome) = par_set_merge_ops(&current, ops);
+            let (merged, outcome) = par_apply_run(&current, run);
             if outcome == BatchOutcome::default() {
                 return outcome;
             }
@@ -310,12 +154,12 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             return outcome;
         }
 
-        // Phase 1: route op runs to leaves (ops route exactly like keys).
+        // Phase 1: route sub-runs to leaves.
         self.batch_stats.pipeline_batches.inc();
         let spans = crate::stats::phase_spans();
         let assignments = {
             let mut s = cpma_obs::span_with(&spans.route, "pma.route");
-            let a = route::route_batch(self, ops);
+            let a = route::route_batch(self, run);
             s.set_items(a.len() as u64);
             a
         };
@@ -323,53 +167,47 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         self.batch_stats
             .leaves_touched
             .add(assignments.len() as u64);
-        // Phase 1b: one rewrite per touched leaf threads that leaf's
-        // inserts and removes together.
+        // Phase 1b: one rewrite per touched leaf. Small assignment sets run
+        // serially: fork-join overhead would otherwise dominate
+        // (work-efficiency, §4).
         let mut merge_span = cpma_obs::span_with(&spans.merge, "pma.merge");
         merge_span.set_items(assignments.len() as u64);
         let shared = self.storage.shared();
+        let apply = |a: &route::Assignment, scratch: &mut Vec<K>| {
+            // SAFETY: the disjoint-leaf contract of `SharedLeaves` holds
+            // because `route_batch` assigns each leaf at most once (its
+            // assignments ascend strictly by leaf), so no two calls of this
+            // closure — serial or across pool threads — share `a.leaf`.
+            let out = unsafe { shared.apply_run(a.leaf, run.slice(a.start, a.end), scratch) };
+            (out.added, out.removed, out.delta_units)
+        };
+        let sum =
+            |x: (usize, usize, isize), y: (usize, usize, isize)| (x.0 + y.0, x.1 + y.1, x.2 + y.2);
         let (added, removed, units_delta) = if assignments.len() <= serial_merge_cutoff() {
             let mut scratch = Vec::new();
-            let mut acc = (0usize, 0usize, 0isize);
-            for a in &assignments {
-                // SAFETY: single-threaded here.
-                let out = unsafe {
-                    shared.merge_ops_into_leaf(a.leaf, &ops[a.start..a.end], &mut scratch)
-                };
-                acc.0 += out.added;
-                acc.1 += out.removed;
-                acc.2 += out.delta_units;
-            }
-            acc
+            assignments
+                .iter()
+                .fold((0, 0, 0), |acc, a| sum(acc, apply(a, &mut scratch)))
         } else {
             assignments
                 .par_iter()
-                .map_init(Vec::new, |scratch, a| {
-                    // SAFETY: route_batch assigns each leaf at most once.
-                    let out = unsafe {
-                        shared.merge_ops_into_leaf(a.leaf, &ops[a.start..a.end], scratch)
-                    };
-                    (out.added, out.removed, out.delta_units)
-                })
-                .reduce(
-                    || (0usize, 0usize, 0isize),
-                    |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2),
-                )
+                .map_init(Vec::new, |scratch, a| apply(a, scratch))
+                .reduce(|| (0, 0, 0), sum)
         };
         drop(merge_span);
         self.len = self.len + added - removed;
         self.units = self.units.checked_add_signed(units_delta).unwrap();
         let outcome = BatchOutcome { added, removed };
-        if added == 0 && removed == 0 {
+        if outcome == BatchOutcome::default() {
             return outcome; // nothing changed; no bound can be newly violated
         }
 
-        // Phase 2: one counting pass checks upper *and* lower bounds.
+        // Phase 2: one counting pass over the band this run type can leave.
         let touched: Vec<usize> = assignments.iter().map(|a| a.leaf).collect();
         let count = {
             let mut s = cpma_obs::span_with(&spans.count, "pma.count");
             s.set_items(touched.len() as u64);
-            count_phase(self, &touched, BoundKind::Both)
+            count_phase(self, &touched, R::BOUND)
         };
 
         // Phase 3: redistribute, or resize in whichever direction the
@@ -431,130 +269,49 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 }
 
-/// Below this combined input size the whole-set merges run serially.
+/// Below this combined input size the whole-set merge runs serially.
 const SERIAL_MERGE_LIMIT: usize = 1 << 15;
 
-/// Piece boundaries for the parallel whole-set merges: cut `a` at its
-/// quantiles and align the second input at the same key pivots via
-/// `partition` (elements equal to a pivot go right, where the pivot
-/// element itself lives).
-fn piece_cuts<K: PmaKey>(
-    a: &[K],
-    b_len: usize,
-    pieces: usize,
-    partition: impl Fn(K) -> usize,
-) -> Vec<(usize, usize)> {
-    (0..=pieces)
-        .map(|p| {
-            if p == 0 {
-                (0, 0)
-            } else if p == pieces {
-                (a.len(), b_len)
-            } else {
-                let ai = p * a.len() / pieces;
-                (ai, partition(a[ai]))
-            }
-        })
-        .collect()
-}
-
-/// Parallel sorted set union: split both inputs at quantile pivots of `a`,
-/// union the pieces concurrently, then concatenate. Returns the union and
-/// the number of `b` elements not present in `a` (the parallel "linear
-/// two-finger merge" of the paper's huge-batch regime).
-pub(crate) fn par_set_union<K: PmaKey>(a: &[K], b: &[K]) -> (Vec<K>, usize) {
-    if a.len() + b.len() <= SERIAL_MERGE_LIMIT {
+/// Parallel whole-set merge of the huge-batch regime ("rebuild the entire
+/// data structure"): cut the current contents `a` at its quantiles, align
+/// the run at the same key pivots (ops on a pivot key go right, where the
+/// pivot element itself lives), apply each piece concurrently — union and
+/// difference in the same linear pass — then concatenate. Returns the
+/// merged set and what the run added and removed.
+pub(crate) fn par_apply_run<K: PmaKey, R: Run<K>>(a: &[K], run: R) -> (Vec<K>, BatchOutcome) {
+    if a.len() + run.len() <= SERIAL_MERGE_LIMIT {
         let mut out = Vec::new();
-        let added = set_union_into(a, b, &mut out);
-        return (out, added);
-    }
-    let pieces = rayon::current_num_threads().max(2) * 4;
-    let cuts = piece_cuts(a, b.len(), pieces, |pivot| {
-        b.partition_point(|&e| e < pivot)
-    });
-    let parts: Vec<(Vec<K>, usize)> = (0..pieces)
-        .into_par_iter()
-        .map(|p| {
-            let (a0, b0) = cuts[p];
-            let (a1, b1) = cuts[p + 1];
-            let mut out = Vec::new();
-            let added = set_union_into(&a[a0..a1], &b[b0..b1], &mut out);
-            (out, added)
-        })
-        .collect();
-    let total: usize = parts.iter().map(|(v, _)| v.len()).sum();
-    let added: usize = parts.iter().map(|(_, c)| c).sum();
-    let mut out = Vec::with_capacity(total);
-    for (v, _) in parts {
-        out.extend_from_slice(&v);
-    }
-    (out, added)
-}
-
-/// Parallel sorted set difference `a \ b`; returns the survivors and the
-/// number removed.
-pub(crate) fn par_set_difference<K: PmaKey>(a: &[K], b: &[K]) -> (Vec<K>, usize) {
-    if a.len() + b.len() <= SERIAL_MERGE_LIMIT {
-        let mut out = Vec::new();
-        let removed = set_difference_into(a, b, &mut out);
-        return (out, removed);
-    }
-    let pieces = rayon::current_num_threads().max(2) * 4;
-    let cuts = piece_cuts(a, b.len(), pieces, |pivot| {
-        b.partition_point(|&e| e < pivot)
-    });
-    let parts: Vec<(Vec<K>, usize)> = (0..pieces)
-        .into_par_iter()
-        .map(|p| {
-            let (a0, b0) = cuts[p];
-            let (a1, b1) = cuts[p + 1];
-            let mut out = Vec::new();
-            let removed = set_difference_into(&a[a0..a1], &b[b0..b1], &mut out);
-            (out, removed)
-        })
-        .collect();
-    let total: usize = parts.iter().map(|(v, _)| v.len()).sum();
-    let removed: usize = parts.iter().map(|(_, c)| c).sum();
-    let mut out = Vec::with_capacity(total);
-    for (v, _) in parts {
-        out.extend_from_slice(&v);
-    }
-    (out, removed)
-}
-
-/// Parallel three-finger whole-set merge for mixed batches: split the
-/// current contents at quantile pivots, align the op run at the same
-/// pivots, and apply each piece concurrently (the mixed analogue of the
-/// huge-batch "rebuild the entire data structure" regime — union and
-/// difference in the same linear pass).
-pub(crate) fn par_set_merge_ops<K: PmaKey>(a: &[K], ops: &[BatchOp<K>]) -> (Vec<K>, BatchOutcome) {
-    if a.len() + ops.len() <= SERIAL_MERGE_LIMIT {
-        let mut out = Vec::new();
-        let (added, removed) = apply_ops_into(a, ops, &mut out);
+        let (added, removed) = apply_run_into(a, run, &mut out);
         return (out, BatchOutcome { added, removed });
     }
     let pieces = rayon::current_num_threads().max(2) * 4;
-    let cuts = piece_cuts(a, ops.len(), pieces, |pivot| {
-        ops.partition_point(|op| op.key() < pivot)
-    });
+    let cuts: Vec<(usize, usize)> = (0..=pieces)
+        .map(|p| {
+            if p == pieces {
+                (a.len(), run.len())
+            } else {
+                let ai = p * a.len() / pieces;
+                (ai, if p == 0 { 0 } else { run.lower_bound(a[ai]) })
+            }
+        })
+        .collect();
     let parts: Vec<(Vec<K>, usize, usize)> = (0..pieces)
         .into_par_iter()
         .map(|p| {
-            let (a0, b0) = cuts[p];
-            let (a1, b1) = cuts[p + 1];
+            let ((a0, r0), (a1, r1)) = (cuts[p], cuts[p + 1]);
             let mut out = Vec::new();
-            let (added, removed) = apply_ops_into(&a[a0..a1], &ops[b0..b1], &mut out);
+            let (added, removed) = apply_run_into(&a[a0..a1], run.slice(r0, r1), &mut out);
             (out, added, removed)
         })
         .collect();
-    let total: usize = parts.iter().map(|(v, _, _)| v.len()).sum();
-    let added: usize = parts.iter().map(|&(_, a, _)| a).sum();
-    let removed: usize = parts.iter().map(|&(_, _, r)| r).sum();
-    let mut out = Vec::with_capacity(total);
-    for (v, _, _) in parts {
+    let mut outcome = BatchOutcome::default();
+    let mut out = Vec::with_capacity(parts.iter().map(|(v, _, _)| v.len()).sum());
+    for (v, added, removed) in parts {
         out.extend_from_slice(&v);
+        outcome.added += added;
+        outcome.removed += removed;
     }
-    (out, BatchOutcome { added, removed })
+    (out, outcome)
 }
 
 #[cfg(test)]
@@ -777,43 +534,221 @@ mod tests {
         }
     }
 
+    /// Budgets are pinned with `ThreadPool::install` (process-global), so
+    /// the matrix cells serialize on this lock.
+    static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn sorted_unique(n: usize, seed: u64, bits: u32) -> Vec<u64> {
+        let set: BTreeSet<u64> = lcg_keys(n, seed, bits).into_iter().collect();
+        set.into_iter().collect()
+    }
+
+    /// One `storage × ForceCodec` cell of the entry-point equivalence
+    /// matrix. For batch sizes landing in the point, pipeline and
+    /// full-rebuild regimes, on a dense (bitmap-friendly) and a sparse key
+    /// universe, at thread budgets 1 and 2:
+    /// `insert_batch_sorted(keys)` ≡ `apply_batch_sorted(all-Insert)`,
+    /// `remove_batch_sorted(keys)` ≡ `apply_batch_sorted(all-Remove)`, and
+    /// a mixed batch ≡ its remove-then-insert split — in return counts,
+    /// contents and `check_invariants()`.
+    fn entry_points_agree<L: crate::LeafStorage<u64>>(force: crate::ForceCodec) {
+        use cpma_api::BatchOp::{self, Insert, Remove};
+        type Stat = fn(&crate::PmaStats) -> u64;
+        let regimes: [(usize, Stat); 3] = [
+            (20, |s| s.point_fallbacks),
+            (2_000, |s| s.pipeline_batches),
+            (8_000, |s| s.full_rebuilds),
+        ];
+        let cfg = crate::PmaConfig::builder()
+            .force_codec(force)
+            .build()
+            .unwrap();
+        let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for (budget, bits) in [(1, 17), (1, 30), (2, 17), (2, 30)] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(budget)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let base = sorted_unique(30_000, 11, bits);
+                for (size, regime_counter) in regimes {
+                    let what = format!("{force:?} budget={budget} bits={bits} size={size}");
+                    let fresh = || {
+                        let mut s = crate::PmaCore::<u64, L>::with_config(cfg);
+                        s.insert_batch_sorted(&base);
+                        s
+                    };
+                    // The regime under test must be the one that ran, on
+                    // both sides of every comparison.
+                    let check = |a: &mut crate::PmaCore<u64, L>,
+                                 b: &mut crate::PmaCore<u64, L>,
+                                 ran_a: u64,
+                                 ran_b: u64| {
+                        assert!(a.iter().eq(b.iter()), "{what}: contents differ");
+                        assert_eq!(a.len(), b.len(), "{what}");
+                        a.check_invariants();
+                        b.check_invariants();
+                        assert!(regime_counter(&a.stats()) > ran_a, "{what}: wrong regime");
+                        assert!(regime_counter(&b.stats()) > ran_b, "{what}: wrong regime");
+                    };
+                    let (mut one, mut ops_side) = (fresh(), fresh());
+                    // Every batch: half its keys present in `base`, half
+                    // fresh draws, so inserts and removes both hit and miss.
+                    let batch = |seed: u64| -> Vec<u64> {
+                        let present = base
+                            .iter()
+                            .skip(seed as usize)
+                            .step_by(base.len() * 2 / size);
+                        let mut keys = lcg_keys(size / 2, size as u64 + seed, bits);
+                        keys.extend(present);
+                        keys.sort_unstable();
+                        keys.dedup();
+                        keys
+                    };
+                    let keys = batch(0);
+                    let all_ins: Vec<BatchOp<u64>> = keys.iter().map(|&k| Insert(k)).collect();
+                    let (ra, rb) = (
+                        regime_counter(&one.stats()),
+                        regime_counter(&ops_side.stats()),
+                    );
+                    let added = one.insert_batch_sorted(&keys);
+                    let got = ops_side.apply_batch_sorted(&all_ins);
+                    assert_eq!((got.added, got.removed), (added, 0), "{what}: insert");
+                    check(&mut one, &mut ops_side, ra, rb);
+
+                    let keys = batch(1);
+                    let all_rem: Vec<BatchOp<u64>> = keys.iter().map(|&k| Remove(k)).collect();
+                    let (ra, rb) = (
+                        regime_counter(&one.stats()),
+                        regime_counter(&ops_side.stats()),
+                    );
+                    let removed = one.remove_batch_sorted(&keys);
+                    let got = ops_side.apply_batch_sorted(&all_rem);
+                    assert_eq!((got.added, got.removed), (0, removed), "{what}: remove");
+                    check(&mut one, &mut ops_side, ra, rb);
+
+                    // A genuinely mixed batch against its split application.
+                    let keys = batch(2);
+                    let mixed: Vec<BatchOp<u64>> = keys
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &k)| if i % 2 == 0 { Insert(k) } else { Remove(k) })
+                        .collect();
+                    let ins: Vec<u64> = keys.iter().copied().step_by(2).collect();
+                    let del: Vec<u64> = keys.iter().copied().skip(1).step_by(2).collect();
+                    let (ra, rb) = (
+                        regime_counter(&one.stats()),
+                        regime_counter(&ops_side.stats()),
+                    );
+                    let removed = one.remove_batch_sorted(&del);
+                    let added = one.insert_batch_sorted(&ins);
+                    let got = ops_side.apply_batch_sorted(&mixed);
+                    assert_eq!((got.added, got.removed), (added, removed), "{what}: mixed");
+                    check(&mut one, &mut ops_side, ra, rb);
+                }
+            });
+        }
+    }
+
+    /// One `#[test]` per matrix cell, so a failure names its cell.
+    macro_rules! entry_point_cells {
+        ($($name:ident: $leaves:ty, $force:ident;)*) => {$(
+            #[test]
+            fn $name() {
+                entry_points_agree::<$leaves>(crate::ForceCodec::$force);
+            }
+        )*};
+    }
+    entry_point_cells! {
+        entry_points_agree_pma_auto: crate::UncompressedLeaves<u64>, Auto;
+        entry_points_agree_pma_delta: crate::UncompressedLeaves<u64>, Delta;
+        entry_points_agree_pma_bitmap: crate::UncompressedLeaves<u64>, Bitmap;
+        entry_points_agree_cpma_auto: crate::CompressedLeaves, Auto;
+        entry_points_agree_cpma_delta: crate::CompressedLeaves, Delta;
+        entry_points_agree_cpma_bitmap: crate::CompressedLeaves, Bitmap;
+    }
+
     #[test]
-    fn mixed_batch_same_state_as_split_application() {
-        use cpma_api::BatchOp;
-        // The single pass and the legacy remove+insert split must land in
-        // identical states (same contents, same counts).
-        let base = lcg_keys(30_000, 11, 24);
-        let mut single = Pma::<u64>::new();
-        let mut split = Pma::<u64>::new();
-        let mut b = base.clone();
-        single.insert_batch(&mut b.clone(), false);
-        split.insert_batch(&mut b, false);
-        let stream = lcg_keys(2_000, 12, 24);
-        let mut ops: Vec<BatchOp<u64>> = stream
+    fn empty_structure_regime_per_view() {
+        use cpma_api::BatchOp::{Insert, Remove};
+        // The fourth regime: on an empty structure a run's removes are
+        // no-ops and its inserts bulk-load, whatever the view.
+        let keys: Vec<u64> = (0..500u64).map(|i| i * 9).collect();
+        let mut by_keys = Cpma::new();
+        assert_eq!(by_keys.remove_batch_sorted(&keys), 0);
+        assert_eq!(by_keys.stats().full_rebuilds, 0);
+        assert_eq!(by_keys.insert_batch_sorted(&keys), keys.len());
+        let mut by_ops = Cpma::new();
+        let ops: Vec<cpma_api::BatchOp<u64>> = keys
             .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                if i % 2 == 0 {
-                    BatchOp::Insert(k)
-                } else {
+            .flat_map(|&k| [Insert(k), Remove(k + 1)])
+            .collect();
+        let out = by_ops.apply_batch_sorted(&ops);
+        assert_eq!((out.added, out.removed), (keys.len(), 0));
+        assert!(by_keys.iter().eq(by_ops.iter()));
+        assert_eq!(by_keys.size_bytes(), by_ops.size_bytes());
+        assert_eq!(by_keys.stats().point_fallbacks, 0);
+        by_keys.check_invariants();
+        by_ops.check_invariants();
+    }
+
+    #[test]
+    fn duplicate_only_huge_batch_skips_the_rebuild() {
+        // A full-rebuild-sized batch (≥ len/10) that adds nothing must not
+        // rebuild the structure — through either entry point.
+        fn run<L: crate::LeafStorage<u64>>() {
+            use cpma_api::BatchOp;
+            let keys: Vec<u64> = (0..10_000u64).map(|i| i * 5).collect();
+            let mut s = crate::PmaCore::<u64, L>::new();
+            s.insert_batch_sorted(&keys);
+            let before = s.stats();
+            let dup = &keys[3_000..5_000];
+            assert_eq!(s.insert_batch_sorted(dup), 0);
+            let ops: Vec<BatchOp<u64>> = dup.iter().map(|&k| BatchOp::Insert(k)).collect();
+            assert_eq!(
+                s.apply_batch_sorted(&ops),
+                cpma_api::BatchOutcome::default()
+            );
+            let absent: Vec<u64> = dup.iter().map(|&k| k + 1).collect();
+            assert_eq!(s.remove_batch_sorted(&absent), 0);
+            assert_eq!(s.stats().full_rebuilds, before.full_rebuilds);
+            assert_eq!(s.stats().pipeline_batches, before.pipeline_batches);
+            assert!(s.iter().eq(keys.iter().copied()));
+            s.check_invariants();
+        }
+        run::<crate::UncompressedLeaves<u64>>();
+        run::<crate::CompressedLeaves>();
+    }
+
+    #[test]
+    fn whole_set_merge_matches_the_serial_kernel() {
+        use crate::leaf::apply_run_into;
+        use crate::run::{Inserts, Removes, Run};
+        use cpma_api::BatchOp;
+        // Large enough to take the parallel piece-wise path.
+        let cur: Vec<u64> = (0..40_000u64).map(|i| i * 2).collect();
+        let keys: Vec<u64> = (0..20_000u64).map(|i| i * 3).collect();
+        let ops: Vec<BatchOp<u64>> = keys
+            .iter()
+            .map(|&k| {
+                if k % 2 == 0 {
                     BatchOp::Remove(k)
+                } else {
+                    BatchOp::Insert(k)
                 }
             })
             .collect();
-        let norm = cpma_api::normalize_ops(&mut ops);
-        let got = single.apply_batch_sorted(norm);
-        let (mut ins, mut del) = (Vec::new(), Vec::new());
-        for op in norm {
-            match *op {
-                BatchOp::Insert(k) => ins.push(k),
-                BatchOp::Remove(k) => del.push(k),
-            }
+        assert!(cur.len() + keys.len() > super::SERIAL_MERGE_LIMIT);
+        fn check<R: Run<u64>>(cur: &[u64], run: R) {
+            let mut want = Vec::new();
+            let (added, removed) = apply_run_into(cur, run, &mut want);
+            let (got, outcome) = super::par_apply_run(cur, run);
+            assert_eq!(got, want);
+            assert_eq!((outcome.added, outcome.removed), (added, removed));
         }
-        let removed = split.remove_batch_sorted(&del);
-        let added = split.insert_batch_sorted(&ins);
-        assert_eq!((got.added, got.removed), (added, removed));
-        assert!(single.iter().eq(split.iter()));
-        single.check_invariants();
+        check(&cur, Inserts::new(&keys));
+        check(&cur, Removes::new(&keys));
+        check(&cur, ops.as_slice());
     }
 
     #[test]

@@ -172,8 +172,9 @@ mod tests {
         let extra: Vec<u64> = (1..2001u64).collect(); // all below (1 << 20)
         let mut scratch = Vec::new();
         let shared = p.storage_mut().shared();
+        // SAFETY: single-threaded test, one leaf at a time.
         unsafe {
-            shared.merge_into_leaf(0, &extra, &mut scratch);
+            shared.apply_run(0, crate::run::Inserts::new(&extra), &mut scratch);
         }
         p.add_units_delta(extra.len() as isize);
         p.add_len_delta(extra.len() as isize);

@@ -13,38 +13,15 @@
 //! the data-race argument trivial: routing only reads heads/counts, merges
 //! only write disjoint leaves.
 
-use crate::tree::ImplicitTree;
+use crate::run::Run;
 use crate::{LeafStorage, PmaCore, PmaKey};
-use cpma_api::BatchOp;
 
-/// One unit of merge work: batch[start..end] all belong in `leaf`.
+/// One unit of merge work: `run.slice(start, end)` all belongs in `leaf`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Assignment {
     pub leaf: usize,
     pub start: usize,
     pub end: usize,
-}
-
-/// Anything routable: a sorted run of these is partitioned across leaves
-/// by key. Plain keys (one-sided batches) and [`BatchOp`]s (mixed
-/// batches) route through the *same* recursion — the mixed pipeline
-/// reuses the one-sided routing phase verbatim.
-pub(crate) trait RouteKey<K>: Copy + Send + Sync {
-    fn route_key(&self) -> K;
-}
-
-impl<K: PmaKey> RouteKey<K> for K {
-    #[inline]
-    fn route_key(&self) -> K {
-        *self
-    }
-}
-
-impl<K: PmaKey> RouteKey<K> for BatchOp<K> {
-    #[inline]
-    fn route_key(&self) -> K {
-        self.key()
-    }
 }
 
 /// Below this many batch elements, route with a serial sweep instead of
@@ -53,51 +30,41 @@ fn serial_cutoff() -> usize {
     (32_768 / rayon::current_num_threads().max(1)).max(1024)
 }
 
-/// Compute the destination segments for a batch sorted strictly by key.
-/// The PMA must be non-empty. Assignments come back ordered by leaf.
-pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8>(
+/// Compute the destination segments for a run (routing reads only its
+/// keys, so every view of the same keys routes identically). The PMA must
+/// be non-empty. Assignments come back ordered by leaf.
+pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, R: Run<K>, const FORM: u8>(
     core: &PmaCore<K, L, FORM>,
-    batch: &[T],
+    run: R,
 ) -> Vec<Assignment> {
     debug_assert!(!core.is_empty());
     let f0 = core
         .first_nonempty_leaf()
         .expect("route_batch requires a non-empty PMA");
-    let ctx = RouteCtx {
-        core,
-        batch,
-        f0,
-        tree: core.tree(),
-    };
-    ctx.recurse(0, batch.len(), 0, core.storage().num_leaves())
+    let ctx = RouteCtx { core, run, f0 };
+    ctx.recurse(0, run.len(), 0, core.storage().num_leaves())
 }
 
-struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> {
+struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, R: Run<K>, const FORM: u8> {
     core: &'a PmaCore<K, L, FORM>,
-    batch: &'a [T],
+    run: R,
     /// First non-empty leaf: elements below the global minimum route here.
     f0: usize,
-    #[allow(dead_code)]
-    tree: ImplicitTree,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> RouteCtx<'_, K, L, T, FORM> {
-    /// Segment of `self.batch[blo..bhi)` destined for leaf `t`:
+impl<K: PmaKey, L: LeafStorage<K>, R: Run<K>, const FORM: u8> RouteCtx<'_, K, L, R, FORM> {
+    /// Segment of `self.run[blo..bhi)` destined for leaf `t`:
     /// keys in `[head(t), head(next non-empty leaf))`, extended down to
     /// −∞ when `t` is the first non-empty leaf.
     fn segment_for(&self, t: usize, blo: usize, bhi: usize) -> (usize, usize) {
-        let slice = &self.batch[blo..bhi];
+        let rest = self.run.slice(blo, bhi);
         let lo = if t == self.f0 {
             blo
         } else {
-            let h = self.core.storage().head(t);
-            blo + slice.partition_point(|e| e.route_key() < h)
+            blo + rest.lower_bound(self.core.storage().head(t))
         };
         let hi = match self.core.next_nonempty_leaf(t) {
-            Some(nn) => {
-                let h = self.core.storage().head(nn);
-                blo + slice.partition_point(|e| e.route_key() < h)
-            }
+            Some(nn) => blo + rest.lower_bound(self.core.storage().head(nn)),
             None => bhi,
         };
         debug_assert!(lo <= hi);
@@ -118,7 +85,7 @@ impl<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> RouteCtx<'_, 
         let mid = blo + (bhi - blo) / 2;
         let t = self
             .core
-            .dest_leaf(self.batch[mid].route_key())
+            .dest_leaf(self.run.key(mid))
             .expect("non-empty PMA always routes");
         debug_assert!((llo..lhi).contains(&t), "dest {t} outside [{llo},{lhi})");
         let (i, j) = self.segment_for(t, blo, bhi);
@@ -144,7 +111,7 @@ impl<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> RouteCtx<'_, 
         while b < bhi {
             let t = self
                 .core
-                .dest_leaf(self.batch[b].route_key())
+                .dest_leaf(self.run.key(b))
                 .expect("non-empty PMA always routes");
             let (i, j) = self.segment_for(t, b, bhi);
             debug_assert!(i <= b && b < j);
@@ -162,7 +129,9 @@ impl<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> RouteCtx<'_, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{Inserts, Removes};
     use crate::Pma;
+    use cpma_api::BatchOp;
 
     fn setup() -> Pma<u64> {
         // 4 values per leaf-ish structure over 0..4000 step 10.
@@ -171,7 +140,7 @@ mod tests {
     }
 
     fn check_routing(p: &Pma<u64>, batch: &[u64]) {
-        let assignments = route_batch(p, batch);
+        let assignments = route_batch(p, Inserts::new(batch));
         // Covers the batch exactly, in order, without overlap.
         let mut pos = 0;
         let mut prev_leaf = None;
@@ -204,7 +173,7 @@ mod tests {
         let p = Pma::from_sorted(&elems);
         let batch = vec![1u64, 2, 3, 150, 500, 501];
         check_routing(&p, &batch);
-        let assignments = route_batch(&p, &batch);
+        let assignments = route_batch(&p, Inserts::new(&batch));
         // 1,2,3 go to the first non-empty leaf.
         let first = p.first_nonempty_leaf().unwrap();
         assert_eq!(assignments[0].leaf, first);
@@ -216,7 +185,7 @@ mod tests {
         let p = setup();
         for e in [0u64, 5, 1995, 3990, 10_000] {
             let batch = vec![e];
-            let assignments = route_batch(&p, &batch);
+            let assignments = route_batch(&p, Inserts::new(&batch));
             assert_eq!(assignments.len(), 1);
             assert_eq!(
                 assignments[0],
@@ -237,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn op_batches_route_like_their_keys() {
+    fn all_views_of_the_same_keys_route_alike() {
         let p = setup();
         let keys: Vec<u64> = (0..500).map(|i| i * 13 + 2).collect();
         let ops: Vec<BatchOp<u64>> = keys
@@ -250,9 +219,9 @@ mod tests {
                 }
             })
             .collect();
-        let by_key = route_batch(&p, &keys);
-        let by_op = route_batch(&p, &ops);
-        assert_eq!(by_key, by_op, "routing must depend only on keys");
+        let by_op = route_batch(&p, ops.as_slice());
+        assert_eq!(route_batch(&p, Inserts::new(&keys)), by_op);
+        assert_eq!(route_batch(&p, Removes::new(&keys)), by_op);
     }
 
     #[test]
@@ -260,7 +229,7 @@ mod tests {
         let p = setup();
         // A tight cluster routes to a single leaf.
         let batch = vec![101u64, 102, 103, 104];
-        let assignments = route_batch(&p, &batch);
+        let assignments = route_batch(&p, Inserts::new(&batch));
         assert_eq!(assignments.len(), 1);
     }
 }

@@ -24,11 +24,10 @@ use crate::codec::{
     decode_run, decode_varint, encode_run, encoded_run_len, for_each_in_run, varint_len,
 };
 use crate::core::ForceCodec;
-use crate::leaf::{
-    apply_ops_into, set_difference_into, set_union_into, MergeOutcome, OpsOutcome, SharedLeaves,
-};
+use crate::leaf::{apply_run_into, OpsOutcome, SharedLeaves};
+use crate::run::Run;
 use crate::{stats, LeafStorage};
-use cpma_api::{BatchOp, PersistError};
+use cpma_api::PersistError;
 use std::marker::PhantomData;
 
 /// Per-leaf tag: LEB128 delta run (the paper's encoding).
@@ -815,11 +814,20 @@ impl Clone for CompressedShared<'_> {
 }
 impl Copy for CompressedShared<'_> {}
 
-// SAFETY: used only under the SharedLeaves contract (disjoint leaves);
-// buffers outlive 'a.
+// SAFETY: used only under the disjoint-leaf contract of `SharedLeaves`, so
+// pointer accesses from different threads never overlap; the six buffers
+// outlive 'a and hold plain integers and boxed `u64` slices; `policy` is
+// `Copy` data.
 unsafe impl Send for CompressedShared<'_> {}
 unsafe impl Sync for CompressedShared<'_> {}
 
+/// Private helpers.
+///
+/// # Safety (every method)
+/// The caller must hold the disjoint-leaf contract of [`SharedLeaves`] for
+/// `leaf`; each helper touches only that leaf's slots. `len ≤ leaf_units`
+/// (debug-asserted; `used[leaf]` never exceeds it) keeps every byte slice
+/// inside the leaf's own stretch of the byte array.
 impl CompressedShared<'_> {
     #[inline]
     #[allow(clippy::mut_from_ref)] // shared-disjoint contract: see trait docs
@@ -950,303 +958,106 @@ impl CompressedShared<'_> {
         *self.tags.add(leaf) = TAG_DELTA;
     }
 
-    /// Wordwise union into a bitmap leaf: OR the existing words (rebased if
-    /// the batch extends the span downward) and set one bit per new key —
-    /// no delta decode, no re-encode. Falls back to the scalar path when
-    /// the merged span outgrows the leaf or the bitmap may no longer be
-    /// the cheaper codec.
-    unsafe fn merge_into_bitmap(
+    /// Wordwise run on a bitmap leaf: widen the span to the run's first
+    /// and last insert (rebasing the existing words if it extends
+    /// downward), then one pass of set-bit (insert) and clear-bit (remove)
+    /// — the OR/ANDNOT three-finger analogue, no delta decode, no
+    /// re-encode. Returns `None`, having written nothing, when the widened
+    /// span outgrows the leaf: the caller takes the scalar path.
+    ///
+    /// # Safety
+    /// As every helper here; additionally `leaf` must be bitmap-tagged and
+    /// not overflowed, so its first `used[leaf]` bytes are a canonical
+    /// bitmap (base = minimum, last word non-zero).
+    unsafe fn apply_run_wordwise<R: Run<u64>>(
         &self,
         leaf: usize,
-        add: &[u64],
+        run: R,
         scratch: &mut Vec<u64>,
-    ) -> MergeOutcome {
+    ) -> Option<OpsOutcome> {
         let old_units = *self.used.add(leaf) as usize;
         let old_count = *self.counts.add(leaf) as usize;
-        stats::record_read(old_units);
         let buf = self.leaf_buf_read(leaf, old_units);
-        let old_base = bitmap::base_of(buf);
-        let old_max = bitmap::max_elem(buf, old_units);
-        let new_base = old_base.min(add[0]);
-        let new_max = old_max.max(*add.last().unwrap());
-        let cand_units = bitmap::encoded_len(new_base, new_max);
-        if cand_units > self.leaf_units {
-            // Span outgrew the leaf: decode and take the scalar path.
-            let mut cur = Vec::new();
-            bitmap::decode_into(buf, old_units, &mut cur);
-            let added = set_union_into(&cur, add, scratch);
-            let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-            return MergeOutcome {
-                delta_count: added,
-                delta_units: new_units as isize - old_units as isize,
-                overflowed,
-            };
-        }
-        let mut old_words = Vec::new();
-        bitmap::read_words(buf, old_units, &mut old_words);
-        let mut words = vec![0u64; bitmap::span_words(new_base, new_max)];
-        bitmap::or_shifted(&old_words, old_base - new_base, &mut words);
-        let mut added = 0usize;
-        for &k in add {
-            if bitmap::set_bit(&mut words, k - new_base) {
-                added += 1;
-            }
-        }
-        let count = old_count + added;
-        if self.commit_wordwise(cand_units, count) {
-            let used = self.write_bitmap(leaf, new_base, &words, count);
-            return MergeOutcome {
-                delta_count: added,
-                delta_units: used as isize - old_units as isize,
-                overflowed: false,
-            };
-        }
-        // Uncertain winner: materialize and let `store` decide exactly.
-        words_into_elems(new_base, &words, scratch);
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        MergeOutcome {
-            delta_count: added,
-            delta_units: new_units as isize - old_units as isize,
-            overflowed,
-        }
-    }
-
-    /// Wordwise difference on a bitmap leaf: clear one bit per present key
-    /// and re-normalize.
-    unsafe fn remove_from_bitmap(
-        &self,
-        leaf: usize,
-        rem: &[u64],
-        scratch: &mut Vec<u64>,
-    ) -> MergeOutcome {
-        let old_units = *self.used.add(leaf) as usize;
-        let old_count = *self.counts.add(leaf) as usize;
-        stats::record_read(old_units);
-        let buf = self.leaf_buf_read(leaf, old_units);
-        let base = bitmap::base_of(buf);
-        let span_bits = (bitmap::word_count(old_units) as u64) * 64;
+        let mut base = bitmap::base_of(buf);
         let mut words = Vec::new();
-        bitmap::read_words(buf, old_units, &mut words);
-        let mut removed = 0usize;
-        for &k in rem {
-            if k >= base && k - base < span_bits && bitmap::clear_bit(&mut words, k - base) {
-                removed += 1;
-            }
-        }
-        if removed == 0 {
-            return MergeOutcome::default();
-        }
-        let count = old_count - removed;
-        if count == 0 {
-            self.clear_leaf(leaf);
-            return MergeOutcome {
-                delta_count: removed,
-                delta_units: -(old_units as isize),
-                overflowed: false,
-            };
-        }
-        let shift = bitmap::normalize(&mut words);
-        let new_base = base + shift;
-        let cand_units = bitmap::BASE_BYTES + words.len() * 8;
-        if self.commit_wordwise(cand_units, count) {
-            let used = self.write_bitmap(leaf, new_base, &words, count);
-            return MergeOutcome {
-                delta_count: removed,
-                delta_units: used as isize - old_units as isize,
-                overflowed: false,
-            };
-        }
-        words_into_elems(new_base, &words, scratch);
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        debug_assert!(!overflowed);
-        MergeOutcome {
-            delta_count: removed,
-            delta_units: new_units as isize - old_units as isize,
-            overflowed: false,
-        }
-    }
-
-    /// Wordwise mixed run on a bitmap leaf: one pass of set-bit (insert)
-    /// and clear-bit (remove) — the OR/ANDNOT three-finger analogue.
-    unsafe fn merge_ops_into_bitmap(
-        &self,
-        leaf: usize,
-        ops: &[BatchOp<u64>],
-        scratch: &mut Vec<u64>,
-    ) -> OpsOutcome {
-        let old_units = *self.used.add(leaf) as usize;
-        let old_count = *self.counts.add(leaf) as usize;
-        stats::record_read(old_units);
-        let buf = self.leaf_buf_read(leaf, old_units);
-        let old_base = bitmap::base_of(buf);
-        let old_max = bitmap::max_elem(buf, old_units);
-        let (mut ins_min, mut ins_max, mut any_ins) = (u64::MAX, 0u64, false);
-        for op in ops {
-            if let BatchOp::Insert(k) = *op {
-                if !any_ins {
-                    ins_min = k;
-                    any_ins = true;
+        match run.insert_span() {
+            // Removes alone cannot widen the span: edit the words in place.
+            None => bitmap::read_words(buf, old_units, &mut words),
+            Some((lo, hi)) => {
+                let new_base = base.min(lo);
+                let new_max = bitmap::max_elem(buf, old_units).max(hi);
+                if bitmap::encoded_len(new_base, new_max) > self.leaf_units {
+                    return None;
                 }
-                ins_max = k; // ops are ascending
+                let mut old_words = Vec::new();
+                bitmap::read_words(buf, old_units, &mut old_words);
+                words.resize(bitmap::span_words(new_base, new_max), 0);
+                bitmap::or_shifted(&old_words, base - new_base, &mut words);
+                base = new_base;
             }
         }
-        let new_base = if any_ins {
-            old_base.min(ins_min)
-        } else {
-            old_base
-        };
-        let new_max = if any_ins {
-            old_max.max(ins_max)
-        } else {
-            old_max
-        };
-        let cand_units = bitmap::encoded_len(new_base, new_max);
-        if cand_units > self.leaf_units {
-            let mut cur = Vec::new();
-            bitmap::decode_into(buf, old_units, &mut cur);
-            let (added, removed) = apply_ops_into(&cur, ops, scratch);
-            if added == 0 && removed == 0 {
-                return OpsOutcome::default();
-            }
-            let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-            return OpsOutcome {
-                added,
-                removed,
-                delta_units: new_units as isize - old_units as isize,
-                overflowed,
-            };
-        }
-        let mut old_words = Vec::new();
-        bitmap::read_words(buf, old_units, &mut old_words);
-        let mut words = vec![0u64; bitmap::span_words(new_base, new_max)];
-        bitmap::or_shifted(&old_words, old_base - new_base, &mut words);
         let span_bits = (words.len() as u64) * 64;
         let (mut added, mut removed) = (0usize, 0usize);
-        for op in ops {
-            match *op {
-                BatchOp::Insert(k) => {
-                    if bitmap::set_bit(&mut words, k - new_base) {
-                        added += 1;
-                    }
-                }
-                BatchOp::Remove(k) => {
-                    if k >= new_base
-                        && k - new_base < span_bits
-                        && bitmap::clear_bit(&mut words, k - new_base)
-                    {
-                        removed += 1;
-                    }
-                }
+        for i in 0..run.len() {
+            let k = run.key(i);
+            if run.is_insert(i) {
+                added += usize::from(bitmap::set_bit(&mut words, k - base));
+            } else if k >= base && k - base < span_bits {
+                removed += usize::from(bitmap::clear_bit(&mut words, k - base));
             }
         }
         if added == 0 && removed == 0 {
-            return OpsOutcome::default();
+            return Some(OpsOutcome::default());
         }
-        let count = old_count + added - removed;
-        if count == 0 {
-            self.clear_leaf(leaf);
-            return OpsOutcome {
-                added,
-                removed,
-                delta_units: -(old_units as isize),
-                overflowed: false,
-            };
-        }
-        let shift = bitmap::normalize(&mut words);
-        let base = new_base + shift;
-        let cand2 = bitmap::BASE_BYTES + words.len() * 8;
-        if self.commit_wordwise(cand2, count) {
-            let used = self.write_bitmap(leaf, base, &words, count);
-            return OpsOutcome {
-                added,
-                removed,
-                delta_units: used as isize - old_units as isize,
-                overflowed: false,
-            };
-        }
-        words_into_elems(base, &words, scratch);
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        OpsOutcome {
+        let outcome = |new_units: usize, overflowed| OpsOutcome {
             added,
             removed,
             delta_units: new_units as isize - old_units as isize,
             overflowed,
+        };
+        let count = old_count + added - removed;
+        if count == 0 {
+            self.clear_leaf(leaf);
+            return Some(outcome(0, false));
         }
+        base += bitmap::normalize(&mut words);
+        let cand_units = bitmap::BASE_BYTES + words.len() * 8;
+        if self.commit_wordwise(cand_units, count) {
+            return Some(outcome(self.write_bitmap(leaf, base, &words, count), false));
+        }
+        // Uncertain winner: materialize and let `store` decide exactly.
+        words_into_elems(base, &words, scratch);
+        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
+        Some(outcome(new_units, overflowed))
     }
 }
 
 impl SharedLeaves<u64> for CompressedShared<'_> {
-    unsafe fn merge_into_leaf(
+    unsafe fn apply_run<R: Run<u64>>(
         &self,
         leaf: usize,
-        add: &[u64],
-        scratch: &mut Vec<u64>,
-    ) -> MergeOutcome {
-        if !add.is_empty()
-            && *self.tags.add(leaf) == TAG_BITMAP
-            && (*self.overflow.add(leaf)).is_none()
-        {
-            return self.merge_into_bitmap(leaf, add, scratch);
-        }
-        let mut cur = Vec::new();
-        let old_units = self.current(leaf, &mut cur);
-        stats::record_read(old_units);
-        let added = set_union_into(&cur, add, scratch);
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        MergeOutcome {
-            delta_count: added,
-            delta_units: new_units as isize - old_units as isize,
-            overflowed,
-        }
-    }
-
-    unsafe fn remove_from_leaf(
-        &self,
-        leaf: usize,
-        rem: &[u64],
-        scratch: &mut Vec<u64>,
-    ) -> MergeOutcome {
-        if !rem.is_empty()
-            && *self.tags.add(leaf) == TAG_BITMAP
-            && (*self.overflow.add(leaf)).is_none()
-        {
-            return self.remove_from_bitmap(leaf, rem, scratch);
-        }
-        let mut cur = Vec::new();
-        let old_units = self.current(leaf, &mut cur);
-        stats::record_read(old_units);
-        let removed = set_difference_into(&cur, rem, scratch);
-        if removed == 0 {
-            return MergeOutcome::default();
-        }
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        debug_assert!(!overflowed);
-        MergeOutcome {
-            delta_count: removed,
-            delta_units: new_units as isize - old_units as isize,
-            overflowed: false,
-        }
-    }
-
-    unsafe fn merge_ops_into_leaf(
-        &self,
-        leaf: usize,
-        ops: &[BatchOp<u64>],
+        run: R,
         scratch: &mut Vec<u64>,
     ) -> OpsOutcome {
-        if !ops.is_empty()
-            && *self.tags.add(leaf) == TAG_BITMAP
-            && (*self.overflow.add(leaf)).is_none()
-        {
-            return self.merge_ops_into_bitmap(leaf, ops, scratch);
+        if run.is_empty() {
+            return OpsOutcome::default();
+        }
+        // SAFETY: the caller holds the disjoint-leaf contract for `leaf`,
+        // which is all the slot reads and the helpers below need.
+        let old_units = *self.used.add(leaf) as usize;
+        stats::record_read(old_units);
+        if *self.tags.add(leaf) == TAG_BITMAP && (*self.overflow.add(leaf)).is_none() {
+            if let Some(out) = self.apply_run_wordwise(leaf, run, scratch) {
+                return out;
+            }
         }
         let mut cur = Vec::new();
-        let old_units = self.current(leaf, &mut cur);
-        stats::record_read(old_units);
-        let (added, removed) = apply_ops_into(&cur, ops, scratch);
+        self.current(leaf, &mut cur);
+        let (added, removed) = apply_run_into(&cur, run, scratch);
         if added == 0 && removed == 0 {
             return OpsOutcome::default();
         }
+        // An emptied leaf keeps its old head as the inherited value.
         let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
         OpsOutcome {
             added,
@@ -1317,6 +1128,9 @@ fn checked_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leaf::testkit::{apply, contents, ins, rem};
+    use crate::run::Inserts;
+    use cpma_api::BatchOp::{self, Insert, Remove};
 
     fn store(leaves: usize) -> CompressedLeaves {
         CompressedLeaves::with_geometry(leaves, 256)
@@ -1339,17 +1153,13 @@ mod tests {
     #[test]
     fn merge_roundtrip() {
         let mut s = store(2);
-        let mut scratch = Vec::new();
         let elems = vec![100u64, 105, 1000, 1 << 40];
-        let out = unsafe { s.shared().merge_into_leaf(0, &elems, &mut scratch) };
-        assert_eq!(out.delta_count, 4);
-        assert!(!out.overflowed);
+        let out = apply(&mut s, 0, &ins(elems.iter().copied()));
+        assert_eq!((out.added, out.removed, out.overflowed), (4, 0, false));
         assert_eq!(s.count(0), 4);
         assert_eq!(s.head(0), 100);
         assert_eq!(s.units_used(0), encoded_run_len(&elems, 8));
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert_eq!(v, elems);
+        assert_eq!(contents(&s, 0), elems);
         assert!(s.leaf_contains(0, 1000));
         assert!(!s.leaf_contains(0, 101));
         assert_eq!(s.leaf_successor(0, 106), Some(1000));
@@ -1358,29 +1168,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_merges_accumulate() {
-        let mut s = store(1);
-        let mut scratch = Vec::new();
-        unsafe {
-            let sh = s.shared();
-            sh.merge_into_leaf(0, &[10, 30], &mut scratch);
-            let out = sh.merge_into_leaf(0, &[10, 20, 40], &mut scratch);
-            assert_eq!(out.delta_count, 2);
-        }
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert_eq!(v, vec![10, 20, 30, 40]);
-    }
-
-    #[test]
     fn overflow_on_oversized_merge() {
         // Forced-delta policy: the dense run must spill instead of
         // flipping to the (much cheaper) bitmap encoding.
         let mut s = delta_store(1);
-        let mut scratch = Vec::new();
         // 300 consecutive values: 8 + 299 bytes > 256.
         let big: Vec<u64> = (0..300).collect();
-        let out = unsafe { s.shared().merge_into_leaf(0, &big, &mut scratch) };
+        let out = apply(&mut s, 0, &ins(big.iter().copied()));
         assert!(out.overflowed);
         assert!(s.is_overflowed(0));
         assert_eq!(s.units_used(0), 8 + 299);
@@ -1392,24 +1186,17 @@ mod tests {
     #[test]
     fn auto_picks_bitmap_for_dense_and_delta_for_sparse() {
         let mut s = store(2);
-        let mut scratch = Vec::new();
         let dense: Vec<u64> = (5000..5300).collect(); // delta 307 B, bitmap 48 B
-        let sparse: Vec<u64> = (0..20).map(|i| 1 << (20 + i)).collect();
-        unsafe {
-            let sh = s.shared();
-            let out = sh.merge_into_leaf(0, &dense, &mut scratch);
-            assert!(!out.overflowed);
-            assert_eq!(out.delta_units, bitmap::encoded_len(5000, 5299) as isize);
-            sh.merge_into_leaf(1, &sparse, &mut scratch);
-        }
+        let out = apply(&mut s, 0, &ins(dense.iter().copied()));
+        assert!(!out.overflowed);
+        assert_eq!(out.delta_units, bitmap::encoded_len(5000, 5299) as isize);
+        apply(&mut s, 1, &ins((0..20).map(|i| 1 << (20 + i))));
         assert!(s.is_bitmap(0));
         assert!(!s.is_bitmap(1));
         assert_eq!(s.codec_census(), (1, 1));
         assert_eq!(s.units_used(0), bitmap::encoded_len(5000, 5299));
         // Read paths agree with the element set.
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert_eq!(v, dense);
+        assert_eq!(contents(&s, 0), dense);
         assert!(s.leaf_contains(0, 5123));
         assert!(!s.leaf_contains(0, 4999));
         assert_eq!(s.leaf_successor(0, 5299), Some(5299));
@@ -1425,109 +1212,137 @@ mod tests {
     fn forced_bitmap_falls_back_to_delta_on_wide_spans() {
         let mut s = store(1);
         s.set_codec_policy(ForceCodec::Bitmap, 1.0);
-        let mut scratch = Vec::new();
         let sparse: Vec<u64> = (0..10).map(|i| i << 40).collect();
-        let out = unsafe { s.shared().merge_into_leaf(0, &sparse, &mut scratch) };
+        let out = apply(&mut s, 0, &ins(sparse.iter().copied()));
         assert!(!out.overflowed);
         assert!(!s.is_bitmap(0)); // bitmap would be astronomically large
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert_eq!(v, sparse);
+        assert_eq!(contents(&s, 0), sparse);
     }
 
-    #[test]
-    fn wordwise_merge_matches_scalar_union() {
-        // Same batch through a bitmap leaf (wordwise path) and a forced-
-        // delta leaf (scalar path) must produce identical element sets and
-        // consistent MergeOutcome accounting.
-        let mut hybrid = store(1);
-        let mut delta = delta_store(1);
-        let mut scratch = Vec::new();
-        let seed: Vec<u64> = (1000..1150).collect();
-        let add: Vec<u64> = (900..1100).step_by(3).collect(); // extends base downward
-        unsafe {
-            hybrid.shared().merge_into_leaf(0, &seed, &mut scratch);
-            assert!(hybrid.is_bitmap(0));
-            let hw = hybrid.shared().merge_into_leaf(0, &add, &mut scratch);
-            delta.shared().merge_into_leaf(0, &seed, &mut scratch);
-            let dw = delta.shared().merge_into_leaf(0, &add, &mut scratch);
-            assert_eq!(hw.delta_count, dw.delta_count);
-            assert!(!hw.overflowed);
-        }
-        let (mut hv, mut dv) = (Vec::new(), Vec::new());
-        hybrid.collect_leaf(0, &mut hv);
-        delta.collect_leaf(0, &mut dv);
-        assert_eq!(hv, dv);
-        assert_eq!(hybrid.count(0), hv.len());
-        // Unit accounting must match the stored encoding exactly.
-        assert_eq!(hybrid.units_used(0), hybrid_cost(&hv));
+    /// One row of [`apply_run_table`]: `run` applied to a leaf holding
+    /// `seed`, and what must come out.
+    struct Row {
+        name: &'static str,
+        seed: Vec<u64>,
+        run: Vec<BatchOp<u64>>,
+        /// `(added, removed)`.
+        counts: (usize, usize),
+        want: Vec<u64>,
+        /// Head afterwards (the old head survives an emptied leaf).
+        head: u64,
     }
 
+    /// The same run through a bitmap leaf (wordwise path) and a forced-
+    /// delta leaf (scalar path) must produce identical element sets and
+    /// counts, with unit accounting that matches the stored encoding.
     #[test]
-    fn wordwise_remove_renormalizes_base() {
-        let mut s = store(1);
-        let mut scratch = Vec::new();
-        let seed: Vec<u64> = (640..940).collect();
-        unsafe {
-            s.shared().merge_into_leaf(0, &seed, &mut scratch);
-            assert!(s.is_bitmap(0));
-            // Remove the low block: base must slide up to 768 and the word
-            // array must shrink.
-            let rem: Vec<u64> = (600..768).collect();
-            let out = s.shared().remove_from_leaf(0, &rem, &mut scratch);
-            assert_eq!(out.delta_count, 128);
-            assert!(!out.overflowed);
+    fn apply_run_table() {
+        let rows = [
+            Row {
+                name: "sparse union accumulates",
+                seed: vec![10, 30],
+                run: ins([10, 20, 40]),
+                counts: (2, 0),
+                want: vec![10, 20, 30, 40],
+                head: 10,
+            },
+            Row {
+                name: "union extends the base downward",
+                seed: (1000..1150).collect(),
+                run: ins((900..1100).step_by(3)),
+                counts: (34, 0),
+                want: (900..1000).step_by(3).chain(1000..1150).collect(),
+                head: 900,
+            },
+            Row {
+                name: "removing the low block renormalizes the base",
+                seed: (640..940).collect(),
+                run: rem(600..768),
+                counts: (0, 128),
+                want: (768..940).collect(),
+                head: 768,
+            },
+            Row {
+                name: "removing everything keeps the head as inherited value",
+                seed: (768..940).collect(),
+                run: rem(0..1000),
+                counts: (0, 172),
+                want: vec![],
+                head: 768,
+            },
+            Row {
+                name: "mixed run: one pass of set and clear",
+                seed: (2000..2200).collect(),
+                run: vec![
+                    Insert(1990), // extends span downward
+                    Remove(2000),
+                    Insert(2100), // already present: no-op
+                    Remove(2199),
+                    Remove(5000), // absent: no-op
+                ],
+                counts: (1, 2),
+                want: std::iter::once(1990).chain(2001..2199).collect(),
+                head: 1990,
+            },
+            Row {
+                name: "span outgrows the leaf: wordwise hands over to scalar",
+                seed: (0..200).collect(),
+                run: vec![Remove(5), Insert(1 << 30)],
+                counts: (1, 1),
+                want: (0..5).chain(6..200).chain([1 << 30]).collect(),
+                head: 0,
+            },
+        ];
+        for row in &rows {
+            let n = row.name;
+            for (mut s, wordwise) in [(store(1), true), (delta_store(1), false)] {
+                apply(&mut s, 0, &ins(row.seed.iter().copied()));
+                // Dense seeds must actually exercise the wordwise path.
+                assert_eq!(s.is_bitmap(0), wordwise && row.seed.len() > 2, "{n}");
+                let units_before = s.units_used(0);
+                let out = apply(&mut s, 0, &row.run);
+                assert_eq!((out.added, out.removed), row.counts, "{n}");
+                assert!(!out.overflowed, "{n}");
+                assert_eq!(contents(&s, 0), row.want, "{n}");
+                assert_eq!((s.count(0), s.head(0)), (row.want.len(), row.head), "{n}");
+                let cost = if row.want.is_empty() {
+                    0
+                } else if wordwise {
+                    hybrid_cost(&row.want)
+                } else {
+                    encoded_run_len(&row.want, 8)
+                };
+                assert_eq!(s.units_used(0), cost, "{n}");
+                assert_eq!(
+                    out.delta_units,
+                    cost as isize - units_before as isize,
+                    "{n}"
+                );
+            }
         }
-        assert_eq!(s.head(0), 768);
-        assert_eq!(s.count(0), 172);
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert_eq!(v, (768..940).collect::<Vec<u64>>());
-        assert_eq!(s.units_used(0), bitmap::encoded_len(768, 939));
-        // Removing everything keeps the head (inherited value).
-        unsafe {
-            let all: Vec<u64> = (0..1000).collect();
-            s.shared().remove_from_leaf(0, &all, &mut scratch);
-        }
-        assert_eq!(s.count(0), 0);
-        assert_eq!(s.units_used(0), 0);
-        assert_eq!(s.head(0), 768);
     }
 
+    /// Runs that change nothing — every insert present, every remove
+    /// absent — report the default outcome and leave the leaf's bytes
+    /// alone, on both codecs and through all three views.
     #[test]
-    fn wordwise_ops_accounting() {
-        use cpma_api::BatchOp::{Insert, Remove};
-        let mut s = store(1);
-        let mut scratch = Vec::new();
-        let seed: Vec<u64> = (2000..2200).collect();
-        unsafe {
-            s.shared().merge_into_leaf(0, &seed, &mut scratch);
-            assert!(s.is_bitmap(0));
-            let ops = [
-                Insert(1990), // extends span downward
-                Remove(2000),
-                Insert(2100), // already present: no-op
-                Remove(2199),
-                Remove(5000), // absent: no-op
-            ];
-            let out = s.shared().merge_ops_into_leaf(0, &ops, &mut scratch);
-            assert_eq!((out.added, out.removed), (1, 2));
-            assert!(!out.overflowed);
-            // Pure-no-op run: no rewrite, no unit change.
-            let before = s.units_used(0);
-            let out =
-                s.shared()
-                    .merge_ops_into_leaf(0, &[Insert(2100), Remove(7777)], &mut scratch);
-            assert_eq!(out, OpsOutcome::default());
-            assert_eq!(s.units_used(0), before);
+    fn noop_runs_do_not_rewrite() {
+        for mut s in [store(1), delta_store(1)] {
+            apply(&mut s, 0, &ins(2000..2200));
+            let before = (s.leaf_bytes(0).to_vec(), s.units_used(0), s.head(0));
+            for run in [
+                vec![Insert(2100), Remove(7777)],
+                ins([2000, 2050, 2199]),
+                rem([1, 1999, 2200, 9000]),
+                vec![],
+            ] {
+                assert_eq!(apply(&mut s, 0, &run), OpsOutcome::default());
+                assert_eq!(
+                    (s.leaf_bytes(0).to_vec(), s.units_used(0), s.head(0)),
+                    before
+                );
+            }
         }
-        assert_eq!(s.head(0), 1990);
-        assert_eq!(s.count(0), 199);
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
-        assert!(v.contains(&1990) && !v.contains(&2000) && !v.contains(&2199));
-        assert_eq!(s.units_used(0), hybrid_cost(&v));
     }
 
     #[test]
@@ -1537,21 +1352,17 @@ mod tests {
         // 101 elements with gap 8: delta = 8 + 100 = 108 B; bitmap spans
         // 801 bits → 8 + 13·8 = 112 B. Ratio ≈ 1.037: inside (15/16, 17/16).
         let run: Vec<u64> = (0..101u64).map(|i| 1000 + i * 8).collect();
-        let mut scratch = Vec::new();
         // Fresh leaf (delta-tagged): threshold·15/16 < ratio → stays delta.
         let mut s = store(1);
-        unsafe { s.shared().merge_into_leaf(0, &run, &mut scratch) };
+        apply(&mut s, 0, &ins(run.iter().copied()));
         assert!(!s.is_bitmap(0));
         // Same run written over a bitmap-tagged leaf: threshold·17/16 >
         // ratio → stays bitmap.
         let mut s = store(1);
-        let dense: Vec<u64> = (1000..1200).collect();
-        unsafe {
-            s.shared().merge_into_leaf(0, &dense, &mut scratch);
-            assert!(s.is_bitmap(0));
-            // Overwrite with the borderline run (redistribute path).
-            s.shared().write_leaf(0, &run, 0);
-        }
+        apply(&mut s, 0, &ins(1000..1200));
+        assert!(s.is_bitmap(0));
+        // Overwrite with the borderline run (redistribute path).
+        unsafe { s.shared().write_leaf(0, &run, 0) };
         assert!(s.is_bitmap(0));
     }
 
@@ -1630,7 +1441,7 @@ mod tests {
             let mut scratch = Vec::new();
             // SAFETY: each task owns a distinct leaf.
             unsafe {
-                sh.merge_into_leaf(leaf, &[base, base + 7], &mut scratch);
+                sh.apply_run(leaf, Inserts::new(&[base, base + 7]), &mut scratch);
             }
         });
         for leaf in 0..32 {

@@ -37,6 +37,7 @@
 
 use crate::density::DensityBounds;
 use crate::leaf::SharedLeaves;
+use crate::run::{Inserts, Removes};
 use crate::search;
 use crate::tree::{ImplicitTree, Node};
 use crate::{stats, CompressedLeaves, LeafStorage, PmaKey, UncompressedLeaves};
@@ -875,9 +876,10 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let leaf = dest.unwrap_or(0);
         let mut scratch = Vec::new();
         let shared = self.storage.shared();
-        // SAFETY: single-threaded exclusive access.
-        let out = unsafe { shared.merge_into_leaf(leaf, &[key], &mut scratch) };
-        if out.delta_count == 0 {
+        // SAFETY: disjoint-leaf contract of `SharedLeaves` — `shared` is
+        // used for this one call, on the `&mut self` thread.
+        let out = unsafe { shared.apply_run(leaf, Inserts::new(&[key]), &mut scratch) };
+        if out.added == 0 {
             return false;
         }
         self.len += 1;
@@ -902,9 +904,10 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         };
         let mut scratch = Vec::new();
         let shared = self.storage.shared();
-        // SAFETY: single-threaded exclusive access.
-        let out = unsafe { shared.remove_from_leaf(leaf, &[key], &mut scratch) };
-        if out.delta_count == 0 {
+        // SAFETY: disjoint-leaf contract of `SharedLeaves` — `shared` is
+        // used for this one call, on the `&mut self` thread.
+        let out = unsafe { shared.apply_run(leaf, Removes::new(&[key]), &mut scratch) };
+        if out.removed == 0 {
             return false;
         }
         self.len -= 1;

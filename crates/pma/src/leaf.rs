@@ -18,39 +18,34 @@
 //! `unsafe` methods whose safety requirement is exactly "no two concurrent
 //! calls may target the same leaf". Implementations use raw pointers derived
 //! from `&mut self`, never materializing overlapping `&mut` references.
+//!
+//! # One update kernel
+//!
+//! Every update — a point insert, a one-sided batch, a mixed batch —
+//! reaches a leaf as a [`Run`]: the sorted ops routed to it. Each storage
+//! implements one [`SharedLeaves::apply_run`] (decode → [`apply_run_into`]
+//! → re-encode, skipped when the run changes nothing) and reports one
+//! [`OpsOutcome`]; there is no separate union or difference path.
 
 use crate::core::ForceCodec;
+use crate::run::Run;
 use crate::PmaKey;
-use cpma_api::{BatchOp, PersistError};
+use cpma_api::PersistError;
 
-/// Result of merging into / removing from one leaf.
+/// Result of applying a run to one leaf.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MergeOutcome {
-    /// Elements actually added (insert) or removed (delete); keys already
-    /// present (or absent) do not count — set semantics.
-    pub delta_count: usize,
+pub struct OpsOutcome {
+    /// Keys newly inserted into the leaf (keys already present do not
+    /// count — set semantics).
+    pub added: usize,
+    /// Keys actually removed from the leaf (absent keys do not count).
+    pub removed: usize,
     /// Signed change in the leaf's occupied units (cells or bytes).
     pub delta_units: isize,
     /// The leaf now holds more units than its physical capacity and its
     /// contents live in an out-of-place overflow buffer (Figure 4 of the
     /// paper). The counting phase is guaranteed to schedule it for
     /// redistribution because its density exceeds 1.0.
-    pub overflowed: bool,
-}
-
-/// Result of applying a mixed op run to one leaf: like [`MergeOutcome`]
-/// but with the add and remove counts kept apart (a mixed run can do
-/// both in the same rewrite).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpsOutcome {
-    /// Keys newly inserted into the leaf.
-    pub added: usize,
-    /// Keys actually removed from the leaf.
-    pub removed: usize,
-    /// Signed change in the leaf's occupied units (cells or bytes).
-    pub delta_units: isize,
-    /// The rewritten leaf spilled to an overflow buffer (see
-    /// [`MergeOutcome::overflowed`]).
     pub overflowed: bool,
 }
 
@@ -215,139 +210,94 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
 ///
 /// For a given accessor, no two concurrent calls may target the same leaf
 /// index, and no concurrent call may target a leaf another thread is reading
-/// through the same accessor. Distinct leaves are always safe.
+/// through the same accessor. Distinct leaves are always safe: every method
+/// touches only the addressed leaf's slots (cells or bytes, count, units,
+/// head, tag, overflow), all reached through raw pointers derived from the
+/// one `&mut` borrow [`LeafStorage::shared`] took, which outlives the
+/// accessor and excludes every safe reference to the storage. `leaf` must
+/// be below the accessor's leaf count. Call sites cite this as the
+/// *disjoint-leaf contract* and say only why their leaves are distinct.
 pub trait SharedLeaves<K: PmaKey> {
-    /// Merge sorted, deduplicated `add` into `leaf` (set union). Spills to
-    /// an overflow buffer when the result exceeds leaf capacity. Updates the
-    /// leaf head.
+    /// Apply `run` (ascending, one op per key) to `leaf` in **one** rewrite:
+    /// decode → [`apply_run_into`] → re-encode. A run that changes nothing
+    /// returns the default outcome and leaves the leaf's bytes untouched.
+    /// Inserts may spill to an overflow buffer; an emptied leaf keeps its
+    /// old head as the inherited value (this preserves head-array
+    /// monotonicity with no cross-leaf reads — see `core` docs).
     ///
     /// # Safety
-    /// See trait-level contract.
-    unsafe fn merge_into_leaf(&self, leaf: usize, add: &[K], scratch: &mut Vec<K>) -> MergeOutcome;
-
-    /// Remove every element of sorted `rem` present in `leaf` (set
-    /// difference). Never overflows. An emptied leaf keeps its old head as
-    /// the inherited value (this preserves head-array monotonicity with no
-    /// cross-leaf reads — see `core` docs).
-    ///
-    /// # Safety
-    /// See trait-level contract.
-    unsafe fn remove_from_leaf(&self, leaf: usize, rem: &[K], scratch: &mut Vec<K>)
-        -> MergeOutcome;
-
-    /// Apply a mixed op run (normal form: ascending, one op per key) to
-    /// `leaf` in **one** rewrite — the kernel of the single-pass mixed
-    /// batch pipeline. Inserts may spill to an overflow buffer; an
-    /// emptied leaf keeps its old head as the inherited value (the same
-    /// invariants as the one-sided merges, threaded through one
-    /// decode → three-finger merge → encode).
-    ///
-    /// # Safety
-    /// See trait-level contract.
-    unsafe fn merge_ops_into_leaf(
-        &self,
-        leaf: usize,
-        ops: &[BatchOp<K>],
-        scratch: &mut Vec<K>,
-    ) -> OpsOutcome;
+    /// The disjoint-leaf contract (trait docs).
+    unsafe fn apply_run<R: Run<K>>(&self, leaf: usize, run: R, scratch: &mut Vec<K>) -> OpsOutcome;
 
     /// Overwrite `leaf` with `elems` (must fit capacity; caller planned the
     /// split). For an empty `elems`, the head is set to `inherited_head`.
     /// Clears any overflow buffer. Returns the leaf's new unit count.
     ///
     /// # Safety
-    /// See trait-level contract.
+    /// The disjoint-leaf contract (trait docs).
     unsafe fn write_leaf(&self, leaf: usize, elems: &[K], inherited_head: K) -> usize;
 
     /// Append `leaf`'s elements to `out` (reads through the shared view).
     ///
     /// # Safety
-    /// See trait-level contract.
+    /// The disjoint-leaf contract (trait docs).
     unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>);
 
     /// Occupied units of `leaf` through the shared view.
     ///
     /// # Safety
-    /// See trait-level contract.
+    /// The disjoint-leaf contract (trait docs).
     unsafe fn units_used(&self, leaf: usize) -> usize;
 
     /// Element count of `leaf` through the shared view.
     ///
     /// # Safety
-    /// See trait-level contract.
+    /// The disjoint-leaf contract (trait docs).
     unsafe fn count(&self, leaf: usize) -> usize;
 
     /// Set the head of an (empty) leaf to an inherited value.
     ///
     /// # Safety
-    /// See trait-level contract.
+    /// The disjoint-leaf contract (trait docs).
     unsafe fn set_inherited_head(&self, leaf: usize, head: K);
 }
 
-/// Merge two sorted runs as a set union into `out` (cleared first).
-/// Returns the number of elements of `add` that were *not* already present.
-pub(crate) fn set_union_into<K: PmaKey>(cur: &[K], add: &[K], out: &mut Vec<K>) -> usize {
-    out.clear();
-    out.reserve(cur.len() + add.len());
-    let mut added = 0;
-    let (mut i, mut j) = (0, 0);
-    while i < cur.len() && j < add.len() {
-        match cur[i].cmp(&add[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(cur[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(add[j]);
-                added += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(cur[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&cur[i..]);
-    for &k in &add[j..] {
-        out.push(k);
-        added += 1;
-    }
-    added
-}
-
-/// Apply a normal-form mixed op run to the sorted run `cur`, writing the
-/// result into `out` (cleared first): one three-finger merge that unions
-/// inserts and subtracts removes in the same pass. Returns
-/// `(added, removed)` with set semantics.
-pub(crate) fn apply_ops_into<K: PmaKey>(
+/// Apply `run` to the sorted unique `cur`, writing the result into `out`
+/// (cleared first): one three-finger merge that unions the inserts and
+/// subtracts the removes in the same pass. Returns `(added, removed)` with
+/// set semantics. For an [`Inserts`](crate::run::Inserts) or
+/// [`Removes`](crate::run::Removes) view the op test is a constant, which
+/// leaves the plain two-finger union or difference loop.
+pub(crate) fn apply_run_into<K: PmaKey, R: Run<K>>(
     cur: &[K],
-    ops: &[BatchOp<K>],
+    run: R,
     out: &mut Vec<K>,
 ) -> (usize, usize) {
-    debug_assert!(ops.windows(2).all(|w| w[0].key() < w[1].key()));
+    debug_assert!(run.is_strictly_ascending());
     out.clear();
-    out.reserve(cur.len() + ops.len());
+    out.reserve(cur.len() + run.len());
     let (mut added, mut removed) = (0usize, 0usize);
     let (mut i, mut j) = (0usize, 0usize);
-    while i < cur.len() && j < ops.len() {
-        match cur[i].cmp(&ops[j].key()) {
+    while i < cur.len() && j < run.len() {
+        let k = run.key(j);
+        match cur[i].cmp(&k) {
             std::cmp::Ordering::Less => {
                 out.push(cur[i]);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                if let BatchOp::Insert(k) = ops[j] {
+                // A remove of an absent key is a no-op.
+                if run.is_insert(j) {
                     out.push(k);
                     added += 1;
                 }
-                j += 1; // a Remove of an absent key is a no-op
+                j += 1;
             }
             std::cmp::Ordering::Equal => {
-                match ops[j] {
-                    BatchOp::Insert(_) => out.push(cur[i]), // already present
-                    BatchOp::Remove(_) => removed += 1,     // drop it
+                if run.is_insert(j) {
+                    out.push(k); // already present
+                } else {
+                    removed += 1; // drop it
                 }
                 i += 1;
                 j += 1;
@@ -355,104 +305,199 @@ pub(crate) fn apply_ops_into<K: PmaKey>(
         }
     }
     out.extend_from_slice(&cur[i..]);
-    for op in &ops[j..] {
-        if let BatchOp::Insert(k) = *op {
-            out.push(k);
+    for j in j..run.len() {
+        if run.is_insert(j) {
+            out.push(run.key(j));
             added += 1;
         }
     }
     (added, removed)
 }
 
-/// Set difference `cur \ rem` into `out` (cleared first). Returns the number
-/// of elements removed.
-pub(crate) fn set_difference_into<K: PmaKey>(cur: &[K], rem: &[K], out: &mut Vec<K>) -> usize {
-    out.clear();
-    out.reserve(cur.len());
-    let mut removed = 0;
-    let mut j = 0;
-    for &c in cur {
-        while j < rem.len() && rem[j] < c {
-            j += 1;
+/// Helpers shared by the storage test modules.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::*;
+    use crate::run::{Inserts, Removes};
+    use cpma_api::BatchOp::{self, Insert, Remove};
+
+    /// Apply `ops` to `leaf` through the op slice and — when the run is
+    /// one-sided — through its key view on a clone: both must report the
+    /// same outcome and leave identical storages (byte-identical payloads
+    /// unless a leaf is spilled, which has no payload form).
+    pub(crate) fn apply<L: LeafStorage<u64> + Clone>(
+        s: &mut L,
+        leaf: usize,
+        ops: &[BatchOp<u64>],
+    ) -> OpsOutcome {
+        let keys: Vec<u64> = ops.iter().map(|op| op.key()).collect();
+        let mut twin = s.clone();
+        let mut scratch = Vec::new();
+        // SAFETY: single-threaded; `s` and `twin` are distinct storages.
+        let (out, via_view) = unsafe {
+            let out = s.shared().apply_run(leaf, ops, &mut scratch);
+            let twin_sh = twin.shared();
+            let via_view = if ops.iter().all(|op| matches!(op, Insert(_))) {
+                Some(twin_sh.apply_run(leaf, Inserts::new(&keys), &mut scratch))
+            } else if ops.iter().all(|op| matches!(op, Remove(_))) {
+                Some(twin_sh.apply_run(leaf, Removes::new(&keys), &mut scratch))
+            } else {
+                None
+            };
+            (out, via_view)
+        };
+        if let Some(v) = via_view {
+            assert_eq!(v, out, "key view disagrees with op slice");
+            assert_eq!(contents(&twin, leaf), contents(s, leaf));
+            let spilled = |l: &L| (0..l.num_leaves()).any(|i| l.is_overflowed(i));
+            assert_eq!(spilled(&twin), spilled(s));
+            if !spilled(s) {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                twin.write_payload(&mut a);
+                s.write_payload(&mut b);
+                assert!(a == b, "key view and op slice left different bytes");
+            }
         }
-        if j < rem.len() && rem[j] == c {
-            removed += 1;
-            j += 1;
-        } else {
-            out.push(c);
-        }
+        out
     }
-    removed
+
+    pub(crate) fn contents<L: LeafStorage<u64>>(s: &L, leaf: usize) -> Vec<u64> {
+        let mut v = Vec::new();
+        s.collect_leaf(leaf, &mut v);
+        v
+    }
+
+    pub(crate) fn ins(keys: impl IntoIterator<Item = u64>) -> Vec<BatchOp<u64>> {
+        keys.into_iter().map(Insert).collect()
+    }
+
+    pub(crate) fn rem(keys: impl IntoIterator<Item = u64>) -> Vec<BatchOp<u64>> {
+        keys.into_iter().map(Remove).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{Inserts, Removes};
+    use cpma_api::BatchOp::{self, Insert, Remove};
 
-    #[test]
-    fn union_counts_new_elements_only() {
-        let mut out = Vec::new();
-        let added = set_union_into(&[1u64, 3, 5], &[2, 3, 6], &mut out);
-        assert_eq!(out, vec![1, 2, 3, 5, 6]);
-        assert_eq!(added, 2);
+    /// One row of the kernel table: `cur` ∘ `run` = `want`, with the
+    /// `(added, removed)` counts the kernel must report.
+    struct Case {
+        cur: &'static [u64],
+        run: &'static [BatchOp<u64>],
+        want: &'static [u64],
+        counts: (usize, usize),
     }
 
-    #[test]
-    fn union_with_empty_sides() {
-        let mut out = Vec::new();
-        assert_eq!(set_union_into::<u64>(&[], &[1, 2], &mut out), 2);
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(set_union_into::<u64>(&[1, 2], &[], &mut out), 0);
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(set_union_into::<u64>(&[], &[], &mut out), 0);
-        assert!(out.is_empty());
-    }
+    const CASES: &[Case] = &[
+        // Union counts new elements only.
+        Case {
+            cur: &[1, 3, 5],
+            run: &[Insert(2), Insert(3), Insert(6)],
+            want: &[1, 2, 3, 5, 6],
+            counts: (2, 0),
+        },
+        // Union with an empty side.
+        Case {
+            cur: &[],
+            run: &[Insert(1), Insert(2)],
+            want: &[1, 2],
+            counts: (2, 0),
+        },
+        Case {
+            cur: &[1, 2],
+            run: &[],
+            want: &[1, 2],
+            counts: (0, 0),
+        },
+        Case {
+            cur: &[],
+            run: &[],
+            want: &[],
+            counts: (0, 0),
+        },
+        // Union stays sorted and unique through interleavings.
+        Case {
+            cur: &[10, 20, 30],
+            run: &[
+                Insert(5),
+                Insert(10),
+                Insert(15),
+                Insert(20),
+                Insert(25),
+                Insert(35),
+            ],
+            want: &[5, 10, 15, 20, 25, 30, 35],
+            counts: (4, 0),
+        },
+        // Difference counts removed elements only.
+        Case {
+            cur: &[1, 2, 3, 5],
+            run: &[Remove(2), Remove(4), Remove(5), Remove(9)],
+            want: &[1, 3],
+            counts: (0, 2),
+        },
+        // Difference with an empty side.
+        Case {
+            cur: &[],
+            run: &[Remove(1)],
+            want: &[],
+            counts: (0, 0),
+        },
+        Case {
+            cur: &[2, 4],
+            run: &[Remove(2), Remove(4)],
+            want: &[],
+            counts: (0, 2),
+        },
+        // A mixed run unions and subtracts in the same pass.
+        Case {
+            cur: &[1, 3, 5, 7],
+            run: &[Insert(0), Remove(3), Insert(5), Insert(6), Remove(9)],
+            want: &[0, 1, 5, 6, 7],
+            counts: (2, 1),
+        },
+        Case {
+            cur: &[2, 4],
+            run: &[Insert(2), Insert(3)],
+            want: &[2, 3, 4],
+            counts: (1, 0),
+        },
+        Case {
+            cur: &[],
+            run: &[Insert(9), Remove(10)],
+            want: &[9],
+            counts: (1, 0),
+        },
+    ];
 
     #[test]
-    fn difference_counts_removed_only() {
-        let mut out = Vec::new();
-        let removed = set_difference_into(&[1u64, 2, 3, 5], &[2, 4, 5, 9], &mut out);
-        assert_eq!(out, vec![1, 3]);
-        assert_eq!(removed, 2);
-    }
-
-    #[test]
-    fn difference_with_empty_sides() {
-        let mut out = Vec::new();
-        assert_eq!(set_difference_into::<u64>(&[], &[1], &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(set_difference_into::<u64>(&[7, 8], &[], &mut out), 0);
-        assert_eq!(out, vec![7, 8]);
-    }
-
-    #[test]
-    fn apply_ops_mixes_union_and_difference() {
-        use cpma_api::BatchOp::{Insert, Remove};
-        let mut out = Vec::new();
-        let (added, removed) = apply_ops_into(
-            &[1u64, 3, 5, 7],
-            &[Insert(0), Remove(3), Insert(5), Insert(6), Remove(9)],
-            &mut out,
-        );
-        assert_eq!(out, vec![0, 1, 5, 6, 7]);
-        assert_eq!((added, removed), (2, 1));
-        // Pure-insert and pure-remove runs degenerate to union/difference.
-        let (added, removed) = apply_ops_into(&[2u64, 4], &[Insert(2), Insert(3)], &mut out);
-        assert_eq!(out, vec![2, 3, 4]);
-        assert_eq!((added, removed), (1, 0));
-        let (added, removed) = apply_ops_into(&[2u64, 4], &[Remove(2), Remove(4)], &mut out);
-        assert!(out.is_empty());
-        assert_eq!((added, removed), (0, 2));
-        let (added, removed) = apply_ops_into::<u64>(&[], &[Insert(9), Remove(10)], &mut out);
-        assert_eq!(out, vec![9]);
-        assert_eq!((added, removed), (1, 0));
-    }
-
-    #[test]
-    fn union_result_is_sorted_unique() {
-        let mut out = Vec::new();
-        set_union_into(&[10u64, 20, 30], &[5, 10, 15, 20, 25, 35], &mut out);
-        assert!(out.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(out.len(), 7);
+    fn kernel_table() {
+        let mut out = vec![99]; // must be cleared by the kernel
+        for (n, c) in CASES.iter().enumerate() {
+            assert_eq!(apply_run_into(c.cur, c.run, &mut out), c.counts, "row {n}");
+            assert_eq!(out, c.want, "row {n}");
+            assert!(out.windows(2).all(|w| w[0] < w[1]), "row {n}");
+            // A one-sided row must read the same through its key view.
+            let keys: Vec<u64> = c.run.iter().map(|op| op.key()).collect();
+            if c.run.iter().all(|op| matches!(op, Insert(_))) {
+                let got = apply_run_into(c.cur, Inserts::new(&keys), &mut out);
+                assert_eq!(
+                    (got, out.as_slice()),
+                    (c.counts, c.want),
+                    "row {n} as Inserts"
+                );
+            }
+            if c.run.iter().all(|op| matches!(op, Remove(_))) {
+                let got = apply_run_into(c.cur, Removes::new(&keys), &mut out);
+                assert_eq!(
+                    (got, out.as_slice()),
+                    (c.counts, c.want),
+                    "row {n} as Removes"
+                );
+            }
+        }
     }
 }

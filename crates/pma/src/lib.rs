@@ -34,6 +34,7 @@ mod api;
 mod batch;
 mod compressed;
 mod leaf;
+mod run;
 mod search;
 mod uncompressed;
 
@@ -43,7 +44,7 @@ pub use crate::core::{
     PmaConfigBuilder, PmaCore, PmaEytzinger, PmaLinear,
 };
 pub use crate::density::DensityBounds;
-pub use crate::leaf::{LeafStorage, MergeOutcome, OpsOutcome};
+pub use crate::leaf::{LeafStorage, OpsOutcome};
 pub use crate::stats::PmaStats;
 pub use crate::uncompressed::UncompressedLeaves;
 pub use cpma_api::{BatchOp, BatchOutcome, Persist, PersistError, SetKey};

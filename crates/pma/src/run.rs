@@ -1,0 +1,188 @@
+//! The one input shape of the batch pipeline: a **run** — keys strictly
+//! ascending, each carrying an insert-or-remove.
+//!
+//! Routing, the leaf kernels, the bitmap wordwise path and the whole-set
+//! merge are all written once against [`Run`]. Its three implementors are
+//! zero-copy views: a normal-form `&[BatchOp<K>]` slice (mixed batches),
+//! and [`Inserts`] / [`Removes`] over a plain `&[K]`, whose op kind is a
+//! compile-time constant — monomorphisation folds the per-op branch away,
+//! so a one-sided batch runs the union (or difference) loop it always did
+//! without an op array ever being built.
+
+use crate::batch::BoundKind;
+use crate::PmaKey;
+use cpma_api::BatchOp;
+use std::borrow::Cow;
+
+/// A sorted run of (key, insert-or-remove). See module docs.
+pub trait Run<K: PmaKey>: Copy + Send + Sync {
+    /// Density band a batch of this shape can push a node out of: inserts
+    /// only grow leaves, removes only drain them, a mixed run does both.
+    const BOUND: BoundKind;
+
+    fn len(&self) -> usize;
+    /// Key of op `i`.
+    fn key(&self, i: usize) -> K;
+    /// Whether op `i` inserts its key (otherwise it removes it).
+    fn is_insert(&self, i: usize) -> bool;
+    /// The sub-run `[start, end)`.
+    fn slice(&self, start: usize, end: usize) -> Self;
+    /// Number of ops whose key is below `pivot`.
+    fn lower_bound(&self, pivot: K) -> usize;
+    /// The keys this run inserts, in order (borrowed when the run already
+    /// is a key slice).
+    fn insert_keys(&self) -> Cow<'_, [K]>;
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The run invariant (checked in debug builds where runs enter).
+    fn is_strictly_ascending(&self) -> bool {
+        (1..self.len()).all(|i| self.key(i - 1) < self.key(i))
+    }
+
+    /// Smallest and largest inserted key — what can widen a bitmap leaf's
+    /// span. Scans inward from both ends, so a pure-insert view answers
+    /// in O(1).
+    fn insert_span(&self) -> Option<(K, K)> {
+        let first = (0..self.len()).find(|&i| self.is_insert(i))?;
+        let last = (first..self.len()).rfind(|&i| self.is_insert(i))?;
+        Some((self.key(first), self.key(last)))
+    }
+}
+
+/// A sorted unique key slice read as a run whose every op is an insert
+/// (`INSERT = true`) or a remove (`INSERT = false`).
+#[derive(Clone, Copy)]
+pub(crate) struct KeyRun<'a, K, const INSERT: bool>(&'a [K]);
+
+/// Insert-only view of a key slice.
+pub(crate) type Inserts<'a, K> = KeyRun<'a, K, true>;
+/// Remove-only view of a key slice.
+pub(crate) type Removes<'a, K> = KeyRun<'a, K, false>;
+
+impl<'a, K, const INSERT: bool> KeyRun<'a, K, INSERT> {
+    pub(crate) fn new(keys: &'a [K]) -> Self {
+        Self(keys)
+    }
+}
+
+impl<K: PmaKey, const INSERT: bool> Run<K> for KeyRun<'_, K, INSERT> {
+    const BOUND: BoundKind = if INSERT {
+        BoundKind::Upper
+    } else {
+        BoundKind::Lower
+    };
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline]
+    fn key(&self, i: usize) -> K {
+        self.0[i]
+    }
+    #[inline]
+    fn is_insert(&self, _i: usize) -> bool {
+        INSERT
+    }
+    #[inline]
+    fn slice(&self, start: usize, end: usize) -> Self {
+        Self(&self.0[start..end])
+    }
+    #[inline]
+    fn lower_bound(&self, pivot: K) -> usize {
+        self.0.partition_point(|&k| k < pivot)
+    }
+    fn insert_keys(&self) -> Cow<'_, [K]> {
+        Cow::Borrowed(if INSERT { self.0 } else { &[] })
+    }
+}
+
+impl<K: PmaKey> Run<K> for &[BatchOp<K>] {
+    const BOUND: BoundKind = BoundKind::Both;
+
+    #[inline]
+    fn len(&self) -> usize {
+        <[BatchOp<K>]>::len(self)
+    }
+    #[inline]
+    fn key(&self, i: usize) -> K {
+        self[i].key()
+    }
+    #[inline]
+    fn is_insert(&self, i: usize) -> bool {
+        matches!(self[i], BatchOp::Insert(_))
+    }
+    #[inline]
+    fn slice(&self, start: usize, end: usize) -> Self {
+        &self[start..end]
+    }
+    #[inline]
+    fn lower_bound(&self, pivot: K) -> usize {
+        self.partition_point(|op| op.key() < pivot)
+    }
+    fn insert_keys(&self) -> Cow<'_, [K]> {
+        self.iter()
+            .filter_map(|op| match *op {
+                BatchOp::Insert(k) => Some(k),
+                BatchOp::Remove(_) => None,
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpma_api::BatchOp::{Insert, Remove};
+
+    #[test]
+    fn views_agree_with_the_op_slice_they_stand_for() {
+        let keys = [3u64, 8, 9, 20];
+        let all_ins: Vec<BatchOp<u64>> = keys.iter().map(|&k| Insert(k)).collect();
+        let all_rem: Vec<BatchOp<u64>> = keys.iter().map(|&k| Remove(k)).collect();
+        fn same<A: Run<u64>, B: Run<u64>>(a: A, b: B) {
+            assert_eq!(a.len(), b.len());
+            for i in 0..a.len() {
+                assert_eq!((a.key(i), a.is_insert(i)), (b.key(i), b.is_insert(i)));
+            }
+            for pivot in [0, 3, 4, 9, 20, 21] {
+                assert_eq!(a.lower_bound(pivot), b.lower_bound(pivot));
+            }
+            assert_eq!(a.insert_span(), b.insert_span());
+            assert_eq!(a.insert_keys(), b.insert_keys());
+            assert_eq!(a.slice(1, 3).len(), 2);
+            assert_eq!(a.slice(1, 3).key(0), b.slice(1, 3).key(0));
+        }
+        same(Inserts::new(&keys), all_ins.as_slice());
+        same(Removes::new(&keys), all_rem.as_slice());
+        assert_eq!(Inserts::new(&keys).insert_span(), Some((3, 20)));
+        assert_eq!(Removes::new(&keys).insert_span(), None);
+    }
+
+    #[test]
+    fn one_sided_views_are_zero_copy_and_statically_banded() {
+        let keys = [3u64, 8, 9];
+        // The bulk-load regime reads an insert view's keys in place.
+        match Inserts::new(&keys).insert_keys() {
+            Cow::Borrowed(b) => assert!(std::ptr::eq(b, keys.as_slice())),
+            Cow::Owned(_) => panic!("an insert view must not copy its keys"),
+        }
+        assert!(Removes::new(&keys).insert_keys().is_empty());
+        // The count phase checks only the band the run type can violate.
+        assert_eq!(<Inserts<u64> as Run<u64>>::BOUND, BoundKind::Upper);
+        assert_eq!(<Removes<u64> as Run<u64>>::BOUND, BoundKind::Lower);
+        assert_eq!(<&[BatchOp<u64>] as Run<u64>>::BOUND, BoundKind::Both);
+    }
+
+    #[test]
+    fn insert_span_skips_removes_at_both_ends() {
+        let ops = [Remove(1u64), Insert(4), Remove(6), Insert(9), Remove(12)];
+        assert_eq!(ops.as_slice().insert_span(), Some((4, 9)));
+        assert_eq!(ops.as_slice().insert_keys().as_ref(), &[4, 9]);
+        assert_eq!(ops.as_slice().slice(2, 3).insert_span(), None);
+        assert!(ops.as_slice().slice(2, 2).is_empty());
+    }
+}

@@ -7,11 +7,10 @@
 //! leaves" (§5). A separate head array accelerates search, as in the
 //! search-optimized PMA the paper builds on \[78]. Units are **cells**.
 
-use crate::leaf::{
-    apply_ops_into, set_difference_into, set_union_into, MergeOutcome, OpsOutcome, SharedLeaves,
-};
+use crate::leaf::{apply_run_into, OpsOutcome, SharedLeaves};
+use crate::run::Run;
 use crate::{stats, LeafStorage, PmaKey};
-use cpma_api::{BatchOp, PersistError};
+use cpma_api::PersistError;
 use std::marker::PhantomData;
 
 /// Packed-left uncompressed leaves. See module docs.
@@ -314,13 +313,21 @@ impl<K: PmaKey> Clone for UncompressedShared<'_, K> {
 }
 impl<K: PmaKey> Copy for UncompressedShared<'_, K> {}
 
-// SAFETY: the accessor is only used under the SharedLeaves contract (no two
-// concurrent calls target the same leaf), which makes all pointer accesses
-// disjoint; the underlying buffers outlive 'a.
+// SAFETY: the accessor is only used under the disjoint-leaf contract of
+// `SharedLeaves` (no two concurrent calls target the same leaf), which
+// makes all pointer accesses disjoint; the four buffers outlive 'a and
+// hold only `K: PmaKey` (plain integers) and boxed slices of them.
 unsafe impl<K: PmaKey> Send for UncompressedShared<'_, K> {}
 unsafe impl<K: PmaKey> Sync for UncompressedShared<'_, K> {}
 
+/// Private helpers.
+///
+/// # Safety (every method)
+/// The caller must hold the disjoint-leaf contract of [`SharedLeaves`] for
+/// `leaf`; each helper touches only that leaf's slots.
 impl<K: PmaKey> UncompressedShared<'_, K> {
+    /// The first `len` cells of `leaf`; `len ≤ leaf_units` keeps the slice
+    /// inside the leaf's own stretch of the cell array.
     #[inline]
     #[allow(clippy::mut_from_ref)] // shared-disjoint contract: see trait docs
     unsafe fn leaf_cells(&self, leaf: usize, len: usize) -> &mut [K] {
@@ -328,10 +335,10 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
         std::slice::from_raw_parts_mut(self.cells.add(leaf * self.leaf_units), len)
     }
 
+    /// Load the leaf's current elements (possibly from overflow) into
+    /// `scratch_src`; returns the old unit count.
     #[inline]
     unsafe fn current(&self, leaf: usize, scratch_src: &mut Vec<K>) -> usize {
-        // Load the leaf's current elements (possibly from overflow) into
-        // scratch_src; returns the old unit count.
         let cnt = *self.counts.add(leaf) as usize;
         scratch_src.clear();
         if let Some(buf) = (*self.overflow.add(leaf)).as_deref() {
@@ -363,55 +370,17 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
 }
 
 impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
-    unsafe fn merge_into_leaf(&self, leaf: usize, add: &[K], scratch: &mut Vec<K>) -> MergeOutcome {
+    unsafe fn apply_run<R: Run<K>>(&self, leaf: usize, run: R, scratch: &mut Vec<K>) -> OpsOutcome {
         let mut cur = Vec::new();
+        // SAFETY: the caller holds the disjoint-leaf contract for `leaf`,
+        // which is all `current` and `store` below need.
         let old_units = self.current(leaf, &mut cur);
         stats::record_read(old_units * K::BYTES);
-        let added = set_union_into(&cur, add, scratch);
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        MergeOutcome {
-            delta_count: added,
-            delta_units: new_units as isize - old_units as isize,
-            overflowed,
-        }
-    }
-
-    unsafe fn remove_from_leaf(
-        &self,
-        leaf: usize,
-        rem: &[K],
-        scratch: &mut Vec<K>,
-    ) -> MergeOutcome {
-        let mut cur = Vec::new();
-        let old_units = self.current(leaf, &mut cur);
-        stats::record_read(old_units * K::BYTES);
-        let removed = set_difference_into(&cur, rem, scratch);
-        if removed == 0 {
-            return MergeOutcome::default();
-        }
-        // An emptied leaf keeps its old head as the inherited value.
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        debug_assert!(!overflowed);
-        MergeOutcome {
-            delta_count: removed,
-            delta_units: new_units as isize - old_units as isize,
-            overflowed: false,
-        }
-    }
-
-    unsafe fn merge_ops_into_leaf(
-        &self,
-        leaf: usize,
-        ops: &[BatchOp<K>],
-        scratch: &mut Vec<K>,
-    ) -> OpsOutcome {
-        let mut cur = Vec::new();
-        let old_units = self.current(leaf, &mut cur);
-        stats::record_read(old_units * K::BYTES);
-        let (added, removed) = apply_ops_into(&cur, ops, scratch);
+        let (added, removed) = apply_run_into(&cur, run, scratch);
         if added == 0 && removed == 0 {
             return OpsOutcome::default();
         }
+        // An emptied leaf keeps its old head as the inherited value.
         let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
         OpsOutcome {
             added,
@@ -454,6 +423,9 @@ impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leaf::testkit::{apply, contents, ins};
+    use crate::run::Inserts;
+    use cpma_api::BatchOp::{self, Insert, Remove};
 
     fn store3() -> UncompressedLeaves<u64> {
         UncompressedLeaves::with_geometry(3, 16)
@@ -473,16 +445,81 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_query() {
+    fn apply_run_table() {
+        /// seed → run → (added, removed, delta_units), contents, head.
+        type Row = (
+            &'static [u64],
+            &'static [BatchOp<u64>],
+            (usize, usize, isize),
+            &'static [u64],
+            u64,
+        );
+        const ROWS: &[Row] = &[
+            // Merge into an empty leaf.
+            (
+                &[],
+                &[Insert(10), Insert(20), Insert(30)],
+                (3, 0, 3),
+                &[10, 20, 30],
+                10,
+            ),
+            // Merge dedups against existing elements.
+            (
+                &[5, 10],
+                &[Insert(5), Insert(7), Insert(10), Insert(12)],
+                (2, 0, 2),
+                &[5, 7, 10, 12],
+                5,
+            ),
+            // Removing everything keeps the old head as inherited value.
+            (&[7, 9], &[Remove(7), Remove(9)], (0, 2, -2), &[], 7),
+            // Removing absent keys changes nothing.
+            (&[1, 2], &[Remove(3), Remove(4)], (0, 0, 0), &[1, 2], 1),
+            // One rewrite threads inserts and removes together.
+            (
+                &[10, 20, 30],
+                &[Insert(5), Remove(20), Insert(30), Remove(99)],
+                (1, 1, 0),
+                &[5, 10, 30],
+                5,
+            ),
+            // A run that changes nothing skips the rewrite entirely.
+            (
+                &[10, 20],
+                &[Insert(10), Remove(42)],
+                (0, 0, 0),
+                &[10, 20],
+                10,
+            ),
+            (
+                &[10, 20],
+                &[Insert(10), Insert(20)],
+                (0, 0, 0),
+                &[10, 20],
+                10,
+            ),
+        ];
+        for (n, &(seed, run, (added, removed, delta_units), want, head)) in ROWS.iter().enumerate()
+        {
+            let mut s = store3();
+            apply(&mut s, 1, &ins(seed.iter().copied()));
+            let out = apply(&mut s, 1, run);
+            let expect = OpsOutcome {
+                added,
+                removed,
+                delta_units,
+                overflowed: false,
+            };
+            assert_eq!(out, expect, "row {n}");
+            assert_eq!(contents(&s, 1), want, "row {n}");
+            assert_eq!((s.count(1), s.head(1)), (want.len(), head), "row {n}");
+        }
+    }
+
+    #[test]
+    fn merged_leaf_answers_queries() {
         let mut s = store3();
-        let sh = s.shared();
-        let mut scratch = Vec::new();
-        let out = unsafe { sh.merge_into_leaf(1, &[10, 20, 30], &mut scratch) };
-        assert_eq!(out.delta_count, 3);
-        assert_eq!(out.delta_units, 3);
-        assert!(!out.overflowed);
-        assert_eq!(s.count(1), 3);
-        assert_eq!(s.head(1), 10);
+        apply(&mut s, 1, &ins([10, 20, 30]));
         assert!(s.leaf_contains(1, 20));
         assert!(!s.leaf_contains(1, 25));
         assert_eq!(s.leaf_successor(1, 15), Some(20));
@@ -492,106 +529,30 @@ mod tests {
     }
 
     #[test]
-    fn merge_dedups_against_existing() {
-        let mut s = store3();
-        let mut scratch = Vec::new();
-        unsafe {
-            let sh = s.shared();
-            sh.merge_into_leaf(0, &[5, 10], &mut scratch);
-            let out = sh.merge_into_leaf(0, &[5, 7, 10, 12], &mut scratch);
-            assert_eq!(out.delta_count, 2);
-        }
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert_eq!(v, vec![5, 7, 10, 12]);
-    }
-
-    #[test]
     fn overflow_spills_and_reports() {
         let mut s = UncompressedLeaves::<u64>::with_geometry(2, 16);
-        let mut scratch = Vec::new();
         let big: Vec<u64> = (0..20).collect();
-        let out = unsafe { s.shared().merge_into_leaf(0, &big, &mut scratch) };
+        let out = apply(&mut s, 0, &ins(big.iter().copied()));
         assert!(out.overflowed);
-        assert_eq!(out.delta_count, 20);
+        assert_eq!(out.added, 20);
         assert!(s.is_overflowed(0));
         assert_eq!(s.units_used(0), 20); // exceeds capacity => density > 1
         let mut v = Vec::new();
         unsafe { s.shared().collect_leaf(0, &mut v) };
         assert_eq!(v, big);
-        // write_leaf clears the overflow.
-        unsafe { s.shared().write_leaf(0, &[1, 2, 3], 0) };
+        // A mixed run reads the spilled contents back and can shrink them
+        // into the leaf again.
+        let mut ops: Vec<BatchOp<u64>> = (0..10).map(Remove).collect();
+        ops.push(Insert(100));
+        let out = apply(&mut s, 0, &ops);
+        assert_eq!((out.added, out.removed, out.overflowed), (1, 10, false));
         assert!(!s.is_overflowed(0));
-        assert_eq!(s.count(0), 3);
-    }
-
-    #[test]
-    fn merge_ops_single_rewrite() {
-        use cpma_api::BatchOp::{Insert, Remove};
-        let mut s = store3();
-        let mut scratch = Vec::new();
-        unsafe {
-            let sh = s.shared();
-            sh.merge_into_leaf(0, &[10, 20, 30], &mut scratch);
-            let out = sh.merge_ops_into_leaf(
-                0,
-                &[Insert(5), Remove(20), Insert(30), Remove(99)],
-                &mut scratch,
-            );
-            assert_eq!(out.added, 1);
-            assert_eq!(out.removed, 1);
-            assert_eq!(out.delta_units, 0);
-            assert!(!out.overflowed);
-            // A run that changes nothing skips the rewrite entirely.
-            let noop = sh.merge_ops_into_leaf(0, &[Insert(10), Remove(42)], &mut scratch);
-            assert_eq!(noop, OpsOutcome::default());
-            // Removing everything keeps the old head as inherited value.
-            let all = sh.merge_ops_into_leaf(0, &[Remove(5), Remove(10), Remove(30)], &mut scratch);
-            assert_eq!(all.removed, 3);
-        }
-        let mut v = Vec::new();
-        s.collect_leaf(0, &mut v);
-        assert!(v.is_empty());
-        assert_eq!(s.head(0), 5, "emptied leaf keeps old head");
-    }
-
-    #[test]
-    fn merge_ops_can_overflow() {
-        use cpma_api::BatchOp::Insert;
-        let mut s = UncompressedLeaves::<u64>::with_geometry(2, 16);
-        let mut scratch = Vec::new();
-        let ops: Vec<cpma_api::BatchOp<u64>> = (0..20).map(Insert).collect();
-        let out = unsafe { s.shared().merge_ops_into_leaf(0, &ops, &mut scratch) };
-        assert!(out.overflowed);
-        assert_eq!(out.added, 20);
-        assert!(s.is_overflowed(0));
-    }
-
-    #[test]
-    fn remove_keeps_old_head_when_emptied() {
-        let mut s = store3();
-        let mut scratch = Vec::new();
-        unsafe {
-            let sh = s.shared();
-            sh.merge_into_leaf(2, &[7, 9], &mut scratch);
-            let out = sh.remove_from_leaf(2, &[7, 9], &mut scratch);
-            assert_eq!(out.delta_count, 2);
-        }
-        assert_eq!(s.count(2), 0);
-        assert_eq!(s.head(2), 7, "emptied leaf keeps old head");
-    }
-
-    #[test]
-    fn remove_absent_is_noop() {
-        let mut s = store3();
-        let mut scratch = Vec::new();
-        unsafe {
-            let sh = s.shared();
-            sh.merge_into_leaf(0, &[1, 2], &mut scratch);
-            let out = sh.remove_from_leaf(0, &[3, 4], &mut scratch);
-            assert_eq!(out, MergeOutcome::default());
-        }
-        assert_eq!(s.count(0), 2);
+        // write_leaf clears an overflow too.
+        apply(&mut s, 1, &ins(1000..1020));
+        assert!(s.is_overflowed(1));
+        unsafe { s.shared().write_leaf(1, &[1, 2, 3], 0) };
+        assert!(!s.is_overflowed(1));
+        assert_eq!(s.count(1), 3);
     }
 
     #[test]
@@ -623,7 +584,11 @@ mod tests {
             let mut scratch = Vec::new();
             // SAFETY: each task owns a distinct leaf.
             unsafe {
-                sh.merge_into_leaf(leaf, &[base, base + 1, base + 2], &mut scratch);
+                sh.apply_run(
+                    leaf,
+                    Inserts::new(&[base, base + 1, base + 2]),
+                    &mut scratch,
+                );
             }
         });
         for leaf in 0..64 {
