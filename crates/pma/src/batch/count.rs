@@ -211,7 +211,7 @@ mod tests {
         let add: Vec<u64> = (0..extra as u64).map(|i| base + i).collect();
         // Only valid in tests: keys must land in this leaf's range for
         // order; we instead use a fresh structure where leaf order is free.
-        let mut scratch = Vec::new();
+        let mut scratch = crate::leaf::LeafScratch::new();
         let shared = p.storage_mut().shared();
         // SAFETY: single-threaded test, one leaf at a time.
         unsafe {
@@ -294,7 +294,7 @@ mod tests {
         use crate::leaf::SharedLeaves;
         let mut elems0 = Vec::new();
         p.storage().collect_leaf(0, &mut elems0);
-        let mut scratch = Vec::new();
+        let mut scratch = crate::leaf::LeafScratch::new();
         let shared = p.storage_mut().shared();
         // SAFETY: single-threaded test, one leaf at a time.
         unsafe {
@@ -324,7 +324,7 @@ mod tests {
         use crate::leaf::SharedLeaves;
         let mut last = Vec::new();
         p.storage().collect_leaf(nl - 1, &mut last);
-        let mut scratch = Vec::new();
+        let mut scratch = crate::leaf::LeafScratch::new();
         let shared = p.storage_mut().shared();
         // SAFETY: single-threaded test, one leaf at a time.
         unsafe {

@@ -26,13 +26,24 @@
 //!      the run into per-leaf sub-runs (routing reads only keys);
 //!   2. **merge** — parallel rewrites of disjoint leaves; each sub-run,
 //!      inserts and removes alike, goes through **one** rewrite of its
-//!      leaf ([`crate::leaf::SharedLeaves::apply_run`]);
+//!      leaf ([`crate::leaf::SharedLeaves::apply_run`]: an in-place
+//!      kernel where the storage has one, else the general path, whose
+//!      buffers are one [`LeafScratch`] per worker). The serial loop
+//!      issues [`SharedLeaves::prefetch`] [`PREFETCH_AHEAD`] assignments
+//!      ahead, so the misses of the next leaves overlap the merge of the
+//!      current one;
 //!   3. **count** (`count.rs`) — work-efficient counting from the leaves
 //!      up, against the density band the run type can violate
 //!      ([`Run::BOUND`]: inserts → upper, removes → lower, mixed → both
 //!      in the same pass);
 //!   4. **redistribute** (`redistribute.rs`) — parallel re-spread of the
 //!      maximal violating ranges, or a root grow/shrink.
+//!
+//! Every phase costs what the batch touches — that is Theorem 5's
+//! `O(k …)`, with no `O(n / leaf)` term — and so does the read index
+//! (`core.rs`): the occupancy bits of the assigned leaves are refreshed
+//! after the merge, those of each redistributed range by
+//! `redistribute_ranges`; only a change of geometry rebuilds it.
 //!
 //! A mixed batch therefore pays **one** route + merge + count +
 //! redistribute traversal where a remove-then-insert split pays two full
@@ -49,7 +60,7 @@ mod route;
 pub(crate) use count::{count_phase, BoundKind, RootResize};
 pub(crate) use redistribute::redistribute_ranges;
 
-use crate::leaf::{apply_run_into, SharedLeaves};
+use crate::leaf::{apply_run_into, LeafScratch, SharedLeaves};
 use crate::run::{Inserts, Removes, Run};
 use crate::tree::Node;
 use crate::{LeafStorage, PmaCore, PmaKey};
@@ -63,6 +74,11 @@ use rayon::prelude::*;
 fn serial_merge_cutoff() -> usize {
     (8192 / rayon::current_num_threads().max(1)).max(256)
 }
+
+/// How many assignments ahead the serial leaf loop prefetches: far enough
+/// that a leaf's misses (its bytes and per-leaf slots) are in flight
+/// while the leaves before it merge, near enough to stay in L1.
+const PREFETCH_AHEAD: usize = 8;
 
 impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     /// Insert a batch of keys; sorts and deduplicates in place unless
@@ -173,7 +189,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let mut merge_span = cpma_obs::span_with(&spans.merge, "pma.merge");
         merge_span.set_items(assignments.len() as u64);
         let shared = self.storage.shared();
-        let apply = |a: &route::Assignment, scratch: &mut Vec<K>| {
+        let apply = |a: &route::Assignment, scratch: &mut LeafScratch<K>| {
             // SAFETY: the disjoint-leaf contract of `SharedLeaves` holds
             // because `route_batch` assigns each leaf at most once (its
             // assignments ascend strictly by leaf), so no two calls of this
@@ -184,14 +200,19 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let sum =
             |x: (usize, usize, isize), y: (usize, usize, isize)| (x.0 + y.0, x.1 + y.1, x.2 + y.2);
         let (added, removed, units_delta) = if assignments.len() <= serial_merge_cutoff() {
-            let mut scratch = Vec::new();
-            assignments
-                .iter()
-                .fold((0, 0, 0), |acc, a| sum(acc, apply(a, &mut scratch)))
+            let mut scratch = LeafScratch::new();
+            let mut acc = (0, 0, 0);
+            for (i, a) in assignments.iter().enumerate() {
+                if let Some(ahead) = assignments.get(i + PREFETCH_AHEAD) {
+                    shared.prefetch(ahead.leaf);
+                }
+                acc = sum(acc, apply(a, &mut scratch));
+            }
+            acc
         } else {
             assignments
                 .par_iter()
-                .map_init(Vec::new, |scratch, a| apply(a, scratch))
+                .map_init(LeafScratch::new, |scratch, a| apply(a, scratch))
                 .reduce(|| (0, 0, 0), sum)
         };
         drop(merge_span);
@@ -202,8 +223,15 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             return outcome; // nothing changed; no bound can be newly violated
         }
 
-        // Phase 2: one counting pass over the band this run type can leave.
+        // The merge filled or emptied only assigned leaves: bring their
+        // occupancy bits up to date (the read index is maintained, not
+        // rebuilt — a batch costs what it touches).
         let touched: Vec<usize> = assignments.iter().map(|a| a.leaf).collect();
+        for &leaf in &touched {
+            self.refresh_occ(leaf);
+        }
+
+        // Phase 2: one counting pass over the band this run type can leave.
         let count = {
             let mut s = cpma_obs::span_with(&spans.count, "pma.count");
             s.set_items(touched.len() as u64);
@@ -666,6 +694,97 @@ mod tests {
         entry_points_agree_cpma_auto: crate::CompressedLeaves, Auto;
         entry_points_agree_cpma_delta: crate::CompressedLeaves, Delta;
         entry_points_agree_cpma_bitmap: crate::CompressedLeaves, Bitmap;
+    }
+
+    /// One `storage × head form` cell of the read-index table: pipeline-
+    /// sized remove batches drain whole leaves — every 20th leaf, then
+    /// contiguous stretches of 30–75 — and insert batches refill them.
+    /// Under the default bounds every emptied leaf lands in a
+    /// redistributed range; with `lower_leaf = 0` an empty leaf at the
+    /// tree's full depth violates nothing, so scattered ones stay empty
+    /// and only the merge phase can have cleared their occupancy bits.
+    /// After every batch the bitset (maintained per touched leaf and per
+    /// range, never rebuilt) and the auxiliary head array must pass
+    /// `check_invariants()`, and lookups must route across the holes.
+    /// Budgets 1 and 2.
+    fn drained_ranges_keep_the_read_index<L: crate::LeafStorage<u64>, const FORM: u8>() {
+        let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let keys: Vec<u64> = (0..60_000u64).map(|i| i * 1000).collect();
+        for (budget, lower_leaf) in [(1, 0.08), (2, 0.08), (1, 0.0), (2, 0.0)] {
+            let bounds = crate::DensityBounds {
+                lower_leaf,
+                ..Default::default()
+            };
+            let cfg = crate::PmaConfig::builder().bounds(bounds).build().unwrap();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(budget)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut s = crate::PmaCore::<u64, L, FORM>::from_sorted_with(&keys, cfg);
+                let mut scattered = Vec::new();
+                for leaf in (0..s.storage().num_leaves()).step_by(20) {
+                    s.storage().collect_leaf(leaf, &mut scattered);
+                }
+                let mut batches = vec![scattered.as_slice()];
+                batches.extend((0..5).map(|r| &keys[r * 11_000..][..3_000]));
+                for (b, chunk) in batches.iter().enumerate() {
+                    for refill in [false, true] {
+                        let what = format!("budget={budget} lower_leaf={lower_leaf} batch {b}");
+                        let before = s.stats();
+                        let changed = if refill {
+                            s.insert_batch_sorted(chunk)
+                        } else {
+                            s.remove_batch_sorted(chunk)
+                        };
+                        assert_eq!(changed, chunk.len(), "{what}");
+                        let after = s.stats();
+                        assert_eq!(
+                            (after.pipeline_batches, after.full_rebuilds),
+                            (before.pipeline_batches + 1, before.full_rebuilds),
+                            "{what}: wrong regime"
+                        );
+                        if b == 0 && !refill && lower_leaf == 0.0 {
+                            // Leaves at the tree's full depth have a lower
+                            // bound of zero units: no range covers them.
+                            let storage = s.storage();
+                            let still_empty = (0..storage.num_leaves())
+                                .step_by(20)
+                                .filter(|&l| storage.count(l) == 0)
+                                .count();
+                            assert!(still_empty > 0, "{what}: nothing left to the merge phase");
+                        }
+                        s.check_invariants();
+                        assert_eq!(s.has(chunk[chunk.len() / 2]), refill, "{what}");
+                        if b > 0 {
+                            let next = if refill {
+                                chunk[0]
+                            } else {
+                                chunk[0] + 3_000_000
+                            };
+                            assert_eq!(s.successor(chunk[0]), Some(next), "{what}");
+                        }
+                    }
+                }
+                assert!(s.iter().eq(keys.iter().copied()));
+            });
+        }
+    }
+
+    /// One `#[test]` per cell, so a failure names its cell.
+    macro_rules! read_index_cells {
+        ($($name:ident: $leaves:ty, $form:ident;)*) => {$(
+            #[test]
+            fn $name() {
+                drained_ranges_keep_the_read_index::<$leaves, { crate::HeadForm::$form as u8 }>();
+            }
+        )*};
+    }
+    read_index_cells! {
+        drained_ranges_pma_in_place: crate::UncompressedLeaves<u64>, InPlace;
+        drained_ranges_pma_eytzinger: crate::UncompressedLeaves<u64>, Eytzinger;
+        drained_ranges_cpma_in_place: crate::CompressedLeaves, InPlace;
+        drained_ranges_cpma_eytzinger: crate::CompressedLeaves, Eytzinger;
     }
 
     #[test]

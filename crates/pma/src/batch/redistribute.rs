@@ -38,9 +38,9 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
     ranges: &[Node],
 ) {
     if ranges.is_empty() {
-        // Even with nothing to redistribute, the preceding merge phase may
-        // have filled or emptied leaves; the read index must still refresh.
-        core.rebuild_read_index();
+        // Nothing moves between leaves, but the preceding merge phase may
+        // have moved heads (it keeps the occupancy bits itself).
+        core.rebuild_head_index();
         return;
     }
     debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
@@ -133,15 +133,14 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
     };
     core.add_units_delta(units_delta);
 
-    // Phase 3: repair inherited heads after each range.
+    // Phase 3: repair inherited heads after each range, and refresh the
+    // read index where elements moved: the occupancy bits of the ranges
+    // themselves, and the auxiliary head array (a no-op for `InPlace`).
     for node in ranges {
         core.fix_inherited_heads_after(node.end);
+        core.rebuild_occ_range(node.start, node.end);
     }
-
-    // Redistribution moves elements between leaves wholesale, so refresh the
-    // occupancy bitset and the auxiliary head index in one pass here rather
-    // than in every caller.
-    core.rebuild_read_index();
+    core.rebuild_head_index();
 
     // Hybrid split plans are estimate-driven and may leave a tail leaf
     // unfit; escalate to a capacity grow, which re-spreads everything and
@@ -170,7 +169,7 @@ mod tests {
         let elems: Vec<u64> = (0..4000u64).map(|e| e << 20).collect();
         let mut p = Pma::from_sorted(&elems);
         let extra: Vec<u64> = (1..2001u64).collect(); // all below (1 << 20)
-        let mut scratch = Vec::new();
+        let mut scratch = crate::leaf::LeafScratch::new();
         let shared = p.storage_mut().shared();
         // SAFETY: single-threaded test, one leaf at a time.
         unsafe {

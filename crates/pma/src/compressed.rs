@@ -15,17 +15,37 @@
 //! [`crate::bitmap`] encoding: each leaf carries a one-byte tag, every
 //! rewrite ([`CompressedShared::store`]) re-decides the cheaper encoding
 //! under the configured [`ForceCodec`] policy, and the read paths dispatch
-//! on the tag. Dense leaves get wordwise popcount range kernels and a
-//! wordwise OR/ANDNOT merge path that never round-trips through a full
-//! delta decode.
+//! on the tag. Dense leaves get wordwise popcount range kernels.
+//!
+//! # Updating a leaf
+//!
+//! [`SharedLeaves::apply_run`] picks by the state of the leaf it finds:
+//!
+//! * **delta leaf, non-empty, not spilled** — the *fused* kernel
+//!   ([`CompressedShared::apply_run_fused`]): one pass over the byte codes
+//!   that copies the bytes before the run's first key, merges the run
+//!   against the decoded stream straight into byte codes in a stack
+//!   buffer, re-encodes the one delta after the last op and copies the
+//!   rest — no element vector, no heap. It hands the exact delta size and
+//!   the bitmap size of the result (or a lower bound that already rules
+//!   the bitmap out) to the same [`choose_codec`] call `store` makes and
+//!   commits only on "delta, fits";
+//! * **bitmap leaf, not spilled** — the *wordwise* kernel: set/clear bits
+//!   in the word array, never a delta decode;
+//! * anything else, and whatever a kernel declines (the result spills,
+//!   flips codec or empties the leaf) — the **general path**: decode →
+//!   [`apply_run_into`] → `store`. A declining kernel has written
+//!   nothing, so every layout decision is `store`'s or identical to it.
 
 use crate::bitmap;
 use crate::codec::{
     decode_run, decode_varint, encode_run, encoded_run_len, for_each_in_run, varint_len,
+    write_varint, MAX_VARINT_BYTES,
 };
 use crate::core::ForceCodec;
-use crate::leaf::{apply_run_into, OpsOutcome, SharedLeaves};
+use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, SharedLeaves};
 use crate::run::Run;
+use crate::search::prefetch_read;
 use crate::{stats, LeafStorage};
 use cpma_api::PersistError;
 use std::marker::PhantomData;
@@ -34,6 +54,13 @@ use std::marker::PhantomData;
 const TAG_DELTA: u8 = 0;
 /// Per-leaf tag: fixed-span bitmap ([`crate::bitmap`]).
 const TAG_BITMAP: u8 = 1;
+
+/// Largest leaf the fused kernel takes: `LEAF_SCALE · 64` bytes, which no
+/// 64-bit capacity exceeds (`PmaCore::leaf_units_for_cap`).
+const FUSED_MAX_UNITS: usize = 8 * 64;
+/// Its stack buffer: the kernel checks the emitted length against the
+/// leaf capacity after every code, so it overshoots by at most one code.
+const FUSED_BUF: usize = FUSED_MAX_UNITS + MAX_VARINT_BYTES;
 
 /// The instance-level codec decision knobs (mirrors the two `PmaConfig`
 /// fields; stored here so the shared accessor can decide without reaching
@@ -842,14 +869,15 @@ impl CompressedShared<'_> {
         std::slice::from_raw_parts(self.bytes.add(leaf * self.leaf_units), len)
     }
 
+    /// Append the leaf's current elements (from the overflow buffer while
+    /// spilled) to `out`.
     #[inline]
-    unsafe fn current(&self, leaf: usize, out: &mut Vec<u64>) -> usize {
+    unsafe fn decode_leaf_into(&self, leaf: usize, out: &mut Vec<u64>) {
         let cnt = *self.counts.add(leaf) as usize;
-        let units = *self.used.add(leaf) as usize;
-        out.clear();
         if let Some(buf) = (*self.overflow.add(leaf)).as_deref() {
             out.extend_from_slice(buf);
         } else if cnt > 0 {
+            let units = *self.used.add(leaf) as usize;
             let buf = self.leaf_buf_read(leaf, units);
             if *self.tags.add(leaf) == TAG_BITMAP {
                 bitmap::decode_into(buf, units, out);
@@ -857,7 +885,6 @@ impl CompressedShared<'_> {
                 decode_run(buf, cnt, out);
             }
         }
-        units
     }
 
     /// Overwrite `leaf` with `elems`, re-deciding the codec under the
@@ -973,26 +1000,31 @@ impl CompressedShared<'_> {
         &self,
         leaf: usize,
         run: R,
-        scratch: &mut Vec<u64>,
+        scratch: &mut LeafScratch<u64>,
     ) -> Option<OpsOutcome> {
         let old_units = *self.used.add(leaf) as usize;
         let old_count = *self.counts.add(leaf) as usize;
         let buf = self.leaf_buf_read(leaf, old_units);
         let mut base = bitmap::base_of(buf);
-        let mut words = Vec::new();
+        let LeafScratch {
+            words,
+            old_words,
+            merged,
+            ..
+        } = scratch;
         match run.insert_span() {
             // Removes alone cannot widen the span: edit the words in place.
-            None => bitmap::read_words(buf, old_units, &mut words),
+            None => bitmap::read_words(buf, old_units, words),
             Some((lo, hi)) => {
                 let new_base = base.min(lo);
                 let new_max = bitmap::max_elem(buf, old_units).max(hi);
                 if bitmap::encoded_len(new_base, new_max) > self.leaf_units {
                     return None;
                 }
-                let mut old_words = Vec::new();
-                bitmap::read_words(buf, old_units, &mut old_words);
+                bitmap::read_words(buf, old_units, old_words);
+                words.clear();
                 words.resize(bitmap::span_words(new_base, new_max), 0);
-                bitmap::or_shifted(&old_words, base - new_base, &mut words);
+                bitmap::or_shifted(old_words, base - new_base, words);
                 base = new_base;
             }
         }
@@ -1001,9 +1033,9 @@ impl CompressedShared<'_> {
         for i in 0..run.len() {
             let k = run.key(i);
             if run.is_insert(i) {
-                added += usize::from(bitmap::set_bit(&mut words, k - base));
+                added += usize::from(bitmap::set_bit(words, k - base));
             } else if k >= base && k - base < span_bits {
-                removed += usize::from(bitmap::clear_bit(&mut words, k - base));
+                removed += usize::from(bitmap::clear_bit(words, k - base));
             }
         }
         if added == 0 && removed == 0 {
@@ -1020,15 +1052,270 @@ impl CompressedShared<'_> {
             self.clear_leaf(leaf);
             return Some(outcome(0, false));
         }
-        base += bitmap::normalize(&mut words);
+        base += bitmap::normalize(words);
         let cand_units = bitmap::BASE_BYTES + words.len() * 8;
         if self.commit_wordwise(cand_units, count) {
-            return Some(outcome(self.write_bitmap(leaf, base, &words, count), false));
+            return Some(outcome(self.write_bitmap(leaf, base, words, count), false));
         }
         // Uncertain winner: materialize and let `store` decide exactly.
-        words_into_elems(base, &words, scratch);
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
+        words_into_elems(base, words, merged);
+        let (new_units, overflowed) = self.store(leaf, merged, *self.heads.add(leaf));
         Some(outcome(new_units, overflowed))
+    }
+
+    /// Fused run on a delta leaf: the reference's point insert into a leaf
+    /// (walk the byte codes to the spot, re-encode what changed, shift the
+    /// rest) generalised to a run, in one pass and with no element vector.
+    ///
+    /// The bytes of the elements below the run's first key are copied
+    /// verbatim; from there the run is merged against the decoded stream,
+    /// each surviving element emitted as a byte code into a stack buffer;
+    /// once the run is spent the next stored element is re-encoded against
+    /// its new predecessor and the remaining bytes copied verbatim (walked
+    /// only to learn the maximum, and only while a bitmap could still fit).
+    /// The exact encoded size and the bitmap size of the result then go to
+    /// the [`choose_codec`] call [`Self::store`] makes, and the buffer is
+    /// committed with one copy iff it answers "delta, fits". Returns
+    /// `None`, having written nothing, on any other answer — the result
+    /// outgrows the leaf (detected the moment the emitted length passes
+    /// the capacity), flips to the bitmap codec or is empty: the caller
+    /// takes the general path. A run that changes nothing returns the
+    /// default outcome, bytes untouched.
+    ///
+    /// # Safety
+    /// As every helper here; additionally `leaf` must be delta-tagged,
+    /// non-empty and not overflowed, so its first `used[leaf]` bytes are a
+    /// raw head followed by whole byte codes, and `leaf_units` must not
+    /// exceed [`FUSED_MAX_UNITS`].
+    unsafe fn apply_run_fused<R: Run<u64>>(&self, leaf: usize, run: R) -> Option<OpsOutcome> {
+        let cap = self.leaf_units;
+        let old_units = *self.used.add(leaf) as usize;
+        debug_assert!(*self.tags.add(leaf) == TAG_DELTA && (*self.overflow.add(leaf)).is_none());
+        debug_assert!(cap <= FUSED_MAX_UNITS && (8..=cap).contains(&old_units));
+        let src = self.leaf_buf_read(leaf, old_units);
+        let mut cur = DeltaCursor::new(src);
+        let mut out = DeltaWriter::new();
+
+        // Everything below the run's first key keeps its bytes.
+        let first_key = run.key(0);
+        let mut below = cur.elem;
+        while !cur.done && cur.elem < first_key {
+            below = cur.elem;
+            cur.advance();
+        }
+        out.copy_prefix(&src[..cur.at], below);
+
+        let (mut added, mut removed) = (0usize, 0usize);
+        let mut j = 0;
+        while !cur.done && j < run.len() {
+            let k = run.key(j);
+            if cur.elem < k {
+                out.push(cur.elem);
+                cur.advance();
+            } else {
+                let present = cur.elem == k;
+                if run.is_insert(j) {
+                    out.push(k);
+                    added += usize::from(!present);
+                } else {
+                    removed += usize::from(present);
+                }
+                if present {
+                    cur.advance();
+                }
+                j += 1;
+            }
+            if out.len > cap {
+                return None;
+            }
+        }
+
+        if cur.done {
+            // The leaf is spent: the rest of the run's inserts append.
+            for j in j..run.len() {
+                if run.is_insert(j) {
+                    out.push(run.key(j));
+                    added += 1;
+                    if out.len > cap {
+                        return None;
+                    }
+                }
+            }
+        }
+        if added == 0 && removed == 0 {
+            return Some(OpsOutcome::default());
+        }
+        let max = if cur.done {
+            if out.len == 0 {
+                return None; // emptied: `store` owns the canonical empty form
+            }
+            out.last
+        } else {
+            // The run is spent: one delta changes, the rest is a copy.
+            out.push(cur.elem);
+            let rest = &src[cur.next..];
+            if out.len + rest.len() > cap {
+                return None;
+            }
+            out.copy_rest(rest);
+            // The bitmap size needs the maximum, which only a walk of the
+            // copied codes gives — unless the span up to here already
+            // outgrows the leaf: the size only grows with the maximum, and
+            // `choose_codec` answers alike for every size past `cap`.
+            let mut max = cur.elem;
+            if bitmap::encoded_len(out.first, max) <= cap {
+                let mut at = 0;
+                while at < rest.len() {
+                    let (delta, used) = decode_varint(&rest[at..]);
+                    max += delta;
+                    at += used;
+                }
+            }
+            max
+        };
+        let bitmap_units = bitmap::encoded_len(out.first, max);
+        if choose_codec(self.policy, false, out.len, bitmap_units, cap) != (TAG_DELTA, out.len) {
+            return None;
+        }
+        let units = out.len;
+        debug_assert!(units <= cap);
+        self.leaf_buf(leaf, units)
+            .copy_from_slice(&out.buf[..units]);
+        stats::record_write(units);
+        *self.counts.add(leaf) = (*self.counts.add(leaf) as usize + added - removed) as u32;
+        *self.used.add(leaf) = units as u32;
+        *self.heads.add(leaf) = out.first;
+        stats::codec_counters().delta_writes.inc();
+        Some(OpsOutcome {
+            added,
+            removed,
+            delta_units: units as isize - old_units as isize,
+            overflowed: false,
+        })
+    }
+
+    /// The general path: decode (or read the spill buffer) → three-finger
+    /// merge → [`Self::store`]. Takes a leaf in any state.
+    unsafe fn apply_run_general<R: Run<u64>>(
+        &self,
+        leaf: usize,
+        run: R,
+        scratch: &mut LeafScratch<u64>,
+    ) -> OpsOutcome {
+        stats::leaf_counters().general_runs.inc();
+        let old_units = *self.used.add(leaf) as usize;
+        scratch.cur.clear();
+        self.decode_leaf_into(leaf, &mut scratch.cur);
+        let (added, removed) = apply_run_into(&scratch.cur, run, &mut scratch.merged);
+        if added == 0 && removed == 0 {
+            return OpsOutcome::default();
+        }
+        // An emptied leaf keeps its old head as the inherited value.
+        let (new_units, overflowed) = self.store(leaf, &scratch.merged, *self.heads.add(leaf));
+        OpsOutcome {
+            added,
+            removed,
+            delta_units: new_units as isize - old_units as isize,
+            overflowed,
+        }
+    }
+}
+
+/// Read cursor of the fused kernel over a delta leaf's bytes.
+struct DeltaCursor<'a> {
+    src: &'a [u8],
+    /// The stored element the cursor stands on (stale once `done`).
+    elem: u64,
+    /// Where that element's code starts (0: the raw head) …
+    at: usize,
+    /// … and where the next one does.
+    next: usize,
+    /// Every stored element has been passed.
+    done: bool,
+}
+
+impl<'a> DeltaCursor<'a> {
+    /// `src`: a non-empty delta leaf, exactly its used bytes.
+    #[inline]
+    fn new(src: &'a [u8]) -> Self {
+        Self {
+            src,
+            elem: u64::from_le_bytes(src[..8].try_into().unwrap()),
+            at: 0,
+            next: 8,
+            done: false,
+        }
+    }
+
+    #[inline]
+    fn advance(&mut self) {
+        self.at = self.next;
+        if self.next == self.src.len() {
+            self.done = true;
+            return;
+        }
+        let (delta, used) = decode_varint(&self.src[self.next..]);
+        self.elem += delta;
+        self.next += used;
+    }
+}
+
+/// Output side of the fused kernel: a delta run built in a stack buffer.
+struct DeltaWriter {
+    buf: [u8; FUSED_BUF],
+    /// Bytes emitted; 0 iff no element has been.
+    len: usize,
+    /// First and last element emitted (meaningless while `len == 0`).
+    first: u64,
+    last: u64,
+}
+
+impl DeltaWriter {
+    #[inline]
+    fn new() -> Self {
+        Self {
+            buf: [0; FUSED_BUF],
+            len: 0,
+            first: 0,
+            last: 0,
+        }
+    }
+
+    /// Start from `bytes`, the encoded stretch from a leaf's head up to
+    /// and including the element `last` (empty: start from nothing).
+    #[inline]
+    fn copy_prefix(&mut self, bytes: &[u8], last: u64) {
+        debug_assert_eq!(self.len, 0);
+        if !bytes.is_empty() {
+            self.buf[..bytes.len()].copy_from_slice(bytes);
+            self.len = bytes.len();
+            self.first = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+            self.last = last;
+        }
+    }
+
+    /// Append `v` (above everything emitted). The caller checks `len`
+    /// against its capacity after each call, which keeps the one code
+    /// written here inside the `MAX_VARINT_BYTES` of slack.
+    #[inline]
+    fn push(&mut self, v: u64) {
+        if self.len == 0 {
+            self.buf[..8].copy_from_slice(&v.to_le_bytes());
+            self.len = 8;
+            self.first = v;
+        } else {
+            debug_assert!(v > self.last);
+            self.len += write_varint(v - self.last, &mut self.buf[self.len..]);
+        }
+        self.last = v;
+    }
+
+    /// Append already-encoded codes that continue from the last element
+    /// pushed; `first`/`last` are not maintained past this.
+    #[inline]
+    fn copy_rest(&mut self, codes: &[u8]) {
+        self.buf[self.len..self.len + codes.len()].copy_from_slice(codes);
+        self.len += codes.len();
     }
 }
 
@@ -1037,34 +1324,42 @@ impl SharedLeaves<u64> for CompressedShared<'_> {
         &self,
         leaf: usize,
         run: R,
-        scratch: &mut Vec<u64>,
+        scratch: &mut LeafScratch<u64>,
     ) -> OpsOutcome {
         if run.is_empty() {
             return OpsOutcome::default();
         }
         // SAFETY: the caller holds the disjoint-leaf contract for `leaf`,
-        // which is all the slot reads and the helpers below need.
-        let old_units = *self.used.add(leaf) as usize;
-        stats::record_read(old_units);
-        if *self.tags.add(leaf) == TAG_BITMAP && (*self.overflow.add(leaf)).is_none() {
-            if let Some(out) = self.apply_run_wordwise(leaf, run, scratch) {
-                return out;
+        // which is all the slot reads and the helpers below need; the
+        // kernels' extra preconditions are the conditions tested here.
+        stats::record_read(*self.used.add(leaf) as usize);
+        if (*self.overflow.add(leaf)).is_none() {
+            if *self.tags.add(leaf) == TAG_BITMAP {
+                if let Some(out) = self.apply_run_wordwise(leaf, run, scratch) {
+                    return out;
+                }
+            } else if *self.counts.add(leaf) > 0 && self.leaf_units <= FUSED_MAX_UNITS {
+                if let Some(out) = self.apply_run_fused(leaf, run) {
+                    stats::leaf_counters().fused_runs.inc();
+                    return out;
+                }
             }
         }
-        let mut cur = Vec::new();
-        self.current(leaf, &mut cur);
-        let (added, removed) = apply_run_into(&cur, run, scratch);
-        if added == 0 && removed == 0 {
-            return OpsOutcome::default();
+        self.apply_run_general(leaf, run, scratch)
+    }
+
+    #[inline]
+    fn prefetch(&self, leaf: usize) {
+        // `wrapping_add`: a hint needs an address, not a valid pointer.
+        let bytes = self.bytes.wrapping_add(leaf * self.leaf_units);
+        for line in 0..self.leaf_units.div_ceil(64) {
+            prefetch_read(bytes.wrapping_add(line * 64));
         }
-        // An emptied leaf keeps its old head as the inherited value.
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
-        OpsOutcome {
-            added,
-            removed,
-            delta_units: new_units as isize - old_units as isize,
-            overflowed,
-        }
+        prefetch_read(self.used.wrapping_add(leaf));
+        prefetch_read(self.counts.wrapping_add(leaf));
+        prefetch_read(self.heads.wrapping_add(leaf));
+        prefetch_read(self.tags.wrapping_add(leaf));
+        prefetch_read(self.overflow.wrapping_add(leaf));
     }
 
     unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize {
@@ -1075,11 +1370,8 @@ impl SharedLeaves<u64> for CompressedShared<'_> {
     }
 
     unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>) {
-        let units = self.current_units(leaf);
-        stats::record_read(units);
-        let mut tmp = Vec::new();
-        self.current(leaf, &mut tmp);
-        out.extend_from_slice(&tmp);
+        stats::record_read(*self.used.add(leaf) as usize);
+        self.decode_leaf_into(leaf, out);
     }
 
     unsafe fn units_used(&self, leaf: usize) -> usize {
@@ -1093,13 +1385,6 @@ impl SharedLeaves<u64> for CompressedShared<'_> {
     unsafe fn set_inherited_head(&self, leaf: usize, head: u64) {
         debug_assert_eq!(*self.counts.add(leaf), 0);
         *self.heads.add(leaf) = head;
-    }
-}
-
-impl CompressedShared<'_> {
-    #[inline]
-    unsafe fn current_units(&self, leaf: usize) -> usize {
-        *self.used.add(leaf) as usize
     }
 }
 
@@ -1221,6 +1506,7 @@ mod tests {
 
     /// One row of [`apply_run_table`]: `run` applied to a leaf holding
     /// `seed`, and what must come out.
+    #[derive(Default)]
     struct Row {
         name: &'static str,
         seed: Vec<u64>,
@@ -1230,13 +1516,59 @@ mod tests {
         want: Vec<u64>,
         /// Head afterwards (the old head survives an emptied leaf).
         head: u64,
+        /// The fused kernel declines the run (the general path takes it).
+        declines: bool,
+        /// The result fits neither encoding and spills.
+        spills: bool,
+        /// Under `Auto` the leaf starts delta-coded and the run makes the
+        /// bitmap cheaper: the fused kernel declines there (only there)
+        /// and the general path flips the codec.
+        flips: bool,
     }
 
-    /// The same run through a bitmap leaf (wordwise path) and a forced-
-    /// delta leaf (scalar path) must produce identical element sets and
-    /// counts, with unit accounting that matches the stored encoding.
+    /// The whole storage as the snapshot would write it.
+    fn payload(s: &CompressedLeaves) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.write_payload(&mut out);
+        out
+    }
+
+    /// `a` and `b` hold the same leaves: byte-identical payloads, or —
+    /// a spilled leaf has no payload form — equal spill state and contents.
+    fn assert_same_storage(a: &CompressedLeaves, b: &CompressedLeaves, what: &str) {
+        assert_eq!(a.is_overflowed(0), b.is_overflowed(0), "{what}");
+        if a.is_overflowed(0) {
+            assert_eq!(contents(a, 0), contents(b, 0), "{what}");
+            assert_eq!(
+                (a.count(0), a.units_used(0), a.head(0), a.is_bitmap(0)),
+                (b.count(0), b.units_used(0), b.head(0), b.is_bitmap(0)),
+                "{what}"
+            );
+        } else {
+            assert!(payload(a) == payload(b), "{what}: payloads differ");
+        }
+    }
+
+    fn flips() -> u64 {
+        stats::codec_counters().flips.value()
+    }
+
+    /// 42 keys 2³⁵ apart: a 254-byte delta leaf (8 + 41 six-byte codes)
+    /// whose span no bitmap can hold — two bytes short of a 256-byte leaf.
+    fn wide() -> Vec<u64> {
+        (0..42u64).map(|i| i << 35).collect()
+    }
+
+    /// The same run through a bitmap leaf (wordwise kernel) or an `Auto`
+    /// delta leaf, and through a forced-delta leaf (fused kernel), must
+    /// produce identical element sets and counts, with unit accounting
+    /// that matches the stored encoding — and whichever kernel
+    /// `apply_run` picks must leave exactly what the general path leaves:
+    /// equal outcome, byte-identical payload.
     #[test]
     fn apply_run_table() {
+        const G: u64 = 1 << 20;
+        let sparse = || vec![10 * G, 20 * G, 30 * G, 40 * G];
         let rows = [
             Row {
                 name: "sparse union accumulates",
@@ -1245,6 +1577,7 @@ mod tests {
                 counts: (2, 0),
                 want: vec![10, 20, 30, 40],
                 head: 10,
+                ..Row::default()
             },
             Row {
                 name: "union extends the base downward",
@@ -1253,6 +1586,7 @@ mod tests {
                 counts: (34, 0),
                 want: (900..1000).step_by(3).chain(1000..1150).collect(),
                 head: 900,
+                ..Row::default()
             },
             Row {
                 name: "removing the low block renormalizes the base",
@@ -1261,6 +1595,7 @@ mod tests {
                 counts: (0, 128),
                 want: (768..940).collect(),
                 head: 768,
+                ..Row::default()
             },
             Row {
                 name: "removing everything keeps the head as inherited value",
@@ -1269,6 +1604,8 @@ mod tests {
                 counts: (0, 172),
                 want: vec![],
                 head: 768,
+                declines: true,
+                ..Row::default()
             },
             Row {
                 name: "mixed run: one pass of set and clear",
@@ -1283,6 +1620,7 @@ mod tests {
                 counts: (1, 2),
                 want: std::iter::once(1990).chain(2001..2199).collect(),
                 head: 1990,
+                ..Row::default()
             },
             Row {
                 name: "span outgrows the leaf: wordwise hands over to scalar",
@@ -1291,23 +1629,218 @@ mod tests {
                 counts: (1, 1),
                 want: (0..5).chain(6..200).chain([1 << 30]).collect(),
                 head: 0,
+                ..Row::default()
+            },
+            Row {
+                name: "key below the head",
+                seed: sparse(),
+                run: ins([5 * G]),
+                counts: (1, 0),
+                want: vec![5 * G, 10 * G, 20 * G, 30 * G, 40 * G],
+                head: 5 * G,
+                ..Row::default()
+            },
+            Row {
+                name: "key above the maximum",
+                seed: sparse(),
+                run: ins([50 * G]),
+                counts: (1, 0),
+                want: vec![10 * G, 20 * G, 30 * G, 40 * G, 50 * G],
+                head: 10 * G,
+                ..Row::default()
+            },
+            Row {
+                name: "remove the head",
+                seed: sparse(),
+                run: rem([10 * G]),
+                counts: (0, 1),
+                want: vec![20 * G, 30 * G, 40 * G],
+                head: 20 * G,
+                ..Row::default()
+            },
+            Row {
+                name: "remove the last",
+                seed: sparse(),
+                run: rem([40 * G]),
+                counts: (0, 1),
+                want: vec![10 * G, 20 * G, 30 * G],
+                head: 10 * G,
+                ..Row::default()
+            },
+            Row {
+                name: "remove every key",
+                seed: sparse(),
+                run: rem(sparse()),
+                counts: (0, 4),
+                want: vec![],
+                head: 10 * G,
+                declines: true,
+                ..Row::default()
+            },
+            Row {
+                name: "duplicate-only run",
+                seed: sparse(),
+                run: ins([20 * G, 30 * G]),
+                counts: (0, 0),
+                want: sparse(),
+                head: 10 * G,
+                ..Row::default()
+            },
+            Row {
+                name: "absent-remove-only run",
+                seed: sparse(),
+                run: rem([5 * G, 15 * G, 45 * G]),
+                counts: (0, 0),
+                want: sparse(),
+                head: 10 * G,
+                ..Row::default()
+            },
+            Row {
+                name: "ten-byte code split between 0 and u64::MAX",
+                seed: vec![0, u64::MAX],
+                run: ins([1 << 63]),
+                counts: (1, 0),
+                want: vec![0, 1 << 63, u64::MAX],
+                head: 0,
+                ..Row::default()
+            },
+            Row {
+                name: "neighbours 0 and u64::MAX arrive around one key",
+                seed: vec![1 << 63],
+                run: vec![Insert(0), Remove(1 << 63), Insert(u64::MAX)],
+                counts: (2, 1),
+                want: vec![0, u64::MAX],
+                head: 0,
+                ..Row::default()
+            },
+            Row {
+                name: "run longer than the leaf's contents",
+                seed: vec![10 * G, 20 * G],
+                run: (1..=24)
+                    .map(|i| {
+                        if i % 5 == 0 {
+                            Remove(i * G)
+                        } else {
+                            Insert(i * G)
+                        }
+                    })
+                    .collect(),
+                counts: (20, 2),
+                want: (1..=24).filter(|i| i % 5 != 0).map(|i| i * G).collect(),
+                head: G,
+                ..Row::default()
+            },
+            Row {
+                name: "appended key fills the leaf to exactly leaf_units",
+                seed: wide(),
+                run: ins([(41 << 35) + 1000]), // two-byte code: 256 B
+                counts: (1, 0),
+                want: wide().into_iter().chain([(41 << 35) + 1000]).collect(),
+                head: 0,
+                ..Row::default()
+            },
+            Row {
+                name: "mid-leaf key fills the leaf to exactly leaf_units",
+                seed: wide(),
+                // A six-byte code becomes a three- and a five-byte one.
+                run: ins([(7 << 35) + 20_000]),
+                counts: (1, 0),
+                want: {
+                    let mut w = wide();
+                    w.insert(8, (7 << 35) + 20_000);
+                    w
+                },
+                head: 0,
+                ..Row::default()
+            },
+            Row {
+                name: "appended key makes leaf_units + 1: spills",
+                seed: wide(),
+                run: ins([(41 << 35) + 20_000]), // three-byte code: 257 B
+                counts: (1, 0),
+                want: wide().into_iter().chain([(41 << 35) + 20_000]).collect(),
+                head: 0,
+                declines: true,
+                spills: true,
+                ..Row::default()
+            },
+            Row {
+                name: "mid-leaf key makes leaf_units + 1: spills",
+                seed: wide(),
+                // Six bytes become four and five.
+                run: ins([(7 << 35) + 3_000_000]),
+                counts: (1, 0),
+                want: {
+                    let mut w = wide();
+                    w.insert(8, (7 << 35) + 3_000_000);
+                    w
+                },
+                head: 0,
+                declines: true,
+                spills: true,
+                ..Row::default()
+            },
+            Row {
+                name: "filling the holes makes the bitmap cheaper: codec flips",
+                // 27 B of deltas against a 32 B bitmap; filled in, 198 B
+                // of deltas against the same 32 B.
+                seed: (0..20).map(|i| 5000 + i * 10).collect(),
+                run: ins((5000..=5190).filter(|k| k % 10 != 0)),
+                counts: (171, 0),
+                want: (5000..=5190).collect(),
+                head: 5000,
+                flips: true,
+                ..Row::default()
             },
         ];
+        // What `store` decides for a fresh (delta-tagged) leaf under `Auto`.
+        let auto_picks_bitmap = |e: &[u64]| {
+            e.len() > 2
+                && 16 * bitmap::encoded_len(e[0], *e.last().unwrap()) <= 15 * encoded_run_len(e, 8)
+        };
         for row in &rows {
             let n = row.name;
-            for (mut s, wordwise) in [(store(1), true), (delta_store(1), false)] {
+            for (mut s, auto) in [(store(1), true), (delta_store(1), false)] {
                 apply(&mut s, 0, &ins(row.seed.iter().copied()));
-                // Dense seeds must actually exercise the wordwise path.
-                assert_eq!(s.is_bitmap(0), wordwise && row.seed.len() > 2, "{n}");
+                // Dense seeds must actually exercise the wordwise kernel.
+                assert_eq!(s.is_bitmap(0), auto && auto_picks_bitmap(&row.seed), "{n}");
                 let units_before = s.units_used(0);
+                let flips_before = flips();
+
+                // Which kernel is in front, and does it take the run?
+                let mut general = s.clone();
+                if !s.is_bitmap(0) && !s.is_overflowed(0) {
+                    let mut probe = s.clone();
+                    // SAFETY: disjoint-leaf contract of `SharedLeaves` —
+                    // one thread, `probe` is its own storage; the seed
+                    // leaf is delta-tagged, non-empty, not spilled, 256 B.
+                    let took = unsafe { probe.shared().apply_run_fused(0, row.run.as_slice()) };
+                    assert_eq!(took.is_none(), row.declines || (row.flips && auto), "{n}");
+                    if took.is_none() {
+                        assert!(payload(&probe) == payload(&s), "{n}: a declined run wrote");
+                    }
+                }
                 let out = apply(&mut s, 0, &row.run);
+                // SAFETY: disjoint-leaf contract of `SharedLeaves` — one
+                // thread, `general` is its own storage.
+                let via_general = unsafe {
+                    general.shared().apply_run_general(
+                        0,
+                        row.run.as_slice(),
+                        &mut LeafScratch::new(),
+                    )
+                };
+                assert_eq!(via_general, out, "{n}: general path disagrees");
+                assert_same_storage(&s, &general, n);
+
                 assert_eq!((out.added, out.removed), row.counts, "{n}");
-                assert!(!out.overflowed, "{n}");
+                assert_eq!(out.overflowed, row.spills, "{n}");
+                assert_eq!(s.is_overflowed(0), row.spills, "{n}");
                 assert_eq!(contents(&s, 0), row.want, "{n}");
                 assert_eq!((s.count(0), s.head(0)), (row.want.len(), row.head), "{n}");
                 let cost = if row.want.is_empty() {
                     0
-                } else if wordwise {
+                } else if auto {
                     hybrid_cost(&row.want)
                 } else {
                     encoded_run_len(&row.want, 8)
@@ -1318,8 +1851,120 @@ mod tests {
                     cost as isize - units_before as isize,
                     "{n}"
                 );
+                if row.flips && auto {
+                    assert!(s.is_bitmap(0), "{n}");
+                    // Process-global and other tests flip too: a floor.
+                    assert!(flips() > flips_before, "{n}: cpma.codec.flips");
+                }
             }
         }
+    }
+
+    /// Seeded property: on random delta leaves (gaps from one bit to the
+    /// whole key space, `0` and `u64::MAX` included) × random mixed runs
+    /// of 1–64 ops, whatever kernel `apply_run` picks leaves what the
+    /// general path leaves — equal outcome, byte-identical payload — under
+    /// both the forced-delta and the `Auto` policy.
+    #[test]
+    fn kernels_match_the_general_path_on_random_leaves() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rnd = move || {
+            // splitmix64
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut delta_cases, mut fused_took, mut fused_declined) = (0u32, 0u32, 0u32);
+        let mut case = 0u64;
+        while delta_cases < 10_000 {
+            case += 1;
+            let mut s = if case.is_multiple_of(2) {
+                store(1)
+            } else {
+                delta_store(1)
+            };
+            // The leaf: up to 48 keys, gaps below 2^bits.
+            let bits = [1u32, 3, 7, 14, 21, 35, 56, 63][(rnd() % 8) as usize];
+            let mut elems = vec![match rnd() % 4 {
+                0 => 0,
+                1 => u64::MAX - (rnd() >> 8),
+                _ => rnd() >> (rnd() % 64),
+            }];
+            for _ in 0..rnd() % 48 {
+                let gap = 1 + (rnd() & ((1u64 << bits) - 1));
+                match elems.last().unwrap().checked_add(gap) {
+                    Some(e) => elems.push(e),
+                    None => {
+                        elems.push(u64::MAX);
+                        elems.dedup();
+                        break;
+                    }
+                }
+            }
+            let mut scratch = LeafScratch::new();
+            // SAFETY (here and below): disjoint-leaf contract of
+            // `SharedLeaves` — one thread; `s`, `probe` and `general` are
+            // separate one-leaf storages, and a leaf handed to the fused
+            // kernel was checked delta-tagged, non-empty and not spilled.
+            unsafe { s.shared().apply_run(0, Inserts::new(&elems), &mut scratch) };
+            // The run: keys on, next to and between the stored ones, and
+            // the ends of the key space.
+            let (lo, hi) = (elems[0], *elems.last().unwrap());
+            let mut ops: Vec<BatchOp<u64>> = (0..1 + rnd() % 64)
+                .map(|_| {
+                    let near = elems[(rnd() % elems.len() as u64) as usize];
+                    let key = match rnd() % 8 {
+                        0 => near,
+                        1 => near.saturating_add(1),
+                        2 => near.saturating_sub(1),
+                        3 => lo + rnd() % (hi - lo).saturating_add(1),
+                        4 => lo.saturating_sub(1 + rnd() % 300),
+                        5 => hi.saturating_add(1 + rnd() % 300),
+                        6 => [0, u64::MAX][(rnd() % 2) as usize],
+                        _ => rnd() >> (rnd() % 64),
+                    };
+                    if rnd() % 3 == 0 {
+                        Remove(key)
+                    } else {
+                        Insert(key)
+                    }
+                })
+                .collect();
+            ops.sort_by_key(|op| op.key());
+            ops.dedup_by_key(|op| op.key());
+
+            let what = format!("case {case}: {elems:?} <- {ops:?}");
+            if !s.is_bitmap(0) && !s.is_overflowed(0) {
+                delta_cases += 1;
+                let mut probe = s.clone();
+                match unsafe { probe.shared().apply_run_fused(0, ops.as_slice()) } {
+                    Some(_) => fused_took += 1,
+                    None => {
+                        fused_declined += 1;
+                        assert!(
+                            payload(&probe) == payload(&s),
+                            "{what}: a declined run wrote"
+                        );
+                    }
+                }
+            }
+            let mut general = s.clone();
+            let out = unsafe { s.shared().apply_run(0, ops.as_slice(), &mut scratch) };
+            let via_general = unsafe {
+                general
+                    .shared()
+                    .apply_run_general(0, ops.as_slice(), &mut scratch)
+            };
+            assert_eq!(out, via_general, "{what}");
+            assert_same_storage(&s, &general, &what);
+        }
+        // Both answers of the fused kernel were exercised, many times.
+        assert!(
+            fused_took > 5_000 && fused_declined > 100,
+            "{fused_took} / {fused_declined}"
+        );
     }
 
     /// Runs that change nothing — every insert present, every remove
@@ -1438,7 +2083,7 @@ mod tests {
         let sh = s.shared();
         (0..32usize).into_par_iter().for_each(|leaf| {
             let base = leaf as u64 * 1000;
-            let mut scratch = Vec::new();
+            let mut scratch = crate::leaf::LeafScratch::new();
             // SAFETY: each task owns a distinct leaf.
             unsafe {
                 sh.apply_run(leaf, Inserts::new(&[base, base + 7]), &mut scratch);

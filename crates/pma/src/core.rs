@@ -36,7 +36,7 @@
 //! each wins).
 
 use crate::density::DensityBounds;
-use crate::leaf::SharedLeaves;
+use crate::leaf::{LeafScratch, SharedLeaves};
 use crate::run::{Inserts, Removes};
 use crate::search;
 use crate::tree::{ImplicitTree, Node};
@@ -557,15 +557,21 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         }
     }
 
-    /// Recompute occupancy bits for leaves in `[start, end)` from counts
-    /// (redistributes only disturb their own range).
-    fn rebuild_occ_range(&mut self, start: usize, end: usize) {
+    /// Recompute the occupancy bit of `leaf` from its count.
+    #[inline]
+    pub(crate) fn refresh_occ(&mut self, leaf: usize) {
+        if self.storage.count(leaf) > 0 {
+            self.occ_set(leaf);
+        } else {
+            self.occ_clear(leaf);
+        }
+    }
+
+    /// [`Self::refresh_occ`] for leaves in `[start, end)` (redistributes
+    /// only disturb their own range).
+    pub(crate) fn rebuild_occ_range(&mut self, start: usize, end: usize) {
         for leaf in start..end {
-            if self.storage.count(leaf) > 0 {
-                self.occ_set(leaf);
-            } else {
-                self.occ_clear(leaf);
-            }
+            self.refresh_occ(leaf);
         }
     }
 
@@ -576,6 +582,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             self.aux = HeadIndex::None;
             return;
         }
+        stats::head_index_rebuilds().inc();
         let n = self.storage.num_leaves();
         debug_assert!(n < u32::MAX as usize, "head index ranks are u32");
         let mut heads = Vec::with_capacity(n);
@@ -591,8 +598,9 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Recompute everything `dest_leaf` routes through — the occupancy
-    /// bitset and the auxiliary head array. Called by rebuilds, snapshot
-    /// loads, and the tail of every batch pipeline.
+    /// bitset and the auxiliary head array — from scratch. For when the
+    /// geometry changes (construction, rebuilds, snapshot loads); updates
+    /// within a geometry maintain the bitset per touched leaf or range.
     pub(crate) fn rebuild_read_index(&mut self) {
         let n = self.storage.num_leaves();
         self.occ = vec![0u64; n.div_ceil(64).max(1)];
@@ -874,11 +882,11 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     pub fn insert(&mut self, key: K) -> bool {
         let dest = self.dest_leaf(key);
         let leaf = dest.unwrap_or(0);
-        let mut scratch = Vec::new();
+        let old_head = self.storage.head(leaf);
         let shared = self.storage.shared();
         // SAFETY: disjoint-leaf contract of `SharedLeaves` — `shared` is
         // used for this one call, on the `&mut self` thread.
-        let out = unsafe { shared.apply_run(leaf, Inserts::new(&[key]), &mut scratch) };
+        let out = unsafe { shared.apply_run(leaf, Inserts::new(&[key]), &mut LeafScratch::new()) };
         if out.added == 0 {
             return false;
         }
@@ -890,10 +898,12 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             // jumped; refresh the inherited heads of the empty run after it.
             self.fix_inherited_heads_after(1);
         }
-        self.rebalance_after_insert(leaf);
-        // The merge may have lowered the leaf's head (key below its old
-        // minimum), so non-InPlace forms refresh the auxiliary array.
-        self.rebuild_head_index();
+        // A key below the leaf's old minimum lowered its head; a rebalance
+        // refreshes the auxiliary array itself.
+        let head_moved = dest.is_none() || self.storage.head(leaf) != old_head;
+        if !self.rebalance_after_insert(leaf) && head_moved {
+            self.rebuild_head_index();
+        }
         true
     }
 
@@ -902,11 +912,11 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let Some(leaf) = self.dest_leaf(key) else {
             return false;
         };
-        let mut scratch = Vec::new();
+        let old_head = self.storage.head(leaf);
         let shared = self.storage.shared();
         // SAFETY: disjoint-leaf contract of `SharedLeaves` — `shared` is
         // used for this one call, on the `&mut self` thread.
-        let out = unsafe { shared.apply_run(leaf, Removes::new(&[key]), &mut scratch) };
+        let out = unsafe { shared.apply_run(leaf, Removes::new(&[key]), &mut LeafScratch::new()) };
         if out.removed == 0 {
             return false;
         }
@@ -915,10 +925,12 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         if self.storage.count(leaf) == 0 {
             self.occ_clear(leaf);
         }
-        self.rebalance_after_remove(leaf);
-        // Removing a leaf's minimum moves its head up; refresh the
-        // auxiliary array for non-InPlace forms.
-        self.rebuild_head_index();
+        // Removing a leaf's minimum moved its head up (an emptied leaf
+        // keeps it); a rebalance refreshes the auxiliary array itself.
+        let head_moved = self.storage.head(leaf) != old_head;
+        if !self.rebalance_after_remove(leaf) && head_moved {
+            self.rebuild_head_index();
+        }
         true
     }
 
@@ -930,8 +942,9 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Walk up from a leaf that may violate its **upper** bound; grow or
-    /// redistribute as needed (§3 steps 3–4).
-    fn rebalance_after_insert(&mut self, leaf: usize) {
+    /// redistribute as needed (§3 steps 3–4). Returns whether it did —
+    /// either refreshes the whole read index.
+    fn rebalance_after_insert(&mut self, leaf: usize) -> bool {
         let tree = self.tree();
         let max_depth = tree.max_depth();
         let path = tree.path_to_leaf(leaf);
@@ -941,7 +954,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let violates_leaf = leaf_used > self.cfg.bounds.max_units(cap, leaf_node.depth, max_depth)
             || self.storage.is_overflowed(leaf);
         if !violates_leaf {
-            return;
+            return false;
         }
         // Find the lowest ancestor that respects its bound and redistribute
         // it; if even the root violates, grow.
@@ -953,16 +966,18 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 .max_units(cap * node.len(), node.depth, max_depth);
             if used <= bound {
                 self.redistribute(*node);
-                return;
+                return true;
             }
         }
         let elems = self.collect_all();
         self.grow_and_rebuild(&elems);
+        true
     }
 
     /// Walk up from a leaf that may violate its **lower** bound; shrink or
     /// redistribute as needed. Skipped while at the capacity floor.
-    fn rebalance_after_remove(&mut self, leaf: usize) {
+    /// Returns whether it did — either refreshes the whole read index.
+    fn rebalance_after_remove(&mut self, leaf: usize) -> bool {
         let tree = self.tree();
         let max_depth = tree.max_depth();
         let path = tree.path_to_leaf(leaf);
@@ -971,7 +986,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let violates_leaf = self.storage.units_used(leaf)
             < self.cfg.bounds.min_units(cap, leaf_node.depth, max_depth);
         if !violates_leaf {
-            return;
+            return false;
         }
         for node in path.iter().rev().skip(1) {
             let used = self.node_units(*node);
@@ -981,15 +996,19 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 .min_units(cap * node.len(), node.depth, max_depth);
             if used >= bound {
                 self.redistribute(*node);
-                return;
+                return true;
             }
         }
         // Root under its lower bound: shrink unless already at the floor.
         if self.storage.num_leaves() > self.cfg.min_leaves {
             let elems = self.collect_all();
             self.shrink_and_rebuild(&elems);
+            true
         } else if self.len > 0 {
             self.redistribute(self.tree().root());
+            true
+        } else {
+            false
         }
     }
 

@@ -23,9 +23,14 @@
 //!
 //! Every update — a point insert, a one-sided batch, a mixed batch —
 //! reaches a leaf as a [`Run`]: the sorted ops routed to it. Each storage
-//! implements one [`SharedLeaves::apply_run`] (decode → [`apply_run_into`]
-//! → re-encode, skipped when the run changes nothing) and reports one
-//! [`OpsOutcome`]; there is no separate union or difference path.
+//! implements one [`SharedLeaves::apply_run`] and reports one
+//! [`OpsOutcome`]; there is no separate union or difference path. Its
+//! **general path** is decode → [`apply_run_into`] → re-encode (skipped
+//! when the run changes nothing), working in a [`LeafScratch`] the leaf
+//! loop owns, so a warm loop allocates nothing per leaf. The compressed
+//! storage puts in-place kernels in front of it for the leaf states that
+//! allow one (see `compressed.rs`); whatever they decline falls through
+//! to the general path, which stays the only other way a leaf is updated.
 
 use crate::core::ForceCodec;
 use crate::run::Run;
@@ -47,6 +52,38 @@ pub struct OpsOutcome {
     /// paper). The counting phase is guaranteed to schedule it for
     /// redistribution because its density exceeds 1.0.
     pub overflowed: bool,
+}
+
+/// Reusable buffers of one leaf loop, handed to every
+/// [`SharedLeaves::apply_run`] of that loop: the batch pipeline builds one
+/// per worker (one for the serial loop), a point update one per call —
+/// empty `Vec`s cost nothing until a path that needs them runs.
+pub struct LeafScratch<K> {
+    /// General path: the leaf's decoded elements.
+    pub(crate) cur: Vec<K>,
+    /// General path: the merged run that is stored back.
+    pub(crate) merged: Vec<K>,
+    /// Bitmap leaves: the word array being edited.
+    pub(crate) words: Vec<u64>,
+    /// Bitmap leaves: the words as stored, before a downward rebase.
+    pub(crate) old_words: Vec<u64>,
+}
+
+impl<K> LeafScratch<K> {
+    pub fn new() -> Self {
+        Self {
+            cur: Vec::new(),
+            merged: Vec::new(),
+            words: Vec::new(),
+            old_words: Vec::new(),
+        }
+    }
+}
+
+impl<K> Default for LeafScratch<K> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Storage for the leaves of a PMA. See module docs.
@@ -218,16 +255,27 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
 /// be below the accessor's leaf count. Call sites cite this as the
 /// *disjoint-leaf contract* and say only why their leaves are distinct.
 pub trait SharedLeaves<K: PmaKey> {
-    /// Apply `run` (ascending, one op per key) to `leaf` in **one** rewrite:
-    /// decode → [`apply_run_into`] → re-encode. A run that changes nothing
-    /// returns the default outcome and leaves the leaf's bytes untouched.
-    /// Inserts may spill to an overflow buffer; an emptied leaf keeps its
-    /// old head as the inherited value (this preserves head-array
-    /// monotonicity with no cross-leaf reads — see `core` docs).
+    /// Apply `run` (ascending, one op per key) to `leaf` in **one** rewrite
+    /// (module docs: an in-place kernel where the storage has one, else the
+    /// general path). A run that changes nothing returns the default
+    /// outcome and leaves the leaf's bytes untouched. Inserts may spill to
+    /// an overflow buffer; an emptied leaf keeps its old head as the
+    /// inherited value (this preserves head-array monotonicity with no
+    /// cross-leaf reads — see `core` docs).
     ///
     /// # Safety
     /// The disjoint-leaf contract (trait docs).
-    unsafe fn apply_run<R: Run<K>>(&self, leaf: usize, run: R, scratch: &mut Vec<K>) -> OpsOutcome;
+    unsafe fn apply_run<R: Run<K>>(
+        &self,
+        leaf: usize,
+        run: R,
+        scratch: &mut LeafScratch<K>,
+    ) -> OpsOutcome;
+
+    /// Hint that `leaf` is about to be handed to [`Self::apply_run`]: pull
+    /// in what that call will miss on. Reads and writes nothing, so it is
+    /// safe for any `leaf`, whoever owns it. Default: no-op.
+    fn prefetch(&self, _leaf: usize) {}
 
     /// Overwrite `leaf` with `elems` (must fit capacity; caller planned the
     /// split). For an empty `elems`, the head is set to `inherited_head`.
@@ -332,7 +380,7 @@ pub(crate) mod testkit {
     ) -> OpsOutcome {
         let keys: Vec<u64> = ops.iter().map(|op| op.key()).collect();
         let mut twin = s.clone();
-        let mut scratch = Vec::new();
+        let mut scratch = LeafScratch::new();
         // SAFETY: single-threaded; `s` and `twin` are distinct storages.
         let (out, via_view) = unsafe {
             let out = s.shared().apply_run(leaf, ops, &mut scratch);

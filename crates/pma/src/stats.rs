@@ -189,6 +189,38 @@ pub(crate) fn codec_counters() -> &'static CodecCounters {
     })
 }
 
+/// Process-shared counters for which update kernel a compressed leaf run
+/// took (see `compressed.rs`, "Updating a leaf"): the fused in-place
+/// kernel, or the general decode → merge → store path — including every
+/// run a kernel declined. Wordwise runs on bitmap leaves count as
+/// neither. Shared for the reason [`CodecCounters`] is.
+pub(crate) struct LeafCounters {
+    pub fused_runs: Counter,
+    pub general_runs: Counter,
+}
+
+pub(crate) fn leaf_counters() -> &'static LeafCounters {
+    static CELLS: std::sync::OnceLock<LeafCounters> = std::sync::OnceLock::new();
+    CELLS.get_or_init(|| {
+        let r = cpma_obs::global();
+        LeafCounters {
+            fused_runs: r.counter("cpma.leaf.fused_runs", Unit::Count),
+            general_runs: r.counter("cpma.leaf.general_runs", Unit::Count),
+        }
+    })
+}
+
+/// Process-shared count of from-scratch rebuilds of the auxiliary head
+/// array (`Linear` / `Eytzinger` / `BNary` forms; `InPlace` has none and
+/// never counts) — O(leaves) each, so a point update must pay one only
+/// when it moved a head. Shared rather than a [`PmaCounters`] cell: a
+/// per-instance handle would grow `size_of::<PmaCore>()`, which
+/// `size_bytes()` reports.
+pub(crate) fn head_index_rebuilds() -> &'static Counter {
+    static CELL: std::sync::OnceLock<Counter> = std::sync::OnceLock::new();
+    CELL.get_or_init(|| cpma_obs::global().counter("pma.head_index_rebuilds", Unit::Count))
+}
+
 impl Clone for PmaCounters {
     fn clone(&self) -> Self {
         Self::new()

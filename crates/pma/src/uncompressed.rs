@@ -7,7 +7,7 @@
 //! leaves" (§5). A separate head array accelerates search, as in the
 //! search-optimized PMA the paper builds on \[78]. Units are **cells**.
 
-use crate::leaf::{apply_run_into, OpsOutcome, SharedLeaves};
+use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, SharedLeaves};
 use crate::run::Run;
 use crate::{stats, LeafStorage, PmaKey};
 use cpma_api::PersistError;
@@ -335,18 +335,14 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
         std::slice::from_raw_parts_mut(self.cells.add(leaf * self.leaf_units), len)
     }
 
-    /// Load the leaf's current elements (possibly from overflow) into
-    /// `scratch_src`; returns the old unit count.
+    /// The leaf's current elements, read in place (from the overflow
+    /// buffer while spilled).
     #[inline]
-    unsafe fn current(&self, leaf: usize, scratch_src: &mut Vec<K>) -> usize {
-        let cnt = *self.counts.add(leaf) as usize;
-        scratch_src.clear();
-        if let Some(buf) = (*self.overflow.add(leaf)).as_deref() {
-            scratch_src.extend_from_slice(buf);
-        } else {
-            scratch_src.extend_from_slice(self.leaf_cells(leaf, cnt));
+    unsafe fn current(&self, leaf: usize) -> &[K] {
+        match (*self.overflow.add(leaf)).as_deref() {
+            Some(buf) => buf,
+            None => self.leaf_cells(leaf, *self.counts.add(leaf) as usize),
         }
-        cnt
     }
 
     /// Store `elems` into the leaf, spilling to overflow when oversized.
@@ -370,18 +366,25 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
 }
 
 impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
-    unsafe fn apply_run<R: Run<K>>(&self, leaf: usize, run: R, scratch: &mut Vec<K>) -> OpsOutcome {
-        let mut cur = Vec::new();
+    unsafe fn apply_run<R: Run<K>>(
+        &self,
+        leaf: usize,
+        run: R,
+        scratch: &mut LeafScratch<K>,
+    ) -> OpsOutcome {
         // SAFETY: the caller holds the disjoint-leaf contract for `leaf`,
-        // which is all `current` and `store` below need.
-        let old_units = self.current(leaf, &mut cur);
+        // which is all `current` and `store` below need. The merge reads
+        // the leaf's cells in place and writes only `scratch.merged`, so
+        // the borrow of the cells ends before `store` overwrites them.
+        let cur = self.current(leaf);
+        let old_units = cur.len();
         stats::record_read(old_units * K::BYTES);
-        let (added, removed) = apply_run_into(&cur, run, scratch);
+        let (added, removed) = apply_run_into(cur, run, &mut scratch.merged);
         if added == 0 && removed == 0 {
             return OpsOutcome::default();
         }
         // An emptied leaf keeps its old head as the inherited value.
-        let (new_units, overflowed) = self.store(leaf, scratch, *self.heads.add(leaf));
+        let (new_units, overflowed) = self.store(leaf, &scratch.merged, *self.heads.add(leaf));
         OpsOutcome {
             added,
             removed,
@@ -397,13 +400,9 @@ impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
     }
 
     unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>) {
-        let cnt = *self.counts.add(leaf) as usize;
-        stats::record_read(cnt * K::BYTES);
-        if let Some(buf) = (*self.overflow.add(leaf)).as_deref() {
-            out.extend_from_slice(buf);
-        } else {
-            out.extend_from_slice(self.leaf_cells(leaf, cnt));
-        }
+        let cur = self.current(leaf);
+        stats::record_read(cur.len() * K::BYTES);
+        out.extend_from_slice(cur);
     }
 
     unsafe fn units_used(&self, leaf: usize) -> usize {
@@ -581,7 +580,7 @@ mod tests {
         let sh = s.shared();
         (0..64usize).into_par_iter().for_each(|leaf| {
             let base = leaf as u64 * 100;
-            let mut scratch = Vec::new();
+            let mut scratch = crate::leaf::LeafScratch::new();
             // SAFETY: each task owns a distinct leaf.
             unsafe {
                 sh.apply_run(
