@@ -1,23 +1,21 @@
-//! Read-heavy leg: uniform point-lookup throughput (lookups/s) across the
-//! head-layout menu, per-key vs batched.
+//! Read-heavy leg: uniform point-lookup throughput (lookups/s), per-key
+//! vs batched, on `Pma` and `Cpma`.
 //!
-//! The flat baseline is `Pma`/`Cpma` with in-place heads — a classic
-//! binary search over the head array, one unpredictable branch per level.
-//! The menu rows replace that search with a cache-conscious auxiliary
-//! layout (linear / Eytzinger / B-ary), and the batched columns add
-//! sorted-probe routing with software prefetch and shared leaf decodes.
-//! Expected shape: Eytzinger or B-ary batched lookups clear 2× the flat
-//! per-key baseline once the head array outgrows the caches.
+//! The per-key column is the in-place binary search over the leaf heads —
+//! one dependent, unpredictable probe per level — followed by the leaf
+//! probe. The batched column is `contains_batch`: probes sorted, routed
+//! leaf to leaf, leaf data prefetched a dozen groups ahead, probes landing
+//! in one leaf sharing a decode. Expected shape: batched lookups clear 2×
+//! the per-key rate once the probe set is large enough to visit leaves in
+//! address order (the default `--chunk`, the whole probe set).
 //!
-//! Emits `BENCH_point.json` (one entry per layout × codec × mode);
-//! `--quick` shrinks everything to CI-smoke scale.
+//! Emits `BENCH_point.json` (one entry per codec × mode); `--quick`
+//! shrinks everything to CI-smoke scale.
 
 use cpma_api::OrderedSet;
 use cpma_bench::ubench::{black_box, Bencher};
 use cpma_bench::{sci, time, Args};
-use cpma_pma::{
-    Cpma, CpmaBNary, CpmaEytzinger, CpmaLinear, Pma, PmaBNary, PmaEytzinger, PmaLinear,
-};
+use cpma_pma::{Cpma, Pma};
 use cpma_workloads::{dedup_sorted, uniform_keys};
 
 /// Probe mix: half cold uniform keys (mostly misses at 40-bit density),
@@ -81,73 +79,29 @@ fn main() {
         base.len()
     );
     println!(
-        "{:>6} {:>10} {:>12} {:>12} {:>7}",
-        "codec", "layout", "per-key/s", "batched/s", "vs flat"
+        "{:>6} {:>12} {:>12} {:>10}",
+        "codec", "per-key/s", "batched/s", "vs per-key"
     );
 
-    // Flat per-key binary search is the baseline every row is scored
-    // against (per codec).
-    let mut flat_point = [0f64; 2];
-    let mut best_batched = [0f64; 2];
-    let mut row = |codec: usize, layout: &str, point: f64, batched: f64| {
-        let codec_name = ["pma", "cpma"][codec];
-        if layout == "inplace" {
-            flat_point[codec] = point;
-        }
-        best_batched[codec] = best_batched[codec].max(batched);
-        let speedup = batched / flat_point[codec].max(1e-12);
+    let row = |codec: &str, (point, batched): (f64, f64)| {
         println!(
-            "{:>6} {:>10} {:>12} {:>12} {:>6.2}x",
-            codec_name,
-            layout,
+            "{:>6} {:>12} {:>12} {:>9.2}x",
+            codec,
             sci(point),
             sci(batched),
-            speedup
+            batched / point.max(1e-12)
         );
-        println!("csv,point,{codec_name},{layout},{point},{batched}");
+        println!("csv,point,{codec},{point},{batched}");
         for (mode, tput) in [("point", point), ("batched", batched)] {
             b.record(
-                &format!("point/{codec_name}/{layout}/{mode}"),
+                &format!("point/{codec}/{mode}"),
                 &[("n", base.len().to_string()), ("chunk", chunk.to_string())],
                 if tput > 0.0 { 1.0 / tput } else { 0.0 },
             );
         }
     };
-
-    {
-        let s = Pma::<u64>::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(0, "inplace", p, ba);
-        let s = PmaLinear::<u64>::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(0, "linear", p, ba);
-        let s = PmaEytzinger::<u64>::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(0, "eytzinger", p, ba);
-        let s = PmaBNary::<u64>::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(0, "bnary", p, ba);
-    }
-    {
-        let s = Cpma::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(1, "inplace", p, ba);
-        let s = CpmaLinear::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(1, "linear", p, ba);
-        let s = CpmaEytzinger::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(1, "eytzinger", p, ba);
-        let s = CpmaBNary::from_sorted(&base);
-        let (p, ba) = measure(&s, &mix, chunk);
-        row(1, "bnary", p, ba);
-    }
-
-    println!(
-        "# best batched vs flat per-key: PMA {:.2}x, CPMA {:.2}x",
-        best_batched[0] / flat_point[0].max(1e-12),
-        best_batched[1] / flat_point[1].max(1e-12)
-    );
+    row("pma", measure(&Pma::<u64>::from_sorted(&base), &mix, chunk));
+    row("cpma", measure(&Cpma::from_sorted(&base), &mix, chunk));
 
     b.write_json("point").expect("write BENCH_point.json");
 }

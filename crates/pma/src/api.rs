@@ -10,7 +10,7 @@ use crate::{LeafStorage, PmaKey};
 use cpma_api::{BatchOp, BatchOutcome, BatchSet, OrderedSet, ParallelChunks, RangeSet};
 use rayon::prelude::*;
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> OrderedSet<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> OrderedSet<K> for PmaCore<K, L> {
     const NAME: &'static str = L::NAME;
 
     fn contains(&self, key: K) -> bool {
@@ -50,7 +50,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> OrderedSet<K> for PmaCore<K, 
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> BatchSet<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> BatchSet<K> for PmaCore<K, L> {
     fn new_set() -> Self {
         Self::new()
     }
@@ -74,7 +74,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> BatchSet<K> for PmaCore<K, L,
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> RangeSet<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> RangeSet<K> for PmaCore<K, L> {
     fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
         self.for_each_from(start, f)
     }
@@ -88,7 +88,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> RangeSet<K> for PmaCore<K, L,
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> ParallelChunks<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> ParallelChunks<K> for PmaCore<K, L> {
     /// One chunk per non-empty leaf, decoded leaf-parallel.
     fn par_chunks(&self, f: &(dyn Fn(&[K]) + Sync)) {
         let storage = self.storage();

@@ -77,8 +77,8 @@ pub(crate) struct CountOutcome {
 
 /// Units of `node`, using `cache` for already-counted descendants so every
 /// leaf is visited at most once across the whole phase (Lemma 2).
-fn units_of<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
-    core: &PmaCore<K, L, FORM>,
+fn units_of<K: PmaKey, L: LeafStorage<K>>(
+    core: &PmaCore<K, L>,
     cache: &NodeCache,
     node: Node,
 ) -> usize {
@@ -94,8 +94,8 @@ fn units_of<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
 
 /// Run the counting phase over the touched leaves (ascending, deduplicated
 /// is not required — duplicates are removed here).
-pub(crate) fn count_phase<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
-    core: &PmaCore<K, L, FORM>,
+pub(crate) fn count_phase<K: PmaKey, L: LeafStorage<K>>(
+    core: &PmaCore<K, L>,
     touched: &[usize],
     kind: BoundKind,
 ) -> CountOutcome {

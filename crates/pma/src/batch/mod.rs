@@ -80,7 +80,7 @@ fn serial_merge_cutoff() -> usize {
 /// while the leaves before it merge, near enough to stay in L1.
 const PREFETCH_AHEAD: usize = 8;
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Insert a batch of keys; sorts and deduplicates in place unless
     /// `sorted` promises the batch is already sorted and unique. Returns the
     /// number of keys that were not already present (the artifact's
@@ -344,7 +344,7 @@ pub(crate) fn par_apply_run<K: PmaKey, R: Run<K>>(a: &[K], run: R) -> (Vec<K>, B
 
 #[cfg(test)]
 mod tests {
-    use crate::{Cpma, Pma};
+    use crate::{Cpma, Pma, BUDGET_LOCK};
     use std::collections::BTreeSet;
 
     fn lcg_keys(n: usize, seed: u64, bits: u32) -> Vec<u64> {
@@ -562,10 +562,6 @@ mod tests {
         }
     }
 
-    /// Budgets are pinned with `ThreadPool::install` (process-global), so
-    /// the matrix cells serialize on this lock.
-    static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn sorted_unique(n: usize, seed: u64, bits: u32) -> Vec<u64> {
         let set: BTreeSet<u64> = lcg_keys(n, seed, bits).into_iter().collect();
         set.into_iter().collect()
@@ -696,7 +692,7 @@ mod tests {
         entry_points_agree_cpma_bitmap: crate::CompressedLeaves, Bitmap;
     }
 
-    /// One `storage × head form` cell of the read-index table: pipeline-
+    /// One storage's row of the read-index table: pipeline-
     /// sized remove batches drain whole leaves — every 20th leaf, then
     /// contiguous stretches of 30–75 — and insert batches refill them.
     /// Under the default bounds every emptied leaf lands in a
@@ -704,10 +700,9 @@ mod tests {
     /// tree's full depth violates nothing, so scattered ones stay empty
     /// and only the merge phase can have cleared their occupancy bits.
     /// After every batch the bitset (maintained per touched leaf and per
-    /// range, never rebuilt) and the auxiliary head array must pass
-    /// `check_invariants()`, and lookups must route across the holes.
-    /// Budgets 1 and 2.
-    fn drained_ranges_keep_the_read_index<L: crate::LeafStorage<u64>, const FORM: u8>() {
+    /// range, never rebuilt) must pass `check_invariants()`, and lookups
+    /// must route across the holes. Budgets 1 and 2.
+    fn drained_ranges_keep_the_read_index<L: crate::LeafStorage<u64>>() {
         let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let keys: Vec<u64> = (0..60_000u64).map(|i| i * 1000).collect();
         for (budget, lower_leaf) in [(1, 0.08), (2, 0.08), (1, 0.0), (2, 0.0)] {
@@ -721,7 +716,7 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let mut s = crate::PmaCore::<u64, L, FORM>::from_sorted_with(&keys, cfg);
+                let mut s = crate::PmaCore::<u64, L>::from_sorted_with(&keys, cfg);
                 let mut scattered = Vec::new();
                 for leaf in (0..s.storage().num_leaves()).step_by(20) {
                     s.storage().collect_leaf(leaf, &mut scattered);
@@ -771,20 +766,14 @@ mod tests {
         }
     }
 
-    /// One `#[test]` per cell, so a failure names its cell.
-    macro_rules! read_index_cells {
-        ($($name:ident: $leaves:ty, $form:ident;)*) => {$(
-            #[test]
-            fn $name() {
-                drained_ranges_keep_the_read_index::<$leaves, { crate::HeadForm::$form as u8 }>();
-            }
-        )*};
+    #[test]
+    fn drained_ranges_pma_in_place() {
+        drained_ranges_keep_the_read_index::<crate::UncompressedLeaves<u64>>();
     }
-    read_index_cells! {
-        drained_ranges_pma_in_place: crate::UncompressedLeaves<u64>, InPlace;
-        drained_ranges_pma_eytzinger: crate::UncompressedLeaves<u64>, Eytzinger;
-        drained_ranges_cpma_in_place: crate::CompressedLeaves, InPlace;
-        drained_ranges_cpma_eytzinger: crate::CompressedLeaves, Eytzinger;
+
+    #[test]
+    fn drained_ranges_cpma_in_place() {
+        drained_ranges_keep_the_read_index::<crate::CompressedLeaves>();
     }
 
     #[test]

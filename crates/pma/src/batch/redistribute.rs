@@ -6,6 +6,10 @@
 //! redistribute by spreading the elements evenly from the buffer into the
 //! target leaves." (§4, Lemma 4).
 //!
+//! The pipeline hands [`redistribute_ranges`] the maximal violating ranges
+//! of a batch; a point update hands it the one node it unbalanced (below
+//! the leaf cutoff everything here runs serially).
+//!
 //! Execution is strictly phased to keep the shared-leaf accesses disjoint:
 //!
 //! 1. **Collect** (parallel over ranges, read-only): pack each range's
@@ -33,16 +37,10 @@ struct RangeJob<K> {
 }
 
 /// Redistribute the given disjoint nodes (sorted by start).
-pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
-    core: &mut PmaCore<K, L, FORM>,
+pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
+    core: &mut PmaCore<K, L>,
     ranges: &[Node],
 ) {
-    if ranges.is_empty() {
-        // Nothing moves between leaves, but the preceding merge phase may
-        // have moved heads (it keeps the occupancy bits itself).
-        core.rebuild_head_index();
-        return;
-    }
     debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
     let leaf_units = core.storage().leaf_units();
     let total_leaves: usize = ranges.iter().map(|n| n.len()).sum();
@@ -83,14 +81,14 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
         jobs.iter()
             .map(|job| {
                 core.storage()
-                    .plan_split_with(&job.elems, job.node.len(), leaf_units)
+                    .plan_split(&job.elems, job.node.len(), leaf_units)
             })
             .collect()
     } else {
         jobs.par_iter()
             .map(|job| {
                 core.storage()
-                    .plan_split_with(&job.elems, job.node.len(), leaf_units)
+                    .plan_split(&job.elems, job.node.len(), leaf_units)
             })
             .collect()
     };
@@ -135,12 +133,11 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
 
     // Phase 3: repair inherited heads after each range, and refresh the
     // read index where elements moved: the occupancy bits of the ranges
-    // themselves, and the auxiliary head array (a no-op for `InPlace`).
+    // themselves.
     for node in ranges {
         core.fix_inherited_heads_after(node.end);
         core.rebuild_occ_range(node.start, node.end);
     }
-    core.rebuild_head_index();
 
     // Hybrid split plans are estimate-driven and may leave a tail leaf
     // unfit; escalate to a capacity grow, which re-spreads everything and

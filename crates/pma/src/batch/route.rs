@@ -33,8 +33,8 @@ fn serial_cutoff() -> usize {
 /// Compute the destination segments for a run (routing reads only its
 /// keys, so every view of the same keys routes identically). The PMA must
 /// be non-empty. Assignments come back ordered by leaf.
-pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, R: Run<K>, const FORM: u8>(
-    core: &PmaCore<K, L, FORM>,
+pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, R: Run<K>>(
+    core: &PmaCore<K, L>,
     run: R,
 ) -> Vec<Assignment> {
     debug_assert!(!core.is_empty());
@@ -45,14 +45,14 @@ pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, R: Run<K>, const FORM: u
     ctx.recurse(0, run.len(), 0, core.storage().num_leaves())
 }
 
-struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, R: Run<K>, const FORM: u8> {
-    core: &'a PmaCore<K, L, FORM>,
+struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, R: Run<K>> {
+    core: &'a PmaCore<K, L>,
     run: R,
     /// First non-empty leaf: elements below the global minimum route here.
     f0: usize,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, R: Run<K>, const FORM: u8> RouteCtx<'_, K, L, R, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>, R: Run<K>> RouteCtx<'_, K, L, R> {
     /// Segment of `self.run[blo..bhi)` destined for leaf `t`:
     /// keys in `[head(t), head(next non-empty leaf))`, extended down to
     /// −∞ when `t` is the first non-empty leaf.

@@ -25,16 +25,11 @@
 //! empty a leaf keep its old head — both preserve (1)-(3) without
 //! cross-leaf coordination, which is what makes the batch phases race-free.
 //!
-//! # Head layouts
-//!
-//! *How* the rightmost head ≤ key is found is a compile-time choice: the
-//! `FORM` const parameter selects a [`HeadForm`] — the flat in-place
-//! binary search (the default), a separate flat array searched
-//! branch-free, or the cache-conscious Eytzinger / B-ary tree layouts,
-//! whose auxiliary arrays are rebuilt after every mutation (see
-//! `docs/ARCHITECTURE.md` for the layouts and `docs/TUNING.md` for when
-//! each wins).
+//! The heads are searched where they live — one binary search over the leaf
+//! storage's head slots, no copy to keep in step — so the only derived read
+//! state is the occupancy bitset, maintained per touched leaf or range.
 
+use crate::batch::redistribute_ranges;
 use crate::density::DensityBounds;
 use crate::leaf::{LeafScratch, SharedLeaves};
 use crate::run::{Inserts, Removes};
@@ -44,64 +39,6 @@ use crate::{stats, CompressedLeaves, LeafStorage, PmaKey, UncompressedLeaves};
 use cpma_api::ConfigError;
 use rayon::prelude::*;
 use std::marker::PhantomData;
-
-/// The head-layout menu (the artifact's `HeadForm`): how `dest_leaf`
-/// answers "rightmost head ≤ key". Selected at compile time through the
-/// `FORM` const parameter of [`PmaCore`]; values are the `u8` the const
-/// parameter takes (`PmaCore<K, L, { HeadForm::Eytzinger as u8 }>`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum HeadForm {
-    /// Binary search directly over the heads stored in the leaf layout —
-    /// no auxiliary array, no rebuild cost (the historical default).
-    InPlace = 0,
-    /// A packed copy of the head array searched with a branchless binary
-    /// search. One extra array, trivially rebuilt.
-    Linear = 1,
-    /// Heads in BFS (Eytzinger) order: the first few levels of the
-    /// implicit tree share cache lines and deeper levels are prefetched
-    /// four levels ahead.
-    Eytzinger = 2,
-    /// A static B-ary search tree with 8 keys (one cache line) per node,
-    /// searched with a branchless per-node rank.
-    BNary = 3,
-}
-
-impl HeadForm {
-    /// The form a `FORM` const parameter denotes (panics on out-of-range
-    /// values at monomorphization time, since callers only reach this
-    /// through `PmaCore::HEAD_FORM`).
-    pub const fn from_u8(v: u8) -> Self {
-        match v {
-            0 => Self::InPlace,
-            1 => Self::Linear,
-            2 => Self::Eytzinger,
-            3 => Self::BNary,
-            _ => panic!("HeadForm const parameter must be 0..=3"),
-        }
-    }
-
-    /// Short lowercase name (used by benches and snapshots' error text).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Self::InPlace => "inplace",
-            Self::Linear => "linear",
-            Self::Eytzinger => "eytzinger",
-            Self::BNary => "bnary",
-        }
-    }
-}
-
-/// The auxiliary search structure backing a non-`InPlace` [`HeadForm`].
-/// Rebuilt whenever heads may have changed (redistributes, rebuilds, the
-/// tail of every point update and batch).
-#[derive(Clone)]
-pub(crate) enum HeadIndex<K> {
-    None,
-    Linear(Vec<K>),
-    Eytzinger(search::Eytzinger<K>),
-    BNary(search::BNary<K>),
-}
 
 /// Per-leaf codec selection policy for hybrid leaf storages
 /// ([`crate::CompressedLeaves`]). Leaf storages without alternative
@@ -284,31 +221,12 @@ pub type Pma<K = u64> = PmaCore<K, UncompressedLeaves<K>>;
 /// The batch-parallel Compressed PMA (delta + byte codes; §5).
 pub type Cpma = PmaCore<u64, CompressedLeaves>;
 
-/// Uncompressed PMA with the branchless flat head copy.
-pub type PmaLinear<K = u64> = PmaCore<K, UncompressedLeaves<K>, { HeadForm::Linear as u8 }>;
-
-/// Uncompressed PMA with Eytzinger-ordered heads.
-pub type PmaEytzinger<K = u64> = PmaCore<K, UncompressedLeaves<K>, { HeadForm::Eytzinger as u8 }>;
-
-/// Uncompressed PMA with the B-ary head tree.
-pub type PmaBNary<K = u64> = PmaCore<K, UncompressedLeaves<K>, { HeadForm::BNary as u8 }>;
-
-/// CPMA with the branchless flat head copy.
-pub type CpmaLinear = PmaCore<u64, CompressedLeaves, { HeadForm::Linear as u8 }>;
-
-/// CPMA with Eytzinger-ordered heads.
-pub type CpmaEytzinger = PmaCore<u64, CompressedLeaves, { HeadForm::Eytzinger as u8 }>;
-
-/// CPMA with the B-ary head tree.
-pub type CpmaBNary = PmaCore<u64, CompressedLeaves, { HeadForm::BNary as u8 }>;
-
-/// Engine over generic leaf storage. See module docs; `FORM` is a
-/// [`HeadForm`] discriminant selecting the head layout.
+/// Engine over generic leaf storage. See module docs.
 ///
 /// `Clone` (for `Clone` leaf storages) is what snapshot publishers like
 /// `cpma-store`'s combiner build on.
 #[derive(Clone)]
-pub struct PmaCore<K: PmaKey, L: LeafStorage<K>, const FORM: u8 = 0> {
+pub struct PmaCore<K: PmaKey, L: LeafStorage<K>> {
     pub(crate) storage: L,
     pub(crate) cfg: PmaConfig,
     /// Number of stored elements.
@@ -321,20 +239,16 @@ pub struct PmaCore<K: PmaKey, L: LeafStorage<K>, const FORM: u8 = 0> {
     /// One bit per leaf: is it non-empty? Lets routing skip empty runs a
     /// word (64 leaves) at a time instead of leaf-by-leaf.
     pub(crate) occ: Vec<u64>,
-    /// Auxiliary head array for non-`InPlace` forms.
-    pub(crate) aux: HeadIndex<K>,
     pub(crate) _marker: PhantomData<K>,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Default for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> Default for PmaCore<K, L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
-    /// The head layout this instantiation uses.
-    pub const HEAD_FORM: HeadForm = HeadForm::from_u8(FORM);
+impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Empty structure with default configuration.
     pub fn new() -> Self {
         Self::with_config(PmaConfig::default())
@@ -353,7 +267,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             units: 0,
             batch_stats: stats::PmaCounters::new(),
             occ: Vec::new(),
-            aux: HeadIndex::None,
             _marker: PhantomData,
         };
         this.rebuild_read_index();
@@ -408,7 +321,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
 
     /// Units capacity needed to host `elems` at the rebuild target density.
     pub(crate) fn capacity_for_target(&self, elems: &[K]) -> usize {
-        let stream = self.storage.units_for_with(elems);
+        let stream = self.storage.units_for(elems);
         let target = self.cfg.bounds.rebuild_target;
         let mut cap = ((stream as f64) / target).ceil() as usize;
         // One refinement round: heads overhead depends on the leaf count.
@@ -422,7 +335,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     /// Replace storage with a fresh layout of at least `cap_units` capacity
     /// holding exactly `elems` (sorted unique), spread evenly.
     ///
-    /// The hybrid codec's `units_for_with` is an estimate (a lower bound),
+    /// The hybrid codec's `units_for` is an estimate (a lower bound),
     /// so a split plan can fail to fit its tail; the loop retries with a
     /// capacity sized from the *actual* units of the failed attempt, which
     /// converges in O(1) rounds. Delta-only and uncompressed storages
@@ -433,7 +346,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             let k = cap_units.div_ceil(leaf_units).max(self.cfg.min_leaves);
             let mut storage = L::with_geometry(k, leaf_units);
             storage.set_codec_policy(self.cfg.force_codec, self.cfg.bitmap_leaf_threshold);
-            let offsets = self.storage.plan_split_with(elems, k, leaf_units);
+            let offsets = self.storage.plan_split(elems, k, leaf_units);
             let shared = storage.shared();
             let units: usize = (0..k)
                 .into_par_iter()
@@ -467,7 +380,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     /// Grow capacity by the growing factor (repeatedly if needed) and
     /// re-spread `elems`.
     pub(crate) fn grow_and_rebuild(&mut self, elems: &[K]) {
-        let stream = self.storage.units_for_with(elems);
+        let stream = self.storage.units_for(elems);
         let f = self.cfg.growing_factor;
         let mut cap = ((self.capacity_units() as f64) * f).ceil() as usize;
         loop {
@@ -485,7 +398,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     /// Shrink capacity by the growing factor while the root is under its
     /// lower bound, then re-spread `elems`.
     pub(crate) fn shrink_and_rebuild(&mut self, elems: &[K]) {
-        let stream = self.storage.units_for_with(elems);
+        let stream = self.storage.units_for(elems);
         let f = self.cfg.growing_factor;
         let floor = self.cfg.min_leaves * L::MIN_LEAF_UNITS;
         let mut cap = self.capacity_units();
@@ -501,7 +414,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     // ------------------------------------------------------------------
-    // Occupancy bitset + auxiliary head index
+    // Occupancy bitset
     // ------------------------------------------------------------------
 
     #[inline]
@@ -575,32 +488,10 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         }
     }
 
-    /// Rebuild the auxiliary head array from the current heads (a no-op
-    /// for `InPlace`). Must run after anything that may move a head.
-    pub(crate) fn rebuild_head_index(&mut self) {
-        if matches!(Self::HEAD_FORM, HeadForm::InPlace) {
-            self.aux = HeadIndex::None;
-            return;
-        }
-        stats::head_index_rebuilds().inc();
-        let n = self.storage.num_leaves();
-        debug_assert!(n < u32::MAX as usize, "head index ranks are u32");
-        let mut heads = Vec::with_capacity(n);
-        for l in 0..n {
-            heads.push(self.storage.head(l));
-        }
-        self.aux = match Self::HEAD_FORM {
-            HeadForm::InPlace => unreachable!(),
-            HeadForm::Linear => HeadIndex::Linear(heads),
-            HeadForm::Eytzinger => HeadIndex::Eytzinger(search::Eytzinger::build(&heads, K::MAX)),
-            HeadForm::BNary => HeadIndex::BNary(search::BNary::build(&heads, K::MAX)),
-        };
-    }
-
-    /// Recompute everything `dest_leaf` routes through — the occupancy
-    /// bitset and the auxiliary head array — from scratch. For when the
-    /// geometry changes (construction, rebuilds, snapshot loads); updates
-    /// within a geometry maintain the bitset per touched leaf or range.
+    /// Recompute the occupancy bitset — the one piece of derived state
+    /// `dest_leaf` routes through — from scratch. For when the geometry
+    /// changes (construction, rebuilds, snapshot loads); updates within a
+    /// geometry maintain the bitset per touched leaf or range.
     pub(crate) fn rebuild_read_index(&mut self) {
         let n = self.storage.num_leaves();
         self.occ = vec![0u64; n.div_ceil(64).max(1)];
@@ -609,54 +500,28 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 self.occ_set(leaf);
             }
         }
-        self.rebuild_head_index();
-    }
-
-    /// Bytes held by the read index (occupancy words + auxiliary heads).
-    fn read_index_bytes(&self) -> usize {
-        let aux = match &self.aux {
-            HeadIndex::None => 0,
-            HeadIndex::Linear(h) => std::mem::size_of_val(h.as_slice()),
-            HeadIndex::Eytzinger(e) => {
-                std::mem::size_of_val(e.keys.as_slice()) + std::mem::size_of_val(e.rank.as_slice())
-            }
-            HeadIndex::BNary(b) => {
-                std::mem::size_of_val(b.keys.as_slice())
-                    + std::mem::size_of_val(b.rank.as_slice())
-                    + b.fill.len()
-            }
-        };
-        std::mem::size_of_val(self.occ.as_slice()) + aux
     }
 
     // ------------------------------------------------------------------
     // Search
     // ------------------------------------------------------------------
 
-    /// Count of heads ≤ `key` (the partition point the routing walk needs),
-    /// answered through the layout `FORM` selects.
+    /// Count of heads ≤ `key` (the partition point the routing walk needs):
+    /// a binary search over the heads where they live in leaf storage.
     #[inline]
     pub(crate) fn head_partition(&self, key: K) -> usize {
         let n = self.storage.num_leaves();
         stats::record_read(((usize::BITS - n.leading_zeros()) as usize) * K::BYTES);
-        match &self.aux {
-            HeadIndex::Linear(heads) => search::upper_bound(heads, key),
-            HeadIndex::Eytzinger(e) => e.partition(key),
-            HeadIndex::BNary(b) => b.partition(key, n),
-            HeadIndex::None => {
-                // In-place binary search over the heads in leaf storage.
-                let (mut lo, mut hi) = (0usize, n);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if self.storage.head(mid) <= key {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.storage.head(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        lo
     }
 
     /// First leaf with a nonzero count, if any.
@@ -721,16 +586,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         order
     }
 
-    /// The head of `leaf`, answered from the auxiliary array when one
-    /// holds plain heads — routing then never touches leaf storage.
-    #[inline]
-    fn head_at(&self, leaf: usize) -> K {
-        match &self.aux {
-            HeadIndex::Linear(heads) => heads[leaf],
-            _ => self.storage.head(leaf),
-        }
-    }
-
     /// How many probe groups ahead the probe phase prefetches leaf data:
     /// deep enough to keep ~a dozen independent line fills in flight,
     /// which is what the leaf-miss-bound probe loop needs to hide DRAM
@@ -742,7 +597,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     /// the head of the next occupied leaf (= every group member's
     /// out-of-leaf successor).
     ///
-    /// Two passes. The routing pass walks only the head index (plus the
+    /// Two passes. The routing pass walks only the heads (plus the
     /// occupancy bitset) and records one `(leaf, range, limit)` group per
     /// destination. The probe pass then visits the groups with leaf-data
     /// prefetch issued [`Self::PROBE_PREFETCH_AHEAD`] groups early, so the
@@ -772,7 +627,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                     let mut steps = 0usize;
                     loop {
                         match self.next_nonempty_leaf(cur) {
-                            Some(nl) if self.head_at(nl) <= key => {
+                            Some(nl) if self.storage.head(nl) <= key => {
                                 cur = nl;
                                 steps += 1;
                                 if steps >= 8 {
@@ -794,7 +649,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             // Everything below the next occupied head routes to `leaf`
             // (dest_leaf is monotone and skips inherited-head runs).
             let next = self.next_nonempty_leaf(leaf);
-            let limit = next.map(|nl| self.head_at(nl));
+            let limit = next.map(|nl| self.storage.head(nl));
             let mut j = i + 1;
             while j < order.len() && limit.is_none_or(|lim| keys[order[j]] < lim) {
                 j += 1;
@@ -882,7 +737,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     pub fn insert(&mut self, key: K) -> bool {
         let dest = self.dest_leaf(key);
         let leaf = dest.unwrap_or(0);
-        let old_head = self.storage.head(leaf);
         let shared = self.storage.shared();
         // SAFETY: disjoint-leaf contract of `SharedLeaves` — `shared` is
         // used for this one call, on the `&mut self` thread.
@@ -898,12 +752,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             // jumped; refresh the inherited heads of the empty run after it.
             self.fix_inherited_heads_after(1);
         }
-        // A key below the leaf's old minimum lowered its head; a rebalance
-        // refreshes the auxiliary array itself.
-        let head_moved = dest.is_none() || self.storage.head(leaf) != old_head;
-        if !self.rebalance_after_insert(leaf) && head_moved {
-            self.rebuild_head_index();
-        }
+        self.rebalance_after_insert(leaf);
         true
     }
 
@@ -912,7 +761,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let Some(leaf) = self.dest_leaf(key) else {
             return false;
         };
-        let old_head = self.storage.head(leaf);
         let shared = self.storage.shared();
         // SAFETY: disjoint-leaf contract of `SharedLeaves` — `shared` is
         // used for this one call, on the `&mut self` thread.
@@ -925,12 +773,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         if self.storage.count(leaf) == 0 {
             self.occ_clear(leaf);
         }
-        // Removing a leaf's minimum moved its head up (an emptied leaf
-        // keeps it); a rebalance refreshes the auxiliary array itself.
-        let head_moved = self.storage.head(leaf) != old_head;
-        if !self.rebalance_after_remove(leaf) && head_moved {
-            self.rebuild_head_index();
-        }
+        self.rebalance_after_remove(leaf);
         true
     }
 
@@ -942,9 +785,8 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Walk up from a leaf that may violate its **upper** bound; grow or
-    /// redistribute as needed (§3 steps 3–4). Returns whether it did —
-    /// either refreshes the whole read index.
-    fn rebalance_after_insert(&mut self, leaf: usize) -> bool {
+    /// redistribute as needed (§3 steps 3–4).
+    fn rebalance_after_insert(&mut self, leaf: usize) {
         let tree = self.tree();
         let max_depth = tree.max_depth();
         let path = tree.path_to_leaf(leaf);
@@ -954,7 +796,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let violates_leaf = leaf_used > self.cfg.bounds.max_units(cap, leaf_node.depth, max_depth)
             || self.storage.is_overflowed(leaf);
         if !violates_leaf {
-            return false;
+            return;
         }
         // Find the lowest ancestor that respects its bound and redistribute
         // it; if even the root violates, grow.
@@ -965,19 +807,17 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 .bounds
                 .max_units(cap * node.len(), node.depth, max_depth);
             if used <= bound {
-                self.redistribute(*node);
-                return true;
+                redistribute_ranges(self, &[*node]);
+                return;
             }
         }
         let elems = self.collect_all();
         self.grow_and_rebuild(&elems);
-        true
     }
 
     /// Walk up from a leaf that may violate its **lower** bound; shrink or
     /// redistribute as needed. Skipped while at the capacity floor.
-    /// Returns whether it did — either refreshes the whole read index.
-    fn rebalance_after_remove(&mut self, leaf: usize) -> bool {
+    fn rebalance_after_remove(&mut self, leaf: usize) {
         let tree = self.tree();
         let max_depth = tree.max_depth();
         let path = tree.path_to_leaf(leaf);
@@ -986,7 +826,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let violates_leaf = self.storage.units_used(leaf)
             < self.cfg.bounds.min_units(cap, leaf_node.depth, max_depth);
         if !violates_leaf {
-            return false;
+            return;
         }
         for node in path.iter().rev().skip(1) {
             let used = self.node_units(*node);
@@ -995,69 +835,17 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 .bounds
                 .min_units(cap * node.len(), node.depth, max_depth);
             if used >= bound {
-                self.redistribute(*node);
-                return true;
+                redistribute_ranges(self, &[*node]);
+                return;
             }
         }
         // Root under its lower bound: shrink unless already at the floor.
         if self.storage.num_leaves() > self.cfg.min_leaves {
             let elems = self.collect_all();
             self.shrink_and_rebuild(&elems);
-            true
         } else if self.len > 0 {
-            self.redistribute(self.tree().root());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Evenly re-spread the elements of `node` across its leaves
-    /// (the redistribute step of §3; serial version for point updates).
-    pub(crate) fn redistribute(&mut self, node: Node) {
-        let mut elems = Vec::new();
-        for l in node.start..node.end {
-            if self.storage.is_overflowed(l) || self.storage.count(l) > 0 {
-                let shared = self.storage.shared();
-                // SAFETY: exclusive access.
-                unsafe { shared.collect_leaf(l, &mut elems) };
-            }
-        }
-        let prev_head = if node.start == 0 {
-            K::MIN
-        } else {
-            self.storage.head(node.start - 1)
-        };
-        let k = node.len();
-        let leaf_units = self.storage.leaf_units();
-        let offsets = self.storage.plan_split_with(&elems, k, leaf_units);
-        let shared = self.storage.shared();
-        let mut units_delta: isize = 0;
-        for j in 0..k {
-            let leaf = node.start + j;
-            let slice = &elems[offsets[j]..offsets[j + 1]];
-            let inherited = if offsets[j] > 0 {
-                elems[offsets[j] - 1]
-            } else {
-                prev_head
-            };
-            // SAFETY: exclusive access.
-            unsafe {
-                let old = shared.units_used(leaf);
-                let new = shared.write_leaf(leaf, slice, inherited);
-                units_delta += new as isize - old as isize;
-            }
-        }
-        self.units = self.units.checked_add_signed(units_delta).unwrap();
-        self.fix_inherited_heads_after(node.end);
-        self.rebuild_occ_range(node.start, node.end);
-        self.rebuild_head_index();
-        // Hybrid plans are estimate-driven and may leave an unfit tail
-        // leaf; a capacity grow re-spreads everything and cannot overflow
-        // (rebuild_into retries until every leaf fits).
-        if (node.start..node.end).any(|l| self.storage.is_overflowed(l)) {
-            let all = self.collect_all();
-            self.grow_and_rebuild(&all);
+            let root = self.tree().root();
+            redistribute_ranges(self, &[root]);
         }
     }
 
@@ -1101,9 +889,11 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Bytes of backing memory (the artifact's `get_size()`), including
-    /// the read index (occupancy bitset + auxiliary head array).
+    /// the read index (the occupancy bitset).
     pub fn size_bytes(&self) -> usize {
-        self.storage.size_bytes() + std::mem::size_of::<Self>() + self.read_index_bytes()
+        self.storage.size_bytes()
+            + std::mem::size_of::<Self>()
+            + std::mem::size_of_val(self.occ.as_slice())
     }
 
     /// Smallest stored element.
@@ -1305,7 +1095,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Iterate all elements in order.
-    pub fn iter(&self) -> Iter<'_, K, L, FORM> {
+    pub fn iter(&self) -> Iter<'_, K, L> {
         Iter {
             core: self,
             leaf: 0,
@@ -1315,7 +1105,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Iterate, in order, the elements ≥ `start`.
-    pub fn iter_from(&self, start: K) -> Iter<'_, K, L, FORM> {
+    pub fn iter_from(&self, start: K) -> Iter<'_, K, L> {
         let Some(leaf) = self.dest_leaf(start) else {
             return Iter {
                 core: self,
@@ -1447,29 +1237,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 "leaf {leaf} exceeds physical capacity"
             );
         }
-        // The auxiliary head index must answer exactly like the in-place
-        // binary search (same partition point for every head and
-        // neighbors thereof).
-        if !matches!(self.aux, HeadIndex::None) {
-            for leaf in 0..n {
-                let h = self.storage.head(leaf).to_u64();
-                let probes = [
-                    h.saturating_sub(1),
-                    h,
-                    h.saturating_add(1).min(K::MAX.to_u64()),
-                ];
-                for probe in probes.map(K::from_u64) {
-                    let flat = (0..n)
-                        .take_while(|&l| self.storage.head(l) <= probe)
-                        .count();
-                    assert_eq!(
-                        self.head_partition(probe),
-                        flat,
-                        "head index disagrees with flat search at probe {probe}"
-                    );
-                }
-            }
-        }
         let _ = (tree, max_depth);
     }
 }
@@ -1479,13 +1246,13 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
 /// (capacity, leaf geometry, which leaf holds which key) is
 /// intentionally ignored — it varies with insertion history while the
 /// abstract set does not.
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PartialEq for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> PartialEq for PmaCore<K, L> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.cfg == other.cfg && self.iter().eq(other.iter())
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> std::fmt::Debug for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> std::fmt::Debug for PmaCore<K, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmaCore")
             .field("len", &self.len)
@@ -1497,14 +1264,14 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> std::fmt::Debug for PmaCore<K
 }
 
 /// In-order iterator over a PMA; decodes one leaf at a time.
-pub struct Iter<'a, K: PmaKey, L: LeafStorage<K>, const FORM: u8 = 0> {
-    core: &'a PmaCore<K, L, FORM>,
+pub struct Iter<'a, K: PmaKey, L: LeafStorage<K>> {
+    core: &'a PmaCore<K, L>,
     leaf: usize,
     buf: Vec<K>,
     pos: usize,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Iterator for Iter<'_, K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> Iterator for Iter<'_, K, L> {
     type Item = K;
 
     fn next(&mut self) -> Option<K> {
@@ -1525,9 +1292,9 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Iterator for Iter<'_, K, L, F
     }
 }
 
-impl<'a, K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for &'a PmaCore<K, L, FORM> {
+impl<'a, K: PmaKey, L: LeafStorage<K>> IntoIterator for &'a PmaCore<K, L> {
     type Item = K;
-    type IntoIter = Iter<'a, K, L, FORM>;
+    type IntoIter = Iter<'a, K, L>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -1535,7 +1302,7 @@ impl<'a, K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for &'a PmaC
 
 /// Owned iteration drains into a sorted buffer (the backing array is a
 /// packed layout, not a `Vec` of elements).
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> IntoIterator for PmaCore<K, L> {
     type Item = K;
     type IntoIter = std::vec::IntoIter<K>;
     fn into_iter(self) -> Self::IntoIter {
@@ -1544,7 +1311,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for PmaCore<K, L
 }
 
 /// Collect arbitrary (unsorted, possibly duplicated) keys into a PMA.
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> FromIterator<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> FromIterator<K> for PmaCore<K, L> {
     fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
         let mut keys: Vec<K> = iter.into_iter().collect();
         let keys = cpma_api::normalize_batch(&mut keys);
@@ -1553,7 +1320,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> FromIterator<K> for PmaCore<K
 }
 
 /// Batch-insert arbitrary keys (buffers, then runs one batch update).
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Extend<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> Extend<K> for PmaCore<K, L> {
     fn extend<I: IntoIterator<Item = K>>(&mut self, iter: I) {
         let mut keys: Vec<K> = iter.into_iter().collect();
         self.insert_batch(&mut keys, false);
@@ -1800,6 +1567,77 @@ mod tests {
             c.size_bytes(),
             p.size_bytes()
         );
+    }
+
+    /// The occupancy bitset is the only derived read state, and updates
+    /// maintain it where they touch: after a pipeline batch (merge phase
+    /// and a redistributed range) and after point updates (leaf kernel and
+    /// the point path's redistribute), `occ` and `size_bytes()` equal what
+    /// a from-scratch `rebuild_read_index()` gives. Budgets 1 and 2.
+    #[test]
+    fn read_index_survives_updates_without_a_rebuild() {
+        use cpma_api::BatchOp::{Insert, Remove};
+        fn assert_fresh(c: &Cpma, what: &str) {
+            let mut fresh = c.clone();
+            fresh.rebuild_read_index();
+            assert_eq!(c.occ, fresh.occ, "{what}: occupancy bits");
+            assert_eq!(c.size_bytes(), fresh.size_bytes(), "{what}: size_bytes");
+            c.check_invariants();
+        }
+        let _serial = crate::BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let keys: Vec<u64> = (0..200_000u64).map(|i| i << 12).collect();
+        // Empty leaves at full depth violate nothing, so drained ones stay
+        // empty and their bits must have been cleared where they emptied.
+        let bounds = DensityBounds {
+            lower_leaf: 0.0,
+            ..Default::default()
+        };
+        let cfg = PmaConfig::builder().bounds(bounds).build().unwrap();
+        for budget in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(budget)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut c = Cpma::from_sorted_with(&keys, cfg);
+                let leaves = c.storage.num_leaves();
+                // Pipeline: drain every 50th leaf, and crowd one stretch
+                // of the key space so a range redistributes.
+                let mut drained = Vec::new();
+                for leaf in (0..leaves).step_by(50) {
+                    c.storage.collect_leaf(leaf, &mut drained);
+                }
+                let mut ops: Vec<_> = drained.iter().map(|&k| Remove(k)).collect();
+                ops.extend((1..3_000u64).map(|i| Insert((100_000 << 12) + i)));
+                let ops = cpma_api::normalize_ops(&mut ops);
+                let before = c.stats();
+                let out = c.apply_batch_sorted(ops);
+                assert_eq!((out.added, out.removed), (2_999, drained.len()));
+                let after = c.stats();
+                assert_eq!(after.pipeline_batches, before.pipeline_batches + 1);
+                assert_eq!(after.full_rebuilds, before.full_rebuilds);
+                assert!(after.redistribute_ranges > before.redistribute_ranges);
+                assert!((0..leaves).any(|l| !c.occ_get(l)), "budget {budget}");
+                assert_fresh(&c, &format!("budget {budget}, pipeline"));
+
+                // Point path: refill one drained leaf key by key, empty
+                // another leaf, and pile keys into one leaf until the
+                // point path redistributes.
+                for &k in drained.iter().take(40) {
+                    assert!(c.insert(k));
+                }
+                let mut victim = Vec::new();
+                c.storage.collect_leaf(leaves / 2 + 1, &mut victim);
+                for &k in &victim {
+                    assert!(c.remove(k));
+                }
+                for i in 1..2_000u64 {
+                    assert!(c.insert((150_000 << 12) + i));
+                }
+                assert_eq!(c.stats().full_rebuilds, before.full_rebuilds);
+                assert_fresh(&c, &format!("budget {budget}, point"));
+            });
+        }
     }
 
     #[test]

@@ -204,8 +204,11 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
         acc
     }
 
-    /// Units a strictly-increasing run would occupy written as one leaf.
-    fn units_for(elems: &[K]) -> usize;
+    /// Units a strictly-increasing run would occupy written as one leaf
+    /// under this instance's codec policy. Capacity planning uses this, so
+    /// a hybrid storage's cheaper encodings translate into a smaller
+    /// footprint.
+    fn units_for(&self, elems: &[K]) -> usize;
 
     /// Plan how to spread `elems` across `k` leaves of `leaf_units` capacity:
     /// returns `k + 1` offsets into `elems` (first 0, last `elems.len()`),
@@ -214,26 +217,12 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// Callers guarantee `units_for` of the whole run is at most
     /// `0.9 · k · leaf_units` (the tightest upper density bound), which makes
     /// a fitting plan always exist for `leaf_units ≥ MIN_LEAF_UNITS`.
-    fn plan_split(elems: &[K], k: usize, leaf_units: usize) -> Vec<usize>;
+    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Vec<usize>;
 
     /// Install the per-leaf codec policy (hybrid storages only; the
     /// default ignores it). Called at construction and when loading a
     /// snapshot, before any leaf is written.
     fn set_codec_policy(&mut self, _force: ForceCodec, _threshold: f64) {}
-
-    /// Policy-aware [`Self::units_for`]: what *this instance's* codec
-    /// policy would charge for the run. Capacity planning must use this
-    /// so a hybrid storage's cheaper encodings translate into a smaller
-    /// footprint. Default: the static cost.
-    fn units_for_with(&self, elems: &[K]) -> usize {
-        Self::units_for(elems)
-    }
-
-    /// Policy-aware [`Self::plan_split`] (same contract). Default: the
-    /// static plan.
-    fn plan_split_with(&self, elems: &[K], k: usize, leaf_units: usize) -> Vec<usize> {
-        Self::plan_split(elems, k, leaf_units)
-    }
 
     /// Obtain the shared-disjoint accessor. Borrows `self` mutably for the
     /// accessor's lifetime, so no safe references can alias the raw access.

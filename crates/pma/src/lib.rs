@@ -39,10 +39,7 @@ mod search;
 mod uncompressed;
 
 pub use crate::compressed::CompressedLeaves;
-pub use crate::core::{
-    Cpma, CpmaBNary, CpmaEytzinger, CpmaLinear, ForceCodec, HeadForm, Pma, PmaBNary, PmaConfig,
-    PmaConfigBuilder, PmaCore, PmaEytzinger, PmaLinear,
-};
+pub use crate::core::{Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore};
 pub use crate::density::DensityBounds;
 pub use crate::leaf::{LeafStorage, OpsOutcome};
 pub use crate::stats::PmaStats;
@@ -68,3 +65,8 @@ impl PmaKey for u64 {
 impl PmaKey for u32 {
     const BYTES: usize = 4;
 }
+
+/// Budgets are pinned with `ThreadPool::install` (process-global), so the
+/// unit tests that pin one serialize on this lock.
+#[cfg(test)]
+pub(crate) static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -7,8 +7,8 @@
 //! the payload is the raw leaf storage (see each codec's
 //! `read_payload`/`write_payload`). Saving does no structure walk;
 //! loading does one validation pass plus an O(num_leaves) read-index
-//! rebuild (the occupancy bitset and auxiliary head array are derived
-//! state and are never serialized).
+//! rebuild (the occupancy bitset is derived state and is never
+//! serialized).
 //!
 //! Loads verify, in order: envelope magic/version/checksums (in
 //! `cpma-persist`), codec id and key width, configuration validity
@@ -22,17 +22,22 @@ use std::path::Path;
 use cpma_api::{Persist, PersistError};
 use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
 
-use crate::core::{HeadForm, PmaCore};
+use crate::core::PmaCore;
 use crate::density::DensityBounds;
 use crate::{LeafStorage, PmaConfig, PmaKey};
 
 /// Meta section: key width (u32), eleven config scalars (seven f64, four
 /// u64 — the last being the [`crate::ForceCodec`] discriminant), three
-/// geometry / count fields (u64 each), and the head-layout tag (u64).
+/// geometry / count fields (u64 each), and the head-layout word (u64).
 /// Floats travel as IEEE-754 bit patterns.
 const META_LEN: usize = 4 + 7 * 8 + 4 * 8 + 3 * 8 + 8;
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
+/// The head-layout word of the meta section. The heads are searched in
+/// place, which is the only layout this format describes: the word is
+/// always written as this value and a file carrying any other is foreign.
+const HEAD_LAYOUT_IN_PLACE: u64 = 0;
+
+impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Serialize to the snapshot byte format without touching disk.
     /// The image is deterministic: equal histories yield equal bytes at
     /// any thread budget (checked by `tests/determinism.rs`).
@@ -65,7 +70,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         meta.put_u64(self.len as u64);
         meta.put_u64(self.storage.num_leaves() as u64);
         meta.put_u64(self.storage.leaf_units() as u64);
-        meta.put_u64(FORM as u64);
+        meta.put_u64(HEAD_LAYOUT_IN_PLACE);
         debug_assert_eq!(meta.len(), META_LEN);
         let mut payload = Vec::with_capacity(
             L::payload_len(self.storage.num_leaves(), self.storage.leaf_units())
@@ -115,15 +120,10 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         let leaf_units = as_usize(r.u64("leaf_units")?, "leaf_units")?;
         let layout = r.u64("head layout")?;
         r.expect_end("snapshot meta")?;
-        if layout != FORM as u64 {
-            let found = match layout {
-                0..=3 => HeadForm::from_u8(layout as u8).name(),
-                _ => "unknown",
-            };
+        if layout != HEAD_LAYOUT_IN_PLACE {
             return Err(PersistError::Corrupt(format!(
-                "snapshot uses head layout `{found}` ({layout}), but this \
-                 type is fixed to `{}` ({FORM})",
-                Self::HEAD_FORM.name()
+                "snapshot names head layout {layout}; this format stores \
+                 in-place heads only ({HEAD_LAYOUT_IN_PLACE})"
             )));
         }
         if num_leaves == 0 {
@@ -154,7 +154,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             units: total_units,
             batch_stats: Default::default(),
             occ: Vec::new(),
-            aux: crate::core::HeadIndex::None,
             _marker: std::marker::PhantomData,
         };
         this.rebuild_read_index();
@@ -186,7 +185,7 @@ fn force_codec_from_tag(v: u64) -> Result<crate::ForceCodec, PersistError> {
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Persist for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> Persist for PmaCore<K, L> {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
         self.to_envelope().save_file(path)
     }

@@ -1,23 +1,14 @@
-//! Branch-free search kernels and cache-conscious head layouts.
+//! Search and prefetch primitives shared by the leaf storages and the
+//! batched read path.
 //!
-//! The flat head array answers "rightmost head ≤ key" with a classic
-//! binary search whose branches are unpredictable by construction (every
-//! comparison is a coin flip on random probes). This module provides the
-//! alternatives the head-layout menu ([`crate::HeadForm`]) is built from:
+//! * [`lower_bound`]: branchless binary search over a sorted slice (the
+//!   compare feeds a conditional move, not a branch) — used inside a
+//!   decoded leaf, where every comparison is a coin flip;
+//! * [`prefetch_read`]: the cache-line hint the batched probes and the
+//!   batch pipeline's leaf loop issue ahead of themselves.
 //!
-//! * [`lower_bound`] / [`upper_bound`]: branchless binary search over a
-//!   sorted slice (the compare feeds a conditional move, not a branch);
-//! * [`Eytzinger`]: the BFS/heap order layout — level `d` of the implicit
-//!   tree is contiguous, so the first ~4 levels share a few cache lines
-//!   and deeper probes are prefetched four levels ahead;
-//! * [`BNary`]: a static B-ary search tree (B = 9, so each node's 8 keys
-//!   fill exactly one 64-byte cache line) searched with a branchless
-//!   per-node rank computation.
-//!
-//! Both auxiliary layouts store, next to each key, the *rank* of that key
-//! in the sorted head array, so a layout search returns the same partition
-//! point the flat binary search would (`aux` slots that exist only as
-//! padding carry the rank sentinel `u32::MAX` and an infinity key).
+//! The leaf heads themselves are searched in place by
+//! `PmaCore::head_partition` (`core.rs`).
 
 /// Issue a best-effort read prefetch for the cache line holding `p`.
 #[inline(always)]
@@ -49,191 +40,6 @@ pub(crate) fn lower_bound<K: Ord + Copy>(a: &[K], key: K) -> usize {
     base + usize::from(a[base] < key)
 }
 
-/// First index with `a[i] > key` (branchless; equals
-/// `a.partition_point(|&e| e <= key)`).
-#[inline]
-pub(crate) fn upper_bound<K: Ord + Copy>(a: &[K], key: K) -> usize {
-    if a.is_empty() {
-        return 0;
-    }
-    let mut base = 0usize;
-    let mut size = a.len();
-    while size > 1 {
-        let half = size / 2;
-        base += usize::from(a[base + half - 1] <= key) * half;
-        size -= half;
-    }
-    base + usize::from(a[base] <= key)
-}
-
-/// Eytzinger (BFS order) layout over `n` sorted keys: slot `i`'s children
-/// are `2i` and `2i + 1`, slot 0 is unused. An in-order walk of the slots
-/// visits the keys in sorted order; `rank[i]` records each slot's sorted
-/// position.
-#[derive(Clone)]
-pub(crate) struct Eytzinger<K> {
-    pub keys: Vec<K>,
-    pub rank: Vec<u32>,
-}
-
-impl<K: Copy> Eytzinger<K> {
-    /// Build from the sorted `heads` (duplicates allowed). `pad` fills the
-    /// unused slot 0.
-    pub fn build(heads: &[K], pad: K) -> Self {
-        let n = heads.len();
-        let mut keys = vec![pad; n + 1];
-        let mut rank = vec![u32::MAX; n + 1];
-        let mut next = 0usize;
-        // Iterative in-order fill (n can be millions of leaves; recursion
-        // depth would be fine at log n, but the explicit stack form keeps
-        // the hot build loop allocation-free after the two Vecs).
-        let mut stack: Vec<(usize, bool)> = vec![(1, false)];
-        while let Some((i, expanded)) = stack.pop() {
-            if i > n {
-                continue;
-            }
-            if expanded {
-                keys[i] = heads[next];
-                rank[i] = next as u32;
-                next += 1;
-                stack.push((2 * i + 1, false));
-            } else {
-                stack.push((i, true));
-                stack.push((2 * i, false));
-            }
-        }
-        debug_assert_eq!(next, n);
-        Self { keys, rank }
-    }
-
-    /// Number of heads > `key` is `n - result`; the result is the count of
-    /// heads ≤ `key` — the same partition point `upper_bound` returns on
-    /// the sorted array.
-    #[inline]
-    pub fn partition(&self, key: K) -> usize
-    where
-        K: Ord,
-    {
-        let n = self.keys.len() - 1;
-        if n == 0 {
-            return 0;
-        }
-        let keys = &self.keys[..];
-        let mut i = 1usize;
-        while i <= n {
-            // Four levels ahead: one prefetch covers the 16 descendants
-            // that share the destination cache line in BFS order.
-            if i * 16 <= n {
-                prefetch_read(&keys[i * 16]);
-            }
-            i = 2 * i + usize::from(keys[i] <= key);
-        }
-        // The answer is the last slot where the descent went left: strip
-        // the trailing right-turns (1-bits) plus the final step.
-        let j = i >> (i.trailing_ones() + 1);
-        if j == 0 {
-            n // every head ≤ key
-        } else {
-            self.rank[j] as usize // rank of the first head > key
-        }
-    }
-}
-
-/// Fan-out of the static B-ary tree: 8 keys per node = one 64-byte cache
-/// line of `u64` keys.
-pub(crate) const BNARY_B: usize = 9;
-
-/// Static B-ary search tree (an "S-tree") over `n` sorted keys. Node `t`
-/// holds keys `t·(B−1) .. (t+1)·(B−1)` and its `c`-th child is node
-/// `t·B + 1 + c`; an in-order walk visits the keys in sorted order.
-/// Valid keys form a prefix of every node (`fill[t]` many); padding slots
-/// hold `pad` with the rank sentinel.
-#[derive(Clone)]
-pub(crate) struct BNary<K> {
-    pub keys: Vec<K>,
-    pub rank: Vec<u32>,
-    /// Number of real keys in each node (the rest of the node is padding).
-    pub fill: Vec<u8>,
-    nodes: usize,
-}
-
-impl<K: Copy> BNary<K> {
-    /// Build from the sorted `heads` (duplicates allowed).
-    pub fn build(heads: &[K], pad: K) -> Self {
-        const SLOTS: usize = BNARY_B - 1;
-        let n = heads.len();
-        let nodes = n.div_ceil(SLOTS).max(1);
-        let mut keys = vec![pad; nodes * SLOTS];
-        let mut rank = vec![u32::MAX; nodes * SLOTS];
-        let mut fill = vec![0u8; nodes];
-        let mut next = 0usize;
-        // In-order fill: visit child c, place key c, ... , visit child B−1.
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-        while let Some((t, c)) = stack.pop() {
-            if t >= nodes {
-                continue;
-            }
-            // A node interleaves B−1 keys with B children: key `c−1` is
-            // placed between child `c−1` and child `c`, so only states
-            // 1..=SLOTS carry a key (state SLOTS+1 follows the last child).
-            if c > 0 && c <= SLOTS && next < n {
-                let slot = t * SLOTS + (c - 1);
-                keys[slot] = heads[next];
-                rank[slot] = next as u32;
-                fill[t] = c as u8;
-                next += 1;
-            }
-            if c < SLOTS + 1 {
-                stack.push((t, c + 1));
-                stack.push((t * BNARY_B + 1 + c, 0));
-            }
-        }
-        debug_assert_eq!(next, n);
-        Self {
-            keys,
-            rank,
-            fill,
-            nodes,
-        }
-    }
-
-    /// Count of heads ≤ `key` (the flat `upper_bound` partition point).
-    #[inline]
-    pub fn partition(&self, key: K, n: usize) -> usize
-    where
-        K: Ord,
-    {
-        const SLOTS: usize = BNARY_B - 1;
-        if n == 0 {
-            return 0;
-        }
-        let mut t = 0usize;
-        // Rank of the first head > key seen so far (n = none yet).
-        let mut res = n;
-        while t < self.nodes {
-            let child = t * BNARY_B + 1;
-            if child < self.nodes {
-                prefetch_read(&self.keys[child * SLOTS]);
-            }
-            let base = t * SLOTS;
-            let node = &self.keys[base..base + SLOTS];
-            // Branchless rank of `key` within the node: padding keys never
-            // count because `fill` caps the sum.
-            let mut le = 0usize;
-            for &k in node {
-                le += usize::from(k <= key);
-            }
-            let valid = self.fill[t] as usize;
-            let i = le.min(valid);
-            if i < valid {
-                res = self.rank[base + i] as usize;
-            }
-            t = t * BNARY_B + 1 + i;
-        }
-        res
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,68 +60,7 @@ mod tests {
                     a.partition_point(|&e| e < probe),
                     "lower_bound {a:?} {probe}"
                 );
-                assert_eq!(
-                    upper_bound(a, probe),
-                    a.partition_point(|&e| e <= probe),
-                    "upper_bound {a:?} {probe}"
-                );
             }
-        }
-    }
-
-    #[test]
-    fn eytzinger_partition_matches_flat() {
-        for n in [0usize, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1000] {
-            let heads: Vec<u64> = (0..n as u64).map(|i| i * 3 + 2).collect();
-            let e = Eytzinger::build(&heads, 0);
-            for probe in 0..(3 * n as u64 + 5) {
-                assert_eq!(
-                    e.partition(probe),
-                    heads.partition_point(|&h| h <= probe),
-                    "n={n} probe={probe}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn eytzinger_handles_duplicates_and_max() {
-        let heads = vec![0u64, 7, 7, 7, 7, 9, u64::MAX, u64::MAX];
-        let e = Eytzinger::build(&heads, 0);
-        for probe in [0u64, 1, 6, 7, 8, 9, 10, u64::MAX - 1, u64::MAX] {
-            assert_eq!(
-                e.partition(probe),
-                heads.partition_point(|&h| h <= probe),
-                "probe={probe}"
-            );
-        }
-    }
-
-    #[test]
-    fn bnary_partition_matches_flat() {
-        for n in [0usize, 1, 7, 8, 9, 16, 17, 72, 73, 100, 1000] {
-            let heads: Vec<u64> = (0..n as u64).map(|i| i * 5 + 1).collect();
-            let b = BNary::build(&heads, u64::MAX);
-            for probe in 0..(5 * n as u64 + 7) {
-                assert_eq!(
-                    b.partition(probe, n),
-                    heads.partition_point(|&h| h <= probe),
-                    "n={n} probe={probe}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bnary_handles_duplicates_and_max() {
-        let heads = vec![3u64, 3, 3, 10, 10, 10, 10, 10, 12, u64::MAX];
-        let b = BNary::build(&heads, u64::MAX);
-        for probe in [0u64, 3, 4, 9, 10, 11, 12, 13, u64::MAX - 1, u64::MAX] {
-            assert_eq!(
-                b.partition(probe, heads.len()),
-                heads.partition_point(|&h| h <= probe),
-                "probe={probe}"
-            );
         }
     }
 }

@@ -210,17 +210,6 @@ pub(crate) fn leaf_counters() -> &'static LeafCounters {
     })
 }
 
-/// Process-shared count of from-scratch rebuilds of the auxiliary head
-/// array (`Linear` / `Eytzinger` / `BNary` forms; `InPlace` has none and
-/// never counts) — O(leaves) each, so a point update must pay one only
-/// when it moved a head. Shared rather than a [`PmaCounters`] cell: a
-/// per-instance handle would grow `size_of::<PmaCore>()`, which
-/// `size_bytes()` reports.
-pub(crate) fn head_index_rebuilds() -> &'static Counter {
-    static CELL: std::sync::OnceLock<Counter> = std::sync::OnceLock::new();
-    CELL.get_or_init(|| cpma_obs::global().counter("pma.head_index_rebuilds", Unit::Count))
-}
-
 impl Clone for PmaCounters {
     fn clone(&self) -> Self {
         Self::new()

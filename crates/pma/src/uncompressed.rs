@@ -264,11 +264,11 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
     }
 
     #[inline]
-    fn units_for(elems: &[K]) -> usize {
+    fn units_for(&self, elems: &[K]) -> usize {
         elems.len()
     }
 
-    fn plan_split(elems: &[K], k: usize, leaf_units: usize) -> Vec<usize> {
+    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Vec<usize> {
         // Even count split: slice sizes differ by at most one.
         let n = elems.len();
         let offsets: Vec<usize> = (0..=k).map(|j| j * n / k).collect();
@@ -557,9 +557,9 @@ mod tests {
     #[test]
     fn plan_split_even() {
         let elems: Vec<u64> = (0..10).collect();
-        let plan = UncompressedLeaves::plan_split(&elems, 4, 16);
+        let plan = store3().plan_split(&elems, 4, 16);
         assert_eq!(plan, vec![0, 2, 5, 7, 10]);
-        let plan = UncompressedLeaves::<u64>::plan_split(&[], 3, 16);
+        let plan = store3().plan_split(&[], 3, 16);
         assert_eq!(plan, vec![0, 0, 0, 0]);
     }
 

@@ -1,11 +1,12 @@
 //! Property test: the batched read API must agree with the per-key API
-//! and with a `BTreeSet` oracle — for every head layout, both codecs,
-//! and after every batch-update regime (point fallback, pipeline, full
+//! and with a `BTreeSet` oracle — for both codecs and after every
+//! batch-update regime (point fallback, pipeline, full
 //! rebuild), including duplicate probes, probes below the minimum, and
 //! `u64::MAX`.
 
 use cpma_api::testkit::{sorted_unique, Rng};
 use cpma_api::OrderedSet;
+use cpma_pma::{CompressedLeaves, LeafStorage, PmaCore, UncompressedLeaves};
 use std::collections::BTreeSet;
 
 const KEY_BITS: u32 = 40;
@@ -52,50 +53,45 @@ fn check_reads<S: OrderedSet<u64>>(s: &S, oracle: &BTreeSet<u64>, rng: &mut Rng,
     );
 }
 
-macro_rules! layout_case {
-    ($name:ident, $ty:ty) => {
-        #[test]
-        fn $name() {
-            let mut rng = Rng::new(0xC0FFEE ^ stringify!($name).len() as u64);
-            let base = sorted_unique(rng.keys(3000, KEY_BITS));
-            let mut s = <$ty>::from_sorted(&base);
-            let mut oracle: BTreeSet<u64> = base.iter().copied().collect();
-            check_reads(&s, &oracle, &mut rng, concat!(stringify!($name), "/seed"));
+fn reads_agree_across_regimes<L: LeafStorage<u64>>(name: &str) {
+    let mut rng = Rng::new(0xC0FFEE ^ name.len() as u64);
+    let base = sorted_unique(rng.keys(3000, KEY_BITS));
+    let mut s = PmaCore::<u64, L>::from_sorted(&base);
+    let mut oracle: BTreeSet<u64> = base.iter().copied().collect();
+    check_reads(&s, &oracle, &mut rng, &format!("{name}/seed"));
 
-            // One batch per update regime: below the point-update cutoff,
-            // through the merge pipeline, and big enough (≥ len/10) to take
-            // the full-rebuild path. Reads must agree after each.
-            for (regime, batch_len) in [("point", 40usize), ("pipeline", 1500), ("rebuild", 6000)] {
-                let mut ins: Vec<u64> = (0..batch_len).map(|_| rng.bits(KEY_BITS)).collect();
-                s.insert_batch(&mut ins, false);
-                oracle.extend(ins.iter().copied());
+    // One batch per update regime: below the point-update cutoff,
+    // through the merge pipeline, and big enough (≥ len/10) to take
+    // the full-rebuild path. Reads must agree after each.
+    for (regime, batch_len) in [("point", 40usize), ("pipeline", 1500), ("rebuild", 6000)] {
+        let mut ins: Vec<u64> = (0..batch_len).map(|_| rng.bits(KEY_BITS)).collect();
+        s.insert_batch(&mut ins, false);
+        oracle.extend(ins.iter().copied());
 
-                // Remove a mix of present and absent keys, same regime.
-                let mut rem: Vec<u64> = oracle
-                    .iter()
-                    .copied()
-                    .step_by(7)
-                    .take(batch_len / 2)
-                    .collect();
-                rem.extend((0..batch_len / 2).map(|_| rng.bits(KEY_BITS)));
-                s.remove_batch(&mut rem, false);
-                for k in &rem {
-                    oracle.remove(k);
-                }
-
-                assert_eq!(s.len(), oracle.len(), "{regime}: len after batches");
-                check_reads(&s, &oracle, &mut rng, concat!(stringify!($name)));
-                let _ = regime;
-            }
+        // Remove a mix of present and absent keys, same regime.
+        let mut rem: Vec<u64> = oracle
+            .iter()
+            .copied()
+            .step_by(7)
+            .take(batch_len / 2)
+            .collect();
+        rem.extend((0..batch_len / 2).map(|_| rng.bits(KEY_BITS)));
+        s.remove_batch(&mut rem, false);
+        for k in &rem {
+            oracle.remove(k);
         }
-    };
+
+        assert_eq!(s.len(), oracle.len(), "{regime}: len after batches");
+        check_reads(&s, &oracle, &mut rng, &format!("{name}/{regime}"));
+    }
 }
 
-layout_case!(pma_inplace, cpma_pma::Pma<u64>);
-layout_case!(pma_linear, cpma_pma::PmaLinear<u64>);
-layout_case!(pma_eytzinger, cpma_pma::PmaEytzinger<u64>);
-layout_case!(pma_bnary, cpma_pma::PmaBNary<u64>);
-layout_case!(cpma_inplace, cpma_pma::Cpma);
-layout_case!(cpma_linear, cpma_pma::CpmaLinear);
-layout_case!(cpma_eytzinger, cpma_pma::CpmaEytzinger);
-layout_case!(cpma_bnary, cpma_pma::CpmaBNary);
+#[test]
+fn pma_inplace() {
+    reads_agree_across_regimes::<UncompressedLeaves<u64>>("pma_inplace");
+}
+
+#[test]
+fn cpma_inplace() {
+    reads_agree_across_regimes::<CompressedLeaves>("cpma_inplace");
+}

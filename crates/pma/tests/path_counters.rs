@@ -1,13 +1,12 @@
 //! Which path ran, by count: the leaf-update kernels
-//! (`cpma.leaf.fused_runs` / `cpma.leaf.general_runs`) and the auxiliary
-//! head-array rebuild (`pma.head_index_rebuilds`).
+//! (`cpma.leaf.fused_runs` / `cpma.leaf.general_runs`).
 //!
-//! All three are process-global `Unit::Count` counters, exact and
+//! Both are process-global `Unit::Count` counters, exact and
 //! schedule-independent, so this file holds exactly one test and reads
 //! them as deltas around single calls.
 
 use cpma_pma::BatchOp::{self, Insert, Remove};
-use cpma_pma::{Cpma, CpmaEytzinger};
+use cpma_pma::Cpma;
 
 fn counter(name: &str) -> u64 {
     cpma_obs::global().snapshot().counter(name).unwrap_or(0)
@@ -24,7 +23,6 @@ fn leaf_paths() -> (u64, u64, u64) {
 
 #[test]
 fn counters_name_the_path_that_ran() {
-    // ---- Leaf kernels -------------------------------------------------
     // Sparse keys: every leaf is a delta chain with room to spare (bulk
     // loads fill to 55 %), so a batch that adds about one key per leaf is
     // fused end to end — as many fused runs as routed runs, none general.
@@ -78,31 +76,4 @@ fn counters_name_the_path_that_ran() {
     );
     assert!(c.storage().codec_census().1 > 0);
     c.check_invariants();
-
-    // ---- Head-array rebuilds --------------------------------------------
-    // A point update that moves no head and triggers no rebalance must
-    // not rebuild the O(leaves) auxiliary head array.
-    let keys: Vec<u64> = (1..=10_000u64).map(|i| i * 1000).collect();
-    let mut e = CpmaEytzinger::from_sorted(&keys);
-    let rebuilds = counter("pma.head_index_rebuilds");
-    // `k + 1` sits right after a stored key: never a new leaf minimum.
-    for &k in keys.iter().step_by(211) {
-        assert!(e.insert(k + 1));
-        assert!(!e.insert(k + 1));
-    }
-    for &k in keys.iter().step_by(211) {
-        assert!(e.remove(k + 1));
-        assert!(!e.remove(k + 1));
-    }
-    assert_eq!(counter("pma.head_index_rebuilds"), rebuilds);
-    e.check_invariants();
-    // Moving a head pays exactly one: a key below the global minimum
-    // lowers leaf 0's head, removing it raises the head again.
-    assert!(e.insert(7));
-    assert_eq!(counter("pma.head_index_rebuilds"), rebuilds + 1);
-    assert!(e.has(7) && e.has(1000));
-    assert!(e.remove(7));
-    assert_eq!(counter("pma.head_index_rebuilds"), rebuilds + 2);
-    assert!(!e.has(7) && e.has(1000));
-    e.check_invariants();
 }

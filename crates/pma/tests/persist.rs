@@ -6,7 +6,7 @@
 //! typed `PersistError` — never a panic, never an unchecked allocation.
 
 use cpma_api::{BatchOp, BatchSet, Persist, PersistError, RangeSet};
-use cpma_pma::{Cpma, Pma, PmaConfig};
+use cpma_pma::{Cpma, Pma, PmaConfig, PmaCore};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -109,48 +109,33 @@ fn codec_mismatch_is_typed() {
     ));
 }
 
+/// The meta section ends in a head-layout word. Heads are searched in
+/// place and nothing else was ever a default, so the word is always 0; a
+/// file naming another layout (with checksums that verify) is foreign and
+/// must fail typed, whichever codec opens it.
 #[test]
 fn head_layout_tag_roundtrips_and_mismatch_is_typed() {
-    use cpma_pma::{CpmaBNary, PmaEytzinger, PmaLinear};
-
-    // Same-layout roundtrip: whole-structure equality, still usable.
-    let set: PmaEytzinger = build(&sample_keys(20_000));
-    let bytes = set.to_snapshot_bytes();
-    let back = PmaEytzinger::<u64>::from_snapshot_bytes(&bytes).unwrap();
-    assert_eq!(set, back);
-    back.check_invariants();
-
-    // Opening under any *other* head layout is a typed corruption error
-    // that names both layouts — the aux array is rebuilt from the tag's
-    // layout, so a silent cross-load would misroute every lookup.
-    let err = Pma::<u64>::from_snapshot_bytes(&bytes).unwrap_err();
-    match err {
-        PersistError::Corrupt(msg) => {
-            assert!(
-                msg.contains("eytzinger"),
-                "message names found layout: {msg}"
-            );
-            assert!(
-                msg.contains("inplace"),
-                "message names expected layout: {msg}"
-            );
+    use cpma_persist::snapshot::SnapshotEnvelope;
+    fn check<L: cpma_pma::LeafStorage<u64>>(set: PmaCore<u64, L>) {
+        let env = SnapshotEnvelope::from_bytes(&set.to_snapshot_bytes()).unwrap();
+        let word_at = env.meta.len() - 8;
+        assert_eq!(env.meta[word_at..], 0u64.to_le_bytes());
+        let back = PmaCore::<u64, L>::from_snapshot_bytes(&env.to_bytes()).unwrap();
+        assert_eq!(set, back);
+        back.check_invariants();
+        for word in [1u64, 2, 3, 7] {
+            let mut forged = env.clone();
+            forged.meta[word_at..].copy_from_slice(&word.to_le_bytes());
+            match PmaCore::<u64, L>::from_snapshot_bytes(&forged.to_bytes()) {
+                Err(PersistError::Corrupt(msg)) => {
+                    assert!(msg.contains("head layout"), "word {word}: {msg}")
+                }
+                other => panic!("word {word}: expected Corrupt, got {other:?}"),
+            }
         }
-        other => panic!("expected Corrupt, got {other:?}"),
     }
-    assert!(matches!(
-        PmaLinear::<u64>::from_snapshot_bytes(&bytes),
-        Err(PersistError::Corrupt(_))
-    ));
-
-    // Compressed codec carries the tag too.
-    let cset: CpmaBNary = build(&sample_keys(10_000));
-    let cbytes = cset.to_snapshot_bytes();
-    let cback = CpmaBNary::from_snapshot_bytes(&cbytes).unwrap();
-    assert_eq!(cset, cback);
-    assert!(matches!(
-        Cpma::from_snapshot_bytes(&cbytes),
-        Err(PersistError::Corrupt(_))
-    ));
+    check::<cpma_pma::UncompressedLeaves<u64>>(build(&sample_keys(20_000)));
+    check::<cpma_pma::CompressedLeaves>(build(&sample_keys(10_000)));
 }
 
 #[test]

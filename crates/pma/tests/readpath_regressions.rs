@@ -123,12 +123,12 @@ impl LeafStorage<u64> for CountingLeaves {
         self.inner.leaf_sum(leaf)
     }
 
-    fn units_for(elems: &[u64]) -> usize {
-        Inner::units_for(elems)
+    fn units_for(&self, elems: &[u64]) -> usize {
+        self.inner.units_for(elems)
     }
 
-    fn plan_split(elems: &[u64], k: usize, leaf_units: usize) -> Vec<usize> {
-        Inner::plan_split(elems, k, leaf_units)
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Vec<usize> {
+        self.inner.plan_split(elems, k, leaf_units)
     }
 
     fn shared(&mut self) -> Self::Shared<'_> {

@@ -9,7 +9,7 @@
 //! (see DESIGN.md §4, substitutions).
 
 use crate::pack_edge;
-use crate::rng::SplitMix64;
+use crate::rng::{mix64, SplitMix64};
 use rayon::prelude::*;
 
 /// RMAT generator over a `2^scale × 2^scale` adjacency matrix.
@@ -81,8 +81,10 @@ impl RmatGenerator {
         out.par_chunks_mut(CHUNK)
             .enumerate()
             .for_each(|(ci, chunk)| {
-                let mut rng =
-                    SplitMix64::new(self.seed ^ (ci as u64).wrapping_mul(0x9E3779B97F4A7C15));
+                // Not `ci · γ` with SplitMix64's own increment γ: chunk `i`
+                // would then start where chunk 0 stands after `i` draws and
+                // replay it. `mix64(0) == 0`, so chunk 0 keeps the plain seed.
+                let mut rng = SplitMix64::new(self.seed ^ mix64(ci as u64));
                 for e in chunk.iter_mut() {
                     let (s, d) = self.sample_with(&mut rng);
                     *e = pack_edge(s, d);
@@ -133,6 +135,42 @@ mod tests {
     fn deterministic() {
         let g = RmatGenerator::paper_config(12, 5);
         assert_eq!(g.directed_edges(10_000), g.directed_edges(10_000));
+    }
+
+    #[test]
+    fn first_chunk_stream_is_pinned() {
+        // One chunk is what `benchmark/` draws per generator: its stream
+        // must not move when the chunk seeding does.
+        let e = RmatGenerator::paper_config(18, 1).directed_edges(1 << 15);
+        let at = |i: usize| e[i];
+        assert_eq!(at(0), 0x1994300039d11);
+        assert_eq!(at(1), 0x3014000010371);
+        assert_eq!(at(2), 0x1f7310003b331);
+        assert_eq!(at(1000), 0x76a30000766b);
+        assert_eq!(at(20_000), 0x2d0300008f21);
+        assert_eq!(at((1 << 15) - 1), 0x2afc600006fc4);
+        let fold = e.iter().fold(0u64, |a, &b| a.rotate_left(5) ^ b);
+        assert_eq!(fold, 0xb341a45afd780a43);
+    }
+
+    #[test]
+    fn chunks_do_not_replay_each_other() {
+        // 62 chunks at scale 18. Seeded `seed ^ i·γ` they overlapped and
+        // 2 M draws held 588 181 distinct edges.
+        let g = RmatGenerator::paper_config(18, 1);
+        let edges = g.directed_edges(2_000_000);
+        let mut distinct = edges.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() > 1_800_000, "{} distinct", distinct.len());
+        for budget in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(budget)
+                .build()
+                .unwrap();
+            let got = pool.install(|| g.directed_edges(200_000));
+            assert_eq!(got, edges[..200_000], "budget {budget}");
+        }
     }
 
     #[test]
