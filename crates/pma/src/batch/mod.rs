@@ -134,8 +134,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             if ins.is_empty() {
                 return BatchOutcome::default();
             }
-            let cap = self.capacity_for_target(&ins);
-            self.rebuild_into(&ins, cap);
+            let geo = self.geometry_for_target(&ins);
+            self.rebuild_into(&ins, geo);
             return BatchOutcome {
                 added: ins.len(),
                 removed: 0,
@@ -161,12 +161,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             if outcome == BatchOutcome::default() {
                 return outcome;
             }
-            let cap = if merged.is_empty() {
-                self.cfg.min_leaves * L::MIN_LEAF_UNITS
-            } else {
-                self.capacity_for_target(&merged)
-            };
-            self.rebuild_into(&merged, cap);
+            let geo = self.geometry_for_target(&merged);
+            self.rebuild_into(&merged, geo);
             return outcome;
         }
 
@@ -257,8 +253,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     fn resize_root_shrink(&mut self) {
         let elems = self.collect_all_par();
         if elems.is_empty() {
-            let floor = self.cfg.min_leaves * L::MIN_LEAF_UNITS;
-            self.rebuild_into(&elems, floor);
+            let geo = self.geometry_for_target(&elems);
+            self.rebuild_into(&elems, geo);
         } else if self.storage.num_leaves() > self.cfg.min_leaves {
             self.shrink_and_rebuild(&elems);
         } else {

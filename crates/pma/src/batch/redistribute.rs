@@ -18,9 +18,15 @@
 //!    inherit their head from (element order never changes during
 //!    redistribution, so this snapshot cannot be invalidated by a
 //!    concurrently-rewritten neighbouring range).
-//! 2. **Write** (parallel over ranges, parallel over leaves within a
-//!    range): plan the split and overwrite every leaf; clears overflows.
-//! 3. **Repair** (serial, cheap): refresh inherited heads of empty-leaf
+//! 2. **Plan** (same tasks, still read-only): cut each range with the
+//!    storage's exact planner. A range no split of which fits its leaves (a
+//!    hybrid leaf straddling two dense runs costs more than the runs apart)
+//!    widens to its parent node and is collected again, one level at a
+//!    time; only a root that does not fit grows the capacity — all of it
+//!    before anything is written.
+//! 3. **Write** (parallel over ranges, parallel over leaves within a
+//!    range): overwrite every leaf with its slice; clears overflows.
+//! 4. **Repair** (serial, cheap): refresh inherited heads of empty-leaf
 //!    runs that follow each range (their stale inherits could otherwise
 //!    break the head array's monotonicity).
 
@@ -34,6 +40,9 @@ struct RangeJob<K> {
     elems: Vec<K>,
     /// Largest element stored before `node.start`, or `K::MIN`.
     prev_elem: K,
+    /// The plan: `node.len() + 1` offsets into `elems`, or `None` when no
+    /// split of `elems` fits the node's leaves.
+    offsets: Option<Vec<usize>>,
 }
 
 /// Redistribute the given disjoint nodes (sorted by start).
@@ -43,11 +52,10 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
 ) {
     debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
     let leaf_units = core.storage().leaf_units();
-    let total_leaves: usize = ranges.iter().map(|n| n.len()).sum();
-    // Small redistributions run serially — fork overhead exceeds the copies.
-    let serial = total_leaves <= (8192 / rayon::current_num_threads().max(1)).max(128);
+    let tree = core.tree();
 
-    // Phase 1: collect (read-only).
+    // Phases 1 and 2 (the plan reads the codec policy, so it must precede
+    // the shared accessor's mutable borrow).
     let collect_one = |node: Node| {
         let storage = core.storage();
         let mut elems = Vec::new();
@@ -64,38 +72,50 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
         debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
         RangeJob {
             node,
+            offsets: storage.plan_split(&elems, node.len(), leaf_units),
             elems,
             prev_elem,
         }
     };
-    let jobs: Vec<RangeJob<K>> = if serial {
-        ranges.iter().map(|&n| collect_one(n)).collect()
-    } else {
-        ranges.par_iter().map(|&n| collect_one(n)).collect()
+    let mut ranges = ranges.to_vec();
+    let (serial, jobs) = loop {
+        let total_leaves: usize = ranges.iter().map(|n| n.len()).sum();
+        // Small redistributions run serially — fork overhead exceeds the copies.
+        let serial = total_leaves <= (8192 / rayon::current_num_threads().max(1)).max(128);
+        let jobs: Vec<RangeJob<K>> = if serial {
+            ranges.iter().map(|&n| collect_one(n)).collect()
+        } else {
+            ranges.par_iter().map(|&n| collect_one(n)).collect()
+        };
+        if jobs.iter().all(|job| job.offsets.is_some()) {
+            break (serial, jobs);
+        }
+        // Rare: widen. Nodes nest or are disjoint, so a parent swallows
+        // whole neighbours.
+        ranges.clear();
+        for job in &jobs {
+            let node = match (&job.offsets, tree.parent_of(job.node)) {
+                (Some(_), _) => job.node,
+                (None, Some(parent)) => parent,
+                (None, None) => {
+                    let all = core.collect_all_par();
+                    return core.grow_and_rebuild(&all);
+                }
+            };
+            if ranges.last().is_some_and(|r| r.end >= node.end) {
+                continue;
+            }
+            while ranges.last().is_some_and(|r| r.start >= node.start) {
+                ranges.pop();
+            }
+            ranges.push(node);
+        }
     };
 
-    // Phase 1.5: plan each range's split. Must happen before the shared
-    // accessor pins a mutable borrow — the planner reads the storage's
-    // codec policy (hybrid vs delta-only costs).
-    let plans: Vec<Vec<usize>> = if serial {
-        jobs.iter()
-            .map(|job| {
-                core.storage()
-                    .plan_split(&job.elems, job.node.len(), leaf_units)
-            })
-            .collect()
-    } else {
-        jobs.par_iter()
-            .map(|job| {
-                core.storage()
-                    .plan_split(&job.elems, job.node.len(), leaf_units)
-            })
-            .collect()
-    };
-
-    // Phase 2: write (disjoint leaves).
+    // Phase 3: write (disjoint leaves).
     let shared = core.storage_mut().shared();
-    let write_leaf_j = |job: &RangeJob<K>, offsets: &[usize], j: usize| -> isize {
+    let write_leaf_j = |job: &RangeJob<K>, j: usize| -> isize {
+        let offsets = job.offsets.as_deref().expect("every plan fits");
         let leaf = job.node.start + j;
         let slice = &job.elems[offsets[j]..offsets[j + 1]];
         let inherited = if offsets[j] > 0 {
@@ -112,43 +132,30 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
     };
     let units_delta: isize = if serial {
         let mut acc = 0isize;
-        for (job, offsets) in jobs.iter().zip(&plans) {
+        for job in &jobs {
             for j in 0..job.node.len() {
-                acc += write_leaf_j(job, offsets, j);
+                acc += write_leaf_j(job, j);
             }
         }
         acc
     } else {
         jobs.par_iter()
-            .zip(plans.par_iter())
-            .map(|(job, offsets)| {
+            .map(|job| {
                 (0..job.node.len())
                     .into_par_iter()
-                    .map(|j| write_leaf_j(job, offsets, j))
+                    .map(|j| write_leaf_j(job, j))
                     .sum::<isize>()
             })
             .sum()
     };
     core.add_units_delta(units_delta);
 
-    // Phase 3: repair inherited heads after each range, and refresh the
+    // Phase 4: repair inherited heads after each range, and refresh the
     // read index where elements moved: the occupancy bits of the ranges
     // themselves.
-    for node in ranges {
+    for RangeJob { node, .. } in &jobs {
         core.fix_inherited_heads_after(node.end);
         core.rebuild_occ_range(node.start, node.end);
-    }
-
-    // Hybrid split plans are estimate-driven and may leave a tail leaf
-    // unfit; escalate to a capacity grow, which re-spreads everything and
-    // cannot itself overflow (`rebuild_into` retries until all leaves
-    // fit). Exact planners (delta-only, uncompressed) never take this.
-    let unfit = ranges
-        .iter()
-        .any(|n| (n.start..n.end).any(|l| core.storage().is_overflowed(l)));
-    if unfit {
-        let all = core.collect_all_par();
-        core.grow_and_rebuild(&all);
     }
 }
 

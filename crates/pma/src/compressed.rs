@@ -36,6 +36,19 @@
 //!   flips codec or empties the leaf) — the **general path**: decode →
 //!   [`apply_run_into`] → `store`. A declining kernel has written
 //!   nothing, so every layout decision is `store`'s or identical to it.
+//!
+//! # Planning a rebuild
+//!
+//! One **planner** sizes and cuts every rebuild and redistribute, in
+//! forward sweeps that carry the open leaf's exact cost ([`sweep`]: what
+//! `store` will hand [`choose_codec`]; delta-only is the same sweep with
+//! the bitmap term off) beside a [`balance_weight`]. *Sizing*
+//! ([`LeafStorage::size_run`]) gives the core what it sizes every build,
+//! grow and shrink from, by arithmetic. *Cutting*
+//! ([`LeafStorage::plan_split`]) closes leaf `j` at the `j/k` quantile of
+//! the weight, or earlier at the last element that fits; if the tail still
+//! overflows it packs maximal prefixes, and if those overflow no `k`-way
+//! split fits: `None`, nothing written. A sweep is O(n + k) whatever `k`.
 
 use crate::bitmap;
 use crate::codec::{
@@ -43,7 +56,7 @@ use crate::codec::{
     write_varint, MAX_VARINT_BYTES,
 };
 use crate::core::ForceCodec;
-use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, SharedLeaves};
+use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
 use crate::run::Run;
 use crate::search::prefetch_read;
 use crate::{stats, LeafStorage};
@@ -128,182 +141,107 @@ fn choose_codec(
     }
 }
 
-/// `prefix[i]` = summed `cost(gap)` of the first `i` elements (the head
-/// element is free): `prefix[0] = prefix[1] = 0`,
-/// `prefix[i+1] = prefix[i] + cost(e[i] − e[i−1])`. Computed with a
-/// two-pass parallel scan for large runs (whole-array rebuilds are
-/// O(n)-dominated by this).
-fn cost_prefix(elems: &[u64], cost: impl Fn(u64) -> u64 + Sync) -> Vec<u64> {
-    let n = elems.len();
-    let mut prefix = vec![0u64; n + 1];
-    const SCAN_CHUNK: usize = 1 << 15;
-    if n <= SCAN_CHUNK {
-        for i in 1..n {
-            prefix[i + 1] = prefix[i] + cost(elems[i] - elems[i - 1]);
-        }
+/// What an element adds to a run's **balance weight**, given its `gap` to
+/// its predecessor and that gap's byte-code length: delta-only, the code's
+/// bytes; hybrid, the cheaper of the code and the bitmap span the gap
+/// adds, in bits. The weight only *spreads* a run (and, summed, is the
+/// stream a rebuild aims its density with); [`sweep`] says what *fits*.
+#[inline]
+fn balance_weight(hybrid: bool, gap: u64, code: usize) -> u64 {
+    if hybrid {
+        (code as u64 * 8).min(gap)
     } else {
-        use rayon::prelude::*;
-        // Pass 1: local costs + per-chunk sums. prefix[i+1] holds the
-        // cost of element i, chunk-local-accumulated.
-        let nchunks = n.div_ceil(SCAN_CHUNK);
-        let mut chunk_sums = vec![0u64; nchunks + 1];
-        let sums: Vec<u64> = prefix[1..=n]
-            .par_chunks_mut(SCAN_CHUNK)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let base = c * SCAN_CHUNK;
-                let mut acc = 0u64;
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let i = base + j; // element index whose cost this is
-                    if i > 0 {
-                        acc += cost(elems[i] - elems[i - 1]);
-                    }
-                    *slot = acc;
-                }
-                acc
-            })
-            .collect();
-        for (c, s) in sums.into_iter().enumerate() {
-            chunk_sums[c + 1] = chunk_sums[c] + s;
+        code as u64
+    }
+}
+
+/// The planner's one sweep: fill leaves left to right, closing the open
+/// one before element `i` while `closes(closed, weight)` — the leaves
+/// closed so far, the balance weight of the elements before `i` — says so,
+/// and wherever `i` no longer fits. Both terms of the exact cost
+/// [`choose_codec`] is handed (`units ≤ leaf_units` iff `store` writes the
+/// leaf without a spill) advance in O(1), so there are no prefix arrays.
+/// Each leaf's end offset and units go to `leaf`; returns the run's weight.
+fn sweep(
+    elems: &[u64],
+    leaf_units: usize,
+    hybrid: bool,
+    mut closes: impl FnMut(usize, u64) -> bool,
+    mut leaf: impl FnMut(usize, usize),
+) -> u64 {
+    visit(elems.len());
+    let (mut closed, mut weight) = (0usize, 0u64);
+    // The open leaf: its raw head plus byte codes (0 while empty), units.
+    let (mut first, mut delta, mut units) = (0u64, 0usize, 0usize);
+    let mut prev = elems.first().copied().unwrap_or(0);
+    for (i, &e) in elems.iter().enumerate() {
+        while closes(closed, weight) {
+            leaf(i, units);
+            (closed, delta, units) = (closed + 1, 0, 0);
         }
-        // Pass 2: add chunk offsets.
-        prefix[1..=n]
-            .par_chunks_mut(SCAN_CHUNK)
-            .enumerate()
-            .for_each(|(c, chunk)| {
-                let off = chunk_sums[c];
-                if off != 0 {
-                    for slot in chunk.iter_mut() {
-                        *slot += off;
-                    }
-                }
-            });
-    }
-    prefix
-}
-
-/// Cost estimate of a run under the hybrid codec: each element charges the
-/// cheaper of its delta byte code (in bits) and its bitmap span growth
-/// (`gap` bits), plus the 8-byte head. A lower bound on the true per-leaf
-/// minimum — capacity planning divides it by the rebuild target, and the
-/// rebuild retry loop absorbs the (rare) underestimate.
-fn hybrid_units_estimate(elems: &[u64]) -> usize {
-    if elems.is_empty() {
-        return 0;
-    }
-    let mut bits = 0u64;
-    for w in elems.windows(2) {
-        let gap = w[1] - w[0];
-        bits += (varint_len(gap) as u64 * 8).min(gap);
-    }
-    8 + bits.div_ceil(8) as usize
-}
-
-/// The paper's delta-only split plan (exact; the density contract proof in
-/// the trait docs applies to this path).
-fn delta_plan_split(elems: &[u64], k: usize, leaf_units: usize) -> Vec<usize> {
-    let n = elems.len();
-    let mut offsets = vec![0usize; k + 1];
-    offsets[k] = n;
-    if n == 0 || k == 1 {
-        return offsets;
-    }
-    let prefix = cost_prefix(elems, |gap| varint_len(gap) as u64);
-    let total = prefix[n];
-    // Exact encoded size of slice [a, b): 0 if empty, else raw head +
-    // interior deltas.
-    let bytes_of = |a: usize, b: usize| -> usize {
-        if a == b {
-            0
+        let code = varint_len(e - prev);
+        let units_of = |first: u64, delta: usize| match hybrid {
+            true => delta.min(bitmap::encoded_len(first, e)),
+            false => delta,
+        };
+        if delta != 0 && units_of(first, delta + code) > leaf_units {
+            leaf(i, units);
+            (closed, delta) = (closed + 1, 0);
+        }
+        (first, delta) = if delta == 0 {
+            (e, 8)
         } else {
-            8 + (prefix[b] - prefix[a + 1]) as usize
+            (first, delta + code)
+        };
+        units = units_of(first, delta);
+        if i > 0 {
+            weight += balance_weight(hybrid, e - prev, code);
         }
-    };
-    for j in 1..k {
-        // prefix[i] is the stream cost of the first i elements, so the
-        // partition point is directly the boundary element index.
-        let ideal = total * j as u64 / k as u64;
-        let o = prefix.partition_point(|&p| p < ideal).min(n);
-        offsets[j] = o.max(offsets[j - 1]);
+        prev = e;
     }
-    // Left-to-right fix-up: shrink any oversized slice by pulling its
-    // right boundary left (pushing elements to the next leaf).
-    for j in 0..k - 1 {
-        let a = offsets[j];
-        while bytes_of(a, offsets[j + 1]) > leaf_units {
-            offsets[j + 1] -= 1;
-        }
-        if offsets[j + 1] < a {
-            offsets[j + 1] = a;
-        }
+    if delta != 0 {
+        leaf(elems.len(), units);
     }
-    debug_assert!(
-        bytes_of(offsets[k - 1], n) <= leaf_units,
-        "last leaf overflows: caller violated the density contract"
-    );
-    offsets
+    weight
 }
 
-/// Split plan under the hybrid codec: balance on the per-element
-/// min-marginal cost, then fix up against the *exact* per-slice cost
-/// `min(delta bytes, bitmap span bytes)` — O(1) per evaluation and
-/// monotone in the right boundary. If balancing cannot fit the tail (the
-/// min-marginal estimate is a lower bound, not exact), fall back to greedy
-/// maximal prefixes, which fit whenever any k-way split fits; a still-
-/// overflowing last leaf is reported by `write_leaf` and resolved by the
-/// caller's capacity grow.
-///
-/// Kept out of line: inlined into its one caller it ran a clustered
-/// `from_sorted` 20 % slower (best of 21, 355 → 430 ms on 0.84 M keys).
-#[inline(never)]
-fn hybrid_plan_split(elems: &[u64], k: usize, leaf_units: usize) -> Vec<usize> {
-    let n = elems.len();
-    let mut offsets = vec![0usize; k + 1];
-    offsets[k] = n;
-    if n == 0 || k == 1 {
-        return offsets;
-    }
-    let dpre = cost_prefix(elems, |gap| varint_len(gap) as u64);
-    let mpre = cost_prefix(elems, |gap| (varint_len(gap) as u64 * 8).min(gap));
-    let exact = |a: usize, b: usize| -> usize {
-        if a == b {
-            0
-        } else {
-            let delta = 8 + (dpre[b] - dpre[a + 1]) as usize;
-            delta.min(bitmap::encoded_len(elems[a], elems[b - 1]))
+/// One cutting sweep: `k + 1` offsets, every slice within `leaf_units`, or
+/// `None` when `k` leaves overflow. Given `total` (the run's weight),
+/// boundary `j` closes at the `j/k` quantile of the cumulative weight — or
+/// earlier, at the last element that still fits; without it every leaf is
+/// a maximal prefix, which fits whenever anything does.
+fn cut(
+    elems: &[u64],
+    k: usize,
+    leaf_units: usize,
+    hybrid: bool,
+    total: Option<u64>,
+) -> Option<Vec<usize>> {
+    let quantile = |j: usize| total.map_or(u64::MAX, |t| t * j as u64 / k as u64);
+    let mut close_at = quantile(1);
+    let mut offsets = Vec::with_capacity(k + 1);
+    offsets.push(0);
+    let closes = |closed: usize, weight: u64| {
+        let close = closed + 1 < k && weight >= close_at;
+        if close {
+            close_at = quantile(closed + 2);
         }
+        close
     };
-    let total = mpre[n];
-    for j in 1..k {
-        let ideal = total * j as u64 / k as u64;
-        let o = mpre.partition_point(|&p| p < ideal).min(n);
-        offsets[j] = o.max(offsets[j - 1]);
-    }
-    for j in 0..k - 1 {
-        let a = offsets[j];
-        while offsets[j + 1] > a && exact(a, offsets[j + 1]) > leaf_units {
-            offsets[j + 1] -= 1;
-        }
-    }
-    if exact(offsets[k - 1], n) > leaf_units {
-        // Greedy maximal prefixes (binary search per leaf on the monotone
-        // exact cost).
-        let mut a = 0usize;
-        for off in offsets.iter_mut().take(k).skip(1) {
-            let (mut lo, mut hi) = (a, n);
-            while lo < hi {
-                let mid = lo + (hi - lo).div_ceil(2);
-                if exact(a, mid) <= leaf_units {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            *off = lo;
-            a = lo;
-        }
-    }
-    offsets
+    sweep(elems, leaf_units, hybrid, closes, |end, _| {
+        offsets.push(end)
+    });
+    (offsets.len() <= k + 1).then(|| {
+        offsets.resize(k + 1, elems.len());
+        offsets
+    })
+}
+
+/// Count a sweep's visits (tests check linearity by count, not by clock).
+#[inline]
+fn visit(_elems: usize) {
+    #[cfg(test)]
+    tests::PLANNER_VISITS.with(|v| v.set(v.get() + _elems as u64));
 }
 
 /// Append the elements a word array represents (relative to `base`) to
@@ -784,18 +722,27 @@ impl LeafStorage<u64> for CompressedLeaves {
         self.policy = CodecPolicy { force, threshold };
     }
 
-    fn units_for(&self, elems: &[u64]) -> usize {
-        match self.policy.force {
-            ForceCodec::Delta => encoded_run_len(elems, 8),
-            _ => hybrid_units_estimate(elems),
+    fn size_run(&self, elems: &[u64], leaf_units: usize) -> RunSize {
+        if elems.is_empty() {
+            return RunSize::default();
+        }
+        let hybrid = self.policy.force != ForceCodec::Delta;
+        let (mut leaves, mut units) = (0usize, 0usize);
+        let count = |_, u| (leaves, units) = (leaves + 1, units + u);
+        let weight = sweep(elems, leaf_units, hybrid, |_, _| false, count);
+        RunSize {
+            stream: 8 + if hybrid { weight.div_ceil(8) } else { weight } as usize,
+            min_leaves: leaves,
+            packed: units - 8 * (leaves - 1),
         }
     }
 
-    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Vec<usize> {
-        match self.policy.force {
-            ForceCodec::Delta => delta_plan_split(elems, k, leaf_units),
-            _ => hybrid_plan_split(elems, k, leaf_units),
-        }
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
+        let hybrid = self.policy.force != ForceCodec::Delta;
+        let total = sweep(elems, usize::MAX, hybrid, |_, _| false, |_, _| {});
+        // Spread evenly; where even a spread leaves the tail too much, pack.
+        cut(elems, k, leaf_units, hybrid, Some(total))
+            .or_else(|| cut(elems, k, leaf_units, hybrid, None))
     }
 
     fn shared(&mut self) -> CompressedShared<'_> {
@@ -1358,9 +1305,8 @@ impl SharedLeaves<u64> for CompressedShared<'_> {
     }
 
     unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize {
-        // May overflow when a hybrid split plan had to leave an oversized
-        // tail; the caller detects it and grows the capacity.
-        let (units, _overflowed) = self.store(leaf, elems, inherited_head);
+        let (units, overflowed) = self.store(leaf, elems, inherited_head);
+        debug_assert!(!overflowed, "leaf {leaf}: the plan's cost is store's");
         units
     }
 
@@ -1411,6 +1357,11 @@ mod tests {
     use crate::leaf::testkit::{apply, contents, ins, rem};
     use crate::run::Inserts;
     use cpma_api::BatchOp::{self, Insert, Remove};
+
+    thread_local! {
+        /// Elements visited by planner sweeps on this thread.
+        pub(super) static PLANNER_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn store(leaves: usize) -> CompressedLeaves {
         CompressedLeaves::with_geometry(leaves, 256)
@@ -2006,58 +1957,145 @@ mod tests {
         assert!(s.is_bitmap(0));
     }
 
+    /// Fewest 256-byte leaves holding `elems` under `force`: the greedy
+    /// maximal-prefix packing (binary search per leaf over the monotone
+    /// exact cost, on a prefix array) — the oracle the planner's sweeps
+    /// are checked against.
+    fn oracle_min_leaves(elems: &[u64], force: ForceCodec) -> usize {
+        let mut pre = vec![0usize; elems.len() + 1];
+        for i in 1..elems.len() {
+            pre[i + 1] = pre[i] + varint_len(elems[i] - elems[i - 1]);
+        }
+        let exact = |a: usize, b: usize| {
+            let delta = 8 + pre[b] - pre[a + 1];
+            match force {
+                ForceCodec::Delta => delta,
+                _ => delta.min(bitmap::encoded_len(elems[a], elems[b - 1])),
+            }
+        };
+        let (mut a, mut leaves) = (0, 0);
+        while a < elems.len() {
+            let (mut lo, mut hi) = (a + 1, elems.len());
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if exact(a, mid) <= 256 {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            (a, leaves) = (lo, leaves + 1);
+        }
+        leaves
+    }
+
+    /// The planner table: {shape} × k ∈ {1, exact, 3× too small, 3× too
+    /// large} × every codec policy. A plan's offsets are monotone and end
+    /// at `n`, every slice costs at most a leaf and is written without a
+    /// spill; "no fit" is said only when the oracle agrees; sizing counts
+    /// the oracle's leaves; nothing depends on the thread budget.
     #[test]
-    fn plan_split_balances_hybrid_cost() {
-        // Mixed deltas: a dense region then a sparse one.
-        let mut elems: Vec<u64> = (0..500u64).collect();
-        elems.extend((0..100u64).map(|i| 1_000_000 + i * 1_000_000_000));
-        let k = 8;
-        let plan = store(k).plan_split(&elems, k, 256);
-        assert_eq!(plan[0], 0);
-        assert_eq!(plan[k], elems.len());
-        assert!(plan.windows(2).all(|w| w[0] <= w[1]));
-        for j in 0..k {
-            let slice = &elems[plan[j]..plan[j + 1]];
-            assert!(hybrid_cost(slice) <= 256, "leaf {j} overflows");
+    fn planner_table() {
+        use cpma_workloads::{dedup_sorted, uniform_keys, ClusteredKeys, RmatGenerator};
+        let clustered = ClusteredKeys::new(256, 1 << 16, 3).sorted(40_000);
+        let mut gap: Vec<u64> = (0..500u64).collect();
+        gap.extend((0..100u64).map(|i| (1 << 60) + i * 1_000_000_000));
+        let shapes: Vec<(&str, Vec<u64>)> = vec![
+            ("uniform", dedup_sorted(uniform_keys(20_000, 40, 1))),
+            (
+                "clustered 42%",
+                clustered
+                    .iter()
+                    .copied()
+                    .filter(|k| k * 7 % 100 < 42)
+                    .collect(),
+            ),
+            ("clustered 100%", clustered.clone()),
+            (
+                "rmat",
+                dedup_sorted(RmatGenerator::paper_config(18, 1).directed_edges(30_000)),
+            ),
+            ("one huge gap", gap),
+            ("one dense run", (0..2048u64).collect()),
+            ("n < k", vec![5, 10]),
+            ("empty", vec![]),
+        ];
+        let _serial = crate::BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for (shape, elems) in &shapes {
+            for force in [ForceCodec::Auto, ForceCodec::Delta, ForceCodec::Bitmap] {
+                let mut s = store(1);
+                s.set_codec_policy(force, 1.0);
+                let size = s.size_run(elems, 256);
+                let exact = oracle_min_leaves(elems, force);
+                assert_eq!(size.min_leaves, exact, "{shape} {force:?}");
+                let cost = |slice: &[u64]| match force {
+                    ForceCodec::Delta => encoded_run_len(slice, 8),
+                    _ => hybrid_cost(slice),
+                };
+                for k in [1, exact.max(1), (exact / 3).max(1), exact.max(1) * 3] {
+                    let what = format!("{shape} {force:?} k={k}");
+                    let plan = s.plan_split(elems, k, 256);
+                    for budget in [1, 2, 8] {
+                        let pool = rayon::ThreadPoolBuilder::new()
+                            .num_threads(budget)
+                            .build()
+                            .unwrap();
+                        assert_eq!(pool.install(|| s.plan_split(elems, k, 256)), plan, "{what}");
+                    }
+                    let Some(plan) = plan else {
+                        assert!(exact > k, "{what}: a {exact}-way fit exists");
+                        continue;
+                    };
+                    assert!(exact <= k, "{what}: planned past the oracle");
+                    assert_eq!((plan.len(), plan[0], plan[k]), (k + 1, 0, elems.len()));
+                    assert!(plan.windows(2).all(|w| w[0] <= w[1]), "{what}");
+                    let mut out = store(k);
+                    out.set_codec_policy(force, 1.0);
+                    let mut used = Vec::new();
+                    for j in 0..k {
+                        let slice = &elems[plan[j]..plan[j + 1]];
+                        assert!(cost(slice) <= 256, "{what}: leaf {j} overflows");
+                        // SAFETY: single-threaded, one leaf at a time.
+                        used.push(unsafe { out.shared().write_leaf(j, slice, 0) });
+                        assert!(!out.is_overflowed(j), "{what}: leaf {j} spilled");
+                    }
+                    // Spread, not packed: with slack, delta-coded leaves of
+                    // one gap distribution end within two codes of each other.
+                    if *shape == "uniform" && k > exact {
+                        let (lo, hi) = (used.iter().min().unwrap(), used.iter().max().unwrap());
+                        assert!(hi - lo <= 2 * MAX_VARINT_BYTES, "{what}: {lo}..{hi}");
+                    }
+                }
+            }
         }
     }
 
+    /// A rebuild is linear **by count**: the elements the planner visits
+    /// per key (one sizing sweep, the weight sum, one or two cutting
+    /// sweeps) stay under a small constant and do not grow with `n` on the
+    /// benchmark's clustered shape — runs of 256 at 42 % fill, where the
+    /// prefix-array planner took 16 × the time for 4 × the keys.
     #[test]
-    fn delta_plan_split_balances_bytes() {
-        let mut elems: Vec<u64> = (0..200u64).map(|i| i * 3).collect();
-        elems.extend((0..100u64).map(|i| 1_000_000 + i * 1_000_000_000));
-        let k = 8;
-        let plan = delta_store(k).plan_split(&elems, k, 256);
-        assert_eq!(plan[0], 0);
-        assert_eq!(plan[k], elems.len());
-        for j in 0..k {
-            let slice = &elems[plan[j]..plan[j + 1]];
-            assert!(encoded_run_len(slice, 8) <= 256, "leaf {j} overflows");
-        }
-    }
-
-    #[test]
-    fn plan_split_handles_fewer_elements_than_leaves() {
-        let elems = vec![5u64, 10];
-        let plan = store(4).plan_split(&elems, 4, 256);
-        assert_eq!(plan[0], 0);
-        assert_eq!(plan[4], 2);
-        for j in 0..4 {
-            let slice = &elems[plan[j]..plan[j + 1]];
-            assert!(hybrid_cost(slice) <= 256);
-        }
-    }
-
-    #[test]
-    fn hybrid_plan_greedy_fallback_fits_dense_runs() {
-        // 2048 consecutive keys across 2 leaves of 256 B: delta needs
-        // 8 + 2047 bytes, far over; bitmaps fit 1984 keys per 256-B leaf.
-        let elems: Vec<u64> = (0..2048u64).collect();
-        let plan = store(2).plan_split(&elems, 2, 256);
-        assert_eq!(plan[0], 0);
-        assert_eq!(plan[2], 2048);
-        assert!(hybrid_cost(&elems[plan[0]..plan[1]]) <= 256);
-        assert!(hybrid_cost(&elems[plan[1]..plan[2]]) <= 256);
+    fn rebuild_visits_are_linear_on_clustered_keys() {
+        use cpma_workloads::{ClusteredKeys, SplitMix64};
+        let visits_per_key = |n: usize| {
+            let mut rng = SplitMix64::new(42);
+            let keys: Vec<u64> = ClusteredKeys::new(256, 1 << 16, 1)
+                .sorted(n * 100 / 42)
+                .into_iter()
+                .filter(|_| rng.next_below(100) < 42)
+                .collect();
+            PLANNER_VISITS.with(|v| v.set(0));
+            let set = crate::Cpma::from_sorted(&keys);
+            assert_eq!(set.len(), keys.len());
+            PLANNER_VISITS.with(|v| v.get()) as f64 / keys.len() as f64
+        };
+        let (small, large) = (visits_per_key(840_000), visits_per_key(4 * 840_000));
+        assert!(
+            small <= 4.0 && large <= 4.0,
+            "{small} / {large} visits per key"
+        );
+        assert!(large <= small * 1.25, "{small} → {large} visits per key");
     }
 
     #[test]

@@ -86,6 +86,19 @@ impl<K> Default for LeafScratch<K> {
     }
 }
 
+/// Answer of a sizing sweep ([`LeafStorage::size_run`]) for one leaf size.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunSize {
+    /// Units of the run as one stream with one head (`k` leaves add
+    /// `(k − 1) · HEAD_UNITS`): the weight `plan_split` spreads evenly. A
+    /// hybrid storage's is a floor, each element at its cheaper codec.
+    pub stream: usize,
+    /// Fewest leaves that hold the run (maximal prefixes; exact).
+    pub min_leaves: usize,
+    /// Units of that tightest packing, likewise with one head (exact).
+    pub packed: usize,
+}
+
 /// Storage for the leaves of a PMA. See module docs.
 ///
 /// Units are cells for the uncompressed PMA and bytes for the CPMA; density
@@ -102,7 +115,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
 
     /// Smallest permissible leaf capacity in units. For the CPMA this must
     /// be ≥ 256 bytes: redistribution's fit proof needs
-    /// `0.1 · capacity ≥ 18` (see `plan_split`).
+    /// `0.1 · capacity ≥ 18` (head swap 8 B + dropped boundary delta 10 B).
     const MIN_LEAF_UNITS: usize;
     /// Leaf capacities are rounded up to a multiple of this.
     const LEAF_ALIGN: usize;
@@ -204,20 +217,19 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
         acc
     }
 
-    /// Units a strictly-increasing run would occupy written as one leaf
-    /// under this instance's codec policy. Capacity planning uses this, so
-    /// a hybrid storage's cheaper encodings translate into a smaller
-    /// footprint.
-    fn units_for(&self, elems: &[K]) -> usize;
+    /// One **sizing** sweep: what a strictly-increasing run costs in leaves
+    /// of `leaf_units` under this instance's codec policy. Every capacity
+    /// decision is arithmetic on the answer, so a geometry the core accepts
+    /// is one [`Self::plan_split`] can cut.
+    fn size_run(&self, elems: &[K], leaf_units: usize) -> RunSize;
 
-    /// Plan how to spread `elems` across `k` leaves of `leaf_units` capacity:
-    /// returns `k + 1` offsets into `elems` (first 0, last `elems.len()`),
-    /// such that every slice fits its leaf and occupancies are near-equal.
-    ///
-    /// Callers guarantee `units_for` of the whole run is at most
-    /// `0.9 · k · leaf_units` (the tightest upper density bound), which makes
-    /// a fitting plan always exist for `leaf_units ≥ MIN_LEAF_UNITS`.
-    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Vec<usize>;
+    /// **Cut** `elems` into `k` leaves of `leaf_units`: `k + 1` offsets
+    /// into `elems` (first 0, last `elems.len()`), occupancies near-equal
+    /// and every slice fitting its leaf as `write_leaf` will encode it — or
+    /// `None` when no `k`-way split fits (`k < size_run(..).min_leaves`).
+    /// O(`elems.len() + k`) however far off `k` is. The storage that is
+    /// written plans: one policy costs the slices and encodes them.
+    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Option<Vec<usize>>;
 
     /// Install the per-leaf codec policy (hybrid storages only; the
     /// default ignores it). Called at construction and when loading a
@@ -266,8 +278,8 @@ pub trait SharedLeaves<K: PmaKey> {
     /// safe for any `leaf`, whoever owns it. Default: no-op.
     fn prefetch(&self, _leaf: usize) {}
 
-    /// Overwrite `leaf` with `elems` (must fit capacity; caller planned the
-    /// split). For an empty `elems`, the head is set to `inherited_head`.
+    /// Overwrite `leaf` with `elems`, a slice of a `plan_split` plan (so it
+    /// fits). For an empty `elems`, the head is set to `inherited_head`.
     /// Clears any overflow buffer. Returns the leaf's new unit count.
     ///
     /// # Safety

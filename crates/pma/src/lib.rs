@@ -41,7 +41,7 @@ mod uncompressed;
 pub use crate::compressed::CompressedLeaves;
 pub use crate::core::{Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore};
 pub use crate::density::DensityBounds;
-pub use crate::leaf::{LeafStorage, OpsOutcome};
+pub use crate::leaf::{LeafStorage, OpsOutcome, RunSize};
 pub use crate::stats::PmaStats;
 pub use crate::uncompressed::UncompressedLeaves;
 pub use cpma_api::{BatchOp, BatchOutcome, Persist, PersistError, SetKey};

@@ -7,7 +7,7 @@
 //! leaves" (§5). A separate head array accelerates search, as in the
 //! search-optimized PMA the paper builds on \[78]. Units are **cells**.
 
-use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, SharedLeaves};
+use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
 use crate::run::Run;
 use crate::{stats, LeafStorage, PmaKey};
 use cpma_api::PersistError;
@@ -264,19 +264,18 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
     }
 
     #[inline]
-    fn units_for(&self, elems: &[K]) -> usize {
-        elems.len()
+    fn size_run(&self, elems: &[K], leaf_units: usize) -> RunSize {
+        RunSize {
+            stream: elems.len(),
+            min_leaves: elems.len().div_ceil(leaf_units),
+            packed: elems.len(),
+        }
     }
 
-    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Vec<usize> {
+    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
         // Even count split: slice sizes differ by at most one.
         let n = elems.len();
-        let offsets: Vec<usize> = (0..=k).map(|j| j * n / k).collect();
-        debug_assert!(
-            offsets.windows(2).all(|w| w[1] - w[0] <= leaf_units),
-            "split does not fit: {n} elements into {k} leaves of {leaf_units}"
-        );
-        offsets
+        (n.div_ceil(k) <= leaf_units).then(|| (0..=k).map(|j| j * n / k).collect())
     }
 
     fn shared(&mut self) -> UncompressedShared<'_, K> {
@@ -558,9 +557,12 @@ mod tests {
     fn plan_split_even() {
         let elems: Vec<u64> = (0..10).collect();
         let plan = store3().plan_split(&elems, 4, 16);
-        assert_eq!(plan, vec![0, 2, 5, 7, 10]);
+        assert_eq!(plan, Some(vec![0, 2, 5, 7, 10]));
         let plan = store3().plan_split(&[], 3, 16);
-        assert_eq!(plan, vec![0, 0, 0, 0]);
+        assert_eq!(plan, Some(vec![0, 0, 0, 0]));
+        // No fit is reported, not planned: 10 cells into 4 leaves of 2.
+        assert_eq!(store3().plan_split(&elems, 4, 2), None);
+        assert_eq!(store3().size_run(&elems, 2).min_leaves, 5);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! byte-identically.
 
 use cpma_api::{BatchOp, OrderedSet, RangeSet};
-use cpma_pma::{Cpma, ForceCodec, PmaConfig};
-use cpma_workloads::{clustered_keys, uniform_keys, ClusteredKeys};
+use cpma_pma::{Cpma, ForceCodec, LeafStorage, PmaConfig};
+use cpma_workloads::{clustered_keys, uniform_keys, ClusteredKeys, SplitMix64};
 use std::collections::BTreeSet;
 
 fn cpma_with(force: ForceCodec) -> Cpma {
@@ -222,4 +222,64 @@ fn invalid_codec_knobs_are_rejected() {
         .bitmap_leaf_threshold(0.5)
         .build()
         .is_ok());
+}
+
+/// Observation 3's shape as a regression: a base of whole runs, then
+/// batches of whole held-out runs. Each new run lands in the gap between
+/// two base runs, where a delta leaf that straddled the gap suddenly holds
+/// ≈ 256 more keys. The estimate-driven planner ended 5 of these 99
+/// batches in a full rebuild (a range whose plan left a leaf unfit grew the
+/// whole capacity); the count is pinned there. With the exact planner it
+/// reads 1, and whatever it reads, each must be a capacity grow (a root
+/// that did not fit) — never a rebuild at the same size.
+#[test]
+fn whole_run_inserts_do_not_storm() {
+    let universe = ClusteredKeys::new(256, 1 << 16, 1).sorted(600_000);
+    let mut runs: Vec<&[u64]> = Vec::new();
+    let mut start = 0;
+    for i in 1..=universe.len() {
+        if i == universe.len() || universe[i] != universe[i - 1] + 1 {
+            runs.push(&universe[start..i]);
+            start = i;
+        }
+    }
+    let mut rng = SplitMix64::new(0xA009);
+    let (mut base, mut held_out) = (Vec::new(), Vec::new());
+    for run in runs {
+        if rng.next_below(5) < 4 {
+            base.extend_from_slice(run);
+        } else {
+            held_out.push(run);
+        }
+    }
+    cpma_workloads::keys::shuffle(&mut held_out, 0xA00A);
+    let mut set = Cpma::from_sorted(&base);
+    let built = set.stats().full_rebuilds;
+    let (mut batches, mut grows) = (0, 0);
+    let mut next = held_out.iter();
+    while batches < 99 {
+        let mut batch: Vec<u64> = Vec::new();
+        while batch.len() < 1_000 {
+            batch.extend_from_slice(next.next().expect("enough held-out runs"));
+        }
+        let (leaves, rebuilds) = (set.storage().num_leaves(), set.stats().full_rebuilds);
+        let added = set.insert_batch(&mut batch, false);
+        assert_eq!(added, batch.len());
+        set.check_invariants();
+        if set.stats().full_rebuilds > rebuilds {
+            assert!(
+                set.storage().num_leaves() > leaves,
+                "batch {batches}: rebuilt in place"
+            );
+            grows += 1;
+        }
+        batches += 1;
+    }
+    let rebuilds = set.stats().full_rebuilds - built;
+    println!("whole-run inserts: {rebuilds} full rebuilds in {batches} batches, {grows} grows");
+    assert!(
+        rebuilds <= 5,
+        "{rebuilds} of {batches} batches ended in a full rebuild"
+    );
+    assert_eq!(rebuilds, grows);
 }

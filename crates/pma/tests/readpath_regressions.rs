@@ -11,7 +11,7 @@
 //! — these tests fail loudly against it.
 
 use cpma_api::PersistError;
-use cpma_pma::{LeafStorage, Pma, PmaConfig, PmaCore, UncompressedLeaves};
+use cpma_pma::{LeafStorage, Pma, PmaConfig, PmaCore, RunSize, UncompressedLeaves};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 type Inner = UncompressedLeaves<u64>;
@@ -123,11 +123,11 @@ impl LeafStorage<u64> for CountingLeaves {
         self.inner.leaf_sum(leaf)
     }
 
-    fn units_for(&self, elems: &[u64]) -> usize {
-        self.inner.units_for(elems)
+    fn size_run(&self, elems: &[u64], leaf_units: usize) -> RunSize {
+        self.inner.size_run(elems, leaf_units)
     }
 
-    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Vec<usize> {
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
         self.inner.plan_split(elems, k, leaf_units)
     }
 
