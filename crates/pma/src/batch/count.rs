@@ -1,4 +1,4 @@
-//! Phase 2 of the batch update: work-efficient parallel counting.
+//! Phase 2 of the batch update: work-efficient counting.
 //!
 //! "This parallel algorithm avoids redundant work by processing the levels
 //! serially from the leaves to the root and saving any counts for later
@@ -7,45 +7,29 @@
 //! level i exceeds its density bound, the algorithm adds its parent to the
 //! set of nodes to be counted at level i+1." (§4, Figure 5, Lemmas 2–3).
 //!
+//! The rule is the paper's — a node is counted iff it is a touched leaf or a
+//! counted child violates its bound — but nothing is stored per level. A
+//! counted leaf inside its bound has no effect on the outcome, and a leaf
+//! sits at depth `max_depth` or `max_depth − 1`, so one comparison against
+//! the tighter of those two bands ([`PmaCore::safe_leaf_units`]) drops it; what is
+//! left, usually nothing, is the sorted list of *suspects*. One top-down
+//! walk visits exactly the nodes with a suspect below them, splitting the
+//! list at each node's midpoint. A counted node leaves its sub-total on a
+//! stack; a counted ancestor folds the sub-totals of its subtree — they sit
+//! on top, in leaf order — and reads only the leaves between them (Lemma
+//! 2's "saved counts" without a lookup: a leaf is read once by the filter
+//! and at most once by the walk). A counted node inside its bound likewise
+//! replaces the candidates its subtree pushed, which leaves the maximal
+//! ones in leaf order with no sort. The per-level sets reach the same nodes
+//! bottom-up and decide each by the same comparison.
+//!
 //! Output: the *maximal* disjoint tree nodes to redistribute (nodes that
 //! respect their bound but were counted because a child violated), or a
 //! root-resize signal.
 
 use crate::tree::Node;
 use crate::{LeafStorage, PmaCore, PmaKey};
-use rayon::prelude::*;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-xor hasher for `(start, end)` node keys: the counting phase
-/// performs thousands of cache probes per batch, and SipHash costs more
-/// than the counting itself.
-#[derive(Default)]
-pub(crate) struct NodeHasher(u64);
-
-impl Hasher for NodeHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E3779B97F4A7C15);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        let z = self.0;
-        z ^ (z >> 29)
-    }
-}
-
-type NodeCache = HashMap<(usize, usize), usize, BuildHasherDefault<NodeHasher>>;
+use std::ops::RangeInclusive;
 
 /// Which density band the phase enforces: upper bounds after inserts,
 /// lower bounds after deletes, and both at once after a *mixed* batch —
@@ -75,125 +59,133 @@ pub(crate) struct CountOutcome {
     pub resize_root: Option<RootResize>,
 }
 
-/// Units of `node`, using `cache` for already-counted descendants so every
-/// leaf is visited at most once across the whole phase (Lemma 2).
-fn units_of<K: PmaKey, L: LeafStorage<K>>(
-    core: &PmaCore<K, L>,
-    cache: &NodeCache,
-    node: Node,
-) -> usize {
-    if let Some(&u) = cache.get(&(node.start, node.end)) {
-        return u;
+impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
+    /// Units a node of `leaves` leaves at `depth` may hold under `kind`
+    /// (the side `kind` does not enforce is left open).
+    fn band(&self, kind: BoundKind, leaves: usize, depth: u32) -> RangeInclusive<usize> {
+        let (bounds, max_depth) = (self.config().bounds, self.tree().max_depth());
+        let cap = self.storage().leaf_units() * leaves;
+        let min = match kind {
+            BoundKind::Upper => 0,
+            _ => bounds.min_units(cap, depth, max_depth),
+        };
+        let max = match kind {
+            BoundKind::Lower => usize::MAX,
+            _ => bounds.max_units(cap, depth, max_depth),
+        };
+        min..=max
     }
-    if node.is_leaf() {
-        return core.storage().units_used(node.start);
+
+    /// Units a leaf may hold without violating `kind` whichever of the two
+    /// leaf depths it sits at: the O(1) check that lets the pipeline and
+    /// the point updates skip the tree for a leaf inside it.
+    fn safe_leaf_units(&self, kind: BoundKind) -> RangeInclusive<usize> {
+        let max_depth = self.tree().max_depth();
+        let deep = self.band(kind, 1, max_depth);
+        let shallow = self.band(kind, 1, max_depth.saturating_sub(1));
+        *deep.start().max(shallow.start())..=*deep.end().min(shallow.end())
     }
-    let (l, r) = node.children();
-    units_of(core, cache, l) + units_of(core, cache, r)
 }
 
-/// Run the counting phase over the touched leaves (ascending, deduplicated
-/// is not required — duplicates are removed here).
+/// The top-down walk over the suspects (module docs).
+struct Walk<'a, K: PmaKey, L: LeafStorage<K>> {
+    core: &'a PmaCore<K, L>,
+    kind: BoundKind,
+    /// Sub-totals of the counted nodes not yet folded into a counted
+    /// ancestor: disjoint, in leaf order, those of the subtree being
+    /// visited on top.
+    counted: Vec<(Node, usize)>,
+    /// `ranges` holds the candidates so far, the same way.
+    out: CountOutcome,
+}
+
+impl<K: PmaKey, L: LeafStorage<K>> Walk<'_, K, L> {
+    /// Units of leaves `[start, end)`, read now.
+    fn read(&self, start: usize, end: usize) -> usize {
+        let units = |leaf| {
+            note(Some(leaf));
+            self.core.storage().units_used(leaf)
+        };
+        (start..end).map(units).sum()
+    }
+
+    /// Count `node` if the rule says so, and say whether it then violates.
+    /// `suspects` are the ones inside `node`, ascending.
+    fn visit(&mut self, node: Node, suspects: &[usize]) -> bool {
+        if suspects.is_empty() {
+            return false;
+        }
+        note(None);
+        let (below, nested) = (self.counted.len(), self.out.ranges.len());
+        if !node.is_leaf() {
+            let (l, r) = node.children();
+            let (left, right) = suspects.split_at(suspects.partition_point(|&s| s < l.end));
+            // Both sides, whatever the first one says.
+            if !(self.visit(l, left) | self.visit(r, right)) {
+                return false;
+            }
+        }
+        // Counted: fold the sub-totals already taken inside `node` and
+        // read, once, the leaves between them.
+        let (mut used, mut next) = (0, node.start);
+        for &(inner, units) in &self.counted[below..] {
+            used += units + self.read(next, inner.start);
+            next = inner.end;
+        }
+        used += self.read(next, node.end);
+        self.counted.truncate(below);
+        self.counted.push((node, used));
+        let band = self.core.band(self.kind, node.len(), node.depth);
+        let violates = !band.contains(&used);
+        if violates && node.depth == 0 {
+            self.out.resize_root = Some(match used > *band.end() {
+                true => RootResize::Grow,
+                false => RootResize::Shrink,
+            });
+        } else if !violates && !node.is_leaf() {
+            // Counted because a child violated, and it satisfies its own
+            // bound: a redistribution candidate, and every candidate its
+            // subtree pushed is nested inside it.
+            self.out.ranges.truncate(nested);
+            self.out.ranges.push(node);
+        }
+        violates
+    }
+}
+
+/// Run the counting phase over the touched leaves (strictly ascending).
 pub(crate) fn count_phase<K: PmaKey, L: LeafStorage<K>>(
     core: &PmaCore<K, L>,
     touched: &[usize],
     kind: BoundKind,
 ) -> CountOutcome {
-    if touched.is_empty() {
-        return CountOutcome::default();
+    debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
+    let mut walk = Walk {
+        core,
+        kind,
+        counted: Vec::new(),
+        out: CountOutcome::default(),
+    };
+    let safe = core.safe_leaf_units(kind);
+    let suspects: Vec<usize> = touched
+        .iter()
+        .copied()
+        .filter(|&leaf| !safe.contains(&walk.read(leaf, leaf + 1)))
+        .collect();
+    walk.visit(core.tree().root(), &suspects);
+    if walk.out.resize_root.is_some() {
+        walk.out.ranges.clear();
     }
-    let tree = core.tree();
-    let max_depth = tree.max_depth();
-    let leaf_cap = core.storage().leaf_units();
-    let bounds = core.config().bounds;
+    walk.out
+}
 
-    // to_count[d] = nodes awaiting counting at depth d.
-    let mut to_count: Vec<Vec<Node>> = vec![Vec::new(); max_depth as usize + 1];
-    for &leaf in touched {
-        let node = tree.leaf_node(leaf);
-        to_count[node.depth as usize].push(node);
-    }
-
-    let mut cache: NodeCache = NodeCache::default();
-    let mut candidates: Vec<Node> = Vec::new();
-    let mut resize_root: Option<RootResize> = None;
-
-    for d in (0..=max_depth as usize).rev() {
-        let mut nodes = std::mem::take(&mut to_count[d]);
-        if nodes.is_empty() {
-            continue;
-        }
-        nodes.sort_unstable_by_key(|n| n.start);
-        nodes.dedup();
-        // Count all nodes of this level in parallel; the cache is read-only
-        // during the level and extended between levels (the paper's "levels
-        // are processed serially, but all nodes at each level in parallel").
-        // Small levels count serially — fork overhead exceeds the work
-        // (grain scales inversely with the pool size).
-        let grain = (4096 / rayon::current_num_threads().max(1)).max(64);
-        let counted: Vec<(Node, usize)> = if nodes.len() <= grain {
-            nodes
-                .iter()
-                .map(|&n| (n, units_of(core, &cache, n)))
-                .collect()
-        } else {
-            nodes
-                .par_iter()
-                .map(|&n| (n, units_of(core, &cache, n)))
-                .collect()
-        };
-        for (n, used) in counted {
-            cache.insert((n.start, n.end), used);
-            let cap = leaf_cap * n.len();
-            let over = used > bounds.max_units(cap, n.depth, max_depth);
-            let under = used < bounds.min_units(cap, n.depth, max_depth);
-            let violates = match kind {
-                BoundKind::Upper => over,
-                BoundKind::Lower => under,
-                BoundKind::Both => over || under,
-            };
-            if violates {
-                match tree.parent_of(n) {
-                    Some(p) => to_count[p.depth as usize].push(p),
-                    None => {
-                        resize_root = Some(if over {
-                            RootResize::Grow
-                        } else {
-                            RootResize::Shrink
-                        })
-                    }
-                }
-            } else if !n.is_leaf() {
-                // Counted because a child violated, and it satisfies its own
-                // bound: a redistribution candidate.
-                candidates.push(n);
-            }
-        }
-    }
-
-    if resize_root.is_some() {
-        return CountOutcome {
-            ranges: Vec::new(),
-            resize_root,
-        };
-    }
-
-    // Keep only maximal candidates (the family is laminar: candidates are
-    // nested or disjoint).
-    candidates.sort_unstable_by(|a, b| a.start.cmp(&b.start).then(b.end.cmp(&a.end)));
-    let mut ranges: Vec<Node> = Vec::new();
-    let mut max_end = 0usize;
-    for n in candidates {
-        if ranges.is_empty() || n.end > max_end {
-            debug_assert!(n.start >= max_end, "candidates not laminar");
-            max_end = n.end;
-            ranges.push(n);
-        }
-    }
-    CountOutcome {
-        ranges,
-        resize_root: None,
-    }
+/// Test-only accounting: a leaf read, or (`None`) a tree node visited.
+#[inline(always)]
+fn note(event: Option<usize>) {
+    #[cfg(test)]
+    tests::TRACE.with(|t| t.borrow_mut().push(event));
+    #[cfg(not(test))]
+    let _ = event;
 }
 
 #[cfg(test)]
@@ -201,6 +193,11 @@ mod tests {
     use super::*;
     use crate::run::{Inserts, Removes};
     use crate::Pma;
+
+    thread_local! {
+        /// What the count phases of this thread did, in order (see `note`).
+        pub(super) static TRACE: std::cell::RefCell<Vec<Option<usize>>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
 
     /// Build a PMA and then force specific leaves over their bound by
     /// merging directly through the shared interface (bypassing public
@@ -338,6 +335,151 @@ mod tests {
             covers(nl - 1),
             "lower violation uncovered: {:?}",
             out.ranges
+        );
+    }
+
+    /// The rule of the module docs, taken literally and with nothing saved:
+    /// a node is counted iff it is a touched leaf or a counted child
+    /// violates; a counted non-leaf inside its bound is a candidate; the
+    /// maximal candidates are the ranges; a violating root resizes.
+    fn naive(p: &Pma<u64>, touched: &[usize], kind: BoundKind) -> (Vec<Node>, Option<RootResize>) {
+        fn go(
+            p: &Pma<u64>,
+            node: Node,
+            touched: &[usize],
+            kind: BoundKind,
+            out: &mut (Vec<Node>, Option<RootResize>),
+        ) -> bool {
+            let counted = if node.is_leaf() {
+                touched.contains(&node.start)
+            } else {
+                let (l, r) = node.children();
+                let (l, r) = (go(p, l, touched, kind, out), go(p, r, touched, kind, out));
+                l || r
+            };
+            if !counted {
+                return false;
+            }
+            let used: usize = (node.start..node.end)
+                .map(|l| p.storage().units_used(l))
+                .sum();
+            let max_depth = p.tree().max_depth();
+            let cap = p.storage().leaf_units() * node.len();
+            let over = used > p.config().bounds.max_units(cap, node.depth, max_depth);
+            let under = used < p.config().bounds.min_units(cap, node.depth, max_depth);
+            let violates = match kind {
+                BoundKind::Upper => over,
+                BoundKind::Lower => under,
+                BoundKind::Both => over || under,
+            };
+            if violates && node.depth == 0 {
+                out.1 = Some(if over {
+                    RootResize::Grow
+                } else {
+                    RootResize::Shrink
+                });
+            } else if !violates && !node.is_leaf() {
+                out.0.push(node);
+            }
+            violates
+        }
+        let mut out = (Vec::new(), None);
+        go(p, p.tree().root(), touched, kind, &mut out);
+        let all = std::mem::take(&mut out.0);
+        if out.1.is_none() {
+            out.0.extend(
+                all.iter()
+                    .filter(|c| !all.iter().any(|o| o != *c && o.contains(c))),
+            );
+            out.0.sort_unstable_by_key(|n| n.start);
+        }
+        out
+    }
+
+    #[test]
+    fn count_phase_matches_the_naive_rule() {
+        use crate::leaf::SharedLeaves;
+        use cpma_workloads::SplitMix64;
+        let mut rng = SplitMix64::new(7);
+        let (mut resized, mut ranged, mut quiet) = (0, 0, 0);
+        for round in 0..300 {
+            // Leaf counts that are not powers of two: both leaf depths occur.
+            let n = [700u64, 3_000, 5_000, 20_000, 33_333][round % 5];
+            let mut p = Pma::from_sorted(&(0..n).collect::<Vec<_>>());
+            let (leaves, cap) = (p.storage().num_leaves(), p.storage().leaf_units());
+            let depths: Vec<u32> = (0..leaves)
+                .map(|l| p.tree().path_to_leaf(l).last().unwrap().depth)
+                .collect();
+            assert!(depths.iter().any(|&d| d != depths[0]), "{leaves} leaves");
+            // Disturb a few leaves (sometimes a whole stretch, so violations
+            // climb): over-fill, drain, or halve.
+            let mut touched = Vec::new();
+            for _ in 0..1 + rng.next_below(6) {
+                let first = rng.next_below(leaves as u64) as usize;
+                let widest = 1 + rng.next_below(leaves as u64 / 2);
+                let stretch = 1 + rng.next_below(widest) as usize;
+                let how = rng.next_below(4);
+                for leaf in first..leaves.min(first + stretch) {
+                    if touched.contains(&leaf) {
+                        continue;
+                    }
+                    let mut elems = Vec::new();
+                    p.storage().collect_leaf(leaf, &mut elems);
+                    match how {
+                        0 => {
+                            force_fill(&mut p, leaf, cap / 8 + rng.next_below(cap as u64) as usize)
+                        }
+                        1 => force_fill(&mut p, leaf, cap * (1 + round % 3)),
+                        _ => {
+                            elems.truncate(elems.len() / (how as usize - 1));
+                            let shared = p.storage_mut().shared();
+                            // SAFETY: single-threaded test, one leaf at a time.
+                            unsafe {
+                                shared.apply_run(
+                                    leaf,
+                                    Removes::new(&elems),
+                                    &mut crate::leaf::LeafScratch::new(),
+                                );
+                            }
+                        }
+                    }
+                    touched.push(leaf);
+                }
+            }
+            // Touched but undisturbed leaves ride along.
+            touched.extend((0..4).map(|_| rng.next_below(leaves as u64) as usize));
+            touched.sort_unstable();
+            touched.dedup();
+            for kind in [BoundKind::Upper, BoundKind::Lower, BoundKind::Both] {
+                TRACE.with(|t| t.borrow_mut().clear());
+                let got = count_phase(&p, &touched, kind);
+                let trace = TRACE.with(|t| t.take());
+                let nodes = trace.iter().filter(|e| e.is_none()).count();
+                let mut reads = vec![0; leaves];
+                trace.iter().flatten().for_each(|&leaf| reads[leaf] += 1);
+                let what = format!("round {round}, {kind:?}, touched {touched:?}");
+                assert_eq!(
+                    (got.ranges.clone(), got.resize_root),
+                    naive(&p, &touched, kind),
+                    "{what}"
+                );
+                // Work: nothing below the root is visited for a batch that
+                // leaves every leaf inside both leaf bands, and no leaf is
+                // read more than twice (the filter, then the walk).
+                let safe = p.safe_leaf_units(kind);
+                let suspect = |l: &usize| !safe.contains(&p.storage().units_used(*l));
+                if !touched.iter().any(suspect) {
+                    assert_eq!(nodes, 0, "{what}");
+                    quiet += 1;
+                }
+                assert!(reads.iter().all(|&r| r <= 2), "{what}: reads {reads:?}");
+                resized += usize::from(got.resize_root.is_some());
+                ranged += usize::from(!got.ranges.is_empty());
+            }
+        }
+        assert!(
+            resized > 20 && ranged > 200 && quiet > 20,
+            "{resized} / {ranged} / {quiet}"
         );
     }
 }

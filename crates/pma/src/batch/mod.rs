@@ -23,7 +23,8 @@
 //!   `O(k(log n + log²n / B))` amortized work, `O(log²n)` span
 //!   (Theorem 5):
 //!   1. **route** (`route.rs`) — the recursive midpoint search partitions
-//!      the run into per-leaf sub-runs (routing reads only keys);
+//!      the run into per-leaf sub-runs (routing reads only keys), one
+//!      bounded head search per touched leaf;
 //!   2. **merge** — parallel rewrites of disjoint leaves; each sub-run,
 //!      inserts and removes alike, goes through **one** rewrite of its
 //!      leaf ([`crate::leaf::SharedLeaves::apply_run`]: an in-place
@@ -32,10 +33,10 @@
 //!      issues [`SharedLeaves::prefetch`] [`PREFETCH_AHEAD`] assignments
 //!      ahead, so the misses of the next leaves overlap the merge of the
 //!      current one;
-//!   3. **count** (`count.rs`) — work-efficient counting from the leaves
-//!      up, against the density band the run type can violate
-//!      ([`Run::BOUND`]: inserts → upper, removes → lower, mixed → both
-//!      in the same pass);
+//!   3. **count** (`count.rs`) — work-efficient counting (a tree walk
+//!      only below a leaf outside its band) against the density band the
+//!      run type can violate ([`Run::BOUND`]: inserts → upper, removes →
+//!      lower, mixed → both in the same pass);
 //!   4. **redistribute** (`redistribute.rs`) — parallel re-spread of the
 //!      maximal violating ranges, or a root grow/shrink.
 //!
@@ -59,11 +60,12 @@ mod route;
 
 pub(crate) use count::{count_phase, BoundKind, RootResize};
 pub(crate) use redistribute::redistribute_ranges;
+pub(crate) use route::route;
 
 use crate::leaf::{apply_run_into, LeafScratch, SharedLeaves};
 use crate::run::{Inserts, Removes, Run};
 use crate::tree::Node;
-use crate::{LeafStorage, PmaCore, PmaKey};
+use crate::{search, LeafStorage, PmaCore, PmaKey};
 use cpma_api::{BatchOp, BatchOutcome};
 use rayon::prelude::*;
 
@@ -171,7 +173,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         let spans = crate::stats::phase_spans();
         let assignments = {
             let mut s = cpma_obs::span_with(&spans.route, "pma.route");
-            let a = route::route_batch(self, run);
+            let a = route(self, run.len(), |i| run.key(i));
             s.set_items(a.len() as u64);
             a
         };
@@ -187,7 +189,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         let shared = self.storage.shared();
         let apply = |a: &route::Assignment, scratch: &mut LeafScratch<K>| {
             // SAFETY: the disjoint-leaf contract of `SharedLeaves` holds
-            // because `route_batch` assigns each leaf at most once (its
+            // because `route` assigns each leaf at most once (its
             // assignments ascend strictly by leaf), so no two calls of this
             // closure — serial or across pool threads — share `a.leaf`.
             let out = unsafe { shared.apply_run(a.leaf, run.slice(a.start, a.end), scratch) };
@@ -309,16 +311,13 @@ pub(crate) fn par_apply_run<K: PmaKey, R: Run<K>>(a: &[K], run: R) -> (Vec<K>, B
         return (out, BatchOutcome { added, removed });
     }
     let pieces = rayon::current_num_threads().max(2) * 4;
-    let cuts: Vec<(usize, usize)> = (0..=pieces)
-        .map(|p| {
-            if p == pieces {
-                (a.len(), run.len())
-            } else {
-                let ai = p * a.len() / pieces;
-                (ai, if p == 0 { 0 } else { run.lower_bound(a[ai]) })
-            }
-        })
-        .collect();
+    let mut cuts = vec![(0, 0)];
+    cuts.extend((1..pieces).map(|p| {
+        let ai = p * a.len() / pieces;
+        let below = |i| run.key(i) < a[ai];
+        (ai, search::partition_point(0, run.len(), below))
+    }));
+    cuts.push((a.len(), run.len()));
     let parts: Vec<(Vec<K>, usize, usize)> = (0..pieces)
         .into_par_iter()
         .map(|p| {

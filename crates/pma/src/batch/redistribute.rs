@@ -51,6 +51,9 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
     ranges: &[Node],
 ) {
     debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
+    if ranges.is_empty() {
+        return; // what a batch, or a point update, usually asks for
+    }
     let leaf_units = core.storage().leaf_units();
     let tree = core.tree();
 

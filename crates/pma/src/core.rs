@@ -29,12 +29,12 @@
 //! storage's head slots, no copy to keep in step — so the only derived read
 //! state is the occupancy bitset, maintained per touched leaf or range.
 
-use crate::batch::redistribute_ranges;
+use crate::batch::{count_phase, redistribute_ranges, route, BoundKind, RootResize};
 use crate::density::DensityBounds;
 use crate::leaf::{LeafScratch, RunSize, SharedLeaves};
 use crate::run::{Inserts, Removes};
 use crate::search;
-use crate::tree::{ImplicitTree, Node};
+use crate::tree::ImplicitTree;
 use crate::{stats, CompressedLeaves, LeafStorage, PmaKey, UncompressedLeaves};
 use cpma_api::ConfigError;
 use rayon::prelude::*;
@@ -544,22 +544,13 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     // Search
     // ------------------------------------------------------------------
 
-    /// Count of heads ≤ `key` (the partition point the routing walk needs):
-    /// a binary search over the heads where they live in leaf storage.
+    /// `lo` plus the count of heads ≤ `key` among leaves `[lo, hi)` (the
+    /// partition point routing needs): a branchless binary search over the
+    /// heads where they live in leaf storage.
     #[inline]
-    pub(crate) fn head_partition(&self, key: K) -> usize {
-        let n = self.storage.num_leaves();
-        stats::record_read(((usize::BITS - n.leading_zeros()) as usize) * K::BYTES);
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.storage.head(mid) <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    pub(crate) fn head_partition(&self, key: K, lo: usize, hi: usize) -> usize {
+        stats::record_read(((usize::BITS - (hi - lo).leading_zeros()) as usize) * K::BYTES);
+        search::partition_point(lo, hi, |i| self.storage.head(i) <= key)
     }
 
     /// First leaf with a nonzero count, if any.
@@ -570,23 +561,22 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         self.occ_next_from(0)
     }
 
-    /// The leaf where `key` lives / would be inserted. `None` iff empty.
-    ///
-    /// Search for the rightmost head ≤ key, then skip to the nearest
-    /// occupied leaf at or before it via the occupancy bitset (inherited
-    /// heads make every leaf of the skipped empty run route equivalently);
-    /// keys below the global minimum route to the first non-empty leaf
-    /// (see module docs).
-    pub(crate) fn dest_leaf(&self, key: K) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let lo = self.head_partition(key);
-        if lo == 0 {
-            return self.first_nonempty_leaf();
-        }
-        self.occ_prev_from(lo - 1)
+    /// The leaf a key with `partition` heads at or below it routes to:
+    /// the nearest occupied leaf at or before the last such head, via the
+    /// occupancy bitset (inherited heads make every leaf of the skipped
+    /// empty run route equivalently); keys below the global minimum route
+    /// to the first non-empty leaf (see module docs). `None` iff empty.
+    #[inline]
+    pub(crate) fn leaf_at_partition(&self, partition: usize) -> Option<usize> {
+        partition
+            .checked_sub(1)
+            .and_then(|last| self.occ_prev_from(last))
             .or_else(|| self.first_nonempty_leaf())
+    }
+
+    /// The leaf where `key` lives / would be inserted. `None` iff empty.
+    pub(crate) fn dest_leaf(&self, key: K) -> Option<usize> {
+        self.leaf_at_partition(self.head_partition(key, 0, self.storage.num_leaves()))
     }
 
     /// Next non-empty leaf strictly after `leaf`, if any.
@@ -635,79 +625,31 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// the head of the next occupied leaf (= every group member's
     /// out-of-leaf successor).
     ///
-    /// Two passes. The routing pass walks only the heads (plus the
-    /// occupancy bitset) and records one `(leaf, range, limit)` group per
-    /// destination. The probe pass then visits the groups with leaf-data
-    /// prefetch issued [`Self::PROBE_PREFETCH_AHEAD`] groups early, so the
-    /// cache misses of consecutive groups — almost always distinct leaves
-    /// — overlap instead of serializing.
+    /// Two passes. The routing pass is the batch pipeline's router
+    /// ([`route`]) over the probes in key order — one bounded head search
+    /// per destination leaf — and its assignments are the groups. The probe
+    /// pass then visits the groups with leaf-data prefetch issued
+    /// [`Self::PROBE_PREFETCH_AHEAD`] groups early, so the cache misses of
+    /// consecutive groups (almost always distinct leaves) overlap.
     fn for_probe_groups(
         &self,
         keys: &[K],
         order: &[usize],
         mut visit: impl FnMut(usize, &[usize], Option<K>),
     ) {
-        // Routing pass: the first group pays one full head search; every
-        // later group starts at the previous group's limit leaf (its key
-        // is ≥ that head by the group boundary), so routing usually
-        // advances with a short occupancy-bitset walk. Long skips — a
-        // probe far past the cursor — fall back to the head search after
-        // a few steps rather than crawling leaf by leaf.
-        let mut plan: Vec<(usize, usize, usize)> = Vec::new();
-        let mut limits: Vec<Option<K>> = Vec::new();
-        let mut i = 0usize;
-        let mut cursor: Option<usize> = None;
-        while i < order.len() {
-            let key = keys[order[i]];
-            let leaf = match cursor {
-                Some(start) => {
-                    let mut cur = start;
-                    let mut steps = 0usize;
-                    loop {
-                        match self.next_nonempty_leaf(cur) {
-                            Some(nl) if self.storage.head(nl) <= key => {
-                                cur = nl;
-                                steps += 1;
-                                if steps >= 8 {
-                                    // Far skip: one log-time search beats
-                                    // an unbounded forward crawl.
-                                    cur = self.dest_leaf(key).unwrap();
-                                    break;
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                    cur
-                }
-                None => self
-                    .dest_leaf(key)
-                    .expect("probe routing requires a non-empty structure"),
-            };
-            // Everything below the next occupied head routes to `leaf`
-            // (dest_leaf is monotone and skips inherited-head runs).
-            let next = self.next_nonempty_leaf(leaf);
-            let limit = next.map(|nl| self.storage.head(nl));
-            let mut j = i + 1;
-            while j < order.len() && limit.is_none_or(|lim| keys[order[j]] < lim) {
-                j += 1;
-            }
-            plan.push((leaf, i, j));
-            limits.push(limit);
-            // The next group's key (if any) is ≥ `limit`, so its
-            // destination is `next` or later.
-            cursor = next;
-            i = j;
+        let plan = route(self, order.len(), |i| keys[order[i]]);
+        for group in plan.iter().take(Self::PROBE_PREFETCH_AHEAD) {
+            self.storage.prefetch_leaf(group.leaf);
         }
-        // Probe pass, software-pipelined against the prefetcher.
-        for &(leaf, _, _) in plan.iter().take(Self::PROBE_PREFETCH_AHEAD) {
-            self.storage.prefetch_leaf(leaf);
-        }
-        for (g, &(leaf, lo, hi)) in plan.iter().enumerate() {
-            if let Some(&(ahead, _, _)) = plan.get(g + Self::PROBE_PREFETCH_AHEAD) {
-                self.storage.prefetch_leaf(ahead);
+        for (g, group) in plan.iter().enumerate() {
+            if let Some(ahead) = plan.get(g + Self::PROBE_PREFETCH_AHEAD) {
+                self.storage.prefetch_leaf(ahead.leaf);
             }
-            visit(leaf, &order[lo..hi], limits[g]);
+            // Everything below the next occupied head routed to this leaf.
+            let limit = self
+                .next_nonempty_leaf(group.leaf)
+                .map(|next| self.storage.head(next));
+            visit(group.leaf, &order[group.start..group.end], limit);
         }
     }
 
@@ -790,7 +732,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             // jumped; refresh the inherited heads of the empty run after it.
             self.fix_inherited_heads_after(1);
         }
-        self.rebalance_after_insert(leaf);
+        self.rebalance(leaf, BoundKind::Upper);
         true
     }
 
@@ -811,79 +753,32 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         if self.storage.count(leaf) == 0 {
             self.occ_clear(leaf);
         }
-        self.rebalance_after_remove(leaf);
+        self.rebalance(leaf, BoundKind::Lower);
         true
     }
 
-    /// Units occupied within `node`'s leaf range.
-    pub(crate) fn node_units(&self, node: Node) -> usize {
-        (node.start..node.end)
-            .map(|l| self.storage.units_used(l))
-            .sum()
-    }
-
-    /// Walk up from a leaf that may violate its **upper** bound; grow or
-    /// redistribute as needed (§3 steps 3–4).
-    fn rebalance_after_insert(&mut self, leaf: usize) {
-        let tree = self.tree();
-        let max_depth = tree.max_depth();
-        let path = tree.path_to_leaf(leaf);
-        let leaf_node = *path.last().unwrap();
-        let cap = self.storage.leaf_units();
-        let leaf_used = self.storage.units_used(leaf);
-        let violates_leaf = leaf_used > self.cfg.bounds.max_units(cap, leaf_node.depth, max_depth)
-            || self.storage.is_overflowed(leaf);
-        if !violates_leaf {
-            return;
-        }
-        // Find the lowest ancestor that respects its bound and redistribute
-        // it; if even the root violates, grow.
-        for node in path.iter().rev().skip(1) {
-            let used = self.node_units(*node);
-            let bound = self
-                .cfg
-                .bounds
-                .max_units(cap * node.len(), node.depth, max_depth);
-            if used <= bound {
-                redistribute_ranges(self, &[*node]);
-                return;
+    /// Rebalance after a point update that may have pushed `leaf` out of the
+    /// `kind` band (§3 steps 3–4): the batch count phase over the one touched
+    /// leaf — O(1) and allocation-free while the leaf is inside the band of
+    /// both leaf depths — then the redistribute or resize it asks for.
+    fn rebalance(&mut self, leaf: usize, kind: BoundKind) {
+        let count = count_phase(self, &[leaf], kind);
+        match count.resize_root {
+            None => redistribute_ranges(self, &count.ranges),
+            Some(RootResize::Grow) => {
+                let elems = self.collect_all();
+                self.grow_and_rebuild(&elems);
             }
-        }
-        let elems = self.collect_all();
-        self.grow_and_rebuild(&elems);
-    }
-
-    /// Walk up from a leaf that may violate its **lower** bound; shrink or
-    /// redistribute as needed. Skipped while at the capacity floor.
-    fn rebalance_after_remove(&mut self, leaf: usize) {
-        let tree = self.tree();
-        let max_depth = tree.max_depth();
-        let path = tree.path_to_leaf(leaf);
-        let leaf_node = *path.last().unwrap();
-        let cap = self.storage.leaf_units();
-        let violates_leaf = self.storage.units_used(leaf)
-            < self.cfg.bounds.min_units(cap, leaf_node.depth, max_depth);
-        if !violates_leaf {
-            return;
-        }
-        for node in path.iter().rev().skip(1) {
-            let used = self.node_units(*node);
-            let bound = self
-                .cfg
-                .bounds
-                .min_units(cap * node.len(), node.depth, max_depth);
-            if used >= bound {
-                redistribute_ranges(self, &[*node]);
-                return;
+            Some(RootResize::Shrink) if self.storage.num_leaves() > self.cfg.min_leaves => {
+                let elems = self.collect_all();
+                self.shrink_and_rebuild(&elems);
             }
-        }
-        // Root under its lower bound: shrink unless already at the floor.
-        if self.storage.num_leaves() > self.cfg.min_leaves {
-            let elems = self.collect_all();
-            self.shrink_and_rebuild(&elems);
-        } else if self.len > 0 {
-            let root = self.tree().root();
-            redistribute_ranges(self, &[root]);
+            // Already at the capacity floor: re-spread evenly.
+            Some(RootResize::Shrink) if self.len > 0 => {
+                let root = self.tree().root();
+                redistribute_ranges(self, &[root]);
+            }
+            Some(RootResize::Shrink) => {}
         }
     }
 

@@ -27,8 +27,6 @@ pub trait Run<K: PmaKey>: Copy + Send + Sync {
     fn is_insert(&self, i: usize) -> bool;
     /// The sub-run `[start, end)`.
     fn slice(&self, start: usize, end: usize) -> Self;
-    /// Number of ops whose key is below `pivot`.
-    fn lower_bound(&self, pivot: K) -> usize;
     /// The keys this run inserts, in order (borrowed when the run already
     /// is a key slice).
     fn insert_keys(&self) -> Cow<'_, [K]>;
@@ -91,10 +89,6 @@ impl<K: PmaKey, const INSERT: bool> Run<K> for KeyRun<'_, K, INSERT> {
     fn slice(&self, start: usize, end: usize) -> Self {
         Self(&self.0[start..end])
     }
-    #[inline]
-    fn lower_bound(&self, pivot: K) -> usize {
-        self.0.partition_point(|&k| k < pivot)
-    }
     fn insert_keys(&self) -> Cow<'_, [K]> {
         Cow::Borrowed(if INSERT { self.0 } else { &[] })
     }
@@ -118,10 +112,6 @@ impl<K: PmaKey> Run<K> for &[BatchOp<K>] {
     #[inline]
     fn slice(&self, start: usize, end: usize) -> Self {
         &self[start..end]
-    }
-    #[inline]
-    fn lower_bound(&self, pivot: K) -> usize {
-        self.partition_point(|op| op.key() < pivot)
     }
     fn insert_keys(&self) -> Cow<'_, [K]> {
         self.iter()
@@ -147,9 +137,6 @@ mod tests {
             assert_eq!(a.len(), b.len());
             for i in 0..a.len() {
                 assert_eq!((a.key(i), a.is_insert(i)), (b.key(i), b.is_insert(i)));
-            }
-            for pivot in [0, 3, 4, 9, 20, 21] {
-                assert_eq!(a.lower_bound(pivot), b.lower_bound(pivot));
             }
             assert_eq!(a.insert_span(), b.insert_span());
             assert_eq!(a.insert_keys(), b.insert_keys());

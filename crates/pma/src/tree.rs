@@ -113,18 +113,6 @@ impl ImplicitTree {
         path
     }
 
-    /// The leaf node (range `[leaf, leaf+1)`) with its true depth.
-    /// Allocation-free descent (hot in the counting phase).
-    pub fn leaf_node(&self, leaf: usize) -> Node {
-        debug_assert!(leaf < self.num_leaves);
-        let mut node = self.root();
-        while !node.is_leaf() {
-            let (l, r) = node.children();
-            node = if leaf < l.end { l } else { r };
-        }
-        node
-    }
-
     /// Parent of `node`, or `None` for the root. O(log L): re-descends from
     /// the root.
     pub fn parent_of(&self, node: Node) -> Option<Node> {
@@ -178,7 +166,7 @@ mod tests {
             }
         );
         assert_eq!(t.max_depth(), 3);
-        let leaf = t.leaf_node(3);
+        let leaf = *t.path_to_leaf(3).last().unwrap();
         assert_eq!((leaf.start, leaf.end), (3, 4));
     }
 
