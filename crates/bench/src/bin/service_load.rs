@@ -82,18 +82,13 @@ fn run_load(
 ) -> RunResult {
     let clients = streams.len();
     // Hold the combining window open for one full wave of client bursts
-    // (same tuning rule as the in-process store_throughput sweep), and
-    // throttle snapshot publication: every published snapshot deep-clones
-    // the store, which at a 10M-key base costs more than applying the
-    // epoch itself. The load phase is write-only, so a sparse cadence is
-    // the right trade (TUNING.md, `snapshot_every`).
+    // (same tuning rule as the in-process store_throughput sweep).
     let cfg = ServiceConfig {
         workers: clients.max(1),
         read_timeout: Some(Duration::from_secs(120)),
         combiner: CombinerConfig {
             window_ops: burst.saturating_mul(clients.max(1)),
             window_wait: Duration::from_micros(200),
-            snapshot_every: 32,
             ..CombinerConfig::default()
         },
         ..ServiceConfig::default()

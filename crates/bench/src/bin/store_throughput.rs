@@ -15,8 +15,7 @@
 //! Prints the usual human table + `csv,` lines and emits
 //! `BENCH_store.json` with one entry per configuration.
 //!
-//! Defaults are laptop-scale; `--ops` scales the per-writer stream,
-//! `--snapshot-every` the snapshot publication cadence.
+//! Defaults are laptop-scale; `--ops` scales the per-writer stream.
 
 use cpma_bench::ubench::Bencher;
 use cpma_bench::{sci, Args, OrderedSet};
@@ -43,12 +42,7 @@ fn streams(dist: &str, writers: usize, ops: usize, seed: u64) -> Vec<Vec<u64>> {
 
 /// Drive `ops` point inserts per writer through the combiner; returns
 /// ops/second of wall-clock.
-fn run_combiner<const N: usize>(
-    base: &[u64],
-    streams: &[Vec<u64>],
-    window: usize,
-    snapshot_every: u64,
-) -> (f64, u64) {
+fn run_combiner<const N: usize>(base: &[u64], streams: &[Vec<u64>], window: usize) -> (f64, u64) {
     // window == 1 is reactive flat combining (drain whatever is pending,
     // never wait); larger windows hold the epoch open briefly to build
     // bigger batches.
@@ -59,7 +53,6 @@ fn run_combiner<const N: usize>(
         } else {
             Duration::ZERO
         },
-        snapshot_every,
         ..CombinerConfig::default()
     };
     let store: Combiner<ShardedSet<Cpma, N>> =
@@ -86,7 +79,6 @@ fn run_combiner_burst<const N: usize>(
     base: &[u64],
     streams: &[Vec<u64>],
     burst: usize,
-    snapshot_every: u64,
 ) -> (f64, u64) {
     // Hold each epoch open until every writer's burst has landed (or a
     // short timeout passes) — with a zero window the first writer to
@@ -94,7 +86,6 @@ fn run_combiner_burst<const N: usize>(
     let cfg = CombinerConfig {
         window_ops: burst.saturating_mul(streams.len()),
         window_wait: Duration::from_micros(200),
-        snapshot_every,
         ..CombinerConfig::default()
     };
     let store: Combiner<ShardedSet<Cpma, N>> =
@@ -182,7 +173,6 @@ fn run_snapshot_readers<const N: usize>(
     let cfg = CombinerConfig {
         window_ops: 1024 * streams.len().max(1),
         window_wait: Duration::from_micros(200),
-        snapshot_every: 1,
         ..CombinerConfig::default()
     };
     let store: Combiner<ShardedSet<Cpma, N>> =
@@ -365,7 +355,6 @@ fn main() {
     let ops: usize = args.get_or("ops", if quick { 3_000 } else { 30_000 });
     let base_n: usize = args.get_or("base", if quick { 60_000 } else { 1_000_000 });
     let seed: u64 = args.get_or("seed", 42);
-    let snapshot_every: u64 = args.get_or("snapshot-every", 64);
 
     // The pre-built base set: large enough that point updates pay the
     // PMA's redistribution cost while batches amortize it — the regime
@@ -406,8 +395,7 @@ fn main() {
             // count — the regime where batch-parallel updates pull away
             // from the point-locked baseline.
             for &burst in burst_sweep {
-                let (burst_tp, burst_epochs) =
-                    run_combiner_burst::<8>(&base, &streams, burst, snapshot_every);
+                let (burst_tp, burst_epochs) = run_combiner_burst::<8>(&base, &streams, burst);
                 report(
                     &b,
                     &format!("combiner_burst{burst}"),
@@ -433,11 +421,11 @@ fn main() {
                 // Shard-count sweep (const generic, so enumerated).
                 for (shards, tp, epochs) in [
                     {
-                        let (tp, e) = run_combiner::<1>(&base, &streams, window, snapshot_every);
+                        let (tp, e) = run_combiner::<1>(&base, &streams, window);
                         (1usize, tp, e)
                     },
                     {
-                        let (tp, e) = run_combiner::<8>(&base, &streams, window, snapshot_every);
+                        let (tp, e) = run_combiner::<8>(&base, &streams, window);
                         (8usize, tp, e)
                     },
                 ] {

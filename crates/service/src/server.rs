@@ -519,7 +519,9 @@ fn serve_conn(
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_nodelay(true)?;
     let mut reader = FrameReader::new(stream);
+    // Reply frames of one batch, and the one body being framed into it.
     let mut out = Vec::new();
+    let mut reply_body = Vec::new();
 
     loop {
         // Blocking read of the next frame (honors the read timeout).
@@ -576,19 +578,19 @@ fn serve_conn(
             span.set_items(replies.len() as u64);
             out.clear();
             for rep in &replies {
-                let mut body = Vec::new();
-                rep.encode_body(&mut body);
-                proto::encode_frame(&body, &mut out);
+                reply_body.clear();
+                rep.encode_body(&mut reply_body);
+                proto::encode_frame(&reply_body, &mut out);
             }
             if let Some((seq, e)) = fatal {
                 metrics.proto_errors.inc();
-                let mut body = Vec::new();
+                reply_body.clear();
                 Reply::Error {
                     seq,
                     code: e.code(),
                 }
-                .encode_body(&mut body);
-                proto::encode_frame(&body, &mut out);
+                .encode_body(&mut reply_body);
+                proto::encode_frame(&reply_body, &mut out);
             }
             reader.stream.write_all(&out)?;
         }

@@ -277,6 +277,38 @@ fn scan_is_clamped_to_server_limit() {
     service.shutdown();
 }
 
+/// Replies far larger than the client's read buffer, both shapes: 10 000
+/// small frames back to back, and one 512 KiB frame (a full default-limit
+/// scan page), each followed by a small reply that must still line up.
+#[test]
+fn large_burst_and_full_scan_page_round_trip() {
+    let (mut service, addr) = serve();
+    let mut client = Client::connect(addr).unwrap();
+    let keys: Vec<u64> = (0..70_000u64).map(|i| i * 3).collect();
+    for chunk in keys.chunks(10_000) {
+        let ops: Vec<BatchOp<u64>> = chunk.iter().map(|&k| BatchOp::Insert(k)).collect();
+        let acks = client.mutate_burst(&ops).unwrap();
+        assert_eq!(acks, vec![true; chunk.len()]);
+    }
+    let removes: Vec<BatchOp<u64>> = keys[..10_000]
+        .iter()
+        .map(|&k| BatchOp::Remove(k + 1))
+        .collect();
+    assert_eq!(
+        client.mutate_burst(&removes).unwrap(),
+        vec![false; 10_000],
+        "absent keys"
+    );
+    let page = client.scan(0, 1 << 16).unwrap();
+    assert_eq!(page, keys[..1 << 16]);
+    assert!(client.contains(keys[0]).unwrap());
+    assert_eq!(
+        client.scan(keys[1 << 16], 1 << 16).unwrap(),
+        keys[1 << 16..]
+    );
+    service.shutdown();
+}
+
 #[test]
 fn config_validation_rejects_bad_knobs() {
     let cfg = ServiceConfig {

@@ -6,8 +6,8 @@
 //! Point operations from concurrent threads are collected into *epochs*.
 //! A submitting thread appends its operation to the open epoch's
 //! publication buffer, then either becomes the **leader** (if the
-//! single leader slot — a `Mutex` around the authoritative set — is free)
-//! or waits for its epoch's completion. The leader:
+//! single leader slot — a `Mutex` around the two replicas of the set — is
+//! free) or waits for its epoch's completion. The leader:
 //!
 //! 1. holds the epoch open for a *combining window* governed by
 //!    [`CombinerConfig::policy`] (see below), so concurrent traffic
@@ -17,14 +17,16 @@
 //!    presence overlay, recording each operation's individual result —
 //!    this is what makes the epoch linearizable: every operation observes
 //!    exactly the operations submitted before it;
-//! 3. folds the overlay's net effect into **one mixed op batch**
-//!    (normalized by [`cpma_api::normalize_ops`]) and applies it with a
-//!    single [`BatchSet::apply_batch_sorted`] call — one batch-parallel
-//!    update per epoch, and one structure traversal where the former
+//! 3. folds the overlay's net effect into **one mixed op batch** in the
+//!    normal form of [`cpma_api::normalize_ops`] (strictly ascending
+//!    keys, one op each) — one [`BatchSet::apply_batch_sorted`] call per
+//!    epoch and replica, and one structure traversal where the former
 //!    remove-batch + insert-batch split paid two;
-//! 4. publishes a fresh snapshot (every
-//!    [`CombinerConfig::snapshot_every`] epochs), then marks the epoch
-//!    done and wakes all waiters with their results.
+//! 4. brings the *spare* replica up to date, applies the net batch to it,
+//!    publishes it as the new snapshot and retires the old one as the next
+//!    spare (see "Snapshot readers" — the cost is O(batch), not a copy of
+//!    the set), then marks the epoch done and wakes all waiters with their
+//!    results. An epoch whose net batch is empty publishes nothing.
 //!
 //! Leadership is re-elected per epoch by `try_lock`: whichever waiter
 //! finds the leader slot free next drives the next epoch, so the design
@@ -65,9 +67,51 @@
 //!
 //! [`Combiner::snapshot`] hands out the most recently published snapshot
 //! behind an `Arc` — readers never block behind a writing leader, and an
-//! acknowledged operation is visible in the next published snapshot
-//! (immediately on acknowledgement with `snapshot_every == 1`, the
-//! default, because the leader publishes *before* it wakes waiters).
+//! acknowledged operation is visible immediately on acknowledgement,
+//! because the leader publishes *before* it wakes waiters.
+//!
+//! A snapshot must never change under its readers, so the leader cannot
+//! update the published set in place; and a flat array has no path to
+//! share with a copy, so copying it costs O(structure) however small the
+//! batch. The leader therefore keeps **two replicas** and alternates
+//! them. `front` is the published set — also the authoritative one:
+//! presence lookups and checkpoints read it. `spare` is the replica that
+//! was published before it, together with `lag`, the one net batch it has
+//! not seen. The invariant between epochs is
+//!
+//! ```text
+//! spare ⊕ lag = front
+//! ```
+//!
+//! An epoch with net batch `net` takes the spare, applies `lag`, applies
+//! `net`, publishes the result as the new `front`, and retires the old
+//! front as the new spare with `lag = net`. Publication thus costs one
+//! extra application of the previous batch — O(batch) — and no copy.
+//!
+//! * **Two calls, not one merged batch.** Every replica sees the identical
+//!   sequence of `apply_batch_sorted` calls, so its bytes are those of a
+//!   single set that applied one batch per epoch: checkpoints, WAL
+//!   recovery and the thread-budget determinism suite cannot tell the
+//!   replicas apart. Merging `lag` and `net` into one call would yield the
+//!   same *contents* in a different layout, and the layout would then
+//!   depend on which replica an epoch happened to land on.
+//! * **Taking the spare is race-free.** [`Combiner::snapshot`] only ever
+//!   hands out `front`, so a new handle to a retired replica can only be
+//!   cloned from one a reader already holds. When `Arc::try_unwrap` finds
+//!   the leader's handle to be the only one, no reader is left and none
+//!   can appear.
+//! * **Two fallbacks copy `front` instead** (`Core::writable_replica`):
+//!   a reader still pins the spare — one copy per long-lived pin, after
+//!   which the fresh copy and the old front alternate again — or `lag` is
+//!   so large relative to the set that replaying it would cost more than
+//!   the copy (a private count-based break-even; bulk ingest takes this
+//!   branch). Before the first write epoch there is no spare at all, which
+//!   is the second case taken to its limit: a spare lagging by the whole
+//!   set.
+//!
+//! Memory is two replicas plus one net batch; a combiner that has applied
+//! no write holds one replica. [`CombinerStats`] counts which branch each
+//! publication took.
 //!
 //! # Examples
 //!
@@ -93,7 +137,6 @@ use cpma_api::{
 };
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::{recover, RecoveryReport, WalConfig, WalWriter};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::time::{Duration, Instant};
@@ -239,6 +282,19 @@ pub struct CombinerStats {
     pub sealed_wait_cap: u64,
     /// Epochs sealed by an arrival-rate drop (adaptive policy only).
     pub sealed_rate_drop: u64,
+    /// Publications that recycled the spare replica: caught it up with the
+    /// batch it lagged by, then applied the epoch's own (no copy).
+    pub publish_recycled: u64,
+    /// Publications that copied the set because a reader still held the
+    /// spare replica.
+    pub publish_cloned_pinned: u64,
+    /// Publications that copied the set because replaying the spare's lag
+    /// would have cost more than the copy (including the first write
+    /// epoch, which has no spare yet).
+    pub publish_cloned_bulk: u64,
+    /// Operations applied a second time to catch a recycled spare up (the
+    /// sum of the lags replayed).
+    pub replay_ops: u64,
 }
 
 impl CombinerStats {
@@ -254,13 +310,18 @@ impl CombinerStats {
     /// One compact human-readable line (the bench drivers print this).
     pub fn summary(&self) -> String {
         format!(
-            "epochs={} ops={} mean_ops/epoch={:.1} sealed[ops_cap={} wait_cap={} rate_drop={}]",
+            "epochs={} ops={} mean_ops/epoch={:.1} sealed[ops_cap={} wait_cap={} rate_drop={}] \
+             publish[recycled={} cloned_pinned={} cloned_bulk={} replay_ops={}]",
             self.epochs,
             self.ops,
             self.mean_ops_per_epoch(),
             self.sealed_ops_cap,
             self.sealed_wait_cap,
-            self.sealed_rate_drop
+            self.sealed_rate_drop,
+            self.publish_recycled,
+            self.publish_cloned_pinned,
+            self.publish_cloned_bulk,
+            self.replay_ops
         )
     }
 }
@@ -280,6 +341,10 @@ struct CombinerCounters {
     sealed_ops_cap: Counter,
     sealed_wait_cap: Counter,
     sealed_rate_drop: Counter,
+    publish_recycled: Counter,
+    publish_cloned_pinned: Counter,
+    publish_cloned_bulk: Counter,
+    replay_ops: Counter,
     /// Deterministic epoch-size distribution (unit: ops).
     ops_per_epoch: Histogram,
     /// Timing-derived seal→publish latency (unit: ns); see the span in
@@ -296,6 +361,10 @@ impl CombinerCounters {
             sealed_ops_cap: r.counter("combiner.sealed.ops_cap", Unit::Count),
             sealed_wait_cap: r.counter("combiner.sealed.wait_cap", Unit::Count),
             sealed_rate_drop: r.counter("combiner.sealed.rate_drop", Unit::Count),
+            publish_recycled: r.counter("combiner.publish.recycled", Unit::Count),
+            publish_cloned_pinned: r.counter("combiner.publish.cloned_pinned", Unit::Count),
+            publish_cloned_bulk: r.counter("combiner.publish.cloned_bulk", Unit::Count),
+            replay_ops: r.counter("combiner.replay_ops", Unit::Count),
             ops_per_epoch: r.histogram("combiner.ops_per_epoch", Unit::Count),
             epoch_ns: r.histogram("combiner.epoch.ns", Unit::Nanos),
         }
@@ -320,6 +389,10 @@ impl CombinerCounters {
             sealed_ops_cap: self.sealed_ops_cap.value(),
             sealed_wait_cap: self.sealed_wait_cap.value(),
             sealed_rate_drop: self.sealed_rate_drop.value(),
+            publish_recycled: self.publish_recycled.value(),
+            publish_cloned_pinned: self.publish_cloned_pinned.value(),
+            publish_cloned_bulk: self.publish_cloned_bulk.value(),
+            replay_ops: self.replay_ops.value(),
         }
     }
 }
@@ -345,11 +418,6 @@ pub struct CombinerConfig {
     /// up while the previous epoch applies). A non-zero wait trades
     /// latency for bigger batches on sparse traffic.
     pub window_wait: Duration,
-    /// Publish a snapshot every this many epochs. 1 (the default) makes
-    /// every acknowledged operation immediately snapshot-visible; larger
-    /// values trade snapshot freshness for less cloning on write-heavy
-    /// workloads.
-    pub snapshot_every: u64,
     /// How long a waiter sleeps before re-checking whether the leader
     /// slot has freed up (bounds leader-handoff latency).
     pub retry_wait: Duration,
@@ -361,7 +429,6 @@ impl Default for CombinerConfig {
             policy: WindowPolicy::Fixed,
             window_ops: 64,
             window_wait: Duration::ZERO,
-            snapshot_every: 1,
             retry_wait: Duration::from_micros(50),
         }
     }
@@ -381,9 +448,6 @@ impl CombinerConfig {
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.window_ops < 1 {
             return Err(ConfigError::new("window_ops", "must be at least 1"));
-        }
-        if self.snapshot_every < 1 {
-            return Err(ConfigError::new("snapshot_every", "must be at least 1"));
         }
         if let WindowPolicy::Adaptive(a) = &self.policy {
             a.check()?;
@@ -440,10 +504,25 @@ struct DurableState<S> {
     checkpoint: fn(&S, &Path) -> Result<(), PersistError>,
 }
 
-/// Leader-exclusive state: the authoritative set, the epoch counter, and
-/// the combining statistics.
-struct Core<S> {
-    set: S,
+/// Replaying a lag of `n` ops into the spare beats copying a set of `len`
+/// keys while `n × REPLAY_BREAK_EVEN ≤ len`. On the reference box a copy
+/// of `ShardedSet<Cpma, 8>` reads ≈ 0.67 ns per key (2 M keys in 1.34 ms)
+/// and a small-batch apply ≈ 245–380 ns per op (512 ops in 125–195 µs), a
+/// ratio of 365–570; 256 is the power of two below that range, so the
+/// rule errs toward the copy, whose cost the lag cannot inflate. Both
+/// sides of the comparison are counts — no clock feeds the decision.
+const REPLAY_BREAK_EVEN: usize = 256;
+
+/// Leader-exclusive state: the two replicas of the set, the epoch counter,
+/// and the combining statistics.
+struct Core<S, K> {
+    /// The published replica (the same `Arc` as `Combiner::published`) and
+    /// the authoritative set: presence lookups and checkpoints read it.
+    front: Arc<S>,
+    /// The replica published before `front`, and `lag`, the one net batch
+    /// it has not seen: `spare ⊕ lag = front`. `None` until the first
+    /// write epoch.
+    spare: Option<(Arc<S>, Vec<BatchOp<K>>)>,
     epochs_applied: u64,
     /// `Some` iff this combiner is durable: every epoch's net batch is
     /// WAL-appended before it is applied, and rotation checkpoints the
@@ -459,6 +538,40 @@ struct Core<S> {
     /// across a sparse stretch instead of sticking at a stale burst
     /// estimate.
     ewma_seed_ns: f64,
+}
+
+impl<S, K> Core<S, K>
+where
+    K: SetKey,
+    S: BatchSet<K> + Clone,
+{
+    /// A privately owned set equal to `front`, for the epoch's net batch
+    /// to be applied to: the spare caught up with its lag when nobody else
+    /// holds it and the lag is small, a copy of `front` otherwise (module
+    /// docs, "Snapshot readers"). Consumes the spare either way.
+    fn writable_replica(&mut self) -> S {
+        match self.spare.take() {
+            Some((spare, lag))
+                if lag.len().saturating_mul(REPLAY_BREAK_EVEN) <= self.front.len() =>
+            {
+                // Nobody hands out a retired snapshot any more, so once
+                // ours is the only handle nobody can observe the replay.
+                match Arc::try_unwrap(spare) {
+                    Ok(mut set) => {
+                        set.apply_batch_sorted(&lag);
+                        self.stats.publish_recycled.inc();
+                        self.stats.replay_ops.add(lag.len() as u64);
+                        return set;
+                    }
+                    Err(_pinned) => self.stats.publish_cloned_pinned.inc(),
+                }
+            }
+            // The lag is too large to replay — or there is no spare yet,
+            // which is a spare lagging by the whole set.
+            _ => self.stats.publish_cloned_bulk.inc(),
+        }
+        S::clone(&self.front)
+    }
 }
 
 /// A flat-combining concurrent front-end over any batch-parallel set.
@@ -488,7 +601,7 @@ struct Core<S> {
 /// assert_eq!(results, vec![true, false]);
 /// ```
 pub struct Combiner<S, K: SetKey = u64> {
-    core: Mutex<Core<S>>,
+    core: Mutex<Core<S, K>>,
     current: Mutex<Arc<Epoch<K>>>,
     published: Mutex<Arc<S>>,
     cfg: CombinerConfig,
@@ -517,12 +630,25 @@ where
         if let Err(e) = cfg.check() {
             panic!("{e}");
         }
+        Self::assemble(set, 0, None, cfg)
+    }
+
+    /// `set` as the one replica (published and authoritative at once) of a
+    /// combiner that has applied `epochs_applied` epochs.
+    fn assemble(
+        set: S,
+        epochs_applied: u64,
+        wal: Option<DurableState<S>>,
+        cfg: CombinerConfig,
+    ) -> Self {
+        let front = Arc::new(set);
         Self {
-            published: Mutex::new(Arc::new(set.clone())),
+            published: Mutex::new(Arc::clone(&front)),
             core: Mutex::new(Core {
-                set,
-                epochs_applied: 0,
-                wal: None,
+                front,
+                spare: None,
+                epochs_applied,
+                wal,
                 stats: CombinerCounters::new(),
                 ewma_seed_ns: 0.0,
             }),
@@ -572,9 +698,11 @@ where
     }
 
     /// Unwrap the authoritative set (consumes the combiner, so every
-    /// acknowledged operation is included).
+    /// acknowledged operation is included). Copies it only if a reader
+    /// still holds the latest snapshot.
     pub fn into_inner(self) -> S {
-        self.core.into_inner().unwrap().set
+        drop(self.published);
+        Arc::unwrap_or_clone(self.core.into_inner().unwrap().front)
     }
 
     /// Submit one operation and block until its epoch is applied;
@@ -770,7 +898,7 @@ where
     /// Drive one epoch: window, seal, replay, apply, publish, wake, then
     /// release the leader slot and hand leadership to a waiter of the
     /// next epoch if one is already pending.
-    fn lead(&self, mut guard: std::sync::MutexGuard<'_, Core<S>>) {
+    fn lead(&self, mut guard: std::sync::MutexGuard<'_, Core<S, K>>) {
         let core = &mut *guard;
         let epoch = self.current.lock().unwrap().clone();
 
@@ -806,49 +934,43 @@ where
         // the probe run out shard-parallel).
         let mut uniq: Vec<K> = ops.iter().map(|op| op.key()).collect();
         let uniq = normalize_batch(&mut uniq);
-        let presence: Vec<bool> = core.set.contains_batch(uniq);
         // Replay in submission order against the presence overlay: each
         // operation observes the set as of all operations before it.
-        let mut overlay: HashMap<u64, (bool, bool)> = uniq
-            .iter()
-            .zip(presence)
-            .map(|(&k, p)| (k.to_u64(), (p, p))) // key -> (before, now)
+        // `overlay[i]` is `uniq[i]`'s presence (before, now).
+        let mut overlay: Vec<(bool, bool)> = core
+            .front
+            .contains_batch(uniq)
+            .into_iter()
+            .map(|p| (p, p))
             .collect();
         let mut results = Vec::with_capacity(ops.len());
         for op in &ops {
-            let entry = overlay
-                .get_mut(&op.key().to_u64())
+            let slot = uniq
+                .binary_search(&op.key())
                 .expect("every op key was prefetched");
+            let now = &mut overlay[slot].1;
             let result = match op {
-                Op::Insert(_) => {
-                    let was = entry.1;
-                    entry.1 = true;
-                    !was
-                }
-                Op::Remove(_) => {
-                    let was = entry.1;
-                    entry.1 = false;
-                    was
-                }
-                Op::Contains(_) => entry.1,
+                Op::Insert(_) => !std::mem::replace(now, true),
+                Op::Remove(_) => std::mem::replace(now, false),
+                Op::Contains(_) => *now,
             };
             results.push(result);
         }
 
         // Net effect of the epoch as ONE mixed batch: each changed key
         // becomes its net op, and the backend applies inserts and removes
-        // in a single batch-parallel pass. Keys are unique by
-        // construction (one overlay entry each); normalize_ops supplies
-        // the key ordering the normal form requires.
-        let mut net: Vec<BatchOp<K>> = overlay
+        // in a single batch-parallel pass. `uniq` is strictly ascending,
+        // so the batch comes out in normal form.
+        let net: Vec<BatchOp<K>> = uniq
             .iter()
+            .zip(&overlay)
             .filter_map(|(&key, &(before, now))| match (before, now) {
-                (false, true) => Some(BatchOp::Insert(K::from_u64(key))),
-                (true, false) => Some(BatchOp::Remove(K::from_u64(key))),
+                (false, true) => Some(BatchOp::Insert(key)),
+                (true, false) => Some(BatchOp::Remove(key)),
                 _ => None,
             })
             .collect();
-        let net = normalize_ops(&mut net);
+        debug_assert_eq!(normalize_ops(&mut net.clone()), net.as_slice());
         // Durability: the epoch's net batch reaches the WAL *before* the
         // set applies it — a crash after the append replays the epoch, a
         // crash before it loses only unacknowledged operations. Empty
@@ -869,8 +991,17 @@ where
                 panic!("WAL append for epoch {seq} failed: {e}");
             }
         }
+        // Apply to a replica no reader can see; it becomes the front, and
+        // the old front the spare that lags by exactly this batch. It is
+        // published here, before any waiter wakes: an acknowledged op is
+        // snapshot-visible. An empty net changes nothing, so it publishes
+        // nothing.
         if !net.is_empty() {
-            core.set.apply_batch_sorted(net);
+            let mut next = core.writable_replica();
+            next.apply_batch_sorted(&net);
+            let retired = std::mem::replace(&mut core.front, Arc::new(next));
+            core.spare = Some((retired, net));
+            *self.published.lock().unwrap() = Arc::clone(&core.front);
         }
         core.epochs_applied += 1;
         core.stats.record_epoch(ops.len(), seal_reason);
@@ -880,19 +1011,13 @@ where
             if durable.writer.should_rotate() {
                 let seq = core.epochs_applied;
                 let path = durable.writer.checkpoint_path(seq);
-                if let Err(e) = (durable.checkpoint)(&core.set, &path) {
+                if let Err(e) = (durable.checkpoint)(&core.front, &path) {
                     panic!("checkpoint at epoch {seq} failed: {e}");
                 }
                 if let Err(e) = durable.writer.rotate(seq) {
                     panic!("WAL rotation at epoch {seq} failed: {e}");
                 }
             }
-        }
-
-        // Publish before waking: an acknowledged op is snapshot-visible.
-        if core.epochs_applied.is_multiple_of(self.cfg.snapshot_every) {
-            let snap = Arc::new(core.set.clone());
-            *self.published.lock().unwrap() = snap;
         }
         drop(epoch_span);
 
@@ -940,22 +1065,11 @@ where
         cfg.check().map_err(PersistError::Config)?;
         let (set, report) = recover::<K, S>(&wal.dir)?;
         let writer = WalWriter::open(wal, report.last_seq + 1)?;
-        let combiner = Self {
-            published: Mutex::new(Arc::new(set.clone())),
-            core: Mutex::new(Core {
-                set,
-                epochs_applied: report.last_seq,
-                wal: Some(DurableState {
-                    writer,
-                    checkpoint: |set, path| set.save(path),
-                }),
-                stats: CombinerCounters::new(),
-                ewma_seed_ns: 0.0,
-            }),
-            current: Mutex::new(Arc::new(Epoch::new())),
-            cfg,
-            queue_depth: cpma_obs::global().gauge("combiner.queue_depth"),
+        let durable = DurableState {
+            writer,
+            checkpoint: |set: &S, path| set.save(path),
         };
+        let combiner = Self::assemble(set, report.last_seq, Some(durable), cfg);
         Ok((combiner, report))
     }
 
@@ -975,7 +1089,7 @@ where
         };
         let seq = core.epochs_applied;
         let path = durable.writer.checkpoint_path(seq);
-        (durable.checkpoint)(&core.set, &path)?;
+        (durable.checkpoint)(&core.front, &path)?;
         durable.writer.rotate(seq)?;
         Ok(seq)
     }
@@ -1143,23 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_every_throttles_publication() {
-        let cfg = CombinerConfig {
-            snapshot_every: 4,
-            window_wait: Duration::ZERO,
-            ..CombinerConfig::default()
-        };
-        let c: Combiner<BTreeSet<u64>> = Combiner::with_config(BTreeSet::new(), cfg);
-        for k in 0..3u64 {
-            c.insert(k);
-        }
-        // 3 epochs applied, none published yet.
-        assert_eq!(c.snapshot().len(), 0);
-        c.insert(3);
-        assert_eq!(c.snapshot().len(), 4);
-    }
-
-    #[test]
     fn bad_configs_rejected() {
         assert_eq!(
             CombinerConfig {
@@ -1170,16 +1267,6 @@ mod tests {
             .unwrap_err()
             .field,
             "window_ops"
-        );
-        assert_eq!(
-            CombinerConfig {
-                snapshot_every: 0,
-                ..CombinerConfig::default()
-            }
-            .check()
-            .unwrap_err()
-            .field,
-            "snapshot_every"
         );
         assert_eq!(
             CombinerConfig {

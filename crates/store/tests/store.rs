@@ -147,39 +147,72 @@ fn sharded_set_is_transparent_at_any_shard_count() {
 /// Each writer owns a disjoint key stripe (thread id in the high bits),
 /// so its per-op acknowledgements are checkable against a thread-local
 /// model even under full concurrency, and an acknowledged write must be
-/// visible in the next published snapshot (`snapshot_every == 1`
-/// publishes before acknowledging).
+/// visible in the next snapshot taken (the leader publishes before it
+/// acknowledges).
 fn striped_key(thread: u64, rng: &mut Rng) -> u64 {
     (thread << 32) | rng.bits(10)
 }
 
 #[test]
 fn combiner_linearizes_concurrent_mixed_traffic() {
-    const WRITERS: u64 = 4;
-    const OPS_PER_WRITER: usize = 2_000;
-
     let cfg = CombinerConfig {
         window_ops: 16,
         window_wait: Duration::from_micros(50),
         ..CombinerConfig::default()
     };
+    linearizes_mixed_traffic_under_pinning_readers(cfg, 1, 200, 2_000);
+}
+
+/// Nightly variant: many readers pinning snapshots for random stretches
+/// under the adaptive window, so the leader keeps finding its spare
+/// replica held and has to copy around it while writers pile on.
+#[test]
+#[ignore = "long: run with --ignored (nightly stress job)"]
+fn combiner_linearizes_under_many_pinning_readers_long() {
+    linearizes_mixed_traffic_under_pinning_readers(CombinerConfig::adaptive(), 6, 4_000, 20_000);
+}
+
+/// `WRITERS` striped writers checked op by op against their own models
+/// while `readers` threads take `reads_per_reader` snapshots each and hold
+/// them for a random number of yields. A reader's snapshot is a retired or
+/// soon-to-be-retired replica of the combiner's twin-replica publication:
+/// it must be internally consistent and must read the same when let go as
+/// when taken — the leader may never write a replica a reader holds.
+fn linearizes_mixed_traffic_under_pinning_readers(
+    cfg: CombinerConfig,
+    readers: u64,
+    reads_per_reader: usize,
+    ops_per_writer: usize,
+) {
+    const WRITERS: u64 = 4;
     let store: Combiner<ShardedSet<Cpma, 4>> = Combiner::with_config(BatchSet::new_set(), cfg);
 
     let models: Vec<BTreeSet<u64>> = std::thread::scope(|scope| {
-        // A snapshot reader runs throughout: wait-free, internally
-        // consistent views (strictly ascending contents, matching len).
-        let reader = scope.spawn(|| {
-            for _ in 0..200 {
-                let snap = store.snapshot();
-                let contents = RangeSet::to_vec(&*snap);
-                assert!(
-                    contents.windows(2).all(|w| w[0] < w[1]),
-                    "snapshot contents must be strictly ascending"
-                );
-                assert_eq!(contents.len(), OrderedSet::len(&*snap));
-                std::thread::yield_now();
-            }
-        });
+        let readers: Vec<_> = (0..readers)
+            .map(|r| {
+                let store = &store;
+                scope.spawn(move || {
+                    let mut rng = Rng::new(0x4EAD_0000 + r);
+                    for _ in 0..reads_per_reader {
+                        let snap = store.snapshot();
+                        let contents = RangeSet::to_vec(&*snap);
+                        assert!(
+                            contents.windows(2).all(|w| w[0] < w[1]),
+                            "snapshot contents must be strictly ascending"
+                        );
+                        assert_eq!(contents.len(), OrderedSet::len(&*snap));
+                        for _ in 0..=rng.below(8) {
+                            std::thread::yield_now();
+                        }
+                        assert_eq!(
+                            RangeSet::to_vec(&*snap),
+                            contents,
+                            "a held snapshot must never change"
+                        );
+                    }
+                })
+            })
+            .collect();
 
         let writers: Vec<_> = (0..WRITERS)
             .map(|t| {
@@ -187,7 +220,7 @@ fn combiner_linearizes_concurrent_mixed_traffic() {
                 scope.spawn(move || {
                     let mut rng = Rng::new(0xAC5_0000 + t);
                     let mut model: BTreeSet<u64> = BTreeSet::new();
-                    for i in 0..OPS_PER_WRITER {
+                    for i in 0..ops_per_writer {
                         let k = striped_key(t, &mut rng);
                         match rng.below(4) {
                             0 | 1 => {
@@ -220,7 +253,9 @@ fn combiner_linearizes_concurrent_mixed_traffic() {
             })
             .collect();
 
-        reader.join().unwrap();
+        for reader in readers {
+            reader.join().unwrap();
+        }
         writers.into_iter().map(|w| w.join().unwrap()).collect()
     });
 
@@ -229,9 +264,16 @@ fn combiner_linearizes_concurrent_mixed_traffic() {
     want.sort_unstable();
     let snap = store.snapshot();
     assert_eq!(RangeSet::to_vec(&*snap), want, "final snapshot contents");
-    let total_ops = WRITERS * OPS_PER_WRITER as u64;
+    let total_ops = WRITERS * ops_per_writer as u64;
     let epochs = store.epochs_applied();
     assert!(epochs >= 1 && epochs <= total_ops);
+    // Every publication took exactly one of the three branches, at most
+    // one per epoch, and only recycled spares replay anything.
+    let stats = store.stats();
+    let published =
+        stats.publish_recycled + stats.publish_cloned_pinned + stats.publish_cloned_bulk;
+    assert!((1..=epochs).contains(&published), "{}", stats.summary());
+    assert!(stats.replay_ops >= stats.publish_recycled);
     assert_eq!(RangeSet::to_vec(&store.into_inner()), want);
 }
 
