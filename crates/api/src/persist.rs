@@ -45,11 +45,12 @@ pub enum PersistError {
         /// The 8 bytes actually found at the start of the file.
         found: [u8; 8],
     },
-    /// The format version is newer than this build understands.
+    /// The format version is not the one this build reads — older or
+    /// newer; there are no compatibility readers.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Highest version this build can read.
+        /// The one version this build reads and writes.
         supported: u32,
     },
     /// The snapshot was written by a different leaf codec than the one
@@ -89,7 +90,7 @@ impl std::fmt::Display for PersistError {
             PersistError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported format version {found} (supported ≤ {supported})"
+                    "unsupported format version {found} (this build reads {supported})"
                 )
             }
             PersistError::CodecMismatch { expected, found } => {

@@ -7,14 +7,18 @@
 //! structure gives a natural write-ahead-log unit: one record per epoch,
 //! carrying the normalized `BatchOp` stream that epoch applied.
 //!
-//! Three pieces, all std-only:
+//! Every region any of it writes is sealed with one digest ([`checksum`],
+//! XXH64), and every length-prefixed record — WAL records here, wire
+//! frames in `cpma-service` — is one [`frame`].
+//!
+//! Three pieces on top of those, all std-only:
 //!
 //! * [`snapshot`] — the checksummed, versioned snapshot envelope.
 //!   Structures implement [`cpma_api::Persist`] on top of it (`Pma`/
 //!   `Cpma` in `cpma-pma`; `ShardedSet`'s shard-per-file directory with a
 //!   manifest in `cpma-store`).
-//! * [`wal`] — segmented epoch log: length-prefixed, checksummed records
-//!   with epoch sequence numbers, a [`wal::FsyncPolicy`], and
+//! * [`wal`] — segmented epoch log: one [`frame`] per epoch, carrying its
+//!   sequence number, a [`wal::FsyncPolicy`], and
 //!   size-triggered checkpoint + truncate rotation ([`wal::WalConfig`]).
 //! * [`mod@recover`] — crash recovery: load the newest checkpoint that
 //!   validates, replay the WAL tail with sequence-continuity checks, and
@@ -27,6 +31,7 @@
 //! any allocation.
 
 pub mod checksum;
+pub mod frame;
 pub mod recover;
 pub mod snapshot;
 pub mod wal;

@@ -18,7 +18,9 @@
 //! ```
 //!
 //! A damaged *checkpoint* is recoverable (older checkpoint + longer
-//! replay); a damaged record below the WAL tail is not — every record
+//! replay) — but one of another format version is not damage, and is
+//! refused as [`PersistError::UnsupportedVersion`], as is a segment of
+//! another version; a damaged record below the WAL tail is not — every record
 //! after it is unreachable, so recovery refuses rather than silently
 //! dropping acknowledged epochs.
 
@@ -67,6 +69,10 @@ where
         let mut set = match path {
             Some(p) => match S::load(p) {
                 Ok(s) => s,
+                // Written by another format version: old, not damaged. An
+                // older checkpoint or the empty base would be the wrong
+                // answer to "this directory needs the build that wrote it".
+                Err(e @ PersistError::UnsupportedVersion { .. }) => return Err(e),
                 Err(_) => {
                     skipped += 1;
                     continue;
@@ -258,13 +264,14 @@ mod tests {
             }
             SnapshotEnvelope {
                 codec_id: 1000,
-                meta: vec![],
-                payload,
+                meta: &[],
+                payload: &payload,
             }
             .save_file(path)
         }
         fn load(path: &Path) -> Result<Self, PersistError> {
-            let env = SnapshotEnvelope::load_file(path)?;
+            let bytes = fs::read(path)?;
+            let env = SnapshotEnvelope::from_bytes(&bytes)?;
             if env.codec_id != 1000 {
                 return Err(PersistError::CodecMismatch {
                     expected: 1000,
@@ -378,6 +385,43 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Files of another format version are old, not corrupt: recovery
+    /// names the version instead of skipping the checkpoint (which would
+    /// quietly recover an older state) or calling the segment damaged.
+    #[test]
+    fn other_format_versions_are_refused_not_skipped() {
+        let dir = tmp_dir("oldversion");
+        let cfg = WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::new(&dir)
+        };
+        let mut w = WalWriter::open(cfg, 1).unwrap();
+        w.append(1, &[ins(1)]).unwrap();
+        let checkpoint = w.checkpoint_path(1);
+        MiniSet(vec![1]).save(&checkpoint).unwrap();
+        w.rotate(1).unwrap();
+        w.append(2, &[ins(2)]).unwrap();
+        drop(w);
+        let old_version = |path: &Path| {
+            let mut bytes = fs::read(path).unwrap();
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            fs::write(path, bytes).unwrap();
+        };
+        let refused = || match recover::<u64, MiniSet>(&dir) {
+            Err(PersistError::UnsupportedVersion { found: 1, .. }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        };
+
+        old_version(&checkpoint);
+        refused();
+        // With the checkpoint gone the empty base is tried, and the
+        // old-version segment under it is refused the same way.
+        fs::remove_file(&checkpoint).unwrap();
+        old_version(&dir.join(segment_file_name(2)));
+        refused();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn torn_tail_is_truncated() {
         let dir = tmp_dir("torn");
@@ -423,9 +467,9 @@ mod tests {
         let dir = tmp_dir("midlog");
         // Two live segments, no checkpoint: both must replay cleanly.
         let mut seg1 = encode_segment_header(1).to_vec();
-        seg1.extend_from_slice(&encode_record(1, &[ins(1)]));
+        encode_record(&mut seg1, 1, &[ins(1)]);
         let mut seg2 = encode_segment_header(2).to_vec();
-        seg2.extend_from_slice(&encode_record(2, &[ins(2)]));
+        encode_record(&mut seg2, 2, &[ins(2)]);
         // Damage the record in the OLDER segment.
         let n = seg1.len();
         seg1[n - 3] ^= 0x01;

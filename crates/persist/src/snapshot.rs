@@ -10,19 +10,26 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     8  magic  "CPMASNAP"
-//!      8     4  format version (LE u32, currently 1)
+//!      8     4  format version (LE u32, currently 2)
 //!     12     4  codec id (LE u32, structure-specific)
 //!     16     4  meta length M (LE u32)
 //!     20     8  payload length P (LE u64)
 //!     28     M  meta: structure header (config, geometry, counts)
-//!   28+M     8  header checksum (FNV-1a 64 over bytes [0, 28+M))
+//!   28+M     8  header digest (XXH64 over bytes [0, 28+M))
 //!   36+M     P  payload: raw backing arrays, little-endian
-//! 36+M+P     8  payload checksum (FNV-1a 64 over the payload)
+//! 36+M+P     8  payload digest (XXH64 over the payload)
 //! ```
+//!
+//! Version 1 was the same layout under FNV-1a digests; a reader accepts
+//! exactly its own version, so a v1 file is
+//! [`PersistError::UnsupportedVersion`], not a checksum failure.
 //!
 //! Both declared lengths are validated against the actual file size
 //! *before* any slicing, so a corrupted length field yields
-//! [`PersistError::Truncated`] — never an over-allocation.
+//! [`PersistError::Truncated`] — never an over-allocation. Parsing borrows:
+//! `meta` and `payload` are views into the file's bytes, so the only copy
+//! of a payload a load makes is the one into the structure it becomes.
+//! The digest is the workspace's one, [`crate::checksum`].
 
 use std::fs;
 use std::io::Write;
@@ -30,115 +37,96 @@ use std::path::Path;
 
 use cpma_api::PersistError;
 
-use crate::checksum::fnv1a64;
+use crate::checksum::xxh64;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"CPMASNAP";
 
-/// Highest snapshot format version this build reads and the version it
-/// writes.
-pub const SNAP_VERSION: u32 = 1;
+/// The snapshot format version this build writes, and the only one it
+/// reads.
+pub const SNAP_VERSION: u32 = 2;
 
-/// A decoded snapshot: codec id plus the two opaque sections.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotEnvelope {
+/// Bytes before `meta`: magic, version, codec id and the two lengths.
+const FIXED_HEADER: usize = 28;
+
+/// A snapshot's contents: codec id plus the two opaque sections, borrowed
+/// — from the structure's own buffers on the way out, from the file's
+/// bytes on the way in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotEnvelope<'a> {
     /// Which leaf codec wrote the payload (see `LeafStorage::CODEC_ID`
     /// in `cpma-pma`; other structures pick their own ids).
     pub codec_id: u32,
     /// Structure-specific header fields (config, geometry, counts).
-    pub meta: Vec<u8>,
+    pub meta: &'a [u8],
     /// The raw backing arrays.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl SnapshotEnvelope {
+impl<'a> SnapshotEnvelope<'a> {
     /// Serialize to the on-disk byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(44 + self.meta.len() + self.payload.len());
+        let meta_len = u32::try_from(self.meta.len()).expect("snapshot meta exceeds u32::MAX");
+        let mut out = Vec::with_capacity(FIXED_HEADER + 16 + self.meta.len() + self.payload.len());
         out.extend_from_slice(&SNAP_MAGIC);
-        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.codec_id.to_le_bytes());
-        out.extend_from_slice(&(self.meta.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.meta);
-        let header_crc = fnv1a64(&out);
-        out.extend_from_slice(&header_crc.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
+        out.put_u32(SNAP_VERSION);
+        out.put_u32(self.codec_id);
+        out.put_u32(meta_len);
+        out.put_u64(self.payload.len() as u64);
+        out.extend_from_slice(self.meta);
+        let header_digest = xxh64(&out);
+        out.put_u64(header_digest);
+        out.extend_from_slice(self.payload);
+        out.put_u64(xxh64(self.payload));
         out
     }
 
-    /// Parse and validate the on-disk byte layout.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        if bytes.len() < 28 {
-            return Err(PersistError::Truncated("snapshot header"));
-        }
-        let magic: [u8; 8] = bytes[0..8].try_into().unwrap();
+    /// Parse and validate the on-disk byte layout; the sections of the
+    /// result borrow from `bytes`.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, PersistError> {
+        let mut r = ByteReader::new(bytes);
+        let magic: [u8; 8] = r.take(8, "snapshot header")?.try_into().unwrap();
         if magic != SNAP_MAGIC {
             return Err(PersistError::BadMagic { found: magic });
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version == 0 || version > SNAP_VERSION {
+        let version = r.u32("snapshot header")?;
+        if version != SNAP_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: SNAP_VERSION,
             });
         }
-        let codec_id = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let meta_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-        let payload_len = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        // Validate declared lengths against the bytes actually present
-        // before indexing anywhere (checked arithmetic: the lengths are
-        // attacker-controlled until the checksum passes).
-        let header_end = 28usize
-            .checked_add(meta_len)
-            .ok_or(PersistError::Truncated("snapshot meta"))?;
-        if bytes.len() < header_end + 8 {
-            return Err(PersistError::Truncated("snapshot meta"));
-        }
-        let payload_len = usize::try_from(payload_len)
+        let codec_id = r.u32("snapshot header")?;
+        let meta_len = r.u32("snapshot header")? as usize;
+        let payload_len = usize::try_from(r.u64("snapshot header")?)
             .map_err(|_| PersistError::Truncated("snapshot payload"))?;
-        let payload_start = header_end + 8;
-        let payload_end = payload_start
-            .checked_add(payload_len)
-            .ok_or(PersistError::Truncated("snapshot payload"))?;
-        if bytes.len() < payload_end + 8 {
-            return Err(PersistError::Truncated("snapshot payload"));
-        }
-        if bytes.len() > payload_end + 8 {
-            return Err(PersistError::Corrupt(format!(
-                "snapshot has {} trailing bytes",
-                bytes.len() - payload_end - 8
-            )));
-        }
-        let header_crc = u64::from_le_bytes(bytes[header_end..header_end + 8].try_into().unwrap());
-        if fnv1a64(&bytes[..header_end]) != header_crc {
+        // Every `take` checks its length against the bytes actually left
+        // (the lengths are attacker-controlled until the digests pass).
+        let meta = r.take(meta_len, "snapshot meta")?;
+        let header_digest = r.u64("snapshot meta")?;
+        let payload = r.take(payload_len, "snapshot payload")?;
+        let payload_digest = r.u64("snapshot payload")?;
+        r.expect_end("snapshot")?;
+        if xxh64(&bytes[..FIXED_HEADER + meta_len]) != header_digest {
             return Err(PersistError::ChecksumMismatch("snapshot header"));
         }
-        let payload = &bytes[payload_start..payload_end];
-        let payload_crc =
-            u64::from_le_bytes(bytes[payload_end..payload_end + 8].try_into().unwrap());
-        if fnv1a64(payload) != payload_crc {
+        if xxh64(payload) != payload_digest {
             return Err(PersistError::ChecksumMismatch("snapshot payload"));
         }
         Ok(Self {
             codec_id,
-            meta: bytes[28..header_end].to_vec(),
-            payload: payload.to_vec(),
+            meta,
+            payload,
         })
     }
 
     /// Write the envelope to `path` atomically: serialize to a `.tmp`
     /// sibling, fsync it, then rename over `path`. A crash mid-save
-    /// leaves either the old file or the new one, never a hybrid.
+    /// leaves either the old file or the new one, never a hybrid. Reading
+    /// back is `fs::read` + [`from_bytes`](Self::from_bytes), the buffer
+    /// staying with the caller the sections borrow from.
     pub fn save_file(&self, path: &Path) -> Result<(), PersistError> {
         write_atomic(path, &self.to_bytes())
-    }
-
-    /// Read and validate the envelope at `path`.
-    pub fn load_file(path: &Path) -> Result<Self, PersistError> {
-        let bytes = fs::read(path)?;
-        Self::from_bytes(&bytes)
     }
 }
 
@@ -271,57 +259,73 @@ impl ByteSink for Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpma_api::testkit::{assert_all_refused, Damage};
 
-    fn sample() -> SnapshotEnvelope {
+    const META: &[u8] = b"config, geometry and counts, as the structure wrote them";
+
+    fn payload() -> Vec<u8> {
+        (0u16..500).map(|v| (v % 251) as u8).collect()
+    }
+
+    fn parses(bytes: &[u8]) -> Result<(), PersistError> {
+        SnapshotEnvelope::from_bytes(bytes).map(|_| ())
+    }
+
+    fn sample(payload: &[u8]) -> SnapshotEnvelope<'_> {
         SnapshotEnvelope {
             codec_id: 7,
-            meta: (0u8..40).collect(),
-            payload: (0u16..500).map(|v| (v % 251) as u8).collect(),
+            meta: META,
+            payload,
         }
     }
 
     #[test]
     fn roundtrip() {
-        let env = sample();
+        let payload = payload();
+        let env = sample(&payload);
         let bytes = env.to_bytes();
         assert_eq!(SnapshotEnvelope::from_bytes(&bytes).unwrap(), env);
         // Empty sections are representable.
         let empty = SnapshotEnvelope {
             codec_id: 0,
-            meta: vec![],
-            payload: vec![],
+            meta: &[],
+            payload: &[],
         };
         let b = empty.to_bytes();
         assert_eq!(SnapshotEnvelope::from_bytes(&b).unwrap(), empty);
     }
 
+    /// Parsing copies nothing: both sections point into the input.
+    #[test]
+    fn parsed_sections_borrow_from_the_input() {
+        let bytes = sample(&payload()).to_bytes();
+        let env = SnapshotEnvelope::from_bytes(&bytes).unwrap();
+        assert_eq!(env.meta.as_ptr(), bytes[FIXED_HEADER..].as_ptr());
+        assert_eq!(
+            env.payload.as_ptr(),
+            bytes[FIXED_HEADER + META.len() + 8..].as_ptr()
+        );
+    }
+
+    // Both sweeps come from the corruption table the WAL record and the
+    // wire frame run too (`cpma_api::testkit`).
     #[test]
     fn every_byte_flip_is_detected() {
-        let bytes = sample().to_bytes();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(
-                SnapshotEnvelope::from_bytes(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
+        let bytes = sample(&payload()).to_bytes();
+        let flips = Damage::sweep(bytes.len(), usize::MAX, 1, &[0x01]);
+        assert_all_refused(&bytes, flips, parses);
     }
 
     #[test]
     fn every_truncation_is_detected() {
-        let bytes = sample().to_bytes();
-        for n in 0..bytes.len() {
-            assert!(
-                SnapshotEnvelope::from_bytes(&bytes[..n]).is_err(),
-                "truncation to {n} bytes went undetected"
-            );
-        }
+        let bytes = sample(&payload()).to_bytes();
+        let cuts = Damage::sweep(bytes.len(), usize::MAX, 1, &[]);
+        assert_all_refused(&bytes, cuts, parses);
     }
 
     #[test]
     fn trailing_garbage_is_detected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = sample(&payload()).to_bytes();
         bytes.push(0);
         assert!(matches!(
             SnapshotEnvelope::from_bytes(&bytes),
@@ -333,13 +337,13 @@ mod tests {
     fn huge_declared_lengths_do_not_allocate() {
         // Declare a multi-exabyte payload in a 100-byte file: must fail
         // with Truncated (lengths are checked against actual size first).
-        let mut bytes = sample().to_bytes();
+        let mut bytes = sample(&payload()).to_bytes();
         bytes[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             SnapshotEnvelope::from_bytes(&bytes),
             Err(PersistError::Truncated(_))
         ));
-        let mut bytes2 = sample().to_bytes();
+        let mut bytes2 = sample(&payload()).to_bytes();
         bytes2[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             SnapshotEnvelope::from_bytes(&bytes2),
@@ -349,18 +353,51 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_version() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = sample(&payload()).to_bytes();
         bytes[0] = b'X';
         assert!(matches!(
             SnapshotEnvelope::from_bytes(&bytes),
             Err(PersistError::BadMagic { .. })
         ));
-        let mut v9 = sample().to_bytes();
-        v9[8..12].copy_from_slice(&9u32.to_le_bytes());
+        // The version check is exact: newer, older and zero are all
+        // refused on the version, before any digest is looked at.
+        for v in [9u32, SNAP_VERSION - 1, 0] {
+            let mut other = sample(&payload()).to_bytes();
+            other[8..12].copy_from_slice(&v.to_le_bytes());
+            assert!(matches!(
+                SnapshotEnvelope::from_bytes(&other),
+                Err(PersistError::UnsupportedVersion { found, supported: SNAP_VERSION }) if found == v
+            ));
+        }
+    }
+
+    /// A version-1 file, byte for byte as the last FNV-1a build wrote it
+    /// (`codec_id` 7, meta `[1, 2, 3, 4]`, payload `"v1 payload"`): an old
+    /// checkpoint is named as old, not mistaken for a corrupt one.
+    #[test]
+    fn a_v1_file_is_an_unsupported_version_not_a_checksum_failure() {
+        const SNAP_V1: [u8; 58] = [
+            67, 80, 77, 65, 83, 78, 65, 80, 1, 0, 0, 0, 7, 0, 0, 0, 4, 0, 0, 0, 10, 0, 0, 0, 0, 0,
+            0, 0, 1, 2, 3, 4, 112, 115, 150, 115, 0, 58, 158, 36, 118, 49, 32, 112, 97, 121, 108,
+            111, 97, 100, 38, 121, 143, 204, 154, 69, 219, 158,
+        ];
         assert!(matches!(
-            SnapshotEnvelope::from_bytes(&v9),
-            Err(PersistError::UnsupportedVersion { found: 9, .. })
+            SnapshotEnvelope::from_bytes(&SNAP_V1),
+            Err(PersistError::UnsupportedVersion {
+                found: 1,
+                supported: SNAP_VERSION
+            })
         ));
+        // The same sections written today differ only in version and digests.
+        let today = SnapshotEnvelope {
+            codec_id: 7,
+            meta: &[1, 2, 3, 4],
+            payload: b"v1 payload",
+        }
+        .to_bytes();
+        assert_eq!(today.len(), SNAP_V1.len());
+        assert_eq!(today[12..32], SNAP_V1[12..32]);
+        assert_eq!(today[40..50], SNAP_V1[40..50]);
     }
 
     #[test]
@@ -368,16 +405,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cpma-snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.cpma");
-        let env = sample();
+        let payload = payload();
+        let env = sample(&payload);
         env.save_file(&path).unwrap();
-        assert_eq!(SnapshotEnvelope::load_file(&path).unwrap(), env);
+        let back = fs::read(&path).unwrap();
+        assert_eq!(SnapshotEnvelope::from_bytes(&back).unwrap(), env);
         // Overwrite with different contents: atomic replace.
-        let env2 = SnapshotEnvelope {
-            codec_id: 9,
-            ..sample()
-        };
+        let env2 = SnapshotEnvelope { codec_id: 9, ..env };
         env2.save_file(&path).unwrap();
-        assert_eq!(SnapshotEnvelope::load_file(&path).unwrap(), env2);
+        let back = fs::read(&path).unwrap();
+        assert_eq!(SnapshotEnvelope::from_bytes(&back).unwrap(), env2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,15 +12,19 @@
 //!   crash.
 //!
 //! ```text
-//! segment header (28 bytes)            record (one per epoch)
+//! segment header (28 bytes)            record: one crate::frame per epoch
 //! ------------------------            ---------------------------------
 //!  0  8  magic "CPMAWAL0"              0      4  body length L (LE u32)
-//!  8  4  version (LE u32, 1)           4      L  body:
+//!  8  4  version (LE u32, 2)           4      L  body:
 //! 12  8  first_seq (LE u64)                        seq   (LE u64)
-//! 20  8  FNV-1a 64 of bytes [0,20)                 nops  (LE u32)
+//! 20  8  XXH64 of bytes [0,20)                     nops  (LE u32)
 //!                                                  nops × [tag u8 | key LE u64]
-//!                                      4+L    8  FNV-1a 64 of the body
+//!                                      4+L    8  XXH64 of the body
 //! ```
+//!
+//! Version 1 was the same layout under FNV-1a digests; the version check is
+//! exact, so a v1 segment is [`PersistError::UnsupportedVersion`]. Records
+//! carry no version of their own — the segment header speaks for them.
 //!
 //! `tag` is 1 for insert, 0 for remove. A record is appended (and fsynced
 //! per [`FsyncPolicy`]) *before* the epoch's batch is applied or its
@@ -35,7 +39,8 @@ use std::path::{Path, PathBuf};
 use cpma_api::{BatchOp, ConfigError, PersistError};
 use cpma_obs::{Counter, Histogram, Unit};
 
-use crate::checksum::fnv1a64;
+use crate::checksum::xxh64;
+use crate::frame;
 
 /// Process-shared WAL metrics (`persist.wal.*`): every [`WalWriter`] in
 /// the process feeds the same cells, so the registry shows total WAL
@@ -68,7 +73,7 @@ fn metrics() -> &'static WalMetrics {
 pub const WAL_MAGIC: [u8; 8] = *b"CPMAWAL0";
 
 /// Segment format version this build reads and writes.
-pub const WAL_VERSION: u32 = 1;
+pub const WAL_VERSION: u32 = 2;
 
 /// Byte length of the segment header.
 pub const SEG_HEADER_LEN: usize = 28;
@@ -190,8 +195,8 @@ pub fn encode_segment_header(first_seq: u64) -> [u8; SEG_HEADER_LEN] {
     h[0..8].copy_from_slice(&WAL_MAGIC);
     h[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
     h[12..20].copy_from_slice(&first_seq.to_le_bytes());
-    let crc = fnv1a64(&h[..20]);
-    h[20..28].copy_from_slice(&crc.to_le_bytes());
+    let digest = xxh64(&h[..20]);
+    h[20..28].copy_from_slice(&digest.to_le_bytes());
     h
 }
 
@@ -205,33 +210,31 @@ pub fn parse_segment_header(bytes: &[u8]) -> Result<u64, PersistError> {
         return Err(PersistError::BadMagic { found: magic });
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version == 0 || version > WAL_VERSION {
+    if version != WAL_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: WAL_VERSION,
         });
     }
-    let crc = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    if fnv1a64(&bytes[..20]) != crc {
+    let digest = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
+    if xxh64(&bytes[..20]) != digest {
         return Err(PersistError::ChecksumMismatch("wal segment header"));
     }
     Ok(u64::from_le_bytes(bytes[12..20].try_into().unwrap()))
 }
 
-/// Serialize one epoch record (keys widened to `u64`).
-pub fn encode_record(seq: u64, ops: &[BatchOp<u64>]) -> Vec<u8> {
-    let body_len = BODY_FIXED + ops.len() * OP_BYTES;
-    let mut out = Vec::with_capacity(4 + body_len + 8);
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        out.push(op.is_insert() as u8);
-        out.extend_from_slice(&op.key().to_le_bytes());
-    }
-    let crc = fnv1a64(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Append one epoch record (keys widened to `u64`) to `out`, its body
+/// written in place inside one [`frame`].
+pub fn encode_record(out: &mut Vec<u8>, seq: u64, ops: &[BatchOp<u64>]) {
+    out.reserve(frame::OVERHEAD + BODY_FIXED + ops.len() * OP_BYTES);
+    frame::write(out, |body| {
+        body.extend_from_slice(&seq.to_le_bytes());
+        body.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        for op in ops {
+            body.push(op.is_insert() as u8);
+            body.extend_from_slice(&op.key().to_le_bytes());
+        }
+    });
 }
 
 /// One record decoded from a segment.
@@ -249,45 +252,28 @@ pub struct WalRecord {
 /// not form a complete valid record — a torn tail if this is the end of
 /// the newest segment, corruption otherwise; the caller knows which.
 ///
-/// `nops` is validated against the declared body length, and the body
-/// length against the bytes actually present, before any allocation.
+/// [`frame::parse`] checks the declared length against the bytes actually
+/// present and the digest against the body; `nops` is then validated
+/// against the body length — all before any allocation.
 pub fn parse_record(buf: &[u8]) -> Option<WalRecord> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let body_len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    if body_len < BODY_FIXED || !(body_len - BODY_FIXED).is_multiple_of(OP_BYTES) {
-        return None;
-    }
-    let total = 4 + body_len + 8;
-    if buf.len() < total {
-        return None;
-    }
-    let body = &buf[4..4 + body_len];
-    let crc = u64::from_le_bytes(buf[4 + body_len..total].try_into().unwrap());
-    if fnv1a64(body) != crc {
-        return None;
-    }
-    let seq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    let nops = u32::from_le_bytes(body[8..12].try_into().unwrap()) as usize;
-    if nops != (body_len - BODY_FIXED) / OP_BYTES {
+    let (body, encoded_len) = frame::parse(buf, u32::MAX).ok()??;
+    let (fixed, ops_bytes) = body.split_first_chunk::<BODY_FIXED>()?;
+    let seq = u64::from_le_bytes(fixed[..8].try_into().unwrap());
+    let nops = u32::from_le_bytes(fixed[8..].try_into().unwrap()) as usize;
+    let (encoded, stray) = ops_bytes.as_chunks::<OP_BYTES>();
+    if !stray.is_empty() || encoded.len() != nops {
         return None;
     }
     let mut ops = Vec::with_capacity(nops);
     let mut prev: Option<u64> = None;
-    for i in 0..nops {
-        let at = BODY_FIXED + i * OP_BYTES;
-        let tag = body[at];
-        if tag > 1 {
-            return None;
-        }
-        let key = u64::from_le_bytes(body[at + 1..at + OP_BYTES].try_into().unwrap());
+    for [tag, key @ ..] in encoded {
+        let key = u64::from_le_bytes(*key);
         // Normal form: strictly ascending keys (what the combiner logs).
-        if prev.is_some_and(|p| p >= key) {
+        if *tag > 1 || prev.is_some_and(|p| p >= key) {
             return None;
         }
         prev = Some(key);
-        ops.push(if tag == 1 {
+        ops.push(if *tag == 1 {
             BatchOp::Insert(key)
         } else {
             BatchOp::Remove(key)
@@ -296,7 +282,7 @@ pub fn parse_record(buf: &[u8]) -> Option<WalRecord> {
     Some(WalRecord {
         seq,
         ops,
-        encoded_len: total,
+        encoded_len,
     })
 }
 
@@ -307,6 +293,8 @@ pub struct WalWriter {
     file: File,
     segment_bytes: u64,
     appends_since_sync: u64,
+    /// The record being appended, encoded in place and reused.
+    record: Vec<u8>,
 }
 
 impl WalWriter {
@@ -318,24 +306,20 @@ impl WalWriter {
         cfg.check()?;
         fs::create_dir_all(&cfg.dir)?;
         let (_, segments) = scan_dir(&cfg.dir)?;
-        if let Some((_, path)) = segments.last() {
+        let (file, segment_bytes) = if let Some((_, path)) = segments.last() {
             let file = OpenOptions::new().append(true).open(path)?;
             let segment_bytes = file.metadata()?.len();
-            Ok(Self {
-                cfg,
-                file,
-                segment_bytes,
-                appends_since_sync: 0,
-            })
+            (file, segment_bytes)
         } else {
-            let (file, segment_bytes) = Self::create_segment(&cfg.dir, next_seq)?;
-            Ok(Self {
-                cfg,
-                file,
-                segment_bytes,
-                appends_since_sync: 0,
-            })
-        }
+            Self::create_segment(&cfg.dir, next_seq)?
+        };
+        Ok(Self {
+            cfg,
+            file,
+            segment_bytes,
+            appends_since_sync: 0,
+            record: Vec::new(),
+        })
     }
 
     fn create_segment(dir: &Path, first_seq: u64) -> Result<(File, u64), PersistError> {
@@ -355,12 +339,13 @@ impl WalWriter {
     pub fn append(&mut self, seq: u64, ops: &[BatchOp<u64>]) -> Result<(), PersistError> {
         let m = metrics();
         let mut span = cpma_obs::span_with(&m.append_ns, "persist.wal.append");
-        let rec = encode_record(seq, ops);
+        self.record.clear();
+        encode_record(&mut self.record, seq, ops);
         span.set_items(ops.len() as u64);
         m.appends.inc();
-        m.appended_bytes.add(rec.len() as u64);
-        self.file.write_all(&rec)?;
-        self.segment_bytes += rec.len() as u64;
+        m.appended_bytes.add(self.record.len() as u64);
+        self.file.write_all(&self.record)?;
+        self.segment_bytes += self.record.len() as u64;
         self.appends_since_sync += 1;
         match self.cfg.fsync {
             FsyncPolicy::Always => {
@@ -446,6 +431,13 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpma_api::testkit::{assert_all_refused, Damage};
+
+    fn record(seq: u64, ops: &[BatchOp<u64>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record(&mut out, seq, ops);
+        out
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cpma-wal-{tag}-{}", std::process::id()));
@@ -469,40 +461,77 @@ mod tests {
     #[test]
     fn record_roundtrip_and_damage() {
         let ops = ops(&[(3, true), (7, false), (1000, true)]);
-        let enc = encode_record(42, &ops);
+        let enc = record(42, &ops);
         let rec = parse_record(&enc).expect("valid record");
         assert_eq!(rec.seq, 42);
         assert_eq!(rec.ops, ops);
         assert_eq!(rec.encoded_len, enc.len());
 
         // Empty-op records are valid (idle epochs).
-        let empty = encode_record(7, &[]);
+        let empty = record(7, &[]);
         let rec = parse_record(&empty).unwrap();
         assert_eq!((rec.seq, rec.ops.len()), (7, 0));
 
-        // Any byte flip kills the record.
-        for i in 0..enc.len() {
-            let mut bad = enc.clone();
-            bad[i] ^= 0x02;
-            assert!(parse_record(&bad).is_none(), "flip at {i} undetected");
-        }
-        // Any truncation kills the record.
-        for n in 0..enc.len() {
-            assert!(parse_record(&enc[..n]).is_none(), "truncation to {n}");
-        }
-        // A huge declared length cannot over-read or over-allocate.
-        let mut huge = enc.clone();
-        huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(parse_record(&huge).is_none());
+        // Any byte flip and any truncation kills the record, a huge
+        // declared length cannot over-read or over-allocate, and a forged
+        // digest is refused: the shared corruption table.
+        assert_all_refused(
+            &enc,
+            Damage::sweep(enc.len(), usize::MAX, 1, &[0x02])
+                .into_iter()
+                .chain(Damage::FRAME_FORGERIES),
+            |b| parse_record(b).map(|_| ()).ok_or("no record"),
+        );
+    }
+
+    /// Appending encodes in place: a record lands after whatever the
+    /// buffer already holds, and two in a row parse back to back.
+    #[test]
+    fn records_append_in_place() {
+        let mut out = b"header".to_vec();
+        encode_record(&mut out, 1, &ops(&[(5, true)]));
+        let first = out.len();
+        encode_record(&mut out, 2, &[]);
+        assert_eq!(out[6..first], record(1, &ops(&[(5, true)])));
+        assert_eq!(parse_record(&out[6..]).unwrap().encoded_len, first - 6);
+        assert_eq!(parse_record(&out[first..]).unwrap().seq, 2);
+    }
+
+    /// A version-1 segment, byte for byte as the last FNV-1a build wrote
+    /// it (header for `first_seq` 1, then the record of epoch 1 =
+    /// `[Insert(5), Remove(9)]`): refused on the version — an old log is
+    /// named as old — and, the header aside, its record no longer parses.
+    #[test]
+    fn a_v1_segment_is_an_unsupported_version() {
+        const SEG_V1: [u8; 28] = [
+            67, 80, 77, 65, 87, 65, 76, 48, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 32, 27, 159, 173,
+            0, 231, 229, 60,
+        ];
+        const REC_V1: [u8; 42] = [
+            30, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0,
+            0, 0, 0, 0, 0, 201, 221, 225, 249, 216, 80, 29, 42,
+        ];
+        assert!(matches!(
+            parse_segment_header(&SEG_V1),
+            Err(PersistError::UnsupportedVersion {
+                found: 1,
+                supported: WAL_VERSION
+            })
+        ));
+        assert!(parse_record(&REC_V1).is_none());
+        // Same layout, new digest: only the last eight bytes differ.
+        let today = record(1, &ops(&[(5, true), (9, false)]));
+        assert_eq!(today[..34], REC_V1[..34]);
+        assert_ne!(today[34..], REC_V1[34..]);
     }
 
     #[test]
     fn records_must_be_normal_form() {
         // Descending keys → rejected.
-        let bad = encode_record(1, &ops(&[(9, true), (3, true)]));
+        let bad = record(1, &ops(&[(9, true), (3, true)]));
         assert!(parse_record(&bad).is_none());
         // Duplicate keys → rejected.
-        let dup = encode_record(1, &ops(&[(3, true), (3, false)]));
+        let dup = record(1, &ops(&[(3, true), (3, false)]));
         assert!(parse_record(&dup).is_none());
     }
 
@@ -510,10 +539,16 @@ mod tests {
     fn segment_header_roundtrip() {
         let h = encode_segment_header(99);
         assert_eq!(parse_segment_header(&h).unwrap(), 99);
-        for i in 0..h.len() {
-            let mut bad = h;
-            bad[i] ^= 0x10;
-            assert!(parse_segment_header(&bad).is_err(), "flip at {i}");
+        let damage = Damage::sweep(h.len(), usize::MAX, 1, &[0x10]);
+        assert_all_refused(&h, damage, |b| parse_segment_header(b).map(|_| ()));
+        // Exact version: zero, older and newer are all refused as versions.
+        for v in [0, WAL_VERSION - 1, WAL_VERSION + 1] {
+            let mut other = h;
+            other[8..12].copy_from_slice(&v.to_le_bytes());
+            assert!(matches!(
+                parse_segment_header(&other),
+                Err(PersistError::UnsupportedVersion { found, .. }) if found == v
+            ));
         }
     }
 

@@ -42,17 +42,18 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// The image is deterministic: equal histories yield equal bytes at
     /// any thread budget (checked by `tests/determinism.rs`).
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        self.to_envelope().to_bytes()
+        self.with_envelope(|env| env.to_bytes())
     }
 
     /// Deserialize a snapshot produced by
     /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) (or read from a
     /// [`Persist::save`] file), validating everything.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        Self::from_envelope(&SnapshotEnvelope::from_bytes(bytes)?)
+        Self::from_envelope(SnapshotEnvelope::from_bytes(bytes)?)
     }
 
-    fn to_envelope(&self) -> SnapshotEnvelope {
+    /// Build the two sections and hand `f` the envelope borrowing them.
+    fn with_envelope<R>(&self, f: impl FnOnce(SnapshotEnvelope<'_>) -> R) -> R {
         let mut meta = Vec::with_capacity(META_LEN);
         meta.put_u32(K::BYTES as u32);
         let cfg = &self.cfg;
@@ -77,21 +78,23 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
                 .expect("live geometry cannot overflow"),
         );
         self.storage.write_payload(&mut payload);
-        SnapshotEnvelope {
+        f(SnapshotEnvelope {
             codec_id: L::CODEC_ID,
-            meta,
-            payload,
-        }
+            meta: &meta,
+            payload: &payload,
+        })
     }
 
-    fn from_envelope(env: &SnapshotEnvelope) -> Result<Self, PersistError> {
+    /// `env` borrows the file's bytes: the payload is copied once, by
+    /// `read_payload`, into the storage it becomes.
+    fn from_envelope(env: SnapshotEnvelope<'_>) -> Result<Self, PersistError> {
         if env.codec_id != L::CODEC_ID {
             return Err(PersistError::CodecMismatch {
                 expected: L::CODEC_ID,
                 found: env.codec_id,
             });
         }
-        let mut r = ByteReader::new(&env.meta);
+        let mut r = ByteReader::new(env.meta);
         let key_bytes = r.u32("key width")?;
         if key_bytes != K::BYTES as u32 {
             return Err(PersistError::KeyWidthMismatch {
@@ -135,7 +138,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
                 L::MIN_LEAF_UNITS
             )));
         }
-        let mut storage = L::read_payload(num_leaves, leaf_units, &env.payload)?;
+        let mut storage = L::read_payload(num_leaves, leaf_units, env.payload)?;
         storage.set_codec_policy(cfg.force_codec, cfg.bitmap_leaf_threshold);
         let (mut total_len, mut total_units) = (0usize, 0usize);
         for leaf in 0..num_leaves {
@@ -187,10 +190,10 @@ fn force_codec_from_tag(v: u64) -> Result<crate::ForceCodec, PersistError> {
 
 impl<K: PmaKey, L: LeafStorage<K>> Persist for PmaCore<K, L> {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
-        self.to_envelope().save_file(path)
+        self.with_envelope(|env| env.save_file(path))
     }
 
     fn load(path: &Path) -> Result<Self, PersistError> {
-        Self::from_envelope(&SnapshotEnvelope::load_file(path)?)
+        Self::from_snapshot_bytes(&std::fs::read(path)?)
     }
 }

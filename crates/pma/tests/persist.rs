@@ -5,6 +5,7 @@
 //! equality, and every flipped or truncated byte in a snapshot yields a
 //! typed `PersistError` — never a panic, never an unchecked allocation.
 
+use cpma_api::testkit::{assert_all_refused, Damage};
 use cpma_api::{BatchOp, BatchSet, Persist, PersistError, RangeSet};
 use cpma_pma::{Cpma, Pma, PmaConfig, PmaCore};
 use std::path::PathBuf;
@@ -117,15 +118,17 @@ fn codec_mismatch_is_typed() {
 fn head_layout_tag_roundtrips_and_mismatch_is_typed() {
     use cpma_persist::snapshot::SnapshotEnvelope;
     fn check<L: cpma_pma::LeafStorage<u64>>(set: PmaCore<u64, L>) {
-        let env = SnapshotEnvelope::from_bytes(&set.to_snapshot_bytes()).unwrap();
+        let bytes = set.to_snapshot_bytes();
+        let env = SnapshotEnvelope::from_bytes(&bytes).unwrap();
         let word_at = env.meta.len() - 8;
         assert_eq!(env.meta[word_at..], 0u64.to_le_bytes());
         let back = PmaCore::<u64, L>::from_snapshot_bytes(&env.to_bytes()).unwrap();
         assert_eq!(set, back);
         back.check_invariants();
         for word in [1u64, 2, 3, 7] {
-            let mut forged = env.clone();
-            forged.meta[word_at..].copy_from_slice(&word.to_le_bytes());
+            let mut meta = env.meta.to_vec();
+            meta[word_at..].copy_from_slice(&word.to_le_bytes());
+            let forged = SnapshotEnvelope { meta: &meta, ..env };
             match PmaCore::<u64, L>::from_snapshot_bytes(&forged.to_bytes()) {
                 Err(PersistError::Corrupt(msg)) => {
                     assert!(msg.contains("head layout"), "word {word}: {msg}")
@@ -181,24 +184,16 @@ fn loaded_structure_remains_fully_usable() {
     back.check_invariants();
 }
 
-/// Flip (a sample of) single bytes across the whole snapshot: every flip
-/// must produce a typed error. The envelope checksums make this
-/// exhaustive in effect — a flip lands in either the header (header crc)
-/// or the payload (payload crc) or a crc field itself.
+/// Flip (a sample of) single bytes across the whole snapshot, and cut it
+/// at the same positions: every flip and every truncation must produce a
+/// typed error whose `Display` does not panic either. The envelope digests
+/// make this exhaustive in effect — a flip lands in either the header
+/// (header digest) or the payload (payload digest) or a digest field
+/// itself. The table is the one the envelope, the WAL record and the wire
+/// frame all run (`cpma_api::testkit`): the first 128 bytes (header +
+/// meta) exhaustively, every third byte after them, and the last.
 fn assert_every_flip_detected(bytes: &[u8], load: impl Fn(&[u8]) -> Result<(), PersistError>) {
-    // Step 3 keeps runtime moderate while still hitting every field; the
-    // first 128 bytes (header + meta) are covered exhaustively.
-    let positions = (0..bytes.len().min(128)).chain((128..bytes.len()).step_by(3));
-    for i in positions {
-        let mut bad = bytes.to_vec();
-        bad[i] ^= 0x08;
-        match load(&bad) {
-            Err(e) => {
-                let _ = e.to_string(); // Display must not panic either
-            }
-            Ok(()) => panic!("flip at byte {i} went undetected"),
-        }
-    }
+    assert_all_refused(bytes, Damage::sweep(bytes.len(), 128, 3, &[0x08]), load);
 }
 
 #[test]
@@ -219,12 +214,8 @@ fn fuzz_cpma_snapshot_byte_flips() {
 fn fuzz_cpma_snapshot_truncations() {
     let set: Cpma = build(&sample_keys(2_000));
     let bytes = set.to_snapshot_bytes();
-    for n in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
-        assert!(
-            Cpma::from_snapshot_bytes(&bytes[..n]).is_err(),
-            "truncation to {n} bytes went undetected"
-        );
-    }
+    let cuts = Damage::sweep(bytes.len(), 0, 7, &[]);
+    assert_all_refused(&bytes, cuts, |b| Cpma::from_snapshot_bytes(b).map(|_| ()));
 }
 
 /// Attack the *validated* layer directly: forge a structurally invalid
@@ -235,11 +226,16 @@ fn fuzz_cpma_snapshot_truncations() {
 fn forged_payloads_with_valid_checksums_are_rejected() {
     use cpma_persist::snapshot::SnapshotEnvelope;
     let set: Cpma = build(&sample_keys(2_000));
-    let env = SnapshotEnvelope::from_bytes(&set.to_snapshot_bytes()).unwrap();
+    let bytes = set.to_snapshot_bytes();
+    let env = SnapshotEnvelope::from_bytes(&bytes).unwrap();
     let mut rejected = 0usize;
     for i in (0..env.payload.len()).step_by(11) {
-        let mut forged = env.clone();
-        forged.payload[i] ^= 0x55;
+        let mut payload = env.payload.to_vec();
+        payload[i] ^= 0x55;
+        let forged = SnapshotEnvelope {
+            payload: &payload,
+            ..env
+        };
         match Cpma::from_snapshot_bytes(&forged.to_bytes()) {
             Err(_) => rejected += 1,
             Ok(back) => {
@@ -253,10 +249,11 @@ fn forged_payloads_with_valid_checksums_are_rejected() {
 
     // Element-count inflation in the meta section must be caught by the
     // recount, not trusted.
-    let mut inflated = env.clone();
+    let mut meta = env.meta.to_vec();
     let len_at = 4 + 7 * 8 + 4 * 8; // key width + seven f64 + four u64
     let huge = (u32::MAX as u64).to_le_bytes();
-    inflated.meta[len_at..len_at + 8].copy_from_slice(&huge);
+    meta[len_at..len_at + 8].copy_from_slice(&huge);
+    let inflated = SnapshotEnvelope { meta: &meta, ..env };
     assert!(matches!(
         Cpma::from_snapshot_bytes(&inflated.to_bytes()),
         Err(PersistError::Corrupt(_))

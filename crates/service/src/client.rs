@@ -5,11 +5,14 @@
 //! burst methods ([`Client::pipeline`], [`Client::mutate_burst`]) write all
 //! frames in one `write_all` and then read all replies — the pipelining
 //! that lets the server-side combiner see the whole burst as one epoch.
-//! Replies are read through one buffered reader, so a burst's reply frames
-//! cost a handful of `read` syscalls rather than three apiece.
+//! Every request is framed in place into one reused buffer (a batch of
+//! keys goes from the caller's slice straight onto the wire image), and
+//! replies are read through one buffered reader, so a burst's reply frames
+//! cost a handful of `read` syscalls rather than two apiece.
 
 use crate::proto::{self, ProtoError, RecvError, Reply, Request, DEFAULT_MAX_FRAME_BYTES};
 use cpma_api::BatchOp;
+use cpma_persist::frame;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -71,9 +74,9 @@ impl From<RecvError> for ClientError {
 /// fill, an 8 192-op burst's in five.
 const REPLY_BUF_BYTES: usize = 64 << 10;
 
-/// The reader every reply goes through: [`proto::read_frame`]'s three
-/// small reads per frame are served from memory, and a body larger than
-/// the buffer is read straight into its own allocation.
+/// The reader every reply goes through: [`proto::read_frame`]'s two small
+/// reads per frame are served from memory, and a body larger than the
+/// buffer is read straight into its own allocation.
 fn reply_reader<R: Read>(stream: R) -> BufReader<R> {
     BufReader::with_capacity(REPLY_BUF_BYTES, stream)
 }
@@ -82,6 +85,8 @@ fn reply_reader<R: Read>(stream: R) -> BufReader<R> {
 pub struct Client {
     /// Reads are buffered; writes go to the stream underneath.
     reader: BufReader<TcpStream>,
+    /// The request frames of the call in flight, encoded in place.
+    wire: Vec<u8>,
     next_seq: u64,
     max_frame: u32,
 }
@@ -93,6 +98,7 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Client {
             reader: reply_reader(stream),
+            wire: Vec::new(),
             next_seq: 1,
             max_frame: DEFAULT_MAX_FRAME_BYTES,
         })
@@ -105,29 +111,22 @@ impl Client {
 
     /// Insert `key`; `true` iff newly added.
     pub fn insert(&mut self, key: u64) -> Result<bool, ClientError> {
-        let seq = self.take_seq();
-        self.call_bool(Request::Insert { seq, key })
+        self.call_bool(|seq| Request::Insert { seq, key })
     }
 
     /// Remove `key`; `true` iff it was present.
     pub fn remove(&mut self, key: u64) -> Result<bool, ClientError> {
-        let seq = self.take_seq();
-        self.call_bool(Request::Remove { seq, key })
+        self.call_bool(|seq| Request::Remove { seq, key })
     }
 
     /// Linearized membership test.
     pub fn contains(&mut self, key: u64) -> Result<bool, ClientError> {
-        let seq = self.take_seq();
-        self.call_bool(Request::Contains { seq, key })
+        self.call_bool(|seq| Request::Contains { seq, key })
     }
 
     /// Snapshot membership for a batch of keys, positional.
     pub fn contains_batch(&mut self, keys: &[u64]) -> Result<Vec<bool>, ClientError> {
-        let seq = self.take_seq();
-        let reply = self.call(Request::ContainsBatch {
-            seq,
-            keys: keys.to_vec(),
-        })?;
+        let reply = self.call(|seq, body| proto::encode_contains_batch(body, seq, keys))?;
         match reply {
             Reply::Bools { values, .. } => Ok(values),
             other => Err(unexpected(other)),
@@ -136,8 +135,7 @@ impl Client {
 
     /// Snapshot sum of keys in `lo..=hi`.
     pub fn range_sum(&mut self, lo: u64, hi: u64) -> Result<u64, ClientError> {
-        let seq = self.take_seq();
-        let reply = self.call(Request::RangeSum { seq, lo, hi })?;
+        let reply = self.call(|seq, body| Request::RangeSum { seq, lo, hi }.encode_body(body))?;
         match reply {
             Reply::Sum { value, .. } => Ok(value),
             other => Err(unexpected(other)),
@@ -147,8 +145,7 @@ impl Client {
     /// Snapshot scan: up to `max` keys from `lo` upward (the server may
     /// clamp `max` to its configured scan limit).
     pub fn scan(&mut self, lo: u64, max: u32) -> Result<Vec<u64>, ClientError> {
-        let seq = self.take_seq();
-        let reply = self.call(Request::Scan { seq, lo, max })?;
+        let reply = self.call(|seq, body| Request::Scan { seq, lo, max }.encode_body(body))?;
         match reply {
             Reply::Keys { keys, .. } => Ok(keys),
             other => Err(unexpected(other)),
@@ -183,32 +180,16 @@ impl Client {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let mut wire = Vec::new();
-        let mut body = Vec::new();
+        self.wire.clear();
         for req in &mut requests {
-            let seq = self.take_seq();
-            req.set_seq(seq);
-            body.clear();
-            req.encode_body(&mut body);
-            proto::encode_frame(&body, &mut wire);
+            req.set_seq(self.take_seq());
+            req.encode_frame(&mut self.wire);
         }
-        self.reader.get_mut().write_all(&wire)?;
-
-        let mut replies = Vec::with_capacity(requests.len());
-        for req in &requests {
-            let reply = self.read_reply()?;
-            if let Reply::Error { seq, code } = reply {
-                return Err(ClientError::Server { seq, code });
-            }
-            if reply.seq() != req.seq() {
-                return Err(ClientError::SeqMismatch {
-                    want: req.seq(),
-                    got: reply.seq(),
-                });
-            }
-            replies.push(reply);
-        }
-        Ok(replies)
+        self.reader.get_mut().write_all(&self.wire)?;
+        requests
+            .iter()
+            .map(|req| self.reply_to(req.seq()))
+            .collect()
     }
 
     fn take_seq(&mut self) -> u64 {
@@ -217,34 +198,34 @@ impl Client {
         s
     }
 
-    fn call(&mut self, req: Request) -> Result<Reply, ClientError> {
-        self.reader
-            .get_mut()
-            .write_all(&proto::request_frame(&req))?;
-        let reply = self.read_reply()?;
-        if let Reply::Error { seq, code } = reply {
-            return Err(ClientError::Server { seq, code });
-        }
-        if reply.seq() != req.seq() {
-            return Err(ClientError::SeqMismatch {
-                want: req.seq(),
-                got: reply.seq(),
-            });
-        }
-        Ok(reply)
+    /// One request, its body written by `body` under a fresh sequence id,
+    /// and the reply that answers it.
+    fn call(&mut self, body: impl FnOnce(u64, &mut Vec<u8>)) -> Result<Reply, ClientError> {
+        let seq = self.take_seq();
+        self.wire.clear();
+        frame::write(&mut self.wire, |out| body(seq, out));
+        self.reader.get_mut().write_all(&self.wire)?;
+        self.reply_to(seq)
     }
 
-    fn call_bool(&mut self, req: Request) -> Result<bool, ClientError> {
-        match self.call(req)? {
+    fn call_bool(&mut self, req: impl FnOnce(u64) -> Request) -> Result<bool, ClientError> {
+        match self.call(|seq, body| req(seq).encode_body(body))? {
             Reply::Bool { value, .. } => Ok(value),
             other => Err(unexpected(other)),
         }
     }
 
-    fn read_reply(&mut self) -> Result<Reply, ClientError> {
-        match proto::read_frame(&mut self.reader, self.max_frame)? {
-            Some(body) => Ok(Reply::decode_body(&body).map_err(ClientError::Proto)?),
-            None => Err(ClientError::ConnectionClosed),
+    /// Read the next reply and check that it answers request `want`.
+    fn reply_to(&mut self, want: u64) -> Result<Reply, ClientError> {
+        let body = proto::read_frame(&mut self.reader, self.max_frame)?
+            .ok_or(ClientError::ConnectionClosed)?;
+        match Reply::decode_body(&body).map_err(ClientError::Proto)? {
+            Reply::Error { seq, code } => Err(ClientError::Server { seq, code }),
+            reply if reply.seq() != want => Err(ClientError::SeqMismatch {
+                want,
+                got: reply.seq(),
+            }),
+            reply => Ok(reply),
         }
     }
 }
@@ -318,15 +299,15 @@ mod tests {
         let (got, reads) = buffered(&wire, usize::MAX);
         assert_eq!(got.len(), 512);
         assert_eq!(got, drain(&mut &wire[..]));
-        // Unbuffered, `read_frame` reads length, body and checksum apart:
-        // 3 × 512 reads (+ 1 for the end of the stream).
+        // Unbuffered, `read_frame` reads the length apart from the body and
+        // its digest: 2 × 512 reads (+ 1 for the end of the stream).
         let mut bare = Metered {
             bytes: &wire,
             step: usize::MAX,
             reads: 0,
         };
         drain(&mut bare);
-        assert_eq!(bare.reads, 3 * 512 + 1);
+        assert_eq!(bare.reads, 2 * 512 + 1);
         assert!(reads <= 8, "{reads} reads for 512 reply frames");
     }
 

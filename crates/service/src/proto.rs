@@ -1,17 +1,21 @@
 //! The wire protocol: length-prefixed, checksummed frames.
 //!
-//! Every message — request or reply — travels as one frame:
+//! Every message — request or reply — travels as one
+//! [`cpma_persist::frame`], the same codec a WAL record uses:
 //!
 //! ```text
-//! [ len: LE u32 ][ body: len bytes ][ checksum: LE u64 ]
+//! [ len: LE u32 ][ body: len bytes ][ digest: LE u64 ]
 //! ```
 //!
-//! `len` counts the body only; the checksum is FNV-1a 64 of the body (the
-//! same integrity code every persisted region uses — the threat model is
-//! truncation and corruption, not forgery). A request body is
+//! `len` counts the body only; the digest is XXH64 of the body (the same
+//! integrity code every persisted region uses — the threat model is
+//! truncation and corruption, not forgery). Frames are built in place:
+//! [`Request::encode_frame`] / [`Reply::encode_frame`] append the body
+//! straight into the output buffer and seal it there, so a 512 KiB `Keys`
+//! reply is written once and hashed once. A request body is
 //!
 //! ```text
-//! [ version: u8 ][ opcode: u8 ][ seq: LE u64 ][ payload ]
+//! [ version: u8 = 2 ][ opcode: u8 ][ seq: LE u64 ][ payload ]
 //! ```
 //!
 //! and a reply body is
@@ -22,6 +26,8 @@
 //!
 //! where `seq` echoes the request's sequence id, so a pipelined client can
 //! match replies to requests positionally *and* verify the pairing.
+//! Version 1 was the same bodies under an FNV-1a frame digest; a v1 peer's
+//! frame fails the digest and is answered with a typed error and a close.
 //!
 //! Decoding follows the persistence layer's doctrine: every malformed input
 //! must produce a typed [`ProtoError`] — never a panic, and never an
@@ -30,17 +36,17 @@
 //! configured maximum *before* the body buffer is allocated, and the
 //! `ContainsBatch` element count must exactly match the bytes present.
 
-use cpma_persist::checksum::fnv1a64;
+use cpma_persist::frame::{self, FrameError};
 use std::io::{self, Read};
 
 /// The only protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default cap on a frame's body length (1 MiB ≈ 131k keys per batch).
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 1 << 20;
 
-/// Bytes a frame adds around its body: 4-byte length + 8-byte checksum.
-pub const FRAME_OVERHEAD: usize = 12;
+/// Bytes a frame adds around its body: 4-byte length + 8-byte digest.
+pub const FRAME_OVERHEAD: usize = frame::OVERHEAD;
 
 /// Request/reply body header: version, opcode/kind, sequence id.
 const BODY_HEADER: usize = 1 + 1 + 8;
@@ -121,6 +127,15 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+impl From<FrameError> for ProtoError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Oversize { len, max } => ProtoError::Oversize { len, max },
+            FrameError::BadDigest => ProtoError::ChecksumMismatch,
+        }
+    }
+}
+
 /// Receive-side failure: either the transport broke ([`io::Error`]) or the
 /// peer sent bytes that do not parse ([`ProtoError`]).
 #[derive(Debug)]
@@ -198,47 +213,25 @@ impl Request {
         }
     }
 
-    /// Serialize the body (header + payload); the frame wrapper is added
-    /// by [`encode_frame`].
+    /// Serialize the body (header + payload) onto the end of `out`.
     pub fn encode_body(&self, out: &mut Vec<u8>) {
-        out.push(PROTOCOL_VERSION);
         match *self {
-            Request::Insert { seq, key } => {
-                out.push(opcode::INSERT);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            Request::Remove { seq, key } => {
-                out.push(opcode::REMOVE);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            Request::Contains { seq, key } => {
-                out.push(opcode::CONTAINS);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            Request::ContainsBatch { seq, ref keys } => {
-                out.push(opcode::CONTAINS_BATCH);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for k in keys {
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-            }
-            Request::RangeSum { seq, lo, hi } => {
-                out.push(opcode::RANGE_SUM);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
-            }
+            Request::Insert { seq, key } => put_header(out, opcode::INSERT, seq, [key]),
+            Request::Remove { seq, key } => put_header(out, opcode::REMOVE, seq, [key]),
+            Request::Contains { seq, key } => put_header(out, opcode::CONTAINS, seq, [key]),
+            Request::ContainsBatch { seq, ref keys } => encode_contains_batch(out, seq, keys),
+            Request::RangeSum { seq, lo, hi } => put_header(out, opcode::RANGE_SUM, seq, [lo, hi]),
             Request::Scan { seq, lo, max } => {
-                out.push(opcode::SCAN);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&lo.to_le_bytes());
+                put_header(out, opcode::SCAN, seq, [lo]);
                 out.extend_from_slice(&max.to_le_bytes());
             }
         }
+    }
+
+    /// Append this request to `out` as one frame, the body encoded in
+    /// place.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        frame::write(out, |body| self.encode_body(body));
     }
 
     /// Parse a request body (as returned by [`read_frame`]).
@@ -332,40 +325,33 @@ impl Reply {
         }
     }
 
-    /// Serialize the body (header + payload).
+    /// Serialize the body (header + payload) onto the end of `out`.
     pub fn encode_body(&self, out: &mut Vec<u8>) {
-        out.push(PROTOCOL_VERSION);
         match *self {
             Reply::Bool { seq, value } => {
-                out.push(kind::BOOL);
-                out.extend_from_slice(&seq.to_le_bytes());
+                put_header(out, kind::BOOL, seq, []);
                 out.push(value as u8);
             }
             Reply::Bools { seq, ref values } => {
-                out.push(kind::BOOLS);
-                out.extend_from_slice(&seq.to_le_bytes());
+                put_header(out, kind::BOOLS, seq, []);
                 out.extend_from_slice(&(values.len() as u32).to_le_bytes());
                 out.extend(values.iter().map(|&b| b as u8));
             }
-            Reply::Sum { seq, value } => {
-                out.push(kind::SUM);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
+            Reply::Sum { seq, value } => put_header(out, kind::SUM, seq, [value]),
             Reply::Keys { seq, ref keys } => {
-                out.push(kind::KEYS);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for k in keys {
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
+                put_header(out, kind::KEYS, seq, []);
+                put_counted(out, keys);
             }
             Reply::Error { seq, code } => {
-                out.push(kind::ERROR);
-                out.extend_from_slice(&seq.to_le_bytes());
+                put_header(out, kind::ERROR, seq, []);
                 out.push(code);
             }
         }
+    }
+
+    /// Append this reply to `out` as one frame, the body encoded in place.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        frame::write(out, |body| self.encode_body(body));
     }
 
     /// Parse a reply body.
@@ -455,22 +441,48 @@ pub fn seq_hint(body: &[u8]) -> u64 {
     }
 }
 
-/// `[count: LE u32][count × LE u64]`, count validated against the bytes
+/// Body header `[version][code][seq]`, then the payload's leading
+/// fixed-width `words`, each LE.
+fn put_header<const N: usize>(out: &mut Vec<u8>, code: u8, seq: u64, words: [u64; N]) {
+    out.reserve(BODY_HEADER + 8 * N);
+    out.extend_from_slice(&[PROTOCOL_VERSION, code]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// `[count: LE u32][count × LE u64]`.
+fn put_counted(out: &mut Vec<u8>, keys: &[u64]) {
+    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+    let at = out.len();
+    out.resize(at + keys.len() * 8, 0);
+    let (slots, _) = out[at..].as_chunks_mut::<8>();
+    for (slot, k) in slots.iter_mut().zip(keys) {
+        *slot = k.to_le_bytes();
+    }
+}
+
+/// The body of [`Request::ContainsBatch`] from a borrowed key slice — what
+/// lets the client frame a batch without first copying it into a `Request`.
+pub(crate) fn encode_contains_batch(out: &mut Vec<u8>, seq: u64, keys: &[u64]) {
+    put_header(out, opcode::CONTAINS_BATCH, seq, []);
+    put_counted(out, keys);
+}
+
+/// Inverse of [`put_counted`], the count validated against the bytes
 /// actually present before the vector is sized.
 fn decode_u64s(opcode: u8, payload: &[u8]) -> Result<Vec<u64>, ProtoError> {
-    let bad = || ProtoError::BadLength {
+    let bad = ProtoError::BadLength {
         opcode,
         len: payload.len(),
     };
-    if payload.len() < 4 {
-        return Err(bad());
+    let (count, rest) = payload.split_first_chunk::<4>().ok_or(bad)?;
+    let (words, stray) = rest.as_chunks::<8>();
+    if !stray.is_empty() || words.len() != u32::from_le_bytes(*count) as usize {
+        return Err(bad);
     }
-    let n = le_u32(payload, 0) as usize;
-    let rest = &payload[4..];
-    if rest.len() != n.checked_mul(8).ok_or_else(bad)? {
-        return Err(bad());
-    }
-    Ok((0..n).map(|i| le_u64(rest, i * 8)).collect())
+    Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
 }
 
 fn le_u64(b: &[u8], at: usize) -> u64 {
@@ -481,94 +493,67 @@ fn le_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
 }
 
-/// Wrap `body` in a frame (length prefix + FNV-1a 64 checksum) appended to
-/// `out`.
+/// Wrap an already-encoded `body` in a frame appended to `out`. The
+/// [`Request::encode_frame`] / [`Reply::encode_frame`] pair skips the
+/// staging buffer this one copies from.
 pub fn encode_frame(body: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&fnv1a64(body).to_le_bytes());
+    frame::write(out, |b| b.extend_from_slice(body));
 }
 
 /// Convenience: encode a request as one complete frame.
 pub fn request_frame(req: &Request) -> Vec<u8> {
-    let mut body = Vec::with_capacity(BODY_HEADER + 16);
-    req.encode_body(&mut body);
-    let mut frame = Vec::with_capacity(body.len() + FRAME_OVERHEAD);
-    encode_frame(&body, &mut frame);
+    let mut frame = Vec::new();
+    req.encode_frame(&mut frame);
     frame
 }
 
 /// Convenience: encode a reply as one complete frame.
 pub fn reply_frame(rep: &Reply) -> Vec<u8> {
-    let mut body = Vec::with_capacity(BODY_HEADER + 16);
-    rep.encode_body(&mut body);
-    let mut frame = Vec::with_capacity(body.len() + FRAME_OVERHEAD);
-    encode_frame(&body, &mut frame);
+    let mut frame = Vec::new();
+    rep.encode_frame(&mut frame);
     frame
 }
 
-/// Read one frame from `r`, verifying length cap and checksum.
+/// Read one frame from `r`, verifying length cap and digest.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream *at a frame boundary*
 /// (zero bytes before the next length prefix); end-of-stream anywhere
-/// inside a frame is [`ProtoError::Truncated`]. The body buffer is only
-/// allocated after the length prefix passes the `max_frame` check.
+/// inside a frame is [`ProtoError::Truncated`]. The buffer — body and
+/// digest in one read — is only allocated after the length prefix passes
+/// the `max_frame` check, and is handed back as the body once the digest
+/// has matched.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, RecvError> {
-    let mut len_bytes = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_bytes)? {
-        Filled::Eof => return Ok(None),
-        Filled::Partial => return Err(ProtoError::Truncated("length prefix").into()),
-        Filled::Full => {}
+    let mut prefix = [0u8; frame::LEN_BYTES];
+    match read_full(r, &mut prefix)? {
+        0 => return Ok(None),
+        frame::LEN_BYTES => {}
+        _ => return Err(ProtoError::Truncated("length prefix").into()),
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > max_frame {
-        return Err(ProtoError::Oversize {
-            len,
-            max: max_frame,
-        }
-        .into());
+    let len = frame::body_len(prefix, max_frame).map_err(ProtoError::from)?;
+    let mut tail = vec![0u8; len + frame::DIGEST_BYTES];
+    let got = read_full(r, &mut tail)?;
+    if got < tail.len() {
+        let cut = if got < len { "body" } else { "checksum" };
+        return Err(ProtoError::Truncated(cut).into());
     }
-    let mut body = vec![0u8; len as usize];
-    match read_exact_or_eof(r, &mut body)? {
-        Filled::Full => {}
-        _ => return Err(ProtoError::Truncated("body").into()),
-    }
-    let mut crc = [0u8; 8];
-    match read_exact_or_eof(r, &mut crc)? {
-        Filled::Full => {}
-        _ => return Err(ProtoError::Truncated("checksum").into()),
-    }
-    if u64::from_le_bytes(crc) != fnv1a64(&body) {
-        return Err(ProtoError::ChecksumMismatch.into());
-    }
-    Ok(Some(body))
+    frame::open(&tail).map_err(ProtoError::from)?;
+    tail.truncate(len);
+    Ok(Some(tail))
 }
 
-enum Filled {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// `read_exact` that distinguishes "zero bytes then EOF" from "some bytes
-/// then EOF" — the former is a clean close, the latter a truncation.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<Filled> {
+/// `read_exact` that reports how far it got instead of failing at
+/// end-of-stream: zero bytes is a clean close, some a truncation.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Ok(if got == 0 {
-                    Filled::Eof
-                } else {
-                    Filled::Partial
-                });
-            }
+            Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(Filled::Full)
+    Ok(got)
 }
 
 #[cfg(test)]
@@ -591,53 +576,131 @@ mod tests {
         assert_eq!(Reply::decode_body(&body).unwrap(), rep);
     }
 
+    fn every_request() -> Vec<Request> {
+        vec![
+            Request::Insert { seq: 7, key: 42 },
+            Request::Remove {
+                seq: u64::MAX,
+                key: 0,
+            },
+            Request::Contains { seq: 0, key: 9 },
+            Request::ContainsBatch {
+                seq: 3,
+                keys: vec![],
+            },
+            Request::ContainsBatch {
+                seq: 3,
+                keys: vec![1, u64::MAX, 5],
+            },
+            Request::RangeSum {
+                seq: 11,
+                lo: 100,
+                hi: 200,
+            },
+            Request::Scan {
+                seq: 12,
+                lo: 0,
+                max: 1000,
+            },
+        ]
+    }
+
+    fn every_reply() -> Vec<Reply> {
+        vec![
+            Reply::Bool {
+                seq: 1,
+                value: true,
+            },
+            Reply::Bools {
+                seq: 2,
+                values: vec![true, false, true],
+            },
+            Reply::Sum {
+                seq: 3,
+                value: u64::MAX,
+            },
+            Reply::Keys {
+                seq: 4,
+                keys: vec![],
+            },
+            Reply::Keys {
+                seq: 4,
+                keys: (0..1000).map(|k| k << 20).collect(),
+            },
+            Reply::Error { seq: 5, code: 2 },
+        ]
+    }
+
     #[test]
     fn request_roundtrips() {
-        roundtrip_req(Request::Insert { seq: 7, key: 42 });
-        roundtrip_req(Request::Remove {
-            seq: u64::MAX,
-            key: 0,
-        });
-        roundtrip_req(Request::Contains { seq: 0, key: 9 });
-        roundtrip_req(Request::ContainsBatch {
-            seq: 3,
-            keys: vec![],
-        });
-        roundtrip_req(Request::ContainsBatch {
-            seq: 3,
-            keys: vec![1, u64::MAX, 5],
-        });
-        roundtrip_req(Request::RangeSum {
-            seq: 11,
-            lo: 100,
-            hi: 200,
-        });
-        roundtrip_req(Request::Scan {
-            seq: 12,
-            lo: 0,
-            max: 1000,
-        });
+        every_request().into_iter().for_each(roundtrip_req);
     }
 
     #[test]
     fn reply_roundtrips() {
-        roundtrip_rep(Reply::Bool {
-            seq: 1,
-            value: true,
-        });
-        roundtrip_rep(Reply::Bools {
-            seq: 2,
-            values: vec![true, false, true],
-        });
-        roundtrip_rep(Reply::Sum {
-            seq: 3,
-            value: u64::MAX,
-        });
-        roundtrip_rep(Reply::Keys {
-            seq: 4,
-            keys: vec![10, 20, 30],
-        });
-        roundtrip_rep(Reply::Error { seq: 5, code: 2 });
+        every_reply().into_iter().for_each(roundtrip_rep);
+    }
+
+    /// The in-place writer and the staged pair the benchmark still calls
+    /// (`encode_body` into a buffer, `encode_frame` copying it) produce the
+    /// same bytes for every variant, alone and appended after other frames.
+    #[test]
+    fn in_place_frames_equal_staged_frames_byte_for_byte() {
+        fn staged(encode_body: impl Fn(&mut Vec<u8>), out: &mut Vec<u8>) {
+            let mut body = Vec::new();
+            encode_body(&mut body);
+            encode_frame(&body, out);
+        }
+        let (mut in_place, mut by_copy) = (Vec::new(), Vec::new());
+        for req in every_request() {
+            req.encode_frame(&mut in_place);
+            staged(|b| req.encode_body(b), &mut by_copy);
+            assert_eq!(in_place, by_copy, "{req:?}");
+            assert!(by_copy.ends_with(&request_frame(&req)));
+            if let Request::ContainsBatch { seq, ref keys } = req {
+                let mut borrowed = Vec::new();
+                frame::write(&mut borrowed, |b| encode_contains_batch(b, seq, keys));
+                assert_eq!(borrowed, request_frame(&req));
+            }
+        }
+        for rep in every_reply() {
+            rep.encode_frame(&mut in_place);
+            staged(|b| rep.encode_body(b), &mut by_copy);
+            assert_eq!(in_place, by_copy, "{rep:?}");
+            assert!(by_copy.ends_with(&reply_frame(&rep)));
+        }
+    }
+
+    /// Count, not clock: a full scan page — one `Keys` reply of *n* keys,
+    /// 8 n + 14 body bytes — is hashed once and written once on each side.
+    /// The server appends it to a buffer that neither moves nor grows past
+    /// the frame; the client hashes the body it read and nothing else.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_keys_reply_is_hashed_once_and_written_once_per_side() {
+        use cpma_persist::checksum::tally::hashed_by;
+        let n = 65_536usize;
+        let rep = Reply::Keys {
+            seq: 9,
+            keys: (0..n as u64).map(|k| k * 3).collect(),
+        };
+        let body_len = 8 * n + BODY_HEADER + 4;
+
+        let mut out = Vec::with_capacity(body_len + FRAME_OVERHEAD);
+        let home = out.as_ptr();
+        let ((), hashed) = hashed_by(|| rep.encode_frame(&mut out));
+        assert_eq!(hashed, body_len, "server side hashes the body once");
+        assert_eq!(
+            (out.len(), out.as_ptr()),
+            (body_len + FRAME_OVERHEAD, home),
+            "every byte landed once, in the output buffer"
+        );
+
+        let (body, hashed) = hashed_by(|| read_frame(&mut &out[..], 1 << 20).unwrap().unwrap());
+        assert_eq!(hashed, body_len, "client side hashes the body once");
+        assert_eq!(body.len(), body_len);
+        let (back, hashed) = hashed_by(|| Reply::decode_body(&body).unwrap());
+        assert_eq!((back, hashed), (rep, 0));
     }
 
     #[test]
@@ -655,6 +718,25 @@ mod tests {
                 assert_eq!(max, 1024);
             }
             other => panic!("expected Oversize, got {other:?}"),
+        }
+    }
+
+    /// Where the stream ends inside a frame names the region that was cut.
+    #[test]
+    fn truncation_names_the_region() {
+        let frame = request_frame(&Request::Insert { seq: 7, key: 42 });
+        for (cut, region) in [
+            (2, "length prefix"),
+            (4, "body"),
+            (21, "body"),
+            (22, "checksum"),
+        ] {
+            match read_frame(&mut &frame[..cut], 1024) {
+                Err(RecvError::Proto(ProtoError::Truncated(what))) => {
+                    assert_eq!(what, region, "cut {cut}")
+                }
+                other => panic!("cut {cut}: expected Truncated, got {other:?}"),
+            }
         }
     }
 

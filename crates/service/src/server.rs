@@ -35,6 +35,7 @@ use crate::proto::{
 };
 use cpma_api::{BatchSet, ConfigError, Persist, PersistError, RangeSet};
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
+use cpma_persist::frame;
 use cpma_store::{Combiner, CombinerConfig, Op, RecoveryReport, WalConfig};
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -150,15 +151,7 @@ where
     }
 
     fn scan(&self, lo: u64, max: usize) -> Vec<u64> {
-        let snap = self.combiner.snapshot();
-        let mut out = Vec::new();
-        if max > 0 {
-            snap.scan_from(lo, &mut |k| {
-                out.push(k);
-                out.len() < max
-            });
-        }
-        out
+        scan_page(&*self.combiner.snapshot(), lo, max)
     }
 }
 
@@ -205,16 +198,21 @@ where
     }
 
     fn scan(&self, lo: u64, max: usize) -> Vec<u64> {
-        let s = self.set.lock().unwrap();
-        let mut out = Vec::new();
-        if max > 0 {
-            s.scan_from(lo, &mut |k| {
-                out.push(k);
-                out.len() < max
-            });
-        }
-        out
+        scan_page(&*self.set.lock().unwrap(), lo, max)
     }
+}
+
+/// Up to `max` keys of `set` from `lo` upward, into a vector sized once:
+/// a page never holds more than `max` keys nor more than the set does.
+fn scan_page<S: RangeSet<u64>>(set: &S, lo: u64, max: usize) -> Vec<u64> {
+    let mut out = Vec::with_capacity(max.min(set.len()));
+    if max > 0 {
+        set.scan_from(lo, &mut |k| {
+            out.push(k);
+            out.len() < max
+        });
+    }
+    out
 }
 
 /// Service startup/teardown failure.
@@ -519,9 +517,8 @@ fn serve_conn(
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_nodelay(true)?;
     let mut reader = FrameReader::new(stream);
-    // Reply frames of one batch, and the one body being framed into it.
+    // Reply frames of one batch, each encoded in place.
     let mut out = Vec::new();
-    let mut reply_body = Vec::new();
 
     loop {
         // Blocking read of the next frame (honors the read timeout).
@@ -578,19 +575,15 @@ fn serve_conn(
             span.set_items(replies.len() as u64);
             out.clear();
             for rep in &replies {
-                reply_body.clear();
-                rep.encode_body(&mut reply_body);
-                proto::encode_frame(&reply_body, &mut out);
+                rep.encode_frame(&mut out);
             }
             if let Some((seq, e)) = fatal {
                 metrics.proto_errors.inc();
-                reply_body.clear();
                 Reply::Error {
                     seq,
                     code: e.code(),
                 }
-                .encode_body(&mut reply_body);
-                proto::encode_frame(&reply_body, &mut out);
+                .encode_frame(&mut out);
             }
             reader.stream.write_all(&out)?;
         }
@@ -696,33 +689,18 @@ impl FrameReader {
         }
     }
 
-    /// Parse one complete frame out of the buffer, if present.
-    /// `Ok(None)` means more bytes are needed.
+    /// Parse one complete frame out of the buffer, if present: the body is
+    /// copied out only after its length and digest have been checked on
+    /// the buffered bytes. `Ok(None)` means more bytes are needed.
     fn pop_frame(&mut self, max_frame: u32) -> Result<Option<Vec<u8>>, ProtoError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        let Some((body, used)) = frame::parse(&self.buf[self.start..], max_frame)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap());
-        if len > max_frame {
-            return Err(ProtoError::Oversize {
-                len,
-                max: max_frame,
-            });
-        }
-        let total = 4 + len as usize + 8;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let body = avail[4..4 + len as usize].to_vec();
-        let crc = u64::from_le_bytes(avail[4 + len as usize..total].try_into().unwrap());
-        self.start += total;
+        };
+        let body = body.to_vec();
+        self.start += used;
         if self.start > 64 * 1024 || self.start == self.buf.len() {
             self.buf.drain(..self.start);
             self.start = 0;
-        }
-        if crc != cpma_persist::checksum::fnv1a64(&body) {
-            return Err(ProtoError::ChecksumMismatch);
         }
         Ok(Some(body))
     }

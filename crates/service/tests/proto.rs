@@ -5,9 +5,9 @@
 //! hang, or an allocation sized by attacker-controlled bytes. After every
 //! abuse the server must still serve the next well-formed connection.
 
-use cpma_persist::checksum::fnv1a64;
+use cpma_api::testkit::{assert_all_refused, Damage};
 use cpma_pma::Cpma;
-use cpma_service::proto::{self, ProtoError, RecvError};
+use cpma_service::proto::{self, ProtoError, RecvError, PROTOCOL_VERSION};
 use cpma_service::{Client, Reply, Request, Service, ServiceConfig};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -61,26 +61,35 @@ fn insert_frame(seq: u64, key: u64) -> Vec<u8> {
     proto::request_frame(&Request::Insert { seq, key })
 }
 
+/// What the server made of `bytes`, as the shared corruption table wants
+/// it: `Err` (naming the replies) iff nothing was acknowledged — every
+/// reply is a typed `Error` — and `Ok` if any op got through.
+fn acked(addr: SocketAddr, bytes: &[u8]) -> Result<(), String> {
+    let replies = send_raw(addr, bytes);
+    if replies.iter().all(|r| matches!(r, Reply::Error { .. })) {
+        Err(format!("{replies:?}"))
+    } else {
+        Ok(())
+    }
+}
+
 #[test]
 fn truncation_at_every_byte_closes_cleanly() {
     let (mut service, addr) = serve_short_timeout();
     let frame = insert_frame(7, 42);
-    for cut in 0..frame.len() {
-        let replies = send_raw(addr, &frame[..cut]);
-        if cut == 0 {
+    assert!(acked(addr, &frame).is_ok(), "the whole frame is served");
+    let cuts = Damage::sweep(frame.len(), usize::MAX, 1, &[]);
+    assert_all_refused(&frame, cuts, |cut| {
+        let replies = send_raw(addr, cut);
+        if cut.is_empty() {
             // Nothing sent: a clean close at the frame boundary, no reply.
             assert!(replies.is_empty(), "cut 0: unexpected replies {replies:?}");
         } else {
             // Mid-frame EOF: at most one typed error reply, then close.
-            assert!(replies.len() <= 1, "cut {cut}: {replies:?}");
-            if let Some(rep) = replies.first() {
-                assert!(
-                    matches!(rep, Reply::Error { .. }),
-                    "cut {cut}: expected Error, got {rep:?}"
-                );
-            }
+            assert!(replies.len() <= 1, "cut {}: {replies:?}", cut.len());
         }
-    }
+        acked(addr, cut)
+    });
     assert_server_alive(addr);
     service.shutdown();
 }
@@ -89,24 +98,25 @@ fn truncation_at_every_byte_closes_cleanly() {
 fn byte_flip_at_every_position_yields_typed_error() {
     let (mut service, addr) = serve_short_timeout();
     let frame = insert_frame(9, 1234);
-    for pos in 0..frame.len() {
-        for flip in [0x01u8, 0x80] {
-            let mut bad = frame.clone();
-            bad[pos] ^= flip;
-            let replies = send_raw(addr, &bad);
-            // Whatever byte was hit — length prefix, version, opcode, seq,
-            // payload, checksum — the server must answer with errors only
-            // and close; a flipped frame must never ack as a valid op.
-            for rep in &replies {
-                assert!(
-                    matches!(rep, Reply::Error { .. }),
-                    "pos {pos} flip {flip:#04x}: non-error reply {rep:?}"
-                );
-            }
-        }
-    }
+    // Whatever byte was hit — length prefix, version, opcode, seq, payload,
+    // digest — the server must answer with errors only and close; a flipped
+    // frame must never ack as a valid op.
+    let flips = Damage::sweep(frame.len(), usize::MAX, 1, &[0x01, 0x80])
+        .into_iter()
+        .filter(|d| matches!(d, Damage::Flip { .. }));
+    assert_all_refused(&frame, flips, |bad| acked(addr, bad));
     assert_server_alive(addr);
     service.shutdown();
+}
+
+/// The reply to `damage` applied to a valid insert frame: exactly one typed
+/// error, whose code is returned.
+fn error_code_for(addr: SocketAddr, damage: Damage) -> u8 {
+    let replies = send_raw(addr, &damage.apply(&insert_frame(3, 55)));
+    match replies[..] {
+        [Reply::Error { code, .. }] => code,
+        ref other => panic!("{damage:?}: expected one Error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -116,17 +126,10 @@ fn oversized_length_is_rejected_before_allocation() {
     // prefix alone — long before 4 GiB could arrive — with the Oversize
     // code, and fast.
     let started = Instant::now();
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-    bytes.extend_from_slice(&[0u8; 64]); // a little garbage after the prefix
-    let replies = send_raw(addr, &bytes);
-    assert_eq!(replies.len(), 1);
-    match replies[0] {
-        Reply::Error { code, .. } => {
-            assert_eq!(code, ProtoError::Oversize { len: 0, max: 0 }.code())
-        }
-        ref other => panic!("expected Error, got {other:?}"),
-    }
+    assert_eq!(
+        error_code_for(addr, Damage::OversizeLength),
+        ProtoError::Oversize { len: 0, max: 0 }.code()
+    );
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "oversize rejection took {:?}",
@@ -139,16 +142,44 @@ fn oversized_length_is_rejected_before_allocation() {
 #[test]
 fn forged_checksum_is_rejected() {
     let (mut service, addr) = serve_short_timeout();
-    let mut frame = insert_frame(3, 55);
-    let n = frame.len();
-    // Rewrite the checksum to a wrong-but-plausible value.
-    frame[n - 8..].copy_from_slice(&0xDEAD_BEEF_u64.to_le_bytes());
-    let replies = send_raw(addr, &frame);
-    assert_eq!(replies.len(), 1);
-    match replies[0] {
-        Reply::Error { code, .. } => assert_eq!(code, ProtoError::ChecksumMismatch.code()),
-        ref other => panic!("expected Error, got {other:?}"),
-    }
+    // The digest rewritten to a wrong-but-plausible value.
+    assert_eq!(
+        error_code_for(addr, Damage::ForgedDigest),
+        ProtoError::ChecksumMismatch.code()
+    );
+    assert_server_alive(addr);
+    service.shutdown();
+}
+
+/// A version-1 request, byte for byte as the last FNV-1a build framed it
+/// (`Insert { seq: 7, key: 42 }`): its frame digest no longer verifies, so
+/// an old client gets one typed error and a clean close, nothing is
+/// inserted, and the server goes on serving.
+#[test]
+fn a_v1_frame_gets_a_typed_error_and_a_clean_close() {
+    const FRAME_V1: [u8; 30] = [
+        18, 0, 0, 0, 1, 1, 7, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0, 154, 75, 6, 203, 73,
+        20, 65, 36,
+    ];
+    let (mut service, addr) = serve_short_timeout();
+    assert_eq!(
+        send_raw(addr, &FRAME_V1),
+        vec![Reply::Error {
+            seq: 0,
+            code: ProtoError::ChecksumMismatch.code()
+        }]
+    );
+    // The same v1 body under today's digest gets past the frame and is
+    // refused on its version byte, echoing the sequence id.
+    assert_eq!(
+        send_raw(addr, &framed(&FRAME_V1[4..22])),
+        vec![Reply::Error {
+            seq: 7,
+            code: ProtoError::UnsupportedVersion(1).code()
+        }]
+    );
+    let mut client = Client::connect(addr).unwrap();
+    assert!(!client.contains(42).unwrap());
     assert_server_alive(addr);
     service.shutdown();
 }
@@ -156,9 +187,7 @@ fn forged_checksum_is_rejected() {
 /// Frame a raw body with a *valid* checksum (to reach the body decoder).
 fn framed(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&fnv1a64(body).to_le_bytes());
+    proto::encode_frame(body, &mut out);
     out
 }
 
@@ -179,7 +208,7 @@ fn bad_version_opcode_and_length_echo_seq() {
     );
 
     // Unknown opcode; the seq survives and is echoed.
-    let mut body = vec![1u8, 0xAB];
+    let mut body = vec![PROTOCOL_VERSION, 0xAB];
     body.extend_from_slice(&77u64.to_le_bytes());
     body.extend_from_slice(&5u64.to_le_bytes());
     let replies = send_raw(addr, &framed(&body));
@@ -192,7 +221,7 @@ fn bad_version_opcode_and_length_echo_seq() {
     );
 
     // Insert with a short payload.
-    let mut body = vec![1u8, 1];
+    let mut body = vec![PROTOCOL_VERSION, 1];
     body.extend_from_slice(&13u64.to_le_bytes());
     body.extend_from_slice(&[1, 2, 3]); // 3 bytes where a key needs 8
     let replies = send_raw(addr, &framed(&body));
@@ -206,7 +235,7 @@ fn bad_version_opcode_and_length_echo_seq() {
 
     // ContainsBatch whose count field lies about the bytes present: must
     // be BadLength (no allocation from the forged count).
-    let mut body = vec![1u8, 4];
+    let mut body = vec![PROTOCOL_VERSION, 4];
     body.extend_from_slice(&21u64.to_le_bytes());
     body.extend_from_slice(&1_000_000u32.to_le_bytes());
     body.extend_from_slice(&7u64.to_le_bytes()); // one key, not a million
@@ -218,7 +247,7 @@ fn bad_version_opcode_and_length_echo_seq() {
     ));
 
     // Body shorter than the header: error with seq 0 (nothing to echo).
-    let replies = send_raw(addr, &framed(&[1u8, 1]));
+    let replies = send_raw(addr, &framed(&[PROTOCOL_VERSION, 1]));
     assert_eq!(replies.len(), 1);
     assert!(matches!(replies[0], Reply::Error { seq: 0, .. }));
 

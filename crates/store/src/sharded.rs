@@ -843,21 +843,22 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
         }
         let manifest = SnapshotEnvelope {
             codec_id: MANIFEST_CODEC_ID,
-            meta,
-            payload,
+            meta: &meta,
+            payload: &payload,
         };
         manifest.save_file(&path.join("MANIFEST"))
     }
 
     fn load(path: &Path) -> Result<Self, PersistError> {
-        let manifest = SnapshotEnvelope::load_file(&path.join("MANIFEST"))?;
+        let bytes = std::fs::read(path.join("MANIFEST"))?;
+        let manifest = SnapshotEnvelope::from_bytes(&bytes)?;
         if manifest.codec_id != MANIFEST_CODEC_ID {
             return Err(PersistError::CodecMismatch {
                 expected: MANIFEST_CODEC_ID,
                 found: manifest.codec_id,
             });
         }
-        let mut r = ByteReader::new(&manifest.meta);
+        let mut r = ByteReader::new(manifest.meta);
         let count = r.u32("shard count")? as usize;
         let as_usize = |v: u64, what: &'static str| {
             usize::try_from(v).map_err(|_| PersistError::Corrupt(format!("{what} {v} too large")))
@@ -878,7 +879,7 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
                 manifest.payload.len()
             )));
         }
-        let mut sp = ByteReader::new(&manifest.payload);
+        let mut sp = ByteReader::new(manifest.payload);
         let mut splitters = Vec::with_capacity(count - 1);
         for _ in 1..count {
             splitters.push(sp.u64("splitter")?);
