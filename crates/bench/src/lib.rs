@@ -19,9 +19,7 @@
 
 use std::time::Instant;
 
-pub use cpma_api::{
-    normalize_batch, normalize_ops, BatchOp, BatchOutcome, BatchSet, OrderedSet, RangeSet,
-};
+pub use cpma_api::{normalize_batch, BatchSet, RangeSet};
 
 pub mod ubench;
 
@@ -161,60 +159,6 @@ pub fn delete_throughput<S: BatchSet<u64>>(base: &[u64], stream: &[u64], batch_s
     stream.len() as f64 / secs
 }
 
-/// Mixed-workload throughput, single-pass path: build from `base`, then
-/// apply `ops` in `batch_size` chunks through one
-/// [`BatchSet::apply_batch_sorted`] per chunk (normalization included in
-/// the measurement, exactly as in the split driver below, so the two
-/// differ only in the application path).
-pub fn mixed_apply_throughput<S: BatchSet<u64>>(
-    base: &[u64],
-    ops: &[BatchOp<u64>],
-    batch_size: usize,
-) -> f64 {
-    let mut s = S::build_sorted(base);
-    let (_, secs) = time(|| {
-        let mut scratch: Vec<BatchOp<u64>> = Vec::new();
-        for chunk in ops.chunks(batch_size) {
-            scratch.clear();
-            scratch.extend_from_slice(chunk);
-            let norm = normalize_ops(&mut scratch);
-            s.apply_batch_sorted(norm);
-        }
-    });
-    ops.len() as f64 / secs
-}
-
-/// Mixed-workload throughput, legacy split path: identical normalization,
-/// then one `remove_batch_sorted` + one `insert_batch_sorted` per chunk —
-/// the two full structure passes the mixed pipeline replaces.
-pub fn mixed_split_throughput<S: BatchSet<u64>>(
-    base: &[u64],
-    ops: &[BatchOp<u64>],
-    batch_size: usize,
-) -> f64 {
-    let mut s = S::build_sorted(base);
-    let (_, secs) = time(|| {
-        let mut scratch: Vec<BatchOp<u64>> = Vec::new();
-        let (mut ins, mut del) = (Vec::new(), Vec::new());
-        for chunk in ops.chunks(batch_size) {
-            scratch.clear();
-            scratch.extend_from_slice(chunk);
-            let norm = normalize_ops(&mut scratch);
-            ins.clear();
-            del.clear();
-            for op in norm {
-                match *op {
-                    BatchOp::Insert(k) => ins.push(k),
-                    BatchOp::Remove(k) => del.push(k),
-                }
-            }
-            s.remove_batch_sorted(&del);
-            s.insert_batch_sorted(&ins);
-        }
-    });
-    ops.len() as f64 / secs
-}
-
 /// Range-query throughput: `queries` random ranges of width `width`
 /// (keyspace 2^`bits`), processed in parallel; returns elements/second
 /// (paper Figure 2). The structure is pre-built by the caller.
@@ -273,42 +217,6 @@ mod tests {
         assert_eq!(a.get_or("missing", 5usize), 5);
         assert!(a.flag("space"));
         assert!(!a.flag("other"));
-    }
-
-    #[test]
-    fn mixed_drivers_agree_on_final_state() {
-        // Both mixed drivers must leave the structure in the same state;
-        // this pins the single-pass path to the split oracle at bench
-        // scale (tiny here).
-        let base: Vec<u64> = (0..5_000u64).map(|i| i * 3).collect();
-        let ops: Vec<BatchOp<u64>> = (0..2_000u64)
-            .map(|i| {
-                if i % 2 == 0 {
-                    BatchOp::Insert(i * 7 + 1)
-                } else {
-                    BatchOp::Remove(i * 3)
-                }
-            })
-            .collect();
-        let tp = mixed_apply_throughput::<cpma_pma::Cpma>(&base, &ops, 500);
-        assert!(tp > 0.0);
-        let tp = mixed_split_throughput::<cpma_pma::Cpma>(&base, &ops, 500);
-        assert!(tp > 0.0);
-        let mut a = cpma_pma::Cpma::from_sorted(&base);
-        let mut b = cpma_pma::Cpma::from_sorted(&base);
-        let mut scratch = ops.clone();
-        let norm = normalize_ops(&mut scratch);
-        a.apply_batch_sorted(norm);
-        let (mut ins, mut del) = (Vec::new(), Vec::new());
-        for op in norm {
-            match *op {
-                BatchOp::Insert(k) => ins.push(k),
-                BatchOp::Remove(k) => del.push(k),
-            }
-        }
-        b.remove_batch_sorted(&del);
-        b.insert_batch_sorted(&ins);
-        assert!(a.iter().eq(b.iter()));
     }
 
     #[test]

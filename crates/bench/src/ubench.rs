@@ -200,17 +200,6 @@ impl Bencher {
     }
 }
 
-/// Dump the process-wide observability registry to `METRICS.json` in the
-/// current directory (next to the `BENCH_<tag>.json` artifacts) and return
-/// the path. Harness binaries call this once at exit so the per-layer
-/// counters and latency quantiles behind a run travel with its numbers.
-pub fn write_metrics_json() -> std::io::Result<PathBuf> {
-    let path = PathBuf::from("METRICS.json");
-    cpma_obs::global().snapshot().write_json(&path)?;
-    println!("wrote {}", path.display());
-    Ok(path)
-}
-
 /// A JSON string literal (the names and params here are ASCII identifiers,
 /// but escape the essentials anyway).
 fn json_string(s: &str) -> String {

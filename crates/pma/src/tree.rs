@@ -99,7 +99,9 @@ impl ImplicitTree {
     }
 
     /// The root-to-leaf path for `leaf`, root first, leaf node last.
-    /// O(log L) time and output size.
+    /// O(log L) time and output size. Only tests walk paths; the update
+    /// paths need a leaf's depth alone, which is O(1).
+    #[cfg(test)]
     pub fn path_to_leaf(&self, leaf: usize) -> Vec<Node> {
         debug_assert!(leaf < self.num_leaves);
         let mut path = Vec::with_capacity(self.max_depth() as usize + 1);

@@ -32,4 +32,4 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use proto::{ProtoError, RecvError, Reply, Request, DEFAULT_MAX_FRAME_BYTES};
-pub use server::{CombinerEngine, Engine, MutexEngine, Service, ServiceConfig, ServiceError};
+pub use server::{CombinerEngine, Engine, Service, ServiceConfig, ServiceError};

@@ -65,8 +65,6 @@ pub struct ServiceConfig {
     /// a 1 MiB frame. Default scan limit × 8 bytes must stay under
     /// `max_frame_bytes`.
     pub scan_limit: u32,
-    /// Combining-window configuration for the backing [`Combiner`].
-    pub combiner: CombinerConfig,
 }
 
 impl Default for ServiceConfig {
@@ -77,14 +75,12 @@ impl Default for ServiceConfig {
             read_timeout: Some(Duration::from_secs(30)),
             max_pipeline_ops: 16 * 1024,
             scan_limit: 64 * 1024,
-            combiner: CombinerConfig::default(),
         }
     }
 }
 
 impl ServiceConfig {
-    /// Validate the knob set (the combiner config is checked by the
-    /// combiner constructors themselves).
+    /// Validate the knob set.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::new("workers", "must be at least 1"));
@@ -108,9 +104,8 @@ impl ServiceConfig {
     }
 }
 
-/// Anything the service can open a front door onto. Object-safe so one
-/// server binary serves both the combining store and the per-op mutex
-/// baseline the load harness compares it against.
+/// Anything the service can open a front door onto. Object-safe, so the
+/// accept and worker loops are compiled once rather than per backend `S`.
 pub trait Engine: Send + Sync {
     /// Apply a run of linearized ops; per-op results in submission order.
     fn submit(&self, ops: &[Op<u64>]) -> Vec<bool>;
@@ -152,53 +147,6 @@ where
 
     fn scan(&self, lo: u64, max: usize) -> Vec<u64> {
         scan_page(&*self.combiner.snapshot(), lo, max)
-    }
-}
-
-/// The baseline engine the load harness measures the combiner against: a
-/// single `Mutex<S>` taken **per operation** — the conventional
-/// lock-around-the-structure server. Deliberately not batch-aware.
-pub struct MutexEngine<S> {
-    set: Mutex<S>,
-}
-
-impl<S> MutexEngine<S> {
-    pub fn new(set: S) -> Self {
-        Self {
-            set: Mutex::new(set),
-        }
-    }
-}
-
-impl<S> Engine for MutexEngine<S>
-where
-    S: BatchSet<u64> + RangeSet<u64> + Send,
-{
-    fn submit(&self, ops: &[Op<u64>]) -> Vec<bool> {
-        // One lock acquisition per op — the per-op critical section is the
-        // point of the baseline.
-        ops.iter()
-            .map(|op| {
-                let mut s = self.set.lock().unwrap();
-                match *op {
-                    Op::Insert(k) => s.insert_batch_sorted(&[k]) == 1,
-                    Op::Remove(k) => s.remove_batch_sorted(&[k]) == 1,
-                    Op::Contains(k) => s.contains(k),
-                }
-            })
-            .collect()
-    }
-
-    fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
-        self.set.lock().unwrap().contains_batch(keys)
-    }
-
-    fn range_sum(&self, lo: u64, hi: u64) -> u64 {
-        self.set.lock().unwrap().range_sum(lo..=hi)
-    }
-
-    fn scan(&self, lo: u64, max: usize) -> Vec<u64> {
-        scan_page(&*self.set.lock().unwrap(), lo, max)
     }
 }
 
@@ -334,7 +282,7 @@ impl Service {
         S: BatchSet<u64> + RangeSet<u64> + Clone + Send + Sync + 'static,
     {
         cfg.check()?;
-        let combiner = Arc::new(Combiner::with_config(set, cfg.combiner.clone()));
+        let combiner = Arc::new(Combiner::new(set));
         let engine: Arc<dyn Engine> = Arc::new(CombinerEngine::new(combiner.clone()));
         Ok((Self::serve_engine(engine, cfg)?, combiner))
     }
@@ -351,20 +299,10 @@ impl Service {
         S: BatchSet<u64> + RangeSet<u64> + Clone + Send + Sync + Persist + 'static,
     {
         cfg.check()?;
-        let (combiner, report) = Combiner::open_durable(cfg.combiner.clone(), wal)?;
+        let (combiner, report) = Combiner::open_durable(CombinerConfig::default(), wal)?;
         let combiner = Arc::new(combiner);
         let engine: Arc<dyn Engine> = Arc::new(CombinerEngine::new(combiner.clone()));
         Ok((Self::serve_engine(engine, cfg)?, combiner, report))
-    }
-
-    /// Serve the per-op mutex baseline (for the load harness comparison).
-    pub fn serve_mutex<S>(set: S, cfg: ServiceConfig) -> Result<Service, ServiceError>
-    where
-        S: BatchSet<u64> + RangeSet<u64> + Send + 'static,
-    {
-        cfg.check()?;
-        let engine: Arc<dyn Engine> = Arc::new(MutexEngine::new(set));
-        Self::serve_engine(engine, cfg)
     }
 
     /// Serve an arbitrary [`Engine`] on an OS-assigned loopback port.

@@ -1,5 +1,4 @@
-//! Flat-combining concurrent writer front-end over a batch-parallel set,
-//! with fixed or adaptive combining windows.
+//! Flat-combining concurrent writer front-end over a batch-parallel set.
 //!
 //! # Combining epochs
 //!
@@ -9,11 +8,10 @@
 //! single leader slot — a `Mutex` around the two replicas of the set — is
 //! free) or waits for its epoch's completion. The leader:
 //!
-//! 1. holds the epoch open for a *combining window* governed by
-//!    [`CombinerConfig::policy`] (see below), so concurrent traffic
-//!    accumulates into one batch;
-//! 2. seals the epoch (a fresh epoch opens for later submitters) and
-//!    replays the drained operations *in submission order* against a
+//! 1. seals the open epoch at once and takes whatever is pending (a fresh
+//!    epoch opens for later submitters) — it never holds the epoch open
+//!    (see "The leader never waits" below);
+//! 2. replays the drained operations *in submission order* against a
 //!    presence overlay, recording each operation's individual result —
 //!    this is what makes the epoch linearizable: every operation observes
 //!    exactly the operations submitted before it;
@@ -33,35 +31,24 @@
 //! needs no dedicated combiner thread and quiesces to zero cost when
 //! idle. Everything is built on `std` `Mutex`/`Condvar` only.
 //!
-//! # Window policies
+//! # The leader never waits
 //!
-//! How long the leader holds an epoch open decides the batch size — the
-//! quantity every batch-parallel backend's throughput hinges on — and is
-//! chosen by [`WindowPolicy`]:
-//!
-//! * [`WindowPolicy::Fixed`] (the default): hold the epoch open until
-//!   [`CombinerConfig::window_ops`] operations are pending or
-//!   [`CombinerConfig::window_wait`] elapses. With a zero wait this is
-//!   *reactive* flat combining — the leader drains whatever is pending
-//!   and never waits, so batch size adapts only to contention. A fixed
-//!   window must be hand-tuned to the arrival rate: too short and bursts
-//!   fragment into many small batches, too long and the leader wastes
-//!   the whole wait on sparse traffic.
-//! * [`WindowPolicy::Adaptive`]: the leader tracks an EWMA of the
-//!   inter-arrival gaps of *publications* (a point op or one whole
-//!   `submit_many` burst each count as one arrival) and keeps the
-//!   window open *while traffic keeps arriving* — it seals as soon as
-//!   the instantaneous gap since the last arrival exceeds
-//!   [`AdaptiveWindow::gap_factor`]× the EWMA (never sooner than
-//!   [`AdaptiveWindow::idle_grace`]), or when a hard cap fires
-//!   ([`AdaptiveWindow::max_window_ops`] /
-//!   [`AdaptiveWindow::max_window_wait`]). Bursts combine into one big
-//!   batch and the window closes right when the burst ends, with no
-//!   hand-tuned rate assumption.
-//!
-//! Every epoch's size and seal reason feed the always-on
-//! [`CombinerStats`] (mirroring `PmaStats`), so a deployment can check
-//! *why* its epochs seal — `docs/TUNING.md` walks through reading them.
+//! Batch size — the quantity a batch-parallel backend's throughput hinges
+//! on — adapts to contention alone: operations pile up in the open epoch
+//! while the previous one applies (group commit, with no timer). Holding
+//! the epoch open for more was worth it while every epoch paid an
+//! O(structure) copy to publish; publication is O(batch) now, and what is
+//! left to amortise is the `O(k log(n/k + 1))` search, where tripling an
+//! epoch saves ≈ 10 % of the steps per op. Measured before the waiting
+//! policies were deleted (4 writers, bursts of 64, `ShardedSet<Cpma, 8>`,
+//! 12 runs, median k ops/s): bursty traffic 160 (zipf) / 152 (uniform)
+//! draining at once, against 131 / 121 for a 64-op / 50 µs window, 109 /
+//! 86 for an arrival-rate-tracking window and 79 / 76 for a window sized
+//! to one wave of writers; on steady streams no window beat draining at
+//! once by more than its run-to-run spread (699 / 441, against 728 / 502
+//! for the best fixed window and 550 / 409 for the rate tracker).
+//! Contention already forms 17-op (bursty) and 70–160-op (steady) epochs.
+//! [`CombinerStats`] reports the epoch sizes a deployment actually gets.
 //!
 //! # Snapshot readers
 //!
@@ -116,30 +103,24 @@
 //! # Examples
 //!
 //! ```
-//! use cpma_store::{AdaptiveWindow, Combiner, CombinerConfig, WindowPolicy};
+//! use cpma_store::Combiner;
 //! use std::collections::BTreeSet;
 //!
-//! let cfg = CombinerConfig {
-//!     policy: WindowPolicy::Adaptive(AdaptiveWindow::default()),
-//!     ..CombinerConfig::default()
-//! };
-//! let store: Combiner<BTreeSet<u64>> = Combiner::with_config(BTreeSet::new(), cfg);
+//! let store: Combiner<BTreeSet<u64>> = Combiner::new(BTreeSet::new());
 //! assert!(store.insert(7));
 //! assert!(store.snapshot().contains(&7));
 //! let stats = store.stats();
-//! assert_eq!(stats.epochs, 1);
-//! assert_eq!(stats.sealed_rate_drop + stats.sealed_ops_cap + stats.sealed_wait_cap, 1);
+//! assert_eq!((stats.epochs, stats.ops), (1, 1));
 //! ```
 
 use cpma_api::{
-    normalize_batch, normalize_ops, BatchOp, BatchSet, ConfigError, Persist, PersistError,
-    RangeSet, SetKey,
+    normalize_batch, normalize_ops, BatchOp, BatchSet, Persist, PersistError, RangeSet, SetKey,
 };
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::{recover, RecoveryReport, WalConfig, WalWriter};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One point operation submitted to a [`Combiner`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -159,91 +140,6 @@ impl<K: Copy> Op<K> {
             Op::Insert(k) | Op::Remove(k) | Op::Contains(k) => k,
         }
     }
-}
-
-/// How a [`Combiner`] leader decides when its combining window closes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum WindowPolicy {
-    /// Static thresholds: seal at [`CombinerConfig::window_ops`] pending
-    /// operations or after [`CombinerConfig::window_wait`] (whichever
-    /// comes first). `window_wait == 0` never waits (reactive combining).
-    Fixed,
-    /// Arrival-rate tracking: grow the epoch while operations keep
-    /// arriving, seal on a rate drop or a hard cap. See
-    /// [`AdaptiveWindow`] for the knobs.
-    Adaptive(AdaptiveWindow),
-}
-
-/// Knobs of [`WindowPolicy::Adaptive`].
-///
-/// The leader keeps an EWMA (weight ¼) of inter-arrival gaps, where one
-/// *arrival* is one publication landing in the epoch buffer — a single
-/// point op or one whole [`Combiner::submit_many`] burst, so tune
-/// `gap_factor` against your publication rate, not the per-op rate
-/// inside bursts. The window stays open while the time since the last
-/// arrival is below `max(gap_factor × EWMA, idle_grace)`; crossing
-/// that line seals the epoch (*rate drop*). `max_window_ops` and
-/// `max_window_wait` are hard caps so a saturating stream still seals.
-/// The EWMA is warm-started from the previous epoch (halved across
-/// epochs that saw no extra arrival), so wave traffic is recognized
-/// from the first straggler.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptiveWindow {
-    /// Seal once the instantaneous gap exceeds this multiple of the EWMA
-    /// gap (≥ 1).
-    pub gap_factor: u32,
-    /// Minimum idle allowance, and the allowance before the epoch's
-    /// first gap sample exists. This bounds the extra latency adaptive
-    /// combining adds to an isolated operation.
-    pub idle_grace: Duration,
-    /// Hard cap: seal as soon as this many operations are pending.
-    pub max_window_ops: usize,
-    /// Hard cap: seal once the window has been open this long.
-    pub max_window_wait: Duration,
-}
-
-impl Default for AdaptiveWindow {
-    fn default() -> Self {
-        Self {
-            gap_factor: 8,
-            idle_grace: Duration::from_micros(50),
-            max_window_ops: 8192,
-            max_window_wait: Duration::from_millis(2),
-        }
-    }
-}
-
-impl AdaptiveWindow {
-    fn check(&self) -> Result<(), ConfigError> {
-        if self.gap_factor < 1 {
-            return Err(ConfigError::new("gap_factor", "must be at least 1"));
-        }
-        if self.max_window_ops < 1 {
-            return Err(ConfigError::new("max_window_ops", "must be at least 1"));
-        }
-        if self.max_window_wait < self.idle_grace {
-            return Err(ConfigError::new(
-                "max_window_wait",
-                "must be at least idle_grace",
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Why a combining window closed (tallied in [`CombinerStats`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SealReason {
-    /// The op threshold fired: `window_ops` under [`WindowPolicy::Fixed`],
-    /// `max_window_ops` under [`WindowPolicy::Adaptive`].
-    OpsCap,
-    /// The wall-clock cap fired: `window_wait` under Fixed (including
-    /// every reactive drain, whose wait is zero), `max_window_wait`
-    /// under Adaptive.
-    WaitCap,
-    /// Adaptive only: the instantaneous inter-arrival gap exceeded the
-    /// allowance — the burst ended.
-    RateDrop,
 }
 
 /// Always-on combining statistics, mirroring `PmaStats`: a handful of
@@ -274,14 +170,6 @@ pub struct CombinerStats {
     /// `ops_in_epoch.ilog2() == i` (bucket 15 collects everything of
     /// 2^15 ops and larger).
     pub ops_per_epoch_log2: [u64; 16],
-    /// Epochs sealed by the op-count threshold (`window_ops` /
-    /// `max_window_ops`).
-    pub sealed_ops_cap: u64,
-    /// Epochs sealed by the wall-clock threshold (`window_wait` /
-    /// `max_window_wait`; every reactive drain counts here).
-    pub sealed_wait_cap: u64,
-    /// Epochs sealed by an arrival-rate drop (adaptive policy only).
-    pub sealed_rate_drop: u64,
     /// Publications that recycled the spare replica: caught it up with the
     /// batch it lagged by, then applied the epoch's own (no copy).
     pub publish_recycled: u64,
@@ -310,14 +198,11 @@ impl CombinerStats {
     /// One compact human-readable line (the bench drivers print this).
     pub fn summary(&self) -> String {
         format!(
-            "epochs={} ops={} mean_ops/epoch={:.1} sealed[ops_cap={} wait_cap={} rate_drop={}] \
+            "epochs={} ops={} mean_ops/epoch={:.1} \
              publish[recycled={} cloned_pinned={} cloned_bulk={} replay_ops={}]",
             self.epochs,
             self.ops,
             self.mean_ops_per_epoch(),
-            self.sealed_ops_cap,
-            self.sealed_wait_cap,
-            self.sealed_rate_drop,
             self.publish_recycled,
             self.publish_cloned_pinned,
             self.publish_cloned_bulk,
@@ -338,9 +223,6 @@ impl CombinerStats {
 struct CombinerCounters {
     epochs: Counter,
     ops: Counter,
-    sealed_ops_cap: Counter,
-    sealed_wait_cap: Counter,
-    sealed_rate_drop: Counter,
     publish_recycled: Counter,
     publish_cloned_pinned: Counter,
     publish_cloned_bulk: Counter,
@@ -358,9 +240,6 @@ impl CombinerCounters {
         Self {
             epochs: r.counter("combiner.epochs", Unit::Count),
             ops: r.counter("combiner.ops", Unit::Count),
-            sealed_ops_cap: r.counter("combiner.sealed.ops_cap", Unit::Count),
-            sealed_wait_cap: r.counter("combiner.sealed.wait_cap", Unit::Count),
-            sealed_rate_drop: r.counter("combiner.sealed.rate_drop", Unit::Count),
             publish_recycled: r.counter("combiner.publish.recycled", Unit::Count),
             publish_cloned_pinned: r.counter("combiner.publish.cloned_pinned", Unit::Count),
             publish_cloned_bulk: r.counter("combiner.publish.cloned_bulk", Unit::Count),
@@ -370,15 +249,10 @@ impl CombinerCounters {
         }
     }
 
-    fn record_epoch(&self, ops: usize, reason: SealReason) {
+    fn record_epoch(&self, ops: usize) {
         self.epochs.inc();
         self.ops.add(ops as u64);
         self.ops_per_epoch.record(ops as u64);
-        match reason {
-            SealReason::OpsCap => self.sealed_ops_cap.inc(),
-            SealReason::WaitCap => self.sealed_wait_cap.inc(),
-            SealReason::RateDrop => self.sealed_rate_drop.inc(),
-        }
     }
 
     fn view(&self) -> CombinerStats {
@@ -386,9 +260,6 @@ impl CombinerCounters {
             epochs: self.epochs.value(),
             ops: self.ops.value(),
             ops_per_epoch_log2: self.ops_per_epoch.snapshot().octave_counts::<16>(),
-            sealed_ops_cap: self.sealed_ops_cap.value(),
-            sealed_wait_cap: self.sealed_wait_cap.value(),
-            sealed_rate_drop: self.sealed_rate_drop.value(),
             publish_recycled: self.publish_recycled.value(),
             publish_cloned_pinned: self.publish_cloned_pinned.value(),
             publish_cloned_bulk: self.publish_cloned_bulk.value(),
@@ -397,64 +268,17 @@ impl CombinerCounters {
     }
 }
 
-/// Tuning knobs for the combining epochs.
-#[derive(Clone, Debug)]
-pub struct CombinerConfig {
-    /// How the leader decides when to seal an epoch. [`WindowPolicy::Fixed`]
-    /// (the default) uses `window_ops`/`window_wait` below;
-    /// [`WindowPolicy::Adaptive`] carries its own knobs and ignores them.
-    pub policy: WindowPolicy,
-    /// Fixed-policy combining-window *target*: while `window_wait` has not
-    /// elapsed, the leader holds the epoch open until at least this many
-    /// operations are pending. It is a wait threshold, not a cap —
-    /// submissions that land before sealing all join the epoch — and it
-    /// has no effect when `window_wait` is zero (the leader then never
-    /// waits).
-    pub window_ops: usize,
-    /// Fixed-policy wait bound: how long the leader holds the epoch open
-    /// waiting for the window to fill. `Duration::ZERO` (the default) is
-    /// *reactive* flat combining: the leader drains whatever is pending
-    /// and never waits — batch size then adapts to contention (ops pile
-    /// up while the previous epoch applies). A non-zero wait trades
-    /// latency for bigger batches on sparse traffic.
-    pub window_wait: Duration,
-    /// How long a waiter sleeps before re-checking whether the leader
-    /// slot has freed up (bounds leader-handoff latency).
-    pub retry_wait: Duration,
-}
+/// A placeholder with nothing to set: the epoch protocol has no knob
+/// (module docs, "The leader never waits"). It exists because the frozen
+/// `benchmark/` package names `CombinerConfig::default()` as the first
+/// argument of [`Combiner::open_durable`]; ROADMAP's "Re-baseline the
+/// contract" item removes both.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CombinerConfig {}
 
-impl Default for CombinerConfig {
-    fn default() -> Self {
-        Self {
-            policy: WindowPolicy::Fixed,
-            window_ops: 64,
-            window_wait: Duration::ZERO,
-            retry_wait: Duration::from_micros(50),
-        }
-    }
-}
-
-impl CombinerConfig {
-    /// The default adaptive configuration: `Adaptive(AdaptiveWindow::default())`
-    /// with everything else as in [`CombinerConfig::default`].
-    pub fn adaptive() -> Self {
-        Self {
-            policy: WindowPolicy::Adaptive(AdaptiveWindow::default()),
-            ..Self::default()
-        }
-    }
-
-    /// Check parameter validity ([`Combiner::with_config`] asserts this).
-    pub fn check(&self) -> Result<(), ConfigError> {
-        if self.window_ops < 1 {
-            return Err(ConfigError::new("window_ops", "must be at least 1"));
-        }
-        if let WindowPolicy::Adaptive(a) = &self.policy {
-            a.check()?;
-        }
-        Ok(())
-    }
-}
+/// How long a waiter sleeps before re-checking whether the leader slot has
+/// freed up (bounds leader-handoff latency when a wake-up is missed).
+const RETRY_WAIT: Duration = Duration::from_micros(50);
 
 /// The publication buffer for one epoch, shared between its submitters
 /// and the leader that drains it.
@@ -473,8 +297,6 @@ struct Epoch<K> {
     state: Mutex<EpochState<K>>,
     /// Waiters (submitters) block here until `done`.
     done_cv: Condvar,
-    /// The leader blocks here while its combining window fills.
-    fill_cv: Condvar,
 }
 
 impl<K> Epoch<K> {
@@ -487,7 +309,6 @@ impl<K> Epoch<K> {
                 results: Vec::new(),
             }),
             done_cv: Condvar::new(),
-            fill_cv: Condvar::new(),
         }
     }
 }
@@ -531,13 +352,6 @@ struct Core<S, K> {
     /// drift).
     wal: Option<DurableState<S>>,
     stats: CombinerCounters,
-    /// Warm-start seed for the next epoch's inter-arrival EWMA (adaptive
-    /// policy): the previous epoch's final EWMA, halved whenever an
-    /// epoch closes without seeing any arrival beyond its opening
-    /// publication, so the allowance decays back toward `idle_grace`
-    /// across a sparse stretch instead of sticking at a stale burst
-    /// estimate.
-    ewma_seed_ns: f64,
 }
 
 impl<S, K> Core<S, K>
@@ -577,7 +391,7 @@ where
 /// A flat-combining concurrent front-end over any batch-parallel set.
 ///
 /// Share it by reference (or `Arc`) across threads; the module header
-/// in `combiner.rs` documents the epoch protocol and window policies.
+/// in `combiner.rs` documents the epoch protocol.
 ///
 /// # Examples
 ///
@@ -604,7 +418,6 @@ pub struct Combiner<S, K: SetKey = u64> {
     core: Mutex<Core<S, K>>,
     current: Mutex<Arc<Epoch<K>>>,
     published: Mutex<Arc<S>>,
-    cfg: CombinerConfig,
     /// Open-epoch occupancy (`combiner.queue_depth`): set by every
     /// enqueue, zeroed when the leader seals. Lives outside `Core` so the
     /// submit path never touches the leader lock for it.
@@ -616,31 +429,14 @@ where
     K: SetKey,
     S: BatchSet<K> + RangeSet<K> + Clone + Sync,
 {
-    /// Wrap `set` with the default configuration.
+    /// Wrap `set` in a (non-durable) combiner.
     pub fn new(set: S) -> Self {
-        Self::with_config(set, CombinerConfig::default())
-    }
-
-    /// Wrap `set` with an explicit configuration.
-    ///
-    /// # Panics
-    /// If `cfg` fails [`CombinerConfig::check`] (an already-constructed
-    /// invalid config is a programming error).
-    pub fn with_config(set: S, cfg: CombinerConfig) -> Self {
-        if let Err(e) = cfg.check() {
-            panic!("{e}");
-        }
-        Self::assemble(set, 0, None, cfg)
+        Self::assemble(set, 0, None)
     }
 
     /// `set` as the one replica (published and authoritative at once) of a
     /// combiner that has applied `epochs_applied` epochs.
-    fn assemble(
-        set: S,
-        epochs_applied: u64,
-        wal: Option<DurableState<S>>,
-        cfg: CombinerConfig,
-    ) -> Self {
+    fn assemble(set: S, epochs_applied: u64, wal: Option<DurableState<S>>) -> Self {
         let front = Arc::new(set);
         Self {
             published: Mutex::new(Arc::clone(&front)),
@@ -650,10 +446,8 @@ where
                 epochs_applied,
                 wal,
                 stats: CombinerCounters::new(),
-                ewma_seed_ns: 0.0,
             }),
             current: Mutex::new(Arc::new(Epoch::new())),
-            cfg,
             queue_depth: cpma_obs::global().gauge("combiner.queue_depth"),
         }
     }
@@ -738,7 +532,7 @@ where
     /// `current` is held, so the retry loop is bounded). Returns the
     /// epoch and the index of the first appended op.
     fn enqueue(&self, ops: &[Op<K>]) -> (Arc<Epoch<K>>, usize) {
-        let (epoch, idx) = loop {
+        loop {
             let cur = self.current.lock().unwrap().clone();
             let mut st = cur.state.lock().unwrap();
             if !st.sealed {
@@ -746,14 +540,11 @@ where
                 st.ops.extend_from_slice(ops);
                 self.queue_depth.set(st.ops.len() as i64);
                 drop(st);
-                break (cur, idx);
+                return (cur, idx);
             }
             drop(st);
             std::thread::yield_now();
-        };
-        // A leader may be holding its combining window open for us.
-        epoch.fill_cv.notify_one();
-        (epoch, idx)
+        }
     }
 
     /// Wait until `epoch` completes (leading it ourselves if the leader
@@ -789,134 +580,26 @@ where
             }
             // Timed wait: on `done` notification we return; on timeout we
             // loop to contend for the (possibly freed) leader slot.
-            let (st, _) = epoch.done_cv.wait_timeout(st, self.cfg.retry_wait).unwrap();
+            let (st, _) = epoch.done_cv.wait_timeout(st, RETRY_WAIT).unwrap();
             if st.done {
                 return extract(&st);
             }
         }
     }
 
-    /// Fixed policy: hold the window open until `window_ops` pending ops
-    /// or `window_wait` elapsed.
-    fn window_fixed<'a>(
-        &self,
-        epoch: &'a Epoch<K>,
-        mut st: std::sync::MutexGuard<'a, EpochState<K>>,
-    ) -> (std::sync::MutexGuard<'a, EpochState<K>>, SealReason) {
-        let deadline = Instant::now() + self.cfg.window_wait;
-        while st.ops.len() < self.cfg.window_ops {
-            let now = Instant::now();
-            if now >= deadline {
-                return (st, SealReason::WaitCap);
-            }
-            let (g, _) = epoch.fill_cv.wait_timeout(st, deadline - now).unwrap();
-            st = g;
-        }
-        (st, SealReason::OpsCap)
-    }
-
-    /// Adaptive policy: track an EWMA of publication inter-arrival
-    /// gaps; keep the window open while the time since the last arrival
-    /// stays below `max(gap_factor × EWMA, idle_grace)`, seal on a rate
-    /// drop or on the `max_window_ops`/`max_window_wait` hard caps.
-    ///
-    /// The leader *polls* (release the buffer lock, yield, re-check)
-    /// instead of sleeping on the fill condvar: the idle allowances at
-    /// stake are tens of microseconds, well below the OS timer slack a
-    /// condvar timeout pays, and a spinning leader is the classic
-    /// flat-combining shape — the window is only open while an epoch is
-    /// actively being built, and it is bounded by `max_window_wait`.
-    fn window_adaptive<'a>(
-        &self,
-        epoch: &'a Epoch<K>,
-        adaptive: &AdaptiveWindow,
-        mut st: std::sync::MutexGuard<'a, EpochState<K>>,
-        ewma_seed_ns: f64,
-    ) -> (std::sync::MutexGuard<'a, EpochState<K>>, SealReason, f64) {
-        let start = Instant::now();
-        let hard_deadline = start + adaptive.max_window_wait;
-        let mut last_arrival = start;
-        let mut seen = st.ops.len();
-        // EWMA of inter-arrival gaps, in nanoseconds (weight ¼). An
-        // *arrival* is a publication landing in the buffer — one point op
-        // or one whole `submit_many` burst — because what the seal
-        // decision needs is the spacing of traffic events, not of the
-        // individual ops inside a burst. The EWMA is warm-started from
-        // the previous epoch so the first straggler of a wave is not
-        // judged by the bare `idle_grace`.
-        let mut ewma_gap_ns: f64 = ewma_seed_ns;
-        let mut have_sample = ewma_seed_ns > 0.0;
-        let mut sampled_this_epoch = false;
-        loop {
-            let carry = if sampled_this_epoch {
-                ewma_gap_ns
-            } else {
-                // Silent epoch: decay the inherited estimate so a sparse
-                // stretch converges back to the idle_grace floor.
-                ewma_gap_ns * 0.5
-            };
-            if st.ops.len() >= adaptive.max_window_ops {
-                return (st, SealReason::OpsCap, carry);
-            }
-            let now = Instant::now();
-            if now >= hard_deadline {
-                return (st, SealReason::WaitCap, carry);
-            }
-            let n = st.ops.len();
-            if n > seen {
-                // New arrivals since the last look: fold the gap into
-                // the EWMA and restart the idle clock.
-                let gap_ns = now.duration_since(last_arrival).as_nanos() as f64;
-                ewma_gap_ns = if have_sample {
-                    ewma_gap_ns + (gap_ns - ewma_gap_ns) * 0.25
-                } else {
-                    gap_ns
-                };
-                have_sample = true;
-                sampled_this_epoch = true;
-                last_arrival = now;
-                seen = n;
-                continue;
-            }
-            let allowance_ns = if have_sample {
-                (ewma_gap_ns * f64::from(adaptive.gap_factor))
-                    .max(adaptive.idle_grace.as_nanos() as f64)
-            } else {
-                adaptive.idle_grace.as_nanos() as f64
-            };
-            if now.duration_since(last_arrival).as_nanos() as f64 >= allowance_ns {
-                return (st, SealReason::RateDrop, carry);
-            }
-            // Release the publication buffer so submitters can land,
-            // then look again.
-            drop(st);
-            std::thread::yield_now();
-            st = epoch.state.lock().unwrap();
-        }
-    }
-
-    /// Drive one epoch: window, seal, replay, apply, publish, wake, then
+    /// Drive one epoch: seal, replay, apply, publish, wake, then
     /// release the leader slot and hand leadership to a waiter of the
     /// next epoch if one is already pending.
     fn lead(&self, mut guard: std::sync::MutexGuard<'_, Core<S, K>>) {
         let core = &mut *guard;
         let epoch = self.current.lock().unwrap().clone();
 
-        // Combining window: hold the epoch open so concurrent submitters
-        // can pile on, for as long as the configured policy says.
-        let (ops, seal_reason) = {
-            let st = epoch.state.lock().unwrap();
-            let (mut st, reason) = match &self.cfg.policy {
-                WindowPolicy::Fixed => self.window_fixed(&epoch, st),
-                WindowPolicy::Adaptive(a) => {
-                    let (st, reason, carry) =
-                        self.window_adaptive(&epoch, a, st, core.ewma_seed_ns);
-                    core.ewma_seed_ns = carry;
-                    (st, reason)
-                }
-            };
+        // Seal at once and take whatever is pending: the batch is as big
+        // as contention made it while the previous epoch applied.
+        let ops = {
+            let mut st = epoch.state.lock().unwrap();
             st.sealed = true;
-            (std::mem::take(&mut st.ops), reason)
+            std::mem::take(&mut st.ops)
         };
         // Open a fresh epoch for subsequent submitters.
         *self.current.lock().unwrap() = Arc::new(Epoch::new());
@@ -1004,7 +687,7 @@ where
             *self.published.lock().unwrap() = Arc::clone(&core.front);
         }
         core.epochs_applied += 1;
-        core.stats.record_epoch(ops.len(), seal_reason);
+        core.stats.record_epoch(ops.len());
         // Size-triggered checkpoint + WAL rotation, after the apply so
         // the checkpoint image contains everything up to `epochs_applied`.
         if let Some(durable) = core.wal.as_mut() {
@@ -1059,17 +742,16 @@ where
     /// recovered (`report.last_seq` epochs; `epochs_applied` resumes
     /// from there).
     pub fn open_durable(
-        cfg: CombinerConfig,
+        _cfg: CombinerConfig,
         wal: WalConfig,
     ) -> Result<(Self, RecoveryReport), PersistError> {
-        cfg.check().map_err(PersistError::Config)?;
         let (set, report) = recover::<K, S>(&wal.dir)?;
         let writer = WalWriter::open(wal, report.last_seq + 1)?;
         let durable = DurableState {
             writer,
             checkpoint: |set: &S, path| set.save(path),
         };
-        let combiner = Self::assemble(set, report.last_seq, Some(durable), cfg);
+        let combiner = Self::assemble(set, report.last_seq, Some(durable));
         Ok((combiner, report))
     }
 
@@ -1114,95 +796,29 @@ mod tests {
 
     #[test]
     fn single_thread_ops_match_oracle() {
-        let c: Combiner<BTreeSet<u64>> = Combiner::new(BTreeSet::new());
-        let mut model = BTreeSet::new();
-        let mut rng = cpma_api::testkit::Rng::new(0xC0B1);
-        for _ in 0..500 {
-            let k = rng.bits(6);
-            match rng.below(3) {
-                0 => assert_eq!(c.insert(k), model.insert(k), "insert({k})"),
-                1 => assert_eq!(c.remove(k), model.remove(&k), "remove({k})"),
-                _ => assert_eq!(c.contains(k), model.contains(&k), "contains({k})"),
+        for (seed, ops) in [(0xC0B1u64, 500u64), (0xC0B2, 300)] {
+            let c: Combiner<BTreeSet<u64>> = Combiner::new(BTreeSet::new());
+            let mut model = BTreeSet::new();
+            let mut rng = cpma_api::testkit::Rng::new(seed);
+            for _ in 0..ops {
+                let k = rng.bits(6);
+                match rng.below(3) {
+                    0 => assert_eq!(c.insert(k), model.insert(k), "insert({k})"),
+                    1 => assert_eq!(c.remove(k), model.remove(&k), "remove({k})"),
+                    _ => assert_eq!(c.contains(k), model.contains(&k), "contains({k})"),
+                }
             }
+            let stats = c.stats();
+            assert_eq!(stats.epochs, ops, "solo submitters lead their own epoch");
+            assert_eq!(stats.ops, ops);
+            let snap = c.snapshot();
+            assert_eq!(
+                snap.iter().copied().collect::<Vec<_>>(),
+                model.iter().copied().collect::<Vec<_>>()
+            );
+            drop(snap);
+            assert_eq!(c.into_inner(), model);
         }
-        let snap = c.snapshot();
-        assert_eq!(
-            snap.iter().copied().collect::<Vec<_>>(),
-            model.iter().copied().collect::<Vec<_>>()
-        );
-        assert_eq!(c.into_inner(), model);
-    }
-
-    #[test]
-    fn adaptive_single_thread_ops_match_oracle() {
-        // Same oracle run under the adaptive policy: sealing earlier or
-        // later never changes linearized results.
-        let c: Combiner<BTreeSet<u64>> =
-            Combiner::with_config(BTreeSet::new(), CombinerConfig::adaptive());
-        let mut model = BTreeSet::new();
-        let mut rng = cpma_api::testkit::Rng::new(0xC0B2);
-        for _ in 0..300 {
-            let k = rng.bits(6);
-            match rng.below(3) {
-                0 => assert_eq!(c.insert(k), model.insert(k), "insert({k})"),
-                1 => assert_eq!(c.remove(k), model.remove(&k), "remove({k})"),
-                _ => assert_eq!(c.contains(k), model.contains(&k), "contains({k})"),
-            }
-        }
-        let stats = c.stats();
-        assert_eq!(stats.epochs, 300, "solo submitters lead their own epoch");
-        assert_eq!(stats.ops, 300);
-        assert_eq!(
-            stats.sealed_ops_cap + stats.sealed_wait_cap + stats.sealed_rate_drop,
-            stats.epochs,
-            "every epoch has exactly one seal reason"
-        );
-        assert_eq!(c.into_inner(), model);
-    }
-
-    #[test]
-    fn adaptive_solo_epochs_seal_on_rate_drop() {
-        // A solo submitter with generous caps: the only way out of the
-        // window is the rate-drop check (no further arrivals ever come).
-        let cfg = CombinerConfig {
-            policy: WindowPolicy::Adaptive(AdaptiveWindow {
-                gap_factor: 4,
-                idle_grace: Duration::from_micros(50),
-                max_window_ops: 1 << 20,
-                max_window_wait: Duration::from_secs(30),
-            }),
-            ..CombinerConfig::default()
-        };
-        let c: Combiner<BTreeSet<u64>> = Combiner::with_config(BTreeSet::new(), cfg);
-        for burst in 0..20u64 {
-            let keys: Vec<u64> = (burst * 100..burst * 100 + 64).collect();
-            assert_eq!(c.insert_many(&keys), 64);
-        }
-        let stats = c.stats();
-        assert_eq!(stats.epochs, 20);
-        assert_eq!(stats.sealed_rate_drop, 20, "{}", stats.summary());
-        assert_eq!(stats.ops, 20 * 64);
-        // All epochs were 64 ops: a single histogram bucket (log2 == 6).
-        assert_eq!(stats.ops_per_epoch_log2[6], 20);
-    }
-
-    #[test]
-    fn adaptive_ops_cap_seals_big_publications() {
-        // A publication larger than max_window_ops seals immediately via
-        // the ops cap, before any waiting.
-        let cfg = CombinerConfig {
-            policy: WindowPolicy::Adaptive(AdaptiveWindow {
-                max_window_ops: 8,
-                ..AdaptiveWindow::default()
-            }),
-            ..CombinerConfig::default()
-        };
-        let c: Combiner<BTreeSet<u64>> = Combiner::with_config(BTreeSet::new(), cfg);
-        let keys: Vec<u64> = (0..64).collect();
-        assert_eq!(c.insert_many(&keys), 64);
-        let stats = c.stats();
-        assert_eq!(stats.epochs, 1, "one publication, one epoch");
-        assert_eq!(stats.sealed_ops_cap, 1, "{}", stats.summary());
     }
 
     #[test]
@@ -1248,65 +864,11 @@ mod tests {
         assert!(!c.remove(7), "second remove sees the first");
         assert!(!c.contains(7));
         assert_eq!(c.epochs_applied(), 5);
-        // Reactive fixed windows never wait: every seal is a wait-cap.
+        // The leader never waits: five solo ops are five one-op epochs.
         let stats = c.stats();
-        assert_eq!(stats.sealed_wait_cap, 5);
+        assert_eq!((stats.epochs, stats.ops), (5, 5));
         assert_eq!(stats.ops_per_epoch_log2[0], 5);
         c.reset_stats();
         assert_eq!(c.stats(), CombinerStats::default());
-    }
-
-    #[test]
-    fn bad_configs_rejected() {
-        assert_eq!(
-            CombinerConfig {
-                window_ops: 0,
-                ..CombinerConfig::default()
-            }
-            .check()
-            .unwrap_err()
-            .field,
-            "window_ops"
-        );
-        assert_eq!(
-            CombinerConfig {
-                policy: WindowPolicy::Adaptive(AdaptiveWindow {
-                    gap_factor: 0,
-                    ..AdaptiveWindow::default()
-                }),
-                ..CombinerConfig::default()
-            }
-            .check()
-            .unwrap_err()
-            .field,
-            "gap_factor"
-        );
-        assert_eq!(
-            CombinerConfig {
-                policy: WindowPolicy::Adaptive(AdaptiveWindow {
-                    max_window_ops: 0,
-                    ..AdaptiveWindow::default()
-                }),
-                ..CombinerConfig::default()
-            }
-            .check()
-            .unwrap_err()
-            .field,
-            "max_window_ops"
-        );
-        assert_eq!(
-            CombinerConfig {
-                policy: WindowPolicy::Adaptive(AdaptiveWindow {
-                    max_window_wait: Duration::ZERO,
-                    idle_grace: Duration::from_micros(1),
-                    ..AdaptiveWindow::default()
-                }),
-                ..CombinerConfig::default()
-            }
-            .check()
-            .unwrap_err()
-            .field,
-            "max_window_wait"
-        );
     }
 }

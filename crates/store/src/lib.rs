@@ -25,18 +25,17 @@
 //!   elected leader per *epoch*, drains the shared publication buffer,
 //!   folds the drained operations into one normalized batch, applies it
 //!   with the backend's batch-parallel update, and wakes every waiter with
-//!   its individual result. The combining window is governed by
-//!   [`WindowPolicy`] — static thresholds or the adaptive arrival-rate
-//!   tracker — with always-on [`CombinerStats`] recording epoch sizes
-//!   and seal reasons. Readers run against a swap-published snapshot
-//!   ([`Combiner::snapshot`]) and never block behind writers.
+//!   its individual result. The leader never waits — batch size adapts
+//!   to contention alone — and always-on [`CombinerStats`] record the
+//!   epoch sizes that result. Readers run against a swap-published
+//!   snapshot ([`Combiner::snapshot`]) and never block behind writers.
 //!
 //! Stacked as `Combiner<ShardedSet<Cpma>>`, point operations from many
 //! threads become sorted batches, and those batches fan out over shards —
 //! live traffic executes exactly the workload regime the paper shows the
-//! CPMA wins. The `store_throughput` benchmark binary in `cpma-bench`
-//! measures that end to end (including the bursty-arrival Fixed-vs-
-//! Adaptive sweep); `docs/TUNING.md` explains every knob.
+//! CPMA wins. The repository benchmark's `service_mixed` workload
+//! (`benchmark/`) measures that end to end; `docs/TUNING.md` explains
+//! every knob.
 //!
 //! # Durability
 //!
@@ -54,7 +53,7 @@
 mod combiner;
 mod sharded;
 
-pub use combiner::{AdaptiveWindow, Combiner, CombinerConfig, CombinerStats, Op, WindowPolicy};
+pub use combiner::{Combiner, CombinerConfig, CombinerStats, Op};
 pub use cpma_api::{Persist, PersistError};
 pub use cpma_persist::{FsyncPolicy, RecoveryReport, WalConfig};
 pub use sharded::{

@@ -38,13 +38,12 @@ fn main() {
     // ~1024 phase spans are usually enough to see what the store was doing.
     cpma::obs::install_panic_hook();
 
-    // Self-tuning store: the adaptive window seals each combining epoch
-    // when the burst wave ends (no arrival-rate knob to guess), the
+    // Self-tuning store: the combining leader never waits, so epochs are
+    // as big as contention makes them (no arrival-rate knob to guess), the
     // shard count autotunes between 1 and 64 as the store fills, and
     // snapshots publish every epoch so every acknowledged burst is
     // immediately visible to the analytics reader.
-    let store: Combiner<ShardedSet<Cpma, 8, 1, 64>> =
-        Combiner::with_config(BatchSet::new_set(), CombinerConfig::adaptive());
+    let store: Combiner<ShardedSet<Cpma, 8, 1, 64>> = Combiner::new(BatchSet::new_set());
     let ingested = AtomicUsize::new(0);
     let finished_writers = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
@@ -166,9 +165,8 @@ fn main() {
         .expect("checkpoint the ingested store");
     let mut wal = WalConfig::new(&wal_dir);
     wal.fsync = FsyncPolicy::EveryN(8);
-    let (durable, report) =
-        Combiner::<Store>::open_durable(CombinerConfig::adaptive(), wal.clone())
-            .expect("open durable store");
+    let (durable, report) = Combiner::<Store>::open_durable(CombinerConfig::default(), wal.clone())
+        .expect("open durable store");
     assert_eq!(durable.snapshot().len(), base_len);
     println!(
         "opened durable store from checkpoint (epoch {}): {} events",
@@ -202,7 +200,7 @@ fn main() {
     drop(pre_crash);
     drop(durable); // simulated crash: no shutdown checkpoint
 
-    let (recovered, report) = Combiner::<Store>::open_durable(CombinerConfig::adaptive(), wal)
+    let (recovered, report) = Combiner::<Store>::open_durable(CombinerConfig::default(), wal)
         .expect("recover after crash");
     println!(
         "recovered {} epochs: checkpoint at epoch {}, {} replayed from the WAL tail",

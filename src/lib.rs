@@ -57,8 +57,8 @@
 //!   (range-partitioned shards, batches split at learned splitters and
 //!   applied shard-parallel, shard count autotuned from its
 //!   [`store::RebalanceStats`]) and [`store::Combiner`] (flat-combining
-//!   writer aggregation with swap-published snapshots and fixed or
-//!   adaptive combining windows, [`store::WindowPolicy`]), which together
+//!   writer aggregation with swap-published snapshots; the leader never
+//!   waits, so batch size adapts to contention alone), which together
 //!   turn live multi-threaded traffic into the batch-parallel updates the
 //!   paper's structures are built for — `docs/ARCHITECTURE.md` maps the
 //!   whole stack and `docs/TUNING.md` explains every knob;
@@ -106,7 +106,6 @@ pub mod prelude {
     pub use crate::pma::{Cpma, Pma, PmaConfig};
     pub use crate::service::{Client, Service, ServiceConfig};
     pub use crate::store::{
-        AdaptiveWindow, Combiner, CombinerConfig, CombinerStats, RebalanceStats, ShardTuning,
-        ShardedSet, WindowPolicy,
+        Combiner, CombinerConfig, CombinerStats, RebalanceStats, ShardTuning, ShardedSet,
     };
 }

@@ -168,16 +168,13 @@ fn autotuned_sharded_cpma_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn combiner_adaptive_policy_deterministic_across_thread_counts() {
-    // The adaptive window changes *when* epochs seal (wall-clock
-    // dependent), but never *what* the linearized history computes: with
-    // one submitting thread, acknowledgements and final contents are a
-    // pure function of the op stream, whatever the internal thread
-    // budget or the epoch partitioning. Stats (epoch counts, seal
-    // reasons) are deliberately excluded — they are timing-dependent.
+fn combiner_deterministic_across_thread_counts() {
+    // With one submitting thread, acknowledgements, final contents and
+    // the epoch partitioning itself (the leader never waits, so every
+    // publication is its own epoch) are a pure function of the op stream,
+    // whatever the internal thread budget.
     fn run(seed: u64) -> (Vec<bool>, Vec<u64>) {
-        let c: Combiner<ShardedSet<Cpma, 4, 1, 16>> =
-            Combiner::with_config(BatchSet::new_set(), CombinerConfig::adaptive());
+        let c: Combiner<ShardedSet<Cpma, 4, 1, 16>> = Combiner::new(BatchSet::new_set());
         let mut rng = Rng::new(seed);
         let mut acks = Vec::new();
         for _ in 0..40 {
@@ -194,6 +191,11 @@ fn combiner_adaptive_policy_deterministic_across_thread_counts() {
             acks.extend(c.submit_many(&burst));
             acks.push(c.insert(rng.bits(14)));
         }
+        assert_eq!(
+            c.epochs_applied(),
+            80,
+            "40 bursts + 40 point ops, one epoch each"
+        );
         let contents = RangeSet::to_vec(&c.into_inner());
         (acks, contents)
     }
@@ -204,7 +206,7 @@ fn combiner_adaptive_policy_deterministic_across_thread_counts() {
             let got = with_threads(threads, || run(seed));
             assert_eq!(
                 got, oracle,
-                "adaptive combiner diverged between 1 and {threads} threads (seed {seed:#x})"
+                "combiner diverged between 1 and {threads} threads (seed {seed:#x})"
             );
         }
     }

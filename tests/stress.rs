@@ -135,16 +135,7 @@ fn store_combiner_oversubscribed_multi_writers() {
     const WRITERS: u64 = 16;
     const OPS_PER_WRITER: usize = 25_000;
 
-    // A non-zero window so the leader actually holds epochs open for the
-    // 128-op target (with the default zero wait the target is inert and
-    // draining is purely reactive — that path is stressed by the
-    // cpma-store suite's own concurrent test).
-    let cfg = CombinerConfig {
-        window_ops: 128,
-        window_wait: std::time::Duration::from_micros(20),
-        ..CombinerConfig::default()
-    };
-    let store: Combiner<ShardedSet<Cpma, 8>> = Combiner::with_config(BatchSet::new_set(), cfg);
+    let store: Combiner<ShardedSet<Cpma, 8>> = Combiner::new(BatchSet::new_set());
 
     let models: Vec<BTreeSet<u64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WRITERS)
@@ -185,5 +176,11 @@ fn store_combiner_oversubscribed_multi_writers() {
     let mut want: Vec<u64> = models.iter().flatten().copied().collect();
     want.sort_unstable();
     assert_eq!(store.snapshot().to_vec(), want, "final snapshot");
+    // The leader never waits: with 16 writers on a few cores, epochs of
+    // more than one op formed from contention alone, and the oracles above
+    // checked that they still resolve in submission order.
+    let stats = store.stats();
+    assert_eq!(stats.ops, WRITERS * OPS_PER_WRITER as u64);
+    assert!(stats.ops > stats.epochs, "{}", stats.summary());
     assert_eq!(store.into_inner().to_vec(), want, "final contents");
 }
