@@ -33,7 +33,6 @@ fn is_head(e: u64) -> bool {
 
 /// A difference-encoded run (first element stored raw inside the bytes).
 struct Chunk {
-    count: u32,
     bytes: Box<[u8]>,
 }
 
@@ -44,17 +43,16 @@ impl Chunk {
         let mut bytes = vec![0u8; len];
         codec::encode_run(elems, &mut bytes);
         Chunk {
-            count: elems.len() as u32,
             bytes: bytes.into_boxed_slice(),
         }
     }
 
     fn decode(&self, out: &mut Vec<u64>) {
-        codec::decode_run(&self.bytes, self.count as usize, out);
+        codec::decode_run(&self.bytes, out);
     }
 
     fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        codec::for_each_in_run(&self.bytes, self.count as usize, f)
+        codec::for_each_in_run(&self.bytes, f)
     }
 }
 

@@ -129,7 +129,7 @@ impl BlockPayload for CompressedBlock {
     }
     fn decode(&self, out: &mut Vec<u64>) {
         stats::record_read(self.bytes.len());
-        codec::decode_run(&self.bytes, self.count as usize, out);
+        codec::decode_run(&self.bytes, out);
     }
     fn count(&self) -> usize {
         self.count as usize
@@ -142,7 +142,7 @@ impl BlockPayload for CompressedBlock {
     }
     fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool {
         stats::record_read(self.bytes.len());
-        codec::for_each_in_run(&self.bytes, self.count as usize, f)
+        codec::for_each_in_run(&self.bytes, f)
     }
 }
 

@@ -16,7 +16,7 @@ fn bench_codec(b: &Bencher) {
     codec::encode_run(&elems, &mut buf);
     b.bench("codec/decode_10k", || {
         let mut out = Vec::with_capacity(elems.len());
-        codec::decode_run(black_box(&buf), elems.len(), &mut out);
+        codec::decode_run(black_box(&buf), &mut out);
         black_box(out);
     });
 }

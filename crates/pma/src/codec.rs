@@ -7,9 +7,37 @@
 //! little-endian 7-bit groups, continue bit = MSB set on every byte except
 //! the last. A `u64` delta takes 1–10 bytes; because the CPMA stores a set,
 //! deltas are always ≥ 1 within a leaf (the head is stored raw, not here).
+//!
+//! # Decoding a run
+//!
+//! Every read of a run goes through one block-walk kernel (`walk_codes`).
+//! Per 64-byte block it builds a *terminator mask* — bit `i` set iff byte
+//! `i` ends a code — and walks it with `tzcnt`/`blsr`, so a code's bounds
+//! come from the mask and no load waits on the one before. A code of ≤ 8
+//! bytes is one 8-byte load that *ends* at its terminator, shifted down to
+//! the code's bytes, whose 7-bit groups are then packed together; 9–10-byte
+//! codes (deltas ≥ 2^56) take [`decode_varint`]. In a block of nearly all
+//! one-byte codes (dense keys) the runs of them are added byte by byte
+//! instead, each run's length read off the mask. One body is compiled
+//! twice, differing in how it gathers a mask and packs the groups: with
+//! BMI1/BMI2 (SSE2 `movemask`, `pext`), chosen once at run time where
+//! `pext` is a single fast instruction, and portably (a multiply per 8-byte
+//! word, three shift/subtract steps) everywhere else.
+//!
+//! **Stretch bound.** The kernel reads only inside the slice it is handed
+//! — a leaf's own stretch of the byte array, never its neighbour's, which
+//! another thread may be writing under the `SharedLeaves` disjoint-leaf
+//! contract. A full block is read in place, the last partial block
+//! through a zero-padded stack copy, and a value load covers the 8 bytes
+//! ending at a terminator, which lie past the 8-byte head and inside the
+//! slice.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 /// Maximum encoded size of one `u64` byte code.
 pub const MAX_VARINT_BYTES: usize = 10;
+
+/// Bytes per terminator mask.
+const BLOCK: usize = 64;
 
 /// Encoded length of `v` in bytes (≥ 1; `0` also takes one byte).
 #[inline]
@@ -104,51 +132,472 @@ pub fn encode_run(elems: &[u64], out: &mut [u8]) -> usize {
     pos
 }
 
-/// Decode a run of `count` elements from `buf` (raw head + deltas),
-/// appending to `out`. Returns bytes consumed.
-pub fn decode_run(buf: &[u8], count: usize, out: &mut Vec<u64>) -> usize {
-    if count == 0 {
-        return 0;
-    }
-    let head = u64::from_le_bytes(buf[..8].try_into().unwrap());
-    out.push(head);
-    let mut pos = 8;
-    let mut prev = head;
-    for _ in 1..count {
-        let (delta, used) = decode_varint(&buf[pos..]);
-        pos += used;
-        prev += delta;
-        out.push(prev);
-    }
-    pos
+/// Decode the run (raw head + deltas) that is exactly `run`, appending to
+/// `out`.
+pub fn decode_run(run: &[u8], out: &mut Vec<u64>) {
+    walk_run(run, run.len(), |e| {
+        out.push(e);
+        true
+    });
 }
 
-/// Iterate a run without materializing it: calls `f(element)`; if `f`
-/// returns `false`, stops early. Returns `false` iff stopped early.
+/// Iterate the run that is exactly `run` without materializing it: calls
+/// `f(element)`; if `f` returns `false`, stops early. Returns `false` iff
+/// stopped early.
 #[inline]
-pub fn for_each_in_run(buf: &[u8], count: usize, mut f: impl FnMut(u64) -> bool) -> bool {
-    if count == 0 {
-        return true;
+pub fn for_each_in_run(run: &[u8], f: impl FnMut(u64) -> bool) -> bool {
+    walk_run(run, run.len(), f).0
+}
+
+/// [`for_each_in_run`] over the run in the first `used` bytes of `buf`,
+/// saying how far it read: returns `(finished, end)`, `end` the offset
+/// just past the last element `f` saw (what a walk that stops early has
+/// actually consumed).
+///
+/// `buf` may extend past the run — a leaf's whole stretch, say — and the
+/// kernel then reads its last block in place instead of through a copy.
+#[inline]
+pub(crate) fn walk_run(buf: &[u8], used: usize, mut f: impl FnMut(u64) -> bool) -> (bool, usize) {
+    if used == 0 {
+        return (true, 0);
     }
-    let mut cur = u64::from_le_bytes(buf[..8].try_into().unwrap());
-    if !f(cur) {
-        return false;
+    let head = u64::from_le_bytes(buf[..8].try_into().unwrap());
+    if !f(head) {
+        return (false, 8);
     }
-    let mut pos = 8;
-    for _ in 1..count {
-        let (delta, used) = decode_varint(&buf[pos..]);
-        pos += used;
-        cur += delta;
-        if !f(cur) {
+    walk_codes(buf, 8, used, head, f)
+}
+
+/// The block-walk kernel (module docs). Decodes the codes in
+/// `buf[from..end]`, adding each to the running value `cur` and handing
+/// the sum to `f`, until `f` returns `false`. Returns `(finished, end)`:
+/// `finished` is `false` iff `f` stopped the walk, `end` the offset just
+/// past the last code decoded.
+///
+/// Codes follow an 8-byte head: `8 ≤ from`, and `end ≤ buf.len()`.
+#[inline]
+pub(crate) fn walk_codes(
+    buf: &[u8],
+    from: usize,
+    end: usize,
+    cur: u64,
+    f: impl FnMut(u64) -> bool,
+) -> (bool, usize) {
+    assert!(
+        from >= 8 && end <= buf.len(),
+        "codes {from}..{end} of {}",
+        buf.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if fast_pext() {
+        // SAFETY: `fast_pext` detected the features `walk_bmi2` is
+        // compiled for; the kernel itself reads only inside `buf`.
+        return unsafe { walk_bmi2(buf, from, end, cur, f) };
+    }
+    walk_portable(buf, from, end, cur, f)
+}
+
+/// Does this CPU have BMI1/BMI2 with a `pext` that is one fast
+/// instruction? Every such Intel part does; AMD's before Zen 3 (family 0x19), and Hygon's,
+/// microcode it at tens to hundreds of cycles, and take the portable
+/// instance instead. Decided once.
+#[cfg(target_arch = "x86_64")]
+fn fast_pext() -> bool {
+    use std::arch::x86_64::__cpuid;
+    static FAST: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FAST.get_or_init(|| {
+        if !(std::is_x86_feature_detected!("bmi1") && std::is_x86_feature_detected!("bmi2")) {
             return false;
         }
+        let id = __cpuid(0);
+        let vendor = [id.ebx, id.edx, id.ecx].map(u32::to_le_bytes).concat();
+        if vendor != b"AuthenticAMD" && vendor != b"HygonGenuine" {
+            return true;
+        }
+        let sig = __cpuid(1).eax;
+        ((sig >> 8) & 0xf) + ((sig >> 20) & 0xff) >= 0x19
+    })
+}
+
+/// The kernel with `tzcnt`/`blsr`/`shrx`, the SSE2 mask gather and `pext`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi1,bmi2")]
+fn walk_bmi2(
+    buf: &[u8],
+    from: usize,
+    end: usize,
+    cur: u64,
+    f: impl FnMut(u64) -> bool,
+) -> (bool, usize) {
+    use std::arch::x86_64::_pext_u64;
+    let pack = |w| _pext_u64(w, 0x7f7f_7f7f_7f7f_7f7f);
+    walk_body(buf, from, end, cur, movemask_terminators, pack, f)
+}
+
+/// The kernel for every other CPU: the mask gathered by multiply, the
+/// groups packed by shifts. Never inlined, so that callers carry only the
+/// dispatch and both instances are one function each.
+#[inline(never)]
+fn walk_portable(
+    buf: &[u8],
+    from: usize,
+    end: usize,
+    cur: u64,
+    f: impl FnMut(u64) -> bool,
+) -> (bool, usize) {
+    walk_body(buf, from, end, cur, multiply_terminators, pack_groups, f)
+}
+
+/// The one delta-walk loop (see [`walk_codes`] for the contract):
+/// `terminators` gathers a block's terminator mask, `pack` turns a code's
+/// bytes into its value.
+#[inline(always)]
+fn walk_body(
+    buf: &[u8],
+    from: usize,
+    end: usize,
+    mut cur: u64,
+    terminators: impl Fn(&[u8; BLOCK]) -> u64,
+    pack: impl Fn(u64) -> u64,
+    mut f: impl FnMut(u64) -> bool,
+) -> (bool, usize) {
+    let len = buf.len();
+    // The block being walked, and the previous code's terminator relative
+    // to it (negative once it lies in an earlier block).
+    let mut at = from - from % BLOCK;
+    let mut prev = (from % BLOCK) as isize - 1;
+    let mut pad: [u8; BLOCK];
+    while at < end {
+        let bytes: &[u8; BLOCK] = match buf.get(at..at + BLOCK) {
+            Some(block) => block.try_into().unwrap(),
+            None => {
+                // The last, partial block of `buf`.
+                pad = [0; BLOCK];
+                pad[..len - at].copy_from_slice(&buf[at..]);
+                &pad
+            }
+        };
+        // Only terminators in `from..end` end a code of the walk.
+        let mut mask = terminators(bytes);
+        let upto = (end - at).min(BLOCK);
+        if upto < BLOCK {
+            mask &= (1 << upto) - 1;
+        }
+        mask &= u64::MAX << (prev + 1).max(0);
+        // Mostly one-byte codes (at most one byte in eight continues a
+        // code): add the runs of them byte by byte.
+        let span = upto as isize - (prev + 1).max(0);
+        let dense = 8 * mask.count_ones() as isize >= 7 * span;
+        while mask != 0 {
+            let start = prev + 1;
+            if dense && start >= 0 {
+                let run = (!(mask >> start)).trailing_zeros() as isize;
+                let codes = &bytes[start as usize..(start + run) as usize];
+                for (i, &code) in codes.iter().enumerate() {
+                    cur = cur.wrapping_add(u64::from(code));
+                    if !f(cur) {
+                        return (false, at + start as usize + i + 1);
+                    }
+                }
+                prev += run;
+                let past = (start + run) as u32;
+                mask = mask.checked_shr(past).map_or(0, |m| m << past);
+                if mask == 0 {
+                    break;
+                }
+            }
+            let tz = mask.trailing_zeros() as isize;
+            let n = tz - prev;
+            prev = tz;
+            mask &= mask - 1;
+            let last = at + tz as usize;
+            let delta = if n <= 8 {
+                debug_assert!(
+                    7 <= last && last < len,
+                    "load ending at {last} outside 7..{len}"
+                );
+                // SAFETY: stretch bound — `last < end ≤ len` and
+                // `last ≥ from ≥ 8`, so the 8 bytes `last − 7 ..= last` lie
+                // inside `buf`.
+                let word = unsafe { buf.as_ptr().add(last - 7).cast::<u64>().read_unaligned() };
+                pack(u64::from_le(word) >> (64 - 8 * n))
+            } else {
+                long_code(&buf[last + 1 - n as usize..=last])
+            };
+            cur = cur.wrapping_add(delta);
+            if !f(cur) {
+                return (false, last + 1);
+            }
+        }
+        at += BLOCK;
+        prev -= BLOCK as isize;
     }
-    true
+    (true, (at as isize + prev + 1) as usize)
+}
+
+/// A code of 9 or 10 bytes — a delta ≥ 2^56, which no 8-byte load holds.
+#[cold]
+#[inline(never)]
+fn long_code(code: &[u8]) -> u64 {
+    decode_varint(code).0
+}
+
+/// The value of a code of ≤ 8 bytes held in the low bytes of `w` (higher
+/// bytes zero), portably: drop the continue bits, then close the gaps they
+/// leave — 8 × 7 → 4 × 14 → 2 × 28 → 56 bits. Each step takes the upper
+/// field `hi` of a lane holding `lo + 2^(2k)·hi` and subtracts the excess
+/// `(2^(2k) − 2^k)·hi`, which leaves `lo + 2^k·hi`.
+#[inline(always)]
+fn pack_groups(w: u64) -> u64 {
+    let x = w & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = x - ((x >> 1) & 0x3f80_3f80_3f80_3f80);
+    let x = x - 3 * ((x >> 2) & 0x0fff_c000_0fff_c000);
+    x - 15 * ((x >> 4) & 0x00ff_ffff_f000_0000)
+}
+
+/// Terminator mask of a block: four SSE2 `movemask`s of the continue bits.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn movemask_terminators(block: &[u8; BLOCK]) -> u64 {
+    use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_movemask_epi8};
+    let mut cont = 0u64;
+    for i in 0..4 {
+        // SAFETY: reads bytes `16·i .. 16·i + 16` of a 64-byte array; SSE2
+        // is part of the x86_64 baseline.
+        let bits = unsafe {
+            _mm_movemask_epi8(_mm_loadu_si128(
+                block.as_ptr().add(16 * i).cast::<__m128i>(),
+            ))
+        };
+        cont |= u64::from(bits as u16) << (16 * i);
+    }
+    !cont
+}
+
+/// Terminator mask of a block, portably: per 8-byte word, one multiply
+/// moves the eight continue bits into the top byte.
+#[inline(always)]
+fn multiply_terminators(block: &[u8; BLOCK]) -> u64 {
+    let mut cont = 0u64;
+    for (i, word) in block.chunks_exact(8).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().unwrap()) & 0x8080_8080_8080_8080;
+        cont |= (w.wrapping_mul(0x0002_0408_1020_4081) >> 56) << (8 * i);
+    }
+    !cont
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-serial walk the kernel replaced: the equivalence oracle.
+    fn serial_walk(
+        buf: &[u8],
+        from: usize,
+        end: usize,
+        mut cur: u64,
+        mut f: impl FnMut(u64) -> bool,
+    ) -> (bool, usize) {
+        let mut pos = from;
+        while pos < end {
+            let (delta, used) = decode_varint(&buf[pos..]);
+            pos += used;
+            cur = cur.wrapping_add(delta);
+            if !f(cur) {
+                return (false, pos);
+            }
+        }
+        (true, pos)
+    }
+
+    type Instance = fn(&[u8], usize, usize, u64, &mut dyn FnMut(u64) -> bool) -> (bool, usize);
+
+    /// Both kernel instances this CPU can run, each called directly.
+    fn instances() -> Vec<(&'static str, Instance)> {
+        let mut all: Vec<(&'static str, Instance)> = vec![("portable", |b, from, end, cur, f| {
+            walk_portable(b, from, end, cur, f)
+        })];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("bmi1") && std::is_x86_feature_detected!("bmi2") {
+            all.push(("bmi2", |b, from, end, cur, f| {
+                // SAFETY: the features were detected just above.
+                unsafe { walk_bmi2(b, from, end, cur, f) }
+            }));
+        }
+        all
+    }
+
+    /// Deterministic xorshift stream for the randomized runs.
+    struct Xs(u64);
+    impl Xs {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        /// A delta whose code takes exactly `bytes` bytes.
+        fn delta_of_len(&mut self, bytes: u32) -> u64 {
+            let lo = if bytes == 1 {
+                1
+            } else {
+                1u64 << (7 * (bytes - 1))
+            };
+            let hi = 1u64.checked_shl(7 * bytes).map_or(u64::MAX, |h| h - 1);
+            lo + self.next() % (hi - lo).max(1)
+        }
+    }
+
+    /// A run whose code lengths come from `lens`, followed by `slack`
+    /// bytes of junk (the rest of a leaf's stretch, never decoded).
+    /// Returns the elements, the buffer and the run's length.
+    fn run_of(head: u64, lens: &[u32], slack: usize, xs: &mut Xs) -> (Vec<u64>, Vec<u8>, usize) {
+        let mut elems = vec![head];
+        for &l in lens {
+            let d = xs.delta_of_len(l);
+            // A sum past `u64::MAX` drops this code, not the rest.
+            if let Some(e) = elems.last().unwrap().checked_add(d) {
+                elems.push(e);
+            }
+        }
+        let used = encoded_run_len(&elems, 8);
+        let mut buf = vec![0u8; used + slack];
+        encode_run(&elems, &mut buf);
+        for b in &mut buf[used..] {
+            *b = xs.next() as u8;
+        }
+        (elems, buf, used)
+    }
+
+    /// Every walk shape the leaf readers use, against the oracle, on one
+    /// run: the full walk, and an early exit at every element.
+    fn check_all_exits(buf: &[u8], used: usize, elems: &[u64]) {
+        let head = elems[0];
+        for (name, walk) in instances() {
+            let mut got = Vec::new();
+            let full = walk(buf, 8, used, head, &mut |e| {
+                got.push(e);
+                true
+            });
+            assert_eq!(got, elems[1..], "{name}: full walk");
+            assert_eq!(full, (true, used), "{name}: full walk");
+            for (stop, &key) in elems.iter().enumerate().skip(1) {
+                // The membership walk: stop once the running value
+                // reaches the key.
+                let (mut seen, mut hit) = (0, false);
+                let contains = walk(buf, 8, used, head, &mut |e| {
+                    seen += 1;
+                    hit = e == key;
+                    e < key
+                });
+                let oracle = serial_walk(buf, 8, used, head, |e| e < key);
+                assert_eq!(contains, oracle, "{name}: contains stop {stop}");
+                assert!(hit && seen == stop, "{name}: contains stop {stop}");
+                // The range walk stops past its end, the from walk at the
+                // first key its callee refuses.
+                let past = |e: u64| e <= key;
+                let range = walk(buf, 8, used, head, &mut |e| past(e));
+                assert_eq!(
+                    range,
+                    serial_walk(buf, 8, used, head, past),
+                    "{name}: range {stop}"
+                );
+                let refuse = |e: u64| e < key || e != key;
+                let from = walk(buf, 8, used, head, &mut |e| refuse(e));
+                assert_eq!(
+                    from,
+                    serial_walk(buf, 8, used, head, refuse),
+                    "{name}: from {stop}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_serial_walk_on_random_runs() {
+        let mut xs = Xs(0x5EED_C0DE_1234_5678);
+        for case in 0..300 {
+            let n = 1 + (xs.next() % 240) as usize;
+            // Mostly short codes, every length up to 10 present; every
+            // other run mostly one-byte codes (the walk's dense blocks).
+            let lens: Vec<u32> = (0..n)
+                .map(|_| match (xs.next() % 16, case % 2) {
+                    (0, _) => 1 + (xs.next() % 10) as u32,
+                    (r, 0) => 1 + (r % 3) as u32,
+                    (_, _) => 1,
+                })
+                .collect();
+            let slack = [0, 1, 7, 8, 63, 64, 200][case % 7];
+            let (elems, buf, used) = run_of(xs.next() >> 24, &lens, slack, &mut xs);
+            check_all_exits(&buf, used, &elems);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_serial_walk_at_block_edges() {
+        let mut xs = Xs(0xB10C_B10C);
+        // Codes of every length straddling the first block edge at every
+        // offset.
+        for l in 1..=10u32 {
+            for lead in 0..24usize {
+                let lens: Vec<u32> = std::iter::repeat_n(1, lead + 50)
+                    .chain(std::iter::repeat_n(l, 20))
+                    .chain(std::iter::repeat_n(2, 40))
+                    .collect();
+                let (elems, buf, used) = run_of(1 << 40, &lens, 0, &mut xs);
+                check_all_exits(&buf, used, &elems);
+            }
+        }
+        // The run ends on the stretch's last byte (`used == leaf_units`),
+        // at every offset within a block, with 1- to 10-byte last codes.
+        for used in 9..=200usize {
+            for last in 1..=10u32 {
+                if used < 8 + last as usize {
+                    continue;
+                }
+                let mut lens = vec![1u32; used - 8 - last as usize];
+                lens.push(last);
+                let (elems, buf, run) = run_of(7, &lens, 0, &mut xs);
+                assert_eq!((buf.len(), run), (used, used));
+                check_all_exits(&buf, used, &elems);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_handles_tiny_runs_and_offsets() {
+        let mut xs = Xs(42);
+        // A 1-element leaf: the head and nothing to walk.
+        let (elems, buf, used) = run_of(99, &[], 248, &mut xs);
+        assert_eq!((elems.as_slice(), used), (&[99][..], 8));
+        assert_eq!(walk_run(&buf, used, |_| true), (true, 8));
+        assert_eq!(walk_run(&buf, used, |_| false), (false, 8));
+        for (name, walk) in instances() {
+            assert_eq!(walk(&buf, 8, 8, 99, &mut |_| true), (true, 8), "{name}");
+            assert_eq!(
+                walk(&buf[..8], 8, 8, 99, &mut |_| true),
+                (true, 8),
+                "{name}"
+            );
+        }
+        // Mid-run starts (the fused kernel's tail walk): from every code
+        // boundary to the end of the run.
+        let lens: Vec<u32> = (0..90).map(|i| 1 + i % 4).collect();
+        let (elems, buf, used) = run_of(5, &lens, 0, &mut xs);
+        let mut at = 8;
+        for i in 1..elems.len() {
+            for (name, walk) in instances() {
+                let mut last = elems[i - 1];
+                let got = walk(&buf, at, used, last, &mut |e| {
+                    last = e;
+                    true
+                });
+                assert_eq!(got, (true, used), "{name}: from {at}");
+                assert_eq!(last, *elems.last().unwrap(), "{name}: from {at}");
+            }
+            at += varint_len(elems[i] - elems[i - 1]);
+        }
+    }
 
     #[test]
     fn varint_lengths() {
@@ -199,8 +648,7 @@ mod tests {
         let written = encode_run(&elems, &mut buf);
         assert_eq!(written, len);
         let mut out = Vec::new();
-        let consumed = decode_run(&buf, elems.len(), &mut out);
-        assert_eq!(consumed, len);
+        decode_run(&buf, &mut out);
         assert_eq!(out, elems);
     }
 
@@ -213,7 +661,7 @@ mod tests {
         assert_eq!(encoded_run_len(&one, 8), 8);
         assert_eq!(encode_run(&one, &mut buf), 8);
         let mut out = Vec::new();
-        decode_run(&buf, 1, &mut out);
+        decode_run(&buf[..8], &mut out);
         assert_eq!(out, vec![42]);
     }
 
@@ -223,14 +671,14 @@ mod tests {
         let mut buf = vec![0u8; encoded_run_len(&elems, 8)];
         encode_run(&elems, &mut buf);
         let mut seen = Vec::new();
-        let finished = for_each_in_run(&buf, 5, |e| {
+        let finished = for_each_in_run(&buf, |e| {
             seen.push(e);
             e < 3
         });
         assert!(!finished);
         assert_eq!(seen, vec![1, 2, 3]);
         let mut all = Vec::new();
-        assert!(for_each_in_run(&buf, 5, |e| {
+        assert!(for_each_in_run(&buf, |e| {
             all.push(e);
             true
         }));

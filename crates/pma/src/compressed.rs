@@ -52,8 +52,8 @@
 
 use crate::bitmap;
 use crate::codec::{
-    decode_run, decode_varint, encode_run, encoded_run_len, for_each_in_run, varint_len,
-    write_varint, MAX_VARINT_BYTES,
+    decode_varint, encode_run, encoded_run_len, varint_len, walk_codes, walk_run, write_varint,
+    MAX_VARINT_BYTES,
 };
 use crate::core::ForceCodec;
 use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
@@ -286,6 +286,19 @@ impl CompressedLeaves {
         debug_assert!(self.overflow[leaf].is_none(), "query on overflowed leaf");
         let start = leaf * self.leaf_units;
         &self.bytes[start..start + self.used[leaf] as usize]
+    }
+
+    /// Walk a delta leaf's run ([`walk_run`]), handing the kernel the
+    /// leaf's whole stretch so that it reads the run's last block in place.
+    #[inline]
+    fn walk_leaf(&self, leaf: usize, f: impl FnMut(u64) -> bool) -> (bool, usize) {
+        debug_assert!(self.overflow[leaf].is_none(), "query on overflowed leaf");
+        let start = leaf * self.leaf_units;
+        walk_run(
+            &self.bytes[start..start + self.leaf_units],
+            self.units_used(leaf),
+            f,
+        )
     }
 
     #[inline]
@@ -555,65 +568,50 @@ impl LeafStorage<u64> for CompressedLeaves {
     }
 
     fn leaf_successor(&self, leaf: usize, key: u64) -> Option<u64> {
-        let buf = self.leaf_bytes(leaf);
         if self.is_bitmap(leaf) {
+            let buf = self.leaf_bytes(leaf);
             stats::record_read(buf.len());
             return bitmap::successor_inclusive(buf, buf.len(), key);
         }
-        stats::record_read(buf.len());
+        // Delta walks charge the bytes they consumed, not the whole run.
         let mut found = None;
-        for_each_in_run(buf, self.counts[leaf] as usize, |e| {
-            if e >= key {
-                found = Some(e);
-                false
-            } else {
-                true
-            }
+        let (_, end) = self.walk_leaf(leaf, |e| {
+            found = (e >= key).then_some(e);
+            found.is_none()
         });
+        stats::record_read(end);
         found
     }
 
     fn leaf_contains(&self, leaf: usize, key: u64) -> bool {
-        let cnt = self.counts[leaf] as usize;
-        if cnt == 0 {
+        if self.counts[leaf] == 0 {
             return false;
         }
-        let buf = self.leaf_bytes(leaf);
         if self.is_bitmap(leaf) {
             // One base load + one word load.
+            let buf = self.leaf_bytes(leaf);
             stats::record_read(16);
             return bitmap::contains(buf, buf.len(), key);
         }
-        // Membership needs no successor value: decode deltas only until the
-        // running value reaches `key`, and account only the bytes consumed
-        // (the full-run `leaf_successor` path charges the whole leaf).
-        let mut cur = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        if key <= cur {
-            stats::record_read(8);
-            return key == cur;
-        }
-        let mut pos = 8usize;
-        for _ in 1..cnt {
-            let (delta, used) = decode_varint(&buf[pos..]);
-            pos += used;
-            cur += delta;
-            if cur >= key {
-                stats::record_read(pos);
-                return cur == key;
-            }
-        }
-        stats::record_read(pos);
-        false
+        // Decode only until the running value reaches `key`.
+        let mut hit = false;
+        let (_, end) = self.walk_leaf(leaf, |e| {
+            hit = e == key;
+            e < key
+        });
+        stats::record_read(end);
+        hit
     }
 
     #[inline]
     fn prefetch_leaf(&self, leaf: usize) {
-        // Both codecs walk the run front to back, so pull the first two
-        // lines: the head/base plus the first stretch of codes or words.
+        // Both codecs walk the run front to back. The delta walk reads
+        // whole 64-byte blocks from the leaf's start, which need not sit on
+        // a line boundary, so its first two blocks span three lines: pull
+        // those (`leaf_units ≥ MIN_LEAF_UNITS` keeps them in the leaf).
         let at = leaf * self.leaf_units;
-        crate::search::prefetch_read(&self.bytes[at]);
-        if self.leaf_units > 64 {
-            crate::search::prefetch_read(&self.bytes[at + 64]);
+        for line in 0..3 {
+            crate::search::prefetch_read(&self.bytes[at + 64 * line]);
         }
     }
 
@@ -623,16 +621,15 @@ impl LeafStorage<u64> for CompressedLeaves {
         if let Some(buf) = self.overflow[leaf].as_deref() {
             return buf.last().copied();
         }
-        let cnt = self.counts[leaf] as usize;
-        if cnt == 0 {
+        if self.counts[leaf] == 0 {
             return None;
         }
-        let buf = self.leaf_bytes(leaf);
         if self.is_bitmap(leaf) {
+            let buf = self.leaf_bytes(leaf);
             return Some(bitmap::max_elem(buf, buf.len()));
         }
         let mut last = 0;
-        for_each_in_run(buf, cnt, |e| {
+        self.walk_leaf(leaf, |e| {
             last = e;
             true
         });
@@ -640,12 +637,14 @@ impl LeafStorage<u64> for CompressedLeaves {
     }
 
     fn for_each_in_leaf(&self, leaf: usize, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        let buf = self.leaf_bytes(leaf);
-        stats::record_read(buf.len());
         if self.is_bitmap(leaf) {
+            let buf = self.leaf_bytes(leaf);
+            stats::record_read(buf.len());
             return bitmap::for_each(buf, buf.len(), &mut *f);
         }
-        for_each_in_run(buf, self.counts[leaf] as usize, f)
+        let (finished, end) = self.walk_leaf(leaf, f);
+        stats::record_read(end);
+        finished
     }
 
     fn for_each_in_leaf_from(
@@ -654,18 +653,14 @@ impl LeafStorage<u64> for CompressedLeaves {
         start: u64,
         f: &mut dyn FnMut(u64) -> bool,
     ) -> bool {
-        let buf = self.leaf_bytes(leaf);
-        stats::record_read(buf.len());
         if self.is_bitmap(leaf) {
+            let buf = self.leaf_bytes(leaf);
+            stats::record_read(buf.len());
             return bitmap::for_each_from(buf, buf.len(), start, &mut *f);
         }
-        for_each_in_run(buf, self.counts[leaf] as usize, |e| {
-            if e < start {
-                true
-            } else {
-                f(e)
-            }
-        })
+        let (finished, end) = self.walk_leaf(leaf, |e| e < start || f(e));
+        stats::record_read(end);
+        finished
     }
 
     fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>) {
@@ -673,25 +668,29 @@ impl LeafStorage<u64> for CompressedLeaves {
             out.extend_from_slice(buf);
             return;
         }
-        let buf = self.leaf_bytes(leaf);
         if self.is_bitmap(leaf) {
+            let buf = self.leaf_bytes(leaf);
             bitmap::decode_into(buf, buf.len(), out);
             return;
         }
-        decode_run(buf, self.counts[leaf] as usize, out);
+        self.walk_leaf(leaf, |e| {
+            out.push(e);
+            true
+        });
     }
 
     fn leaf_sum(&self, leaf: usize) -> u64 {
-        let buf = self.leaf_bytes(leaf);
-        stats::record_read(buf.len());
         if self.is_bitmap(leaf) {
+            let buf = self.leaf_bytes(leaf);
+            stats::record_read(buf.len());
             return bitmap::sum(buf, buf.len());
         }
         let mut sum = 0u64;
-        for_each_in_run(buf, self.counts[leaf] as usize, |e| {
+        let (_, end) = self.walk_leaf(leaf, |e| {
             sum = sum.wrapping_add(e);
             true
         });
+        stats::record_read(end);
         sum
     }
 
@@ -699,22 +698,20 @@ impl LeafStorage<u64> for CompressedLeaves {
         if self.counts[leaf] == 0 || start >= end {
             return 0;
         }
-        let buf = self.leaf_bytes(leaf);
-        stats::record_read(buf.len());
         if self.is_bitmap(leaf) {
             // Wordwise: masked boundary words, popcount kernels inside.
+            let buf = self.leaf_bytes(leaf);
+            stats::record_read(buf.len());
             return bitmap::range_sum(buf, buf.len(), start, end);
         }
         let mut acc = 0u64;
-        for_each_in_run(buf, self.counts[leaf] as usize, |e| {
-            if e >= end {
-                return false;
-            }
-            if e >= start {
+        let (_, consumed) = self.walk_leaf(leaf, |e| {
+            if e >= start && e < end {
                 acc = acc.wrapping_add(e);
             }
-            true
+            e < end
         });
+        stats::record_read(consumed);
         acc
     }
 
@@ -820,11 +817,13 @@ impl CompressedShared<'_> {
             out.extend_from_slice(buf);
         } else if cnt > 0 {
             let units = *self.used.add(leaf) as usize;
-            let buf = self.leaf_buf_read(leaf, units);
             if *self.tags.add(leaf) == TAG_BITMAP {
-                bitmap::decode_into(buf, units, out);
+                bitmap::decode_into(self.leaf_buf_read(leaf, units), units, out);
             } else {
-                decode_run(buf, cnt, out);
+                walk_run(self.leaf_buf_read(leaf, self.leaf_units), units, |e| {
+                    out.push(e);
+                    true
+                });
             }
         }
     }
@@ -1034,7 +1033,10 @@ impl CompressedShared<'_> {
         let old_units = *self.used.add(leaf) as usize;
         debug_assert!(*self.tags.add(leaf) == TAG_DELTA && (*self.overflow.add(leaf)).is_none());
         debug_assert!(cap <= FUSED_MAX_UNITS && (8..=cap).contains(&old_units));
-        let src = self.leaf_buf_read(leaf, old_units);
+        // The whole stretch, so the tail walk below reads its last block
+        // in place.
+        let stretch = self.leaf_buf_read(leaf, cap);
+        let src = &stretch[..old_units];
         let mut cur = DeltaCursor::new(src);
         let mut out = DeltaWriter::new();
 
@@ -1106,12 +1108,10 @@ impl CompressedShared<'_> {
             // `choose_codec` answers alike for every size past `cap`.
             let mut max = cur.elem;
             if bitmap::encoded_len(out.first, max) <= cap {
-                let mut at = 0;
-                while at < rest.len() {
-                    let (delta, used) = decode_varint(&rest[at..]);
-                    max += delta;
-                    at += used;
-                }
+                walk_codes(stretch, cur.next, old_units, max, |e| {
+                    max = e;
+                    true
+                });
             }
             max
         };

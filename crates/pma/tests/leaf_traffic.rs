@@ -1,12 +1,13 @@
-//! Byte-traffic regression for the compressed codec's membership probe
-//! (needs `--features stats`; the counters are process-global, so this
-//! file holds exactly one test).
+//! Byte-traffic regression for the compressed codec's early-stopping
+//! probes (needs `--features stats`; the counters are process-global, so
+//! this file holds exactly one test).
 //!
-//! `leaf_contains` must decode only until the running value reaches the
-//! probe and account only the bytes it consumed. The previous definition
-//! delegated to `leaf_successor`, which decodes — and charges — the whole
-//! run, so probing a leaf's head read `units_used(leaf)` bytes instead
-//! of 8: that is what the exact equalities below would report.
+//! `leaf_contains` and `leaf_successor` must decode only until the running
+//! value reaches the probe and account only the bytes they consumed. An
+//! earlier `leaf_contains` delegated to `leaf_successor`, and
+//! `leaf_successor` (like `for_each_in_leaf_from`) charged the whole run
+//! before walking, so probing a leaf's head read `units_used(leaf)` bytes
+//! instead of 8: that is what the exact equalities below would report.
 #![cfg(feature = "stats")]
 
 use cpma_api::BatchSet;
@@ -62,6 +63,18 @@ fn compressed_membership_probe_stops_early() {
     let (hit, t) = stats::measure(|| storage.leaf_contains(leaf, *run.last().unwrap()));
     assert!(hit);
     assert!(t.bytes_read <= used);
+
+    // The successor probe stops where the membership probe does.
+    let (succ, t) = stats::measure(|| storage.leaf_successor(leaf, run[0]));
+    assert_eq!(succ, Some(run[0]));
+    assert_eq!(t.bytes_read, 8, "head successor decoded past the head");
+    let (succ, t) = stats::measure(|| storage.leaf_successor(leaf, run[1] + 1));
+    assert_eq!(succ, Some(run[2]));
+    assert!(
+        t.bytes_read < used,
+        "early successor read the whole run ({} of {used} bytes)",
+        t.bytes_read
+    );
 
     // Bitmap leaves answer any membership probe from the base plus one
     // word: a flat 16 bytes no matter where the key sits in the leaf.

@@ -23,7 +23,7 @@ fn codec_roundtrip() {
         let written = codec::encode_run(&elems, &mut buf);
         assert_eq!(written, len);
         let mut out = Vec::new();
-        codec::decode_run(&buf, elems.len(), &mut out);
+        codec::decode_run(&buf, &mut out);
         assert_eq!(out, elems);
     }
 }
