@@ -6,12 +6,14 @@
 //! umbrella crate runs it for all seven implementations side by side). It
 //! drives a randomized mixed workload against a [`BTreeSet`] oracle and
 //! checks every trait method, including the `RangeBounds` forms on all five
-//! range shapes and the `K::MAX`-inclusive edge that half-open `(start,
-//! end)` pairs could never express.
+//! range shapes, the `K::MAX`-inclusive edge that half-open `(start, end)`
+//! pairs could never express, and the reporting apply and replica catch-up
+//! a publishing front-end builds on.
 
 use crate::testkit::Rng;
 use crate::{
-    normalize_batch, normalize_ops, BatchOp, BatchOutcome, BatchSet, ParallelChunks, RangeSet,
+    net_ops, normalize_batch, normalize_ops, BatchOp, BatchOutcome, BatchSet, ParallelChunks,
+    RangeSet,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -357,6 +359,8 @@ where
     let want: Vec<u64> = model.iter().copied().collect();
     assert_eq!(s.to_vec(), want, "{name}: mixed final contents");
 
+    reporting_and_catch_up_contract::<S>(&mut rng, bits);
+
     // Same-key collisions inside one batch, pinned explicitly: the later
     // op must win regardless of the key's prior presence.
     let mut s = S::new_set();
@@ -385,6 +389,96 @@ where
         vec![5, 9],
         "{name}: same-key collision contents"
     );
+}
+
+/// [`BatchSet::apply_batch_sorted_reporting`] ≡ `contains_batch` followed
+/// by `apply_batch_sorted` of the net batch — reports, outcome, contents
+/// and `size_bytes` — on normal forms dense in no-ops (inserts of stored
+/// keys, removes of absent ones) across the update regimes, down to forms
+/// that change nothing; and [`BatchSet::catch_up_from`] a replica that
+/// applied the net batch ≡ replaying it.
+fn reporting_and_catch_up_contract<S: BatchSet<u64> + RangeSet<u64>>(rng: &mut Rng, bits: u32) {
+    let name = S::NAME;
+    let seedling = rng.sorted_batch(30_000, bits);
+    let mut model: BTreeSet<u64> = seedling.iter().copied().collect();
+    // Three replicas of one history: one reports, one probes and applies
+    // the net batch, one is caught up from the first.
+    let (mut reporting, mut probing, mut spare) = (
+        S::build_sorted(&seedling),
+        S::build_sorted(&seedling),
+        S::build_sorted(&seedling),
+    );
+    // (ops, in twenty: how many are no-ops)
+    let rounds = [
+        (40, 15),
+        (1_500, 10),
+        (1_500, 20),
+        (300, 18),
+        (6_000, 5),
+        (40, 20),
+        (3_000, 19),
+    ];
+    for (round, &(op_count, noops)) in rounds.iter().enumerate() {
+        let what = format!("{name} reporting round {round}");
+        let mut raw: Vec<BatchOp<u64>> = (0..op_count)
+            .map(|_| {
+                // Half stored keys (a random key's successor), half random.
+                let probe = rng.bits(bits);
+                let k = match model.range(probe..).next() {
+                    Some(&next) if rng.chance(1, 2) => next,
+                    _ => probe,
+                };
+                let stored = model.contains(&k);
+                // A no-op keeps the key as it is; an effective op flips it.
+                if rng.chance(noops, 20) == stored {
+                    BatchOp::Insert(k)
+                } else {
+                    BatchOp::Remove(k)
+                }
+            })
+            .collect();
+        let ops = normalize_ops(&mut raw);
+        let keys: Vec<u64> = ops.iter().map(|op| op.key()).collect();
+        let want_was = probing.contains_batch(&keys);
+        let net = net_ops(ops, &want_was);
+        let want = if net.is_empty() {
+            BatchOutcome::default()
+        } else {
+            probing.apply_batch_sorted(&net)
+        };
+        let mut was = vec![true; 2];
+        let got = reporting.apply_batch_sorted_reporting(ops, &mut was);
+        assert_eq!(was, want_was, "{what}: reports");
+        assert_eq!(got, want, "{what}: outcome");
+        for (op, &was) in ops.iter().zip(&was) {
+            assert_eq!(was, model.contains(&op.key()), "{what}: report of {op:?}");
+        }
+        for op in &net {
+            match *op {
+                BatchOp::Insert(k) => model.insert(k),
+                BatchOp::Remove(k) => model.remove(&k),
+            };
+        }
+        let want_contents: Vec<u64> = model.iter().copied().collect();
+        assert_eq!(reporting.to_vec(), want_contents, "{what}: contents");
+        assert_eq!(probing.to_vec(), want_contents, "{what}: probed contents");
+        assert_eq!(
+            reporting.size_bytes(),
+            probing.size_bytes(),
+            "{what}: size_bytes"
+        );
+
+        // `spare` is `reporting` one apply of `net` ago.
+        let caught = spare.catch_up_from(&reporting, &net);
+        assert!(caught.replayed_ops <= net.len(), "{what}: over-replayed");
+        assert_eq!(spare.to_vec(), want_contents, "{what}: caught-up contents");
+        assert_eq!(spare.len(), model.len(), "{what}: caught-up len");
+        assert_eq!(
+            spare.size_bytes(),
+            probing.size_bytes(),
+            "{what}: caught-up size_bytes"
+        );
+    }
 }
 
 fn check_range<S: RangeSet<u64>>(

@@ -194,6 +194,41 @@ impl std::ops::Add for BatchOutcome {
     }
 }
 
+/// How [`BatchSet::catch_up_from`] brought a replica level with a newer
+/// one: bytes copied out of the newer replica, ops of the lag applied
+/// again, or both (a sharded set copies some shards and replays others).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CatchUp {
+    /// Bytes copied from what the newer replica's last apply wrote.
+    pub copied_bytes: usize,
+    /// Ops of the lag replayed through the batch update.
+    pub replayed_ops: usize,
+}
+
+impl std::ops::Add for CatchUp {
+    type Output = Self;
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            copied_bytes: self.copied_bytes + rhs.copied_bytes,
+            replayed_ops: self.replayed_ops + rhs.replayed_ops,
+        }
+    }
+}
+
+/// The *net* batch of a normal-form batch: the ops that change presence,
+/// given `was_present[i]`, the presence of `ops[i]`'s key before the batch
+/// (what [`BatchSet::apply_batch_sorted_reporting`] reports). An insert of
+/// a stored key and a remove of an absent one drop out; the rest stays in
+/// normal form.
+pub fn net_ops<K: SetKey>(ops: &[BatchOp<K>], was_present: &[bool]) -> Vec<BatchOp<K>> {
+    debug_assert_eq!(ops.len(), was_present.len());
+    ops.iter()
+        .zip(was_present)
+        .filter(|&(op, &was)| op.is_insert() != was)
+        .map(|(op, _)| *op)
+        .collect()
+}
+
 /// Batch-parallel construction and updates (the paper's §4 interface).
 ///
 /// `*_sorted` methods require strictly increasing input — the normal form
@@ -293,6 +328,68 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
             self.insert_batch_sorted(&ins)
         };
         BatchOutcome { added, removed }
+    }
+
+    /// [`apply_batch_sorted`](Self::apply_batch_sorted) that also reports
+    /// what it found: `was_present` is cleared and filled with one entry
+    /// per op, `was_present[i]` telling whether `ops[i]`'s key was stored
+    /// before the call.
+    ///
+    /// Only the [`net_ops`] take effect, and the set is left exactly as
+    /// `apply_batch_sorted(&net)` would leave it — to the byte, for a
+    /// structure with a byte image — so a front-end can apply a batch of
+    /// requests and learn each request's result in one call, while its
+    /// log, its replicas and its recovery only ever see the net batch. An
+    /// empty net batch leaves the set untouched.
+    ///
+    /// The default probes with [`contains_batch`](OrderedSet::contains_batch)
+    /// and applies the net batch. Backends whose update decides presence
+    /// per key anyway override it so that the batch is routed once.
+    fn apply_batch_sorted_reporting(
+        &mut self,
+        ops: &[BatchOp<K>],
+        was_present: &mut Vec<bool>,
+    ) -> BatchOutcome {
+        debug_assert!(ops.windows(2).all(|w| w[0].key() < w[1].key()));
+        let keys: Vec<K> = ops.iter().map(|op| op.key()).collect();
+        *was_present = self.contains_batch(&keys);
+        let net = net_ops(ops, was_present);
+        if net.is_empty() {
+            return BatchOutcome::default();
+        }
+        self.apply_batch_sorted(&net)
+    }
+
+    /// Bring `self` level with `newer`, given that `newer` is `self` after
+    /// one more [`apply_batch_sorted`](Self::apply_batch_sorted) of `lag`
+    /// (with an empty `lag`, the two are already level). A publisher that
+    /// alternates two replicas of one history, like `cpma-store`'s
+    /// combiner, catches the older one up this way instead of copying the
+    /// newer whole.
+    ///
+    /// Afterwards `self` is what replaying `lag` would leave — to the byte,
+    /// for a structure with a byte image. The default replays `lag`. A
+    /// backend that records what each apply wrote overrides it to copy
+    /// those bytes out of `newer` whenever [`copies_from`](Self::copies_from)
+    /// holds, and replays otherwise.
+    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
+        let _ = newer;
+        if !lag.is_empty() {
+            self.apply_batch_sorted(lag);
+        }
+        CatchUp {
+            copied_bytes: 0,
+            replayed_ops: lag.len(),
+        }
+    }
+
+    /// Whether [`catch_up_from`](Self::catch_up_from) would bring `self`
+    /// level with `newer` by copying what `newer`'s last apply wrote —
+    /// never more than a copy of `newer`, however long the lag — rather
+    /// than by replaying the lag. Default: `false`.
+    fn copies_from(&self, newer: &Self) -> bool {
+        let _ = newer;
+        false
     }
 
     /// Apply an arbitrary op stream: normalizes in place (sort by key,

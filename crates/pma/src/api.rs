@@ -7,7 +7,7 @@
 
 use crate::core::PmaCore;
 use crate::{LeafStorage, PmaKey};
-use cpma_api::{BatchOp, BatchOutcome, BatchSet, OrderedSet, ParallelChunks, RangeSet};
+use cpma_api::{BatchOp, BatchOutcome, BatchSet, CatchUp, OrderedSet, ParallelChunks, RangeSet};
 use rayon::prelude::*;
 
 impl<K: PmaKey, L: LeafStorage<K>> OrderedSet<K> for PmaCore<K, L> {
@@ -71,6 +71,25 @@ impl<K: PmaKey, L: LeafStorage<K>> BatchSet<K> for PmaCore<K, L> {
     /// redistribute pass instead of the default remove+insert split.
     fn apply_batch_sorted(&mut self, ops: &[BatchOp<K>]) -> BatchOutcome {
         PmaCore::apply_batch_sorted(self, ops)
+    }
+
+    /// Routes the batch once and decides presence in the leaves it lands
+    /// in (`batch/report.rs`) instead of probing first.
+    fn apply_batch_sorted_reporting(
+        &mut self,
+        ops: &[BatchOp<K>],
+        was_present: &mut Vec<bool>,
+    ) -> BatchOutcome {
+        PmaCore::apply_batch_sorted_reporting(self, ops, was_present)
+    }
+
+    /// Copies the newer replica's recorded write set (`writeset.rs`).
+    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
+        PmaCore::catch_up_from(self, newer, lag)
+    }
+
+    fn copies_from(&self, newer: &Self) -> bool {
+        PmaCore::copies_from(self, newer)
     }
 }
 

@@ -53,9 +53,18 @@
 //! produced by [`cpma_api::normalize_ops`] (*last-op-wins*: a `Remove(k)`
 //! followed by `Insert(k)` in the same stream nets to `Insert(k)`,
 //! matching a sequential replay).
+//!
+//! Two things ride along. Every apply records its **write set**
+//! (`writeset.rs`: the merged leaves — the `touched` list itself — the
+//! redistributed ranges and the head repairs after them, or every leaf
+//! after a rebuild), which is what a replica one apply behind copies to
+//! catch up. And `report.rs` is the **reporting** entry point: it routes a
+//! normal form once, decides each key's presence in the leaves it lands
+//! in, and runs the pipeline on the ops that change presence.
 
 mod count;
 mod redistribute;
+mod report;
 mod route;
 
 pub(crate) use count::{count_phase, BoundKind, RootResize};
@@ -124,11 +133,12 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// The batch pipeline, once for every entry point; see the module docs.
-    fn run_batch<R: Run<K>>(&mut self, run: R) -> BatchOutcome {
+    pub(crate) fn run_batch<R: Run<K>>(&mut self, run: R) -> BatchOutcome {
         if run.is_empty() {
             return BatchOutcome::default();
         }
         debug_assert!(run.is_strictly_ascending());
+        self.log.begin();
         // Empty structure: removes are no-ops, the inserts bulk-load at the
         // target density.
         if self.len == 0 {
@@ -149,9 +159,9 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             let mut out = BatchOutcome::default();
             for i in 0..run.len() {
                 if run.is_insert(i) {
-                    out.added += usize::from(self.insert(run.key(i)));
+                    out.added += usize::from(self.insert_point(run.key(i)));
                 } else {
-                    out.removed += usize::from(self.remove(run.key(i)));
+                    out.removed += usize::from(self.remove_point(run.key(i)));
                 }
             }
             return out;
@@ -169,14 +179,27 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         }
 
         // Phase 1: route sub-runs to leaves.
+        let assignments = self.route_run(run);
+        self.run_pipeline(run, &assignments)
+    }
+
+    /// Phase 1a: the run's per-leaf segments ([`route`]), timed.
+    pub(crate) fn route_run<R: Run<K>>(&self, run: R) -> Vec<route::Assignment> {
+        let mut s = cpma_obs::span_with(&crate::stats::phase_spans().route, "pma.route");
+        let a = route(self, run.len(), |i| run.key(i));
+        s.set_items(a.len() as u64);
+        a
+    }
+
+    /// Phases 1b–3 over a routed run: merge, count, redistribute. Every
+    /// segment of `assignments` is non-empty and the leaves ascend.
+    pub(crate) fn run_pipeline<R: Run<K>>(
+        &mut self,
+        run: R,
+        assignments: &[route::Assignment],
+    ) -> BatchOutcome {
         self.batch_stats.pipeline_batches.inc();
         let spans = crate::stats::phase_spans();
-        let assignments = {
-            let mut s = cpma_obs::span_with(&spans.route, "pma.route");
-            let a = route(self, run.len(), |i| run.key(i));
-            s.set_items(a.len() as u64);
-            a
-        };
         self.batch_stats.routed_runs.add(assignments.len() as u64);
         self.batch_stats
             .leaves_touched
@@ -235,6 +258,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             s.set_items(touched.len() as u64);
             count_phase(self, &touched, R::BOUND)
         };
+        // The merged leaves open the write set.
+        self.log.merge_phase(touched);
 
         // Phase 3: redistribute, or resize in whichever direction the
         // root violated.

@@ -155,8 +155,9 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
 
     // Phase 4: repair inherited heads after each range, and refresh the
     // read index where elements moved: the occupancy bits of the ranges
-    // themselves.
+    // themselves. Both the ranges and the repairs join the write set.
     for RangeJob { node, .. } in &jobs {
+        core.log.leaves(node.start, node.end);
         core.fix_inherited_heads_after(node.end);
         core.rebuild_occ_range(node.start, node.end);
     }

@@ -742,6 +742,56 @@ impl LeafStorage<u64> for CompressedLeaves {
             .or_else(|| cut(elems, k, leaf_units, hybrid, None))
     }
 
+    /// Bitmap leaves answer each key with one word probe; delta leaves
+    /// run one block walk (`codec::walk_run`) merged against the run, stopped
+    /// after its last key.
+    fn presence<R: Run<u64>>(&self, leaf: usize, run: R, out: &mut [bool]) {
+        debug_assert_eq!(run.len(), out.len());
+        out.fill(false);
+        if run.is_empty() || self.counts[leaf] == 0 {
+            return;
+        }
+        if self.is_bitmap(leaf) {
+            let buf = self.leaf_bytes(leaf);
+            stats::record_read(16 * run.len());
+            for (i, hit) in out.iter_mut().enumerate() {
+                *hit = bitmap::contains(buf, buf.len(), run.key(i));
+            }
+            return;
+        }
+        let mut i = 0;
+        let (_, end) = self.walk_leaf(leaf, |e| {
+            while run.key(i) < e {
+                i += 1;
+                if i == run.len() {
+                    return false;
+                }
+            }
+            if run.key(i) == e {
+                out[i] = true;
+                i += 1;
+            }
+            i < run.len()
+        });
+        stats::record_read(end);
+    }
+
+    fn copy_leaves_from(&mut self, src: &Self, start: usize, end: usize) -> usize {
+        debug_assert_eq!(
+            (self.num_leaves(), self.leaf_units),
+            (src.num_leaves(), src.leaf_units)
+        );
+        // Between batches no leaf spills, so the spill slots already agree.
+        debug_assert!((start..end).all(|l| !self.is_overflowed(l) && !src.is_overflowed(l)));
+        let bytes = start * self.leaf_units..end * self.leaf_units;
+        self.bytes[bytes.clone()].copy_from_slice(&src.bytes[bytes]);
+        self.used[start..end].copy_from_slice(&src.used[start..end]);
+        self.counts[start..end].copy_from_slice(&src.counts[start..end]);
+        self.heads[start..end].copy_from_slice(&src.heads[start..end]);
+        self.tags[start..end].copy_from_slice(&src.tags[start..end]);
+        (end - start) * (self.size_bytes() / self.num_leaves())
+    }
+
     fn shared(&mut self) -> CompressedShared<'_> {
         CompressedShared {
             bytes: self.bytes.as_mut_ptr(),

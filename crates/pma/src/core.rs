@@ -35,6 +35,7 @@ use crate::leaf::{LeafScratch, RunSize, SharedLeaves};
 use crate::run::{Inserts, Removes};
 use crate::search;
 use crate::tree::ImplicitTree;
+use crate::writeset::WriteLog;
 use crate::{stats, CompressedLeaves, LeafStorage, PmaKey, UncompressedLeaves};
 use cpma_api::ConfigError;
 use rayon::prelude::*;
@@ -246,6 +247,8 @@ pub struct PmaCore<K: PmaKey, L: LeafStorage<K>> {
     /// One bit per leaf: is it non-empty? Lets routing skip empty runs a
     /// word (64 leaves) at a time instead of leaf-by-leaf.
     pub(crate) occ: Vec<u64>,
+    /// What the last apply that changed anything wrote (see `writeset`).
+    pub(crate) log: WriteLog,
     pub(crate) _marker: PhantomData<K>,
 }
 
@@ -274,6 +277,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             units: 0,
             batch_stats: stats::PmaCounters::new(),
             occ: Vec::new(),
+            log: WriteLog::new(),
             _marker: PhantomData,
         };
         this.rebuild_read_index();
@@ -399,6 +403,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         self.len = elems.len();
         self.batch_stats.full_rebuilds.inc();
         self.rebuild_read_index();
+        self.log.whole();
     }
 
     /// Re-spread `elems` over the smallest capacity, stepping up from the
@@ -715,6 +720,18 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 
     /// Insert one key; returns false if it was already present.
     pub fn insert(&mut self, key: K) -> bool {
+        self.log.begin();
+        self.insert_point(key)
+    }
+
+    /// Remove one key; returns false if it was absent.
+    pub fn remove(&mut self, key: K) -> bool {
+        self.log.begin();
+        self.remove_point(key)
+    }
+
+    /// [`Self::insert`] as one step of an apply already begun.
+    pub(crate) fn insert_point(&mut self, key: K) -> bool {
         let dest = self.dest_leaf(key);
         let leaf = dest.unwrap_or(0);
         let shared = self.storage.shared();
@@ -724,6 +741,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         if out.added == 0 {
             return false;
         }
+        self.log.leaves(leaf, leaf + 1);
         self.len += 1;
         self.units = self.units.checked_add_signed(out.delta_units).unwrap();
         self.occ_set(leaf);
@@ -736,8 +754,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         true
     }
 
-    /// Remove one key; returns false if it was absent.
-    pub fn remove(&mut self, key: K) -> bool {
+    /// [`Self::remove`] as one step of an apply already begun.
+    pub(crate) fn remove_point(&mut self, key: K) -> bool {
         let Some(leaf) = self.dest_leaf(key) else {
             return false;
         };
@@ -748,6 +766,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         if out.removed == 0 {
             return false;
         }
+        self.log.leaves(leaf, leaf + 1);
         self.len -= 1;
         self.units = self.units.checked_add_signed(out.delta_units).unwrap();
         if self.storage.count(leaf) == 0 {
@@ -792,16 +811,21 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         let n = self.storage.num_leaves();
         let prev = self.storage.head(from - 1);
         let shared = self.storage.shared();
-        for l in from..n {
+        let mut end = from;
+        while end < n {
             // SAFETY: exclusive access. Every leaf in the run receives the
             // same inherited value (it equals its predecessor's head by
             // construction).
             unsafe {
-                if shared.count(l) > 0 {
+                if shared.count(end) > 0 {
                     break;
                 }
-                shared.set_inherited_head(l, prev);
+                shared.set_inherited_head(end, prev);
             }
+            end += 1;
+        }
+        if end > from {
+            self.log.leaves(from, end);
         }
     }
 
@@ -822,10 +846,10 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Bytes of backing memory (the artifact's `get_size()`), including
-    /// the read index (the occupancy bitset).
+    /// the read index (the occupancy bitset). The write log is left out:
+    /// it describes the last apply, not the set.
     pub fn size_bytes(&self) -> usize {
-        self.storage.size_bytes()
-            + std::mem::size_of::<Self>()
+        self.storage.size_bytes() + std::mem::size_of::<Self>() - std::mem::size_of::<WriteLog>()
             + std::mem::size_of_val(self.occ.as_slice())
     }
 

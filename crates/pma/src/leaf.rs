@@ -236,6 +236,39 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// snapshot, before any leaf is written.
     fn set_codec_policy(&mut self, _force: ForceCodec, _threshold: f64) {}
 
+    /// Membership of every key of `run` — ascending, all routed to `leaf`,
+    /// which is not overflowed — in one pass: `out[i]` answers
+    /// `run.key(i)`. Default: one in-order walk of the leaf, merged
+    /// against the run and stopped after its last key.
+    fn presence<R: Run<K>>(&self, leaf: usize, run: R, out: &mut [bool]) {
+        debug_assert_eq!(run.len(), out.len());
+        out.fill(false);
+        if run.is_empty() || self.count(leaf) == 0 {
+            return;
+        }
+        let mut i = 0;
+        self.for_each_in_leaf(leaf, &mut |e| {
+            while run.key(i) < e {
+                i += 1;
+                if i == run.len() {
+                    return false;
+                }
+            }
+            if run.key(i) == e {
+                out[i] = true;
+                i += 1;
+            }
+            i < run.len()
+        });
+    }
+
+    /// Overwrite leaves `[start, end)` — their bytes or cells, counts,
+    /// heads and tags — with `src`'s, a storage of the same geometry. No
+    /// leaf of either may be spilled (true between batches), so their
+    /// spill slots agree already. Returns the bytes copied: the leaves'
+    /// share of [`size_bytes`](Self::size_bytes).
+    fn copy_leaves_from(&mut self, src: &Self, start: usize, end: usize) -> usize;
+
     /// Obtain the shared-disjoint accessor. Borrows `self` mutably for the
     /// accessor's lifetime, so no safe references can alias the raw access.
     fn shared(&mut self) -> Self::Shared<'_>;

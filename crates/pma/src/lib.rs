@@ -37,6 +37,7 @@ mod leaf;
 mod run;
 mod search;
 mod uncompressed;
+mod writeset;
 
 pub use crate::compressed::CompressedLeaves;
 pub use crate::core::{Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore};

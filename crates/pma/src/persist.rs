@@ -157,6 +157,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             units: total_units,
             batch_stats: Default::default(),
             occ: Vec::new(),
+            log: crate::writeset::WriteLog::new(),
             _marker: std::marker::PhantomData,
         };
         this.rebuild_read_index();

@@ -210,6 +210,16 @@ pub(crate) fn leaf_counters() -> &'static LeafCounters {
     })
 }
 
+/// Process-shared count of reporting applies
+/// (`PmaCore::apply_batch_sorted_reporting`) whose net batch left the
+/// pipeline regime the batch was routed in and was applied from scratch
+/// (`pma.report_fallbacks`). Shared for the reason [`LeafCounters`] is —
+/// and so that recording it adds nothing to a structure's footprint.
+pub(crate) fn report_fallbacks() -> &'static Counter {
+    static CELL: std::sync::OnceLock<Counter> = std::sync::OnceLock::new();
+    CELL.get_or_init(|| cpma_obs::global().counter("pma.report_fallbacks", Unit::Count))
+}
+
 impl Clone for PmaCounters {
     fn clone(&self) -> Self {
         Self::new()

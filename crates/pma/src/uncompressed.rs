@@ -6,6 +6,12 @@
 //! because the bounds only depend on the density of the elements in the PMA
 //! leaves" (§5). A separate head array accelerates search, as in the
 //! search-optimized PMA the paper builds on \[78]. Units are **cells**.
+//!
+//! Every `unsafe` block here runs under the *disjoint-leaf contract* of
+//! [`SharedLeaves`]: the pointers come from one `&mut` borrow of the
+//! storage, and a call touches only its own leaf's cells, count, head and
+//! spill slot.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
 use crate::run::Run;
@@ -278,6 +284,20 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
         (n.div_ceil(k) <= leaf_units).then(|| (0..=k).map(|j| j * n / k).collect())
     }
 
+    fn copy_leaves_from(&mut self, src: &Self, start: usize, end: usize) -> usize {
+        debug_assert_eq!(
+            (self.num_leaves(), self.leaf_units),
+            (src.num_leaves(), src.leaf_units)
+        );
+        // Between batches no leaf spills, so the spill slots already agree.
+        debug_assert!((start..end).all(|l| !self.is_overflowed(l) && !src.is_overflowed(l)));
+        let cells = start * self.leaf_units..end * self.leaf_units;
+        self.cells[cells.clone()].copy_from_slice(&src.cells[cells]);
+        self.counts[start..end].copy_from_slice(&src.counts[start..end]);
+        self.heads[start..end].copy_from_slice(&src.heads[start..end]);
+        (end - start) * (self.size_bytes() / self.num_leaves())
+    }
+
     fn shared(&mut self) -> UncompressedShared<'_, K> {
         UncompressedShared {
             cells: self.cells.as_mut_ptr(),
@@ -317,6 +337,8 @@ impl<K: PmaKey> Copy for UncompressedShared<'_, K> {}
 // makes all pointer accesses disjoint; the four buffers outlive 'a and
 // hold only `K: PmaKey` (plain integers) and boxed slices of them.
 unsafe impl<K: PmaKey> Send for UncompressedShared<'_, K> {}
+// SAFETY: as for `Send` — shared use from several threads is what the
+// disjoint-leaf contract is written for.
 unsafe impl<K: PmaKey> Sync for UncompressedShared<'_, K> {}
 
 /// Private helpers.
@@ -331,6 +353,9 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
     #[allow(clippy::mut_from_ref)] // shared-disjoint contract: see trait docs
     unsafe fn leaf_cells(&self, leaf: usize, len: usize) -> &mut [K] {
         debug_assert!(leaf < self.num_leaves && len <= self.leaf_units);
+        // SAFETY: `leaf < num_leaves` and `len ≤ leaf_units` keep the slice
+        // inside the cell array and inside `leaf`'s own stretch of it, which
+        // the disjoint-leaf contract gives this call alone.
         std::slice::from_raw_parts_mut(self.cells.add(leaf * self.leaf_units), len)
     }
 
@@ -338,6 +363,8 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
     /// buffer while spilled).
     #[inline]
     unsafe fn current(&self, leaf: usize) -> &[K] {
+        // SAFETY: the disjoint-leaf contract covers `leaf`'s spill slot and
+        // count; a count never exceeds `leaf_units` unless the leaf spilled.
         match (*self.overflow.add(leaf)).as_deref() {
             Some(buf) => buf,
             None => self.leaf_cells(leaf, *self.counts.add(leaf) as usize),
@@ -347,6 +374,9 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
     /// Store `elems` into the leaf, spilling to overflow when oversized.
     #[inline]
     unsafe fn store(&self, leaf: usize, elems: &[K], inherited_head: K) -> (usize, bool) {
+        // SAFETY (the writes below): `leaf`'s cells, spill slot, count and
+        // head, all under the disjoint-leaf contract; `n ≤ leaf_units` on
+        // the in-place branch.
         let n = elems.len();
         stats::record_write(n * K::BYTES);
         if n <= self.leaf_units {
@@ -394,25 +424,31 @@ impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
 
     unsafe fn write_leaf(&self, leaf: usize, elems: &[K], inherited_head: K) -> usize {
         debug_assert!(elems.len() <= self.leaf_units, "write_leaf must fit");
+        // SAFETY: the caller's disjoint-leaf contract for `leaf`.
         let (units, _) = self.store(leaf, elems, inherited_head);
         units
     }
 
     unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>) {
+        // SAFETY: the caller's disjoint-leaf contract for `leaf`.
         let cur = self.current(leaf);
         stats::record_read(cur.len() * K::BYTES);
         out.extend_from_slice(cur);
     }
 
     unsafe fn units_used(&self, leaf: usize) -> usize {
+        // SAFETY: `leaf`'s count slot, under the caller's contract.
         *self.counts.add(leaf) as usize
     }
 
     unsafe fn count(&self, leaf: usize) -> usize {
+        // SAFETY: `leaf`'s count slot, under the caller's contract.
         *self.counts.add(leaf) as usize
     }
 
     unsafe fn set_inherited_head(&self, leaf: usize, head: K) {
+        // SAFETY: `leaf`'s count and head slots, under the caller's
+        // contract.
         debug_assert_eq!(*self.counts.add(leaf), 0);
         *self.heads.add(leaf) = head;
     }
@@ -536,6 +572,7 @@ mod tests {
         assert!(s.is_overflowed(0));
         assert_eq!(s.units_used(0), 20); // exceeds capacity => density > 1
         let mut v = Vec::new();
+        // SAFETY: single-threaded; the accessor lives for this one call.
         unsafe { s.shared().collect_leaf(0, &mut v) };
         assert_eq!(v, big);
         // A mixed run reads the spilled contents back and can shrink them
@@ -548,6 +585,7 @@ mod tests {
         // write_leaf clears an overflow too.
         apply(&mut s, 1, &ins(1000..1020));
         assert!(s.is_overflowed(1));
+        // SAFETY: single-threaded; the accessor lives for this one call.
         unsafe { s.shared().write_leaf(1, &[1, 2, 3], 0) };
         assert!(!s.is_overflowed(1));
         assert_eq!(s.count(1), 3);
@@ -568,6 +606,7 @@ mod tests {
     #[test]
     fn write_leaf_empty_sets_inherited_head() {
         let mut s = store3();
+        // SAFETY: single-threaded; the accessor lives for this one call.
         unsafe {
             s.shared().write_leaf(1, &[], 42);
         }

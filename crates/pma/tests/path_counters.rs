@@ -1,7 +1,8 @@
 //! Which path ran, by count: the leaf-update kernels
-//! (`cpma.leaf.fused_runs` / `cpma.leaf.general_runs`).
+//! (`cpma.leaf.fused_runs` / `cpma.leaf.general_runs`) and the reporting
+//! apply's regime fallback (`pma.report_fallbacks`).
 //!
-//! Both are process-global `Unit::Count` counters, exact and
+//! All are process-global `Unit::Count` counters, exact and
 //! schedule-independent, so this file holds exactly one test and reads
 //! them as deltas around single calls.
 
@@ -76,4 +77,43 @@ fn counters_name_the_path_that_ran() {
     );
     assert!(c.storage().codec_census().1 > 0);
     c.check_invariants();
+
+    // A reporting apply is routed by the length of its normal form but
+    // must end as its net batch would: a pipeline-sized form whose net
+    // batch is below the point cutoff, or past the rebuild bound, falls
+    // back to applying the net batch from scratch; one that stays in the
+    // pipeline, or changes nothing, does not.
+    let keys: Vec<u64> = (0..30_000u64).map(|i| i * 4).collect();
+    let fallbacks = || counter("pma.report_fallbacks");
+    let noops = |range: std::ops::Range<u64>| -> Vec<BatchOp<u64>> {
+        range.map(|i| Insert(i * 4)).collect() // stored keys: no-ops
+    };
+    let cases: [(Vec<BatchOp<u64>>, u64); 4] = [
+        // 300 ops, 30 of them effective: point-sized net.
+        (
+            (0..300u64)
+                .map(|i| {
+                    if i % 10 == 0 {
+                        Insert(i * 4 + 1)
+                    } else {
+                        Insert(i * 4)
+                    }
+                })
+                .collect(),
+            1,
+        ),
+        // 2 000 effective ops: the pipeline, no fallback.
+        ((0..2_000u64).map(|i| Insert(i * 4 + 2)).collect(), 0),
+        // Nothing changes.
+        (noops(0..2_000), 0),
+        // 9 000 effective ops ≥ len / 10: the full rebuild.
+        ((0..9_000u64).map(|i| Insert(i * 4 + 3)).collect(), 1),
+    ];
+    let mut was = Vec::new();
+    for (n, (ops, want)) in cases.iter().enumerate() {
+        let mut c = Cpma::from_sorted(&keys);
+        let before = fallbacks();
+        c.apply_batch_sorted_reporting(ops, &mut was);
+        assert_eq!(fallbacks() - before, *want, "case {n}");
+    }
 }

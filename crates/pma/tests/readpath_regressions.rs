@@ -131,6 +131,10 @@ impl LeafStorage<u64> for CountingLeaves {
         self.inner.plan_split(elems, k, leaf_units)
     }
 
+    fn copy_leaves_from(&mut self, src: &Self, start: usize, end: usize) -> usize {
+        self.inner.copy_leaves_from(&src.inner, start, end)
+    }
+
     fn shared(&mut self) -> Self::Shared<'_> {
         self.inner.shared()
     }

@@ -11,19 +11,23 @@
 //! 1. seals the open epoch at once and takes whatever is pending (a fresh
 //!    epoch opens for later submitters) — it never holds the epoch open
 //!    (see "The leader never waits" below);
-//! 2. replays the drained operations *in submission order* against a
+//! 2. folds the epoch's writes into **one mixed op batch** in the
+//!    last-op-wins normal form of [`cpma_api::normalize_ops`] and applies
+//!    it with one [`BatchSet::apply_batch_sorted_reporting`] call to a
+//!    private replica of the set, brought level with the published one
+//!    first (see "Snapshot readers" — the cost is O(what the last epoch
+//!    wrote), not a copy of the set). The call reports every written key's
+//!    presence before the epoch; keys the epoch only reads with
+//!    `Contains` are probed in the published set;
+//! 3. replays the drained operations *in submission order* against that
 //!    presence overlay, recording each operation's individual result —
 //!    this is what makes the epoch linearizable: every operation observes
-//!    exactly the operations submitted before it;
-//! 3. folds the overlay's net effect into **one mixed op batch** in the
-//!    normal form of [`cpma_api::normalize_ops`] (strictly ascending
-//!    keys, one op each) — one [`BatchSet::apply_batch_sorted`] call per
-//!    epoch and replica, and one structure traversal where the former
-//!    remove-batch + insert-batch split paid two;
-//! 4. brings the *spare* replica up to date, applies the net batch to it,
-//!    publishes it as the new snapshot and retires the old one as the next
-//!    spare (see "Snapshot readers" — the cost is O(batch), not a copy of
-//!    the set), then marks the epoch done and wakes all waiters with their
+//!    exactly the operations submitted before it. The writes that change
+//!    presence are the epoch's **net batch** ([`cpma_api::net_ops`]), and
+//!    the replica holds exactly the set after it;
+//! 4. appends the net batch to the WAL (durable combiners), publishes the
+//!    replica as the new snapshot and retires the old one as the next
+//!    spare, then marks the epoch done and wakes all waiters with their
 //!    results. An epoch whose net batch is empty publishes nothing.
 //!
 //! Leadership is re-elected per epoch by `try_lock`: whichever waiter
@@ -49,6 +53,9 @@
 //! for the best fixed window and 550 / 409 for the rate tracker).
 //! Contention already forms 17-op (bursty) and 70–160-op (steady) epochs.
 //! [`CombinerStats`] reports the epoch sizes a deployment actually gets.
+//! (The one wait left is for a *reader*, not for operations: a snapshot
+//! reader that still holds the replica the epoch needs — see "Snapshot
+//! readers".)
 //!
 //! # Snapshot readers
 //!
@@ -62,43 +69,55 @@
 //! share with a copy, so copying it costs O(structure) however small the
 //! batch. The leader therefore keeps **two replicas** and alternates
 //! them. `front` is the published set — also the authoritative one:
-//! presence lookups and checkpoints read it. `spare` is the replica that
+//! `Contains` probes and checkpoints read it. `spare` is the replica that
 //! was published before it, together with `lag`, the one net batch it has
 //! not seen. The invariant between epochs is
 //!
 //! ```text
-//! spare ⊕ lag = front
+//! spare ⊕ lag = front, and front's recorded write set is that apply of lag
 //! ```
 //!
-//! An epoch with net batch `net` takes the spare, applies `lag`, applies
-//! `net`, publishes the result as the new `front`, and retires the old
-//! front as the new spare with `lag = net`. Publication thus costs one
-//! extra application of the previous batch — O(batch) — and no copy.
+//! — the spare is the front one apply behind. An epoch takes the spare,
+//! brings it level with [`BatchSet::catch_up_from`], applies its own batch
+//! to it, publishes the result as the new `front`, and retires the old
+//! front as the new spare with `lag = net`. The catch-up does not run the
+//! batch kernel again: a PMA-family backend records which leaves each
+//! apply wrote, and since the front's last apply *was* `lag`, copying
+//! those leaves' bytes out of the front is the whole difference — the
+//! array's counterpart of a path-copying tree publishing for the price of
+//! the paths it copied. An epoch runs the kernel once, on its own batch.
+//! Where the copy cannot bridge the replicas (the front's last apply
+//! resized a shard, or re-learned the shard splitters) the backend replays
+//! `lag` instead; a backend that records no write set always replays.
 //!
-//! * **Two calls, not one merged batch.** Every replica sees the identical
-//!   sequence of `apply_batch_sorted` calls, so its bytes are those of a
-//!   single set that applied one batch per epoch: checkpoints, WAL
-//!   recovery and the thread-budget determinism suite cannot tell the
-//!   replicas apart. Merging `lag` and `net` into one call would yield the
-//!   same *contents* in a different layout, and the layout would then
-//!   depend on which replica an epoch happened to land on.
+//! * **One history, to the byte.** A copy leaves exactly the bytes a
+//!   replay of `lag` would have written, so every replica's bytes are
+//!   those of a single set that applied one net batch per epoch:
+//!   checkpoints, WAL recovery and the thread-budget determinism suite
+//!   cannot tell the replicas apart.
 //! * **Taking the spare is race-free.** [`Combiner::snapshot`] only ever
 //!   hands out `front`, so a new handle to a retired replica can only be
 //!   cloned from one a reader already holds. When `Arc::try_unwrap` finds
 //!   the leader's handle to be the only one, no reader is left and none
 //!   can appear.
 //! * **Two fallbacks copy `front` instead** (`Core::writable_replica`):
-//!   a reader still pins the spare — one copy per long-lived pin, after
-//!   which the fresh copy and the old front alternate again — or `lag` is
-//!   so large relative to the set that replaying it would cost more than
-//!   the copy (a private count-based break-even; bulk ingest takes this
-//!   branch). Before the first write epoch there is no spare at all, which
-//!   is the second case taken to its limit: a spare lagging by the whole
-//!   set.
+//!   a reader still pins the spare — the leader first yields to it for a
+//!   fraction of a millisecond, since a reader is almost always mid-request,
+//!   and copies only if it holds on: one copy per long-lived pin, after
+//!   which the fresh copy and the old front alternate again — or the
+//!   spare can only be caught up by a replay and `lag` is so large that
+//!   the replay would cost more than the copy (a private count-based
+//!   break-even). Before the first write epoch there is no spare at all,
+//!   which is the second case taken to its limit.
+//!
+//! An epoch with writes takes the spare before it knows whether any of
+//! them changes the set; when none does, it publishes nothing and keeps
+//! the caught-up replica as the spare, lagging by an empty batch. An
+//! epoch of `Contains` probes alone takes nothing.
 //!
 //! Memory is two replicas plus one net batch; a combiner that has applied
-//! no write holds one replica. [`CombinerStats`] counts which branch each
-//! publication took.
+//! no write holds one replica. [`CombinerStats`] counts how each epoch
+//! got its replica.
 //!
 //! # Examples
 //!
@@ -113,14 +132,12 @@
 //! assert_eq!((stats.epochs, stats.ops), (1, 1));
 //! ```
 
-use cpma_api::{
-    normalize_batch, normalize_ops, BatchOp, BatchSet, Persist, PersistError, RangeSet, SetKey,
-};
+use cpma_api::{net_ops, BatchOp, BatchSet, Persist, PersistError, RangeSet, SetKey};
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::{recover, RecoveryReport, WalConfig, WalWriter};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One point operation submitted to a [`Combiner`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,19 +187,25 @@ pub struct CombinerStats {
     /// `ops_in_epoch.ilog2() == i` (bucket 15 collects everything of
     /// 2^15 ops and larger).
     pub ops_per_epoch_log2: [u64; 16],
-    /// Publications that recycled the spare replica: caught it up with the
-    /// batch it lagged by, then applied the epoch's own (no copy).
-    pub publish_recycled: u64,
-    /// Publications that copied the set because a reader still held the
-    /// spare replica.
+    /// Write epochs that caught the spare replica up by copying what the
+    /// front's last apply wrote (an empty lag counts here, copying
+    /// nothing).
+    pub publish_copied: u64,
+    /// Write epochs that caught the spare up by replaying (some of) the
+    /// batch it lagged by: the copy could not bridge the replicas' layouts,
+    /// or the backend records no write set.
+    pub publish_replayed: u64,
+    /// Write epochs that copied the set because a reader still held the
+    /// spare replica after the leader had yielded to it for a moment.
     pub publish_cloned_pinned: u64,
-    /// Publications that copied the set because replaying the spare's lag
-    /// would have cost more than the copy (including the first write
-    /// epoch, which has no spare yet).
+    /// Write epochs that copied the set because only a replay could catch
+    /// the spare up and it would have cost more than the copy (including
+    /// the first write epoch, which has no spare yet).
     pub publish_cloned_bulk: u64,
-    /// Operations applied a second time to catch a recycled spare up (the
-    /// sum of the lags replayed).
+    /// Operations applied a second time by those replays.
     pub replay_ops: u64,
+    /// Bytes the copying catch-ups copied.
+    pub catchup_bytes: u64,
 }
 
 impl CombinerStats {
@@ -198,15 +221,17 @@ impl CombinerStats {
     /// One compact human-readable line (the bench drivers print this).
     pub fn summary(&self) -> String {
         format!(
-            "epochs={} ops={} mean_ops/epoch={:.1} \
-             publish[recycled={} cloned_pinned={} cloned_bulk={} replay_ops={}]",
+            "epochs={} ops={} mean_ops/epoch={:.1} publish[copied={} replayed={} \
+             cloned_pinned={} cloned_bulk={} replay_ops={} catchup_bytes={}]",
             self.epochs,
             self.ops,
             self.mean_ops_per_epoch(),
-            self.publish_recycled,
+            self.publish_copied,
+            self.publish_replayed,
             self.publish_cloned_pinned,
             self.publish_cloned_bulk,
-            self.replay_ops
+            self.replay_ops,
+            self.catchup_bytes
         )
     }
 }
@@ -223,15 +248,22 @@ impl CombinerStats {
 struct CombinerCounters {
     epochs: Counter,
     ops: Counter,
-    publish_recycled: Counter,
+    publish_copied: Counter,
+    publish_replayed: Counter,
     publish_cloned_pinned: Counter,
     publish_cloned_bulk: Counter,
     replay_ops: Counter,
+    catchup_bytes: Counter,
     /// Deterministic epoch-size distribution (unit: ops).
     ops_per_epoch: Histogram,
     /// Timing-derived seal→publish latency (unit: ns); see the span in
     /// `lead`.
     epoch_ns: Histogram,
+    /// Timing-derived phases of that span: getting the writable replica,
+    /// applying the epoch's batch to it, the WAL append.
+    catchup_ns: Histogram,
+    apply_ns: Histogram,
+    wal_ns: Histogram,
 }
 
 impl CombinerCounters {
@@ -240,12 +272,17 @@ impl CombinerCounters {
         Self {
             epochs: r.counter("combiner.epochs", Unit::Count),
             ops: r.counter("combiner.ops", Unit::Count),
-            publish_recycled: r.counter("combiner.publish.recycled", Unit::Count),
+            publish_copied: r.counter("combiner.publish.copied", Unit::Count),
+            publish_replayed: r.counter("combiner.publish.replayed", Unit::Count),
             publish_cloned_pinned: r.counter("combiner.publish.cloned_pinned", Unit::Count),
             publish_cloned_bulk: r.counter("combiner.publish.cloned_bulk", Unit::Count),
             replay_ops: r.counter("combiner.replay_ops", Unit::Count),
+            catchup_bytes: r.counter("combiner.catchup_bytes", Unit::Bytes),
             ops_per_epoch: r.histogram("combiner.ops_per_epoch", Unit::Count),
             epoch_ns: r.histogram("combiner.epoch.ns", Unit::Nanos),
+            catchup_ns: r.histogram("combiner.catchup.ns", Unit::Nanos),
+            apply_ns: r.histogram("combiner.apply.ns", Unit::Nanos),
+            wal_ns: r.histogram("combiner.wal.ns", Unit::Nanos),
         }
     }
 
@@ -260,10 +297,12 @@ impl CombinerCounters {
             epochs: self.epochs.value(),
             ops: self.ops.value(),
             ops_per_epoch_log2: self.ops_per_epoch.snapshot().octave_counts::<16>(),
-            publish_recycled: self.publish_recycled.value(),
+            publish_copied: self.publish_copied.value(),
+            publish_replayed: self.publish_replayed.value(),
             publish_cloned_pinned: self.publish_cloned_pinned.value(),
             publish_cloned_bulk: self.publish_cloned_bulk.value(),
             replay_ops: self.replay_ops.value(),
+            catchup_bytes: self.catchup_bytes.value(),
         }
     }
 }
@@ -325,20 +364,40 @@ struct DurableState<S> {
     checkpoint: fn(&S, &Path) -> Result<(), PersistError>,
 }
 
-/// Replaying a lag of `n` ops into the spare beats copying a set of `len`
-/// keys while `n × REPLAY_BREAK_EVEN ≤ len`. On the reference box a copy
-/// of `ShardedSet<Cpma, 8>` reads ≈ 0.67 ns per key (2 M keys in 1.34 ms)
-/// and a small-batch apply ≈ 245–380 ns per op (512 ops in 125–195 µs), a
-/// ratio of 365–570; 256 is the power of two below that range, so the
-/// rule errs toward the copy, whose cost the lag cannot inflate. Both
-/// sides of the comparison are counts — no clock feeds the decision.
+/// When the spare can only be caught up by replaying its lag (the backend
+/// cannot copy across the replicas' layouts, or records no write set), a
+/// lag of `n` ops is replayed while `n × REPLAY_BREAK_EVEN ≤ len` and the
+/// front is copied otherwise; a copying catch-up never costs more than the
+/// copy, so it ignores the lag. Re-measured on the reference box with the
+/// reporting apply in place: a copy of `ShardedSet<Cpma, 8>` reads
+/// ≈ 0.45–0.65 ns per key (2 M keys in 0.9–1.3 ms) into recycled memory,
+/// ≈ 2.9 ns into fresh pages, and a small-batch apply costs ≈ 225–390 ns
+/// per op (512 ops in 115–200 µs, alone and under the service's readers):
+/// a ratio of 350–870 against recycled memory. 256 is the power of two
+/// below that range, so the rule errs toward the copy, whose cost the lag
+/// cannot inflate. Both sides of the comparison are counts — no clock
+/// feeds the decision.
 const REPLAY_BREAK_EVEN: usize = 256;
+
+/// How long the leader yields to a reader that still holds the spare
+/// before it copies the set instead. A reader pinning the spare is almost
+/// always mid-request — a scan page, a batch of lookups — and lets go
+/// within a fraction of a millisecond, while the copy costs ≈ 1 ms into
+/// recycled memory and ≈ 6 ms into fresh pages (2 M keys, reference box).
+/// The wait matters because the faster an epoch, the more of them a long
+/// read spans: with one kernel run per epoch, `service_mixed` found the
+/// spare pinned at ≈ 11 % of its 512-op write epochs (≈ 5 % when each
+/// epoch also probed and replayed), each paying a copy; with this bound
+/// none did. The clock only chooses
+/// between two outcomes that already depend on when readers let go: a
+/// combiner with no concurrent reader never waits.
+const PIN_PATIENCE: Duration = Duration::from_micros(500);
 
 /// Leader-exclusive state: the two replicas of the set, the epoch counter,
 /// and the combining statistics.
 struct Core<S, K> {
     /// The published replica (the same `Arc` as `Combiner::published`) and
-    /// the authoritative set: presence lookups and checkpoints read it.
+    /// the authoritative set: `Contains` probes and checkpoints read it.
     front: Arc<S>,
     /// The replica published before `front`, and `lag`, the one net batch
     /// it has not seen: `spare ⊕ lag = front`. `None` until the first
@@ -346,7 +405,7 @@ struct Core<S, K> {
     spare: Option<(Arc<S>, Vec<BatchOp<K>>)>,
     epochs_applied: u64,
     /// `Some` iff this combiner is durable: every epoch's net batch is
-    /// WAL-appended before it is applied, and rotation checkpoints the
+    /// WAL-appended before it is published, and rotation checkpoints the
     /// set. The WAL sequence number of an epoch *is* its position in
     /// `epochs_applied` (empty epochs are logged too, so the two never
     /// drift).
@@ -359,29 +418,42 @@ where
     K: SetKey,
     S: BatchSet<K> + Clone,
 {
-    /// A privately owned set equal to `front`, for the epoch's net batch
-    /// to be applied to: the spare caught up with its lag when nobody else
-    /// holds it and the lag is small, a copy of `front` otherwise (module
+    /// A privately owned set equal to `front`, for the epoch's batch to be
+    /// applied to: the spare caught up with `front` when nobody else holds
+    /// it and the catch-up is cheap, a copy of `front` otherwise (module
     /// docs, "Snapshot readers"). Consumes the spare either way.
     fn writable_replica(&mut self) -> S {
+        let _span = cpma_obs::span_with(&self.stats.catchup_ns, "combiner.catchup");
         match self.spare.take() {
             Some((spare, lag))
-                if lag.len().saturating_mul(REPLAY_BREAK_EVEN) <= self.front.len() =>
+                if spare.copies_from(&self.front)
+                    || lag.len().saturating_mul(REPLAY_BREAK_EVEN) <= self.front.len() =>
             {
                 // Nobody hands out a retired snapshot any more, so once
-                // ours is the only handle nobody can observe the replay.
+                // ours is the only handle nobody can observe the catch-up —
+                // and a reader still holding it is let finish, briefly.
+                let asked = Instant::now();
+                while Arc::strong_count(&spare) > 1 && asked.elapsed() < PIN_PATIENCE {
+                    std::thread::yield_now();
+                }
                 match Arc::try_unwrap(spare) {
                     Ok(mut set) => {
-                        set.apply_batch_sorted(&lag);
-                        self.stats.publish_recycled.inc();
-                        self.stats.replay_ops.add(lag.len() as u64);
+                        let caught = set.catch_up_from(&self.front, &lag);
+                        self.stats.catchup_bytes.add(caught.copied_bytes as u64);
+                        if caught.replayed_ops > 0 {
+                            self.stats.publish_replayed.inc();
+                            self.stats.replay_ops.add(caught.replayed_ops as u64);
+                        } else {
+                            self.stats.publish_copied.inc();
+                        }
                         return set;
                     }
                     Err(_pinned) => self.stats.publish_cloned_pinned.inc(),
                 }
             }
-            // The lag is too large to replay — or there is no spare yet,
-            // which is a spare lagging by the whole set.
+            // Only a replay too large to pay could catch the spare up — or
+            // there is no spare yet, which is a spare lagging by the whole
+            // set.
             _ => self.stats.publish_cloned_bulk.inc(),
         }
         S::clone(&self.front)
@@ -587,7 +659,7 @@ where
         }
     }
 
-    /// Drive one epoch: seal, replay, apply, publish, wake, then
+    /// Drive one epoch: seal, apply, replay, log, publish, wake, then
     /// release the leader slot and hand leadership to a waiter of the
     /// next epoch if one is already pending.
     fn lead(&self, mut guard: std::sync::MutexGuard<'_, Core<S, K>>) {
@@ -605,63 +677,96 @@ where
         *self.current.lock().unwrap() = Arc::new(Epoch::new());
         self.queue_depth.set(0);
 
-        // Timing span over the epoch's seal-to-publish work (replay,
-        // WAL append, batch apply, checkpoint, publication).
+        // Timing span over the epoch's seal-to-publish work (catch-up,
+        // batch apply, WAL append, checkpoint, publication).
         let mut epoch_span = cpma_obs::span_with(&core.stats.epoch_ns, "combiner.epoch");
         epoch_span.set_items(ops.len() as u64);
 
-        // Prefetch the base presence of every distinct key in one batched
-        // lookup — the replay's dominant cost on large backends. `uniq` is
-        // already sorted and deduplicated, exactly the shape the backend's
-        // `contains_batch` fast path wants (a sharded backend further fans
-        // the probe run out shard-parallel).
-        let mut uniq: Vec<K> = ops.iter().map(|op| op.key()).collect();
-        let uniq = normalize_batch(&mut uniq);
-        // Replay in submission order against the presence overlay: each
+        // The ops grouped by key, submission order kept inside a group —
+        // one sort serves the normal form, the probes and the replay. A
+        // key's last write is its op in the epoch's ONE mixed batch, whose
+        // normal form (`cpma_api::normalize_ops`'s last-op-wins) comes out
+        // ascending; keys the epoch only reads are probed instead.
+        let mut order: Vec<(K, usize)> = ops.iter().map(Op::key).zip(0..).collect();
+        order.sort_unstable();
+        // (end of the group in `order`, whether the group writes)
+        let mut groups: Vec<(usize, bool)> = Vec::new();
+        let (mut writes, mut probes) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        while start < order.len() {
+            let key = order[start].0;
+            let end = start
+                + order[start..]
+                    .iter()
+                    .take_while(|&&(k, _)| k == key)
+                    .count();
+            let last_write = order[start..end]
+                .iter()
+                .rev()
+                .find_map(|&(_, i)| match ops[i] {
+                    Op::Insert(k) => Some(BatchOp::Insert(k)),
+                    Op::Remove(k) => Some(BatchOp::Remove(k)),
+                    Op::Contains(_) => None,
+                });
+            groups.push((end, last_write.is_some()));
+            match last_write {
+                Some(op) => writes.push(op),
+                None => probes.push(key),
+            }
+            start = end;
+        }
+        // The writes go in one batch-parallel pass to a replica no reader
+        // can see, which reports each written key's presence before the
+        // epoch: no written key is looked up before it is applied.
+        let mut was_present = Vec::new();
+        let next = if writes.is_empty() {
+            None
+        } else {
+            let mut next = core.writable_replica();
+            let _apply = cpma_obs::span_with(&core.stats.apply_ns, "combiner.apply");
+            next.apply_batch_sorted_reporting(&writes, &mut was_present);
+            Some(next)
+        };
+        let hits = if probes.is_empty() {
+            Vec::new()
+        } else {
+            core.front.contains_batch(&probes)
+        };
+        // Replay in submission order against that presence overlay: each
         // operation observes the set as of all operations before it.
-        // `overlay[i]` is `uniq[i]`'s presence (before, now).
-        let mut overlay: Vec<(bool, bool)> = core
-            .front
-            .contains_batch(uniq)
-            .into_iter()
-            .map(|p| (p, p))
-            .collect();
-        let mut results = Vec::with_capacity(ops.len());
-        for op in &ops {
-            let slot = uniq
-                .binary_search(&op.key())
-                .expect("every op key was prefetched");
-            let now = &mut overlay[slot].1;
-            let result = match op {
-                Op::Insert(_) => !std::mem::replace(now, true),
-                Op::Remove(_) => std::mem::replace(now, false),
-                Op::Contains(_) => *now,
+        let (mut reported, mut probed) = (was_present.iter(), hits.iter());
+        let mut results = vec![false; ops.len()];
+        let mut start = 0;
+        for &(end, writes_key) in &groups {
+            let before = if writes_key {
+                reported.next()
+            } else {
+                probed.next()
             };
-            results.push(result);
+            let mut now = *before.expect("one presence per key");
+            for &(_, i) in &order[start..end] {
+                results[i] = match ops[i] {
+                    Op::Insert(_) => !std::mem::replace(&mut now, true),
+                    Op::Remove(_) => std::mem::replace(&mut now, false),
+                    Op::Contains(_) => now,
+                };
+            }
+            start = end;
         }
 
-        // Net effect of the epoch as ONE mixed batch: each changed key
-        // becomes its net op, and the backend applies inserts and removes
-        // in a single batch-parallel pass. `uniq` is strictly ascending,
-        // so the batch comes out in normal form.
-        let net: Vec<BatchOp<K>> = uniq
-            .iter()
-            .zip(&overlay)
-            .filter_map(|(&key, &(before, now))| match (before, now) {
-                (false, true) => Some(BatchOp::Insert(key)),
-                (true, false) => Some(BatchOp::Remove(key)),
-                _ => None,
-            })
-            .collect();
-        debug_assert_eq!(normalize_ops(&mut net.clone()), net.as_slice());
-        // Durability: the epoch's net batch reaches the WAL *before* the
-        // set applies it — a crash after the append replays the epoch, a
-        // crash before it loses only unacknowledged operations. Empty
-        // nets are logged too (a pure-`Contains` epoch still advances
-        // the sequence), so WAL seq stays equal to `epochs_applied`.
-        // WAL I/O failure is fail-stop: acknowledging an operation whose
-        // log write failed would break the durability contract.
+        // The net batch: the writes that change presence — all the replica
+        // applied.
+        let net = net_ops(&writes, &was_present);
+        // Durability: the net batch reaches the WAL before the replica
+        // holding it is published and before any waiter wakes — a crash
+        // after the append replays the epoch, a crash before it loses only
+        // unacknowledged operations, which no reader has seen. Empty nets
+        // are logged too (a pure-`Contains` epoch still advances the
+        // sequence), so WAL seq stays equal to `epochs_applied`. WAL I/O
+        // failure is fail-stop: acknowledging an operation whose log write
+        // failed would break the durability contract.
         if let Some(durable) = core.wal.as_mut() {
+            let _wal = cpma_obs::span_with(&core.stats.wal_ns, "combiner.wal");
             let seq = core.epochs_applied + 1;
             let widened: Vec<BatchOp<u64>> = net
                 .iter()
@@ -674,17 +779,19 @@ where
                 panic!("WAL append for epoch {seq} failed: {e}");
             }
         }
-        // Apply to a replica no reader can see; it becomes the front, and
-        // the old front the spare that lags by exactly this batch. It is
-        // published here, before any waiter wakes: an acknowledged op is
-        // snapshot-visible. An empty net changes nothing, so it publishes
-        // nothing.
-        if !net.is_empty() {
-            let mut next = core.writable_replica();
-            next.apply_batch_sorted(&net);
-            let retired = std::mem::replace(&mut core.front, Arc::new(next));
-            core.spare = Some((retired, net));
-            *self.published.lock().unwrap() = Arc::clone(&core.front);
+        // The replica becomes the front, and the old front the spare that
+        // lags by exactly this batch. It is published here, before any
+        // waiter wakes: an acknowledged op is snapshot-visible. An empty
+        // net changes nothing, so it publishes nothing, and the replica —
+        // equal to the front — stays the spare with nothing to catch up.
+        if let Some(next) = next {
+            if net.is_empty() {
+                core.spare = Some((Arc::new(next), net));
+            } else {
+                let retired = std::mem::replace(&mut core.front, Arc::new(next));
+                core.spare = Some((retired, net));
+                *self.published.lock().unwrap() = Arc::clone(&core.front);
+            }
         }
         core.epochs_applied += 1;
         core.stats.record_epoch(ops.len());
@@ -733,7 +840,8 @@ where
     /// epoch. A missing or empty directory starts from `S::new_set()`.
     ///
     /// Every subsequent epoch appends its net batch to the WAL *before*
-    /// applying it, under `wal.fsync`; once the live segment exceeds
+    /// publishing it or acknowledging any of its operations, under
+    /// `wal.fsync`; once the live segment exceeds
     /// `wal.rotate_bytes` the leader checkpoints the set and rotates.
     /// After a crash, `open_durable` on the same directory restores
     /// exactly the state of the last acknowledged epoch.

@@ -69,8 +69,8 @@
 //! generic suites, or at runtime via [`ShardedSet::set_tuning`].
 
 use cpma_api::{
-    range_to_inclusive, BatchOp, BatchOutcome, BatchSet, ConfigError, OrderedSet, ParallelChunks,
-    Persist, PersistError, RangeSet, SetKey,
+    range_to_inclusive, BatchOp, BatchOutcome, BatchSet, CatchUp, ConfigError, OrderedSet,
+    ParallelChunks, Persist, PersistError, RangeSet, SetKey,
 };
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
@@ -310,6 +310,10 @@ pub struct ShardedSet<S, const N: usize = 8, const MIN: usize = 0, const MAX: us
     stats: RebalanceStats,
     /// Registry mirror of `stats` (see [`StoreCounters`]).
     counters: StoreCounters,
+    /// Splitter re-learns since construction: two replicas of one history
+    /// that agree on it hold the same shard layout, so one can be caught
+    /// up from the other shard by shard.
+    rebuilds: u64,
 }
 
 /// Sub-batch boundaries: `bounds[i]..bounds[i + 1]` is shard `i`'s slice
@@ -376,6 +380,7 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
             tuning,
             stats,
             counters,
+            rebuilds: 0,
         }
     }
 
@@ -401,6 +406,12 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
     /// The current splitters (widened to `u64`), ascending.
     pub fn splitters(&self) -> &[u64] {
         &self.splitters
+    }
+
+    /// The backends, in key order (shard `i` holds the keys between
+    /// splitters `i − 1` and `i`).
+    pub fn shards(&self) -> &[S] {
+        &self.shards
     }
 
     /// The active autotuner bounds and target.
@@ -548,6 +559,15 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         self.rebuild(desired);
     }
 
+    /// Whether `self` and `newer`, two replicas of one history, hold the
+    /// same shard layout: neither re-learned its splitters since they
+    /// parted.
+    fn same_layout(&self, newer: &Self) -> bool {
+        self.rebuilds == newer.rebuilds
+            && self.shards.len() == newer.shards.len()
+            && self.splitters == newer.splitters
+    }
+
     /// Rebuild into `count` shards with quantile splitters learned from
     /// the stored contents; resets the per-shard traffic window and
     /// records the post-rebalance imbalance.
@@ -566,6 +586,7 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
             .map(|i| S::build_sorted(&all[bounds[i]..bounds[i + 1]]))
             .collect();
         self.stats.shard_batch_ops = vec![0; count];
+        self.rebuilds += 1;
         self.counters.shards.set(count as i64);
         let max = self.shards.iter().map(|s| s.len()).max().unwrap_or(0);
         self.stats.post_rebalance_imbalance_permille = if all.is_empty() {
@@ -730,6 +751,84 @@ impl<
             .reduce(BatchOutcome::default, |a, b| a + b);
         self.maybe_rebalance();
         outcome
+    }
+
+    /// One split of the normal form, each shard reporting through its
+    /// backend's own pass. The traffic window and the rebalance check then
+    /// see the net batch — a shard's net ops are exactly the ones its
+    /// outcome counts — as applying it would have shown them; an empty net
+    /// batch, which changes nothing, records nothing.
+    fn apply_batch_sorted_reporting(
+        &mut self,
+        ops: &[BatchOp<K>],
+        was_present: &mut Vec<bool>,
+    ) -> BatchOutcome {
+        let bounds = split_bounds_by(&self.splitters, ops, |op| op.key().to_u64());
+        let bounds = &bounds;
+        let per_shard: Vec<(BatchOutcome, Vec<bool>)> = self
+            .shards
+            .par_iter_mut()
+            .enumerate()
+            .map(|(i, shard)| {
+                let sub = &ops[bounds[i]..bounds[i + 1]];
+                let mut was = Vec::new();
+                let outcome = if sub.is_empty() {
+                    BatchOutcome::default()
+                } else {
+                    shard.apply_batch_sorted_reporting(sub, &mut was)
+                };
+                (outcome, was)
+            })
+            .collect();
+        was_present.clear();
+        let mut outcome = BatchOutcome::default();
+        let mut net_bounds = vec![0];
+        for (shard_outcome, was) in per_shard {
+            was_present.extend(was);
+            outcome = outcome + shard_outcome;
+            net_bounds.push(outcome.added + outcome.removed);
+        }
+        if outcome != BatchOutcome::default() {
+            self.record_batch(outcome.added + outcome.removed, &net_bounds);
+            self.maybe_rebalance();
+        }
+        outcome
+    }
+
+    /// Shard by shard when both replicas have the same shard layout — a
+    /// shard the lag does not touch costs nothing, the others copy or
+    /// replay their part as their backend decides — plus the traffic
+    /// statistics; the whole lag is replayed when the newer replica
+    /// re-learned its splitters.
+    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
+        if lag.is_empty() {
+            return CatchUp::default();
+        }
+        if !self.same_layout(newer) {
+            self.apply_batch_sorted(lag);
+            return CatchUp {
+                copied_bytes: 0,
+                replayed_ops: lag.len(),
+            };
+        }
+        let bounds = split_bounds_by(&self.splitters, lag, |op| op.key().to_u64());
+        let bounds = &bounds;
+        let caught = self
+            .shards
+            .par_iter_mut()
+            .enumerate()
+            .map(|(i, shard)| shard.catch_up_from(&newer.shards[i], &lag[bounds[i]..bounds[i + 1]]))
+            .reduce(CatchUp::default, |a, b| a + b);
+        self.stats.clone_from(&newer.stats);
+        caught
+    }
+
+    /// Every shard copies (or has nothing to catch up).
+    fn copies_from(&self, newer: &Self) -> bool {
+        self.same_layout(newer)
+            && (self.shards.iter())
+                .zip(&newer.shards)
+                .all(|(shard, newer)| shard.copies_from(newer))
     }
 }
 
@@ -902,6 +1001,7 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
                 ..RebalanceStats::default()
             },
             counters,
+            rebuilds: 0,
         })
     }
 }

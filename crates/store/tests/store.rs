@@ -268,12 +268,14 @@ fn linearizes_mixed_traffic_under_pinning_readers(
     let stats = store.stats();
     assert_eq!(stats.ops, total_ops, "every op counted exactly once");
     assert!(stats.ops > stats.epochs, "{}", stats.summary());
-    // Every publication took exactly one of the three branches, at most
-    // one per epoch, and only recycled spares replay anything.
-    let published =
-        stats.publish_recycled + stats.publish_cloned_pinned + stats.publish_cloned_bulk;
+    // Every write epoch took exactly one of the four branches, and only
+    // replaying ones replay anything.
+    let published = stats.publish_copied
+        + stats.publish_replayed
+        + stats.publish_cloned_pinned
+        + stats.publish_cloned_bulk;
     assert!((1..=epochs).contains(&published), "{}", stats.summary());
-    assert!(stats.replay_ops >= stats.publish_recycled);
+    assert!(stats.replay_ops >= stats.publish_replayed);
     assert_eq!(RangeSet::to_vec(&store.into_inner()), want);
 }
 

@@ -172,8 +172,10 @@ fn combiner_deterministic_across_thread_counts() {
     // With one submitting thread, acknowledgements, final contents and
     // the epoch partitioning itself (the leader never waits, so every
     // publication is its own epoch) are a pure function of the op stream,
-    // whatever the internal thread budget.
-    fn run(seed: u64) -> (Vec<bool>, Vec<u64>) {
+    // whatever the internal thread budget — and so are the publication
+    // counters: which branch each epoch's catch-up took, the ops it
+    // replayed and the bytes it copied (`Count`/`Bytes` cells).
+    fn run(seed: u64) -> (Vec<bool>, Vec<u64>, cpma::store::CombinerStats) {
         let c: Combiner<ShardedSet<Cpma, 4, 1, 16>> = Combiner::new(BatchSet::new_set());
         let mut rng = Rng::new(seed);
         let mut acks = Vec::new();
@@ -196,8 +198,14 @@ fn combiner_deterministic_across_thread_counts() {
             80,
             "40 bursts + 40 point ops, one epoch each"
         );
+        let stats = c.stats();
+        assert!(
+            stats.publish_copied > 0 && stats.catchup_bytes > 0,
+            "{}",
+            stats.summary()
+        );
         let contents = RangeSet::to_vec(&c.into_inner());
-        (acks, contents)
+        (acks, contents, stats)
     }
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0xADA_0001u64, 0xADA_0002] {
@@ -495,9 +503,9 @@ fn sharded_checkpoint_dirs_bit_identical_across_thread_counts() {
 #[test]
 fn durable_combiner_wal_and_recovery_bit_identical_across_thread_counts() {
     // The full save/log/replay round: one seeded op stream through a
-    // durable combiner must leave byte-identical WAL segments at every
-    // internal thread budget, and replaying them must rebuild identical
-    // contents.
+    // durable combiner must leave byte-identical WAL segments and
+    // publication counters at every internal thread budget, and replaying
+    // the segments must rebuild identical contents.
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = std::env::temp_dir().join(format!("cpma-det-wal-{}", std::process::id()));
     let run = |threads: usize, seed: u64| {
@@ -525,11 +533,12 @@ fn durable_combiner_wal_and_recovery_bit_identical_across_thread_counts() {
                     .collect();
                 c.submit_many(&burst);
             }
+            let stats = c.stats();
             drop(c);
             let (set, report) = cpma::persist::recover::<u64, ShardedSet<Cpma, 4>>(&dir).unwrap();
             assert_eq!(report.last_seq, 12);
             assert!(!report.truncated_tail);
-            (dir_image(&dir), set.to_vec())
+            (dir_image(&dir), set.to_vec(), stats)
         })
     };
     for seed in [0xD04A_0001u64, 0xD04A_0002] {
