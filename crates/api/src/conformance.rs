@@ -10,7 +10,7 @@
 //! pairs could never express, and the reporting apply and replica catch-up
 //! a publishing front-end builds on.
 
-use crate::testkit::Rng;
+use crate::testkit::SplitMix64;
 use crate::{
     net_ops, normalize_batch, normalize_ops, BatchOp, BatchOutcome, BatchSet, ParallelChunks,
     RangeSet,
@@ -29,7 +29,7 @@ where
     S: BatchSet<u64> + RangeSet<u64> + ParallelChunks<u64>,
 {
     let name = S::NAME;
-    let mut rng = Rng::new(seed ^ 0xC0F0_12AE_5EED_0001);
+    let mut rng = SplitMix64::new(seed ^ 0xC0F0_12AE_5EED_0001);
 
     // --- empty-set behaviour -------------------------------------------
     let empty = S::new_set();
@@ -99,7 +99,7 @@ where
         // AND each other; the probe vector deliberately mixes random keys
         // with duplicates, 0 (below any stored minimum most rounds), and
         // `u64::MAX` in arbitrary (unsorted) order.
-        let mut probes: Vec<u64> = (0..25).map(|_| rng.bits(bits)).collect();
+        let mut probes: Vec<u64> = (0..25).map(|_| rng.next_bits(bits)).collect();
         probes.push(0);
         probes.push(u64::MAX);
         probes.push(probes[3]); // duplicate probe, out of sorted position
@@ -134,8 +134,8 @@ where
         );
 
         // Range queries on random windows, all five range shapes.
-        let a = rng.bits(bits);
-        let b = rng.bits(bits);
+        let a = rng.next_bits(bits);
+        let b = rng.next_bits(bits);
         let (lo, hi) = (a.min(b), a.max(b));
         check_range(&s, &model, lo..hi, name, round);
         check_range(&s, &model, lo..=hi, name, round);
@@ -195,7 +195,7 @@ where
     );
 
     // scan_from: suffix agreement and early exit.
-    let probe = rng.bits(bits);
+    let probe = rng.next_bits(bits);
     let mut got = Vec::new();
     s.scan_from(probe, &mut |k| {
         got.push(k);
@@ -259,7 +259,7 @@ where
     );
 
     // --- unsorted wrappers route through normalize_batch ---------------
-    let mut messy: Vec<u64> = (0..100).map(|_| rng.bits(12)).collect();
+    let mut messy: Vec<u64> = (0..100).map(|_| rng.next_bits(12)).collect();
     let mut expected = messy.clone();
     let expected = normalize_batch(&mut expected);
     let mut a = S::new_set();
@@ -299,7 +299,7 @@ where
     for (round, &op_count) in [40usize, 1_500, 1_500, 6_000, 40, 1_500].iter().enumerate() {
         let mut raw: Vec<BatchOp<u64>> = (0..op_count)
             .map(|_| {
-                let k = rng.bits(bits - 4); // dense: plenty of same-key runs
+                let k = rng.next_bits(bits - 4); // dense: plenty of same-key runs
                 if rng.chance(11, 20) {
                     BatchOp::Insert(k)
                 } else {
@@ -348,7 +348,7 @@ where
         assert_eq!(got, want, "{name} round {round}: apply_batch_sorted counts");
         assert_eq!(s.len(), model.len(), "{name} round {round}: mixed len");
         for _ in 0..10 {
-            let k = rng.bits(bits - 4);
+            let k = rng.next_bits(bits - 4);
             assert_eq!(
                 s.contains(k),
                 model.contains(&k),
@@ -397,7 +397,10 @@ where
 /// keys, removes of absent ones) across the update regimes, down to forms
 /// that change nothing; and [`BatchSet::catch_up_from`] a replica that
 /// applied the net batch ≡ replaying it.
-fn reporting_and_catch_up_contract<S: BatchSet<u64> + RangeSet<u64>>(rng: &mut Rng, bits: u32) {
+fn reporting_and_catch_up_contract<S: BatchSet<u64> + RangeSet<u64>>(
+    rng: &mut SplitMix64,
+    bits: u32,
+) {
     let name = S::NAME;
     let seedling = rng.sorted_batch(30_000, bits);
     let mut model: BTreeSet<u64> = seedling.iter().copied().collect();
@@ -423,7 +426,7 @@ fn reporting_and_catch_up_contract<S: BatchSet<u64> + RangeSet<u64>>(rng: &mut R
         let mut raw: Vec<BatchOp<u64>> = (0..op_count)
             .map(|_| {
                 // Half stored keys (a random key's successor), half random.
-                let probe = rng.bits(bits);
+                let probe = rng.next_bits(bits);
                 let k = match model.range(probe..).next() {
                     Some(&next) if rng.chance(1, 2) => next,
                     _ => probe,

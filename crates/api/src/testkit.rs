@@ -2,74 +2,13 @@
 //!
 //! The workspace's property tests (and the [`conformance`](crate::conformance)
 //! suite) need seeded, reproducible randomness with no external
-//! dependencies. `Rng` is SplitMix64 — the same generator the workloads
-//! crate uses for the paper's inputs — plus the handful of draw helpers the
-//! tests share. [`Damage`] / [`assert_all_refused`] are the corruption
-//! table every checksummed container's suite runs.
+//! dependencies: [`SplitMix64`] is the generator the workloads crate draws
+//! the paper's inputs from, re-exported here with its test-shaped draws
+//! (`chance`, `keys`, `sorted_batch`, `raw_keys`). [`Damage`] /
+//! [`assert_all_refused`] are the corruption table every checksummed
+//! container's suite runs.
 
-/// SplitMix64 (Steele, Lea, Flood 2014): 64 bits of state, equidistributed
-/// output, and robust to any seed including zero.
-#[derive(Clone, Debug)]
-pub struct Rng {
-    state: u64,
-}
-
-impl Rng {
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, bound)`; `bound` of 0 yields 0.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        // Multiply-shift bounded draw (Lemire); bias is negligible for
-        // test-scale bounds.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
-    /// Uniform draw keeping the low `bits` bits.
-    pub fn bits(&mut self, bits: u32) -> u64 {
-        debug_assert!((1..=64).contains(&bits));
-        self.next_u64() >> (64 - bits)
-    }
-
-    /// Coin flip with probability `num / den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
-
-    /// A batch of `len` draws of `bits`-bit keys (not normalized).
-    pub fn keys(&mut self, len: usize, bits: u32) -> Vec<u64> {
-        (0..len).map(|_| self.bits(bits)).collect()
-    }
-
-    /// A strictly-increasing batch of at most `max_len` `bits`-bit keys.
-    pub fn sorted_batch(&mut self, max_len: usize, bits: u32) -> Vec<u64> {
-        let len = self.below(max_len as u64) as usize + 1;
-        let mut b = self.keys(len, bits);
-        b.sort_unstable();
-        b.dedup();
-        b
-    }
-
-    /// Up to `max_len` full-width draws (not normalized) — the adversarial
-    /// input shape the property tests feed through [`sorted_unique`].
-    pub fn raw_keys(&mut self, max_len: u64) -> Vec<u64> {
-        let n = self.below(max_len) as usize;
-        (0..n).map(|_| self.next_u64()).collect()
-    }
-}
+pub use cpma_workloads::SplitMix64;
 
 /// Sort + dedup by value: the tests' model-side normal form.
 pub fn sorted_unique(mut v: Vec<u64>) -> Vec<u64> {
@@ -177,43 +116,5 @@ mod tests {
                 Err("damaged")
             }
         });
-    }
-
-    #[test]
-    fn deterministic_and_seed_sensitive() {
-        let a: Vec<u64> = {
-            let mut r = Rng::new(1);
-            (0..5).map(|_| r.next_u64()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = Rng::new(1);
-            (0..5).map(|_| r.next_u64()).collect()
-        };
-        let c: Vec<u64> = {
-            let mut r = Rng::new(2);
-            (0..5).map(|_| r.next_u64()).collect()
-        };
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn bounded_draws_in_range() {
-        let mut r = Rng::new(42);
-        for _ in 0..1000 {
-            assert!(r.below(10) < 10);
-            assert!(r.bits(8) < 256);
-        }
-        assert_eq!(r.below(0), 0);
-    }
-
-    #[test]
-    fn sorted_batch_is_normal_form() {
-        let mut r = Rng::new(7);
-        for _ in 0..50 {
-            let b = r.sorted_batch(100, 16);
-            assert!(!b.is_empty());
-            assert!(b.windows(2).all(|w| w[0] < w[1]));
-        }
     }
 }

@@ -4,10 +4,10 @@
 //! arbitrary inputs.
 //!
 //! Written against the in-repo randomized-test kit
-//! ([`cpma_api::testkit::Rng`]) — seeded and fully deterministic, no
+//! ([`cpma_api::testkit::SplitMix64`]) — seeded and fully deterministic, no
 //! external property-testing dependency (the build environment is offline).
 
-use cpma_api::testkit::{sorted_unique, Rng};
+use cpma_api::testkit::{sorted_unique, SplitMix64};
 use cpma_api::RangeSet;
 use cpma_baselines::{CPac, CTreeSet, PTree, UPac};
 use std::collections::BTreeSet;
@@ -17,7 +17,7 @@ const CASES: u64 = 48;
 /// P-tree union is set union with an exact added-count.
 #[test]
 fn ptree_union_semantics() {
-    let mut rng = Rng::new(0x9731);
+    let mut rng = SplitMix64::new(0x9731);
     for _ in 0..CASES {
         let a = sorted_unique(rng.raw_keys(400));
         let b = sorted_unique(rng.raw_keys(400));
@@ -33,7 +33,7 @@ fn ptree_union_semantics() {
 /// P-tree difference is set difference with an exact removed-count.
 #[test]
 fn ptree_difference_semantics() {
-    let mut rng = Rng::new(0x9732);
+    let mut rng = SplitMix64::new(0x9732);
     for _ in 0..CASES {
         let a = sorted_unique(rng.raw_keys(400));
         let b = sorted_unique(rng.raw_keys(400));
@@ -54,7 +54,7 @@ fn ptree_difference_semantics() {
 /// traversal and size accounting).
 #[test]
 fn ptree_canonical_shape() {
-    let mut rng = Rng::new(0x9734);
+    let mut rng = SplitMix64::new(0x9734);
     for _ in 0..CASES {
         let keys = sorted_unique(rng.raw_keys(300));
         let built = PTree::from_sorted(&keys);
@@ -71,12 +71,12 @@ fn ptree_canonical_shape() {
 /// and both payloads agree with the model.
 #[test]
 fn pactree_matches_model_and_bounds() {
-    let mut rng = Rng::new(0x9AC1);
+    let mut rng = SplitMix64::new(0x9AC1);
     for _ in 0..CASES {
         let mut raw = UPac::new();
         let mut comp = CPac::new();
         let mut model = BTreeSet::new();
-        let rounds = rng.below(5) + 1;
+        let rounds = rng.next_below(5) + 1;
         for _ in 0..rounds {
             let b = sorted_unique(rng.raw_keys(300).into_iter().chain([0]).collect());
             if rng.chance(1, 2) {
@@ -106,7 +106,7 @@ fn pactree_matches_model_and_bounds() {
 /// yields the identical structure footprint.
 #[test]
 fn ctree_order_independent() {
-    let mut rng = Rng::new(0xC731);
+    let mut rng = SplitMix64::new(0xC731);
     for _ in 0..CASES {
         let keys = sorted_unique(rng.raw_keys(400).into_iter().chain([7]).collect());
         let one_shot = CTreeSet::from_sorted(&keys);
@@ -122,7 +122,7 @@ fn ctree_order_independent() {
 /// for_range agrees with filtering for every structure, on the trait API.
 #[test]
 fn for_range_agreement() {
-    let mut rng = Rng::new(0xFA9E);
+    let mut rng = SplitMix64::new(0xFA9E);
     for _ in 0..CASES {
         let keys = sorted_unique(rng.raw_keys(400));
         let a = rng.next_u64();
@@ -155,7 +155,7 @@ fn for_range_agreement() {
 #[test]
 fn successor_matches_model() {
     use cpma_api::OrderedSet;
-    let mut rng = Rng::new(0x50CC);
+    let mut rng = SplitMix64::new(0x50CC);
     for _ in 0..CASES {
         let keys = sorted_unique(rng.raw_keys(300));
         let model: BTreeSet<u64> = keys.iter().copied().collect();

@@ -9,8 +9,7 @@
 
 use cpma_obs::HistSnapshot;
 
-/// Deterministic SplitMix64 — the same generator style the workloads
-/// crate uses, reimplemented here so obs stays dependency-free.
+/// SplitMix64 by hand: any home of the shared one depends on `crates/parallel`, which needs obs.
 struct Rng(u64);
 
 impl Rng {

@@ -121,7 +121,7 @@ pub mod tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpma_api::testkit::{assert_all_refused, Damage, Rng};
+    use cpma_api::testkit::{assert_all_refused, Damage, SplitMix64};
 
     /// XXH64 written the obvious way: an index walked over the input, one
     /// named lane variable per accumulator.
@@ -196,7 +196,7 @@ mod tests {
     /// every combination) and the 31 / 32 / 33 edge where striping starts.
     #[test]
     fn every_length_matches_the_reference() {
-        let mut rng = Rng::new(22);
+        let mut rng = SplitMix64::new(22);
         let data: Vec<u8> = (0..100).map(|_| rng.next_u64() as u8).collect();
         for n in 0..=data.len() {
             assert_eq!(xxh64(&data[..n]), reference(&data[..n]), "length {n}");
@@ -208,7 +208,7 @@ mod tests {
     /// short of it so the tail runs too.
     #[test]
     fn every_flip_and_truncation_of_4k_moves_the_digest() {
-        let mut rng = Rng::new(4096);
+        let mut rng = SplitMix64::new(4096);
         let data: Vec<u8> = (0..4096).map(|_| rng.next_u64() as u8).collect();
         for buf in [&data[..], &data[..4095]] {
             let want = xxh64(buf);

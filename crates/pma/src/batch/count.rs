@@ -27,6 +27,7 @@
 //! respect their bound but were counted because a child violated), or a
 //! root-resize signal.
 
+use crate::density::BOUNDS;
 use crate::tree::Node;
 use crate::{LeafStorage, PmaCore, PmaKey};
 use std::ops::RangeInclusive;
@@ -63,15 +64,15 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Units a node of `leaves` leaves at `depth` may hold under `kind`
     /// (the side `kind` does not enforce is left open).
     fn band(&self, kind: BoundKind, leaves: usize, depth: u32) -> RangeInclusive<usize> {
-        let (bounds, max_depth) = (self.config().bounds, self.tree().max_depth());
+        let max_depth = self.tree().max_depth();
         let cap = self.storage().leaf_units() * leaves;
         let min = match kind {
             BoundKind::Upper => 0,
-            _ => bounds.min_units(cap, depth, max_depth),
+            _ => BOUNDS.min_units(cap, depth, max_depth),
         };
         let max = match kind {
             BoundKind::Lower => usize::MAX,
-            _ => bounds.max_units(cap, depth, max_depth),
+            _ => BOUNDS.max_units(cap, depth, max_depth),
         };
         min..=max
     }
@@ -365,8 +366,8 @@ mod tests {
                 .sum();
             let max_depth = p.tree().max_depth();
             let cap = p.storage().leaf_units() * node.len();
-            let over = used > p.config().bounds.max_units(cap, node.depth, max_depth);
-            let under = used < p.config().bounds.min_units(cap, node.depth, max_depth);
+            let over = used > BOUNDS.max_units(cap, node.depth, max_depth);
+            let under = used < BOUNDS.min_units(cap, node.depth, max_depth);
             let violates = match kind {
                 BoundKind::Upper => over,
                 BoundKind::Lower => under,

@@ -10,12 +10,12 @@
 //! materialised; everything below exists once. `run_batch` follows the
 //! paper's three regimes:
 //!
-//! * **tiny batches** (below [`crate::PmaConfig::point_update_cutoff`])
+//! * **tiny batches** (below [`crate::POINT_UPDATE_CUTOFF`] ops)
 //!   fall back to point updates (the paper uses point inserts "for small
 //!   batches when the batch update algorithm does not provide practical
 //!   benefits", Table 3);
-//! * **huge batches** (`k ≥ n /`
-//!   [`crate::PmaConfig::full_rebuild_divisor`]) rebuild the whole
+//! * **huge batches** (`k ≥ n /` [`crate::FULL_REBUILD_DIVISOR`])
+//!   rebuild the whole
 //!   structure with a linear merge ("the optimal algorithm is to rebuild
 //!   the entire data structure", §4) — [`par_apply_run`], skipped when the
 //!   batch turns out to change nothing;
@@ -75,6 +75,7 @@ use crate::leaf::{apply_run_into, LeafScratch, SharedLeaves};
 use crate::run::{Inserts, Removes, Run};
 use crate::tree::Node;
 use crate::{search, LeafStorage, PmaCore, PmaKey};
+use crate::{FULL_REBUILD_DIVISOR, MIN_LEAVES, POINT_UPDATE_CUTOFF};
 use cpma_api::{BatchOp, BatchOutcome};
 use rayon::prelude::*;
 
@@ -154,7 +155,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             };
         }
         // Tiny batch: point updates win.
-        if run.len() < self.cfg.point_update_cutoff {
+        if run.len() < POINT_UPDATE_CUTOFF {
             self.batch_stats.point_fallbacks.inc();
             let mut out = BatchOutcome::default();
             for i in 0..run.len() {
@@ -167,7 +168,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             return out;
         }
         // Huge batch: parallel linear merge + rebuild.
-        if run.len() >= self.len / self.cfg.full_rebuild_divisor {
+        if run.len() >= self.len / FULL_REBUILD_DIVISOR {
             let current = self.collect_all_par();
             let (merged, outcome) = par_apply_run(&current, run);
             if outcome == BatchOutcome::default() {
@@ -282,7 +283,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         if elems.is_empty() {
             let geo = self.geometry_for_target(&elems);
             self.rebuild_into(&elems, geo);
-        } else if self.storage.num_leaves() > self.cfg.min_leaves {
+        } else if self.storage.num_leaves() > MIN_LEAVES {
             self.shrink_and_rebuild(&elems);
         } else {
             // At the floor: just re-spread evenly.
@@ -715,28 +716,20 @@ mod tests {
     /// One storage's row of the read-index table: pipeline-
     /// sized remove batches drain whole leaves — every 20th leaf, then
     /// contiguous stretches of 30–75 — and insert batches refill them.
-    /// Under the default bounds every emptied leaf lands in a
-    /// redistributed range; with `lower_leaf = 0` an empty leaf at the
-    /// tree's full depth violates nothing, so scattered ones stay empty
-    /// and only the merge phase can have cleared their occupancy bits.
-    /// After every batch the bitset (maintained per touched leaf and per
-    /// range, never rebuilt) must pass `check_invariants()`, and lookups
-    /// must route across the holes. Budgets 1 and 2.
+    /// Every emptied leaf lands in a redistributed range. After every
+    /// batch the bitset (maintained per touched leaf and per range, never
+    /// rebuilt) must pass `check_invariants()`, and lookups must route
+    /// across the holes. Budgets 1 and 2.
     fn drained_ranges_keep_the_read_index<L: crate::LeafStorage<u64>>() {
         let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let keys: Vec<u64> = (0..60_000u64).map(|i| i * 1000).collect();
-        for (budget, lower_leaf) in [(1, 0.08), (2, 0.08), (1, 0.0), (2, 0.0)] {
-            let bounds = crate::DensityBounds {
-                lower_leaf,
-                ..Default::default()
-            };
-            let cfg = crate::PmaConfig::builder().bounds(bounds).build().unwrap();
+        for budget in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(budget)
                 .build()
                 .unwrap();
             pool.install(|| {
-                let mut s = crate::PmaCore::<u64, L>::from_sorted_with(&keys, cfg);
+                let mut s = crate::PmaCore::<u64, L>::from_sorted(&keys);
                 let mut scattered = Vec::new();
                 for leaf in (0..s.storage().num_leaves()).step_by(20) {
                     s.storage().collect_leaf(leaf, &mut scattered);
@@ -745,7 +738,7 @@ mod tests {
                 batches.extend((0..5).map(|r| &keys[r * 11_000..][..3_000]));
                 for (b, chunk) in batches.iter().enumerate() {
                     for refill in [false, true] {
-                        let what = format!("budget={budget} lower_leaf={lower_leaf} batch {b}");
+                        let what = format!("budget={budget} batch {b}");
                         let before = s.stats();
                         let changed = if refill {
                             s.insert_batch_sorted(chunk)
@@ -759,16 +752,6 @@ mod tests {
                             (before.pipeline_batches + 1, before.full_rebuilds),
                             "{what}: wrong regime"
                         );
-                        if b == 0 && !refill && lower_leaf == 0.0 {
-                            // Leaves at the tree's full depth have a lower
-                            // bound of zero units: no range covers them.
-                            let storage = s.storage();
-                            let still_empty = (0..storage.num_leaves())
-                                .step_by(20)
-                                .filter(|&l| storage.count(l) == 0)
-                                .count();
-                            assert!(still_empty > 0, "{what}: nothing left to the merge phase");
-                        }
                         s.check_invariants();
                         assert_eq!(s.has(chunk[chunk.len() / 2]), refill, "{what}");
                         if b > 0 {
@@ -936,48 +919,61 @@ mod tests {
         assert_eq!(c.stats(), crate::stats::PmaStats::default());
     }
 
-    #[test]
-    fn configurable_cutoffs_steer_regimes() {
-        use cpma_api::BatchOp;
-        // cutoff 0 forces even a two-op batch through the pipeline;
-        // divisor 1 raises the full-rebuild threshold to `len` exactly.
-        let cfg = crate::PmaConfig::builder()
-            .point_update_cutoff(0)
-            .full_rebuild_divisor(1)
-            .build()
-            .unwrap();
-        let mut p = Pma::<u64>::with_config(cfg);
-        let mut seed: Vec<u64> = (0..5_000u64).collect();
-        p.insert_batch(&mut seed, true);
-        let pipeline_before = p.stats().pipeline_batches;
-        let out = p.apply_batch_sorted(&[BatchOp::Remove(7), BatchOp::Insert(9_999_999)]);
-        assert_eq!(
-            out,
-            cpma_api::BatchOutcome {
-                added: 1,
-                removed: 1
+    /// The regime boundaries, pinned by count on both entry points: a
+    /// normal form of `POINT_UPDATE_CUTOFF − 1` ops runs as point updates,
+    /// one of `POINT_UPDATE_CUTOFF` ops through the pipeline, as does one
+    /// op short of `len / FULL_REBUILD_DIVISOR`, and that many rebuild the
+    /// whole structure. Every op inserts an absent key, so the reporting
+    /// entry point's net batch is the whole form.
+    fn regime_boundaries<L: crate::LeafStorage<u64> + Clone>() {
+        use crate::{FULL_REBUILD_DIVISOR, POINT_UPDATE_CUTOFF};
+        use cpma_api::BatchOp::{self, Insert};
+        let base: Vec<u64> = (0..20_000u64).map(|i| i * 4).collect();
+        let set = crate::PmaCore::<u64, L>::from_sorted(&base);
+        let rebuild = set.len() / FULL_REBUILD_DIVISOR;
+        // (ops, [point fallbacks, pipeline batches, full rebuilds])
+        let forms = [
+            (POINT_UPDATE_CUTOFF - 1, [1, 0, 0]),
+            (POINT_UPDATE_CUTOFF, [0, 1, 0]),
+            (rebuild - 1, [0, 1, 0]),
+            (rebuild, [0, 0, 1]),
+        ];
+        for (n, want) in forms {
+            let stride = base.len() / n;
+            let ops: Vec<BatchOp<u64>> = (0..n).map(|i| Insert(base[i * stride] + 1)).collect();
+            for reporting in [false, true] {
+                let what = format!("{n} ops, reporting {reporting}");
+                let mut s = set.clone();
+                let before = s.stats();
+                let out = if reporting {
+                    let mut was = Vec::new();
+                    let out = s.apply_batch_sorted_reporting(&ops, &mut was);
+                    assert_eq!(was, vec![false; n], "{what}");
+                    out
+                } else {
+                    s.apply_batch_sorted(&ops)
+                };
+                assert_eq!((out.added, out.removed), (n, 0), "{what}");
+                let after = s.stats();
+                let moved = [
+                    after.point_fallbacks - before.point_fallbacks,
+                    after.pipeline_batches - before.pipeline_batches,
+                    after.full_rebuilds - before.full_rebuilds,
+                ];
+                assert_eq!(moved, want, "{what}");
+                s.check_invariants();
             }
-        );
-        assert_eq!(p.stats().point_fallbacks, 0);
-        assert_eq!(p.stats().pipeline_batches, pipeline_before + 1);
-        p.check_invariants();
-        // A len-sized batch hits the (divisor-1) full-rebuild regime.
-        let rebuilds_before = p.stats().full_rebuilds;
-        let huge: Vec<BatchOp<u64>> = (0..p.len() as u64)
-            .map(|i| BatchOp::Insert(10_000_000 + i))
-            .collect();
-        p.apply_batch_sorted(&huge);
-        assert!(p.stats().full_rebuilds > rebuilds_before);
-        p.check_invariants();
-        // Invalid divisor is a builder error.
-        assert_eq!(
-            crate::PmaConfig::builder()
-                .full_rebuild_divisor(0)
-                .build()
-                .unwrap_err()
-                .field,
-            "full_rebuild_divisor"
-        );
+        }
+    }
+
+    #[test]
+    fn regime_boundaries_pma() {
+        regime_boundaries::<crate::UncompressedLeaves<u64>>();
+    }
+
+    #[test]
+    fn regime_boundaries_cpma() {
+        regime_boundaries::<crate::CompressedLeaves>();
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use super::route::Assignment;
 use super::{serial_merge_cutoff, PREFETCH_AHEAD};
-use crate::{LeafStorage, PmaCore, PmaKey};
+use crate::{LeafStorage, PmaCore, PmaKey, FULL_REBUILD_DIVISOR, POINT_UPDATE_CUTOFF};
 use cpma_api::{BatchOp, BatchOutcome};
 use rayon::prelude::*;
 
@@ -48,7 +48,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             // bulk load reads.
             return self.run_batch(ops);
         }
-        if ops.len() < self.cfg.point_update_cutoff {
+        if ops.len() < POINT_UPDATE_CUTOFF {
             return self.report_points(ops, was_present);
         }
         let assignments = self.route_run(ops);
@@ -73,8 +73,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             return BatchOutcome::default();
         }
         // The regime `apply_batch_sorted(&net)` picks.
-        let pipeline = net.len() >= self.cfg.point_update_cutoff
-            && net.len() < self.len / self.cfg.full_rebuild_divisor;
+        let pipeline =
+            net.len() >= POINT_UPDATE_CUTOFF && net.len() < self.len / FULL_REBUILD_DIVISOR;
         if !pipeline {
             crate::stats::report_fallbacks().inc();
             return self.run_batch(net.as_slice());

@@ -75,34 +75,17 @@ const FUSED_MAX_UNITS: usize = 8 * 64;
 /// leaf capacity after every code, so it overshoots by at most one code.
 const FUSED_BUF: usize = FUSED_MAX_UNITS + MAX_VARINT_BYTES;
 
-/// The instance-level codec decision knobs (mirrors the two `PmaConfig`
-/// fields; stored here so the shared accessor can decide without reaching
-/// back into the core).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CodecPolicy {
-    force: ForceCodec,
-    threshold: f64,
-}
-
-impl Default for CodecPolicy {
-    fn default() -> Self {
-        Self {
-            force: ForceCodec::Auto,
-            threshold: 1.0,
-        }
-    }
-}
-
-/// Hysteresis band: a leaf already in bitmap form stays there up to
-/// `threshold · 17/16`, one in delta form flips only below
-/// `threshold · 15/16`, so leaves hovering at the boundary do not flip
-/// encodings on every redistribute.
+/// Hysteresis band around the break-even (bitmap cost = delta cost): a
+/// leaf already in bitmap form stays there while its bitmap costs at most
+/// 17/16 of its delta bytes, one in delta form flips only at 15/16, so
+/// leaves hovering at the boundary do not flip encodings on every
+/// redistribute.
 #[inline]
-fn effective_threshold(threshold: f64, was_bitmap: bool) -> f64 {
+fn bitmap_ratio(was_bitmap: bool) -> f64 {
     if was_bitmap {
-        threshold * (17.0 / 16.0)
+        17.0 / 16.0
     } else {
-        threshold * (15.0 / 16.0)
+        15.0 / 16.0
     }
 }
 
@@ -111,13 +94,13 @@ fn effective_threshold(threshold: f64, was_bitmap: bool) -> f64 {
 /// the caller spills (always with delta-based unit accounting, keeping
 /// density math monotone in the element count).
 fn choose_codec(
-    policy: CodecPolicy,
+    policy: ForceCodec,
     was_bitmap: bool,
     delta_units: usize,
     bitmap_units: usize,
     cap: usize,
 ) -> (u8, usize) {
-    match policy.force {
+    match policy {
         ForceCodec::Delta => (TAG_DELTA, delta_units),
         ForceCodec::Bitmap => {
             if bitmap_units <= cap {
@@ -127,13 +110,13 @@ fn choose_codec(
             }
         }
         ForceCodec::Auto => {
-            let t = effective_threshold(policy.threshold, was_bitmap);
+            let t = bitmap_ratio(was_bitmap);
             if bitmap_units <= cap && (bitmap_units as f64) <= t * (delta_units as f64) {
                 (TAG_BITMAP, bitmap_units)
             } else if delta_units <= cap || bitmap_units > cap {
                 (TAG_DELTA, delta_units)
             } else {
-                // The threshold prefers delta but only the bitmap fits:
+                // The ratio prefers delta but only the bitmap fits:
                 // fitting beats preference (no needless overflow).
                 (TAG_BITMAP, bitmap_units)
             }
@@ -277,7 +260,7 @@ pub struct CompressedLeaves {
     /// Out-of-place buffers for overflowed leaves (batch merge only).
     overflow: Vec<Option<Box<[u64]>>>,
     leaf_units: usize,
-    policy: CodecPolicy,
+    policy: ForceCodec,
 }
 
 impl CompressedLeaves {
@@ -509,7 +492,7 @@ impl LeafStorage<u64> for CompressedLeaves {
             tags,
             overflow: (0..num_leaves).map(|_| None).collect(),
             leaf_units,
-            policy: CodecPolicy::default(),
+            policy: ForceCodec::Auto,
         })
     }
 
@@ -524,7 +507,7 @@ impl LeafStorage<u64> for CompressedLeaves {
             tags: vec![TAG_DELTA; num_leaves],
             overflow: (0..num_leaves).map(|_| None).collect(),
             leaf_units,
-            policy: CodecPolicy::default(),
+            policy: ForceCodec::Auto,
         }
     }
 
@@ -715,15 +698,15 @@ impl LeafStorage<u64> for CompressedLeaves {
         acc
     }
 
-    fn set_codec_policy(&mut self, force: ForceCodec, threshold: f64) {
-        self.policy = CodecPolicy { force, threshold };
+    fn set_codec_policy(&mut self, force: ForceCodec) {
+        self.policy = force;
     }
 
     fn size_run(&self, elems: &[u64], leaf_units: usize) -> RunSize {
         if elems.is_empty() {
             return RunSize::default();
         }
-        let hybrid = self.policy.force != ForceCodec::Delta;
+        let hybrid = self.policy != ForceCodec::Delta;
         let (mut leaves, mut units) = (0usize, 0usize);
         let count = |_, u| (leaves, units) = (leaves + 1, units + u);
         let weight = sweep(elems, leaf_units, hybrid, |_, _| false, count);
@@ -735,7 +718,7 @@ impl LeafStorage<u64> for CompressedLeaves {
     }
 
     fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
-        let hybrid = self.policy.force != ForceCodec::Delta;
+        let hybrid = self.policy != ForceCodec::Delta;
         let total = sweep(elems, usize::MAX, hybrid, |_, _| false, |_, _| {});
         // Spread evenly; where even a spread leaves the tail too much, pack.
         cut(elems, k, leaf_units, hybrid, Some(total))
@@ -819,7 +802,7 @@ pub struct CompressedShared<'a> {
     overflow: *mut Option<Box<[u64]>>,
     leaf_units: usize,
     num_leaves: usize,
-    policy: CodecPolicy,
+    policy: ForceCodec,
     _marker: PhantomData<&'a mut CompressedLeaves>,
 }
 
@@ -942,12 +925,12 @@ impl CompressedShared<'_> {
     /// paths stay byte-identical.
     #[inline]
     fn commit_wordwise(&self, cand_units: usize, count: usize) -> bool {
-        match self.policy.force {
+        match self.policy {
             ForceCodec::Bitmap => true,
             ForceCodec::Delta => false,
             ForceCodec::Auto => {
                 let lb = (8 + count - 1) as f64;
-                cand_units as f64 <= effective_threshold(self.policy.threshold, true) * lb
+                cand_units as f64 <= bitmap_ratio(true) * lb
             }
         }
     }
@@ -1419,7 +1402,7 @@ mod tests {
 
     fn delta_store(leaves: usize) -> CompressedLeaves {
         let mut s = store(leaves);
-        s.set_codec_policy(ForceCodec::Delta, 1.0);
+        s.set_codec_policy(ForceCodec::Delta);
         s
     }
 
@@ -1492,7 +1475,7 @@ mod tests {
     #[test]
     fn forced_bitmap_falls_back_to_delta_on_wide_spans() {
         let mut s = store(1);
-        s.set_codec_policy(ForceCodec::Bitmap, 1.0);
+        s.set_codec_policy(ForceCodec::Bitmap);
         let sparse: Vec<u64> = (0..10).map(|i| i << 40).collect();
         let out = apply(&mut s, 0, &ins(sparse.iter().copied()));
         assert!(!out.overflowed);
@@ -1986,6 +1969,37 @@ mod tests {
         }
     }
 
+    /// `Auto` breaks even at equal costs, and the band's edges are
+    /// inclusive: a delta leaf flips at exactly 15/16 of its delta bytes,
+    /// a bitmap leaf stays at exactly 17/16. The forced policies ignore
+    /// the band; a bitmap that alone fits wins under `Auto` too.
+    #[test]
+    fn codec_choice_band_edges() {
+        use ForceCodec::{Auto, Bitmap, Delta};
+        let cap = 256;
+        for (policy, was_bitmap, bitmap_units, want) in [
+            (Auto, false, 150, TAG_BITMAP),
+            (Auto, false, 151, TAG_DELTA),
+            (Auto, true, 170, TAG_BITMAP),
+            (Auto, true, 171, TAG_DELTA),
+            (Delta, true, 10, TAG_DELTA),
+            (Bitmap, false, 250, TAG_BITMAP),
+        ] {
+            let units = if want == TAG_BITMAP {
+                bitmap_units
+            } else {
+                160
+            };
+            assert_eq!(
+                choose_codec(policy, was_bitmap, 160, bitmap_units, cap),
+                (want, units),
+                "{policy:?}, was bitmap {was_bitmap}, bitmap {bitmap_units} B vs delta 160 B"
+            );
+        }
+        assert_eq!(choose_codec(Auto, false, 257, 256, cap), (TAG_BITMAP, 256));
+        assert_eq!(choose_codec(Bitmap, true, 100, 300, cap), (TAG_DELTA, 100));
+    }
+
     #[test]
     fn hysteresis_damps_codec_flips() {
         // A run whose bitmap/delta cost ratio sits inside the hysteresis
@@ -1993,12 +2007,12 @@ mod tests {
         // 101 elements with gap 8: delta = 8 + 100 = 108 B; bitmap spans
         // 801 bits → 8 + 13·8 = 112 B. Ratio ≈ 1.037: inside (15/16, 17/16).
         let run: Vec<u64> = (0..101u64).map(|i| 1000 + i * 8).collect();
-        // Fresh leaf (delta-tagged): threshold·15/16 < ratio → stays delta.
+        // Fresh leaf (delta-tagged): 15/16 < ratio → stays delta.
         let mut s = store(1);
         apply(&mut s, 0, &ins(run.iter().copied()));
         assert!(!s.is_bitmap(0));
-        // Same run written over a bitmap-tagged leaf: threshold·17/16 >
-        // ratio → stays bitmap.
+        // Same run written over a bitmap-tagged leaf: 17/16 > ratio →
+        // stays bitmap.
         let mut s = store(1);
         apply(&mut s, 0, &ins(1000..1200));
         assert!(s.is_bitmap(0));
@@ -2074,7 +2088,7 @@ mod tests {
         for (shape, elems) in &shapes {
             for force in [ForceCodec::Auto, ForceCodec::Delta, ForceCodec::Bitmap] {
                 let mut s = store(1);
-                s.set_codec_policy(force, 1.0);
+                s.set_codec_policy(force);
                 let size = s.size_run(elems, 256);
                 let exact = oracle_min_leaves(elems, force);
                 assert_eq!(size.min_leaves, exact, "{shape} {force:?}");
@@ -2100,7 +2114,7 @@ mod tests {
                     assert_eq!((plan.len(), plan[0], plan[k]), (k + 1, 0, elems.len()));
                     assert!(plan.windows(2).all(|w| w[0] <= w[1]), "{what}");
                     let mut out = store(k);
-                    out.set_codec_policy(force, 1.0);
+                    out.set_codec_policy(force);
                     let mut used = Vec::new();
                     for j in 0..k {
                         let slice = &elems[plan[j]..plan[j + 1]];

@@ -30,7 +30,7 @@
 //! state is the occupancy bitset, maintained per touched leaf or range.
 
 use crate::batch::{count_phase, redistribute_ranges, route, BoundKind, RootResize};
-use crate::density::DensityBounds;
+use crate::density::BOUNDS;
 use crate::leaf::{LeafScratch, RunSize, SharedLeaves};
 use crate::run::{Inserts, Removes};
 use crate::search;
@@ -47,8 +47,8 @@ use std::marker::PhantomData;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ForceCodec {
     /// Pick per leaf at rewrite time: bitmap when its word cost is at most
-    /// `bitmap_leaf_threshold ×` the delta-byte cost (with a small
-    /// hysteresis band around the threshold to damp flip-flopping).
+    /// the delta-byte cost (with a small hysteresis band around the
+    /// break-even to damp flip-flopping).
     #[default]
     Auto,
     /// Always delta byte codes (the paper's pure §5 CPMA).
@@ -58,45 +58,36 @@ pub enum ForceCodec {
     Bitmap,
 }
 
-/// Tuning knobs. Defaults follow the paper (§6 and Appendix B/C).
+/// Batches shorter than this run as point updates (the paper uses point
+/// inserts "for small batches when the batch update algorithm does not
+/// provide practical benefits", Table 3 — "e.g., k < 100").
+pub const POINT_UPDATE_CUTOFF: usize = 128;
+
+/// Batches of at least `len / FULL_REBUILD_DIVISOR` ops rebuild the whole
+/// structure with a linear merge (paper: "e.g., k ≥ n/10").
+pub const FULL_REBUILD_DIVISOR: usize = 10;
+
+/// Capacity floor in leaves: the structure never shrinks below it.
+pub const MIN_LEAVES: usize = 4;
+
+/// The two settable parameters: the growing factor the paper sweeps
+/// (Appendix C) and the codec override the codec suites cross. Everything
+/// else the paper fixes is a constant ([`POINT_UPDATE_CUTOFF`],
+/// [`FULL_REBUILD_DIVISOR`], [`MIN_LEAVES`], the density bounds).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PmaConfig {
-    /// Density thresholds per tree level.
-    pub bounds: DensityBounds,
     /// Capacity multiplier on growth, divisor on shrink. The paper uses
     /// 1.2× and studies 1.1×–2.0× in Appendix C.
     pub growing_factor: f64,
-    /// Capacity floor in *leaves* (the structure never shrinks below this
-    /// many leaves).
-    pub min_leaves: usize,
-    /// Batches smaller than this use point updates (the paper uses point
-    /// inserts "for small batches when the batch update algorithm does
-    /// not provide practical benefits", Table 3 — "e.g., k < 100"). Zero
-    /// sends every non-empty batch through the pipeline.
-    pub point_update_cutoff: usize,
-    /// Batches of at least `len / full_rebuild_divisor` elements rebuild
-    /// the whole structure with a linear merge (paper: "e.g., k ≥ n/10").
-    pub full_rebuild_divisor: usize,
     /// Codec override for hybrid leaf storages (default [`ForceCodec::Auto`]).
     pub force_codec: ForceCodec,
-    /// Under [`ForceCodec::Auto`], a leaf flips to the bitmap encoding when
-    /// its bitmap cost is at most `threshold ×` its delta-byte cost.
-    /// `1.0` (the default) means "whichever is strictly smaller"; values
-    /// above 1 bias toward bitmaps (buying wordwise range kernels at some
-    /// space), below 1 toward delta codes.
-    pub bitmap_leaf_threshold: f64,
 }
 
 impl Default for PmaConfig {
     fn default() -> Self {
         Self {
-            bounds: DensityBounds::default(),
             growing_factor: 1.2,
-            min_leaves: 4,
-            point_update_cutoff: 128,
-            full_rebuild_divisor: 10,
             force_codec: ForceCodec::Auto,
-            bitmap_leaf_threshold: 1.0,
         }
     }
 }
@@ -113,30 +104,11 @@ impl PmaConfig {
     /// (an already-constructed invalid config is a programming error);
     /// build-time callers should prefer [`PmaConfig::builder`].
     pub fn check(&self) -> Result<(), ConfigError> {
-        self.bounds.check()?;
         if !self.growing_factor.is_finite() {
             return Err(ConfigError::new("growing_factor", "must be finite"));
         }
         if self.growing_factor <= 1.0 {
             return Err(ConfigError::new("growing_factor", "must exceed 1"));
-        }
-        if self.min_leaves < 1 {
-            return Err(ConfigError::new("min_leaves", "must be at least 1"));
-        }
-        if self.full_rebuild_divisor < 1 {
-            return Err(ConfigError::new(
-                "full_rebuild_divisor",
-                "must be at least 1",
-            ));
-        }
-        if !self.bitmap_leaf_threshold.is_finite() {
-            return Err(ConfigError::new("bitmap_leaf_threshold", "must be finite"));
-        }
-        if self.bitmap_leaf_threshold <= 0.0 {
-            return Err(ConfigError::new(
-                "bitmap_leaf_threshold",
-                "must be positive",
-            ));
         }
         Ok(())
     }
@@ -151,10 +123,14 @@ impl PmaConfig {
 /// Builder for [`PmaConfig`] with fallible validation.
 ///
 /// ```
-/// use cpma_pma::PmaConfig;
+/// use cpma_pma::{ForceCodec, PmaConfig};
 ///
-/// let cfg = PmaConfig::builder().growing_factor(1.5).min_leaves(8).build().unwrap();
-/// assert_eq!(cfg.min_leaves, 8);
+/// let cfg = PmaConfig::builder()
+///     .growing_factor(1.5)
+///     .force_codec(ForceCodec::Delta)
+///     .build()
+///     .unwrap();
+/// assert_eq!(cfg.growing_factor, 1.5);
 /// assert!(PmaConfig::builder().growing_factor(0.9).build().is_err());
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
@@ -163,12 +139,6 @@ pub struct PmaConfigBuilder {
 }
 
 impl PmaConfigBuilder {
-    /// Density thresholds per tree level.
-    pub fn bounds(mut self, bounds: DensityBounds) -> Self {
-        self.cfg.bounds = bounds;
-        self
-    }
-
     /// Capacity multiplier on growth, divisor on shrink (Appendix C
     /// studies 1.1×–2.0×; the paper uses 1.2×).
     pub fn growing_factor(mut self, f: f64) -> Self {
@@ -176,36 +146,9 @@ impl PmaConfigBuilder {
         self
     }
 
-    /// Capacity floor in leaves.
-    pub fn min_leaves(mut self, n: usize) -> Self {
-        self.cfg.min_leaves = n;
-        self
-    }
-
-    /// Batch size below which point updates are used instead of the batch
-    /// pipeline (0 disables the fallback entirely).
-    pub fn point_update_cutoff(mut self, n: usize) -> Self {
-        self.cfg.point_update_cutoff = n;
-        self
-    }
-
-    /// Divisor of the full-rebuild threshold: batches of at least
-    /// `len / divisor` elements rebuild the whole structure.
-    pub fn full_rebuild_divisor(mut self, n: usize) -> Self {
-        self.cfg.full_rebuild_divisor = n;
-        self
-    }
-
     /// Codec override for hybrid leaf storages (see [`ForceCodec`]).
     pub fn force_codec(mut self, f: ForceCodec) -> Self {
         self.cfg.force_codec = f;
-        self
-    }
-
-    /// Bitmap-vs-delta cost ratio at which a leaf flips to the bitmap
-    /// encoding under [`ForceCodec::Auto`] (must be finite and positive).
-    pub fn bitmap_leaf_threshold(mut self, t: f64) -> Self {
-        self.cfg.bitmap_leaf_threshold = t;
         self
     }
 
@@ -267,9 +210,9 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Empty structure with explicit configuration.
     pub fn with_config(cfg: PmaConfig) -> Self {
         cfg.assert_valid();
-        let leaf_units = Self::leaf_units_for_cap(cfg.min_leaves * L::MIN_LEAF_UNITS);
-        let mut storage = L::with_geometry(cfg.min_leaves, leaf_units);
-        storage.set_codec_policy(cfg.force_codec, cfg.bitmap_leaf_threshold);
+        let leaf_units = Self::leaf_units_for_cap(MIN_LEAVES * L::MIN_LEAF_UNITS);
+        let mut storage = L::with_geometry(MIN_LEAVES, leaf_units);
+        storage.set_codec_policy(cfg.force_codec);
         let mut this = Self {
             storage,
             cfg,
@@ -335,7 +278,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         let leaf_units = Self::leaf_units_for_cap(cap_units);
         Geometry {
             leaf_units,
-            leaves: cap_units.div_ceil(leaf_units).max(self.cfg.min_leaves),
+            leaves: cap_units.div_ceil(leaf_units).max(MIN_LEAVES),
         }
     }
 
@@ -351,7 +294,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// fewer leaves than hold them. One sizing sweep; a second only when
     /// the answer crosses into another leaf size.
     pub(crate) fn geometry_for_target(&self, elems: &[K]) -> Geometry {
-        let target = self.cfg.bounds.rebuild_target;
+        let target = BOUNDS.rebuild_target;
         let sized = |leaf_units: usize| {
             let size = self.storage.size_run(elems, leaf_units);
             let cap = ((size.stream as f64) / target).ceil() as usize;
@@ -361,7 +304,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             let leaves = cap.div_ceil(leaf_units).max(size.min_leaves);
             Geometry {
                 leaf_units,
-                leaves: leaves.max(self.cfg.min_leaves),
+                leaves: leaves.max(MIN_LEAVES),
             }
         };
         let mut geo = sized(self.storage.leaf_units());
@@ -379,7 +322,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     pub(crate) fn rebuild_into(&mut self, elems: &[K], geo: Geometry) {
         let (k, leaf_units) = (geo.leaves, geo.leaf_units);
         let mut storage = L::with_geometry(k, leaf_units);
-        storage.set_codec_policy(self.cfg.force_codec, self.cfg.bitmap_leaf_threshold);
+        storage.set_codec_policy(self.cfg.force_codec);
         let offsets = storage
             .plan_split(elems, k, leaf_units)
             .expect("rebuild geometry was sized to hold the run");
@@ -415,7 +358,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             cap = ((cap as f64) * self.cfg.growing_factor).ceil() as usize;
             let geo = self.geometry_of(cap);
             let size = self.storage.size_run(elems, geo.leaf_units);
-            let bound = self.cfg.bounds.upper_root * (geo.leaves * geo.leaf_units) as f64;
+            let bound = BOUNDS.upper_root * (geo.leaves * geo.leaf_units) as f64;
             if geo.leaves >= size.min_leaves && Self::units_at(&size, geo.leaves) as f64 <= bound {
                 break geo;
             }
@@ -426,7 +369,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Shrink capacity by the growing factor while the root is under its
     /// lower bound — never below what holds `elems` — then re-spread them.
     pub(crate) fn shrink_and_rebuild(&mut self, elems: &[K]) {
-        let floor = self.cfg.min_leaves * L::MIN_LEAF_UNITS;
+        let floor = MIN_LEAVES * L::MIN_LEAF_UNITS;
         // One sizing sweep per leaf size the steps pass through.
         let mut swept = (0, RunSize::default());
         let mut held = |cap: usize| {
@@ -449,7 +392,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             }
             let Some(size) = held(next) else { break };
             cap = next;
-            if (size.stream.max(size.packed) as f64) >= self.cfg.bounds.lower_root * cap as f64 {
+            if (size.stream.max(size.packed) as f64) >= BOUNDS.lower_root * cap as f64 {
                 break;
             }
         }
@@ -788,7 +731,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
                 let elems = self.collect_all();
                 self.grow_and_rebuild(&elems);
             }
-            Some(RootResize::Shrink) if self.storage.num_leaves() > self.cfg.min_leaves => {
+            Some(RootResize::Shrink) if self.storage.num_leaves() > MIN_LEAVES => {
                 let elems = self.collect_all();
                 self.shrink_and_rebuild(&elems);
             }
@@ -1543,20 +1486,13 @@ mod tests {
         }
         let _serial = crate::BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let keys: Vec<u64> = (0..200_000u64).map(|i| i << 12).collect();
-        // Empty leaves at full depth violate nothing, so drained ones stay
-        // empty and their bits must have been cleared where they emptied.
-        let bounds = DensityBounds {
-            lower_leaf: 0.0,
-            ..Default::default()
-        };
-        let cfg = PmaConfig::builder().bounds(bounds).build().unwrap();
         for budget in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(budget)
                 .build()
                 .unwrap();
             pool.install(|| {
-                let mut c = Cpma::from_sorted_with(&keys, cfg);
+                let mut c = Cpma::from_sorted(&keys);
                 let leaves = c.storage.num_leaves();
                 // Pipeline: drain every 50th leaf, and crowd one stretch
                 // of the key space so a range redistributes.
@@ -1574,7 +1510,6 @@ mod tests {
                 assert_eq!(after.pipeline_batches, before.pipeline_batches + 1);
                 assert_eq!(after.full_rebuilds, before.full_rebuilds);
                 assert!(after.redistribute_ranges > before.redistribute_ranges);
-                assert!((0..leaves).any(|l| !c.occ_get(l)), "budget {budget}");
                 assert_fresh(&c, &format!("budget {budget}, pipeline"));
 
                 // Point path: refill one drained leaf key by key, empty
@@ -1625,6 +1560,24 @@ mod tests {
         assert_eq!(p.len(), 1000);
         assert!(p.iter().eq(0..1000u32));
         p.check_invariants();
+    }
+
+    /// The capacity floor by count: an empty structure, one drained by a
+    /// batch, and one drained key by key all sit at `MIN_LEAVES` leaves.
+    #[test]
+    fn capacity_floor_is_min_leaves() {
+        assert_eq!(Cpma::new().storage.num_leaves(), MIN_LEAVES);
+        let keys: Vec<u64> = (0..20_000u64).map(|i| i * 3).collect();
+        let mut batched = Pma::<u64>::from_sorted(&keys);
+        assert!(batched.storage.num_leaves() > MIN_LEAVES);
+        batched.remove_batch_sorted(&keys);
+        assert_eq!(batched.storage.num_leaves(), MIN_LEAVES);
+        let mut pointed = Cpma::from_sorted(&keys[..2_000]);
+        for &k in &keys[..2_000] {
+            assert!(pointed.remove(k));
+        }
+        assert_eq!(pointed.storage.num_leaves(), MIN_LEAVES);
+        pointed.check_invariants();
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 /// Density thresholds. All values are fractions of a node's unit capacity.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DensityBounds {
+pub(crate) struct DensityBounds {
     /// Maximum density allowed in a leaf (depth = max).
     pub upper_leaf: f64,
     /// Maximum density allowed at the root; exceeding it grows the array.
@@ -23,70 +23,24 @@ pub struct DensityBounds {
     pub lower_leaf: f64,
     /// Minimum density required at the root; undershooting it shrinks.
     pub lower_root: f64,
-    /// Density targeted when (re)building, growing, or shrinking. Must sit
+    /// Density targeted when (re)building, growing, or shrinking. Sits
     /// strictly inside the root band so resizes do not immediately re-trigger.
     pub rebuild_target: f64,
 }
 
-impl Default for DensityBounds {
-    fn default() -> Self {
-        // Classic PMA parameters (Bender et al. / Wheatman-Xu style):
-        // leaves run hot, the root keeps global slack.
-        Self {
-            upper_leaf: 0.9,
-            upper_root: 0.7,
-            lower_leaf: 0.08,
-            lower_root: 0.3,
-            rebuild_target: 0.55,
-        }
-    }
-}
+/// The bounds every PMA runs on — classic PMA parameters (Bender et al. /
+/// Wheatman-Xu style): leaves run hot, the root keeps global slack. The
+/// paper fixes them; `bounds_nest` pins the relations the maintenance
+/// algorithms rely on.
+pub(crate) const BOUNDS: DensityBounds = DensityBounds {
+    upper_leaf: 0.9,
+    upper_root: 0.7,
+    lower_leaf: 0.08,
+    lower_root: 0.3,
+    rebuild_target: 0.55,
+};
 
 impl DensityBounds {
-    /// Check the parameter relationships the maintenance algorithms rely
-    /// on. Called once at construction (via [`crate::PmaConfig::check`]).
-    pub fn check(&self) -> Result<(), cpma_api::ConfigError> {
-        let err = |field, reason: &str| Err(cpma_api::ConfigError::new(field, reason));
-        // NaN compares false against everything, so the relational checks
-        // below would silently wave it through; reject non-finite first.
-        for (field, value) in [
-            ("bounds.upper_leaf", self.upper_leaf),
-            ("bounds.upper_root", self.upper_root),
-            ("bounds.lower_leaf", self.lower_leaf),
-            ("bounds.lower_root", self.lower_root),
-            ("bounds.rebuild_target", self.rebuild_target),
-        ] {
-            if !value.is_finite() {
-                return err(field, "must be finite");
-            }
-        }
-        if !(self.upper_leaf > 0.0 && self.upper_leaf <= 1.0) {
-            return err("bounds.upper_leaf", "must be in (0, 1]");
-        }
-        if self.upper_root >= self.upper_leaf {
-            return err(
-                "bounds.upper_root",
-                "root upper bound must be tighter than leaf upper bound",
-            );
-        }
-        if self.lower_leaf < 0.0 {
-            return err("bounds.lower_leaf", "must be non-negative");
-        }
-        if self.lower_root <= self.lower_leaf {
-            return err(
-                "bounds.lower_root",
-                "root lower bound must be tighter than leaf lower bound",
-            );
-        }
-        if !(self.lower_root < self.rebuild_target && self.rebuild_target < self.upper_root) {
-            return err(
-                "bounds.rebuild_target",
-                "rebuild target must sit strictly inside the root density band",
-            );
-        }
-        Ok(())
-    }
-
     /// Upper density bound for a node at `depth`, where the root has depth 0
     /// and leaves have depth `max_depth`. Interpolates linearly from
     /// `upper_root` (depth 0) to `upper_leaf` (max depth).
@@ -129,14 +83,21 @@ impl DensityBounds {
 mod tests {
     use super::*;
 
+    /// The relations the maintenance algorithms rely on: each band nests
+    /// inside the next-deeper one, and a rebuild lands strictly inside the
+    /// root band so a resize never re-triggers itself.
     #[test]
-    fn defaults_validate() {
-        DensityBounds::default().check().unwrap();
+    fn bounds_nest() {
+        let b = BOUNDS;
+        assert!(0.0 < b.upper_leaf && b.upper_leaf <= 1.0);
+        assert!(b.upper_root < b.upper_leaf);
+        assert!(0.0 <= b.lower_leaf && b.lower_leaf < b.lower_root);
+        assert!(b.lower_root < b.rebuild_target && b.rebuild_target < b.upper_root);
     }
 
     #[test]
     fn upper_monotone_in_depth() {
-        let b = DensityBounds::default();
+        let b = BOUNDS;
         let h = 10;
         for d in 0..h {
             assert!(
@@ -153,7 +114,7 @@ mod tests {
 
     #[test]
     fn bands_never_cross() {
-        let b = DensityBounds::default();
+        let b = BOUNDS;
         for h in [0u32, 1, 5, 30] {
             for d in 0..=h {
                 assert!(b.lower(d, h) < b.upper(d, h));
@@ -163,7 +124,7 @@ mod tests {
 
     #[test]
     fn unit_thresholds() {
-        let b = DensityBounds::default();
+        let b = BOUNDS;
         // Root of a 1000-unit tree of depth 4.
         assert_eq!(b.max_units(1000, 0, 4), 700);
         assert_eq!(b.min_units(1000, 0, 4), 300);
@@ -174,41 +135,10 @@ mod tests {
 
     #[test]
     fn degenerate_single_node_tree() {
-        let b = DensityBounds::default();
+        let b = BOUNDS;
         // A one-leaf PMA: the leaf *is* the root; use the root band so the
         // structure grows before the single leaf is full.
         assert!((b.upper(0, 0) - b.upper_root).abs() < 1e-12);
         assert!((b.lower(0, 0) - b.lower_root).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bad_target_rejected() {
-        let err = DensityBounds {
-            rebuild_target: 0.9,
-            ..Default::default()
-        }
-        .check()
-        .unwrap_err();
-        assert_eq!(err.field, "bounds.rebuild_target");
-    }
-
-    #[test]
-    fn non_finite_bounds_rejected() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = DensityBounds {
-                lower_leaf: bad,
-                ..Default::default()
-            }
-            .check()
-            .unwrap_err();
-            assert_eq!(err.field, "bounds.lower_leaf");
-            let err = DensityBounds {
-                upper_root: bad,
-                ..Default::default()
-            }
-            .check()
-            .unwrap_err();
-            assert_eq!(err.field, "bounds.upper_root");
-        }
     }
 }

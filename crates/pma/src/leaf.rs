@@ -234,7 +234,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// Install the per-leaf codec policy (hybrid storages only; the
     /// default ignores it). Called at construction and when loading a
     /// snapshot, before any leaf is written.
-    fn set_codec_policy(&mut self, _force: ForceCodec, _threshold: f64) {}
+    fn set_codec_policy(&mut self, _force: ForceCodec) {}
 
     /// Membership of every key of `run` — ascending, all routed to `leaf`,
     /// which is not overflowed — in one pass: `out[i]` answers

@@ -17,15 +17,16 @@
 //! hierarchy — `OrderedSet` (point queries), `BatchSet` (batch updates),
 //! `RangeSet` (`RangeBounds`-based scans: `range_sum(a..b)`,
 //! `for_range(a..=b, f)`, `range_iter`) — implemented once for the generic
-//! engine in this crate's `api` module. Construction is tunable through
-//! the fallible [`PmaConfig::builder`]; `Pma`/`Cpma` also implement
-//! `FromIterator`, `Extend`, and `IntoIterator` for std-collection
-//! ergonomics.
+//! engine in this crate's `api` module. Construction takes the growing
+//! factor and the codec override through the fallible
+//! [`PmaConfig::builder`]; the regime boundaries, the capacity floor and
+//! the density bounds are constants, as the paper fixes them.
+//! `Pma`/`Cpma` also implement `FromIterator`, `Extend`, and
+//! `IntoIterator` for std-collection ergonomics.
 
 pub mod bitmap;
 pub mod codec;
 pub mod core;
-pub mod density;
 pub mod persist;
 pub mod stats;
 pub mod tree;
@@ -33,6 +34,7 @@ pub mod tree;
 mod api;
 mod batch;
 mod compressed;
+mod density;
 mod leaf;
 mod run;
 mod search;
@@ -40,8 +42,10 @@ mod uncompressed;
 mod writeset;
 
 pub use crate::compressed::CompressedLeaves;
-pub use crate::core::{Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore};
-pub use crate::density::DensityBounds;
+pub use crate::core::{
+    Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore, FULL_REBUILD_DIVISOR, MIN_LEAVES,
+    POINT_UPDATE_CUTOFF,
+};
 pub use crate::leaf::{LeafStorage, OpsOutcome, RunSize};
 pub use crate::stats::PmaStats;
 pub use crate::uncompressed::UncompressedLeaves;

@@ -11,8 +11,8 @@
 //! serialized).
 //!
 //! Loads verify, in order: envelope magic/version/checksums (in
-//! `cpma-persist`), codec id and key width, configuration validity
-//! ([`PmaConfig::check`]), geometry sanity, payload size, per-leaf
+//! `cpma-persist`), codec id and key width, the words of retired knobs,
+//! configuration validity ([`PmaConfig::check`]), geometry sanity, payload size, per-leaf
 //! structure, and finally that the recomputed element/unit totals match
 //! the header. Anything off yields a typed
 //! [`PersistError`] — never a panic.
@@ -22,15 +22,39 @@ use std::path::Path;
 use cpma_api::{Persist, PersistError};
 use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
 
-use crate::core::PmaCore;
-use crate::density::DensityBounds;
+use crate::core::{PmaCore, FULL_REBUILD_DIVISOR, MIN_LEAVES, POINT_UPDATE_CUTOFF};
+use crate::density::BOUNDS;
 use crate::{LeafStorage, PmaConfig, PmaKey};
 
 /// Meta section: key width (u32), eleven config scalars (seven f64, four
 /// u64 — the last being the [`crate::ForceCodec`] discriminant), three
 /// geometry / count fields (u64 each), and the head-layout word (u64).
-/// Floats travel as IEEE-754 bit patterns.
+/// Floats travel as IEEE-754 bit patterns. Nine of the config scalars
+/// belong to knobs that became constants (`RETIRED_BEFORE`,
+/// `RETIRED_AFTER`); the layout keeps their words.
 const META_LEN: usize = 4 + 7 * 8 + 4 * 8 + 3 * 8 + 8;
+
+/// The meta words of retired knobs ahead of the growing factor — the
+/// density bounds — as the format writes them (floats as bit patterns).
+/// Like the head-layout word, each is always written as its constant, and
+/// a file carrying any other value is foreign.
+const RETIRED_BEFORE: [(&str, u64); 5] = [
+    ("upper_leaf", BOUNDS.upper_leaf.to_bits()),
+    ("upper_root", BOUNDS.upper_root.to_bits()),
+    ("lower_leaf", BOUNDS.lower_leaf.to_bits()),
+    ("lower_root", BOUNDS.lower_root.to_bits()),
+    ("rebuild_target", BOUNDS.rebuild_target.to_bits()),
+];
+
+/// The retired words between the growing factor and the codec override:
+/// the bitmap break-even ratio (1, folded into the codec choice's
+/// hysteresis), the capacity floor and the two regime boundaries.
+const RETIRED_AFTER: [(&str, u64); 4] = [
+    ("bitmap_leaf_threshold", 1f64.to_bits()),
+    ("min_leaves", MIN_LEAVES as u64),
+    ("point_update_cutoff", POINT_UPDATE_CUTOFF as u64),
+    ("full_rebuild_divisor", FULL_REBUILD_DIVISOR as u64),
+];
 
 /// The head-layout word of the meta section. The heads are searched in
 /// place, which is the only layout this format describes: the word is
@@ -56,18 +80,14 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     fn with_envelope<R>(&self, f: impl FnOnce(SnapshotEnvelope<'_>) -> R) -> R {
         let mut meta = Vec::with_capacity(META_LEN);
         meta.put_u32(K::BYTES as u32);
-        let cfg = &self.cfg;
-        meta.put_f64(cfg.bounds.upper_leaf);
-        meta.put_f64(cfg.bounds.upper_root);
-        meta.put_f64(cfg.bounds.lower_leaf);
-        meta.put_f64(cfg.bounds.lower_root);
-        meta.put_f64(cfg.bounds.rebuild_target);
-        meta.put_f64(cfg.growing_factor);
-        meta.put_f64(cfg.bitmap_leaf_threshold);
-        meta.put_u64(cfg.min_leaves as u64);
-        meta.put_u64(cfg.point_update_cutoff as u64);
-        meta.put_u64(cfg.full_rebuild_divisor as u64);
-        meta.put_u64(force_codec_tag(cfg.force_codec));
+        for (_, word) in RETIRED_BEFORE {
+            meta.put_u64(word);
+        }
+        meta.put_f64(self.cfg.growing_factor);
+        for (_, word) in RETIRED_AFTER {
+            meta.put_u64(word);
+        }
+        meta.put_u64(force_codec_tag(self.cfg.force_codec));
         meta.put_u64(self.len as u64);
         meta.put_u64(self.storage.num_leaves() as u64);
         meta.put_u64(self.storage.leaf_units() as u64);
@@ -102,19 +122,11 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
                 found: key_bytes,
             });
         }
+        expect_retired(&mut r, &RETIRED_BEFORE)?;
+        let growing_factor = r.f64("growing_factor")?;
+        expect_retired(&mut r, &RETIRED_AFTER)?;
         let cfg = PmaConfig {
-            bounds: DensityBounds {
-                upper_leaf: r.f64("upper_leaf")?,
-                upper_root: r.f64("upper_root")?,
-                lower_leaf: r.f64("lower_leaf")?,
-                lower_root: r.f64("lower_root")?,
-                rebuild_target: r.f64("rebuild_target")?,
-            },
-            growing_factor: r.f64("growing_factor")?,
-            bitmap_leaf_threshold: r.f64("bitmap_leaf_threshold")?,
-            min_leaves: as_usize(r.u64("min_leaves")?, "min_leaves")?,
-            point_update_cutoff: as_usize(r.u64("point_update_cutoff")?, "point_update_cutoff")?,
-            full_rebuild_divisor: as_usize(r.u64("full_rebuild_divisor")?, "full_rebuild_divisor")?,
+            growing_factor,
             force_codec: force_codec_from_tag(r.u64("force_codec")?)?,
         };
         cfg.check()?;
@@ -139,7 +151,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             )));
         }
         let mut storage = L::read_payload(num_leaves, leaf_units, env.payload)?;
-        storage.set_codec_policy(cfg.force_codec, cfg.bitmap_leaf_threshold);
+        storage.set_codec_policy(cfg.force_codec);
         let (mut total_len, mut total_units) = (0usize, 0usize);
         for leaf in 0..num_leaves {
             total_len += storage.count(leaf);
@@ -163,6 +175,23 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         this.rebuild_read_index();
         Ok(this)
     }
+}
+
+/// Consume the retired `words`, refusing any that is not its constant.
+fn expect_retired(
+    r: &mut ByteReader<'_>,
+    words: &[(&'static str, u64)],
+) -> Result<(), PersistError> {
+    for &(what, want) in words {
+        let found = r.u64(what)?;
+        if found != want {
+            return Err(PersistError::Corrupt(format!(
+                "snapshot meta word {what} is {found:#x}; this format writes the \
+                 constant {want:#x}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn as_usize(v: u64, what: &'static str) -> Result<usize, PersistError> {

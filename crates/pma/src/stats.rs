@@ -52,8 +52,8 @@ pub fn record_write(n: usize) {
 /// property of the batch algorithm's schedule-independent output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PmaStats {
-    /// Batch updates that fell back to per-key point updates (below the
-    /// configured `point_update_cutoff`).
+    /// Batch updates that fell back to per-key point updates (below
+    /// [`crate::POINT_UPDATE_CUTOFF`] ops).
     pub point_fallbacks: u64,
     /// Batch updates that ran the route→merge→count→redistribute
     /// pipeline.

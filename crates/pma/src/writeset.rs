@@ -215,7 +215,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cpma, Pma, PmaConfig};
+    use crate::{Cpma, Pma};
     use cpma_api::BatchOp::{self, Insert, Remove};
 
     /// Payload bytes plus the derived state a payload does not carry.
@@ -266,12 +266,8 @@ mod tests {
     /// then removes down to shrinks. Copies where the geometry holds,
     /// replays where it moved.
     fn every_regime<L: LeafStorage<u64> + Clone>() {
-        let cfg = PmaConfig::builder()
-            .point_update_cutoff(32)
-            .build()
-            .unwrap();
         let keys: Vec<u64> = (0..20_000u64).map(|i| i * 64).collect();
-        let base = PmaCore::<u64, L>::from_sorted_with(&keys, cfg);
+        let base = PmaCore::<u64, L>::from_sorted(&keys);
         let mut batches: Vec<Vec<BatchOp<u64>>> = vec![
             (1..20).map(|i| Insert(i * 64 + 1)).collect(),
             (0..20).map(|i| Remove(i * 64)).collect(),

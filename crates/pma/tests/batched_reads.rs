@@ -4,7 +4,7 @@
 //! rebuild), including duplicate probes, probes below the minimum, and
 //! `u64::MAX`.
 
-use cpma_api::testkit::{sorted_unique, Rng};
+use cpma_api::testkit::{sorted_unique, SplitMix64};
 use cpma_api::OrderedSet;
 use cpma_pma::{CompressedLeaves, LeafStorage, PmaCore, UncompressedLeaves};
 use std::collections::BTreeSet;
@@ -13,8 +13,8 @@ const KEY_BITS: u32 = 40;
 
 /// Probe with duplicates, 0 (below any stored minimum), and `u64::MAX`,
 /// and check the three-way agreement batched ≡ per-key ≡ oracle.
-fn check_reads<S: OrderedSet<u64>>(s: &S, oracle: &BTreeSet<u64>, rng: &mut Rng, tag: &str) {
-    let mut probes: Vec<u64> = (0..120).map(|_| rng.bits(KEY_BITS)).collect();
+fn check_reads<S: OrderedSet<u64>>(s: &S, oracle: &BTreeSet<u64>, rng: &mut SplitMix64, tag: &str) {
+    let mut probes: Vec<u64> = (0..120).map(|_| rng.next_bits(KEY_BITS)).collect();
     // Stored keys and their neighbours, to hit both sides of membership.
     for &k in oracle.iter().take(20) {
         probes.push(k);
@@ -54,7 +54,7 @@ fn check_reads<S: OrderedSet<u64>>(s: &S, oracle: &BTreeSet<u64>, rng: &mut Rng,
 }
 
 fn reads_agree_across_regimes<L: LeafStorage<u64>>(name: &str) {
-    let mut rng = Rng::new(0xC0FFEE ^ name.len() as u64);
+    let mut rng = SplitMix64::new(0xC0FFEE ^ name.len() as u64);
     let base = sorted_unique(rng.keys(3000, KEY_BITS));
     let mut s = PmaCore::<u64, L>::from_sorted(&base);
     let mut oracle: BTreeSet<u64> = base.iter().copied().collect();
@@ -64,7 +64,7 @@ fn reads_agree_across_regimes<L: LeafStorage<u64>>(name: &str) {
     // through the merge pipeline, and big enough (≥ len/10) to take
     // the full-rebuild path. Reads must agree after each.
     for (regime, batch_len) in [("point", 40usize), ("pipeline", 1500), ("rebuild", 6000)] {
-        let mut ins: Vec<u64> = (0..batch_len).map(|_| rng.bits(KEY_BITS)).collect();
+        let mut ins: Vec<u64> = (0..batch_len).map(|_| rng.next_bits(KEY_BITS)).collect();
         s.insert_batch(&mut ins, false);
         oracle.extend(ins.iter().copied());
 
@@ -75,7 +75,7 @@ fn reads_agree_across_regimes<L: LeafStorage<u64>>(name: &str) {
             .step_by(7)
             .take(batch_len / 2)
             .collect();
-        rem.extend((0..batch_len / 2).map(|_| rng.bits(KEY_BITS)));
+        rem.extend((0..batch_len / 2).map(|_| rng.next_bits(KEY_BITS)));
         s.remove_batch(&mut rem, false);
         for k in &rem {
             oracle.remove(k);

@@ -7,7 +7,7 @@
 
 use cpma_api::testkit::{assert_all_refused, Damage};
 use cpma_api::{BatchOp, BatchSet, Persist, PersistError, RangeSet};
-use cpma_pma::{Cpma, Pma, PmaConfig, PmaCore};
+use cpma_pma::{Cpma, ForceCodec, Pma, PmaConfig};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -110,42 +110,107 @@ fn codec_mismatch_is_typed() {
     ));
 }
 
-/// The meta section ends in a head-layout word. Heads are searched in
-/// place and nothing else was ever a default, so the word is always 0; a
-/// file naming another layout (with checksums that verify) is foreign and
-/// must fail typed, whichever codec opens it.
+/// The meta section keeps a word for every knob that became a constant —
+/// the five density bounds, the bitmap break-even ratio, the capacity
+/// floor, the two regime boundaries — and ends in a head-layout word
+/// (heads are searched in place; nothing else was ever a default). Each
+/// is always written as its constant; a file carrying any other value
+/// (with checksums that verify) is foreign and must fail typed, naming
+/// the word, whichever codec opens it.
 #[test]
-fn head_layout_tag_roundtrips_and_mismatch_is_typed() {
+fn fixed_meta_words_roundtrip_and_forgeries_are_typed() {
     use cpma_persist::snapshot::SnapshotEnvelope;
-    fn check<L: cpma_pma::LeafStorage<u64>>(set: PmaCore<u64, L>) {
-        let bytes = set.to_snapshot_bytes();
+    use cpma_pma::{FULL_REBUILD_DIVISOR, MIN_LEAVES, POINT_UPDATE_CUTOFF};
+    // (offset into the meta section, name, the constant written there)
+    let words: [(usize, &str, u64); 10] = [
+        (4, "upper_leaf", 0.9f64.to_bits()),
+        (12, "upper_root", 0.7f64.to_bits()),
+        (20, "lower_leaf", 0.08f64.to_bits()),
+        (28, "lower_root", 0.3f64.to_bits()),
+        (36, "rebuild_target", 0.55f64.to_bits()),
+        (52, "bitmap_leaf_threshold", 1f64.to_bits()),
+        (60, "min_leaves", MIN_LEAVES as u64),
+        (68, "point_update_cutoff", POINT_UPDATE_CUTOFF as u64),
+        (76, "full_rebuild_divisor", FULL_REBUILD_DIVISOR as u64),
+        (116, "head layout", 0),
+    ];
+    let check = |bytes: Vec<u8>, load: &dyn Fn(&[u8]) -> Result<(), PersistError>| {
         let env = SnapshotEnvelope::from_bytes(&bytes).unwrap();
-        let word_at = env.meta.len() - 8;
-        assert_eq!(env.meta[word_at..], 0u64.to_le_bytes());
-        let back = PmaCore::<u64, L>::from_snapshot_bytes(&env.to_bytes()).unwrap();
-        assert_eq!(set, back);
-        back.check_invariants();
-        for word in [1u64, 2, 3, 7] {
-            let mut meta = env.meta.to_vec();
-            meta[word_at..].copy_from_slice(&word.to_le_bytes());
-            let forged = SnapshotEnvelope { meta: &meta, ..env };
-            match PmaCore::<u64, L>::from_snapshot_bytes(&forged.to_bytes()) {
-                Err(PersistError::Corrupt(msg)) => {
-                    assert!(msg.contains("head layout"), "word {word}: {msg}")
+        assert_eq!(env.meta.len(), 124);
+        load(&env.to_bytes()).unwrap();
+        for (at, name, want) in words {
+            let word = |meta: &[u8]| u64::from_le_bytes(meta[at..at + 8].try_into().unwrap());
+            assert_eq!(word(env.meta), want, "{name} written");
+            for forged in [0, 1, 7, u64::MAX, want ^ 1, want ^ (1 << 52)] {
+                if forged == want {
+                    continue;
                 }
-                other => panic!("word {word}: expected Corrupt, got {other:?}"),
+                let mut meta = env.meta.to_vec();
+                meta[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                let forgery = SnapshotEnvelope { meta: &meta, ..env };
+                match load(&forgery.to_bytes()) {
+                    Err(PersistError::Corrupt(msg)) => {
+                        assert!(msg.contains(name), "{name} = {forged:#x}: {msg}")
+                    }
+                    other => panic!("{name} = {forged:#x}: expected Corrupt, got {other:?}"),
+                }
             }
         }
+    };
+    let pma: Pma = build(&sample_keys(20_000));
+    check(pma.to_snapshot_bytes(), &|b| {
+        Pma::<u64>::from_snapshot_bytes(b).map(|back| assert_eq!(back, pma))
+    });
+    let cpma: Cpma = build(&sample_keys(10_000));
+    check(cpma.to_snapshot_bytes(), &|b| {
+        Cpma::from_snapshot_bytes(b).map(|back| assert_eq!(back, cpma))
+    });
+}
+
+/// The two settable words of the meta section: the growing factor (an
+/// f64 at offset 44) and the codec override (a stable discriminant at
+/// offset 84). Each value round-trips; a factor the builder would refuse
+/// is a typed config error, an unknown discriminant a typed corruption.
+#[test]
+fn settable_meta_words_roundtrip_and_bad_values_are_typed() {
+    use cpma_persist::snapshot::SnapshotEnvelope;
+    let keys = sample_keys(3_000);
+    for (tag, force) in [ForceCodec::Auto, ForceCodec::Delta, ForceCodec::Bitmap]
+        .into_iter()
+        .enumerate()
+    {
+        let cfg = PmaConfig::builder()
+            .growing_factor(1.1 + tag as f64 / 2.0)
+            .force_codec(force)
+            .build()
+            .unwrap();
+        let mut set = Cpma::with_config(cfg);
+        set.insert_batch_sorted(&keys);
+        let bytes = set.to_snapshot_bytes();
+        let env = SnapshotEnvelope::from_bytes(&bytes).unwrap();
+        assert_eq!(env.meta[44..52], cfg.growing_factor.to_bits().to_le_bytes());
+        assert_eq!(env.meta[84..92], (tag as u64).to_le_bytes());
+        assert_eq!(Cpma::from_snapshot_bytes(&bytes).unwrap().config(), &cfg);
+        let forge = |at: usize, word: u64| {
+            let mut meta = env.meta.to_vec();
+            meta[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            Cpma::from_snapshot_bytes(&SnapshotEnvelope { meta: &meta, ..env }.to_bytes())
+        };
+        for factor in [1.0, 0.5, f64::NAN, f64::INFINITY] {
+            match forge(44, factor.to_bits()) {
+                Err(PersistError::Config(e)) => assert_eq!(e.field, "growing_factor"),
+                other => panic!("growing factor {factor}: got {other:?}"),
+            }
+        }
+        assert!(matches!(forge(84, 3), Err(PersistError::Corrupt(_))));
     }
-    check::<cpma_pma::UncompressedLeaves<u64>>(build(&sample_keys(20_000)));
-    check::<cpma_pma::CompressedLeaves>(build(&sample_keys(10_000)));
 }
 
 #[test]
 fn non_default_config_survives_roundtrip() {
     let cfg = PmaConfig::builder()
         .growing_factor(1.5)
-        .point_update_cutoff(0)
+        .force_codec(ForceCodec::Delta)
         .build()
         .unwrap();
     let mut set = Cpma::with_config(cfg);

@@ -3,11 +3,11 @@
 //! reach (dense runs, huge gaps, boundary keys, pathological batch mixes).
 //!
 //! Written against the in-repo randomized-test kit
-//! ([`cpma_api::testkit::Rng`]) — seeded and fully deterministic, no
+//! ([`cpma_api::testkit::SplitMix64`]) — seeded and fully deterministic, no
 //! external property-testing dependency (the build environment is offline).
 
-use cpma_api::testkit::{sorted_unique, Rng};
-use cpma_pma::{Cpma, DensityBounds, Pma, PmaConfig};
+use cpma_api::testkit::{sorted_unique, SplitMix64};
+use cpma_pma::{Cpma, Pma, PmaConfig};
 use std::collections::BTreeSet;
 
 const CASES: u64 = 48;
@@ -15,23 +15,25 @@ const CASES: u64 = 48;
 /// Key generators spanning the distributions that stress different parts
 /// of the structure: dense runs (tiny deltas), sparse (huge deltas), and
 /// clustered (a few hot leaves).
-fn key_batch(rng: &mut Rng) -> Vec<u64> {
-    match rng.below(3) {
+fn key_batch(rng: &mut SplitMix64) -> Vec<u64> {
+    match rng.next_below(3) {
         // dense run with a random base
         0 => {
-            let base = rng.bits(32);
-            let n = rng.below(600) + 1;
+            let base = rng.next_bits(32);
+            let n = rng.next_below(600) + 1;
             (0..n).map(|i| base + i).collect()
         }
         // uniform sparse
         1 => {
-            let n = rng.below(600) as usize;
+            let n = rng.next_below(600) as usize;
             (0..n).map(|_| rng.next_u64()).collect()
         }
         // clustered around a handful of centers
         _ => {
-            let centers: Vec<u64> = (0..rng.below(4) + 1).map(|_| rng.bits(32)).collect();
-            let n = rng.below(400) as usize + 1;
+            let centers: Vec<u64> = (0..rng.next_below(4) + 1)
+                .map(|_| rng.next_bits(32))
+                .collect();
+            let n = rng.next_below(400) as usize + 1;
             (0..n)
                 .map(|i| (centers[i % centers.len()] << 16) + (i as u64 % 1000))
                 .collect()
@@ -42,7 +44,7 @@ fn key_batch(rng: &mut Rng) -> Vec<u64> {
 /// from_sorted round-trips any distribution, both storages.
 #[test]
 fn build_roundtrip() {
-    let mut rng = Rng::new(0xB111);
+    let mut rng = SplitMix64::new(0xB111);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
         let p = Pma::<u64>::from_sorted(&elems);
@@ -58,12 +60,12 @@ fn build_roundtrip() {
 /// model and internally consistent.
 #[test]
 fn mixed_batches_match_model() {
-    let mut rng = Rng::new(0x0112);
+    let mut rng = SplitMix64::new(0x0112);
     for _ in 0..CASES {
         let mut p = Pma::<u64>::new();
         let mut c = Cpma::new();
         let mut model = BTreeSet::new();
-        let rounds = rng.below(5) + 1;
+        let rounds = rng.next_below(5) + 1;
         for _ in 0..rounds {
             let b = sorted_unique(key_batch(&mut rng));
             if rng.chance(1, 2) {
@@ -93,7 +95,7 @@ fn mixed_batches_match_model() {
 /// iter_from agrees with filtering the full iteration.
 #[test]
 fn iter_from_matches_filter() {
-    let mut rng = Rng::new(0x17E4);
+    let mut rng = SplitMix64::new(0x17E4);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
         let c = Cpma::from_sorted(&elems);
@@ -101,7 +103,7 @@ fn iter_from_matches_filter() {
         let start = if rng.chance(1, 2) || elems.is_empty() {
             rng.next_u64()
         } else {
-            elems[rng.below(elems.len() as u64) as usize]
+            elems[rng.next_below(elems.len() as u64) as usize]
         };
         let want: Vec<u64> = elems.iter().copied().filter(|&e| e >= start).collect();
         let got: Vec<u64> = c.iter_from(start).collect();
@@ -113,12 +115,12 @@ fn iter_from_matches_filter() {
 /// elements, in order.
 #[test]
 fn map_range_length_counts() {
-    let mut rng = Rng::new(0x3A91);
+    let mut rng = SplitMix64::new(0x3A91);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
         let p = Pma::<u64>::from_sorted(&elems);
         let start = rng.next_u64();
-        let len = rng.below(50) as usize;
+        let len = rng.next_below(50) as usize;
         let mut got = Vec::new();
         let visited = p.map_range_length(start, len, |e| got.push(e));
         let want: Vec<u64> = elems
@@ -135,7 +137,7 @@ fn map_range_length_counts() {
 /// min/max/len/sum agree with the model after batch churn.
 #[test]
 fn aggregates_match() {
-    let mut rng = Rng::new(0xA66A);
+    let mut rng = SplitMix64::new(0xA66A);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
         let dels = sorted_unique(key_batch(&mut rng));
@@ -158,7 +160,7 @@ fn aggregates_match() {
 /// structure correct. Exercises the fallible builder while at it.
 #[test]
 fn growing_factors_correct() {
-    let mut rng = Rng::new(0x6F01);
+    let mut rng = SplitMix64::new(0x6F01);
     for factor_tenths in 11u32..=20 {
         let cfg = PmaConfig::builder()
             .growing_factor(factor_tenths as f64 / 10.0)
@@ -166,7 +168,9 @@ fn growing_factors_correct() {
             .expect("legal growing factor");
         let mut c = Cpma::with_config(cfg);
         let mut model = BTreeSet::new();
-        let keys: Vec<u64> = (0..rng.below(800) + 1).map(|_| rng.next_u64()).collect();
+        let keys: Vec<u64> = (0..rng.next_below(800) + 1)
+            .map(|_| rng.next_u64())
+            .collect();
         for chunk in keys.chunks(97) {
             let b = sorted_unique(chunk.to_vec());
             c.insert_batch_sorted(&b);
@@ -174,32 +178,6 @@ fn growing_factors_correct() {
         }
         assert!(c.iter().eq(model.iter().copied()));
         c.check_invariants();
-    }
-}
-
-/// Custom density bounds within the legal envelope keep behaviour.
-#[test]
-fn custom_density_bounds_correct() {
-    let mut rng = Rng::new(0xD0B5);
-    for _ in 0..CASES {
-        let upper_leaf = 0.80 + rng.below(15) as f64 / 100.0;
-        let lower_root = 0.20 + rng.below(15) as f64 / 100.0;
-        let bounds = DensityBounds {
-            upper_leaf,
-            upper_root: 0.7,
-            lower_leaf: 0.05,
-            lower_root,
-            rebuild_target: 0.5,
-        };
-        let cfg = PmaConfig::builder()
-            .bounds(bounds)
-            .build()
-            .expect("legal bounds");
-        let mut p = Pma::<u64>::with_config(cfg);
-        let b = sorted_unique(key_batch(&mut rng));
-        p.insert_batch_sorted(&b);
-        assert!(p.iter().eq(b.iter().copied()));
-        p.check_invariants();
     }
 }
 
@@ -224,19 +202,11 @@ fn builder_rejects_bad_configs() {
     );
     assert_eq!(
         PmaConfig::builder()
-            .min_leaves(0)
+            .growing_factor(f64::NAN)
             .build()
             .unwrap_err()
             .field,
-        "min_leaves"
-    );
-    let bad = DensityBounds {
-        rebuild_target: 0.95,
-        ..Default::default()
-    };
-    assert_eq!(
-        PmaConfig::builder().bounds(bad).build().unwrap_err().field,
-        "bounds.rebuild_target"
+        "growing_factor"
     );
 }
 

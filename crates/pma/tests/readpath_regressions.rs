@@ -11,13 +11,18 @@
 //! — these tests fail loudly against it.
 
 use cpma_api::PersistError;
-use cpma_pma::{LeafStorage, Pma, PmaConfig, PmaCore, RunSize, UncompressedLeaves};
+use cpma_pma::{LeafStorage, Pma, PmaCore, RunSize, UncompressedLeaves};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 type Inner = UncompressedLeaves<u64>;
 
+/// Fewest leaves [`CountingLeaves`] sizes any run at.
+const SPARSE_LEAVES: usize = 4096;
+
 /// `UncompressedLeaves` plus a counter of trait-level `count()` calls —
-/// the per-leaf probe the old empty-run walks were made of.
+/// the per-leaf probe the old empty-run walks were made of — and a sizing
+/// that asks for at least [`SPARSE_LEAVES`] leaves, so a handful of
+/// elements is laid out with empty runs of hundreds of leaves between them.
 struct CountingLeaves {
     inner: Inner,
     count_calls: AtomicUsize,
@@ -124,7 +129,11 @@ impl LeafStorage<u64> for CountingLeaves {
     }
 
     fn size_run(&self, elems: &[u64], leaf_units: usize) -> RunSize {
-        self.inner.size_run(elems, leaf_units)
+        let size = self.inner.size_run(elems, leaf_units);
+        RunSize {
+            min_leaves: size.min_leaves.max(SPARSE_LEAVES),
+            ..size
+        }
     }
 
     fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
@@ -143,12 +152,11 @@ impl LeafStorage<u64> for CountingLeaves {
 type CountingPma = PmaCore<u64, CountingLeaves>;
 
 /// A structure whose occupied leaves are separated by empty runs of
-/// hundreds of leaves: 6 elements forced across ≥ 4096 leaves.
+/// hundreds of leaves: 6 elements spread across ≥ 4096 leaves.
 fn sparse_pma() -> CountingPma {
-    let cfg = PmaConfig::builder().min_leaves(4096).build().unwrap();
     let elems: Vec<u64> = (0..6u64).map(|i| i << 56).collect();
-    let p = CountingPma::from_sorted_with(&elems, cfg);
-    assert!(p.storage().num_leaves() >= 4096);
+    let p = CountingPma::from_sorted(&elems);
+    assert!(p.storage().num_leaves() >= SPARSE_LEAVES);
     p.storage().reset();
     p
 }

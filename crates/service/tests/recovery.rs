@@ -4,7 +4,7 @@
 //! kill-point machinery (copy the live directory, truncate at every
 //! interesting byte) mirrors `cpma-store`'s `persist_recovery` suite.
 
-use cpma_api::testkit::Rng;
+use cpma_api::testkit::SplitMix64;
 use cpma_api::{BatchOp, OrderedSet, RangeSet};
 use cpma_persist::{recover, FsyncPolicy, WalConfig};
 use cpma_pma::Cpma;
@@ -87,11 +87,11 @@ fn durable_service_recovers_acked_traffic_after_crash() {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
                     let mut model = BTreeSet::new();
-                    let mut rng = Rng::new(0x2EC0_0000 + t);
+                    let mut rng = SplitMix64::new(0x2EC0_0000 + t);
                     for _ in 0..12 {
-                        let ops: Vec<BatchOp<u64>> = (0..rng.below(60) + 4)
+                        let ops: Vec<BatchOp<u64>> = (0..rng.next_below(60) + 4)
                             .map(|_| {
-                                let k = (t << 32) | rng.bits(8);
+                                let k = (t << 32) | rng.next_bits(8);
                                 if rng.chance(1, 3) {
                                     BatchOp::Remove(k)
                                 } else {
@@ -166,13 +166,13 @@ fn kill_points_mid_epoch_with_listener_restart() {
         Service::serve_durable::<Cpma>(service_config(), wal_config(&dir)).unwrap();
     let mut client = Client::connect(service.local_addr()).unwrap();
 
-    let mut rng = Rng::new(0x4B31_5EC1);
+    let mut rng = SplitMix64::new(0x4B31_5EC1);
     let mut model = BTreeSet::new();
     // states[e] = oracle after e acked ops; ends[e] = segment length then.
     let mut states: Vec<Vec<u64>> = vec![Vec::new()];
     let mut ends: Vec<u64> = vec![std::fs::metadata(sole_segment(&dir)).unwrap().len()];
     for i in 0..10 {
-        let k = rng.bits(6);
+        let k = rng.next_bits(6);
         // Point round-trips: each op is its own combining epoch, hence its
         // own WAL record.
         if i % 3 == 2 {

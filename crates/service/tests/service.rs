@@ -4,7 +4,7 @@
 //! reads, and the final store must equal a replay of everything that was
 //! acknowledged.
 
-use cpma_api::testkit::Rng;
+use cpma_api::testkit::SplitMix64;
 use cpma_api::BatchOp;
 use cpma_pma::Cpma;
 use cpma_service::{Client, Service, ServiceConfig, ServiceError};
@@ -46,10 +46,10 @@ fn point_ops_follow_oracle() {
     let (mut service, addr) = serve();
     let mut client = Client::connect(addr).unwrap();
     let mut oracle = BTreeSet::new();
-    let mut rng = Rng::new(0x5E4C_0001);
+    let mut rng = SplitMix64::new(0x5E4C_0001);
     for _ in 0..600 {
-        let k = rng.bits(8);
-        match rng.below(3) {
+        let k = rng.next_bits(8);
+        match rng.next_below(3) {
             0 => assert_eq!(client.insert(k).unwrap(), oracle.insert(k), "insert {k}"),
             1 => assert_eq!(client.remove(k).unwrap(), oracle.remove(&k), "remove {k}"),
             _ => assert_eq!(
@@ -71,14 +71,14 @@ fn pipelined_bursts_follow_oracle() {
     let (mut service, addr) = serve();
     let mut client = Client::connect(addr).unwrap();
     let mut oracle = BTreeSet::new();
-    let mut rng = Rng::new(0x5E4C_0002);
+    let mut rng = SplitMix64::new(0x5E4C_0002);
     for _ in 0..20 {
         // Bursts with deliberate same-key repeats: per-op acks must match
         // sequential application even when the server nets them into one
         // combined epoch.
-        let ops: Vec<BatchOp<u64>> = (0..rng.below(500) + 1)
+        let ops: Vec<BatchOp<u64>> = (0..rng.next_below(500) + 1)
             .map(|_| {
-                let k = rng.bits(7);
+                let k = rng.next_bits(7);
                 if rng.chance(1, 3) {
                     BatchOp::Remove(k)
                 } else {
@@ -95,7 +95,7 @@ fn pipelined_bursts_follow_oracle() {
             assert_eq!(ack, want, "ack mismatch for {op:?}");
         }
         // Snapshot reads in the same connection observe the acked burst.
-        let probes: Vec<u64> = (0..64).map(|_| rng.bits(7)).collect();
+        let probes: Vec<u64> = (0..64).map(|_| rng.next_bits(7)).collect();
         let hits = client.contains_batch(&probes).unwrap();
         for (p, hit) in probes.iter().zip(hits) {
             assert_eq!(hit, oracle.contains(p), "snapshot read of {p}");
@@ -168,12 +168,12 @@ fn concurrent_clients_linearizable_against_oracle() {
                     let stripe = |k: u64| (t << 32) | k;
                     let mut client = Client::connect(addr).unwrap();
                     let mut model = BTreeSet::new();
-                    let mut rng = Rng::new(0xC11E_0000 + t);
+                    let mut rng = SplitMix64::new(0xC11E_0000 + t);
                     for round in 0..30 {
                         // A pipelined mutation burst...
-                        let ops: Vec<BatchOp<u64>> = (0..rng.below(120) + 1)
+                        let ops: Vec<BatchOp<u64>> = (0..rng.next_below(120) + 1)
                             .map(|_| {
-                                let k = stripe(rng.bits(9));
+                                let k = stripe(rng.next_bits(9));
                                 if rng.chance(1, 3) {
                                     BatchOp::Remove(k)
                                 } else {
@@ -191,8 +191,8 @@ fn concurrent_clients_linearizable_against_oracle() {
                         }
                         // ...then interleaved point ops with linearized reads.
                         for _ in 0..20 {
-                            let k = stripe(rng.bits(9));
-                            match rng.below(3) {
+                            let k = stripe(rng.next_bits(9));
+                            match rng.next_below(3) {
                                 0 => {
                                     let ack = client.insert(k).unwrap();
                                     assert_eq!(ack, model.insert(k), "client {t}: insert {k}");
@@ -210,7 +210,8 @@ fn concurrent_clients_linearizable_against_oracle() {
                         // Acked writes must be visible to this connection's
                         // snapshot reads (the combiner publishes before waking).
                         if round % 5 == 0 {
-                            let probes: Vec<u64> = (0..32).map(|_| stripe(rng.bits(9))).collect();
+                            let probes: Vec<u64> =
+                                (0..32).map(|_| stripe(rng.next_bits(9))).collect();
                             let hits = client.contains_batch(&probes).unwrap();
                             for (p, hit) in probes.iter().zip(hits) {
                                 assert_eq!(

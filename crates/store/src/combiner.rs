@@ -907,10 +907,10 @@ mod tests {
         for (seed, ops) in [(0xC0B1u64, 500u64), (0xC0B2, 300)] {
             let c: Combiner<BTreeSet<u64>> = Combiner::new(BTreeSet::new());
             let mut model = BTreeSet::new();
-            let mut rng = cpma_api::testkit::Rng::new(seed);
+            let mut rng = cpma_api::testkit::SplitMix64::new(seed);
             for _ in 0..ops {
-                let k = rng.bits(6);
-                match rng.below(3) {
+                let k = rng.next_bits(6);
+                match rng.next_below(3) {
                     0 => assert_eq!(c.insert(k), model.insert(k), "insert({k})"),
                     1 => assert_eq!(c.remove(k), model.remove(&k), "remove({k})"),
                     _ => assert_eq!(c.contains(k), model.contains(&k), "contains({k})"),

@@ -16,8 +16,8 @@
 //!   per-shard sub-batches **in parallel** on the workspace pool. Its
 //!   rebalance pass is self-tuning: always-on [`RebalanceStats`] track
 //!   per-shard traffic and imbalance, and the shard count doubles or
-//!   halves between configurable bounds ([`ShardTuning`]) as occupancy
-//!   and traffic demand. It implements the full canonical trait
+//!   halves between the bounds its type names (`ShardedSet<S, N, MIN,
+//!   MAX>`) as occupancy and traffic demand. It implements the full canonical trait
 //!   hierarchy itself, so the conformance suite, the equivalence and
 //!   determinism tests, and `fgraph::SetGraph` all gate it unchanged.
 //! * [`Combiner<S>`] is a flat-combining writer front-end: any thread may
@@ -57,6 +57,5 @@ pub use combiner::{Combiner, CombinerConfig, CombinerStats, Op};
 pub use cpma_api::{Persist, PersistError};
 pub use cpma_persist::{FsyncPolicy, RecoveryReport, WalConfig};
 pub use sharded::{
-    RebalanceStats, ShardTuning, ShardedSet, DEFAULT_TARGET_PER_SHARD, REBALANCE_MIN_PER_SHARD,
-    SKEW_FACTOR,
+    RebalanceStats, ShardedSet, REBALANCE_MIN_PER_SHARD, SKEW_FACTOR, TARGET_PER_SHARD,
 };

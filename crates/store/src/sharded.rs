@@ -45,11 +45,10 @@
 //! feeds [`RebalanceStats`] (per-shard batch-op counts since the last
 //! reshard, rebalance triggers, post-rebalance imbalance), and the
 //! rebalance check picks the next shard count from those statistics by
-//! doubling or halving between [`ShardTuning::min_shards`] and
-//! [`ShardTuning::max_shards`]:
+//! doubling or halving between the type's `MIN` and `MAX` bounds:
 //!
 //! * **grow** (double) when the mean shard occupancy exceeds twice
-//!   [`ShardTuning::target_per_shard`], or when one shard absorbed more
+//!   [`TARGET_PER_SHARD`], or when one shard absorbed more
 //!   than three quarters of the batch traffic in the current counting
 //!   window (splitting the hot range spreads future batch fan-out);
 //! * **shrink** (halve) when the mean occupancy falls below half the
@@ -62,15 +61,14 @@
 //! equivalence, and determinism suites at any thread budget.
 //!
 //! By default the shard count is **pinned** to the const parameter `N`
-//! (`min_shards == max_shards == N` — exactly the pre-autotuning
-//! behaviour). Opt in either at the type level via the trailing
-//! `MIN`/`MAX` const parameters (`ShardedSet<Cpma, 4, 1, 64>`), which
-//! keeps the trait constructors (`new_set`/`build_sorted`) usable by the
-//! generic suites, or at runtime via [`ShardedSet::set_tuning`].
+//! (both bounds equal `N` — exactly the pre-autotuning behaviour). The
+//! trailing `MIN`/`MAX` const parameters opt in (`ShardedSet<Cpma, 4, 1,
+//! 64>`): the type is the only place tuning is set, which keeps the trait
+//! constructors (`new_set`/`build_sorted`) usable by the generic suites.
 
 use cpma_api::{
-    range_to_inclusive, BatchOp, BatchOutcome, BatchSet, CatchUp, ConfigError, OrderedSet,
-    ParallelChunks, Persist, PersistError, RangeSet, SetKey,
+    range_to_inclusive, BatchOp, BatchOutcome, BatchSet, CatchUp, OrderedSet, ParallelChunks,
+    Persist, PersistError, RangeSet, SetKey,
 };
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
@@ -86,73 +84,11 @@ pub const REBALANCE_MIN_PER_SHARD: usize = 256;
 /// many times the mean shard load.
 pub const SKEW_FACTOR: usize = 2;
 
-/// Default [`ShardTuning::target_per_shard`]: the mean shard occupancy
-/// the autotuner steers toward (grow above 2×, shrink below ½×).
-pub const DEFAULT_TARGET_PER_SHARD: usize = 1024;
-
-/// Shard-count bounds and sizing target for [`ShardedSet`]'s autotuner.
-///
-/// `min_shards == max_shards` pins the shard count (autotuning off) —
-/// that is the default, with both bounds equal to the type's `N`.
-///
-/// # Examples
-///
-/// ```
-/// use cpma_store::ShardTuning;
-///
-/// let t = ShardTuning::auto(1, 64);
-/// assert!(t.check().is_ok());
-/// assert!(ShardTuning::auto(8, 4).check().is_err()); // min > max
-/// assert_eq!(ShardTuning::fixed(4).max_shards, 4);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardTuning {
-    /// Lower bound for the autotuned shard count (inclusive, ≥ 1).
-    pub min_shards: usize,
-    /// Upper bound for the autotuned shard count (inclusive).
-    pub max_shards: usize,
-    /// Mean elements per shard the autotuner steers toward: grow when the
-    /// mean exceeds `2 × target_per_shard`, shrink when it falls below
-    /// `target_per_shard / 2`. The factor-four hysteresis band keeps a
-    /// doubling from immediately re-triggering a halving.
-    pub target_per_shard: usize,
-}
-
-impl ShardTuning {
-    /// Pin the shard count to exactly `n` (autotuning off).
-    pub fn fixed(n: usize) -> Self {
-        Self {
-            min_shards: n,
-            max_shards: n,
-            target_per_shard: DEFAULT_TARGET_PER_SHARD,
-        }
-    }
-
-    /// Autotune between `min` and `max` shards with the default
-    /// occupancy target.
-    pub fn auto(min: usize, max: usize) -> Self {
-        Self {
-            min_shards: min,
-            max_shards: max,
-            target_per_shard: DEFAULT_TARGET_PER_SHARD,
-        }
-    }
-
-    /// Check parameter validity ([`ShardedSet::set_tuning`] returns this;
-    /// the trait constructors assert it).
-    pub fn check(&self) -> Result<(), ConfigError> {
-        if self.min_shards < 1 {
-            return Err(ConfigError::new("min_shards", "must be at least 1"));
-        }
-        if self.max_shards < self.min_shards {
-            return Err(ConfigError::new("max_shards", "must be ≥ min_shards"));
-        }
-        if self.target_per_shard < 1 {
-            return Err(ConfigError::new("target_per_shard", "must be at least 1"));
-        }
-        Ok(())
-    }
-}
+/// The mean shard occupancy the autotuner steers toward: grow when the
+/// mean exceeds `2 × TARGET_PER_SHARD`, shrink when it falls below
+/// `TARGET_PER_SHARD / 2`. The factor-four hysteresis band keeps a
+/// doubling from immediately re-triggering a halving.
+pub const TARGET_PER_SHARD: usize = 1024;
 
 /// Always-on rebalance and autotuning statistics for a [`ShardedSet`].
 ///
@@ -190,10 +126,10 @@ pub struct RebalanceStats {
     /// mean).
     pub skew_rebalances: u64,
     /// Reshardings that increased the shard count (a doubling, or one
-    /// clamp jump up to new [`ShardTuning`] bounds after `set_tuning`).
+    /// clamp jump up into the type's bounds after a load).
     pub grows: u64,
     /// Reshardings that decreased the shard count (a halving, or one
-    /// clamp jump down to new [`ShardTuning`] bounds after `set_tuning`).
+    /// clamp jump down into the type's bounds after a load).
     pub shrinks: u64,
     /// Imbalance after the most recent rebalance/reshard: fullest shard
     /// over mean occupancy, in permille (1000 = perfectly balanced; 0 =
@@ -239,7 +175,7 @@ impl RebalanceStats {
 /// use cpma_store::ShardedSet;
 /// use std::collections::BTreeSet;
 ///
-/// // Fixed at 4 shards (the default tuning pins the count to N).
+/// // Fixed at 4 shards (without `MIN`/`MAX` the count is pinned to N).
 /// let keys: Vec<u64> = (0..1000).collect();
 /// let s: ShardedSet<BTreeSet<u64>, 4> = BatchSet::build_sorted(&keys);
 /// assert_eq!(s.shard_count(), 4);
@@ -304,8 +240,6 @@ pub struct ShardedSet<S, const N: usize = 8, const MIN: usize = 0, const MAX: us
     /// `splitters[i]` = smallest key (widened to `u64`) routed to shard
     /// `i + 1`; strictly context-dependent but always non-decreasing.
     splitters: Vec<u64>,
-    /// Autotuner bounds and occupancy target.
-    tuning: ShardTuning,
     /// Always-on rebalance/traffic counters.
     stats: RebalanceStats,
     /// Registry mirror of `stats` (see [`StoreCounters`]).
@@ -352,22 +286,17 @@ fn learned_splitters<K: SetKey>(n: usize, elems: &[K]) -> Vec<u64> {
 }
 
 impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN, MAX> {
-    /// The tuning resolved from the const parameters: `0` sentinels pin
-    /// the count to `N`.
-    fn const_tuning() -> ShardTuning {
-        ShardTuning {
-            min_shards: if MIN == 0 { N } else { MIN },
-            max_shards: if MAX == 0 { N } else { MAX },
-            target_per_shard: DEFAULT_TARGET_PER_SHARD,
-        }
-    }
+    /// Autotuner bounds resolved from the const parameters: `0` sentinels
+    /// pin the count to `N`.
+    const MIN_SHARDS: usize = if MIN == 0 { N } else { MIN };
+    const MAX_SHARDS: usize = if MAX == 0 { N } else { MAX };
 
-    fn fresh(shards: Vec<S>, splitters: Vec<u64>) -> Self {
-        assert!(N >= 1, "ShardedSet needs at least one shard");
-        let tuning = Self::const_tuning();
-        if let Err(e) = tuning.check() {
-            panic!("{e}");
-        }
+    /// A set over `shards` split at `splitters`, its statistics zeroed.
+    fn assemble(shards: Vec<S>, splitters: Vec<u64>) -> Self {
+        assert!(
+            N >= 1 && Self::MIN_SHARDS >= 1 && Self::MIN_SHARDS <= Self::MAX_SHARDS,
+            "ShardedSet needs N ≥ 1 and 1 ≤ MIN ≤ MAX shards"
+        );
         let stats = RebalanceStats {
             shard_batch_ops: vec![0; shards.len()],
             ..RebalanceStats::default()
@@ -377,7 +306,6 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         Self {
             shards,
             splitters,
-            tuning,
             stats,
             counters,
             rebuilds: 0,
@@ -397,8 +325,8 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         self.shards.iter().map(|s| s.len()).collect()
     }
 
-    /// The live shard count (starts at `N`; moves within the tuning
-    /// bounds when autotuning is enabled).
+    /// The live shard count (starts at `N`; moves within `MIN..=MAX` when
+    /// autotuning is enabled).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -412,20 +340,6 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
     /// splitters `i − 1` and `i`).
     pub fn shards(&self) -> &[S] {
         &self.shards
-    }
-
-    /// The active autotuner bounds and target.
-    pub fn tuning(&self) -> &ShardTuning {
-        &self.tuning
-    }
-
-    /// Replace the autotuner configuration. Takes effect at the next
-    /// batch update's rebalance check (which also clamps an out-of-bounds
-    /// current count back into `[min_shards, max_shards]`).
-    pub fn set_tuning(&mut self, tuning: ShardTuning) -> Result<(), ConfigError> {
-        tuning.check()?;
-        self.tuning = tuning;
-        Ok(())
     }
 
     /// The rebalance/traffic statistics accumulated so far.
@@ -489,15 +403,16 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
 
     /// The shard count the statistics ask for: double while occupancy or
     /// traffic concentration warrants it, halve while the set is too
-    /// empty for its shards, clamp into the tuning bounds. Depends only
-    /// on stored contents and deterministic batch-op counters.
+    /// empty for its shards, clamp into the type's bounds (a loaded set
+    /// may hold any count). Depends only on stored contents and
+    /// deterministic batch-op counters.
     fn desired_shard_count(&self, total: usize) -> usize {
         let cur = self.shards.len();
-        let t = &self.tuning;
-        if cur < t.min_shards || cur > t.max_shards {
-            return cur.clamp(t.min_shards, t.max_shards);
+        let (min, max) = (Self::MIN_SHARDS, Self::MAX_SHARDS);
+        if cur < min || cur > max {
+            return cur.clamp(min, max);
         }
-        let overfull = total > cur * 2 * t.target_per_shard;
+        let overfull = total > cur * 2 * TARGET_PER_SHARD;
         // Traffic concentration: one shard absorbed > ¾ of a full op
         // window — splitting its range spreads future batch fan-out.
         let window: u64 = self.stats.shard_batch_ops.iter().sum();
@@ -510,19 +425,15 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
             .unwrap_or(0);
         let window_ready = window >= (cur * REBALANCE_MIN_PER_SHARD) as u64;
         let hot_traffic = cur >= 2 && window_ready && hot * 4 > window * 3;
-        if cur < t.max_shards && (overfull || hot_traffic) {
-            return (cur * 2).min(t.max_shards);
+        if cur < max && (overfull || hot_traffic) {
+            return (cur * 2).min(max);
         }
         // Shrinking is pure cost-saving, so it is lazy: it waits for a
         // full traffic window since the last splitter change and never
         // fires while that window is concentrated on one shard (which
         // would undo a traffic-driven grow and oscillate).
-        if cur > t.min_shards
-            && window_ready
-            && !hot_traffic
-            && total * 2 < cur * t.target_per_shard
-        {
-            return (cur / 2).max(t.min_shards);
+        if cur > min && window_ready && !hot_traffic && total * 2 < cur * TARGET_PER_SHARD {
+            return (cur / 2).max(min);
         }
         cur
     }
@@ -703,7 +614,7 @@ impl<
     > BatchSet<K> for ShardedSet<S, N, MIN, MAX>
 {
     fn new_set() -> Self {
-        Self::fresh((0..N).map(|_| S::new_set()).collect(), default_splitters(N))
+        Self::assemble((0..N).map(|_| S::new_set()).collect(), default_splitters(N))
     }
 
     fn build_sorted(elems: &[K]) -> Self {
@@ -714,7 +625,7 @@ impl<
             .into_par_iter()
             .map(|i| S::build_sorted(&elems[bounds[i]..bounds[i + 1]]))
             .collect();
-        Self::fresh(shards, splitters)
+        Self::assemble(shards, splitters)
     }
 
     fn insert_batch_sorted(&mut self, batch: &[K]) -> usize {
@@ -881,8 +792,8 @@ impl<
     }
 }
 
-/// Manifest codec id inside the [`SnapshotEnvelope`] (`1` and `2` are the
-/// PMA leaf codecs; never reuse or renumber).
+/// Manifest codec id inside the [`SnapshotEnvelope`] (the PMA leaf codecs
+/// hold the small ids — the `Cpma`'s is 3; never reuse or renumber).
 const MANIFEST_CODEC_ID: u32 = 100;
 
 /// File name of shard `i` inside a [`ShardedSet`] checkpoint directory.
@@ -898,7 +809,7 @@ fn parse_shard_name(name: &str) -> Option<usize> {
 /// Shard-per-file checkpoints: `save` writes a *directory* holding one
 /// backend snapshot per shard (each via `S::save`, so each file is
 /// individually checksummed) plus a `MANIFEST` that records the shard
-/// count, the [`ShardTuning`], and the splitters — itself a checksummed
+/// count and the splitters — itself a checksummed
 /// [`SnapshotEnvelope`], written atomically and written **last**, so a
 /// fresh checkpoint directory is all-or-nothing at the manifest: until
 /// the manifest lands, `load` fails typed and recovery falls back to an
@@ -909,11 +820,11 @@ fn parse_shard_name(name: &str) -> Option<usize> {
 /// durable [`Combiner`](crate::Combiner) always checkpoints into a fresh
 /// `checkpoint-<seq>` directory.
 ///
-/// `load` restores the persisted shard count, tuning, and splitters
-/// (validated: tuning via [`ShardTuning::check`], splitters ascending and
-/// exactly `count − 1`) — the const parameters `N`/`MIN`/`MAX` of the
-/// loading type are *not* consulted, so a set saved mid-autotune reloads
-/// exactly as it was. Traffic statistics restart at zero.
+/// `load` restores the persisted shard count and splitters (validated:
+/// splitters ascending and exactly `count − 1`), so a set saved
+/// mid-autotune reloads exactly as it was; the loading type's `MIN`/`MAX`
+/// bounds then apply, and a count outside them is clamped at the next
+/// batch. Traffic statistics restart at zero.
 impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
     for ShardedSet<S, N, MIN, MAX>
 {
@@ -933,9 +844,6 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
         }
         let mut meta = Vec::new();
         meta.put_u32(self.shards.len() as u32);
-        meta.put_u64(self.tuning.min_shards as u64);
-        meta.put_u64(self.tuning.max_shards as u64);
-        meta.put_u64(self.tuning.target_per_shard as u64);
         let mut payload = Vec::with_capacity(self.splitters.len() * 8);
         for &s in &self.splitters {
             payload.put_u64(s);
@@ -959,19 +867,10 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
         }
         let mut r = ByteReader::new(manifest.meta);
         let count = r.u32("shard count")? as usize;
-        let as_usize = |v: u64, what: &'static str| {
-            usize::try_from(v).map_err(|_| PersistError::Corrupt(format!("{what} {v} too large")))
-        };
-        let tuning = ShardTuning {
-            min_shards: as_usize(r.u64("min_shards")?, "min_shards")?,
-            max_shards: as_usize(r.u64("max_shards")?, "max_shards")?,
-            target_per_shard: as_usize(r.u64("target_per_shard")?, "target_per_shard")?,
-        };
         r.expect_end("sharded manifest meta")?;
         if count == 0 {
             return Err(PersistError::Corrupt("manifest has zero shards".into()));
         }
-        tuning.check().map_err(PersistError::Config)?;
         if manifest.payload.len() != (count - 1) * 8 {
             return Err(PersistError::Corrupt(format!(
                 "manifest has {} splitter bytes for {count} shards",
@@ -990,19 +889,7 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
         for i in 0..count {
             shards.push(S::load(&path.join(shard_file_name(i)))?);
         }
-        let counters = StoreCounters::new();
-        counters.shards.set(shards.len() as i64);
-        Ok(Self {
-            shards,
-            splitters,
-            tuning,
-            stats: RebalanceStats {
-                shard_batch_ops: vec![0; count],
-                ..RebalanceStats::default()
-            },
-            counters,
-            rebuilds: 0,
-        })
+        Ok(Self::assemble(shards, splitters))
     }
 }
 
@@ -1015,10 +902,7 @@ mod tests {
 
     fn with_splitters(splitters: Vec<u64>) -> Sharded4 {
         let shards = (0..splitters.len() + 1).map(|_| BTreeSet::new()).collect();
-        let mut s = Sharded4::fresh(shards, Vec::new());
-        s.splitters = splitters;
-        s.stats.shard_batch_ops = vec![0; s.shards.len()];
-        s
+        Sharded4::assemble(shards, splitters)
     }
 
     #[test]
@@ -1116,16 +1000,28 @@ mod tests {
         assert!(OrderedSet::is_empty(&s));
     }
 
+    /// A set holding more or fewer shards than its type allows — what a
+    /// checkpoint saved by a differently-bounded type loads as — is
+    /// clamped into the bounds at its next batch, in one jump each way.
     #[test]
-    fn set_tuning_clamps_out_of_bounds_count() {
-        let mut s: ShardedSet<BTreeSet<u64>, 8> = BatchSet::new_set();
-        assert_eq!(s.shard_count(), 8);
-        s.set_tuning(ShardTuning::fixed(2)).unwrap();
-        s.insert_batch_sorted(&[1, 2, 3]);
-        assert_eq!(s.shard_count(), 2, "clamp to the new bounds");
-        assert_eq!(RangeSet::to_vec(&s), vec![1, 2, 3]);
-        assert!(s.set_tuning(ShardTuning::auto(0, 4)).is_err());
-        assert!(s.set_tuning(ShardTuning::auto(4, 2)).is_err());
+    fn out_of_bounds_count_clamps_at_next_batch() {
+        fn holding<const N: usize, const MIN: usize, const MAX: usize>(
+            count: usize,
+        ) -> ShardedSet<BTreeSet<u64>, N, MIN, MAX> {
+            let shards = (0..count).map(|_| BTreeSet::new()).collect();
+            ShardedSet::assemble(shards, default_splitters(count))
+        }
+        let mut pinned = holding::<2, 0, 0>(8);
+        assert_eq!(pinned.shard_count(), 8);
+        pinned.insert_batch_sorted(&[1, 2, 3]);
+        assert_eq!(pinned.shard_count(), 2, "clamped down to N");
+        assert_eq!(pinned.rebalance_stats().shrinks, 1);
+        assert_eq!(RangeSet::to_vec(&pinned), vec![1, 2, 3]);
+        let mut auto = holding::<4, 4, 16>(1);
+        auto.insert_batch_sorted(&[5]);
+        assert_eq!(auto.shard_count(), 4, "clamped up to MIN");
+        assert_eq!(auto.rebalance_stats().grows, 1);
+        assert_eq!(RangeSet::to_vec(&auto), vec![5]);
     }
 
     #[test]

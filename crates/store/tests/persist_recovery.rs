@@ -6,11 +6,11 @@
 //! every cut point (mid-record, at record boundaries, inside the segment
 //! header), plus mid-checkpoint crashes and plain between-epoch reopens.
 
-use cpma_api::testkit::Rng;
+use cpma_api::testkit::SplitMix64;
 use cpma_api::{BatchSet, OrderedSet, Persist, PersistError, RangeSet};
 use cpma_persist::{recover, FsyncPolicy, WalConfig};
 use cpma_pma::Cpma;
-use cpma_store::{Combiner, CombinerConfig, Op, ShardTuning, ShardedSet};
+use cpma_store::{Combiner, CombinerConfig, Op, ShardedSet};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -53,12 +53,12 @@ fn sole_segment(dir: &Path) -> PathBuf {
 
 /// One pseudo-random mixed burst per epoch; applying it to a `BTreeSet`
 /// tracks exactly what the combiner acknowledges.
-fn epoch_burst(rng: &mut Rng, model: &mut BTreeSet<u64>) -> Vec<Op<u64>> {
-    let n = 8 + rng.below(25) as usize;
+fn epoch_burst(rng: &mut SplitMix64, model: &mut BTreeSet<u64>) -> Vec<Op<u64>> {
+    let n = 8 + rng.next_below(25) as usize;
     (0..n)
         .map(|_| {
-            let k = rng.bits(9);
-            if rng.below(3) == 0 {
+            let k = rng.next_bits(9);
+            if rng.next_below(3) == 0 {
                 model.remove(&k);
                 Op::Remove(k)
             } else {
@@ -90,7 +90,7 @@ fn kill_points_at_every_wal_byte() {
         Combiner::<Cpma>::open_durable(CombinerConfig::default(), wal_config(&dir)).unwrap();
     assert_eq!(report.last_seq, 0);
 
-    let mut rng = Rng::new(0x4B31_0001);
+    let mut rng = SplitMix64::new(0x4B31_0001);
     let mut model = BTreeSet::new();
     // `states[e]` = oracle contents after e epochs; `ends[e]` = segment
     // length once epoch e is fully logged (ends[0] = header only).
@@ -160,7 +160,7 @@ fn kill_points_at_every_wal_byte() {
 #[test]
 fn between_epoch_reopen_continues_exactly() {
     let dir = tmp_dir("reopen");
-    let mut rng = Rng::new(0xEB0C);
+    let mut rng = SplitMix64::new(0xEB0C);
     let mut model = BTreeSet::new();
     let mut epochs = 0u64;
     for round in 0..3 {
@@ -195,7 +195,7 @@ fn mid_checkpoint_crash_falls_back() {
     let mut cfg = wal_config(&dir);
     cfg.keep_checkpoints = 4;
     let (combiner, _) = Combiner::<Cpma>::open_durable(CombinerConfig::default(), cfg).unwrap();
-    let mut rng = Rng::new(0xC4A5);
+    let mut rng = SplitMix64::new(0xC4A5);
     let mut model = BTreeSet::new();
     for _ in 0..5 {
         combiner.submit_many(&epoch_burst(&mut rng, &mut model));
@@ -251,7 +251,7 @@ fn rotation_and_recovery_on_sharded_stack() {
     let mut cfg = wal_config(&dir);
     cfg.rotate_bytes = 2_000; // force frequent checkpoint+rotate
     let (combiner, _) = Combiner::<Store>::open_durable(CombinerConfig::default(), cfg).unwrap();
-    let mut rng = Rng::new(0x5AD0);
+    let mut rng = SplitMix64::new(0x5AD0);
     let mut model = BTreeSet::new();
     for _ in 0..40 {
         combiner.submit_many(&epoch_burst(&mut rng, &mut model));
@@ -291,29 +291,33 @@ fn rotation_and_recovery_on_sharded_stack() {
 /// snapshot posing as a manifest.
 #[test]
 fn sharded_manifest_roundtrip_and_corruption() {
+    type Auto = ShardedSet<Cpma, 4, 2, 16>;
     let dir = tmp_dir("manifest");
-    let mut set: ShardedSet<Cpma, 4> = BatchSet::new_set();
-    set.set_tuning(ShardTuning::auto(2, 16)).unwrap();
+    let mut set: Auto = BatchSet::new_set();
     let keys: Vec<u64> = (0..30_000u64).map(|i| i * 3 + 1).collect();
     set.insert_batch_sorted(&keys);
+    assert!(set.shard_count() > 4, "the autotuner never grew");
     let path = dir.join("ckpt");
     set.save(&path).unwrap();
 
-    let back = ShardedSet::<Cpma, 4>::load(&path).unwrap();
+    let back = Auto::load(&path).unwrap();
     assert_eq!(back.to_vec(), set.to_vec());
     assert_eq!(back.shard_count(), set.shard_count());
     assert_eq!(back.splitters(), set.splitters());
-    assert_eq!(back.tuning(), set.tuning());
 
-    // Re-save after shrinking must clear stale shard files.
-    let mut shrunk = back;
-    shrunk.set_tuning(ShardTuning::fixed(2)).unwrap();
+    // Loaded by a type pinned to 2 shards, the set keeps its count until
+    // its next batch clamps it; re-saving after that shrink must clear
+    // the stale shard files.
+    let mut shrunk = ShardedSet::<Cpma, 2>::load(&path).unwrap();
+    assert_eq!(shrunk.shard_count(), set.shard_count());
     shrunk.remove_batch_sorted(&keys);
     shrunk.insert_batch_sorted(&[7, 9]);
+    assert_eq!(shrunk.shard_count(), 2);
     shrunk.save(&path).unwrap();
+    assert!(!path.join("shard-00002").exists(), "stale shard file kept");
     let reloaded = ShardedSet::<Cpma, 4>::load(&path).unwrap();
     assert_eq!(reloaded.to_vec(), vec![7, 9]);
-    assert_eq!(reloaded.shard_count(), shrunk.shard_count());
+    assert_eq!(reloaded.shard_count(), 2);
 
     // Manifest byte flips: typed error, never a panic.
     let manifest = path.join("MANIFEST");
@@ -348,6 +352,42 @@ fn sharded_manifest_roundtrip_and_corruption() {
             found: 3
         })
     ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The manifest's meta section is the shard count alone. One written in
+/// the older layout — the count plus three tuning words, 28 bytes — under
+/// checksums that verify is refused typed, not read as a count.
+#[test]
+fn old_manifest_meta_is_refused() {
+    use cpma_persist::snapshot::{ByteSink, SnapshotEnvelope};
+    let dir = tmp_dir("old-manifest");
+    let set: ShardedSet<Cpma, 4> = BatchSet::build_sorted(&(0..5_000u64).collect::<Vec<_>>());
+    let path = dir.join("ckpt");
+    set.save(&path).unwrap();
+    let manifest = path.join("MANIFEST");
+    let bytes = std::fs::read(&manifest).unwrap();
+    let env = SnapshotEnvelope::from_bytes(&bytes).unwrap();
+    assert_eq!(env.meta, 4u32.to_le_bytes());
+    let mut meta = env.meta.to_vec();
+    for word in [4u64, 4, 1024] {
+        meta.put_u64(word);
+    }
+    assert_eq!(meta.len(), 28);
+    std::fs::write(
+        &manifest,
+        SnapshotEnvelope { meta: &meta, ..env }.to_bytes(),
+    )
+    .unwrap();
+    assert!(matches!(
+        ShardedSet::<Cpma, 4>::load(&path),
+        Err(PersistError::Corrupt(_))
+    ));
+    std::fs::write(&manifest, &bytes).unwrap();
+    assert_eq!(
+        ShardedSet::<Cpma, 4>::load(&path).unwrap().to_vec(),
+        set.to_vec()
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -10,7 +10,7 @@
 //! replica being written. Both, which branch every epoch takes and how
 //! many bytes its catch-up copies are checked here by count.
 
-use cpma_api::testkit::Rng;
+use cpma_api::testkit::SplitMix64;
 use cpma_api::{BatchOp, BatchSet, OrderedSet, Persist, RangeSet};
 use cpma_pma::{Cpma, LeafStorage, Pma, PmaCore};
 use cpma_store::{Combiner, CombinerStats, Op, ShardedSet};
@@ -197,33 +197,33 @@ enum Epoch {
 }
 
 /// Keys of the model are below 2⁴⁰; these never are.
-fn absent(rng: &mut Rng) -> u64 {
-    (1 << 41) + rng.bits(30)
+fn absent(rng: &mut SplitMix64) -> u64 {
+    (1 << 41) + rng.next_bits(30)
 }
 
 /// A stored key: the successor of a random one, wrapping to the minimum.
-fn stored(rng: &mut Rng, model: &BTreeSet<u64>) -> u64 {
-    let probe = rng.bits(40);
+fn stored(rng: &mut SplitMix64, model: &BTreeSet<u64>) -> u64 {
+    let probe = rng.next_bits(40);
     let next = model.range(probe..).next().or_else(|| model.first());
     *next.expect("the model is not empty")
 }
 
-fn burst(rng: &mut Rng, base: &[u64], model: &BTreeSet<u64>, epoch: Epoch) -> Vec<Op<u64>> {
-    let any_base = |rng: &mut Rng| base[rng.below(base.len() as u64) as usize];
+fn burst(rng: &mut SplitMix64, base: &[u64], model: &BTreeSet<u64>, epoch: Epoch) -> Vec<Op<u64>> {
+    let any_base = |rng: &mut SplitMix64| base[rng.next_below(base.len() as u64) as usize];
     match epoch {
         Epoch::Mixed(n) => (0..n)
-            .map(|_| match rng.below(4) {
-                0 | 1 => Op::Insert(rng.bits(40)),
+            .map(|_| match rng.next_below(4) {
+                0 | 1 => Op::Insert(rng.next_bits(40)),
                 2 => Op::Remove(any_base(rng)),
                 _ => Op::Contains(any_base(rng)),
             })
             .collect(),
-        Epoch::Fresh(n) => (0..n).map(|_| Op::Insert(rng.bits(40))).collect(),
+        Epoch::Fresh(n) => (0..n).map(|_| Op::Insert(rng.next_bits(40))).collect(),
         Epoch::Drain(n) => model.iter().take(n).map(|&k| Op::Remove(k)).collect(),
         Epoch::Probes(n) => (0..n).map(|_| Op::Contains(any_base(rng))).collect(),
         Epoch::NoOps { ops, effective } => (0..ops)
             .map(|i| match (i < effective, rng.chance(1, 2)) {
-                (true, _) => Op::Insert(rng.bits(40)),
+                (true, _) => Op::Insert(rng.next_bits(40)),
                 (false, true) => Op::Insert(stored(rng, model)),
                 (false, false) => Op::Remove(absent(rng)),
             })
@@ -253,8 +253,8 @@ fn catch_up_matches_single_history<S: Replica>(
     pin_readers: bool,
     image: impl Fn(&S) -> Vec<(String, Vec<u8>)>,
 ) -> CombinerStats {
-    let mut rng = Rng::new(seed);
-    let mut base: Vec<u64> = (0..base_len).map(|_| rng.bits(40)).collect();
+    let mut rng = SplitMix64::new(seed);
+    let mut base: Vec<u64> = (0..base_len).map(|_| rng.next_bits(40)).collect();
     base.sort_unstable();
     base.dedup();
     let mut model: BTreeSet<u64> = base.iter().copied().collect();
@@ -350,7 +350,7 @@ fn catch_up_matches_single_history<S: Replica>(
             keep
         });
         if pin_readers && rng.chance(1, 2) {
-            let until = e + 1 + rng.below(4) as usize;
+            let until = e + 1 + rng.next_below(4) as usize;
             held.push((snap.clone(), RangeSet::to_vec(&*snap), until));
         }
     }

@@ -5,7 +5,7 @@
 //! in the next published snapshot.
 
 use cpma_api::conformance::assert_ordered_set_contract;
-use cpma_api::testkit::Rng;
+use cpma_api::testkit::SplitMix64;
 use cpma_api::{BatchSet, OrderedSet, RangeSet};
 use cpma_pma::{Cpma, Pma};
 use cpma_store::{Combiner, Op, ShardedSet};
@@ -50,7 +50,7 @@ fn resharding_round_trip_grows_then_shrinks() {
 
     // Grow: three large batches walk the count up (one doubling per
     // rebalance pass while the mean occupancy stays above 2× target).
-    let mut rng = Rng::new(0x6707);
+    let mut rng = SplitMix64::new(0x6707);
     for _ in 0..3 {
         let batch = rng.sorted_batch(30_000, 26);
         let added = s.insert_batch_sorted(&batch);
@@ -116,7 +116,7 @@ fn resharding_round_trip_grows_then_shrinks() {
 fn sharded_set_is_transparent_at_any_shard_count() {
     // One workload, three shard counts, plus the unsharded backend: all
     // four must externally behave as the same abstract set.
-    let mut rng = Rng::new(0x7A77);
+    let mut rng = SplitMix64::new(0x7A77);
     let mut plain = Cpma::new_set();
     let mut s1: ShardedSet<Cpma, 1> = BatchSet::new_set();
     let mut s4: ShardedSet<Cpma, 4> = BatchSet::new_set();
@@ -149,8 +149,8 @@ fn sharded_set_is_transparent_at_any_shard_count() {
 /// model even under full concurrency, and an acknowledged write must be
 /// visible in the next snapshot taken (the leader publishes before it
 /// acknowledges).
-fn striped_key(thread: u64, rng: &mut Rng) -> u64 {
-    (thread << 32) | rng.bits(10)
+fn striped_key(thread: u64, rng: &mut SplitMix64) -> u64 {
+    (thread << 32) | rng.next_bits(10)
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn linearizes_mixed_traffic_under_pinning_readers(
             .map(|r| {
                 let store = &store;
                 scope.spawn(move || {
-                    let mut rng = Rng::new(0x4EAD_0000 + r);
+                    let mut rng = SplitMix64::new(0x4EAD_0000 + r);
                     for _ in 0..reads_per_reader {
                         let snap = store.snapshot();
                         let contents = RangeSet::to_vec(&*snap);
@@ -195,7 +195,7 @@ fn linearizes_mixed_traffic_under_pinning_readers(
                             "snapshot contents must be strictly ascending"
                         );
                         assert_eq!(contents.len(), OrderedSet::len(&*snap));
-                        for _ in 0..=rng.below(8) {
+                        for _ in 0..=rng.next_below(8) {
                             std::thread::yield_now();
                         }
                         assert_eq!(
@@ -212,11 +212,11 @@ fn linearizes_mixed_traffic_under_pinning_readers(
             .map(|t| {
                 let store = &store;
                 scope.spawn(move || {
-                    let mut rng = Rng::new(0xAC5_0000 + t);
+                    let mut rng = SplitMix64::new(0xAC5_0000 + t);
                     let mut model: BTreeSet<u64> = BTreeSet::new();
                     for i in 0..ops_per_writer {
                         let k = striped_key(t, &mut rng);
-                        match rng.below(4) {
+                        match rng.next_below(4) {
                             0 | 1 => {
                                 let acked = store.insert(k);
                                 assert_eq!(acked, model.insert(k), "t{t} insert({k})");
@@ -295,13 +295,13 @@ fn combiner_linearizes_bursty_traffic() {
             .map(|t| {
                 let store = &store;
                 scope.spawn(move || {
-                    let mut rng = Rng::new(0xB57_0000 + t);
+                    let mut rng = SplitMix64::new(0xB57_0000 + t);
                     let mut model: BTreeSet<u64> = BTreeSet::new();
                     for burst in 0..BURSTS_PER_WRITER {
                         let ops: Vec<Op<u64>> = (0..BURST_LEN)
                             .map(|_| {
                                 let k = striped_key(t, &mut rng);
-                                match rng.below(4) {
+                                match rng.next_below(4) {
                                     0 | 1 => Op::Insert(k),
                                     2 => Op::Remove(k),
                                     _ => Op::Contains(k),
@@ -318,7 +318,7 @@ fn combiner_linearizes_bursty_traffic() {
                             assert_eq!(acked, want, "t{t} burst {burst} op {i} ({op:?})");
                         }
                         // Inter-burst idle gap (seeded jitter).
-                        std::thread::sleep(Duration::from_micros(200 + rng.below(300)));
+                        std::thread::sleep(Duration::from_micros(200 + rng.next_below(300)));
                     }
                     model
                 })

@@ -105,7 +105,5 @@ pub mod prelude {
     pub use crate::persist::{FsyncPolicy, RecoveryReport, WalConfig};
     pub use crate::pma::{Cpma, Pma, PmaConfig};
     pub use crate::service::{Client, Service, ServiceConfig};
-    pub use crate::store::{
-        Combiner, CombinerConfig, CombinerStats, RebalanceStats, ShardTuning, ShardedSet,
-    };
+    pub use crate::store::{Combiner, CombinerConfig, CombinerStats, RebalanceStats, ShardedSet};
 }

@@ -13,7 +13,7 @@
 //! three budgets to one — the comparisons then hold trivially, and the CI
 //! matrix's default-threads leg does the real cross-schedule comparison.
 
-use cpma::api::testkit::Rng;
+use cpma::api::testkit::SplitMix64;
 use cpma::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -46,7 +46,7 @@ struct Observations {
 /// PMA-family backends, parallel sort + dedup in `normalize_ops`
 /// everywhere), plus range sums and len/min/max probes.
 fn run_workload<S: BatchSet<u64> + RangeSet<u64>>(seed: u64) -> Observations {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut s = S::new_set();
     let mut obs = Observations {
         contents: Vec::new(),
@@ -75,8 +75,8 @@ fn run_workload<S: BatchSet<u64> + RangeSet<u64>>(seed: u64) -> Observations {
         let out = s.apply_batch(&mut ops, false);
         obs.counts.push(out.added);
         obs.counts.push(out.removed);
-        let a = rng.bits(24);
-        let b = rng.bits(24);
+        let a = rng.next_bits(24);
+        let b = rng.next_bits(24);
         obs.sums.push(s.range_sum(a.min(b)..=a.max(b)));
         obs.sums.push(s.range_sum(..));
         obs.sizes.push(s.len());
@@ -177,13 +177,13 @@ fn combiner_deterministic_across_thread_counts() {
     // replayed and the bytes it copied (`Count`/`Bytes` cells).
     fn run(seed: u64) -> (Vec<bool>, Vec<u64>, cpma::store::CombinerStats) {
         let c: Combiner<ShardedSet<Cpma, 4, 1, 16>> = Combiner::new(BatchSet::new_set());
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut acks = Vec::new();
         for _ in 0..40 {
-            let burst: Vec<cpma::store::Op<u64>> = (0..rng.below(200) + 1)
+            let burst: Vec<cpma::store::Op<u64>> = (0..rng.next_below(200) + 1)
                 .map(|_| {
-                    let k = rng.bits(14);
-                    match rng.below(3) {
+                    let k = rng.next_bits(14);
+                    match rng.next_below(3) {
                         0 => cpma::store::Op::Insert(k),
                         1 => cpma::store::Op::Remove(k),
                         _ => cpma::store::Op::Contains(k),
@@ -191,7 +191,7 @@ fn combiner_deterministic_across_thread_counts() {
                 })
                 .collect();
             acks.extend(c.submit_many(&burst));
-            acks.push(c.insert(rng.bits(14)));
+            acks.push(c.insert(rng.next_bits(14)));
         }
         assert_eq!(
             c.epochs_applied(),
@@ -234,13 +234,13 @@ fn service_round_trip_deterministic_across_thread_counts() {
         let (mut service, combiner) =
             Service::serve(Cpma::new(), ServiceConfig::default()).unwrap();
         let mut client = Client::connect(service.local_addr()).unwrap();
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut reply_bytes: Vec<Vec<u8>> = Vec::new();
         for _ in 0..12 {
-            let burst: Vec<Request> = (0..rng.below(150) + 1)
+            let burst: Vec<Request> = (0..rng.next_below(150) + 1)
                 .map(|_| {
-                    let k = rng.bits(10);
-                    match rng.below(6) {
+                    let k = rng.next_bits(10);
+                    match rng.next_below(6) {
                         0 => Request::Remove { seq: 0, key: k },
                         1 => Request::Contains { seq: 0, key: k },
                         2 => Request::RangeSum {
@@ -309,7 +309,7 @@ fn normalize_batch_deterministic_across_thread_counts() {
     // through; sorting u64s has one answer, but this pins the whole
     // pipeline (sort + dedup) across schedules.
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = Rng::new(0xBA7C4);
+    let mut rng = SplitMix64::new(0xBA7C4);
     let input = rng.keys(250_000, 18); // dense: plenty of duplicates
     let oracle = with_threads(1, || {
         let mut v = input.clone();
@@ -330,10 +330,10 @@ fn normalize_ops_deterministic_across_thread_counts() {
     // same-key duplication, last-op-wins dedup must pick the same op at
     // every thread count (submission order, not schedule order).
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = Rng::new(0x0B5C4);
+    let mut rng = SplitMix64::new(0x0B5C4);
     let input: Vec<BatchOp<u64>> = (0..200_000)
         .map(|_| {
-            let k = rng.bits(12); // ~4k distinct keys: long same-key runs
+            let k = rng.next_bits(12); // ~4k distinct keys: long same-key runs
             if rng.chance(1, 2) {
                 BatchOp::Insert(k)
             } else {
@@ -375,7 +375,7 @@ fn dir_image(path: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 /// A seeded batch history for the snapshot-determinism tests: both batch
 /// directions plus a mixed pass, all above the point-update cutoff.
 fn build_history<S: BatchSet<u64>>(seed: u64) -> S {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut s = S::new_set();
     for _ in 0..4 {
         let mut ins = rng.keys(4000, 24);
@@ -438,7 +438,7 @@ fn hybrid_codec_images_bit_identical_on_clustered_keys() {
         }
         // Thin out some runs so leaves cross the codec threshold in both
         // directions across redistributes.
-        let mut rng = Rng::new(seed ^ 0xF11);
+        let mut rng = SplitMix64::new(seed ^ 0xF11);
         let mut del: Vec<u64> = keys.iter().copied().filter(|_| rng.chance(1, 3)).collect();
         s.remove_batch(&mut del, false);
         let mut ops: Vec<BatchOp<u64>> = keys
@@ -519,11 +519,11 @@ fn durable_combiner_wal_and_recovery_bit_identical_across_thread_counts() {
                 Combiner::<ShardedSet<Cpma, 4>>::open_durable(CombinerConfig::default(), wal)
                     .unwrap();
             assert_eq!(report.last_seq, 0);
-            let mut rng = Rng::new(seed);
+            let mut rng = SplitMix64::new(seed);
             for _ in 0..12 {
-                let burst: Vec<cpma::store::Op<u64>> = (0..rng.below(300) + 8)
+                let burst: Vec<cpma::store::Op<u64>> = (0..rng.next_below(300) + 8)
                     .map(|_| {
-                        let k = rng.bits(12);
+                        let k = rng.next_bits(12);
                         if rng.chance(1, 3) {
                             cpma::store::Op::Remove(k)
                         } else {

@@ -1,10 +1,10 @@
 //! Property-based tests for the core invariants the paper's data
 //! structures must uphold under arbitrary inputs, driven by the in-repo
-//! randomized-test kit ([`cpma::api::testkit::Rng`]) — seeded and fully
+//! randomized-test kit ([`cpma::api::testkit::SplitMix64`]) — seeded and fully
 //! deterministic, no external property-testing dependency (the build
 //! environment is offline).
 
-use cpma::api::testkit::{sorted_unique, Rng};
+use cpma::api::testkit::{sorted_unique, SplitMix64};
 use cpma::pma::codec;
 use cpma::prelude::*;
 use std::collections::BTreeSet;
@@ -15,7 +15,7 @@ const CASES: u64 = 64;
 /// Byte codes round-trip any strictly increasing run.
 #[test]
 fn codec_roundtrip() {
-    let mut rng = Rng::new(0xC0DE);
+    let mut rng = SplitMix64::new(0xC0DE);
     for _ in 0..CASES {
         let elems = sorted_unique(rng.raw_keys(300));
         let len = codec::encoded_run_len(&elems, 8);
@@ -31,7 +31,7 @@ fn codec_roundtrip() {
 /// Varints round-trip any u64.
 #[test]
 fn varint_roundtrip() {
-    let mut rng = Rng::new(0x7A21);
+    let mut rng = SplitMix64::new(0x7A21);
     let probe = |v: u64| {
         let mut buf = [0u8; codec::MAX_VARINT_BYTES];
         let n = codec::write_varint(v, &mut buf);
@@ -44,15 +44,15 @@ fn varint_roundtrip() {
     probe(u64::MAX);
     for _ in 0..CASES * 4 {
         // Vary magnitude so every varint width is hit.
-        let bits = rng.below(64) as u32 + 1;
-        probe(rng.bits(bits));
+        let bits = rng.next_below(64) as u32 + 1;
+        probe(rng.next_bits(bits));
     }
 }
 
 /// Batch insert ≡ point inserts, for the PMA.
 #[test]
 fn pma_batch_equals_points() {
-    let mut rng = Rng::new(0xBA7C);
+    let mut rng = SplitMix64::new(0xBA7C);
     for _ in 0..CASES {
         let base = sorted_unique(rng.raw_keys(500));
         let mut batched = Pma::<u64>::from_sorted(&base);
@@ -76,11 +76,11 @@ fn pma_batch_equals_points() {
 /// operations (compression must be invisible).
 #[test]
 fn cpma_equals_pma() {
-    let mut rng = Rng::new(0xCE0A);
+    let mut rng = SplitMix64::new(0xCE0A);
     for _ in 0..CASES {
         let mut pma = Pma::<u64>::new();
         let mut cpma = Cpma::new();
-        let rounds = rng.below(7) + 1;
+        let rounds = rng.next_below(7) + 1;
         for _ in 0..rounds {
             let b = sorted_unique(rng.raw_keys(400).into_iter().chain([1]).collect());
             if rng.chance(1, 2) {
@@ -98,7 +98,7 @@ fn cpma_equals_pma() {
 /// delete ∘ insert ≡ identity on the CPMA.
 #[test]
 fn cpma_insert_then_delete_is_identity() {
-    let mut rng = Rng::new(0x1DE7);
+    let mut rng = SplitMix64::new(0x1DE7);
     for _ in 0..CASES {
         let base = sorted_unique(rng.raw_keys(600));
         let extra: Vec<u64> = sorted_unique(rng.raw_keys(600).into_iter().chain([3]).collect())
@@ -122,7 +122,7 @@ fn cpma_insert_then_delete_is_identity() {
 /// the inclusive forms can express, like `..=u64::MAX`).
 #[test]
 fn range_iter_agrees_with_for_range_and_btreeset_on_every_structure() {
-    fn check<S: BatchSet<u64> + RangeSet<u64>>(rng: &mut Rng) {
+    fn check<S: BatchSet<u64> + RangeSet<u64>>(rng: &mut SplitMix64) {
         let elems = sorted_unique(
             rng.raw_keys(500)
                 .into_iter()
@@ -160,7 +160,7 @@ fn range_iter_agrees_with_for_range_and_btreeset_on_every_structure() {
             }
         }
     }
-    let mut rng = Rng::new(0x4A63);
+    let mut rng = SplitMix64::new(0x4A63);
     for _ in 0..8 {
         check::<Pma<u64>>(&mut rng);
         check::<Cpma>(&mut rng);
@@ -175,7 +175,7 @@ fn range_iter_agrees_with_for_range_and_btreeset_on_every_structure() {
 /// successor() is the BTreeSet range lower bound.
 #[test]
 fn successor_matches_model() {
-    let mut rng = Rng::new(0x5CCE);
+    let mut rng = SplitMix64::new(0x5CCE);
     for _ in 0..CASES {
         let elems = sorted_unique(rng.raw_keys(400));
         let model: BTreeSet<u64> = elems.iter().copied().collect();
@@ -189,7 +189,7 @@ fn successor_matches_model() {
 /// Tree baselines implement the same set as the PMA (union semantics).
 #[test]
 fn baselines_match_pma() {
-    let mut rng = Rng::new(0xBA5E);
+    let mut rng = SplitMix64::new(0xBA5E);
     for _ in 0..CASES {
         let base = sorted_unique(rng.raw_keys(400));
         let batch = sorted_unique(rng.raw_keys(400));
@@ -219,13 +219,13 @@ fn baselines_match_pma() {
 /// Structural invariants hold after arbitrary mixed point operations.
 #[test]
 fn pma_invariants_under_point_ops() {
-    let mut rng = Rng::new(0x1417);
+    let mut rng = SplitMix64::new(0x1417);
     for _ in 0..CASES {
         let mut p = Pma::<u64>::new();
         let mut c = Cpma::new();
-        let ops = rng.below(600) as usize;
+        let ops = rng.next_below(600) as usize;
         for _ in 0..ops {
-            let k = rng.bits(32);
+            let k = rng.next_bits(32);
             if rng.chance(1, 2) {
                 p.insert(k);
                 c.insert(k);
@@ -243,7 +243,7 @@ fn pma_invariants_under_point_ops() {
 /// The std-idiom constructors agree with the batch API.
 #[test]
 fn from_iterator_and_extend_match_batches() {
-    let mut rng = Rng::new(0xF20E);
+    let mut rng = SplitMix64::new(0xF20E);
     for _ in 0..16 {
         let keys = rng.raw_keys(500);
         let collected: Cpma = keys.iter().copied().collect();

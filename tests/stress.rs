@@ -12,7 +12,7 @@
 //! schedule and on manual dispatch). They take minutes, which is the
 //! point.
 
-use cpma::api::testkit::Rng;
+use cpma::api::testkit::SplitMix64;
 use cpma::prelude::*;
 use cpma::workloads::{RmatGenerator, ZipfGenerator};
 use std::collections::BTreeSet;
@@ -42,7 +42,7 @@ where
 {
     let mut s = S::new_set();
     let mut model: BTreeSet<u64> = BTreeSet::new();
-    let mut rng = Rng::new(0x57E5_5000 ^ rounds as u64);
+    let mut rng = SplitMix64::new(0x57E5_5000 ^ rounds as u64);
     for round in 0..rounds {
         let mut ins = next_batch(round);
         let added = s.insert_batch(&mut ins, false);
@@ -73,7 +73,7 @@ where
         assert_eq!(removed, want_removed, "{tag} round {round}: remove count");
 
         assert_eq!(s.len(), model.len(), "{tag} round {round}: len");
-        let lo = rng.bits(30);
+        let lo = rng.next_bits(30);
         let hi = lo.saturating_add(1 << 28);
         let want_sum = model.range(lo..=hi).fold(0u64, |a, &k| a.wrapping_add(k));
         assert_eq!(
@@ -118,7 +118,7 @@ fn cpma_rmat_edge_batches_under_full_pool() {
 fn cpma_full_rebuild_regime_under_full_pool() {
     // Batches at k >= n/10 force the parallel whole-structure rebuild path
     // every round.
-    let mut rng = Rng::new(0x9E37);
+    let mut rng = SplitMix64::new(0x9E37);
     pounded::<Cpma>(|_| rng.keys(400_000, 26), 8, "CPMA/rebuild");
 }
 
@@ -142,11 +142,11 @@ fn store_combiner_oversubscribed_multi_writers() {
             .map(|t| {
                 let store = &store;
                 scope.spawn(move || {
-                    let mut rng = Rng::new(0x57E5_5100 + t);
+                    let mut rng = SplitMix64::new(0x57E5_5100 + t);
                     let mut model: BTreeSet<u64> = BTreeSet::new();
                     for i in 0..OPS_PER_WRITER {
-                        let k = (t << 40) | rng.bits(14);
-                        match rng.below(4) {
+                        let k = (t << 40) | rng.next_bits(14);
+                        match rng.next_below(4) {
                             0 | 1 => {
                                 assert_eq!(store.insert(k), model.insert(k), "t{t} insert({k})")
                             }
