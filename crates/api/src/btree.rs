@@ -1,7 +1,7 @@
 //! Trait implementations for [`std::collections::BTreeSet`] — the oracle
 //! the equivalence tests and the conformance suite compare against.
 
-use crate::{BatchSet, OrderedSet, ParallelChunks, RangeSet, SetKey};
+use crate::{buffered_chunks, BatchSet, OrderedSet, ParallelChunks, RangeSet, SetKey};
 use std::collections::BTreeSet;
 
 impl<K: SetKey> OrderedSet<K> for BTreeSet<K> {
@@ -55,12 +55,9 @@ impl<K: SetKey> BatchSet<K> for BTreeSet<K> {
 }
 
 impl<K: SetKey> RangeSet<K> for BTreeSet<K> {
-    fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
-        for &k in self.range(start..) {
-            if !f(k) {
-                return;
-            }
-        }
+    /// Std's B-tree does not expose its nodes: the keys are buffered.
+    fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool) {
+        buffered_chunks(f, |push| self.range(start..).all(|&k| push(k)));
     }
 }
 

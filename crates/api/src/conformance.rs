@@ -142,6 +142,10 @@ where
         check_range(&s, &model, lo.., name, round);
         check_range(&s, &model, ..hi, name, round);
         check_range(&s, &model, .., name, round);
+        assert_chunk_contract(&s, &model, lo, &format!("{name} round {round}"));
+    }
+    for start in [0, rng.next_bits(bits), u64::MAX] {
+        assert_chunk_contract(&s, &model, start, name);
     }
     let want: Vec<u64> = model.iter().copied().collect();
     assert_eq!(s.to_vec(), want, "{name}: final contents");
@@ -244,6 +248,7 @@ where
             .take(3)
             .collect();
         assert_eq!(got, want_prefix, "{name}: sparse scan_from({probe})");
+        assert_chunk_contract(&sp, &sparse.iter().copied().collect(), probe, name);
     }
     let want_contains: Vec<bool> = sparse_probes.iter().map(|k| sp.contains(*k)).collect();
     let want_succ: Vec<Option<u64>> = sparse_probes.iter().map(|k| sp.successor(*k)).collect();
@@ -480,6 +485,60 @@ fn reporting_and_catch_up_contract<S: BatchSet<u64> + RangeSet<u64>>(
             spare.size_bytes(),
             probing.size_bytes(),
             "{what}: caught-up size_bytes"
+        );
+    }
+}
+
+/// [`RangeSet::scan_chunks_from`] from `start` against the oracle: every
+/// chunk non-empty, at or above `start`, strictly ascending within itself
+/// and across the boundary with the chunk before; the chunks concatenate to
+/// the oracle's suffix from `start`; and a `false` from the visitor stops
+/// the scan right after that chunk. [`assert_ordered_set_contract`] runs it
+/// on every structure; suites that build a structure the contract's
+/// constructors cannot (a CPMA with its codec forced) call it directly.
+pub fn assert_chunk_contract<S: RangeSet<u64>>(
+    s: &S,
+    model: &BTreeSet<u64>,
+    start: u64,
+    name: &str,
+) {
+    let what = format!("{name}: scan_chunks_from({start})");
+    let (mut flat, mut lens) = (Vec::new(), Vec::new());
+    s.scan_chunks_from(start, &mut |chunk| {
+        let i = lens.len();
+        assert!(!chunk.is_empty(), "{what}: chunk {i} is empty");
+        assert!(
+            chunk[0] >= start,
+            "{what}: chunk {i} starts below the start"
+        );
+        assert!(
+            flat.last().is_none_or(|&prev| prev < chunk[0]),
+            "{what}: chunk {i} does not follow the chunk before it"
+        );
+        assert!(
+            chunk.windows(2).all(|w| w[0] < w[1]),
+            "{what}: chunk {i} not strictly ascending"
+        );
+        flat.extend_from_slice(chunk);
+        lens.push(chunk.len());
+        true
+    });
+    let want: Vec<u64> = model.range(start..).copied().collect();
+    assert_eq!(flat, want, "{what}: chunks differ from the oracle's suffix");
+    if lens.is_empty() {
+        return;
+    }
+    for stop in [0, lens.len() / 2, lens.len() - 1] {
+        let (mut calls, mut seen) = (0, 0);
+        s.scan_chunks_from(start, &mut |chunk| {
+            calls += 1;
+            seen += chunk.len();
+            calls <= stop
+        });
+        assert_eq!(
+            (calls, seen),
+            (stop + 1, lens[..=stop].iter().sum()),
+            "{what}: `false` at chunk {stop} did not stop the scan there"
         );
     }
 }

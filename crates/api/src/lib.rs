@@ -24,8 +24,9 @@
 //!   [`for_range`](RangeSet::for_range) (`set.for_range(a..=b, f)`),
 //!   [`range_sum`](RangeSet::range_sum) (`set.range_sum(a..b)`), and
 //!   [`range_iter`](RangeSet::range_iter). Implementors provide one
-//!   primitive — [`scan_from`](RangeSet::scan_from) — and may override the
-//!   derived methods with fast paths.
+//!   primitive — [`scan_chunks_from`](RangeSet::scan_chunks_from), which
+//!   hands out ascending slices a leaf or block at a time — and may
+//!   override the derived methods with fast paths.
 //!
 //! Keys implement [`SetKey`] (`u64` and `u32` here; the paper's artifact is
 //! a 64-bit key store).
@@ -409,48 +410,53 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
 
 /// Ordered scans and range queries with [`RangeBounds`] arguments.
 ///
-/// Implementors provide [`scan_from`](Self::scan_from); everything else has
-/// a default derived from it. Structures with cheaper whole-range paths
-/// (the PMA's whole-leaf `range_sum` fast path, say) override the derived
-/// methods.
+/// Implementors provide [`scan_chunks_from`](Self::scan_chunks_from), which
+/// hands out the stored elements as ascending slices — a PMA leaf's cells,
+/// a CPMA leaf decoded once, a tree's block — so a reader pays one call per
+/// chunk, not per key. Everything else, the per-key
+/// [`scan_from`](Self::scan_from) included, is a default over it.
+/// Structures with cheaper whole-range paths (the PMA's whole-leaf
+/// `range_sum` fast path, say) override the derived methods.
 pub trait RangeSet<K: SetKey>: OrderedSet<K> {
-    /// Visit stored elements ≥ `start` in ascending order until `f`
+    /// Hand the stored elements ≥ `start` to `f` as chunks, in ascending
+    /// order, until `f` returns `false`. Every chunk is non-empty and
+    /// strictly ascending, its first key above the last key of the chunk
+    /// before it; the scan stops after the first chunk for which `f`
     /// returns `false`.
-    fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool);
+    fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool);
+
+    /// Visit stored elements ≥ `start` in ascending order until `f`
+    /// returns `false`: one call per key, over
+    /// [`scan_chunks_from`](Self::scan_chunks_from)'s chunks.
+    fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
+        self.scan_chunks_from(start, &mut |chunk| chunk.iter().all(|&k| f(k)));
+    }
 
     /// Apply `f` to every element in `range`, in ascending order.
     ///
     /// Accepts any std range expression: `a..b`, `a..=b`, `a..`, `..b`, `..`.
     fn for_range<R: RangeBounds<K>>(&self, range: R, mut f: impl FnMut(K)) {
-        let Some((lo, hi)) = range_to_inclusive(&range) else {
-            return;
-        };
-        self.scan_from(lo, &mut |k| {
-            if k > hi {
-                false
-            } else {
-                f(k);
-                true
-            }
-        });
+        range_chunks(self, &range, |chunk| chunk.iter().for_each(|&k| f(k)));
     }
 
     /// Wrapping sum of the elements in `range` (the paper's range-query
     /// kernel), widened to `u64`.
     fn range_sum<R: RangeBounds<K>>(&self, range: R) -> u64 {
         let mut sum = 0u64;
-        self.for_range(range, |k| sum = sum.wrapping_add(k.to_u64()));
+        range_chunks(self, &range, |chunk| {
+            sum = chunk.iter().fold(sum, |s, &k| s.wrapping_add(k.to_u64()));
+        });
         sum
     }
 
     /// Iterator over the elements in `range`, ascending.
     ///
-    /// The default buffers the range; structures with native lazy iterators
-    /// may still prefer this for short ranges (one allocation, no per-item
-    /// indirection).
+    /// The default buffers the range, a chunk at a time; structures with
+    /// native lazy iterators may still prefer this for short ranges (one
+    /// allocation, no per-item indirection).
     fn range_iter<R: RangeBounds<K>>(&self, range: R) -> RangeIter<K> {
         let mut buf = Vec::new();
-        self.for_range(range, |k| buf.push(k));
+        range_chunks(self, &range, |chunk| buf.extend_from_slice(chunk));
         RangeIter {
             inner: buf.into_iter(),
         }
@@ -464,8 +470,58 @@ pub trait RangeSet<K: SetKey>: OrderedSet<K> {
     /// All elements, ascending, as a `Vec` (the baselines' `collect`).
     fn to_vec(&self) -> Vec<K> {
         let mut buf = Vec::with_capacity(self.len());
-        self.for_range(.., |k| buf.push(k));
+        self.scan_chunks_from(K::MIN, &mut |chunk| {
+            buf.extend_from_slice(chunk);
+            true
+        });
         buf
+    }
+}
+
+/// `set`'s elements in `range`, as ascending chunks:
+/// [`RangeSet::scan_chunks_from`] from the range's start, each chunk cut
+/// at its end.
+fn range_chunks<K: SetKey, S: RangeSet<K> + ?Sized>(
+    set: &S,
+    range: &impl RangeBounds<K>,
+    mut f: impl FnMut(&[K]),
+) {
+    let Some((lo, hi)) = range_to_inclusive(range) else {
+        return;
+    };
+    set.scan_chunks_from(lo, &mut |chunk| {
+        let inside = chunk.partition_point(|&k| k <= hi);
+        if inside > 0 {
+            f(&chunk[..inside]);
+        }
+        inside == chunk.len()
+    });
+}
+
+/// Keys per chunk that [`buffered_chunks`] hands out.
+const BUFFERED_CHUNK_KEYS: usize = 256;
+
+/// [`RangeSet::scan_chunks_from`] for a structure with no blocks of its own
+/// to hand out (the `BTreeSet` oracle, the node-per-key P-tree): `walk`
+/// pushes the keys ≥ the start in ascending order, stopping when the push
+/// returns `false`, and returns `false` iff it stopped; they reach `f` in
+/// buffered chunks of up to `BUFFERED_CHUNK_KEYS` keys.
+pub fn buffered_chunks<K: SetKey>(
+    f: &mut dyn FnMut(&[K]) -> bool,
+    walk: impl FnOnce(&mut dyn FnMut(K) -> bool) -> bool,
+) {
+    let mut buf = Vec::with_capacity(BUFFERED_CHUNK_KEYS);
+    let finished = walk(&mut |k| {
+        buf.push(k);
+        if buf.len() < BUFFERED_CHUNK_KEYS {
+            return true;
+        }
+        let live = f(&buf);
+        buf.clear();
+        live
+    });
+    if finished && !buf.is_empty() {
+        f(&buf);
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::pactree::BlockPayload;
 use crate::{CTreeSet, PTree, PacTree};
-use cpma_api::{BatchSet, OrderedSet, ParallelChunks, RangeSet};
+use cpma_api::{buffered_chunks, BatchSet, OrderedSet, ParallelChunks, RangeSet};
 
 // ---------------------------------------------------------------- P-tree
 
@@ -58,8 +58,9 @@ impl BatchSet<u64> for PTree {
 }
 
 impl RangeSet<u64> for PTree {
-    fn scan_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) {
-        self.for_each_from(start, f);
+    /// A node per key, no blocks: the in-order walk is buffered.
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
+        buffered_chunks(f, |push| self.for_each_from(start, push));
     }
 
     fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
@@ -96,8 +97,8 @@ impl<P: BlockPayload> OrderedSet<u64> for PacTree<P> {
 
     fn successor(&self, key: u64) -> Option<u64> {
         let mut out = None;
-        self.for_each_from(key, &mut |e| {
-            out = Some(e);
+        self.chunks_from(key, &mut |chunk| {
+            out = Some(chunk[0]);
             false
         });
         out
@@ -127,8 +128,9 @@ impl<P: BlockPayload> BatchSet<u64> for PacTree<P> {
 }
 
 impl<P: BlockPayload> RangeSet<u64> for PacTree<P> {
-    fn scan_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) {
-        self.for_each_from(start, f);
+    /// One chunk per block.
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
+        self.chunks_from(start, f);
     }
 
     fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
@@ -165,8 +167,8 @@ impl OrderedSet<u64> for CTreeSet {
 
     fn successor(&self, key: u64) -> Option<u64> {
         let mut out = None;
-        self.for_each_from(key, &mut |e| {
-            out = Some(e);
+        self.chunks_from(key, &mut |chunk| {
+            out = Some(chunk[0]);
             false
         });
         out
@@ -196,8 +198,9 @@ impl BatchSet<u64> for CTreeSet {
 }
 
 impl RangeSet<u64> for CTreeSet {
-    fn scan_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) {
-        self.for_each_from(start, f);
+    /// One chunk per compressed chunk.
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
+        self.chunks_from(start, f);
     }
 }
 

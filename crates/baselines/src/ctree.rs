@@ -310,24 +310,24 @@ impl CTreeSet {
         out
     }
 
-    /// Visit keys ≥ `start` in order until `f` returns false; returns
-    /// false iff stopped early (the `RangeSet::scan_from` primitive).
-    pub fn for_each_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
+    /// Hand the keys ≥ `start` to `f` a chunk at a time, each decoded into
+    /// one reused buffer, until `f` returns false (the
+    /// `RangeSet::scan_chunks_from` primitive); returns false iff stopped
+    /// early.
+    pub fn chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
+        let mut buf = Vec::new();
         // The chunk containing `start` may begin before it.
-        if let Some(p) = &self.prefix {
-            if !p.for_each(&mut |e| if e < start { true } else { f(e) }) {
-                return false;
-            }
-        }
-        for (_, c) in self.heads.range(..=start).next_back().into_iter().chain(
-            self.heads
-                .range((std::ops::Bound::Excluded(start), std::ops::Bound::Unbounded)),
-        ) {
-            if !c.for_each(&mut |e| if e < start { true } else { f(e) }) {
-                return false;
-            }
-        }
-        true
+        let first = self.heads.range(..=start).next_back().map(|(_, c)| c);
+        let rest = self
+            .heads
+            .range((std::ops::Bound::Excluded(start), std::ops::Bound::Unbounded))
+            .map(|(_, c)| c);
+        self.prefix.iter().chain(first).chain(rest).all(|c| {
+            buf.clear();
+            c.decode(&mut buf);
+            let from = buf.partition_point(|&e| e < start);
+            from == buf.len() || f(&buf[from..])
+        })
     }
 
     /// Apply `f` to all keys in order.

@@ -45,6 +45,9 @@ pub trait BlockPayload: Send + Sync + Sized {
     fn payload_bytes(&self) -> usize;
     /// In-order traversal with early exit; false iff stopped early.
     fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool;
+    /// The elements ≥ `start`, in order: the block's own keys where it
+    /// stores them raw, else decoded into `buf`.
+    fn chunk_from<'a>(&'a self, start: u64, buf: &'a mut Vec<u64>) -> &'a [u64];
 
     /// Membership test.
     fn contains(&self, key: u64) -> bool {
@@ -102,6 +105,10 @@ impl BlockPayload for RawBlock {
         }
         true
     }
+    fn chunk_from<'a>(&'a self, start: u64, _buf: &'a mut Vec<u64>) -> &'a [u64] {
+        stats::record_read(self.0.len() * 8);
+        &self.0[self.0.partition_point(|&e| e < start)..]
+    }
     fn contains(&self, key: u64) -> bool {
         stats::record_read(64);
         self.0.binary_search(&key).is_ok()
@@ -143,6 +150,11 @@ impl BlockPayload for CompressedBlock {
     fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool {
         stats::record_read(self.bytes.len());
         codec::for_each_in_run(&self.bytes, f)
+    }
+    fn chunk_from<'a>(&'a self, start: u64, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        buf.clear();
+        self.decode(buf);
+        &buf[buf.partition_point(|&e| e < start)..]
     }
 }
 
@@ -556,25 +568,34 @@ impl<P: BlockPayload> PacTree<P> {
         }
     }
 
-    /// Visit keys ≥ `start` in order until `f` returns false; returns
-    /// false iff stopped early (the `RangeSet::scan_from` primitive).
-    pub fn for_each_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        fn walk<P: BlockPayload>(t: &Tree<P>, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
+    /// Hand the keys ≥ `start` to `f` a block at a time until `f` returns
+    /// false (the `RangeSet::scan_chunks_from` primitive); returns false
+    /// iff stopped early.
+    pub fn chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
+        fn walk<P: BlockPayload>(
+            t: &Tree<P>,
+            start: u64,
+            buf: &mut Vec<u64>,
+            f: &mut dyn FnMut(&[u64]) -> bool,
+        ) -> bool {
             match t {
-                Tree::Leaf(p) => p.for_each(&mut |e| if e < start { true } else { f(e) }),
+                Tree::Leaf(p) => {
+                    let chunk = p.chunk_from(start, buf);
+                    chunk.is_empty() || f(chunk)
+                }
                 Tree::Node {
                     split, left, right, ..
                 } => {
                     stats::record_read(NODE_BYTES);
-                    if start < *split && !walk(left, start, f) {
+                    if start < *split && !walk(left, start, buf, f) {
                         return false;
                     }
-                    walk(right, start, f)
+                    walk(right, start, buf, f)
                 }
             }
         }
         match &self.root {
-            Some(t) => walk(t, start, f),
+            Some(t) => walk(t, start, &mut Vec::new(), f),
             None => true,
         }
     }

@@ -249,7 +249,8 @@ impl PTree {
     }
 
     /// Visit keys ≥ `start` in order until `f` returns false; returns
-    /// false iff stopped early (the `RangeSet::scan_from` primitive).
+    /// false iff stopped early (buffered into the chunks of
+    /// `RangeSet::scan_chunks_from`).
     pub fn for_each_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
         fn walk(t: &Link, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
             match t {

@@ -223,17 +223,20 @@ impl<S: EdgeSet> GraphScan for SetGraphSnapshot<'_, S> {
         }
     }
 
+    /// `v`'s edges straight out of the backend's chunks: one indirect
+    /// call per chunk, one per neighbour.
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32) -> bool) {
         if self.degree(v) == 0 {
             return;
         }
-        self.g.edges.scan_from(pack_edge(v, 0), &mut |e| {
-            let (s, d) = unpack_edge(e);
-            if s != v {
-                return false;
-            }
-            f(d)
-        });
+        self.g
+            .edges
+            .scan_chunks_from(pack_edge(v, 0), &mut |chunk| {
+                chunk.iter().all(|&e| {
+                    let (s, d) = unpack_edge(e);
+                    s == v && f(d)
+                })
+            });
     }
 }
 

@@ -8,7 +8,6 @@
 use crate::core::PmaCore;
 use crate::{LeafStorage, PmaKey};
 use cpma_api::{BatchOp, BatchOutcome, BatchSet, CatchUp, OrderedSet, ParallelChunks, RangeSet};
-use rayon::prelude::*;
 
 impl<K: PmaKey, L: LeafStorage<K>> OrderedSet<K> for PmaCore<K, L> {
     const NAME: &'static str = L::NAME;
@@ -94,8 +93,9 @@ impl<K: PmaKey, L: LeafStorage<K>> BatchSet<K> for PmaCore<K, L> {
 }
 
 impl<K: PmaKey, L: LeafStorage<K>> RangeSet<K> for PmaCore<K, L> {
-    fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
-        self.for_each_from(start, f)
+    /// One chunk per leaf (`PmaCore::chunks_from`).
+    fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool) {
+        self.chunks_from(start, f)
     }
 
     fn range_sum<R: std::ops::RangeBounds<K>>(&self, range: R) -> u64 {
@@ -108,16 +108,9 @@ impl<K: PmaKey, L: LeafStorage<K>> RangeSet<K> for PmaCore<K, L> {
 }
 
 impl<K: PmaKey, L: LeafStorage<K>> ParallelChunks<K> for PmaCore<K, L> {
-    /// One chunk per non-empty leaf, decoded leaf-parallel.
+    /// The leaves' chunks, decoded leaf-parallel (`PmaCore::par_leaf_chunks`).
     fn par_chunks(&self, f: &(dyn Fn(&[K]) + Sync)) {
-        let storage = self.storage();
-        (0..storage.num_leaves()).into_par_iter().for_each(|leaf| {
-            if storage.count(leaf) > 0 {
-                let mut buf = Vec::with_capacity(storage.count(leaf));
-                storage.collect_leaf(leaf, &mut buf);
-                f(&buf);
-            }
-        });
+        self.par_leaf_chunks(f)
     }
 }
 

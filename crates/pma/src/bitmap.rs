@@ -19,6 +19,8 @@
 //!
 //! All sums here use wrapping arithmetic, matching the `RangeSet` contract.
 
+use crate::leaf::{ChunkBlock, CHUNK_KEYS};
+
 /// Raw bytes of the leading base key.
 pub const BASE_BYTES: usize = 8;
 
@@ -300,31 +302,40 @@ pub fn for_each(buf: &[u8], used: usize, mut f: impl FnMut(u64) -> bool) -> bool
     true
 }
 
-/// Like [`for_each`], but visits only elements ≥ `start`: whole words
-/// below `start` are skipped and the boundary word is masked, so the
-/// pre-`start` prefix of a dense leaf costs O(words), not O(set bits).
-pub fn for_each_from(buf: &[u8], used: usize, start: u64, mut f: impl FnMut(u64) -> bool) -> bool {
+/// Hand the elements ≥ `start` to `f` as ascending chunks, each a run of
+/// whole words expanded into `block` — as many words as it holds — until
+/// `f` returns `false`; returns `false` iff it did. Whole words below
+/// `start` are skipped and the boundary word is masked, so the pre-`start`
+/// prefix of a dense leaf costs O(words), not O(set bits).
+pub fn chunks_from(
+    buf: &[u8],
+    used: usize,
+    start: u64,
+    block: &mut ChunkBlock<u64>,
+    mut f: impl FnMut(&[u64]) -> bool,
+) -> bool {
     let base = base_of(buf);
-    if start <= base {
-        return for_each(buf, used, f);
-    }
     let nwords = word_count(used);
-    let skip = ((start - base) / 64) as usize;
-    if skip >= nwords {
-        return true;
-    }
-    for w in skip..nwords {
-        let mut word = get_word(buf, w);
-        let first = base + (w as u64) * 64;
-        if w == skip {
-            word &= !0u64 << ((start - base) & 63);
-        }
-        while word != 0 {
-            let b = word.trailing_zeros() as u64;
-            if !f(first + b) {
-                return false;
+    let below = start.saturating_sub(base);
+    let mut w = (below / 64).min(nwords as u64) as usize;
+    let mut mask = !0u64 << (below % 64);
+    while w < nwords {
+        let keys = block.fill(|fill| {
+            while w < nwords {
+                let mut word = get_word(buf, w) & mask;
+                if fill.len() + word.count_ones() as usize > CHUNK_KEYS {
+                    break;
+                }
+                let first = base + (w as u64) * 64;
+                while word != 0 {
+                    fill.put(first + u64::from(word.trailing_zeros()));
+                    word &= word - 1;
+                }
+                (w, mask) = (w + 1, !0);
             }
-            word &= word - 1;
+        });
+        if !keys.is_empty() && !f(keys) {
+            return false;
         }
     }
     true
@@ -461,37 +472,53 @@ mod tests {
     }
 
     #[test]
-    fn for_each_from_matches_filtered_walk() {
-        let elems = keyset(21, 300, 6_000, 1 << 40);
-        let (buf, used) = encode(&elems);
-        let lo0 = elems[0];
-        for start in [
-            lo0.saturating_sub(10),
-            lo0,
-            lo0 + 1,
-            lo0 + 63,
-            lo0 + 64,
-            lo0 + 65,
-            elems[150],
-            elems[150] + 1,
-            *elems.last().unwrap(),
-            *elems.last().unwrap() + 1,
-        ] {
-            let mut got = Vec::new();
-            assert!(for_each_from(&buf, used, start, |e| {
-                got.push(e);
-                true
-            }));
-            let want: Vec<u64> = elems.iter().copied().filter(|&e| e >= start).collect();
-            assert_eq!(got, want, "start {start}");
-            // Early exit still propagates.
-            if !want.is_empty() {
-                let mut n = 0;
-                assert!(!for_each_from(&buf, used, start, |_| {
-                    n += 1;
-                    false
+    fn chunks_from_matches_filtered_walk() {
+        let mut block = ChunkBlock::new();
+        // One block's worth, and a dense leaf of several blocks' worth.
+        for (seed, n, span) in [(21, 300, 6_000), (23, 3_000, 3_400)] {
+            let elems = keyset(seed, n, span, 1 << 40);
+            let (buf, used) = encode(&elems);
+            let lo0 = elems[0];
+            let mid = elems[n / 2];
+            for start in [
+                lo0.saturating_sub(10),
+                lo0,
+                lo0 + 1,
+                lo0 + 63,
+                lo0 + 64,
+                lo0 + 65,
+                mid,
+                mid + 1,
+                *elems.last().unwrap(),
+                *elems.last().unwrap() + 1,
+            ] {
+                let (mut got, mut chunks) = (Vec::new(), 0);
+                assert!(chunks_from(&buf, used, start, &mut block, |c| {
+                    assert!(
+                        !c.is_empty() && c.len() <= CHUNK_KEYS,
+                        "chunk of {}",
+                        c.len()
+                    );
+                    got.extend_from_slice(c);
+                    chunks += 1;
+                    true
                 }));
-                assert_eq!(n, 1);
+                let want: Vec<u64> = elems.iter().copied().filter(|&e| e >= start).collect();
+                assert_eq!(got, want, "start {start}");
+                // A chunk stops short of a full block by less than a word.
+                assert!(
+                    chunks <= want.len().div_ceil(CHUNK_KEYS - 63),
+                    "{chunks} chunks"
+                );
+                // Early exit still propagates.
+                if !want.is_empty() {
+                    let mut calls = 0;
+                    assert!(!chunks_from(&buf, used, start, &mut block, |_| {
+                        calls += 1;
+                        false
+                    }));
+                    assert_eq!(calls, 1);
+                }
             }
         }
     }

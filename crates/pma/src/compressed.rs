@@ -49,6 +49,17 @@
 //! the weight, or earlier at the last element that fits; if the tail still
 //! overflows it packs maximal prefixes, and if those overflow no `k`-way
 //! split fits: `None`, nothing written. A sweep is O(n + k) whatever `k`.
+//!
+//! # Unsafe code
+//!
+//! Every `unsafe` here is a slot or byte access through the
+//! [`CompressedShared`] accessor, run under the *disjoint-leaf contract* of
+//! [`SharedLeaves`]: the six pointers come from one `&mut` borrow of the
+//! storage, and a call touches only its own leaf's bytes — a stretch of
+//! `leaf_units` bytes no other leaf shares — and its `used`, `counts`,
+//! `heads`, `tags` and `overflow` slots. Reads go through the same
+//! accessor as writes, so they need the same contract.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::bitmap;
 use crate::codec::{
@@ -56,7 +67,9 @@ use crate::codec::{
     MAX_VARINT_BYTES,
 };
 use crate::core::ForceCodec;
-use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
+use crate::leaf::{
+    apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, RunSize, SharedLeaves, CHUNK_KEYS,
+};
 use crate::run::Run;
 use crate::search::prefetch_read;
 use crate::{stats, LeafStorage};
@@ -619,31 +632,47 @@ impl LeafStorage<u64> for CompressedLeaves {
         Some(last)
     }
 
-    fn for_each_in_leaf(&self, leaf: usize, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        if self.is_bitmap(leaf) {
-            let buf = self.leaf_bytes(leaf);
-            stats::record_read(buf.len());
-            return bitmap::for_each(buf, buf.len(), &mut *f);
-        }
-        let (finished, end) = self.walk_leaf(leaf, f);
-        stats::record_read(end);
-        finished
-    }
-
-    fn for_each_in_leaf_from(
+    /// Decodes into `block`. A delta leaf goes through the block walk
+    /// (`codec::walk_run`) whole, as one chunk — a block holds any delta
+    /// leaf a valid geometry makes. A bitmap leaf is expanded a run of
+    /// whole words at a time, as many as the block holds, skipping the
+    /// words wholly below `start`.
+    fn leaf_chunks<F: FnMut(&[u64]) -> bool>(
         &self,
         leaf: usize,
         start: u64,
-        f: &mut dyn FnMut(u64) -> bool,
+        block: &mut ChunkBlock<u64>,
+        mut f: F,
     ) -> bool {
         if self.is_bitmap(leaf) {
             let buf = self.leaf_bytes(leaf);
             stats::record_read(buf.len());
-            return bitmap::for_each_from(buf, buf.len(), start, &mut *f);
+            return bitmap::chunks_from(buf, buf.len(), start, block, f);
         }
-        let (finished, end) = self.walk_leaf(leaf, |e| e < start || f(e));
-        stats::record_read(end);
-        finished
+        if self.count(leaf) > CHUNK_KEYS {
+            // Only a snapshot can claim a leaf this wide (the largest
+            // leaf a capacity gets holds at most 505 codes): hand out a
+            // decoded copy.
+            let mut all = Vec::with_capacity(self.count(leaf));
+            self.collect_leaf(leaf, &mut all);
+            let from = all.partition_point(|&e| e < start);
+            return all[from..].chunks(CHUNK_KEYS).all(f);
+        }
+        let mut read = 0;
+        let keys = block.fill(|fill| {
+            read = self
+                .walk_leaf(leaf, |e| {
+                    fill.put(e);
+                    true
+                })
+                .1;
+        });
+        stats::record_read(read);
+        let from = match start > self.heads[leaf] {
+            true => keys.partition_point(|&e| e < start),
+            false => 0,
+        };
+        from == keys.len() || f(&keys[from..])
     }
 
     fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>) {
@@ -818,6 +847,8 @@ impl Copy for CompressedShared<'_> {}
 // outlive 'a and hold plain integers and boxed `u64` slices; `policy` is
 // `Copy` data.
 unsafe impl Send for CompressedShared<'_> {}
+// SAFETY: as for `Send` — shared use from several threads is what the
+// disjoint-leaf contract is written for.
 unsafe impl Sync for CompressedShared<'_> {}
 
 /// Private helpers.
@@ -825,19 +856,26 @@ unsafe impl Sync for CompressedShared<'_> {}
 /// # Safety (every method)
 /// The caller must hold the disjoint-leaf contract of [`SharedLeaves`] for
 /// `leaf`; each helper touches only that leaf's slots. `len ≤ leaf_units`
-/// (debug-asserted; `used[leaf]` never exceeds it) keeps every byte slice
-/// inside the leaf's own stretch of the byte array.
+/// (debug-asserted; `used[leaf]` never exceeds it unless the leaf spilled)
+/// keeps every byte slice inside the leaf's own stretch of the byte array.
 impl CompressedShared<'_> {
+    /// The first `len` bytes of `leaf`'s stretch, to write.
     #[inline]
     #[allow(clippy::mut_from_ref)] // shared-disjoint contract: see trait docs
     unsafe fn leaf_buf(&self, leaf: usize, len: usize) -> &mut [u8] {
         debug_assert!(leaf < self.num_leaves && len <= self.leaf_units);
+        // SAFETY: `leaf < num_leaves` and `len ≤ leaf_units` keep the slice
+        // inside the byte array and inside `leaf`'s own stretch of it, which
+        // the disjoint-leaf contract gives this call alone.
         std::slice::from_raw_parts_mut(self.bytes.add(leaf * self.leaf_units), len)
     }
 
+    /// The first `len` bytes of `leaf`'s stretch, to read.
     #[inline]
     unsafe fn leaf_buf_read(&self, leaf: usize, len: usize) -> &[u8] {
         debug_assert!(leaf < self.num_leaves && len <= self.leaf_units);
+        // SAFETY: as in `leaf_buf`; the contract also keeps every writer off
+        // the stretch while the slice lives.
         std::slice::from_raw_parts(self.bytes.add(leaf * self.leaf_units), len)
     }
 
@@ -845,6 +883,9 @@ impl CompressedShared<'_> {
     /// spilled) to `out`.
     #[inline]
     unsafe fn decode_leaf_into(&self, leaf: usize, out: &mut Vec<u64>) {
+        // SAFETY: `leaf`'s count, spill, used and tag slots and its stretch,
+        // under the caller's contract; a leaf that is not spilled has
+        // `used ≤ leaf_units`.
         let cnt = *self.counts.add(leaf) as usize;
         if let Some(buf) = (*self.overflow.add(leaf)).as_deref() {
             out.extend_from_slice(buf);
@@ -866,6 +907,9 @@ impl CompressedShared<'_> {
     /// Spills with delta-based accounting when neither encoding fits.
     #[inline]
     unsafe fn store(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> (usize, bool) {
+        // SAFETY (the slot reads and writes below): `leaf`'s five slots and
+        // its stretch, under the caller's contract; the stretch is written
+        // only on the branch where `units ≤ leaf_units`.
         let was_bitmap = *self.tags.add(leaf) == TAG_BITMAP;
         let had_elems = *self.counts.add(leaf) > 0;
         if elems.is_empty() {
@@ -936,9 +980,12 @@ impl CompressedShared<'_> {
     }
 
     /// Commit a normalized word array wordwise: raw write, no re-encode.
+    /// `words` must fit the leaf: `8 + 8 · words.len() ≤ leaf_units`.
     unsafe fn write_bitmap(&self, leaf: usize, base: u64, words: &[u64], count: usize) -> usize {
         let used = bitmap::BASE_BYTES + words.len() * 8;
         debug_assert!(used <= self.leaf_units);
+        // SAFETY: `leaf`'s stretch (`used ≤ leaf_units`, the caller's
+        // precondition) and slots, under the caller's contract.
         bitmap::write_words(base, words, self.leaf_buf(leaf, used));
         stats::record_write(used);
         *self.overflow.add(leaf) = None;
@@ -953,6 +1000,7 @@ impl CompressedShared<'_> {
     /// Mirror of `store(leaf, &[], head)` for the wordwise paths: an
     /// emptied leaf keeps its old head as the inherited value.
     unsafe fn clear_leaf(&self, leaf: usize) {
+        // SAFETY: `leaf`'s slots, under the caller's contract.
         *self.overflow.add(leaf) = None;
         *self.counts.add(leaf) = 0;
         *self.used.add(leaf) = 0;
@@ -976,6 +1024,12 @@ impl CompressedShared<'_> {
         run: R,
         scratch: &mut LeafScratch<u64>,
     ) -> Option<OpsOutcome> {
+        // SAFETY: `leaf`'s slots and stretch, under the caller's contract;
+        // not spilled, so `used ≤ leaf_units`. `buf` is last read before
+        // the leaf is written (`clear_leaf`, `write_bitmap`, `store`), and
+        // `write_bitmap` gets words that fit: the span was checked against
+        // `leaf_units` on widening, and removes and `normalize` only
+        // shrink it.
         let old_units = *self.used.add(leaf) as usize;
         let old_count = *self.counts.add(leaf) as usize;
         let buf = self.leaf_buf_read(leaf, old_units);
@@ -1062,6 +1116,9 @@ impl CompressedShared<'_> {
     /// raw head followed by whole byte codes, and `leaf_units` must not
     /// exceed [`FUSED_MAX_UNITS`].
     unsafe fn apply_run_fused<R: Run<u64>>(&self, leaf: usize, run: R) -> Option<OpsOutcome> {
+        // SAFETY: `leaf`'s slots and its whole stretch, under the caller's
+        // contract. `stretch` is last read before the commit overwrites
+        // the leaf, which writes `units ≤ cap` bytes.
         let cap = self.leaf_units;
         let old_units = *self.used.add(leaf) as usize;
         debug_assert!(*self.tags.add(leaf) == TAG_DELTA && (*self.overflow.add(leaf)).is_none());
@@ -1178,6 +1235,9 @@ impl CompressedShared<'_> {
         scratch: &mut LeafScratch<u64>,
     ) -> OpsOutcome {
         stats::leaf_counters().general_runs.inc();
+        // SAFETY: `leaf`'s slots, and the helpers' own contract for
+        // `leaf`, under the caller's; the decode copies the leaf out into
+        // `scratch` before `store` overwrites it.
         let old_units = *self.used.add(leaf) as usize;
         scratch.cur.clear();
         self.decode_leaf_into(leaf, &mut scratch.cur);
@@ -1338,25 +1398,31 @@ impl SharedLeaves<u64> for CompressedShared<'_> {
     }
 
     unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize {
+        // SAFETY: the caller's disjoint-leaf contract for `leaf`.
         let (units, overflowed) = self.store(leaf, elems, inherited_head);
         debug_assert!(!overflowed, "leaf {leaf}: the plan's cost is store's");
         units
     }
 
     unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>) {
+        // SAFETY: the caller's disjoint-leaf contract for `leaf`.
         stats::record_read(*self.used.add(leaf) as usize);
         self.decode_leaf_into(leaf, out);
     }
 
     unsafe fn units_used(&self, leaf: usize) -> usize {
+        // SAFETY: `leaf`'s used slot, under the caller's contract.
         *self.used.add(leaf) as usize
     }
 
     unsafe fn count(&self, leaf: usize) -> usize {
+        // SAFETY: `leaf`'s count slot, under the caller's contract.
         *self.counts.add(leaf) as usize
     }
 
     unsafe fn set_inherited_head(&self, leaf: usize, head: u64) {
+        // SAFETY: `leaf`'s count and head slots, under the caller's
+        // contract.
         debug_assert_eq!(*self.counts.add(leaf), 0);
         *self.heads.add(leaf) = head;
     }
@@ -1443,6 +1509,7 @@ mod tests {
         assert!(s.is_overflowed(0));
         assert_eq!(s.units_used(0), 8 + 299);
         let mut v = Vec::new();
+        // SAFETY: disjoint-leaf contract — one thread, one call.
         unsafe { s.shared().collect_leaf(0, &mut v) };
         assert_eq!(v, big);
     }
@@ -1883,10 +1950,9 @@ mod tests {
                 }
             }
             let mut scratch = LeafScratch::new();
-            // SAFETY (here and below): disjoint-leaf contract of
-            // `SharedLeaves` — one thread; `s`, `probe` and `general` are
-            // separate one-leaf storages, and a leaf handed to the fused
-            // kernel was checked delta-tagged, non-empty and not spilled.
+            // SAFETY: disjoint-leaf contract of `SharedLeaves` — one
+            // thread; `s`, `probe` and `general` (below) are separate
+            // one-leaf storages.
             unsafe { s.shared().apply_run(0, Inserts::new(&elems), &mut scratch) };
             // The run: keys on, next to and between the stored ones, and
             // the ends of the key space.
@@ -1918,6 +1984,8 @@ mod tests {
             if !s.is_bitmap(0) && !s.is_overflowed(0) {
                 delta_cases += 1;
                 let mut probe = s.clone();
+                // SAFETY: as above; the leaf was just checked delta-tagged
+                // and not spilled, and it is non-empty (seeded above).
                 match unsafe { probe.shared().apply_run_fused(0, ops.as_slice()) } {
                     Some(_) => fused_took += 1,
                     None => {
@@ -1930,7 +1998,9 @@ mod tests {
                 }
             }
             let mut general = s.clone();
+            // SAFETY: as above — one thread, separate storages.
             let out = unsafe { s.shared().apply_run(0, ops.as_slice(), &mut scratch) };
+            // SAFETY: as above; the general path takes a leaf in any state.
             let via_general = unsafe {
                 general
                     .shared()
@@ -2017,6 +2087,7 @@ mod tests {
         apply(&mut s, 0, &ins(1000..1200));
         assert!(s.is_bitmap(0));
         // Overwrite with the borderline run (redistribute path).
+        // SAFETY: disjoint-leaf contract — one thread, one call.
         unsafe { s.shared().write_leaf(0, &run, 0) };
         assert!(s.is_bitmap(0));
     }
@@ -2165,6 +2236,7 @@ mod tests {
     #[test]
     fn write_leaf_empty_sets_inherited_head() {
         let mut s = store(2);
+        // SAFETY: disjoint-leaf contract — one thread, one call.
         unsafe {
             s.shared().write_leaf(1, &[], 77);
         }
@@ -2181,7 +2253,8 @@ mod tests {
         (0..32usize).into_par_iter().for_each(|leaf| {
             let base = leaf as u64 * 1000;
             let mut scratch = crate::leaf::LeafScratch::new();
-            // SAFETY: each task owns a distinct leaf.
+            // SAFETY: disjoint-leaf contract — each task owns a distinct
+            // leaf.
             unsafe {
                 sh.apply_run(leaf, Inserts::new(&[base, base + 7]), &mut scratch);
             }

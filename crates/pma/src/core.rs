@@ -31,7 +31,7 @@
 
 use crate::batch::{count_phase, redistribute_ranges, route, BoundKind, RootResize};
 use crate::density::BOUNDS;
-use crate::leaf::{LeafScratch, RunSize, SharedLeaves};
+use crate::leaf::{ChunkBlock, LeafScratch, RunSize, SharedLeaves};
 use crate::run::{Inserts, Removes};
 use crate::search;
 use crate::tree::ImplicitTree;
@@ -811,75 +811,74 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         self.storage.leaf_max(leaf)
     }
 
-    /// Apply `f` to every element in order (the artifact's `map`).
-    pub fn map(&self, mut f: impl FnMut(K)) {
-        for leaf in 0..self.storage.num_leaves() {
-            if self.storage.count(leaf) > 0 {
-                self.storage.for_each_in_leaf(leaf, &mut |e| {
-                    f(e);
-                    true
-                });
+    /// Hand the elements ≥ `start` to `f` as ascending chunks — a leaf at
+    /// a time, each decoded once into one [`ChunkBlock`] this scan reuses —
+    /// until `f` returns `false` (the `RangeSet::scan_chunks_from`
+    /// primitive, and the walk under every ordered read below).
+    pub(crate) fn chunks_from(&self, start: K, mut f: impl FnMut(&[K]) -> bool) {
+        let Some(first) = self.dest_leaf(start) else {
+            return;
+        };
+        let mut block = ChunkBlock::new();
+        let mut after = None;
+        for leaf in first..self.storage.num_leaves() {
+            if self.storage.count(leaf) == 0 {
+                continue;
+            }
+            let live = self.storage.leaf_chunks(leaf, start, &mut block, |chunk| {
+                debug_check_chunk(start, &mut after, chunk);
+                f(chunk)
+            });
+            if !live {
+                return;
             }
         }
+    }
+
+    /// Apply `f` to every element in order (the artifact's `map`).
+    pub fn map(&self, mut f: impl FnMut(K)) {
+        self.chunks_from(K::MIN, |chunk| {
+            chunk.iter().for_each(|&e| f(e));
+            true
+        });
     }
 
     /// Apply `f` to every element, leaves in parallel (the artifact's
     /// `parallel_map`).
     pub fn par_map(&self, f: impl Fn(K) + Send + Sync) {
+        self.par_leaf_chunks(|chunk| chunk.iter().for_each(|&e| f(e)));
+    }
+
+    /// Hand every element to `f` in chunks, leaves in parallel: each
+    /// chunk ascending and within one leaf, so chunk order follows leaf
+    /// order. One [`ChunkBlock`] per task, reused across its leaves (the
+    /// `ParallelChunks::par_chunks` primitive).
+    pub(crate) fn par_leaf_chunks(&self, f: impl Fn(&[K]) + Send + Sync) {
         (0..self.storage.num_leaves())
             .into_par_iter()
-            .for_each(|leaf| {
+            .map_init(ChunkBlock::new, |block, leaf| {
                 if self.storage.count(leaf) > 0 {
-                    self.storage.for_each_in_leaf(leaf, &mut |e| {
-                        f(e);
+                    self.storage.leaf_chunks(leaf, K::MIN, block, |chunk| {
+                        f(chunk);
                         true
                     });
                 }
-            });
-    }
-
-    /// Visit elements ≥ `start` in ascending order until `f` returns
-    /// `false` (the `RangeSet::scan_from` primitive).
-    pub fn for_each_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
-        let Some(first) = self.dest_leaf(start) else {
-            return;
-        };
-        let n = self.storage.num_leaves();
-        for leaf in first..n {
-            if self.storage.count(leaf) == 0 {
-                continue;
-            }
-            let stopped = !self.storage.for_each_in_leaf_from(leaf, start, f);
-            if stopped {
-                return;
-            }
-        }
+            })
+            .for_each(|()| {});
     }
 
     /// Apply `f` to at most `length` elements with keys ≥ `start`, in
     /// order; returns how many were visited (the artifact's
     /// `map_range_length`).
     pub fn map_range_length(&self, start: K, length: usize, mut f: impl FnMut(K)) -> usize {
-        if length == 0 {
-            return 0;
-        }
-        let Some(first) = self.dest_leaf(start) else {
-            return 0;
-        };
         let mut visited = 0usize;
-        let n = self.storage.num_leaves();
-        for leaf in first..n {
-            if self.storage.count(leaf) == 0 {
-                continue;
-            }
-            let done = !self.storage.for_each_in_leaf_from(leaf, start, &mut |e| {
-                f(e);
-                visited += 1;
+        if length > 0 {
+            self.chunks_from(start, |chunk| {
+                let take = chunk.len().min(length - visited);
+                chunk[..take].iter().for_each(|&e| f(e));
+                visited += take;
                 visited < length
             });
-            if done {
-                break;
-            }
         }
         visited
     }
@@ -1077,6 +1076,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         // Heads non-decreasing; non-empty heads are minima; no overflows.
         let mut prev_head: Option<K> = None;
         let mut prev_elem: Option<K> = None;
+        let mut block = ChunkBlock::new();
         let mut total_len = 0usize;
         let mut total_units = 0usize;
         for leaf in 0..n {
@@ -1099,21 +1099,18 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             total_units += self.storage.units_used(leaf);
             if cnt > 0 {
                 let mut first = None;
-                let mut local_prev: Option<K> = None;
                 let mut seen = 0usize;
-                self.storage.for_each_in_leaf(leaf, &mut |e| {
-                    if first.is_none() {
-                        first = Some(e);
-                    }
-                    if let Some(p) = local_prev {
-                        assert!(p < e, "leaf {leaf} not strictly increasing");
-                    }
-                    if let Some(p) = prev_elem {
+                self.storage.leaf_chunks(leaf, K::MIN, &mut block, |chunk| {
+                    first = first.or(chunk.first().copied());
+                    assert!(
+                        chunk.windows(2).all(|w| w[0] < w[1]),
+                        "leaf {leaf} not strictly increasing"
+                    );
+                    if let (Some(p), Some(&e)) = (prev_elem, chunk.first()) {
                         assert!(p < e, "global order broken at leaf {leaf}");
                     }
-                    local_prev = Some(e);
-                    prev_elem = Some(e);
-                    seen += 1;
+                    prev_elem = chunk.last().copied();
+                    seen += chunk.len();
                     true
                 });
                 assert_eq!(seen, cnt, "leaf {leaf} count mismatch");
@@ -1160,6 +1157,25 @@ impl<K: PmaKey, L: LeafStorage<K>> std::fmt::Debug for PmaCore<K, L> {
             .field("leaf_units", &self.storage.leaf_units())
             .field("cfg", &self.cfg)
             .finish_non_exhaustive()
+    }
+}
+
+/// Debug builds: `chunk` may follow a chunk ending at `after` in a scan
+/// from `start` — non-empty, strictly ascending, at or above `start`,
+/// above `after` — and now ends the scan so far.
+#[inline]
+fn debug_check_chunk<K: PmaKey>(start: K, after: &mut Option<K>, chunk: &[K]) {
+    if cfg!(debug_assertions) {
+        let first = *chunk.first().expect("empty chunk");
+        assert!(
+            first >= start && after.is_none_or(|a| a < first),
+            "chunk from {first} out of order: scan from {start}, last chunk ended at {after:?}"
+        );
+        assert!(
+            chunk.windows(2).all(|w| w[0] < w[1]),
+            "chunk from {first} not strictly ascending"
+        );
+        *after = chunk.last().copied();
     }
 }
 

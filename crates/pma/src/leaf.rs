@@ -31,11 +31,21 @@
 //! storage puts in-place kernels in front of it for the leaf states that
 //! allow one (see `compressed.rs`); whatever they decline falls through
 //! to the general path, which stays the only other way a leaf is updated.
+//!
+//! # One read visitor
+//!
+//! Every ordered walk of a leaf — scans, maps, parallel chunks, presence
+//! merges, the invariant check — goes through [`LeafStorage::leaf_chunks`]:
+//! the leaf's keys from a start key, handed out as slices (the cells
+//! themselves for the uncompressed storage, a [`ChunkBlock`] the scan owns
+//! for the compressed one), so a reader pays a call per leaf, not per key.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::core::ForceCodec;
 use crate::run::Run;
 use crate::PmaKey;
 use cpma_api::PersistError;
+use std::mem::MaybeUninit;
 
 /// Result of applying a run to one leaf.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -83,6 +93,79 @@ impl<K> LeafScratch<K> {
 impl<K> Default for LeafScratch<K> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Most keys one chunk of a [`LeafStorage::leaf_chunks`] read holds: a
+/// delta leaf whole (the largest leaf a 64-bit capacity gets, 512 bytes,
+/// holds at most 505 keys), the widest bitmap leaf (4 032 positions) in
+/// nine at most.
+pub const CHUNK_KEYS: usize = 512;
+
+/// The block a leaf read decodes into ([`LeafStorage::leaf_chunks`]):
+/// [`CHUNK_KEYS`] slots on the stack of the scan that owns it, reused leaf
+/// after leaf — one per scan, one per parallel task. Creating one writes
+/// nothing; a slot is written only by a decode.
+pub struct ChunkBlock<K> {
+    keys: [MaybeUninit<K>; CHUNK_KEYS],
+}
+
+impl<K: Copy> ChunkBlock<K> {
+    pub fn new() -> Self {
+        Self {
+            keys: [const { MaybeUninit::uninit() }; CHUNK_KEYS],
+        }
+    }
+
+    /// Run `decode` over the empty block and return the keys it
+    /// [put](BlockFill::put), in order.
+    #[inline(always)]
+    pub fn fill(&mut self, decode: impl FnOnce(&mut BlockFill<'_, K>)) -> &[K] {
+        let mut fill = BlockFill {
+            slots: &mut self.keys,
+            len: 0,
+        };
+        decode(&mut fill);
+        let len = fill.len;
+        // SAFETY: `put` wrote slots `0..len` (it never advances `len` past
+        // a slot it did not write), and the slice borrows `self`, so no
+        // later fill can overwrite them while it lives.
+        unsafe { std::slice::from_raw_parts(self.keys.as_ptr().cast::<K>(), len) }
+    }
+}
+
+impl<K: Copy> Default for ChunkBlock<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The write end of one [`ChunkBlock::fill`]. The count lives here, apart
+/// from the slots, so a decode loop keeps it in a register.
+pub struct BlockFill<'a, K> {
+    slots: &'a mut [MaybeUninit<K>; CHUNK_KEYS],
+    len: usize,
+}
+
+impl<K: Copy> BlockFill<'_, K> {
+    /// Append `key`. Panics past [`CHUNK_KEYS`] keys: a decode puts only
+    /// what it knows fits.
+    #[inline(always)]
+    pub fn put(&mut self, key: K) {
+        self.slots[self.len].write(key);
+        self.len += 1;
+    }
+
+    /// Keys put so far.
+    #[inline(always)]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True iff nothing has been put.
+    #[inline(always)]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -184,35 +267,37 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     fn leaf_contains(&self, leaf: usize, key: K) -> bool;
     /// Largest element of `leaf`, if non-empty.
     fn leaf_max(&self, leaf: usize) -> Option<K>;
-    /// In-order traversal of `leaf`; stop early when `f` returns false.
-    /// Returns false iff stopped early.
-    fn for_each_in_leaf(&self, leaf: usize, f: &mut dyn FnMut(K) -> bool) -> bool;
-    /// In-order traversal of `leaf` restricted to elements ≥ `start`.
-    /// Default: filter [`Self::for_each_in_leaf`]; codecs with positional
-    /// access (bitmap leaves) override to skip the prefix wholesale
-    /// instead of paying one closure call per skipped element.
-    fn for_each_in_leaf_from(&self, leaf: usize, start: K, f: &mut dyn FnMut(K) -> bool) -> bool {
-        self.for_each_in_leaf(leaf, &mut |e| if e < start { true } else { f(e) })
-    }
+    /// The leaf-read visitor: hand `leaf`'s elements ≥ `start` to `f` as
+    /// ascending, non-empty chunks until `f` returns false; returns false
+    /// iff it did. Cells are handed out in place; a codec decodes into
+    /// `block`, at most [`CHUNK_KEYS`] keys per chunk, so a scan that
+    /// reuses one block allocates nothing. Every ordered walk of a leaf —
+    /// scans, maps, parallel chunks, the invariant check — goes through
+    /// here. `leaf` must not be spilled.
+    fn leaf_chunks<F: FnMut(&[K]) -> bool>(
+        &self,
+        leaf: usize,
+        start: K,
+        block: &mut ChunkBlock<K>,
+        f: F,
+    ) -> bool;
     /// Append `leaf`'s elements, in order, to `out`.
     fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>);
     /// Sum of `leaf`'s elements (widened to u64, wrapping).
     fn leaf_sum(&self, leaf: usize) -> u64;
 
     /// Sum of `leaf`'s elements in the half-open key range `[start, end)`
-    /// (widened to u64, wrapping). Default: early-exit in-order walk;
-    /// hybrid storages override with wordwise popcount kernels on dense
-    /// leaves.
+    /// (widened to u64, wrapping). Default: the chunks from `start`, cut
+    /// at `end`; hybrid storages override with wordwise popcount kernels
+    /// on dense leaves.
     fn leaf_range_sum(&self, leaf: usize, start: K, end: K) -> u64 {
         let mut acc = 0u64;
-        self.for_each_in_leaf(leaf, &mut |e| {
-            if e >= end {
-                return false;
-            }
-            if e >= start {
-                acc = acc.wrapping_add(e.to_u64());
-            }
-            true
+        self.leaf_chunks(leaf, start, &mut ChunkBlock::new(), |chunk| {
+            let inside = chunk.partition_point(|&e| e < end);
+            acc = chunk[..inside]
+                .iter()
+                .fold(acc, |a, &e| a.wrapping_add(e.to_u64()));
+            inside == chunk.len()
         });
         acc
     }
@@ -238,8 +323,8 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
 
     /// Membership of every key of `run` — ascending, all routed to `leaf`,
     /// which is not overflowed — in one pass: `out[i]` answers
-    /// `run.key(i)`. Default: one in-order walk of the leaf, merged
-    /// against the run and stopped after its last key.
+    /// `run.key(i)`. Default: the leaf's chunks from the run's first key,
+    /// merged against the run and stopped after its last key.
     fn presence<R: Run<K>>(&self, leaf: usize, run: R, out: &mut [bool]) {
         debug_assert_eq!(run.len(), out.len());
         out.fill(false);
@@ -247,18 +332,23 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
             return;
         }
         let mut i = 0;
-        self.for_each_in_leaf(leaf, &mut |e| {
-            while run.key(i) < e {
-                i += 1;
-                if i == run.len() {
-                    return false;
+        self.leaf_chunks(leaf, run.key(0), &mut ChunkBlock::new(), |chunk| {
+            for &e in chunk {
+                while run.key(i) < e {
+                    i += 1;
+                    if i == run.len() {
+                        return false;
+                    }
+                }
+                if run.key(i) == e {
+                    out[i] = true;
+                    i += 1;
+                    if i == run.len() {
+                        return false;
+                    }
                 }
             }
-            if run.key(i) == e {
-                out[i] = true;
-                i += 1;
-            }
-            i < run.len()
+            true
         });
     }
 

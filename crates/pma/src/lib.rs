@@ -46,7 +46,7 @@ pub use crate::core::{
     Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore, FULL_REBUILD_DIVISOR, MIN_LEAVES,
     POINT_UPDATE_CUTOFF,
 };
-pub use crate::leaf::{LeafStorage, OpsOutcome, RunSize};
+pub use crate::leaf::{BlockFill, ChunkBlock, LeafStorage, OpsOutcome, RunSize, CHUNK_KEYS};
 pub use crate::stats::PmaStats;
 pub use crate::uncompressed::UncompressedLeaves;
 pub use cpma_api::{BatchOp, BatchOutcome, Persist, PersistError, SetKey};

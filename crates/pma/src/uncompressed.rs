@@ -13,7 +13,7 @@
 //! spill slot.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use crate::leaf::{apply_run_into, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
+use crate::leaf::{apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
 use crate::run::Run;
 use crate::{stats, LeafStorage, PmaKey};
 use cpma_api::PersistError;
@@ -242,15 +242,18 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
         self.leaf_slice(leaf).last().copied()
     }
 
-    fn for_each_in_leaf(&self, leaf: usize, f: &mut dyn FnMut(K) -> bool) -> bool {
+    /// The cells themselves, from the first ≥ `start`: one chunk, no copy.
+    fn leaf_chunks<F: FnMut(&[K]) -> bool>(
+        &self,
+        leaf: usize,
+        start: K,
+        _block: &mut ChunkBlock<K>,
+        mut f: F,
+    ) -> bool {
         let slice = self.leaf_slice(leaf);
         stats::record_read(slice.len() * K::BYTES);
-        for &e in slice {
-            if !f(e) {
-                return false;
-            }
-        }
-        true
+        let from = crate::search::lower_bound(slice, start);
+        from == slice.len() || f(&slice[from..])
     }
 
     fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>) {

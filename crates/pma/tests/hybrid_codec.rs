@@ -2,11 +2,13 @@
 //!
 //! The white-box leaf mechanics live in `src/compressed.rs`; this file
 //! checks the codec *through the whole engine*: every `ForceCodec` policy
-//! must agree with a `BTreeSet` oracle on a clustered mixed workload, the
+//! must agree with a `BTreeSet` oracle on a clustered mixed workload (the
+//! conformance suite's chunk contract included), the
 //! hybrid must actually populate both codecs (and win space on dense
 //! inputs), and snapshots with mixed-codec leaves must round-trip
 //! byte-identically.
 
+use cpma_api::conformance::assert_chunk_contract;
 use cpma_api::{BatchOp, OrderedSet, RangeSet};
 use cpma_pma::{Cpma, ForceCodec, LeafStorage, PmaConfig};
 use cpma_workloads::{clustered_keys, uniform_keys, ClusteredKeys, SplitMix64};
@@ -72,6 +74,11 @@ fn run_against_oracle(mut set: Cpma, seed: u64) -> Cpma {
         let hi = lo + (1 << 22);
         let want: u64 = oracle.range(lo..hi).fold(0u64, |a, &e| a.wrapping_add(e));
         assert_eq!(set.range_sum(lo..hi), want, "round {round}: range_sum");
+        // The chunk contract over leaves of both codecs — bitmap leaves
+        // wider than one chunk block among them.
+        for start in [0, lo, chunk[chunk.len() / 2], u64::MAX] {
+            assert_chunk_contract(&set, &oracle, start, &format!("round {round}"));
+        }
         for &probe in chunk.iter().step_by(97) {
             assert_eq!(
                 set.contains(probe),

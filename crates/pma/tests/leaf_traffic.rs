@@ -5,7 +5,7 @@
 //! `leaf_contains` and `leaf_successor` must decode only until the running
 //! value reaches the probe and account only the bytes they consumed. An
 //! earlier `leaf_contains` delegated to `leaf_successor`, and
-//! `leaf_successor` (like `for_each_in_leaf_from`) charged the whole run
+//! `leaf_successor` charged the whole run
 //! before walking, so probing a leaf's head read `units_used(leaf)` bytes
 //! instead of 8: that is what the exact equalities below would report.
 #![cfg(feature = "stats")]

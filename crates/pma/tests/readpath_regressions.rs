@@ -11,7 +11,7 @@
 //! — these tests fail loudly against it.
 
 use cpma_api::PersistError;
-use cpma_pma::{LeafStorage, Pma, PmaCore, RunSize, UncompressedLeaves};
+use cpma_pma::{ChunkBlock, LeafStorage, Pma, PmaCore, RunSize, UncompressedLeaves, CHUNK_KEYS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 type Inner = UncompressedLeaves<u64>;
@@ -116,8 +116,14 @@ impl LeafStorage<u64> for CountingLeaves {
         self.inner.leaf_max(leaf)
     }
 
-    fn for_each_in_leaf(&self, leaf: usize, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        self.inner.for_each_in_leaf(leaf, f)
+    fn leaf_chunks<F: FnMut(&[u64]) -> bool>(
+        &self,
+        leaf: usize,
+        start: u64,
+        block: &mut ChunkBlock<u64>,
+        f: F,
+    ) -> bool {
+        self.inner.leaf_chunks(leaf, start, block, f)
     }
 
     fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>) {
@@ -228,7 +234,8 @@ fn batched_lookups_never_scan_leaf_counts() {
 /// independent early-exit decode for the compressed codec (it used to be
 /// defined as `leaf_successor(..) == Some(key)`), so pin the agreement of
 /// both per-leaf queries against a collect-derived oracle, per leaf, for
-/// member keys and their neighbours.
+/// member keys and their neighbours — and the read visitor's chunks, on
+/// delta leaves and on bitmap leaves that take several blocks.
 #[test]
 fn leaf_queries_agree_across_codecs() {
     use cpma_pma::{CompressedLeaves, Cpma};
@@ -243,12 +250,35 @@ fn leaf_queries_agree_across_codecs() {
 
     fn check_storage<L: LeafStorage<u64>>(storage: &L, name: &str) {
         let mut buf = Vec::new();
+        let mut block = ChunkBlock::new();
         for leaf in 0..storage.num_leaves() {
             buf.clear();
             storage.collect_leaf(leaf, &mut buf);
             if buf.is_empty() {
                 continue;
             }
+            // The read visitor hands out the collected keys from any start,
+            // in chunks no larger than a block, and stops on a `false`.
+            for start in [0, buf[0], buf[buf.len() / 2], buf[buf.len() - 1] + 1] {
+                let mut got = Vec::new();
+                let finished = storage.leaf_chunks(leaf, start, &mut block, |chunk| {
+                    assert!(!chunk.is_empty() && chunk.len() <= CHUNK_KEYS);
+                    got.extend_from_slice(chunk);
+                    true
+                });
+                let want: Vec<u64> = buf.iter().copied().filter(|&k| k >= start).collect();
+                assert!(finished, "{name}: leaf {leaf} chunks from {start} stopped");
+                assert_eq!(got, want, "{name}: leaf {leaf} chunks from {start}");
+            }
+            let mut calls = 0;
+            assert!(!storage.leaf_chunks(leaf, 0, &mut block, |_| {
+                calls += 1;
+                false
+            }));
+            assert_eq!(
+                calls, 1,
+                "{name}: leaf {leaf} chunks went on after a `false`"
+            );
             for &e in &buf {
                 for probe in [e.saturating_sub(1), e, e.saturating_add(1)] {
                     assert_eq!(
@@ -267,6 +297,13 @@ fn leaf_queries_agree_across_codecs() {
     }
     check_storage::<UncompressedLeaves<u64>>(p.storage(), "PMA");
     check_storage::<CompressedLeaves>(c.storage(), "CPMA");
+    // Consecutive keys: bitmap leaves, wider than one chunk block.
+    let dense = Cpma::from_sorted(&(0..50_000u64).collect::<Vec<_>>());
+    let widest = (0..dense.storage().num_leaves())
+        .map(|l| dense.storage().count(l))
+        .max();
+    assert!(widest > Some(CHUNK_KEYS), "no leaf wider than a block");
+    check_storage::<CompressedLeaves>(dense.storage(), "CPMA, dense");
 
     // And the set-level answers agree between the codecs.
     for probe in elems.iter().step_by(97).copied() {

@@ -8,7 +8,9 @@
 //! Every request is framed in place into one reused buffer (a batch of
 //! keys goes from the caller's slice straight onto the wire image), and
 //! replies are read through one buffered reader, so a burst's reply frames
-//! cost a handful of `read` syscalls rather than two apiece.
+//! cost a handful of `read` syscalls rather than two apiece, into one
+//! reused body buffer they are decoded from, so a scan page's half
+//! megabyte is neither allocated nor zeroed per reply.
 
 use crate::proto::{self, ProtoError, RecvError, Reply, Request, DEFAULT_MAX_FRAME_BYTES};
 use cpma_api::BatchOp;
@@ -74,9 +76,9 @@ impl From<RecvError> for ClientError {
 /// fill, an 8 192-op burst's in five.
 const REPLY_BUF_BYTES: usize = 64 << 10;
 
-/// The reader every reply goes through: [`proto::read_frame`]'s two small
-/// reads per frame are served from memory, and a body larger than the
-/// buffer is read straight into its own allocation.
+/// The reader every reply goes through: [`proto::read_frame_into`]'s two
+/// small reads per frame are served from memory, and a body larger than
+/// the buffer is read straight into the client's body buffer.
 fn reply_reader<R: Read>(stream: R) -> BufReader<R> {
     BufReader::with_capacity(REPLY_BUF_BYTES, stream)
 }
@@ -87,6 +89,8 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     /// The request frames of the call in flight, encoded in place.
     wire: Vec<u8>,
+    /// Every reply frame is read into this one buffer and decoded there.
+    body: Vec<u8>,
     next_seq: u64,
     max_frame: u32,
 }
@@ -99,6 +103,7 @@ impl Client {
         Ok(Client {
             reader: reply_reader(stream),
             wire: Vec::new(),
+            body: Vec::new(),
             next_seq: 1,
             max_frame: DEFAULT_MAX_FRAME_BYTES,
         })
@@ -217,9 +222,9 @@ impl Client {
 
     /// Read the next reply and check that it answers request `want`.
     fn reply_to(&mut self, want: u64) -> Result<Reply, ClientError> {
-        let body = proto::read_frame(&mut self.reader, self.max_frame)?
+        let body = proto::read_frame_into(&mut self.reader, self.max_frame, &mut self.body)?
             .ok_or(ClientError::ConnectionClosed)?;
-        match Reply::decode_body(&body).map_err(ClientError::Proto)? {
+        match Reply::decode_body(body).map_err(ClientError::Proto)? {
             Reply::Error { seq, code } => Err(ClientError::Server { seq, code }),
             reply if reply.seq() != want => Err(ClientError::SeqMismatch {
                 want,

@@ -523,6 +523,24 @@ pub fn reply_frame(rep: &Reply) -> Vec<u8> {
 /// the `max_frame` check, and is handed back as the body once the digest
 /// has matched.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, RecvError> {
+    let mut buf = Vec::new();
+    let Some(len) = read_frame_into(r, max_frame, &mut buf)?.map(<[u8]>::len) else {
+        return Ok(None);
+    };
+    buf.truncate(len);
+    Ok(Some(buf))
+}
+
+/// [`read_frame`] into `buf`, a buffer the caller keeps across frames: it
+/// grows to the largest frame read so far and is otherwise reused as it
+/// is, so once it has held a frame as large, a frame costs no allocation
+/// and no zeroing. Returns the body, a prefix of `buf`. The length prefix
+/// passes the `max_frame` check before `buf` grows.
+pub(crate) fn read_frame_into<'b>(
+    r: &mut impl Read,
+    max_frame: u32,
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<&'b [u8]>, RecvError> {
     let mut prefix = [0u8; frame::LEN_BYTES];
     match read_full(r, &mut prefix)? {
         0 => return Ok(None),
@@ -530,15 +548,17 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, 
         _ => return Err(ProtoError::Truncated("length prefix").into()),
     }
     let len = frame::body_len(prefix, max_frame).map_err(ProtoError::from)?;
-    let mut tail = vec![0u8; len + frame::DIGEST_BYTES];
-    let got = read_full(r, &mut tail)?;
-    if got < tail.len() {
+    let tail_len = len + frame::DIGEST_BYTES;
+    if buf.len() < tail_len {
+        buf.resize(tail_len, 0);
+    }
+    let tail = &mut buf[..tail_len];
+    let got = read_full(r, tail)?;
+    if got < tail_len {
         let cut = if got < len { "body" } else { "checksum" };
         return Err(ProtoError::Truncated(cut).into());
     }
-    frame::open(&tail).map_err(ProtoError::from)?;
-    tail.truncate(len);
-    Ok(Some(tail))
+    Ok(Some(frame::open(tail).map_err(ProtoError::from)?))
 }
 
 /// `read_exact` that reports how far it got instead of failing at

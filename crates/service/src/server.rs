@@ -40,6 +40,7 @@ use cpma_store::{Combiner, CombinerConfig, Op, RecoveryReport, WalConfig};
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -150,13 +151,15 @@ where
     }
 }
 
-/// Up to `max` keys of `set` from `lo` upward, into a vector sized once:
-/// a page never holds more than `max` keys nor more than the set does.
-fn scan_page<S: RangeSet<u64>>(set: &S, lo: u64, max: usize) -> Vec<u64> {
+/// Up to `max` keys of `set` from `lo` upward, into a vector sized once
+/// (a page never holds more than `max` keys nor more than the set does)
+/// and filled a chunk — a leaf — at a time.
+pub fn scan_page<S: RangeSet<u64>>(set: &S, lo: u64, max: usize) -> Vec<u64> {
     let mut out = Vec::with_capacity(max.min(set.len()));
     if max > 0 {
-        set.scan_from(lo, &mut |k| {
-            out.push(k);
+        set.scan_chunks_from(lo, &mut |chunk| {
+            let room = max - out.len();
+            out.extend_from_slice(&chunk[..chunk.len().min(room)]);
             out.len() < max
         });
     }
@@ -455,13 +458,16 @@ fn serve_conn(
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_nodelay(true)?;
     let mut reader = FrameReader::new(stream);
+    // Where the batch's request bodies lie in the reader's buffer.
+    let mut bodies = Vec::new();
     // Reply frames of one batch, each encoded in place.
     let mut out = Vec::new();
 
     loop {
         // Blocking read of the next frame (honors the read timeout).
-        let first = match reader.next_blocking(cfg.max_frame_bytes) {
-            Ok(Some(body)) => body,
+        bodies.clear();
+        match reader.next_blocking(cfg.max_frame_bytes) {
+            Ok(Some(body)) => bodies.push(body),
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Err(RecvError::Io(_)) => return Ok(()), // timeout / reset: close
             Err(RecvError::Proto(e)) => {
@@ -469,22 +475,22 @@ fn serve_conn(
                 send_error(&mut reader.stream, 0, e)?;
                 return Ok(());
             }
-        };
+        }
 
         // Opportunistic pipeline drain: every complete frame the client
         // has already sent joins this batch.
-        let mut bodies = vec![first];
         let (drain_err, eof) =
             reader.drain_nonblocking(cfg.max_frame_bytes, cfg.max_pipeline_ops, &mut bodies);
         metrics.frames.add(bodies.len() as u64);
 
-        // Decode. A bad body stops the batch; the good prefix still runs.
+        // Decode, each body where it was read. A bad body stops the batch;
+        // the good prefix still runs.
         let mut requests = Vec::with_capacity(bodies.len());
         let mut fatal: Option<(u64, ProtoError)> = None;
         {
             let mut span = cpma_obs::span_with(&metrics.decode_ns, "service.decode");
             span.set_items(bodies.len() as u64);
-            for body in &bodies {
+            for body in bodies.iter().map(|at| reader.body(at)) {
                 match Request::decode_body(body) {
                     Ok(r) => requests.push(r),
                     Err(e) => {
@@ -494,6 +500,7 @@ fn serve_conn(
                 }
             }
         }
+        reader.release();
         if fatal.is_none() {
             fatal = drain_err.map(|e| (0, e));
         }
@@ -611,10 +618,14 @@ fn serve_requests(engine: &dyn Engine, requests: &[Request], scan_limit: u32) ->
 }
 
 /// Buffered frame reader over a `TcpStream`, supporting a blocking "next
-/// frame" and a non-blocking "drain whatever is already here".
+/// frame" and a non-blocking "drain whatever is already here". Frames are
+/// parsed in place: a batch's bodies are handed out as ranges of the
+/// buffer and stay there, uncopied, until the batch is
+/// [released](Self::release).
 struct FrameReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Where the next frame starts: the bytes before it are parsed frames.
     start: usize,
 }
 
@@ -627,25 +638,38 @@ impl FrameReader {
         }
     }
 
-    /// Parse one complete frame out of the buffer, if present: the body is
-    /// copied out only after its length and digest have been checked on
-    /// the buffered bytes. `Ok(None)` means more bytes are needed.
-    fn pop_frame(&mut self, max_frame: u32) -> Result<Option<Vec<u8>>, ProtoError> {
+    /// Parse one complete frame out of the buffer, if present, and return
+    /// where its body lies — after its length and digest have been checked
+    /// on the buffered bytes. `Ok(None)` means more bytes are needed.
+    fn pop_frame(&mut self, max_frame: u32) -> Result<Option<Range<usize>>, ProtoError> {
         let Some((body, used)) = frame::parse(&self.buf[self.start..], max_frame)? else {
             return Ok(None);
         };
-        let body = body.to_vec();
+        let at = self.start + frame::LEN_BYTES;
+        let body = at..at + body.len();
         self.start += used;
+        Ok(Some(body))
+    }
+
+    /// The bytes of a body [`Self::pop_frame`] returned, until the next
+    /// [`Self::release`].
+    fn body(&self, at: &Range<usize>) -> &[u8] {
+        &self.buf[at.clone()]
+    }
+
+    /// Drop the frames parsed so far, their bodies done with: the buffer
+    /// moves what is left — the start of a frame still arriving — to its
+    /// front once that is all it holds or the parsed bytes pass 64 KiB.
+    fn release(&mut self) {
         if self.start > 64 * 1024 || self.start == self.buf.len() {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        Ok(Some(body))
     }
 
     /// Blocking read of the next frame. `Ok(None)` on clean EOF at a
     /// frame boundary.
-    fn next_blocking(&mut self, max_frame: u32) -> Result<Option<Vec<u8>>, RecvError> {
+    fn next_blocking(&mut self, max_frame: u32) -> Result<Option<Range<usize>>, RecvError> {
         loop {
             if let Some(frame) = self.pop_frame(max_frame)? {
                 return Ok(Some(frame));
@@ -674,7 +698,7 @@ impl FrameReader {
         &mut self,
         max_frame: u32,
         limit: usize,
-        out: &mut Vec<Vec<u8>>,
+        out: &mut Vec<Range<usize>>,
     ) -> (Option<ProtoError>, bool) {
         let mut eof = false;
         if self.stream.set_nonblocking(true).is_err() {

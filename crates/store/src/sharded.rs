@@ -9,9 +9,9 @@
 //! sentinels), i.e. `shard_of(k)` is the number of splitters ≤ `k`.
 //! Because shards partition the key space in order, every cross-shard
 //! operation stitches shard results in shard index order and gets key
-//! order for free: `to_vec` concatenates, `scan_from` resumes in the next
-//! shard, `range_sum` adds per-shard sums, `par_chunks` hands out each
-//! shard's chunks unchanged.
+//! order for free: `to_vec` concatenates, `scan_chunks_from` resumes in
+//! the next shard, `range_sum` adds per-shard sums, and `scan_chunks_from`
+//! and `par_chunks` hand out each shard's chunks unchanged.
 //!
 //! # Batch splitting
 //!
@@ -746,13 +746,14 @@ impl<
 impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize, const MIN: usize, const MAX: usize>
     RangeSet<K> for ShardedSet<S, N, MIN, MAX>
 {
-    fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
+    /// Each shard's chunks in shard (= key) order.
+    fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool) {
         let first = self.shard_of(start.to_u64());
         let mut live = true;
         for (i, shard) in self.shards.iter().enumerate().skip(first) {
             let from = if i == first { start } else { K::MIN };
-            shard.scan_from(from, &mut |k| {
-                live = f(k);
+            shard.scan_chunks_from(from, &mut |chunk| {
+                live = f(chunk);
                 live
             });
             if !live {

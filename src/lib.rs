@@ -18,7 +18,8 @@
 //!   wrappers routed through [`api::normalize_batch`];
 //! * [`api::RangeSet`] — std-idiom range queries over
 //!   [`std::ops::RangeBounds`]: `range_sum(a..b)`, `for_range(a..=b, f)`,
-//!   `range_iter`, built on one `scan_from` primitive.
+//!   `range_iter`, built on one `scan_chunks_from` primitive that hands
+//!   out ascending slices a leaf or block at a time.
 //!
 //! Import the lot with the [`prelude`]:
 //!
