@@ -11,22 +11,21 @@
 //! * [`GraphScan`] — the neighbor-iteration interface all algorithms use;
 //! * [`Csr`] — static Compressed Sparse Row reference (correctness oracle);
 //! * [`FGraph`] — the paper's system: one CPMA, offsets rebuilt on demand;
-//! * [`PacGraph`] / [`AspenGraph`] — the baseline containers;
+//! * [`TreeGraph`] — the baseline containers, one tree per vertex:
+//!   [`PacGraph`] (C-PaC) and [`AspenGraph`] (C-trees);
 //! * [`ligra`] — `VertexSubset` + `edge_map` (sparse/dense with switching);
 //! * [`algos`] — BFS, PageRank, label-propagation CC, Brandes BC.
 
 pub mod algos;
-pub mod aspen;
 pub mod csr;
 pub mod fgraph;
 pub mod ligra;
-pub mod pacgraph;
+pub mod treegraph;
 
-pub use aspen::AspenGraph;
 pub use csr::Csr;
 pub use fgraph::{EdgeSet, FGraph, FGraphSnapshot, SetGraph, SetGraphSnapshot};
 pub use ligra::{edge_map, VertexSubset};
-pub use pacgraph::PacGraph;
+pub use treegraph::{AspenGraph, PacGraph, TreeGraph};
 
 /// Pack a directed edge the way F-Graph stores it: source in the upper 32
 /// bits, destination in the lower 32 (§6, "F-Graph description").

@@ -39,4 +39,4 @@ pub mod wal;
 pub use cpma_api::{Persist, PersistError};
 pub use recover::{recover, RecoveryReport};
 pub use snapshot::SnapshotEnvelope;
-pub use wal::{FsyncPolicy, WalConfig, WalWriter};
+pub use wal::{FsyncPolicy, WalConfig, WalWriter, KEEP_CHECKPOINTS};

@@ -357,7 +357,6 @@ mod tests {
         let dir = tmp_dir("fallback");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Never,
-            keep_checkpoints: 2,
             ..WalConfig::new(&dir)
         };
         let mut w = WalWriter::open(cfg, 1).unwrap();

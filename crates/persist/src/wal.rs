@@ -84,6 +84,11 @@ const OP_BYTES: usize = 9;
 /// Fixed body bytes before the ops (seq + nops).
 const BODY_FIXED: usize = 12;
 
+/// Checkpoints kept at rotation, with the segments they need; older ones
+/// are deleted. Two, so that a checkpoint torn by a crash during rotation
+/// still has a valid predecessor for recovery to fall back to.
+pub const KEEP_CHECKPOINTS: usize = 2;
+
 /// When the WAL file is flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
@@ -103,30 +108,23 @@ pub struct WalConfig {
     /// When records reach stable storage.
     pub fsync: FsyncPolicy,
     /// Once the live segment exceeds this many bytes, the next epoch
-    /// boundary writes a checkpoint and rotates to a fresh segment.
+    /// boundary writes a checkpoint and rotates to a fresh segment, keeping
+    /// [`KEEP_CHECKPOINTS`] checkpoints.
     pub rotate_bytes: u64,
-    /// How many checkpoints to retain (≥ 1). Older checkpoints and the
-    /// segments they cover are deleted at rotation.
-    pub keep_checkpoints: usize,
 }
 
 impl WalConfig {
-    /// Durable defaults: fsync every record, rotate at 4 MiB, keep the
-    /// two newest checkpoints (so one corrupt checkpoint still recovers).
+    /// Durable defaults: fsync every record, rotate at 4 MiB.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
             rotate_bytes: 4 << 20,
-            keep_checkpoints: 2,
         }
     }
 
     /// Validate the configuration.
     pub fn check(&self) -> Result<(), ConfigError> {
-        if self.keep_checkpoints == 0 {
-            return Err(ConfigError::new("keep_checkpoints", "must be ≥ 1"));
-        }
         if let FsyncPolicy::EveryN(0) = self.fsync {
             return Err(ConfigError::new(
                 "fsync",
@@ -385,7 +383,7 @@ impl WalWriter {
 
     /// Rotate after a checkpoint at `checkpoint_seq` has been written:
     /// seal the live segment, start `wal-<checkpoint_seq + 1>.log`, prune
-    /// checkpoints beyond `keep_checkpoints`, and delete segments wholly
+    /// checkpoints beyond [`KEEP_CHECKPOINTS`], and delete segments wholly
     /// covered by the oldest retained checkpoint.
     pub fn rotate(&mut self, checkpoint_seq: u64) -> Result<(), PersistError> {
         // Everything the checkpoint covers must be durable before any
@@ -397,7 +395,7 @@ impl WalWriter {
         self.appends_since_sync = 0;
 
         let (checkpoints, segments) = scan_dir(&self.cfg.dir)?;
-        let keep = self.cfg.keep_checkpoints;
+        let keep = KEEP_CHECKPOINTS;
         if checkpoints.len() > keep {
             for (_, path) in &checkpoints[..checkpoints.len() - keep] {
                 // A checkpoint may be a single file (PMA snapshot) or a
@@ -597,7 +595,6 @@ mod tests {
         let cfg = WalConfig {
             fsync: FsyncPolicy::Never,
             rotate_bytes: 64, // tiny: rotate almost every epoch
-            keep_checkpoints: 2,
             ..WalConfig::new(&dir)
         };
         let mut w = WalWriter::open(cfg, 1).unwrap();
@@ -613,7 +610,11 @@ mod tests {
         }
         assert!(rotations.len() >= 3, "rotate_bytes=64 should rotate often");
         let (checkpoints, segments) = scan_dir(&dir).unwrap();
-        assert_eq!(checkpoints.len(), 2, "prunes to keep_checkpoints");
+        assert_eq!(
+            checkpoints.len(),
+            KEEP_CHECKPOINTS,
+            "prunes to KEEP_CHECKPOINTS"
+        );
         let oldest_kept = checkpoints[0].0;
         // Every surviving segment still covers live ground.
         for w2 in segments.windows(2) {
@@ -627,9 +628,6 @@ mod tests {
     fn config_validation() {
         let mut cfg = WalConfig::new("/tmp/x");
         assert!(cfg.check().is_ok());
-        cfg.keep_checkpoints = 0;
-        assert!(cfg.check().is_err());
-        let mut cfg = WalConfig::new("/tmp/x");
         cfg.fsync = FsyncPolicy::EveryN(0);
         assert!(cfg.check().is_err());
         let mut cfg = WalConfig::new("/tmp/x");

@@ -12,7 +12,7 @@
 //! reused body buffer they are decoded from, so a scan page's half
 //! megabyte is neither allocated nor zeroed per reply.
 
-use crate::proto::{self, ProtoError, RecvError, Reply, Request, DEFAULT_MAX_FRAME_BYTES};
+use crate::proto::{self, ProtoError, RecvError, Reply, Request, MAX_FRAME_BYTES};
 use cpma_api::BatchOp;
 use cpma_persist::frame;
 use std::io::{self, BufReader, Read, Write};
@@ -92,7 +92,6 @@ pub struct Client {
     /// Every reply frame is read into this one buffer and decoded there.
     body: Vec<u8>,
     next_seq: u64,
-    max_frame: u32,
 }
 
 impl Client {
@@ -105,7 +104,6 @@ impl Client {
             wire: Vec::new(),
             body: Vec::new(),
             next_seq: 1,
-            max_frame: DEFAULT_MAX_FRAME_BYTES,
         })
     }
 
@@ -147,8 +145,8 @@ impl Client {
         }
     }
 
-    /// Snapshot scan: up to `max` keys from `lo` upward (the server may
-    /// clamp `max` to its configured scan limit).
+    /// Snapshot scan: up to `max` keys from `lo` upward (the server clamps
+    /// `max` to [`proto::SCAN_LIMIT`]).
     pub fn scan(&mut self, lo: u64, max: u32) -> Result<Vec<u64>, ClientError> {
         let reply = self.call(|seq, body| Request::Scan { seq, lo, max }.encode_body(body))?;
         match reply {
@@ -222,7 +220,7 @@ impl Client {
 
     /// Read the next reply and check that it answers request `want`.
     fn reply_to(&mut self, want: u64) -> Result<Reply, ClientError> {
-        let body = proto::read_frame_into(&mut self.reader, self.max_frame, &mut self.body)?
+        let body = proto::read_frame_into(&mut self.reader, MAX_FRAME_BYTES, &mut self.body)?
             .ok_or(ClientError::ConnectionClosed)?;
         match Reply::decode_body(body).map_err(ClientError::Proto)? {
             Reply::Error { seq, code } => Err(ClientError::Server { seq, code }),
@@ -266,7 +264,7 @@ mod tests {
     fn drain(r: &mut impl Read) -> Vec<String> {
         let mut out = Vec::new();
         loop {
-            match proto::read_frame(r, DEFAULT_MAX_FRAME_BYTES) {
+            match proto::read_frame(r, MAX_FRAME_BYTES) {
                 Ok(Some(body)) => out.push(format!("{:?}", Reply::decode_body(&body))),
                 Ok(None) => return out,
                 Err(e) => {

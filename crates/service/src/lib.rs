@@ -13,7 +13,8 @@
 //! worker pool ([`ServiceConfig::workers`]) — the worker count is the
 //! concurrency bound and the backpressure mechanism. See
 //! `docs/ARCHITECTURE.md` ("The network front door") for the wire diagram
-//! and thread model, and `docs/TUNING.md` for the knobs.
+//! and thread model, and `docs/TUNING.md` for the settings and the
+//! protocol constants.
 //!
 //! ```no_run
 //! use cpma_service::{Client, Service, ServiceConfig};
@@ -31,5 +32,7 @@ pub mod proto;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use proto::{ProtoError, RecvError, Reply, Request, DEFAULT_MAX_FRAME_BYTES};
+pub use proto::{
+    ProtoError, RecvError, Reply, Request, MAX_FRAME_BYTES, MAX_PIPELINE_OPS, SCAN_LIMIT,
+};
 pub use server::{CombinerEngine, Engine, Service, ServiceConfig, ServiceError};

@@ -32,8 +32,8 @@
 //! Decoding follows the persistence layer's doctrine: every malformed input
 //! must produce a typed [`ProtoError`] — never a panic, and never an
 //! allocation sized from an attacker-controlled length that the frame's
-//! actual bytes do not back. The frame length is validated against the
-//! configured maximum *before* the body buffer is allocated, and the
+//! actual bytes do not back. The frame length is validated against
+//! [`MAX_FRAME_BYTES`] *before* the body buffer is allocated, and the
 //! `ContainsBatch` element count must exactly match the bytes present.
 
 use cpma_persist::frame::{self, FrameError};
@@ -42,14 +42,31 @@ use std::io::{self, Read};
 /// The only protocol version this build speaks.
 pub const PROTOCOL_VERSION: u8 = 2;
 
-/// Default cap on a frame's body length (1 MiB ≈ 131k keys per batch).
-pub const DEFAULT_MAX_FRAME_BYTES: u32 = 1 << 20;
+/// Cap on a frame's body length, on both sides of the wire (1 MiB ≈ 131k
+/// keys per batch): checked on the length prefix before a body buffer is
+/// allocated.
+pub const MAX_FRAME_BYTES: u32 = 1 << 20;
+
+/// [`MAX_FRAME_BYTES`] under the name it had while servers could set
+/// another cap; the repository benchmark still reads it by this name.
+pub const DEFAULT_MAX_FRAME_BYTES: u32 = MAX_FRAME_BYTES;
+
+/// Most frames a server drains from one connection into one combined
+/// submission: bounds a worker's memory per connection.
+pub const MAX_PIPELINE_OPS: usize = 16 * 1024;
+
+/// Most keys one `Scan` reply carries; a request's larger `max` is
+/// clamped to it. Page through a larger range from the last key returned.
+pub const SCAN_LIMIT: u32 = 64 * 1024;
 
 /// Bytes a frame adds around its body: 4-byte length + 8-byte digest.
 pub const FRAME_OVERHEAD: usize = frame::OVERHEAD;
 
 /// Request/reply body header: version, opcode/kind, sequence id.
 const BODY_HEADER: usize = 1 + 1 + 8;
+
+// A full scan page — header, key count, keys — fits one frame.
+const _: () = assert!(BODY_HEADER + 4 + 8 * SCAN_LIMIT as usize <= MAX_FRAME_BYTES as usize);
 
 mod opcode {
     pub const INSERT: u8 = 1;
@@ -77,7 +94,7 @@ pub enum ProtoError {
     Truncated(&'static str),
     /// The body checksum did not match.
     ChecksumMismatch,
-    /// The length prefix exceeds the configured frame cap; rejected before
+    /// The length prefix exceeds the frame cap; rejected before
     /// any allocation.
     Oversize { len: u32, max: u32 },
     /// The body's version byte is not [`PROTOCOL_VERSION`].
@@ -184,7 +201,7 @@ pub enum Request {
     /// Sum of keys in `lo..=hi` against a snapshot.
     RangeSum { seq: u64, lo: u64, hi: u64 },
     /// Up to `max` keys starting at `lo`, ascending, against a snapshot.
-    /// The server additionally caps `max` at its configured scan limit.
+    /// The server additionally caps `max` at [`SCAN_LIMIT`].
     Scan { seq: u64, lo: u64, max: u32 },
 }
 
@@ -582,7 +599,7 @@ mod tests {
 
     fn roundtrip_req(req: Request) {
         let frame = request_frame(&req);
-        let body = read_frame(&mut &frame[..], DEFAULT_MAX_FRAME_BYTES)
+        let body = read_frame(&mut &frame[..], MAX_FRAME_BYTES)
             .unwrap()
             .unwrap();
         assert_eq!(Request::decode_body(&body).unwrap(), req);
@@ -590,7 +607,7 @@ mod tests {
 
     fn roundtrip_rep(rep: Reply) {
         let frame = reply_frame(&rep);
-        let body = read_frame(&mut &frame[..], DEFAULT_MAX_FRAME_BYTES)
+        let body = read_frame(&mut &frame[..], MAX_FRAME_BYTES)
             .unwrap()
             .unwrap();
         assert_eq!(Reply::decode_body(&body).unwrap(), rep);
@@ -699,7 +716,7 @@ mod tests {
     #[test]
     fn a_keys_reply_is_hashed_once_and_written_once_per_side() {
         use cpma_persist::checksum::tally::hashed_by;
-        let n = 65_536usize;
+        let n = SCAN_LIMIT as usize;
         let rep = Reply::Keys {
             seq: 9,
             keys: (0..n as u64).map(|k| k * 3).collect(),
@@ -716,7 +733,8 @@ mod tests {
             "every byte landed once, in the output buffer"
         );
 
-        let (body, hashed) = hashed_by(|| read_frame(&mut &out[..], 1 << 20).unwrap().unwrap());
+        let (body, hashed) =
+            hashed_by(|| read_frame(&mut &out[..], MAX_FRAME_BYTES).unwrap().unwrap());
         assert_eq!(hashed, body_len, "client side hashes the body once");
         assert_eq!(body.len(), body_len);
         let (back, hashed) = hashed_by(|| Reply::decode_body(&body).unwrap());
@@ -732,10 +750,10 @@ mod tests {
     fn oversize_rejected_before_allocation() {
         let mut frame = Vec::new();
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        match read_frame(&mut &frame[..], 1024) {
+        match read_frame(&mut &frame[..], MAX_FRAME_BYTES) {
             Err(RecvError::Proto(ProtoError::Oversize { len, max })) => {
                 assert_eq!(len, u32::MAX);
-                assert_eq!(max, 1024);
+                assert_eq!(max, MAX_FRAME_BYTES);
             }
             other => panic!("expected Oversize, got {other:?}"),
         }

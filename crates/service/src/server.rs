@@ -14,7 +14,7 @@
 //!
 //! A worker reads one frame blocking, then opportunistically drains every
 //! further complete frame the client has already sent (up to
-//! [`ServiceConfig::max_pipeline_ops`]). Contiguous runs of mutating /
+//! [`MAX_PIPELINE_OPS`]). Contiguous runs of mutating /
 //! linearized ops are funneled through [`Combiner::submit_many`] as **one**
 //! publication — the flat-combining layer does the batching that async
 //! frameworks usually fake. Snapshot reads (`ContainsBatch`, `RangeSum`,
@@ -31,7 +31,7 @@
 //! still sent first.
 
 use crate::proto::{
-    self, ProtoError, RecvError, Reply, Request, DEFAULT_MAX_FRAME_BYTES, FRAME_OVERHEAD,
+    self, ProtoError, RecvError, Reply, Request, MAX_FRAME_BYTES, MAX_PIPELINE_OPS, SCAN_LIMIT,
 };
 use cpma_api::{BatchSet, ConfigError, Persist, PersistError, RangeSet};
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
@@ -46,60 +46,33 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Knobs for a [`Service`]. `docs/TUNING.md` has the full rationale table.
+/// Deployment settings for a [`Service`]; the wire limits are the
+/// protocol's constants ([`MAX_FRAME_BYTES`], [`MAX_PIPELINE_OPS`],
+/// [`SCAN_LIMIT`]). `docs/TUNING.md` has the rationale table.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads serving connections; also the connection concurrency
     /// bound (excess connections queue). Default 4.
     pub workers: usize,
-    /// Cap on a frame's body length, enforced before the body buffer is
-    /// allocated. Default [`DEFAULT_MAX_FRAME_BYTES`] (1 MiB).
-    pub max_frame_bytes: u32,
     /// Per-connection read timeout; an idle or half-dead client is
     /// disconnected when it expires. `None` waits forever. Default 30 s.
     pub read_timeout: Option<Duration>,
-    /// Cap on decoded requests buffered per pipeline drain (bounds worker
-    /// memory per connection). Default 16384.
-    pub max_pipeline_ops: usize,
-    /// Server-side cap on a single `Scan`'s result count (the client's
-    /// `max` is clamped to this). Default 65536 — a full reply still fits
-    /// a 1 MiB frame. Default scan limit × 8 bytes must stay under
-    /// `max_frame_bytes`.
-    pub scan_limit: u32,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             read_timeout: Some(Duration::from_secs(30)),
-            max_pipeline_ops: 16 * 1024,
-            scan_limit: 64 * 1024,
         }
     }
 }
 
 impl ServiceConfig {
-    /// Validate the knob set.
+    /// Validate the settings.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::new("workers", "must be at least 1"));
-        }
-        if (self.max_frame_bytes as usize) < proto::FRAME_OVERHEAD + 10 {
-            return Err(ConfigError::new(
-                "max_frame_bytes",
-                "too small to hold any request body",
-            ));
-        }
-        if self.max_pipeline_ops == 0 {
-            return Err(ConfigError::new("max_pipeline_ops", "must be at least 1"));
-        }
-        if self.scan_limit as u64 * 8 + FRAME_OVERHEAD as u64 + 14 > self.max_frame_bytes as u64 {
-            return Err(ConfigError::new(
-                "scan_limit",
-                "a full scan reply would exceed max_frame_bytes",
-            ));
         }
         Ok(())
     }
@@ -466,7 +439,7 @@ fn serve_conn(
     loop {
         // Blocking read of the next frame (honors the read timeout).
         bodies.clear();
-        match reader.next_blocking(cfg.max_frame_bytes) {
+        match reader.next_blocking() {
             Ok(Some(body)) => bodies.push(body),
             Ok(None) => return Ok(()), // clean close at a frame boundary
             Err(RecvError::Io(_)) => return Ok(()), // timeout / reset: close
@@ -479,8 +452,7 @@ fn serve_conn(
 
         // Opportunistic pipeline drain: every complete frame the client
         // has already sent joins this batch.
-        let (drain_err, eof) =
-            reader.drain_nonblocking(cfg.max_frame_bytes, cfg.max_pipeline_ops, &mut bodies);
+        let (drain_err, eof) = reader.drain_nonblocking(&mut bodies);
         metrics.frames.add(bodies.len() as u64);
 
         // Decode, each body where it was read. A bad body stops the batch;
@@ -511,7 +483,7 @@ fn serve_conn(
         let replies = {
             let mut span = cpma_obs::span_with(&metrics.combine_ns, "service.combine");
             span.set_items(requests.len() as u64);
-            serve_requests(engine, &requests, cfg.scan_limit)
+            serve_requests(engine, &requests)
         };
 
         // Reply in request order, one write per batch.
@@ -550,7 +522,7 @@ fn send_error(stream: &mut TcpStream, seq: u64, e: ProtoError) -> io::Result<()>
 /// Serve a decoded batch: accumulate `Insert`/`Remove`/`Contains` into a
 /// pending run, flush the run through one [`Engine::submit`] whenever a
 /// snapshot read (or the batch end) arrives. Replies are positional.
-fn serve_requests(engine: &dyn Engine, requests: &[Request], scan_limit: u32) -> Vec<Reply> {
+fn serve_requests(engine: &dyn Engine, requests: &[Request]) -> Vec<Reply> {
     let mut replies: Vec<Option<Reply>> = (0..requests.len()).map(|_| None).collect();
     let mut run_idx: Vec<usize> = Vec::new();
     let mut run_ops: Vec<Op<u64>> = Vec::new();
@@ -608,7 +580,7 @@ fn serve_requests(engine: &dyn Engine, requests: &[Request], scan_limit: u32) ->
                 flush(engine, requests, &mut replies, &mut run_idx, &mut run_ops);
                 replies[i] = Some(Reply::Keys {
                     seq,
-                    keys: engine.scan(lo, max.min(scan_limit) as usize),
+                    keys: engine.scan(lo, max.min(SCAN_LIMIT) as usize),
                 });
             }
         }
@@ -641,8 +613,8 @@ impl FrameReader {
     /// Parse one complete frame out of the buffer, if present, and return
     /// where its body lies — after its length and digest have been checked
     /// on the buffered bytes. `Ok(None)` means more bytes are needed.
-    fn pop_frame(&mut self, max_frame: u32) -> Result<Option<Range<usize>>, ProtoError> {
-        let Some((body, used)) = frame::parse(&self.buf[self.start..], max_frame)? else {
+    fn pop_frame(&mut self) -> Result<Option<Range<usize>>, ProtoError> {
+        let Some((body, used)) = frame::parse(&self.buf[self.start..], MAX_FRAME_BYTES)? else {
             return Ok(None);
         };
         let at = self.start + frame::LEN_BYTES;
@@ -669,9 +641,9 @@ impl FrameReader {
 
     /// Blocking read of the next frame. `Ok(None)` on clean EOF at a
     /// frame boundary.
-    fn next_blocking(&mut self, max_frame: u32) -> Result<Option<Range<usize>>, RecvError> {
+    fn next_blocking(&mut self) -> Result<Option<Range<usize>>, RecvError> {
         loop {
-            if let Some(frame) = self.pop_frame(max_frame)? {
+            if let Some(frame) = self.pop_frame()? {
                 return Ok(Some(frame));
             }
             let mut chunk = [0u8; 16 * 1024];
@@ -691,29 +663,24 @@ impl FrameReader {
     }
 
     /// Non-blocking drain: pull every complete frame already buffered or
-    /// readable without waiting, up to `limit` total frames in `out`.
-    /// Returns a protocol error to report after serving the good prefix,
-    /// and whether the stream hit EOF.
-    fn drain_nonblocking(
-        &mut self,
-        max_frame: u32,
-        limit: usize,
-        out: &mut Vec<Range<usize>>,
-    ) -> (Option<ProtoError>, bool) {
+    /// readable without waiting, up to [`MAX_PIPELINE_OPS`] total frames in
+    /// `out`. Returns a protocol error to report after serving the good
+    /// prefix, and whether the stream hit EOF.
+    fn drain_nonblocking(&mut self, out: &mut Vec<Range<usize>>) -> (Option<ProtoError>, bool) {
         let mut eof = false;
         if self.stream.set_nonblocking(true).is_err() {
             return (None, false);
         }
         let err = 'drain: loop {
             // Parse what is buffered first.
-            while out.len() < limit {
-                match self.pop_frame(max_frame) {
+            while out.len() < MAX_PIPELINE_OPS {
+                match self.pop_frame() {
                     Ok(Some(frame)) => out.push(frame),
                     Ok(None) => break,
                     Err(e) => break 'drain Some(e),
                 }
             }
-            if out.len() >= limit {
+            if out.len() >= MAX_PIPELINE_OPS {
                 break None;
             }
             let mut chunk = [0u8; 16 * 1024];

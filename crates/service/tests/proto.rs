@@ -8,7 +8,7 @@
 use cpma_api::testkit::{assert_all_refused, Damage};
 use cpma_pma::Cpma;
 use cpma_service::proto::{self, ProtoError, RecvError, PROTOCOL_VERSION};
-use cpma_service::{Client, Reply, Request, Service, ServiceConfig};
+use cpma_service::{Client, Reply, Request, Service, ServiceConfig, MAX_FRAME_BYTES};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -18,8 +18,6 @@ use std::time::{Duration, Instant};
 fn serve_short_timeout() -> (Service, SocketAddr) {
     let cfg = ServiceConfig {
         read_timeout: Some(Duration::from_millis(200)),
-        max_frame_bytes: 1 << 16,
-        scan_limit: 1 << 12, // keep a full scan reply within the frame cap
         ..ServiceConfig::default()
     };
     let (service, _combiner) = Service::serve(Cpma::new(), cfg).unwrap();
@@ -39,7 +37,7 @@ fn send_raw(addr: SocketAddr, bytes: &[u8]) -> Vec<Reply> {
     stream.shutdown(Shutdown::Write).unwrap();
     let mut replies = Vec::new();
     loop {
-        match proto::read_frame(&mut stream, 1 << 20) {
+        match proto::read_frame(&mut stream, MAX_FRAME_BYTES) {
             Ok(Some(body)) => replies.push(Reply::decode_body(&body).expect("server sent garbage")),
             Ok(None) => return replies, // clean close
             Err(RecvError::Io(e)) => panic!("transport error reading reply: {e}"),
@@ -122,7 +120,7 @@ fn error_code_for(addr: SocketAddr, damage: Damage) -> u8 {
 #[test]
 fn oversized_length_is_rejected_before_allocation() {
     let (mut service, addr) = serve_short_timeout();
-    // Claim a 4 GiB body. The server (max_frame 64 KiB) must reject on the
+    // Claim a 4 GiB body. The server (frame cap 1 MiB) must reject on the
     // prefix alone — long before 4 GiB could arrive — with the Oversize
     // code, and fast.
     let started = Instant::now();
@@ -305,7 +303,7 @@ fn half_sent_frame_then_silence_times_out() {
     // must free the worker (close), not hang it.
     stream.write_all(&frame[..frame.len() / 2]).unwrap();
     let started = Instant::now();
-    match proto::read_frame(&mut stream, 1 << 20) {
+    match proto::read_frame(&mut stream, MAX_FRAME_BYTES) {
         Ok(None) => {} // server closed cleanly
         Ok(Some(_)) => panic!("server answered a half frame"),
         Err(RecvError::Io(_)) => {} // reset also acceptable

@@ -7,7 +7,7 @@
 use cpma_api::testkit::SplitMix64;
 use cpma_api::BatchOp;
 use cpma_pma::Cpma;
-use cpma_service::{Client, Service, ServiceConfig, ServiceError};
+use cpma_service::{Client, Service, ServiceConfig, ServiceError, SCAN_LIMIT};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -267,20 +267,22 @@ fn more_connections_than_workers_all_get_served() {
 
 #[test]
 fn scan_is_clamped_to_server_limit() {
-    let mut cfg = test_config();
-    cfg.scan_limit = 10;
-    let (mut service, _combiner) = Service::serve(Cpma::new(), cfg).unwrap();
-    let mut client = Client::connect(service.local_addr()).unwrap();
-    let ops: Vec<BatchOp<u64>> = (0..100).map(BatchOp::Insert).collect();
-    client.mutate_burst(&ops).unwrap();
-    // Ask for 50, get the server's cap of 10.
-    assert_eq!(client.scan(0, 50).unwrap(), (0..10).collect::<Vec<u64>>());
+    let (mut service, addr) = serve();
+    let mut client = Client::connect(addr).unwrap();
+    let keys: Vec<u64> = (0..SCAN_LIMIT as u64 + 1000).collect();
+    for chunk in keys.chunks(10_000) {
+        let ops: Vec<BatchOp<u64>> = chunk.iter().map(|&k| BatchOp::Insert(k)).collect();
+        client.mutate_burst(&ops).unwrap();
+    }
+    // Ask for everything, get the protocol's cap.
+    let page = client.scan(0, u32::MAX).unwrap();
+    assert_eq!(page, keys[..SCAN_LIMIT as usize]);
     service.shutdown();
 }
 
 /// Replies far larger than the client's read buffer, both shapes: 10 000
-/// small frames back to back, and one 512 KiB frame (a full default-limit
-/// scan page), each followed by a small reply that must still line up.
+/// small frames back to back, and one 512 KiB frame (a full scan page),
+/// each followed by a small reply that must still line up.
 #[test]
 fn large_burst_and_full_scan_page_round_trip() {
     let (mut service, addr) = serve();
@@ -314,14 +316,6 @@ fn large_burst_and_full_scan_page_round_trip() {
 fn config_validation_rejects_bad_knobs() {
     let cfg = ServiceConfig {
         workers: 0,
-        ..ServiceConfig::default()
-    };
-    assert!(matches!(
-        Service::serve(Cpma::new(), cfg),
-        Err(ServiceError::Config(_))
-    ));
-    let cfg = ServiceConfig {
-        scan_limit: u32::MAX, // scan reply could not fit any frame
         ..ServiceConfig::default()
     };
     assert!(matches!(

@@ -14,11 +14,10 @@
 //!   of any [`cpma_api::BatchSet`] + [`cpma_api::RangeSet`] backend,
 //!   splits each sorted batch at learned splitters, and applies the
 //!   per-shard sub-batches **in parallel** on the workspace pool. Its
-//!   rebalance pass is self-tuning: always-on [`RebalanceStats`] track
-//!   per-shard traffic and imbalance, and the shard count doubles or
-//!   halves between the bounds its type names (`ShardedSet<S, N, MIN,
-//!   MAX>`) as occupancy and traffic demand. It implements the full canonical trait
-//!   hierarchy itself, so the conformance suite, the equivalence and
+//!   rebalance pass re-learns the splitters when one shard outgrows the
+//!   others, at the shard count `N` its type names; always-on
+//!   [`RebalanceStats`] count batches and rebuilds. It implements the
+//!   full canonical trait hierarchy itself, so the conformance suite, the equivalence and
 //!   determinism tests, and `fgraph::SetGraph` all gate it unchanged.
 //! * [`Combiner<S>`] is a flat-combining writer front-end: any thread may
 //!   submit `insert`/`remove`/`contains` operations; one submitter is
@@ -56,6 +55,4 @@ mod sharded;
 pub use combiner::{Combiner, CombinerConfig, CombinerStats, Op};
 pub use cpma_api::{Persist, PersistError};
 pub use cpma_persist::{FsyncPolicy, RecoveryReport, WalConfig};
-pub use sharded::{
-    RebalanceStats, ShardedSet, REBALANCE_MIN_PER_SHARD, SKEW_FACTOR, TARGET_PER_SHARD,
-};
+pub use sharded::{RebalanceStats, ShardedSet, REBALANCE_MIN_PER_SHARD, SKEW_FACTOR};

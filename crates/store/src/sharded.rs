@@ -1,5 +1,5 @@
 //! Range-partitioned sharding over any batch-parallel set backend, with
-//! skew-triggered rebalance and statistics-driven shard-count autotuning.
+//! skew-triggered rebalance at a fixed shard count.
 //!
 //! # Shard routing
 //!
@@ -28,7 +28,7 @@
 //! mixed pass — where the former remove-then-insert split walked every
 //! shard twice.
 //!
-//! # Splitter learning, rebalance, and shard-count autotuning
+//! # Splitter learning and rebalance
 //!
 //! A freshly built set learns its splitters from the data: splitter `i` is
 //! the `(i + 1)/n` quantile of the sorted input. An empty set starts from
@@ -41,30 +41,9 @@
 //! same cost class as the backend PMA's own resize, and deterministic
 //! because it depends only on the stored contents.
 //!
-//! The same pass also *autotunes the shard count*. Every batch update
-//! feeds [`RebalanceStats`] (per-shard batch-op counts since the last
-//! reshard, rebalance triggers, post-rebalance imbalance), and the
-//! rebalance check picks the next shard count from those statistics by
-//! doubling or halving between the type's `MIN` and `MAX` bounds:
-//!
-//! * **grow** (double) when the mean shard occupancy exceeds twice
-//!   [`TARGET_PER_SHARD`], or when one shard absorbed more
-//!   than three quarters of the batch traffic in the current counting
-//!   window (splitting the hot range spreads future batch fan-out);
-//! * **shrink** (halve) when the mean occupancy falls below half the
-//!   target, so a drained set does not pay cross-shard stitching for
-//!   near-empty shards.
-//!
-//! The decision depends only on the stored contents and the (schedule-
-//! independent) batch-op counters, so resharding is as deterministic as
-//! the rebalance itself and the wrapper keeps passing the conformance,
-//! equivalence, and determinism suites at any thread budget.
-//!
-//! By default the shard count is **pinned** to the const parameter `N`
-//! (both bounds equal `N` — exactly the pre-autotuning behaviour). The
-//! trailing `MIN`/`MAX` const parameters opt in (`ShardedSet<Cpma, 4, 1,
-//! 64>`): the type is the only place tuning is set, which keeps the trait
-//! constructors (`new_set`/`build_sorted`) usable by the generic suites.
+//! The shard count is the type's `N`. The one set that holds another count
+//! is one loaded from a checkpoint saved by a `ShardedSet` of a different
+//! `N`: the same pass rebuilds it into `N` shards at its next batch.
 
 use cpma_api::{
     range_to_inclusive, BatchOp, BatchOutcome, BatchSet, CatchUp, OrderedSet, ParallelChunks,
@@ -84,20 +63,11 @@ pub const REBALANCE_MIN_PER_SHARD: usize = 256;
 /// many times the mean shard load.
 pub const SKEW_FACTOR: usize = 2;
 
-/// The mean shard occupancy the autotuner steers toward: grow when the
-/// mean exceeds `2 × TARGET_PER_SHARD`, shrink when it falls below
-/// `TARGET_PER_SHARD / 2`. The factor-four hysteresis band keeps a
-/// doubling from immediately re-triggering a halving.
-pub const TARGET_PER_SHARD: usize = 1024;
-
-/// Always-on rebalance and autotuning statistics for a [`ShardedSet`].
+/// Always-on rebalance statistics for a [`ShardedSet`].
 ///
 /// Mirrors `PmaStats`: a handful of integer adds per *batch*, kept in the
 /// structure itself, so the counters are cheap, deterministic at any
-/// thread count, and never need a feature flag. The per-shard traffic
-/// window ([`RebalanceStats::shard_batch_ops`]) resets whenever the
-/// splitters change (skew rebalance or reshard), since the attribution is
-/// only meaningful for one partitioning.
+/// thread count, and never need a feature flag.
 ///
 /// # Examples
 ///
@@ -111,29 +81,24 @@ pub const TARGET_PER_SHARD: usize = 1024;
 /// let stats = s.rebalance_stats();
 /// assert_eq!(stats.batches, 1);
 /// assert_eq!(stats.batch_ops, 3);
-/// assert_eq!(stats.shard_batch_ops.iter().sum::<u64>(), 3);
+/// assert_eq!(stats.skew_rebalances, 0);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RebalanceStats {
     /// Batch applications (one-sided and mixed) seen by this set.
     pub batches: u64,
     /// Total batch elements routed across all batch applications.
     pub batch_ops: u64,
-    /// Batch elements routed to each shard since the last splitter
-    /// change — the traffic-skew window the autotuner reads.
-    pub shard_batch_ops: Vec<u64>,
     /// Skew-triggered splitter re-learns (fullest shard > [`SKEW_FACTOR`]×
     /// mean).
     pub skew_rebalances: u64,
-    /// Reshardings that increased the shard count (a doubling, or one
-    /// clamp jump up into the type's bounds after a load).
+    /// Rebuilds of a loaded set holding fewer than `N` shards into `N`.
     pub grows: u64,
-    /// Reshardings that decreased the shard count (a halving, or one
-    /// clamp jump down into the type's bounds after a load).
+    /// Rebuilds of a loaded set holding more than `N` shards into `N`.
     pub shrinks: u64,
-    /// Imbalance after the most recent rebalance/reshard: fullest shard
-    /// over mean occupancy, in permille (1000 = perfectly balanced; 0 =
-    /// no rebalance has happened yet or the set was empty).
+    /// Imbalance after the most recent rebuild: fullest shard over mean
+    /// occupancy, in permille (1000 = perfectly balanced; 0 = no rebuild
+    /// has happened yet or the set was empty).
     pub post_rebalance_imbalance_permille: u64,
 }
 
@@ -153,49 +118,11 @@ impl RebalanceStats {
     }
 }
 
-/// A range-partitioned composition of ordered-set backends that applies
-/// sorted batches to its shards in parallel and autotunes its shard count.
-///
-/// `ShardedSet` implements the same canonical trait hierarchy as its
-/// backend `S`, so it drops into every generic driver in the workspace —
-/// including [`Combiner`](crate::Combiner), benches, and
-/// `fgraph::SetGraph`.
-///
-/// `N` (default 8) is the **initial** shard count used by `new_set` and
-/// `build_sorted`. The trailing `MIN`/`MAX` const parameters bound the
-/// autotuner; their default `0` is a sentinel meaning "pinned to `N`", so
-/// `ShardedSet<S, N>` behaves exactly like a fixed-count sharding while
-/// `ShardedSet<S, N, MIN, MAX>` reshards between `MIN` and `MAX`. The
-/// module header in `sharded.rs` documents the resharding policy.
-///
-/// # Examples
-///
-/// ```
-/// use cpma_api::{BatchSet, OrderedSet, RangeSet};
-/// use cpma_store::ShardedSet;
-/// use std::collections::BTreeSet;
-///
-/// // Fixed at 4 shards (without `MIN`/`MAX` the count is pinned to N).
-/// let keys: Vec<u64> = (0..1000).collect();
-/// let s: ShardedSet<BTreeSet<u64>, 4> = BatchSet::build_sorted(&keys);
-/// assert_eq!(s.shard_count(), 4);
-/// assert_eq!(s.len(), 1000);
-/// assert_eq!(s.range_sum(10..=12), 33);
-///
-/// // Autotuned between 1 and 64 shards: a large batch grows the count.
-/// let mut auto: ShardedSet<BTreeSet<u64>, 4, 1, 64> = BatchSet::new_set();
-/// let big: Vec<u64> = (0..20_000).collect();
-/// auto.insert_batch_sorted(&big);
-/// assert!(auto.shard_count() > 4);
-/// assert_eq!(RangeSet::to_vec(&auto), big);
-/// ```
 /// Registry mirror of [`RebalanceStats`] (names `store.*`): the scalar
 /// counters stream into `cpma-obs` cells as they happen, per-shard
 /// sub-batch sizes feed a `store.shard_batch_ops` histogram (the traffic
 /// skew view), `store.shards` gauges the live shard count, and rebuilds
-/// are timed under `store.rebalance.ns`. The autotuner itself keeps
-/// reading the plain [`RebalanceStats`] struct — determinism needs the
-/// schedule-independent window, not the process-wide aggregate.
+/// are timed under `store.rebalance.ns`.
 ///
 /// `Clone` registers fresh zeroed cells (gauge included), so snapshot
 /// clones published by a combiner neither double-count traffic nor
@@ -233,14 +160,39 @@ impl Clone for StoreCounters {
     }
 }
 
+/// A range-partitioned composition of ordered-set backends that applies
+/// sorted batches to its shards in parallel.
+///
+/// `ShardedSet` implements the same canonical trait hierarchy as its
+/// backend `S`, so it drops into every generic driver in the workspace —
+/// including [`Combiner`](crate::Combiner), benches, and
+/// `fgraph::SetGraph`.
+///
+/// `N` (default 8) is the shard count. Skew moves the splitters, never the
+/// count; the module header in `sharded.rs` documents the rebalance
+/// policy.
+///
+/// # Examples
+///
+/// ```
+/// use cpma_api::{BatchSet, OrderedSet, RangeSet};
+/// use cpma_store::ShardedSet;
+/// use std::collections::BTreeSet;
+///
+/// let keys: Vec<u64> = (0..1000).collect();
+/// let s: ShardedSet<BTreeSet<u64>, 4> = BatchSet::build_sorted(&keys);
+/// assert_eq!(s.shard_count(), 4);
+/// assert_eq!(s.len(), 1000);
+/// assert_eq!(s.range_sum(10..=12), 33);
+/// ```
 #[derive(Clone)]
-pub struct ShardedSet<S, const N: usize = 8, const MIN: usize = 0, const MAX: usize = 0> {
+pub struct ShardedSet<S, const N: usize = 8> {
     /// The backends, in key order; `shards.len()` is the live shard count.
     shards: Vec<S>,
     /// `splitters[i]` = smallest key (widened to `u64`) routed to shard
     /// `i + 1`; strictly context-dependent but always non-decreasing.
     splitters: Vec<u64>,
-    /// Always-on rebalance/traffic counters.
+    /// Always-on rebalance counters.
     stats: RebalanceStats,
     /// Registry mirror of `stats` (see [`StoreCounters`]).
     counters: StoreCounters,
@@ -285,28 +237,16 @@ fn learned_splitters<K: SetKey>(n: usize, elems: &[K]) -> Vec<u64> {
         .collect()
 }
 
-impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN, MAX> {
-    /// Autotuner bounds resolved from the const parameters: `0` sentinels
-    /// pin the count to `N`.
-    const MIN_SHARDS: usize = if MIN == 0 { N } else { MIN };
-    const MAX_SHARDS: usize = if MAX == 0 { N } else { MAX };
-
+impl<S, const N: usize> ShardedSet<S, N> {
     /// A set over `shards` split at `splitters`, its statistics zeroed.
     fn assemble(shards: Vec<S>, splitters: Vec<u64>) -> Self {
-        assert!(
-            N >= 1 && Self::MIN_SHARDS >= 1 && Self::MIN_SHARDS <= Self::MAX_SHARDS,
-            "ShardedSet needs N ≥ 1 and 1 ≤ MIN ≤ MAX shards"
-        );
-        let stats = RebalanceStats {
-            shard_batch_ops: vec![0; shards.len()],
-            ..RebalanceStats::default()
-        };
+        assert!(N >= 1, "ShardedSet needs N ≥ 1 shards");
         let counters = StoreCounters::new();
         counters.shards.set(shards.len() as i64);
         Self {
             shards,
             splitters,
-            stats,
+            stats: RebalanceStats::default(),
             counters,
             rebuilds: 0,
         }
@@ -325,8 +265,8 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         self.shards.iter().map(|s| s.len()).collect()
     }
 
-    /// The live shard count (starts at `N`; moves within `MIN..=MAX` when
-    /// autotuning is enabled).
+    /// The live shard count: `N`, except on a set loaded from a checkpoint
+    /// of another count until its next batch.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -342,23 +282,11 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         &self.shards
     }
 
-    /// The rebalance/traffic statistics accumulated so far.
+    /// The rebalance statistics accumulated so far.
     pub fn rebalance_stats(&self) -> &RebalanceStats {
         &self.stats
     }
 
-    /// Zero the statistics (the per-shard traffic window keeps its
-    /// current length).
-    pub fn reset_stats(&mut self) {
-        let n = self.shards.len();
-        self.stats = RebalanceStats {
-            shard_batch_ops: vec![0; n],
-            ..RebalanceStats::default()
-        };
-    }
-}
-
-impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN, MAX> {
     /// Record one batch application of `len` ops split at `bounds` into
     /// the traffic counters.
     fn record_batch(&mut self, len: usize, bounds: &[usize]) {
@@ -366,10 +294,8 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         self.stats.batch_ops += len as u64;
         self.counters.batches.inc();
         self.counters.batch_ops.add(len as u64);
-        for (i, ops) in self.stats.shard_batch_ops.iter_mut().enumerate() {
-            let routed = (bounds[i + 1] - bounds[i]) as u64;
-            *ops += routed;
-            self.counters.shard_batch_ops.record(routed);
+        for w in bounds.windows(2) {
+            self.counters.shard_batch_ops.record((w[1] - w[0]) as u64);
         }
     }
 
@@ -401,47 +327,10 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
             .sum()
     }
 
-    /// The shard count the statistics ask for: double while occupancy or
-    /// traffic concentration warrants it, halve while the set is too
-    /// empty for its shards, clamp into the type's bounds (a loaded set
-    /// may hold any count). Depends only on stored contents and
-    /// deterministic batch-op counters.
-    fn desired_shard_count(&self, total: usize) -> usize {
-        let cur = self.shards.len();
-        let (min, max) = (Self::MIN_SHARDS, Self::MAX_SHARDS);
-        if cur < min || cur > max {
-            return cur.clamp(min, max);
-        }
-        let overfull = total > cur * 2 * TARGET_PER_SHARD;
-        // Traffic concentration: one shard absorbed > ¾ of a full op
-        // window — splitting its range spreads future batch fan-out.
-        let window: u64 = self.stats.shard_batch_ops.iter().sum();
-        let hot = self
-            .stats
-            .shard_batch_ops
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let window_ready = window >= (cur * REBALANCE_MIN_PER_SHARD) as u64;
-        let hot_traffic = cur >= 2 && window_ready && hot * 4 > window * 3;
-        if cur < max && (overfull || hot_traffic) {
-            return (cur * 2).min(max);
-        }
-        // Shrinking is pure cost-saving, so it is lazy: it waits for a
-        // full traffic window since the last splitter change and never
-        // fires while that window is concentrated on one shard (which
-        // would undo a traffic-driven grow and oscillate).
-        if cur > min && window_ready && !hot_traffic && total * 2 < cur * TARGET_PER_SHARD {
-            return (cur / 2).max(min);
-        }
-        cur
-    }
-
     /// Rebalance pass, run after every batch update: re-learn quantile
-    /// splitters (and possibly reshard) if the observed skew, occupancy,
-    /// or traffic statistics warrant it. Deterministic at any thread
-    /// count — every input is schedule-independent.
+    /// splitters if the shards are skewed, or rebuild into `N` shards if
+    /// the set holds another count. Deterministic at any thread count — it
+    /// reads only the stored contents.
     fn maybe_rebalance<K: SetKey>(&mut self)
     where
         S: BatchSet<K> + RangeSet<K> + Send + Sync,
@@ -449,25 +338,24 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         let cur = self.shards.len();
         let lens: Vec<usize> = self.shards.iter().map(|s| s.len()).collect();
         let total: usize = lens.iter().sum();
-        let desired = self.desired_shard_count(total);
         let max = lens.into_iter().max().unwrap_or(0);
         let skewed =
             cur > 1 && total >= cur * REBALANCE_MIN_PER_SHARD && max * cur > total * SKEW_FACTOR;
-        if desired == cur && !skewed {
+        if cur == N && !skewed {
             return;
         }
         if skewed {
             self.stats.skew_rebalances += 1;
             self.counters.skew_rebalances.inc();
         }
-        if desired > cur {
+        if N > cur {
             self.stats.grows += 1;
             self.counters.grows.inc();
-        } else if desired < cur {
+        } else if N < cur {
             self.stats.shrinks += 1;
             self.counters.shrinks.inc();
         }
-        self.rebuild(desired);
+        self.rebuild();
     }
 
     /// Whether `self` and `newer`, two replicas of one history, hold the
@@ -479,38 +367,34 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
             && self.splitters == newer.splitters
     }
 
-    /// Rebuild into `count` shards with quantile splitters learned from
-    /// the stored contents; resets the per-shard traffic window and
-    /// records the post-rebalance imbalance.
-    fn rebuild<K: SetKey>(&mut self, count: usize)
+    /// Rebuild into `N` shards with quantile splitters learned from the
+    /// stored contents, and record the post-rebuild imbalance.
+    fn rebuild<K: SetKey>(&mut self)
     where
         S: BatchSet<K> + RangeSet<K> + Send + Sync,
     {
         let mut span = cpma_obs::span_with(&self.counters.rebalance_ns, "store.rebalance");
         let all = RangeSet::to_vec(self);
         span.set_items(all.len() as u64);
-        self.splitters = learned_splitters(count, &all);
+        self.splitters = learned_splitters(N, &all);
         let bounds = split_bounds(&self.splitters, &all);
         let bounds = &bounds;
-        self.shards = (0..count)
+        self.shards = (0..N)
             .into_par_iter()
             .map(|i| S::build_sorted(&all[bounds[i]..bounds[i + 1]]))
             .collect();
-        self.stats.shard_batch_ops = vec![0; count];
         self.rebuilds += 1;
-        self.counters.shards.set(count as i64);
+        self.counters.shards.set(N as i64);
         let max = self.shards.iter().map(|s| s.len()).max().unwrap_or(0);
         self.stats.post_rebalance_imbalance_permille = if all.is_empty() {
             0
         } else {
-            (max * count * 1000 / all.len()) as u64
+            (max * N * 1000 / all.len()) as u64
         };
     }
 }
 
-impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize, const MIN: usize, const MAX: usize>
-    OrderedSet<K> for ShardedSet<S, N, MIN, MAX>
-{
+impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize> OrderedSet<K> for ShardedSet<S, N> {
     const NAME: &'static str = "Sharded";
 
     fn contains(&self, key: K) -> bool {
@@ -605,13 +489,8 @@ impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize, const MIN: usize, const
     }
 }
 
-impl<
-        K: SetKey,
-        S: BatchSet<K> + RangeSet<K> + Send + Sync,
-        const N: usize,
-        const MIN: usize,
-        const MAX: usize,
-    > BatchSet<K> for ShardedSet<S, N, MIN, MAX>
+impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> BatchSet<K>
+    for ShardedSet<S, N>
 {
     fn new_set() -> Self {
         Self::assemble((0..N).map(|_| S::new_set()).collect(), default_splitters(N))
@@ -665,7 +544,7 @@ impl<
     }
 
     /// One split of the normal form, each shard reporting through its
-    /// backend's own pass. The traffic window and the rebalance check then
+    /// backend's own pass. The batch counters and the rebalance check then
     /// see the net batch — a shard's net ops are exactly the ones its
     /// outcome counts — as applying it would have shown them; an empty net
     /// batch, which changes nothing, records nothing.
@@ -708,9 +587,9 @@ impl<
 
     /// Shard by shard when both replicas have the same shard layout — a
     /// shard the lag does not touch costs nothing, the others copy or
-    /// replay their part as their backend decides — plus the traffic
-    /// statistics; the whole lag is replayed when the newer replica
-    /// re-learned its splitters.
+    /// replay their part as their backend decides — plus the statistics;
+    /// the whole lag is replayed when the newer replica re-learned its
+    /// splitters.
     fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
         if lag.is_empty() {
             return CatchUp::default();
@@ -730,7 +609,7 @@ impl<
             .enumerate()
             .map(|(i, shard)| shard.catch_up_from(&newer.shards[i], &lag[bounds[i]..bounds[i + 1]]))
             .reduce(CatchUp::default, |a, b| a + b);
-        self.stats.clone_from(&newer.stats);
+        self.stats = newer.stats;
         caught
     }
 
@@ -743,9 +622,7 @@ impl<
     }
 }
 
-impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize, const MIN: usize, const MAX: usize>
-    RangeSet<K> for ShardedSet<S, N, MIN, MAX>
-{
+impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize> RangeSet<K> for ShardedSet<S, N> {
     /// Each shard's chunks in shard (= key) order.
     fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool) {
         let first = self.shard_of(start.to_u64());
@@ -778,13 +655,8 @@ impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize, const MIN: usize, const M
     }
 }
 
-impl<
-        K: SetKey,
-        S: ParallelChunks<K> + Sync,
-        const N: usize,
-        const MIN: usize,
-        const MAX: usize,
-    > ParallelChunks<K> for ShardedSet<S, N, MIN, MAX>
+impl<K: SetKey, S: ParallelChunks<K> + Sync, const N: usize> ParallelChunks<K>
+    for ShardedSet<S, N>
 {
     /// Shards are disjoint and ascending, so each shard's chunks are valid
     /// chunks of the whole set; visit the shards in parallel too.
@@ -822,13 +694,11 @@ fn parse_shard_name(name: &str) -> Option<usize> {
 /// `checkpoint-<seq>` directory.
 ///
 /// `load` restores the persisted shard count and splitters (validated:
-/// splitters ascending and exactly `count − 1`), so a set saved
-/// mid-autotune reloads exactly as it was; the loading type's `MIN`/`MAX`
-/// bounds then apply, and a count outside them is clamped at the next
-/// batch. Traffic statistics restart at zero.
-impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
-    for ShardedSet<S, N, MIN, MAX>
-{
+/// splitters ascending and exactly `count − 1`), so a set reloads exactly
+/// as it was saved, whatever the loading type's `N`; a count other than
+/// `N` is rebuilt into `N` shards at the next batch. Statistics restart at
+/// zero.
+impl<S: Persist, const N: usize> Persist for ShardedSet<S, N> {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
         std::fs::create_dir_all(path)?;
         for (i, shard) in self.shards.iter().enumerate() {
@@ -959,9 +829,16 @@ mod tests {
         );
         assert_eq!(OrderedSet::len(&s), keys.len());
         assert_eq!(RangeSet::to_vec(&s), keys);
-        assert!(s.rebalance_stats().skew_rebalances >= 1);
-        assert_eq!(s.rebalance_stats().grows, 0, "default tuning is pinned");
-        // The pinned default never reshards: count is still N.
+        let stats = s.rebalance_stats();
+        assert!(stats.skew_rebalances >= 1);
+        assert_eq!(stats.grows, 0);
+        // Fullest shard over mean, so ≥ 1000‰ by definition.
+        assert!(
+            (1000..1500).contains(&stats.post_rebalance_imbalance_permille),
+            "{}",
+            stats.summary()
+        );
+        // Skew moves the splitters, never the count.
         assert_eq!(s.shard_count(), 4);
     }
 
@@ -975,73 +852,29 @@ mod tests {
         assert_eq!(RangeSet::to_vec(&s), vec![1, 3]);
     }
 
-    #[test]
-    fn autotune_grows_and_shrinks_between_bounds() {
-        let mut s: ShardedSet<BTreeSet<u64>, 2, 1, 16> = BatchSet::new_set();
-        // Mean occupancy far above 2× target: doubles once per batch
-        // until the bound or the hysteresis band is reached.
-        let keys: Vec<u64> = (0..40_000).collect();
-        s.insert_batch_sorted(&keys);
-        let first = s.shard_count();
-        assert!(first > 2, "expected growth, still at {first}");
-        assert!(first <= 16);
-        assert_eq!(RangeSet::to_vec(&s), keys);
-        // More batches walk it further up while occupancy stays high.
-        s.insert_batch_sorted(&[40_000, 40_001]);
-        s.insert_batch_sorted(&[40_002]);
-        let grown = s.shard_count();
-        assert!(grown >= first && grown <= 16);
-        assert!(s.rebalance_stats().grows >= 1);
-        // Drain the set: mean occupancy below target/2 halves the count
-        // (the big remove batch itself fills the traffic window shrink
-        // waits for).
-        s.remove_batch_sorted(&(0..40_003).collect::<Vec<u64>>());
-        assert!(s.shard_count() < grown, "expected shrink from {grown}");
-        assert!(s.rebalance_stats().shrinks >= 1);
-        assert!(OrderedSet::is_empty(&s));
-    }
-
-    /// A set holding more or fewer shards than its type allows — what a
-    /// checkpoint saved by a differently-bounded type loads as — is
-    /// clamped into the bounds at its next batch, in one jump each way.
+    /// A set holding more or fewer shards than its `N` — what a checkpoint
+    /// saved by a `ShardedSet` of another `N` loads as — is rebuilt into
+    /// `N` shards at its next batch, in one jump each way.
     #[test]
     fn out_of_bounds_count_clamps_at_next_batch() {
-        fn holding<const N: usize, const MIN: usize, const MAX: usize>(
-            count: usize,
-        ) -> ShardedSet<BTreeSet<u64>, N, MIN, MAX> {
+        fn holding<const N: usize>(count: usize) -> ShardedSet<BTreeSet<u64>, N> {
             let shards = (0..count).map(|_| BTreeSet::new()).collect();
             ShardedSet::assemble(shards, default_splitters(count))
         }
-        let mut pinned = holding::<2, 0, 0>(8);
-        assert_eq!(pinned.shard_count(), 8);
-        pinned.insert_batch_sorted(&[1, 2, 3]);
-        assert_eq!(pinned.shard_count(), 2, "clamped down to N");
-        assert_eq!(pinned.rebalance_stats().shrinks, 1);
-        assert_eq!(RangeSet::to_vec(&pinned), vec![1, 2, 3]);
-        let mut auto = holding::<4, 4, 16>(1);
-        auto.insert_batch_sorted(&[5]);
-        assert_eq!(auto.shard_count(), 4, "clamped up to MIN");
-        assert_eq!(auto.rebalance_stats().grows, 1);
-        assert_eq!(RangeSet::to_vec(&auto), vec![5]);
-    }
-
-    #[test]
-    fn hot_traffic_window_triggers_growth() {
-        let mut s: ShardedSet<BTreeSet<u64>, 4, 4, 8> = BatchSet::new_set();
-        // Small set (never over-occupied), but ascending key batches land
-        // in one shard's range every round: the traffic window alone must
-        // trigger the doubling.
-        for round in 0..12u64 {
-            let batch: Vec<u64> = (round * 256..(round + 1) * 256).collect();
-            s.insert_batch_sorted(&batch);
-        }
-        assert!(
-            s.rebalance_stats().grows >= 1,
-            "hot-shard traffic should have grown the count: {}",
-            s.rebalance_stats().summary()
-        );
-        assert_eq!(s.shard_count(), 8, "doubled to the max bound");
-        assert_eq!(RangeSet::to_vec(&s), (0..12 * 256).collect::<Vec<u64>>());
+        let mut wide = holding::<2>(8);
+        assert_eq!(wide.shard_count(), 8);
+        wide.insert_batch_sorted(&[1, 2, 3]);
+        assert_eq!(wide.shard_count(), 2, "rebuilt down to N");
+        assert_eq!(wide.rebalance_stats().shrinks, 1);
+        assert_eq!(RangeSet::to_vec(&wide), vec![1, 2, 3]);
+        let mut narrow = holding::<4>(1);
+        narrow.insert_batch_sorted(&[5]);
+        assert_eq!(narrow.shard_count(), 4, "rebuilt up to N");
+        assert_eq!(narrow.rebalance_stats().grows, 1);
+        assert_eq!(RangeSet::to_vec(&narrow), vec![5]);
+        // At N the count stays put.
+        narrow.insert_batch_sorted(&[6]);
+        assert_eq!(narrow.rebalance_stats().grows, 1);
     }
 
     #[test]

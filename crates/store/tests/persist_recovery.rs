@@ -8,7 +8,7 @@
 
 use cpma_api::testkit::SplitMix64;
 use cpma_api::{BatchSet, OrderedSet, Persist, PersistError, RangeSet};
-use cpma_persist::{recover, FsyncPolicy, WalConfig};
+use cpma_persist::{recover, FsyncPolicy, WalConfig, KEEP_CHECKPOINTS};
 use cpma_pma::Cpma;
 use cpma_store::{Combiner, CombinerConfig, Op, ShardedSet};
 use std::collections::BTreeSet;
@@ -192,9 +192,8 @@ fn between_epoch_reopen_continues_exactly() {
 #[test]
 fn mid_checkpoint_crash_falls_back() {
     let dir = tmp_dir("ckpt-fallback");
-    let mut cfg = wal_config(&dir);
-    cfg.keep_checkpoints = 4;
-    let (combiner, _) = Combiner::<Cpma>::open_durable(CombinerConfig::default(), cfg).unwrap();
+    let (combiner, _) =
+        Combiner::<Cpma>::open_durable(CombinerConfig::default(), wal_config(&dir)).unwrap();
     let mut rng = SplitMix64::new(0xC4A5);
     let mut model = BTreeSet::new();
     for _ in 0..5 {
@@ -272,8 +271,8 @@ fn rotation_and_recovery_on_sharded_stack() {
         .count();
     assert!(checkpoints >= 1, "rotation never checkpointed");
     assert!(
-        checkpoints <= 2,
-        "pruning kept {checkpoints} checkpoints (keep_checkpoints = 2)"
+        checkpoints <= KEEP_CHECKPOINTS,
+        "pruning kept {checkpoints} checkpoints"
     );
 
     let (set, report) = recover::<u64, Store>(&dir).unwrap();
@@ -291,28 +290,29 @@ fn rotation_and_recovery_on_sharded_stack() {
 /// snapshot posing as a manifest.
 #[test]
 fn sharded_manifest_roundtrip_and_corruption() {
-    type Auto = ShardedSet<Cpma, 4, 2, 16>;
+    type Wide = ShardedSet<Cpma, 8>;
     let dir = tmp_dir("manifest");
-    let mut set: Auto = BatchSet::new_set();
+    let mut set: Wide = BatchSet::new_set();
     let keys: Vec<u64> = (0..30_000u64).map(|i| i * 3 + 1).collect();
     set.insert_batch_sorted(&keys);
-    assert!(set.shard_count() > 4, "the autotuner never grew");
+    assert_eq!(set.shard_count(), 8);
     let path = dir.join("ckpt");
     set.save(&path).unwrap();
 
-    let back = Auto::load(&path).unwrap();
+    let back = Wide::load(&path).unwrap();
     assert_eq!(back.to_vec(), set.to_vec());
     assert_eq!(back.shard_count(), set.shard_count());
     assert_eq!(back.splitters(), set.splitters());
 
-    // Loaded by a type pinned to 2 shards, the set keeps its count until
-    // its next batch clamps it; re-saving after that shrink must clear
+    // Loaded as `<Cpma, 2>`, the set keeps its 8 shards until its next
+    // batch rebuilds it into 2; re-saving after that shrink must clear
     // the stale shard files.
     let mut shrunk = ShardedSet::<Cpma, 2>::load(&path).unwrap();
-    assert_eq!(shrunk.shard_count(), set.shard_count());
+    assert_eq!(shrunk.shard_count(), 8);
     shrunk.remove_batch_sorted(&keys);
     shrunk.insert_batch_sorted(&[7, 9]);
     assert_eq!(shrunk.shard_count(), 2);
+    assert_eq!(shrunk.rebalance_stats().shrinks, 1);
     shrunk.save(&path).unwrap();
     assert!(!path.join("shard-00002").exists(), "stale shard file kept");
     let reloaded = ShardedSet::<Cpma, 4>::load(&path).unwrap();

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
-// ShardedSet: the shared contract at shard counts 1 / 4 / 16.
+// ShardedSet: the shared contract at shard counts 1 / 2 / 4 / 8 / 16.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -32,84 +32,11 @@ fn sharded_pma_and_btreeset_pass_the_contract() {
 }
 
 #[test]
-fn autotuned_sharded_cpma_passes_the_contract() {
-    // With resharding enabled (bounds 2..=32) the wrapper must still be
-    // externally indistinguishable from the abstract set: the contract's
-    // 30k-element mixed workload drives several grow passes.
-    assert_ordered_set_contract::<ShardedSet<Cpma, 4, 2, 32>>(0xA570);
-    // Bounds that force an immediate clamp away from N are legal too.
-    assert_ordered_set_contract::<ShardedSet<Cpma, 8, 1, 2>>(0xA571);
-}
-
-#[test]
-fn resharding_round_trip_grows_then_shrinks() {
-    type Auto = ShardedSet<Cpma, 4, 2, 32>;
-    let mut s: Auto = BatchSet::new_set();
-    let mut model: BTreeSet<u64> = BTreeSet::new();
-    assert_eq!(s.shard_count(), 4);
-
-    // Grow: three large batches walk the count up (one doubling per
-    // rebalance pass while the mean occupancy stays above 2× target).
-    let mut rng = SplitMix64::new(0x6707);
-    for _ in 0..3 {
-        let batch = rng.sorted_batch(30_000, 26);
-        let added = s.insert_batch_sorted(&batch);
-        let want = batch.iter().filter(|&&k| model.insert(k)).count();
-        assert_eq!(added, want);
-    }
-    let grown = s.shard_count();
-    assert!(grown > 4, "expected growth past the initial 4, got {grown}");
-    assert!(grown <= 32);
-    let stats = s.rebalance_stats();
-    assert!(stats.grows >= 1, "{}", stats.summary());
-    assert!(
-        stats.post_rebalance_imbalance_permille >= 1000,
-        "imbalance is fullest/mean, so ≥ 1000‰ by definition: {}",
-        stats.summary()
-    );
-    assert_eq!(
-        RangeSet::to_vec(&s),
-        model.iter().copied().collect::<Vec<_>>(),
-        "contents after growth"
-    );
-
-    // Shrink: drain almost everything; the big remove batch both fills
-    // the traffic window and pushes occupancy below target/2.
-    let all: Vec<u64> = model.iter().copied().collect();
-    let (keep, kill) = all.split_at(100);
-    assert_eq!(s.remove_batch_sorted(kill), kill.len());
-    for k in kill {
-        model.remove(k);
-    }
-    let shrunk = s.shard_count();
-    assert!(shrunk < grown, "expected shrink from {grown}, got {shrunk}");
-    assert!(shrunk >= 2);
-    assert!(s.rebalance_stats().shrinks >= 1);
-
-    // The survivor still behaves: point queries, ranges, and further
-    // batches all agree with the oracle after the round trip.
-    assert_eq!(RangeSet::to_vec(&s), keep);
-    assert_eq!(OrderedSet::len(&s), 100);
-    for &k in keep.iter().step_by(7) {
-        assert!(OrderedSet::contains(&s, k));
-        assert_eq!(
-            OrderedSet::successor(&s, k),
-            model.range(k..).next().copied()
-        );
-    }
-    assert_eq!(
-        s.range_sum(..),
-        keep.iter().fold(0u64, |a, &b| a.wrapping_add(b))
-    );
-    let batch = rng.sorted_batch(5_000, 26);
-    let added = s.insert_batch_sorted(&batch);
-    let want = batch.iter().filter(|&&k| model.insert(k)).count();
-    assert_eq!(added, want);
-    assert_eq!(
-        RangeSet::to_vec(&s),
-        model.iter().copied().collect::<Vec<_>>(),
-        "contents after regrowth"
-    );
+fn sharded_cpma_passes_the_contract_at_2_and_8_shards() {
+    // The contract's 30k-element mixed workload starts from the domain
+    // prior, so both counts go through skew rebalances on the way.
+    assert_ordered_set_contract::<ShardedSet<Cpma, 2>>(0xA570);
+    assert_ordered_set_contract::<ShardedSet<Cpma, 8>>(0xA571);
 }
 
 #[test]

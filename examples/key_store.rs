@@ -38,12 +38,12 @@ fn main() {
     // ~1024 phase spans are usually enough to see what the store was doing.
     cpma::obs::install_panic_hook();
 
-    // Self-tuning store: the combining leader never waits, so epochs are
-    // as big as contention makes them (no arrival-rate knob to guess), the
-    // shard count autotunes between 1 and 64 as the store fills, and
+    // The combining leader never waits, so epochs are as big as contention
+    // makes them (no arrival-rate knob to guess); the 8 shards re-learn
+    // their splitters as the time-ordered keys pile into the last one; and
     // snapshots publish every epoch so every acknowledged burst is
     // immediately visible to the analytics reader.
-    let store: Combiner<ShardedSet<Cpma, 8, 1, 64>> = Combiner::new(BatchSet::new_set());
+    let store: Combiner<ShardedSet<Cpma, 8>> = Combiner::new(BatchSet::new_set());
     let ingested = AtomicUsize::new(0);
     let finished_writers = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
@@ -153,7 +153,7 @@ fn main() {
     );
 
     // --- durability: checkpoint → simulated crash → recover -----------
-    type Store = ShardedSet<Cpma, 8, 1, 64>;
+    type Store = ShardedSet<Cpma, 8>;
     println!("\n-- durability: checkpoint -> crash -> recover --");
     let wal_dir = std::env::temp_dir().join(format!("key-store-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);

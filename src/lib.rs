@@ -56,7 +56,7 @@
 //!   containers, a CSR reference, and a Ligra-style algorithm layer;
 //! * [`store`] — the concurrent front-end: [`store::ShardedSet`]
 //!   (range-partitioned shards, batches split at learned splitters and
-//!   applied shard-parallel, shard count autotuned from its
+//!   applied shard-parallel, splitters re-learned on skew and counted in
 //!   [`store::RebalanceStats`]) and [`store::Combiner`] (flat-combining
 //!   writer aggregation with swap-published snapshots; the leader never
 //!   waits, so batch size adapts to contention alone), which together
