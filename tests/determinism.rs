@@ -159,6 +159,65 @@ fn sharded_cpma_batches_deterministic_across_thread_counts() {
 }
 
 #[test]
+fn autotuned_sharded_cpma_deterministic_across_thread_counts() {
+    // The shard count is the type's `N`, so the one resharding decision
+    // left is the rebuild of a set loaded from a checkpoint saved at
+    // another count, taken at its next batch. It reads only the stored
+    // contents, so the new layout — and every result after it — must be
+    // identical at every thread budget, growing (4 → 16) and shrinking
+    // (32 → 2) alike.
+    type Run = (Vec<usize>, Vec<u64>, Vec<usize>, RebalanceStats, Vec<u64>);
+    fn run<const TO: usize>(dir: &std::path::Path, seed: u64) -> Run {
+        let mut s = ShardedSet::<Cpma, TO>::load(dir).unwrap();
+        let mut rng = SplitMix64::new(seed ^ 0x5EA4);
+        let mut counts = Vec::new();
+        for _ in 0..3 {
+            let mut ins = rng.keys(4000, 24);
+            counts.push(s.insert_batch(&mut ins, false));
+            let mut del = rng.keys(1500, 24);
+            counts.push(s.remove_batch(&mut del, false));
+        }
+        assert_eq!(s.shard_count(), TO);
+        let lens = s.shard_lens::<u64>();
+        (
+            counts,
+            s.splitters().to_vec(),
+            lens,
+            *s.rebalance_stats(),
+            s.to_vec(),
+        )
+    }
+    fn check<const FROM: usize, const TO: usize>(base: &std::path::Path) {
+        for seed in [0x5EED_0001u64, 0xD15C_0C0A] {
+            let dir = base.join(format!("{FROM}-{TO}-{seed:x}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let saved = with_threads(1, || build_history::<ShardedSet<Cpma, FROM>>(seed));
+            saved.save(&dir).unwrap();
+            let oracle = with_threads(1, || run::<TO>(&dir, seed));
+            let stats = oracle.3;
+            assert_eq!(
+                (stats.grows, stats.shrinks),
+                if TO > FROM { (1, 0) } else { (0, 1) },
+                "{FROM} → {TO}: {}",
+                stats.summary()
+            );
+            for threads in [2usize, 8] {
+                assert_eq!(
+                    with_threads(threads, || run::<TO>(&dir, seed)),
+                    oracle,
+                    "{FROM} → {TO} reshard diverged at {threads} threads (seed {seed:#x})"
+                );
+            }
+        }
+    }
+    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let base = std::env::temp_dir().join(format!("cpma-det-reshard-{}", std::process::id()));
+    check::<4, 16>(&base);
+    check::<32, 2>(&base);
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
 fn combiner_deterministic_across_thread_counts() {
     // With one submitting thread, acknowledgements, final contents and
     // the epoch partitioning itself (the leader never waits, so every
