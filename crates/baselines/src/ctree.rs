@@ -10,8 +10,8 @@
 //!
 //! The search tree over heads is a `BTreeMap` here rather than a purely
 //! functional AVL tree; what the CPMA paper's comparison exercises —
-//! pointer hops between chunk allocations, per-chunk decode costs, batch
-//! updates that rebuild affected chunks — is retained (DESIGN.md §4).
+//! pointer hops, per-chunk decode costs, batch updates that rebuild
+//! affected chunks — is retained ("Substitutions" in REPRODUCTION.md).
 
 use cpma_pma::codec;
 use rayon::prelude::*;

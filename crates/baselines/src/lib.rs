@@ -15,7 +15,7 @@
 //! harness: they preserve the baselines' *structural* behaviour (pointer
 //! chasing between nodes/blocks, join-based batch updates, per-block
 //! compression) rather than matching the original C++ line by line.
-//! DESIGN.md §4 records the simplifications.
+//! "Substitutions" in REPRODUCTION.md records the simplifications.
 //!
 //! Every baseline implements the canonical `cpma_api` hierarchy
 //! (`OrderedSet`/`BatchSet`/`RangeSet`; see this crate's `api` module), so

@@ -8,7 +8,7 @@
 //! rebuilding subtrees that drift out of weight balance (a scapegoat rule —
 //! the original maintains weight balance via join; the amortized cost is
 //! the same and the memory behaviour, pointer-chasing between blocks, is
-//! preserved; see DESIGN.md §4).
+//! preserved; see "Substitutions" in REPRODUCTION.md).
 //!
 //! Blocks are laid out at independent heap addresses, deliberately so: the
 //! whole point of the paper's comparison is that trees pay pointer-chasing

@@ -16,8 +16,8 @@
 //!   a region into `<name>.ns` and appends an [`Event`] to a bounded
 //!   ring buffer; [`install_panic_hook`] dumps the ring on panic.
 //! - **Exposition** — [`Snapshot::to_prometheus`] text and
-//!   [`Snapshot::to_json`] (same JSON conventions as `ubench`'s
-//!   `BENCH_*.json`).
+//!   [`Snapshot::to_json`] (flat JSON: escaped string literals and
+//!   finite numbers only).
 //!
 //! # Determinism contract
 //!

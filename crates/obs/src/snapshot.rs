@@ -1,7 +1,7 @@
 //! Point-in-time metric snapshots and the two exposition formats:
-//! Prometheus-style text and JSON (same conventions as `ubench`'s
-//! `BENCH_*.json`: escaped string literals, finite numbers, a flat
-//! top-level array that diffing tools can walk without a schema).
+//! Prometheus-style text and JSON (escaped string literals, finite
+//! numbers, a flat top-level array that diffing tools can walk without a
+//! schema).
 
 use std::io::Write;
 use std::path::Path;
@@ -107,7 +107,7 @@ impl Snapshot {
     }
 
     /// JSON exposition: `{"metrics": [{name, kind, unit, ...}, ...]}`,
-    /// flat and stable like `BENCH_*.json`.
+    /// flat and stable.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"metrics\": [\n");
@@ -175,7 +175,7 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// A JSON string literal (same escaping rules as `ubench`).
+/// A JSON string literal (quotes, backslashes, control chars escaped).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -243,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escaping_matches_ubench() {
+    fn json_string_escaping() {
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_number(f64::NAN), "0");
     }

@@ -331,7 +331,7 @@ impl LeafStorage<u64> for CompressedLeaves {
 
     // ≥ 256 bytes: the redistribution fit argument needs
     // 0.1 · capacity ≥ 18 (head swap 8 B + dropped boundary delta 10 B);
-    // 256 gives a comfortable margin (see leaf.rs docs and DESIGN.md).
+    // 256 gives a comfortable margin (see `LeafStorage::MIN_LEAF_UNITS`).
     const MIN_LEAF_UNITS: usize = 256;
     const LEAF_ALIGN: usize = 64;
     const HEAD_UNITS: usize = 8;

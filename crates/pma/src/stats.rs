@@ -2,10 +2,10 @@
 //!
 //! Table 1 of the paper reports hardware cache misses during batch inserts
 //! to show that the PMA/CPMA move ~3× less data than PaC-trees. Hardware
-//! counters are not portable, so (as recorded in DESIGN.md §4) we count the
-//! bytes each structure reads and writes at its storage layer and report
-//! estimated cache-line (64 B) transfers. Relative ordering between
-//! structures — the quantity Table 1 is about — is preserved.
+//! counters are not portable, so (see "Substitutions" in REPRODUCTION.md)
+//! we count the bytes each structure reads and writes at its storage
+//! layer and report estimated cache-line (64 B) transfers. Relative
+//! ordering between structures — what Table 1 is about — is preserved.
 //!
 //! Compiled to no-ops unless the `stats` feature is enabled, so the hot
 //! paths of benchmark builds without the feature pay nothing.

@@ -6,7 +6,7 @@
 //! reproduction — RMAT graphs stand in for the SNAP social networks
 //! (LiveJournal/Orkut/Twitter/Friendster), which we cannot download; RMAT
 //! produces the same heavy-tailed degree distribution those graphs exhibit
-//! (see DESIGN.md §4, substitutions).
+//! (see "Substitutions" in REPRODUCTION.md).
 
 use crate::pack_edge;
 use crate::rng::{mix64, SplitMix64};

@@ -52,7 +52,11 @@ fn main() {
     // Pin the batch-update fan-out to 4 workers: demo runs are then
     // shaped the same on any machine (including single-core CI, where the
     // default budget would be 1 and the pool would never spawn).
-    cpma_bench::with_threads(4, || {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap();
+    pool.install(|| {
         std::thread::scope(|scope| {
             // --- ingest: each thread streams one burst per simulated second.
             for t in 0..INGEST_THREADS {
@@ -220,19 +224,6 @@ fn main() {
     std::fs::remove_dir_all(&wal_dir).expect("clean up WAL dir");
 
     // --- observability: one snapshot, every layer ---------------------
-    // Route the headline throughput through the bench harness too, so the
-    // bench layer's own counter shows up in the registry dump below.
-    let bench = cpma_bench::ubench::Bencher::new();
-    bench.record(
-        "key_store/acked_insert",
-        &[("threads", INGEST_THREADS.to_string())],
-        if total > 0 {
-            elapsed / total as f64
-        } else {
-            0.0
-        },
-    );
-
     let snap = cpma::obs::global().snapshot();
     if let Some(h) = snap.histogram("combiner.epoch.ns") {
         println!(
