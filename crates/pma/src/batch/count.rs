@@ -26,6 +26,7 @@
 //! Output: the *maximal* disjoint tree nodes to redistribute (nodes that
 //! respect their bound but were counted because a child violated), or a
 //! root-resize signal.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::density::BOUNDS;
 use crate::tree::Node;

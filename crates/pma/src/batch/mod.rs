@@ -61,6 +61,7 @@
 //! catch up. And `report.rs` is the **reporting** entry point: it routes a
 //! normal form once, decides each key's presence in the leaves it lands
 //! in, and runs the pipeline on the ops that change presence.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod count;
 mod redistribute;

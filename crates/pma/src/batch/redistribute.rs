@@ -29,6 +29,7 @@
 //! 4. **Repair** (serial, cheap): refresh inherited heads of empty-leaf
 //!    runs that follow each range (their stale inherits could otherwise
 //!    break the head array's monotonicity).
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::leaf::SharedLeaves;
 use crate::tree::Node;

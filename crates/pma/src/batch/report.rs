@@ -23,6 +23,7 @@
 //!
 //! Either way the structure ends byte for byte as `apply_batch_sorted(&net)`
 //! leaves it, and every other counter moves as that call moves it.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use super::route::Assignment;
 use super::{serial_merge_cutoff, PREFETCH_AHEAD};

@@ -29,6 +29,7 @@
 //! already gives, so there is none.) Assignments drop into a slot per
 //! batch position and are read back in one pass: ordered by leaf, no sort.
 //! Above the cutoff a task is searched alone and its two halves fork.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::{search, stats, LeafStorage, PmaCore, PmaKey};
 

@@ -10,7 +10,10 @@
 //!
 //! # Decoding a run
 //!
-//! Every read of a run goes through one block-walk kernel (`walk_codes`).
+//! Every decode of a run — the reads, the fused write kernel, snapshot
+//! validation — goes through one block-walk kernel (`walk_codes`; the
+//! write kernel's form, `walk_codes_at`, also hands out where each code
+//! ends, so that it can copy the codes it does not change).
 //! Per 64-byte block it builds a *terminator mask* — bit `i` set iff byte
 //! `i` ends a code — and walks it with `tzcnt`/`blsr`, so a code's bounds
 //! come from the mask and no load waits on the one before. A code of ≤ 8
@@ -31,6 +34,11 @@
 //! through a zero-padded stack copy, and a value load covers the 8 bytes
 //! ending at a terminator, which lie past the 8-byte head and inside the
 //! slice.
+//!
+//! **Untrusted bytes** (a snapshot being loaded) are framed before they
+//! are walked (`frame_codes`): the same terminator masks, counted and
+//! checked for codes longer than ten bytes or past `u64`, so the walk is
+//! only ever handed whole codes it can decode.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 /// Maximum encoded size of one `u64` byte code.
@@ -181,7 +189,20 @@ pub(crate) fn walk_codes(
     from: usize,
     end: usize,
     cur: u64,
-    f: impl FnMut(u64) -> bool,
+    mut f: impl FnMut(u64) -> bool,
+) -> (bool, usize) {
+    walk_codes_at(buf, from, end, cur, move |e, _| f(e))
+}
+
+/// [`walk_codes`] that also hands `f` the offset just past each code: a
+/// writer that copies the codes it does not change needs their bounds.
+#[inline]
+pub(crate) fn walk_codes_at(
+    buf: &[u8],
+    from: usize,
+    end: usize,
+    cur: u64,
+    f: impl FnMut(u64, usize) -> bool,
 ) -> (bool, usize) {
     assert!(
         from >= 8 && end <= buf.len(),
@@ -227,7 +248,7 @@ fn walk_bmi2(
     from: usize,
     end: usize,
     cur: u64,
-    f: impl FnMut(u64) -> bool,
+    f: impl FnMut(u64, usize) -> bool,
 ) -> (bool, usize) {
     use std::arch::x86_64::_pext_u64;
     let pack = |w| _pext_u64(w, 0x7f7f_7f7f_7f7f_7f7f);
@@ -243,12 +264,12 @@ fn walk_portable(
     from: usize,
     end: usize,
     cur: u64,
-    f: impl FnMut(u64) -> bool,
+    f: impl FnMut(u64, usize) -> bool,
 ) -> (bool, usize) {
     walk_body(buf, from, end, cur, multiply_terminators, pack_groups, f)
 }
 
-/// The one delta-walk loop (see [`walk_codes`] for the contract):
+/// The one delta-walk loop (see [`walk_codes_at`] for the contract):
 /// `terminators` gathers a block's terminator mask, `pack` turns a code's
 /// bytes into its value.
 #[inline(always)]
@@ -259,7 +280,7 @@ fn walk_body(
     mut cur: u64,
     terminators: impl Fn(&[u8; BLOCK]) -> u64,
     pack: impl Fn(u64) -> u64,
-    mut f: impl FnMut(u64) -> bool,
+    mut f: impl FnMut(u64, usize) -> bool,
 ) -> (bool, usize) {
     let len = buf.len();
     // The block being walked, and the previous code's terminator relative
@@ -295,8 +316,9 @@ fn walk_body(
                 let codes = &bytes[start as usize..(start + run) as usize];
                 for (i, &code) in codes.iter().enumerate() {
                     cur = cur.wrapping_add(u64::from(code));
-                    if !f(cur) {
-                        return (false, at + start as usize + i + 1);
+                    let past = at + start as usize + i + 1;
+                    if !f(cur, past) {
+                        return (false, past);
                     }
                 }
                 prev += run;
@@ -325,7 +347,7 @@ fn walk_body(
                 long_code(&buf[last + 1 - n as usize..=last])
             };
             cur = cur.wrapping_add(delta);
-            if !f(cur) {
+            if !f(cur, last + 1) {
                 return (false, last + 1);
             }
         }
@@ -340,6 +362,72 @@ fn walk_body(
 #[inline(never)]
 fn long_code(code: &[u8]) -> u64 {
     decode_varint(code).0
+}
+
+/// Frame the codes in `buf[from..end]` by their terminator masks, trusting
+/// nothing: returns how many codes the bytes hold, or `None` unless they
+/// are whole codes that each fit a `u64` — the last byte ends a code, no
+/// code is longer than [`MAX_VARINT_BYTES`], and a 10-byte code's last
+/// byte is 0 or 1 (it carries bit 63 alone). Codes that frame are safe to
+/// hand [`walk_codes`].
+pub(crate) fn frame_codes(buf: &[u8], from: usize, end: usize) -> Option<usize> {
+    let mut codes = 0;
+    // Continue bytes since the last terminator, carried across blocks.
+    let mut open = 0;
+    let mut at = from;
+    let mut pad: [u8; BLOCK];
+    while at < end {
+        let upto = (end - at).min(BLOCK);
+        let bytes: &[u8; BLOCK] = match buf.get(at..at + BLOCK) {
+            Some(block) => block.try_into().unwrap(),
+            None => {
+                pad = [0; BLOCK];
+                pad[..upto].copy_from_slice(&buf[at..end]);
+                &pad
+            }
+        };
+        let valid = u64::MAX >> (BLOCK - upto);
+        let term = block_terminators(bytes) & valid;
+        let cont = !term & valid;
+        codes += term.count_ones() as usize;
+        // Bit `i` of `runs9` is set iff bytes `i ..= i + 8` all continue.
+        let runs2 = cont & (cont >> 1);
+        let runs4 = runs2 & (runs2 >> 2);
+        let runs9 = runs4 & (runs4 >> 4) & (cont >> 8);
+        // No code is longer than ten bytes: no ten continue bytes in a
+        // row, counting the ones the block before left open.
+        let lead = (term.trailing_zeros() as usize).min(upto);
+        if open + lead >= MAX_VARINT_BYTES || runs9 & (cont >> 9) != 0 {
+            return None;
+        }
+        // A ten-byte code ends at a terminator after nine continue bytes.
+        let mut ten = term & (runs9 << 9);
+        if lead < upto && open + lead == MAX_VARINT_BYTES - 1 {
+            ten |= 1 << lead;
+        }
+        while ten != 0 {
+            if bytes[ten.trailing_zeros() as usize] > 1 {
+                return None;
+            }
+            ten &= ten - 1;
+        }
+        open = match term {
+            0 => open + upto,
+            _ => upto + term.leading_zeros() as usize - BLOCK,
+        };
+        at += upto;
+    }
+    (open == 0).then_some(codes)
+}
+
+/// A block's terminator mask by the gatherer every x86_64 CPU has (SSE2),
+/// for the one-off framing pass; the walk picks its own per instance.
+#[inline(always)]
+fn block_terminators(block: &[u8; BLOCK]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    return movemask_terminators(block);
+    #[cfg(not(target_arch = "x86_64"))]
+    multiply_terminators(block)
 }
 
 /// The value of a code of ≤ 8 bytes held in the low bytes of `w` (higher
@@ -387,7 +475,7 @@ fn multiply_terminators(block: &[u8; BLOCK]) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The byte-serial walk the kernel replaced: the equivalence oracle.
@@ -396,21 +484,44 @@ mod tests {
         from: usize,
         end: usize,
         mut cur: u64,
-        mut f: impl FnMut(u64) -> bool,
+        mut f: impl FnMut(u64, usize) -> bool,
     ) -> (bool, usize) {
         let mut pos = from;
         while pos < end {
             let (delta, used) = decode_varint(&buf[pos..]);
             pos += used;
             cur = cur.wrapping_add(delta);
-            if !f(cur) {
+            if !f(cur, pos) {
                 return (false, pos);
             }
         }
         (true, pos)
     }
 
-    type Instance = fn(&[u8], usize, usize, u64, &mut dyn FnMut(u64) -> bool) -> (bool, usize);
+    /// The byte-serial check the framing replaced, one code at a time:
+    /// never reads past `buf`, and rejects a code that does not fit a
+    /// `u64`. The equivalence oracle of [`frame_codes`] and of the
+    /// snapshot validator built on it.
+    pub(crate) fn checked_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let &byte = buf.get(*pos)?;
+            *pos += 1;
+            let part = (byte & 0x7f) as u64;
+            if shift >= 64 || (shift > 0 && part >> (64 - shift) != 0) {
+                return None; // would overflow u64
+            }
+            v |= part << shift;
+            if byte & 0x80 == 0 {
+                return Some(v);
+            }
+            shift += 7;
+        }
+    }
+
+    type Instance =
+        fn(&[u8], usize, usize, u64, &mut dyn FnMut(u64, usize) -> bool) -> (bool, usize);
 
     /// Both kernel instances this CPU can run, each called directly.
     fn instances() -> Vec<(&'static str, Instance)> {
@@ -474,39 +585,46 @@ mod tests {
     fn check_all_exits(buf: &[u8], used: usize, elems: &[u64]) {
         let head = elems[0];
         for (name, walk) in instances() {
-            let mut got = Vec::new();
-            let full = walk(buf, 8, used, head, &mut |e| {
-                got.push(e);
+            // Every sum, and where its code ends.
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let full = walk(buf, 8, used, head, &mut |e, end| {
+                got.push((e, end));
                 true
             });
-            assert_eq!(got, elems[1..], "{name}: full walk");
+            serial_walk(buf, 8, used, head, |e, end| {
+                want.push((e, end));
+                true
+            });
+            let sums: Vec<u64> = got.iter().map(|&(e, _)| e).collect();
+            assert_eq!(sums, elems[1..], "{name}: full walk");
+            assert_eq!(got, want, "{name}: code ends");
             assert_eq!(full, (true, used), "{name}: full walk");
             for (stop, &key) in elems.iter().enumerate().skip(1) {
                 // The membership walk: stop once the running value
                 // reaches the key.
                 let (mut seen, mut hit) = (0, false);
-                let contains = walk(buf, 8, used, head, &mut |e| {
+                let contains = walk(buf, 8, used, head, &mut |e, _| {
                     seen += 1;
                     hit = e == key;
                     e < key
                 });
-                let oracle = serial_walk(buf, 8, used, head, |e| e < key);
+                let oracle = serial_walk(buf, 8, used, head, |e, _| e < key);
                 assert_eq!(contains, oracle, "{name}: contains stop {stop}");
                 assert!(hit && seen == stop, "{name}: contains stop {stop}");
                 // The range walk stops past its end, the from walk at the
                 // first key its callee refuses.
                 let past = |e: u64| e <= key;
-                let range = walk(buf, 8, used, head, &mut |e| past(e));
+                let range = walk(buf, 8, used, head, &mut |e, _| past(e));
                 assert_eq!(
                     range,
-                    serial_walk(buf, 8, used, head, past),
+                    serial_walk(buf, 8, used, head, |e, _| past(e)),
                     "{name}: range {stop}"
                 );
                 let refuse = |e: u64| e < key || e != key;
-                let from = walk(buf, 8, used, head, &mut |e| refuse(e));
+                let from = walk(buf, 8, used, head, &mut |e, _| refuse(e));
                 assert_eq!(
                     from,
-                    serial_walk(buf, 8, used, head, refuse),
+                    serial_walk(buf, 8, used, head, |e, _| refuse(e)),
                     "{name}: from {stop}"
                 );
             }
@@ -573,9 +691,9 @@ mod tests {
         assert_eq!(walk_run(&buf, used, |_| true), (true, 8));
         assert_eq!(walk_run(&buf, used, |_| false), (false, 8));
         for (name, walk) in instances() {
-            assert_eq!(walk(&buf, 8, 8, 99, &mut |_| true), (true, 8), "{name}");
+            assert_eq!(walk(&buf, 8, 8, 99, &mut |_, _| true), (true, 8), "{name}");
             assert_eq!(
-                walk(&buf[..8], 8, 8, 99, &mut |_| true),
+                walk(&buf[..8], 8, 8, 99, &mut |_, _| true),
                 (true, 8),
                 "{name}"
             );
@@ -588,7 +706,7 @@ mod tests {
         for i in 1..elems.len() {
             for (name, walk) in instances() {
                 let mut last = elems[i - 1];
-                let got = walk(&buf, at, used, last, &mut |e| {
+                let got = walk(&buf, at, used, last, &mut |e, _| {
                     last = e;
                     true
                 });
@@ -597,6 +715,56 @@ mod tests {
             }
             at += varint_len(elems[i] - elems[i - 1]);
         }
+    }
+
+    /// Damaged runs — bytes overwritten, continue bits flipped, the end
+    /// cut — frame exactly as the serial check decodes them: the same code
+    /// count, or rejected by both.
+    #[test]
+    fn framing_matches_the_serial_check_on_damaged_runs() {
+        let mut xs = Xs(0xF4A3_E0D0_0001);
+        let serial_frame = |buf: &[u8], end: usize| {
+            let (mut pos, mut codes) = (8, 0);
+            while pos < end {
+                checked_varint(&buf[..end], &mut pos)?;
+                codes += 1;
+            }
+            Some(codes)
+        };
+        let mut rejected = 0;
+        for case in 0..4000 {
+            let n = (xs.next() % 120) as usize;
+            let lens: Vec<u32> = (0..n)
+                .map(|_| match xs.next() % 6 {
+                    0 => 9 + (xs.next() % 2) as u32,
+                    1 => 1 + (xs.next() % 10) as u32,
+                    _ => 1,
+                })
+                .collect();
+            let slack = [0, 5, 64, 130][case % 4];
+            let (_, mut buf, mut used) = run_of(xs.next() >> 40, &lens, slack, &mut xs);
+            if case % 5 != 0 && used > 8 {
+                for _ in 0..1 + xs.next() % 3 {
+                    let at = 8 + (xs.next() as usize) % (used - 8);
+                    buf[at] = match xs.next() % 6 {
+                        0 => buf[at] ^ 0x80,
+                        1 => 0x80,
+                        2 => 2 + (xs.next() % 126) as u8,
+                        3 => 0,
+                        4 => 1,
+                        _ => xs.next() as u8,
+                    };
+                }
+                if xs.next().is_multiple_of(4) {
+                    used -= (xs.next() as usize) % (used - 7);
+                }
+            }
+            let want = serial_frame(&buf, used);
+            assert_eq!(frame_codes(&buf, 8, used), want, "case {case}");
+            assert_eq!(frame_codes(&buf[..used], 8, used), want, "case {case}");
+            rejected += usize::from(want.is_none());
+        }
+        assert!((500..3500).contains(&rejected), "{rejected} rejected");
     }
 
     #[test]

@@ -22,14 +22,19 @@
 //! [`SharedLeaves::apply_run`] picks by the state of the leaf it finds:
 //!
 //! * **delta leaf, non-empty, not spilled** — the *fused* kernel
-//!   ([`CompressedShared::apply_run_fused`]): one pass over the byte codes
-//!   that copies the bytes before the run's first key, merges the run
-//!   against the decoded stream straight into byte codes in a stack
-//!   buffer, re-encodes the one delta after the last op and copies the
-//!   rest — no element vector, no heap. It hands the exact delta size and
-//!   the bitmap size of the result (or a lower bound that already rules
-//!   the bitmap out) to the same [`choose_codec`] call `store` makes and
-//!   commits only on "delta, fits";
+//!   ([`CompressedShared::apply_run_fused`]): one walk over the byte codes
+//!   by the read kernel, in the form that also reports where each code
+//!   ends ([`walk_codes_at`]). The codes of the elements no op touches are
+//!   copied verbatim, a stretch at a time; the first stretch is everything
+//!   before the *splice point*, the first element an op reaches, and ends
+//!   where the walk says the code before it ends. Around each op the run
+//!   is merged straight into byte codes in a stack buffer; once the run is
+//!   spent the walk stops, the element after the last op is re-encoded
+//!   against its new predecessor and the rest is copied — no element
+//!   vector, no heap. It hands the exact delta size and the bitmap size of
+//!   the result (or a lower bound that already rules the bitmap out) to
+//!   the same [`choose_codec`] call `store` makes and commits only on
+//!   "delta, fits";
 //! * **bitmap leaf, not spilled** — the *wordwise* kernel: set/clear bits
 //!   in the word array, never a delta decode;
 //! * anything else, and whatever a kernel declines (the result spills,
@@ -63,8 +68,8 @@
 
 use crate::bitmap;
 use crate::codec::{
-    decode_varint, encode_run, encoded_run_len, varint_len, walk_codes, walk_run, write_varint,
-    MAX_VARINT_BYTES,
+    encode_run, encoded_run_len, frame_codes, varint_len, walk_codes, walk_codes_at, walk_run,
+    write_varint, MAX_VARINT_BYTES,
 };
 use crate::core::ForceCodec;
 use crate::leaf::{
@@ -85,7 +90,8 @@ const TAG_BITMAP: u8 = 1;
 /// 64-bit capacity exceeds (`PmaCore::leaf_units_for_cap`).
 const FUSED_MAX_UNITS: usize = 8 * 64;
 /// Its stack buffer: the kernel checks the emitted length against the
-/// leaf capacity after every code, so it overshoots by at most one code.
+/// leaf capacity after every code it encodes and before every stretch it
+/// copies, so it overshoots by at most one code.
 const FUSED_BUF: usize = FUSED_MAX_UNITS + MAX_VARINT_BYTES;
 
 /// Hysteresis band around the break-even (bitmap cost = delta cost): a
@@ -475,25 +481,33 @@ impl LeafStorage<u64> for CompressedLeaves {
                 }
                 prev_max = Some(bitmap::max_elem(run, nbytes));
             } else {
-                let mut cur = head;
-                let mut pos = 8usize;
-                for _ in 1..count {
-                    let delta = checked_varint(run, &mut pos).ok_or_else(|| {
-                        PersistError::Corrupt(format!("leaf {leaf} has a malformed byte code"))
-                    })?;
-                    cur = cur
-                        .checked_add(delta)
-                        .filter(|_| delta > 0)
-                        .ok_or_else(|| {
-                            PersistError::Corrupt(format!("leaf {leaf} deltas are not ascending"))
-                        })?;
-                }
-                if pos != nbytes {
+                // Frame the codes by their terminator masks first, since
+                // the walk trusts every code it is handed to be whole and
+                // at most ten bytes: exactly `count − 1` terminators, the
+                // last byte one of them, no ten continue bytes in a row,
+                // and a ten-byte code's last byte 0 or 1 (bit 63 alone).
+                // Then walk them with the read kernel, each sum above the
+                // one before: a zero delta repeats the sum, and a delta
+                // that wraps past `u64::MAX` lowers it.
+                let stretch = &bytes[leaf * leaf_units..(leaf + 1) * leaf_units];
+                if frame_codes(stretch, 8, nbytes) != Some(count - 1) {
                     return Err(PersistError::Corrupt(format!(
-                        "leaf {leaf} run length disagrees with its element count"
+                        "leaf {leaf} byte codes do not frame its {} deltas",
+                        count - 1
                     )));
                 }
-                prev_max = Some(cur);
+                let mut max = head;
+                let (ascending, _) = walk_codes(stretch, 8, nbytes, head, |e| {
+                    let up = e > max;
+                    max = e;
+                    up
+                });
+                if !ascending {
+                    return Err(PersistError::Corrupt(format!(
+                        "leaf {leaf} deltas are not ascending"
+                    )));
+                }
+                prev_max = Some(max);
             }
         }
 
@@ -1095,12 +1109,19 @@ impl CompressedShared<'_> {
     /// (walk the byte codes to the spot, re-encode what changed, shift the
     /// rest) generalised to a run, in one pass and with no element vector.
     ///
-    /// The bytes of the elements below the run's first key are copied
-    /// verbatim; from there the run is merged against the decoded stream,
-    /// each surviving element emitted as a byte code into a stack buffer;
-    /// once the run is spent the next stored element is re-encoded against
-    /// its new predecessor and the remaining bytes copied verbatim (walked
-    /// only to learn the maximum, and only while a bitmap could still fit).
+    /// Every decode is the read kernel's block walk, in the form that also
+    /// says where each code ends ([`walk_codes_at`]); one walk visits the
+    /// stored elements in order ([`Splice`]). An element below the next op
+    /// whose predecessor stays costs one compare: its code joins the
+    /// current *verbatim stretch*. At the first op — the splice point —
+    /// and at every later one, the stretch so far is copied into a stack
+    /// buffer as it stands, the ops up to the element are merged in and
+    /// the element is re-encoded against its new predecessor (as is the
+    /// element after a removed one). Once the run is spent the walk stops
+    /// and the rest of the leaf is one last stretch (walked again only to
+    /// learn the maximum, and only while a bitmap could still fit). The
+    /// encoder writes only shortest codes, so the bytes are those of
+    /// re-encoding every merged element.
     /// The exact encoded size and the bitmap size of the result then go to
     /// the [`choose_codec`] call [`Self::store`] makes, and the buffer is
     /// committed with one copy iff it answers "delta, fits". Returns
@@ -1123,49 +1144,60 @@ impl CompressedShared<'_> {
         let old_units = *self.used.add(leaf) as usize;
         debug_assert!(*self.tags.add(leaf) == TAG_DELTA && (*self.overflow.add(leaf)).is_none());
         debug_assert!(cap <= FUSED_MAX_UNITS && (8..=cap).contains(&old_units));
-        // The whole stretch, so the tail walk below reads its last block
-        // in place.
+        // The whole stretch, so the walks below read the last block in
+        // place.
         let stretch = self.leaf_buf_read(leaf, cap);
         let src = &stretch[..old_units];
-        let mut cur = DeltaCursor::new(src);
-        let mut out = DeltaWriter::new();
+        let head = u64::from_le_bytes(src[..8].try_into().unwrap());
 
-        // Everything below the run's first key keeps its bytes.
-        let first_key = run.key(0);
-        let mut below = cur.elem;
-        while !cur.done && cur.elem < first_key {
-            below = cur.elem;
-            cur.advance();
+        // One walk visits the stored elements in order, with where each
+        // one's code ends; it stops once the run is spent.
+        let mut m = Splice {
+            src,
+            cap,
+            run,
+            j: 0,
+            added: 0,
+            removed: 0,
+            out: DeltaWriter::new(),
+            copy: Some(0),
+            last: head,
+            end: 0,
+            bound: run.key(0),
+            overflow: false,
+        };
+        let finished = m.visit(head, 8)
+            && walk_codes_at(
+                stretch,
+                8,
+                old_units,
+                head,
+                #[inline(always)]
+                |e, end| m.visit(e, end),
+            )
+            .0;
+        let Splice {
+            j,
+            mut added,
+            removed,
+            mut out,
+            copy,
+            last,
+            overflow,
+            ..
+        } = m;
+        if overflow {
+            return None;
         }
-        out.copy_prefix(&src[..cur.at], below);
-
-        let (mut added, mut removed) = (0usize, 0usize);
-        let mut j = 0;
-        while !cur.done && j < run.len() {
-            let k = run.key(j);
-            if cur.elem < k {
-                out.push(cur.elem);
-                cur.advance();
-            } else {
-                let present = cur.elem == k;
-                if run.is_insert(j) {
-                    out.push(k);
-                    added += usize::from(!present);
-                } else {
-                    removed += usize::from(present);
+        if finished {
+            // Every stored element was visited: the last stretch is copied
+            // and the rest of the run's inserts append.
+            if let Some(copy) = copy {
+                if out.len + (old_units - copy) > cap {
+                    return None;
                 }
-                if present {
-                    cur.advance();
-                }
-                j += 1;
+                out.copy(&src[copy..], last);
             }
-            if out.len > cap {
-                return None;
-            }
-        }
-
-        if cur.done {
-            // The leaf is spent: the rest of the run's inserts append.
             for j in j..run.len() {
                 if run.is_insert(j) {
                     out.push(run.key(j));
@@ -1179,30 +1211,29 @@ impl CompressedShared<'_> {
         if added == 0 && removed == 0 {
             return Some(OpsOutcome::default());
         }
-        let max = if cur.done {
+        let max = if finished {
             if out.len == 0 {
                 return None; // emptied: `store` owns the canonical empty form
             }
             out.last
         } else {
-            // The run is spent: one delta changes, the rest is a copy.
-            out.push(cur.elem);
-            let rest = &src[cur.next..];
-            if out.len + rest.len() > cap {
+            // The run is spent: the rest is a copy. The bitmap size needs
+            // the maximum, which only a walk of the copied codes gives —
+            // unless the span up to here already outgrows the leaf: the
+            // size only grows with the maximum, and `choose_codec` answers
+            // alike for every size past `cap`.
+            let copy = copy.expect("a walk stops on a verbatim rest");
+            if out.len + (old_units - copy) > cap {
                 return None;
             }
-            out.copy_rest(rest);
-            // The bitmap size needs the maximum, which only a walk of the
-            // copied codes gives — unless the span up to here already
-            // outgrows the leaf: the size only grows with the maximum, and
-            // `choose_codec` answers alike for every size past `cap`.
-            let mut max = cur.elem;
+            let mut max = last;
             if bitmap::encoded_len(out.first, max) <= cap {
-                walk_codes(stretch, cur.next, old_units, max, |e| {
+                walk_codes(stretch, copy, old_units, max, |e| {
                     max = e;
                     true
                 });
             }
+            out.copy(&src[copy..], max);
             max
         };
         let bitmap_units = bitmap::encoded_len(out.first, max);
@@ -1256,45 +1287,6 @@ impl CompressedShared<'_> {
     }
 }
 
-/// Read cursor of the fused kernel over a delta leaf's bytes.
-struct DeltaCursor<'a> {
-    src: &'a [u8],
-    /// The stored element the cursor stands on (stale once `done`).
-    elem: u64,
-    /// Where that element's code starts (0: the raw head) …
-    at: usize,
-    /// … and where the next one does.
-    next: usize,
-    /// Every stored element has been passed.
-    done: bool,
-}
-
-impl<'a> DeltaCursor<'a> {
-    /// `src`: a non-empty delta leaf, exactly its used bytes.
-    #[inline]
-    fn new(src: &'a [u8]) -> Self {
-        Self {
-            src,
-            elem: u64::from_le_bytes(src[..8].try_into().unwrap()),
-            at: 0,
-            next: 8,
-            done: false,
-        }
-    }
-
-    #[inline]
-    fn advance(&mut self) {
-        self.at = self.next;
-        if self.next == self.src.len() {
-            self.done = true;
-            return;
-        }
-        let (delta, used) = decode_varint(&self.src[self.next..]);
-        self.elem += delta;
-        self.next += used;
-    }
-}
-
 /// Output side of the fused kernel: a delta run built in a stack buffer.
 struct DeltaWriter {
     buf: [u8; FUSED_BUF],
@@ -1316,19 +1308,6 @@ impl DeltaWriter {
         }
     }
 
-    /// Start from `bytes`, the encoded stretch from a leaf's head up to
-    /// and including the element `last` (empty: start from nothing).
-    #[inline]
-    fn copy_prefix(&mut self, bytes: &[u8], last: u64) {
-        debug_assert_eq!(self.len, 0);
-        if !bytes.is_empty() {
-            self.buf[..bytes.len()].copy_from_slice(bytes);
-            self.len = bytes.len();
-            self.first = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-            self.last = last;
-        }
-    }
-
     /// Append `v` (above everything emitted). The caller checks `len`
     /// against its capacity after each call, which keeps the one code
     /// written here inside the `MAX_VARINT_BYTES` of slack.
@@ -1345,12 +1324,115 @@ impl DeltaWriter {
         self.last = v;
     }
 
-    /// Append already-encoded codes that continue from the last element
-    /// pushed; `first`/`last` are not maintained past this.
+    /// Append a stretch of a leaf's encoded bytes that continues what was
+    /// emitted (or, while nothing was, starts at the leaf's head), the
+    /// last of them ending on the element `last`. The caller checks the
+    /// capacity first.
     #[inline]
-    fn copy_rest(&mut self, codes: &[u8]) {
-        self.buf[self.len..self.len + codes.len()].copy_from_slice(codes);
-        self.len += codes.len();
+    fn copy(&mut self, bytes: &[u8], last: u64) {
+        if self.len == 0 {
+            self.first = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        self.last = last;
+    }
+}
+
+/// The fused kernel's merge, fed a delta leaf's stored elements in order.
+/// Between ops the leaf's codes are copied verbatim, a stretch at a time;
+/// around an op the elements are re-encoded into the output.
+struct Splice<'a, R> {
+    src: &'a [u8],
+    cap: usize,
+    run: R,
+    /// The next op, and what the ops so far did.
+    j: usize,
+    added: usize,
+    removed: usize,
+    out: DeltaWriter,
+    /// Where the stretch of codes copied verbatim starts; `None` while the
+    /// next element must be re-encoded, its predecessor having been
+    /// removed.
+    copy: Option<usize>,
+    /// The element last visited, and where its code ends.
+    last: u64,
+    end: usize,
+    /// The least element [`Self::merge`] must see: the next op's key, or 0
+    /// while an element must be re-encoded.
+    bound: u64,
+    /// The output passed the capacity: the kernel declines.
+    overflow: bool,
+}
+
+impl<R: Run<u64>> Splice<'_, R> {
+    /// Visit stored element `e`, whose code ends at `end`. Returns `false`
+    /// to stop the walk: the output passed the capacity, or the run is
+    /// spent and the rest of the leaf is one verbatim stretch.
+    #[inline(always)]
+    fn visit(&mut self, e: u64, end: usize) -> bool {
+        // Below the next op, after an element that stays: the code joins
+        // the verbatim stretch.
+        if e < self.bound {
+            self.last = e;
+            self.end = end;
+            return true;
+        }
+        self.merge(e, end)
+    }
+
+    /// [`Self::visit`] for an element that an op reaches or whose
+    /// predecessor was removed: the stretch before it is copied, and the
+    /// ops up to it and the element itself are encoded into the output.
+    #[inline(never)]
+    fn merge(&mut self, e: u64, end: usize) -> bool {
+        let n = self.run.len();
+        if self.j < n && self.run.key(self.j) <= e {
+            if let Some(copy) = self.copy {
+                let upto = self.end;
+                if self.out.len + (upto - copy) > self.cap {
+                    self.overflow = true;
+                    return false;
+                }
+                if upto > copy {
+                    self.out.copy(&self.src[copy..upto], self.last);
+                }
+            }
+            let mut kept = true;
+            while self.j < n && self.run.key(self.j) <= e {
+                let k = self.run.key(self.j);
+                let present = k == e;
+                if self.run.is_insert(self.j) {
+                    self.out.push(k);
+                    self.added += usize::from(!present);
+                } else {
+                    self.removed += usize::from(present);
+                }
+                kept &= !present;
+                self.j += 1;
+                if self.out.len > self.cap {
+                    self.overflow = true;
+                    return false;
+                }
+            }
+            if kept {
+                self.out.push(e);
+            }
+            self.copy = kept.then_some(end);
+        } else {
+            debug_assert!(self.copy.is_none());
+            self.out.push(e);
+            self.copy = Some(end);
+        }
+        self.last = e;
+        self.end = end;
+        self.bound = match self.copy {
+            None => 0,
+            Some(_) if self.j < n => self.run.key(self.j),
+            Some(_) => u64::MAX,
+        };
+        self.overflow = self.out.len > self.cap;
+        !self.overflow && (self.j < n || self.copy.is_none())
     }
 }
 
@@ -1425,28 +1507,6 @@ impl SharedLeaves<u64> for CompressedShared<'_> {
         // contract.
         debug_assert_eq!(*self.counts.add(leaf), 0);
         *self.heads.add(leaf) = head;
-    }
-}
-
-/// Bounds- and overflow-checked LEB128 decode for snapshot validation.
-/// Unlike `codec::decode_varint` (which trusts its input — it runs on
-/// runs this module encoded itself), this never reads past `buf` and
-/// rejects encodings that do not fit a `u64`.
-fn checked_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos)?;
-        *pos += 1;
-        let part = (byte & 0x7f) as u64;
-        if shift >= 64 || (shift > 0 && part >> (64 - shift) != 0) {
-            return None; // would overflow u64
-        }
-        v |= part << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
     }
 }
 
@@ -1906,6 +1966,44 @@ mod tests {
         }
     }
 
+    /// Apply `ops` to leaf 0 of clones of `s`, through `apply_run` and
+    /// through the general path: equal outcomes, the same storage after.
+    /// Returns whether the fused kernel takes the run, or `None` where the
+    /// leaf is not one it may be handed (bitmap, spilled or empty); a run
+    /// it declines must have written nothing.
+    fn assert_matches_general(
+        s: &CompressedLeaves,
+        ops: &[BatchOp<u64>],
+        what: &str,
+    ) -> Option<bool> {
+        let took = (!s.is_bitmap(0) && !s.is_overflowed(0) && s.count(0) > 0).then(|| {
+            let mut probe = s.clone();
+            // SAFETY: disjoint-leaf contract of `SharedLeaves` — one
+            // thread, `probe` is its own storage; its leaf was just checked
+            // delta-tagged, non-empty and not spilled, and every storage
+            // here has `leaf_units ≤ FUSED_MAX_UNITS`.
+            let took = unsafe { probe.shared().apply_run_fused(0, ops) }.is_some();
+            assert!(
+                took || payload(&probe) == payload(s),
+                "{what}: a declined run wrote"
+            );
+            took
+        });
+        let (mut picked, mut general) = (s.clone(), s.clone());
+        let mut scratch = LeafScratch::new();
+        // SAFETY: as above — one thread, separate storages; the general
+        // path takes a leaf in any state.
+        let (out, via_general) = unsafe {
+            (
+                picked.shared().apply_run(0, ops, &mut scratch),
+                general.shared().apply_run_general(0, ops, &mut scratch),
+            )
+        };
+        assert_eq!(out, via_general, "{what}: general path disagrees");
+        assert_same_storage(&picked, &general, what);
+        took
+    }
+
     /// Seeded property: on random delta leaves (gaps from one bit to the
     /// whole key space, `0` and `u64::MAX` included) × random mixed runs
     /// of 1–64 ops, whatever kernel `apply_run` picks leaves what the
@@ -1949,11 +2047,12 @@ mod tests {
                     }
                 }
             }
-            let mut scratch = LeafScratch::new();
             // SAFETY: disjoint-leaf contract of `SharedLeaves` — one
-            // thread; `s`, `probe` and `general` (below) are separate
-            // one-leaf storages.
-            unsafe { s.shared().apply_run(0, Inserts::new(&elems), &mut scratch) };
+            // thread, `s` is its own one-leaf storage.
+            unsafe {
+                s.shared()
+                    .apply_run(0, Inserts::new(&elems), &mut LeafScratch::new())
+            };
             // The run: keys on, next to and between the stored ones, and
             // the ends of the key space.
             let (lo, hi) = (elems[0], *elems.last().unwrap());
@@ -1981,39 +2080,237 @@ mod tests {
             ops.dedup_by_key(|op| op.key());
 
             let what = format!("case {case}: {elems:?} <- {ops:?}");
-            if !s.is_bitmap(0) && !s.is_overflowed(0) {
-                delta_cases += 1;
-                let mut probe = s.clone();
-                // SAFETY: as above; the leaf was just checked delta-tagged
-                // and not spilled, and it is non-empty (seeded above).
-                match unsafe { probe.shared().apply_run_fused(0, ops.as_slice()) } {
-                    Some(_) => fused_took += 1,
-                    None => {
-                        fused_declined += 1;
-                        assert!(
-                            payload(&probe) == payload(&s),
-                            "{what}: a declined run wrote"
-                        );
-                    }
-                }
+            match assert_matches_general(&s, &ops, &what) {
+                Some(true) => fused_took += 1,
+                Some(false) => fused_declined += 1,
+                None => continue,
             }
-            let mut general = s.clone();
-            // SAFETY: as above — one thread, separate storages.
-            let out = unsafe { s.shared().apply_run(0, ops.as_slice(), &mut scratch) };
-            // SAFETY: as above; the general path takes a leaf in any state.
-            let via_general = unsafe {
-                general
-                    .shared()
-                    .apply_run_general(0, ops.as_slice(), &mut scratch)
-            };
-            assert_eq!(out, via_general, "{what}");
-            assert_same_storage(&s, &general, &what);
+            delta_cases += 1;
         }
         // Both answers of the fused kernel were exercised, many times.
         assert!(
             fused_took > 5_000 && fused_declined > 100,
             "{fused_took} / {fused_declined}"
         );
+    }
+
+    /// The fused kernel's splice search, where the block walk can slip: on
+    /// leaves of 256 and 512 (`FUSED_MAX_UNITS`) bytes, the code of the
+    /// first element a run reaches straddles a 64-byte block edge at every
+    /// offset a 1- to 10-byte code can, after a 1-, 9- or 10-byte code,
+    /// with runs that start on, just below and just above it; leaves whose
+    /// run ends on the stretch's last byte; one-element leaves; runs wholly
+    /// below the head and wholly above the maximum. Every case leaves what
+    /// the general path leaves, under both the forced-delta and the `Auto`
+    /// policy.
+    #[test]
+    fn splice_search_matches_the_general_path_at_block_edges() {
+        // The smallest gap whose code takes `len` bytes, plus one.
+        let gap = |len: u32| 1 + if len == 1 { 1 } else { 1u64 << (7 * (len - 1)) };
+        let leaf = |units: usize, policy: ForceCodec, elems: &[u64]| {
+            let mut s = CompressedLeaves::with_geometry(1, units);
+            s.set_codec_policy(policy);
+            apply(&mut s, 0, &ins(elems.iter().copied()));
+            assert!(!s.is_overflowed(0) && s.count(0) == elems.len());
+            s
+        };
+        // Runs over `elems` that reach `elems[i]` first.
+        let runs_at = |elems: &[u64], i: usize| {
+            let (e, last) = (elems[i], *elems.last().unwrap());
+            let pred = i.checked_sub(1).map(|p| elems[p]);
+            let succ = elems.get(i + 1).copied();
+            let mut runs = vec![ins([e]), rem([e])];
+            if e < last {
+                runs.push(vec![Insert(e), Remove(last)]);
+            }
+            if last < u64::MAX {
+                runs.push(vec![Remove(e), Insert(last + 1)]);
+            }
+            if pred.map_or(e > 0, |p| p + 1 < e) {
+                runs.push(ins([e - 1]));
+                runs.push(vec![Insert(e - 1), Remove(e)]);
+            }
+            if succ.is_some_and(|s| e + 1 < s) {
+                runs.push(vec![Remove(e), Insert(e + 1)]);
+            }
+            if let Some(s) = succ {
+                runs.push(vec![Insert(e), Remove(s)]);
+            }
+            runs
+        };
+        let (mut cases, mut fused) = (0u32, 0u32);
+        let mut check = |s: &CompressedLeaves, run: &[BatchOp<u64>], what: &str| {
+            cases += 1;
+            fused += u32::from(assert_matches_general(s, run, what) == Some(true));
+        };
+        for units in [256, FUSED_MAX_UNITS] {
+            for policy in [ForceCodec::Delta, ForceCodec::Auto] {
+                // The splice code of `len` bytes starts `lead` bytes before
+                // a block edge (`lead == 0`: on it; `lead == len`: it ends
+                // just below it), after a code of `before` bytes.
+                for edge in [64, units - 64] {
+                    for before in [1, 9, 10] {
+                        for len in 1..=10u32 {
+                            if before + len == 20 {
+                                continue; // two ten-byte gaps pass u64::MAX
+                            }
+                            for lead in 0..=len as usize {
+                                let ones = edge - lead - 8 - before as usize;
+                                let lens =
+                                    std::iter::repeat_n(1, ones).chain([before, len, 2, 1, 3]);
+                                let elems: Vec<u64> = std::iter::once(1000)
+                                    .chain(lens.scan(1000, |e, l| {
+                                        *e += gap(l);
+                                        Some(*e)
+                                    }))
+                                    .collect();
+                                let s = leaf(units, policy, &elems);
+                                let at = ones + 2;
+                                for run in
+                                    runs_at(&elems, at).iter().chain(&runs_at(&elems, at - 1))
+                                {
+                                    let what = format!(
+                                        "{units} B {policy:?}: {len}-byte code {lead} B before \
+                                         {edge} after a {before}-byte one <- {run:?}"
+                                    );
+                                    check(&s, run, &what);
+                                }
+                            }
+                        }
+                        // The run ends on the stretch's last byte: the
+                        // splice code is the last one.
+                        for len in (1..=10u32).filter(|&l| before + l < 20) {
+                            let ones = units - 8 - (before + len) as usize;
+                            let lens = std::iter::repeat_n(1, ones).chain([before, len]);
+                            let elems: Vec<u64> = std::iter::once(1000)
+                                .chain(lens.scan(1000, |e, l| {
+                                    *e += gap(l);
+                                    Some(*e)
+                                }))
+                                .collect();
+                            let s = leaf(units, policy, &elems);
+                            assert!(s.is_bitmap(0) || s.units_used(0) == units);
+                            for at in [ones + 1, ones + 2] {
+                                for run in runs_at(&elems, at) {
+                                    let what = format!(
+                                        "{units} B {policy:?}: full leaf, last codes {before} \
+                                         and {len} B <- {run:?}"
+                                    );
+                                    check(&s, &run, &what);
+                                }
+                            }
+                        }
+                    }
+                }
+                // One-element leaves, and runs wholly below the head or
+                // wholly above the maximum.
+                for elems in [vec![0], vec![1000], vec![u64::MAX], (1000..1100).collect()] {
+                    let s = leaf(units, policy, &elems);
+                    let (head, max) = (elems[0], *elems.last().unwrap());
+                    let mut runs = runs_at(&elems, 0);
+                    if head >= 8 {
+                        runs.push(ins([head - 8, head - 5, head - 2]));
+                        runs.push(vec![Insert(head - 7), Remove(head - 3), Insert(head - 1)]);
+                    }
+                    if max <= u64::MAX - 8 {
+                        runs.push(vec![Remove(max + 1), Insert(max + 2), Insert(max + 8)]);
+                        runs.push(ins([max + 1]));
+                    }
+                    for run in runs {
+                        let what = format!("{units} B {policy:?}: {elems:?} <- {run:?}");
+                        check(&s, &run, &what);
+                    }
+                }
+            }
+        }
+        assert!(
+            fused * 2 > cases,
+            "the fused kernel took {fused} of {cases}"
+        );
+    }
+
+    /// The snapshot validator rejects exactly what the byte-serial check
+    /// it replaced rejects: one delta leaf, its codes damaged and its
+    /// element count moved by one either way, loaded through
+    /// `read_payload` and judged by the serial loop.
+    #[test]
+    fn validator_rejects_what_the_serial_check_rejects() {
+        use crate::codec::tests::checked_varint;
+        let serial_accepts = |run: &[u8], count: usize| {
+            let mut cur = u64::from_le_bytes(run[..8].try_into().unwrap());
+            let mut pos = 8;
+            for _ in 1..count {
+                let Some(delta) = checked_varint(run, &mut pos) else {
+                    return false;
+                };
+                match cur.checked_add(delta).filter(|_| delta > 0) {
+                    Some(next) => cur = next,
+                    None => return false,
+                }
+            }
+            pos == run.len()
+        };
+        let mut x = 0x0DD_BA11u64;
+        let mut rnd = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..3000 {
+            let bits = [4u32, 14, 40, 57, 63][case % 5];
+            let mut elems = vec![rnd() >> 40];
+            while elems.len() < 1 + (rnd() % 40) as usize {
+                match elems
+                    .last()
+                    .unwrap()
+                    .checked_add(1 + (rnd() >> (64 - bits)))
+                {
+                    Some(e) => elems.push(e),
+                    None => break,
+                }
+            }
+            let mut s = delta_store(1);
+            apply(&mut s, 0, &ins(elems.iter().copied()));
+            let mut bytes = payload(&s);
+            // One leaf: tag, used, count, head, then its stretch.
+            let (count_at, run_at) = (5, 17);
+            let used = s.units_used(0);
+            if used > 8 {
+                for _ in 0..(rnd() % 3) {
+                    let at = run_at + 8 + (rnd() as usize) % (used - 8);
+                    bytes[at] = match rnd() % 5 {
+                        0 => bytes[at] ^ 0x80,
+                        1 => 0x80 | bytes[at],
+                        2 => 0,
+                        3 => 2 + (rnd() % 126) as u8,
+                        _ => rnd() as u8,
+                    };
+                }
+            }
+            let count = match rnd() % 4 {
+                0 => elems.len() + 1,
+                1 => elems.len().max(2) - 1,
+                _ => elems.len(),
+            };
+            bytes[count_at..count_at + 4].copy_from_slice(&(count as u32).to_le_bytes());
+            let want = serial_accepts(&bytes[run_at..run_at + used], count);
+            let got = CompressedLeaves::read_payload(1, 256, &bytes);
+            let err = got.as_ref().err();
+            assert_eq!(
+                got.is_ok(),
+                want,
+                "case {case}: {elems:?} as {count}: {err:?}"
+            );
+            if want {
+                accepted += 1;
+            } else {
+                rejected += 1;
+                assert!(matches!(got, Err(PersistError::Corrupt(_))), "case {case}");
+            }
+        }
+        assert!(accepted > 300 && rejected > 300, "{accepted} / {rejected}");
     }
 
     /// Runs that change nothing — every insert present, every remove

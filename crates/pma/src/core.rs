@@ -28,6 +28,7 @@
 //! The heads are searched where they live — one binary search over the leaf
 //! storage's head slots, no copy to keep in step — so the only derived read
 //! state is the occupancy bitset, maintained per touched leaf or range.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::batch::{count_phase, redistribute_ranges, route, BoundKind, RootResize};
 use crate::density::BOUNDS;
@@ -966,8 +967,14 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         let mut out = vec![K::MIN; total];
         // Disjoint-slice writes per chunk.
         struct OutPtr<K>(*mut K);
-        unsafe impl<K> Send for OutPtr<K> {}
-        unsafe impl<K> Sync for OutPtr<K> {}
+        // SAFETY: the pointer is `out`'s buffer, which outlives the
+        // parallel loop below; a worker that holds it writes `K`s (which
+        // are `Send`) only through `slice`, into its own chunk's range.
+        unsafe impl<K: Send> Send for OutPtr<K> {}
+        // SAFETY: the workers share the pointer but never the memory: the
+        // chunk ranges they pass to `slice` are disjoint, and nothing reads
+        // `out` until the loop has joined.
+        unsafe impl<K: Send> Sync for OutPtr<K> {}
         impl<K> OutPtr<K> {
             /// # Safety: ranges must be disjoint across concurrent callers.
             #[allow(clippy::mut_from_ref)]

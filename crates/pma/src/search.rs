@@ -15,6 +15,7 @@
 //!   (`batch/route.rs`) runs [`halve`] for several windows in lockstep.
 //! * [`prefetch_read`]: the cache-line hint the batched probes and the
 //!   batch pipeline's leaf loop issue ahead of themselves.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::hint::select_unpredictable;
 

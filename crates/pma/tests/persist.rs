@@ -324,3 +324,106 @@ fn forged_payloads_with_valid_checksums_are_rejected() {
         Err(PersistError::Corrupt(_))
     ));
 }
+
+/// Malformed delta runs, forged into leaf 0 of a real snapshot with valid
+/// checksums and a matching element count, load as `Corrupt` from leaf
+/// 0's own validation — never a panic, never a wrong set. The long codes
+/// would read as small ascending deltas to a decoder that dropped the
+/// bits past 63, so only the framing can refuse them. Canonical runs
+/// forged the same way load and hold what they say.
+#[test]
+fn malformed_delta_runs_are_corrupt() {
+    use cpma_persist::snapshot::SnapshotEnvelope;
+    use cpma_pma::LeafStorage as _;
+    let cfg = PmaConfig::builder()
+        .force_codec(ForceCodec::Delta)
+        .build()
+        .unwrap();
+    let mut set = Cpma::with_config(cfg);
+    let mut keys: Vec<u64> = (0..20_000u64).map(|i| 1000 + i * 1_000_003).collect();
+    set.insert_batch(&mut keys, true);
+    let (leaves, units) = (set.storage().num_leaves(), set.storage().leaf_units());
+    assert!(leaves > 1 && set.storage().head(1) > 1 << 20);
+    let old_count = set.storage().count(0);
+    let bytes = set.to_snapshot_bytes();
+    let env = SnapshotEnvelope::from_bytes(&bytes).unwrap();
+    let head = 1000u64;
+    assert_eq!(set.storage().head(0), head);
+
+    // Leaf 0 becomes `head` and `codes`, holding `count` elements.
+    let forge = |codes: &[u8], count: usize| {
+        let mut payload = env.payload.to_vec();
+        let used_at = leaves;
+        let count_at = used_at + 4 * leaves;
+        let run_at = count_at + 4 * leaves + 8 * leaves;
+        let used = 8 + codes.len();
+        assert!(used <= units);
+        payload[used_at..used_at + 4].copy_from_slice(&(used as u32).to_le_bytes());
+        payload[count_at..count_at + 4].copy_from_slice(&(count as u32).to_le_bytes());
+        payload[run_at..run_at + 8].copy_from_slice(&head.to_le_bytes());
+        payload[run_at + 8..run_at + used].copy_from_slice(codes);
+        let mut meta = env.meta.to_vec();
+        let len_at = 4 + 7 * 8 + 4 * 8; // key width + seven f64 + four u64
+        let len = set.len() - old_count + count;
+        meta[len_at..len_at + 8].copy_from_slice(&(len as u64).to_le_bytes());
+        let forged = SnapshotEnvelope {
+            meta: &meta,
+            payload: &payload,
+            ..env
+        };
+        Cpma::from_snapshot_bytes(&forged.to_bytes())
+    };
+
+    // Canonical rows load, and hold what they say.
+    for (codes, want) in [
+        (vec![0x01, 0x02], vec![head, head + 1, head + 3]),
+        (vec![0x81, 0x01, 0x05], vec![head, head + 129, head + 134]),
+    ] {
+        let back = forge(&codes, want.len()).unwrap_or_else(|e| panic!("{codes:x?}: {e}"));
+        back.check_invariants();
+        let mut got = Vec::new();
+        back.map(|k| got.push(k));
+        assert_eq!(&got[..want.len()], &want[..], "{codes:x?}");
+    }
+
+    let ten = |last: u8| [&[0x81][..], &[0x80; 8], &[last]].concat();
+    let rows: [(&str, Vec<u8>, usize); 9] = [
+        // 1 + 2^70 if the eleventh byte were taken, 1 if dropped.
+        (
+            "an 11-byte code",
+            [&ten(0x80)[..], &[0x00, 0x01]].concat(),
+            3,
+        ),
+        // 1 + 2^64 if the bit past 63 were kept, 1 if dropped.
+        (
+            "a 10-byte code past u64",
+            [&ten(0x02)[..], &[0x01]].concat(),
+            3,
+        ),
+        (
+            "a 10-byte code of 0x7f",
+            [&ten(0x7f)[..], &[0x01]].concat(),
+            3,
+        ),
+        ("a run whose last byte continues", vec![0x01, 0x02, 0x81], 3),
+        ("one terminator too many", vec![0x01, 0x02, 0x03], 3),
+        ("one terminator too few", vec![0x01], 3),
+        ("a zero delta", vec![0x01, 0x00], 3),
+        // u64::MAX as a delta: the sum wraps to `head − 1`.
+        (
+            "a delta that wraps",
+            [&[0x01][..], &[0xff; 9], &[0x01]].concat(),
+            3,
+        ),
+        ("a count of one with a code", vec![0x01], 1),
+    ];
+    for (what, codes, count) in rows {
+        match forge(&codes, count) {
+            Err(PersistError::Corrupt(msg)) => {
+                assert!(msg.starts_with("leaf 0 "), "{what}: refused by {msg:?}")
+            }
+            Err(other) => panic!("{what}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("{what}: loaded"),
+        }
+    }
+}
