@@ -6,7 +6,7 @@
 //! umbrella crate runs it for all seven implementations side by side). It
 //! drives a randomized mixed workload against a [`BTreeSet`] oracle and
 //! checks every trait method, including the `RangeBounds` forms on all five
-//! range shapes, the `K::MAX`-inclusive edge that half-open `(start, end)`
+//! range shapes, the `u64::MAX`-inclusive edge that half-open `(start, end)`
 //! pairs could never express, and the reporting apply and replica catch-up
 //! a publishing front-end builds on.
 
@@ -26,7 +26,7 @@ use std::sync::Mutex;
 /// varies the workload; any seed must pass.
 pub fn assert_ordered_set_contract<S>(seed: u64)
 where
-    S: BatchSet<u64> + RangeSet<u64> + ParallelChunks<u64>,
+    S: BatchSet + RangeSet + ParallelChunks,
 {
     let name = S::NAME;
     let mut rng = SplitMix64::new(seed ^ 0xC0F0_12AE_5EED_0001);
@@ -402,10 +402,7 @@ where
 /// keys, removes of absent ones) across the update regimes, down to forms
 /// that change nothing; and [`BatchSet::catch_up_from`] a replica that
 /// applied the net batch ≡ replaying it.
-fn reporting_and_catch_up_contract<S: BatchSet<u64> + RangeSet<u64>>(
-    rng: &mut SplitMix64,
-    bits: u32,
-) {
+fn reporting_and_catch_up_contract<S: BatchSet + RangeSet>(rng: &mut SplitMix64, bits: u32) {
     let name = S::NAME;
     let seedling = rng.sorted_batch(30_000, bits);
     let mut model: BTreeSet<u64> = seedling.iter().copied().collect();
@@ -496,12 +493,7 @@ fn reporting_and_catch_up_contract<S: BatchSet<u64> + RangeSet<u64>>(
 /// the scan right after that chunk. [`assert_ordered_set_contract`] runs it
 /// on every structure; suites that build a structure the contract's
 /// constructors cannot (a CPMA with its codec forced) call it directly.
-pub fn assert_chunk_contract<S: RangeSet<u64>>(
-    s: &S,
-    model: &BTreeSet<u64>,
-    start: u64,
-    name: &str,
-) {
+pub fn assert_chunk_contract<S: RangeSet>(s: &S, model: &BTreeSet<u64>, start: u64, name: &str) {
     let what = format!("{name}: scan_chunks_from({start})");
     let (mut flat, mut lens) = (Vec::new(), Vec::new());
     s.scan_chunks_from(start, &mut |chunk| {
@@ -543,7 +535,7 @@ pub fn assert_chunk_contract<S: RangeSet<u64>>(
     }
 }
 
-fn check_range<S: RangeSet<u64>>(
+fn check_range<S: RangeSet>(
     s: &S,
     model: &BTreeSet<u64>,
     range: impl std::ops::RangeBounds<u64> + Clone,

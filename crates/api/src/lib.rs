@@ -9,17 +9,17 @@
 //!
 //! ## The hierarchy
 //!
-//! * [`OrderedSet<K>`] — point queries over an ordered set of integer keys:
+//! * [`OrderedSet`] — point queries over an ordered set of integer keys:
 //!   [`contains`](OrderedSet::contains), [`len`](OrderedSet::len),
 //!   [`min`](OrderedSet::min) / [`max`](OrderedSet::max),
 //!   [`successor`](OrderedSet::successor), and
 //!   [`size_bytes`](OrderedSet::size_bytes) (the paper's space metric).
-//! * [`BatchSet<K>`] — construction and the paper's batch updates:
+//! * [`BatchSet`] — construction and the paper's batch updates:
 //!   [`build_sorted`](BatchSet::build_sorted),
 //!   [`insert_batch_sorted`](BatchSet::insert_batch_sorted),
 //!   [`remove_batch_sorted`](BatchSet::remove_batch_sorted), plus unsorted
 //!   convenience wrappers that route through [`normalize_batch`].
-//! * [`RangeSet<K>`] — ordered iteration and range queries with std-idiom
+//! * [`RangeSet`] — ordered iteration and range queries with std-idiom
 //!   [`std::ops::RangeBounds`] arguments:
 //!   [`for_range`](RangeSet::for_range) (`set.for_range(a..=b, f)`),
 //!   [`range_sum`](RangeSet::range_sum) (`set.range_sum(a..b)`), and
@@ -28,8 +28,8 @@
 //!   hands out ascending slices a leaf or block at a time — and may
 //!   override the derived methods with fast paths.
 //!
-//! Keys implement [`SetKey`] (`u64` and `u32` here; the paper's artifact is
-//! a 64-bit key store).
+//! Keys are `u64`: the paper's artifact is a 64-bit key store, and every
+//! structure here delta-encodes or packs 64-bit keys.
 //!
 //! ## Conformance
 //!
@@ -49,60 +49,16 @@ mod btree;
 
 pub use persist::{Persist, PersistError};
 
-/// Integer key types storable in the workspace's ordered sets.
-///
-/// The compressed structures (CPMA, C-PaC, C-tree) delta-encode keys via
-/// `u64`, which is why widening/narrowing is part of the contract.
-pub trait SetKey:
-    Copy + Ord + Eq + Send + Sync + std::fmt::Debug + std::fmt::Display + 'static
-{
-    /// Smallest key value.
-    const MIN: Self;
-    /// Largest key value.
-    const MAX: Self;
-    /// Widen to u64 (used by sums and compression).
-    fn to_u64(self) -> u64;
-    /// Narrow from u64; values out of range must not occur by construction.
-    fn from_u64(v: u64) -> Self;
-}
-
-impl SetKey for u64 {
-    const MIN: Self = 0;
-    const MAX: Self = u64::MAX;
-    #[inline]
-    fn to_u64(self) -> u64 {
-        self
-    }
-    #[inline]
-    fn from_u64(v: u64) -> Self {
-        v
-    }
-}
-
-impl SetKey for u32 {
-    const MIN: Self = 0;
-    const MAX: Self = u32::MAX;
-    #[inline]
-    fn to_u64(self) -> u64 {
-        self as u64
-    }
-    #[inline]
-    fn from_u64(v: u64) -> Self {
-        debug_assert!(v <= u32::MAX as u64);
-        v as u32
-    }
-}
-
 /// An ordered set of integer keys: point queries and size accounting.
 ///
 /// This is the read-only core every structure shares. `NAME` is the label
 /// used in the paper's tables ("PMA", "C-PaC", ...).
-pub trait OrderedSet<K: SetKey> {
+pub trait OrderedSet {
     /// Structure name as it appears in the paper's tables.
     const NAME: &'static str;
 
     /// Membership test (the artifact's `has`).
-    fn contains(&self, key: K) -> bool;
+    fn contains(&self, key: u64) -> bool;
 
     /// Number of stored elements.
     fn len(&self) -> usize;
@@ -113,13 +69,13 @@ pub trait OrderedSet<K: SetKey> {
     }
 
     /// Smallest stored element.
-    fn min(&self) -> Option<K>;
+    fn min(&self) -> Option<u64>;
 
     /// Largest stored element.
-    fn max(&self) -> Option<K>;
+    fn max(&self) -> Option<u64>;
 
     /// Smallest stored element ≥ `key` (the paper's `search`).
-    fn successor(&self, key: K) -> Option<K>;
+    fn successor(&self, key: u64) -> Option<u64>;
 
     /// Batched membership: `out[i] == self.contains(keys[i])`.
     ///
@@ -127,7 +83,7 @@ pub trait OrderedSet<K: SetKey> {
     /// per-key loop; structures that can amortize search work across
     /// probes (sorting them, sharing leaf decodes, prefetching) override
     /// this with a cache-conscious pass.
-    fn contains_batch(&self, keys: &[K]) -> Vec<bool> {
+    fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
         keys.iter().map(|&k| self.contains(k)).collect()
     }
 
@@ -135,7 +91,7 @@ pub trait OrderedSet<K: SetKey> {
     ///
     /// Same contract and default as [`OrderedSet::contains_batch`]: any
     /// order, duplicates allowed, positional results.
-    fn successor_batch(&self, keys: &[K]) -> Vec<Option<K>> {
+    fn successor_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
         keys.iter().map(|&k| self.successor(k)).collect()
     }
 
@@ -221,7 +177,7 @@ impl std::ops::Add for CatchUp {
 /// (what [`BatchSet::apply_batch_sorted_reporting`] reports). An insert of
 /// a stored key and a remove of an absent one drop out; the rest stays in
 /// normal form.
-pub fn net_ops<K: SetKey>(ops: &[BatchOp<K>], was_present: &[bool]) -> Vec<BatchOp<K>> {
+pub fn net_ops(ops: &[BatchOp<u64>], was_present: &[bool]) -> Vec<BatchOp<u64>> {
     debug_assert_eq!(ops.len(), was_present.len());
     ops.iter()
         .zip(was_present)
@@ -234,25 +190,25 @@ pub fn net_ops<K: SetKey>(ops: &[BatchOp<K>], was_present: &[bool]) -> Vec<Batch
 ///
 /// `*_sorted` methods require strictly increasing input — the normal form
 /// produced by [`normalize_batch`]. The unsorted wrappers accept anything.
-pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
+pub trait BatchSet: OrderedSet + Sized {
     /// Empty structure with default configuration.
     fn new_set() -> Self;
 
     /// Build from a strictly increasing slice (the artifact's bulk
     /// constructor).
-    fn build_sorted(elems: &[K]) -> Self;
+    fn build_sorted(elems: &[u64]) -> Self;
 
     /// Insert a strictly increasing batch; returns how many keys were
     /// actually new (set semantics).
-    fn insert_batch_sorted(&mut self, batch: &[K]) -> usize;
+    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize;
 
     /// Remove a strictly increasing batch; returns how many keys were
     /// actually present.
-    fn remove_batch_sorted(&mut self, batch: &[K]) -> usize;
+    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize;
 
     /// Insert an arbitrary batch: sorts + dedups in place, then delegates
     /// to [`insert_batch_sorted`](Self::insert_batch_sorted).
-    fn insert_batch(&mut self, batch: &mut [K], sorted: bool) -> usize {
+    fn insert_batch(&mut self, batch: &mut [u64], sorted: bool) -> usize {
         if sorted {
             debug_assert!(batch.windows(2).all(|w| w[0] < w[1]));
             self.insert_batch_sorted(batch)
@@ -264,7 +220,7 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
 
     /// Remove an arbitrary batch: sorts + dedups in place, then delegates
     /// to [`remove_batch_sorted`](Self::remove_batch_sorted).
-    fn remove_batch(&mut self, batch: &mut [K], sorted: bool) -> usize {
+    fn remove_batch(&mut self, batch: &mut [u64], sorted: bool) -> usize {
         if sorted {
             debug_assert!(batch.windows(2).all(|w| w[0] < w[1]));
             self.remove_batch_sorted(batch)
@@ -308,10 +264,10 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
     /// assert_eq!((outcome.added, outcome.removed), (1, 1));
     /// assert_eq!(set.into_iter().collect::<Vec<_>>(), vec![1, 3, 9]);
     /// ```
-    fn apply_batch_sorted(&mut self, ops: &[BatchOp<K>]) -> BatchOutcome {
+    fn apply_batch_sorted(&mut self, ops: &[BatchOp<u64>]) -> BatchOutcome {
         debug_assert!(ops.windows(2).all(|w| w[0].key() < w[1].key()));
-        let mut ins: Vec<K> = Vec::new();
-        let mut del: Vec<K> = Vec::new();
+        let mut ins: Vec<u64> = Vec::new();
+        let mut del: Vec<u64> = Vec::new();
         for op in ops {
             match *op {
                 BatchOp::Insert(k) => ins.push(k),
@@ -348,11 +304,11 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
     /// per key anyway override it so that the batch is routed once.
     fn apply_batch_sorted_reporting(
         &mut self,
-        ops: &[BatchOp<K>],
+        ops: &[BatchOp<u64>],
         was_present: &mut Vec<bool>,
     ) -> BatchOutcome {
         debug_assert!(ops.windows(2).all(|w| w[0].key() < w[1].key()));
-        let keys: Vec<K> = ops.iter().map(|op| op.key()).collect();
+        let keys: Vec<u64> = ops.iter().map(|op| op.key()).collect();
         *was_present = self.contains_batch(&keys);
         let net = net_ops(ops, was_present);
         if net.is_empty() {
@@ -373,7 +329,7 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
     /// backend that records what each apply wrote overrides it to copy
     /// those bytes out of `newer` whenever [`copies_from`](Self::copies_from)
     /// holds, and replays otherwise.
-    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
+    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<u64>]) -> CatchUp {
         let _ = newer;
         if !lag.is_empty() {
             self.apply_batch_sorted(lag);
@@ -397,7 +353,7 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
     /// last-op-wins dedup) unless `normalized` promises the stream is
     /// already in normal form, then delegates to
     /// [`apply_batch_sorted`](Self::apply_batch_sorted).
-    fn apply_batch(&mut self, ops: &mut [BatchOp<K>], normalized: bool) -> BatchOutcome {
+    fn apply_batch(&mut self, ops: &mut [BatchOp<u64>], normalized: bool) -> BatchOutcome {
         if normalized {
             debug_assert!(ops.windows(2).all(|w| w[0].key() < w[1].key()));
             self.apply_batch_sorted(ops)
@@ -417,34 +373,34 @@ pub trait BatchSet<K: SetKey>: OrderedSet<K> + Sized {
 /// [`scan_from`](Self::scan_from) included, is a default over it.
 /// Structures with cheaper whole-range paths (the PMA's whole-leaf
 /// `range_sum` fast path, say) override the derived methods.
-pub trait RangeSet<K: SetKey>: OrderedSet<K> {
+pub trait RangeSet: OrderedSet {
     /// Hand the stored elements ≥ `start` to `f` as chunks, in ascending
     /// order, until `f` returns `false`. Every chunk is non-empty and
     /// strictly ascending, its first key above the last key of the chunk
     /// before it; the scan stops after the first chunk for which `f`
     /// returns `false`.
-    fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool);
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool);
 
     /// Visit stored elements ≥ `start` in ascending order until `f`
     /// returns `false`: one call per key, over
     /// [`scan_chunks_from`](Self::scan_chunks_from)'s chunks.
-    fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
+    fn scan_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) {
         self.scan_chunks_from(start, &mut |chunk| chunk.iter().all(|&k| f(k)));
     }
 
     /// Apply `f` to every element in `range`, in ascending order.
     ///
     /// Accepts any std range expression: `a..b`, `a..=b`, `a..`, `..b`, `..`.
-    fn for_range<R: RangeBounds<K>>(&self, range: R, mut f: impl FnMut(K)) {
+    fn for_range<R: RangeBounds<u64>>(&self, range: R, mut f: impl FnMut(u64)) {
         range_chunks(self, &range, |chunk| chunk.iter().for_each(|&k| f(k)));
     }
 
     /// Wrapping sum of the elements in `range` (the paper's range-query
-    /// kernel), widened to `u64`.
-    fn range_sum<R: RangeBounds<K>>(&self, range: R) -> u64 {
+    /// kernel).
+    fn range_sum<R: RangeBounds<u64>>(&self, range: R) -> u64 {
         let mut sum = 0u64;
         range_chunks(self, &range, |chunk| {
-            sum = chunk.iter().fold(sum, |s, &k| s.wrapping_add(k.to_u64()));
+            sum = chunk.iter().fold(sum, |s, &k| s.wrapping_add(k));
         });
         sum
     }
@@ -454,7 +410,7 @@ pub trait RangeSet<K: SetKey>: OrderedSet<K> {
     /// The default buffers the range, a chunk at a time; structures with
     /// native lazy iterators may still prefer this for short ranges (one
     /// allocation, no per-item indirection).
-    fn range_iter<R: RangeBounds<K>>(&self, range: R) -> RangeIter<K> {
+    fn range_iter<R: RangeBounds<u64>>(&self, range: R) -> RangeIter {
         let mut buf = Vec::new();
         range_chunks(self, &range, |chunk| buf.extend_from_slice(chunk));
         RangeIter {
@@ -463,14 +419,14 @@ pub trait RangeSet<K: SetKey>: OrderedSet<K> {
     }
 
     /// Iterator over all elements, ascending.
-    fn iter_all(&self) -> RangeIter<K> {
+    fn iter_all(&self) -> RangeIter {
         self.range_iter(..)
     }
 
     /// All elements, ascending, as a `Vec` (the baselines' `collect`).
-    fn to_vec(&self) -> Vec<K> {
+    fn to_vec(&self) -> Vec<u64> {
         let mut buf = Vec::with_capacity(self.len());
-        self.scan_chunks_from(K::MIN, &mut |chunk| {
+        self.scan_chunks_from(0, &mut |chunk| {
             buf.extend_from_slice(chunk);
             true
         });
@@ -481,10 +437,10 @@ pub trait RangeSet<K: SetKey>: OrderedSet<K> {
 /// `set`'s elements in `range`, as ascending chunks:
 /// [`RangeSet::scan_chunks_from`] from the range's start, each chunk cut
 /// at its end.
-fn range_chunks<K: SetKey, S: RangeSet<K> + ?Sized>(
+fn range_chunks<S: RangeSet + ?Sized>(
     set: &S,
-    range: &impl RangeBounds<K>,
-    mut f: impl FnMut(&[K]),
+    range: &impl RangeBounds<u64>,
+    mut f: impl FnMut(&[u64]),
 ) {
     let Some((lo, hi)) = range_to_inclusive(range) else {
         return;
@@ -506,9 +462,9 @@ const BUFFERED_CHUNK_KEYS: usize = 256;
 /// pushes the keys ≥ the start in ascending order, stopping when the push
 /// returns `false`, and returns `false` iff it stopped; they reach `f` in
 /// buffered chunks of up to `BUFFERED_CHUNK_KEYS` keys.
-pub fn buffered_chunks<K: SetKey>(
-    f: &mut dyn FnMut(&[K]) -> bool,
-    walk: impl FnOnce(&mut dyn FnMut(K) -> bool) -> bool,
+pub fn buffered_chunks(
+    f: &mut dyn FnMut(&[u64]) -> bool,
+    walk: impl FnOnce(&mut dyn FnMut(u64) -> bool) -> bool,
 ) {
     let mut buf = Vec::with_capacity(BUFFERED_CHUNK_KEYS);
     let finished = walk(&mut |k| {
@@ -530,12 +486,12 @@ pub fn buffered_chunks<K: SetKey>(
 /// containers hand out slices). Used by scan-heavy consumers like
 /// F-Graph's PageRank pull to parallelize a whole-structure pass without
 /// knowing the layout.
-pub trait ParallelChunks<K: SetKey>: RangeSet<K> {
+pub trait ParallelChunks: RangeSet {
     /// Call `f` on disjoint, ascending, contiguous chunks that together
     /// cover the whole set. Chunks may be visited concurrently; each
     /// individual chunk is in ascending order, and chunk `i`'s elements all
     /// precede chunk `i + 1`'s.
-    fn par_chunks(&self, f: &(dyn Fn(&[K]) + Sync)) {
+    fn par_chunks(&self, f: &(dyn Fn(&[u64]) + Sync)) {
         // Fallback for structures without a native chunked layout (the
         // PMA hands out leaves instead): materialize once, then hand out
         // slice chunks in parallel — about four per thread, but no smaller
@@ -552,14 +508,14 @@ pub trait ParallelChunks<K: SetKey>: RangeSet<K> {
 }
 
 /// Buffered ascending iterator returned by [`RangeSet::range_iter`].
-pub struct RangeIter<K> {
-    inner: std::vec::IntoIter<K>,
+pub struct RangeIter {
+    inner: std::vec::IntoIter<u64>,
 }
 
-impl<K: SetKey> Iterator for RangeIter<K> {
-    type Item = K;
+impl Iterator for RangeIter {
+    type Item = u64;
 
-    fn next(&mut self) -> Option<K> {
+    fn next(&mut self) -> Option<u64> {
         self.inner.next()
     }
 
@@ -568,30 +524,30 @@ impl<K: SetKey> Iterator for RangeIter<K> {
     }
 }
 
-impl<K: SetKey> ExactSizeIterator for RangeIter<K> {}
+impl ExactSizeIterator for RangeIter {}
 
-/// Convert any `RangeBounds<K>` into an inclusive `[lo, hi]` pair over the
+/// Convert any `RangeBounds<u64>` into an inclusive `[lo, hi]` pair over the
 /// key domain, or `None` if the range is empty.
-pub fn range_to_inclusive<K: SetKey, R: RangeBounds<K>>(range: &R) -> Option<(K, K)> {
+pub fn range_to_inclusive<R: RangeBounds<u64>>(range: &R) -> Option<(u64, u64)> {
     let lo = match range.start_bound() {
         Bound::Included(&s) => s,
         Bound::Excluded(&s) => {
-            if s == K::MAX {
+            if s == u64::MAX {
                 return None;
             }
-            K::from_u64(s.to_u64() + 1)
+            s + 1
         }
-        Bound::Unbounded => K::MIN,
+        Bound::Unbounded => 0,
     };
     let hi = match range.end_bound() {
         Bound::Included(&e) => e,
         Bound::Excluded(&e) => {
-            if e == K::MIN {
+            if e == 0 {
                 return None;
             }
-            K::from_u64(e.to_u64() - 1)
+            e - 1
         }
-        Bound::Unbounded => K::MAX,
+        Bound::Unbounded => u64::MAX,
     };
     if lo > hi {
         return None;
@@ -607,7 +563,7 @@ pub fn range_to_inclusive<K: SetKey, R: RangeBounds<K>>(range: &R) -> Option<(K,
 /// single implementation keeps their preprocessing identical and therefore
 /// comparable). The sort is rayon's parallel sort, so batch preprocessing
 /// scales with whatever parallel backend the workspace is built against.
-pub fn normalize_batch<K: SetKey>(batch: &mut [K]) -> &[K] {
+pub fn normalize_batch(batch: &mut [u64]) -> &[u64] {
     use rayon::slice::ParallelSliceMut;
     batch.par_sort_unstable();
     let mut w = 0;
@@ -634,7 +590,7 @@ pub fn normalize_batch<K: SetKey>(batch: &mut [K]) -> &[K] {
 /// individual ops, like `cpma-store`'s combiner, replay against an
 /// overlay first.) The sort is rayon's stable `par_sort_by_key`, so
 /// equal-key ops keep submission order at any thread count.
-pub fn normalize_ops<K: SetKey>(ops: &mut [BatchOp<K>]) -> &[BatchOp<K>] {
+pub fn normalize_ops(ops: &mut [BatchOp<u64>]) -> &[BatchOp<u64>] {
     use rayon::slice::ParallelSliceMut;
     ops.par_sort_by_key(|op| op.key());
     let mut w = 0;
@@ -651,27 +607,27 @@ pub fn normalize_ops<K: SetKey>(ops: &mut [BatchOp<K>]) -> &[BatchOp<K>] {
 
 /// Evaluate a [`RangeBounds`] `range_sum` through an exclusive-end kernel
 /// (`sum_excl(lo, hi_excl)` summing keys in `[lo, hi_excl)`), folding in
-/// `K::MAX` separately — the one value a half-open kernel can never cover.
+/// `u64::MAX` separately — the one value a half-open kernel can never cover.
 ///
 /// Shared by every implementation that overrides
 /// [`RangeSet::range_sum`] with a structure-specific fast path; the
 /// boundary handling lives here exactly once.
-pub fn range_sum_via_exclusive<K: SetKey, R: RangeBounds<K>>(
+pub fn range_sum_via_exclusive<R: RangeBounds<u64>>(
     range: &R,
     contains_max: impl FnOnce() -> bool,
-    sum_excl: impl FnOnce(K, K) -> u64,
+    sum_excl: impl FnOnce(u64, u64) -> u64,
 ) -> u64 {
     let Some((lo, hi)) = range_to_inclusive(range) else {
         return 0;
     };
-    if hi == K::MAX {
-        let mut sum = sum_excl(lo, K::MAX);
+    if hi == u64::MAX {
+        let mut sum = sum_excl(lo, u64::MAX);
         if contains_max() {
-            sum = sum.wrapping_add(K::MAX.to_u64());
+            sum = sum.wrapping_add(u64::MAX);
         }
         sum
     } else {
-        sum_excl(lo, K::from_u64(hi.to_u64() + 1))
+        sum_excl(lo, hi + 1)
     }
 }
 
@@ -769,28 +725,25 @@ mod tests {
 
     #[test]
     fn range_to_inclusive_cases() {
-        assert_eq!(range_to_inclusive::<u64, _>(&(1..5)), Some((1, 4)));
-        assert_eq!(range_to_inclusive::<u64, _>(&(1..=5)), Some((1, 5)));
-        assert_eq!(range_to_inclusive::<u64, _>(&(1..)), Some((1, u64::MAX)));
-        assert_eq!(range_to_inclusive::<u64, _>(&(..5)), Some((0, 4)));
-        assert_eq!(range_to_inclusive::<u64, _>(&(..)), Some((0, u64::MAX)));
-        assert_eq!(range_to_inclusive::<u64, _>(&(5..5)), None);
+        assert_eq!(range_to_inclusive(&(1..5)), Some((1, 4)));
+        assert_eq!(range_to_inclusive(&(1..=5)), Some((1, 5)));
+        assert_eq!(range_to_inclusive(&(1..)), Some((1, u64::MAX)));
+        assert_eq!(range_to_inclusive(&(..5)), Some((0, 4)));
+        assert_eq!(range_to_inclusive(&(..)), Some((0, u64::MAX)));
+        assert_eq!(range_to_inclusive(&(5..5)), None);
         #[allow(clippy::reversed_empty_ranges)] // the empty-range behaviour is the point
         let reversed = 5..4;
-        assert_eq!(range_to_inclusive::<u64, _>(&reversed), None);
-        assert_eq!(range_to_inclusive::<u64, _>(&(0..0)), None);
+        assert_eq!(range_to_inclusive(&reversed), None);
+        assert_eq!(range_to_inclusive(&(0..0)), None);
         // The full-domain inclusive range is representable (half-open pairs
-        // could never include K::MAX — the reason this API exists).
+        // could never include u64::MAX — the reason this API exists).
+        assert_eq!(range_to_inclusive(&(0..=u64::MAX)), Some((0, u64::MAX)));
         assert_eq!(
-            range_to_inclusive::<u64, _>(&(0..=u64::MAX)),
-            Some((0, u64::MAX))
-        );
-        assert_eq!(
-            range_to_inclusive::<u64, _>(&(Bound::Excluded(3u64), Bound::Included(7u64))),
+            range_to_inclusive(&(Bound::Excluded(3u64), Bound::Included(7u64))),
             Some((4, 7))
         );
         assert_eq!(
-            range_to_inclusive::<u64, _>(&(Bound::Excluded(u64::MAX), Bound::Unbounded)),
+            range_to_inclusive(&(Bound::Excluded(u64::MAX), Bound::Unbounded)),
             None
         );
     }

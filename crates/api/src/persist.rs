@@ -61,8 +61,8 @@ pub enum PersistError {
         /// Codec id recorded in the header.
         found: u32,
     },
-    /// The snapshot stores keys of a different width than requested
-    /// (e.g. a `u64` snapshot opened as `Pma<u32>`).
+    /// The snapshot's key-width word is not 8: every structure here
+    /// stores `u64` keys, so an image claiming another width is foreign.
     KeyWidthMismatch {
         /// Key width in bytes the loading structure expects.
         expected: u32,

@@ -11,7 +11,7 @@ use cpma_api::{buffered_chunks, BatchSet, OrderedSet, ParallelChunks, RangeSet};
 
 // ---------------------------------------------------------------- P-tree
 
-impl OrderedSet<u64> for PTree {
+impl OrderedSet for PTree {
     const NAME: &'static str = "P-tree";
 
     fn contains(&self, key: u64) -> bool {
@@ -39,7 +39,7 @@ impl OrderedSet<u64> for PTree {
     }
 }
 
-impl BatchSet<u64> for PTree {
+impl BatchSet for PTree {
     fn new_set() -> Self {
         Self::new()
     }
@@ -57,7 +57,7 @@ impl BatchSet<u64> for PTree {
     }
 }
 
-impl RangeSet<u64> for PTree {
+impl RangeSet for PTree {
     /// A node per key, no blocks: the in-order walk is buffered.
     fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
         buffered_chunks(f, |push| self.for_each_from(start, push));
@@ -72,11 +72,11 @@ impl RangeSet<u64> for PTree {
     }
 }
 
-impl ParallelChunks<u64> for PTree {}
+impl ParallelChunks for PTree {}
 
 // ------------------------------------------------------- PaC-tree (U/C)
 
-impl<P: BlockPayload> OrderedSet<u64> for PacTree<P> {
+impl<P: BlockPayload> OrderedSet for PacTree<P> {
     const NAME: &'static str = P::NAME;
 
     fn contains(&self, key: u64) -> bool {
@@ -109,7 +109,7 @@ impl<P: BlockPayload> OrderedSet<u64> for PacTree<P> {
     }
 }
 
-impl<P: BlockPayload> BatchSet<u64> for PacTree<P> {
+impl<P: BlockPayload> BatchSet for PacTree<P> {
     fn new_set() -> Self {
         Self::new()
     }
@@ -127,7 +127,7 @@ impl<P: BlockPayload> BatchSet<u64> for PacTree<P> {
     }
 }
 
-impl<P: BlockPayload> RangeSet<u64> for PacTree<P> {
+impl<P: BlockPayload> RangeSet for PacTree<P> {
     /// One chunk per block.
     fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
         self.chunks_from(start, f);
@@ -142,11 +142,11 @@ impl<P: BlockPayload> RangeSet<u64> for PacTree<P> {
     }
 }
 
-impl<P: BlockPayload> ParallelChunks<u64> for PacTree<P> {}
+impl<P: BlockPayload> ParallelChunks for PacTree<P> {}
 
 // ---------------------------------------------------------------- C-tree
 
-impl OrderedSet<u64> for CTreeSet {
+impl OrderedSet for CTreeSet {
     const NAME: &'static str = "C-tree";
 
     fn contains(&self, key: u64) -> bool {
@@ -179,7 +179,7 @@ impl OrderedSet<u64> for CTreeSet {
     }
 }
 
-impl BatchSet<u64> for CTreeSet {
+impl BatchSet for CTreeSet {
     fn new_set() -> Self {
         Self::new()
     }
@@ -197,14 +197,14 @@ impl BatchSet<u64> for CTreeSet {
     }
 }
 
-impl RangeSet<u64> for CTreeSet {
+impl RangeSet for CTreeSet {
     /// One chunk per compressed chunk.
     fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
         self.chunks_from(start, f);
     }
 }
 
-impl ParallelChunks<u64> for CTreeSet {}
+impl ParallelChunks for CTreeSet {}
 
 #[cfg(test)]
 mod tests {
@@ -234,9 +234,9 @@ mod tests {
 
     #[test]
     fn names_match_the_paper() {
-        assert_eq!(<PTree as OrderedSet<u64>>::NAME, "P-tree");
-        assert_eq!(<UPac as OrderedSet<u64>>::NAME, "U-PaC");
-        assert_eq!(<CPac as OrderedSet<u64>>::NAME, "C-PaC");
-        assert_eq!(<CTreeSet as OrderedSet<u64>>::NAME, "C-tree");
+        assert_eq!(<PTree as OrderedSet>::NAME, "P-tree");
+        assert_eq!(<UPac as OrderedSet>::NAME, "U-PaC");
+        assert_eq!(<CPac as OrderedSet>::NAME, "C-PaC");
+        assert_eq!(<CTreeSet as OrderedSet>::NAME, "C-tree");
     }
 }

@@ -9,9 +9,7 @@ use cpma_pma::{FULL_REBUILD_DIVISOR, POINT_UPDATE_CUTOFF};
 use rayon::prelude::*;
 
 pub use cpma_baselines::{CPac, PTree, UPac};
-pub use cpma_pma::Cpma;
-/// The uncompressed PMA over the evaluation's 64-bit keys.
-pub type Pma = cpma_pma::Pma<u64>;
+pub use cpma_pma::{Cpma, Pma};
 
 /// Evaluate `$body` once per set type, `$S` naming the type, and yield
 /// `[(display name, value); N]`. Without a list it runs the paper's five
@@ -117,7 +115,7 @@ pub enum Op {
 
 /// Apply `stream` to `set` as `op` in batches of `k`, each normalized as
 /// a caller would; the seconds it took.
-pub fn stream_into<S: BatchSet<u64>>(set: &mut S, stream: &[u64], k: usize, op: Op) -> f64 {
+pub fn stream_into<S: BatchSet>(set: &mut S, stream: &[u64], k: usize, op: Op) -> f64 {
     let mut scratch = Vec::with_capacity(k);
     time(|| {
         for chunk in stream.chunks(k) {
@@ -135,12 +133,7 @@ pub fn stream_into<S: BatchSet<u64>>(set: &mut S, stream: &[u64], k: usize, op: 
 
 /// Build `S` from `start` and time [`stream_into`]: ops per second over
 /// the whole stream.
-pub fn batch_run<S: BatchSet<u64> + RangeSet<u64>>(
-    start: &[u64],
-    stream: &[u64],
-    k: usize,
-    op: Op,
-) -> Run {
+pub fn batch_run<S: BatchSet + RangeSet>(start: &[u64], stream: &[u64], k: usize, op: Op) -> Run {
     let mut set = S::build_sorted(start);
     let per_s = stream.len() as f64 / stream_into(&mut set, stream, k, op);
     let (len, sum) = (set.len(), set.range_sum(..));
@@ -150,7 +143,7 @@ pub fn batch_run<S: BatchSet<u64> + RangeSet<u64>>(
 /// Range queries `[a, a + width)` from every start, in parallel: the
 /// elements they cover are counted first, outside the clock, and the rate
 /// is counted elements per second of the timed `range_sum`s.
-pub fn range_run<S: RangeSet<u64> + Sync>(set: &S, starts: &[u64], width: u64) -> Run {
+pub fn range_run<S: RangeSet + Sync>(set: &S, starts: &[u64], width: u64) -> Run {
     let mut len = 0;
     for &a in starts {
         set.for_range(a..a.saturating_add(width), |_| len += 1);

@@ -22,7 +22,7 @@
 //! serves `degree` / neighbor scans straight off the backend's ordered
 //! scans.
 
-use crate::{pack_edge, unpack_edge, GraphScan};
+use crate::{assert_endpoints, pack_edge, unpack_edge, GraphScan};
 use cpma_api::{BatchSet, ParallelChunks, RangeSet};
 use cpma_pma::Cpma;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// What F-Graph needs from its edge container: batch updates, ordered
 /// scans, and chunked parallel traversal. Blanket-implemented for every
 /// conforming set.
-pub trait EdgeSet: BatchSet<u64> + RangeSet<u64> + ParallelChunks<u64> + Send + Sync {}
+pub trait EdgeSet: BatchSet + RangeSet + ParallelChunks + Send + Sync {}
 
-impl<T: BatchSet<u64> + RangeSet<u64> + ParallelChunks<u64> + Send + Sync> EdgeSet for T {}
+impl<T: BatchSet + RangeSet + ParallelChunks + Send + Sync> EdgeSet for T {}
 
 /// Dynamic unweighted graph on a single ordered edge set. See module docs.
 pub struct SetGraph<S: EdgeSet> {
@@ -54,8 +54,13 @@ impl<S: EdgeSet> SetGraph<S> {
     }
 
     /// Build from sorted, deduplicated packed edges.
+    ///
+    /// # Panics
+    ///
+    /// If an endpoint is not a vertex of `0..n`.
     pub fn from_edges(n: usize, edges: &[u64]) -> Self {
         assert!(n <= u32::MAX as usize + 1);
+        assert_endpoints(n, edges);
         Self {
             edges: S::build_sorted(edges),
             n,
@@ -74,7 +79,12 @@ impl<S: EdgeSet> SetGraph<S> {
 
     /// Insert a batch of directed packed edges (duplicates and already-
     /// present edges are skipped); returns edges actually added.
+    ///
+    /// # Panics
+    ///
+    /// If an endpoint is not a vertex of the graph.
     pub fn insert_edges(&mut self, batch: &mut [u64], sorted: bool) -> usize {
+        assert_endpoints(self.n, batch);
         self.edges.insert_batch(batch, sorted)
     }
 
@@ -358,7 +368,7 @@ mod tests {
         use std::collections::BTreeSet;
         let edges = sym_edges(&[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]);
         let cpma_g: FGraph = FGraph::from_edges(6, &edges);
-        let pma_g: SetGraph<cpma_pma::Pma<u64>> = SetGraph::from_edges(6, &edges);
+        let pma_g: SetGraph<cpma_pma::Pma> = SetGraph::from_edges(6, &edges);
         let btree_g: SetGraph<BTreeSet<u64>> = SetGraph::from_edges(6, &edges);
         let (a, b, c) = (cpma_g.snapshot(), pma_g.snapshot(), btree_g.snapshot());
         for v in 0..6u32 {

@@ -40,6 +40,27 @@ pub fn unpack_edge(e: u64) -> (u32, u32) {
     ((e >> 32) as u32, e as u32)
 }
 
+/// Refuse a batch of packed edges that names a vertex outside `0..n`: one
+/// parallel pass over `edges`, panicking on the first edge in batch order
+/// whose source or destination is not a vertex. Every graph checks where
+/// edges enter (build and insert), so a bad edge fails at its cause, not
+/// later as an out-of-bounds index in a snapshot or an algorithm.
+pub(crate) fn assert_endpoints(n: usize, edges: &[u64]) {
+    use rayon::prelude::*;
+    let outside = |(_, e): &(usize, u64)| {
+        let (src, dst) = unpack_edge(*e);
+        src as usize >= n || dst as usize >= n
+    };
+    let Some((_, e)) = edges.par_iter().copied().enumerate().filter(outside).min() else {
+        return;
+    };
+    let (src, dst) = unpack_edge(e);
+    if src as usize >= n {
+        panic!("edge source {src} is not a vertex of a {n}-vertex graph");
+    }
+    panic!("edge destination {dst} is not a vertex of a {n}-vertex graph");
+}
+
 /// Neighbor-scan interface shared by every container (the role the Ligra
 /// `Graph` abstraction plays in the paper's evaluation: "all systems run
 /// the same algorithms via the Ligra interface").
@@ -82,5 +103,45 @@ mod tests {
         for (s, d) in [(0u32, 0u32), (7, 9), (u32::MAX, 1)] {
             assert_eq!(unpack_edge(pack_edge(s, d)), (s, d));
         }
+    }
+
+    /// Every graph type, built from or inserted `edge` on 4 vertices,
+    /// panics with a message containing `what`.
+    fn each_graph_refuses(edge: u64, what: &str) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let good = pack_edge(1, 2);
+        assert!(good < edge, "the build takes sorted edges");
+        let refuses = |graph: &str, enter: &dyn Fn(&mut [u64])| {
+            let outcome = catch_unwind(AssertUnwindSafe(|| enter(&mut [good, edge])));
+            let message = *outcome.unwrap_err().downcast::<String>().unwrap();
+            assert!(message.contains(what), "{graph}: {message}");
+        };
+        macro_rules! refuses {
+            ($($G:ty),+) => {$(
+                refuses(concat!(stringify!($G), " build"), &|es| {
+                    <$G>::from_edges(4, es);
+                });
+                refuses(concat!(stringify!($G), " insert"), &|es| {
+                    <$G>::new(4).insert_edges(es, false);
+                });
+            )+};
+        }
+        refuses!(FGraph, SetGraph<cpma_pma::Pma>, PacGraph, AspenGraph);
+    }
+
+    #[test]
+    fn a_source_past_the_last_vertex_panics() {
+        each_graph_refuses(
+            pack_edge(4, 0),
+            "edge source 4 is not a vertex of a 4-vertex graph",
+        );
+    }
+
+    #[test]
+    fn a_destination_past_the_last_vertex_panics() {
+        each_graph_refuses(
+            pack_edge(2, 4),
+            "edge destination 4 is not a vertex of a 4-vertex graph",
+        );
     }
 }

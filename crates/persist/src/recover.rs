@@ -27,7 +27,7 @@
 use std::fs::{self, OpenOptions};
 use std::path::Path;
 
-use cpma_api::{BatchOp, BatchSet, Persist, PersistError, SetKey};
+use cpma_api::{BatchSet, Persist, PersistError};
 
 use crate::wal::{parse_record, parse_segment_header, scan_dir, SEG_HEADER_LEN};
 
@@ -50,11 +50,7 @@ pub struct RecoveryReport {
 /// validates (falling back to an empty structure), replay the WAL tail,
 /// and truncate any torn final record. Deterministic: the same directory
 /// bytes always yield the same state.
-pub fn recover<K, S>(dir: &Path) -> Result<(S, RecoveryReport), PersistError>
-where
-    K: SetKey,
-    S: Persist + BatchSet<K>,
-{
+pub fn recover<S: Persist + BatchSet>(dir: &Path) -> Result<(S, RecoveryReport), PersistError> {
     fs::create_dir_all(dir)?;
     let (checkpoints, segments) = scan_dir(dir)?;
 
@@ -101,7 +97,7 @@ struct TailState {
     torn: bool,
 }
 
-fn replay<K: SetKey, S: BatchSet<K>>(
+fn replay<S: BatchSet>(
     set: &mut S,
     base_seq: u64,
     segments: &[(u64, std::path::PathBuf)],
@@ -145,7 +141,8 @@ fn replay<K: SetKey, S: BatchSet<K>>(
                                 rec.seq
                             )));
                         }
-                        apply_record(set, &rec.ops)?;
+                        // `parse_record` admits only normal form.
+                        set.apply_batch_sorted(&rec.ops);
                         replayed += 1;
                         expected += 1;
                     }
@@ -176,34 +173,12 @@ fn replay<K: SetKey, S: BatchSet<K>>(
     })
 }
 
-fn apply_record<K: SetKey, S: BatchSet<K>>(
-    set: &mut S,
-    ops: &[BatchOp<u64>],
-) -> Result<(), PersistError> {
-    let max = K::MAX.to_u64();
-    let mut narrowed: Vec<BatchOp<K>> = Vec::with_capacity(ops.len());
-    for op in ops {
-        let key = op.key();
-        if key > max {
-            return Err(PersistError::Corrupt(format!(
-                "wal key {key} exceeds the key domain"
-            )));
-        }
-        narrowed.push(if op.is_insert() {
-            BatchOp::Insert(K::from_u64(key))
-        } else {
-            BatchOp::Remove(K::from_u64(key))
-        });
-    }
-    set.apply_batch_sorted(&narrowed);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotEnvelope;
     use crate::wal::{segment_file_name, FsyncPolicy, WalConfig, WalWriter};
+    use cpma_api::BatchOp;
     use cpma_api::OrderedSet;
     use std::path::PathBuf;
 
@@ -212,7 +187,7 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct MiniSet(Vec<u64>);
 
-    impl OrderedSet<u64> for MiniSet {
+    impl OrderedSet for MiniSet {
         const NAME: &'static str = "MiniSet";
         fn contains(&self, key: u64) -> bool {
             self.0.binary_search(&key).is_ok()
@@ -235,7 +210,7 @@ mod tests {
         }
     }
 
-    impl BatchSet<u64> for MiniSet {
+    impl BatchSet for MiniSet {
         fn new_set() -> Self {
             MiniSet(Vec::new())
         }
@@ -307,7 +282,7 @@ mod tests {
     #[test]
     fn empty_dir_recovers_fresh() {
         let dir = tmp_dir("fresh");
-        let (set, report) = recover::<u64, MiniSet>(&dir).unwrap();
+        let (set, report) = recover::<MiniSet>(&dir).unwrap();
         assert!(set.0.is_empty());
         assert_eq!(report, RecoveryReport::default());
         fs::remove_dir_all(&dir).unwrap();
@@ -321,7 +296,7 @@ mod tests {
         w.append(2, &[BatchOp::Remove(10), ins(30)]).unwrap();
         w.append(3, &[]).unwrap();
         drop(w);
-        let (set, report) = recover::<u64, MiniSet>(&dir).unwrap();
+        let (set, report) = recover::<MiniSet>(&dir).unwrap();
         assert_eq!(set.0, vec![20, 30]);
         assert_eq!(report.last_seq, 3);
         assert_eq!(report.replayed_records, 3);
@@ -344,7 +319,7 @@ mod tests {
         w.append(3, &[ins(3)]).unwrap();
         w.sync().unwrap();
         drop(w);
-        let (set, report) = recover::<u64, MiniSet>(&dir).unwrap();
+        let (set, report) = recover::<MiniSet>(&dir).unwrap();
         assert_eq!(set.0, vec![1, 2, 3]);
         assert_eq!(report.checkpoint_seq, 2);
         assert_eq!(report.last_seq, 3);
@@ -376,7 +351,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         fs::write(&newest, &bytes).unwrap();
 
-        let (set, report) = recover::<u64, MiniSet>(&dir).unwrap();
+        let (set, report) = recover::<MiniSet>(&dir).unwrap();
         assert_eq!(set.0, vec![1, 2, 3]);
         assert_eq!(report.checkpoint_seq, 1);
         assert_eq!(report.skipped_checkpoints, 1);
@@ -406,7 +381,7 @@ mod tests {
             bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
             fs::write(path, bytes).unwrap();
         };
-        let refused = || match recover::<u64, MiniSet>(&dir) {
+        let refused = || match recover::<MiniSet>(&dir) {
             Err(PersistError::UnsupportedVersion { found: 1, .. }) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         };
@@ -444,7 +419,7 @@ mod tests {
             .set_len(cut as u64)
             .unwrap();
 
-        let (set, report) = recover::<u64, MiniSet>(&dir).unwrap();
+        let (set, report) = recover::<MiniSet>(&dir).unwrap();
         assert_eq!(set.0, vec![1]);
         assert_eq!(report.last_seq, 1);
         assert!(report.truncated_tail);
@@ -453,7 +428,7 @@ mod tests {
         w.append(2, &[ins(7)]).unwrap();
         w.sync().unwrap();
         drop(w);
-        let (set, report) = recover::<u64, MiniSet>(&dir).unwrap();
+        let (set, report) = recover::<MiniSet>(&dir).unwrap();
         assert_eq!(set.0, vec![1, 7]);
         assert_eq!(report.last_seq, 2);
         assert!(!report.truncated_tail);
@@ -475,7 +450,7 @@ mod tests {
         fs::write(dir.join(segment_file_name(1)), &seg1).unwrap();
         fs::write(dir.join(segment_file_name(2)), &seg2).unwrap();
 
-        let err = recover::<u64, MiniSet>(&dir).unwrap_err();
+        let err = recover::<MiniSet>(&dir).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -492,7 +467,7 @@ mod tests {
         w.append(5, &[ins(1)]).unwrap();
         w.sync().unwrap();
         drop(w);
-        let err = recover::<u64, MiniSet>(&dir).unwrap_err();
+        let err = recover::<MiniSet>(&dir).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -510,7 +485,7 @@ mod tests {
         drop(w);
         // Simulate a crash mid-create of the next segment: header cut short.
         fs::write(dir.join(segment_file_name(2)), [0u8; 7]).unwrap();
-        let (set, report) = recover::<u64, MiniSet>(&dir).unwrap();
+        let (set, report) = recover::<MiniSet>(&dir).unwrap();
         assert_eq!(set.0, vec![1]);
         assert_eq!(report.last_seq, 1);
         assert!(report.truncated_tail);
@@ -543,10 +518,10 @@ mod tests {
             fs::write(case.join(segment_file_name(1)), &full[..cut]).unwrap();
             if (cut as u64) < SEG_HEADER_LEN as u64 {
                 // Torn create: dropped entirely, fresh state.
-                let (set, _) = recover::<u64, MiniSet>(&case).unwrap();
+                let (set, _) = recover::<MiniSet>(&case).unwrap();
                 assert!(set.0.is_empty());
             } else {
-                let (set, report) = recover::<u64, MiniSet>(&case).unwrap();
+                let (set, report) = recover::<MiniSet>(&case).unwrap();
                 let complete = boundaries.iter().filter(|&&b| b <= cut as u64).count() as u64;
                 assert_eq!(report.last_seq, complete, "cut at {cut}");
                 assert_eq!(set.len(), complete as usize * 2);
@@ -578,7 +553,7 @@ mod tests {
             let mut bytes = full.clone();
             bytes[i] ^= 0x20;
             fs::write(case.join(segment_file_name(1)), &bytes).unwrap();
-            match recover::<u64, MiniSet>(&case) {
+            match recover::<MiniSet>(&case) {
                 Ok((set, report)) => {
                     assert!(report.last_seq <= 2);
                     assert!(set.len() <= 2);

@@ -221,8 +221,8 @@ pub fn parse_segment_header(bytes: &[u8]) -> Result<u64, PersistError> {
     Ok(u64::from_le_bytes(bytes[12..20].try_into().unwrap()))
 }
 
-/// Append one epoch record (keys widened to `u64`) to `out`, its body
-/// written in place inside one [`frame`].
+/// Append one epoch record to `out`, its body written in place inside one
+/// [`frame`].
 pub fn encode_record(out: &mut Vec<u8>, seq: u64, ops: &[BatchOp<u64>]) {
     out.reserve(frame::OVERHEAD + BODY_FIXED + ops.len() * OP_BYTES);
     frame::write(out, |body| {

@@ -6,13 +6,13 @@
 //! [`LeafStorage::NAME`].
 
 use crate::core::PmaCore;
-use crate::{LeafStorage, PmaKey};
+use crate::LeafStorage;
 use cpma_api::{BatchOp, BatchOutcome, BatchSet, CatchUp, OrderedSet, ParallelChunks, RangeSet};
 
-impl<K: PmaKey, L: LeafStorage<K>> OrderedSet<K> for PmaCore<K, L> {
+impl<L: LeafStorage> OrderedSet for PmaCore<L> {
     const NAME: &'static str = L::NAME;
 
-    fn contains(&self, key: K) -> bool {
+    fn contains(&self, key: u64) -> bool {
         self.has(key)
     }
 
@@ -20,27 +20,27 @@ impl<K: PmaKey, L: LeafStorage<K>> OrderedSet<K> for PmaCore<K, L> {
         PmaCore::len(self)
     }
 
-    fn min(&self) -> Option<K> {
+    fn min(&self) -> Option<u64> {
         PmaCore::min(self)
     }
 
-    fn max(&self) -> Option<K> {
+    fn max(&self) -> Option<u64> {
         PmaCore::max(self)
     }
 
-    fn successor(&self, key: K) -> Option<K> {
+    fn successor(&self, key: u64) -> Option<u64> {
         PmaCore::successor(self, key)
     }
 
     /// Sorted-probe batched lookup with shared leaf decodes (the inherent
     /// [`PmaCore::contains_batch`]) instead of the default per-key loop.
-    fn contains_batch(&self, keys: &[K]) -> Vec<bool> {
+    fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
         PmaCore::contains_batch(self, keys)
     }
 
     /// Sorted-probe batched successor with shared leaf decodes (the
     /// inherent [`PmaCore::successor_batch`]).
-    fn successor_batch(&self, keys: &[K]) -> Vec<Option<K>> {
+    fn successor_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
         PmaCore::successor_batch(self, keys)
     }
 
@@ -49,26 +49,26 @@ impl<K: PmaKey, L: LeafStorage<K>> OrderedSet<K> for PmaCore<K, L> {
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> BatchSet<K> for PmaCore<K, L> {
+impl<L: LeafStorage> BatchSet for PmaCore<L> {
     fn new_set() -> Self {
         Self::new()
     }
 
-    fn build_sorted(elems: &[K]) -> Self {
+    fn build_sorted(elems: &[u64]) -> Self {
         Self::from_sorted(elems)
     }
 
-    fn insert_batch_sorted(&mut self, batch: &[K]) -> usize {
+    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
         PmaCore::insert_batch_sorted(self, batch)
     }
 
-    fn remove_batch_sorted(&mut self, batch: &[K]) -> usize {
+    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
         PmaCore::remove_batch_sorted(self, batch)
     }
 
     /// The PMA/CPMA native mixed pipeline: one route→merge→count→
     /// redistribute pass instead of the default remove+insert split.
-    fn apply_batch_sorted(&mut self, ops: &[BatchOp<K>]) -> BatchOutcome {
+    fn apply_batch_sorted(&mut self, ops: &[BatchOp<u64>]) -> BatchOutcome {
         PmaCore::apply_batch_sorted(self, ops)
     }
 
@@ -76,14 +76,14 @@ impl<K: PmaKey, L: LeafStorage<K>> BatchSet<K> for PmaCore<K, L> {
     /// in (`batch/report.rs`) instead of probing first.
     fn apply_batch_sorted_reporting(
         &mut self,
-        ops: &[BatchOp<K>],
+        ops: &[BatchOp<u64>],
         was_present: &mut Vec<bool>,
     ) -> BatchOutcome {
         PmaCore::apply_batch_sorted_reporting(self, ops, was_present)
     }
 
     /// Copies the newer replica's recorded write set (`writeset.rs`).
-    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
+    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<u64>]) -> CatchUp {
         PmaCore::catch_up_from(self, newer, lag)
     }
 
@@ -92,24 +92,24 @@ impl<K: PmaKey, L: LeafStorage<K>> BatchSet<K> for PmaCore<K, L> {
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> RangeSet<K> for PmaCore<K, L> {
+impl<L: LeafStorage> RangeSet for PmaCore<L> {
     /// One chunk per leaf (`PmaCore::chunks_from`).
-    fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool) {
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
         self.chunks_from(start, f)
     }
 
-    fn range_sum<R: std::ops::RangeBounds<K>>(&self, range: R) -> u64 {
+    fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
         cpma_api::range_sum_via_exclusive(
             &range,
-            || self.has(K::MAX),
+            || self.has(u64::MAX),
             |lo, hi| PmaCore::range_sum_excl(self, lo, hi),
         )
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> ParallelChunks<K> for PmaCore<K, L> {
+impl<L: LeafStorage> ParallelChunks for PmaCore<L> {
     /// The leaves' chunks, decoded leaf-parallel (`PmaCore::par_leaf_chunks`).
-    fn par_chunks(&self, f: &(dyn Fn(&[K]) + Sync)) {
+    fn par_chunks(&self, f: &(dyn Fn(&[u64]) + Sync)) {
         self.par_leaf_chunks(f)
     }
 }
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn pma_conforms() {
-        assert_ordered_set_contract::<Pma<u64>>(0x70A1);
+        assert_ordered_set_contract::<Pma>(0x70A1);
     }
 
     #[test]
@@ -132,8 +132,8 @@ mod tests {
 
     #[test]
     fn names_match_the_paper() {
-        assert_eq!(<Pma<u64> as OrderedSet<u64>>::NAME, "PMA");
-        assert_eq!(<Cpma as OrderedSet<u64>>::NAME, "CPMA");
+        assert_eq!(<Pma as OrderedSet>::NAME, "PMA");
+        assert_eq!(<Cpma as OrderedSet>::NAME, "CPMA");
     }
 
     #[test]
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn std_collection_idioms() {
-        let p: Pma<u64> = [5u64, 1, 3, 1].into_iter().collect();
+        let p: Pma = [5u64, 1, 3, 1].into_iter().collect();
         assert_eq!(p.iter().collect::<Vec<_>>(), vec![1, 3, 5]);
         let mut c: Cpma = (0..100u64).collect();
         c.extend(vec![500u64, 50, 200]);

@@ -30,7 +30,7 @@
 
 use crate::density::BOUNDS;
 use crate::tree::Node;
-use crate::{LeafStorage, PmaCore, PmaKey};
+use crate::{LeafStorage, PmaCore};
 use std::ops::RangeInclusive;
 
 /// Which density band the phase enforces: upper bounds after inserts,
@@ -61,7 +61,7 @@ pub(crate) struct CountOutcome {
     pub resize_root: Option<RootResize>,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
+impl<L: LeafStorage> PmaCore<L> {
     /// Units a node of `leaves` leaves at `depth` may hold under `kind`
     /// (the side `kind` does not enforce is left open).
     fn band(&self, kind: BoundKind, leaves: usize, depth: u32) -> RangeInclusive<usize> {
@@ -90,8 +90,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 }
 
 /// The top-down walk over the suspects (module docs).
-struct Walk<'a, K: PmaKey, L: LeafStorage<K>> {
-    core: &'a PmaCore<K, L>,
+struct Walk<'a, L: LeafStorage> {
+    core: &'a PmaCore<L>,
     kind: BoundKind,
     /// Sub-totals of the counted nodes not yet folded into a counted
     /// ancestor: disjoint, in leaf order, those of the subtree being
@@ -101,7 +101,7 @@ struct Walk<'a, K: PmaKey, L: LeafStorage<K>> {
     out: CountOutcome,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> Walk<'_, K, L> {
+impl<L: LeafStorage> Walk<'_, L> {
     /// Units of leaves `[start, end)`, read now.
     fn read(&self, start: usize, end: usize) -> usize {
         let units = |leaf| {
@@ -156,8 +156,8 @@ impl<K: PmaKey, L: LeafStorage<K>> Walk<'_, K, L> {
 }
 
 /// Run the counting phase over the touched leaves (strictly ascending).
-pub(crate) fn count_phase<K: PmaKey, L: LeafStorage<K>>(
-    core: &PmaCore<K, L>,
+pub(crate) fn count_phase<L: LeafStorage>(
+    core: &PmaCore<L>,
     touched: &[usize],
     kind: BoundKind,
 ) -> CountOutcome {
@@ -204,7 +204,7 @@ mod tests {
     /// Build a PMA and then force specific leaves over their bound by
     /// merging directly through the shared interface (bypassing public
     /// maintenance), so the counting phase sees genuine violations.
-    fn force_fill(p: &mut Pma<u64>, leaf: usize, extra: usize) {
+    fn force_fill(p: &mut Pma, leaf: usize, extra: usize) {
         use crate::leaf::SharedLeaves;
         let base = 1_000_000 + leaf as u64 * 10_000;
         let add: Vec<u64> = (0..extra as u64).map(|i| base + i).collect();
@@ -344,9 +344,9 @@ mod tests {
     /// a node is counted iff it is a touched leaf or a counted child
     /// violates; a counted non-leaf inside its bound is a candidate; the
     /// maximal candidates are the ranges; a violating root resizes.
-    fn naive(p: &Pma<u64>, touched: &[usize], kind: BoundKind) -> (Vec<Node>, Option<RootResize>) {
+    fn naive(p: &Pma, touched: &[usize], kind: BoundKind) -> (Vec<Node>, Option<RootResize>) {
         fn go(
-            p: &Pma<u64>,
+            p: &Pma,
             node: Node,
             touched: &[usize],
             kind: BoundKind,

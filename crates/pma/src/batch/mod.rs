@@ -75,7 +75,7 @@ pub(crate) use route::route;
 use crate::leaf::{apply_run_into, LeafScratch, SharedLeaves};
 use crate::run::{Inserts, Removes, Run};
 use crate::tree::Node;
-use crate::{search, LeafStorage, PmaCore, PmaKey};
+use crate::{search, LeafStorage, PmaCore};
 use crate::{FULL_REBUILD_DIVISOR, MIN_LEAVES, POINT_UPDATE_CUTOFF};
 use cpma_api::{BatchOp, BatchOutcome};
 use rayon::prelude::*;
@@ -93,36 +93,36 @@ fn serial_merge_cutoff() -> usize {
 /// while the leaves before it merge, near enough to stay in L1.
 const PREFETCH_AHEAD: usize = 8;
 
-impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
+impl<L: LeafStorage> PmaCore<L> {
     /// Insert a batch of keys; sorts and deduplicates in place unless
     /// `sorted` promises the batch is already sorted and unique. Returns the
     /// number of keys that were not already present (the artifact's
     /// `insert_batch`).
-    pub fn insert_batch(&mut self, batch: &mut [K], sorted: bool) -> usize {
+    pub fn insert_batch(&mut self, batch: &mut [u64], sorted: bool) -> usize {
         cpma_api::BatchSet::insert_batch(self, batch, sorted)
     }
 
     /// Remove a batch of keys; see [`Self::insert_batch`] for `sorted`.
     /// Returns the number of keys actually removed (the artifact's
     /// `remove_batch`).
-    pub fn remove_batch(&mut self, batch: &mut [K], sorted: bool) -> usize {
+    pub fn remove_batch(&mut self, batch: &mut [u64], sorted: bool) -> usize {
         cpma_api::BatchSet::remove_batch(self, batch, sorted)
     }
 
     /// Apply a mixed insert/remove op stream; normalizes in place (sort
     /// by key, last-op-wins dedup) unless `normalized` promises the
     /// stream is already in normal form.
-    pub fn apply_batch(&mut self, ops: &mut [BatchOp<K>], normalized: bool) -> BatchOutcome {
+    pub fn apply_batch(&mut self, ops: &mut [BatchOp<u64>], normalized: bool) -> BatchOutcome {
         cpma_api::BatchSet::apply_batch(self, ops, normalized)
     }
 
     /// Batch insert of a sorted, deduplicated slice.
-    pub fn insert_batch_sorted(&mut self, batch: &[K]) -> usize {
+    pub fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
         self.run_batch(Inserts::new(batch)).added
     }
 
     /// Batch remove of a sorted, deduplicated slice.
-    pub fn remove_batch_sorted(&mut self, batch: &[K]) -> usize {
+    pub fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
         self.run_batch(Removes::new(batch)).removed
     }
 
@@ -130,12 +130,12 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// the output of [`cpma_api::normalize_ops`]) through **one**
     /// route→merge→count→redistribute pass; see the module docs. Returns
     /// the keys actually added and removed.
-    pub fn apply_batch_sorted(&mut self, ops: &[BatchOp<K>]) -> BatchOutcome {
+    pub fn apply_batch_sorted(&mut self, ops: &[BatchOp<u64>]) -> BatchOutcome {
         self.run_batch(ops)
     }
 
     /// The batch pipeline, once for every entry point; see the module docs.
-    pub(crate) fn run_batch<R: Run<K>>(&mut self, run: R) -> BatchOutcome {
+    pub(crate) fn run_batch<R: Run>(&mut self, run: R) -> BatchOutcome {
         if run.is_empty() {
             return BatchOutcome::default();
         }
@@ -186,7 +186,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Phase 1a: the run's per-leaf segments ([`route`]), timed.
-    pub(crate) fn route_run<R: Run<K>>(&self, run: R) -> Vec<route::Assignment> {
+    pub(crate) fn route_run<R: Run>(&self, run: R) -> Vec<route::Assignment> {
         let mut s = cpma_obs::span_with(&crate::stats::phase_spans().route, "pma.route");
         let a = route(self, run.len(), |i| run.key(i));
         s.set_items(a.len() as u64);
@@ -195,7 +195,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 
     /// Phases 1b–3 over a routed run: merge, count, redistribute. Every
     /// segment of `assignments` is non-empty and the leaves ascend.
-    pub(crate) fn run_pipeline<R: Run<K>>(
+    pub(crate) fn run_pipeline<R: Run>(
         &mut self,
         run: R,
         assignments: &[route::Assignment],
@@ -212,7 +212,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         let mut merge_span = cpma_obs::span_with(&spans.merge, "pma.merge");
         merge_span.set_items(assignments.len() as u64);
         let shared = self.storage.shared();
-        let apply = |a: &route::Assignment, scratch: &mut LeafScratch<K>| {
+        let apply = |a: &route::Assignment, scratch: &mut LeafScratch| {
             // SAFETY: the disjoint-leaf contract of `SharedLeaves` holds
             // because `route` assigns each leaf at most once (its
             // assignments ascend strictly by leaf), so no two calls of this
@@ -331,7 +331,7 @@ const SERIAL_MERGE_LIMIT: usize = 1 << 15;
 /// pivot element itself lives), apply each piece concurrently — union and
 /// difference in the same linear pass — then concatenate. Returns the
 /// merged set and what the run added and removed.
-pub(crate) fn par_apply_run<K: PmaKey, R: Run<K>>(a: &[K], run: R) -> (Vec<K>, BatchOutcome) {
+pub(crate) fn par_apply_run<R: Run>(a: &[u64], run: R) -> (Vec<u64>, BatchOutcome) {
     if a.len() + run.len() <= SERIAL_MERGE_LIMIT {
         let mut out = Vec::new();
         let (added, removed) = apply_run_into(a, run, &mut out);
@@ -345,7 +345,7 @@ pub(crate) fn par_apply_run<K: PmaKey, R: Run<K>>(a: &[K], run: R) -> (Vec<K>, B
         (ai, search::partition_point(0, run.len(), below))
     }));
     cuts.push((a.len(), run.len()));
-    let parts: Vec<(Vec<K>, usize, usize)> = (0..pieces)
+    let parts: Vec<(Vec<u64>, usize, usize)> = (0..pieces)
         .into_par_iter()
         .map(|p| {
             let ((a0, r0), (a1, r1)) = (cuts[p], cuts[p + 1]);
@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn batch_insert_into_empty_builds() {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         let mut batch: Vec<u64> = vec![5, 3, 9, 3, 1];
         assert_eq!(p.insert_batch(&mut batch, false), 4);
         assert_eq!(p.iter().collect::<Vec<_>>(), vec![1, 3, 5, 9]);
@@ -393,8 +393,8 @@ mod tests {
     #[test]
     fn batch_equals_point_inserts_pma() {
         let keys = lcg_keys(20_000, 42, 30);
-        let mut batched = Pma::<u64>::new();
-        let mut pointed = Pma::<u64>::new();
+        let mut batched = Pma::new();
+        let mut pointed = Pma::new();
         let mut model = BTreeSet::new();
         for chunk in keys.chunks(1500) {
             let mut b = chunk.to_vec();
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn batch_remove_everything() {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         let mut keys: Vec<u64> = (0..10_000).map(|i| i * 3).collect();
         p.insert_batch(&mut keys.clone(), true);
         let removed = p.remove_batch(&mut keys, true);
@@ -523,8 +523,8 @@ mod tests {
         use cpma_api::BatchOp;
         // Batch sizes spanning the point-update, four-phase, and full-
         // rebuild regimes, on both leaf codecs.
-        fn run<L: crate::LeafStorage<u64>>(batch_size: usize) {
-            let mut s = crate::PmaCore::<u64, L>::new();
+        fn run<L: crate::LeafStorage>(batch_size: usize) {
+            let mut s = crate::PmaCore::<L>::new();
             let mut model = BTreeSet::new();
             let keys = lcg_keys(60_000, batch_size as u64 ^ 0x50F7, 22);
             for chunk in keys.chunks(batch_size.max(2)) {
@@ -555,7 +555,7 @@ mod tests {
             assert!(s.iter().eq(model.iter().copied()));
         }
         for &bs in &[20usize, 600, 5_000, 40_000] {
-            run::<crate::UncompressedLeaves<u64>>(bs);
+            run::<crate::UncompressedLeaves>(bs);
             run::<crate::CompressedLeaves>(bs);
         }
     }
@@ -597,7 +597,7 @@ mod tests {
     /// `remove_batch_sorted(keys)` ≡ `apply_batch_sorted(all-Remove)`, and
     /// a mixed batch ≡ its remove-then-insert split — in return counts,
     /// contents and `check_invariants()`.
-    fn entry_points_agree<L: crate::LeafStorage<u64>>(force: crate::ForceCodec) {
+    fn entry_points_agree<L: crate::LeafStorage>(force: crate::ForceCodec) {
         use cpma_api::BatchOp::{self, Insert, Remove};
         type Stat = fn(&crate::PmaStats) -> u64;
         let regimes: [(usize, Stat); 3] = [
@@ -620,14 +620,14 @@ mod tests {
                 for (size, regime_counter) in regimes {
                     let what = format!("{force:?} budget={budget} bits={bits} size={size}");
                     let fresh = || {
-                        let mut s = crate::PmaCore::<u64, L>::with_config(cfg);
+                        let mut s = crate::PmaCore::<L>::with_config(cfg);
                         s.insert_batch_sorted(&base);
                         s
                     };
                     // The regime under test must be the one that ran, on
                     // both sides of every comparison.
-                    let check = |a: &mut crate::PmaCore<u64, L>,
-                                 b: &mut crate::PmaCore<u64, L>,
+                    let check = |a: &mut crate::PmaCore<L>,
+                                 b: &mut crate::PmaCore<L>,
                                  ran_a: u64,
                                  ran_b: u64| {
                         assert!(a.iter().eq(b.iter()), "{what}: contents differ");
@@ -706,9 +706,9 @@ mod tests {
         )*};
     }
     entry_point_cells! {
-        entry_points_agree_pma_auto: crate::UncompressedLeaves<u64>, Auto;
-        entry_points_agree_pma_delta: crate::UncompressedLeaves<u64>, Delta;
-        entry_points_agree_pma_bitmap: crate::UncompressedLeaves<u64>, Bitmap;
+        entry_points_agree_pma_auto: crate::UncompressedLeaves, Auto;
+        entry_points_agree_pma_delta: crate::UncompressedLeaves, Delta;
+        entry_points_agree_pma_bitmap: crate::UncompressedLeaves, Bitmap;
         entry_points_agree_cpma_auto: crate::CompressedLeaves, Auto;
         entry_points_agree_cpma_delta: crate::CompressedLeaves, Delta;
         entry_points_agree_cpma_bitmap: crate::CompressedLeaves, Bitmap;
@@ -721,7 +721,7 @@ mod tests {
     /// batch the bitset (maintained per touched leaf and per range, never
     /// rebuilt) must pass `check_invariants()`, and lookups must route
     /// across the holes. Budgets 1 and 2.
-    fn drained_ranges_keep_the_read_index<L: crate::LeafStorage<u64>>() {
+    fn drained_ranges_keep_the_read_index<L: crate::LeafStorage>() {
         let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let keys: Vec<u64> = (0..60_000u64).map(|i| i * 1000).collect();
         for budget in [1, 2] {
@@ -730,7 +730,7 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let mut s = crate::PmaCore::<u64, L>::from_sorted(&keys);
+                let mut s = crate::PmaCore::<L>::from_sorted(&keys);
                 let mut scattered = Vec::new();
                 for leaf in (0..s.storage().num_leaves()).step_by(20) {
                     s.storage().collect_leaf(leaf, &mut scattered);
@@ -772,7 +772,7 @@ mod tests {
 
     #[test]
     fn drained_ranges_pma_in_place() {
-        drained_ranges_keep_the_read_index::<crate::UncompressedLeaves<u64>>();
+        drained_ranges_keep_the_read_index::<crate::UncompressedLeaves>();
     }
 
     #[test]
@@ -808,10 +808,10 @@ mod tests {
     fn duplicate_only_huge_batch_skips_the_rebuild() {
         // A full-rebuild-sized batch (≥ len/10) that adds nothing must not
         // rebuild the structure — through either entry point.
-        fn run<L: crate::LeafStorage<u64>>() {
+        fn run<L: crate::LeafStorage>() {
             use cpma_api::BatchOp;
             let keys: Vec<u64> = (0..10_000u64).map(|i| i * 5).collect();
-            let mut s = crate::PmaCore::<u64, L>::new();
+            let mut s = crate::PmaCore::<L>::new();
             s.insert_batch_sorted(&keys);
             let before = s.stats();
             let dup = &keys[3_000..5_000];
@@ -828,7 +828,7 @@ mod tests {
             assert!(s.iter().eq(keys.iter().copied()));
             s.check_invariants();
         }
-        run::<crate::UncompressedLeaves<u64>>();
+        run::<crate::UncompressedLeaves>();
         run::<crate::CompressedLeaves>();
     }
 
@@ -851,7 +851,7 @@ mod tests {
             })
             .collect();
         assert!(cur.len() + keys.len() > super::SERIAL_MERGE_LIMIT);
-        fn check<R: Run<u64>>(cur: &[u64], run: R) {
+        fn check<R: Run>(cur: &[u64], run: R) {
             let mut want = Vec::new();
             let (added, removed) = apply_run_into(cur, run, &mut want);
             let (got, outcome) = super::par_apply_run(cur, run);
@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn mixed_batch_into_empty_and_all_removes() {
         use cpma_api::BatchOp::{Insert, Remove};
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         // Only removes against an empty structure: nothing happens.
         let out = p.apply_batch_sorted(&[Remove(1), Remove(2)]);
         assert_eq!(out, cpma_api::BatchOutcome::default());
@@ -926,11 +926,11 @@ mod tests {
     /// op short of `len / FULL_REBUILD_DIVISOR`, and that many rebuild the
     /// whole structure. Every op inserts an absent key, so the reporting
     /// entry point's net batch is the whole form.
-    fn regime_boundaries<L: crate::LeafStorage<u64> + Clone>() {
+    fn regime_boundaries<L: crate::LeafStorage + Clone>() {
         use crate::{FULL_REBUILD_DIVISOR, POINT_UPDATE_CUTOFF};
         use cpma_api::BatchOp::{self, Insert};
         let base: Vec<u64> = (0..20_000u64).map(|i| i * 4).collect();
-        let set = crate::PmaCore::<u64, L>::from_sorted(&base);
+        let set = crate::PmaCore::<L>::from_sorted(&base);
         let rebuild = set.len() / FULL_REBUILD_DIVISOR;
         // (ops, [point fallbacks, pipeline batches, full rebuilds])
         let forms = [
@@ -969,7 +969,7 @@ mod tests {
 
     #[test]
     fn regime_boundaries_pma() {
-        regime_boundaries::<crate::UncompressedLeaves<u64>>();
+        regime_boundaries::<crate::UncompressedLeaves>();
     }
 
     #[test]
@@ -979,7 +979,7 @@ mod tests {
 
     #[test]
     fn interleaved_batch_insert_remove() {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         let mut model = BTreeSet::new();
         for round in 0..10u64 {
             let ins = lcg_keys(4000, round * 2 + 1, 24);

@@ -33,24 +33,21 @@
 
 use crate::leaf::SharedLeaves;
 use crate::tree::Node;
-use crate::{LeafStorage, PmaCore, PmaKey};
+use crate::{LeafStorage, PmaCore};
 use rayon::prelude::*;
 
-struct RangeJob<K> {
+struct RangeJob {
     node: Node,
-    elems: Vec<K>,
-    /// Largest element stored before `node.start`, or `K::MIN`.
-    prev_elem: K,
+    elems: Vec<u64>,
+    /// Largest element stored before `node.start`, or `0`.
+    prev_elem: u64,
     /// The plan: `node.len() + 1` offsets into `elems`, or `None` when no
     /// split of `elems` fits the node's leaves.
     offsets: Option<Vec<usize>>,
 }
 
 /// Redistribute the given disjoint nodes (sorted by start).
-pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
-    core: &mut PmaCore<K, L>,
-    ranges: &[Node],
-) {
+pub(crate) fn redistribute_ranges<L: LeafStorage>(core: &mut PmaCore<L>, ranges: &[Node]) {
     debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
     if ranges.is_empty() {
         return; // what a batch, or a point update, usually asks for
@@ -72,7 +69,7 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
             .rev()
             .find(|&l| storage.count(l) > 0)
             .and_then(|l| storage.leaf_max(l))
-            .unwrap_or(K::MIN);
+            .unwrap_or(0);
         debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
         RangeJob {
             node,
@@ -86,7 +83,7 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
         let total_leaves: usize = ranges.iter().map(|n| n.len()).sum();
         // Small redistributions run serially — fork overhead exceeds the copies.
         let serial = total_leaves <= (8192 / rayon::current_num_threads().max(1)).max(128);
-        let jobs: Vec<RangeJob<K>> = if serial {
+        let jobs: Vec<RangeJob> = if serial {
             ranges.iter().map(|&n| collect_one(n)).collect()
         } else {
             ranges.par_iter().map(|&n| collect_one(n)).collect()
@@ -118,7 +115,7 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
 
     // Phase 3: write (disjoint leaves).
     let shared = core.storage_mut().shared();
-    let write_leaf_j = |job: &RangeJob<K>, j: usize| -> isize {
+    let write_leaf_j = |job: &RangeJob, j: usize| -> isize {
         let offsets = job.offsets.as_deref().expect("every plan fits");
         let leaf = job.node.start + j;
         let slice = &job.elems[offsets[j]..offsets[j + 1]];

@@ -27,18 +27,18 @@
 
 use super::route::Assignment;
 use super::{serial_merge_cutoff, PREFETCH_AHEAD};
-use crate::{LeafStorage, PmaCore, PmaKey, FULL_REBUILD_DIVISOR, POINT_UPDATE_CUTOFF};
+use crate::{LeafStorage, PmaCore, FULL_REBUILD_DIVISOR, POINT_UPDATE_CUTOFF};
 use cpma_api::{BatchOp, BatchOutcome};
 use rayon::prelude::*;
 
-impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
+impl<L: LeafStorage> PmaCore<L> {
     /// `apply_batch_sorted(&net)` for the net batch of the normal-form
     /// `ops`, reporting `was_present[i]`, the presence of `ops[i]`'s key
     /// before the call (`cpma_api::BatchSet::apply_batch_sorted_reporting`;
     /// module docs).
     pub fn apply_batch_sorted_reporting(
         &mut self,
-        ops: &[BatchOp<K>],
+        ops: &[BatchOp<u64>],
         was_present: &mut Vec<bool>,
     ) -> BatchOutcome {
         debug_assert!(ops.windows(2).all(|w| w[0].key() < w[1].key()));
@@ -86,7 +86,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 
     /// The point regime's report: each point update says whether it
     /// changed the set, hence whether the key was there.
-    fn report_points(&mut self, ops: &[BatchOp<K>], was_present: &mut [bool]) -> BatchOutcome {
+    fn report_points(&mut self, ops: &[BatchOp<u64>], was_present: &mut [bool]) -> BatchOutcome {
         self.log.begin();
         let mut out = BatchOutcome::default();
         for (op, was) in ops.iter().zip(was_present) {
@@ -114,7 +114,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// assignments run in parallel on disjoint stretches of `was_present`.
     fn mark_presence(
         &self,
-        ops: &[BatchOp<K>],
+        ops: &[BatchOp<u64>],
         assignments: &[Assignment],
         was_present: &mut [bool],
     ) {
@@ -177,7 +177,7 @@ mod tests {
     }
 
     /// Everything a catch-up or a checkpoint could tell apart.
-    fn image<L: LeafStorage<u64>>(s: &PmaCore<u64, L>) -> (Vec<u8>, Vec<u64>, usize, u64, usize) {
+    fn image<L: LeafStorage>(s: &PmaCore<L>) -> (Vec<u8>, Vec<u64>, usize, u64, usize) {
         let mut payload = Vec::new();
         s.storage().write_payload(&mut payload);
         let occ = s.occ.clone();
@@ -195,7 +195,7 @@ mod tests {
     /// per-structure counter. The cases cover every regime the normal form
     /// and its net batch can land in, at budgets 1 and 2 (which of them
     /// fall back is pinned by count in `tests/path_counters.rs`).
-    fn reporting_is_probe_then_net<L: LeafStorage<u64> + Clone>(force: ForceCodec) {
+    fn reporting_is_probe_then_net<L: LeafStorage + Clone>(force: ForceCodec) {
         let cfg = PmaConfig::builder().force_codec(force).build().unwrap();
         let base: Vec<u64> = (0..30_000u64).map(|i| i * 4).collect();
         // (ops, every n-th a no-op): len / 10 = 3 000.
@@ -214,7 +214,7 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let set = PmaCore::<u64, L>::from_sorted_with(&base, cfg);
+                let set = PmaCore::<L>::from_sorted_with(&base, cfg);
                 let mut runs: Vec<Vec<BatchOp<u64>>> = cases
                     .iter()
                     .enumerate()
@@ -229,7 +229,7 @@ mod tests {
                     };
                 }
                 runs.push(few);
-                let empty = PmaCore::<u64, L>::with_config(cfg);
+                let empty = PmaCore::<L>::with_config(cfg);
                 for (r, ops) in runs.iter().enumerate() {
                     for start in [&set, &empty] {
                         let what =
@@ -265,7 +265,7 @@ mod tests {
         )*};
     }
     reporting_cells! {
-        reporting_matches_probe_then_net_pma: crate::UncompressedLeaves<u64>, Auto;
+        reporting_matches_probe_then_net_pma: crate::UncompressedLeaves, Auto;
         reporting_matches_probe_then_net_cpma: crate::CompressedLeaves, Auto;
         reporting_matches_probe_then_net_cpma_bitmap: crate::CompressedLeaves, Bitmap;
     }

@@ -31,7 +31,7 @@
 //! Above the cutoff a task is searched alone and its two halves fork.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use crate::{search, stats, LeafStorage, PmaCore, PmaKey};
+use crate::{search, stats, LeafStorage, PmaCore};
 
 /// One unit of merge work: run positions `start..end` all belong in `leaf`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,10 +60,10 @@ fn serial_cutoff() -> usize {
 /// `i`-th; equal neighbours are fine — routing reads keys only, so every
 /// view of the same keys routes identically). Neither the keys nor the PMA
 /// may be empty. Assignments partition `0..len` and ascend strictly by leaf.
-pub(crate) fn route<K: PmaKey, L: LeafStorage<K>>(
-    core: &PmaCore<K, L>,
+pub(crate) fn route<L: LeafStorage>(
+    core: &PmaCore<L>,
     len: usize,
-    key: impl Fn(usize) -> K + Sync,
+    key: impl Fn(usize) -> u64 + Sync,
 ) -> Vec<Assignment> {
     debug_assert!(len > 0);
     let f0 = core
@@ -93,19 +93,19 @@ impl Task {
     }
 }
 
-struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, F> {
-    core: &'a PmaCore<K, L>,
+struct RouteCtx<'a, L: LeafStorage, F> {
+    core: &'a PmaCore<L>,
     key: F,
     /// First non-empty leaf: elements below the global minimum route here.
     f0: usize,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, F: Fn(usize) -> K + Sync> RouteCtx<'_, K, L, F> {
+impl<L: LeafStorage, F: Fn(usize) -> u64 + Sync> RouteCtx<'_, L, F> {
     /// Head partition points of the tasks' midpoint keys, each searched in
     /// its own window, all stepped together.
     fn partitions(&self, tasks: &[Task]) -> [usize; LANES] {
         let storage = self.core.storage();
-        let (mut base, mut count, mut keys) = ([0usize; LANES], [1usize; LANES], [K::MIN; LANES]);
+        let (mut base, mut count, mut keys) = ([0usize; LANES], [1usize; LANES], [0; LANES]);
         for (lane, task) in tasks.iter().enumerate() {
             base[lane] = task.plo;
             count[lane] = task.phi - task.plo + 1;
@@ -113,7 +113,7 @@ impl<K: PmaKey, L: LeafStorage<K>, F: Fn(usize) -> K + Sync> RouteCtx<'_, K, L, 
         }
         let widest = count.iter().copied().max().unwrap_or(1);
         let steps = usize::BITS - (widest - 1).leading_zeros();
-        stats::record_read(steps as usize * tasks.len() * K::BYTES);
+        stats::record_read(steps as usize * tasks.len() * size_of::<u64>());
         for _ in 0..steps {
             for lane in 0..tasks.len() {
                 note_probes(usize::from(count[lane] > 1));
@@ -128,7 +128,7 @@ impl<K: PmaKey, L: LeafStorage<K>, F: Fn(usize) -> K + Sync> RouteCtx<'_, K, L, 
     /// First position in `[lo, hi)` whose key is at or above `pivot` (`hi`
     /// if none): looked for within [`NEAR`] positions of `near`, where a
     /// sparse batch has it, before the rest of the range.
-    fn first_at_or_above(&self, lo: usize, hi: usize, near: usize, pivot: K) -> usize {
+    fn first_at_or_above(&self, lo: usize, hi: usize, near: usize, pivot: u64) -> usize {
         let below = |i| (self.key)(i) < pivot;
         let (mut from, mut to) = (near.saturating_sub(NEAR).max(lo), (near + NEAR).min(hi));
         if from > lo && !below(from - 1) {
@@ -237,10 +237,7 @@ mod tests {
         pub(super) static HEAD_PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    fn route_run<L: LeafStorage<u64>, R: Run<u64>>(
-        p: &PmaCore<u64, L>,
-        run: R,
-    ) -> (Vec<Assignment>, usize) {
+    fn route_run<L: LeafStorage, R: Run>(p: &PmaCore<L>, run: R) -> (Vec<Assignment>, usize) {
         HEAD_PROBES.with(|c| c.set(0));
         let assignments = route(p, run.len(), |i| run.key(i));
         (assignments, HEAD_PROBES.with(|c| c.get()))
@@ -257,11 +254,7 @@ mod tests {
     /// batch in order, ascend strictly by leaf, agree with `dest_leaf` key
     /// by key and across the three views, and stay inside the probe bound
     /// (counted per thread, so checked where routing does not fork).
-    fn check_routing<L: LeafStorage<u64>>(
-        p: &PmaCore<u64, L>,
-        batch: &[u64],
-        what: &str,
-    ) -> Vec<Assignment> {
+    fn check_routing<L: LeafStorage>(p: &PmaCore<L>, batch: &[u64], what: &str) -> Vec<Assignment> {
         let (assignments, probes) = route_run(p, Inserts::new(batch));
         let mut pos = 0;
         let mut prev_leaf = None;
@@ -310,7 +303,7 @@ mod tests {
 
     /// Empty `leaves` behind the maintenance's back, so they stay empty
     /// with their old (now inherited) heads.
-    fn drain<L: LeafStorage<u64>>(p: &mut PmaCore<u64, L>, leaves: std::ops::Range<usize>) {
+    fn drain<L: LeafStorage>(p: &mut PmaCore<L>, leaves: std::ops::Range<usize>) {
         for leaf in leaves {
             let mut elems = Vec::new();
             p.storage().collect_leaf(leaf, &mut elems);

@@ -311,7 +311,7 @@ pub fn chunks_from(
     buf: &[u8],
     used: usize,
     start: u64,
-    block: &mut ChunkBlock<u64>,
+    block: &mut ChunkBlock,
     mut f: impl FnMut(&[u64]) -> bool,
 ) -> bool {
     let base = base_of(buf);

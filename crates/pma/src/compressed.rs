@@ -327,7 +327,7 @@ impl CompressedLeaves {
     }
 }
 
-impl LeafStorage<u64> for CompressedLeaves {
+impl LeafStorage for CompressedLeaves {
     type Shared<'a>
         = CompressedShared<'a>
     where
@@ -655,7 +655,7 @@ impl LeafStorage<u64> for CompressedLeaves {
         &self,
         leaf: usize,
         start: u64,
-        block: &mut ChunkBlock<u64>,
+        block: &mut ChunkBlock,
         mut f: F,
     ) -> bool {
         if self.is_bitmap(leaf) {
@@ -771,7 +771,7 @@ impl LeafStorage<u64> for CompressedLeaves {
     /// Bitmap leaves answer each key with one word probe; delta leaves
     /// run one block walk (`codec::walk_run`) merged against the run, stopped
     /// after its last key.
-    fn presence<R: Run<u64>>(&self, leaf: usize, run: R, out: &mut [bool]) {
+    fn presence<R: Run>(&self, leaf: usize, run: R, out: &mut [bool]) {
         debug_assert_eq!(run.len(), out.len());
         out.fill(false);
         if run.is_empty() || self.counts[leaf] == 0 {
@@ -1032,11 +1032,11 @@ impl CompressedShared<'_> {
     /// As every helper here; additionally `leaf` must be bitmap-tagged and
     /// not overflowed, so its first `used[leaf]` bytes are a canonical
     /// bitmap (base = minimum, last word non-zero).
-    unsafe fn apply_run_wordwise<R: Run<u64>>(
+    unsafe fn apply_run_wordwise<R: Run>(
         &self,
         leaf: usize,
         run: R,
-        scratch: &mut LeafScratch<u64>,
+        scratch: &mut LeafScratch,
     ) -> Option<OpsOutcome> {
         // SAFETY: `leaf`'s slots and stretch, under the caller's contract;
         // not spilled, so `used ≤ leaf_units`. `buf` is last read before
@@ -1136,7 +1136,7 @@ impl CompressedShared<'_> {
     /// non-empty and not overflowed, so its first `used[leaf]` bytes are a
     /// raw head followed by whole byte codes, and `leaf_units` must not
     /// exceed [`FUSED_MAX_UNITS`].
-    unsafe fn apply_run_fused<R: Run<u64>>(&self, leaf: usize, run: R) -> Option<OpsOutcome> {
+    unsafe fn apply_run_fused<R: Run>(&self, leaf: usize, run: R) -> Option<OpsOutcome> {
         // SAFETY: `leaf`'s slots and its whole stretch, under the caller's
         // contract. `stretch` is last read before the commit overwrites
         // the leaf, which writes `units ≤ cap` bytes.
@@ -1259,11 +1259,11 @@ impl CompressedShared<'_> {
 
     /// The general path: decode (or read the spill buffer) → three-finger
     /// merge → [`Self::store`]. Takes a leaf in any state.
-    unsafe fn apply_run_general<R: Run<u64>>(
+    unsafe fn apply_run_general<R: Run>(
         &self,
         leaf: usize,
         run: R,
-        scratch: &mut LeafScratch<u64>,
+        scratch: &mut LeafScratch,
     ) -> OpsOutcome {
         stats::leaf_counters().general_runs.inc();
         // SAFETY: `leaf`'s slots, and the helpers' own contract for
@@ -1365,7 +1365,7 @@ struct Splice<'a, R> {
     overflow: bool,
 }
 
-impl<R: Run<u64>> Splice<'_, R> {
+impl<R: Run> Splice<'_, R> {
     /// Visit stored element `e`, whose code ends at `end`. Returns `false`
     /// to stop the walk: the output passed the capacity, or the run is
     /// spent and the rest of the leaf is one verbatim stretch.
@@ -1436,12 +1436,12 @@ impl<R: Run<u64>> Splice<'_, R> {
     }
 }
 
-impl SharedLeaves<u64> for CompressedShared<'_> {
-    unsafe fn apply_run<R: Run<u64>>(
+impl SharedLeaves for CompressedShared<'_> {
+    unsafe fn apply_run<R: Run>(
         &self,
         leaf: usize,
         run: R,
-        scratch: &mut LeafScratch<u64>,
+        scratch: &mut LeafScratch,
     ) -> OpsOutcome {
         if run.is_empty() {
             return OpsOutcome::default();

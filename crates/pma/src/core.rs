@@ -37,10 +37,9 @@ use crate::run::{Inserts, Removes};
 use crate::search;
 use crate::tree::ImplicitTree;
 use crate::writeset::WriteLog;
-use crate::{stats, CompressedLeaves, LeafStorage, PmaKey, UncompressedLeaves};
+use crate::{stats, CompressedLeaves, LeafStorage, UncompressedLeaves};
 use cpma_api::ConfigError;
 use rayon::prelude::*;
-use std::marker::PhantomData;
 
 /// Per-leaf codec selection policy for hybrid leaf storages
 /// ([`crate::CompressedLeaves`]). Leaf storages without alternative
@@ -161,10 +160,10 @@ impl PmaConfigBuilder {
 }
 
 /// The uncompressed batch-parallel PMA (cells of raw keys).
-pub type Pma<K = u64> = PmaCore<K, UncompressedLeaves<K>>;
+pub type Pma = PmaCore<UncompressedLeaves>;
 
 /// The batch-parallel Compressed PMA (delta + byte codes; §5).
-pub type Cpma = PmaCore<u64, CompressedLeaves>;
+pub type Cpma = PmaCore<CompressedLeaves>;
 
 /// Leaf geometry of a layout: what a resize decides and a rebuild lays out.
 #[derive(Clone, Copy)]
@@ -178,7 +177,7 @@ pub(crate) struct Geometry {
 /// `Clone` (for `Clone` leaf storages) is what snapshot publishers like
 /// `cpma-store`'s combiner build on.
 #[derive(Clone)]
-pub struct PmaCore<K: PmaKey, L: LeafStorage<K>> {
+pub struct PmaCore<L: LeafStorage> {
     pub(crate) storage: L,
     pub(crate) cfg: PmaConfig,
     /// Number of stored elements.
@@ -193,16 +192,15 @@ pub struct PmaCore<K: PmaKey, L: LeafStorage<K>> {
     pub(crate) occ: Vec<u64>,
     /// What the last apply that changed anything wrote (see `writeset`).
     pub(crate) log: WriteLog,
-    pub(crate) _marker: PhantomData<K>,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> Default for PmaCore<K, L> {
+impl<L: LeafStorage> Default for PmaCore<L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
+impl<L: LeafStorage> PmaCore<L> {
     /// Empty structure with default configuration.
     pub fn new() -> Self {
         Self::with_config(PmaConfig::default())
@@ -222,7 +220,6 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             batch_stats: stats::PmaCounters::new(),
             occ: Vec::new(),
             log: WriteLog::new(),
-            _marker: PhantomData,
         };
         this.rebuild_read_index();
         this
@@ -231,12 +228,12 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Build from a sorted, deduplicated slice (the artifact's
     /// `CPMA(start, end)` constructor). Leaves are filled at the rebuild
     /// target density, elements spread evenly.
-    pub fn from_sorted(elems: &[K]) -> Self {
+    pub fn from_sorted(elems: &[u64]) -> Self {
         Self::from_sorted_with(elems, PmaConfig::default())
     }
 
     /// [`Self::from_sorted`] with explicit configuration.
-    pub fn from_sorted_with(elems: &[K], cfg: PmaConfig) -> Self {
+    pub fn from_sorted_with(elems: &[u64], cfg: PmaConfig) -> Self {
         cfg.assert_valid();
         debug_assert!(
             elems.windows(2).all(|w| w[0] < w[1]),
@@ -294,7 +291,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Geometry hosting `elems` at the rebuild target density, and never
     /// fewer leaves than hold them. One sizing sweep; a second only when
     /// the answer crosses into another leaf size.
-    pub(crate) fn geometry_for_target(&self, elems: &[K]) -> Geometry {
+    pub(crate) fn geometry_for_target(&self, elems: &[u64]) -> Geometry {
         let target = BOUNDS.rebuild_target;
         let sized = |leaf_units: usize| {
             let size = self.storage.size_run(elems, leaf_units);
@@ -320,7 +317,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// exactly `elems` (sorted unique), spread evenly: one plan, one write
     /// pass. Every caller sized `geo` to hold the run; the fresh storage
     /// plans, so the policy that costs a slice is the one that encodes it.
-    pub(crate) fn rebuild_into(&mut self, elems: &[K], geo: Geometry) {
+    pub(crate) fn rebuild_into(&mut self, elems: &[u64], geo: Geometry) {
         let (k, leaf_units) = (geo.leaves, geo.leaf_units);
         let mut storage = L::with_geometry(k, leaf_units);
         storage.set_codec_policy(self.cfg.force_codec);
@@ -335,7 +332,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
                 let inherited = if offsets[j] > 0 {
                     elems[offsets[j] - 1]
                 } else {
-                    K::MIN
+                    0
                 };
                 // SAFETY: each iteration owns a distinct leaf.
                 unsafe { shared.write_leaf(j, slice, inherited) }
@@ -353,7 +350,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Re-spread `elems` over the smallest capacity, stepping up from the
     /// current one by the growing factor, that holds them within the
     /// root's upper bound (one sizing sweep per step tried).
-    pub(crate) fn grow_and_rebuild(&mut self, elems: &[K]) {
+    pub(crate) fn grow_and_rebuild(&mut self, elems: &[u64]) {
         let mut cap = self.capacity_units();
         let geo = loop {
             cap = ((cap as f64) * self.cfg.growing_factor).ceil() as usize;
@@ -369,7 +366,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 
     /// Shrink capacity by the growing factor while the root is under its
     /// lower bound — never below what holds `elems` — then re-spread them.
-    pub(crate) fn shrink_and_rebuild(&mut self, elems: &[K]) {
+    pub(crate) fn shrink_and_rebuild(&mut self, elems: &[u64]) {
         let floor = MIN_LEAVES * L::MIN_LEAF_UNITS;
         // One sizing sweep per leaf size the steps pass through.
         let mut swept = (0, RunSize::default());
@@ -497,8 +494,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// partition point routing needs): a branchless binary search over the
     /// heads where they live in leaf storage.
     #[inline]
-    pub(crate) fn head_partition(&self, key: K, lo: usize, hi: usize) -> usize {
-        stats::record_read(((usize::BITS - (hi - lo).leading_zeros()) as usize) * K::BYTES);
+    pub(crate) fn head_partition(&self, key: u64, lo: usize, hi: usize) -> usize {
+        stats::record_read(((usize::BITS - (hi - lo).leading_zeros()) as usize) * size_of::<u64>());
         search::partition_point(lo, hi, |i| self.storage.head(i) <= key)
     }
 
@@ -524,7 +521,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// The leaf where `key` lives / would be inserted. `None` iff empty.
-    pub(crate) fn dest_leaf(&self, key: K) -> Option<usize> {
+    pub(crate) fn dest_leaf(&self, key: u64) -> Option<usize> {
         self.leaf_at_partition(self.head_partition(key, 0, self.storage.num_leaves()))
     }
 
@@ -534,7 +531,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Membership test (the artifact's `has`).
-    pub fn has(&self, key: K) -> bool {
+    pub fn has(&self, key: u64) -> bool {
         match self.dest_leaf(key) {
             Some(leaf) => self.storage.leaf_contains(leaf, key),
             None => false,
@@ -542,7 +539,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Smallest stored element ≥ `key` (the paper's `search`).
-    pub fn successor(&self, key: K) -> Option<K> {
+    pub fn successor(&self, key: u64) -> Option<u64> {
         let leaf = self.dest_leaf(key)?;
         if let Some(s) = self.storage.leaf_successor(leaf, key) {
             return Some(s);
@@ -557,7 +554,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 
     /// Probe indices sorted by key (ties by position, so the plan is
     /// deterministic under duplicate probes).
-    fn probe_order(keys: &[K]) -> Vec<usize> {
+    fn probe_order(keys: &[u64]) -> Vec<usize> {
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_unstable_by_key(|&i| (keys[i], i));
         order
@@ -582,9 +579,9 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// consecutive groups (almost always distinct leaves) overlap.
     fn for_probe_groups(
         &self,
-        keys: &[K],
+        keys: &[u64],
         order: &[usize],
-        mut visit: impl FnMut(usize, &[usize], Option<K>),
+        mut visit: impl FnMut(usize, &[usize], Option<u64>),
     ) {
         let plan = route(self, order.len(), |i| keys[order[i]]);
         for group in plan.iter().take(Self::PROBE_PREFETCH_AHEAD) {
@@ -605,13 +602,13 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Membership for every probe: `out[i]` answers `keys[i]`. Probes are
     /// visited in sorted order, the destination leaf of the next group is
     /// prefetched, and probes landing in the same leaf share one decode.
-    pub fn contains_batch(&self, keys: &[K]) -> Vec<bool> {
+    pub fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
         let mut out = vec![false; keys.len()];
         if self.len == 0 || keys.is_empty() {
             return out;
         }
         let order = Self::probe_order(keys);
-        let mut buf: Vec<K> = Vec::new();
+        let mut buf: Vec<u64> = Vec::new();
         self.for_probe_groups(keys, &order, |leaf, slots, _limit| {
             if slots.len() > 1 {
                 buf.clear();
@@ -632,13 +629,13 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// `out[i]` answers `keys[i]`. Same routing plan as
     /// [`contains_batch`](Self::contains_batch); the shared group limit
     /// doubles as the out-of-leaf successor.
-    pub fn successor_batch(&self, keys: &[K]) -> Vec<Option<K>> {
+    pub fn successor_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let mut out = vec![None; keys.len()];
         if self.len == 0 || keys.is_empty() {
             return out;
         }
         let order = Self::probe_order(keys);
-        let mut buf: Vec<K> = Vec::new();
+        let mut buf: Vec<u64> = Vec::new();
         self.for_probe_groups(keys, &order, |leaf, slots, limit| {
             if slots.len() > 1 {
                 buf.clear();
@@ -663,19 +660,19 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     // ------------------------------------------------------------------
 
     /// Insert one key; returns false if it was already present.
-    pub fn insert(&mut self, key: K) -> bool {
+    pub fn insert(&mut self, key: u64) -> bool {
         self.log.begin();
         self.insert_point(key)
     }
 
     /// Remove one key; returns false if it was absent.
-    pub fn remove(&mut self, key: K) -> bool {
+    pub fn remove(&mut self, key: u64) -> bool {
         self.log.begin();
         self.remove_point(key)
     }
 
     /// [`Self::insert`] as one step of an apply already begun.
-    pub(crate) fn insert_point(&mut self, key: K) -> bool {
+    pub(crate) fn insert_point(&mut self, key: u64) -> bool {
         let dest = self.dest_leaf(key);
         let leaf = dest.unwrap_or(0);
         let shared = self.storage.shared();
@@ -699,7 +696,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// [`Self::remove`] as one step of an apply already begun.
-    pub(crate) fn remove_point(&mut self, key: K) -> bool {
+    pub(crate) fn remove_point(&mut self, key: u64) -> bool {
         let Some(leaf) = self.dest_leaf(key) else {
             return false;
         };
@@ -798,13 +795,13 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Smallest stored element.
-    pub fn min(&self) -> Option<K> {
+    pub fn min(&self) -> Option<u64> {
         let leaf = self.first_nonempty_leaf()?;
         Some(self.storage.head(leaf))
     }
 
     /// Largest stored element.
-    pub fn max(&self) -> Option<K> {
+    pub fn max(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -816,7 +813,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// a time, each decoded once into one [`ChunkBlock`] this scan reuses —
     /// until `f` returns `false` (the `RangeSet::scan_chunks_from`
     /// primitive, and the walk under every ordered read below).
-    pub(crate) fn chunks_from(&self, start: K, mut f: impl FnMut(&[K]) -> bool) {
+    pub(crate) fn chunks_from(&self, start: u64, mut f: impl FnMut(&[u64]) -> bool) {
         let Some(first) = self.dest_leaf(start) else {
             return;
         };
@@ -837,8 +834,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Apply `f` to every element in order (the artifact's `map`).
-    pub fn map(&self, mut f: impl FnMut(K)) {
-        self.chunks_from(K::MIN, |chunk| {
+    pub fn map(&self, mut f: impl FnMut(u64)) {
+        self.chunks_from(0, |chunk| {
             chunk.iter().for_each(|&e| f(e));
             true
         });
@@ -846,7 +843,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 
     /// Apply `f` to every element, leaves in parallel (the artifact's
     /// `parallel_map`).
-    pub fn par_map(&self, f: impl Fn(K) + Send + Sync) {
+    pub fn par_map(&self, f: impl Fn(u64) + Send + Sync) {
         self.par_leaf_chunks(|chunk| chunk.iter().for_each(|&e| f(e)));
     }
 
@@ -854,12 +851,12 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// chunk ascending and within one leaf, so chunk order follows leaf
     /// order. One [`ChunkBlock`] per task, reused across its leaves (the
     /// `ParallelChunks::par_chunks` primitive).
-    pub(crate) fn par_leaf_chunks(&self, f: impl Fn(&[K]) + Send + Sync) {
+    pub(crate) fn par_leaf_chunks(&self, f: impl Fn(&[u64]) + Send + Sync) {
         (0..self.storage.num_leaves())
             .into_par_iter()
             .map_init(ChunkBlock::new, |block, leaf| {
                 if self.storage.count(leaf) > 0 {
-                    self.storage.leaf_chunks(leaf, K::MIN, block, |chunk| {
+                    self.storage.leaf_chunks(leaf, 0, block, |chunk| {
                         f(chunk);
                         true
                     });
@@ -871,7 +868,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Apply `f` to at most `length` elements with keys ≥ `start`, in
     /// order; returns how many were visited (the artifact's
     /// `map_range_length`).
-    pub fn map_range_length(&self, start: K, length: usize, mut f: impl FnMut(K)) -> usize {
+    pub fn map_range_length(&self, start: u64, length: usize, mut f: impl FnMut(u64)) -> usize {
         let mut visited = 0usize;
         if length > 0 {
             self.chunks_from(start, |chunk| {
@@ -886,7 +883,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 
     /// Sum of elements in `[start, end)`, with a whole-leaf fast path for
     /// interior leaves (the public API is `RangeSet::range_sum`).
-    pub(crate) fn range_sum_excl(&self, start: K, end: K) -> u64 {
+    pub(crate) fn range_sum_excl(&self, start: u64, end: u64) -> u64 {
         if start >= end {
             return 0;
         }
@@ -936,7 +933,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// All elements, sorted (used by rebuilds and tests).
-    pub(crate) fn collect_all(&self) -> Vec<K> {
+    pub(crate) fn collect_all(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.len);
         for leaf in 0..self.storage.num_leaves() {
             if self.storage.is_overflowed(leaf) || self.storage.count(leaf) > 0 {
@@ -949,7 +946,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Parallel [`Self::collect_all`]: the "pack" copy of the full-rebuild
     /// path ("the first copy packs the regions ... into a buffer", §4),
     /// parallelized over leaf chunks with precomputed offsets.
-    pub(crate) fn collect_all_par(&self) -> Vec<K> {
+    pub(crate) fn collect_all_par(&self) -> Vec<u64> {
         let nl = self.storage.num_leaves();
         let total: usize = (0..nl).map(|l| self.storage.count(l)).sum();
         if total < (1 << 15) {
@@ -964,21 +961,21 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             chunk_offsets[c + 1] =
                 chunk_offsets[c] + (lo..hi).map(|l| self.storage.count(l)).sum::<usize>();
         }
-        let mut out = vec![K::MIN; total];
+        let mut out = vec![0; total];
         // Disjoint-slice writes per chunk.
-        struct OutPtr<K>(*mut K);
+        struct OutPtr(*mut u64);
         // SAFETY: the pointer is `out`'s buffer, which outlives the
-        // parallel loop below; a worker that holds it writes `K`s (which
-        // are `Send`) only through `slice`, into its own chunk's range.
-        unsafe impl<K: Send> Send for OutPtr<K> {}
+        // parallel loop below; a worker that holds it writes keys only
+        // through `slice`, into its own chunk's range.
+        unsafe impl Send for OutPtr {}
         // SAFETY: the workers share the pointer but never the memory: the
         // chunk ranges they pass to `slice` are disjoint, and nothing reads
         // `out` until the loop has joined.
-        unsafe impl<K: Send> Sync for OutPtr<K> {}
-        impl<K> OutPtr<K> {
+        unsafe impl Sync for OutPtr {}
+        impl OutPtr {
             /// # Safety: ranges must be disjoint across concurrent callers.
             #[allow(clippy::mut_from_ref)]
-            unsafe fn slice(&self, at: usize, len: usize) -> &mut [K] {
+            unsafe fn slice(&self, at: usize, len: usize) -> &mut [u64] {
                 std::slice::from_raw_parts_mut(self.0.add(at), len)
             }
         }
@@ -1001,7 +998,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Iterate all elements in order.
-    pub fn iter(&self) -> Iter<'_, K, L> {
+    pub fn iter(&self) -> Iter<'_, L> {
         Iter {
             core: self,
             leaf: 0,
@@ -1011,7 +1008,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     }
 
     /// Iterate, in order, the elements ≥ `start`.
-    pub fn iter_from(&self, start: K) -> Iter<'_, K, L> {
+    pub fn iter_from(&self, start: u64) -> Iter<'_, L> {
         let Some(leaf) = self.dest_leaf(start) else {
             return Iter {
                 core: self,
@@ -1081,8 +1078,8 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         let tree = self.tree();
         let max_depth = tree.max_depth();
         // Heads non-decreasing; non-empty heads are minima; no overflows.
-        let mut prev_head: Option<K> = None;
-        let mut prev_elem: Option<K> = None;
+        let mut prev_head: Option<u64> = None;
+        let mut prev_elem: Option<u64> = None;
         let mut block = ChunkBlock::new();
         let mut total_len = 0usize;
         let mut total_units = 0usize;
@@ -1107,7 +1104,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             if cnt > 0 {
                 let mut first = None;
                 let mut seen = 0usize;
-                self.storage.leaf_chunks(leaf, K::MIN, &mut block, |chunk| {
+                self.storage.leaf_chunks(leaf, 0, &mut block, |chunk| {
                     first = first.or(chunk.first().copied());
                     assert!(
                         chunk.windows(2).all(|w| w[0] < w[1]),
@@ -1150,13 +1147,13 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
 /// (capacity, leaf geometry, which leaf holds which key) is
 /// intentionally ignored — it varies with insertion history while the
 /// abstract set does not.
-impl<K: PmaKey, L: LeafStorage<K>> PartialEq for PmaCore<K, L> {
+impl<L: LeafStorage> PartialEq for PmaCore<L> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.cfg == other.cfg && self.iter().eq(other.iter())
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> std::fmt::Debug for PmaCore<K, L> {
+impl<L: LeafStorage> std::fmt::Debug for PmaCore<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmaCore")
             .field("len", &self.len)
@@ -1171,7 +1168,7 @@ impl<K: PmaKey, L: LeafStorage<K>> std::fmt::Debug for PmaCore<K, L> {
 /// from `start` — non-empty, strictly ascending, at or above `start`,
 /// above `after` — and now ends the scan so far.
 #[inline]
-fn debug_check_chunk<K: PmaKey>(start: K, after: &mut Option<K>, chunk: &[K]) {
+fn debug_check_chunk(start: u64, after: &mut Option<u64>, chunk: &[u64]) {
     if cfg!(debug_assertions) {
         let first = *chunk.first().expect("empty chunk");
         assert!(
@@ -1187,17 +1184,17 @@ fn debug_check_chunk<K: PmaKey>(start: K, after: &mut Option<K>, chunk: &[K]) {
 }
 
 /// In-order iterator over a PMA; decodes one leaf at a time.
-pub struct Iter<'a, K: PmaKey, L: LeafStorage<K>> {
-    core: &'a PmaCore<K, L>,
+pub struct Iter<'a, L: LeafStorage> {
+    core: &'a PmaCore<L>,
     leaf: usize,
-    buf: Vec<K>,
+    buf: Vec<u64>,
     pos: usize,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> Iterator for Iter<'_, K, L> {
-    type Item = K;
+impl<L: LeafStorage> Iterator for Iter<'_, L> {
+    type Item = u64;
 
-    fn next(&mut self) -> Option<K> {
+    fn next(&mut self) -> Option<u64> {
         while self.pos >= self.buf.len() {
             if self.leaf >= self.core.storage.num_leaves() {
                 return None;
@@ -1215,9 +1212,9 @@ impl<K: PmaKey, L: LeafStorage<K>> Iterator for Iter<'_, K, L> {
     }
 }
 
-impl<'a, K: PmaKey, L: LeafStorage<K>> IntoIterator for &'a PmaCore<K, L> {
-    type Item = K;
-    type IntoIter = Iter<'a, K, L>;
+impl<'a, L: LeafStorage> IntoIterator for &'a PmaCore<L> {
+    type Item = u64;
+    type IntoIter = Iter<'a, L>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -1225,27 +1222,27 @@ impl<'a, K: PmaKey, L: LeafStorage<K>> IntoIterator for &'a PmaCore<K, L> {
 
 /// Owned iteration drains into a sorted buffer (the backing array is a
 /// packed layout, not a `Vec` of elements).
-impl<K: PmaKey, L: LeafStorage<K>> IntoIterator for PmaCore<K, L> {
-    type Item = K;
-    type IntoIter = std::vec::IntoIter<K>;
+impl<L: LeafStorage> IntoIterator for PmaCore<L> {
+    type Item = u64;
+    type IntoIter = std::vec::IntoIter<u64>;
     fn into_iter(self) -> Self::IntoIter {
         self.collect_all().into_iter()
     }
 }
 
 /// Collect arbitrary (unsorted, possibly duplicated) keys into a PMA.
-impl<K: PmaKey, L: LeafStorage<K>> FromIterator<K> for PmaCore<K, L> {
-    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
-        let mut keys: Vec<K> = iter.into_iter().collect();
+impl<L: LeafStorage> FromIterator<u64> for PmaCore<L> {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut keys: Vec<u64> = iter.into_iter().collect();
         let keys = cpma_api::normalize_batch(&mut keys);
         Self::from_sorted(keys)
     }
 }
 
 /// Batch-insert arbitrary keys (buffers, then runs one batch update).
-impl<K: PmaKey, L: LeafStorage<K>> Extend<K> for PmaCore<K, L> {
-    fn extend<I: IntoIterator<Item = K>>(&mut self, iter: I) {
-        let mut keys: Vec<K> = iter.into_iter().collect();
+impl<L: LeafStorage> Extend<u64> for PmaCore<L> {
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
+        let mut keys: Vec<u64> = iter.into_iter().collect();
         self.insert_batch(&mut keys, false);
     }
 }
@@ -1257,7 +1254,7 @@ mod tests {
 
     #[test]
     fn empty_structure() {
-        let p = Pma::<u64>::new();
+        let p = Pma::new();
         assert_eq!(p.len(), 0);
         assert!(p.is_empty());
         assert!(!p.has(5));
@@ -1271,7 +1268,7 @@ mod tests {
 
     #[test]
     fn point_inserts_uncompressed() {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         for k in [5u64, 1, 9, 3, 7, 1, 5] {
             p.insert(k);
         }
@@ -1302,7 +1299,7 @@ mod tests {
 
     #[test]
     fn many_point_inserts_trigger_growth() {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         let mut model = BTreeSet::new();
         let mut x = 12345u64;
         for _ in 0..5000 {
@@ -1336,7 +1333,7 @@ mod tests {
 
     #[test]
     fn removals_match_model() {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         let mut model = BTreeSet::new();
         let mut x = 7u64;
         for _ in 0..3000 {
@@ -1373,7 +1370,7 @@ mod tests {
 
     #[test]
     fn remove_down_to_empty() {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         for k in 0..200u64 {
             p.insert(k * 3);
         }
@@ -1574,24 +1571,13 @@ mod tests {
         c.check_invariants();
     }
 
-    #[test]
-    fn u32_keys_supported() {
-        let mut p = Pma::<u32>::new();
-        for k in (0..1000u32).rev() {
-            p.insert(k);
-        }
-        assert_eq!(p.len(), 1000);
-        assert!(p.iter().eq(0..1000u32));
-        p.check_invariants();
-    }
-
     /// The capacity floor by count: an empty structure, one drained by a
     /// batch, and one drained key by key all sit at `MIN_LEAVES` leaves.
     #[test]
     fn capacity_floor_is_min_leaves() {
         assert_eq!(Cpma::new().storage.num_leaves(), MIN_LEAVES);
         let keys: Vec<u64> = (0..20_000u64).map(|i| i * 3).collect();
-        let mut batched = Pma::<u64>::from_sorted(&keys);
+        let mut batched = Pma::from_sorted(&keys);
         assert!(batched.storage.num_leaves() > MIN_LEAVES);
         batched.remove_batch_sorted(&keys);
         assert_eq!(batched.storage.num_leaves(), MIN_LEAVES);
@@ -1610,7 +1596,7 @@ mod tests {
                 growing_factor: f,
                 ..Default::default()
             };
-            let mut p = Pma::<u64>::with_config(cfg);
+            let mut p = Pma::with_config(cfg);
             for k in 0..2000u64 {
                 p.insert(k);
             }

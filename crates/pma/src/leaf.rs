@@ -43,7 +43,6 @@
 
 use crate::core::ForceCodec;
 use crate::run::Run;
-use crate::PmaKey;
 use cpma_api::PersistError;
 use std::mem::MaybeUninit;
 
@@ -68,18 +67,18 @@ pub struct OpsOutcome {
 /// [`SharedLeaves::apply_run`] of that loop: the batch pipeline builds one
 /// per worker (one for the serial loop), a point update one per call —
 /// empty `Vec`s cost nothing until a path that needs them runs.
-pub struct LeafScratch<K> {
+pub struct LeafScratch {
     /// General path: the leaf's decoded elements.
-    pub(crate) cur: Vec<K>,
+    pub(crate) cur: Vec<u64>,
     /// General path: the merged run that is stored back.
-    pub(crate) merged: Vec<K>,
+    pub(crate) merged: Vec<u64>,
     /// Bitmap leaves: the word array being edited.
     pub(crate) words: Vec<u64>,
     /// Bitmap leaves: the words as stored, before a downward rebase.
     pub(crate) old_words: Vec<u64>,
 }
 
-impl<K> LeafScratch<K> {
+impl LeafScratch {
     pub fn new() -> Self {
         Self {
             cur: Vec::new(),
@@ -90,7 +89,7 @@ impl<K> LeafScratch<K> {
     }
 }
 
-impl<K> Default for LeafScratch<K> {
+impl Default for LeafScratch {
     fn default() -> Self {
         Self::new()
     }
@@ -106,11 +105,11 @@ pub const CHUNK_KEYS: usize = 512;
 /// [`CHUNK_KEYS`] slots on the stack of the scan that owns it, reused leaf
 /// after leaf — one per scan, one per parallel task. Creating one writes
 /// nothing; a slot is written only by a decode.
-pub struct ChunkBlock<K> {
-    keys: [MaybeUninit<K>; CHUNK_KEYS],
+pub struct ChunkBlock {
+    keys: [MaybeUninit<u64>; CHUNK_KEYS],
 }
 
-impl<K: Copy> ChunkBlock<K> {
+impl ChunkBlock {
     pub fn new() -> Self {
         Self {
             keys: [const { MaybeUninit::uninit() }; CHUNK_KEYS],
@@ -120,7 +119,7 @@ impl<K: Copy> ChunkBlock<K> {
     /// Run `decode` over the empty block and return the keys it
     /// [put](BlockFill::put), in order.
     #[inline(always)]
-    pub fn fill(&mut self, decode: impl FnOnce(&mut BlockFill<'_, K>)) -> &[K] {
+    pub fn fill(&mut self, decode: impl FnOnce(&mut BlockFill<'_>)) -> &[u64] {
         let mut fill = BlockFill {
             slots: &mut self.keys,
             len: 0,
@@ -130,11 +129,11 @@ impl<K: Copy> ChunkBlock<K> {
         // SAFETY: `put` wrote slots `0..len` (it never advances `len` past
         // a slot it did not write), and the slice borrows `self`, so no
         // later fill can overwrite them while it lives.
-        unsafe { std::slice::from_raw_parts(self.keys.as_ptr().cast::<K>(), len) }
+        unsafe { std::slice::from_raw_parts(self.keys.as_ptr().cast::<u64>(), len) }
     }
 }
 
-impl<K: Copy> Default for ChunkBlock<K> {
+impl Default for ChunkBlock {
     fn default() -> Self {
         Self::new()
     }
@@ -142,16 +141,16 @@ impl<K: Copy> Default for ChunkBlock<K> {
 
 /// The write end of one [`ChunkBlock::fill`]. The count lives here, apart
 /// from the slots, so a decode loop keeps it in a register.
-pub struct BlockFill<'a, K> {
-    slots: &'a mut [MaybeUninit<K>; CHUNK_KEYS],
+pub struct BlockFill<'a> {
+    slots: &'a mut [MaybeUninit<u64>; CHUNK_KEYS],
     len: usize,
 }
 
-impl<K: Copy> BlockFill<'_, K> {
+impl BlockFill<'_> {
     /// Append `key`. Panics past [`CHUNK_KEYS`] keys: a decode puts only
     /// what it knows fits.
     #[inline(always)]
-    pub fn put(&mut self, key: K) {
+    pub fn put(&mut self, key: u64) {
         self.slots[self.len].write(key);
         self.len += 1;
     }
@@ -186,9 +185,9 @@ pub struct RunSize {
 ///
 /// Units are cells for the uncompressed PMA and bytes for the CPMA; density
 /// bounds, the counting phase, and resizing all operate on units.
-pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
+pub trait LeafStorage: Send + Sync + Sized {
     /// Shared-disjoint accessor handed to parallel phases.
-    type Shared<'a>: SharedLeaves<K> + Copy + Send + Sync
+    type Shared<'a>: SharedLeaves + Copy + Send + Sync
     where
         Self: 'a;
 
@@ -250,7 +249,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     fn count(&self, leaf: usize) -> usize;
     /// Head value of `leaf`. For empty leaves this is an *inherited* value:
     /// any value keeping the head array non-decreasing (see `core::dest_leaf`).
-    fn head(&self, leaf: usize) -> K;
+    fn head(&self, leaf: usize) -> u64;
     /// Whether `leaf` currently spills to an overflow buffer.
     fn is_overflowed(&self, leaf: usize) -> bool;
     /// Bytes of backing memory (the paper's `get_size()`).
@@ -262,11 +261,11 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     fn prefetch_leaf(&self, _leaf: usize) {}
 
     /// Smallest element ≥ `key` within `leaf`, if any.
-    fn leaf_successor(&self, leaf: usize, key: K) -> Option<K>;
+    fn leaf_successor(&self, leaf: usize, key: u64) -> Option<u64>;
     /// Membership test within `leaf`.
-    fn leaf_contains(&self, leaf: usize, key: K) -> bool;
+    fn leaf_contains(&self, leaf: usize, key: u64) -> bool;
     /// Largest element of `leaf`, if non-empty.
-    fn leaf_max(&self, leaf: usize) -> Option<K>;
+    fn leaf_max(&self, leaf: usize) -> Option<u64>;
     /// The leaf-read visitor: hand `leaf`'s elements ≥ `start` to `f` as
     /// ascending, non-empty chunks until `f` returns false; returns false
     /// iff it did. Cells are handed out in place; a codec decodes into
@@ -274,29 +273,26 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// reuses one block allocates nothing. Every ordered walk of a leaf —
     /// scans, maps, parallel chunks, the invariant check — goes through
     /// here. `leaf` must not be spilled.
-    fn leaf_chunks<F: FnMut(&[K]) -> bool>(
+    fn leaf_chunks<F: FnMut(&[u64]) -> bool>(
         &self,
         leaf: usize,
-        start: K,
-        block: &mut ChunkBlock<K>,
+        start: u64,
+        block: &mut ChunkBlock,
         f: F,
     ) -> bool;
     /// Append `leaf`'s elements, in order, to `out`.
-    fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>);
-    /// Sum of `leaf`'s elements (widened to u64, wrapping).
+    fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>);
+    /// Sum of `leaf`'s elements (wrapping).
     fn leaf_sum(&self, leaf: usize) -> u64;
 
     /// Sum of `leaf`'s elements in the half-open key range `[start, end)`
-    /// (widened to u64, wrapping). Default: the chunks from `start`, cut
-    /// at `end`; hybrid storages override with wordwise popcount kernels
-    /// on dense leaves.
-    fn leaf_range_sum(&self, leaf: usize, start: K, end: K) -> u64 {
+    /// (wrapping). Default: the chunks from `start`, cut at `end`; hybrid
+    /// storages override with wordwise popcount kernels on dense leaves.
+    fn leaf_range_sum(&self, leaf: usize, start: u64, end: u64) -> u64 {
         let mut acc = 0u64;
         self.leaf_chunks(leaf, start, &mut ChunkBlock::new(), |chunk| {
             let inside = chunk.partition_point(|&e| e < end);
-            acc = chunk[..inside]
-                .iter()
-                .fold(acc, |a, &e| a.wrapping_add(e.to_u64()));
+            acc = chunk[..inside].iter().fold(acc, |a, &e| a.wrapping_add(e));
             inside == chunk.len()
         });
         acc
@@ -306,7 +302,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// of `leaf_units` under this instance's codec policy. Every capacity
     /// decision is arithmetic on the answer, so a geometry the core accepts
     /// is one [`Self::plan_split`] can cut.
-    fn size_run(&self, elems: &[K], leaf_units: usize) -> RunSize;
+    fn size_run(&self, elems: &[u64], leaf_units: usize) -> RunSize;
 
     /// **Cut** `elems` into `k` leaves of `leaf_units`: `k + 1` offsets
     /// into `elems` (first 0, last `elems.len()`), occupancies near-equal
@@ -314,7 +310,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// `None` when no `k`-way split fits (`k < size_run(..).min_leaves`).
     /// O(`elems.len() + k`) however far off `k` is. The storage that is
     /// written plans: one policy costs the slices and encodes them.
-    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Option<Vec<usize>>;
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>>;
 
     /// Install the per-leaf codec policy (hybrid storages only; the
     /// default ignores it). Called at construction and when loading a
@@ -325,7 +321,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// which is not overflowed — in one pass: `out[i]` answers
     /// `run.key(i)`. Default: the leaf's chunks from the run's first key,
     /// merged against the run and stopped after its last key.
-    fn presence<R: Run<K>>(&self, leaf: usize, run: R, out: &mut [bool]) {
+    fn presence<R: Run>(&self, leaf: usize, run: R, out: &mut [bool]) {
         debug_assert_eq!(run.len(), out.len());
         out.fill(false);
         if run.is_empty() || self.count(leaf) == 0 {
@@ -378,7 +374,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
 /// accessor and excludes every safe reference to the storage. `leaf` must
 /// be below the accessor's leaf count. Call sites cite this as the
 /// *disjoint-leaf contract* and say only why their leaves are distinct.
-pub trait SharedLeaves<K: PmaKey> {
+pub trait SharedLeaves {
     /// Apply `run` (ascending, one op per key) to `leaf` in **one** rewrite
     /// (module docs: an in-place kernel where the storage has one, else the
     /// general path). A run that changes nothing returns the default
@@ -389,11 +385,11 @@ pub trait SharedLeaves<K: PmaKey> {
     ///
     /// # Safety
     /// The disjoint-leaf contract (trait docs).
-    unsafe fn apply_run<R: Run<K>>(
+    unsafe fn apply_run<R: Run>(
         &self,
         leaf: usize,
         run: R,
-        scratch: &mut LeafScratch<K>,
+        scratch: &mut LeafScratch,
     ) -> OpsOutcome;
 
     /// Hint that `leaf` is about to be handed to [`Self::apply_run`]: pull
@@ -407,13 +403,13 @@ pub trait SharedLeaves<K: PmaKey> {
     ///
     /// # Safety
     /// The disjoint-leaf contract (trait docs).
-    unsafe fn write_leaf(&self, leaf: usize, elems: &[K], inherited_head: K) -> usize;
+    unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize;
 
     /// Append `leaf`'s elements to `out` (reads through the shared view).
     ///
     /// # Safety
     /// The disjoint-leaf contract (trait docs).
-    unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>);
+    unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>);
 
     /// Occupied units of `leaf` through the shared view.
     ///
@@ -431,7 +427,7 @@ pub trait SharedLeaves<K: PmaKey> {
     ///
     /// # Safety
     /// The disjoint-leaf contract (trait docs).
-    unsafe fn set_inherited_head(&self, leaf: usize, head: K);
+    unsafe fn set_inherited_head(&self, leaf: usize, head: u64);
 }
 
 /// Apply `run` to the sorted unique `cur`, writing the result into `out`
@@ -440,11 +436,7 @@ pub trait SharedLeaves<K: PmaKey> {
 /// set semantics. For an [`Inserts`](crate::run::Inserts) or
 /// [`Removes`](crate::run::Removes) view the op test is a constant, which
 /// leaves the plain two-finger union or difference loop.
-pub(crate) fn apply_run_into<K: PmaKey, R: Run<K>>(
-    cur: &[K],
-    run: R,
-    out: &mut Vec<K>,
-) -> (usize, usize) {
+pub(crate) fn apply_run_into<R: Run>(cur: &[u64], run: R, out: &mut Vec<u64>) -> (usize, usize) {
     debug_assert!(run.is_strictly_ascending());
     out.clear();
     out.reserve(cur.len() + run.len());
@@ -497,7 +489,7 @@ pub(crate) mod testkit {
     /// one-sided — through its key view on a clone: both must report the
     /// same outcome and leave identical storages (byte-identical payloads
     /// unless a leaf is spilled, which has no payload form).
-    pub(crate) fn apply<L: LeafStorage<u64> + Clone>(
+    pub(crate) fn apply<L: LeafStorage + Clone>(
         s: &mut L,
         leaf: usize,
         ops: &[BatchOp<u64>],
@@ -533,7 +525,7 @@ pub(crate) mod testkit {
         out
     }
 
-    pub(crate) fn contents<L: LeafStorage<u64>>(s: &L, leaf: usize) -> Vec<u64> {
+    pub(crate) fn contents<L: LeafStorage>(s: &L, leaf: usize) -> Vec<u64> {
         let mut v = Vec::new();
         s.collect_leaf(leaf, &mut v);
         v

@@ -49,27 +49,7 @@ pub use crate::core::{
 pub use crate::leaf::{BlockFill, ChunkBlock, LeafStorage, OpsOutcome, RunSize, CHUNK_KEYS};
 pub use crate::stats::PmaStats;
 pub use crate::uncompressed::UncompressedLeaves;
-pub use cpma_api::{BatchOp, BatchOutcome, Persist, PersistError, SetKey};
-
-/// Integer key types storable in a PMA.
-///
-/// Extends the workspace-wide [`SetKey`] (which carries `MIN`/`MAX` and the
-/// u64 widening used by sums and compression) with the raw encoding width
-/// the PMA's cell accounting needs. The paper's artifact is a 64-bit key
-/// store; we additionally allow `u32` for the uncompressed PMA. The CPMA's
-/// delta coder is defined on `u64`.
-pub trait PmaKey: SetKey {
-    /// Width of the raw (uncompressed) encoding in bytes.
-    const BYTES: usize;
-}
-
-impl PmaKey for u64 {
-    const BYTES: usize = 8;
-}
-
-impl PmaKey for u32 {
-    const BYTES: usize = 4;
-}
+pub use cpma_api::{BatchOp, BatchOutcome, Persist, PersistError};
 
 /// Budgets are pinned with `ThreadPool::install` (process-global), so the
 /// unit tests that pin one serialize on this lock.

@@ -24,7 +24,7 @@ use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
 
 use crate::core::{PmaCore, FULL_REBUILD_DIVISOR, MIN_LEAVES, POINT_UPDATE_CUTOFF};
 use crate::density::BOUNDS;
-use crate::{LeafStorage, PmaConfig, PmaKey};
+use crate::{LeafStorage, PmaConfig};
 
 /// Meta section: key width (u32), eleven config scalars (seven f64, four
 /// u64 — the last being the [`crate::ForceCodec`] discriminant), three
@@ -56,12 +56,17 @@ const RETIRED_AFTER: [(&str, u64); 4] = [
     ("full_rebuild_divisor", FULL_REBUILD_DIVISOR as u64),
 ];
 
+/// The key-width word of the meta section: keys are `u64`, so the word is
+/// always written as 8, and a file carrying any other width is refused as
+/// [`PersistError::KeyWidthMismatch`].
+const KEY_WIDTH: u32 = size_of::<u64>() as u32;
+
 /// The head-layout word of the meta section. The heads are searched in
 /// place, which is the only layout this format describes: the word is
 /// always written as this value and a file carrying any other is foreign.
 const HEAD_LAYOUT_IN_PLACE: u64 = 0;
 
-impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
+impl<L: LeafStorage> PmaCore<L> {
     /// Serialize to the snapshot byte format without touching disk.
     /// The image is deterministic: equal histories yield equal bytes at
     /// any thread budget (checked by `tests/determinism.rs`).
@@ -79,7 +84,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Build the two sections and hand `f` the envelope borrowing them.
     fn with_envelope<R>(&self, f: impl FnOnce(SnapshotEnvelope<'_>) -> R) -> R {
         let mut meta = Vec::with_capacity(META_LEN);
-        meta.put_u32(K::BYTES as u32);
+        meta.put_u32(KEY_WIDTH);
         for (_, word) in RETIRED_BEFORE {
             meta.put_u64(word);
         }
@@ -116,9 +121,9 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         }
         let mut r = ByteReader::new(env.meta);
         let key_bytes = r.u32("key width")?;
-        if key_bytes != K::BYTES as u32 {
+        if key_bytes != KEY_WIDTH {
             return Err(PersistError::KeyWidthMismatch {
-                expected: K::BYTES as u32,
+                expected: KEY_WIDTH,
                 found: key_bytes,
             });
         }
@@ -170,7 +175,6 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             batch_stats: Default::default(),
             occ: Vec::new(),
             log: crate::writeset::WriteLog::new(),
-            _marker: std::marker::PhantomData,
         };
         this.rebuild_read_index();
         Ok(this)
@@ -218,7 +222,7 @@ fn force_codec_from_tag(v: u64) -> Result<crate::ForceCodec, PersistError> {
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> Persist for PmaCore<K, L> {
+impl<L: LeafStorage> Persist for PmaCore<L> {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
         self.with_envelope(|env| env.save_file(path))
     }

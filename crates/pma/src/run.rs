@@ -3,33 +3,32 @@
 //!
 //! Routing, the leaf kernels, the bitmap wordwise path and the whole-set
 //! merge are all written once against [`Run`]. Its three implementors are
-//! zero-copy views: a normal-form `&[BatchOp<K>]` slice (mixed batches),
-//! and [`Inserts`] / [`Removes`] over a plain `&[K]`, whose op kind is a
+//! zero-copy views: a normal-form `&[BatchOp<u64>]` slice (mixed batches),
+//! and [`Inserts`] / [`Removes`] over a plain `&[u64]`, whose op kind is a
 //! compile-time constant — monomorphisation folds the per-op branch away,
 //! so a one-sided batch runs the union (or difference) loop it always did
 //! without an op array ever being built.
 
 use crate::batch::BoundKind;
-use crate::PmaKey;
 use cpma_api::BatchOp;
 use std::borrow::Cow;
 
 /// A sorted run of (key, insert-or-remove). See module docs.
-pub trait Run<K: PmaKey>: Copy + Send + Sync {
+pub trait Run: Copy + Send + Sync {
     /// Density band a batch of this shape can push a node out of: inserts
     /// only grow leaves, removes only drain them, a mixed run does both.
     const BOUND: BoundKind;
 
     fn len(&self) -> usize;
     /// Key of op `i`.
-    fn key(&self, i: usize) -> K;
+    fn key(&self, i: usize) -> u64;
     /// Whether op `i` inserts its key (otherwise it removes it).
     fn is_insert(&self, i: usize) -> bool;
     /// The sub-run `[start, end)`.
     fn slice(&self, start: usize, end: usize) -> Self;
     /// The keys this run inserts, in order (borrowed when the run already
     /// is a key slice).
-    fn insert_keys(&self) -> Cow<'_, [K]>;
+    fn insert_keys(&self) -> Cow<'_, [u64]>;
 
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -43,7 +42,7 @@ pub trait Run<K: PmaKey>: Copy + Send + Sync {
     /// Smallest and largest inserted key — what can widen a bitmap leaf's
     /// span. Scans inward from both ends, so a pure-insert view answers
     /// in O(1).
-    fn insert_span(&self) -> Option<(K, K)> {
+    fn insert_span(&self) -> Option<(u64, u64)> {
         let first = (0..self.len()).find(|&i| self.is_insert(i))?;
         let last = (first..self.len()).rfind(|&i| self.is_insert(i))?;
         Some((self.key(first), self.key(last)))
@@ -53,20 +52,20 @@ pub trait Run<K: PmaKey>: Copy + Send + Sync {
 /// A sorted unique key slice read as a run whose every op is an insert
 /// (`INSERT = true`) or a remove (`INSERT = false`).
 #[derive(Clone, Copy)]
-pub(crate) struct KeyRun<'a, K, const INSERT: bool>(&'a [K]);
+pub(crate) struct KeyRun<'a, const INSERT: bool>(&'a [u64]);
 
 /// Insert-only view of a key slice.
-pub(crate) type Inserts<'a, K> = KeyRun<'a, K, true>;
+pub(crate) type Inserts<'a> = KeyRun<'a, true>;
 /// Remove-only view of a key slice.
-pub(crate) type Removes<'a, K> = KeyRun<'a, K, false>;
+pub(crate) type Removes<'a> = KeyRun<'a, false>;
 
-impl<'a, K, const INSERT: bool> KeyRun<'a, K, INSERT> {
-    pub(crate) fn new(keys: &'a [K]) -> Self {
+impl<'a, const INSERT: bool> KeyRun<'a, INSERT> {
+    pub(crate) fn new(keys: &'a [u64]) -> Self {
         Self(keys)
     }
 }
 
-impl<K: PmaKey, const INSERT: bool> Run<K> for KeyRun<'_, K, INSERT> {
+impl<const INSERT: bool> Run for KeyRun<'_, INSERT> {
     const BOUND: BoundKind = if INSERT {
         BoundKind::Upper
     } else {
@@ -78,7 +77,7 @@ impl<K: PmaKey, const INSERT: bool> Run<K> for KeyRun<'_, K, INSERT> {
         self.0.len()
     }
     #[inline]
-    fn key(&self, i: usize) -> K {
+    fn key(&self, i: usize) -> u64 {
         self.0[i]
     }
     #[inline]
@@ -89,20 +88,20 @@ impl<K: PmaKey, const INSERT: bool> Run<K> for KeyRun<'_, K, INSERT> {
     fn slice(&self, start: usize, end: usize) -> Self {
         Self(&self.0[start..end])
     }
-    fn insert_keys(&self) -> Cow<'_, [K]> {
+    fn insert_keys(&self) -> Cow<'_, [u64]> {
         Cow::Borrowed(if INSERT { self.0 } else { &[] })
     }
 }
 
-impl<K: PmaKey> Run<K> for &[BatchOp<K>] {
+impl Run for &[BatchOp<u64>] {
     const BOUND: BoundKind = BoundKind::Both;
 
     #[inline]
     fn len(&self) -> usize {
-        <[BatchOp<K>]>::len(self)
+        <[BatchOp<u64>]>::len(self)
     }
     #[inline]
-    fn key(&self, i: usize) -> K {
+    fn key(&self, i: usize) -> u64 {
         self[i].key()
     }
     #[inline]
@@ -113,7 +112,7 @@ impl<K: PmaKey> Run<K> for &[BatchOp<K>] {
     fn slice(&self, start: usize, end: usize) -> Self {
         &self[start..end]
     }
-    fn insert_keys(&self) -> Cow<'_, [K]> {
+    fn insert_keys(&self) -> Cow<'_, [u64]> {
         self.iter()
             .filter_map(|op| match *op {
                 BatchOp::Insert(k) => Some(k),
@@ -133,7 +132,7 @@ mod tests {
         let keys = [3u64, 8, 9, 20];
         let all_ins: Vec<BatchOp<u64>> = keys.iter().map(|&k| Insert(k)).collect();
         let all_rem: Vec<BatchOp<u64>> = keys.iter().map(|&k| Remove(k)).collect();
-        fn same<A: Run<u64>, B: Run<u64>>(a: A, b: B) {
+        fn same<A: Run, B: Run>(a: A, b: B) {
             assert_eq!(a.len(), b.len());
             for i in 0..a.len() {
                 assert_eq!((a.key(i), a.is_insert(i)), (b.key(i), b.is_insert(i)));
@@ -159,9 +158,9 @@ mod tests {
         }
         assert!(Removes::new(&keys).insert_keys().is_empty());
         // The count phase checks only the band the run type can violate.
-        assert_eq!(<Inserts<u64> as Run<u64>>::BOUND, BoundKind::Upper);
-        assert_eq!(<Removes<u64> as Run<u64>>::BOUND, BoundKind::Lower);
-        assert_eq!(<&[BatchOp<u64>] as Run<u64>>::BOUND, BoundKind::Both);
+        assert_eq!(<Inserts as Run>::BOUND, BoundKind::Upper);
+        assert_eq!(<Removes as Run>::BOUND, BoundKind::Lower);
+        assert_eq!(<&[BatchOp<u64>] as Run>::BOUND, BoundKind::Both);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub(crate) fn partition_point(lo: usize, hi: usize, mut below: impl FnMut(usize)
 /// First index with `a[i] >= key` (equals
 /// `a.partition_point(|&e| e < key)`).
 #[inline]
-pub(crate) fn lower_bound<K: Ord + Copy>(a: &[K], key: K) -> usize {
+pub(crate) fn lower_bound(a: &[u64], key: u64) -> usize {
     partition_point(0, a.len(), |i| a[i] < key)
 }
 

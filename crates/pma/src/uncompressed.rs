@@ -15,37 +15,40 @@
 
 use crate::leaf::{apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
 use crate::run::Run;
-use crate::{stats, LeafStorage, PmaKey};
+use crate::{stats, LeafStorage};
 use cpma_api::PersistError;
 use std::marker::PhantomData;
 
+/// Bytes of one raw key, in a cell, a head and the snapshot payload.
+const KEY_BYTES: usize = size_of::<u64>();
+
 /// Packed-left uncompressed leaves. See module docs.
 #[derive(Clone)]
-pub struct UncompressedLeaves<K: PmaKey> {
+pub struct UncompressedLeaves {
     /// `num_leaves * leaf_units` cells; leaf `i` owns
     /// `[i * leaf_units, (i+1) * leaf_units)`, valid prefix = `counts[i]`.
-    cells: Vec<K>,
+    cells: Vec<u64>,
     /// Elements per leaf.
     counts: Vec<u32>,
     /// Leaf heads (inherited values for empty leaves); non-decreasing.
-    heads: Vec<K>,
+    heads: Vec<u64>,
     /// Out-of-place buffers for overflowed leaves (batch merge only).
-    overflow: Vec<Option<Box<[K]>>>,
+    overflow: Vec<Option<Box<[u64]>>>,
     leaf_units: usize,
 }
 
-impl<K: PmaKey> UncompressedLeaves<K> {
+impl UncompressedLeaves {
     #[inline]
-    fn leaf_slice(&self, leaf: usize) -> &[K] {
+    fn leaf_slice(&self, leaf: usize) -> &[u64] {
         debug_assert!(self.overflow[leaf].is_none(), "query on overflowed leaf");
         let start = leaf * self.leaf_units;
         &self.cells[start..start + self.counts[leaf] as usize]
     }
 }
 
-impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
+impl LeafStorage for UncompressedLeaves {
     type Shared<'a>
-        = UncompressedShared<'a, K>
+        = UncompressedShared<'a>
     where
         Self: 'a;
 
@@ -61,13 +64,13 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
 
     // Snapshot payload layout (all little-endian):
     //   counts  num_leaves × u32
-    //   heads   num_leaves × K::BYTES
-    //   cells   num_leaves × leaf_units × K::BYTES   (full array, packed
+    //   heads   num_leaves × KEY_BYTES
+    //   cells   num_leaves × leaf_units × KEY_BYTES   (full array, packed
     //           prefixes valid; bytes past each count are don't-care)
     fn payload_len(num_leaves: usize, leaf_units: usize) -> Option<usize> {
-        let per_leaf = K::BYTES
+        let per_leaf = KEY_BYTES
             .checked_mul(leaf_units)?
-            .checked_add(4 + K::BYTES)?;
+            .checked_add(4 + KEY_BYTES)?;
         num_leaves.checked_mul(per_leaf)
     }
 
@@ -77,10 +80,10 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
             out.extend_from_slice(&c.to_le_bytes());
         }
         for &h in &self.heads {
-            out.extend_from_slice(&h.to_u64().to_le_bytes()[..K::BYTES]);
+            out.extend_from_slice(&h.to_le_bytes());
         }
         for &cell in &self.cells {
-            out.extend_from_slice(&cell.to_u64().to_le_bytes()[..K::BYTES]);
+            out.extend_from_slice(&cell.to_le_bytes());
         }
     }
 
@@ -94,28 +97,25 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
             .ok_or(PersistError::Truncated("pma payload"))?;
         debug_assert_eq!(expected, payload.len());
 
-        let read_key = |bytes: &[u8]| {
-            let mut widened = [0u8; 8];
-            widened[..K::BYTES].copy_from_slice(bytes);
-            K::from_u64(u64::from_le_bytes(widened))
-        };
+        let read_key =
+            |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("KEY_BYTES chunks"));
         let counts: Vec<u32> = payload[..num_leaves * 4]
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
         let heads_at = num_leaves * 4;
-        let cells_at = heads_at + num_leaves * K::BYTES;
-        let heads: Vec<K> = payload[heads_at..cells_at]
-            .chunks_exact(K::BYTES)
+        let cells_at = heads_at + num_leaves * KEY_BYTES;
+        let heads: Vec<u64> = payload[heads_at..cells_at]
+            .chunks_exact(KEY_BYTES)
             .map(read_key)
             .collect();
-        let cells: Vec<K> = payload[cells_at..]
-            .chunks_exact(K::BYTES)
+        let cells: Vec<u64> = payload[cells_at..]
+            .chunks_exact(KEY_BYTES)
             .map(read_key)
             .collect();
 
         // Structural validation: every later read assumes these hold.
-        let mut prev_max: Option<K> = None;
+        let mut prev_max: Option<u64> = None;
         for leaf in 0..num_leaves {
             let count = counts[leaf] as usize;
             if count > leaf_units {
@@ -163,9 +163,9 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
         assert!(num_leaves >= 1);
         assert!(leaf_units >= Self::MIN_LEAF_UNITS);
         Self {
-            cells: vec![K::MIN; num_leaves * leaf_units],
+            cells: vec![0; num_leaves * leaf_units],
             counts: vec![0; num_leaves],
-            heads: vec![K::MIN; num_leaves],
+            heads: vec![0; num_leaves],
             overflow: (0..num_leaves).map(|_| None).collect(),
             leaf_units,
         }
@@ -192,7 +192,7 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
     }
 
     #[inline]
-    fn head(&self, leaf: usize) -> K {
+    fn head(&self, leaf: usize) -> u64 {
         self.heads[leaf]
     }
 
@@ -202,10 +202,10 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
     }
 
     fn size_bytes(&self) -> usize {
-        self.cells.len() * K::BYTES
+        self.cells.len() * KEY_BYTES
             + self.counts.len() * 4
-            + self.heads.len() * K::BYTES
-            + self.overflow.len() * std::mem::size_of::<Option<Box<[K]>>>()
+            + self.heads.len() * KEY_BYTES
+            + self.overflow.len() * std::mem::size_of::<Option<Box<[u64]>>>()
     }
 
     #[inline]
@@ -217,23 +217,23 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
         crate::search::prefetch_read(&self.cells[at + self.leaf_units / 2]);
     }
 
-    fn leaf_successor(&self, leaf: usize, key: K) -> Option<K> {
+    fn leaf_successor(&self, leaf: usize, key: u64) -> Option<u64> {
         let slice = self.leaf_slice(leaf);
-        stats::record_read(slice.len() * K::BYTES);
+        stats::record_read(slice.len() * KEY_BYTES);
         let idx = crate::search::lower_bound(slice, key);
         slice.get(idx).copied()
     }
 
-    fn leaf_contains(&self, leaf: usize, key: K) -> bool {
+    fn leaf_contains(&self, leaf: usize, key: u64) -> bool {
         let slice = self.leaf_slice(leaf);
-        stats::record_read(slice.len() * K::BYTES);
+        stats::record_read(slice.len() * KEY_BYTES);
         // Branch-free lower bound: one unpredictable exit branch instead
         // of log(len) data-dependent ones.
         let idx = crate::search::lower_bound(slice, key);
         slice.get(idx) == Some(&key)
     }
 
-    fn leaf_max(&self, leaf: usize) -> Option<K> {
+    fn leaf_max(&self, leaf: usize) -> Option<u64> {
         // Overflow-aware: the redistribute phase reads neighbours that may
         // still be spilled.
         if let Some(buf) = self.overflow[leaf].as_deref() {
@@ -243,20 +243,20 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
     }
 
     /// The cells themselves, from the first ≥ `start`: one chunk, no copy.
-    fn leaf_chunks<F: FnMut(&[K]) -> bool>(
+    fn leaf_chunks<F: FnMut(&[u64]) -> bool>(
         &self,
         leaf: usize,
-        start: K,
-        _block: &mut ChunkBlock<K>,
+        start: u64,
+        _block: &mut ChunkBlock,
         mut f: F,
     ) -> bool {
         let slice = self.leaf_slice(leaf);
-        stats::record_read(slice.len() * K::BYTES);
+        stats::record_read(slice.len() * KEY_BYTES);
         let from = crate::search::lower_bound(slice, start);
         from == slice.len() || f(&slice[from..])
     }
 
-    fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>) {
+    fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>) {
         if let Some(buf) = self.overflow[leaf].as_deref() {
             out.extend_from_slice(buf);
             return;
@@ -266,14 +266,12 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
 
     fn leaf_sum(&self, leaf: usize) -> u64 {
         let slice = self.leaf_slice(leaf);
-        stats::record_read(slice.len() * K::BYTES);
-        slice
-            .iter()
-            .fold(0u64, |acc, &e| acc.wrapping_add(e.to_u64()))
+        stats::record_read(slice.len() * KEY_BYTES);
+        slice.iter().fold(0u64, |acc, &e| acc.wrapping_add(e))
     }
 
     #[inline]
-    fn size_run(&self, elems: &[K], leaf_units: usize) -> RunSize {
+    fn size_run(&self, elems: &[u64], leaf_units: usize) -> RunSize {
         RunSize {
             stream: elems.len(),
             min_leaves: elems.len().div_ceil(leaf_units),
@@ -281,7 +279,7 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
         }
     }
 
-    fn plan_split(&self, elems: &[K], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
         // Even count split: slice sizes differ by at most one.
         let n = elems.len();
         (n.div_ceil(k) <= leaf_units).then(|| (0..=k).map(|j| j * n / k).collect())
@@ -301,7 +299,7 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
         (end - start) * (self.size_bytes() / self.num_leaves())
     }
 
-    fn shared(&mut self) -> UncompressedShared<'_, K> {
+    fn shared(&mut self) -> UncompressedShared<'_> {
         UncompressedShared {
             cells: self.cells.as_mut_ptr(),
             counts: self.counts.as_mut_ptr(),
@@ -318,43 +316,43 @@ impl<K: PmaKey> LeafStorage<K> for UncompressedLeaves<K> {
 /// derived from one `&mut` borrow; methods only touch the addressed leaf's
 /// cells/count/head/overflow slot, so concurrent calls on distinct leaves
 /// never alias.
-pub struct UncompressedShared<'a, K: PmaKey> {
-    cells: *mut K,
+pub struct UncompressedShared<'a> {
+    cells: *mut u64,
     counts: *mut u32,
-    heads: *mut K,
-    overflow: *mut Option<Box<[K]>>,
+    heads: *mut u64,
+    overflow: *mut Option<Box<[u64]>>,
     leaf_units: usize,
     num_leaves: usize,
-    _marker: PhantomData<&'a mut UncompressedLeaves<K>>,
+    _marker: PhantomData<&'a mut UncompressedLeaves>,
 }
 
-impl<K: PmaKey> Clone for UncompressedShared<'_, K> {
+impl Clone for UncompressedShared<'_> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<K: PmaKey> Copy for UncompressedShared<'_, K> {}
+impl Copy for UncompressedShared<'_> {}
 
 // SAFETY: the accessor is only used under the disjoint-leaf contract of
 // `SharedLeaves` (no two concurrent calls target the same leaf), which
 // makes all pointer accesses disjoint; the four buffers outlive 'a and
-// hold only `K: PmaKey` (plain integers) and boxed slices of them.
-unsafe impl<K: PmaKey> Send for UncompressedShared<'_, K> {}
+// hold only `u64` keys and boxed slices of them.
+unsafe impl Send for UncompressedShared<'_> {}
 // SAFETY: as for `Send` — shared use from several threads is what the
 // disjoint-leaf contract is written for.
-unsafe impl<K: PmaKey> Sync for UncompressedShared<'_, K> {}
+unsafe impl Sync for UncompressedShared<'_> {}
 
 /// Private helpers.
 ///
 /// # Safety (every method)
 /// The caller must hold the disjoint-leaf contract of [`SharedLeaves`] for
 /// `leaf`; each helper touches only that leaf's slots.
-impl<K: PmaKey> UncompressedShared<'_, K> {
+impl UncompressedShared<'_> {
     /// The first `len` cells of `leaf`; `len ≤ leaf_units` keeps the slice
     /// inside the leaf's own stretch of the cell array.
     #[inline]
     #[allow(clippy::mut_from_ref)] // shared-disjoint contract: see trait docs
-    unsafe fn leaf_cells(&self, leaf: usize, len: usize) -> &mut [K] {
+    unsafe fn leaf_cells(&self, leaf: usize, len: usize) -> &mut [u64] {
         debug_assert!(leaf < self.num_leaves && len <= self.leaf_units);
         // SAFETY: `leaf < num_leaves` and `len ≤ leaf_units` keep the slice
         // inside the cell array and inside `leaf`'s own stretch of it, which
@@ -365,7 +363,7 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
     /// The leaf's current elements, read in place (from the overflow
     /// buffer while spilled).
     #[inline]
-    unsafe fn current(&self, leaf: usize) -> &[K] {
+    unsafe fn current(&self, leaf: usize) -> &[u64] {
         // SAFETY: the disjoint-leaf contract covers `leaf`'s spill slot and
         // count; a count never exceeds `leaf_units` unless the leaf spilled.
         match (*self.overflow.add(leaf)).as_deref() {
@@ -376,12 +374,12 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
 
     /// Store `elems` into the leaf, spilling to overflow when oversized.
     #[inline]
-    unsafe fn store(&self, leaf: usize, elems: &[K], inherited_head: K) -> (usize, bool) {
+    unsafe fn store(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> (usize, bool) {
         // SAFETY (the writes below): `leaf`'s cells, spill slot, count and
         // head, all under the disjoint-leaf contract; `n ≤ leaf_units` on
         // the in-place branch.
         let n = elems.len();
-        stats::record_write(n * K::BYTES);
+        stats::record_write(n * KEY_BYTES);
         if n <= self.leaf_units {
             self.leaf_cells(leaf, n).copy_from_slice(elems);
             *self.overflow.add(leaf) = None;
@@ -397,12 +395,12 @@ impl<K: PmaKey> UncompressedShared<'_, K> {
     }
 }
 
-impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
-    unsafe fn apply_run<R: Run<K>>(
+impl SharedLeaves for UncompressedShared<'_> {
+    unsafe fn apply_run<R: Run>(
         &self,
         leaf: usize,
         run: R,
-        scratch: &mut LeafScratch<K>,
+        scratch: &mut LeafScratch,
     ) -> OpsOutcome {
         // SAFETY: the caller holds the disjoint-leaf contract for `leaf`,
         // which is all `current` and `store` below need. The merge reads
@@ -410,7 +408,7 @@ impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
         // the borrow of the cells ends before `store` overwrites them.
         let cur = self.current(leaf);
         let old_units = cur.len();
-        stats::record_read(old_units * K::BYTES);
+        stats::record_read(old_units * KEY_BYTES);
         let (added, removed) = apply_run_into(cur, run, &mut scratch.merged);
         if added == 0 && removed == 0 {
             return OpsOutcome::default();
@@ -425,17 +423,17 @@ impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
         }
     }
 
-    unsafe fn write_leaf(&self, leaf: usize, elems: &[K], inherited_head: K) -> usize {
+    unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize {
         debug_assert!(elems.len() <= self.leaf_units, "write_leaf must fit");
         // SAFETY: the caller's disjoint-leaf contract for `leaf`.
         let (units, _) = self.store(leaf, elems, inherited_head);
         units
     }
 
-    unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<K>) {
+    unsafe fn collect_leaf(&self, leaf: usize, out: &mut Vec<u64>) {
         // SAFETY: the caller's disjoint-leaf contract for `leaf`.
         let cur = self.current(leaf);
-        stats::record_read(cur.len() * K::BYTES);
+        stats::record_read(cur.len() * KEY_BYTES);
         out.extend_from_slice(cur);
     }
 
@@ -449,7 +447,7 @@ impl<K: PmaKey> SharedLeaves<K> for UncompressedShared<'_, K> {
         *self.counts.add(leaf) as usize
     }
 
-    unsafe fn set_inherited_head(&self, leaf: usize, head: K) {
+    unsafe fn set_inherited_head(&self, leaf: usize, head: u64) {
         // SAFETY: `leaf`'s count and head slots, under the caller's
         // contract.
         debug_assert_eq!(*self.counts.add(leaf), 0);
@@ -464,7 +462,7 @@ mod tests {
     use crate::run::Inserts;
     use cpma_api::BatchOp::{self, Insert, Remove};
 
-    fn store3() -> UncompressedLeaves<u64> {
+    fn store3() -> UncompressedLeaves {
         UncompressedLeaves::with_geometry(3, 16)
     }
 
@@ -567,7 +565,7 @@ mod tests {
 
     #[test]
     fn overflow_spills_and_reports() {
-        let mut s = UncompressedLeaves::<u64>::with_geometry(2, 16);
+        let mut s = UncompressedLeaves::with_geometry(2, 16);
         let big: Vec<u64> = (0..20).collect();
         let out = apply(&mut s, 0, &ins(big.iter().copied()));
         assert!(out.overflowed);
@@ -620,7 +618,7 @@ mod tests {
     #[test]
     fn parallel_disjoint_merges() {
         use rayon::prelude::*;
-        let mut s = UncompressedLeaves::<u64>::with_geometry(64, 16);
+        let mut s = UncompressedLeaves::with_geometry(64, 16);
         let sh = s.shared();
         (0..64usize).into_par_iter().for_each(|leaf| {
             let base = leaf as u64 * 100;

@@ -22,7 +22,7 @@
 //! up — replays.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use crate::{LeafStorage, PmaCore, PmaKey};
+use crate::{LeafStorage, PmaCore};
 use cpma_api::{BatchOp, CatchUp};
 
 /// The write set of the most recent apply that changed anything, and its
@@ -129,7 +129,7 @@ fn occ_words(start: usize, end: usize) -> std::ops::Range<usize> {
     start / 64..(end - 1) / 64 + 1
 }
 
-impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
+impl<L: LeafStorage> PmaCore<L> {
     /// Applies that changed anything since this structure was built (a
     /// clone keeps its original's count).
     #[cfg(test)]
@@ -163,7 +163,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// apply, of `lag` (`cpma_api::BatchSet::catch_up_from`): copy
     /// `newer`'s write set when [`Self::copies_from`] holds, replay `lag`
     /// otherwise (module docs).
-    pub fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
+    pub fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<u64>]) -> CatchUp {
         if lag.is_empty() {
             return CatchUp::default();
         }
@@ -219,7 +219,7 @@ mod tests {
     use cpma_api::BatchOp::{self, Insert, Remove};
 
     /// Payload bytes plus the derived state a payload does not carry.
-    fn image<L: LeafStorage<u64>>(s: &PmaCore<u64, L>) -> (Vec<u8>, Vec<u64>, usize, usize, u64) {
+    fn image<L: LeafStorage>(s: &PmaCore<L>) -> (Vec<u8>, Vec<u64>, usize, usize, u64) {
         let mut payload = Vec::new();
         s.storage().write_payload(&mut payload);
         (payload, s.occ.clone(), s.len, s.units, s.write_generation())
@@ -230,8 +230,8 @@ mod tests {
     /// becomes the front. After every step it must equal a third copy
     /// that applied every batch itself; returns how many catch-ups copied
     /// and how many replayed.
-    fn alternate<L: LeafStorage<u64> + Clone>(
-        base: PmaCore<u64, L>,
+    fn alternate<L: LeafStorage + Clone>(
+        base: PmaCore<L>,
         batches: &[Vec<BatchOp<u64>>],
     ) -> (usize, usize) {
         let (mut front, mut spare, mut single) = (base.clone(), base.clone(), base);
@@ -265,9 +265,9 @@ mod tests {
     /// batches, pipeline batches that redistribute, a full rebuild, grows,
     /// then removes down to shrinks. Copies where the geometry holds,
     /// replays where it moved.
-    fn every_regime<L: LeafStorage<u64> + Clone>() {
+    fn every_regime<L: LeafStorage + Clone>() {
         let keys: Vec<u64> = (0..20_000u64).map(|i| i * 64).collect();
-        let base = PmaCore::<u64, L>::from_sorted(&keys);
+        let base = PmaCore::<L>::from_sorted(&keys);
         let mut batches: Vec<Vec<BatchOp<u64>>> = vec![
             (1..20).map(|i| Insert(i * 64 + 1)).collect(),
             (0..20).map(|i| Remove(i * 64)).collect(),
@@ -287,7 +287,7 @@ mod tests {
 
     #[test]
     fn catch_up_copies_are_replays_pma() {
-        every_regime::<crate::UncompressedLeaves<u64>>();
+        every_regime::<crate::UncompressedLeaves>();
     }
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
         // Empty lag: already level, nothing to do.
         let mut twin = c.clone();
         assert_eq!(twin.catch_up_from(&c, &[]), CatchUp::default());
-        let mut p = Pma::<u64>::from_sorted(&keys);
+        let mut p = Pma::from_sorted(&keys);
         p.remove_batch_sorted(&keys);
         assert_eq!(p.write_generation(), 1, "a batch that empties the set");
     }

@@ -13,7 +13,7 @@ const KEY_BITS: u32 = 40;
 
 /// Probe with duplicates, 0 (below any stored minimum), and `u64::MAX`,
 /// and check the three-way agreement batched ≡ per-key ≡ oracle.
-fn check_reads<S: OrderedSet<u64>>(s: &S, oracle: &BTreeSet<u64>, rng: &mut SplitMix64, tag: &str) {
+fn check_reads<S: OrderedSet>(s: &S, oracle: &BTreeSet<u64>, rng: &mut SplitMix64, tag: &str) {
     let mut probes: Vec<u64> = (0..120).map(|_| rng.next_bits(KEY_BITS)).collect();
     // Stored keys and their neighbours, to hit both sides of membership.
     for &k in oracle.iter().take(20) {
@@ -53,10 +53,10 @@ fn check_reads<S: OrderedSet<u64>>(s: &S, oracle: &BTreeSet<u64>, rng: &mut Spli
     );
 }
 
-fn reads_agree_across_regimes<L: LeafStorage<u64>>(name: &str) {
+fn reads_agree_across_regimes<L: LeafStorage>(name: &str) {
     let mut rng = SplitMix64::new(0xC0FFEE ^ name.len() as u64);
     let base = sorted_unique(rng.keys(3000, KEY_BITS));
-    let mut s = PmaCore::<u64, L>::from_sorted(&base);
+    let mut s = PmaCore::<L>::from_sorted(&base);
     let mut oracle: BTreeSet<u64> = base.iter().copied().collect();
     check_reads(&s, &oracle, &mut rng, &format!("{name}/seed"));
 
@@ -88,7 +88,7 @@ fn reads_agree_across_regimes<L: LeafStorage<u64>>(name: &str) {
 
 #[test]
 fn pma_inplace() {
-    reads_agree_across_regimes::<UncompressedLeaves<u64>>("pma_inplace");
+    reads_agree_across_regimes::<UncompressedLeaves>("pma_inplace");
 }
 
 #[test]

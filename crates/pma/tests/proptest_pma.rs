@@ -47,7 +47,7 @@ fn build_roundtrip() {
     let mut rng = SplitMix64::new(0xB111);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
-        let p = Pma::<u64>::from_sorted(&elems);
+        let p = Pma::from_sorted(&elems);
         assert!(p.iter().eq(elems.iter().copied()));
         p.check_invariants();
         let c = Cpma::from_sorted(&elems);
@@ -62,7 +62,7 @@ fn build_roundtrip() {
 fn mixed_batches_match_model() {
     let mut rng = SplitMix64::new(0x0112);
     for _ in 0..CASES {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         let mut c = Cpma::new();
         let mut model = BTreeSet::new();
         let rounds = rng.next_below(5) + 1;
@@ -118,7 +118,7 @@ fn map_range_length_counts() {
     let mut rng = SplitMix64::new(0x3A91);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
-        let p = Pma::<u64>::from_sorted(&elems);
+        let p = Pma::from_sorted(&elems);
         let start = rng.next_u64();
         let len = rng.next_below(50) as usize;
         let mut got = Vec::new();
@@ -240,7 +240,7 @@ fn batch_larger_than_structure() {
 #[test]
 fn repeated_identical_batches_are_idempotent() {
     let batch: Vec<u64> = (0..10_000u64).map(|i| i * 7).collect();
-    let mut p = Pma::<u64>::new();
+    let mut p = Pma::new();
     assert_eq!(p.insert_batch_sorted(&batch), 10_000);
     for _ in 0..5 {
         assert_eq!(p.insert_batch_sorted(&batch), 0);

@@ -14,7 +14,7 @@ use cpma_api::PersistError;
 use cpma_pma::{ChunkBlock, LeafStorage, Pma, PmaCore, RunSize, UncompressedLeaves, CHUNK_KEYS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-type Inner = UncompressedLeaves<u64>;
+type Inner = UncompressedLeaves;
 
 /// Fewest leaves [`CountingLeaves`] sizes any run at.
 const SPARSE_LEAVES: usize = 4096;
@@ -45,8 +45,8 @@ impl CountingLeaves {
     }
 }
 
-impl LeafStorage<u64> for CountingLeaves {
-    type Shared<'a> = <Inner as LeafStorage<u64>>::Shared<'a>;
+impl LeafStorage for CountingLeaves {
+    type Shared<'a> = <Inner as LeafStorage>::Shared<'a>;
 
     const NAME: &'static str = "PMA(counting)";
     const MIN_LEAF_UNITS: usize = Inner::MIN_LEAF_UNITS;
@@ -120,7 +120,7 @@ impl LeafStorage<u64> for CountingLeaves {
         &self,
         leaf: usize,
         start: u64,
-        block: &mut ChunkBlock<u64>,
+        block: &mut ChunkBlock,
         f: F,
     ) -> bool {
         self.inner.leaf_chunks(leaf, start, block, f)
@@ -155,7 +155,7 @@ impl LeafStorage<u64> for CountingLeaves {
     }
 }
 
-type CountingPma = PmaCore<u64, CountingLeaves>;
+type CountingPma = PmaCore<CountingLeaves>;
 
 /// A structure whose occupied leaves are separated by empty runs of
 /// hundreds of leaves: 6 elements spread across ≥ 4096 leaves.
@@ -245,10 +245,10 @@ fn leaf_queries_agree_across_codecs() {
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
-    let p = Pma::<u64>::from_sorted(&elems);
+    let p = Pma::from_sorted(&elems);
     let c = Cpma::from_sorted(&elems);
 
-    fn check_storage<L: LeafStorage<u64>>(storage: &L, name: &str) {
+    fn check_storage<L: LeafStorage>(storage: &L, name: &str) {
         let mut buf = Vec::new();
         let mut block = ChunkBlock::new();
         for leaf in 0..storage.num_leaves() {
@@ -295,7 +295,7 @@ fn leaf_queries_agree_across_codecs() {
             }
         }
     }
-    check_storage::<UncompressedLeaves<u64>>(p.storage(), "PMA");
+    check_storage::<UncompressedLeaves>(p.storage(), "PMA");
     check_storage::<CompressedLeaves>(c.storage(), "CPMA");
     // Consecutive keys: bitmap leaves, wider than one chunk block.
     let dense = Cpma::from_sorted(&(0..50_000u64).collect::<Vec<_>>());

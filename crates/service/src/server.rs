@@ -105,7 +105,7 @@ impl<S> CombinerEngine<S> {
 
 impl<S> Engine for CombinerEngine<S>
 where
-    S: BatchSet<u64> + RangeSet<u64> + Clone + Send + Sync,
+    S: BatchSet + RangeSet + Clone + Send + Sync,
 {
     fn submit(&self, ops: &[Op<u64>]) -> Vec<bool> {
         self.combiner.submit_many(ops)
@@ -127,7 +127,7 @@ where
 /// Up to `max` keys of `set` from `lo` upward, into a vector sized once
 /// (a page never holds more than `max` keys nor more than the set does)
 /// and filled a chunk — a leaf — at a time.
-pub fn scan_page<S: RangeSet<u64>>(set: &S, lo: u64, max: usize) -> Vec<u64> {
+pub fn scan_page<S: RangeSet>(set: &S, lo: u64, max: usize) -> Vec<u64> {
     let mut out = Vec::with_capacity(max.min(set.len()));
     if max > 0 {
         set.scan_chunks_from(lo, &mut |chunk| {
@@ -255,7 +255,7 @@ impl Service {
     /// `into_inner` after shutdown).
     pub fn serve<S>(set: S, cfg: ServiceConfig) -> Result<(Service, Arc<Combiner<S>>), ServiceError>
     where
-        S: BatchSet<u64> + RangeSet<u64> + Clone + Send + Sync + 'static,
+        S: BatchSet + RangeSet + Clone + Send + Sync + 'static,
     {
         cfg.check()?;
         let combiner = Arc::new(Combiner::new(set));
@@ -272,7 +272,7 @@ impl Service {
         wal: WalConfig,
     ) -> Result<(Service, Arc<Combiner<S>>, RecoveryReport), ServiceError>
     where
-        S: BatchSet<u64> + RangeSet<u64> + Clone + Send + Sync + Persist + 'static,
+        S: BatchSet + RangeSet + Clone + Send + Sync + Persist + 'static,
     {
         cfg.check()?;
         let (combiner, report) = Combiner::open_durable(CombinerConfig::default(), wal)?;

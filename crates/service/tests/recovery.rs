@@ -122,7 +122,7 @@ fn durable_service_recovers_acked_traffic_after_crash() {
     drop(service);
 
     // Offline recovery equals the acked union.
-    let (recovered, report) = recover::<u64, Cpma>(&dir).unwrap();
+    let (recovered, report) = recover::<Cpma>(&dir).unwrap();
     assert!(report.last_seq > 0);
     assert!(!report.truncated_tail);
     assert_eq!(recovered.to_vec(), expected);
@@ -147,7 +147,7 @@ fn durable_service_recovers_acked_traffic_after_crash() {
     assert!(client.insert(u64::MAX - 1).unwrap());
     service.shutdown();
     drop(service);
-    let (recovered, _) = recover::<u64, Cpma>(&dir).unwrap();
+    let (recovered, _) = recover::<Cpma>(&dir).unwrap();
     assert!(recovered.contains(u64::MAX - 1));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -201,7 +201,7 @@ fn kill_points_mid_epoch_with_listener_restart() {
         drop(f);
 
         let complete = ends.iter().filter(|&&end| end <= cut).count() - 1;
-        let (recovered, report) = recover::<u64, Cpma>(&scratch).unwrap();
+        let (recovered, report) = recover::<Cpma>(&scratch).unwrap();
         assert_eq!(
             recovered.to_vec(),
             states[complete],

@@ -26,7 +26,7 @@ struct Counted<'a> {
     chunks: Cell<usize>,
 }
 
-impl OrderedSet<u64> for Counted<'_> {
+impl OrderedSet for Counted<'_> {
     const NAME: &'static str = "counted";
 
     fn contains(&self, key: u64) -> bool {
@@ -54,7 +54,7 @@ impl OrderedSet<u64> for Counted<'_> {
     }
 }
 
-impl RangeSet<u64> for Counted<'_> {
+impl RangeSet for Counted<'_> {
     fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
         self.set.scan_chunks_from(start, &mut |chunk| {
             self.chunks.set(self.chunks.get() + 1);

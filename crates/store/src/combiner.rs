@@ -132,7 +132,7 @@
 //! assert_eq!((stats.epochs, stats.ops), (1, 1));
 //! ```
 
-use cpma_api::{net_ops, BatchOp, BatchSet, Persist, PersistError, RangeSet, SetKey};
+use cpma_api::{net_ops, BatchOp, BatchSet, Persist, PersistError, RangeSet};
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::{recover, RecoveryReport, WalConfig, WalWriter};
 use std::path::Path;
@@ -321,8 +321,8 @@ const RETRY_WAIT: Duration = Duration::from_micros(50);
 
 /// The publication buffer for one epoch, shared between its submitters
 /// and the leader that drains it.
-struct EpochState<K> {
-    ops: Vec<Op<K>>,
+struct EpochState {
+    ops: Vec<Op<u64>>,
     /// Set by the leader when it drains the buffer; submitters that find
     /// their epoch sealed re-route to the freshly opened one.
     sealed: bool,
@@ -332,13 +332,13 @@ struct EpochState<K> {
     results: Vec<bool>,
 }
 
-struct Epoch<K> {
-    state: Mutex<EpochState<K>>,
+struct Epoch {
+    state: Mutex<EpochState>,
     /// Waiters (submitters) block here until `done`.
     done_cv: Condvar,
 }
 
-impl<K> Epoch<K> {
+impl Epoch {
     fn new() -> Self {
         Self {
             state: Mutex::new(EpochState {
@@ -395,14 +395,14 @@ const PIN_PATIENCE: Duration = Duration::from_micros(500);
 
 /// Leader-exclusive state: the two replicas of the set, the epoch counter,
 /// and the combining statistics.
-struct Core<S, K> {
+struct Core<S> {
     /// The published replica (the same `Arc` as `Combiner::published`) and
     /// the authoritative set: `Contains` probes and checkpoints read it.
     front: Arc<S>,
     /// The replica published before `front`, and `lag`, the one net batch
     /// it has not seen: `spare ⊕ lag = front`. `None` until the first
     /// write epoch.
-    spare: Option<(Arc<S>, Vec<BatchOp<K>>)>,
+    spare: Option<(Arc<S>, Vec<BatchOp<u64>>)>,
     epochs_applied: u64,
     /// `Some` iff this combiner is durable: every epoch's net batch is
     /// WAL-appended before it is published, and rotation checkpoints the
@@ -413,11 +413,7 @@ struct Core<S, K> {
     stats: CombinerCounters,
 }
 
-impl<S, K> Core<S, K>
-where
-    K: SetKey,
-    S: BatchSet<K> + Clone,
-{
+impl<S: BatchSet + Clone> Core<S> {
     /// A privately owned set equal to `front`, for the epoch's batch to be
     /// applied to: the spare caught up with `front` when nobody else holds
     /// it and the catch-up is cheap, a copy of `front` otherwise (module
@@ -486,9 +482,9 @@ where
 /// let results = store.submit_many(&[Op::Remove(1), Op::Contains(1)]);
 /// assert_eq!(results, vec![true, false]);
 /// ```
-pub struct Combiner<S, K: SetKey = u64> {
-    core: Mutex<Core<S, K>>,
-    current: Mutex<Arc<Epoch<K>>>,
+pub struct Combiner<S> {
+    core: Mutex<Core<S>>,
+    current: Mutex<Arc<Epoch>>,
     published: Mutex<Arc<S>>,
     /// Open-epoch occupancy (`combiner.queue_depth`): set by every
     /// enqueue, zeroed when the leader seals. Lives outside `Core` so the
@@ -496,10 +492,9 @@ pub struct Combiner<S, K: SetKey = u64> {
     queue_depth: Gauge,
 }
 
-impl<S, K> Combiner<S, K>
+impl<S> Combiner<S>
 where
-    K: SetKey,
-    S: BatchSet<K> + RangeSet<K> + Clone + Sync,
+    S: BatchSet + RangeSet + Clone + Sync,
 {
     /// Wrap `set` in a (non-durable) combiner.
     pub fn new(set: S) -> Self {
@@ -526,18 +521,18 @@ where
 
     /// Insert `key`; returns whether it was newly added, linearized
     /// against every other submitted operation.
-    pub fn insert(&self, key: K) -> bool {
+    pub fn insert(&self, key: u64) -> bool {
         self.submit(Op::Insert(key))
     }
 
     /// Remove `key`; returns whether it was present.
-    pub fn remove(&self, key: K) -> bool {
+    pub fn remove(&self, key: u64) -> bool {
         self.submit(Op::Remove(key))
     }
 
     /// Linearized membership test (goes through the op stream; for
     /// wait-free reads use [`Combiner::snapshot`]).
-    pub fn contains(&self, key: K) -> bool {
+    pub fn contains(&self, key: u64) -> bool {
         self.submit(Op::Contains(key))
     }
 
@@ -573,7 +568,7 @@ where
 
     /// Submit one operation and block until its epoch is applied;
     /// returns the operation's individual result.
-    pub fn submit(&self, op: Op<K>) -> bool {
+    pub fn submit(&self, op: Op<u64>) -> bool {
         let (epoch, idx) = self.enqueue(std::slice::from_ref(&op));
         self.await_epoch(&epoch, |st| st.results[idx])
     }
@@ -584,7 +579,7 @@ where
     /// path: a burst keeps the combined batch large even when writers
     /// are synchronous, which is where batch-parallel updates pull ahead
     /// of per-operation locking.
-    pub fn submit_many(&self, ops: &[Op<K>]) -> Vec<bool> {
+    pub fn submit_many(&self, ops: &[Op<u64>]) -> Vec<bool> {
         if ops.is_empty() {
             return Vec::new();
         }
@@ -594,8 +589,8 @@ where
     }
 
     /// Burst-insert convenience: returns how many keys were newly added.
-    pub fn insert_many(&self, keys: &[K]) -> usize {
-        let ops: Vec<Op<K>> = keys.iter().map(|&k| Op::Insert(k)).collect();
+    pub fn insert_many(&self, keys: &[u64]) -> usize {
+        let ops: Vec<Op<u64>> = keys.iter().map(|&k| Op::Insert(k)).collect();
         self.submit_many(&ops).into_iter().filter(|&b| b).count()
     }
 
@@ -603,7 +598,7 @@ where
     /// between lookup and push — the new epoch is installed while
     /// `current` is held, so the retry loop is bounded). Returns the
     /// epoch and the index of the first appended op.
-    fn enqueue(&self, ops: &[Op<K>]) -> (Arc<Epoch<K>>, usize) {
+    fn enqueue(&self, ops: &[Op<u64>]) -> (Arc<Epoch>, usize) {
         loop {
             let cur = self.current.lock().unwrap().clone();
             let mut st = cur.state.lock().unwrap();
@@ -621,7 +616,7 @@ where
 
     /// Wait until `epoch` completes (leading it ourselves if the leader
     /// slot frees first), then return `extract` of its final state.
-    fn await_epoch<R>(&self, epoch: &Arc<Epoch<K>>, extract: impl Fn(&EpochState<K>) -> R) -> R {
+    fn await_epoch<R>(&self, epoch: &Arc<Epoch>, extract: impl Fn(&EpochState) -> R) -> R {
         loop {
             // Try to take the leader slot. `try_lock` never blocks, so a
             // running leader just sends us to the wait below.
@@ -662,7 +657,7 @@ where
     /// Drive one epoch: seal, apply, replay, log, publish, wake, then
     /// release the leader slot and hand leadership to a waiter of the
     /// next epoch if one is already pending.
-    fn lead(&self, mut guard: std::sync::MutexGuard<'_, Core<S, K>>) {
+    fn lead(&self, mut guard: std::sync::MutexGuard<'_, Core<S>>) {
         let core = &mut *guard;
         let epoch = self.current.lock().unwrap().clone();
 
@@ -687,7 +682,7 @@ where
         // key's last write is its op in the epoch's ONE mixed batch, whose
         // normal form (`cpma_api::normalize_ops`'s last-op-wins) comes out
         // ascending; keys the epoch only reads are probed instead.
-        let mut order: Vec<(K, usize)> = ops.iter().map(Op::key).zip(0..).collect();
+        let mut order: Vec<(u64, usize)> = ops.iter().map(Op::key).zip(0..).collect();
         order.sort_unstable();
         // (end of the group in `order`, whether the group writes)
         let mut groups: Vec<(usize, bool)> = Vec::new();
@@ -768,14 +763,7 @@ where
         if let Some(durable) = core.wal.as_mut() {
             let _wal = cpma_obs::span_with(&core.stats.wal_ns, "combiner.wal");
             let seq = core.epochs_applied + 1;
-            let widened: Vec<BatchOp<u64>> = net
-                .iter()
-                .map(|op| match *op {
-                    BatchOp::Insert(k) => BatchOp::Insert(k.to_u64()),
-                    BatchOp::Remove(k) => BatchOp::Remove(k.to_u64()),
-                })
-                .collect();
-            if let Err(e) = durable.writer.append(seq, &widened) {
+            if let Err(e) = durable.writer.append(seq, &net) {
                 panic!("WAL append for epoch {seq} failed: {e}");
             }
         }
@@ -829,10 +817,9 @@ where
     }
 }
 
-impl<S, K> Combiner<S, K>
+impl<S> Combiner<S>
 where
-    K: SetKey,
-    S: BatchSet<K> + RangeSet<K> + Clone + Sync + Persist,
+    S: BatchSet + RangeSet + Clone + Sync + Persist,
 {
     /// Open a **durable** combiner backed by the WAL directory in `wal`:
     /// recover the newest valid checkpoint, replay the WAL tail
@@ -853,7 +840,7 @@ where
         _cfg: CombinerConfig,
         wal: WalConfig,
     ) -> Result<(Self, RecoveryReport), PersistError> {
-        let (set, report) = recover::<K, S>(&wal.dir)?;
+        let (set, report) = recover::<S>(&wal.dir)?;
         let writer = WalWriter::open(wal, report.last_seq + 1)?;
         let durable = DurableState {
             writer,

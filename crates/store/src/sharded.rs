@@ -47,7 +47,7 @@
 
 use cpma_api::{
     range_to_inclusive, BatchOp, BatchOutcome, BatchSet, CatchUp, OrderedSet, ParallelChunks,
-    Persist, PersistError, RangeSet, SetKey,
+    Persist, PersistError, RangeSet,
 };
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
@@ -189,8 +189,8 @@ impl Clone for StoreCounters {
 pub struct ShardedSet<S, const N: usize = 8> {
     /// The backends, in key order; `shards.len()` is the live shard count.
     shards: Vec<S>,
-    /// `splitters[i]` = smallest key (widened to `u64`) routed to shard
-    /// `i + 1`; strictly context-dependent but always non-decreasing.
+    /// `splitters[i]` = smallest key routed to shard `i + 1`; strictly
+    /// context-dependent but always non-decreasing.
     splitters: Vec<u64>,
     /// Always-on rebalance counters.
     stats: RebalanceStats,
@@ -215,8 +215,8 @@ fn split_bounds_by<T>(splitters: &[u64], batch: &[T], key_of: impl Fn(&T) -> u64
     bounds
 }
 
-fn split_bounds<K: SetKey>(splitters: &[u64], batch: &[K]) -> Vec<usize> {
-    split_bounds_by(splitters, batch, |k| k.to_u64())
+fn split_bounds(splitters: &[u64], batch: &[u64]) -> Vec<usize> {
+    split_bounds_by(splitters, batch, |&k| k)
 }
 
 /// Evenly spaced cut points over the `u64` domain — the no-data prior.
@@ -228,13 +228,11 @@ fn default_splitters(n: usize) -> Vec<u64> {
 /// Quantile splitters learned from a strictly increasing key slice; falls
 /// back to the domain prior when there is too little data to pick `n − 1`
 /// distinct quantiles.
-fn learned_splitters<K: SetKey>(n: usize, elems: &[K]) -> Vec<u64> {
+fn learned_splitters(n: usize, elems: &[u64]) -> Vec<u64> {
     if elems.len() < n * 2 {
         return default_splitters(n);
     }
-    (1..n)
-        .map(|i| elems[i * elems.len() / n].to_u64())
-        .collect()
+    (1..n).map(|i| elems[i * elems.len() / n]).collect()
 }
 
 impl<S, const N: usize> ShardedSet<S, N> {
@@ -252,15 +250,15 @@ impl<S, const N: usize> ShardedSet<S, N> {
         }
     }
 
-    /// Shard index for a key (widened): the number of splitters ≤ it.
+    /// Shard index for a key: the number of splitters ≤ it.
     fn shard_of(&self, key: u64) -> usize {
         self.splitters.partition_point(|&s| s <= key)
     }
 
     /// Current per-shard element counts (diagnostics and tests).
-    pub fn shard_lens<K: SetKey>(&self) -> Vec<usize>
+    pub fn shard_lens(&self) -> Vec<usize>
     where
-        S: OrderedSet<K>,
+        S: OrderedSet,
     {
         self.shards.iter().map(|s| s.len()).collect()
     }
@@ -271,7 +269,7 @@ impl<S, const N: usize> ShardedSet<S, N> {
         self.shards.len()
     }
 
-    /// The current splitters (widened to `u64`), ascending.
+    /// The current splitters, ascending.
     pub fn splitters(&self) -> &[u64] {
         &self.splitters
     }
@@ -302,10 +300,10 @@ impl<S, const N: usize> ShardedSet<S, N> {
     /// Split `batch` at the splitters and run `apply` on every non-empty
     /// (shard, sub-batch) pair in parallel; returns the summed counts in
     /// shard index order (schedule-independent).
-    fn apply_split<K: SetKey>(
+    fn apply_split(
         &mut self,
-        batch: &[K],
-        apply: impl Fn(&mut S, &[K]) -> usize + Sync + Send,
+        batch: &[u64],
+        apply: impl Fn(&mut S, &[u64]) -> usize + Sync + Send,
     ) -> usize
     where
         S: Send,
@@ -331,9 +329,9 @@ impl<S, const N: usize> ShardedSet<S, N> {
     /// splitters if the shards are skewed, or rebuild into `N` shards if
     /// the set holds another count. Deterministic at any thread count — it
     /// reads only the stored contents.
-    fn maybe_rebalance<K: SetKey>(&mut self)
+    fn maybe_rebalance(&mut self)
     where
-        S: BatchSet<K> + RangeSet<K> + Send + Sync,
+        S: BatchSet + RangeSet + Send + Sync,
     {
         let cur = self.shards.len();
         let lens: Vec<usize> = self.shards.iter().map(|s| s.len()).collect();
@@ -369,9 +367,9 @@ impl<S, const N: usize> ShardedSet<S, N> {
 
     /// Rebuild into `N` shards with quantile splitters learned from the
     /// stored contents, and record the post-rebuild imbalance.
-    fn rebuild<K: SetKey>(&mut self)
+    fn rebuild(&mut self)
     where
-        S: BatchSet<K> + RangeSet<K> + Send + Sync,
+        S: BatchSet + RangeSet + Send + Sync,
     {
         let mut span = cpma_obs::span_with(&self.counters.rebalance_ns, "store.rebalance");
         let all = RangeSet::to_vec(self);
@@ -394,27 +392,27 @@ impl<S, const N: usize> ShardedSet<S, N> {
     }
 }
 
-impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize> OrderedSet<K> for ShardedSet<S, N> {
+impl<S: OrderedSet + Sync, const N: usize> OrderedSet for ShardedSet<S, N> {
     const NAME: &'static str = "Sharded";
 
-    fn contains(&self, key: K) -> bool {
-        self.shards[self.shard_of(key.to_u64())].contains(key)
+    fn contains(&self, key: u64) -> bool {
+        self.shards[self.shard_of(key)].contains(key)
     }
 
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
     }
 
-    fn min(&self) -> Option<K> {
+    fn min(&self) -> Option<u64> {
         self.shards.iter().find_map(|s| s.min())
     }
 
-    fn max(&self) -> Option<K> {
+    fn max(&self) -> Option<u64> {
         self.shards.iter().rev().find_map(|s| s.max())
     }
 
-    fn successor(&self, key: K) -> Option<K> {
-        let first = self.shard_of(key.to_u64());
+    fn successor(&self, key: u64) -> Option<u64> {
+        let first = self.shard_of(key);
         // Every key in a later shard is ≥ its left splitter > `key`, so
         // the first hit in shard order is the global successor.
         self.shards[first]
@@ -427,10 +425,10 @@ impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize> OrderedSet<K> for Shard
     /// shard its contiguous sub-run through the *backend's* `contains_batch`
     /// (so a PMA shard gets its cache-conscious pass), and scatter the
     /// per-shard answers back to probe positions.
-    fn contains_batch(&self, keys: &[K]) -> Vec<bool> {
+    fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
         let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_unstable_by_key(|&i| (keys[i].to_u64(), i));
-        let sorted: Vec<K> = order.iter().map(|&i| keys[i]).collect();
+        order.sort_unstable_by_key(|&i| (keys[i], i));
+        let sorted: Vec<u64> = order.iter().map(|&i| keys[i]).collect();
         let bounds = split_bounds(&self.splitters, &sorted);
         let bounds = &bounds;
         let per_shard: Vec<Vec<bool>> = self
@@ -450,21 +448,21 @@ impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize> OrderedSet<K> for Shard
     /// [`contains_batch`](OrderedSet::contains_batch). A probe whose own
     /// shard has no successor falls forward to the min of the next
     /// non-empty shard (precomputed once, right to left).
-    fn successor_batch(&self, keys: &[K]) -> Vec<Option<K>> {
+    fn successor_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_unstable_by_key(|&i| (keys[i].to_u64(), i));
-        let sorted: Vec<K> = order.iter().map(|&i| keys[i]).collect();
+        order.sort_unstable_by_key(|&i| (keys[i], i));
+        let sorted: Vec<u64> = order.iter().map(|&i| keys[i]).collect();
         let bounds = split_bounds(&self.splitters, &sorted);
         let bounds = &bounds;
         // next_min[i] = smallest element stored in any shard after i.
-        let mut next_min: Vec<Option<K>> = vec![None; self.shards.len()];
+        let mut next_min: Vec<Option<u64>> = vec![None; self.shards.len()];
         let mut running = None;
         for i in (0..self.shards.len()).rev() {
             next_min[i] = running;
             running = self.shards[i].min().or(running);
         }
         let next_min = &next_min;
-        let per_shard: Vec<Vec<Option<K>>> = self
+        let per_shard: Vec<Vec<Option<u64>>> = self
             .shards
             .par_iter()
             .enumerate()
@@ -489,14 +487,12 @@ impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize> OrderedSet<K> for Shard
     }
 }
 
-impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> BatchSet<K>
-    for ShardedSet<S, N>
-{
+impl<S: BatchSet + RangeSet + Send + Sync, const N: usize> BatchSet for ShardedSet<S, N> {
     fn new_set() -> Self {
         Self::assemble((0..N).map(|_| S::new_set()).collect(), default_splitters(N))
     }
 
-    fn build_sorted(elems: &[K]) -> Self {
+    fn build_sorted(elems: &[u64]) -> Self {
         let splitters = learned_splitters(N, elems);
         let bounds = split_bounds(&splitters, elems);
         let bounds = &bounds;
@@ -507,13 +503,13 @@ impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> Batc
         Self::assemble(shards, splitters)
     }
 
-    fn insert_batch_sorted(&mut self, batch: &[K]) -> usize {
+    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
         let added = self.apply_split(batch, |s, b| s.insert_batch_sorted(b));
         self.maybe_rebalance();
         added
     }
 
-    fn remove_batch_sorted(&mut self, batch: &[K]) -> usize {
+    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
         let removed = self.apply_split(batch, |s, b| s.remove_batch_sorted(b));
         self.maybe_rebalance();
         removed
@@ -522,8 +518,8 @@ impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> Batc
     /// Mixed batches split **once** at the splitters and fan out to the
     /// shards in parallel, each shard running its backend's own mixed
     /// pass; outcomes merge in shard index order (schedule-independent).
-    fn apply_batch_sorted(&mut self, ops: &[BatchOp<K>]) -> BatchOutcome {
-        let bounds = split_bounds_by(&self.splitters, ops, |op| op.key().to_u64());
+    fn apply_batch_sorted(&mut self, ops: &[BatchOp<u64>]) -> BatchOutcome {
+        let bounds = split_bounds_by(&self.splitters, ops, |op| op.key());
         self.record_batch(ops.len(), &bounds);
         let bounds = &bounds;
         let outcome = self
@@ -550,10 +546,10 @@ impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> Batc
     /// batch, which changes nothing, records nothing.
     fn apply_batch_sorted_reporting(
         &mut self,
-        ops: &[BatchOp<K>],
+        ops: &[BatchOp<u64>],
         was_present: &mut Vec<bool>,
     ) -> BatchOutcome {
-        let bounds = split_bounds_by(&self.splitters, ops, |op| op.key().to_u64());
+        let bounds = split_bounds_by(&self.splitters, ops, |op| op.key());
         let bounds = &bounds;
         let per_shard: Vec<(BatchOutcome, Vec<bool>)> = self
             .shards
@@ -590,7 +586,7 @@ impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> Batc
     /// replay their part as their backend decides — plus the statistics;
     /// the whole lag is replayed when the newer replica re-learned its
     /// splitters.
-    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<K>]) -> CatchUp {
+    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<u64>]) -> CatchUp {
         if lag.is_empty() {
             return CatchUp::default();
         }
@@ -601,7 +597,7 @@ impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> Batc
                 replayed_ops: lag.len(),
             };
         }
-        let bounds = split_bounds_by(&self.splitters, lag, |op| op.key().to_u64());
+        let bounds = split_bounds_by(&self.splitters, lag, |op| op.key());
         let bounds = &bounds;
         let caught = self
             .shards
@@ -622,13 +618,13 @@ impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> Batc
     }
 }
 
-impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize> RangeSet<K> for ShardedSet<S, N> {
+impl<S: RangeSet + Sync, const N: usize> RangeSet for ShardedSet<S, N> {
     /// Each shard's chunks in shard (= key) order.
-    fn scan_chunks_from(&self, start: K, f: &mut dyn FnMut(&[K]) -> bool) {
-        let first = self.shard_of(start.to_u64());
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
+        let first = self.shard_of(start);
         let mut live = true;
         for (i, shard) in self.shards.iter().enumerate().skip(first) {
-            let from = if i == first { start } else { K::MIN };
+            let from = if i == first { start } else { 0 };
             shard.scan_chunks_from(from, &mut |chunk| {
                 live = f(chunk);
                 live
@@ -639,14 +635,14 @@ impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize> RangeSet<K> for ShardedSe
         }
     }
 
-    fn range_sum<R: RangeBounds<K>>(&self, range: R) -> u64 {
+    fn range_sum<R: RangeBounds<u64>>(&self, range: R) -> u64 {
         // Stitch per-shard sums in shard (= key) order so each backend's
         // own range_sum fast path runs on its slice of the range.
         let Some((lo, hi)) = range_to_inclusive(&range) else {
             return 0;
         };
-        let first = self.shard_of(lo.to_u64());
-        let last = self.shard_of(hi.to_u64());
+        let first = self.shard_of(lo);
+        let last = self.shard_of(hi);
         let mut sum = 0u64;
         for shard in &self.shards[first..=last] {
             sum = sum.wrapping_add(shard.range_sum(lo..=hi));
@@ -655,12 +651,10 @@ impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize> RangeSet<K> for ShardedSe
     }
 }
 
-impl<K: SetKey, S: ParallelChunks<K> + Sync, const N: usize> ParallelChunks<K>
-    for ShardedSet<S, N>
-{
+impl<S: ParallelChunks + Sync, const N: usize> ParallelChunks for ShardedSet<S, N> {
     /// Shards are disjoint and ascending, so each shard's chunks are valid
     /// chunks of the whole set; visit the shards in parallel too.
-    fn par_chunks(&self, f: &(dyn Fn(&[K]) + Sync)) {
+    fn par_chunks(&self, f: &(dyn Fn(&[u64]) + Sync)) {
         self.shards.par_iter().for_each(|s| s.par_chunks(f));
     }
 }

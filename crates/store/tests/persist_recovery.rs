@@ -117,7 +117,7 @@ fn kill_points_at_every_wal_byte() {
         drop(f);
 
         let complete = ends.iter().filter(|&&end| end <= cut).count();
-        let (recovered, report) = recover::<u64, Cpma>(&scratch).unwrap();
+        let (recovered, report) = recover::<Cpma>(&scratch).unwrap();
         // A cut below the header drops the segment entirely; otherwise
         // the survivors are exactly the fully-contained records.
         let survivors = complete.saturating_sub(1);
@@ -145,7 +145,7 @@ fn kill_points_at_every_wal_byte() {
         reopened.insert(u64::MAX - cut);
         assert_eq!(reopened.epochs_applied(), survivors as u64 + 1);
         drop(reopened);
-        let (again, r3) = recover::<u64, Cpma>(&scratch).unwrap();
+        let (again, r3) = recover::<Cpma>(&scratch).unwrap();
         assert_eq!(r3.last_seq, survivors as u64 + 1);
         assert!(again.contains(u64::MAX - cut));
     }
@@ -219,7 +219,7 @@ fn mid_checkpoint_crash_falls_back() {
         b"half-written garbage",
     )
     .unwrap();
-    let (set, report) = recover::<u64, Cpma>(&dir).unwrap();
+    let (set, report) = recover::<Cpma>(&dir).unwrap();
     assert_eq!(report.checkpoint_seq, second);
     assert_eq!(report.last_seq, epochs);
     assert_eq!(set.to_vec(), oracle);
@@ -232,7 +232,7 @@ fn mid_checkpoint_crash_falls_back() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&ckpt, &bytes).unwrap();
-    let (set, report) = recover::<u64, Cpma>(&dir).unwrap();
+    let (set, report) = recover::<Cpma>(&dir).unwrap();
     assert_eq!(report.checkpoint_seq, first);
     assert!(report.skipped_checkpoints >= 1);
     assert_eq!(report.last_seq, epochs);
@@ -275,7 +275,7 @@ fn rotation_and_recovery_on_sharded_stack() {
         "pruning kept {checkpoints} checkpoints"
     );
 
-    let (set, report) = recover::<u64, Store>(&dir).unwrap();
+    let (set, report) = recover::<Store>(&dir).unwrap();
     assert_eq!(report.last_seq, epochs);
     assert!(
         report.checkpoint_seq > 0,

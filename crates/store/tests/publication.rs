@@ -75,16 +75,16 @@ struct Plan {
     replayed: u64,
 }
 
-trait Replica: BatchSet<u64> + RangeSet<u64> + Clone + Sync {
+trait Replica: BatchSet + RangeSet + Clone + Sync {
     fn plan(before: &Self, after: &Self, lag: &[BatchOp<u64>]) -> Plan;
 }
 
-fn geometry<L: LeafStorage<u64>>(s: &PmaCore<u64, L>) -> (usize, usize) {
+fn geometry<L: LeafStorage>(s: &PmaCore<L>) -> (usize, usize) {
     (s.storage().num_leaves(), s.storage().leaf_units())
 }
 
 /// A PMA copies its write set unless the apply moved the geometry.
-impl<L: LeafStorage<u64> + Clone> Replica for PmaCore<u64, L> {
+impl<L: LeafStorage + Clone> Replica for PmaCore<L> {
     fn plan(before: &Self, after: &Self, lag: &[BatchOp<u64>]) -> Plan {
         if geometry(before) == geometry(after) {
             Plan {
@@ -105,7 +105,7 @@ impl<L: LeafStorage<u64> + Clone> Replica for PmaCore<u64, L> {
 /// A sharded set replays everything after a splitter re-learn; otherwise
 /// each shard the lag reaches copies or replays as a PMA does, and the set
 /// copies when all of them do.
-impl<L: LeafStorage<u64> + Clone, const N: usize> Replica for ShardedSet<PmaCore<u64, L>, N> {
+impl<L: LeafStorage + Clone, const N: usize> Replica for ShardedSet<PmaCore<L>, N> {
     fn plan(before: &Self, after: &Self, lag: &[BatchOp<u64>]) -> Plan {
         let relearns = |s: &Self| {
             let r = s.rebalance_stats();

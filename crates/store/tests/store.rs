@@ -27,7 +27,7 @@ fn sharded_cpma_passes_the_contract_at_1_4_16_shards() {
 fn sharded_pma_and_btreeset_pass_the_contract() {
     // The wrapper is backend-generic; gate it over an uncompressed PMA
     // and the oracle too.
-    assert_ordered_set_contract::<ShardedSet<Pma<u64>, 4>>(0x5B4);
+    assert_ordered_set_contract::<ShardedSet<Pma, 4>>(0x5B4);
     assert_ordered_set_contract::<ShardedSet<BTreeSet<u64>, 4>>(0x5C4);
 }
 

@@ -14,7 +14,7 @@ use cpma::prelude::*;
 use cpma::workloads::{uniform_keys, ZipfGenerator};
 use std::time::Instant;
 
-fn drive<S: BatchSet<u64> + RangeSet<u64>>(batches: &[Vec<u64>], windows: &[(u64, u64)]) {
+fn drive<S: BatchSet + RangeSet>(batches: &[Vec<u64>], windows: &[(u64, u64)]) {
     let mut store = S::new_set();
     let t = Instant::now();
     let mut added = 0;
@@ -70,7 +70,7 @@ fn main() {
         total / 50
     );
     drive::<Cpma>(&batches, &windows);
-    drive::<Pma<u64>>(&batches, &windows);
+    drive::<Pma>(&batches, &windows);
     drive::<PTree>(&batches, &windows);
     drive::<CPac>(&batches, &windows);
     drive::<CTreeSet>(&batches, &windows);

@@ -86,7 +86,7 @@ fn main() {
     // The container is generic over any `cpma::api::RangeSet` backend —
     // the same graph on an uncompressed PMA shows what the CPMA's delta
     // compression buys (F-Graph's headline in §6).
-    let uncompressed: SetGraph<Pma<u64>> = SetGraph::from_edges(n, &base);
+    let uncompressed: SetGraph<Pma> = SetGraph::from_edges(n, &base);
     println!(
         "backend swap: CPMA {:.2} MB vs uncompressed PMA {:.2} MB for the seed graph",
         FGraph::from_edges(n, &base).size_bytes() as f64 / (1024.0 * 1024.0),

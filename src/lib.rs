@@ -94,12 +94,12 @@ pub use cpma_store as store;
 pub use cpma_workloads as workloads;
 
 /// Everything needed to use any of the workspace's set structures through
-/// the canonical interface: the trait hierarchy, the key trait, the batch
-/// normal-form helper, and the concrete structure types.
+/// the canonical interface: the trait hierarchy, the batch normal-form
+/// helpers, and the concrete structure types.
 pub mod prelude {
     pub use crate::api::{
         normalize_batch, normalize_ops, BatchOp, BatchOutcome, BatchSet, ConfigError, OrderedSet,
-        ParallelChunks, RangeSet, SetKey,
+        ParallelChunks, RangeSet,
     };
     pub use crate::api::{Persist, PersistError};
     pub use crate::baselines::{CPac, CTreeSet, PTree, UPac};

@@ -45,7 +45,7 @@ struct Observations {
 /// inserts/removes through `apply_batch` — the single-pass pipeline on
 /// PMA-family backends, parallel sort + dedup in `normalize_ops`
 /// everywhere), plus range sums and len/min/max probes.
-fn run_workload<S: BatchSet<u64> + RangeSet<u64>>(seed: u64) -> Observations {
+fn run_workload<S: BatchSet + RangeSet>(seed: u64) -> Observations {
     let mut rng = SplitMix64::new(seed);
     let mut s = S::new_set();
     let mut obs = Observations {
@@ -96,7 +96,7 @@ fn run_workload<S: BatchSet<u64> + RangeSet<u64>>(seed: u64) -> Observations {
     obs
 }
 
-fn assert_deterministic<S: BatchSet<u64> + RangeSet<u64>>(name: &str) {
+fn assert_deterministic<S: BatchSet + RangeSet>(name: &str) {
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0x5EED_0001u64, 0xD15C_0C0A] {
         let oracle = with_threads(1, || run_workload::<S>(seed));
@@ -112,7 +112,7 @@ fn assert_deterministic<S: BatchSet<u64> + RangeSet<u64>>(name: &str) {
 
 #[test]
 fn pma_batches_deterministic_across_thread_counts() {
-    assert_deterministic::<Pma<u64>>("PMA");
+    assert_deterministic::<Pma>("PMA");
 }
 
 #[test]
@@ -178,7 +178,7 @@ fn autotuned_sharded_cpma_deterministic_across_thread_counts() {
             counts.push(s.remove_batch(&mut del, false));
         }
         assert_eq!(s.shard_count(), TO);
-        let lens = s.shard_lens::<u64>();
+        let lens = s.shard_lens();
         (
             counts,
             s.splitters().to_vec(),
@@ -430,7 +430,7 @@ fn dir_image(path: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 
 /// A seeded batch history for the snapshot-determinism tests: both batch
 /// directions plus a mixed pass, all above the point-update cutoff.
-fn build_history<S: BatchSet<u64>>(seed: u64) -> S {
+fn build_history<S: BatchSet>(seed: u64) -> S {
     let mut rng = SplitMix64::new(seed);
     let mut s = S::new_set();
     for _ in 0..4 {
@@ -462,12 +462,10 @@ fn snapshot_images_bit_identical_across_thread_counts() {
     // deterministic, a strictly stronger claim than equal contents.
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0x5EED_0001u64, 0xD15C_0C0A] {
-        let pma = with_threads(1, || build_history::<Pma<u64>>(seed).to_snapshot_bytes());
+        let pma = with_threads(1, || build_history::<Pma>(seed).to_snapshot_bytes());
         let cpma = with_threads(1, || build_history::<Cpma>(seed).to_snapshot_bytes());
         for threads in [2usize, 8] {
-            let p = with_threads(threads, || {
-                build_history::<Pma<u64>>(seed).to_snapshot_bytes()
-            });
+            let p = with_threads(threads, || build_history::<Pma>(seed).to_snapshot_bytes());
             assert_eq!(p, pma, "Pma image @ {threads} threads (seed {seed:#x})");
             let c = with_threads(threads, || build_history::<Cpma>(seed).to_snapshot_bytes());
             assert_eq!(c, cpma, "Cpma image @ {threads} threads (seed {seed:#x})");
@@ -589,7 +587,7 @@ fn durable_combiner_wal_and_recovery_bit_identical_across_thread_counts() {
             }
             let stats = c.stats();
             drop(c);
-            let (set, report) = cpma::persist::recover::<u64, ShardedSet<Cpma, 4>>(&dir).unwrap();
+            let (set, report) = cpma::persist::recover::<ShardedSet<Cpma, 4>>(&dir).unwrap();
             assert_eq!(report.last_seq, 12);
             assert!(!report.truncated_tail);
             (dir_image(&dir), set.to_vec(), stats)

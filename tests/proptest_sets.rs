@@ -55,8 +55,8 @@ fn pma_batch_equals_points() {
     let mut rng = SplitMix64::new(0xBA7C);
     for _ in 0..CASES {
         let base = sorted_unique(rng.raw_keys(500));
-        let mut batched = Pma::<u64>::from_sorted(&base);
-        let mut pointed = Pma::<u64>::from_sorted(&base);
+        let mut batched = Pma::from_sorted(&base);
+        let mut pointed = Pma::from_sorted(&base);
         let b = sorted_unique(rng.raw_keys(800));
         let added = batched.insert_batch_sorted(&b);
         let mut point_added = 0;
@@ -78,7 +78,7 @@ fn pma_batch_equals_points() {
 fn cpma_equals_pma() {
     let mut rng = SplitMix64::new(0xCE0A);
     for _ in 0..CASES {
-        let mut pma = Pma::<u64>::new();
+        let mut pma = Pma::new();
         let mut cpma = Cpma::new();
         let rounds = rng.next_below(7) + 1;
         for _ in 0..rounds {
@@ -122,7 +122,7 @@ fn cpma_insert_then_delete_is_identity() {
 /// the inclusive forms can express, like `..=u64::MAX`).
 #[test]
 fn range_iter_agrees_with_for_range_and_btreeset_on_every_structure() {
-    fn check<S: BatchSet<u64> + RangeSet<u64>>(rng: &mut SplitMix64) {
+    fn check<S: BatchSet + RangeSet>(rng: &mut SplitMix64) {
         let elems = sorted_unique(
             rng.raw_keys(500)
                 .into_iter()
@@ -162,7 +162,7 @@ fn range_iter_agrees_with_for_range_and_btreeset_on_every_structure() {
     }
     let mut rng = SplitMix64::new(0x4A63);
     for _ in 0..8 {
-        check::<Pma<u64>>(&mut rng);
+        check::<Pma>(&mut rng);
         check::<Cpma>(&mut rng);
         check::<PTree>(&mut rng);
         check::<UPac>(&mut rng);
@@ -179,7 +179,7 @@ fn successor_matches_model() {
     for _ in 0..CASES {
         let elems = sorted_unique(rng.raw_keys(400));
         let model: BTreeSet<u64> = elems.iter().copied().collect();
-        let p = Pma::<u64>::from_sorted(&elems);
+        let p = Pma::from_sorted(&elems);
         let probe = rng.next_u64();
         let want = model.range(probe..).next().copied();
         assert_eq!(p.successor(probe), want);
@@ -194,7 +194,7 @@ fn baselines_match_pma() {
         let base = sorted_unique(rng.raw_keys(400));
         let batch = sorted_unique(rng.raw_keys(400));
         let dels = sorted_unique(rng.raw_keys(200));
-        let mut pma = Pma::<u64>::from_sorted(&base);
+        let mut pma = Pma::from_sorted(&base);
         let mut pt = PTree::from_sorted(&base);
         let mut cp = CPac::from_sorted(&base);
         assert_eq!(
@@ -221,7 +221,7 @@ fn baselines_match_pma() {
 fn pma_invariants_under_point_ops() {
     let mut rng = SplitMix64::new(0x1417);
     for _ in 0..CASES {
-        let mut p = Pma::<u64>::new();
+        let mut p = Pma::new();
         let mut c = Cpma::new();
         let ops = rng.next_below(600) as usize;
         for _ in 0..ops {

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 #[test]
 fn all_seven_implementations_pass_the_contract() {
-    assert_ordered_set_contract::<Pma<u64>>(1);
+    assert_ordered_set_contract::<Pma>(1);
     assert_ordered_set_contract::<Cpma>(2);
     assert_ordered_set_contract::<PTree>(3);
     assert_ordered_set_contract::<UPac>(4);
@@ -46,7 +46,7 @@ fn batch(rng: &mut SplitMix64, max_len: usize, bits: u32) -> Vec<u64> {
     b
 }
 
-fn exercise<S: BatchSet<u64> + RangeSet<u64>>(seed: u64) {
+fn exercise<S: BatchSet + RangeSet>(seed: u64) {
     let mut rng = SplitMix64::new(seed);
     let mut s = S::new_set();
     let mut model: BTreeSet<u64> = BTreeSet::new();
@@ -101,7 +101,7 @@ fn exercise<S: BatchSet<u64> + RangeSet<u64>>(seed: u64) {
 
 #[test]
 fn pma_matches_model() {
-    exercise::<Pma<u64>>(101);
+    exercise::<Pma>(101);
 }
 
 #[test]
@@ -149,10 +149,7 @@ fn all_structures_agree_with_each_other() {
     let batches: Vec<Vec<u64>> = (0..20).map(|_| batch(&mut rng, 5000, 30)).collect();
     let dels: Vec<Vec<u64>> = (0..10).map(|_| batch(&mut rng, 3000, 30)).collect();
 
-    fn drive<S: BatchSet<u64> + RangeSet<u64>>(
-        batches: &[Vec<u64>],
-        dels: &[Vec<u64>],
-    ) -> (Vec<u64>, u64) {
+    fn drive<S: BatchSet + RangeSet>(batches: &[Vec<u64>], dels: &[Vec<u64>]) -> (Vec<u64>, u64) {
         let mut s = S::new_set();
         for b in batches {
             s.insert_batch_sorted(b);
@@ -165,7 +162,7 @@ fn all_structures_agree_with_each_other() {
         (contents, sum)
     }
 
-    let reference = drive::<Pma<u64>>(&batches, &dels);
+    let reference = drive::<Pma>(&batches, &dels);
     assert_eq!(drive::<Cpma>(&batches, &dels), reference, "CPMA");
     assert_eq!(drive::<PTree>(&batches, &dels), reference, "P-tree");
     assert_eq!(drive::<UPac>(&batches, &dels), reference, "U-PaC");

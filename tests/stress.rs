@@ -27,7 +27,7 @@ const STRESS_THREADS: usize = 8;
 /// checked against the oracle after every round.
 fn pounded<S>(next_batch: impl FnMut(usize) -> Vec<u64> + Send, rounds: usize, tag: &str)
 where
-    S: BatchSet<u64> + RangeSet<u64>,
+    S: BatchSet + RangeSet,
 {
     rayon::ThreadPoolBuilder::new()
         .num_threads(STRESS_THREADS)
@@ -38,7 +38,7 @@ where
 
 fn pounded_inner<S>(mut next_batch: impl FnMut(usize) -> Vec<u64>, rounds: usize, tag: &str)
 where
-    S: BatchSet<u64> + RangeSet<u64>,
+    S: BatchSet + RangeSet,
 {
     let mut s = S::new_set();
     let mut model: BTreeSet<u64> = BTreeSet::new();
@@ -97,7 +97,7 @@ fn cpma_zipf_mixed_batches_under_full_pool() {
 #[ignore = "stress: minutes of runtime; run via `cargo test -- --ignored` (CI stress job)"]
 fn pma_zipf_mixed_batches_under_full_pool() {
     let mut zipf = ZipfGenerator::paper_config(0xBEEF);
-    pounded::<Pma<u64>>(|_| zipf.keys(200_000), 12, "PMA/zipf");
+    pounded::<Pma>(|_| zipf.keys(200_000), 12, "PMA/zipf");
 }
 
 #[test]
