@@ -21,8 +21,8 @@
 //!   sequence number, a [`wal::FsyncPolicy`], and
 //!   size-triggered checkpoint + truncate rotation ([`wal::WalConfig`]).
 //! * [`mod@recover`] — crash recovery: load the newest checkpoint that
-//!   validates, replay the WAL tail with sequence-continuity checks, and
-//!   truncate any torn final record. Deterministic, and oracle-checked by
+//!   validates, replay the WAL tail with sequence-continuity checks as one
+//!   normalised batch per segment, and truncate any torn final record. Deterministic, and oracle-checked by
 //!   the kill-point tests in `crates/store/tests/persist_recovery.rs`.
 //!
 //! Every load path is fuzz-tested against byte flips and truncations:

@@ -27,10 +27,12 @@
 //! carry no version of their own — the segment header speaks for them.
 //!
 //! `tag` is 1 for insert, 0 for remove. A record is appended (and fsynced
-//! per [`FsyncPolicy`]) *before* the epoch's batch is applied or its
-//! snapshot published — the WAL invariant that makes every acknowledged
-//! epoch recoverable. Empty epochs still get a (12-byte-body) record so
-//! the WAL sequence stays in lockstep with `epochs_applied`.
+//! per [`FsyncPolicy`]) after the epoch's batch is applied to the
+//! combiner's private replica but *before* that replica is published or
+//! any of the epoch's operations is acknowledged — the WAL invariant that
+//! makes every acknowledged epoch recoverable. Empty epochs still get a
+//! (12-byte-body) record so the WAL sequence stays in lockstep with
+//! `epochs_applied`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;

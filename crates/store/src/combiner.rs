@@ -93,8 +93,11 @@
 //! * **One history, to the byte.** A copy leaves exactly the bytes a
 //!   replay of `lag` would have written, so every replica's bytes are
 //!   those of a single set that applied one net batch per epoch:
-//!   checkpoints, WAL recovery and the thread-budget determinism suite
-//!   cannot tell the replicas apart.
+//!   checkpoints and the thread-budget determinism suite cannot tell the
+//!   replicas apart. WAL recovery reproduces that set's contents and
+//!   `last_seq`, not its bytes: it applies each segment's epochs as one
+//!   merged batch, so the recovered leaf layout is its own (the same at
+//!   every thread budget).
 //! * **Taking the spare is race-free.** [`Combiner::snapshot`] only ever
 //!   hands out `front`, so a new handle to a retired replica can only be
 //!   cloned from one a reader already holds. When `Arc::try_unwrap` finds

@@ -42,11 +42,12 @@
 //! [`Persist`] as a shard-per-file checkpoint directory with a
 //! checksummed manifest, and [`Combiner::open_durable`] attaches an epoch
 //! write-ahead log: each epoch's net batch is appended (checksummed,
-//! under a configurable [`FsyncPolicy`]) *before* it is applied, and the
-//! log rotates through size-triggered checkpoints. Reopening the same
+//! under a configurable [`FsyncPolicy`]) after it is applied to a private
+//! replica and *before* that replica is published or any operation
+//! acknowledged, and the log rotates through size-triggered checkpoints. Reopening the same
 //! directory after a crash recovers exactly the state of the last
-//! acknowledged epoch — newest valid checkpoint plus WAL tail replay,
-//! with a torn final record truncated. `docs/ARCHITECTURE.md` has the
+//! acknowledged epoch — newest valid checkpoint plus WAL tail replay
+//! (one batch per segment), with a torn final record truncated. `docs/ARCHITECTURE.md` has the
 //! format and the recovery state machine.
 
 mod combiner;

@@ -682,6 +682,12 @@ fn parse_shard_name(name: &str) -> Option<usize> {
 /// the manifest lands, `load` fails typed and recovery falls back to an
 /// older checkpoint.
 ///
+/// Both directions handle the shard files in parallel on the workspace
+/// pool. Every shard is attempted, and the error returned is that of the
+/// first failing shard in index order, so the outcome does not depend on
+/// the schedule; `save` writes the manifest only once every shard file
+/// is saved.
+///
 /// Re-saving over an existing directory reuses it (stale `shard-*` files
 /// beyond the current count are deleted) but is not crash-atomic; the
 /// durable [`Combiner`](crate::Combiner) always checkpoints into a fresh
@@ -692,12 +698,16 @@ fn parse_shard_name(name: &str) -> Option<usize> {
 /// as it was saved, whatever the loading type's `N`; a count other than
 /// `N` is rebuilt into `N` shards at the next batch. Statistics restart at
 /// zero.
-impl<S: Persist, const N: usize> Persist for ShardedSet<S, N> {
+impl<S: Persist + Send + Sync, const N: usize> Persist for ShardedSet<S, N> {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
         std::fs::create_dir_all(path)?;
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.save(&path.join(shard_file_name(i)))?;
-        }
+        let saved: Vec<Result<(), PersistError>> = self
+            .shards
+            .par_iter()
+            .enumerate()
+            .map(|(i, shard)| shard.save(&path.join(shard_file_name(i))))
+            .collect();
+        saved.into_iter().collect::<Result<(), _>>()?;
         // Drop shard files a previous, wider save left behind.
         for entry in std::fs::read_dir(path)? {
             let entry = entry?;
@@ -750,10 +760,11 @@ impl<S: Persist, const N: usize> Persist for ShardedSet<S, N> {
         if splitters.windows(2).any(|w| w[0] > w[1]) {
             return Err(PersistError::Corrupt("splitters not ascending".into()));
         }
-        let mut shards = Vec::with_capacity(count);
-        for i in 0..count {
-            shards.push(S::load(&path.join(shard_file_name(i)))?);
-        }
+        let loaded: Vec<Result<S, PersistError>> = (0..count)
+            .into_par_iter()
+            .map(|i| S::load(&path.join(shard_file_name(i))))
+            .collect();
+        let shards = loaded.into_iter().collect::<Result<Vec<S>, _>>()?;
         Ok(Self::assemble(shards, splitters))
     }
 }

@@ -240,6 +240,117 @@ fn mid_checkpoint_crash_falls_back() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A checkpoint whose `seq` lands inside a segment: the leader wrote it
+/// and crashed before rotating, so the restart appends to the segment
+/// that holds the epochs the checkpoint covers. Recovery must skip those
+/// and replay the rest as one batch. Two key groups flip insert → remove
+/// → insert across the checkpoint; every record boundary past it is a
+/// kill point checked against the per-epoch oracle.
+#[test]
+fn checkpoint_inside_a_segment() {
+    fn run<S: BatchSet + RangeSet + Clone + Sync + Persist>(tag: &str) {
+        let dir = tmp_dir(&format!("ckpt-in-segment-{tag}"));
+        let mut rng = SplitMix64::new(0xC4EC_0001);
+        let mut model = BTreeSet::new();
+        // Keys above the bursts' 9-bit domain, so only the flips touch them.
+        let (f, g) = ([1_000u64, 1_001, 1_500], [2_000u64, 2_222]);
+        let burst_with = |extra: &[Op<u64>], rng: &mut SplitMix64, model: &mut BTreeSet<u64>| {
+            let mut burst = epoch_burst(rng, model);
+            for op in extra {
+                match *op {
+                    Op::Insert(k) => model.insert(k),
+                    Op::Remove(k) => model.remove(&k),
+                    Op::Contains(_) => unreachable!(),
+                };
+            }
+            burst.extend_from_slice(extra);
+            burst
+        };
+        let ins = |keys: &[u64]| keys.iter().map(|&k| Op::Insert(k)).collect::<Vec<_>>();
+        let rem = |keys: &[u64]| keys.iter().map(|&k| Op::Remove(k)).collect::<Vec<_>>();
+
+        let (combiner, _) =
+            Combiner::<S>::open_durable(CombinerConfig::default(), wal_config(&dir)).unwrap();
+        let mut states: Vec<Vec<u64>> = vec![Vec::new()];
+        for epoch in 1..=8u64 {
+            let extra = match epoch {
+                7 => ins(&g),
+                8 => [ins(&f), rem(&g)].concat(),
+                _ => Vec::new(),
+            };
+            combiner.submit_many(&burst_with(&extra, &mut rng, &mut model));
+            states.push(model.iter().copied().collect());
+        }
+        // The checkpoint lands; the crash comes before the rotation.
+        let ckpt = combiner.epochs_applied();
+        assert_eq!(ckpt, 8);
+        combiner
+            .snapshot()
+            .save(&dir.join(cpma_persist::wal::checkpoint_file_name(ckpt)))
+            .unwrap();
+        drop(combiner);
+
+        let (combiner, report) =
+            Combiner::<S>::open_durable(CombinerConfig::default(), wal_config(&dir)).unwrap();
+        assert_eq!(
+            (
+                report.checkpoint_seq,
+                report.last_seq,
+                report.replayed_records
+            ),
+            (ckpt, ckpt, 0)
+        );
+        let seg = sole_segment(&dir);
+        assert!(seg.ends_with(cpma_persist::wal::segment_file_name(1)));
+        // `ends[i]`: the segment's length once epoch `ckpt + i` is logged.
+        let mut ends = vec![std::fs::metadata(&seg).unwrap().len()];
+        for epoch in ckpt + 1..=ckpt + 6 {
+            let extra = match epoch - ckpt {
+                1 => [rem(&f), ins(&g)].concat(),
+                2 => ins(&f),
+                3 => rem(&g),
+                _ => Vec::new(),
+            };
+            combiner.submit_many(&burst_with(&extra, &mut rng, &mut model));
+            states.push(model.iter().copied().collect());
+            ends.push(std::fs::metadata(&seg).unwrap().len());
+        }
+        drop(combiner);
+
+        let scratch = tmp_dir(&format!("ckpt-in-segment-{tag}-scratch"));
+        for epoch in ckpt..=ckpt + 6 {
+            let end = ends[(epoch - ckpt) as usize];
+            // At the record boundary, and 3 bytes into the next record.
+            for cut in [end, end + 3] {
+                if epoch == ckpt + 6 && cut > end {
+                    continue;
+                }
+                copy_dir(&dir, &scratch);
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(sole_segment(&scratch))
+                    .unwrap();
+                f.set_len(cut).unwrap();
+                drop(f);
+                let (recovered, report) = recover::<S>(&scratch).unwrap();
+                assert_eq!(report.checkpoint_seq, ckpt, "{tag}, cut at {cut}");
+                assert_eq!(report.last_seq, epoch, "{tag}, cut at {cut}");
+                assert_eq!(report.replayed_records, epoch - ckpt);
+                assert_eq!(report.truncated_tail, cut != end);
+                assert_eq!(
+                    recovered.to_vec(),
+                    states[epoch as usize],
+                    "{tag}, cut at {cut}: wrong contents"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
+    run::<Cpma>("cpma");
+    run::<ShardedSet<Cpma, 4>>("sharded");
+}
+
 /// Size-triggered rotation end to end on the full production stack
 /// (`Combiner<ShardedSet<Cpma>>`): directory checkpoints, pruning of
 /// covered segments, crash, recover, continue.
@@ -352,6 +463,53 @@ fn sharded_manifest_roundtrip_and_corruption() {
             found: 3
         })
     ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Shard files are saved and loaded in parallel, yet the outcome does not
+/// depend on the schedule: the error is the first failing shard's in
+/// index order, and a failed save leaves no `MANIFEST`.
+#[test]
+fn sharded_parallel_io_reports_the_first_failing_shard() {
+    type Wide = ShardedSet<Cpma, 8>;
+    let dir = tmp_dir("parallel-io");
+    let keys: Vec<u64> = (0..20_000u64).map(|i| i * 5).collect();
+    let set: Wide = BatchSet::build_sorted(&keys);
+    let path = dir.join("ckpt");
+    set.save(&path).unwrap();
+
+    // Shard 2 missing (Io), shard 6 damaged (checksum): shard 2 is named.
+    let shard = |i: usize| path.join(format!("shard-{i:05}"));
+    let (two, six) = (
+        std::fs::read(shard(2)).unwrap(),
+        std::fs::read(shard(6)).unwrap(),
+    );
+    std::fs::remove_file(shard(2)).unwrap();
+    let mut bad = six.clone();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0x40;
+    std::fs::write(shard(6), &bad).unwrap();
+    assert!(matches!(Wide::load(&path), Err(PersistError::Io(_))));
+    // The other way round, the damaged shard comes first.
+    std::fs::write(shard(2), &bad).unwrap();
+    std::fs::remove_file(shard(6)).unwrap();
+    assert!(matches!(
+        Wide::load(&path),
+        Err(PersistError::ChecksumMismatch(_))
+    ));
+    std::fs::write(shard(2), &two).unwrap();
+    std::fs::write(shard(6), &six).unwrap();
+    assert_eq!(Wide::load(&path).unwrap().to_vec(), keys);
+
+    // A shard path that cannot be written fails the save before the
+    // manifest; every other shard file is still written.
+    let fresh = dir.join("fresh");
+    std::fs::create_dir_all(fresh.join("shard-00003").join("occupied")).unwrap();
+    assert!(set.save(&fresh).is_err());
+    assert!(!fresh.join("MANIFEST").exists());
+    for i in (0..8).filter(|&i| i != 3) {
+        assert!(fresh.join(format!("shard-{i:05}")).is_file(), "shard {i}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

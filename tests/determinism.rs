@@ -557,7 +557,8 @@ fn durable_combiner_wal_and_recovery_bit_identical_across_thread_counts() {
     // The full save/log/replay round: one seeded op stream through a
     // durable combiner must leave byte-identical WAL segments and
     // publication counters at every internal thread budget, and replaying
-    // the segments must rebuild identical contents.
+    // the segments (one merged batch per segment) must rebuild identical
+    // contents and, saved shard by shard in parallel, identical bytes.
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = std::env::temp_dir().join(format!("cpma-det-wal-{}", std::process::id()));
     let run = |threads: usize, seed: u64| {
@@ -590,7 +591,10 @@ fn durable_combiner_wal_and_recovery_bit_identical_across_thread_counts() {
             let (set, report) = cpma::persist::recover::<ShardedSet<Cpma, 4>>(&dir).unwrap();
             assert_eq!(report.last_seq, 12);
             assert!(!report.truncated_tail);
-            (dir_image(&dir), set.to_vec(), stats)
+            let saved = base.join(format!("recovered-t{threads}"));
+            let _ = std::fs::remove_dir_all(&saved);
+            set.save(&saved).unwrap();
+            (dir_image(&dir), set.to_vec(), dir_image(&saved), stats)
         })
     };
     for seed in [0xD04A_0001u64, 0xD04A_0002] {
