@@ -13,9 +13,11 @@
 //! pointer hops, per-chunk decode costs, batch updates that rebuild
 //! affected chunks — is retained ("Substitutions" in REPRODUCTION.md).
 
+use cpma_api::{BatchSet, OrderedSet, ParallelChunks, RangeSet};
 use cpma_pma::codec;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Expected chunk length (1 / sampling rate). Aspen's default is on the
 /// order of dozens of elements; 128 keeps chunks within a few cache lines
@@ -72,188 +74,29 @@ impl CTreeSet {
         Self::default()
     }
 
-    /// Build from a sorted, deduplicated slice.
-    pub fn from_sorted(elems: &[u64]) -> Self {
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
-        if elems.is_empty() {
-            return Self::new();
-        }
-        // Chunk boundaries = head positions; encode chunks in parallel.
-        let mut bounds: Vec<usize> = Vec::new();
-        for (i, &e) in elems.iter().enumerate() {
-            if is_head(e) {
-                bounds.push(i);
-            }
-        }
-        let prefix_end = bounds.first().copied().unwrap_or(elems.len());
-        let prefix = if prefix_end > 0 {
-            Some(Chunk::encode(&elems[..prefix_end]))
-        } else {
-            None
+    /// The chunk `key` falls in, by its head (`None` for the prefix), and
+    /// the head of the chunk after it.
+    fn chunk_of(&self, key: u64) -> (Option<u64>, Option<u64>) {
+        let head = self.heads.range(..=key).next_back().map(|(&h, _)| h);
+        let after = match head {
+            Some(h) => (Bound::Excluded(h), Bound::Unbounded),
+            None => (Bound::Unbounded, Bound::Unbounded),
         };
-        let heads: BTreeMap<u64, Chunk> = bounds
-            .par_iter()
-            .enumerate()
-            .map(|(bi, &start)| {
-                let end = bounds.get(bi + 1).copied().unwrap_or(elems.len());
-                (elems[start], Chunk::encode(&elems[start..end]))
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect();
-        Self {
-            prefix,
-            heads,
-            len: elems.len(),
-        }
+        (head, self.heads.range(after).next().map(|(&h, _)| h))
     }
 
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Heap bytes: chunk payloads plus per-entry tree overhead (three words
-    /// per head entry, modelling Aspen's tree nodes).
-    pub fn size_bytes(&self) -> usize {
-        let chunks = self
-            .heads
-            .values()
-            .map(|c| c.bytes.len() + 16)
-            .sum::<usize>();
-        let prefix = self.prefix.as_ref().map_or(0, |c| c.bytes.len() + 16);
-        chunks + prefix + self.heads.len() * 24
-    }
-
-    /// Membership test.
-    pub fn has(&self, key: u64) -> bool {
-        let chunk = match self.heads.range(..=key).next_back() {
-            Some((_, c)) => c,
-            None => match &self.prefix {
-                Some(c) => c,
-                None => return false,
-            },
+    /// Take the chunk headed by `head` (`None`: the prefix) out of the
+    /// set, decoded; empty if there is none.
+    fn take_chunk(&mut self, head: Option<u64>) -> Vec<u64> {
+        let chunk = match head {
+            Some(h) => self.heads.remove(&h),
+            None => self.prefix.take(),
         };
-        let mut found = false;
-        chunk.for_each(&mut |e| {
-            if e >= key {
-                found = e == key;
-                return false;
-            }
-            true
-        });
-        found
-    }
-
-    /// Batch insert of a sorted, deduplicated slice; returns #added.
-    ///
-    /// Only the chunks containing batch keys are rewritten; new heads among
-    /// the inserted keys split their chunk locally (chunk boundaries are
-    /// value-determined, so the rewrite never cascades).
-    pub fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() {
-            return 0;
+        let mut out = Vec::new();
+        if let Some(c) = chunk {
+            c.decode(&mut out);
         }
-        let mut added = 0;
-        let mut i = 0;
-        while i < batch.len() {
-            let key = batch[i];
-            // The run of batch keys belonging to the same existing chunk.
-            let (chunk_elems, run_end) = match self.heads.range(..=key).next_back() {
-                Some((&h, _)) => {
-                    let next = self
-                        .heads
-                        .range((std::ops::Bound::Excluded(h), std::ops::Bound::Unbounded))
-                        .next()
-                        .map(|(&nh, _)| nh);
-                    let run_end = match next {
-                        Some(nh) => i + batch[i..].partition_point(|&e| e < nh),
-                        None => batch.len(),
-                    };
-                    let mut cur = Vec::new();
-                    self.heads.get(&h).unwrap().decode(&mut cur);
-                    self.heads.remove(&h);
-                    (cur, run_end)
-                }
-                None => {
-                    // Prefix chunk (keys below the first head).
-                    let first_head = self.heads.keys().next().copied();
-                    let run_end = match first_head {
-                        Some(fh) => i + batch[i..].partition_point(|&e| e < fh),
-                        None => batch.len(),
-                    };
-                    let mut cur = Vec::new();
-                    if let Some(c) = self.prefix.take() {
-                        c.decode(&mut cur);
-                    }
-                    (cur, run_end)
-                }
-            };
-            // Merge and re-chunk locally.
-            let mut merged = Vec::with_capacity(chunk_elems.len() + (run_end - i));
-            let (mut a, mut b) = (0, i);
-            while a < chunk_elems.len() && b < run_end {
-                match chunk_elems[a].cmp(&batch[b]) {
-                    std::cmp::Ordering::Less => {
-                        merged.push(chunk_elems[a]);
-                        a += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push(batch[b]);
-                        added += 1;
-                        b += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push(chunk_elems[a]);
-                        a += 1;
-                        b += 1;
-                    }
-                }
-            }
-            merged.extend_from_slice(&chunk_elems[a..]);
-            while b < run_end {
-                merged.push(batch[b]);
-                added += 1;
-                b += 1;
-            }
-            self.write_run(&merged);
-            i = run_end;
-        }
-        self.len += added;
-        added
-    }
-
-    /// Batch remove of a sorted, deduplicated slice; returns #removed.
-    pub fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() || self.len == 0 {
-            return 0;
-        }
-        // Collect + difference + rebuild of affected chunks. Removing a head
-        // merges its survivors into the preceding chunk, so we conservatively
-        // rebuild from the whole affected span: simplest correct form.
-        let mut all = self.collect();
-        let mut out = Vec::with_capacity(all.len());
-        let mut j = 0;
-        let mut removed = 0;
-        for &e in &all {
-            while j < batch.len() && batch[j] < e {
-                j += 1;
-            }
-            if j < batch.len() && batch[j] == e {
-                removed += 1;
-                j += 1;
-            } else {
-                out.push(e);
-            }
-        }
-        all.clear();
-        *self = Self::from_sorted(&out);
-        removed
+        out
     }
 
     /// Write a merged run back as prefix/head chunks (splitting on heads).
@@ -288,19 +131,45 @@ impl CTreeSet {
             None => self.prefix = Some(Chunk::encode(slice)),
         }
     }
+}
 
-    /// Smallest stored key.
-    pub fn min(&self) -> Option<u64> {
+impl OrderedSet for CTreeSet {
+    const NAME: &'static str = "C-tree";
+
+    fn contains(&self, key: u64) -> bool {
+        let chunk = match self.heads.range(..=key).next_back() {
+            Some((_, c)) => c,
+            None => match &self.prefix {
+                Some(c) => c,
+                None => return false,
+            },
+        };
+        let mut found = false;
+        chunk.for_each(&mut |e| {
+            if e >= key {
+                found = e == key;
+                return false;
+            }
+            true
+        });
+        found
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn min(&self) -> Option<u64> {
+        let first = self.prefix.as_ref().or(self.heads.values().next())?;
         let mut out = None;
-        self.for_each(&mut |e| {
+        first.for_each(&mut |e| {
             out = Some(e);
             false
         });
         out
     }
 
-    /// Largest stored key.
-    pub fn max(&self) -> Option<u64> {
+    fn max(&self) -> Option<u64> {
         let last = self.heads.values().next_back().or(self.prefix.as_ref())?;
         let mut out = None;
         last.for_each(&mut |e| {
@@ -310,100 +179,179 @@ impl CTreeSet {
         out
     }
 
-    /// Hand the keys ≥ `start` to `f` a chunk at a time, each decoded into
-    /// one reused buffer, until `f` returns false (the
-    /// `RangeSet::scan_chunks_from` primitive); returns false iff stopped
-    /// early.
-    pub fn chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
+    fn successor(&self, key: u64) -> Option<u64> {
+        let mut out = None;
+        self.scan_chunks_from(key, &mut |chunk| {
+            out = Some(chunk[0]);
+            false
+        });
+        out
+    }
+
+    /// Heap bytes: chunk payloads plus per-entry tree overhead (three words
+    /// per head entry, modelling Aspen's tree nodes).
+    fn size_bytes(&self) -> usize {
+        let chunks = self
+            .heads
+            .values()
+            .map(|c| c.bytes.len() + 16)
+            .sum::<usize>();
+        let prefix = self.prefix.as_ref().map_or(0, |c| c.bytes.len() + 16);
+        chunks + prefix + self.heads.len() * 24
+    }
+}
+
+impl BatchSet for CTreeSet {
+    fn new_set() -> Self {
+        Self::new()
+    }
+
+    fn build_sorted(elems: &[u64]) -> Self {
+        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
+        if elems.is_empty() {
+            return Self::new();
+        }
+        // Chunk boundaries = head positions; encode chunks in parallel.
+        let mut bounds: Vec<usize> = Vec::new();
+        for (i, &e) in elems.iter().enumerate() {
+            if is_head(e) {
+                bounds.push(i);
+            }
+        }
+        let prefix_end = bounds.first().copied().unwrap_or(elems.len());
+        let prefix = if prefix_end > 0 {
+            Some(Chunk::encode(&elems[..prefix_end]))
+        } else {
+            None
+        };
+        let heads: BTreeMap<u64, Chunk> = bounds
+            .par_iter()
+            .enumerate()
+            .map(|(bi, &start)| {
+                let end = bounds.get(bi + 1).copied().unwrap_or(elems.len());
+                (elems[start], Chunk::encode(&elems[start..end]))
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .collect();
+        Self {
+            prefix,
+            heads,
+            len: elems.len(),
+        }
+    }
+
+    /// Only the chunks containing batch keys are rewritten; new heads among
+    /// the inserted keys split their chunk locally (chunk boundaries are
+    /// value-determined, so the rewrite never cascades).
+    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
+        let mut added = 0;
+        let mut i = 0;
+        while i < batch.len() {
+            // The run of batch keys belonging to the same existing chunk.
+            let (head, next) = self.chunk_of(batch[i]);
+            let run_end = next.map_or(batch.len(), |nh| {
+                i + batch[i..].partition_point(|&e| e < nh)
+            });
+            let chunk_elems = self.take_chunk(head);
+            // Merge and re-chunk locally.
+            let mut merged = Vec::with_capacity(chunk_elems.len() + (run_end - i));
+            let (mut a, mut b) = (0, i);
+            while a < chunk_elems.len() && b < run_end {
+                match chunk_elems[a].cmp(&batch[b]) {
+                    std::cmp::Ordering::Less => {
+                        merged.push(chunk_elems[a]);
+                        a += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        merged.push(batch[b]);
+                        added += 1;
+                        b += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        merged.push(chunk_elems[a]);
+                        a += 1;
+                        b += 1;
+                    }
+                }
+            }
+            merged.extend_from_slice(&chunk_elems[a..]);
+            while b < run_end {
+                merged.push(batch[b]);
+                added += 1;
+                b += 1;
+            }
+            self.write_run(&merged);
+            i = run_end;
+        }
+        self.len += added;
+        added
+    }
+
+    /// Only the chunks containing batch keys are rewritten, plus the chunk
+    /// before one whose head goes: its surviving followers join that
+    /// chunk. A chunk the batch misses entirely is left as it is.
+    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
+        let mut removed = 0;
+        let mut i = 0;
+        while i < batch.len() && self.len > removed {
+            let (head, next) = self.chunk_of(batch[i]);
+            let run_end = next.map_or(batch.len(), |nh| {
+                i + batch[i..].partition_point(|&e| e < nh)
+            });
+            let run = &batch[i..run_end];
+            i = run_end;
+            let chunk = match head {
+                Some(h) => self.heads.get(&h),
+                None => self.prefix.as_ref(),
+            };
+            let Some(chunk) = chunk else { continue };
+            let mut elems = Vec::new();
+            chunk.decode(&mut elems);
+            let before = elems.len();
+            elems.retain(|e| run.binary_search(e).is_err());
+            if elems.len() == before {
+                continue;
+            }
+            removed += before - elems.len();
+            match head {
+                Some(h) => drop(self.heads.remove(&h)),
+                None => self.prefix = None,
+            }
+            // The head went: the followers join the chunk before it.
+            if let Some(h) = head.filter(|&h| elems.first().is_some_and(|&f| f != h)) {
+                let mut merged = self.take_chunk(self.chunk_of(h).0);
+                merged.append(&mut elems);
+                elems = merged;
+            }
+            self.write_run(&elems);
+        }
+        self.len -= removed;
+        removed
+    }
+}
+
+impl RangeSet for CTreeSet {
+    /// One chunk per compressed chunk, each decoded into one reused
+    /// buffer.
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
         let mut buf = Vec::new();
         // The chunk containing `start` may begin before it.
         let first = self.heads.range(..=start).next_back().map(|(_, c)| c);
         let rest = self
             .heads
-            .range((std::ops::Bound::Excluded(start), std::ops::Bound::Unbounded))
+            .range((Bound::Excluded(start), Bound::Unbounded))
             .map(|(_, c)| c);
         self.prefix.iter().chain(first).chain(rest).all(|c| {
             buf.clear();
             c.decode(&mut buf);
             let from = buf.partition_point(|&e| e < start);
             from == buf.len() || f(&buf[from..])
-        })
-    }
-
-    /// Apply `f` to all keys in order.
-    pub fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) {
-        if let Some(p) = &self.prefix {
-            if !p.for_each(f) {
-                return;
-            }
-        }
-        for c in self.heads.values() {
-            if !c.for_each(f) {
-                return;
-            }
-        }
-    }
-
-    /// Apply `f` to all keys in `[start, end)` in order.
-    pub fn map_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64)) {
-        if start >= end {
-            return;
-        }
-        let mut apply = |c: &Chunk| {
-            c.for_each(&mut |e| {
-                if e >= end {
-                    return false;
-                }
-                if e >= start {
-                    f(e);
-                }
-                true
-            })
-        };
-        // The chunk containing `start` may begin before it.
-        if let Some(p) = &self.prefix {
-            if !apply(p) {
-                return;
-            }
-        }
-        for (_, c) in self.heads.range(..=start).next_back().into_iter().chain(
-            self.heads
-                .range((std::ops::Bound::Excluded(start), std::ops::Bound::Unbounded)),
-        ) {
-            if !apply(c) {
-                return;
-            }
-        }
-    }
-
-    /// Parallel sum of all keys.
-    pub fn sum(&self) -> u64 {
-        let chunks: Vec<&Chunk> = self.prefix.iter().chain(self.heads.values()).collect();
-        chunks
-            .par_iter()
-            .map(|c| {
-                let mut s = 0u64;
-                c.for_each(&mut |e| {
-                    s = s.wrapping_add(e);
-                    true
-                });
-                s
-            })
-            .reduce(|| 0, u64::wrapping_add)
-    }
-
-    /// All keys in order.
-    pub fn collect(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.len);
-        if let Some(p) = &self.prefix {
-            p.decode(&mut out);
-        }
-        for c in self.heads.values() {
-            c.decode(&mut out);
-        }
-        out
+        });
     }
 }
+
+impl ParallelChunks for CTreeSet {}
 
 #[cfg(test)]
 mod tests {
@@ -427,22 +375,22 @@ mod tests {
         let mut elems = lcg(20_000, 3, 34);
         elems.sort_unstable();
         elems.dedup();
-        let t = CTreeSet::from_sorted(&elems);
+        let t = CTreeSet::build_sorted(&elems);
         assert_eq!(t.len(), elems.len());
-        assert_eq!(t.collect(), elems);
+        assert_eq!(t.to_vec(), elems);
         for &e in elems.iter().step_by(997) {
-            assert!(t.has(e));
+            assert!(t.contains(e));
         }
-        assert!(!t.has(elems.last().unwrap() + 1));
+        assert!(!t.contains(elems.last().unwrap() + 1));
     }
 
     #[test]
     fn empty_set() {
         let t = CTreeSet::new();
         assert!(t.is_empty());
-        assert!(!t.has(7));
-        assert_eq!(t.sum(), 0);
-        assert_eq!(t.collect(), Vec::<u64>::new());
+        assert!(!t.contains(7));
+        assert_eq!(t.range_sum(..), 0);
+        assert_eq!(t.to_vec(), Vec::<u64>::new());
         assert_eq!(t.size_bytes(), 0);
     }
 
@@ -459,36 +407,46 @@ mod tests {
             let added = t.insert_batch_sorted(&keys);
             assert_eq!(added, model.len() - before, "round {round}");
         }
-        assert_eq!(t.collect(), model.iter().copied().collect::<Vec<_>>());
-        assert_eq!(t.sum(), model.iter().sum::<u64>());
+        assert_eq!(t.to_vec(), model.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.range_sum(..), model.iter().sum::<u64>());
     }
 
+    /// Removes that take heads, reach the prefix, miss, and finally empty
+    /// the set match the model and leave the chunks a fresh build of the
+    /// survivors has.
     #[test]
     fn removals_match_model() {
         let mut elems = lcg(10_000, 5, 26);
         elems.sort_unstable();
         elems.dedup();
-        let mut t = CTreeSet::from_sorted(&elems);
+        let mut t = CTreeSet::build_sorted(&elems);
         let mut model: BTreeSet<u64> = elems.iter().copied().collect();
-        let dels: Vec<u64> = elems.iter().step_by(3).copied().collect();
-        let removed = t.remove_batch_sorted(&dels);
-        for d in &dels {
-            model.remove(d);
+        let rounds: [Vec<u64>; 4] = [
+            elems.iter().step_by(3).copied().collect(),
+            t.heads.keys().step_by(2).copied().collect(),
+            elems.iter().map(|&e| e ^ 1).collect(),
+            elems.clone(),
+        ];
+        for (r, mut dels) in rounds.into_iter().enumerate() {
+            dels.sort_unstable();
+            dels.dedup();
+            let want = dels.iter().filter(|d| model.remove(d)).count();
+            assert_eq!(t.remove_batch_sorted(&dels), want, "round {r}");
+            assert_eq!(t.to_vec(), model.iter().copied().collect::<Vec<_>>());
+            assert_fresh(&t, &format!("round {r}"));
         }
-        assert_eq!(removed, dels.len());
-        assert_eq!(t.len(), model.len());
-        assert_eq!(t.collect(), model.iter().copied().collect::<Vec<_>>());
+        assert!(t.is_empty() && t.prefix.is_none() && t.heads.is_empty());
     }
 
     #[test]
-    fn map_range_matches_filter() {
+    fn for_range_matches_filter() {
         let mut elems = lcg(5000, 9, 24);
         elems.sort_unstable();
         elems.dedup();
-        let t = CTreeSet::from_sorted(&elems);
+        let t = CTreeSet::build_sorted(&elems);
         let (a, b) = (elems[100], elems[4000]);
         let mut seen = Vec::new();
-        t.map_range(a, b, &mut |e| seen.push(e));
+        t.for_range(a..b, |e| seen.push(e));
         let want: Vec<u64> = elems.iter().copied().filter(|&e| e >= a && e < b).collect();
         assert_eq!(seen, want);
     }
@@ -496,7 +454,7 @@ mod tests {
     #[test]
     fn chunk_statistics_reasonable() {
         let elems: Vec<u64> = (0..100_000u64).collect();
-        let t = CTreeSet::from_sorted(&elems);
+        let t = CTreeSet::build_sorted(&elems);
         // Expected chunk length 128 → ~780 heads for 100k elements.
         let heads = t.heads.len();
         assert!(heads > 400 && heads < 1600, "heads = {heads}");
@@ -507,7 +465,7 @@ mod tests {
     #[test]
     fn insert_creating_new_heads_splits_chunks() {
         // Insert keys until statistically some of them must be heads.
-        let mut t = CTreeSet::from_sorted(&(0..1000u64).map(|i| i * 1000).collect::<Vec<_>>());
+        let mut t = CTreeSet::build_sorted(&(0..1000u64).map(|i| i * 1000).collect::<Vec<_>>());
         let heads_before = t.heads.len();
         let extra: Vec<u64> = (0..5000u64).map(|i| i * 200 + 7).collect();
         let mut uniq = extra.clone();
@@ -519,6 +477,54 @@ mod tests {
         all.extend(uniq);
         all.sort_unstable();
         all.dedup();
-        assert_eq!(t.collect(), all);
+        assert_eq!(t.to_vec(), all);
+    }
+
+    /// Where each chunk's bytes live, by head (`None`: the prefix).
+    fn allocations(t: &CTreeSet) -> BTreeMap<Option<u64>, *const u8> {
+        let prefix = t.prefix.iter().map(|c| (None, c.bytes.as_ptr()));
+        let heads = t.heads.iter().map(|(&h, c)| (Some(h), c.bytes.as_ptr()));
+        prefix.chain(heads).collect()
+    }
+
+    /// The same chunks, byte for byte, as a fresh build of the same keys.
+    fn assert_fresh(t: &CTreeSet, what: &str) {
+        let fresh = CTreeSet::build_sorted(&t.to_vec());
+        let bytes = |t: &CTreeSet| -> Vec<(Option<u64>, Box<[u8]>)> {
+            let prefix = t.prefix.iter().map(|c| (None, c.bytes.clone()));
+            let heads = t.heads.iter().map(|(&h, c)| (Some(h), c.bytes.clone()));
+            prefix.chain(heads).collect()
+        };
+        assert!(
+            bytes(t) == bytes(&fresh),
+            "{what}: chunks differ from a fresh build"
+        );
+        assert_eq!(t.len(), fresh.len(), "{what}: len");
+    }
+
+    /// A remove rewrites only the chunks its keys fall in, and the chunk
+    /// before one whose head it removes: after a 10-key remove from
+    /// 100 000 keys, every chunk outside that span keeps its allocation,
+    /// and the chunks equal a fresh build.
+    #[test]
+    fn remove_rewrites_only_its_own_chunks() {
+        let elems: Vec<u64> = (0..100_000u64).map(|i| i * 3).collect();
+        let mut t = CTreeSet::build_sorted(&elems);
+        // Ten keys around the middle, the first of them a chunk head.
+        let mid = *t.heads.keys().nth(t.heads.len() / 2).unwrap();
+        let batch: Vec<u64> = (0..10u64).map(|i| mid + 30 * i).collect();
+        let lo = t.heads.range(..mid).next_back().map(|(&h, _)| h).unwrap();
+        let hi = *batch.last().unwrap();
+        let before = allocations(&t);
+        assert_eq!(t.remove_batch_sorted(&batch), 10);
+        assert!(!t.heads.contains_key(&mid), "the head went");
+        let after = allocations(&t);
+        let outside = |h: &Option<u64>| h.is_none_or(|h| h < lo || h > hi);
+        let kept: Vec<_> = before.iter().filter(|(h, _)| outside(h)).collect();
+        assert!(kept.len() > 700, "{} chunks outside the span", kept.len());
+        for (h, ptr) in kept {
+            assert_eq!(after.get(h), Some(ptr), "chunk {h:?} was rewritten");
+        }
+        assert_fresh(&t, "10-key remove");
     }
 }

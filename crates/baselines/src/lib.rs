@@ -17,17 +17,17 @@
 //! compression) rather than matching the original C++ line by line.
 //! "Substitutions" in REPRODUCTION.md records the simplifications.
 //!
-//! Every baseline implements the canonical `cpma_api` hierarchy
-//! (`OrderedSet`/`BatchSet`/`RangeSet`; see this crate's `api` module), so
-//! the sweep binaries and equivalence tests drive them exactly like the
-//! PMA/CPMA. Batch preprocessing is the shared `cpma_api::normalize_batch`
-//! — identical normal form across structures keeps the comparison honest.
+//! Every baseline's public surface is the canonical `cpma_api` hierarchy
+//! (`OrderedSet`/`BatchSet`/`RangeSet`/`ParallelChunks`, implemented in
+//! each structure's own module), plus `new` and, on the P-tree, point
+//! `insert`/`remove`, so the sweep binaries and equivalence tests drive
+//! them exactly like the PMA/CPMA. Batch preprocessing is the shared
+//! `cpma_api::normalize_batch` — identical normal form across structures
+//! keeps the comparison honest.
 
 pub mod ctree;
 pub mod pactree;
 pub mod ptree;
-
-mod api;
 
 pub use ctree::CTreeSet;
 pub use pactree::{CompressedBlock, PacTree, RawBlock};
@@ -37,3 +37,38 @@ pub use ptree::PTree;
 pub type UPac = PacTree<RawBlock>;
 /// Compressed PaC-tree (the paper's "C-PaC").
 pub type CPac = PacTree<CompressedBlock>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpma_api::conformance::assert_ordered_set_contract;
+    use cpma_api::OrderedSet;
+
+    #[test]
+    fn ptree_conforms() {
+        assert_ordered_set_contract::<PTree>(0x9733);
+    }
+
+    #[test]
+    fn upac_conforms() {
+        assert_ordered_set_contract::<UPac>(0x09AC);
+    }
+
+    #[test]
+    fn cpac_conforms() {
+        assert_ordered_set_contract::<CPac>(0xC9AC);
+    }
+
+    #[test]
+    fn ctree_conforms() {
+        assert_ordered_set_contract::<CTreeSet>(0xC733);
+    }
+
+    #[test]
+    fn names_match_the_paper() {
+        assert_eq!(<PTree as OrderedSet>::NAME, "P-tree");
+        assert_eq!(<UPac as OrderedSet>::NAME, "U-PaC");
+        assert_eq!(<CPac as OrderedSet>::NAME, "C-PaC");
+        assert_eq!(<CTreeSet as OrderedSet>::NAME, "C-tree");
+    }
+}

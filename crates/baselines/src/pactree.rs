@@ -14,6 +14,7 @@
 //! whole point of the paper's comparison is that trees pay pointer-chasing
 //! costs between blocks, while the PMA scans contiguously.
 
+use cpma_api::{BatchSet, OrderedSet, ParallelChunks, RangeSet};
 use cpma_pma::codec;
 use cpma_pma::stats;
 
@@ -60,16 +61,6 @@ pub trait BlockPayload: Send + Sync + Sized {
             true
         });
         found
-    }
-
-    /// Sum of elements.
-    fn sum(&self) -> u64 {
-        let mut s = 0u64;
-        self.for_each(&mut |e| {
-            s = s.wrapping_add(e);
-            true
-        });
-        s
     }
 }
 
@@ -388,87 +379,9 @@ impl<P: BlockPayload> PacTree<P> {
         Self { root: None }
     }
 
-    /// Build from a sorted, deduplicated slice.
-    pub fn from_sorted(elems: &[u64]) -> Self {
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
-        Self {
-            root: build::<P>(elems),
-        }
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.root.as_ref().map_or(0, |t| t.size())
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.root.is_none()
-    }
-
-    /// Heap bytes used (blocks + internal nodes).
-    pub fn size_bytes(&self) -> usize {
-        fn walk<P: BlockPayload>(t: &Tree<P>) -> usize {
-            match t {
-                Tree::Leaf(p) => LEAF_OVERHEAD + p.payload_bytes(),
-                Tree::Node { left, right, .. } => NODE_BYTES + walk(left) + walk(right),
-            }
-        }
-        self.root.as_ref().map_or(0, |t| walk(t))
-    }
-
-    /// Membership test.
-    pub fn has(&self, key: u64) -> bool {
-        let mut cur = match &self.root {
-            Some(t) => t.as_ref(),
-            None => return false,
-        };
-        loop {
-            match cur {
-                Tree::Leaf(p) => return p.contains(key),
-                Tree::Node {
-                    split, left, right, ..
-                } => {
-                    stats::record_read(NODE_BYTES);
-                    cur = if key < *split { left } else { right };
-                }
-            }
-        }
-    }
-
-    /// Batch insert of a sorted, deduplicated slice. Unsorted input goes
-    /// through `cpma_api::BatchSet::insert_batch`.
-    pub fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
-        match self.root.take() {
-            None => {
-                self.root = build::<P>(batch);
-                batch.len()
-            }
-            Some(t) => {
-                let (t, added) = bulk_insert(t, batch);
-                self.root = Some(t);
-                added
-            }
-        }
-    }
-
-    /// Batch remove of a sorted, deduplicated slice.
-    pub fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        match self.root.take() {
-            None => 0,
-            Some(t) => {
-                let (t, removed) = bulk_remove(t, batch);
-                self.root = t;
-                removed
-            }
-        }
-    }
-
-    /// Apply `f` to all keys in `[start, end)` in order.
-    pub fn map_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64)) {
+    /// Apply `f` to all keys in `[start, end)` in order (under
+    /// `range_sum`).
+    fn map_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64)) {
         fn walk<P: BlockPayload>(t: &Tree<P>, start: u64, end: u64, f: &mut impl FnMut(u64)) {
             match t {
                 Tree::Leaf(p) => {
@@ -501,46 +414,34 @@ impl<P: BlockPayload> PacTree<P> {
             }
         }
     }
+}
 
-    /// Sum of keys in `[start, end)` (the public API is
-    /// `RangeSet::range_sum`).
-    pub(crate) fn range_sum_excl(&self, start: u64, end: u64) -> u64 {
-        let mut s = 0u64;
-        self.map_range(start, end, &mut |k| s = s.wrapping_add(k));
-        s
-    }
+impl<P: BlockPayload> OrderedSet for PacTree<P> {
+    const NAME: &'static str = P::NAME;
 
-    /// Parallel sum of all keys.
-    pub fn sum(&self) -> u64 {
-        fn walk<P: BlockPayload>(t: &Tree<P>) -> u64 {
-            match t {
-                Tree::Leaf(p) => p.sum(),
+    fn contains(&self, key: u64) -> bool {
+        let mut cur = match &self.root {
+            Some(t) => t.as_ref(),
+            None => return false,
+        };
+        loop {
+            match cur {
+                Tree::Leaf(p) => return p.contains(key),
                 Tree::Node {
-                    left, right, size, ..
+                    split, left, right, ..
                 } => {
-                    if *size > PAR_CUTOFF {
-                        let (l, r) = rayon::join(|| walk(left), || walk(right));
-                        l.wrapping_add(r)
-                    } else {
-                        walk(left).wrapping_add(walk(right))
-                    }
+                    stats::record_read(NODE_BYTES);
+                    cur = if key < *split { left } else { right };
                 }
             }
         }
-        self.root.as_ref().map_or(0, |t| walk(t))
     }
 
-    /// All keys in order.
-    pub fn collect(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.len());
-        if let Some(t) = &self.root {
-            collect_into(t, &mut out);
-        }
-        out
+    fn len(&self) -> usize {
+        self.root.as_ref().map_or(0, |t| t.size())
     }
 
-    /// Smallest stored key.
-    pub fn min(&self) -> Option<u64> {
+    fn min(&self) -> Option<u64> {
         let mut cur = self.root.as_ref()?.as_ref();
         loop {
             match cur {
@@ -550,8 +451,7 @@ impl<P: BlockPayload> PacTree<P> {
         }
     }
 
-    /// Largest stored key.
-    pub fn max(&self) -> Option<u64> {
+    fn max(&self) -> Option<u64> {
         let mut cur = self.root.as_ref()?.as_ref();
         loop {
             match cur {
@@ -568,10 +468,71 @@ impl<P: BlockPayload> PacTree<P> {
         }
     }
 
-    /// Hand the keys ≥ `start` to `f` a block at a time until `f` returns
-    /// false (the `RangeSet::scan_chunks_from` primitive); returns false
-    /// iff stopped early.
-    pub fn chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
+    fn successor(&self, key: u64) -> Option<u64> {
+        let mut out = None;
+        self.scan_chunks_from(key, &mut |chunk| {
+            out = Some(chunk[0]);
+            false
+        });
+        out
+    }
+
+    /// Heap bytes used (blocks + internal nodes).
+    fn size_bytes(&self) -> usize {
+        fn walk<P: BlockPayload>(t: &Tree<P>) -> usize {
+            match t {
+                Tree::Leaf(p) => LEAF_OVERHEAD + p.payload_bytes(),
+                Tree::Node { left, right, .. } => NODE_BYTES + walk(left) + walk(right),
+            }
+        }
+        self.root.as_ref().map_or(0, |t| walk(t))
+    }
+}
+
+impl<P: BlockPayload> BatchSet for PacTree<P> {
+    fn new_set() -> Self {
+        Self::new()
+    }
+
+    fn build_sorted(elems: &[u64]) -> Self {
+        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
+        Self {
+            root: build::<P>(elems),
+        }
+    }
+
+    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
+        if batch.is_empty() {
+            return 0;
+        }
+        match self.root.take() {
+            None => {
+                self.root = build::<P>(batch);
+                batch.len()
+            }
+            Some(t) => {
+                let (t, added) = bulk_insert(t, batch);
+                self.root = Some(t);
+                added
+            }
+        }
+    }
+
+    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
+        match self.root.take() {
+            None => 0,
+            Some(t) => {
+                let (t, removed) = bulk_remove(t, batch);
+                self.root = t;
+                removed
+            }
+        }
+    }
+}
+
+impl<P: BlockPayload> RangeSet for PacTree<P> {
+    /// One chunk per block.
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
         fn walk<P: BlockPayload>(
             t: &Tree<P>,
             start: u64,
@@ -594,34 +555,29 @@ impl<P: BlockPayload> PacTree<P> {
                 }
             }
         }
-        match &self.root {
-            Some(t) => walk(t, start, &mut Vec::new(), f),
-            None => true,
+        if let Some(t) = &self.root {
+            walk(t, start, &mut Vec::new(), f);
         }
     }
 
-    /// In-order traversal with early exit; returns false iff stopped early.
-    pub fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        fn walk<P: BlockPayload>(t: &Tree<P>, f: &mut dyn FnMut(u64) -> bool) -> bool {
-            match t {
-                Tree::Leaf(p) => p.for_each(f),
-                Tree::Node { left, right, .. } => {
-                    stats::record_read(NODE_BYTES);
-                    walk(left, f) && walk(right, f)
-                }
-            }
-        }
-        match &self.root {
-            Some(t) => walk(t, f),
-            None => true,
-        }
+    fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
+        cpma_api::range_sum_via_exclusive(
+            &range,
+            || self.contains(u64::MAX),
+            |lo, hi| {
+                let mut s = 0u64;
+                self.map_range(lo, hi, &mut |k| s = s.wrapping_add(k));
+                s
+            },
+        )
     }
 }
+
+impl<P: BlockPayload> ParallelChunks for PacTree<P> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpma_api::BatchSet;
     use std::collections::BTreeSet;
 
     fn lcg(n: usize, seed: u64, bits: u32) -> Vec<u64> {
@@ -638,12 +594,12 @@ mod tests {
 
     fn roundtrip<P: BlockPayload>() {
         let elems: Vec<u64> = (0..10_000u64).map(|i| i * 11 + 5).collect();
-        let t = PacTree::<P>::from_sorted(&elems);
+        let t = PacTree::<P>::build_sorted(&elems);
         assert_eq!(t.len(), elems.len());
-        assert_eq!(t.collect(), elems);
+        assert_eq!(t.to_vec(), elems);
         for &e in elems.iter().step_by(777) {
-            assert!(t.has(e));
-            assert!(!t.has(e + 1));
+            assert!(t.contains(e));
+            assert!(!t.contains(e + 1));
         }
     }
 
@@ -686,7 +642,7 @@ mod tests {
             assert_eq!(removed, expect, "round {round}");
             assert_eq!(t.len(), model.len());
         }
-        assert_eq!(t.collect(), model.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.to_vec(), model.iter().copied().collect::<Vec<_>>());
     }
 
     #[test]
@@ -702,33 +658,33 @@ mod tests {
     #[test]
     fn remove_everything_empties_tree() {
         let elems: Vec<u64> = (0..5000u64).collect();
-        let mut t = PacTree::<CompressedBlock>::from_sorted(&elems);
+        let mut t = PacTree::<CompressedBlock>::build_sorted(&elems);
         let removed = t.remove_batch_sorted(&elems);
         assert_eq!(removed, 5000);
         assert!(t.is_empty());
         assert_eq!(t.size_bytes(), 0);
         // Usable afterwards.
         assert_eq!(t.insert_batch_sorted(&[1, 2, 3]), 3);
-        assert_eq!(t.collect(), vec![1, 2, 3]);
+        assert_eq!(t.to_vec(), vec![1, 2, 3]);
     }
 
     #[test]
     fn map_range_and_sum() {
         let elems: Vec<u64> = (0..3000u64).map(|i| i * 2).collect();
-        let t = PacTree::<CompressedBlock>::from_sorted(&elems);
+        let t = PacTree::<CompressedBlock>::build_sorted(&elems);
         let mut seen = Vec::new();
         t.map_range(10, 21, &mut |e| seen.push(e));
         assert_eq!(seen, vec![10, 12, 14, 16, 18, 20]);
-        assert_eq!(t.sum(), elems.iter().sum::<u64>());
-        assert_eq!(t.range_sum_excl(0, u64::MAX), t.sum());
-        assert_eq!(t.range_sum_excl(100, 100), 0);
+        assert_eq!(t.range_sum(..), elems.iter().sum::<u64>());
+        assert_eq!(t.range_sum(0..u64::MAX), t.range_sum(..));
+        assert_eq!(t.range_sum(100..100), 0);
     }
 
     #[test]
     fn compression_shrinks_dense_sets() {
         let elems: Vec<u64> = (0..100_000u64).collect();
-        let raw = PacTree::<RawBlock>::from_sorted(&elems);
-        let comp = PacTree::<CompressedBlock>::from_sorted(&elems);
+        let raw = PacTree::<RawBlock>::build_sorted(&elems);
+        let comp = PacTree::<CompressedBlock>::build_sorted(&elems);
         assert!(
             comp.size_bytes() * 3 < raw.size_bytes(),
             "{} vs {}",
@@ -741,7 +697,7 @@ mod tests {
     fn skewed_inserts_stay_balanced_enough() {
         // Repeated batches into the same key region force rebalances.
         let spread: Vec<u64> = (0..20_000u64).map(|i| i << 16).collect();
-        let mut t = PacTree::<RawBlock>::from_sorted(&spread);
+        let mut t = PacTree::<RawBlock>::build_sorted(&spread);
         for round in 0..20u64 {
             let batch: Vec<u64> = (0..2000u64).map(|i| (round << 32) + i * 3 + 1).collect();
             let mut b = batch.clone();

@@ -11,6 +11,8 @@
 //! As in the paper's accounting, a P-tree node costs a fixed 32 bytes per
 //! element: key (8) + subtree size (8) + two child pointers (16).
 
+use cpma_api::{buffered_chunks, BatchSet, OrderedSet, ParallelChunks, RangeSet};
+
 /// Subtrees smaller than this update serially (fork overhead dominates).
 const PAR_CUTOFF: usize = 1 << 9;
 
@@ -135,7 +137,7 @@ fn difference(a: Link, b: Link) -> (Link, u64) {
 
 /// Build a canonical treap from a sorted, deduplicated slice: the root is
 /// the maximum-priority element; recurse (in parallel) on the two sides.
-fn build_sorted(elems: &[u64]) -> Link {
+fn treap_from_sorted(elems: &[u64]) -> Link {
     if elems.is_empty() {
         return None;
     }
@@ -150,9 +152,9 @@ fn build_sorted(elems: &[u64]) -> Link {
     }
     let (ls, rs) = (&elems[..best], &elems[best + 1..]);
     let (left, right) = if elems.len() > PAR_CUTOFF {
-        rayon::join(|| build_sorted(ls), || build_sorted(rs))
+        rayon::join(|| treap_from_sorted(ls), || treap_from_sorted(rs))
     } else {
-        (build_sorted(ls), build_sorted(rs))
+        (treap_from_sorted(ls), treap_from_sorted(rs))
     };
     Some(fix(Box::new(Node {
         key: elems[best],
@@ -175,103 +177,9 @@ impl PTree {
         Self { root: None }
     }
 
-    /// Build from a sorted, deduplicated slice.
-    pub fn from_sorted(elems: &[u64]) -> Self {
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
-        Self {
-            root: build_sorted(elems),
-        }
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        size(&self.root) as usize
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.root.is_none()
-    }
-
-    /// Bytes used (the paper's fixed 32 B/element accounting for P-trees).
-    pub fn size_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<Node>()
-    }
-
-    /// Membership test.
-    pub fn has(&self, key: u64) -> bool {
-        let mut cur = &self.root;
-        while let Some(n) = cur {
-            cpma_pma::stats::record_read(std::mem::size_of::<Node>());
-            if key == n.key {
-                return true;
-            }
-            cur = if key < n.key { &n.left } else { &n.right };
-        }
-        false
-    }
-
-    /// Smallest stored key ≥ `key`.
-    pub fn successor(&self, key: u64) -> Option<u64> {
-        let mut cur = &self.root;
-        let mut best = None;
-        while let Some(n) = cur {
-            if n.key >= key {
-                best = Some(n.key);
-                cur = &n.left;
-            } else {
-                cur = &n.right;
-            }
-        }
-        best
-    }
-
-    /// Smallest stored key.
-    pub fn min(&self) -> Option<u64> {
-        let mut cur = self.root.as_ref()?;
-        loop {
-            match &cur.left {
-                Some(l) => cur = l,
-                None => return Some(cur.key),
-            }
-        }
-    }
-
-    /// Largest stored key.
-    pub fn max(&self) -> Option<u64> {
-        let mut cur = self.root.as_ref()?;
-        loop {
-            match &cur.right {
-                Some(r) => cur = r,
-                None => return Some(cur.key),
-            }
-        }
-    }
-
-    /// Visit keys ≥ `start` in order until `f` returns false; returns
-    /// false iff stopped early (buffered into the chunks of
-    /// `RangeSet::scan_chunks_from`).
-    pub fn for_each_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        fn walk(t: &Link, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
-            match t {
-                None => true,
-                Some(n) => {
-                    if n.key > start && !walk(&n.left, start, f) {
-                        return false;
-                    }
-                    if n.key >= start && !f(n.key) {
-                        return false;
-                    }
-                    walk(&n.right, start, f)
-                }
-            }
-        }
-        walk(&self.root, start, f)
-    }
-
     /// Insert one key; false if already present.
     pub fn insert(&mut self, key: u64) -> bool {
-        if self.has(key) {
+        if self.contains(key) {
             return false;
         }
         let single = Some(Box::new(Node {
@@ -293,32 +201,30 @@ impl PTree {
         found
     }
 
-    /// Batch insert of a sorted, deduplicated slice (PAM-style: build a
-    /// tree from the batch, then join-based union). Unsorted input goes
-    /// through `cpma_api::BatchSet::insert_batch`.
-    pub fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() {
-            return 0;
+    /// Visit keys ≥ `start` in order until `f` returns false; returns
+    /// false iff stopped early (buffered into the chunks of
+    /// `scan_chunks_from`).
+    fn for_each_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
+        fn walk(t: &Link, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
+            match t {
+                None => true,
+                Some(n) => {
+                    if n.key > start && !walk(&n.left, start, f) {
+                        return false;
+                    }
+                    if n.key >= start && !f(n.key) {
+                        return false;
+                    }
+                    walk(&n.right, start, f)
+                }
+            }
         }
-        let b = build_sorted(batch);
-        let (root, dups) = union(self.root.take(), b);
-        self.root = root;
-        batch.len() - dups as usize
+        walk(&self.root, start, f)
     }
 
-    /// Batch remove of a sorted, deduplicated slice.
-    pub fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() || self.root.is_none() {
-            return 0;
-        }
-        let b = build_sorted(batch);
-        let (root, removed) = difference(self.root.take(), b);
-        self.root = root;
-        removed as usize
-    }
-
-    /// Apply `f` to all keys in `[start, end)` in order.
-    pub fn map_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64)) {
+    /// Apply `f` to all keys in `[start, end)` in order (under
+    /// `range_sum`).
+    fn map_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64)) {
         fn walk(t: &Link, start: u64, end: u64, f: &mut impl FnMut(u64)) {
             if let Some(n) = t {
                 cpma_pma::stats::record_read(std::mem::size_of::<Node>());
@@ -337,49 +243,121 @@ impl PTree {
             walk(&self.root, start, end, f);
         }
     }
+}
 
-    /// Sum of keys in `[start, end)` (the public API is
-    /// `RangeSet::range_sum`).
-    pub(crate) fn range_sum_excl(&self, start: u64, end: u64) -> u64 {
-        let mut s = 0u64;
-        self.map_range(start, end, &mut |k| s = s.wrapping_add(k));
-        s
+impl OrderedSet for PTree {
+    const NAME: &'static str = "P-tree";
+
+    fn contains(&self, key: u64) -> bool {
+        let mut cur = &self.root;
+        while let Some(n) = cur {
+            cpma_pma::stats::record_read(std::mem::size_of::<Node>());
+            if key == n.key {
+                return true;
+            }
+            cur = if key < n.key { &n.left } else { &n.right };
+        }
+        false
     }
 
-    /// Parallel sum of all keys.
-    pub fn sum(&self) -> u64 {
-        fn walk(t: &Link) -> u64 {
-            match t {
-                None => 0,
-                Some(n) => {
-                    if n.size > PAR_CUTOFF as u64 {
-                        let (l, r) = rayon::join(|| walk(&n.left), || walk(&n.right));
-                        l.wrapping_add(r).wrapping_add(n.key)
-                    } else {
-                        walk(&n.left)
-                            .wrapping_add(walk(&n.right))
-                            .wrapping_add(n.key)
-                    }
-                }
-            }
-        }
-        walk(&self.root)
+    fn len(&self) -> usize {
+        size(&self.root) as usize
     }
 
-    /// All keys in order.
-    pub fn collect(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.len());
-        fn walk(t: &Link, out: &mut Vec<u64>) {
-            if let Some(n) = t {
-                walk(&n.left, out);
-                out.push(n.key);
-                walk(&n.right, out);
+    fn min(&self) -> Option<u64> {
+        let mut cur = self.root.as_ref()?;
+        loop {
+            match &cur.left {
+                Some(l) => cur = l,
+                None => return Some(cur.key),
             }
         }
-        walk(&self.root, &mut out);
-        out
+    }
+
+    fn max(&self) -> Option<u64> {
+        let mut cur = self.root.as_ref()?;
+        loop {
+            match &cur.right {
+                Some(r) => cur = r,
+                None => return Some(cur.key),
+            }
+        }
+    }
+
+    fn successor(&self, key: u64) -> Option<u64> {
+        let mut cur = &self.root;
+        let mut best = None;
+        while let Some(n) = cur {
+            if n.key >= key {
+                best = Some(n.key);
+                cur = &n.left;
+            } else {
+                cur = &n.right;
+            }
+        }
+        best
+    }
+
+    /// The paper's fixed 32 B/element accounting for P-trees.
+    fn size_bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<Node>()
     }
 }
+
+impl BatchSet for PTree {
+    fn new_set() -> Self {
+        Self::new()
+    }
+
+    fn build_sorted(elems: &[u64]) -> Self {
+        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
+        Self {
+            root: treap_from_sorted(elems),
+        }
+    }
+
+    /// PAM-style: build a tree from the batch, then join-based union.
+    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
+        if batch.is_empty() {
+            return 0;
+        }
+        let b = treap_from_sorted(batch);
+        let (root, dups) = union(self.root.take(), b);
+        self.root = root;
+        batch.len() - dups as usize
+    }
+
+    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
+        if batch.is_empty() || self.root.is_none() {
+            return 0;
+        }
+        let b = treap_from_sorted(batch);
+        let (root, removed) = difference(self.root.take(), b);
+        self.root = root;
+        removed as usize
+    }
+}
+
+impl RangeSet for PTree {
+    /// A node per key, no blocks: the in-order walk is buffered.
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
+        buffered_chunks(f, |push| self.for_each_from(start, push));
+    }
+
+    fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
+        cpma_api::range_sum_via_exclusive(
+            &range,
+            || self.contains(u64::MAX),
+            |lo, hi| {
+                let mut s = 0u64;
+                self.map_range(lo, hi, &mut |k| s = s.wrapping_add(k));
+                s
+            },
+        )
+    }
+}
+
+impl ParallelChunks for PTree {}
 
 impl Drop for PTree {
     fn drop(&mut self) {
@@ -402,7 +380,6 @@ impl Drop for PTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpma_api::BatchSet;
     use std::collections::BTreeSet;
 
     #[test]
@@ -414,10 +391,10 @@ mod tests {
     fn empty_tree() {
         let t = PTree::new();
         assert!(t.is_empty());
-        assert!(!t.has(0));
+        assert!(!t.contains(0));
         assert_eq!(t.successor(0), None);
-        assert_eq!(t.sum(), 0);
-        assert_eq!(t.collect(), Vec::<u64>::new());
+        assert_eq!(t.range_sum(..), 0);
+        assert_eq!(t.to_vec(), Vec::<u64>::new());
     }
 
     #[test]
@@ -435,26 +412,26 @@ mod tests {
             }
         }
         assert_eq!(t.len(), model.len());
-        assert_eq!(t.collect(), model.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.to_vec(), model.iter().copied().collect::<Vec<_>>());
     }
 
     #[test]
     fn batch_insert_union_semantics() {
-        let mut t = PTree::from_sorted(&[2, 4, 6, 8]);
+        let mut t = PTree::build_sorted(&[2, 4, 6, 8]);
         let mut batch = vec![1u64, 4, 5, 8, 9];
         let added = t.insert_batch(&mut batch, false);
         assert_eq!(added, 3);
-        assert_eq!(t.collect(), vec![1, 2, 4, 5, 6, 8, 9]);
+        assert_eq!(t.to_vec(), vec![1, 2, 4, 5, 6, 8, 9]);
     }
 
     #[test]
     fn batch_remove_difference_semantics() {
-        let mut t = PTree::from_sorted(&(0..100u64).collect::<Vec<_>>());
+        let mut t = PTree::build_sorted(&(0..100u64).collect::<Vec<_>>());
         let mut batch: Vec<u64> = (0..200u64).step_by(2).collect();
         let removed = t.remove_batch(&mut batch, true);
         assert_eq!(removed, 50);
         assert_eq!(t.len(), 50);
-        assert!(t.collect().iter().all(|k| k % 2 == 1));
+        assert!(t.to_vec().iter().all(|k| k % 2 == 1));
     }
 
     #[test]
@@ -475,35 +452,35 @@ mod tests {
             model.extend(batch.iter().copied());
             assert_eq!(added, model.len() - before);
         }
-        assert_eq!(t.collect(), model.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.to_vec(), model.iter().copied().collect::<Vec<_>>());
     }
 
     #[test]
     fn map_range_and_sums() {
         let elems: Vec<u64> = (0..1000u64).map(|i| i * 3).collect();
-        let t = PTree::from_sorted(&elems);
+        let t = PTree::build_sorted(&elems);
         let mut seen = Vec::new();
         t.map_range(10, 40, &mut |k| seen.push(k));
         assert_eq!(seen, vec![12, 15, 18, 21, 24, 27, 30, 33, 36, 39]);
-        assert_eq!(t.range_sum_excl(0, u64::MAX), elems.iter().sum::<u64>());
-        assert_eq!(t.sum(), elems.iter().sum::<u64>());
+        assert_eq!(t.range_sum(0..u64::MAX), elems.iter().sum::<u64>());
+        assert_eq!(t.range_sum(..), elems.iter().sum::<u64>());
         assert_eq!(t.successor(100), Some(102));
     }
 
     #[test]
     fn size_accounting() {
-        let t = PTree::from_sorted(&(0..1000u64).collect::<Vec<_>>());
+        let t = PTree::build_sorted(&(0..1000u64).collect::<Vec<_>>());
         assert_eq!(t.size_bytes(), 1000 * 32);
     }
 
     #[test]
     fn build_from_sorted_is_search_tree() {
         let elems: Vec<u64> = (0..10_000u64).map(|i| i * 7 + 1).collect();
-        let t = PTree::from_sorted(&elems);
-        assert_eq!(t.collect(), elems);
+        let t = PTree::build_sorted(&elems);
+        assert_eq!(t.to_vec(), elems);
         for &e in elems.iter().step_by(500) {
-            assert!(t.has(e));
-            assert!(!t.has(e + 1));
+            assert!(t.contains(e));
+            assert!(!t.contains(e + 1));
         }
     }
 }

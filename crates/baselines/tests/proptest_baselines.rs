@@ -8,7 +8,7 @@
 //! external property-testing dependency (the build environment is offline).
 
 use cpma_api::testkit::{sorted_unique, SplitMix64};
-use cpma_api::RangeSet;
+use cpma_api::{BatchSet, OrderedSet, RangeSet};
 use cpma_baselines::{CPac, CTreeSet, PTree, UPac};
 use std::collections::BTreeSet;
 
@@ -21,11 +21,11 @@ fn ptree_union_semantics() {
     for _ in 0..CASES {
         let a = sorted_unique(rng.raw_keys(400));
         let b = sorted_unique(rng.raw_keys(400));
-        let mut t = PTree::from_sorted(&a);
+        let mut t = PTree::build_sorted(&a);
         let added = t.insert_batch_sorted(&b);
         let union: BTreeSet<u64> = a.iter().chain(b.iter()).copied().collect();
         assert_eq!(added, union.len() - a.len());
-        assert_eq!(t.collect(), union.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.to_vec(), union.iter().copied().collect::<Vec<_>>());
         assert_eq!(t.len(), union.len());
     }
 }
@@ -37,7 +37,7 @@ fn ptree_difference_semantics() {
     for _ in 0..CASES {
         let a = sorted_unique(rng.raw_keys(400));
         let b = sorted_unique(rng.raw_keys(400));
-        let mut t = PTree::from_sorted(&a);
+        let mut t = PTree::build_sorted(&a);
         let removed = t.remove_batch_sorted(&b);
         let diff: Vec<u64> = a
             .iter()
@@ -45,7 +45,7 @@ fn ptree_difference_semantics() {
             .filter(|k| b.binary_search(k).is_err())
             .collect();
         assert_eq!(removed, a.len() - diff.len());
-        assert_eq!(t.collect(), diff);
+        assert_eq!(t.to_vec(), diff);
     }
 }
 
@@ -57,12 +57,12 @@ fn ptree_canonical_shape() {
     let mut rng = SplitMix64::new(0x9734);
     for _ in 0..CASES {
         let keys = sorted_unique(rng.raw_keys(300));
-        let built = PTree::from_sorted(&keys);
+        let built = PTree::build_sorted(&keys);
         let mut incremental = PTree::new();
         for chunk in keys.chunks(37) {
             incremental.insert_batch_sorted(chunk);
         }
-        assert_eq!(built.collect(), incremental.collect());
+        assert_eq!(built.to_vec(), incremental.to_vec());
         assert_eq!(built.size_bytes(), incremental.size_bytes());
     }
 }
@@ -97,25 +97,38 @@ fn pactree_matches_model_and_bounds() {
             }
         }
         let wantv: Vec<u64> = model.iter().copied().collect();
-        assert_eq!(raw.collect(), wantv);
-        assert_eq!(comp.collect(), wantv);
+        assert_eq!(raw.to_vec(), wantv);
+        assert_eq!(comp.to_vec(), wantv);
     }
 }
 
-/// C-tree chunk boundaries are value-determined: any insertion order
-/// yields the identical structure footprint.
+/// C-tree chunk boundaries are value-determined: any order of inserts
+/// and removes yields the identical structure footprint.
 #[test]
 fn ctree_order_independent() {
     let mut rng = SplitMix64::new(0xC731);
     for _ in 0..CASES {
         let keys = sorted_unique(rng.raw_keys(400).into_iter().chain([7]).collect());
-        let one_shot = CTreeSet::from_sorted(&keys);
+        let one_shot = CTreeSet::build_sorted(&keys);
         let mut incremental = CTreeSet::new();
         for chunk in keys.chunks(29) {
             incremental.insert_batch_sorted(chunk);
         }
-        assert_eq!(one_shot.collect(), incremental.collect());
+        assert_eq!(one_shot.to_vec(), incremental.to_vec());
         assert_eq!(one_shot.size_bytes(), incremental.size_bytes());
+        // Local removes leave what a fresh build of the survivors has.
+        let dels = sorted_unique(keys.iter().copied().filter(|_| rng.chance(1, 3)).collect());
+        for chunk in dels.chunks(13) {
+            incremental.remove_batch_sorted(chunk);
+        }
+        let survivors: Vec<u64> = keys
+            .iter()
+            .copied()
+            .filter(|k| dels.binary_search(k).is_err())
+            .collect();
+        let fresh = CTreeSet::build_sorted(&survivors);
+        assert_eq!(incremental.to_vec(), survivors);
+        assert_eq!(fresh.size_bytes(), incremental.size_bytes());
     }
 }
 
@@ -134,17 +147,17 @@ fn for_range_agreement() {
             .filter(|&e| e >= lo && e < hi)
             .collect();
 
-        let t = PTree::from_sorted(&keys);
+        let t = PTree::build_sorted(&keys);
         let mut got = Vec::new();
         t.for_range(lo..hi, |k| got.push(k));
         assert_eq!(got, want);
 
-        let t = CPac::from_sorted(&keys);
+        let t = CPac::build_sorted(&keys);
         let mut got = Vec::new();
         t.for_range(lo..hi, |k| got.push(k));
         assert_eq!(got, want);
 
-        let t = CTreeSet::from_sorted(&keys);
+        let t = CTreeSet::build_sorted(&keys);
         let mut got = Vec::new();
         t.for_range(lo..hi, |k| got.push(k));
         assert_eq!(got, want);
@@ -159,9 +172,9 @@ fn successor_matches_model() {
     for _ in 0..CASES {
         let keys = sorted_unique(rng.raw_keys(300));
         let model: BTreeSet<u64> = keys.iter().copied().collect();
-        let pt = PTree::from_sorted(&keys);
-        let cp = CPac::from_sorted(&keys);
-        let ct = CTreeSet::from_sorted(&keys);
+        let pt = PTree::build_sorted(&keys);
+        let cp = CPac::build_sorted(&keys);
+        let ct = CTreeSet::build_sorted(&keys);
         for _ in 0..20 {
             let probe = rng.next_u64();
             let want = model.range(probe..).next().copied();
@@ -184,10 +197,10 @@ fn successor_matches_model() {
 fn compression_ratio_ordering_on_dense_keys() {
     // Dense keys: compressed structures must be far smaller than raw.
     let keys: Vec<u64> = (0..200_000u64).collect();
-    let raw = UPac::from_sorted(&keys);
-    let comp = CPac::from_sorted(&keys);
-    let ctree = CTreeSet::from_sorted(&keys);
-    let ptree = PTree::from_sorted(&keys);
+    let raw = UPac::build_sorted(&keys);
+    let comp = CPac::build_sorted(&keys);
+    let ctree = CTreeSet::build_sorted(&keys);
+    let ptree = PTree::build_sorted(&keys);
     assert!(comp.size_bytes() < raw.size_bytes() / 3);
     assert!(ctree.size_bytes() < raw.size_bytes() / 3);
     assert_eq!(ptree.size_bytes(), keys.len() * 32);

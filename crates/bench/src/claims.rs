@@ -3,7 +3,7 @@
 //! RMA, byte counts for `perf stat`, laptop-scale sizes) are listed in
 //! REPRODUCTION.md's "Substitutions" section.
 
-use cpma_api::{normalize_batch, BatchSet, RangeSet};
+use cpma_api::{normalize_batch, BatchSet, OrderedSet, RangeSet};
 use cpma_fgraph::algos::{bc, cc, pagerank};
 use cpma_fgraph::{AspenGraph, Csr, FGraph, GraphScan, PacGraph};
 use cpma_pma::{stats, PmaConfig, POINT_UPDATE_CUTOFF};
@@ -223,7 +223,7 @@ const BEATS_POINT: &[Spec] = &[(UP_TO_3, "batch", "point")];
 /// batches.
 pub fn table3(s: &Scale) -> Vec<Row> {
     let (base, stream, threads) = (uniform_base(s), uniform_stream(s), max_threads());
-    let mut set = Pma::from_sorted(&base);
+    let mut set = Pma::build_sorted(&base);
     let points = || stream.iter().for_each(|&k| _ = set.insert(k));
     let secs = with_threads(1, || time(points).1);
     let (per_s, len, sum) = (stream.len() as f64 / secs, set.len(), set.range_sum(..));
@@ -257,7 +257,7 @@ pub fn table4(s: &Scale) -> Vec<Row> {
     let (base, stream) = (uniform_base(s), uniform_stream(s));
     let mut rows = Vec::new();
     for k in pipeline_batches(s) {
-        let (mut pma, mut merged) = (Pma::from_sorted(&base), base.clone());
+        let (mut pma, mut merged) = (Pma::build_sorted(&base), base.clone());
         let ours = with_threads(1, || stream_into(&mut pma, &stream, k, Op::Insert));
         let (_, merge) = time(|| {
             for chunk in stream.chunks(k) {

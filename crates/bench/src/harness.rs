@@ -362,7 +362,7 @@ mod tests {
         let runs = for_each_set!(S => batch_run::<S>(&base, &stream, 200, Op::Insert));
         agree("insert", &runs);
         assert_eq!(runs[0].1.len, 3_000);
-        let set = Cpma::from_sorted(&base);
+        let set = Cpma::build_sorted(&base);
         let r = range_run(&set, &[0, 400], 40);
         assert_eq!(
             (r.len, r.sum),

@@ -195,6 +195,7 @@ mod tests {
     use super::*;
     use crate::run::{Inserts, Removes};
     use crate::Pma;
+    use cpma_api::BatchSet;
 
     thread_local! {
         /// What the count phases of this thread did, in order (see `note`).
@@ -221,7 +222,7 @@ mod tests {
     #[test]
     fn no_violation_no_ranges() {
         let elems: Vec<u64> = (0..1000).collect();
-        let p = Pma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
         let touched: Vec<usize> = (0..p.storage().num_leaves().min(4)).collect();
         let out = count_phase(&p, &touched, BoundKind::Upper);
         assert!(out.ranges.is_empty());
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_touch_set() {
-        let p = Pma::from_sorted(&(0..100u64).collect::<Vec<_>>());
+        let p = Pma::build_sorted(&(0..100u64).collect::<Vec<_>>());
         let out = count_phase(&p, &[], BoundKind::Upper);
         assert!(out.ranges.is_empty() && out.resize_root.is_none());
     }
@@ -238,7 +239,7 @@ mod tests {
     #[test]
     fn overfilled_leaf_produces_covering_range() {
         let elems: Vec<u64> = (0..4000).collect();
-        let mut p = Pma::from_sorted(&elems);
+        let mut p = Pma::build_sorted(&elems);
         let leaf_cap = p.storage().leaf_units();
         // Overflow leaf 0 well past its capacity.
         force_fill(&mut p, 0, leaf_cap * 2);
@@ -259,7 +260,7 @@ mod tests {
     #[test]
     fn massive_overfill_requests_resize() {
         let elems: Vec<u64> = (0..400).collect();
-        let mut p = Pma::from_sorted(&elems);
+        let mut p = Pma::build_sorted(&elems);
         let total_cap = p.capacity_units();
         force_fill(&mut p, 0, total_cap);
         let out = count_phase(&p, &[0], BoundKind::Upper);
@@ -271,7 +272,7 @@ mod tests {
     #[test]
     fn ranges_are_disjoint_and_sorted() {
         let elems: Vec<u64> = (0..20_000).collect();
-        let mut p = Pma::from_sorted(&elems);
+        let mut p = Pma::build_sorted(&elems);
         let nl = p.storage().num_leaves();
         let cap = p.storage().leaf_units();
         // Overfill two far-apart leaves.
@@ -288,7 +289,7 @@ mod tests {
     #[test]
     fn lower_bound_violation_detected() {
         let elems: Vec<u64> = (0..8000).collect();
-        let mut p = Pma::from_sorted(&elems);
+        let mut p = Pma::build_sorted(&elems);
         // Empty leaf 0 manually.
         use crate::leaf::SharedLeaves;
         let mut elems0 = Vec::new();
@@ -316,7 +317,7 @@ mod tests {
         // Overfill one leaf and drain another: a single Both-pass must
         // surface ranges covering each violation.
         let elems: Vec<u64> = (0..20_000).collect();
-        let mut p = Pma::from_sorted(&elems);
+        let mut p = Pma::build_sorted(&elems);
         let nl = p.storage().num_leaves();
         let cap = p.storage().leaf_units();
         force_fill(&mut p, 0, cap);
@@ -407,7 +408,7 @@ mod tests {
         for round in 0..300 {
             // Leaf counts that are not powers of two: both leaf depths occur.
             let n = [700u64, 3_000, 5_000, 20_000, 33_333][round % 5];
-            let mut p = Pma::from_sorted(&(0..n).collect::<Vec<_>>());
+            let mut p = Pma::build_sorted(&(0..n).collect::<Vec<_>>());
             let (leaves, cap) = (p.storage().num_leaves(), p.storage().leaf_units());
             let depths: Vec<u32> = (0..leaves)
                 .map(|l| p.tree().path_to_leaf(l).last().unwrap().depth)

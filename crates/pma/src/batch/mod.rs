@@ -1,11 +1,11 @@
 //! The work-efficient parallel batch-update algorithm (§4 of the paper):
 //! **one pipeline, three views**.
 //!
-//! `insert_batch_sorted`, `remove_batch_sorted` and the mixed-op
-//! `apply_batch_sorted` are thin wrappers that hand `run_batch` a
+//! `BatchSet`'s `insert_batch_sorted`, `remove_batch_sorted` and the
+//! mixed-op `apply_batch_sorted` hand `run_batch` a
 //! [`Run`] — an [`Inserts`] or [`Removes`] view over the key slice, or the
 //! normal-form `&[BatchOp]` slice itself. The views are zero-copy and
-//! their op kind is a compile-time constant, so each wrapper
+//! their op kind is a compile-time constant, so each method
 //! monomorphises to the one-sided (or three-finger) loops with nothing
 //! materialised; everything below exists once. `run_batch` follows the
 //! paper's three regimes:
@@ -77,7 +77,7 @@ use crate::run::{Inserts, Removes, Run};
 use crate::tree::Node;
 use crate::{search, LeafStorage, PmaCore};
 use crate::{FULL_REBUILD_DIVISOR, MIN_LEAVES, POINT_UPDATE_CUTOFF};
-use cpma_api::{BatchOp, BatchOutcome};
+use cpma_api::{BatchOp, BatchOutcome, BatchSet, CatchUp};
 use rayon::prelude::*;
 
 /// Assignment counts at or below this merge serially: fork overhead must
@@ -93,47 +93,61 @@ fn serial_merge_cutoff() -> usize {
 /// while the leaves before it merge, near enough to stay in L1.
 const PREFETCH_AHEAD: usize = 8;
 
-impl<L: LeafStorage> PmaCore<L> {
-    /// Insert a batch of keys; sorts and deduplicates in place unless
-    /// `sorted` promises the batch is already sorted and unique. Returns the
-    /// number of keys that were not already present (the artifact's
-    /// `insert_batch`).
-    pub fn insert_batch(&mut self, batch: &mut [u64], sorted: bool) -> usize {
-        cpma_api::BatchSet::insert_batch(self, batch, sorted)
+impl<L: LeafStorage> BatchSet for PmaCore<L> {
+    fn new_set() -> Self {
+        Self::new()
     }
 
-    /// Remove a batch of keys; see [`Self::insert_batch`] for `sorted`.
-    /// Returns the number of keys actually removed (the artifact's
-    /// `remove_batch`).
-    pub fn remove_batch(&mut self, batch: &mut [u64], sorted: bool) -> usize {
-        cpma_api::BatchSet::remove_batch(self, batch, sorted)
+    /// The artifact's `CPMA(start, end)` constructor: leaves filled at the
+    /// rebuild target density, elements spread evenly.
+    fn build_sorted(elems: &[u64]) -> Self {
+        debug_assert!(
+            elems.windows(2).all(|w| w[0] < w[1]),
+            "input must be sorted unique"
+        );
+        let mut this = Self::new();
+        if !elems.is_empty() {
+            let geo = this.geometry_for_target(elems);
+            this.rebuild_into(elems, geo);
+        }
+        this
     }
 
-    /// Apply a mixed insert/remove op stream; normalizes in place (sort
-    /// by key, last-op-wins dedup) unless `normalized` promises the
-    /// stream is already in normal form.
-    pub fn apply_batch(&mut self, ops: &mut [BatchOp<u64>], normalized: bool) -> BatchOutcome {
-        cpma_api::BatchSet::apply_batch(self, ops, normalized)
-    }
-
-    /// Batch insert of a sorted, deduplicated slice.
-    pub fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
+    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
         self.run_batch(Inserts::new(batch)).added
     }
 
-    /// Batch remove of a sorted, deduplicated slice.
-    pub fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
+    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
         self.run_batch(Removes::new(batch)).removed
     }
 
-    /// Apply a normal-form mixed batch (ascending keys, one op per key —
-    /// the output of [`cpma_api::normalize_ops`]) through **one**
-    /// route→merge→count→redistribute pass; see the module docs. Returns
-    /// the keys actually added and removed.
-    pub fn apply_batch_sorted(&mut self, ops: &[BatchOp<u64>]) -> BatchOutcome {
+    /// **One** route→merge→count→redistribute pass instead of the
+    /// default remove+insert split; see the module docs.
+    fn apply_batch_sorted(&mut self, ops: &[BatchOp<u64>]) -> BatchOutcome {
         self.run_batch(ops)
     }
 
+    /// Routes the batch once and decides presence in the leaves it lands
+    /// in (`report.rs`) instead of probing first.
+    fn apply_batch_sorted_reporting(
+        &mut self,
+        ops: &[BatchOp<u64>],
+        was_present: &mut Vec<bool>,
+    ) -> BatchOutcome {
+        self.run_reporting(ops, was_present)
+    }
+
+    /// Copies the newer replica's recorded write set (`writeset.rs`).
+    fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<u64>]) -> CatchUp {
+        self.catch_up(newer, lag)
+    }
+
+    fn copies_from(&self, newer: &Self) -> bool {
+        self.can_copy_from(newer)
+    }
+}
+
+impl<L: LeafStorage> PmaCore<L> {
     /// The batch pipeline, once for every entry point; see the module docs.
     pub(crate) fn run_batch<R: Run>(&mut self, run: R) -> BatchOutcome {
         if run.is_empty() {
@@ -367,6 +381,7 @@ pub(crate) fn par_apply_run<R: Run>(a: &[u64], run: R) -> (Vec<u64>, BatchOutcom
 #[cfg(test)]
 mod tests {
     use crate::{Cpma, Pma, BUDGET_LOCK};
+    use cpma_api::{BatchSet, OrderedSet, RangeSet};
     use std::collections::BTreeSet;
 
     fn lcg_keys(n: usize, seed: u64, bits: u32) -> Vec<u64> {
@@ -386,7 +401,7 @@ mod tests {
         let mut p = Pma::new();
         let mut batch: Vec<u64> = vec![5, 3, 9, 3, 1];
         assert_eq!(p.insert_batch(&mut batch, false), 4);
-        assert_eq!(p.iter().collect::<Vec<_>>(), vec![1, 3, 5, 9]);
+        assert_eq!(p.iter_all().collect::<Vec<_>>(), vec![1, 3, 5, 9]);
         p.check_invariants();
     }
 
@@ -410,8 +425,8 @@ mod tests {
             batched.check_invariants();
         }
         assert_eq!(batched.len(), model.len());
-        assert!(batched.iter().eq(model.iter().copied()));
-        assert!(pointed.iter().eq(model.iter().copied()));
+        assert!(batched.iter_all().eq(model.iter().copied()));
+        assert!(pointed.iter_all().eq(model.iter().copied()));
     }
 
     #[test]
@@ -426,7 +441,7 @@ mod tests {
             c.check_invariants();
         }
         assert_eq!(c.len(), model.len());
-        assert!(c.iter().eq(model.iter().copied()));
+        assert!(c.iter_all().eq(model.iter().copied()));
     }
 
     #[test]
@@ -442,7 +457,7 @@ mod tests {
                 model.extend(chunk.iter().copied());
             }
             assert_eq!(c.len(), model.len(), "batch_size={batch_size}");
-            assert!(c.iter().eq(model.iter().copied()));
+            assert!(c.iter_all().eq(model.iter().copied()));
             c.check_invariants();
         }
     }
@@ -474,7 +489,7 @@ mod tests {
             assert_eq!(removed, expect);
             c.check_invariants();
         }
-        assert!(c.iter().eq(model.iter().copied()));
+        assert!(c.iter_all().eq(model.iter().copied()));
     }
 
     #[test]
@@ -510,7 +525,7 @@ mod tests {
         // calls out ("the batch-parallel PMA is well-suited for the case of
         // all insertions targeting the same leaf").
         let spread: Vec<u64> = (0..10_000u64).map(|i| i << 20).collect();
-        let mut c = Cpma::from_sorted(&spread);
+        let mut c = Cpma::build_sorted(&spread);
         let mut tight: Vec<u64> = (0..5_000u64).map(|i| (5_000u64 << 20) + i + 1).collect();
         let added = c.insert_batch(&mut tight, true);
         assert_eq!(added, 5_000);
@@ -552,7 +567,7 @@ mod tests {
                 s.check_invariants();
             }
             assert_eq!(s.len(), model.len(), "batch_size={batch_size}");
-            assert!(s.iter().eq(model.iter().copied()));
+            assert!(s.iter_all().eq(model.iter().copied()));
         }
         for &bs in &[20usize, 600, 5_000, 40_000] {
             run::<crate::UncompressedLeaves>(bs);
@@ -566,13 +581,13 @@ mod tests {
         // A mixed batch that drains most of the structure must survive the
         // root lower-bound (shrink) path of the single counting pass.
         let keys: Vec<u64> = (0..40_000u64).map(|i| i * 7).collect();
-        let mut c = Cpma::from_sorted(&keys);
+        let mut c = Cpma::build_sorted(&keys);
         // Stay under the full-rebuild threshold so the pipeline runs:
         // n/10 = 4000 ops max; remove 3500, insert 100 fresh.
         let mut rounds = 0;
         while c.len() > 8_000 {
             let len_before = c.len();
-            let present: Vec<u64> = c.iter().take(3_500).collect();
+            let present: Vec<u64> = c.iter_all().take(3_500).collect();
             let mut ops: Vec<BatchOp<u64>> = present.iter().map(|&k| BatchOp::Remove(k)).collect();
             ops.extend((0..100u64).map(|i| BatchOp::Insert(1_000_000_000 + rounds * 1000 + i)));
             let norm = cpma_api::normalize_ops(&mut ops);
@@ -630,7 +645,7 @@ mod tests {
                                  b: &mut crate::PmaCore<L>,
                                  ran_a: u64,
                                  ran_b: u64| {
-                        assert!(a.iter().eq(b.iter()), "{what}: contents differ");
+                        assert!(a.iter_all().eq(b.iter_all()), "{what}: contents differ");
                         assert_eq!(a.len(), b.len(), "{what}");
                         a.check_invariants();
                         b.check_invariants();
@@ -730,7 +745,7 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let mut s = crate::PmaCore::<L>::from_sorted(&keys);
+                let mut s = crate::PmaCore::<L>::build_sorted(&keys);
                 let mut scattered = Vec::new();
                 for leaf in (0..s.storage().num_leaves()).step_by(20) {
                     s.storage().collect_leaf(leaf, &mut scattered);
@@ -754,7 +769,7 @@ mod tests {
                             "{what}: wrong regime"
                         );
                         s.check_invariants();
-                        assert_eq!(s.has(chunk[chunk.len() / 2]), refill, "{what}");
+                        assert_eq!(s.contains(chunk[chunk.len() / 2]), refill, "{what}");
                         if b > 0 {
                             let next = if refill {
                                 chunk[0]
@@ -765,7 +780,7 @@ mod tests {
                         }
                     }
                 }
-                assert!(s.iter().eq(keys.iter().copied()));
+                assert!(s.iter_all().eq(keys.iter().copied()));
             });
         }
     }
@@ -797,7 +812,7 @@ mod tests {
             .collect();
         let out = by_ops.apply_batch_sorted(&ops);
         assert_eq!((out.added, out.removed), (keys.len(), 0));
-        assert!(by_keys.iter().eq(by_ops.iter()));
+        assert!(by_keys.iter_all().eq(by_ops.iter_all()));
         assert_eq!(by_keys.size_bytes(), by_ops.size_bytes());
         assert_eq!(by_keys.stats().point_fallbacks, 0);
         by_keys.check_invariants();
@@ -825,7 +840,7 @@ mod tests {
             assert_eq!(s.remove_batch_sorted(&absent), 0);
             assert_eq!(s.stats().full_rebuilds, before.full_rebuilds);
             assert_eq!(s.stats().pipeline_batches, before.pipeline_batches);
-            assert!(s.iter().eq(keys.iter().copied()));
+            assert!(s.iter_all().eq(keys.iter().copied()));
             s.check_invariants();
         }
         run::<crate::UncompressedLeaves>();
@@ -881,7 +896,7 @@ mod tests {
         assert_eq!(out.removed, 0);
         p.check_invariants();
         // Remove everything through the mixed path (full-rebuild regime).
-        let all: Vec<cpma_api::BatchOp<u64>> = p.iter().map(Remove).collect();
+        let all: Vec<cpma_api::BatchOp<u64>> = p.iter_all().map(Remove).collect();
         let out = p.apply_batch_sorted(&all);
         assert_eq!(out.removed, 750);
         assert!(p.is_empty());
@@ -930,7 +945,7 @@ mod tests {
         use crate::{FULL_REBUILD_DIVISOR, POINT_UPDATE_CUTOFF};
         use cpma_api::BatchOp::{self, Insert};
         let base: Vec<u64> = (0..20_000u64).map(|i| i * 4).collect();
-        let set = crate::PmaCore::<L>::from_sorted(&base);
+        let set = crate::PmaCore::<L>::build_sorted(&base);
         let rebuild = set.len() / FULL_REBUILD_DIVISOR;
         // (ops, [point fallbacks, pipeline batches, full rebuilds])
         let forms = [
@@ -995,6 +1010,6 @@ mod tests {
             assert_eq!(p.len(), model.len(), "round {round}");
             p.check_invariants();
         }
-        assert!(p.iter().eq(model.iter().copied()));
+        assert!(p.iter_all().eq(model.iter().copied()));
     }
 }

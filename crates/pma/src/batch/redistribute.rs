@@ -167,13 +167,14 @@ mod tests {
     use crate::leaf::SharedLeaves;
     use crate::tree::ImplicitTree;
     use crate::{Cpma, Pma};
+    use cpma_api::{BatchSet, RangeSet};
 
     #[test]
     fn redistribute_whole_tree_evens_out() {
         // Sparse base keys so that leaf 0's key range can absorb a large
         // overflow without breaking global order.
         let elems: Vec<u64> = (0..4000u64).map(|e| e << 20).collect();
-        let mut p = Pma::from_sorted(&elems);
+        let mut p = Pma::build_sorted(&elems);
         let extra: Vec<u64> = (1..2001u64).collect(); // all below (1 << 20)
         let mut scratch = crate::leaf::LeafScratch::new();
         let shared = p.storage_mut().shared();
@@ -186,7 +187,7 @@ mod tests {
         let root = ImplicitTree::new(p.storage().num_leaves()).root();
         redistribute_ranges(&mut p, &[root]);
         // Everything is back in order and dense bounds hold.
-        let got: Vec<u64> = p.iter().collect();
+        let got: Vec<u64> = p.iter_all().collect();
         let mut want = elems;
         want.extend(extra);
         want.sort_unstable();
@@ -197,20 +198,20 @@ mod tests {
     #[test]
     fn redistribute_subrange_only_touches_subrange() {
         let elems: Vec<u64> = (0..40_000).map(|e| e * 2).collect();
-        let mut c = Cpma::from_sorted(&elems);
+        let mut c = Cpma::build_sorted(&elems);
         let tree = ImplicitTree::new(c.storage().num_leaves());
         // Pick the left child of the root.
         let (left, _right) = tree.root().children();
-        let before: Vec<u64> = c.iter().collect();
+        let before: Vec<u64> = c.iter_all().collect();
         redistribute_ranges(&mut c, &[left]);
-        let after: Vec<u64> = c.iter().collect();
+        let after: Vec<u64> = c.iter_all().collect();
         assert_eq!(before, after, "redistribution must preserve contents");
         c.check_invariants();
     }
 
     #[test]
     fn empty_ranges_list_is_noop() {
-        let mut p = Pma::from_sorted(&(0..100u64).collect::<Vec<_>>());
+        let mut p = Pma::build_sorted(&(0..100u64).collect::<Vec<_>>());
         redistribute_ranges(&mut p, &[]);
         p.check_invariants();
     }

@@ -34,9 +34,9 @@ use rayon::prelude::*;
 impl<L: LeafStorage> PmaCore<L> {
     /// `apply_batch_sorted(&net)` for the net batch of the normal-form
     /// `ops`, reporting `was_present[i]`, the presence of `ops[i]`'s key
-    /// before the call (`cpma_api::BatchSet::apply_batch_sorted_reporting`;
-    /// module docs).
-    pub fn apply_batch_sorted_reporting(
+    /// before the call (`BatchSet::apply_batch_sorted_reporting`; module
+    /// docs).
+    pub(crate) fn run_reporting(
         &mut self,
         ops: &[BatchOp<u64>],
         was_present: &mut Vec<bool>,
@@ -152,7 +152,7 @@ impl<L: LeafStorage> PmaCore<L> {
 mod tests {
     use crate::{ForceCodec, LeafStorage, PmaConfig, PmaCore, BUDGET_LOCK};
     use cpma_api::BatchOp::{self, Insert, Remove};
-    use cpma_api::{net_ops, BatchOutcome};
+    use cpma_api::{net_ops, BatchOutcome, BatchSet};
 
     /// A normal form over `keys` (a sorted sample of `0..4·n`, every
     /// fourth key stored): `noop_every`-th ops are no-ops (inserts of
@@ -214,7 +214,8 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let set = PmaCore::<L>::from_sorted_with(&base, cfg);
+                let mut set = PmaCore::<L>::with_config(cfg);
+                set.insert_batch_sorted(&base);
                 let mut runs: Vec<Vec<BatchOp<u64>>> = cases
                     .iter()
                     .enumerate()

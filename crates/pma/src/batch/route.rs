@@ -230,6 +230,7 @@ mod tests {
     use crate::run::{Inserts, Removes, Run};
     use crate::{Cpma, Pma};
     use cpma_api::BatchOp;
+    use cpma_api::BatchSet;
     use cpma_workloads::{ClusteredKeys, SplitMix64};
 
     thread_local! {
@@ -326,12 +327,12 @@ mod tests {
     fn router_matches_the_per_key_oracle() {
         // Sparse: 60 000 keys 2²⁰ apart, a few per leaf.
         let spread: Vec<u64> = (1..=60_000u64).map(|i| i << 20).collect();
-        let sparse = Pma::from_sorted(&spread);
+        let sparse = Pma::build_sorted(&spread);
         let (min, max) = (spread[0], *spread.last().unwrap());
         // The same with two long runs of emptied leaves, one of them at
         // the very front (keys there fall through to the first occupied
         // leaf), whose heads are inherited.
-        let mut holed = Pma::from_sorted(&spread);
+        let mut holed = Pma::build_sorted(&spread);
         let leaves = holed.storage().num_leaves();
         drain(&mut holed, 0..leaves / 8);
         drain(&mut holed, leaves / 2..leaves / 2 + leaves / 4);
@@ -342,7 +343,7 @@ mod tests {
             .sorted(300_000)
             .into_iter()
             .partition(|_| rng.next_below(100) < 42);
-        let dense = Cpma::from_sorted(&kept);
+        let dense = Cpma::build_sorted(&kept);
         let middle = spread[30_000];
         for (s, &size) in SIZES.iter().enumerate() {
             let seed = s as u64;
@@ -380,7 +381,7 @@ mod tests {
     #[test]
     fn routes_below_min_and_above_max() {
         let elems: Vec<u64> = (100..200).collect();
-        let p = Pma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
         let batch = vec![1u64, 2, 3, 150, 500, 501];
         let assignments = check_routing(&p, &batch, "six keys");
         // 1,2,3 go to the first non-empty leaf.
@@ -392,7 +393,7 @@ mod tests {
     #[test]
     fn single_element_batches() {
         let elems: Vec<u64> = (0..400).map(|i| i * 10).collect();
-        let p = Pma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
         for e in [0u64, 5, 1995, 3990, 10_000] {
             let expected = Assignment {
                 leaf: p.dest_leaf(e).unwrap(),
@@ -411,7 +412,7 @@ mod tests {
     fn probes_per_key_follow_k_log_n_over_k() {
         let fraction_of_model = |n: u64| {
             let keys: Vec<u64> = (0..n).map(|i| i << 12).collect();
-            let set = Cpma::from_sorted(&keys);
+            let set = Cpma::build_sorted(&keys);
             let batch = draw(0, n << 12, 1_000, n);
             let (assignments, probes) = route_run(&set, Inserts::new(&batch));
             let leaves = set.storage().num_leaves() as f64;

@@ -1516,6 +1516,7 @@ mod tests {
     use crate::leaf::testkit::{apply, contents, ins, rem};
     use crate::run::Inserts;
     use cpma_api::BatchOp::{self, Insert, Remove};
+    use cpma_api::BatchSet;
 
     thread_local! {
         /// Elements visited by planner sweeps on this thread.
@@ -2518,7 +2519,7 @@ mod tests {
                 .filter(|_| rng.next_below(100) < 42)
                 .collect();
             PLANNER_VISITS.with(|v| v.set(0));
-            let set = crate::Cpma::from_sorted(&keys);
+            let set = crate::Cpma::build_sorted(&keys);
             assert_eq!(set.len(), keys.len());
             PLANNER_VISITS.with(|v| v.get()) as f64 / keys.len() as f64
         };

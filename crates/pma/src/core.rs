@@ -1,9 +1,10 @@
 //! `PmaCore`: the engine shared by the PMA and the CPMA.
 //!
 //! Implements the paper's four public operations — `insert`, `delete`,
-//! `search`, `range_map` (§3) — plus the artifact API (`has`, `sum`, `map`,
-//! `min`/`max`, size accounting) against any [`LeafStorage`]. The parallel
-//! batch operations live in the `batch` module and are methods on this type.
+//! `search`, `range_map` (§3) — against any [`LeafStorage`], as the
+//! `cpma_api` traits `OrderedSet`, `RangeSet` and `ParallelChunks` (the
+//! crate docs map the artifact's names to them). `BatchSet`, the parallel
+//! batch operations, lives in the `batch` module.
 //!
 //! # Head-array invariant
 //!
@@ -38,7 +39,7 @@ use crate::search;
 use crate::tree::ImplicitTree;
 use crate::writeset::WriteLog;
 use crate::{stats, CompressedLeaves, LeafStorage, UncompressedLeaves};
-use cpma_api::ConfigError;
+use cpma_api::{BatchSet, ConfigError, OrderedSet, ParallelChunks, RangeSet};
 use rayon::prelude::*;
 
 /// Per-leaf codec selection policy for hybrid leaf storages
@@ -222,28 +223,6 @@ impl<L: LeafStorage> PmaCore<L> {
             log: WriteLog::new(),
         };
         this.rebuild_read_index();
-        this
-    }
-
-    /// Build from a sorted, deduplicated slice (the artifact's
-    /// `CPMA(start, end)` constructor). Leaves are filled at the rebuild
-    /// target density, elements spread evenly.
-    pub fn from_sorted(elems: &[u64]) -> Self {
-        Self::from_sorted_with(elems, PmaConfig::default())
-    }
-
-    /// [`Self::from_sorted`] with explicit configuration.
-    pub fn from_sorted_with(elems: &[u64], cfg: PmaConfig) -> Self {
-        cfg.assert_valid();
-        debug_assert!(
-            elems.windows(2).all(|w| w[0] < w[1]),
-            "input must be sorted unique"
-        );
-        let mut this = Self::with_config(cfg);
-        if !elems.is_empty() {
-            let geo = this.geometry_for_target(elems);
-            this.rebuild_into(elems, geo);
-        }
         this
     }
 
@@ -530,24 +509,6 @@ impl<L: LeafStorage> PmaCore<L> {
         self.occ_next_from(leaf + 1)
     }
 
-    /// Membership test (the artifact's `has`).
-    pub fn has(&self, key: u64) -> bool {
-        match self.dest_leaf(key) {
-            Some(leaf) => self.storage.leaf_contains(leaf, key),
-            None => false,
-        }
-    }
-
-    /// Smallest stored element ≥ `key` (the paper's `search`).
-    pub fn successor(&self, key: u64) -> Option<u64> {
-        let leaf = self.dest_leaf(key)?;
-        if let Some(s) = self.storage.leaf_successor(leaf, key) {
-            return Some(s);
-        }
-        let next = self.next_nonempty_leaf(leaf)?;
-        Some(self.storage.head(next))
-    }
-
     // ------------------------------------------------------------------
     // Batched point lookups
     // ------------------------------------------------------------------
@@ -620,36 +581,6 @@ impl<L: LeafStorage> PmaCore<L> {
                 }
             } else {
                 out[slots[0]] = self.storage.leaf_contains(leaf, keys[slots[0]]);
-            }
-        });
-        out
-    }
-
-    /// Successor (smallest stored element ≥ probe) for every probe:
-    /// `out[i]` answers `keys[i]`. Same routing plan as
-    /// [`contains_batch`](Self::contains_batch); the shared group limit
-    /// doubles as the out-of-leaf successor.
-    pub fn successor_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = vec![None; keys.len()];
-        if self.len == 0 || keys.is_empty() {
-            return out;
-        }
-        let order = Self::probe_order(keys);
-        let mut buf: Vec<u64> = Vec::new();
-        self.for_probe_groups(keys, &order, |leaf, slots, limit| {
-            if slots.len() > 1 {
-                buf.clear();
-                self.storage.collect_leaf(leaf, &mut buf);
-                for &slot in slots {
-                    let pos = search::lower_bound(&buf, keys[slot]);
-                    out[slot] = if pos < buf.len() {
-                        Some(buf[pos])
-                    } else {
-                        limit
-                    };
-                }
-            } else {
-                out[slots[0]] = self.storage.leaf_successor(leaf, keys[slots[0]]).or(limit);
             }
         });
         out
@@ -771,8 +702,13 @@ impl<L: LeafStorage> PmaCore<L> {
     }
 
     // ------------------------------------------------------------------
-    // Scans, maps, aggregates
+    // Size and ordered reads
     // ------------------------------------------------------------------
+
+    // `len`, `is_empty`, `min`, `size_bytes` and `contains_batch` stay
+    // inherent beside their `OrderedSet` methods only because
+    // `benchmark/src/inproc.rs` calls them without `OrderedSet` in scope
+    // (ROADMAP, re-baseline item (vi)); the trait impl forwards to them.
 
     /// Number of stored elements (the artifact's `size()`).
     #[inline]
@@ -800,19 +736,10 @@ impl<L: LeafStorage> PmaCore<L> {
         Some(self.storage.head(leaf))
     }
 
-    /// Largest stored element.
-    pub fn max(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let leaf = self.occ_prev_from(self.storage.num_leaves() - 1)?;
-        self.storage.leaf_max(leaf)
-    }
-
     /// Hand the elements ≥ `start` to `f` as ascending chunks — a leaf at
     /// a time, each decoded once into one [`ChunkBlock`] this scan reuses —
-    /// until `f` returns `false` (the `RangeSet::scan_chunks_from`
-    /// primitive, and the walk under every ordered read below).
+    /// until `f` returns `false` (`RangeSet::scan_chunks_from`, under
+    /// every ordered read of the trait impls and `PartialEq`).
     pub(crate) fn chunks_from(&self, start: u64, mut f: impl FnMut(&[u64]) -> bool) {
         let Some(first) = self.dest_leaf(start) else {
             return;
@@ -833,20 +760,6 @@ impl<L: LeafStorage> PmaCore<L> {
         }
     }
 
-    /// Apply `f` to every element in order (the artifact's `map`).
-    pub fn map(&self, mut f: impl FnMut(u64)) {
-        self.chunks_from(0, |chunk| {
-            chunk.iter().for_each(|&e| f(e));
-            true
-        });
-    }
-
-    /// Apply `f` to every element, leaves in parallel (the artifact's
-    /// `parallel_map`).
-    pub fn par_map(&self, f: impl Fn(u64) + Send + Sync) {
-        self.par_leaf_chunks(|chunk| chunk.iter().for_each(|&e| f(e)));
-    }
-
     /// Hand every element to `f` in chunks, leaves in parallel: each
     /// chunk ascending and within one leaf, so chunk order follows leaf
     /// order. One [`ChunkBlock`] per task, reused across its leaves (the
@@ -863,22 +776,6 @@ impl<L: LeafStorage> PmaCore<L> {
                 }
             })
             .for_each(|()| {});
-    }
-
-    /// Apply `f` to at most `length` elements with keys ≥ `start`, in
-    /// order; returns how many were visited (the artifact's
-    /// `map_range_length`).
-    pub fn map_range_length(&self, start: u64, length: usize, mut f: impl FnMut(u64)) -> usize {
-        let mut visited = 0usize;
-        if length > 0 {
-            self.chunks_from(start, |chunk| {
-                let take = chunk.len().min(length - visited);
-                chunk[..take].iter().for_each(|&e| f(e));
-                visited += take;
-                visited < length
-            });
-        }
-        visited
     }
 
     /// Sum of elements in `[start, end)`, with a whole-leaf fast path for
@@ -916,20 +813,6 @@ impl<L: LeafStorage> PmaCore<L> {
             sum = sum.wrapping_add(self.storage.leaf_range_sum(leaf, start, end));
         }
         sum
-    }
-
-    /// Sum of all elements, computed leaf-parallel (the artifact's `sum`).
-    pub fn sum(&self) -> u64 {
-        (0..self.storage.num_leaves())
-            .into_par_iter()
-            .map(|leaf| {
-                if self.storage.count(leaf) > 0 {
-                    self.storage.leaf_sum(leaf)
-                } else {
-                    0
-                }
-            })
-            .reduce(|| 0u64, u64::wrapping_add)
     }
 
     /// All elements, sorted (used by rebuilds and tests).
@@ -995,37 +878,6 @@ impl<L: LeafStorage> PmaCore<L> {
             unsafe { ptr.slice(chunk_offsets[c], len) }.copy_from_slice(&buf);
         });
         out
-    }
-
-    /// Iterate all elements in order.
-    pub fn iter(&self) -> Iter<'_, L> {
-        Iter {
-            core: self,
-            leaf: 0,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// Iterate, in order, the elements ≥ `start`.
-    pub fn iter_from(&self, start: u64) -> Iter<'_, L> {
-        let Some(leaf) = self.dest_leaf(start) else {
-            return Iter {
-                core: self,
-                leaf: self.storage.num_leaves(),
-                buf: Vec::new(),
-                pos: 0,
-            };
-        };
-        let mut buf = Vec::new();
-        self.storage.collect_leaf(leaf, &mut buf);
-        let pos = buf.partition_point(|&e| e < start);
-        Iter {
-            core: self,
-            leaf: leaf + 1,
-            buf,
-            pos,
-        }
     }
 
     /// Direct read access to the leaf storage (used by the graph layer for
@@ -1142,6 +994,102 @@ impl<L: LeafStorage> PmaCore<L> {
     }
 }
 
+impl<L: LeafStorage> OrderedSet for PmaCore<L> {
+    const NAME: &'static str = L::NAME;
+
+    fn contains(&self, key: u64) -> bool {
+        match self.dest_leaf(key) {
+            Some(leaf) => self.storage.leaf_contains(leaf, key),
+            None => false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        PmaCore::len(self)
+    }
+
+    fn min(&self) -> Option<u64> {
+        PmaCore::min(self)
+    }
+
+    fn max(&self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let leaf = self.occ_prev_from(self.storage.num_leaves() - 1)?;
+        self.storage.leaf_max(leaf)
+    }
+
+    /// The paper's `search`.
+    fn successor(&self, key: u64) -> Option<u64> {
+        let leaf = self.dest_leaf(key)?;
+        if let Some(s) = self.storage.leaf_successor(leaf, key) {
+            return Some(s);
+        }
+        let next = self.next_nonempty_leaf(leaf)?;
+        Some(self.storage.head(next))
+    }
+
+    fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
+        PmaCore::contains_batch(self, keys)
+    }
+
+    /// Same routing plan as [`PmaCore::contains_batch`]; the shared group
+    /// limit doubles as the out-of-leaf successor.
+    fn successor_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
+        let mut out = vec![None; keys.len()];
+        if self.len == 0 || keys.is_empty() {
+            return out;
+        }
+        let order = Self::probe_order(keys);
+        let mut buf: Vec<u64> = Vec::new();
+        self.for_probe_groups(keys, &order, |leaf, slots, limit| {
+            if slots.len() > 1 {
+                buf.clear();
+                self.storage.collect_leaf(leaf, &mut buf);
+                for &slot in slots {
+                    let pos = search::lower_bound(&buf, keys[slot]);
+                    out[slot] = if pos < buf.len() {
+                        Some(buf[pos])
+                    } else {
+                        limit
+                    };
+                }
+            } else {
+                out[slots[0]] = self.storage.leaf_successor(leaf, keys[slots[0]]).or(limit);
+            }
+        });
+        out
+    }
+
+    fn size_bytes(&self) -> usize {
+        PmaCore::size_bytes(self)
+    }
+}
+
+impl<L: LeafStorage> RangeSet for PmaCore<L> {
+    /// One chunk per leaf (`PmaCore::chunks_from`).
+    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
+        self.chunks_from(start, f)
+    }
+
+    fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
+        cpma_api::range_sum_via_exclusive(
+            &range,
+            || self.contains(u64::MAX),
+            |lo, hi| self.range_sum_excl(lo, hi),
+        )
+    }
+}
+
+impl<L: LeafStorage> ParallelChunks for PmaCore<L> {
+    /// The leaves' chunks, decoded leaf-parallel
+    /// (`PmaCore::par_leaf_chunks`).
+    fn par_chunks(&self, f: &(dyn Fn(&[u64]) + Sync)) {
+        self.par_leaf_chunks(f)
+    }
+}
+
 /// Element + configuration equality: two PMAs are equal iff they store
 /// the same key set under the same [`PmaConfig`]. Physical layout
 /// (capacity, leaf geometry, which leaf holds which key) is
@@ -1149,7 +1097,17 @@ impl<L: LeafStorage> PmaCore<L> {
 /// abstract set does not.
 impl<L: LeafStorage> PartialEq for PmaCore<L> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.cfg == other.cfg && self.iter().eq(other.iter())
+        if self.len != other.len || self.cfg != other.cfg {
+            return false;
+        }
+        let mine = self.to_vec();
+        let (mut at, mut same) = (0, true);
+        other.chunks_from(0, |chunk| {
+            same = mine.get(at..at + chunk.len()) == Some(chunk);
+            at += chunk.len();
+            same
+        });
+        same
     }
 }
 
@@ -1183,50 +1141,13 @@ fn debug_check_chunk(start: u64, after: &mut Option<u64>, chunk: &[u64]) {
     }
 }
 
-/// In-order iterator over a PMA; decodes one leaf at a time.
-pub struct Iter<'a, L: LeafStorage> {
-    core: &'a PmaCore<L>,
-    leaf: usize,
-    buf: Vec<u64>,
-    pos: usize,
-}
-
-impl<L: LeafStorage> Iterator for Iter<'_, L> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        while self.pos >= self.buf.len() {
-            if self.leaf >= self.core.storage.num_leaves() {
-                return None;
-            }
-            self.buf.clear();
-            self.pos = 0;
-            if self.core.storage.count(self.leaf) > 0 {
-                self.core.storage.collect_leaf(self.leaf, &mut self.buf);
-            }
-            self.leaf += 1;
-        }
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        Some(v)
-    }
-}
-
-impl<'a, L: LeafStorage> IntoIterator for &'a PmaCore<L> {
-    type Item = u64;
-    type IntoIter = Iter<'a, L>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// Owned iteration drains into a sorted buffer (the backing array is a
 /// packed layout, not a `Vec` of elements).
 impl<L: LeafStorage> IntoIterator for PmaCore<L> {
     type Item = u64;
     type IntoIter = std::vec::IntoIter<u64>;
     fn into_iter(self) -> Self::IntoIter {
-        self.collect_all().into_iter()
+        self.to_vec().into_iter()
     }
 }
 
@@ -1235,7 +1156,7 @@ impl<L: LeafStorage> FromIterator<u64> for PmaCore<L> {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
         let mut keys: Vec<u64> = iter.into_iter().collect();
         let keys = cpma_api::normalize_batch(&mut keys);
-        Self::from_sorted(keys)
+        Self::build_sorted(keys)
     }
 }
 
@@ -1243,26 +1164,97 @@ impl<L: LeafStorage> FromIterator<u64> for PmaCore<L> {
 impl<L: LeafStorage> Extend<u64> for PmaCore<L> {
     fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
         let mut keys: Vec<u64> = iter.into_iter().collect();
-        self.insert_batch(&mut keys, false);
+        BatchSet::insert_batch(self, &mut keys, false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpma_api::conformance::assert_ordered_set_contract;
     use std::collections::BTreeSet;
+
+    #[test]
+    fn pma_conforms() {
+        assert_ordered_set_contract::<Pma>(0x70A1);
+    }
+
+    #[test]
+    fn cpma_conforms() {
+        assert_ordered_set_contract::<Cpma>(0xC70A);
+    }
+
+    #[test]
+    fn names_match_the_paper() {
+        assert_eq!(<Pma as OrderedSet>::NAME, "PMA");
+        assert_eq!(<Cpma as OrderedSet>::NAME, "CPMA");
+    }
+
+    #[test]
+    fn range_sum_includes_max_key() {
+        let c = Cpma::build_sorted(&[1, 2, u64::MAX]);
+        assert_eq!(c.range_sum(..), 3u64.wrapping_add(u64::MAX));
+        assert_eq!(c.range_sum(3..=u64::MAX), u64::MAX);
+        assert_eq!(c.range_sum(3..u64::MAX), 0);
+    }
+
+    #[test]
+    fn par_chunks_cover_everything_in_order() {
+        use std::sync::Mutex;
+        let elems: Vec<u64> = (0..10_000).map(|i| i * 3).collect();
+        let c = Cpma::build_sorted(&elems);
+        let chunks: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
+        c.par_chunks(&|chunk| chunks.lock().unwrap().push(chunk.to_vec()));
+        let mut chunks = chunks.into_inner().unwrap();
+        chunks.sort_by_key(|c| c[0]);
+        let flat: Vec<u64> = chunks.into_iter().flatten().collect();
+        assert_eq!(flat, elems);
+    }
+
+    /// Equality is the key set and the configuration, whatever the layout.
+    #[test]
+    fn equality_ignores_layout() {
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i * 7).collect();
+        let built = Cpma::build_sorted(&keys);
+        let mut pointed = Cpma::new();
+        for &k in keys.iter().rev() {
+            pointed.insert(k);
+        }
+        assert!(built == pointed);
+        let mut moved = built.clone();
+        moved.remove(0);
+        moved.insert(1);
+        assert!(moved != built, "same length, one key differs");
+        let cfg = PmaConfig::builder().growing_factor(1.5).build().unwrap();
+        let mut tuned = Cpma::with_config(cfg);
+        tuned.insert_batch_sorted(&keys);
+        assert!(tuned != built, "same keys, another configuration");
+    }
+
+    #[test]
+    fn std_collection_idioms() {
+        let p: Pma = [5u64, 1, 3, 1].into_iter().collect();
+        assert_eq!(p.to_vec(), vec![1, 3, 5]);
+        let mut c: Cpma = (0..100u64).collect();
+        c.extend(vec![500u64, 50, 200]);
+        assert_eq!(c.len(), 102);
+        assert!(c.contains(500));
+        let drained: Vec<u64> = c.into_iter().collect();
+        assert_eq!(drained.len(), 102);
+        assert!(drained.windows(2).all(|w| w[0] < w[1]));
+    }
 
     #[test]
     fn empty_structure() {
         let p = Pma::new();
         assert_eq!(p.len(), 0);
         assert!(p.is_empty());
-        assert!(!p.has(5));
+        assert!(!p.contains(5));
         assert_eq!(p.successor(0), None);
         assert_eq!(p.min(), None);
         assert_eq!(p.max(), None);
-        assert_eq!(p.sum(), 0);
-        assert_eq!(p.iter().count(), 0);
+        assert_eq!(p.range_sum(..), 0);
+        assert_eq!(p.iter_all().count(), 0);
         p.check_invariants();
     }
 
@@ -1273,15 +1265,15 @@ mod tests {
             p.insert(k);
         }
         assert_eq!(p.len(), 5);
-        assert_eq!(p.iter().collect::<Vec<_>>(), vec![1, 3, 5, 7, 9]);
-        assert!(p.has(7));
-        assert!(!p.has(2));
+        assert_eq!(p.to_vec(), vec![1, 3, 5, 7, 9]);
+        assert!(p.contains(7));
+        assert!(!p.contains(2));
         assert_eq!(p.successor(4), Some(5));
         assert_eq!(p.successor(9), Some(9));
         assert_eq!(p.successor(10), None);
         assert_eq!(p.min(), Some(1));
         assert_eq!(p.max(), Some(9));
-        assert_eq!(p.sum(), 25);
+        assert_eq!(p.range_sum(..), 25);
         p.check_invariants();
     }
 
@@ -1293,7 +1285,7 @@ mod tests {
         }
         assert!(!c.insert(300));
         assert_eq!(c.len(), 5);
-        assert_eq!(c.iter().collect::<Vec<_>>(), vec![100, 300, 500, 700, 900]);
+        assert_eq!(c.to_vec(), vec![100, 300, 500, 700, 900]);
         c.check_invariants();
     }
 
@@ -1311,7 +1303,7 @@ mod tests {
             model.insert(k);
         }
         assert_eq!(p.len(), model.len());
-        assert!(p.iter().eq(model.iter().copied()));
+        assert!(p.iter_all().eq(model.iter().copied()));
         p.check_invariants();
     }
 
@@ -1327,7 +1319,7 @@ mod tests {
             model.insert(k);
         }
         assert_eq!(c.len(), model.len());
-        assert!(c.iter().eq(model.iter().copied()));
+        assert!(c.iter_all().eq(model.iter().copied()));
         c.check_invariants();
     }
 
@@ -1346,7 +1338,7 @@ mod tests {
             }
         }
         assert_eq!(p.len(), model.len());
-        assert!(p.iter().eq(model.iter().copied()));
+        assert!(p.iter_all().eq(model.iter().copied()));
         p.check_invariants();
     }
 
@@ -1364,7 +1356,7 @@ mod tests {
                 assert_eq!(c.remove(k), model.remove(&k));
             }
         }
-        assert!(c.iter().eq(model.iter().copied()));
+        assert!(c.iter_all().eq(model.iter().copied()));
         c.check_invariants();
     }
 
@@ -1382,28 +1374,27 @@ mod tests {
         p.check_invariants();
         // Structure remains usable.
         p.insert(42);
-        assert!(p.has(42));
+        assert!(p.contains(42));
         p.check_invariants();
     }
 
     #[test]
     fn from_sorted_builds_even_layout() {
         let elems: Vec<u64> = (0..10_000).map(|i| i * 7).collect();
-        let p = Pma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
         assert_eq!(p.len(), elems.len());
-        assert!(p.iter().eq(elems.iter().copied()));
+        assert!(p.iter_all().eq(elems.iter().copied()));
         p.check_invariants();
-        let c = Cpma::from_sorted(&elems);
+        let c = Cpma::build_sorted(&elems);
         assert_eq!(c.len(), elems.len());
-        assert!(c.iter().eq(elems.iter().copied()));
+        assert!(c.iter_all().eq(elems.iter().copied()));
         c.check_invariants();
     }
 
     #[test]
     fn for_range_respects_bounds() {
-        use cpma_api::RangeSet;
         let elems: Vec<u64> = (0..1000).map(|i| i * 10).collect();
-        let c = Cpma::from_sorted(&elems);
+        let c = Cpma::build_sorted(&elems);
         let mut seen = Vec::new();
         c.for_range(95..250, |e| seen.push(e));
         assert_eq!(
@@ -1427,21 +1418,9 @@ mod tests {
     }
 
     #[test]
-    fn map_range_length_counts() {
-        let elems: Vec<u64> = (0..500).collect();
-        let p = Pma::from_sorted(&elems);
-        let mut seen = Vec::new();
-        let n = p.map_range_length(100, 5, |e| seen.push(e));
-        assert_eq!(n, 5);
-        assert_eq!(seen, vec![100, 101, 102, 103, 104]);
-        let n = p.map_range_length(498, 10, |_| {});
-        assert_eq!(n, 2);
-    }
-
-    #[test]
     fn range_sum_matches_naive() {
         let elems: Vec<u64> = (0..5000).map(|i| i * 3 + 1).collect();
-        let c = Cpma::from_sorted(&elems);
+        let c = Cpma::build_sorted(&elems);
         for (a, b) in [
             (0u64, 100u64),
             (50, 5000),
@@ -1452,17 +1431,17 @@ mod tests {
             let naive: u64 = elems.iter().filter(|&&e| e >= a && e < b).sum();
             assert_eq!(c.range_sum_excl(a, b), naive, "range [{a},{b})");
         }
-        assert_eq!(c.sum(), elems.iter().sum::<u64>());
+        assert_eq!(c.range_sum(..), elems.iter().sum::<u64>());
     }
 
     #[test]
-    fn par_map_visits_everything() {
+    fn par_chunks_visit_everything() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let elems: Vec<u64> = (0..2000).collect();
-        let p = Pma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
         let acc = AtomicU64::new(0);
-        p.par_map(|e| {
-            acc.fetch_add(e, Ordering::Relaxed);
+        p.par_chunks(&|chunk| {
+            acc.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
         });
         assert_eq!(acc.load(Ordering::Relaxed), elems.iter().sum::<u64>());
     }
@@ -1479,8 +1458,8 @@ mod tests {
             .collect();
         elems.sort_unstable();
         elems.dedup();
-        let p = Pma::from_sorted(&elems);
-        let c = Cpma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
+        let c = Cpma::build_sorted(&elems);
         assert!(
             (c.size_bytes() as f64) < 0.7 * p.size_bytes() as f64,
             "CPMA {} vs PMA {}",
@@ -1512,7 +1491,7 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let mut c = Cpma::from_sorted(&keys);
+                let mut c = Cpma::build_sorted(&keys);
                 let leaves = c.storage.num_leaves();
                 // Pipeline: drain every 50th leaf, and crowd one stretch
                 // of the key space so a range redistributes.
@@ -1558,13 +1537,10 @@ mod tests {
         assert!(c.insert(0));
         assert!(c.insert(u64::MAX));
         assert!(c.insert(u64::MAX - 1));
-        assert!(c.has(0));
-        assert!(c.has(u64::MAX));
+        assert!(c.contains(0));
+        assert!(c.contains(u64::MAX));
         assert_eq!(c.successor(u64::MAX), Some(u64::MAX));
-        assert_eq!(
-            c.iter().collect::<Vec<_>>(),
-            vec![0, u64::MAX - 1, u64::MAX]
-        );
+        assert_eq!(c.to_vec(), vec![0, u64::MAX - 1, u64::MAX]);
         c.check_invariants();
         assert!(c.remove(u64::MAX));
         assert_eq!(c.max(), Some(u64::MAX - 1));
@@ -1577,11 +1553,11 @@ mod tests {
     fn capacity_floor_is_min_leaves() {
         assert_eq!(Cpma::new().storage.num_leaves(), MIN_LEAVES);
         let keys: Vec<u64> = (0..20_000u64).map(|i| i * 3).collect();
-        let mut batched = Pma::from_sorted(&keys);
+        let mut batched = Pma::build_sorted(&keys);
         assert!(batched.storage.num_leaves() > MIN_LEAVES);
         batched.remove_batch_sorted(&keys);
         assert_eq!(batched.storage.num_leaves(), MIN_LEAVES);
-        let mut pointed = Cpma::from_sorted(&keys[..2_000]);
+        let mut pointed = Cpma::build_sorted(&keys[..2_000]);
         for &k in &keys[..2_000] {
             assert!(pointed.remove(k));
         }

@@ -13,15 +13,28 @@
 //! (batch-merge → counting → redistribute), range maps, and resizing with a
 //! configurable growing factor (Appendix C).
 //!
-//! The public query/update surface is the workspace-wide `cpma_api`
-//! hierarchy — `OrderedSet` (point queries), `BatchSet` (batch updates),
-//! `RangeSet` (`RangeBounds`-based scans: `range_sum(a..b)`,
-//! `for_range(a..=b, f)`, `range_iter`) — implemented once for the generic
-//! engine in this crate's `api` module. Construction takes the growing
-//! factor and the codec override through the fallible
-//! [`PmaConfig::builder`]; the regime boundaries, the capacity floor and
-//! the density bounds are constants, as the paper fixes them.
-//! `Pma`/`Cpma` also implement `FromIterator`, `Extend`, and
+//! The query/update surface is the workspace-wide `cpma_api` hierarchy,
+//! implemented once for the generic engine: `OrderedSet` (point queries),
+//! `BatchSet` (batch updates), `RangeSet` (`RangeBounds`-based scans over
+//! one chunk-per-leaf visitor) and `ParallelChunks` (leaf-parallel
+//! chunks). The engine's inherent methods are what the traits do not
+//! cover: construction, point `insert`/`remove`, counters, snapshot bytes,
+//! invariant checks. The artifact's names map to trait methods as follows:
+//!
+//! | Artifact name | Trait method |
+//! |---|---|
+//! | `has` | `contains` |
+//! | `map` | `for_range(.., f)` |
+//! | `parallel_map` | `par_chunks` |
+//! | `map_range_length` | `scan_from` with a count |
+//! | `sum` | `range_sum(..)` |
+//! | `size` | `len` |
+//! | `get_size` | `size_bytes` |
+//!
+//! Construction takes the growing factor and the codec override through
+//! the fallible [`PmaConfig::builder`]; the regime boundaries, the capacity
+//! floor and the density bounds are constants, as the paper fixes them.
+//! `Pma`/`Cpma` also implement `FromIterator`, `Extend`, and owned
 //! `IntoIterator` for std-collection ergonomics.
 
 pub mod bitmap;
@@ -31,7 +44,6 @@ pub mod persist;
 pub mod stats;
 pub mod tree;
 
-mod api;
 mod batch;
 mod compressed;
 mod density;

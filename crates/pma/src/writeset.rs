@@ -12,7 +12,7 @@
 //! merged, and every other write is one push per range — and an apply
 //! that changes nothing records nothing and leaves the generation alone.
 //!
-//! [`PmaCore::catch_up_from`] is the reader. A replica one generation
+//! `BatchSet::catch_up_from` is the reader. A replica one generation
 //! behind a newer one, in the same geometry, went down the same path up to
 //! the newer one's last apply, so that apply's write set is the whole
 //! difference between the two. Copying those leaves' slots, the occupancy
@@ -137,7 +137,7 @@ impl<L: LeafStorage> PmaCore<L> {
         self.log.generation
     }
 
-    /// Bytes [`Self::catch_up_from`] copies to bring a replica one
+    /// Bytes `BatchSet::catch_up_from` copies to bring a replica one
     /// generation behind this one level: the last apply's write set, in
     /// leaf slots and occupancy words.
     pub fn write_set_bytes(&self) -> usize {
@@ -149,10 +149,10 @@ impl<L: LeafStorage> PmaCore<L> {
             .sum()
     }
 
-    /// Whether [`Self::catch_up_from`] copies: `self` has `newer`'s
+    /// Whether [`Self::catch_up`] copies: `self` has `newer`'s
     /// geometry and is one generation behind it — or level with it, with
-    /// nothing to catch up.
-    pub fn copies_from(&self, newer: &Self) -> bool {
+    /// nothing to catch up (`BatchSet::copies_from`).
+    pub(crate) fn can_copy_from(&self, newer: &Self) -> bool {
         let behind = newer.log.generation.checked_sub(self.log.generation);
         matches!(behind, Some(0 | 1))
             && self.storage.num_leaves() == newer.storage.num_leaves()
@@ -160,16 +160,16 @@ impl<L: LeafStorage> PmaCore<L> {
     }
 
     /// Bring `self` level with `newer`, which is `self` after one more
-    /// apply, of `lag` (`cpma_api::BatchSet::catch_up_from`): copy
-    /// `newer`'s write set when [`Self::copies_from`] holds, replay `lag`
-    /// otherwise (module docs).
-    pub fn catch_up_from(&mut self, newer: &Self, lag: &[BatchOp<u64>]) -> CatchUp {
+    /// apply, of `lag` (`BatchSet::catch_up_from`): copy `newer`'s write
+    /// set when [`Self::can_copy_from`] holds, replay `lag` otherwise
+    /// (module docs).
+    pub(crate) fn catch_up(&mut self, newer: &Self, lag: &[BatchOp<u64>]) -> CatchUp {
         if lag.is_empty() {
             return CatchUp::default();
         }
         // A non-empty lag means `newer` is one apply ahead.
-        if !self.copies_from(newer) {
-            self.apply_batch_sorted(lag);
+        if !self.can_copy_from(newer) {
+            self.run_batch(lag);
             self.log.clone_from(&newer.log);
             return CatchUp {
                 copied_bytes: 0,
@@ -217,6 +217,7 @@ mod tests {
     use super::*;
     use crate::{Cpma, Pma};
     use cpma_api::BatchOp::{self, Insert, Remove};
+    use cpma_api::BatchSet;
 
     /// Payload bytes plus the derived state a payload does not carry.
     fn image<L: LeafStorage>(s: &PmaCore<L>) -> (Vec<u8>, Vec<u64>, usize, usize, u64) {
@@ -267,7 +268,7 @@ mod tests {
     /// replays where it moved.
     fn every_regime<L: LeafStorage + Clone>() {
         let keys: Vec<u64> = (0..20_000u64).map(|i| i * 64).collect();
-        let base = PmaCore::<L>::from_sorted(&keys);
+        let base = PmaCore::<L>::build_sorted(&keys);
         let mut batches: Vec<Vec<BatchOp<u64>>> = vec![
             (1..20).map(|i| Insert(i * 64 + 1)).collect(),
             (0..20).map(|i| Remove(i * 64)).collect(),
@@ -298,7 +299,7 @@ mod tests {
     #[test]
     fn an_apply_that_changes_nothing_keeps_the_record() {
         let keys: Vec<u64> = (0..5_000u64).map(|i| i * 2).collect();
-        let mut c = Cpma::from_sorted(&keys);
+        let mut c = Cpma::build_sorted(&keys);
         assert_eq!(c.write_generation(), 0);
         assert!(c.insert(1));
         let (generation, bytes) = (c.write_generation(), c.write_set_bytes());
@@ -314,7 +315,7 @@ mod tests {
         // Empty lag: already level, nothing to do.
         let mut twin = c.clone();
         assert_eq!(twin.catch_up_from(&c, &[]), CatchUp::default());
-        let mut p = Pma::from_sorted(&keys);
+        let mut p = Pma::build_sorted(&keys);
         p.remove_batch_sorted(&keys);
         assert_eq!(p.write_generation(), 1, "a batch that empties the set");
     }

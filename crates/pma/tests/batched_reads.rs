@@ -5,7 +5,7 @@
 //! `u64::MAX`.
 
 use cpma_api::testkit::{sorted_unique, SplitMix64};
-use cpma_api::OrderedSet;
+use cpma_api::{BatchSet, OrderedSet};
 use cpma_pma::{CompressedLeaves, LeafStorage, PmaCore, UncompressedLeaves};
 use std::collections::BTreeSet;
 
@@ -56,7 +56,7 @@ fn check_reads<S: OrderedSet>(s: &S, oracle: &BTreeSet<u64>, rng: &mut SplitMix6
 fn reads_agree_across_regimes<L: LeafStorage>(name: &str) {
     let mut rng = SplitMix64::new(0xC0FFEE ^ name.len() as u64);
     let base = sorted_unique(rng.keys(3000, KEY_BITS));
-    let mut s = PmaCore::<L>::from_sorted(&base);
+    let mut s = PmaCore::<L>::build_sorted(&base);
     let mut oracle: BTreeSet<u64> = base.iter().copied().collect();
     check_reads(&s, &oracle, &mut rng, &format!("{name}/seed"));
 

@@ -9,7 +9,7 @@
 //! byte-identically.
 
 use cpma_api::conformance::assert_chunk_contract;
-use cpma_api::{BatchOp, OrderedSet, RangeSet};
+use cpma_api::{BatchOp, BatchSet, OrderedSet, RangeSet};
 use cpma_pma::{Cpma, ForceCodec, LeafStorage, PmaConfig};
 use cpma_workloads::{clustered_keys, uniform_keys, ClusteredKeys, SplitMix64};
 use std::collections::BTreeSet;
@@ -92,7 +92,7 @@ fn run_against_oracle(mut set: Cpma, seed: u64) -> Cpma {
             );
         }
     }
-    let got: Vec<u64> = set.iter().collect();
+    let got: Vec<u64> = set.iter_all().collect();
     let want: Vec<u64> = oracle.iter().copied().collect();
     assert_eq!(got, want, "final contents");
     set
@@ -135,7 +135,7 @@ fn auto_policy_matches_oracle_on_uniform_keys() {
     }
     set.check_invariants();
     assert_eq!(
-        set.iter().collect::<Vec<_>>(),
+        set.iter_all().collect::<Vec<_>>(),
         oracle.iter().copied().collect::<Vec<_>>()
     );
     let (delta, bitmap) = set.storage().codec_census();
@@ -231,7 +231,7 @@ fn whole_run_inserts_do_not_storm() {
         }
     }
     cpma_workloads::keys::shuffle(&mut held_out, 0xA00A);
-    let mut set = Cpma::from_sorted(&base);
+    let mut set = Cpma::build_sorted(&base);
     let built = set.stats().full_rebuilds;
     let (mut batches, mut grows) = (0, 0);
     let mut next = held_out.iter();

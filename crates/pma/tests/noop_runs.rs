@@ -5,6 +5,7 @@
 //! already present (the mixed path returned early). The codec write
 //! counters are process-global, so this file holds exactly one test.
 
+use cpma_api::BatchSet;
 use cpma_pma::{Cpma, ForceCodec, LeafStorage, PmaConfig};
 
 /// `(cpma.codec.delta_writes, cpma.codec.bitmap_writes)`.

@@ -6,6 +6,7 @@
 //! schedule-independent, so this file holds exactly one test and reads
 //! them as deltas around single calls.
 
+use cpma_api::BatchSet;
 use cpma_pma::BatchOp::{self, Insert, Remove};
 use cpma_pma::Cpma;
 
@@ -28,7 +29,7 @@ fn counters_name_the_path_that_ran() {
     // loads fill to 55 %), so a batch that adds about one key per leaf is
     // fused end to end — as many fused runs as routed runs, none general.
     let sparse: Vec<u64> = (0..200_000u64).map(|i| i << 20).collect();
-    let mut c = Cpma::from_sorted(&sparse);
+    let mut c = Cpma::build_sorted(&sparse);
     assert_eq!(c.storage().codec_census().1, 0, "no bitmap leaves");
     let (fused, general, flips) = leaf_paths();
     let routed = c.stats().routed_runs;
@@ -60,7 +61,7 @@ fn counters_name_the_path_that_ran() {
     // leaves it lands in. The fused kernel declines, the general path
     // spills them, and the redistribution re-encodes the range as bitmaps.
     let spaced: Vec<u64> = (0..50_000u64).map(|i| i * 16).collect();
-    let mut c = Cpma::from_sorted(&spaced);
+    let mut c = Cpma::build_sorted(&spaced);
     assert_eq!(c.storage().codec_census().1, 0, "no bitmap leaves");
     let (fused, general, flips) = leaf_paths();
     let fill: Vec<u64> = (16_000..20_000u64).filter(|k| k % 16 != 0).collect();
@@ -111,7 +112,7 @@ fn counters_name_the_path_that_ran() {
     ];
     let mut was = Vec::new();
     for (n, (ops, want)) in cases.iter().enumerate() {
-        let mut c = Cpma::from_sorted(&keys);
+        let mut c = Cpma::build_sorted(&keys);
         let before = fallbacks();
         c.apply_batch_sorted_reporting(ops, &mut was);
         assert_eq!(fallbacks() - before, *want, "case {n}");

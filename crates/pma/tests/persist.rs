@@ -394,7 +394,7 @@ fn malformed_delta_runs_are_corrupt() {
         let back = forge(&codes, want.len()).unwrap_or_else(|e| panic!("{codes:x?}: {e}"));
         back.check_invariants();
         let mut got = Vec::new();
-        back.map(|k| got.push(k));
+        back.for_range(.., |k| got.push(k));
         assert_eq!(&got[..want.len()], &want[..], "{codes:x?}");
     }
 

@@ -14,7 +14,7 @@
 //! before the benchmark is run. The clustered image is pinned where the
 //! exact planner puts it.
 
-use cpma_api::BatchOp;
+use cpma_api::{BatchOp, BatchSet};
 use cpma_persist::snapshot::SnapshotEnvelope;
 use cpma_pma::{Cpma, LeafStorage};
 use cpma_workloads::{dedup_sorted, uniform_keys, ClusteredKeys, RmatGenerator, SplitMix64};
@@ -58,7 +58,7 @@ fn pipeline(mut c: Cpma, keys: &[u64]) -> Cpma {
 #[test]
 fn delta_only_layouts_are_bit_identical_to_the_prefix_array_planner() {
     let uniform = dedup_sorted(uniform_keys(1_000_000, 40, 1));
-    let c = Cpma::from_sorted(&uniform);
+    let c = Cpma::build_sorted(&uniform);
     assert_eq!(image(&c), (23_519, 0xe245_8db4_4245_b786));
     assert_eq!(
         image(&pipeline(c, &uniform)),
@@ -66,7 +66,7 @@ fn delta_only_layouts_are_bit_identical_to_the_prefix_array_planner() {
     );
 
     let rmat = dedup_sorted(RmatGenerator::paper_config(18, 1).directed_edges(1_000_000));
-    let c = Cpma::from_sorted(&rmat);
+    let c = Cpma::build_sorted(&rmat);
     assert_eq!(c.storage().codec_census().1, 0, "a leaf chose the bitmap");
     assert_eq!(image(&c), (21_847, 0x320b_874d_f015_d78b));
     assert_eq!(image(&pipeline(c, &rmat)), (21_847, 0xd6b3_1820_9b89_93f1));
@@ -85,7 +85,7 @@ fn clustered_layout_is_pinned_where_the_exact_planner_puts_it() {
     // Before the exact planner: 6 171 leaves — a capacity sized from the
     // units a first, overflowing attempt happened to write.
     assert_eq!(
-        image(&Cpma::from_sorted(&keys)),
+        image(&Cpma::build_sorted(&keys)),
         (6_045, 0x68f6_8865_26a1_4ba5)
     );
 }

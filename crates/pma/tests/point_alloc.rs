@@ -5,6 +5,7 @@
 //! comes first. The allocation counter is the process's global allocator,
 //! so this file holds exactly one test.
 
+use cpma_api::BatchSet;
 use cpma_pma::Cpma;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +33,7 @@ static ALLOCATOR: Counting = Counting;
 fn quiet_point_updates_do_not_allocate() {
     // Sparse keys: every leaf is a delta chain, updated in place.
     let keys: Vec<u64> = (0..200_000u64).map(|i| i << 16).collect();
-    let mut set = Cpma::from_sorted(&keys);
+    let mut set = Cpma::build_sorted(&keys);
     let rebuilds = set.stats().full_rebuilds;
     // One key into (then out of) every 500th gap: no leaf gains or loses
     // more than a code or two, so none leaves its band.

@@ -7,6 +7,7 @@
 //! external property-testing dependency (the build environment is offline).
 
 use cpma_api::testkit::{sorted_unique, SplitMix64};
+use cpma_api::{BatchSet, OrderedSet, RangeSet};
 use cpma_pma::{Cpma, Pma, PmaConfig};
 use std::collections::BTreeSet;
 
@@ -47,11 +48,11 @@ fn build_roundtrip() {
     let mut rng = SplitMix64::new(0xB111);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
-        let p = Pma::from_sorted(&elems);
-        assert!(p.iter().eq(elems.iter().copied()));
+        let p = Pma::build_sorted(&elems);
+        assert!(p.iter_all().eq(elems.iter().copied()));
         p.check_invariants();
-        let c = Cpma::from_sorted(&elems);
-        assert!(c.iter().eq(elems.iter().copied()));
+        let c = Cpma::build_sorted(&elems);
+        assert!(c.iter_all().eq(elems.iter().copied()));
         c.check_invariants();
     }
 }
@@ -87,18 +88,18 @@ fn mixed_batches_match_model() {
             p.check_invariants();
             c.check_invariants();
         }
-        assert!(p.iter().eq(model.iter().copied()));
-        assert!(c.iter().eq(model.iter().copied()));
+        assert!(p.iter_all().eq(model.iter().copied()));
+        assert!(c.iter_all().eq(model.iter().copied()));
     }
 }
 
-/// iter_from agrees with filtering the full iteration.
+/// range_iter(start..) agrees with filtering the full iteration.
 #[test]
 fn iter_from_matches_filter() {
     let mut rng = SplitMix64::new(0x17E4);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
-        let c = Cpma::from_sorted(&elems);
+        let c = Cpma::build_sorted(&elems);
         // Probe both arbitrary values and stored values.
         let start = if rng.chance(1, 2) || elems.is_empty() {
             rng.next_u64()
@@ -106,23 +107,29 @@ fn iter_from_matches_filter() {
             elems[rng.next_below(elems.len() as u64) as usize]
         };
         let want: Vec<u64> = elems.iter().copied().filter(|&e| e >= start).collect();
-        let got: Vec<u64> = c.iter_from(start).collect();
+        let got: Vec<u64> = c.range_iter(start..).collect();
         assert_eq!(got, want);
     }
 }
 
-/// map_range_length visits exactly min(length, #elements ≥ start)
-/// elements, in order.
+/// scan_from with a count (the artifact's map_range_length) visits
+/// exactly min(length, #elements ≥ start) elements, in order.
 #[test]
-fn map_range_length_counts() {
+fn scan_from_with_a_count() {
     let mut rng = SplitMix64::new(0x3A91);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
-        let p = Pma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
         let start = rng.next_u64();
         let len = rng.next_below(50) as usize;
         let mut got = Vec::new();
-        let visited = p.map_range_length(start, len, |e| got.push(e));
+        if len > 0 {
+            p.scan_from(start, &mut |e| {
+                got.push(e);
+                got.len() < len
+            });
+        }
+        let visited = got.len();
         let want: Vec<u64> = elems
             .iter()
             .copied()
@@ -134,14 +141,14 @@ fn map_range_length_counts() {
     }
 }
 
-/// min/max/len/sum agree with the model after batch churn.
+/// min/max/len/range_sum(..) agree with the model after batch churn.
 #[test]
 fn aggregates_match() {
     let mut rng = SplitMix64::new(0xA66A);
     for _ in 0..CASES {
         let elems = sorted_unique(key_batch(&mut rng));
         let dels = sorted_unique(key_batch(&mut rng));
-        let mut c = Cpma::from_sorted(&elems);
+        let mut c = Cpma::build_sorted(&elems);
         c.remove_batch_sorted(&dels);
         let model: BTreeSet<u64> = elems
             .iter()
@@ -152,7 +159,7 @@ fn aggregates_match() {
         assert_eq!(c.min(), model.iter().next().copied());
         assert_eq!(c.max(), model.iter().next_back().copied());
         let want = model.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-        assert_eq!(c.sum(), want);
+        assert_eq!(c.range_sum(..), want);
     }
 }
 
@@ -176,7 +183,7 @@ fn growing_factors_correct() {
             c.insert_batch_sorted(&b);
             model.extend(b);
         }
-        assert!(c.iter().eq(model.iter().copied()));
+        assert!(c.iter_all().eq(model.iter().copied()));
         c.check_invariants();
     }
 }
@@ -218,7 +225,7 @@ fn point_ops_at_extremes() {
     assert!(c.insert(u64::MAX - 1));
     assert!(!c.insert(u64::MAX));
     assert_eq!(
-        c.iter().collect::<Vec<_>>(),
+        c.iter_all().collect::<Vec<_>>(),
         vec![0, u64::MAX - 1, u64::MAX]
     );
     assert!(c.remove(0));
@@ -229,7 +236,7 @@ fn point_ops_at_extremes() {
 #[test]
 fn batch_larger_than_structure() {
     // k >> n exercises the full-rebuild regime from a tiny base.
-    let mut c = Cpma::from_sorted(&[5, 10]);
+    let mut c = Cpma::build_sorted(&[5, 10]);
     let batch: Vec<u64> = (0..50_000u64).map(|i| i * 2 + 1).collect();
     // 5 is already present, so one batch key is a duplicate.
     assert_eq!(c.insert_batch_sorted(&batch), 49_999);

@@ -10,7 +10,7 @@
 //! sparse structures below it made hundreds of `count()` calls per probe
 //! — these tests fail loudly against it.
 
-use cpma_api::PersistError;
+use cpma_api::{BatchSet, OrderedSet, PersistError};
 use cpma_pma::{ChunkBlock, LeafStorage, Pma, PmaCore, RunSize, UncompressedLeaves, CHUNK_KEYS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -161,7 +161,7 @@ type CountingPma = PmaCore<CountingLeaves>;
 /// hundreds of leaves: 6 elements spread across ≥ 4096 leaves.
 fn sparse_pma() -> CountingPma {
     let elems: Vec<u64> = (0..6u64).map(|i| i << 56).collect();
-    let p = CountingPma::from_sorted(&elems);
+    let p = CountingPma::build_sorted(&elems);
     assert!(p.storage().num_leaves() >= SPARSE_LEAVES);
     p.storage().reset();
     p
@@ -184,7 +184,7 @@ fn routing_over_long_empty_runs_never_scans_leaf_counts() {
         u64::MAX,
     ] {
         let expect = (0..6u64).map(|i| i << 56).any(|k| k == probe);
-        assert_eq!(p.has(probe), expect, "has({probe})");
+        assert_eq!(p.contains(probe), expect, "has({probe})");
     }
     assert_eq!(
         p.storage().count_calls(),
@@ -245,8 +245,8 @@ fn leaf_queries_agree_across_codecs() {
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
-    let p = Pma::from_sorted(&elems);
-    let c = Cpma::from_sorted(&elems);
+    let p = Pma::build_sorted(&elems);
+    let c = Cpma::build_sorted(&elems);
 
     fn check_storage<L: LeafStorage>(storage: &L, name: &str) {
         let mut buf = Vec::new();
@@ -298,7 +298,7 @@ fn leaf_queries_agree_across_codecs() {
     check_storage::<UncompressedLeaves>(p.storage(), "PMA");
     check_storage::<CompressedLeaves>(c.storage(), "CPMA");
     // Consecutive keys: bitmap leaves, wider than one chunk block.
-    let dense = Cpma::from_sorted(&(0..50_000u64).collect::<Vec<_>>());
+    let dense = Cpma::build_sorted(&(0..50_000u64).collect::<Vec<_>>());
     let widest = (0..dense.storage().num_leaves())
         .map(|l| dense.storage().count(l))
         .max();
@@ -307,8 +307,8 @@ fn leaf_queries_agree_across_codecs() {
 
     // And the set-level answers agree between the codecs.
     for probe in elems.iter().step_by(97).copied() {
-        assert_eq!(p.has(probe), c.has(probe));
-        assert_eq!(p.has(probe + 1), c.has(probe + 1));
+        assert_eq!(p.contains(probe), c.contains(probe));
+        assert_eq!(p.contains(probe + 1), c.contains(probe + 1));
         assert_eq!(p.successor(probe + 1), c.successor(probe + 1));
     }
 }

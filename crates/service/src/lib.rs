@@ -35,4 +35,4 @@ pub use client::{Client, ClientError};
 pub use proto::{
     ProtoError, RecvError, Reply, Request, MAX_FRAME_BYTES, MAX_PIPELINE_OPS, SCAN_LIMIT,
 };
-pub use server::{CombinerEngine, Engine, Service, ServiceConfig, ServiceError};
+pub use server::{Service, ServiceConfig, ServiceError};

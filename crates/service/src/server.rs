@@ -78,52 +78,6 @@ impl ServiceConfig {
     }
 }
 
-/// Anything the service can open a front door onto. Object-safe, so the
-/// accept and worker loops are compiled once rather than per backend `S`.
-pub trait Engine: Send + Sync {
-    /// Apply a run of linearized ops; per-op results in submission order.
-    fn submit(&self, ops: &[Op<u64>]) -> Vec<bool>;
-    /// Positional membership against a current-snapshot view.
-    fn contains_batch(&self, keys: &[u64]) -> Vec<bool>;
-    /// Sum of keys in `lo..=hi` against a current-snapshot view.
-    fn range_sum(&self, lo: u64, hi: u64) -> u64;
-    /// Up to `max` keys from `lo` upward, ascending.
-    fn scan(&self, lo: u64, max: usize) -> Vec<u64>;
-}
-
-/// The production engine: ops combine through [`Combiner::submit_many`],
-/// reads run wait-free against the published `Arc` snapshot.
-pub struct CombinerEngine<S> {
-    combiner: Arc<Combiner<S>>,
-}
-
-impl<S> CombinerEngine<S> {
-    pub fn new(combiner: Arc<Combiner<S>>) -> Self {
-        Self { combiner }
-    }
-}
-
-impl<S> Engine for CombinerEngine<S>
-where
-    S: BatchSet + RangeSet + Clone + Send + Sync,
-{
-    fn submit(&self, ops: &[Op<u64>]) -> Vec<bool> {
-        self.combiner.submit_many(ops)
-    }
-
-    fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
-        self.combiner.snapshot().contains_batch(keys)
-    }
-
-    fn range_sum(&self, lo: u64, hi: u64) -> u64 {
-        self.combiner.snapshot().range_sum(lo..=hi)
-    }
-
-    fn scan(&self, lo: u64, max: usize) -> Vec<u64> {
-        scan_page(&*self.combiner.snapshot(), lo, max)
-    }
-}
-
 /// Up to `max` keys of `set` from `lo` upward, into a vector sized once
 /// (a page never holds more than `max` keys nor more than the set does)
 /// and filled a chunk — a leaf — at a time.
@@ -257,10 +211,8 @@ impl Service {
     where
         S: BatchSet + RangeSet + Clone + Send + Sync + 'static,
     {
-        cfg.check()?;
         let combiner = Arc::new(Combiner::new(set));
-        let engine: Arc<dyn Engine> = Arc::new(CombinerEngine::new(combiner.clone()));
-        Ok((Self::serve_engine(engine, cfg)?, combiner))
+        Ok((Self::start(combiner.clone(), cfg)?, combiner))
     }
 
     /// Serve a **durable** combining store: recover from `wal`'s directory
@@ -277,15 +229,16 @@ impl Service {
         cfg.check()?;
         let (combiner, report) = Combiner::open_durable(CombinerConfig::default(), wal)?;
         let combiner = Arc::new(combiner);
-        let engine: Arc<dyn Engine> = Arc::new(CombinerEngine::new(combiner.clone()));
-        Ok((Self::serve_engine(engine, cfg)?, combiner, report))
+        Ok((Self::start(combiner.clone(), cfg)?, combiner, report))
     }
 
-    /// Serve an arbitrary [`Engine`] on an OS-assigned loopback port.
-    pub fn serve_engine(
-        engine: Arc<dyn Engine>,
-        cfg: ServiceConfig,
-    ) -> Result<Service, ServiceError> {
+    /// Serve `combiner` on an OS-assigned loopback port: ops combine
+    /// through [`Combiner::submit_many`], reads run wait-free against the
+    /// published `Arc` snapshot.
+    fn start<S>(combiner: Arc<Combiner<S>>, cfg: ServiceConfig) -> Result<Service, ServiceError>
+    where
+        S: BatchSet + RangeSet + Clone + Send + Sync + 'static,
+    {
         cfg.check()?;
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
@@ -316,13 +269,13 @@ impl Service {
             let stop = stop.clone();
             let queue = queue.clone();
             let live = live.clone();
-            let engine = engine.clone();
+            let combiner = combiner.clone();
             let cfg = cfg.clone();
             let metrics = metrics.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("cpma-service-worker-{w}"))
-                    .spawn(move || worker_loop(stop, queue, live, engine, cfg, metrics))?,
+                    .spawn(move || worker_loop(stop, queue, live, combiner, cfg, metrics))?,
             );
         }
 
@@ -385,11 +338,11 @@ fn accept_loop(
     }
 }
 
-fn worker_loop(
+fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
     stop: Arc<AtomicBool>,
     queue: Arc<ConnQueue>,
     live: Arc<LiveConns>,
-    engine: Arc<dyn Engine>,
+    combiner: Arc<Combiner<S>>,
     cfg: ServiceConfig,
     metrics: Arc<Metrics>,
 ) {
@@ -412,7 +365,7 @@ fn worker_loop(
         };
         metrics.conns_active.add(1);
         let token = live.register(&stream);
-        let _ = serve_conn(stream, &*engine, &cfg, &metrics);
+        let _ = serve_conn(stream, &combiner, &cfg, &metrics);
         if let Some(t) = token {
             live.deregister(t);
         }
@@ -422,9 +375,9 @@ fn worker_loop(
 
 /// Serve one connection to completion. `Err` is a transport failure —
 /// already handled by closing; protocol errors are reported in-band.
-fn serve_conn(
+fn serve_conn<S: BatchSet + RangeSet + Clone + Send + Sync>(
     stream: TcpStream,
-    engine: &dyn Engine,
+    combiner: &Combiner<S>,
     cfg: &ServiceConfig,
     metrics: &Metrics,
 ) -> io::Result<()> {
@@ -483,7 +436,7 @@ fn serve_conn(
         let replies = {
             let mut span = cpma_obs::span_with(&metrics.combine_ns, "service.combine");
             span.set_items(requests.len() as u64);
-            serve_requests(engine, &requests)
+            serve_requests(combiner, &requests)
         };
 
         // Reply in request order, one write per batch.
@@ -520,15 +473,19 @@ fn send_error(stream: &mut TcpStream, seq: u64, e: ProtoError) -> io::Result<()>
 }
 
 /// Serve a decoded batch: accumulate `Insert`/`Remove`/`Contains` into a
-/// pending run, flush the run through one [`Engine::submit`] whenever a
-/// snapshot read (or the batch end) arrives. Replies are positional.
-fn serve_requests(engine: &dyn Engine, requests: &[Request]) -> Vec<Reply> {
+/// pending run, flush the run through one [`Combiner::submit_many`]
+/// whenever a snapshot read (or the batch end) arrives; the reads run
+/// against the published snapshot. Replies are positional.
+fn serve_requests<S: BatchSet + RangeSet + Clone + Send + Sync>(
+    combiner: &Combiner<S>,
+    requests: &[Request],
+) -> Vec<Reply> {
     let mut replies: Vec<Option<Reply>> = (0..requests.len()).map(|_| None).collect();
     let mut run_idx: Vec<usize> = Vec::new();
     let mut run_ops: Vec<Op<u64>> = Vec::new();
 
-    fn flush(
-        engine: &dyn Engine,
+    fn flush<S: BatchSet + RangeSet + Clone + Send + Sync>(
+        combiner: &Combiner<S>,
         requests: &[Request],
         replies: &mut [Option<Reply>],
         run_idx: &mut Vec<usize>,
@@ -537,7 +494,7 @@ fn serve_requests(engine: &dyn Engine, requests: &[Request]) -> Vec<Reply> {
         if run_ops.is_empty() {
             return;
         }
-        let results = engine.submit(run_ops);
+        let results = combiner.submit_many(run_ops);
         for (&i, value) in run_idx.iter().zip(results) {
             replies[i] = Some(Reply::Bool {
                 seq: requests[i].seq(),
@@ -563,29 +520,29 @@ fn serve_requests(engine: &dyn Engine, requests: &[Request]) -> Vec<Reply> {
                 run_ops.push(Op::Contains(key));
             }
             Request::ContainsBatch { seq, ref keys } => {
-                flush(engine, requests, &mut replies, &mut run_idx, &mut run_ops);
+                flush(combiner, requests, &mut replies, &mut run_idx, &mut run_ops);
                 replies[i] = Some(Reply::Bools {
                     seq,
-                    values: engine.contains_batch(keys),
+                    values: combiner.snapshot().contains_batch(keys),
                 });
             }
             Request::RangeSum { seq, lo, hi } => {
-                flush(engine, requests, &mut replies, &mut run_idx, &mut run_ops);
+                flush(combiner, requests, &mut replies, &mut run_idx, &mut run_ops);
                 replies[i] = Some(Reply::Sum {
                     seq,
-                    value: engine.range_sum(lo, hi),
+                    value: combiner.snapshot().range_sum(lo..=hi),
                 });
             }
             Request::Scan { seq, lo, max } => {
-                flush(engine, requests, &mut replies, &mut run_idx, &mut run_ops);
+                flush(combiner, requests, &mut replies, &mut run_idx, &mut run_ops);
                 replies[i] = Some(Reply::Keys {
                     seq,
-                    keys: engine.scan(lo, max.min(SCAN_LIMIT) as usize),
+                    keys: scan_page(&*combiner.snapshot(), lo, max.min(SCAN_LIMIT) as usize),
                 });
             }
         }
     }
-    flush(engine, requests, &mut replies, &mut run_idx, &mut run_ops);
+    flush(combiner, requests, &mut replies, &mut run_idx, &mut run_ops);
     replies.into_iter().map(|r| r.unwrap()).collect()
 }
 

@@ -135,7 +135,7 @@
 //! assert_eq!((stats.epochs, stats.ops), (1, 1));
 //! ```
 
-use cpma_api::{net_ops, BatchOp, BatchSet, Persist, PersistError, RangeSet};
+use cpma_api::{net_ops, BatchOp, BatchSet, ConfigError, Persist, PersistError, RangeSet};
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::{recover, RecoveryReport, WalConfig, WalWriter};
 use std::path::Path;
@@ -857,15 +857,17 @@ where
     /// now (the size-triggered rotation does the same when the live
     /// segment outgrows `rotate_bytes`). Waits for an in-flight epoch.
     ///
-    /// Returns the epoch sequence the checkpoint covers. Errors if this
-    /// combiner was not opened with [`Combiner::open_durable`].
+    /// Returns the epoch sequence the checkpoint covers. A combiner not
+    /// opened with [`Combiner::open_durable`] has no WAL to rotate: that
+    /// misuse is a [`PersistError::Config`] on the `"wal"` field.
     pub fn checkpoint(&self) -> Result<u64, PersistError> {
         let mut guard = self.core.lock().unwrap();
         let core = &mut *guard;
         let Some(durable) = core.wal.as_mut() else {
-            return Err(PersistError::Corrupt(
-                "checkpoint() on a combiner without a WAL (use open_durable)".into(),
-            ));
+            return Err(PersistError::Config(ConfigError::new(
+                "wal",
+                "checkpoint() needs a combiner opened with open_durable",
+            )));
         };
         let seq = core.epochs_applied;
         let path = durable.writer.checkpoint_path(seq);

@@ -549,12 +549,16 @@ fn old_manifest_meta_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `checkpoint()` on a non-durable combiner is a typed error, and
-/// `wal_sync` is an explicit no-op there.
+/// `checkpoint()` on a non-durable combiner is a typed usage error (a
+/// config error on the WAL, not data damage), and `wal_sync` is an
+/// explicit no-op there.
 #[test]
 fn non_durable_combiner_rejects_checkpoint() {
     let combiner: Combiner<Cpma> = Combiner::new(Cpma::new());
     combiner.insert(1);
-    assert!(combiner.checkpoint().is_err());
+    match combiner.checkpoint() {
+        Err(PersistError::Config(e)) => assert_eq!(e.field, "wal"),
+        other => panic!("expected a config error on the WAL, got {other:?}"),
+    }
     assert!(combiner.wal_sync().is_ok());
 }

@@ -6,7 +6,9 @@
 //! A miniature of the paper's headline claim: the CPMA matches tree space,
 //! beats trees on scans *and* batch ingest. The whole driver is one
 //! generic function over `cpma::api`'s `BatchSet + RangeSet` — adding a
-//! structure to the comparison is a single line in `main`.
+//! structure to the comparison is a single line in `main`. Every row's
+//! length and checksum must equal the `BTreeSet` row's; the example
+//! panics otherwise.
 //!
 //! Run with: `cargo run --release --example analytics`
 
@@ -14,7 +16,9 @@ use cpma::prelude::*;
 use cpma::workloads::{uniform_keys, ZipfGenerator};
 use std::time::Instant;
 
-fn drive<S: BatchSet + RangeSet>(batches: &[Vec<u64>], windows: &[(u64, u64)]) {
+/// Ingest `batches`, scan `windows` and print the row; returns the set's
+/// length and the windows' checksum.
+fn drive<S: BatchSet + RangeSet>(batches: &[Vec<u64>], windows: &[(u64, u64)]) -> (usize, u64) {
     let mut store = S::new_set();
     let t = Instant::now();
     let mut added = 0;
@@ -43,6 +47,7 @@ fn drive<S: BatchSet + RangeSet>(batches: &[Vec<u64>], windows: &[(u64, u64)]) {
         store.size_bytes() as f64 / added.max(1) as f64,
         checksum
     );
+    (store.len(), checksum)
 }
 
 fn main() {
@@ -69,10 +74,19 @@ fn main() {
         batches.len(),
         total / 50
     );
-    drive::<Cpma>(&batches, &windows);
-    drive::<Pma>(&batches, &windows);
-    drive::<PTree>(&batches, &windows);
-    drive::<CPac>(&batches, &windows);
-    drive::<CTreeSet>(&batches, &windows);
-    drive::<std::collections::BTreeSet<u64>>(&batches, &windows);
+    let rows = [
+        (Cpma::NAME, drive::<Cpma>(&batches, &windows)),
+        (Pma::NAME, drive::<Pma>(&batches, &windows)),
+        (PTree::NAME, drive::<PTree>(&batches, &windows)),
+        (CPac::NAME, drive::<CPac>(&batches, &windows)),
+        (CTreeSet::NAME, drive::<CTreeSet>(&batches, &windows)),
+    ];
+    let oracle = drive::<std::collections::BTreeSet<u64>>(&batches, &windows);
+    for (name, row) in rows {
+        assert_eq!(
+            row, oracle,
+            "{name}: (len, checksum) differs from BTreeSet's"
+        );
+    }
+    println!("every row's length and checksum equal the BTreeSet row's");
 }

@@ -56,8 +56,8 @@ fn main() {
         set.size_bytes() as f64 / set.len() as f64
     );
 
-    // Iterate in order (first 3), zero-copy.
-    let head: Vec<u64> = set.iter().take(3).collect();
+    // Iterate in order (first 3), a leaf decoded at a time.
+    let head: Vec<u64> = set.iter_all().take(3).collect();
     println!("smallest three: {head:?}");
 
     // Custom configuration via the fallible builder.

@@ -40,6 +40,15 @@
 //! [`api::conformance::assert_ordered_set_contract`] runs the shared
 //! randomized contract against all seven implementations in CI.
 //!
+//! For the PMA/CPMA and the three baselines these traits, with
+//! [`api::ParallelChunks`] (`par_chunks`: the same slices visited in
+//! parallel), are the whole query/update surface: each structure
+//! implements them in its own module, with no inherent copies beside
+//! them (bar five on `PmaCore` that the trait impl forwards to: `len`,
+//! `is_empty`, `min`, `size_bytes`, `contains_batch`). What else stays
+//! inherent is what the traits do not cover — constructors with a
+//! configuration, point `insert`/`remove`, counters, snapshot bytes.
+//!
 //! ## The crates under the roof
 //!
 //! * [`api`] — the trait hierarchy, `normalize_batch`, `ConfigError`, the

@@ -55,8 +55,8 @@ fn pma_batch_equals_points() {
     let mut rng = SplitMix64::new(0xBA7C);
     for _ in 0..CASES {
         let base = sorted_unique(rng.raw_keys(500));
-        let mut batched = Pma::from_sorted(&base);
-        let mut pointed = Pma::from_sorted(&base);
+        let mut batched = Pma::build_sorted(&base);
+        let mut pointed = Pma::build_sorted(&base);
         let b = sorted_unique(rng.raw_keys(800));
         let added = batched.insert_batch_sorted(&b);
         let mut point_added = 0;
@@ -66,7 +66,7 @@ fn pma_batch_equals_points() {
             }
         }
         assert_eq!(added, point_added);
-        assert!(batched.iter().eq(pointed.iter()));
+        assert!(batched.iter_all().eq(pointed.iter_all()));
         batched.check_invariants();
         pointed.check_invariants();
     }
@@ -89,7 +89,7 @@ fn cpma_equals_pma() {
                 assert_eq!(pma.remove_batch_sorted(&b), cpma.remove_batch_sorted(&b));
             }
         }
-        assert!(pma.iter().eq(cpma.iter()));
+        assert!(pma.iter_all().eq(cpma.iter_all()));
         pma.check_invariants();
         cpma.check_invariants();
     }
@@ -105,13 +105,13 @@ fn cpma_insert_then_delete_is_identity() {
             .into_iter()
             .filter(|k| base.binary_search(k).is_err())
             .collect();
-        let mut c = Cpma::from_sorted(&base);
-        let before: Vec<u64> = c.iter().collect();
+        let mut c = Cpma::build_sorted(&base);
+        let before: Vec<u64> = c.iter_all().collect();
         let added = c.insert_batch_sorted(&extra);
         assert_eq!(added, extra.len());
         let removed = c.remove_batch_sorted(&extra);
         assert_eq!(removed, extra.len());
-        assert_eq!(c.iter().collect::<Vec<_>>(), before);
+        assert_eq!(c.iter_all().collect::<Vec<_>>(), before);
         c.check_invariants();
     }
 }
@@ -179,7 +179,7 @@ fn successor_matches_model() {
     for _ in 0..CASES {
         let elems = sorted_unique(rng.raw_keys(400));
         let model: BTreeSet<u64> = elems.iter().copied().collect();
-        let p = Pma::from_sorted(&elems);
+        let p = Pma::build_sorted(&elems);
         let probe = rng.next_u64();
         let want = model.range(probe..).next().copied();
         assert_eq!(p.successor(probe), want);
@@ -194,9 +194,9 @@ fn baselines_match_pma() {
         let base = sorted_unique(rng.raw_keys(400));
         let batch = sorted_unique(rng.raw_keys(400));
         let dels = sorted_unique(rng.raw_keys(200));
-        let mut pma = Pma::from_sorted(&base);
-        let mut pt = PTree::from_sorted(&base);
-        let mut cp = CPac::from_sorted(&base);
+        let mut pma = Pma::build_sorted(&base);
+        let mut pt = PTree::build_sorted(&base);
+        let mut cp = CPac::build_sorted(&base);
         assert_eq!(
             pma.insert_batch_sorted(&batch),
             pt.insert_batch_sorted(&batch)
@@ -210,9 +210,9 @@ fn baselines_match_pma() {
             pt.remove_batch_sorted(&dels)
         );
         cp.remove_batch_sorted(&dels);
-        let reference: Vec<u64> = pma.iter().collect();
-        assert_eq!(pt.collect(), reference);
-        assert_eq!(cp.collect(), reference);
+        let reference: Vec<u64> = pma.iter_all().collect();
+        assert_eq!(pt.to_vec(), reference);
+        assert_eq!(cp.to_vec(), reference);
     }
 }
 
@@ -236,7 +236,7 @@ fn pma_invariants_under_point_ops() {
         }
         p.check_invariants();
         c.check_invariants();
-        assert!(p.iter().eq(c.iter()));
+        assert!(p.iter_all().eq(c.iter_all()));
     }
 }
 
@@ -249,11 +249,11 @@ fn from_iterator_and_extend_match_batches() {
         let collected: Cpma = keys.iter().copied().collect();
         let mut batched = Cpma::new();
         batched.insert_batch(&mut keys.clone(), false);
-        assert!(collected.iter().eq(batched.iter()));
+        assert!(collected.iter_all().eq(batched.iter_all()));
         let more = rng.raw_keys(300);
         let mut extended = collected;
         extended.extend(more.iter().copied());
         batched.insert_batch(&mut more.clone(), false);
-        assert!(extended.iter().eq(batched.iter()));
+        assert!(extended.iter_all().eq(batched.iter_all()));
     }
 }
