@@ -27,18 +27,7 @@ pub use fgraph::{EdgeSet, FGraph, FGraphSnapshot, SetGraph, SetGraphSnapshot};
 pub use ligra::{edge_map, VertexSubset};
 pub use treegraph::{AspenGraph, PacGraph, TreeGraph};
 
-/// Pack a directed edge the way F-Graph stores it: source in the upper 32
-/// bits, destination in the lower 32 (§6, "F-Graph description").
-#[inline]
-pub fn pack_edge(src: u32, dst: u32) -> u64 {
-    ((src as u64) << 32) | dst as u64
-}
-
-/// Inverse of [`pack_edge`].
-#[inline]
-pub fn unpack_edge(e: u64) -> (u32, u32) {
-    ((e >> 32) as u32, e as u32)
-}
+pub use cpma_workloads::{pack_edge, unpack_edge};
 
 /// Refuse a batch of packed edges that names a vertex outside `0..n`: one
 /// parallel pass over `edges`, panicking on the first edge in batch order
@@ -97,13 +86,6 @@ pub trait GraphScan: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn edge_packing_roundtrip() {
-        for (s, d) in [(0u32, 0u32), (7, 9), (u32::MAX, 1)] {
-            assert_eq!(unpack_edge(pack_edge(s, d)), (s, d));
-        }
-    }
 
     /// Every graph type, built from or inserted `edge` on 4 vertices,
     /// panics with a message containing `what`.

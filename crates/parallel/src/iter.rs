@@ -14,7 +14,7 @@
 //!
 //! `enumerate` and `zip` assume their input producer is *exact* (one item
 //! per index slot — true for slices, ranges, chunks, and maps thereof, but
-//! not downstream of `filter`/`filter_map`/`flat_map_iter`), same as
+//! not downstream of `filter`/`flat_map_iter`), same as
 //! rayon's `IndexedParallelIterator` requirement, enforced there by the
 //! type system and here by convention — the workspace never enumerates a
 //! filtered iterator.
@@ -39,17 +39,14 @@ pub trait Producer: Sized + Send {
     fn fold<Acc, G: FnMut(Acc, Self::Item) -> Acc>(self, acc: Acc, g: G) -> Acc;
 }
 
-/// Parallel iterator: a producer plus the minimum split grain.
+/// Parallel iterator: a producer, split down to `len / (4 × threads)`
+/// slots when a terminal runs.
 pub struct Par<P> {
     producer: P,
-    min_len: usize,
 }
 
 pub(crate) fn par<P: Producer>(producer: P) -> Par<P> {
-    Par {
-        producer,
-        min_len: 1,
-    }
+    Par { producer }
 }
 
 // ---------------------------------------------------------------------------
@@ -307,43 +304,6 @@ where
     }
 }
 
-pub struct FilterMapProducer<P, F> {
-    base: P,
-    f: Arc<F>,
-}
-
-impl<P, F, R> Producer for FilterMapProducer<P, F>
-where
-    P: Producer,
-    F: Fn(P::Item) -> Option<R> + Send + Sync,
-    R: Send,
-{
-    type Item = R;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (
-            FilterMapProducer {
-                base: l,
-                f: self.f.clone(),
-            },
-            FilterMapProducer { base: r, f: self.f },
-        )
-    }
-
-    fn fold<Acc, G: FnMut(Acc, Self::Item) -> Acc>(self, acc: Acc, mut g: G) -> Acc {
-        let f = self.f;
-        self.base.fold(acc, |a, x| match f(x) {
-            Some(y) => g(a, y),
-            None => a,
-        })
-    }
-}
-
 pub struct FlatMapIterProducer<P, F> {
     base: P,
     f: Arc<F>,
@@ -554,11 +514,10 @@ where
     merge(tl, tr)
 }
 
-/// Split grain: aim for ~4 leaves per thread so stragglers rebalance, but
-/// never below the user's `with_min_len`.
-pub(crate) fn grain_for(len: usize, min_len: usize) -> usize {
+/// Split grain: aim for ~4 leaves per thread so stragglers rebalance.
+pub(crate) fn grain_for(len: usize) -> usize {
     let threads = crate::current_num_threads();
-    (len / (4 * threads).max(1)).max(min_len).max(1)
+    (len / (4 * threads).max(1)).max(1)
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +537,6 @@ impl<P: Producer> Par<P> {
                 base: self.producer,
                 f: Arc::new(f),
             },
-            min_len: self.min_len,
         }
     }
 
@@ -591,21 +549,6 @@ impl<P: Producer> Par<P> {
                 base: self.producer,
                 p: Arc::new(p),
             },
-            min_len: self.min_len,
-        }
-    }
-
-    pub fn filter_map<R, F>(self, f: F) -> Par<FilterMapProducer<P, F>>
-    where
-        F: Fn(P::Item) -> Option<R> + Send + Sync,
-        R: Send,
-    {
-        Par {
-            producer: FilterMapProducer {
-                base: self.producer,
-                f: Arc::new(f),
-            },
-            min_len: self.min_len,
         }
     }
 
@@ -621,7 +564,6 @@ impl<P: Producer> Par<P> {
                 base: self.producer,
                 f: Arc::new(f),
             },
-            min_len: self.min_len,
         }
     }
 
@@ -633,7 +575,6 @@ impl<P: Producer> Par<P> {
                 base: self.producer,
                 offset: 0,
             },
-            min_len: self.min_len,
         }
     }
 
@@ -645,7 +586,6 @@ impl<P: Producer> Par<P> {
                 a: self.producer,
                 b: other.into_par_iter().producer,
             },
-            min_len: self.min_len,
         }
     }
 
@@ -662,14 +602,7 @@ impl<P: Producer> Par<P> {
                 init: Arc::new(init),
                 f: Arc::new(f),
             },
-            min_len: self.min_len,
         }
-    }
-
-    /// Lower bound on the number of slots a split may shrink to.
-    pub fn with_min_len(mut self, min: usize) -> Self {
-        self.min_len = self.min_len.max(min);
-        self
     }
 
     pub fn cloned<'a, T>(self) -> Par<ClonedProducer<P>>
@@ -679,7 +612,6 @@ impl<P: Producer> Par<P> {
     {
         Par {
             producer: ClonedProducer(self.producer),
-            min_len: self.min_len,
         }
     }
 
@@ -699,7 +631,7 @@ impl<P: Producer> Par<P> {
         LEAF: Fn(P) -> T + Sync,
         MERGE: Fn(T, T) -> T + Sync,
     {
-        let grain = grain_for(self.producer.len(), self.min_len);
+        let grain = grain_for(self.producer.len());
         drive(self.producer, grain, &leaf, &merge)
     }
 
@@ -747,25 +679,6 @@ impl<P: Producer> Par<P> {
         )
     }
 
-    pub fn max(self) -> Option<P::Item>
-    where
-        P::Item: Ord,
-    {
-        self.run(
-            |p| {
-                p.fold(None, |a: Option<P::Item>, x| match a {
-                    Some(m) if m >= x => Some(m),
-                    _ => Some(x),
-                })
-            },
-            |a, b| match (a, b) {
-                (Some(x), Some(y)) => Some(if x >= y { x } else { y }),
-                (x, None) => x,
-                (None, y) => y,
-            },
-        )
-    }
-
     pub fn any<F>(self, f: F) -> bool
     where
         F: Fn(P::Item) -> bool + Send + Sync,
@@ -785,13 +698,6 @@ impl<P: Producer> Par<P> {
             |(), ()| (),
         );
         found.load(Ordering::Relaxed)
-    }
-
-    pub fn all<F>(self, f: F) -> bool
-    where
-        F: Fn(P::Item) -> bool + Send + Sync,
-    {
-        !self.any(move |x| !f(x))
     }
 
     /// rayon's two-argument reduce: fold from an identity element.
@@ -852,13 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn min_max_any_all() {
+    fn min_any_sum() {
         let v: Vec<u64> = (0..1_000u64).map(|x| (x * 7919) % 1000).collect();
         assert_eq!(v.par_iter().min(), v.iter().min());
-        assert_eq!(v.par_iter().max(), v.iter().max());
         assert!(v.par_iter().any(|&x| x == 500));
         assert!(!v.par_iter().any(|&x| x > 1000));
-        assert!(v.par_iter().all(|&x| x < 1000));
         assert_eq!(v.par_iter().copied().sum::<u64>(), v.iter().sum::<u64>());
     }
 

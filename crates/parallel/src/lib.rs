@@ -16,9 +16,8 @@
 //!   workers catch job panics, so the pool is never poisoned.
 //! * The parallel-iterator adaptors ([`iter::Par`]) are built on
 //!   splittable producers: indexed sources (slices, ranges, chunks) are
-//!   recursively halved down to a grain size (`len / (4 × threads)` by
-//!   default; raise it with `with_min_len`) and the pieces execute via
-//!   [`join`]. All terminals are order-preserving and schedule-independent:
+//!   recursively halved down to a grain size (`len / (4 × threads)`) and
+//!   the pieces execute via [`join`]. All terminals are order-preserving and schedule-independent:
 //!   `collect` concatenates split results in index order, integer
 //!   `sum`/`reduce` results are bit-identical at any thread count.
 //! * [`slice::ParallelSliceMut::par_sort_unstable`] (and friends) is a

@@ -321,7 +321,7 @@ fn par_iter_observes_multiple_threads_when_allowed() {
     let ids: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
     let seen_two = AtomicBool::new(false);
     with_budget(4, || {
-        (0..64u64).into_par_iter().with_min_len(1).for_each(|_| {
+        (0..64u64).into_par_iter().for_each(|_| {
             let n = {
                 let mut g = ids.lock().unwrap();
                 g.insert(std::thread::current().id());
@@ -392,7 +392,7 @@ fn spawn_count_stays_within_budget() {
     let live = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
     with_budget(BUDGET, || {
-        (0..256u64).into_par_iter().with_min_len(1).for_each(|_| {
+        (0..256u64).into_par_iter().for_each(|_| {
             let now = live.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(Duration::from_micros(200));

@@ -620,10 +620,10 @@ mod tests {
             (2_000, |s| s.pipeline_batches),
             (8_000, |s| s.full_rebuilds),
         ];
-        let cfg = crate::PmaConfig::builder()
-            .force_codec(force)
-            .build()
-            .unwrap();
+        let cfg = crate::PmaConfig {
+            force_codec: force,
+            ..crate::PmaConfig::default()
+        };
         let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for (budget, bits) in [(1, 17), (1, 30), (2, 17), (2, 30)] {
             let pool = rayon::ThreadPoolBuilder::new()

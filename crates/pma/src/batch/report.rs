@@ -196,7 +196,10 @@ mod tests {
     /// and its net batch can land in, at budgets 1 and 2 (which of them
     /// fall back is pinned by count in `tests/path_counters.rs`).
     fn reporting_is_probe_then_net<L: LeafStorage + Clone>(force: ForceCodec) {
-        let cfg = PmaConfig::builder().force_codec(force).build().unwrap();
+        let cfg = PmaConfig {
+            force_codec: force,
+            ..PmaConfig::default()
+        };
         let base: Vec<u64> = (0..30_000u64).map(|i| i * 4).collect();
         // (ops, every n-th a no-op): len / 10 = 3 000.
         let cases = [

@@ -94,16 +94,24 @@ impl Default for PmaConfig {
 }
 
 impl PmaConfig {
-    /// Start building a configuration; [`PmaConfigBuilder::build`] validates
-    /// and returns `Result`, making invalid parameters a recoverable error
-    /// instead of a panic.
-    pub fn builder() -> PmaConfigBuilder {
-        PmaConfigBuilder::default()
-    }
-
     /// Check parameter validity. Constructors call this and panic on `Err`
-    /// (an already-constructed invalid config is a programming error);
-    /// build-time callers should prefer [`PmaConfig::builder`].
+    /// (an already-constructed invalid config is a programming error), so
+    /// a caller whose values come from outside checks first.
+    ///
+    /// ```
+    /// use cpma_pma::{ForceCodec, PmaConfig};
+    ///
+    /// let cfg = PmaConfig {
+    ///     growing_factor: 1.5,
+    ///     force_codec: ForceCodec::Delta,
+    /// };
+    /// assert!(cfg.check().is_ok());
+    /// let bad = PmaConfig {
+    ///     growing_factor: 0.9,
+    ///     ..PmaConfig::default()
+    /// };
+    /// assert_eq!(bad.check().unwrap_err().field, "growing_factor");
+    /// ```
     pub fn check(&self) -> Result<(), ConfigError> {
         if !self.growing_factor.is_finite() {
             return Err(ConfigError::new("growing_factor", "must be finite"));
@@ -118,45 +126,6 @@ impl PmaConfig {
         if let Err(e) = self.check() {
             panic!("{e}");
         }
-    }
-}
-
-/// Builder for [`PmaConfig`] with fallible validation.
-///
-/// ```
-/// use cpma_pma::{ForceCodec, PmaConfig};
-///
-/// let cfg = PmaConfig::builder()
-///     .growing_factor(1.5)
-///     .force_codec(ForceCodec::Delta)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.growing_factor, 1.5);
-/// assert!(PmaConfig::builder().growing_factor(0.9).build().is_err());
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PmaConfigBuilder {
-    cfg: PmaConfig,
-}
-
-impl PmaConfigBuilder {
-    /// Capacity multiplier on growth, divisor on shrink (Appendix C
-    /// studies 1.1×–2.0×; the paper uses 1.2×).
-    pub fn growing_factor(mut self, f: f64) -> Self {
-        self.cfg.growing_factor = f;
-        self
-    }
-
-    /// Codec override for hybrid leaf storages (see [`ForceCodec`]).
-    pub fn force_codec(mut self, f: ForceCodec) -> Self {
-        self.cfg.force_codec = f;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<PmaConfig, ConfigError> {
-        self.cfg.check()?;
-        Ok(self.cfg)
     }
 }
 
@@ -1225,8 +1194,10 @@ mod tests {
         moved.remove(0);
         moved.insert(1);
         assert!(moved != built, "same length, one key differs");
-        let cfg = PmaConfig::builder().growing_factor(1.5).build().unwrap();
-        let mut tuned = Cpma::with_config(cfg);
+        let mut tuned = Cpma::with_config(PmaConfig {
+            growing_factor: 1.5,
+            ..PmaConfig::default()
+        });
         tuned.insert_batch_sorted(&keys);
         assert!(tuned != built, "same keys, another configuration");
     }

@@ -31,8 +31,9 @@
 //! | `size` | `len` |
 //! | `get_size` | `size_bytes` |
 //!
-//! Construction takes the growing factor and the codec override through
-//! the fallible [`PmaConfig::builder`]; the regime boundaries, the capacity
+//! Construction takes the growing factor and the codec override in a
+//! [`PmaConfig`], whose [`PmaConfig::check`] names a bad field; the regime
+//! boundaries, the capacity
 //! floor and the density bounds are constants, as the paper fixes them.
 //! `Pma`/`Cpma` also implement `FromIterator`, `Extend`, and owned
 //! `IntoIterator` for std-collection ergonomics.
@@ -55,7 +56,7 @@ mod writeset;
 
 pub use crate::compressed::CompressedLeaves;
 pub use crate::core::{
-    Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore, FULL_REBUILD_DIVISOR, MIN_LEAVES,
+    Cpma, ForceCodec, Pma, PmaConfig, PmaCore, FULL_REBUILD_DIVISOR, MIN_LEAVES,
     POINT_UPDATE_CUTOFF,
 };
 pub use crate::leaf::{BlockFill, ChunkBlock, LeafStorage, OpsOutcome, RunSize, CHUNK_KEYS};

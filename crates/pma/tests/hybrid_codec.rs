@@ -15,8 +15,10 @@ use cpma_workloads::{clustered_keys, uniform_keys, ClusteredKeys, SplitMix64};
 use std::collections::BTreeSet;
 
 fn cpma_with(force: ForceCodec) -> Cpma {
-    let cfg = PmaConfig::builder().force_codec(force).build().unwrap();
-    Cpma::with_config(cfg)
+    Cpma::with_config(PmaConfig {
+        force_codec: force,
+        ..PmaConfig::default()
+    })
 }
 
 /// Drive a clustered mixed workload through `set` and an oracle, checking

@@ -18,11 +18,10 @@ fn compressed_membership_probe_stops_early() {
     // Gap-7 keys are dense enough that the hybrid policy would pick the
     // bitmap encoding; pin the delta codec — this test is specifically
     // about the delta probe's early exit.
-    let cfg = PmaConfig::builder()
-        .force_codec(ForceCodec::Delta)
-        .build()
-        .unwrap();
-    let mut c = Cpma::with_config(cfg);
+    let mut c = Cpma::with_config(PmaConfig {
+        force_codec: ForceCodec::Delta,
+        ..PmaConfig::default()
+    });
     let mut elems: Vec<u64> = (0..200_000u64).map(|i| i * 7 + 3).collect();
     c.insert_batch(&mut elems, false);
     let storage = c.storage();

@@ -28,8 +28,10 @@ fn all_present_insert_runs_leave_leaves_untouched() {
     // Consecutive keys: forced-delta leaves on one pass, bitmap leaves
     // (the wordwise path) on the other.
     for force in [ForceCodec::Delta, ForceCodec::Auto] {
-        let cfg = PmaConfig::builder().force_codec(force).build().unwrap();
-        let mut c = Cpma::with_config(cfg);
+        let mut c = Cpma::with_config(PmaConfig {
+            force_codec: force,
+            ..PmaConfig::default()
+        });
         let keys: Vec<u64> = (0..50_000u64).collect();
         c.insert_batch_sorted(&keys);
         let (delta_leaves, bitmap_leaves) = c.storage().codec_census();

@@ -191,11 +191,10 @@ fn settable_meta_words_roundtrip_and_bad_values_are_typed() {
         .into_iter()
         .enumerate()
     {
-        let cfg = PmaConfig::builder()
-            .growing_factor(1.1 + tag as f64 / 2.0)
-            .force_codec(force)
-            .build()
-            .unwrap();
+        let cfg = PmaConfig {
+            growing_factor: 1.1 + tag as f64 / 2.0,
+            force_codec: force,
+        };
         let mut set = Cpma::with_config(cfg);
         set.insert_batch_sorted(&keys);
         let bytes = set.to_snapshot_bytes();
@@ -220,11 +219,10 @@ fn settable_meta_words_roundtrip_and_bad_values_are_typed() {
 
 #[test]
 fn non_default_config_survives_roundtrip() {
-    let cfg = PmaConfig::builder()
-        .growing_factor(1.5)
-        .force_codec(ForceCodec::Delta)
-        .build()
-        .unwrap();
+    let cfg = PmaConfig {
+        growing_factor: 1.5,
+        force_codec: ForceCodec::Delta,
+    };
     let mut set = Cpma::with_config(cfg);
     let mut batch: Vec<u64> = (0..10_000u64).map(|i| i * 3).collect();
     set.insert_batch(&mut batch, true);
@@ -347,10 +345,10 @@ fn forged_payloads_with_valid_checksums_are_rejected() {
 fn malformed_delta_runs_are_corrupt() {
     use cpma_persist::snapshot::SnapshotEnvelope;
     use cpma_pma::LeafStorage as _;
-    let cfg = PmaConfig::builder()
-        .force_codec(ForceCodec::Delta)
-        .build()
-        .unwrap();
+    let cfg = PmaConfig {
+        force_codec: ForceCodec::Delta,
+        ..PmaConfig::default()
+    };
     let mut set = Cpma::with_config(cfg);
     let mut keys: Vec<u64> = (0..20_000u64).map(|i| 1000 + i * 1_000_003).collect();
     set.insert_batch(&mut keys, true);

@@ -169,10 +169,11 @@ fn aggregates_match() {
 fn growing_factors_correct() {
     let mut rng = SplitMix64::new(0x6F01);
     for factor_tenths in 11u32..=20 {
-        let cfg = PmaConfig::builder()
-            .growing_factor(factor_tenths as f64 / 10.0)
-            .build()
-            .expect("legal growing factor");
+        let cfg = PmaConfig {
+            growing_factor: factor_tenths as f64 / 10.0,
+            ..PmaConfig::default()
+        };
+        cfg.check().expect("legal growing factor");
         let mut c = Cpma::with_config(cfg);
         let mut model = BTreeSet::new();
         let keys: Vec<u64> = (0..rng.next_below(800) + 1)
@@ -188,33 +189,16 @@ fn growing_factors_correct() {
     }
 }
 
-/// The builder rejects every illegal parameter with a named field.
+/// `check` rejects every illegal parameter with a named field.
 #[test]
-fn builder_rejects_bad_configs() {
-    assert_eq!(
-        PmaConfig::builder()
-            .growing_factor(1.0)
-            .build()
-            .unwrap_err()
-            .field,
-        "growing_factor"
-    );
-    assert_eq!(
-        PmaConfig::builder()
-            .growing_factor(f64::INFINITY)
-            .build()
-            .unwrap_err()
-            .field,
-        "growing_factor"
-    );
-    assert_eq!(
-        PmaConfig::builder()
-            .growing_factor(f64::NAN)
-            .build()
-            .unwrap_err()
-            .field,
-        "growing_factor"
-    );
+fn check_rejects_bad_configs() {
+    for growing_factor in [1.0, 0.5, f64::INFINITY, f64::NAN] {
+        let cfg = PmaConfig {
+            growing_factor,
+            ..PmaConfig::default()
+        };
+        assert_eq!(cfg.check().unwrap_err().field, "growing_factor");
+    }
 }
 
 #[test]

@@ -9,9 +9,11 @@
 //! snapshots. An optional durable mode logs every epoch to the WAL before
 //! acknowledging it ([`Service::serve_durable`]).
 //!
-//! Everything is `std`-only blocking I/O: an accept loop plus a bounded
-//! worker pool ([`ServiceConfig::workers`]) — the worker count is the
-//! concurrency bound and the backpressure mechanism. See
+//! Everything is `std`-only blocking I/O: [`ServiceConfig::workers`]
+//! threads, each accepting a connection from one shared listener and
+//! serving it to completion — the worker count is the concurrency bound
+//! and the backpressure mechanism (connections past it wait in the listen
+//! backlog). See
 //! `docs/ARCHITECTURE.md` ("The network front door") for the wire diagram
 //! and thread model, and `docs/TUNING.md` for the settings and the
 //! protocol constants.

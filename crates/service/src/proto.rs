@@ -52,7 +52,8 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 20;
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = MAX_FRAME_BYTES;
 
 /// Most frames a server drains from one connection into one combined
-/// submission: bounds a worker's memory per connection.
+/// submission. With the server's stop at [`MAX_FRAME_BYTES`] read per
+/// batch, it bounds a worker's memory per connection.
 pub const MAX_PIPELINE_OPS: usize = 16 * 1024;
 
 /// Most keys one `Scan` reply carries; a request's larger `max` is

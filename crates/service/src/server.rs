@@ -1,20 +1,21 @@
-//! The blocking TCP server: accept loop + bounded worker threads.
+//! The blocking TCP server: its worker threads are the only threads.
 //!
 //! ## Thread model and backpressure
 //!
-//! One accept thread polls a non-blocking listener and pushes accepted
-//! connections onto a queue; [`ServiceConfig::workers`] worker threads pop
-//! connections and serve each one to completion. The worker count is the
-//! concurrency bound *and* the backpressure mechanism: when every worker is
-//! busy, new connections sit accepted-but-unserved in the queue and the
-//! clients behind them simply wait. No request is ever dropped; the queue
-//! holds sockets (cheap), not decoded frames.
+//! [`ServiceConfig::workers`] threads share one blocking listener: each
+//! accepts a connection and serves it to completion, then accepts the
+//! next. The worker count is the concurrency bound *and* the backpressure
+//! mechanism: when every worker is busy, new connections wait in the
+//! kernel's listen backlog and the clients behind them simply wait. The
+//! service holds no connection it is not serving, so there is no queue of
+//! its own to bound.
 //!
 //! ## Pipelining → combining
 //!
 //! A worker reads one frame blocking, then opportunistically drains every
 //! further complete frame the client has already sent (up to
-//! [`MAX_PIPELINE_OPS`]). Contiguous runs of mutating /
+//! [`MAX_PIPELINE_OPS`] frames, and reading no further once the batch
+//! holds [`MAX_FRAME_BYTES`]). Contiguous runs of mutating /
 //! linearized ops are funneled through [`Combiner::submit_many`] as **one**
 //! publication — the flat-combining layer does the batching that async
 //! frameworks usually fake. Snapshot reads (`ContainsBatch`, `RangeSum`,
@@ -37,12 +38,11 @@ use cpma_api::{BatchSet, ConfigError, Persist, PersistError, RangeSet};
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::frame;
 use cpma_store::{Combiner, CombinerConfig, Op, RecoveryReport, WalConfig};
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -52,7 +52,7 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads serving connections; also the connection concurrency
-    /// bound (excess connections queue). Default 4.
+    /// bound (excess connections wait in the listen backlog). Default 4.
     pub workers: usize,
     /// Per-connection read timeout; an idle or half-dead client is
     /// disconnected when it expires. `None` waits forever. Default 30 s.
@@ -159,48 +159,22 @@ impl Metrics {
     }
 }
 
-/// Accepted-connection queue between the accept thread and the workers.
-struct ConnQueue {
-    queue: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-}
+/// The connection a worker is serving, kept as a `try_clone` so
+/// `shutdown` can sever a blocked read; a worker holds at most one.
+type Slot = Mutex<Option<TcpStream>>;
 
-/// Streams currently being served, kept as `try_clone`s so `shutdown` can
-/// sever blocked reads.
-struct LiveConns {
-    streams: Mutex<Vec<(u64, TcpStream)>>,
-    next_token: AtomicU64,
-}
+/// How long a worker waits after a failed `accept` (say `EMFILE`) before it
+/// tries again, so an error that persists cannot spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-impl LiveConns {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().unwrap().push((token, clone));
-        Some(token)
-    }
-
-    fn deregister(&self, token: u64) {
-        self.streams.lock().unwrap().retain(|(t, _)| *t != token);
-    }
-
-    fn sever_all(&self) {
-        for (_, s) in self.streams.lock().unwrap().iter() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// A running front door: accept thread + worker pool bound to a loopback
-/// listener. Dropping the service (or calling [`Service::shutdown`]) stops
-/// the accept loop, severs in-flight connections, and joins every thread.
+/// A running front door: [`ServiceConfig::workers`] threads, each
+/// accepting from one shared loopback listener. Dropping the service (or
+/// calling [`Service::shutdown`]) severs in-flight connections and joins
+/// every thread.
 pub struct Service {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    queue: Arc<ConnQueue>,
-    live: Arc<LiveConns>,
-    accept_handle: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<(Arc<Slot>, JoinHandle<()>)>,
 }
 
 impl Service {
@@ -240,53 +214,29 @@ impl Service {
         S: BatchSet + RangeSet + Clone + Send + Sync + 'static,
     {
         cfg.check()?;
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(ConnQueue {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        });
-        let live = Arc::new(LiveConns {
-            streams: Mutex::new(Vec::new()),
-            next_token: AtomicU64::new(0),
-        });
+        let listener = Arc::new(TcpListener::bind(("127.0.0.1", 0))?);
         let metrics = Arc::new(Metrics::new());
-
-        let accept_handle = {
-            let stop = stop.clone();
-            let queue = queue.clone();
-            let metrics = metrics.clone();
-            std::thread::Builder::new()
-                .name("cpma-service-accept".into())
-                .spawn(move || accept_loop(listener, stop, queue, metrics))?
+        // Built before the first spawn, so a failed spawn drops it and
+        // `shutdown` joins the workers already running.
+        let mut service = Service {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            workers: Vec::with_capacity(cfg.workers),
         };
-
-        let mut workers = Vec::with_capacity(cfg.workers);
         for w in 0..cfg.workers {
-            let stop = stop.clone();
-            let queue = queue.clone();
-            let live = live.clone();
-            let combiner = combiner.clone();
-            let cfg = cfg.clone();
-            let metrics = metrics.clone();
-            workers.push(
+            let slot = Arc::new(Slot::default());
+            let handle = {
+                let (listener, stop, slot) = (listener.clone(), service.stop.clone(), slot.clone());
+                let (combiner, cfg, metrics) = (combiner.clone(), cfg.clone(), metrics.clone());
                 std::thread::Builder::new()
                     .name(format!("cpma-service-worker-{w}"))
-                    .spawn(move || worker_loop(stop, queue, live, combiner, cfg, metrics))?,
-            );
+                    .spawn(move || {
+                        worker_loop(&listener, &stop, &slot, &combiner, &cfg, &metrics)
+                    })?
+            };
+            service.workers.push((slot, handle));
         }
-
-        Ok(Service {
-            addr,
-            stop,
-            queue,
-            live,
-            accept_handle: Some(accept_handle),
-            workers,
-        })
+        Ok(service)
     }
 
     /// The bound loopback address clients connect to.
@@ -294,20 +244,24 @@ impl Service {
         self.addr
     }
 
-    /// Stop accepting, sever in-flight connections, and join every thread.
+    /// Stop serving, sever in-flight connections, and join every thread.
     /// Idempotent; also run by `Drop`.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.queue.ready.notify_all();
-        self.live.sever_all();
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
+        for (slot, _) in &self.workers {
+            if let Some(stream) = &*slot.lock().unwrap() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        // One connection per worker wakes each one blocked in `accept`. A
+        // worker blocks there only while the backlog is empty, so the
+        // connects go through; a serving worker finds its stream severed.
+        for _ in &self.workers {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         }
-        // Connections accepted but never served are dropped here.
-        self.queue.queue.lock().unwrap().clear();
+        for (_, handle) in self.workers.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -317,59 +271,41 @@ impl Drop for Service {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    queue: Arc<ConnQueue>,
-    metrics: Arc<Metrics>,
+/// Accept a connection and serve it to completion, until `stop`.
+/// Connections past the worker count wait in the listener's backlog.
+fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    slot: &Slot,
+    combiner: &Combiner<S>,
+    cfg: &ServiceConfig,
+    metrics: &Metrics,
 ) {
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                metrics.connections.inc();
-                queue.queue.lock().unwrap().push_back(stream);
-                queue.ready.notify_one();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
-}
-
-fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
-    stop: Arc<AtomicBool>,
-    queue: Arc<ConnQueue>,
-    live: Arc<LiveConns>,
-    combiner: Arc<Combiner<S>>,
-    cfg: ServiceConfig,
-    metrics: Arc<Metrics>,
-) {
-    loop {
-        let stream = {
-            let mut q = queue.queue.lock().unwrap();
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break s;
-                }
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) = queue
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap();
-                q = guard;
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
         };
-        metrics.conns_active.add(1);
-        let token = live.register(&stream);
-        let _ = serve_conn(stream, &combiner, &cfg, &metrics);
-        if let Some(t) = token {
-            live.deregister(t);
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
-        metrics.conns_active.add(-1);
+        metrics.connections.inc();
+        // A connection `shutdown` could not sever is not served.
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        *slot.lock().unwrap() = Some(clone);
+        // `shutdown` severs what it finds in the slot after setting `stop`:
+        // a stream it missed was put there later, and sees `stop` here.
+        if !stop.load(Ordering::SeqCst) {
+            metrics.conns_active.add(1);
+            let _ = serve_conn(stream, combiner, cfg, metrics);
+            metrics.conns_active.add(-1);
+        }
+        slot.lock().unwrap().take();
     }
 }
 
@@ -546,6 +482,9 @@ fn serve_requests<S: BatchSet + RangeSet + Clone + Send + Sync>(
     replies.into_iter().map(|r| r.unwrap()).collect()
 }
 
+/// Bytes a [`FrameReader`] asks the socket for at a time.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Buffered frame reader over a `TcpStream`, supporting a blocking "next
 /// frame" and a non-blocking "drain whatever is already here". Frames are
 /// parsed in place: a batch's bodies are handed out as ranges of the
@@ -603,7 +542,7 @@ impl FrameReader {
             if let Some(frame) = self.pop_frame()? {
                 return Ok(Some(frame));
             }
-            let mut chunk = [0u8; 16 * 1024];
+            let mut chunk = [0u8; READ_CHUNK];
             match io::Read::read(&mut self.stream, &mut chunk) {
                 Ok(0) => {
                     return if self.buf.len() == self.start {
@@ -621,13 +560,18 @@ impl FrameReader {
 
     /// Non-blocking drain: pull every complete frame already buffered or
     /// readable without waiting, up to [`MAX_PIPELINE_OPS`] total frames in
-    /// `out`. Returns a protocol error to report after serving the good
+    /// `out`, reading no more once the batch that starts at `out`'s first
+    /// frame holds [`MAX_FRAME_BYTES`] (frames already buffered still
+    /// parse). Returns a protocol error to report after serving the good
     /// prefix, and whether the stream hit EOF.
     fn drain_nonblocking(&mut self, out: &mut Vec<Range<usize>>) -> (Option<ProtoError>, bool) {
         let mut eof = false;
         if self.stream.set_nonblocking(true).is_err() {
             return (None, false);
         }
+        let batch_start = out
+            .first()
+            .map_or(self.start, |body| body.start - frame::LEN_BYTES);
         let err = 'drain: loop {
             // Parse what is buffered first.
             while out.len() < MAX_PIPELINE_OPS {
@@ -637,10 +581,12 @@ impl FrameReader {
                     Err(e) => break 'drain Some(e),
                 }
             }
-            if out.len() >= MAX_PIPELINE_OPS {
+            if out.len() >= MAX_PIPELINE_OPS
+                || self.buf.len() - batch_start >= MAX_FRAME_BYTES as usize
+            {
                 break None;
             }
-            let mut chunk = [0u8; 16 * 1024];
+            let mut chunk = [0u8; READ_CHUNK];
             match io::Read::read(&mut self.stream, &mut chunk) {
                 Ok(0) => {
                     // EOF: a partial trailing frame is a truncation.
@@ -667,5 +613,66 @@ impl FrameReader {
         };
         let _ = self.stream.set_nonblocking(false);
         (err, eof)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A client that pipelines megabyte frames cannot grow a connection's
+    /// buffer past two frames and a read: per batch the reader holds at
+    /// most the last batch's unreleased bytes (< 64 KiB), the batch's first
+    /// frame and what one read adds past [`MAX_FRAME_BYTES`]. Every frame
+    /// still arrives whole and in order.
+    #[test]
+    fn drain_is_bounded_by_bytes() {
+        const FRAMES: u64 = 4;
+        // Just under a full frame each: 4 frames are ≈ 4 MiB.
+        let keys: Vec<u64> = (0..(MAX_FRAME_BYTES as u64 - 64) / 8).collect();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut reader = FrameReader::new(listener.accept().unwrap().0);
+        let (sent, all_sent) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let keys = &keys;
+            scope.spawn(move || {
+                for seq in 0..FRAMES {
+                    let keys = keys.clone();
+                    let frame = proto::request_frame(&Request::ContainsBatch { seq, keys });
+                    client.write_all(&frame).unwrap();
+                }
+                sent.send(()).unwrap();
+            });
+            let (mut bodies, mut seen, mut batches) = (Vec::new(), 0, 0);
+            while seen < FRAMES {
+                bodies.clear();
+                bodies.push(reader.next_blocking().unwrap().unwrap());
+                if batches == 0 {
+                    // Let the whole pipeline reach the socket (loopback
+                    // buffers hold it), so the first drain could read it all.
+                    let _ = all_sent.recv_timeout(Duration::from_secs(5));
+                }
+                let (err, _) = reader.drain_nonblocking(&mut bodies);
+                assert!(err.is_none(), "{err:?}");
+                let held = reader.buf.len();
+                assert!(
+                    held <= 2 * MAX_FRAME_BYTES as usize + READ_CHUNK,
+                    "batch {batches} holds {held} bytes"
+                );
+                for body in &bodies {
+                    match Request::decode_body(reader.body(body)).unwrap() {
+                        Request::ContainsBatch { seq, keys: got } => {
+                            assert_eq!(seq, seen);
+                            assert!(got == *keys);
+                        }
+                        other => panic!("unexpected request {other:?}"),
+                    }
+                    seen += 1;
+                }
+                reader.release();
+                batches += 1;
+            }
+        });
     }
 }

@@ -16,9 +16,13 @@ use std::time::{Duration, Instant};
 /// A server with a short read timeout, so half-sent frames cannot park a
 /// worker for long.
 fn serve_short_timeout() -> (Service, SocketAddr) {
+    serve_short_timeout_with(ServiceConfig::default().workers)
+}
+
+fn serve_short_timeout_with(workers: usize) -> (Service, SocketAddr) {
     let cfg = ServiceConfig {
+        workers,
         read_timeout: Some(Duration::from_millis(200)),
-        ..ServiceConfig::default()
     };
     let (service, _combiner) = Service::serve(Cpma::new(), cfg).unwrap();
     let addr = service.local_addr();
@@ -293,7 +297,19 @@ fn good_frames_before_a_bad_one_are_still_answered() {
 
 #[test]
 fn half_sent_frame_then_silence_times_out() {
-    let (mut service, addr) = serve_short_timeout();
+    half_sent_frame_then_silence_times_out_with(ServiceConfig::default().workers);
+}
+
+/// The slow-loris case: the stalled client holds the only worker, and a
+/// client that connects during the stall waits in the listen backlog until
+/// the read timeout frees the worker.
+#[test]
+fn half_sent_frame_then_silence_times_out_with_one_worker() {
+    half_sent_frame_then_silence_times_out_with(1);
+}
+
+fn half_sent_frame_then_silence_times_out_with(workers: usize) {
+    let (mut service, addr) = serve_short_timeout_with(workers);
     let frame = insert_frame(5, 5);
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
@@ -303,6 +319,11 @@ fn half_sent_frame_then_silence_times_out() {
     // must free the worker (close), not hang it.
     stream.write_all(&frame[..frame.len() / 2]).unwrap();
     let started = Instant::now();
+    let mut waiting = Client::connect(addr).unwrap();
+    waiting
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let waiting = std::thread::spawn(move || waiting.insert(6).unwrap());
     match proto::read_frame(&mut stream, MAX_FRAME_BYTES) {
         Ok(None) => {} // server closed cleanly
         Ok(Some(_)) => panic!("server answered a half frame"),
@@ -314,8 +335,33 @@ fn half_sent_frame_then_silence_times_out() {
         "server held a half-open connection for {:?}",
         started.elapsed()
     );
+    assert!(waiting.join().unwrap(), "the waiting client's insert");
     assert_server_alive(addr);
     service.shutdown();
+}
+
+#[test]
+fn shutdown_with_a_backlogged_client_returns() {
+    let (mut service, addr) = serve_short_timeout_with(1);
+    // A is served by the only worker; B waits in the backlog behind it.
+    let mut a = Client::connect(addr).unwrap();
+    assert!(a.insert(1).unwrap());
+    let mut b = TcpStream::connect(addr).unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    b.write_all(&insert_frame(2, 2)).unwrap();
+
+    let started = Instant::now();
+    service.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    match proto::read_frame(&mut b, MAX_FRAME_BYTES) {
+        Ok(None) | Err(RecvError::Io(_)) => {} // EOF or reset
+        Ok(Some(body)) => panic!("a backlogged client was served: {body:?}"),
+        Err(RecvError::Proto(e)) => panic!("garbage from server: {e}"),
+    }
 }
 
 #[test]

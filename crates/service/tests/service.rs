@@ -247,8 +247,8 @@ fn more_connections_than_workers_all_get_served() {
         (s, a)
     };
     let addr = service.local_addr();
-    // 6 concurrent connections over 2 workers: excess connections queue
-    // (backpressure) but every one is eventually served.
+    // 6 concurrent connections over 2 workers: excess connections wait in
+    // the listen backlog (backpressure) but every one is eventually served.
     std::thread::scope(|scope| {
         for t in 0u64..6 {
             scope.spawn(move || {
@@ -309,6 +309,55 @@ fn large_burst_and_full_scan_page_round_trip() {
         client.scan(keys[1 << 16], 1 << 16).unwrap(),
         keys[1 << 16..]
     );
+    service.shutdown();
+}
+
+/// A client pipelines ≈ 4 MiB of near-full-frame `ContainsBatch`
+/// requests before it reads a reply: the server drains them a frame's
+/// worth of bytes at a time, and every reply comes back correct and in
+/// order. The client reads on a second thread, so neither side's socket
+/// buffer can fill while the other waits on it.
+#[test]
+fn pipelined_megabyte_frames_are_all_answered_in_order() {
+    use cpma_service::proto;
+    use cpma_service::{Reply, Request, MAX_FRAME_BYTES};
+    use std::io::Write;
+
+    let (mut service, addr) = serve();
+    let mut client = Client::connect(addr).unwrap();
+    let stored: Vec<BatchOp<u64>> = (0..1000).map(|k| BatchOp::Insert(3 * k)).collect();
+    client.mutate_burst(&stored).unwrap();
+
+    let keys: Vec<u64> = (0..(MAX_FRAME_BYTES as u64 - 64) / 8).collect();
+    let want: Vec<bool> = keys.iter().map(|k| k % 3 == 0 && *k < 3000).collect();
+    const FRAMES: u64 = 4;
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for seq in 0..FRAMES {
+                let keys = keys.clone();
+                writer
+                    .write_all(&proto::request_frame(&Request::ContainsBatch { seq, keys }))
+                    .unwrap();
+            }
+        });
+        for seq in 0..FRAMES {
+            let body = proto::read_frame(&mut stream, MAX_FRAME_BYTES)
+                .unwrap()
+                .expect("a reply per request");
+            match Reply::decode_body(&body).unwrap() {
+                Reply::Bools { seq: got, values } => {
+                    assert_eq!(got, seq, "replies out of order");
+                    assert!(values == want, "wrong answers to request {seq}");
+                }
+                other => panic!("expected Bools, got {other:?}"),
+            }
+        }
+    });
     service.shutdown();
 }
 

@@ -54,7 +54,9 @@ mod tests {
         for &(s, d) in &[
             (0, 0),
             (1, 2),
+            (7, 9),
             (u32::MAX, 0),
+            (u32::MAX, 1),
             (0, u32::MAX),
             (123456, 654321),
         ] {

@@ -60,13 +60,18 @@ fn main() {
     let head: Vec<u64> = set.iter_all().take(3).collect();
     println!("smallest three: {head:?}");
 
-    // Custom configuration via the fallible builder.
-    let cfg = PmaConfig::builder()
-        .growing_factor(1.5)
-        .build()
-        .expect("valid config");
+    // Custom configuration: a struct literal, validated by `check`.
+    let cfg = PmaConfig {
+        growing_factor: 1.5,
+        ..PmaConfig::default()
+    };
+    cfg.check().expect("valid config");
     let tuned: Cpma = Cpma::with_config(cfg);
     assert!(tuned.is_empty());
-    assert!(PmaConfig::builder().growing_factor(0.5).build().is_err());
-    println!("builder rejects growing_factor 0.5, accepts 1.5 — config errors are values now");
+    let bad = PmaConfig {
+        growing_factor: 0.5,
+        ..PmaConfig::default()
+    };
+    assert!(bad.check().is_err());
+    println!("check rejects growing_factor 0.5, accepts 1.5 — config errors are values");
 }

@@ -55,8 +55,8 @@
 //!   conformance suite, and the deterministic test kit;
 //! * [`pma`] — the paper's contribution: [`pma::Pma`] (uncompressed) and
 //!   [`pma::Cpma`] (delta + byte-code compressed), both with the
-//!   work-efficient parallel batch-update algorithm of §4, configured via
-//!   the fallible [`pma::PmaConfig::builder`];
+//!   work-efficient parallel batch-update algorithm of §4, configured by a
+//!   [`pma::PmaConfig`] that [`pma::PmaConfig::check`] validates;
 //! * [`baselines`] — reimplementations of the systems the paper compares
 //!   against: P-trees (PAM), PaC-trees (U-PaC / C-PaC), Aspen-style
 //!   C-trees;
