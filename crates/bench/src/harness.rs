@@ -35,7 +35,8 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Run `f` on a fresh pool of `threads` workers.
+/// Run `f` at a budget of `threads`: on this thread and in every job it
+/// forks (a budget is per-thread, and none of the rows spawns threads).
 pub fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)

@@ -31,15 +31,24 @@
 //!    the process (`CPMA_THREADS=1` forces the fully sequential path — the
 //!    determinism baseline; results are identical either way, only the
 //!    schedule changes);
-//! 2. the budget installed by [`ThreadPool::install`] (what the benchmark
-//!    harness's strong-scaling sweeps use, like the paper's
-//!    `PARLAY_NUM_THREADS`);
+//! 2. the budget installed by [`ThreadPool::install`] on the calling
+//!    thread (what the benchmark harness's strong-scaling sweeps use, like
+//!    the paper's `PARLAY_NUM_THREADS`);
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! An installed budget is per-thread, as in rayon: it lives in a
+//! thread-local of the installing thread, restored on return or unwind,
+//! so two threads may install different budgets at once. Every job a
+//! thread forks carries that thread's budget, so a worker runs a stolen
+//! job — and the joins nested inside it — under the forker's budget. A
+//! thread spawned with `std::thread` inside `install` starts at the
+//! default; it installs its own budget if it needs one.
 //!
 //! Budgets above the core count are honored (workers are spawned up to the
 //! budget), which is how the concurrency tests exercise real parallelism
 //! on small CI machines.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod iter;
@@ -52,14 +61,37 @@ pub mod slice;
 /// outstanding-fork count is under the budget, and runs inline otherwise.
 static ACTIVE_SPAWNS: AtomicUsize = AtomicUsize::new(0);
 
-/// Non-zero while inside [`ThreadPool::install`]: the installed budget.
-static LIMIT_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// The budget installed on this thread: the size of the pool whose
+    /// [`ThreadPool::install`] it is inside, or of the forker whose job it
+    /// is running; 0 outside both.
+    static INSTALLED: Cell<usize> = const { Cell::new(0) };
+}
 
-/// The thread budget currently in effect: the installed pool's size if
-/// inside [`ThreadPool::install`], otherwise the machine's available
-/// parallelism — in both cases capped by `CPMA_THREADS` if set.
+/// This thread's installed budget (0 = none), for a forked job to carry.
+pub(crate) fn installed() -> usize {
+    INSTALLED.get()
+}
+
+/// Run `op` with this thread's installed budget set to `budget` (0 =
+/// none), restoring the previous one on return or unwind.
+pub(crate) fn with_installed<R>(budget: usize, op: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INSTALLED.set(self.0);
+        }
+    }
+    let _restore = Restore(INSTALLED.replace(budget));
+    op()
+}
+
+/// The thread budget currently in effect on this thread: the installed
+/// budget if inside [`ThreadPool::install`] (or running a job forked
+/// there), otherwise the machine's available parallelism — in both cases
+/// capped by `CPMA_THREADS` if set.
 pub fn current_num_threads() -> usize {
-    let base = match LIMIT_OVERRIDE.load(Ordering::Relaxed) {
+    let base = match installed() {
         0 => default_threads(),
         n => n,
     };
@@ -163,33 +195,24 @@ impl std::fmt::Display for ThreadPoolBuildError {
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// A thread budget. `install` caps what [`current_num_threads`] reports
-/// (and therefore how far [`join`] and the iterator terminals fan out) for
-/// the closure's duration.
+/// A thread budget. `install` sets what [`current_num_threads`] reports on
+/// the calling thread (and therefore how far [`join`] and the iterator
+/// terminals fan out) for the closure's duration.
 pub struct ThreadPool {
     threads: usize,
 }
 
 impl ThreadPool {
-    /// Runs `op` with the budget capped at this pool's size. The cap is a
-    /// process-global (restored on return **or unwind**); concurrent
-    /// `install`s from different threads are not supported — the benchmark
-    /// harness installs pools strictly sequentially. (Misuse can only skew
-    /// scheduling, never results: every parallel operation here is
-    /// schedule-independent.)
+    /// Runs `op` on the calling thread with its budget set to this pool's
+    /// size (still capped by `CPMA_THREADS`), restored on return **or
+    /// unwind**. The budget is this thread's and the jobs it forks'; other
+    /// threads, and threads `op` spawns, keep their own.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R + Send,
         R: Send,
     {
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                LIMIT_OVERRIDE.store(self.0, Ordering::SeqCst);
-            }
-        }
-        let _restore = Restore(LIMIT_OVERRIDE.swap(self.threads, Ordering::SeqCst));
-        op()
+        with_installed(self.threads, op)
     }
 
     pub fn current_num_threads(&self) -> usize {

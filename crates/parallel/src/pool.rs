@@ -13,6 +13,8 @@
 //!   effect at fork time ([`crate::current_num_threads`]), so
 //!   `ThreadPool::install(n)` with `n` above the core count still gets `n`
 //!   workers (useful for exercising real concurrency on small machines).
+//!   A forked job carries its forker's installed budget, so whichever
+//!   thread runs it runs it — and the joins nested in it — at that budget.
 //!   Workers are detached and park on the condvar when idle; a panicking
 //!   job is caught and boxed into its task's result slot, so no job can
 //!   kill a worker or poison the queue.
@@ -71,12 +73,16 @@ const PENDING: u8 = 0;
 const CLAIMED: u8 = 1;
 const DONE: u8 = 2;
 
-/// Type-erased handle to a queued job.
-pub(crate) struct JobRef(Arc<dyn Runnable + Send + Sync + 'static>);
+/// Type-erased handle to a queued job, with its forker's installed budget
+/// (0 = none): whoever pops the job runs it at that budget.
+pub(crate) struct JobRef {
+    job: Arc<dyn Runnable + Send + Sync + 'static>,
+    installed: usize,
+}
 
 impl JobRef {
     fn run(self) {
-        self.0.run();
+        crate::with_installed(self.installed, || self.job.run());
     }
 }
 
@@ -223,6 +229,9 @@ pub(crate) struct Pool {
 /// registry. Counters are deterministic only in the trivial sense (spawn
 /// counts depend on fork timing), so nothing here feeds `stats()` views.
 struct PoolMetrics {
+    /// `fork_join` calls: jobs pushed onto the queue (each one then run by
+    /// a worker, a helping joiner, or its own forker).
+    forks: cpma_obs::Counter,
     /// Jobs popped and executed by detached workers.
     jobs: cpma_obs::Counter,
     /// Jobs executed by a blocked joiner in `help_until` (helping steals).
@@ -238,6 +247,7 @@ fn metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| {
         let r = cpma_obs::global();
         PoolMetrics {
+            forks: r.shared_counter("pool.forks", cpma_obs::Unit::Count),
             jobs: r.shared_counter("pool.jobs", cpma_obs::Unit::Count),
             helped: r.shared_counter("pool.helped", cpma_obs::Unit::Count),
             workers_spawned: r.shared_counter("pool.workers_spawned", cpma_obs::Unit::Count),
@@ -260,6 +270,7 @@ fn global() -> &'static Pool {
 impl Pool {
     /// Enqueue a job, growing the worker set up to `budget` first.
     fn push(&'static self, job: JobRef, budget: usize) {
+        metrics().forks.inc();
         let mut st = self.state.lock().unwrap();
         let target = budget.min(MAX_WORKERS);
         while st.workers < target {
@@ -350,7 +361,9 @@ where
         let job: Arc<dyn Runnable + Send + Sync + '_> = task.clone();
         // SAFETY: this frame outlives the task (we join below before
         // returning or unwinding).
-        pool.push(JobRef(unsafe { erase(job) }), budget);
+        let job = unsafe { erase(job) };
+        let installed = crate::installed();
+        pool.push(JobRef { job, installed }, budget);
     }
     let ra = catch_unwind(AssertUnwindSafe(oper_a));
     let rb = if task.claim() {

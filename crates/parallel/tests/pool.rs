@@ -18,9 +18,10 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-/// Installed budgets are process-global and concurrent `install`s are
-/// documented as unsupported, but the test harness runs test functions
-/// concurrently — so every test in this suite serializes on this lock.
+/// Installed budgets are per-thread, but the workers and the count of
+/// outstanding forks are process-wide, and several tests here need a free
+/// worker to meet; the test harness runs test functions concurrently — so
+/// every test in this suite serializes on this lock.
 static BUDGET_LOCK: Mutex<()> = Mutex::new(());
 
 fn serialize_budgets() -> std::sync::MutexGuard<'static, ()> {
@@ -202,18 +203,19 @@ fn deep_sequential_spine_of_joins() {
 fn concurrent_external_callers_share_the_pool() {
     let _guard = serialize_budgets();
     // Several OS threads hammer the global pool at once; every caller must
-    // get its own correct result. One budget installed around the whole
-    // scope (concurrent installs are unsupported; concurrent *callers*
-    // under one budget are the normal case).
-    let results: Vec<u64> = with_budget(3, || {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8u64)
-                .map(|t| {
-                    s.spawn(move || (0..50_000u64).into_par_iter().map(|x| x ^ t).sum::<u64>())
+    // get its own correct result. A spawned thread does not inherit an
+    // installed budget, so each caller installs its own.
+    let results: Vec<u64> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                s.spawn(move || {
+                    with_budget(3, || {
+                        (0..50_000u64).into_par_iter().map(|x| x ^ t).sum::<u64>()
+                    })
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (t, got) in results.into_iter().enumerate() {
         let want: u64 = (0..50_000u64).map(|x| x ^ t as u64).sum();
@@ -267,6 +269,96 @@ fn install_nests_and_restores_on_unwind() {
             "installed budget must be restored on unwind"
         );
     });
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread budgets
+// ---------------------------------------------------------------------------
+
+/// The budget a thread outside any `install` sees.
+fn default_budget() -> usize {
+    std::thread::spawn(current_num_threads).join().unwrap()
+}
+
+#[test]
+fn concurrent_installs_each_see_their_own_budget() {
+    let _guard = serialize_budgets();
+    // Both threads read their budget while the other is inside its own
+    // `install` (the barriers), so neither can see the other's.
+    let four = with_budget(4, current_num_threads);
+    let inside = std::sync::Barrier::new(2);
+    let seen: Vec<(usize, usize)> = std::thread::scope(|s| {
+        let inside = &inside;
+        let handles: Vec<_> = [1usize, 4]
+            .into_iter()
+            .map(|n| {
+                s.spawn(move || {
+                    let got = with_budget(n, || {
+                        inside.wait();
+                        let got = current_num_threads();
+                        inside.wait();
+                        got
+                    });
+                    (got, current_num_threads())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let default = default_budget();
+    assert_eq!(seen, vec![(1, default), (four, default)]);
+}
+
+#[test]
+fn a_forked_job_runs_at_its_forkers_budget() {
+    let _guard = serialize_budgets();
+    if !parallelism_allowed() {
+        eprintln!("skipping: thread budget capped at 1 (CPMA_THREADS=1?)");
+        return;
+    }
+    // The left arm holds the caller until the right arm has started, so
+    // the right arm runs on a worker, not reclaimed by the caller. That
+    // worker, and both arms of the join nested in the job, see the
+    // forker's budget — not the worker's own default.
+    let four = with_budget(4, current_num_threads);
+    let started = AtomicBool::new(false);
+    let caller = std::thread::current().id();
+    let (_, (runner, outer, nested)) = with_budget(4, || {
+        join(
+            || {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !started.load(Ordering::SeqCst) {
+                    assert!(
+                        Instant::now() < deadline,
+                        "pool provided no second thread within 30s"
+                    );
+                    std::thread::yield_now();
+                }
+            },
+            || {
+                started.store(true, Ordering::SeqCst);
+                let outer = current_num_threads();
+                let nested = join(current_num_threads, current_num_threads);
+                (std::thread::current().id(), outer, nested)
+            },
+        )
+    });
+    assert_ne!(runner, caller, "the forked arm must run on a worker");
+    assert_eq!((outer, nested), (four, (four, four)));
+}
+
+#[test]
+fn a_thread_spawned_inside_install_sees_the_default_budget() {
+    let _guard = serialize_budgets();
+    let default = default_budget();
+    for n in [1usize, 4] {
+        let (inside, spawned) = with_budget(n, || {
+            let spawned = std::thread::spawn(current_num_threads).join().unwrap();
+            (current_num_threads(), spawned)
+        });
+        assert_eq!(inside, with_budget(n, current_num_threads));
+        assert_eq!(spawned, default, "a std::thread inside install({n})");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@
 //! service holds no connection it is not serving, so there is no queue of
 //! its own to bound.
 //!
+//! A worker serves each batch at its connection's share of the service's
+//! thread budget: `B` is the pool budget of the thread that started the
+//! service ([`rayon::current_num_threads`]), and a batch runs under
+//! `install(max(1, B / c))`, `c` being the connections served at that
+//! moment. Two busy connections on two cores fork nothing — the cores are
+//! already full — while a lone connection still gets all of `B`. The
+//! share is a rule, not a setting.
+//!
 //! ## Pipelining → combining
 //!
 //! A worker reads one frame blocking, then opportunistically drains every
@@ -41,7 +49,7 @@ use cpma_store::{Combiner, CombinerConfig, Op, RecoveryReport, WalConfig};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -159,6 +167,26 @@ impl Metrics {
     }
 }
 
+/// The thread budget the service's batches share: `threads` is the budget
+/// `B` of the thread that started the service, `serving` the connections
+/// being served now (`c`). The `service.conns_active` gauge mirrors
+/// `serving`; no decision reads the gauge.
+struct Budget {
+    threads: usize,
+    serving: AtomicUsize,
+}
+
+impl Budget {
+    /// One batch's pool: `max(1, B / c)` threads.
+    fn share(&self) -> rayon::ThreadPool {
+        let c = self.serving.load(Ordering::Relaxed).max(1);
+        rayon::ThreadPoolBuilder::new()
+            .num_threads((self.threads / c).max(1))
+            .build()
+            .expect("a budget of at least one thread")
+    }
+}
+
 /// The connection a worker is serving, kept as a `try_clone` so
 /// `shutdown` can sever a blocked read; a worker holds at most one.
 type Slot = Mutex<Option<TcpStream>>;
@@ -216,6 +244,10 @@ impl Service {
         cfg.check()?;
         let listener = Arc::new(TcpListener::bind(("127.0.0.1", 0))?);
         let metrics = Arc::new(Metrics::new());
+        let budget = Arc::new(Budget {
+            threads: rayon::current_num_threads(),
+            serving: AtomicUsize::new(0),
+        });
         // Built before the first spawn, so a failed spawn drops it and
         // `shutdown` joins the workers already running.
         let mut service = Service {
@@ -227,11 +259,12 @@ impl Service {
             let slot = Arc::new(Slot::default());
             let handle = {
                 let (listener, stop, slot) = (listener.clone(), service.stop.clone(), slot.clone());
-                let (combiner, cfg, metrics) = (combiner.clone(), cfg.clone(), metrics.clone());
+                let (combiner, cfg) = (combiner.clone(), cfg.clone());
+                let (metrics, budget) = (metrics.clone(), budget.clone());
                 std::thread::Builder::new()
                     .name(format!("cpma-service-worker-{w}"))
                     .spawn(move || {
-                        worker_loop(&listener, &stop, &slot, &combiner, &cfg, &metrics)
+                        worker_loop(&listener, &stop, &slot, &combiner, &cfg, &metrics, &budget)
                     })?
             };
             service.workers.push((slot, handle));
@@ -280,6 +313,7 @@ fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
     combiner: &Combiner<S>,
     cfg: &ServiceConfig,
     metrics: &Metrics,
+    budget: &Budget,
 ) {
     while !stop.load(Ordering::SeqCst) {
         let stream = match listener.accept() {
@@ -301,8 +335,10 @@ fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
         // `shutdown` severs what it finds in the slot after setting `stop`:
         // a stream it missed was put there later, and sees `stop` here.
         if !stop.load(Ordering::SeqCst) {
+            budget.serving.fetch_add(1, Ordering::Relaxed);
             metrics.conns_active.add(1);
-            let _ = serve_conn(stream, combiner, cfg, metrics);
+            let _ = serve_conn(stream, combiner, cfg, metrics, budget);
+            budget.serving.fetch_sub(1, Ordering::Relaxed);
             metrics.conns_active.add(-1);
         }
         slot.lock().unwrap().take();
@@ -316,6 +352,7 @@ fn serve_conn<S: BatchSet + RangeSet + Clone + Send + Sync>(
     combiner: &Combiner<S>,
     cfg: &ServiceConfig,
     metrics: &Metrics,
+    budget: &Budget,
 ) -> io::Result<()> {
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_nodelay(true)?;
@@ -367,12 +404,15 @@ fn serve_conn<S: BatchSet + RangeSet + Clone + Send + Sync>(
         }
         metrics.ops.add(requests.len() as u64);
 
-        // Serve: runs of linearized ops combine into single submissions;
-        // snapshot reads split the runs.
+        // Serve at this connection's share of the budget: runs of
+        // linearized ops combine into single submissions; snapshot reads
+        // split the runs.
         let replies = {
             let mut span = cpma_obs::span_with(&metrics.combine_ns, "service.combine");
             span.set_items(requests.len() as u64);
-            serve_requests(combiner, &requests)
+            budget
+                .share()
+                .install(|| serve_requests(combiner, &requests))
         };
 
         // Reply in request order, one write per batch.

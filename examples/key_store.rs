@@ -51,19 +51,21 @@ fn main() {
     let start = Instant::now();
     // Pin the batch-update fan-out to 4 workers: demo runs are then
     // shaped the same on any machine (including single-core CI, where the
-    // default budget would be 1 and the pool would never spawn).
+    // default budget would be 1 and the pool would never spawn). A budget
+    // is per-thread, so each writer installs it in its own thread.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
         .unwrap();
-    pool.install(|| {
-        std::thread::scope(|scope| {
-            // --- ingest: each thread streams one burst per simulated second.
-            for t in 0..INGEST_THREADS {
-                let store = &store;
-                let ingested = &ingested;
-                let finished_writers = &finished_writers;
-                scope.spawn(move || {
+    let pool = &pool;
+    std::thread::scope(|scope| {
+        // --- ingest: each thread streams one burst per simulated second.
+        for t in 0..INGEST_THREADS {
+            let store = &store;
+            let ingested = &ingested;
+            let finished_writers = &finished_writers;
+            scope.spawn(move || {
+                pool.install(|| {
                     let mut rng = SplitMix64::new(2024 + t);
                     for second in 0..SECONDS {
                         let burst: Vec<u64> = (0..EVENTS_PER_THREAD_SECOND)
@@ -72,12 +74,14 @@ fn main() {
                         ingested.fetch_add(store.insert_many(&burst), Ordering::Relaxed);
                     }
                     finished_writers.fetch_add(1, Ordering::Release);
-                });
-            }
+                })
+            });
+        }
 
-            // --- expiry: batch-remove events older than 40 "seconds", read
-            // from a snapshot, removed through the combiner like any writer.
-            scope.spawn(|| {
+        // --- expiry: batch-remove events older than 40 "seconds", read
+        // from a snapshot, removed through the combiner like any writer.
+        scope.spawn(|| {
+            pool.install(|| {
                 let mut expired_total = 0usize;
                 while !done.load(Ordering::Acquire) {
                     let snap = store.snapshot();
@@ -97,11 +101,12 @@ fn main() {
                     std::thread::sleep(std::time::Duration::from_millis(5));
                 }
                 println!("expiry: removed {expired_total} old events");
-            });
+            })
+        });
 
-            // --- analytics: trailing-window scans on snapshots; never blocks
-            // the ingest path.
-            let reports = scope.spawn(|| {
+        // --- analytics: trailing-window scans on snapshots; never blocks
+        // the ingest path.
+        let reports = scope.spawn(|| {
             let mut reports = 0u32;
             while !done.load(Ordering::Acquire) {
                 let snap = store.snapshot();
@@ -122,16 +127,15 @@ fn main() {
             reports
         });
 
-            // The reader loops run until every ingest thread has finished
-            // (joining the scope directly would deadlock their `while !done`
-            // loops, so signal them instead).
-            while finished_writers.load(Ordering::Acquire) < INGEST_THREADS as usize {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            done.store(true, Ordering::Release);
-            let reports = reports.join().unwrap();
-            println!("analytics: {reports} snapshot reports while ingesting");
-        });
+        // The reader loops run until every ingest thread has finished
+        // (joining the scope directly would deadlock their `while !done`
+        // loops, so signal them instead).
+        while finished_writers.load(Ordering::Acquire) < INGEST_THREADS as usize {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        done.store(true, Ordering::Release);
+        let reports = reports.join().unwrap();
+        println!("analytics: {reports} snapshot reports while ingesting");
     });
     let elapsed = start.elapsed().as_secs_f64();
 

@@ -23,17 +23,22 @@ use std::collections::BTreeSet;
 /// it for a sequential control run).
 const STRESS_THREADS: usize = 8;
 
+/// The stress budget. It is per-thread: a test that spawns threads
+/// installs it in each of them.
+fn stress_pool() -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(STRESS_THREADS)
+        .build()
+        .unwrap()
+}
+
 /// One full mixed-workload run of `rounds` large batches drawn by `next`,
 /// checked against the oracle after every round.
 fn pounded<S>(next_batch: impl FnMut(usize) -> Vec<u64> + Send, rounds: usize, tag: &str)
 where
     S: BatchSet + RangeSet,
 {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(STRESS_THREADS)
-        .build()
-        .unwrap()
-        .install(move || pounded_inner::<S>(next_batch, rounds, tag))
+    stress_pool().install(move || pounded_inner::<S>(next_batch, rounds, tag))
 }
 
 fn pounded_inner<S>(mut next_batch: impl FnMut(usize) -> Vec<u64>, rounds: usize, tag: &str)
@@ -126,8 +131,8 @@ fn cpma_full_rebuild_regime_under_full_pool() {
 #[ignore = "stress: minutes of runtime; run via `cargo test -- --ignored` (CI stress job)"]
 fn store_combiner_oversubscribed_multi_writers() {
     // The cpma-store front-end under more writer threads than any CI
-    // runner has cores, on top of an already-oversubscribed internal
-    // pool: preemption inside combining epochs, snapshot publication,
+    // runner has cores, each at the oversubscribed stress budget, so the
+    // leader's epoch forks onto the internal pool too: preemption inside combining epochs, snapshot publication,
     // and the sharded parallel batch apply all race for the same few
     // cores. Every writer owns a key stripe, so each acknowledgement is
     // oracle-checked, and every acknowledged write must be visible in
@@ -142,31 +147,37 @@ fn store_combiner_oversubscribed_multi_writers() {
             .map(|t| {
                 let store = &store;
                 scope.spawn(move || {
-                    let mut rng = SplitMix64::new(0x57E5_5100 + t);
-                    let mut model: BTreeSet<u64> = BTreeSet::new();
-                    for i in 0..OPS_PER_WRITER {
-                        let k = (t << 40) | rng.next_bits(14);
-                        match rng.next_below(4) {
-                            0 | 1 => {
-                                assert_eq!(store.insert(k), model.insert(k), "t{t} insert({k})")
+                    stress_pool().install(|| {
+                        let mut rng = SplitMix64::new(0x57E5_5100 + t);
+                        let mut model: BTreeSet<u64> = BTreeSet::new();
+                        for i in 0..OPS_PER_WRITER {
+                            let k = (t << 40) | rng.next_bits(14);
+                            match rng.next_below(4) {
+                                0 | 1 => {
+                                    assert_eq!(store.insert(k), model.insert(k), "t{t} insert({k})")
+                                }
+                                2 => {
+                                    assert_eq!(
+                                        store.remove(k),
+                                        model.remove(&k),
+                                        "t{t} remove({k})"
+                                    )
+                                }
+                                _ => assert_eq!(
+                                    store.contains(k),
+                                    model.contains(&k),
+                                    "t{t} contains({k})"
+                                ),
                             }
-                            2 => {
-                                assert_eq!(store.remove(k), model.remove(&k), "t{t} remove({k})")
+                            if i % 4096 == 4095 {
+                                let snap = store.snapshot();
+                                for &k in &model {
+                                    assert!(snap.contains(k), "t{t}: acked {k} not in snapshot");
+                                }
                             }
-                            _ => assert_eq!(
-                                store.contains(k),
-                                model.contains(&k),
-                                "t{t} contains({k})"
-                            ),
                         }
-                        if i % 4096 == 4095 {
-                            let snap = store.snapshot();
-                            for &k in &model {
-                                assert!(snap.contains(k), "t{t}: acked {k} not in snapshot");
-                            }
-                        }
-                    }
-                    model
+                        model
+                    })
                 })
             })
             .collect();
