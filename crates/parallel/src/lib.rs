@@ -38,11 +38,18 @@
 //!
 //! An installed budget is per-thread, as in rayon: it lives in a
 //! thread-local of the installing thread, restored on return or unwind,
-//! so two threads may install different budgets at once. Every job a
-//! thread forks carries that thread's budget, so a worker runs a stolen
-//! job — and the joins nested inside it — under the forker's budget. A
-//! thread spawned with `std::thread` inside `install` starts at the
-//! default; it installs its own budget if it needs one.
+//! so two threads may install different budgets at once and each reports
+//! its own from [`current_num_threads`]. Every job a thread forks carries
+//! that thread's budget, so a worker runs a stolen job — and the joins
+//! nested inside it — under the forker's budget. A thread spawned with
+//! `std::thread` inside `install` starts at the default; it installs its
+//! own budget if it needs one.
+//!
+//! The installed budget is a per-thread *ceiling*: a join forks only while
+//! the count of outstanding forks is under it, and that count (like the
+//! workers) is process-wide. A thread inside `install(4)` therefore forks
+//! less while other threads hold forks outstanding; tests that compare
+//! budgets serialize on a lock for this reason.
 //!
 //! Budgets above the core count are honored (workers are spawned up to the
 //! budget), which is how the concurrency tests exercise real parallelism

@@ -13,10 +13,12 @@
 //! A worker serves each batch at its connection's share of the service's
 //! thread budget: `B` is the pool budget of the thread that started the
 //! service ([`rayon::current_num_threads`]), and a batch runs under
-//! `install(max(1, B / c))`, `c` being the connections served at that
-//! moment. Two busy connections on two cores fork nothing — the cores are
-//! already full — while a lone connection still gets all of `B`. The
-//! share is a rule, not a setting.
+//! `install(max(1, B / c))`, `c` being the connections held at that
+//! moment. A held connection counts whether or not its client is sending,
+//! so an idle keep-alive connection also takes a share. Two connections on
+//! two cores fork nothing — the cores are already full when both are busy
+//! — while a lone connection still gets all of `B`. The share is a rule,
+//! not a setting.
 //!
 //! ## Pipelining → combining
 //!
@@ -169,7 +171,7 @@ impl Metrics {
 
 /// The thread budget the service's batches share: `threads` is the budget
 /// `B` of the thread that started the service, `serving` the connections
-/// being served now (`c`). The `service.conns_active` gauge mirrors
+/// held now (`c`), idle or busy. The `service.conns_active` gauge mirrors
 /// `serving`; no decision reads the gauge.
 struct Budget {
     threads: usize,

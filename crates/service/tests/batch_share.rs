@@ -3,7 +3,7 @@
 //!
 //! A service started inside `install(2)` over `ShardedSet<Cpma, 8>` — the
 //! `service_mixed` store — serves each batch under `max(1, 2 / c)` threads,
-//! `c` the connections being served. With one client connected the same
+//! `c` the connections held. With one client connected the same
 //! script of `contains_batch` and `mutate_burst` requests forks onto the
 //! pool (the eight shards split across two threads); with two connected it
 //! adds nothing to `pool.forks`. Every reply is checked against a
