@@ -35,8 +35,8 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Run `f` at a budget of `threads`: on this thread and in every job it
-/// forks (a budget is per-thread, and none of the rows spawns threads).
+/// Run `f` in a fresh pool of `threads`: this thread and the jobs it
+/// forks share that count (none of the rows spawns threads).
 pub fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)

@@ -25,110 +25,144 @@
 //!
 //! ## Thread budgets
 //!
-//! The number of threads a parallel region may use is, in precedence order:
+//! One rule: a [`ThreadPool`] is a shared count of threads. It owns its
+//! size and one count of the threads in use in it: the threads inside its
+//! [`ThreadPool::install`] (a thread re-entering the pool it is in counts
+//! once), plus the jobs forked in it and not yet joined. [`join`] forks
+//! only while that count stays within the size. A forked job carries its
+//! pool, so the joins nested in it count against that pool wherever it
+//! runs. [`current_num_threads`] reports the size less the pool's other
+//! installers, at least 1. This is rayon's meaning of a pool, minus
+//! per-pool workers: the workers are one process-wide set.
 //!
-//! 1. the `CPMA_THREADS` environment variable, which **caps** everything in
-//!    the process (`CPMA_THREADS=1` forces the fully sequential path — the
-//!    determinism baseline; results are identical either way, only the
-//!    schedule changes);
-//! 2. the budget installed by [`ThreadPool::install`] on the calling
-//!    thread (what the benchmark harness's strong-scaling sweeps use, like
-//!    the paper's `PARLAY_NUM_THREADS`);
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! An installed budget is per-thread, as in rayon: it lives in a
-//! thread-local of the installing thread, restored on return or unwind,
-//! so two threads may install different budgets at once and each reports
-//! its own from [`current_num_threads`]. Every job a thread forks carries
-//! that thread's budget, so a worker runs a stolen job — and the joins
-//! nested inside it — under the forker's budget. A thread spawned with
-//! `std::thread` inside `install` starts at the default; it installs its
-//! own budget if it needs one.
-//!
-//! The installed budget is a per-thread *ceiling*: a join forks only while
-//! the count of outstanding forks is under it, and that count (like the
-//! workers) is process-wide. A thread inside `install(4)` therefore forks
-//! less while other threads hold forks outstanding; tests that compare
-//! budgets serialize on a lock for this reason.
-//!
-//! Budgets above the core count are honored (workers are spawned up to the
-//! budget), which is how the concurrency tests exercise real parallelism
-//! on small CI machines.
+//! A thread outside any `install` — also one spawned inside it — is in
+//! the default pool: the available parallelism, all such threads counted
+//! as one. `CPMA_THREADS` caps every pool's size (`CPMA_THREADS=1` forces
+//! the fully sequential path, the determinism baseline: results are
+//! identical either way, only the schedule changes). Sizes above the core
+//! count are honored, so tests get real parallelism on small machines.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 pub mod iter;
 pub mod pool;
 pub mod prelude;
 pub mod slice;
 
-/// Jobs this crate currently has forked and not yet joined. Used to keep
-/// the fan-out within the thread budget: a join only forks while the
-/// outstanding-fork count is under the budget, and runs inline otherwise.
-static ACTIVE_SPAWNS: AtomicUsize = AtomicUsize::new(0);
+/// What a [`ThreadPool`] owns: its size and the threads in use in it.
+pub(crate) struct Scope {
+    /// Capped by `CPMA_THREADS`.
+    pub(crate) size: usize,
+    /// Threads inside the pool's `install`.
+    installers: AtomicUsize,
+    /// `installers` plus the jobs forked in the pool and not yet joined.
+    in_use: AtomicUsize,
+}
 
 thread_local! {
-    /// The budget installed on this thread: the size of the pool whose
-    /// [`ThreadPool::install`] it is inside, or of the forker whose job it
-    /// is running; 0 outside both.
-    static INSTALLED: Cell<usize> = const { Cell::new(0) };
+    /// The pool this thread is in: the one whose `install` it is inside,
+    /// or whose forked job it is running; null outside both (the default
+    /// pool).
+    static CURRENT: Cell<*const Scope> = const { Cell::new(std::ptr::null()) };
 }
 
-/// This thread's installed budget (0 = none), for a forked job to carry.
-pub(crate) fn installed() -> usize {
-    INSTALLED.get()
-}
-
-/// Run `op` with this thread's installed budget set to `budget` (0 =
-/// none), restoring the previous one on return or unwind.
-pub(crate) fn with_installed<R>(budget: usize, op: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            INSTALLED.set(self.0);
+impl Scope {
+    pub(crate) fn new(size: usize, installers: usize) -> Self {
+        Self {
+            size: pool::env_cap().map_or(size, |cap| size.min(cap)),
+            installers: AtomicUsize::new(installers),
+            in_use: AtomicUsize::new(installers),
         }
     }
-    let _restore = Restore(INSTALLED.replace(budget));
+
+    /// Run `f` on the pool this thread is in.
+    fn with_current<R>(f: impl FnOnce(&Scope) -> R) -> R {
+        // SAFETY: `CURRENT` points at a pool only while this thread is
+        // inside its `install` (which borrows the pool) or runs a job
+        // forked there (which `fork_join` joins before that `install`
+        // returns); `f` runs within that stay.
+        f(unsafe { CURRENT.get().as_ref() }.unwrap_or_else(default_scope))
+    }
+
+    /// The size less the other installers, at least 1.
+    fn threads(&self) -> usize {
+        let installers = self.installers.load(Ordering::Relaxed);
+        (self.size + 1).saturating_sub(installers).max(1)
+    }
+
+    /// Count one fork in, if the threads in use stay within the size. The
+    /// guard counts it out on return or unwind. Reserve-then-check keeps
+    /// the count exact under concurrent joins (a plain load would let two
+    /// threads both see room for one fork).
+    fn try_fork(&self) -> Option<Release<'_>> {
+        let in_use = self.in_use.fetch_add(1, Ordering::Relaxed) + 1;
+        let fork = Release(self, 0);
+        (in_use <= self.size).then_some(fork)
+    }
+
+    /// Count this thread in as an installer until the guard drops.
+    fn enter(&self) -> Release<'_> {
+        self.installers.fetch_add(1, Ordering::Relaxed);
+        self.in_use.fetch_add(1, Ordering::Relaxed);
+        Release(self, 1)
+    }
+}
+
+/// On drop, counts one thread in use and this many installers out.
+struct Release<'a>(&'a Scope, usize);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.installers.fetch_sub(self.1, Ordering::Relaxed);
+        self.0.in_use.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Run `op` with this thread in `scope`, restoring the pool it was in on
+/// return or unwind.
+///
+/// # Safety
+/// `scope` must stay live for every [`join`] and [`current_num_threads`]
+/// call `op` makes on this thread: those dereference it.
+pub(crate) unsafe fn in_scope<R>(scope: *const Scope, op: impl FnOnce() -> R) -> R {
+    struct Restore(*const Scope);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.set(self.0);
+        }
+    }
+    let _restore = Restore(CURRENT.replace(scope));
     op()
 }
 
-/// The thread budget currently in effect on this thread: the installed
-/// budget if inside [`ThreadPool::install`] (or running a job forked
-/// there), otherwise the machine's available parallelism — in both cases
-/// capped by `CPMA_THREADS` if set.
-pub fn current_num_threads() -> usize {
-    let base = match installed() {
-        0 => default_threads(),
-        n => n,
-    };
-    match pool::env_cap() {
-        Some(cap) => base.min(cap),
-        None => base,
-    }
+/// The pool outside any `install`: `CPMA_THREADS` if set, else the
+/// available parallelism, with all its threads counted as one. Cached —
+/// this sits on the hot path (every join and every split decision
+/// consults it), and `available_parallelism` is a syscall.
+fn default_scope() -> &'static Scope {
+    static DEFAULT: OnceLock<Scope> = OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Scope::new(pool::env_cap().unwrap_or(cores), 1)
+    })
 }
 
-/// The budget outside any `install`: `CPMA_THREADS` if set, else the
-/// available parallelism. Cached — this sits on the hot path (every join
-/// and every split decision consults it), and `available_parallelism` is
-/// a syscall.
-fn default_threads() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        pool::env_cap().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    })
+/// The threads a parallel region may use on this thread: the size of the
+/// pool it is in less that pool's other installers, at least 1, capped by
+/// `CPMA_THREADS`.
+pub fn current_num_threads() -> usize {
+    Scope::with_current(Scope::threads)
 }
 
 /// Run both closures, potentially in parallel, and return both results.
 ///
-/// Forks `oper_b` onto the pool while the outstanding-fork count is under
-/// the budget; otherwise runs both inline. Panics propagate like rayon's:
-/// a stolen `oper_b` runs to completion before the payload unwinds from
-/// the caller; an `oper_b` nobody started is dropped unexecuted.
+/// Forks `oper_b` onto the workers while the threads in use in this
+/// thread's pool stay within its size; otherwise runs both inline. Panics
+/// propagate like rayon's: a stolen `oper_b` runs to completion before
+/// the payload unwinds from the caller; an `oper_b` nobody started is
+/// dropped unexecuted.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -136,33 +170,19 @@ where
     RA: Send,
     RB: Send,
 {
-    let budget = current_num_threads();
-    if budget <= 1 {
-        return (oper_a(), oper_b());
-    }
-    // Reserve-then-check keeps the fan-out exact under concurrent joins (a
-    // plain load would let two threads both see room for one fork); the
-    // guard releases the reservation even if a closure panics.
-    struct Reservation;
-    impl Drop for Reservation {
-        fn drop(&mut self) {
-            ACTIVE_SPAWNS.fetch_sub(1, Ordering::Relaxed);
+    Scope::with_current(|scope| {
+        if scope.threads() <= 1 {
+            return (oper_a(), oper_b());
         }
-    }
-    // `+ 1` accounts for the calling thread itself.
-    let spawns_after = ACTIVE_SPAWNS.fetch_add(1, Ordering::Relaxed) + 1;
-    if spawns_after < budget {
-        let _reservation = Reservation; // released on return or unwind
-        pool::fork_join(oper_a, oper_b, budget)
-    } else {
-        // Over budget: release the reservation before running inline.
-        drop(Reservation);
-        (oper_a(), oper_b())
-    }
+        match scope.try_fork() {
+            Some(_fork) => pool::fork_join(oper_a, oper_b, scope),
+            None => (oper_a(), oper_b()),
+        }
+    })
 }
 
-/// Builder for a [`ThreadPool`] (thread-budget handle; the workers
-/// themselves live in the process-global pool).
+/// Builder for a [`ThreadPool`] (a shared count of threads; the workers
+/// themselves are process-wide).
 #[derive(Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -173,57 +193,54 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Budget for [`join`] inside [`ThreadPool::install`]; 0 = default
-    /// (`CPMA_THREADS`, else all cores).
+    /// The pool's size; 0 = the default pool's (`CPMA_THREADS`, else all
+    /// cores).
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
         self
     }
 
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = if self.num_threads == 0 {
-            default_threads()
-        } else {
-            self.num_threads
+        let size = match self.num_threads {
+            0 => default_scope().size,
+            n => n,
         };
-        Ok(ThreadPool { threads })
+        Ok(ThreadPool {
+            scope: Scope::new(size, 0),
+        })
     }
 }
 
-/// Error type kept for API compatibility; construction cannot fail here.
+/// Error type kept for API compatibility (callers `unwrap` or `expect`
+/// it); construction cannot fail here.
 #[derive(Debug)]
 pub struct ThreadPoolBuildError(());
 
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// A thread budget. `install` sets what [`current_num_threads`] reports on
-/// the calling thread (and therefore how far [`join`] and the iterator
-/// terminals fan out) for the closure's duration.
+/// A shared count of threads: its size, and the threads in use in it (see
+/// the crate docs' "Thread budgets").
 pub struct ThreadPool {
-    threads: usize,
+    scope: Scope,
 }
 
 impl ThreadPool {
-    /// Runs `op` on the calling thread with its budget set to this pool's
-    /// size (still capped by `CPMA_THREADS`), restored on return **or
-    /// unwind**. The budget is this thread's and the jobs it forks'; other
-    /// threads, and threads `op` spawns, keep their own.
+    /// Runs `op` on the calling thread inside this pool: the thread counts
+    /// as one of the pool's threads in use until `op` returns or unwinds
+    /// (once, if it is in this pool already), and [`join`] and the
+    /// iterator terminals fan out within the pool's size. Threads `op`
+    /// spawns start in the default pool.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R + Send,
         R: Send,
     {
-        with_installed(self.threads, op)
-    }
-
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
+        let scope: *const Scope = &self.scope;
+        if CURRENT.get() == scope {
+            return op();
+        }
+        let _installed = self.scope.enter();
+        // SAFETY: `&self` borrows the pool, and so its scope, until `op`
+        // returns.
+        unsafe { in_scope(scope, op) }
     }
 }
 

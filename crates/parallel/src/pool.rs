@@ -1,7 +1,8 @@
 //! The execution engine: a lazily-initialized, bounded fork-join pool.
 //!
-//! One process-global pool backs every [`crate::join`] and every parallel
-//! iterator terminal. Design, in rayon-core's terms but much smaller:
+//! One process-global set of workers backs every [`crate::join`] and every
+//! parallel iterator terminal; a [`crate::ThreadPool`] is only a count of
+//! threads over it. Design, in rayon-core's terms but much smaller:
 //!
 //! * **Injector queue.** A `Mutex<VecDeque<JobRef>>` + `Condvar` shared by
 //!   all workers. Forked jobs are heap-allocated (`Arc<Task>`) rather than
@@ -9,12 +10,11 @@
 //!   entry for a job the forker took back is an `Arc` clone whose `run()`
 //!   loses the claim CAS and does nothing.
 //! * **Lazily spawned workers.** No thread is created until the first
-//!   parallel fork. Workers are spawned on demand up to the *budget* in
-//!   effect at fork time ([`crate::current_num_threads`]), so
-//!   `ThreadPool::install(n)` with `n` above the core count still gets `n`
-//!   workers (useful for exercising real concurrency on small machines).
-//!   A forked job carries its forker's installed budget, so whichever
-//!   thread runs it runs it — and the joins nested in it — at that budget.
+//!   parallel fork. Workers are spawned on demand up to the size of the
+//!   `ThreadPool` that forks, so a pool of `n` above the core count still
+//!   gets `n` workers (useful for exercising real concurrency on small
+//!   machines). A `JobRef` carries the pool it was forked in, so whichever
+//!   thread runs it counts the joins nested in it against that pool.
 //!   Workers are detached and park on the condvar when idle; a panicking
 //!   job is caught and boxed into its task's result slot, so no job can
 //!   kill a worker or poison the queue.
@@ -73,16 +73,23 @@ const PENDING: u8 = 0;
 const CLAIMED: u8 = 1;
 const DONE: u8 = 2;
 
-/// Type-erased handle to a queued job, with its forker's installed budget
-/// (0 = none): whoever pops the job runs it at that budget.
+/// Type-erased handle to a queued job, with the pool it was forked in
+/// (lifetime-erased like the job): whoever pops the job runs it there.
 pub(crate) struct JobRef {
     job: Arc<dyn Runnable + Send + Sync + 'static>,
-    installed: usize,
+    scope: *const crate::Scope,
 }
+
+// SAFETY: `job` is `Send`; `scope` points at a `Scope`, which is `Sync`
+// (a size and atomics) and only read through the pointer.
+unsafe impl Send for JobRef {}
 
 impl JobRef {
     fn run(self) {
-        crate::with_installed(self.installed, || self.job.run());
+        // SAFETY: a job whose closure runs won the claim, so its forker
+        // waits in `fork_join`, inside the install that keeps `scope` live;
+        // a stale entry loses the claim and makes no call that reads it.
+        unsafe { crate::in_scope(self.scope, || self.job.run()) };
     }
 }
 
@@ -268,11 +275,11 @@ fn global() -> &'static Pool {
 }
 
 impl Pool {
-    /// Enqueue a job, growing the worker set up to `budget` first.
-    fn push(&'static self, job: JobRef, budget: usize) {
+    /// Enqueue a job, growing the worker set up to `workers` first.
+    fn push(&'static self, job: JobRef, workers: usize) {
         metrics().forks.inc();
         let mut st = self.state.lock().unwrap();
-        let target = budget.min(MAX_WORKERS);
+        let target = workers.min(MAX_WORKERS);
         while st.workers < target {
             let spawned = std::thread::Builder::new()
                 .name(format!("cpma-pool-{}", st.workers))
@@ -345,10 +352,10 @@ unsafe fn erase<'a>(
     std::mem::transmute(arc)
 }
 
-/// Fork `oper_b` onto the pool, run `oper_a` inline, and join — the
-/// parallel arm of [`crate::join`] (the caller has already checked the
-/// budget and reserved a spawn slot).
-pub(crate) fn fork_join<A, B, RA, RB>(oper_a: A, oper_b: B, budget: usize) -> (RA, RB)
+/// Fork `oper_b` onto the workers, run `oper_a` inline, and join — the
+/// parallel arm of [`crate::join`] (the caller has already counted the
+/// fork in `scope`).
+pub(crate) fn fork_join<A, B, RA, RB>(oper_a: A, oper_b: B, scope: &crate::Scope) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
@@ -362,8 +369,7 @@ where
         // SAFETY: this frame outlives the task (we join below before
         // returning or unwinding).
         let job = unsafe { erase(job) };
-        let installed = crate::installed();
-        pool.push(JobRef { job, installed }, budget);
+        pool.push(JobRef { job, scope }, scope.size);
     }
     let ra = catch_unwind(AssertUnwindSafe(oper_a));
     let rb = if task.claim() {
@@ -409,14 +415,15 @@ mod tests {
     #[test]
     fn fork_join_basic_and_borrowing() {
         let data = [1u64, 2, 3];
-        let (a, b) = fork_join(|| data.iter().sum::<u64>(), || data.len(), 2);
+        let scope = crate::Scope::new(2, 1);
+        let (a, b) = fork_join(|| data.iter().sum::<u64>(), || data.len(), &scope);
         assert_eq!((a, b), (6, 3));
     }
 
     #[test]
     fn reclaim_with_zero_budget_workers() {
         // Even if no worker ever picks the job up, the forker reclaims it.
-        let (a, b) = fork_join(|| 1, || 2, 1);
+        let (a, b) = fork_join(|| 1, || 2, &crate::Scope::new(1, 1));
         assert_eq!((a, b), (1, 2));
     }
 }

@@ -18,19 +18,18 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-/// Installed budgets are per-thread, but the workers and the count of
-/// outstanding forks are process-wide, and several tests here need a free
-/// worker to meet; the test harness runs test functions concurrently — so
-/// every test in this suite serializes on this lock.
-static BUDGET_LOCK: Mutex<()> = Mutex::new(());
+/// The workers are process-wide, and the rendezvous tests here each need
+/// an idle worker to meet their caller; the test harness runs test
+/// functions concurrently — so those tests serialize on this lock.
+static RENDEZVOUS_LOCK: Mutex<()> = Mutex::new(());
 
-fn serialize_budgets() -> std::sync::MutexGuard<'static, ()> {
+fn serialize_rendezvous() -> std::sync::MutexGuard<'static, ()> {
     // A panicking test (several here panic on purpose under catch_unwind)
     // must not poison the whole suite.
-    BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    RENDEZVOUS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run `f` under an installed budget of `n` threads.
+/// Run `f` inside a fresh pool of `n` threads.
 fn with_budget<T: Send>(n: usize, f: impl FnOnce() -> T + Send) -> T {
     ThreadPoolBuilder::new()
         .num_threads(n)
@@ -52,7 +51,6 @@ fn parallelism_allowed() -> bool {
 
 #[test]
 fn panic_in_left_arm_propagates() {
-    let _guard = serialize_budgets();
     let r = catch_unwind(AssertUnwindSafe(|| {
         with_budget(4, || join(|| panic!("left boom"), || 7))
     }));
@@ -63,7 +61,6 @@ fn panic_in_left_arm_propagates() {
 
 #[test]
 fn panic_in_spawned_arm_propagates() {
-    let _guard = serialize_budgets();
     let r = catch_unwind(AssertUnwindSafe(|| {
         with_budget(4, || join(|| 7, || panic!("right boom")))
     }));
@@ -74,9 +71,8 @@ fn panic_in_spawned_arm_propagates() {
 
 #[test]
 fn panic_does_not_poison_the_pool() {
-    let _guard = serialize_budgets();
     // A panicking join must leave the pool fully usable: workers catch job
-    // panics, and the forker's budget reservation is released on unwind.
+    // panics, and the fork is counted out of its pool on unwind.
     for round in 0..20 {
         let r = catch_unwind(AssertUnwindSafe(|| {
             with_budget(4, || {
@@ -100,7 +96,7 @@ fn panic_does_not_poison_the_pool() {
 
 #[test]
 fn panic_waits_for_the_other_arm() {
-    let _guard = serialize_budgets();
+    let _guard = serialize_rendezvous();
     if !parallelism_allowed() {
         // On the sequential path a left-arm panic skips the right arm
         // entirely (exactly like rayon dropping an unstolen job), so there
@@ -145,7 +141,6 @@ fn panic_waits_for_the_other_arm() {
 
 #[test]
 fn panic_skips_the_unstolen_arm_on_the_sequential_path() {
-    let _guard = serialize_budgets();
     // Budget 1 never forks, so a left-arm panic means the right arm is
     // never executed — the same semantics rayon has for a job that was
     // never stolen, and the parallel path's reclaim shortcut mirrors it.
@@ -168,7 +163,6 @@ fn panic_skips_the_unstolen_arm_on_the_sequential_path() {
 
 #[test]
 fn nested_joins_inside_workers_do_not_deadlock() {
-    let _guard = serialize_budgets();
     // A full binary fork tree: inner joins run from inside pool workers,
     // which must help (run queued jobs) while waiting rather than block.
     fn tree_sum(lo: u64, hi: u64) -> u64 {
@@ -186,7 +180,6 @@ fn nested_joins_inside_workers_do_not_deadlock() {
 
 #[test]
 fn deep_sequential_spine_of_joins() {
-    let _guard = serialize_budgets();
     // Chain of joins (right arm trivial): exercises fork/reclaim pressure
     // without a balanced tree's natural throttling.
     fn spine(depth: usize) -> usize {
@@ -201,10 +194,9 @@ fn deep_sequential_spine_of_joins() {
 
 #[test]
 fn concurrent_external_callers_share_the_pool() {
-    let _guard = serialize_budgets();
-    // Several OS threads hammer the global pool at once; every caller must
-    // get its own correct result. A spawned thread does not inherit an
-    // installed budget, so each caller installs its own.
+    // Several OS threads hammer the shared workers at once; every caller
+    // must get its own correct result. A spawned thread starts in the
+    // default pool, so each caller installs a pool of its own.
     let results: Vec<u64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8u64)
             .map(|t| {
@@ -229,7 +221,6 @@ fn concurrent_external_callers_share_the_pool() {
 
 #[test]
 fn install_one_forces_the_sequential_path() {
-    let _guard = serialize_budgets();
     // Budget 1: no forks — every closure runs on the calling thread.
     // (`CPMA_THREADS=1` forces the same path by capping every budget to 1;
     // the CI matrix runs this whole suite under it.)
@@ -254,7 +245,6 @@ fn install_one_forces_the_sequential_path() {
 
 #[test]
 fn install_nests_and_restores_on_unwind() {
-    let _guard = serialize_budgets();
     with_budget(4, || {
         let outer = current_num_threads();
         let _ = catch_unwind(AssertUnwindSafe(|| {
@@ -266,13 +256,13 @@ fn install_nests_and_restores_on_unwind() {
         assert_eq!(
             current_num_threads(),
             outer,
-            "installed budget must be restored on unwind"
+            "the outer pool must be restored on unwind"
         );
     });
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread budgets
+// Pools: a shared count of threads
 // ---------------------------------------------------------------------------
 
 /// The budget a thread outside any `install` sees.
@@ -282,7 +272,6 @@ fn default_budget() -> usize {
 
 #[test]
 fn concurrent_installs_each_see_their_own_budget() {
-    let _guard = serialize_budgets();
     // Both threads read their budget while the other is inside its own
     // `install` (the barriers), so neither can see the other's.
     let four = with_budget(4, current_num_threads);
@@ -310,8 +299,35 @@ fn concurrent_installs_each_see_their_own_budget() {
 }
 
 #[test]
+fn a_shared_pool_reports_its_size_less_the_other_installers() {
+    // Two threads inside one pool of 4 at once (the barriers) each see 4
+    // less the other; a thread re-entering the pool it is in counts once.
+    let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+    let alone = pool.install(current_num_threads);
+    let inside = std::sync::Barrier::new(2);
+    let seen: Vec<(usize, usize)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    pool.install(|| {
+                        inside.wait();
+                        let got = (current_num_threads(), pool.install(current_num_threads));
+                        inside.wait();
+                        got
+                    })
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let shared = (alone - 1).max(1);
+    assert_eq!(seen, vec![(shared, shared); 2]);
+    assert_eq!(pool.install(current_num_threads), alone, "installers left");
+}
+
+#[test]
 fn a_forked_job_runs_at_its_forkers_budget() {
-    let _guard = serialize_budgets();
+    let _guard = serialize_rendezvous();
     if !parallelism_allowed() {
         eprintln!("skipping: thread budget capped at 1 (CPMA_THREADS=1?)");
         return;
@@ -349,7 +365,6 @@ fn a_forked_job_runs_at_its_forkers_budget() {
 
 #[test]
 fn a_thread_spawned_inside_install_sees_the_default_budget() {
-    let _guard = serialize_budgets();
     let default = default_budget();
     for n in [1usize, 4] {
         let (inside, spawned) = with_budget(n, || {
@@ -367,7 +382,7 @@ fn a_thread_spawned_inside_install_sees_the_default_budget() {
 
 #[test]
 fn join_runs_arms_on_two_threads_when_allowed() {
-    let _guard = serialize_budgets();
+    let _guard = serialize_rendezvous();
     if !parallelism_allowed() {
         eprintln!("skipping: thread budget capped at 1 (CPMA_THREADS=1?)");
         return;
@@ -400,7 +415,7 @@ fn join_runs_arms_on_two_threads_when_allowed() {
 
 #[test]
 fn par_iter_observes_multiple_threads_when_allowed() {
-    let _guard = serialize_budgets();
+    let _guard = serialize_rendezvous();
     if !parallelism_allowed() {
         eprintln!("skipping: thread budget capped at 1 (CPMA_THREADS=1?)");
         return;
@@ -437,7 +452,6 @@ fn par_iter_observes_multiple_threads_when_allowed() {
 
 #[test]
 fn results_are_identical_across_budgets() {
-    let _guard = serialize_budgets();
     // The scheduling contract behind the workspace's determinism tests:
     // terminals are order-preserving, so any budget gives bit-identical
     // results.
@@ -461,7 +475,6 @@ fn results_are_identical_across_budgets() {
 
 #[test]
 fn par_sort_agrees_across_budgets() {
-    let _guard = serialize_budgets();
     let input: Vec<u64> = (0..200_000u64)
         .map(|x| x.wrapping_mul(0xD1B54A32D192ED03) >> 8)
         .collect();
@@ -477,7 +490,6 @@ fn par_sort_agrees_across_budgets() {
 
 #[test]
 fn spawn_count_stays_within_budget() {
-    let _guard = serialize_budgets();
     // While running under budget B, the number of threads concurrently
     // inside leaf closures must never exceed B.
     const BUDGET: usize = 3;

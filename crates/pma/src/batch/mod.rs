@@ -380,7 +380,7 @@ pub(crate) fn par_apply_run<R: Run>(a: &[u64], run: R) -> (Vec<u64>, BatchOutcom
 
 #[cfg(test)]
 mod tests {
-    use crate::{Cpma, Pma, BUDGET_LOCK};
+    use crate::{Cpma, Pma};
     use cpma_api::{BatchSet, OrderedSet, RangeSet};
     use std::collections::BTreeSet;
 
@@ -624,7 +624,6 @@ mod tests {
             force_codec: force,
             ..crate::PmaConfig::default()
         };
-        let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for (budget, bits) in [(1, 17), (1, 30), (2, 17), (2, 30)] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(budget)
@@ -737,7 +736,6 @@ mod tests {
     /// rebuilt) must pass `check_invariants()`, and lookups must route
     /// across the holes. Budgets 1 and 2.
     fn drained_ranges_keep_the_read_index<L: crate::LeafStorage>() {
-        let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let keys: Vec<u64> = (0..60_000u64).map(|i| i * 1000).collect();
         for budget in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()

@@ -150,7 +150,7 @@ impl<L: LeafStorage> PmaCore<L> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ForceCodec, LeafStorage, PmaConfig, PmaCore, BUDGET_LOCK};
+    use crate::{ForceCodec, LeafStorage, PmaConfig, PmaCore};
     use cpma_api::BatchOp::{self, Insert, Remove};
     use cpma_api::{net_ops, BatchOutcome, BatchSet};
 
@@ -210,7 +210,6 @@ mod tests {
             (5_000, 2),  // rebuild-sized, net pipeline-sized
             (9_000, 20), // rebuild-sized, net rebuild-sized
         ];
-        let _serial = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for budget in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(budget)

@@ -2453,7 +2453,6 @@ mod tests {
             ("n < k", vec![5, 10]),
             ("empty", vec![]),
         ];
-        let _serial = crate::BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for (shape, elems) in &shapes {
             for force in [ForceCodec::Auto, ForceCodec::Delta, ForceCodec::Bitmap] {
                 let mut s = store(1);

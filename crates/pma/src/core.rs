@@ -1454,7 +1454,6 @@ mod tests {
             assert_eq!(c.size_bytes(), fresh.size_bytes(), "{what}: size_bytes");
             c.check_invariants();
         }
-        let _serial = crate::BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let keys: Vec<u64> = (0..200_000u64).map(|i| i << 12).collect();
         for budget in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()

@@ -63,8 +63,3 @@ pub use crate::leaf::{BlockFill, ChunkBlock, LeafStorage, OpsOutcome, RunSize, C
 pub use crate::stats::PmaStats;
 pub use crate::uncompressed::UncompressedLeaves;
 pub use cpma_api::{BatchOp, BatchOutcome, Persist, PersistError};
-
-/// Budgets are pinned with `ThreadPool::install` (process-global), so the
-/// unit tests that pin one serialize on this lock.
-#[cfg(test)]
-pub(crate) static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -10,15 +10,13 @@
 //! service holds no connection it is not serving, so there is no queue of
 //! its own to bound.
 //!
-//! A worker serves each batch at its connection's share of the service's
-//! thread budget: `B` is the pool budget of the thread that started the
-//! service ([`rayon::current_num_threads`]), and a batch runs under
-//! `install(max(1, B / c))`, `c` being the connections held at that
-//! moment. A held connection counts whether or not its client is sending,
-//! so an idle keep-alive connection also takes a share. Two connections on
-//! two cores fork nothing — the cores are already full when both are busy
-//! — while a lone connection still gets all of `B`. The share is a rule,
-//! not a setting.
+//! The service owns one [`rayon::ThreadPool`] the size `B` of the pool
+//! of the thread that started it ([`rayon::current_num_threads`]), and a
+//! worker serves its connection inside that pool's `install`. A pool is a
+//! shared count of threads, so the connections held — idle keep-alive
+//! ones too — count against `B` together with the forks their batches
+//! make: at `B = 2` a lone connection forks and two fork nothing (the
+//! cores are already full when both are busy).
 //!
 //! ## Pipelining → combining
 //!
@@ -51,7 +49,7 @@ use cpma_store::{Combiner, CombinerConfig, Op, RecoveryReport, WalConfig};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -169,26 +167,6 @@ impl Metrics {
     }
 }
 
-/// The thread budget the service's batches share: `threads` is the budget
-/// `B` of the thread that started the service, `serving` the connections
-/// held now (`c`), idle or busy. The `service.conns_active` gauge mirrors
-/// `serving`; no decision reads the gauge.
-struct Budget {
-    threads: usize,
-    serving: AtomicUsize,
-}
-
-impl Budget {
-    /// One batch's pool: `max(1, B / c)` threads.
-    fn share(&self) -> rayon::ThreadPool {
-        let c = self.serving.load(Ordering::Relaxed).max(1);
-        rayon::ThreadPoolBuilder::new()
-            .num_threads((self.threads / c).max(1))
-            .build()
-            .expect("a budget of at least one thread")
-    }
-}
-
 /// The connection a worker is serving, kept as a `try_clone` so
 /// `shutdown` can sever a blocked read; a worker holds at most one.
 type Slot = Mutex<Option<TcpStream>>;
@@ -246,10 +224,12 @@ impl Service {
         cfg.check()?;
         let listener = Arc::new(TcpListener::bind(("127.0.0.1", 0))?);
         let metrics = Arc::new(Metrics::new());
-        let budget = Arc::new(Budget {
-            threads: rayon::current_num_threads(),
-            serving: AtomicUsize::new(0),
-        });
+        let pool = Arc::new(
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(rayon::current_num_threads())
+                .build()
+                .expect("a pool of at least one thread"),
+        );
         // Built before the first spawn, so a failed spawn drops it and
         // `shutdown` joins the workers already running.
         let mut service = Service {
@@ -262,11 +242,11 @@ impl Service {
             let handle = {
                 let (listener, stop, slot) = (listener.clone(), service.stop.clone(), slot.clone());
                 let (combiner, cfg) = (combiner.clone(), cfg.clone());
-                let (metrics, budget) = (metrics.clone(), budget.clone());
+                let (metrics, pool) = (metrics.clone(), pool.clone());
                 std::thread::Builder::new()
                     .name(format!("cpma-service-worker-{w}"))
                     .spawn(move || {
-                        worker_loop(&listener, &stop, &slot, &combiner, &cfg, &metrics, &budget)
+                        worker_loop(&listener, &stop, &slot, &combiner, &cfg, &metrics, &pool)
                     })?
             };
             service.workers.push((slot, handle));
@@ -306,8 +286,9 @@ impl Drop for Service {
     }
 }
 
-/// Accept a connection and serve it to completion, until `stop`.
-/// Connections past the worker count wait in the listener's backlog.
+/// Accept a connection and serve it to completion inside `pool`, until
+/// `stop`. Connections past the worker count wait in the listener's
+/// backlog.
 fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -315,7 +296,7 @@ fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
     combiner: &Combiner<S>,
     cfg: &ServiceConfig,
     metrics: &Metrics,
-    budget: &Budget,
+    pool: &rayon::ThreadPool,
 ) {
     while !stop.load(Ordering::SeqCst) {
         let stream = match listener.accept() {
@@ -337,10 +318,8 @@ fn worker_loop<S: BatchSet + RangeSet + Clone + Send + Sync>(
         // `shutdown` severs what it finds in the slot after setting `stop`:
         // a stream it missed was put there later, and sees `stop` here.
         if !stop.load(Ordering::SeqCst) {
-            budget.serving.fetch_add(1, Ordering::Relaxed);
             metrics.conns_active.add(1);
-            let _ = serve_conn(stream, combiner, cfg, metrics, budget);
-            budget.serving.fetch_sub(1, Ordering::Relaxed);
+            let _ = pool.install(|| serve_conn(stream, combiner, cfg, metrics));
             metrics.conns_active.add(-1);
         }
         slot.lock().unwrap().take();
@@ -354,7 +333,6 @@ fn serve_conn<S: BatchSet + RangeSet + Clone + Send + Sync>(
     combiner: &Combiner<S>,
     cfg: &ServiceConfig,
     metrics: &Metrics,
-    budget: &Budget,
 ) -> io::Result<()> {
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_nodelay(true)?;
@@ -406,15 +384,12 @@ fn serve_conn<S: BatchSet + RangeSet + Clone + Send + Sync>(
         }
         metrics.ops.add(requests.len() as u64);
 
-        // Serve at this connection's share of the budget: runs of
-        // linearized ops combine into single submissions; snapshot reads
-        // split the runs.
+        // Runs of linearized ops combine into single submissions;
+        // snapshot reads split the runs.
         let replies = {
             let mut span = cpma_obs::span_with(&metrics.combine_ns, "service.combine");
             span.set_items(requests.len() as u64);
-            budget
-                .share()
-                .install(|| serve_requests(combiner, &requests))
+            serve_requests(combiner, &requests)
         };
 
         // Reply in request order, one write per batch.

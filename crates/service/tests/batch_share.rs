@@ -1,13 +1,13 @@
-//! Count, not clock: a served batch runs at its connection's share of the
-//! service's thread budget.
+//! Count, not clock: the connections a service holds share its pool.
 //!
 //! A service started inside `install(2)` over `ShardedSet<Cpma, 8>` — the
-//! `service_mixed` store — serves each batch under `max(1, 2 / c)` threads,
-//! `c` the connections held. With one client connected the same
-//! script of `contains_batch` and `mutate_burst` requests forks onto the
-//! pool (the eight shards split across two threads); with two connected it
-//! adds nothing to `pool.forks`. Every reply is checked against a
-//! `BTreeSet` oracle in both phases.
+//! `service_mixed` store — owns a pool of 2, and each worker serves its
+//! connection inside that pool, so the connections held count against
+//! its 2 threads together with their forks. With one client connected,
+//! the same script of `contains_batch` and `mutate_burst` requests forks
+//! onto the pool (the eight shards split across two threads); with two
+//! connected it adds nothing to `pool.forks`. Every reply is checked
+//! against a `BTreeSet` oracle in both phases.
 //!
 //! `pool.forks` is process-wide, so this file holds one test: no other
 //! test in its binary can fork while it counts.

@@ -49,15 +49,18 @@ fn main() {
     let done = AtomicBool::new(false);
 
     let start = Instant::now();
-    // Pin the batch-update fan-out to 4 workers: demo runs are then
+    // Pin the batch-update fan-out to 4 threads: demo runs are then
     // shaped the same on any machine (including single-core CI, where the
-    // default budget would be 1 and the pool would never spawn). A budget
-    // is per-thread, so each writer installs it in its own thread.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let pool = &pool;
+    // default pool would be 1 and would never fork). A pool's size is a
+    // total shared by the threads inside it, and five threads in one pool
+    // of 4 would fork nothing; so each thread installs a pool of its own,
+    // and whichever writer leads an epoch fans it out to 4.
+    let pool = || {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap()
+    };
     std::thread::scope(|scope| {
         // --- ingest: each thread streams one burst per simulated second.
         for t in 0..INGEST_THREADS {
@@ -65,7 +68,7 @@ fn main() {
             let ingested = &ingested;
             let finished_writers = &finished_writers;
             scope.spawn(move || {
-                pool.install(|| {
+                pool().install(|| {
                     let mut rng = SplitMix64::new(2024 + t);
                     for second in 0..SECONDS {
                         let burst: Vec<u64> = (0..EVENTS_PER_THREAD_SECOND)
@@ -81,7 +84,7 @@ fn main() {
         // --- expiry: batch-remove events older than 40 "seconds", read
         // from a snapshot, removed through the combiner like any writer.
         scope.spawn(|| {
-            pool.install(|| {
+            pool().install(|| {
                 let mut expired_total = 0usize;
                 while !done.load(Ordering::Acquire) {
                     let snap = store.snapshot();

@@ -8,13 +8,11 @@
 //! oracle), 2, and 8 on every `BatchSet` backend and on the workload
 //! generators, and require identical outputs.
 //!
-//! Budgets are pinned with `ThreadPool::install`. The installed budget is
-//! per-thread (and carried by every job the installing thread forks), but
-//! the count of outstanding forks it is checked against and the workers
-//! are process-wide: a budget-2 arm next to another test's budget-8 arm
-//! would mostly run inline. So the suite serializes itself on a lock. The
-//! service round's budget reaches its workers through the service, which
-//! records the budget of the thread that starts it. A `CPMA_THREADS=1` run
+//! Budgets are pinned with `ThreadPool::install` on a fresh pool per arm.
+//! A pool counts only its own threads and forks, so arms of tests running
+//! side by side do not skew each other. The service round's budget
+//! reaches its workers through the service, which sizes its pool by the
+//! budget of the thread that starts it. A `CPMA_THREADS=1` run
 //! caps all three budgets to one — the comparisons then hold trivially,
 //! and the CI matrix's default-threads leg does the real cross-schedule
 //! comparison.
@@ -22,9 +20,6 @@
 use cpma::api::testkit::SplitMix64;
 use cpma::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-static BUDGET_LOCK: Mutex<()> = Mutex::new(());
 
 fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
@@ -103,7 +98,6 @@ fn run_workload<S: BatchSet + RangeSet>(seed: u64) -> Observations {
 }
 
 fn assert_deterministic<S: BatchSet + RangeSet>(name: &str) {
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0x5EED_0001u64, 0xD15C_0C0A] {
         let oracle = with_threads(1, || run_workload::<S>(seed));
         for threads in [2usize, 8] {
@@ -216,7 +210,6 @@ fn autotuned_sharded_cpma_deterministic_across_thread_counts() {
             }
         }
     }
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = std::env::temp_dir().join(format!("cpma-det-reshard-{}", std::process::id()));
     check::<4, 16>(&base);
     check::<32, 2>(&base);
@@ -269,7 +262,6 @@ fn combiner_deterministic_across_thread_counts() {
         let contents = RangeSet::to_vec(&c.into_inner());
         (acks, contents, stats)
     }
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0xADA_0001u64, 0xADA_0002] {
         let oracle = with_threads(1, || run(seed));
         for threads in [2usize, 8] {
@@ -333,7 +325,6 @@ fn service_round_trip_deterministic_across_thread_counts() {
         service.shutdown();
         (reply_bytes, contents)
     }
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0x5E2C_0001u64, 0x5E2C_0002] {
         let oracle = with_threads(1, || run(seed));
         for threads in [2usize, 8] {
@@ -350,7 +341,6 @@ fn service_round_trip_deterministic_across_thread_counts() {
 fn workload_generators_deterministic_across_thread_counts() {
     // The paper's input generators are chunk-parallel with per-chunk seed
     // streams; their output must not depend on the thread count either.
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let uniform1 = with_threads(1, || cpma::workloads::uniform_keys(300_000, 40, 42));
     let rmat1 = with_threads(1, || {
         cpma::workloads::RmatGenerator::paper_config(12, 7).directed_edges(200_000)
@@ -370,7 +360,6 @@ fn normalize_batch_deterministic_across_thread_counts() {
     // normalize_batch is the parallel sort every unsorted wrapper routes
     // through; sorting u64s has one answer, but this pins the whole
     // pipeline (sort + dedup) across schedules.
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = SplitMix64::new(0xBA7C4);
     let input = rng.keys(250_000, 18); // dense: plenty of duplicates
     let oracle = with_threads(1, || {
@@ -391,7 +380,6 @@ fn normalize_ops_deterministic_across_thread_counts() {
     // normalize_ops leans on the *stable* parallel sort: with heavy
     // same-key duplication, last-op-wins dedup must pick the same op at
     // every thread count (submission order, not schedule order).
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = SplitMix64::new(0x0B5C4);
     let input: Vec<BatchOp<u64>> = (0..200_000)
         .map(|_| {
@@ -466,7 +454,6 @@ fn snapshot_images_bit_identical_across_thread_counts() {
     // including the slack past each leaf's used prefix — so byte
     // identity here proves every array write of the batch pipeline is
     // deterministic, a strictly stronger claim than equal contents.
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0x5EED_0001u64, 0xD15C_0C0A] {
         let pma = with_threads(1, || build_history::<Pma>(seed).to_snapshot_bytes());
         let cpma = with_threads(1, || build_history::<Cpma>(seed).to_snapshot_bytes());
@@ -515,7 +502,6 @@ fn hybrid_codec_images_bit_identical_on_clustered_keys() {
         s.apply_batch(&mut ops, false);
         s
     }
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [0xC1D5_0001u64, 0xC1D5_0002] {
         let oracle = with_threads(1, || build(seed).to_snapshot_bytes());
         for threads in [2usize, 8] {
@@ -536,7 +522,6 @@ fn hybrid_codec_images_bit_identical_on_clustered_keys() {
 fn sharded_checkpoint_dirs_bit_identical_across_thread_counts() {
     // Shard-per-file checkpoints add the parallel per-shard batch
     // application and the skew rebalance to the byte-identity claim.
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = std::env::temp_dir().join(format!("cpma-det-sharded-{}", std::process::id()));
     let save_image = |threads: usize, seed: u64| {
         let dir = base.join(format!("t{threads}"));
@@ -565,7 +550,6 @@ fn durable_combiner_wal_and_recovery_bit_identical_across_thread_counts() {
     // publication counters at every internal thread budget, and replaying
     // the segments (one merged batch per segment) must rebuild identical
     // contents and, saved shard by shard in parallel, identical bytes.
-    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = std::env::temp_dir().join(format!("cpma-det-wal-{}", std::process::id()));
     let run = |threads: usize, seed: u64| {
         let dir = base.join(format!("t{threads}"));

@@ -23,8 +23,10 @@ use std::collections::BTreeSet;
 /// it for a sequential control run).
 const STRESS_THREADS: usize = 8;
 
-/// The stress budget. It is per-thread: a test that spawns threads
-/// installs it in each of them.
+/// A fresh pool of the stress budget. A pool's size is a total shared by
+/// the threads inside it, so a test that spawns threads gives each its own
+/// pool: sixteen writers in one pool of 8 would fork nothing, and the race
+/// hunt would go quiet.
 fn stress_pool() -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(STRESS_THREADS)
