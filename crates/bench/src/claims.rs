@@ -15,7 +15,8 @@ use cpma_workloads::{
 use crate::harness::Better::{Higher, Lower, Within};
 use crate::harness::{
     agree, at, batch, batch_run, core_sweep, for_each_set, geomean, max_threads, range_run, rates,
-    regime, stream_into, time, with_threads, At, Fig, Op, Pma, Row, Run, Spec, Vals, BASELINE, BOX,
+    regime, spread, stream_into, sweep_passes, time, with_threads, At, Fig, Op, Pma, Ranges, Row,
+    Run, Spec, Vals, BASELINE, BOX,
 };
 use crate::Scale;
 
@@ -160,17 +161,24 @@ pub fn fig2(s: &Scale) -> Vec<Row> {
 static FIG7: Fig = Fig::new("Fig 7", "× over 1 thread", Higher, BOX);
 static FIG8: Fig = Fig::new("Fig 8", "× over 1 thread", Higher, BOX);
 
+/// Each set's passes of a thread-count sweep ([`sweep_passes`]).
+type Passes = Vec<(&'static str, Vec<Vec<Run>>)>;
+
 /// Rows of a strong-scaling sweep of the PMA and the CPMA: each one's
-/// speedup at every budget above one thread, and the CPMA's against the
-/// PMA's.
+/// speedup at every budget above one thread — the median over the passes
+/// of the pass's own ratio, its range beside it — and the CPMA's against
+/// the PMA's.
 fn scaling_rows(
     fig: &'static Fig,
     paper: &'static str,
     sweep: &[usize],
-    per_set: &Sweep,
+    per_set: &Passes,
     regime: &'static str,
 ) -> Vec<Row> {
-    let one = column(per_set, 0, fig.name);
+    let runs = per_set
+        .iter()
+        .flat_map(|(n, passes)| passes.iter().flatten().map(|r| (*n, *r)));
+    agree(fig.name, &runs.collect::<Vec<_>>());
     let specs = [
         (paper, "PMA", "1 thread"),
         (paper, "CPMA", "1 thread"),
@@ -178,12 +186,15 @@ fn scaling_rows(
     ];
     let mut rows = Vec::new();
     for (i, &t) in sweep.iter().enumerate().skip(1) {
-        let runs = column(per_set, i, fig.name).into_iter().zip(&one);
-        let speedup =
-            |((n, r), (_, r1)): ((&str, Run), &(_, Run))| (n.to_string(), r.per_s / r1.per_s);
-        let mut v: Vals = runs.map(speedup).collect();
-        v.push(("1 thread".to_string(), 1.0));
-        rows.extend(fig.rows(&specs, &At(format!("{t} threads"), regime), &v));
+        let (mut v, mut ranges) = (vals([("1 thread", 1.0)]), Ranges::new());
+        for (name, passes) in per_set {
+            let (median, range) = spread(passes.iter().map(|p| p[i].per_s / p[0].per_s));
+            v.push((name.to_string(), median));
+            ranges.push((name.to_string(), range));
+        }
+        let at = At(format!("{t} threads"), regime);
+        let with = |r: Row| r.with_ranges(&ranges);
+        rows.extend(fig.rows(&specs, &at, &v).into_iter().map(with));
     }
     rows
 }
@@ -194,7 +205,7 @@ pub fn fig7(s: &Scale) -> Vec<Row> {
     let (base, stream, k) = (uniform_base(s), uniform_stream(s), s.base / 100);
     let sweep = core_sweep(max_threads());
     let per_set = for_each_set!(S => {
-        sweep.iter().map(|&t| with_threads(t, || batch_run::<S>(&base, &stream, k, Op::Insert))).collect()
+        sweep_passes(&sweep, || batch_run::<S>(&base, &stream, k, Op::Insert))
     }; Pma "PMA", Cpma "CPMA");
     let (paper, reg) = ("both scale, the CPMA further", regime(k, base.len()));
     scaling_rows(&FIG7, paper, &sweep, &per_set.to_vec(), reg)
@@ -208,7 +219,7 @@ pub fn fig8(s: &Scale) -> Vec<Row> {
     let sweep = core_sweep(max_threads());
     let per_set = for_each_set!(S => {
         let set = S::build_sorted(&base);
-        sweep.iter().map(|&t| with_threads(t, || range_run(&set, &st, w))).collect()
+        sweep_passes(&sweep, || range_run(&set, &st, w))
     }; Pma "PMA", Cpma "CPMA");
     let paper = "PMA 41×, CPMA 118× at 64h";
     scaling_rows(&FIG8, paper, &sweep, &per_set.to_vec(), "")
@@ -220,7 +231,9 @@ const UP_TO_3: &str = "batch beats point, up to 3× at large batches";
 const BEATS_POINT: &[Spec] = &[(UP_TO_3, "batch", "point")];
 
 /// Table 3: the PMA's serial point inserts, serial batches and parallel
-/// batches.
+/// batches. Each batch arm is the median of
+/// [`PASSES`](crate::harness::PASSES) passes, one thread and all of them
+/// alternating, its range beside it.
 pub fn table3(s: &Scale) -> Vec<Row> {
     let (base, stream, threads) = (uniform_base(s), uniform_stream(s), max_threads());
     let mut set = Pma::build_sorted(&base);
@@ -230,14 +243,23 @@ pub fn table3(s: &Scale) -> Vec<Row> {
     let (point, all) = (Run { per_s, len, sum }, format!("{threads} threads"));
     let mut rows = Vec::new();
     for k in pipeline_batches(s) {
-        let serial = with_threads(1, || batch_run::<Pma>(&base, &stream, k, Op::Insert));
-        let parallel = with_threads(threads, || batch_run::<Pma>(&base, &stream, k, Op::Insert));
-        let runs = [("point", point), ("batch", serial), (&all, parallel)];
+        let passes = sweep_passes(&[1, threads], || {
+            batch_run::<Pma>(&base, &stream, k, Op::Insert)
+        });
+        let mut runs = vec![("point", point)];
+        runs.extend(passes.iter().flat_map(|p| [("batch", p[0]), (&*all, p[1])]));
         agree("Table 3", &runs);
-        let (here, v) = (batch(k, base.len()), rates(&runs));
-        rows.extend(TABLE3.rows(BEATS_POINT, &here, &v));
+        let (serial, serial_range) = spread(passes.iter().map(|p| p[0].per_s));
+        let (parallel, parallel_range) = spread(passes.iter().map(|p| p[1].per_s));
+        let v = vals([("point", point.per_s), ("batch", serial), (&all, parallel)]);
+        let ranges = vec![
+            ("batch".to_string(), serial_range),
+            (all.clone(), parallel_range),
+        ];
+        let (here, with) = (batch(k, base.len()), |r: Row| r.with_ranges(&ranges));
+        rows.extend(TABLE3.rows(BEATS_POINT, &here, &v).into_iter().map(with));
         let spec = ("parallelism compounds on top", &*all, "batch");
-        rows.extend(TABLE3_PAR.rows(&[spec], &here, &v));
+        rows.extend(TABLE3_PAR.rows(&[spec], &here, &v).into_iter().map(with));
     }
     rows
 }

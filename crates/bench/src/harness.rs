@@ -50,6 +50,31 @@ pub fn max_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Passes per thread count of the rows that compare thread counts (Fig 7,
+/// Fig 8, Table 3's batch arms): each count reads as the median of its
+/// passes, with their range beside it. One pass per count swung the
+/// two-thread rows by more than the effects they show.
+pub const PASSES: usize = 3;
+
+/// `f` at every thread count of `sweep`, [`PASSES`] times over: within a
+/// pass the counts alternate, so drift over the run lands on each of
+/// them alike. Indexed `[pass][point of the sweep]`.
+pub fn sweep_passes(sweep: &[usize], f: impl Fn() -> Run + Sync) -> Vec<Vec<Run>> {
+    let pass = || sweep.iter().map(|&t| with_threads(t, &f)).collect();
+    (0..PASSES).map(|_| pass()).collect()
+}
+
+/// The median of `xs` and their range.
+pub fn spread(xs: impl IntoIterator<Item = f64>) -> (f64, (f64, f64)) {
+    let mut xs: Vec<f64> = xs.into_iter().collect();
+    xs.sort_by(f64::total_cmp);
+    let median = match xs.len() {
+        n if n % 2 == 1 => xs[n / 2],
+        n => (xs[n / 2 - 1] + xs[n / 2]) / 2.0,
+    };
+    (median, (xs[0], xs[xs.len() - 1]))
+}
+
 /// 1, 2, 4, … below `max`, then `max` (the paper's core sweep).
 pub fn core_sweep(max: usize) -> Vec<usize> {
     let mut v: Vec<usize> = (0..).map(|e| 1 << e).take_while(|&c| c < max).collect();
@@ -190,6 +215,9 @@ pub type Spec<'a> = (&'static str, &'a str, &'a str);
 /// Named values measured at one point of a sweep.
 pub type Vals = Vec<(String, f64)>;
 
+/// The ranges of the named values that are medians of several passes.
+pub type Ranges = Vec<(String, (f64, f64))>;
+
 /// The rates of a row's runs, as named values.
 pub fn rates(runs: &[(&str, Run)]) -> Vals {
     runs.iter().map(|(n, r)| (n.to_string(), r.per_s)).collect()
@@ -226,6 +254,7 @@ impl Fig {
                 what,
                 regime: at.1,
                 sides,
+                ranges: [None; 2],
             }
         };
         specs.iter().map(row).collect()
@@ -240,9 +269,19 @@ pub struct Row {
     pub what: String,
     pub regime: &'static str,
     pub sides: [(String, f64); 2],
+    /// The range of each side's passes, for a side that is a median.
+    pub ranges: [Option<(f64, f64)>; 2],
 }
 
 impl Row {
+    /// The row with the range of each side named in `ranges`.
+    pub fn with_ranges(mut self, ranges: &Ranges) -> Row {
+        for (side, range) in self.sides.iter().zip(&mut self.ranges) {
+            *range = ranges.iter().find(|(n, _)| *n == side.0).map(|r| r.1);
+        }
+        self
+    }
+
     pub fn holds(&self) -> bool {
         let [(_, a), (_, b)] = self.sides;
         match self.fig.better {
@@ -308,6 +347,13 @@ mod tests {
         assert_eq!(core_sweep(1), vec![1]);
         assert_eq!(core_sweep(6), vec![1, 2, 4, 6]);
         assert_eq!(core_sweep(8), vec![1, 2, 4, 8]);
+    }
+
+    #[test]
+    fn spread_is_the_median_and_the_range() {
+        assert_eq!(spread([3.0, 1.0, 2.0]), (2.0, (1.0, 3.0)));
+        assert_eq!(spread([4.0, 1.0]), (2.5, (1.0, 4.0)));
+        assert_eq!(spread([5.0]), (5.0, (5.0, 5.0)));
     }
 
     #[test]

@@ -80,14 +80,19 @@ fn render(rows: &[Row]) -> String {
             "" => "yes".to_string(),
             why => format!("**no** — {why}"),
         };
+        // A median of several passes carries their range.
+        let value = |x: f64, range: Option<(f64, f64)>| match range {
+            Some((lo, hi)) => format!("{} [{}–{}]", num(x), num(lo), num(hi)),
+            None => num(x),
+        };
         let _ = writeln!(
             out,
             "| {} · {} | {} | {na} {} · {nb} {} {} | {} | {} | {holds} |",
             r.fig.name,
             r.what,
             r.paper,
-            num(*a),
-            num(*b),
+            value(*a, r.ranges[0]),
+            value(*b, r.ranges[1]),
             r.fig.unit,
             r.regime,
             r.winner()
@@ -245,9 +250,12 @@ mod tests {
     fn render_writes_a_line_per_row_with_the_winner_and_the_miss() {
         static FIG: harness::Fig = harness::Fig::new("Fig 0", "ops/s", Higher, "box: why");
         let v = vec![("A".to_string(), 2.0e6), ("B".to_string(), 4.0e6)];
-        let rows = FIG.rows(&[("A ahead", "A", "B")], &harness::at("x"), &v);
+        let mut rows = FIG.rows(&[("A ahead", "A", "B")], &harness::at("x"), &v);
         let line = "| Fig 0 · A vs B, x | A ahead | A 2.0E6 · B 4.0E6 ops/s |  | B × 2.00 \
                     | **no** — box: why |\n\n0 of 1 rows hold.\n";
         assert!(render(&rows).ends_with(&format!("|---|---|---|---|---|---|\n{line}")));
+        let ranges = vec![("B".to_string(), (3.5e6, 4.5e6))];
+        let ranged = rows.remove(0).with_ranges(&ranges);
+        assert!(render(&[ranged]).contains("| A 2.0E6 · B 4.0E6 [3.5E6–4.5E6] ops/s |"));
     }
 }

@@ -10,7 +10,11 @@
 //! each other; what is left under 32 bytes goes through a serial tail of
 //! 8-, 4- and 1-byte steps, and the length is mixed in before the final
 //! avalanche. This is the portable reference algorithm in safe Rust: no
-//! `core::arch`, no feature detection, one path on every target.
+//! `core::arch`, no feature detection, one path on every target. The
+//! stripe and finishing steps are shared by two front ends: [`xxh64`] for
+//! a region in hand (a frame), and [`Xxh64`] fed in pieces, where a
+//! partial stripe waits for the next piece, so a snapshot is hashed as it
+//! streams to or from its file.
 //!
 //! **What the swap from FNV-1a gave up, stated exactly.** Each FNV-1a step
 //! (`h = (h ^ byte) * prime`) is a bijection of the 64-bit state, so a
@@ -47,21 +51,99 @@ fn merge(h: u64, acc: u64) -> u64 {
     (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
 }
 
-/// XXH64 of `bytes` with seed 0.
+/// The stripe lanes before any input.
+const LANES: [u64; 4] = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+
+/// XXH64 of `bytes` with seed 0: [`Xxh64`] fed once, without carrying the
+/// tail through its pending buffer.
 pub fn xxh64(bytes: &[u8]) -> u64 {
     #[cfg(debug_assertions)]
     tally::HASHED.with(|c| c.set(c.get() + bytes.len()));
     let (stripes, tail) = bytes.as_chunks::<32>();
-    let mut h = if stripes.is_empty() {
+    let mut lanes = LANES;
+    fold_stripes(&mut lanes, stripes);
+    digest(&lanes, bytes.len() as u64, tail)
+}
+
+/// XXH64 (seed 0) fed in pieces: any number of [`update`](Self::update)s,
+/// then [`finish`](Self::finish). The digest is [`xxh64`] of the pieces
+/// concatenated, wherever they were split, so a stream can be hashed as
+/// it passes from its source to its destination.
+#[derive(Debug)]
+pub struct Xxh64 {
+    lanes: [u64; 4],
+    /// Bytes of an unfinished stripe, carried to the next `update`.
+    pending: [u8; 32],
+    /// How many of `pending` are live (always under 32).
+    npending: usize,
+    /// Bytes fed so far.
+    total: u64,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Xxh64 {
+    /// A hasher that has seen nothing.
+    pub const fn new() -> Self {
+        Self {
+            lanes: LANES,
+            pending: [0; 32],
+            npending: 0,
+            total: 0,
+        }
+    }
+
+    /// Feed the next `bytes` of the input.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        #[cfg(debug_assertions)]
+        tally::HASHED.with(|c| c.set(c.get() + bytes.len()));
+        self.total += bytes.len() as u64;
+        if self.npending > 0 {
+            let take = bytes.len().min(32 - self.npending);
+            self.pending[self.npending..self.npending + take].copy_from_slice(&bytes[..take]);
+            self.npending += take;
+            bytes = &bytes[take..];
+            if self.npending < 32 {
+                return;
+            }
+            fold_stripes(&mut self.lanes, &[self.pending]);
+            self.npending = 0;
+        }
+        let (stripes, rest) = bytes.as_chunks::<32>();
+        fold_stripes(&mut self.lanes, stripes);
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.npending = rest.len();
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        digest(&self.lanes, self.total, &self.pending[..self.npending])
+    }
+}
+
+/// Run whole stripes through the four lanes.
+fn fold_stripes(lanes: &mut [u64; 4], stripes: &[[u8; 32]]) {
+    let mut v = *lanes;
+    for stripe in stripes {
+        let (words, _) = stripe.as_chunks::<8>();
+        for (acc, word) in v.iter_mut().zip(words) {
+            *acc = round(*acc, u64::from_le_bytes(*word));
+        }
+    }
+    *lanes = v;
+}
+
+/// The digest of `total` bytes whose whole stripes went through `lanes`
+/// and whose last `tail` (under 32) bytes did not.
+fn digest(lanes: &[u64; 4], total: u64, tail: &[u8]) -> u64 {
+    let mut h = if total < 32 {
         P5
     } else {
-        let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
-        for stripe in stripes {
-            let (lanes, _) = stripe.as_chunks::<8>();
-            for (acc, lane) in v.iter_mut().zip(lanes) {
-                *acc = round(*acc, u64::from_le_bytes(*lane));
-            }
-        }
+        let v = lanes;
         let h = v[0]
             .rotate_left(1)
             .wrapping_add(v[1].rotate_left(7))
@@ -69,7 +151,7 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
             .wrapping_add(v[3].rotate_left(18));
         v.iter().fold(h, |h, &acc| merge(h, acc))
     };
-    h = h.wrapping_add(bytes.len() as u64);
+    h = h.wrapping_add(total);
 
     let (words, tail) = tail.as_chunks::<8>();
     for word in words {
@@ -98,8 +180,9 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Bytes this thread has pushed through [`xxh64`], for the count-not-clock
-/// tests that pin "a frame is hashed once". Gated on `debug_assertions`
+/// Bytes this thread has pushed through [`Xxh64`] (and so [`xxh64`]), for
+/// the count-not-clock tests that pin "a frame is hashed once" and "a
+/// snapshot is hashed once". Gated on `debug_assertions`
 /// because `#[cfg(test)]` stops at the crate boundary and the frames worth
 /// pinning are built in `cpma-service`; release builds compile it out.
 #[cfg(debug_assertions)]
@@ -200,6 +283,65 @@ mod tests {
         let data: Vec<u8> = (0..100).map(|_| rng.next_u64() as u8).collect();
         for n in 0..=data.len() {
             assert_eq!(xxh64(&data[..n]), reference(&data[..n]), "length {n}");
+        }
+    }
+
+    /// Fed in two pieces, the hasher equals the one-shot digest at every
+    /// split of every length 0 ..= 200: pieces ending short of a stripe,
+    /// on its edge and past it, on both sides of the 32-byte minimum.
+    #[test]
+    fn every_split_matches_the_one_shot_digest() {
+        let mut rng = SplitMix64::new(200);
+        let data: Vec<u8> = (0..200).map(|_| rng.next_u64() as u8).collect();
+        for n in 0..=data.len() {
+            let want = reference(&data[..n]);
+            for at in 0..=n {
+                let mut h = Xxh64::new();
+                h.update(&data[..at]);
+                h.update(&data[at..n]);
+                assert_eq!(h.finish(), want, "length {n} split at {at}");
+            }
+        }
+    }
+
+    /// Pieces of one size, each length 0 ..= 200 cut into runs of 1, 7,
+    /// 31, 32 and 33 bytes: a stripe filled byte by byte, completed across
+    /// two pieces, and met exactly.
+    #[test]
+    fn equal_pieces_across_the_stripe_edges_match() {
+        let mut rng = SplitMix64::new(32);
+        let data: Vec<u8> = (0..200).map(|_| rng.next_u64() as u8).collect();
+        for n in 0..=data.len() {
+            for piece in [1, 7, 31, 32, 33] {
+                let mut h = Xxh64::new();
+                data[..n].chunks(piece).for_each(|c| h.update(c));
+                assert_eq!(h.finish(), xxh64(&data[..n]), "length {n} in {piece}s");
+            }
+        }
+    }
+
+    /// A 1 MiB buffer fed at random split points, small and large pieces
+    /// mixed, and `finish` read midway without disturbing the stream.
+    #[test]
+    fn a_1mib_buffer_split_at_random_points_matches() {
+        let mut rng = SplitMix64::new(1 << 20);
+        let data: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64() as u8).collect();
+        let want = reference(&data);
+        assert_eq!(xxh64(&data), want);
+        for _ in 0..8 {
+            let mut h = Xxh64::new();
+            let mut at = 0;
+            while at < data.len() {
+                let large = rng.next_below(4) == 0;
+                let piece = rng.next_below(if large { 100_000 } else { 70 }) as usize;
+                let end = (at + piece).min(data.len());
+                h.update(&data[at..end]);
+                if large {
+                    assert_eq!(h.finish(), xxh64(&data[..end]), "prefix of {end}");
+                }
+                at = end;
+            }
+            assert_eq!(h.finish(), want);
         }
     }
 

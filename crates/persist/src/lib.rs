@@ -13,7 +13,10 @@
 //!
 //! Three pieces on top of those, all std-only:
 //!
-//! * [`snapshot`] — the checksummed, versioned snapshot envelope.
+//! * [`snapshot`] — the checksummed, versioned snapshot envelope, with
+//!   its one streaming writer and one streaming reader: a save goes from
+//!   the structure's arrays to the file and a load from the file into the
+//!   arrays it becomes, each byte hashed on the way and copied once.
 //!   Structures implement [`cpma_api::Persist`] on top of it (`Pma`/
 //!   `Cpma` in `cpma-pma`; `ShardedSet`'s shard-per-file directory with a
 //!   manifest in `cpma-store`).

@@ -179,7 +179,7 @@ mod tests {
     /// Everything a catch-up or a checkpoint could tell apart.
     fn image<L: LeafStorage>(s: &PmaCore<L>) -> (Vec<u8>, Vec<u64>, usize, u64, usize) {
         let mut payload = Vec::new();
-        s.storage().write_payload(&mut payload);
+        s.storage().write_payload(&mut payload).unwrap();
         let occ = s.occ.clone();
         (
             payload,

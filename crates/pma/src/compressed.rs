@@ -79,6 +79,8 @@ use crate::run::Run;
 use crate::search::prefetch_read;
 use crate::{stats, LeafStorage};
 use cpma_api::PersistError;
+use cpma_persist::snapshot::{write_le, SnapshotReader};
+use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 
 /// Per-leaf tag: LEB128 delta run (the paper's encoding).
@@ -358,49 +360,32 @@ impl LeafStorage for CompressedLeaves {
         num_leaves.checked_mul(per_leaf)
     }
 
-    fn write_payload(&self, out: &mut Vec<u8>) {
+    fn write_payload(&self, out: &mut impl Write) -> io::Result<()> {
         debug_assert!(self.overflow.iter().all(|o| o.is_none()));
-        out.extend_from_slice(&self.tags);
-        for &u in &self.used {
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        for &c in &self.counts {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        for &h in &self.heads {
-            out.extend_from_slice(&h.to_le_bytes());
-        }
-        out.extend_from_slice(&self.bytes);
+        out.write_all(&self.tags)?;
+        write_le(out, &self.used, u32::to_le_bytes)?;
+        write_le(out, &self.counts, u32::to_le_bytes)?;
+        write_le(out, &self.heads, u64::to_le_bytes)?;
+        out.write_all(&self.bytes)
     }
 
     fn read_payload(
         num_leaves: usize,
         leaf_units: usize,
-        payload: &[u8],
+        src: &mut SnapshotReader<impl Read>,
     ) -> Result<Self, PersistError> {
-        let expected = Self::payload_len(num_leaves, leaf_units)
-            .filter(|&n| n == payload.len())
+        Self::payload_len(num_leaves, leaf_units)
+            .filter(|&n| n == src.payload_len())
             .ok_or(PersistError::Truncated("cpma payload"))?;
-        debug_assert_eq!(expected, payload.len());
 
-        let tags: Vec<u8> = payload[..num_leaves].to_vec();
-        let used_at = num_leaves;
-        let counts_at = used_at + num_leaves * 4;
-        let heads_at = counts_at + num_leaves * 4;
-        let bytes_at = heads_at + num_leaves * 8;
-        let used: Vec<u32> = payload[used_at..counts_at]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let counts: Vec<u32> = payload[counts_at..heads_at]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let heads: Vec<u64> = payload[heads_at..bytes_at]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let bytes = payload[bytes_at..].to_vec();
+        let mut tags = vec![0u8; num_leaves];
+        src.read_exact(&mut tags)?;
+        let used = src.read_le(num_leaves, u32::from_le_bytes)?;
+        let counts = src.read_le(num_leaves, u32::from_le_bytes)?;
+        let heads = src.read_le(num_leaves, u64::from_le_bytes)?;
+        let mut bytes = vec![0u8; num_leaves * leaf_units];
+        src.read_exact(&mut bytes)?;
+        src.verify()?;
 
         // Walk every leaf's encoded run: the search and scan paths decode
         // without bounds checks, so nothing invalid may pass.
@@ -1636,7 +1621,7 @@ mod tests {
     /// The whole storage as the snapshot would write it.
     fn payload(s: &CompressedLeaves) -> Vec<u8> {
         let mut out = Vec::new();
-        s.write_payload(&mut out);
+        s.write_payload(&mut out).unwrap();
         out
     }
 
@@ -2233,10 +2218,12 @@ mod tests {
     /// The snapshot validator rejects exactly what the byte-serial check
     /// it replaced rejects: one delta leaf, its codes damaged and its
     /// element count moved by one either way, loaded through
-    /// `read_payload` and judged by the serial loop.
+    /// `read_payload` (in an envelope sealed over the damage, so the
+    /// digest passes) and judged by the serial loop.
     #[test]
     fn validator_rejects_what_the_serial_check_rejects() {
         use crate::codec::tests::checked_varint;
+        use cpma_persist::snapshot::SnapshotEnvelope;
         let serial_accepts = |run: &[u8], count: usize| {
             let mut cur = u64::from_le_bytes(run[..8].try_into().unwrap());
             let mut pos = 8;
@@ -2297,7 +2284,14 @@ mod tests {
             };
             bytes[count_at..count_at + 4].copy_from_slice(&(count as u32).to_le_bytes());
             let want = serial_accepts(&bytes[run_at..run_at + used], count);
-            let got = CompressedLeaves::read_payload(1, 256, &bytes);
+            let env = SnapshotEnvelope {
+                codec_id: CompressedLeaves::CODEC_ID,
+                meta: &[],
+                payload: &bytes,
+            }
+            .to_bytes();
+            let mut src = SnapshotReader::new(&env[..], env.len() as u64).unwrap();
+            let got = CompressedLeaves::read_payload(1, 256, &mut src);
             let err = got.as_ref().err();
             assert_eq!(
                 got.is_ok(),

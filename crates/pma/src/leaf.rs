@@ -44,6 +44,8 @@
 use crate::core::ForceCodec;
 use crate::run::Run;
 use cpma_api::PersistError;
+use cpma_persist::snapshot::SnapshotReader;
+use std::io::{self, Read, Write};
 use std::mem::MaybeUninit;
 
 /// Result of applying a run to one leaf.
@@ -220,23 +222,29 @@ pub trait LeafStorage: Send + Sync + Sized {
     /// on arithmetic overflow (the geometry then cannot be valid).
     fn payload_len(num_leaves: usize, leaf_units: usize) -> Option<usize>;
 
-    /// Append the raw backing arrays to `out`, little-endian, in the
+    /// Write the raw backing arrays to `out`, little-endian, in the
     /// layout fixed by [`CODEC_ID`](Self::CODEC_ID) — the snapshot
-    /// payload. Because the structure is pointer-free this is a plain
-    /// byte view of the allocation: no walk, no fixup. Callers must
-    /// ensure no leaf is overflowed (always true outside a batch).
-    fn write_payload(&self, out: &mut Vec<u8>);
+    /// payload, exactly [`payload_len`](Self::payload_len) bytes. Because
+    /// the structure is pointer-free this is a plain byte view of the
+    /// allocation: no walk, no fixup. Byte arrays go out as one slice and
+    /// word arrays through a small stack buffer
+    /// ([`cpma_persist::snapshot::write_le`]), so a save to a file stages
+    /// nothing. Callers must ensure no leaf is overflowed (always true
+    /// outside a batch).
+    fn write_payload(&self, out: &mut impl Write) -> io::Result<()>;
 
-    /// Rebuild storage with the given geometry from a snapshot payload,
-    /// validating lengths *before* allocating and every per-leaf
+    /// Rebuild storage with the given geometry from the payload `src` is
+    /// positioned at. The payload's declared length is checked against
+    /// the geometry *before* anything is allocated; then each section is
+    /// read into the array it becomes (byte arrays in place, word arrays
+    /// converted through a bounded buffer); then [`SnapshotReader::verify`]
+    /// checks the payload digest; and only then is every per-leaf
     /// invariant (prefix bounds, ascending order, head consistency)
-    /// before the storage is returned. The payload's checksum has
-    /// already been verified by the envelope; this guards against
-    /// crafted or stale inputs ever panicking later.
+    /// validated, so a crafted or stale input can never panic later.
     fn read_payload(
         num_leaves: usize,
         leaf_units: usize,
-        payload: &[u8],
+        src: &mut SnapshotReader<impl Read>,
     ) -> Result<Self, PersistError>;
 
     /// Number of leaves.
@@ -517,8 +525,8 @@ pub(crate) mod testkit {
             assert_eq!(spilled(&twin), spilled(s));
             if !spilled(s) {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
-                twin.write_payload(&mut a);
-                s.write_payload(&mut b);
+                twin.write_payload(&mut a).unwrap();
+                s.write_payload(&mut b).unwrap();
                 assert!(a == b, "key view and op slice left different bytes");
             }
         }

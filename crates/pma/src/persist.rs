@@ -5,22 +5,30 @@
 //! snapshot is the `cpma-persist` envelope around a *byte view* of those
 //! arrays: the meta section records the [`PmaConfig`] and the geometry,
 //! the payload is the raw leaf storage (see each codec's
-//! `read_payload`/`write_payload`). Saving does no structure walk;
-//! loading does one validation pass plus an O(num_leaves) read-index
-//! rebuild (the occupancy bitset is derived state and is never
-//! serialized).
+//! `read_payload`/`write_payload`). Saving does no structure walk and
+//! stages nothing: the arrays stream from their allocations through the
+//! envelope's [`SnapshotWriter`] to the file. Loading reads each payload
+//! section from the file into the array it becomes — the one copy of the
+//! payload a load makes — then does one validation pass plus an
+//! O(num_leaves) read-index rebuild (the occupancy bitset is derived
+//! state and is never serialized). `to_snapshot_bytes` and
+//! `from_snapshot_bytes` are the same writer and reader over memory.
 //!
-//! Loads verify, in order: envelope magic/version/checksums (in
-//! `cpma-persist`), codec id and key width, the words of retired knobs,
-//! configuration validity ([`PmaConfig::check`]), geometry sanity, payload size, per-leaf
-//! structure, and finally that the recomputed element/unit totals match
-//! the header. Anything off yields a typed
-//! [`PersistError`] — never a panic.
+//! Loads verify, in order: envelope magic/version/lengths/header digest
+//! (in `cpma-persist`), codec id and key width, the words of retired
+//! knobs, configuration validity ([`PmaConfig::check`]), geometry sanity,
+//! payload size (before anything is allocated), the payload digest once
+//! the payload is read, per-leaf structure, and finally that the
+//! recomputed element/unit totals match the header. Anything off yields a
+//! typed [`PersistError`] — never a panic.
 
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use cpma_api::{Persist, PersistError};
-use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
+use cpma_persist::snapshot::{
+    write_atomic, ByteReader, ByteSink, SnapshotReader, SnapshotWriter, ENVELOPE_BYTES,
+};
 
 use crate::core::{PmaCore, FULL_REBUILD_DIVISOR, MIN_LEAVES, POINT_UPDATE_CUTOFF};
 use crate::density::BOUNDS;
@@ -69,20 +77,30 @@ const HEAD_LAYOUT_IN_PLACE: u64 = 0;
 impl<L: LeafStorage> PmaCore<L> {
     /// Serialize to the snapshot byte format without touching disk.
     /// The image is deterministic: equal histories yield equal bytes at
-    /// any thread budget (checked by `tests/determinism.rs`).
+    /// any thread budget (checked by `tests/determinism.rs`), and it is
+    /// byte for byte the file [`Persist::save`] writes.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        self.with_envelope(|env| env.to_bytes())
+        let mut out = Vec::with_capacity(ENVELOPE_BYTES + META_LEN + self.payload_len());
+        self.write_snapshot(&mut out)
+            .expect("writing to a Vec cannot fail");
+        out
     }
 
     /// Deserialize a snapshot produced by
     /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) (or read from a
     /// [`Persist::save`] file), validating everything.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        Self::from_envelope(SnapshotEnvelope::from_bytes(bytes)?)
+        Self::read_snapshot(SnapshotReader::new(bytes, bytes.len() as u64)?)
     }
 
-    /// Build the two sections and hand `f` the envelope borrowing them.
-    fn with_envelope<R>(&self, f: impl FnOnce(SnapshotEnvelope<'_>) -> R) -> R {
+    fn payload_len(&self) -> usize {
+        L::payload_len(self.storage.num_leaves(), self.storage.leaf_units())
+            .expect("live geometry cannot overflow")
+    }
+
+    /// Stream the snapshot to `out`: the meta section, then the storage's
+    /// arrays straight from their allocations.
+    fn write_snapshot(&self, out: impl Write) -> io::Result<()> {
         let mut meta = Vec::with_capacity(META_LEN);
         meta.put_u32(KEY_WIDTH);
         for (_, word) in RETIRED_BEFORE {
@@ -98,48 +116,43 @@ impl<L: LeafStorage> PmaCore<L> {
         meta.put_u64(self.storage.leaf_units() as u64);
         meta.put_u64(HEAD_LAYOUT_IN_PLACE);
         debug_assert_eq!(meta.len(), META_LEN);
-        let mut payload = Vec::with_capacity(
-            L::payload_len(self.storage.num_leaves(), self.storage.leaf_units())
-                .expect("live geometry cannot overflow"),
-        );
-        self.storage.write_payload(&mut payload);
-        f(SnapshotEnvelope {
-            codec_id: L::CODEC_ID,
-            meta: &meta,
-            payload: &payload,
-        })
+        let mut w = SnapshotWriter::new(out, L::CODEC_ID, &meta, self.payload_len())?;
+        self.storage.write_payload(&mut w)?;
+        w.finish().map(drop)
     }
 
-    /// `env` borrows the file's bytes: the payload is copied once, by
-    /// `read_payload`, into the storage it becomes.
-    fn from_envelope(env: SnapshotEnvelope<'_>) -> Result<Self, PersistError> {
-        if env.codec_id != L::CODEC_ID {
+    /// `r` has checked the header: the meta is validated here, then
+    /// `read_payload` reads the payload into the storage it becomes —
+    /// the one copy of it a load makes — and checks its digest before it
+    /// validates a leaf.
+    fn read_snapshot(mut r: SnapshotReader<impl Read>) -> Result<Self, PersistError> {
+        if r.codec_id() != L::CODEC_ID {
             return Err(PersistError::CodecMismatch {
                 expected: L::CODEC_ID,
-                found: env.codec_id,
+                found: r.codec_id(),
             });
         }
-        let mut r = ByteReader::new(env.meta);
-        let key_bytes = r.u32("key width")?;
+        let mut m = ByteReader::new(r.meta());
+        let key_bytes = m.u32("key width")?;
         if key_bytes != KEY_WIDTH {
             return Err(PersistError::KeyWidthMismatch {
                 expected: KEY_WIDTH,
                 found: key_bytes,
             });
         }
-        expect_retired(&mut r, &RETIRED_BEFORE)?;
-        let growing_factor = r.f64("growing_factor")?;
-        expect_retired(&mut r, &RETIRED_AFTER)?;
+        expect_retired(&mut m, &RETIRED_BEFORE)?;
+        let growing_factor = m.f64("growing_factor")?;
+        expect_retired(&mut m, &RETIRED_AFTER)?;
         let cfg = PmaConfig {
             growing_factor,
-            force_codec: force_codec_from_tag(r.u64("force_codec")?)?,
+            force_codec: force_codec_from_tag(m.u64("force_codec")?)?,
         };
         cfg.check()?;
-        let len = as_usize(r.u64("len")?, "len")?;
-        let num_leaves = as_usize(r.u64("num_leaves")?, "num_leaves")?;
-        let leaf_units = as_usize(r.u64("leaf_units")?, "leaf_units")?;
-        let layout = r.u64("head layout")?;
-        r.expect_end("snapshot meta")?;
+        let len = as_usize(m.u64("len")?, "len")?;
+        let num_leaves = as_usize(m.u64("num_leaves")?, "num_leaves")?;
+        let leaf_units = as_usize(m.u64("leaf_units")?, "leaf_units")?;
+        let layout = m.u64("head layout")?;
+        m.expect_end("snapshot meta")?;
         if layout != HEAD_LAYOUT_IN_PLACE {
             return Err(PersistError::Corrupt(format!(
                 "snapshot names head layout {layout}; this format stores \
@@ -155,7 +168,7 @@ impl<L: LeafStorage> PmaCore<L> {
                 L::MIN_LEAF_UNITS
             )));
         }
-        let mut storage = L::read_payload(num_leaves, leaf_units, env.payload)?;
+        let mut storage = L::read_payload(num_leaves, leaf_units, &mut r)?;
         storage.set_codec_policy(cfg.force_codec);
         let (mut total_len, mut total_units) = (0usize, 0usize);
         for leaf in 0..num_leaves {
@@ -222,12 +235,15 @@ fn force_codec_from_tag(v: u64) -> Result<crate::ForceCodec, PersistError> {
     }
 }
 
+/// A save streams the snapshot through a buffered writer into the file's
+/// `.tmp` sibling ([`write_atomic`]); a load reads the file through
+/// [`SnapshotReader::open`]. Neither stages the image in memory.
 impl<L: LeafStorage> Persist for PmaCore<L> {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
-        self.with_envelope(|env| env.save_file(path))
+        write_atomic(path, |out| self.write_snapshot(out))
     }
 
     fn load(path: &Path) -> Result<Self, PersistError> {
-        Self::from_snapshot_bytes(&std::fs::read(path)?)
+        Self::read_snapshot(SnapshotReader::open(path)?)
     }
 }

@@ -17,6 +17,8 @@ use crate::leaf::{apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, RunSize, 
 use crate::run::Run;
 use crate::{stats, LeafStorage};
 use cpma_api::PersistError;
+use cpma_persist::snapshot::{write_le, SnapshotReader};
+use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 
 /// Bytes of one raw key, in a cell, a head and the snapshot payload.
@@ -74,45 +76,26 @@ impl LeafStorage for UncompressedLeaves {
         num_leaves.checked_mul(per_leaf)
     }
 
-    fn write_payload(&self, out: &mut Vec<u8>) {
+    fn write_payload(&self, out: &mut impl Write) -> io::Result<()> {
         debug_assert!(self.overflow.iter().all(|o| o.is_none()));
-        for &c in &self.counts {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        for &h in &self.heads {
-            out.extend_from_slice(&h.to_le_bytes());
-        }
-        for &cell in &self.cells {
-            out.extend_from_slice(&cell.to_le_bytes());
-        }
+        write_le(out, &self.counts, u32::to_le_bytes)?;
+        write_le(out, &self.heads, u64::to_le_bytes)?;
+        write_le(out, &self.cells, u64::to_le_bytes)
     }
 
     fn read_payload(
         num_leaves: usize,
         leaf_units: usize,
-        payload: &[u8],
+        src: &mut SnapshotReader<impl Read>,
     ) -> Result<Self, PersistError> {
-        let expected = Self::payload_len(num_leaves, leaf_units)
-            .filter(|&n| n == payload.len())
+        Self::payload_len(num_leaves, leaf_units)
+            .filter(|&n| n == src.payload_len())
             .ok_or(PersistError::Truncated("pma payload"))?;
-        debug_assert_eq!(expected, payload.len());
 
-        let read_key =
-            |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("KEY_BYTES chunks"));
-        let counts: Vec<u32> = payload[..num_leaves * 4]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let heads_at = num_leaves * 4;
-        let cells_at = heads_at + num_leaves * KEY_BYTES;
-        let heads: Vec<u64> = payload[heads_at..cells_at]
-            .chunks_exact(KEY_BYTES)
-            .map(read_key)
-            .collect();
-        let cells: Vec<u64> = payload[cells_at..]
-            .chunks_exact(KEY_BYTES)
-            .map(read_key)
-            .collect();
+        let counts = src.read_le(num_leaves, u32::from_le_bytes)?;
+        let heads = src.read_le(num_leaves, u64::from_le_bytes)?;
+        let cells = src.read_le(num_leaves * leaf_units, u64::from_le_bytes)?;
+        src.verify()?;
 
         // Structural validation: every later read assumes these hold.
         let mut prev_max: Option<u64> = None;

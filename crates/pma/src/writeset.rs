@@ -222,7 +222,7 @@ mod tests {
     /// Payload bytes plus the derived state a payload does not carry.
     fn image<L: LeafStorage>(s: &PmaCore<L>) -> (Vec<u8>, Vec<u64>, usize, usize, u64) {
         let mut payload = Vec::new();
-        s.storage().write_payload(&mut payload);
+        s.storage().write_payload(&mut payload).unwrap();
         (payload, s.occ.clone(), s.len, s.units, s.write_generation())
     }
 

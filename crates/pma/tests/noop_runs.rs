@@ -19,7 +19,7 @@ fn codec_writes() -> (u64, u64) {
 
 fn leaf_bytes(c: &Cpma) -> Vec<u8> {
     let mut out = Vec::new();
-    c.storage().write_payload(&mut out);
+    c.storage().write_payload(&mut out).unwrap();
     out
 }
 

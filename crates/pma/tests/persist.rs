@@ -293,6 +293,87 @@ fn fuzz_cpma_snapshot_truncations() {
     assert_all_refused(&bytes, cuts, |b| Cpma::from_snapshot_bytes(b).map(|_| ()));
 }
 
+/// `load` on a file holding `bytes`: the file reader, the production path,
+/// judged by the same tables as the in-memory reader above.
+fn load_file<S: Persist>(path: &std::path::Path, bytes: &[u8]) -> Result<(), PersistError> {
+    std::fs::write(path, bytes).unwrap();
+    S::load(path).map(drop)
+}
+
+#[test]
+fn fuzz_pma_snapshot_file_byte_flips() {
+    let dir = tmp_dir("pma-file-flips");
+    let set: Pma = build(&sample_keys(2_000));
+    let path = dir.join("flipped.snap");
+    assert_every_flip_detected(&set.to_snapshot_bytes(), |b| load_file::<Pma>(&path, b));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fuzz_cpma_snapshot_file_byte_flips() {
+    let dir = tmp_dir("cpma-file-flips");
+    let set: Cpma = build(&sample_keys(2_000));
+    let path = dir.join("flipped.snap");
+    assert_every_flip_detected(&set.to_snapshot_bytes(), |b| load_file::<Cpma>(&path, b));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fuzz_cpma_snapshot_file_truncations() {
+    let dir = tmp_dir("cpma-file-cuts");
+    let set: Cpma = build(&sample_keys(2_000));
+    let bytes = set.to_snapshot_bytes();
+    let path = dir.join("cut.snap");
+    let cuts = Damage::sweep(bytes.len(), 0, 7, &[]);
+    assert_all_refused(&bytes, cuts, |b| load_file::<Cpma>(&path, b));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `save` writes, byte for byte, the image `to_snapshot_bytes` builds —
+/// the file writer and the in-memory one are the same writer — for an
+/// empty set, bitmap leaves, forced codecs and a non-default growing
+/// factor.
+#[test]
+fn saved_files_equal_the_in_memory_image() {
+    let dir = tmp_dir("save-equals-bytes");
+    let path = dir.join("image.snap");
+    let runs: Vec<u64> = (0..20_000u64)
+        .map(|i| (i / 256) * 100_000 + i % 256)
+        .collect();
+    for force in [ForceCodec::Auto, ForceCodec::Delta, ForceCodec::Bitmap] {
+        for growing_factor in [PmaConfig::default().growing_factor, 1.7] {
+            let cfg = PmaConfig {
+                growing_factor,
+                force_codec: force,
+            };
+            for keys in [&[][..], &runs, &sample_keys(5_000)] {
+                let mut cpma = Cpma::with_config(cfg);
+                cpma.insert_batch_sorted(keys);
+                cpma.save(&path).unwrap();
+                let what = format!("{cfg:?}, {} keys", keys.len());
+                assert!(
+                    std::fs::read(&path).unwrap() == cpma.to_snapshot_bytes(),
+                    "{what}"
+                );
+                assert_eq!(Cpma::load(&path).unwrap(), cpma, "{what}");
+                let mut pma = Pma::with_config(cfg);
+                pma.insert_batch_sorted(keys);
+                pma.save(&path).unwrap();
+                assert!(
+                    std::fs::read(&path).unwrap() == pma.to_snapshot_bytes(),
+                    "{what}"
+                );
+                assert_eq!(Pma::load(&path).unwrap(), pma, "{what}");
+            }
+        }
+    }
+    // The clustered runs did build bitmap leaves under `Auto`.
+    let mut auto = Cpma::new();
+    auto.insert_batch_sorted(&runs);
+    assert!(auto.storage().codec_census().1 > 0, "no bitmap leaves");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Attack the *validated* layer directly: forge a structurally invalid
 /// payload with correct checksums (flip bytes, then recompute the crcs by
 /// rebuilding the envelope). Loads must still fail typed, proving the

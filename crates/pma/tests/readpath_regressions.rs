@@ -11,6 +11,7 @@
 //! — these tests fail loudly against it.
 
 use cpma_api::{BatchSet, OrderedSet, PersistError};
+use cpma_persist::snapshot::SnapshotReader;
 use cpma_pma::{ChunkBlock, LeafStorage, Pma, PmaCore, RunSize, UncompressedLeaves, CHUNK_KEYS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -63,16 +64,16 @@ impl LeafStorage for CountingLeaves {
         Inner::payload_len(num_leaves, leaf_units)
     }
 
-    fn write_payload(&self, out: &mut Vec<u8>) {
+    fn write_payload(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
         self.inner.write_payload(out)
     }
 
     fn read_payload(
         num_leaves: usize,
         leaf_units: usize,
-        payload: &[u8],
+        src: &mut SnapshotReader<impl std::io::Read>,
     ) -> Result<Self, PersistError> {
-        Inner::read_payload(num_leaves, leaf_units, payload).map(Self::wrap)
+        Inner::read_payload(num_leaves, leaf_units, src).map(Self::wrap)
     }
 
     fn num_leaves(&self) -> usize {
