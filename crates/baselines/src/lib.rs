@@ -17,13 +17,15 @@
 //! compression) rather than matching the original C++ line by line.
 //! "Substitutions" in REPRODUCTION.md records the simplifications.
 //!
+//! The P-tree and both PaC-trees are one join core (`ptree.rs`): a PaC-tree
+//! is a P-tree whose small subtrees are blocks, and the P-tree is
+//! `PacTree` with no blocks.
+//!
 //! Every baseline's public surface is the canonical `cpma_api` hierarchy
-//! (`OrderedSet`/`BatchSet`/`RangeSet`/`ParallelChunks`, implemented in
-//! each structure's own module), plus `new` and, on the P-tree, point
-//! `insert`/`remove`, so the sweep binaries and equivalence tests drive
-//! them exactly like the PMA/CPMA. Batch preprocessing is the shared
-//! `cpma_api::normalize_batch` — identical normal form across structures
-//! keeps the comparison honest.
+//! (`OrderedSet`/`BatchSet`/`RangeSet`/`ParallelChunks`), plus `new` (and
+//! the trees' `check_invariants` for tests), so the scorecard and the
+//! equivalence tests drive them exactly like the PMA/CPMA. Batch preprocessing is the shared `cpma_api::normalize_batch`
+//! — identical normal form across structures keeps the comparison honest.
 
 pub mod ctree;
 pub mod pactree;

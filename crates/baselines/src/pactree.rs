@@ -1,39 +1,34 @@
-//! PaC-trees: parallel (compressed) blocked binary trees (CPAM \[33]).
+//! PaC-trees: P-trees whose small subtrees are blocks (CPAM \[33]).
 //!
-//! A PaC-tree stores elements in *blocks* of up to `P` elements at the
-//! leaves of a binary tree; C-PaC difference-encodes each block's elements.
-//! The paper configures "the PaC-trees library block size ... to the default
-//! for sets at 256". Batch updates descend the tree splitting the batch by
-//! router keys (join-style), rebuilding blocks that over- or underflow and
-//! rebuilding subtrees that drift out of weight balance (a scapegoat rule —
-//! the original maintains weight balance via join; the amortized cost is
-//! the same and the memory behaviour, pointer-chasing between blocks, is
-//! preserved; see "Substitutions" in REPRODUCTION.md).
+//! A PaC-tree is the P-tree's treap with every subtree of up to
+//! [`BLOCK_SIZE`] elements stored as one block at a leaf; C-PaC
+//! difference-encodes each block's elements. The paper configures "the
+//! PaC-trees library block size ... to the default for sets at 256". Both
+//! variants run on the join core in [`crate::ptree`]: a batch insert builds
+//! a tree from the sorted batch and unions it in, a batch remove is a
+//! difference, and blocks form and split inside `join` and `split`.
 //!
 //! Blocks are laid out at independent heap addresses, deliberately so: the
 //! whole point of the paper's comparison is that trees pay pointer-chasing
 //! costs between blocks, while the PMA scans contiguously.
 
+use crate::ptree::{build, difference, union, Tree};
 use cpma_api::{BatchSet, OrderedSet, ParallelChunks, RangeSet};
 use cpma_pma::codec;
 use cpma_pma::stats;
+use std::mem::take;
 
 /// Maximum elements per block (the paper's set default).
 pub const BLOCK_SIZE: usize = 256;
-/// Fill target when (re)building blocks: 3/4 of the maximum, so freshly
-/// built trees absorb inserts without immediate splits.
-const BLOCK_TARGET: usize = BLOCK_SIZE * 3 / 4;
-/// Batch sizes below this update serially.
-const PAR_CUTOFF: usize = 1 << 9;
-/// Weight-balance slack: rebuild a subtree when one side outweighs the
-/// other by more than this factor (plus one block of hysteresis).
-const BALANCE_FACTOR: usize = 4;
 
 /// Storage for one block's elements.
 pub trait BlockPayload: Send + Sync + Sized {
-    /// Name of the variant this payload yields, as the paper's tables
-    /// spell it ("U-PaC" / "C-PaC"); surfaces as `OrderedSet::NAME`.
+    /// Name of the tree this payload yields, as the paper's tables spell it
+    /// ("U-PaC" / "C-PaC"); surfaces as `OrderedSet::NAME`.
     const NAME: &'static str;
+    /// Most elements one block holds; the tree keeps every subtree this
+    /// small as one block.
+    const CAPACITY: usize = BLOCK_SIZE;
     /// Encode a sorted, deduplicated, non-empty run.
     fn encode(elems: &[u64]) -> Self;
     /// Append all elements, in order, to `out`.
@@ -44,24 +39,11 @@ pub trait BlockPayload: Send + Sync + Sized {
     fn head(&self) -> u64;
     /// Bytes of heap memory used by the payload.
     fn payload_bytes(&self) -> usize;
-    /// In-order traversal with early exit; false iff stopped early.
-    fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool;
     /// The elements ≥ `start`, in order: the block's own keys where it
     /// stores them raw, else decoded into `buf`.
     fn chunk_from<'a>(&'a self, start: u64, buf: &'a mut Vec<u64>) -> &'a [u64];
-
     /// Membership test.
-    fn contains(&self, key: u64) -> bool {
-        let mut found = false;
-        self.for_each(&mut |e| {
-            if e >= key {
-                found = e == key;
-                return false;
-            }
-            true
-        });
-        found
-    }
+    fn contains(&self, key: u64) -> bool;
 }
 
 /// Uncompressed block: raw sorted keys (U-PaC).
@@ -86,15 +68,6 @@ impl BlockPayload for RawBlock {
     }
     fn payload_bytes(&self) -> usize {
         self.0.len() * 8
-    }
-    fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        stats::record_read(self.0.len() * 8);
-        for &e in self.0.iter() {
-            if !f(e) {
-                return false;
-            }
-        }
-        true
     }
     fn chunk_from<'a>(&'a self, start: u64, _buf: &'a mut Vec<u64>) -> &'a [u64] {
         stats::record_read(self.0.len() * 8);
@@ -127,6 +100,7 @@ impl BlockPayload for CompressedBlock {
     }
     fn decode(&self, out: &mut Vec<u64>) {
         stats::record_read(self.bytes.len());
+        out.reserve(self.count());
         codec::decode_run(&self.bytes, out);
     }
     fn count(&self) -> usize {
@@ -138,44 +112,25 @@ impl BlockPayload for CompressedBlock {
     fn payload_bytes(&self) -> usize {
         self.bytes.len()
     }
-    fn for_each(&self, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        stats::record_read(self.bytes.len());
-        codec::for_each_in_run(&self.bytes, f)
-    }
     fn chunk_from<'a>(&'a self, start: u64, buf: &'a mut Vec<u64>) -> &'a [u64] {
         buf.clear();
         self.decode(buf);
         &buf[buf.partition_point(|&e| e < start)..]
     }
-}
-
-enum Tree<P> {
-    Leaf(P),
-    Node {
-        split: u64,
-        size: usize,
-        left: Box<Tree<P>>,
-        right: Box<Tree<P>>,
-    },
-}
-
-impl<P: BlockPayload> Tree<P> {
-    fn size(&self) -> usize {
-        match self {
-            Tree::Leaf(p) => p.count(),
-            Tree::Node { size, .. } => *size,
-        }
+    fn contains(&self, key: u64) -> bool {
+        stats::record_read(self.bytes.len());
+        let mut found = false;
+        codec::for_each_in_run(&self.bytes, |e| {
+            found = e == key;
+            e < key
+        });
+        found
     }
 }
 
-/// Per-internal-node memory: split key + size + two pointers.
-const NODE_BYTES: usize = 32;
-/// Per-leaf overhead: enum tag + payload descriptor.
-const LEAF_OVERHEAD: usize = 24;
-
 /// Batch-parallel blocked tree; `P` selects U-PaC or C-PaC. See module docs.
 pub struct PacTree<P: BlockPayload> {
-    root: Option<Box<Tree<P>>>,
+    root: Tree<P>,
 }
 
 impl<P: BlockPayload> Default for PacTree<P> {
@@ -184,235 +139,17 @@ impl<P: BlockPayload> Default for PacTree<P> {
     }
 }
 
-/// Build a balanced tree over blocks from a sorted, deduplicated slice.
-fn build<P: BlockPayload>(elems: &[u64]) -> Option<Box<Tree<P>>> {
-    if elems.is_empty() {
-        return None;
-    }
-    let nblocks = elems.len().div_ceil(BLOCK_TARGET);
-    fn rec<P: BlockPayload>(elems: &[u64], blocks: usize) -> Box<Tree<P>> {
-        if blocks <= 1 {
-            return Box::new(Tree::Leaf(P::encode(elems)));
-        }
-        let lb = blocks / 2;
-        let at = elems.len() * lb / blocks;
-        let (ls, rs) = elems.split_at(at);
-        let (l, r) = if elems.len() > PAR_CUTOFF {
-            rayon::join(|| rec::<P>(ls, lb), || rec::<P>(rs, blocks - lb))
-        } else {
-            (rec::<P>(ls, lb), rec::<P>(rs, blocks - lb))
-        };
-        Box::new(Tree::Node {
-            split: rs[0],
-            size: elems.len(),
-            left: l,
-            right: r,
-        })
-    }
-    Some(rec::<P>(elems, nblocks))
-}
-
-/// Collect a subtree's elements in order.
-fn collect_into<P: BlockPayload>(t: &Tree<P>, out: &mut Vec<u64>) {
-    match t {
-        Tree::Leaf(p) => p.decode(out),
-        Tree::Node { left, right, .. } => {
-            stats::record_read(NODE_BYTES);
-            collect_into(left, out);
-            collect_into(right, out);
-        }
-    }
-}
-
-/// Sorted-union of a block's contents with a batch slice; returns the
-/// merged elements and how many batch elements were new.
-fn union_block<P: BlockPayload>(p: &P, batch: &[u64]) -> (Vec<u64>, usize) {
-    let mut cur = Vec::with_capacity(p.count() + batch.len());
-    p.decode(&mut cur);
-    let mut out = Vec::with_capacity(cur.len() + batch.len());
-    let (mut i, mut j, mut added) = (0, 0, 0);
-    while i < cur.len() && j < batch.len() {
-        match cur[i].cmp(&batch[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(cur[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(batch[j]);
-                added += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(cur[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&cur[i..]);
-    added += batch.len() - j;
-    out.extend_from_slice(&batch[j..]);
-    (out, added)
-}
-
-/// Insert `batch` into subtree `t`; returns the new subtree and #added.
-fn bulk_insert<P: BlockPayload>(t: Box<Tree<P>>, batch: &[u64]) -> (Box<Tree<P>>, usize) {
-    if batch.is_empty() {
-        return (t, 0);
-    }
-    match *t {
-        Tree::Leaf(p) => {
-            let (merged, added) = union_block(&p, batch);
-            if merged.len() <= BLOCK_SIZE {
-                (Box::new(Tree::Leaf(P::encode(&merged))), added)
-            } else {
-                (build::<P>(&merged).unwrap(), added)
-            }
-        }
-        Tree::Node {
-            split, left, right, ..
-        } => {
-            stats::record_read(NODE_BYTES);
-            let at = batch.partition_point(|&e| e < split);
-            let (lb, rb) = batch.split_at(at);
-            let ((l, a1), (r, a2)) = if batch.len() > PAR_CUTOFF {
-                rayon::join(|| bulk_insert(left, lb), || bulk_insert(right, rb))
-            } else {
-                (bulk_insert(left, lb), bulk_insert(right, rb))
-            };
-            let size = l.size() + r.size();
-            let node = Box::new(Tree::Node {
-                split,
-                size,
-                left: l,
-                right: r,
-            });
-            (rebalance(node), a1 + a2)
-        }
-    }
-}
-
-/// Remove `batch` keys from subtree `t`; returns the new subtree (possibly
-/// `None`) and #removed.
-fn bulk_remove<P: BlockPayload>(t: Box<Tree<P>>, batch: &[u64]) -> (Option<Box<Tree<P>>>, usize) {
-    if batch.is_empty() {
-        return (Some(t), 0);
-    }
-    match *t {
-        Tree::Leaf(p) => {
-            let mut cur = Vec::with_capacity(p.count());
-            p.decode(&mut cur);
-            let mut out = Vec::with_capacity(cur.len());
-            let mut j = 0;
-            let mut removed = 0;
-            for &c in &cur {
-                while j < batch.len() && batch[j] < c {
-                    j += 1;
-                }
-                if j < batch.len() && batch[j] == c {
-                    removed += 1;
-                    j += 1;
-                } else {
-                    out.push(c);
-                }
-            }
-            if removed == 0 {
-                return (Some(Box::new(Tree::Leaf(p))), 0);
-            }
-            if out.is_empty() {
-                (None, removed)
-            } else {
-                (Some(Box::new(Tree::Leaf(P::encode(&out)))), removed)
-            }
-        }
-        Tree::Node {
-            split, left, right, ..
-        } => {
-            stats::record_read(NODE_BYTES);
-            let at = batch.partition_point(|&e| e < split);
-            let (lb, rb) = batch.split_at(at);
-            let ((l, r1), (r, r2)) = if batch.len() > PAR_CUTOFF {
-                rayon::join(|| bulk_remove(left, lb), || bulk_remove(right, rb))
-            } else {
-                (bulk_remove(left, lb), bulk_remove(right, rb))
-            };
-            let node = match (l, r) {
-                (None, None) => None,
-                (Some(x), None) | (None, Some(x)) => Some(x),
-                (Some(l), Some(r)) => {
-                    let size = l.size() + r.size();
-                    Some(rebalance(Box::new(Tree::Node {
-                        split,
-                        size,
-                        left: l,
-                        right: r,
-                    })))
-                }
-            };
-            (node, r1 + r2)
-        }
-    }
-}
-
-/// Scapegoat-style rebuild when the two sides drift far out of balance.
-fn rebalance<P: BlockPayload>(t: Box<Tree<P>>) -> Box<Tree<P>> {
-    if let Tree::Node {
-        ref left,
-        ref right,
-        size,
-        ..
-    } = *t
-    {
-        let (ls, rs) = (left.size(), right.size());
-        if ls > BALANCE_FACTOR * rs + BLOCK_SIZE || rs > BALANCE_FACTOR * ls + BLOCK_SIZE {
-            let mut elems = Vec::with_capacity(size);
-            collect_into(&t, &mut elems);
-            return build::<P>(&elems).unwrap();
-        }
-    }
-    t
-}
-
 impl<P: BlockPayload> PacTree<P> {
     /// Empty tree.
     pub fn new() -> Self {
-        Self { root: None }
+        Self { root: Tree::Empty }
     }
 
-    /// Apply `f` to all keys in `[start, end)` in order (under
-    /// `range_sum`).
-    fn map_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64)) {
-        fn walk<P: BlockPayload>(t: &Tree<P>, start: u64, end: u64, f: &mut impl FnMut(u64)) {
-            match t {
-                Tree::Leaf(p) => {
-                    p.for_each(&mut |e| {
-                        if e >= end {
-                            return false;
-                        }
-                        if e >= start {
-                            f(e);
-                        }
-                        true
-                    });
-                }
-                Tree::Node {
-                    split, left, right, ..
-                } => {
-                    stats::record_read(NODE_BYTES);
-                    if start < *split {
-                        walk(left, start, end, f);
-                    }
-                    if end > *split {
-                        walk(right, start, end, f);
-                    }
-                }
-            }
-        }
-        if start < end {
-            if let Some(t) = &self.root {
-                walk(t, start, end, f);
-            }
-        }
+    /// Panic unless the treap priorities are heap-ordered over the nodes,
+    /// every node's size field counts its subtree, and every block holds
+    /// 1 to `P::CAPACITY` elements; returns the depth in nodes. For tests.
+    pub fn check_invariants(&self) -> usize {
+        self.root.check(None).1
     }
 }
 
@@ -420,72 +157,28 @@ impl<P: BlockPayload> OrderedSet for PacTree<P> {
     const NAME: &'static str = P::NAME;
 
     fn contains(&self, key: u64) -> bool {
-        let mut cur = match &self.root {
-            Some(t) => t.as_ref(),
-            None => return false,
-        };
-        loop {
-            match cur {
-                Tree::Leaf(p) => return p.contains(key),
-                Tree::Node {
-                    split, left, right, ..
-                } => {
-                    stats::record_read(NODE_BYTES);
-                    cur = if key < *split { left } else { right };
-                }
-            }
-        }
+        self.root.contains(key)
     }
 
     fn len(&self) -> usize {
-        self.root.as_ref().map_or(0, |t| t.size())
+        self.root.len()
     }
 
     fn min(&self) -> Option<u64> {
-        let mut cur = self.root.as_ref()?.as_ref();
-        loop {
-            match cur {
-                Tree::Leaf(p) => return Some(p.head()),
-                Tree::Node { left, .. } => cur = left,
-            }
-        }
+        self.root.successor(0)
     }
 
     fn max(&self) -> Option<u64> {
-        let mut cur = self.root.as_ref()?.as_ref();
-        loop {
-            match cur {
-                Tree::Leaf(p) => {
-                    let mut last = None;
-                    p.for_each(&mut |e| {
-                        last = Some(e);
-                        true
-                    });
-                    return last;
-                }
-                Tree::Node { right, .. } => cur = right,
-            }
-        }
+        self.root.max()
     }
 
     fn successor(&self, key: u64) -> Option<u64> {
-        let mut out = None;
-        self.scan_chunks_from(key, &mut |chunk| {
-            out = Some(chunk[0]);
-            false
-        });
-        out
+        self.root.successor(key)
     }
 
-    /// Heap bytes used (blocks + internal nodes).
+    /// Accounted bytes: 32 per node, a descriptor and the payload per block.
     fn size_bytes(&self) -> usize {
-        fn walk<P: BlockPayload>(t: &Tree<P>) -> usize {
-            match t {
-                Tree::Leaf(p) => LEAF_OVERHEAD + p.payload_bytes(),
-                Tree::Node { left, right, .. } => NODE_BYTES + walk(left) + walk(right),
-            }
-        }
-        self.root.as_ref().map_or(0, |t| walk(t))
+        self.root.size_bytes()
     }
 }
 
@@ -495,80 +188,36 @@ impl<P: BlockPayload> BatchSet for PacTree<P> {
     }
 
     fn build_sorted(elems: &[u64]) -> Self {
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
-        Self {
-            root: build::<P>(elems),
-        }
+        Self { root: build(elems) }
     }
 
+    /// PAM-style: build a tree from the batch, then join-based union.
     fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
-        match self.root.take() {
-            None => {
-                self.root = build::<P>(batch);
-                batch.len()
-            }
-            Some(t) => {
-                let (t, added) = bulk_insert(t, batch);
-                self.root = Some(t);
-                added
-            }
-        }
+        let (root, shared) = union(take(&mut self.root), build(batch));
+        self.root = root;
+        batch.len() - shared
     }
 
     fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        match self.root.take() {
-            None => 0,
-            Some(t) => {
-                let (t, removed) = bulk_remove(t, batch);
-                self.root = t;
-                removed
-            }
-        }
+        let (root, removed) = difference(take(&mut self.root), build(batch));
+        self.root = root;
+        removed
     }
 }
 
 impl<P: BlockPayload> RangeSet for PacTree<P> {
-    /// One chunk per block.
+    /// One chunk per block; node keys are buffered into chunks.
     fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
-        fn walk<P: BlockPayload>(
-            t: &Tree<P>,
-            start: u64,
-            buf: &mut Vec<u64>,
-            f: &mut dyn FnMut(&[u64]) -> bool,
-        ) -> bool {
-            match t {
-                Tree::Leaf(p) => {
-                    let chunk = p.chunk_from(start, buf);
-                    chunk.is_empty() || f(chunk)
-                }
-                Tree::Node {
-                    split, left, right, ..
-                } => {
-                    stats::record_read(NODE_BYTES);
-                    if start < *split && !walk(left, start, buf, f) {
-                        return false;
-                    }
-                    walk(right, start, buf, f)
-                }
-            }
-        }
-        if let Some(t) = &self.root {
-            walk(t, start, &mut Vec::new(), f);
-        }
+        self.root.scan_chunks_from(start, f);
     }
 
+    /// A walk that stops at the range's end: the scan's buffered node keys
+    /// would run past it.
     fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
         cpma_api::range_sum_via_exclusive(
             &range,
             || self.contains(u64::MAX),
-            |lo, hi| {
-                let mut s = 0u64;
-                self.map_range(lo, hi, &mut |k| s = s.wrapping_add(k));
-                s
-            },
+            |lo, hi| self.root.sum_range(lo, hi, &mut Vec::new()),
         )
     }
 }
@@ -620,6 +269,7 @@ mod tests {
             let keys = lcg(5000, round + 1, 30);
             let mut b = keys.clone();
             let added = t.insert_batch(&mut b, false);
+            t.check_invariants();
             let before = model.len();
             model.extend(keys.iter().copied());
             assert_eq!(added, model.len() - before, "round {round}");
@@ -632,6 +282,7 @@ mod tests {
                 .collect();
             let mut d = dels.clone();
             let removed = t.remove_batch(&mut d, false);
+            t.check_invariants();
             let mut expect = 0;
             let mut seen = BTreeSet::new();
             for k in dels {
@@ -669,11 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn map_range_and_sum() {
+    fn ranges_and_sum() {
         let elems: Vec<u64> = (0..3000u64).map(|i| i * 2).collect();
         let t = PacTree::<CompressedBlock>::build_sorted(&elems);
         let mut seen = Vec::new();
-        t.map_range(10, 21, &mut |e| seen.push(e));
+        t.for_range(10..21, |e| seen.push(e));
         assert_eq!(seen, vec![10, 12, 14, 16, 18, 20]);
         assert_eq!(t.range_sum(..), elems.iter().sum::<u64>());
         assert_eq!(t.range_sum(0..u64::MAX), t.range_sum(..));
@@ -693,26 +344,48 @@ mod tests {
         );
     }
 
+    /// Batches inserted in every order keep the tree within the same
+    /// O(log(n/B + 1)) depth, B the block capacity (1 with no blocks).
     #[test]
     fn skewed_inserts_stay_balanced_enough() {
-        // Repeated batches into the same key region force rebalances.
-        let spread: Vec<u64> = (0..20_000u64).map(|i| i << 16).collect();
-        let mut t = PacTree::<RawBlock>::build_sorted(&spread);
-        for round in 0..20u64 {
-            let batch: Vec<u64> = (0..2000u64).map(|i| (round << 32) + i * 3 + 1).collect();
-            let mut b = batch.clone();
-            t.insert_batch(&mut b, true);
-        }
-        assert_eq!(t.len(), 20_000 + 20 * 2000);
-        // Depth sanity: a balanced blocked tree over 60k elems has ~8-9
-        // levels of blocks; allow generous slack.
-        fn depth<P: BlockPayload>(t: &Tree<P>) -> usize {
-            match t {
-                Tree::Leaf(_) => 1,
-                Tree::Node { left, right, .. } => 1 + depth(left).max(depth(right)),
+        fn case<P: BlockPayload>(order: &str, batches: &[Vec<u64>]) {
+            let mut t = PacTree::<P>::new();
+            for b in batches {
+                t.insert_batch_sorted(b);
             }
+            let depth = t.check_invariants();
+            let blocks = t.len() / P::CAPACITY.max(1) + 1;
+            let bound = 3 * blocks.ilog2() as usize + 6;
+            assert!(
+                depth <= bound,
+                "{}, {order}: depth {depth} over {bound} at {} elements",
+                P::NAME,
+                t.len()
+            );
         }
-        let d = depth(t.root.as_ref().unwrap());
-        assert!(d < 40, "tree degenerated to depth {d}");
+        // Runs of 2000 keys, 3 apart, at 2³⁵ · `r`.
+        let run = |r: u64| (0..2000u64).map(move |i| (r << 35) + i * 3 + 1).collect();
+        let uniform = |seed: u64| {
+            let mut b = lcg(2000, seed, 40);
+            b.sort_unstable();
+            b.dedup();
+            b
+        };
+        let orders: [(&str, Vec<Vec<u64>>); 4] = [
+            ("ascending appends", (0..30).map(run).collect()),
+            ("descending appends", (0..30).rev().map(run).collect()),
+            (
+                "clustered runs",
+                std::iter::once(uniform(99))
+                    .chain((0..30).map(|r| run(r * 7 % 30)))
+                    .collect(),
+            ),
+            ("uniform keys", (1..=30).map(uniform).collect()),
+        ];
+        for (order, batches) in &orders {
+            case::<crate::ptree::NoBlock>(order, batches);
+            case::<RawBlock>(order, batches);
+            case::<CompressedBlock>(order, batches);
+        }
     }
 }

@@ -1,20 +1,36 @@
-//! P-trees: batch-parallel binary search trees (the PAM library \[70]).
+//! P-trees: batch-parallel binary search trees (the PAM library \[70]),
+//! and the join core every tree baseline runs on.
 //!
 //! PAM's trees support several balancing schemes built on one primitive,
 //! `join`; we use the treap scheme with deterministic pseudo-random
-//! priorities (`mix64(key)`), which gives a canonical shape, expected
-//! O(log n) depth, and the simplest correct join-based `union` /
-//! `difference` — the algorithms behind PAM's batch updates ("existing join
-//! algorithms for tree layouts rely on pointer adjustments", §4 of the CPMA
-//! paper).
+//! priorities (`mix64(key)`), which gives expected O(log n) depth and the
+//! simplest join-based `union` / `difference` — the algorithms behind PAM's
+//! batch updates ("existing join algorithms for tree layouts rely on pointer
+//! adjustments", §4 of the CPMA paper). A batch insert builds a tree from
+//! the sorted batch and unions it in; a batch remove is a difference.
+//!
+//! The core is generic over what sits below the nodes, a [`BlockPayload`].
+//! A PaC-tree ([`crate::PacTree`]) stores subtrees of up to
+//! `P::CAPACITY` elements as one block: `join` flattens a subtree that
+//! small into a block, `split` cuts a block in two, a block ranks below
+//! every node, and a sorted build fills its blocks to 3/4 of the capacity
+//! between separator nodes. The P-tree is the same core with no blocks
+//! ([`NoBlock`], capacity 0), so its treap is canonical: the keys alone
+//! fix its shape.
 //!
 //! As in the paper's accounting, a P-tree node costs a fixed 32 bytes per
 //! element: key (8) + subtree size (8) + two child pointers (16).
 
-use cpma_api::{buffered_chunks, BatchSet, OrderedSet, ParallelChunks, RangeSet};
+use crate::pactree::{BlockPayload, PacTree, BLOCK_SIZE};
+use cpma_pma::stats;
+use std::mem::take;
 
 /// Subtrees smaller than this update serially (fork overhead dominates).
 const PAR_CUTOFF: usize = 1 << 9;
+/// Accounted bytes per node: key, subtree size and two child pointers.
+const NODE_BYTES: usize = 32;
+/// Accounted bytes per block beside its payload: its descriptor.
+const LEAF_OVERHEAD: usize = 24;
 
 /// Deterministic treap priority (Stafford mix13 of the key).
 #[inline]
@@ -25,366 +41,553 @@ fn prio(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-type Link = Option<Box<Node>>;
+/// A subtree: empty, a node, or one block of elements.
+#[derive(Default)]
+pub(crate) enum Tree<P> {
+    #[default]
+    Empty,
+    Node(Box<Node<P>>),
+    Block(P),
+}
 
-struct Node {
+pub(crate) struct Node<P> {
     key: u64,
     size: u64,
-    left: Link,
-    right: Link,
+    left: Tree<P>,
+    right: Tree<P>,
 }
 
-#[inline]
-fn size(t: &Link) -> u64 {
-    t.as_ref().map_or(0, |n| n.size)
+/// `(a(), b())`, in parallel when `par`.
+fn fork<A: Send, B: Send>(
+    par: bool,
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    if par {
+        rayon::join(a, b)
+    } else {
+        (a(), b())
+    }
 }
 
-#[inline]
-fn fix(mut n: Box<Node>) -> Box<Node> {
-    n.size = 1 + size(&n.left) + size(&n.right);
-    n
+/// `elems` as one block, or empty.
+fn block<P: BlockPayload>(elems: &[u64]) -> Tree<P> {
+    if elems.is_empty() {
+        Tree::Empty
+    } else {
+        Tree::Block(P::encode(elems))
+    }
+}
+
+/// `n` with its size recounted, flattened into a block if it fits in one.
+fn fix<P: BlockPayload>(mut n: Box<Node<P>>) -> Tree<P> {
+    n.size = (n.left.len() + 1 + n.right.len()) as u64;
+    if n.size as usize > P::CAPACITY {
+        return Tree::Node(n);
+    }
+    let mut elems = Vec::with_capacity(n.size as usize);
+    Tree::Node(n).collect(&mut elems);
+    block(&elems)
+}
+
+/// Join `n.left < n.key < n.right` into one treap: `n` is the root unless
+/// a child's root outranks it, and then that root is, with `n` joined into
+/// its inner side.
+fn join<P: BlockPayload>(mut n: Box<Node<P>>) -> Tree<P> {
+    let (k, l, r) = (Some(prio(n.key)), n.left.prio(), n.right.prio());
+    if l > k && l > r {
+        let Tree::Node(mut a) = take(&mut n.left) else {
+            unreachable!("only a node has a priority")
+        };
+        n.left = take(&mut a.right);
+        a.right = join(n);
+        fix(a)
+    } else if r > k {
+        let Tree::Node(mut b) = take(&mut n.right) else {
+            unreachable!("only a node has a priority")
+        };
+        n.right = take(&mut b.left);
+        b.left = join(n);
+        fix(b)
+    } else {
+        fix(n)
+    }
 }
 
 /// Split `t` by `key`: (elements < key, key present?, elements > key).
-fn split(t: Link, key: u64) -> (Link, bool, Link) {
+fn split<P: BlockPayload>(t: Tree<P>, key: u64) -> (Tree<P>, bool, Tree<P>) {
     match t {
-        None => (None, false, None),
-        Some(mut n) => {
+        Tree::Empty => (Tree::Empty, false, Tree::Empty),
+        Tree::Block(p) if key < p.head() => (Tree::Empty, false, Tree::Block(p)),
+        Tree::Block(p) => {
+            let elems = decoded(&p);
+            let at = elems.partition_point(|&e| e < key);
+            if at == elems.len() {
+                return (Tree::Block(p), false, Tree::Empty);
+            }
+            let found = elems[at] == key;
+            (
+                block(&elems[..at]),
+                found,
+                block(&elems[at + found as usize..]),
+            )
+        }
+        Tree::Node(mut n) => {
+            stats::record_read(NODE_BYTES);
             if key < n.key {
-                let (ll, found, lr) = split(n.left.take(), key);
-                n.left = lr;
-                (ll, found, Some(fix(n)))
+                let (l, found, r) = split(take(&mut n.left), key);
+                n.left = r;
+                (l, found, fix(n))
             } else if key > n.key {
-                let (rl, found, rr) = split(n.right.take(), key);
-                n.right = rl;
-                (Some(fix(n)), found, rr)
+                let (l, found, r) = split(take(&mut n.right), key);
+                n.right = l;
+                (fix(n), found, r)
             } else {
-                let (l, r) = (n.left.take(), n.right.take());
-                (l, true, r)
+                (take(&mut n.left), true, take(&mut n.right))
             }
         }
     }
 }
 
-/// Join two treaps with all keys of `l` below all keys of `r`.
-fn join2(l: Link, r: Link) -> Link {
-    match (l, r) {
-        (None, r) => r,
-        (l, None) => l,
-        (Some(mut a), Some(mut b)) => {
-            if prio(a.key) >= prio(b.key) {
-                a.right = join2(a.right.take(), Some(b));
-                Some(fix(a))
-            } else {
-                b.left = join2(Some(a), b.left.take());
-                Some(fix(b))
-            }
+/// `t` without its largest element, and that element.
+fn split_last<P: BlockPayload>(t: Tree<P>) -> Option<(Tree<P>, u64)> {
+    match t {
+        Tree::Empty => None,
+        Tree::Block(p) => {
+            let mut elems = decoded(&p);
+            let last = elems.pop()?;
+            Some((block(&elems), last))
         }
+        Tree::Node(mut n) => match split_last(take(&mut n.right)) {
+            None => Some((take(&mut n.left), n.key)),
+            Some((r, last)) => {
+                n.right = r;
+                Some((fix(n), last))
+            }
+        },
     }
 }
 
-/// Set union; returns the merged tree and the number of duplicate keys.
-fn union(a: Link, b: Link) -> (Link, u64) {
+/// Set union; returns the merged tree and the number of elements the two
+/// shared. The root of higher priority splits the other tree and the two
+/// sides unite in parallel (join-based union, \[21]); a block that meets a
+/// tree is decoded once and inserted as a run.
+pub(crate) fn union<P: BlockPayload>(a: Tree<P>, b: Tree<P>) -> (Tree<P>, usize) {
     match (a, b) {
-        (None, b) => (b, 0),
-        (a, None) => (a, 0),
-        (Some(x), Some(y)) => {
-            // Root = higher priority, split the other by its key; recurse
-            // on the two sides in parallel (join-based union, [21]).
-            let (mut root, other) = if prio(x.key) >= prio(y.key) {
-                (x, y)
+        (Tree::Empty, t) | (t, Tree::Empty) => (t, 0),
+        (Tree::Block(x), t) | (t, Tree::Block(x)) => insert_run(t, &decoded(&x)),
+        (Tree::Node(x), Tree::Node(y)) => {
+            let (mut n, other) = if prio(x.key) >= prio(y.key) {
+                (x, Tree::Node(y))
             } else {
-                (y, x)
+                (y, Tree::Node(x))
             };
-            let (ol, dup, or) = split(Some(other), root.key);
-            let (rl, rr) = (root.left.take(), root.right.take());
-            let ((l, d1), (r, d2)) =
-                if size(&rl) + size(&ol) + size(&rr) + size(&or) > PAR_CUTOFF as u64 {
-                    rayon::join(|| union(rl, ol), || union(rr, or))
-                } else {
-                    (union(rl, ol), union(rr, or))
-                };
-            root.left = l;
-            root.right = r;
-            (Some(fix(root)), d1 + d2 + dup as u64)
+            stats::record_read(NODE_BYTES);
+            let par = (n.size as usize).min(other.len()) > PAR_CUTOFF;
+            let (ol, dup, or) = split(other, n.key);
+            let (l, r) = (take(&mut n.left), take(&mut n.right));
+            let ((l, d1), (r, d2)) = fork(par, || union(l, ol), || union(r, or));
+            (n.left, n.right) = (l, r);
+            // Only an overflowing block makes new nodes that may outrank
+            // `n`; with no blocks, `n` still outranks both sides.
+            let t = if P::CAPACITY == 0 { fix(n) } else { join(n) };
+            (t, d1 + d2 + dup as usize)
         }
     }
 }
 
-/// Set difference `a \ b`; returns the tree and the number removed.
-fn difference(a: Link, b: Link) -> (Link, u64) {
+/// `t ∪ run` for a sorted run (PAM's multi-insert): the run splits at each
+/// node key on its way down and merges into the blocks it reaches.
+fn insert_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
+    match t {
+        t if run.is_empty() => (t, 0),
+        Tree::Empty => (build(run), 0),
+        Tree::Block(x) => {
+            let held = decoded(&x);
+            let mut elems = Vec::with_capacity(held.len() + run.len());
+            let (mut i, mut j) = (0, 0);
+            while i < held.len() && j < run.len() {
+                let (h, e) = (held[i], run[j]);
+                elems.push(h.min(e));
+                i += (h <= e) as usize;
+                j += (e <= h) as usize;
+            }
+            elems.extend_from_slice(&held[i..]);
+            elems.extend_from_slice(&run[j..]);
+            let shared = held.len() + run.len() - elems.len();
+            (build(&elems), shared)
+        }
+        Tree::Node(mut n) => {
+            stats::record_read(NODE_BYTES);
+            let at = run.partition_point(|&e| e < n.key);
+            let dup = run.get(at) == Some(&n.key);
+            let (lr, rr) = (&run[..at], &run[at + dup as usize..]);
+            let (l, r) = (take(&mut n.left), take(&mut n.right));
+            let par = run.len() > PAR_CUTOFF;
+            let ((l, d1), (r, d2)) = fork(par, || insert_run(l, lr), || insert_run(r, rr));
+            (n.left, n.right) = (l, r);
+            (join(n), d1 + d2 + dup as usize)
+        }
+    }
+}
+
+/// Set difference `a \ b`; returns the tree and the number removed. Each
+/// node of `a` splits `b`, the two sides go on in parallel, and a removed
+/// key's node is rejoined without it; a block of `b` that meets a tree is
+/// decoded once and removed as a run.
+pub(crate) fn difference<P: BlockPayload>(a: Tree<P>, b: Tree<P>) -> (Tree<P>, usize) {
     match (a, b) {
-        (None, _) => (None, 0),
-        (a, None) => (a, 0),
-        (Some(mut x), b) => {
+        (Tree::Empty, _) => (Tree::Empty, 0),
+        (a, Tree::Empty) => (a, 0),
+        // The splits above left `b` only keys between this block's
+        // neighbours.
+        (Tree::Block(x), b) => {
+            let mut gone = Vec::with_capacity(b.len());
+            b.collect(&mut gone);
+            without(x, &gone)
+        }
+        (a, Tree::Block(y)) => remove_run(a, &decoded(&y)),
+        (Tree::Node(mut x), b) => {
+            stats::record_read(NODE_BYTES);
+            let par = (x.size as usize).min(b.len()) > PAR_CUTOFF;
             let (bl, found, br) = split(b, x.key);
-            let (xl, xr) = (x.left.take(), x.right.take());
-            let ((l, r1), (r, r2)) = if size(&xl) + size(&xr) > PAR_CUTOFF as u64 {
-                rayon::join(|| difference(xl, bl), || difference(xr, br))
-            } else {
-                (difference(xl, bl), difference(xr, br))
-            };
-            if found {
-                (join2(l, r), r1 + r2 + 1)
-            } else {
-                x.left = l;
-                x.right = r;
-                (Some(fix(x)), r1 + r2)
-            }
+            let (l, r) = (take(&mut x.left), take(&mut x.right));
+            let ((l, d1), (r, d2)) = fork(par, || difference(l, bl), || difference(r, br));
+            (rejoin(x, l, found, r), d1 + d2 + found as usize)
         }
     }
 }
 
-/// Build a canonical treap from a sorted, deduplicated slice: the root is
-/// the maximum-priority element; recurse (in parallel) on the two sides.
-fn treap_from_sorted(elems: &[u64]) -> Link {
-    if elems.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    let mut best_p = prio(elems[0]);
-    for (i, &e) in elems.iter().enumerate().skip(1) {
-        let p = prio(e);
-        if p > best_p {
-            best_p = p;
-            best = i;
+/// `t \ run` for a sorted run (PAM's multi-delete).
+fn remove_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
+    match t {
+        t if run.is_empty() => (t, 0),
+        Tree::Empty => (Tree::Empty, 0),
+        Tree::Block(x) => without(x, run),
+        Tree::Node(mut x) => {
+            stats::record_read(NODE_BYTES);
+            let at = run.partition_point(|&e| e < x.key);
+            let found = run.get(at) == Some(&x.key);
+            let (lr, rr) = (&run[..at], &run[at + found as usize..]);
+            let (l, r) = (take(&mut x.left), take(&mut x.right));
+            let par = run.len().min(x.size as usize) > PAR_CUTOFF;
+            let ((l, d1), (r, d2)) = fork(par, || remove_run(l, lr), || remove_run(r, rr));
+            (rejoin(x, l, found, r), d1 + d2 + found as usize)
         }
     }
-    let (ls, rs) = (&elems[..best], &elems[best + 1..]);
-    let (left, right) = if elems.len() > PAR_CUTOFF {
-        rayon::join(|| treap_from_sorted(ls), || treap_from_sorted(rs))
+}
+
+/// A block's elements, in order.
+fn decoded<P: BlockPayload>(x: &P) -> Vec<u64> {
+    let mut elems = Vec::with_capacity(x.count());
+    x.decode(&mut elems);
+    elems
+}
+
+/// Block `x` without the elements of sorted `gone`, and how many went.
+fn without<P: BlockPayload>(x: P, gone: &[u64]) -> (Tree<P>, usize) {
+    let mut elems = decoded(&x);
+    elems.retain(|e| gone.binary_search(e).is_err());
+    match x.count() - elems.len() {
+        0 => (Tree::Block(x), 0),
+        removed => (block(&elems), removed),
+    }
+}
+
+/// Node `x` over `l` and `r` again; if its key was `removed`, the largest
+/// element of `l` takes its place.
+fn rejoin<P: BlockPayload>(mut x: Box<Node<P>>, l: Tree<P>, removed: bool, r: Tree<P>) -> Tree<P> {
+    if !removed {
+        (x.left, x.right) = (l, r);
+    } else if let Some((l, last)) = split_last(l) {
+        (x.key, x.left, x.right) = (last, l, r);
     } else {
-        (treap_from_sorted(ls), treap_from_sorted(rs))
-    };
-    Some(fix(Box::new(Node {
-        key: elems[best],
-        size: 0,
+        return r;
+    }
+    join(x)
+}
+
+/// A tree over sorted, deduplicated `elems`: one block if they fit in one,
+/// else blocks of at most 3/4 of the capacity, evenly sized, with one
+/// separator element between each two, the separators forming a treap.
+/// With no blocks, every element is a separator.
+pub(crate) fn build<P: BlockPayload>(elems: &[u64]) -> Tree<P> {
+    debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
+    if elems.len() <= P::CAPACITY {
+        return block(elems);
+    }
+    let gaps = (elems.len() + 1).div_ceil(P::CAPACITY * 3 / 4 + 1);
+    treap(elems, gaps, 0, gaps)
+}
+
+/// The part of `build`'s tree over gaps `g0..g1`: gap `g` is the block
+/// `elems[cut(g)..cut(g + 1) - 1]`, and `elems[cut(g) - 1]` separates it
+/// from gap `g - 1`; the separator of highest priority is the root.
+fn treap<P: BlockPayload>(elems: &[u64], gaps: usize, g0: usize, g1: usize) -> Tree<P> {
+    // The first `(len + 1) % gaps` gaps take one element more.
+    let (q, r) = ((elems.len() + 1) / gaps, (elems.len() + 1) % gaps);
+    let cut = |g: usize| g * q + g.min(r);
+    if g1 - g0 == 1 {
+        return block(&elems[cut(g0)..cut(g1) - 1]);
+    }
+    let g = (g0 + 1..g1)
+        .max_by_key(|&g| prio(elems[cut(g) - 1]))
+        .unwrap();
+    let par = cut(g1) - cut(g0) > PAR_CUTOFF;
+    let (left, right) = fork(
+        par,
+        || treap(elems, gaps, g0, g),
+        || treap(elems, gaps, g, g1),
+    );
+    Tree::Node(Box::new(Node {
+        key: elems[cut(g) - 1],
+        size: (cut(g1) - cut(g0) - 1) as u64,
         left,
         right,
-    })))
+    }))
 }
 
-/// Batch-parallel uncompressed binary search tree (PAM-style). See module
-/// docs.
-#[derive(Default)]
-pub struct PTree {
-    root: Link,
+/// Hand `f` the node keys gathered in `keys`, if any; false iff it stopped.
+fn flush(keys: &mut Vec<u64>, f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
+    let live = keys.is_empty() || f(keys);
+    keys.clear();
+    live
 }
 
-impl PTree {
-    /// Empty tree.
-    pub fn new() -> Self {
-        Self { root: None }
-    }
-
-    /// Insert one key; false if already present.
-    pub fn insert(&mut self, key: u64) -> bool {
-        if self.contains(key) {
-            return false;
+impl<P: BlockPayload> Tree<P> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Tree::Empty => 0,
+            Tree::Node(n) => n.size as usize,
+            Tree::Block(p) => p.count(),
         }
-        let single = Some(Box::new(Node {
-            key,
-            size: 1,
-            left: None,
-            right: None,
-        }));
-        let (root, dups) = union(self.root.take(), single);
-        debug_assert_eq!(dups, 0);
-        self.root = root;
-        true
     }
 
-    /// Remove one key; false if absent.
-    pub fn remove(&mut self, key: u64) -> bool {
-        let (l, found, r) = split(self.root.take(), key);
-        self.root = join2(l, r);
-        found
+    /// The root's priority; a block ranks below every node.
+    fn prio(&self) -> Option<u64> {
+        match self {
+            Tree::Node(n) => Some(prio(n.key)),
+            _ => None,
+        }
     }
 
-    /// Visit keys ≥ `start` in order until `f` returns false; returns
-    /// false iff stopped early (buffered into the chunks of
-    /// `scan_chunks_from`).
-    fn for_each_from(&self, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
-        fn walk(t: &Link, start: u64, f: &mut dyn FnMut(u64) -> bool) -> bool {
+    /// Append the elements, in order, to `out`.
+    fn collect(&self, out: &mut Vec<u64>) {
+        match self {
+            Tree::Empty => {}
+            Tree::Block(p) => p.decode(out),
+            Tree::Node(n) => {
+                n.left.collect(out);
+                out.push(n.key);
+                n.right.collect(out);
+            }
+        }
+    }
+
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        let mut t = self;
+        loop {
             match t {
-                None => true,
-                Some(n) => {
-                    if n.key > start && !walk(&n.left, start, f) {
-                        return false;
+                Tree::Empty => return false,
+                Tree::Block(p) => return p.contains(key),
+                Tree::Node(n) => {
+                    stats::record_read(NODE_BYTES);
+                    if key == n.key {
+                        return true;
                     }
-                    if n.key >= start && !f(n.key) {
-                        return false;
-                    }
-                    walk(&n.right, start, f)
+                    t = if key < n.key { &n.left } else { &n.right };
                 }
             }
         }
-        walk(&self.root, start, f)
     }
 
-    /// Apply `f` to all keys in `[start, end)` in order (under
-    /// `range_sum`).
-    fn map_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64)) {
-        fn walk(t: &Link, start: u64, end: u64, f: &mut impl FnMut(u64)) {
-            if let Some(n) = t {
-                cpma_pma::stats::record_read(std::mem::size_of::<Node>());
-                if n.key > start {
-                    walk(&n.left, start, end, f);
+    /// The smallest element ≥ `key`.
+    pub(crate) fn successor(&self, key: u64) -> Option<u64> {
+        let (mut t, mut best) = (self, None);
+        loop {
+            match t {
+                Tree::Empty => return best,
+                // A block lies between its ancestors' keys, below `best`.
+                Tree::Block(p) => {
+                    return p.chunk_from(key, &mut Vec::new()).first().copied().or(best)
                 }
-                if n.key >= start && n.key < end {
-                    f(n.key);
-                }
-                if n.key < end {
-                    walk(&n.right, start, end, f);
+                Tree::Node(n) => {
+                    stats::record_read(NODE_BYTES);
+                    if n.key >= key {
+                        best = Some(n.key);
+                        t = &n.left;
+                    } else {
+                        t = &n.right;
+                    }
                 }
             }
         }
-        if start < end {
-            walk(&self.root, start, end, f);
+    }
+
+    pub(crate) fn max(&self) -> Option<u64> {
+        let (mut t, mut max) = (self, None);
+        loop {
+            match t {
+                Tree::Empty => return max,
+                Tree::Block(p) => return decoded(p).last().copied(),
+                Tree::Node(n) => {
+                    max = Some(n.key);
+                    t = &n.right;
+                }
+            }
+        }
+    }
+
+    /// Hand `f` the elements ≥ `start` in order until it returns false:
+    /// each block as one chunk, the node keys between blocks gathered into
+    /// chunks of up to `BLOCK_SIZE`.
+    pub(crate) fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
+        let (mut keys, mut buf) = (Vec::new(), Vec::new());
+        if self.scan(start, &mut keys, &mut buf, f) {
+            flush(&mut keys, f);
+        }
+    }
+
+    /// [`scan_chunks_from`](Self::scan_chunks_from)'s walk; false iff `f`
+    /// stopped it.
+    fn scan(
+        &self,
+        start: u64,
+        keys: &mut Vec<u64>,
+        buf: &mut Vec<u64>,
+        f: &mut dyn FnMut(&[u64]) -> bool,
+    ) -> bool {
+        match self {
+            Tree::Empty => true,
+            Tree::Block(p) => {
+                let chunk = p.chunk_from(start, buf);
+                chunk.is_empty() || (flush(keys, f) && f(chunk))
+            }
+            Tree::Node(n) => {
+                stats::record_read(NODE_BYTES);
+                if start < n.key && !n.left.scan(start, keys, buf, f) {
+                    return false;
+                }
+                if n.key >= start {
+                    keys.push(n.key);
+                    if keys.len() == BLOCK_SIZE && !flush(keys, f) {
+                        return false;
+                    }
+                }
+                n.right.scan(start, keys, buf, f)
+            }
+        }
+    }
+
+    /// Wrapping sum of the elements in `[lo, hi)`, `buf` the scratch a
+    /// compressed block decodes into.
+    pub(crate) fn sum_range(&self, lo: u64, hi: u64, buf: &mut Vec<u64>) -> u64 {
+        match self {
+            Tree::Empty => 0,
+            Tree::Block(p) => {
+                let chunk = p.chunk_from(lo, buf);
+                let inside = &chunk[..chunk.partition_point(|&e| e < hi)];
+                inside.iter().fold(0, |s, &e| s.wrapping_add(e))
+            }
+            Tree::Node(n) => {
+                stats::record_read(NODE_BYTES);
+                let mut sum = 0u64;
+                if lo < n.key {
+                    sum = n.left.sum_range(lo, hi, buf);
+                }
+                if lo <= n.key && n.key < hi {
+                    sum = sum.wrapping_add(n.key);
+                }
+                if n.key < hi {
+                    sum = sum.wrapping_add(n.right.sum_range(lo, hi, buf));
+                }
+                sum
+            }
+        }
+    }
+
+    /// Accounted bytes: `NODE_BYTES` per node, a descriptor and the payload
+    /// per block.
+    pub(crate) fn size_bytes(&self) -> usize {
+        match self {
+            Tree::Empty => 0,
+            Tree::Block(p) => LEAF_OVERHEAD + p.payload_bytes(),
+            Tree::Node(n) => NODE_BYTES + n.left.size_bytes() + n.right.size_bytes(),
+        }
+    }
+
+    /// Panic unless priorities fall from each node to the nodes below it
+    /// (all below `above`), every size field counts its subtree, and every
+    /// block holds 1 to `P::CAPACITY` elements. Returns the element count
+    /// and the depth in nodes.
+    pub(crate) fn check(&self, above: Option<u64>) -> (usize, usize) {
+        match self {
+            Tree::Empty => (0, 0),
+            Tree::Block(p) => {
+                assert!(
+                    (1..=P::CAPACITY).contains(&p.count()),
+                    "block of {}",
+                    p.count()
+                );
+                (p.count(), 0)
+            }
+            Tree::Node(n) => {
+                let p = prio(n.key);
+                assert!(
+                    above.is_none_or(|a| p < a),
+                    "heap order broken at {}",
+                    n.key
+                );
+                let ((l, dl), (r, dr)) = (n.left.check(Some(p)), n.right.check(Some(p)));
+                assert_eq!(n.size as usize, l + 1 + r, "size field at {}", n.key);
+                (l + 1 + r, 1 + dl.max(dr))
+            }
         }
     }
 }
 
-impl OrderedSet for PTree {
+/// The P-tree's block: there is none, every element is a node.
+pub enum NoBlock {}
+
+impl BlockPayload for NoBlock {
     const NAME: &'static str = "P-tree";
-
-    fn contains(&self, key: u64) -> bool {
-        let mut cur = &self.root;
-        while let Some(n) = cur {
-            cpma_pma::stats::record_read(std::mem::size_of::<Node>());
-            if key == n.key {
-                return true;
-            }
-            cur = if key < n.key { &n.left } else { &n.right };
-        }
-        false
+    const CAPACITY: usize = 0;
+    fn encode(_: &[u64]) -> Self {
+        unreachable!("a P-tree keeps every element in a node")
     }
-
-    fn len(&self) -> usize {
-        size(&self.root) as usize
+    fn decode(&self, _: &mut Vec<u64>) {
+        match *self {}
     }
-
-    fn min(&self) -> Option<u64> {
-        let mut cur = self.root.as_ref()?;
-        loop {
-            match &cur.left {
-                Some(l) => cur = l,
-                None => return Some(cur.key),
-            }
-        }
+    fn count(&self) -> usize {
+        match *self {}
     }
-
-    fn max(&self) -> Option<u64> {
-        let mut cur = self.root.as_ref()?;
-        loop {
-            match &cur.right {
-                Some(r) => cur = r,
-                None => return Some(cur.key),
-            }
-        }
+    fn head(&self) -> u64 {
+        match *self {}
     }
-
-    fn successor(&self, key: u64) -> Option<u64> {
-        let mut cur = &self.root;
-        let mut best = None;
-        while let Some(n) = cur {
-            if n.key >= key {
-                best = Some(n.key);
-                cur = &n.left;
-            } else {
-                cur = &n.right;
-            }
-        }
-        best
+    fn payload_bytes(&self) -> usize {
+        match *self {}
     }
-
-    /// The paper's fixed 32 B/element accounting for P-trees.
-    fn size_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<Node>()
+    fn chunk_from<'a>(&'a self, _: u64, _: &'a mut Vec<u64>) -> &'a [u64] {
+        match *self {}
+    }
+    fn contains(&self, _: u64) -> bool {
+        match *self {}
     }
 }
 
-impl BatchSet for PTree {
-    fn new_set() -> Self {
-        Self::new()
-    }
-
-    fn build_sorted(elems: &[u64]) -> Self {
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
-        Self {
-            root: treap_from_sorted(elems),
-        }
-    }
-
-    /// PAM-style: build a tree from the batch, then join-based union.
-    fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
-        let b = treap_from_sorted(batch);
-        let (root, dups) = union(self.root.take(), b);
-        self.root = root;
-        batch.len() - dups as usize
-    }
-
-    fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        if batch.is_empty() || self.root.is_none() {
-            return 0;
-        }
-        let b = treap_from_sorted(batch);
-        let (root, removed) = difference(self.root.take(), b);
-        self.root = root;
-        removed as usize
-    }
-}
-
-impl RangeSet for PTree {
-    /// A node per key, no blocks: the in-order walk is buffered.
-    fn scan_chunks_from(&self, start: u64, f: &mut dyn FnMut(&[u64]) -> bool) {
-        buffered_chunks(f, |push| self.for_each_from(start, push));
-    }
-
-    fn range_sum<R: std::ops::RangeBounds<u64>>(&self, range: R) -> u64 {
-        cpma_api::range_sum_via_exclusive(
-            &range,
-            || self.contains(u64::MAX),
-            |lo, hi| {
-                let mut s = 0u64;
-                self.map_range(lo, hi, &mut |k| s = s.wrapping_add(k));
-                s
-            },
-        )
-    }
-}
-
-impl ParallelChunks for PTree {}
-
-impl Drop for PTree {
-    fn drop(&mut self) {
-        // Iterative drop: deep treap chains must not overflow the stack.
-        let mut stack = Vec::new();
-        if let Some(n) = self.root.take() {
-            stack.push(n);
-        }
-        while let Some(mut n) = stack.pop() {
-            if let Some(l) = n.left.take() {
-                stack.push(l);
-            }
-            if let Some(r) = n.right.take() {
-                stack.push(r);
-            }
-        }
-    }
-}
+/// Batch-parallel uncompressed binary search tree (PAM-style): the join
+/// core with every element in a node of its own. See module docs.
+pub type PTree = PacTree<NoBlock>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use cpma_api::{BatchSet, OrderedSet, RangeSet};
 
     #[test]
     fn node_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<Node>(), 32);
+        assert_eq!(std::mem::size_of::<Node<NoBlock>>(), 32);
+        assert_eq!(std::mem::size_of::<Node<NoBlock>>(), NODE_BYTES);
     }
 
     #[test]
@@ -395,24 +598,6 @@ mod tests {
         assert_eq!(t.successor(0), None);
         assert_eq!(t.range_sum(..), 0);
         assert_eq!(t.to_vec(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn point_ops_match_model() {
-        let mut t = PTree::new();
-        let mut model = BTreeSet::new();
-        let mut x = 5u64;
-        for _ in 0..3000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let k = (x >> 40) & 0xfff;
-            if x & 2 == 0 {
-                assert_eq!(t.insert(k), model.insert(k));
-            } else {
-                assert_eq!(t.remove(k), model.remove(&k));
-            }
-        }
-        assert_eq!(t.len(), model.len());
-        assert_eq!(t.to_vec(), model.iter().copied().collect::<Vec<_>>());
     }
 
     #[test]
@@ -437,7 +622,7 @@ mod tests {
     #[test]
     fn large_batches_match_model() {
         let mut t = PTree::new();
-        let mut model = BTreeSet::new();
+        let mut model = std::collections::BTreeSet::new();
         let mut x = 77u64;
         for _ in 0..10 {
             let batch: Vec<u64> = (0..5000)
@@ -456,11 +641,11 @@ mod tests {
     }
 
     #[test]
-    fn map_range_and_sums() {
+    fn ranges_and_sums() {
         let elems: Vec<u64> = (0..1000u64).map(|i| i * 3).collect();
         let t = PTree::build_sorted(&elems);
         let mut seen = Vec::new();
-        t.map_range(10, 40, &mut |k| seen.push(k));
+        t.for_range(10..40, |k| seen.push(k));
         assert_eq!(seen, vec![12, 15, 18, 21, 24, 27, 30, 33, 36, 39]);
         assert_eq!(t.range_sum(0..u64::MAX), elems.iter().sum::<u64>());
         assert_eq!(t.range_sum(..), elems.iter().sum::<u64>());

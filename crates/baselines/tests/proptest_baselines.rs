@@ -22,7 +22,9 @@ fn ptree_union_semantics() {
         let a = sorted_unique(rng.raw_keys(400));
         let b = sorted_unique(rng.raw_keys(400));
         let mut t = PTree::build_sorted(&a);
+        t.check_invariants();
         let added = t.insert_batch_sorted(&b);
+        t.check_invariants();
         let union: BTreeSet<u64> = a.iter().chain(b.iter()).copied().collect();
         assert_eq!(added, union.len() - a.len());
         assert_eq!(t.to_vec(), union.iter().copied().collect::<Vec<_>>());
@@ -39,6 +41,7 @@ fn ptree_difference_semantics() {
         let b = sorted_unique(rng.raw_keys(400));
         let mut t = PTree::build_sorted(&a);
         let removed = t.remove_batch_sorted(&b);
+        t.check_invariants();
         let diff: Vec<u64> = a
             .iter()
             .copied()
@@ -61,6 +64,7 @@ fn ptree_canonical_shape() {
         let mut incremental = PTree::new();
         for chunk in keys.chunks(37) {
             incremental.insert_batch_sorted(chunk);
+            incremental.check_invariants();
         }
         assert_eq!(built.to_vec(), incremental.to_vec());
         assert_eq!(built.size_bytes(), incremental.size_bytes());
@@ -68,7 +72,8 @@ fn ptree_canonical_shape() {
 }
 
 /// PaC-tree blocks never exceed BLOCK_SIZE elements, raw or compressed,
-/// and both payloads agree with the model.
+/// the treap stays heap-ordered with exact sizes after every batch, and
+/// both payloads agree with the model.
 #[test]
 fn pactree_matches_model_and_bounds() {
     let mut rng = SplitMix64::new(0x9AC1);
@@ -85,6 +90,8 @@ fn pactree_matches_model_and_bounds() {
                 let want = model.len() - before;
                 assert_eq!(raw.insert_batch_sorted(&b), want);
                 assert_eq!(comp.insert_batch_sorted(&b), want);
+                raw.check_invariants();
+                comp.check_invariants();
             } else {
                 let mut want = 0;
                 for k in &b {
@@ -94,6 +101,8 @@ fn pactree_matches_model_and_bounds() {
                 }
                 assert_eq!(raw.remove_batch_sorted(&b), want);
                 assert_eq!(comp.remove_batch_sorted(&b), want);
+                raw.check_invariants();
+                comp.check_invariants();
             }
         }
         let wantv: Vec<u64> = model.iter().copied().collect();

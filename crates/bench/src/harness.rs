@@ -203,7 +203,8 @@ pub struct Fig {
     pub why: &'static str,
 }
 
-pub const BASELINE: &str = "baseline: the re-implemented trees (scapegoat rebuilds, not join)";
+pub const BASELINE: &str =
+    "baseline: the re-implemented trees (treap priorities, not weight balance)";
 pub const BOX: &str = "box: 2 vCPUs, the paper's 64 cores + HT";
 const POINT: &str = "regime: under 128 ops a batch runs the point path";
 const REBUILD: &str = "regime: a whole rebuild, not the §4 pipeline";

@@ -435,6 +435,14 @@ pub fn write_atomic(
     Ok(())
 }
 
+/// Make the entries of directory `dir` durable: the files created in,
+/// renamed into or removed from it since. A file's own fsync does not
+/// cover its name, so a power loss could otherwise keep a later deletion
+/// and lose a fresh file's entry.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
 fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     let mut name = path
         .file_name()
@@ -764,7 +772,11 @@ mod tests {
         env2.save_file(&path).unwrap();
         let back = fs::read(&path).unwrap();
         assert_eq!(SnapshotEnvelope::from_bytes(&back).unwrap(), env2);
+        // Its directory's entries can be made durable; a missing one fails
+        // typed.
+        sync_dir(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+        assert!(sync_dir(&dir).is_err());
     }
 
     #[test]

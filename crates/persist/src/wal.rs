@@ -43,6 +43,7 @@ use cpma_obs::{Counter, Histogram, Unit};
 
 use crate::checksum::xxh64;
 use crate::frame;
+use crate::snapshot::sync_dir;
 
 /// Process-shared WAL metrics (`persist.wal.*`): every [`WalWriter`] in
 /// the process feeds the same cells, so the registry shows total WAL
@@ -331,6 +332,9 @@ impl WalWriter {
             .open(path)?;
         file.write_all(&encode_segment_header(first_seq))?;
         file.sync_all()?;
+        // The segment's name, and a checkpoint renamed into `dir` before
+        // it, are durable before `rotate` deletes what they replace.
+        sync_dir(dir)?;
         Ok((file, SEG_HEADER_LEN as u64))
     }
 

@@ -50,7 +50,7 @@ use cpma_api::{
     Persist, PersistError, RangeSet,
 };
 use cpma_obs::{Counter, Gauge, Histogram, Unit};
-use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
+use cpma_persist::snapshot::{sync_dir, ByteReader, ByteSink, SnapshotEnvelope};
 use rayon::prelude::*;
 use std::ops::RangeBounds;
 use std::path::Path;
@@ -728,7 +728,10 @@ impl<S: Persist + Send + Sync, const N: usize> Persist for ShardedSet<S, N> {
             meta: &meta,
             payload: &payload,
         };
-        manifest.save_file(&path.join("MANIFEST"))
+        manifest.save_file(&path.join("MANIFEST"))?;
+        // One fsync makes every shard file's name and the manifest's
+        // durable.
+        Ok(sync_dir(path)?)
     }
 
     fn load(path: &Path) -> Result<Self, PersistError> {
