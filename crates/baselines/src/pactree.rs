@@ -4,15 +4,16 @@
 //! [`BLOCK_SIZE`] elements stored as one block at a leaf; C-PaC
 //! difference-encodes each block's elements. The paper configures "the
 //! PaC-trees library block size ... to the default for sets at 256". Both
-//! variants run on the join core in [`crate::ptree`]: a batch insert builds
-//! a tree from the sorted batch and unions it in, a batch remove is a
-//! difference, and blocks form and split inside `join` and `split`.
+//! variants run on the join core in [`crate::ptree`]: a batch insert or
+//! remove descends the tree with the sorted batch (PAM's multi-insert /
+//! multi-delete), a block that overflows is rebuilt as a subtree, and
+//! `join` flattens a subtree that fits into one block.
 //!
 //! Blocks are laid out at independent heap addresses, deliberately so: the
 //! whole point of the paper's comparison is that trees pay pointer-chasing
 //! costs between blocks, while the PMA scans contiguously.
 
-use crate::ptree::{build, difference, union, Tree};
+use crate::ptree::{build, insert_run, remove_run, Tree};
 use cpma_api::{BatchSet, OrderedSet, ParallelChunks, RangeSet};
 use cpma_pma::codec;
 use cpma_pma::stats;
@@ -35,8 +36,6 @@ pub trait BlockPayload: Send + Sync + Sized {
     fn decode(&self, out: &mut Vec<u64>);
     /// Number of elements.
     fn count(&self) -> usize;
-    /// Smallest element.
-    fn head(&self) -> u64;
     /// Bytes of heap memory used by the payload.
     fn payload_bytes(&self) -> usize;
     /// The elements ≥ `start`, in order: the block's own keys where it
@@ -62,9 +61,6 @@ impl BlockPayload for RawBlock {
     }
     fn count(&self) -> usize {
         self.0.len()
-    }
-    fn head(&self) -> u64 {
-        self.0[0]
     }
     fn payload_bytes(&self) -> usize {
         self.0.len() * 8
@@ -105,9 +101,6 @@ impl BlockPayload for CompressedBlock {
     }
     fn count(&self) -> usize {
         self.count as usize
-    }
-    fn head(&self) -> u64 {
-        u64::from_le_bytes(self.bytes[..8].try_into().unwrap())
     }
     fn payload_bytes(&self) -> usize {
         self.bytes.len()
@@ -191,15 +184,15 @@ impl<P: BlockPayload> BatchSet for PacTree<P> {
         Self { root: build(elems) }
     }
 
-    /// PAM-style: build a tree from the batch, then join-based union.
+    /// PAM's multi-insert: the batch descends the tree as a sorted run.
     fn insert_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        let (root, shared) = union(take(&mut self.root), build(batch));
+        let (root, shared) = insert_run(take(&mut self.root), batch);
         self.root = root;
         batch.len() - shared
     }
 
     fn remove_batch_sorted(&mut self, batch: &[u64]) -> usize {
-        let (root, removed) = difference(take(&mut self.root), build(batch));
+        let (root, removed) = remove_run(take(&mut self.root), batch);
         self.root = root;
         removed
     }

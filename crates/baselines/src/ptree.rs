@@ -3,20 +3,21 @@
 //!
 //! PAM's trees support several balancing schemes built on one primitive,
 //! `join`; we use the treap scheme with deterministic pseudo-random
-//! priorities (`mix64(key)`), which gives expected O(log n) depth and the
-//! simplest join-based `union` / `difference` — the algorithms behind PAM's
-//! batch updates ("existing join algorithms for tree layouts rely on pointer
-//! adjustments", §4 of the CPMA paper). A batch insert builds a tree from
-//! the sorted batch and unions it in; a batch remove is a difference.
+//! priorities (`mix64(key)`), which gives expected O(log n) depth — the
+//! join algorithms behind PAM's batch updates ("existing join algorithms
+//! for tree layouts rely on pointer adjustments", §4 of the CPMA paper).
+//! A batch update is PAM's multi-insert / multi-delete: the sorted batch
+//! splits at each node key on its way down, the two sides update in
+//! parallel, and `join` rebalances each node on the way back up.
 //!
 //! The core is generic over what sits below the nodes, a [`BlockPayload`].
 //! A PaC-tree ([`crate::PacTree`]) stores subtrees of up to
 //! `P::CAPACITY` elements as one block: `join` flattens a subtree that
-//! small into a block, `split` cuts a block in two, a block ranks below
-//! every node, and a sorted build fills its blocks to 3/4 of the capacity
-//! between separator nodes. The P-tree is the same core with no blocks
-//! ([`NoBlock`], capacity 0), so its treap is canonical: the keys alone
-//! fix its shape.
+//! small into a block, a block that overflows is rebuilt as a subtree, a
+//! block ranks below every node, and a sorted build fills its blocks to
+//! 3/4 of the capacity between separator nodes. The P-tree is the same
+//! core with no blocks ([`NoBlock`], capacity 0), so its treap is
+//! canonical: the keys alone fix its shape.
 //!
 //! As in the paper's accounting, a P-tree node costs a fixed 32 bytes per
 //! element: key (8) + subtree size (8) + two child pointers (16).
@@ -57,13 +58,19 @@ pub(crate) struct Node<P> {
     right: Tree<P>,
 }
 
-/// `(a(), b())`, in parallel when `par`.
+/// `(a(), b())` over `na` and `nb` elements, in parallel when the two
+/// together pass `PAR_CUTOFF` and the lighter holds at least a quarter. A
+/// fork keeps its thread until both sides finish, and the pool forks only
+/// while a thread is free, so an uneven fork (a treap root splits at a
+/// random rank) would leave a thread waiting; unforked, each side forks
+/// inside itself where it splits evenly.
 fn fork<A: Send, B: Send>(
-    par: bool,
+    na: usize,
+    nb: usize,
     a: impl FnOnce() -> A + Send,
     b: impl FnOnce() -> B + Send,
 ) -> (A, B) {
-    if par {
+    if na + nb > PAR_CUTOFF && na.min(nb) * 4 >= na + nb {
         rayon::join(a, b)
     } else {
         (a(), b())
@@ -114,41 +121,6 @@ fn join<P: BlockPayload>(mut n: Box<Node<P>>) -> Tree<P> {
     }
 }
 
-/// Split `t` by `key`: (elements < key, key present?, elements > key).
-fn split<P: BlockPayload>(t: Tree<P>, key: u64) -> (Tree<P>, bool, Tree<P>) {
-    match t {
-        Tree::Empty => (Tree::Empty, false, Tree::Empty),
-        Tree::Block(p) if key < p.head() => (Tree::Empty, false, Tree::Block(p)),
-        Tree::Block(p) => {
-            let elems = decoded(&p);
-            let at = elems.partition_point(|&e| e < key);
-            if at == elems.len() {
-                return (Tree::Block(p), false, Tree::Empty);
-            }
-            let found = elems[at] == key;
-            (
-                block(&elems[..at]),
-                found,
-                block(&elems[at + found as usize..]),
-            )
-        }
-        Tree::Node(mut n) => {
-            stats::record_read(NODE_BYTES);
-            if key < n.key {
-                let (l, found, r) = split(take(&mut n.left), key);
-                n.left = r;
-                (l, found, fix(n))
-            } else if key > n.key {
-                let (l, found, r) = split(take(&mut n.right), key);
-                n.right = l;
-                (fix(n), found, r)
-            } else {
-                (take(&mut n.left), true, take(&mut n.right))
-            }
-        }
-    }
-}
-
 /// `t` without its largest element, and that element.
 fn split_last<P: BlockPayload>(t: Tree<P>) -> Option<(Tree<P>, u64)> {
     match t {
@@ -168,37 +140,12 @@ fn split_last<P: BlockPayload>(t: Tree<P>) -> Option<(Tree<P>, u64)> {
     }
 }
 
-/// Set union; returns the merged tree and the number of elements the two
-/// shared. The root of higher priority splits the other tree and the two
-/// sides unite in parallel (join-based union, \[21]); a block that meets a
-/// tree is decoded once and inserted as a run.
-pub(crate) fn union<P: BlockPayload>(a: Tree<P>, b: Tree<P>) -> (Tree<P>, usize) {
-    match (a, b) {
-        (Tree::Empty, t) | (t, Tree::Empty) => (t, 0),
-        (Tree::Block(x), t) | (t, Tree::Block(x)) => insert_run(t, &decoded(&x)),
-        (Tree::Node(x), Tree::Node(y)) => {
-            let (mut n, other) = if prio(x.key) >= prio(y.key) {
-                (x, Tree::Node(y))
-            } else {
-                (y, Tree::Node(x))
-            };
-            stats::record_read(NODE_BYTES);
-            let par = (n.size as usize).min(other.len()) > PAR_CUTOFF;
-            let (ol, dup, or) = split(other, n.key);
-            let (l, r) = (take(&mut n.left), take(&mut n.right));
-            let ((l, d1), (r, d2)) = fork(par, || union(l, ol), || union(r, or));
-            (n.left, n.right) = (l, r);
-            // Only an overflowing block makes new nodes that may outrank
-            // `n`; with no blocks, `n` still outranks both sides.
-            let t = if P::CAPACITY == 0 { fix(n) } else { join(n) };
-            (t, d1 + d2 + dup as usize)
-        }
-    }
-}
-
-/// `t ∪ run` for a sorted run (PAM's multi-insert): the run splits at each
-/// node key on its way down and merges into the blocks it reaches.
-fn insert_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
+/// `t ∪ run` for a sorted run (PAM's multi-insert), and how many elements
+/// of `run` `t` already held: the run splits at each node key on its way
+/// down, the two sides go on in parallel, an empty subtree becomes
+/// `build` of its part of the run, a block is merged with its part and
+/// rebuilt, and `join` restores heap order on the way back up.
+pub(crate) fn insert_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
     match t {
         t if run.is_empty() => (t, 0),
         Tree::Empty => (build(run), 0),
@@ -223,43 +170,22 @@ fn insert_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
             let dup = run.get(at) == Some(&n.key);
             let (lr, rr) = (&run[..at], &run[at + dup as usize..]);
             let (l, r) = (take(&mut n.left), take(&mut n.right));
-            let par = run.len() > PAR_CUTOFF;
-            let ((l, d1), (r, d2)) = fork(par, || insert_run(l, lr), || insert_run(r, rr));
+            let ((l, d1), (r, d2)) = fork(
+                lr.len(),
+                rr.len(),
+                || insert_run(l, lr),
+                || insert_run(r, rr),
+            );
             (n.left, n.right) = (l, r);
             (join(n), d1 + d2 + dup as usize)
         }
     }
 }
 
-/// Set difference `a \ b`; returns the tree and the number removed. Each
-/// node of `a` splits `b`, the two sides go on in parallel, and a removed
-/// key's node is rejoined without it; a block of `b` that meets a tree is
-/// decoded once and removed as a run.
-pub(crate) fn difference<P: BlockPayload>(a: Tree<P>, b: Tree<P>) -> (Tree<P>, usize) {
-    match (a, b) {
-        (Tree::Empty, _) => (Tree::Empty, 0),
-        (a, Tree::Empty) => (a, 0),
-        // The splits above left `b` only keys between this block's
-        // neighbours.
-        (Tree::Block(x), b) => {
-            let mut gone = Vec::with_capacity(b.len());
-            b.collect(&mut gone);
-            without(x, &gone)
-        }
-        (a, Tree::Block(y)) => remove_run(a, &decoded(&y)),
-        (Tree::Node(mut x), b) => {
-            stats::record_read(NODE_BYTES);
-            let par = (x.size as usize).min(b.len()) > PAR_CUTOFF;
-            let (bl, found, br) = split(b, x.key);
-            let (l, r) = (take(&mut x.left), take(&mut x.right));
-            let ((l, d1), (r, d2)) = fork(par, || difference(l, bl), || difference(r, br));
-            (rejoin(x, l, found, r), d1 + d2 + found as usize)
-        }
-    }
-}
-
-/// `t \ run` for a sorted run (PAM's multi-delete).
-fn remove_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
+/// `t \ run` for a sorted run (PAM's multi-delete), and how many went: the
+/// run splits at each node key as in [`insert_run`], and a removed key's
+/// node is rejoined without it.
+pub(crate) fn remove_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
     match t {
         t if run.is_empty() => (t, 0),
         Tree::Empty => (Tree::Empty, 0),
@@ -270,8 +196,12 @@ fn remove_run<P: BlockPayload>(t: Tree<P>, run: &[u64]) -> (Tree<P>, usize) {
             let found = run.get(at) == Some(&x.key);
             let (lr, rr) = (&run[..at], &run[at + found as usize..]);
             let (l, r) = (take(&mut x.left), take(&mut x.right));
-            let par = run.len().min(x.size as usize) > PAR_CUTOFF;
-            let ((l, d1), (r, d2)) = fork(par, || remove_run(l, lr), || remove_run(r, rr));
+            let ((l, d1), (r, d2)) = fork(
+                lr.len(),
+                rr.len(),
+                || remove_run(l, lr),
+                || remove_run(r, rr),
+            );
             (rejoin(x, l, found, r), d1 + d2 + found as usize)
         }
     }
@@ -333,9 +263,9 @@ fn treap<P: BlockPayload>(elems: &[u64], gaps: usize, g0: usize, g1: usize) -> T
     let g = (g0 + 1..g1)
         .max_by_key(|&g| prio(elems[cut(g) - 1]))
         .unwrap();
-    let par = cut(g1) - cut(g0) > PAR_CUTOFF;
     let (left, right) = fork(
-        par,
+        cut(g) - cut(g0),
+        cut(g1) - cut(g),
         || treap(elems, gaps, g0, g),
         || treap(elems, gaps, g, g1),
     );
@@ -559,9 +489,6 @@ impl BlockPayload for NoBlock {
         match *self {}
     }
     fn count(&self) -> usize {
-        match *self {}
-    }
-    fn head(&self) -> u64 {
         match *self {}
     }
     fn payload_bytes(&self) -> usize {
