@@ -334,6 +334,17 @@ pub fn num(x: f64) -> String {
     }
 }
 
+/// Held by every test of this binary that builds or updates a set: Table
+/// 1 reads the process-wide byte counters (`cpma_pma::stats`), so a
+/// traffic row counts only its own traffic while no other test moves
+/// bytes beside it.
+#[cfg(test)]
+pub(crate) fn moving_bytes() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that panicked holding it moved its bytes already.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,6 +416,7 @@ mod tests {
 
     #[test]
     fn runs_count_what_they_cover() {
+        let _bytes = moving_bytes();
         let base: Vec<u64> = (0..2_000).map(|i| i * 4).collect();
         let stream: Vec<u64> = (0..1_000).map(|i| i * 4 + 1).collect();
         let runs = for_each_set!(S => batch_run::<S>(&base, &stream, 200, Op::Insert));

@@ -177,6 +177,7 @@ mod tests {
 
     #[test]
     fn every_timed_claim_runs_its_checks_at_tiny_scale() {
+        let _bytes = harness::moving_bytes();
         for claim in TIMED {
             check(&claim(&TINY));
         }
@@ -184,6 +185,7 @@ mod tests {
 
     #[test]
     fn traffic_rows_count_bytes_only_where_the_counters_are_live() {
+        let _bytes = harness::moving_bytes();
         let rows = claims::table1(&TINY);
         check(&rows);
         let lines = |name: &str| {
@@ -210,6 +212,7 @@ mod tests {
     #[test]
     fn batch_rows_run_the_regime_they_are_labelled_with() {
         use cpma_api::BatchSet;
+        let _bytes = harness::moving_bytes();
         for s in [&FULL, &TINY] {
             assert!(s
                 .batches

@@ -107,8 +107,7 @@ impl<L: LeafStorage> BatchSet for PmaCore<L> {
         );
         let mut this = Self::new();
         if !elems.is_empty() {
-            let geo = this.geometry_for_target(elems);
-            this.rebuild_into(elems, geo);
+            this.rebuild_at_target(elems);
         }
         this
     }
@@ -162,8 +161,7 @@ impl<L: LeafStorage> PmaCore<L> {
             if ins.is_empty() {
                 return BatchOutcome::default();
             }
-            let geo = self.geometry_for_target(&ins);
-            self.rebuild_into(&ins, geo);
+            self.rebuild_at_target(&ins);
             return BatchOutcome {
                 added: ins.len(),
                 removed: 0,
@@ -189,8 +187,7 @@ impl<L: LeafStorage> PmaCore<L> {
             if outcome == BatchOutcome::default() {
                 return outcome;
             }
-            let geo = self.geometry_for_target(&merged);
-            self.rebuild_into(&merged, geo);
+            self.rebuild_at_target(&merged);
             return outcome;
         }
 
@@ -296,8 +293,7 @@ impl<L: LeafStorage> PmaCore<L> {
     fn resize_root_shrink(&mut self) {
         let elems = self.collect_all_par();
         if elems.is_empty() {
-            let geo = self.geometry_for_target(&elems);
-            self.rebuild_into(&elems, geo);
+            self.rebuild_at_target(&elems);
         } else if self.storage.num_leaves() > MIN_LEAVES {
             self.shrink_and_rebuild(&elems);
         } else {

@@ -18,20 +18,22 @@
 //!    inherit their head from (element order never changes during
 //!    redistribution, so this snapshot cannot be invalidated by a
 //!    concurrently-rewritten neighbouring range).
-//! 2. **Plan** (same tasks, still read-only): cut each range with the
-//!    storage's exact planner. A range no split of which fits its leaves (a
-//!    hybrid leaf straddling two dense runs costs more than the runs apart)
-//!    widens to its parent node and is collected again, one level at a
-//!    time; only a root that does not fit grows the capacity — all of it
-//!    before anything is written.
+//! 2. **Plan** (same tasks, still read-only): size each range (one sweep,
+//!    for the weight the cut spreads) and cut it with the storage's exact
+//!    planner. A range no split of which fits its leaves (a hybrid leaf
+//!    straddling two dense runs costs more than the runs apart) widens to
+//!    its parent node and is collected again, one level at a time; only a
+//!    root that does not fit grows the capacity — all of it before
+//!    anything is written.
 //! 3. **Write** (parallel over ranges, parallel over leaves within a
-//!    range): overwrite every leaf with its slice; clears overflows.
+//!    range): overwrite every leaf with its slice at the cost the cut
+//!    measured; clears overflows.
 //! 4. **Repair** (serial, cheap): refresh inherited heads of empty-leaf
 //!    runs that follow each range (their stale inherits could otherwise
 //!    break the head array's monotonicity).
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use crate::leaf::SharedLeaves;
+use crate::leaf::{Plan, SharedLeaves};
 use crate::tree::Node;
 use crate::{LeafStorage, PmaCore};
 use rayon::prelude::*;
@@ -41,9 +43,9 @@ struct RangeJob {
     elems: Vec<u64>,
     /// Largest element stored before `node.start`, or `0`.
     prev_elem: u64,
-    /// The plan: `node.len() + 1` offsets into `elems`, or `None` when no
-    /// split of `elems` fits the node's leaves.
-    offsets: Option<Vec<usize>>,
+    /// The cut of `elems` into the node's leaves, or `None` when no split
+    /// of `elems` fits them.
+    plan: Option<Plan>,
 }
 
 /// Redistribute the given disjoint nodes (sorted by start).
@@ -71,9 +73,10 @@ pub(crate) fn redistribute_ranges<L: LeafStorage>(core: &mut PmaCore<L>, ranges:
             .and_then(|l| storage.leaf_max(l))
             .unwrap_or(0);
         debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
+        let weight = storage.size_run(&elems, leaf_units).weight;
         RangeJob {
             node,
-            offsets: storage.plan_split(&elems, node.len(), leaf_units),
+            plan: storage.plan_split(&elems, node.len(), leaf_units, weight),
             elems,
             prev_elem,
         }
@@ -88,14 +91,14 @@ pub(crate) fn redistribute_ranges<L: LeafStorage>(core: &mut PmaCore<L>, ranges:
         } else {
             ranges.par_iter().map(|&n| collect_one(n)).collect()
         };
-        if jobs.iter().all(|job| job.offsets.is_some()) {
+        if jobs.iter().all(|job| job.plan.is_some()) {
             break (serial, jobs);
         }
         // Rare: widen. Nodes nest or are disjoint, so a parent swallows
         // whole neighbours.
         ranges.clear();
         for job in &jobs {
-            let node = match (&job.offsets, tree.parent_of(job.node)) {
+            let node = match (&job.plan, tree.parent_of(job.node)) {
                 (Some(_), _) => job.node,
                 (None, Some(parent)) => parent,
                 (None, None) => {
@@ -116,19 +119,15 @@ pub(crate) fn redistribute_ranges<L: LeafStorage>(core: &mut PmaCore<L>, ranges:
     // Phase 3: write (disjoint leaves).
     let shared = core.storage_mut().shared();
     let write_leaf_j = |job: &RangeJob, j: usize| -> isize {
-        let offsets = job.offsets.as_deref().expect("every plan fits");
+        let plan = job.plan.as_ref().expect("every plan fits");
         let leaf = job.node.start + j;
-        let slice = &job.elems[offsets[j]..offsets[j + 1]];
-        let inherited = if offsets[j] > 0 {
-            job.elems[offsets[j] - 1]
-        } else {
-            job.prev_elem
-        };
+        let slice = plan.slice(&job.elems, j);
+        let inherited = plan.inherited(&job.elems, j, job.prev_elem);
         // SAFETY: ranges are disjoint and each call owns a distinct leaf of
         // its range.
         unsafe {
             let old = shared.units_used(leaf) as isize;
-            shared.write_leaf(leaf, slice, inherited) as isize - old
+            shared.write_leaf(leaf, slice, inherited, plan.costs[j]) as isize - old
         }
     };
     let units_delta: isize = if serial {

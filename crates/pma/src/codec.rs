@@ -48,11 +48,21 @@ pub const MAX_VARINT_BYTES: usize = 10;
 const BLOCK: usize = 64;
 
 /// Encoded length of `v` in bytes (≥ 1; `0` also takes one byte).
-#[inline]
+#[inline(always)]
 pub fn varint_len(v: u64) -> usize {
-    // ⌈bits/7⌉ with bits = 64 - leading_zeros, minimum 1.
-    let bits = 64 - (v | 1).leading_zeros() as usize;
-    bits.div_ceil(7)
+    // ⌈bits/7⌉ with bits = 64 - leading_zeros, minimum 1, looked up by
+    // the leading zeros: the planner's sweeps cost every element's code,
+    // and a load is shorter than the division.
+    const BY_LEADING_ZEROS: [u8; 64] = {
+        let mut table = [0u8; 64];
+        let mut lz = 0;
+        while lz < 64 {
+            table[lz] = (64 - lz).div_ceil(7) as u8;
+            lz += 1;
+        }
+        table
+    };
+    BY_LEADING_ZEROS[(v | 1).leading_zeros() as usize] as usize
 }
 
 /// Append the byte code of `v` to `out`; returns bytes written.
@@ -123,21 +133,45 @@ pub fn encoded_run_len(elems: &[u64], head_bytes: usize) -> usize {
 }
 
 /// Encode a strictly-increasing run into `out` as raw little-endian head
-/// followed by delta byte codes. Returns bytes written. `out` must be large
-/// enough (see [`encoded_run_len`]).
+/// followed by delta byte codes. Returns bytes written. `out` is exactly
+/// the run's length ([`encoded_run_len`]): a code that starts at least 8
+/// bytes before its end goes out as one 8-byte store, whose bytes past
+/// the code the codes after it overwrite, and the last few byte by byte,
+/// so nothing past the run is touched.
 pub fn encode_run(elems: &[u64], out: &mut [u8]) -> usize {
-    if elems.is_empty() {
+    let Some((&head, rest)) = elems.split_first() else {
         return 0;
-    }
-    out[..8].copy_from_slice(&elems[0].to_le_bytes());
-    let mut pos = 8;
-    let mut prev = elems[0];
-    for &e in &elems[1..] {
+    };
+    out[..8].copy_from_slice(&head.to_le_bytes());
+    let (mut pos, mut prev) = (8, head);
+    for &e in rest {
         debug_assert!(e > prev);
-        pos += write_varint(e - prev, &mut out[pos..]);
+        let gap = e - prev;
+        let len = varint_len(gap);
+        match out.get_mut(pos..pos + 8) {
+            Some(word) if len <= 8 => word.copy_from_slice(&varint_word(gap, len).to_le_bytes()),
+            _ => {
+                write_varint(gap, &mut out[pos..]);
+            }
+        }
+        pos += len;
         prev = e;
     }
+    debug_assert_eq!(pos, out.len(), "`out` is the run's length");
     pos
+}
+
+/// The byte code of `v`, `len` = [`varint_len`]`(v)` ≤ 8 bytes, in the
+/// low bytes of a little-endian word (the rest zero): the 7-bit groups
+/// spread into bytes in three halving steps, and a continuation bit on
+/// every byte but the last.
+#[inline(always)]
+fn varint_word(v: u64, len: usize) -> u64 {
+    debug_assert!(len == varint_len(v) && len <= 8);
+    let x = (v & 0x0fff_ffff) | (v & 0x00ff_ffff_f000_0000) << 4;
+    let x = (x & 0x0000_3fff_0000_3fff) | (x & 0x0fff_c000_0fff_c000) << 2;
+    let x = (x & 0x007f_007f_007f_007f) | (x & 0x3f80_3f80_3f80_3f80) << 1;
+    x | 0x0080_8080_8080_8080 & ((1 << (8 * (len - 1))) - 1)
 }
 
 /// Decode the run (raw head + deltas) that is exactly `run`, appending to
@@ -573,7 +607,7 @@ pub(crate) mod tests {
         }
         let used = encoded_run_len(&elems, 8);
         let mut buf = vec![0u8; used + slack];
-        encode_run(&elems, &mut buf);
+        encode_run(&elems, &mut buf[..used]);
         for b in &mut buf[used..] {
             *b = xs.next() as u8;
         }
@@ -776,6 +810,32 @@ pub(crate) mod tests {
         assert_eq!(varint_len(16_383), 2);
         assert_eq!(varint_len(16_384), 3);
         assert_eq!(varint_len(u64::MAX), 10);
+        for bits in 1..=64u32 {
+            let v = u64::MAX >> (64 - bits);
+            assert_eq!(varint_len(v), bits.div_ceil(7) as usize, "{bits} bits");
+            assert_eq!(
+                varint_len(1 << (bits - 1)),
+                bits.div_ceil(7) as usize,
+                "{bits} bits"
+            );
+        }
+    }
+
+    #[test]
+    fn varint_word_is_the_byte_code() {
+        let mut xs = Xs(0x9e37_79b9_7f4a_7c15);
+        for len in 1..=8 {
+            let lo = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+            let hi = (1u64 << (7 * len)) - 1;
+            for v in [lo, hi]
+                .into_iter()
+                .chain((0..100).map(|_| xs.delta_of_len(len as u32)))
+            {
+                let mut want = vec![0u8; 8];
+                assert_eq!(write_varint(v, &mut want), len, "{v:#x}");
+                assert_eq!(varint_word(v, len).to_le_bytes().to_vec(), want, "{v:#x}");
+            }
+        }
     }
 
     #[test]
@@ -822,8 +882,8 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_and_singleton_runs() {
-        let mut buf = vec![0u8; 16];
-        assert_eq!(encode_run(&[], &mut buf), 0);
+        let mut buf = vec![0u8; 8];
+        assert_eq!(encode_run(&[], &mut []), 0);
         assert_eq!(encoded_run_len(&[], 8), 0);
         let one = [42u64];
         assert_eq!(encoded_run_len(&one, 8), 8);

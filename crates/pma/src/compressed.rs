@@ -49,11 +49,15 @@
 //! `store` will hand [`choose_codec`]; delta-only is the same sweep with
 //! the bitmap term off) beside a [`balance_weight`]. *Sizing*
 //! ([`LeafStorage::size_run`]) gives the core what it sizes every build,
-//! grow and shrink from, by arithmetic. *Cutting*
-//! ([`LeafStorage::plan_split`]) closes leaf `j` at the `j/k` quantile of
-//! the weight, or earlier at the last element that fits; if the tail still
-//! overflows it packs maximal prefixes, and if those overflow no `k`-way
-//! split fits: `None`, nothing written. A sweep is O(n + k) whatever `k`.
+//! grow and shrink from, by arithmetic, and the run's weight, which no
+//! leaf size changes. *Cutting* ([`LeafStorage::plan_split`], handed that
+//! weight) closes leaf `j` at the `j/k` quantile of the weight, or earlier
+//! at the last element that fits; if the tail still overflows it packs
+//! maximal prefixes, and if those overflow no `k`-way split fits: `None`,
+//! nothing written. A sweep is O(n + k) whatever `k`. The cut reports each
+//! leaf's delta-coded bytes with its offsets, and `write_leaf` hands them
+//! to `choose_codec` as they are: a rebuild visits each element twice to
+//! plan and once to encode.
 //!
 //! # Unsafe code
 //!
@@ -73,7 +77,7 @@ use crate::codec::{
 };
 use crate::core::ForceCodec;
 use crate::leaf::{
-    apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, RunSize, SharedLeaves, CHUNK_KEYS,
+    apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, Plan, RunSize, SharedLeaves, CHUNK_KEYS,
 };
 use crate::run::Run;
 use crate::search::prefetch_read;
@@ -150,9 +154,9 @@ fn choose_codec(
 /// bytes; hybrid, the cheaper of the code and the bitmap span the gap
 /// adds, in bits. The weight only *spreads* a run (and, summed, is the
 /// stream a rebuild aims its density with); [`sweep`] says what *fits*.
-#[inline]
-fn balance_weight(hybrid: bool, gap: u64, code: usize) -> u64 {
-    if hybrid {
+#[inline(always)]
+fn balance_weight<const HYBRID: bool>(gap: u64, code: usize) -> u64 {
+    if HYBRID {
         (code as u64 * 8).min(gap)
     } else {
         code as u64
@@ -164,67 +168,78 @@ fn balance_weight(hybrid: bool, gap: u64, code: usize) -> u64 {
 /// closed so far, the balance weight of the elements before `i` — says so,
 /// and wherever `i` no longer fits. Both terms of the exact cost
 /// [`choose_codec`] is handed (`units ≤ leaf_units` iff `store` writes the
-/// leaf without a spill) advance in O(1), so there are no prefix arrays.
-/// Each leaf's end offset and units go to `leaf`; returns the run's weight.
-fn sweep(
+/// leaf without a spill) advance in O(1), so there are no prefix arrays;
+/// the bitmap term is read only where the delta term overflows. Each
+/// leaf's end offset, delta-coded bytes and units go to `leaf`; returns
+/// the run's weight.
+#[inline(always)]
+fn sweep<const HYBRID: bool>(
     elems: &[u64],
     leaf_units: usize,
-    hybrid: bool,
     mut closes: impl FnMut(usize, u64) -> bool,
-    mut leaf: impl FnMut(usize, usize),
+    mut leaf: impl FnMut(usize, usize, usize),
 ) -> u64 {
     visit(elems.len());
+    let units_of = |first: u64, last: u64, delta: usize| match HYBRID {
+        true => delta.min(bitmap::encoded_len(first, last)),
+        false => delta,
+    };
     let (mut closed, mut weight) = (0usize, 0u64);
-    // The open leaf: its raw head plus byte codes (0 while empty), units.
-    let (mut first, mut delta, mut units) = (0u64, 0usize, 0usize);
-    let mut prev = elems.first().copied().unwrap_or(0);
-    for (i, &e) in elems.iter().enumerate() {
-        while closes(closed, weight) {
-            leaf(i, units);
-            (closed, delta, units) = (closed + 1, 0, 0);
+    // `closes` is asked once more at `i` unless it just said no there
+    // (the open leaf closed because `i` did not fit).
+    let (mut i, mut ask) = (0, true);
+    while i < elems.len() {
+        while ask && closes(closed, weight) {
+            leaf(i, 0, 0);
+            closed += 1;
         }
-        let code = varint_len(e - prev);
-        let units_of = |first: u64, delta: usize| match hybrid {
-            true => delta.min(bitmap::encoded_len(first, e)),
-            false => delta,
-        };
-        if delta != 0 && units_of(first, delta + code) > leaf_units {
-            leaf(i, units);
-            (closed, delta) = (closed + 1, 0);
-        }
-        (first, delta) = if delta == 0 {
-            (e, 8)
-        } else {
-            (first, delta + code)
-        };
-        units = units_of(first, delta);
+        // Open a leaf at `i`: its raw head, then byte codes while they fit.
+        let first = elems[i];
         if i > 0 {
-            weight += balance_weight(hybrid, e - prev, code);
+            let gap = first - elems[i - 1];
+            weight += balance_weight::<HYBRID>(gap, varint_len(gap));
         }
-        prev = e;
-    }
-    if delta != 0 {
-        leaf(elems.len(), units);
+        let (mut prev, mut delta) = (first, 8usize);
+        i += 1;
+        ask = loop {
+            let Some(&e) = elems.get(i) else { break false };
+            if closes(closed, weight) {
+                break true;
+            }
+            let gap = e - prev;
+            let code = varint_len(gap);
+            if delta + code > leaf_units && !(HYBRID && bitmap::encoded_len(first, e) <= leaf_units)
+            {
+                break false;
+            }
+            (prev, delta, i) = (e, delta + code, i + 1);
+            weight += balance_weight::<HYBRID>(gap, code);
+        };
+        leaf(i, delta, units_of(first, prev, delta));
+        closed += 1;
     }
     weight
 }
 
-/// One cutting sweep: `k + 1` offsets, every slice within `leaf_units`, or
-/// `None` when `k` leaves overflow. Given `total` (the run's weight),
-/// boundary `j` closes at the `j/k` quantile of the cumulative weight — or
-/// earlier, at the last element that still fits; without it every leaf is
-/// a maximal prefix, which fits whenever anything does.
-fn cut(
+/// One cutting sweep: the plan of `k` leaves, every slice within
+/// `leaf_units`, or `None` when `k` leaves overflow. Given `total` (the
+/// run's weight), boundary `j` closes at the `j/k` quantile of the
+/// cumulative weight — or earlier, at the last element that still fits;
+/// without it every leaf is a maximal prefix, which fits whenever anything
+/// does. Each leaf's cost is its delta-coded bytes, what `store` is handed.
+fn cut<const HYBRID: bool>(
     elems: &[u64],
     k: usize,
     leaf_units: usize,
-    hybrid: bool,
     total: Option<u64>,
-) -> Option<Vec<usize>> {
+) -> Option<Plan> {
     let quantile = |j: usize| total.map_or(u64::MAX, |t| t * j as u64 / k as u64);
     let mut close_at = quantile(1);
-    let mut offsets = Vec::with_capacity(k + 1);
-    offsets.push(0);
+    let mut plan = Plan {
+        offsets: Vec::with_capacity(k + 1),
+        costs: Vec::with_capacity(k),
+    };
+    plan.offsets.push(0);
     let closes = |closed: usize, weight: u64| {
         let close = closed + 1 < k && weight >= close_at;
         if close {
@@ -232,12 +247,14 @@ fn cut(
         }
         close
     };
-    sweep(elems, leaf_units, hybrid, closes, |end, _| {
-        offsets.push(end)
+    sweep::<HYBRID>(elems, leaf_units, closes, |end, delta, _| {
+        plan.offsets.push(end);
+        plan.costs.push(delta);
     });
-    (offsets.len() <= k + 1).then(|| {
-        offsets.resize(k + 1, elems.len());
-        offsets
+    (plan.costs.len() <= k).then(|| {
+        plan.offsets.resize(k + 1, elems.len());
+        plan.costs.resize(k, 0);
+        plan
     })
 }
 
@@ -246,6 +263,14 @@ fn cut(
 fn visit(_elems: usize) {
     #[cfg(test)]
     tests::PLANNER_VISITS.with(|v| v.set(v.get() + _elems as u64));
+}
+
+/// Count the elements `store` costs itself: the merge path's, never a
+/// planned write's (tests pin a rebuild's at 0).
+#[inline]
+fn recost(_elems: usize) {
+    #[cfg(test)]
+    tests::STORE_RECOSTS.with(|v| v.set(v.get() + _elems as u64));
 }
 
 /// Append the elements a word array represents (relative to `base`) to
@@ -308,6 +333,13 @@ impl CompressedLeaves {
     #[inline]
     fn is_bitmap(&self, leaf: usize) -> bool {
         self.tags[leaf] == TAG_BITMAP
+    }
+
+    /// Whether the planner costs a leaf at the cheaper codec (any policy
+    /// but forced delta).
+    #[inline]
+    fn hybrid(&self) -> bool {
+        self.policy != ForceCodec::Delta
     }
 
     /// `(delta, bitmap)` leaf counts over the non-empty leaves — the
@@ -734,23 +766,32 @@ impl LeafStorage for CompressedLeaves {
         if elems.is_empty() {
             return RunSize::default();
         }
-        let hybrid = self.policy != ForceCodec::Delta;
         let (mut leaves, mut units) = (0usize, 0usize);
-        let count = |_, u| (leaves, units) = (leaves + 1, units + u);
-        let weight = sweep(elems, leaf_units, hybrid, |_, _| false, count);
+        let count = |_, _, u| (leaves, units) = (leaves + 1, units + u);
+        let never = |_, _| false;
+        let (weight, stream) = if self.hybrid() {
+            let weight = sweep::<true>(elems, leaf_units, never, count);
+            (weight, weight.div_ceil(8))
+        } else {
+            let weight = sweep::<false>(elems, leaf_units, never, count);
+            (weight, weight)
+        };
         RunSize {
-            stream: 8 + if hybrid { weight.div_ceil(8) } else { weight } as usize,
+            stream: 8 + stream as usize,
             min_leaves: leaves,
             packed: units - 8 * (leaves - 1),
+            weight,
         }
     }
 
-    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
-        let hybrid = self.policy != ForceCodec::Delta;
-        let total = sweep(elems, usize::MAX, hybrid, |_, _| false, |_, _| {});
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize, weight: u64) -> Option<Plan> {
         // Spread evenly; where even a spread leaves the tail too much, pack.
-        cut(elems, k, leaf_units, hybrid, Some(total))
-            .or_else(|| cut(elems, k, leaf_units, hybrid, None))
+        match self.hybrid() {
+            true => cut::<true>(elems, k, leaf_units, Some(weight))
+                .or_else(|| cut::<true>(elems, k, leaf_units, None)),
+            false => cut::<false>(elems, k, leaf_units, Some(weight))
+                .or_else(|| cut::<false>(elems, k, leaf_units, None)),
+        }
     }
 
     /// Bitmap leaves answer each key with one word probe; delta leaves
@@ -906,6 +947,23 @@ impl CompressedShared<'_> {
     /// Spills with delta-based accounting when neither encoding fits.
     #[inline]
     unsafe fn store(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> (usize, bool) {
+        recost(elems.len());
+        // SAFETY: the caller's contract, and the exact delta cost.
+        self.store_costed(leaf, elems, inherited_head, encoded_run_len(elems, 8))
+    }
+
+    /// [`Self::store`] given `elems`' delta-coded bytes, `delta_units`
+    /// (a plan's cost, or the merge path's own count): the codec choice
+    /// reads the bitmap cost off the first and last element, so nothing
+    /// here visits an element but the one encode.
+    #[inline]
+    unsafe fn store_costed(
+        &self,
+        leaf: usize,
+        elems: &[u64],
+        inherited_head: u64,
+        delta_units: usize,
+    ) -> (usize, bool) {
         // SAFETY (the slot reads and writes below): `leaf`'s five slots and
         // its stretch, under the caller's contract; the stretch is written
         // only on the branch where `units ≤ leaf_units`.
@@ -919,7 +977,6 @@ impl CompressedShared<'_> {
             *self.heads.add(leaf) = inherited_head;
             return (0, false);
         }
-        let delta_units = encoded_run_len(elems, 8);
         let bitmap_units = bitmap::encoded_len(elems[0], *elems.last().unwrap());
         let (tag, units) = choose_codec(
             self.policy,
@@ -1464,9 +1521,15 @@ impl SharedLeaves for CompressedShared<'_> {
         prefetch_read(self.overflow.wrapping_add(leaf));
     }
 
-    unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize {
+    unsafe fn write_leaf(
+        &self,
+        leaf: usize,
+        elems: &[u64],
+        inherited_head: u64,
+        cost: usize,
+    ) -> usize {
         // SAFETY: the caller's disjoint-leaf contract for `leaf`.
-        let (units, overflowed) = self.store(leaf, elems, inherited_head);
+        let (units, overflowed) = self.store_costed(leaf, elems, inherited_head, cost);
         debug_assert!(!overflowed, "leaf {leaf}: the plan's cost is store's");
         units
     }
@@ -1506,6 +1569,8 @@ mod tests {
     thread_local! {
         /// Elements visited by planner sweeps on this thread.
         pub(super) static PLANNER_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// Elements `store` costed itself on this thread.
+        pub(super) static STORE_RECOSTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     fn store(leaves: usize) -> CompressedLeaves {
@@ -2380,7 +2445,7 @@ mod tests {
         assert!(s.is_bitmap(0));
         // Overwrite with the borderline run (redistribute path).
         // SAFETY: disjoint-leaf contract — one thread, one call.
-        unsafe { s.shared().write_leaf(0, &run, 0) };
+        unsafe { s.shared().write_leaf(0, &run, 0, encoded_run_len(&run, 8)) };
         assert!(s.is_bitmap(0));
     }
 
@@ -2454,35 +2519,45 @@ mod tests {
                 let size = s.size_run(elems, 256);
                 let exact = oracle_min_leaves(elems, force);
                 assert_eq!(size.min_leaves, exact, "{shape} {force:?}");
+                let weight = size.weight;
+                let unbounded = s.size_run(elems, usize::MAX).weight;
+                assert_eq!(unbounded, weight, "{shape} {force:?}: one weight");
                 let cost = |slice: &[u64]| match force {
                     ForceCodec::Delta => encoded_run_len(slice, 8),
                     _ => hybrid_cost(slice),
                 };
                 for k in [1, exact.max(1), (exact / 3).max(1), exact.max(1) * 3] {
                     let what = format!("{shape} {force:?} k={k}");
-                    let plan = s.plan_split(elems, k, 256);
+                    let plan = s.plan_split(elems, k, 256, weight);
                     for budget in [1, 2, 8] {
                         let pool = rayon::ThreadPoolBuilder::new()
                             .num_threads(budget)
                             .build()
                             .unwrap();
-                        assert_eq!(pool.install(|| s.plan_split(elems, k, 256)), plan, "{what}");
+                        let again = pool.install(|| s.plan_split(elems, k, 256, weight));
+                        assert_eq!(again, plan, "{what}");
                     }
                     let Some(plan) = plan else {
                         assert!(exact > k, "{what}: a {exact}-way fit exists");
                         continue;
                     };
                     assert!(exact <= k, "{what}: planned past the oracle");
-                    assert_eq!((plan.len(), plan[0], plan[k]), (k + 1, 0, elems.len()));
-                    assert!(plan.windows(2).all(|w| w[0] <= w[1]), "{what}");
+                    let offsets = &plan.offsets;
+                    assert_eq!(
+                        (offsets.len(), offsets[0], offsets[k], plan.costs.len()),
+                        (k + 1, 0, elems.len(), k)
+                    );
+                    assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{what}");
                     let mut out = store(k);
                     out.set_codec_policy(force);
                     let mut used = Vec::new();
                     for j in 0..k {
-                        let slice = &elems[plan[j]..plan[j + 1]];
+                        let slice = plan.slice(elems, j);
                         assert!(cost(slice) <= 256, "{what}: leaf {j} overflows");
+                        let delta = encoded_run_len(slice, 8);
+                        assert_eq!(plan.costs[j], delta, "{what}: leaf {j}'s cost");
                         // SAFETY: single-threaded, one leaf at a time.
-                        used.push(unsafe { out.shared().write_leaf(j, slice, 0) });
+                        used.push(unsafe { out.shared().write_leaf(j, slice, 0, delta) });
                         assert!(!out.is_overflowed(j), "{what}: leaf {j} spilled");
                     }
                     // Spread, not packed: with slack, delta-coded leaves of
@@ -2496,32 +2571,73 @@ mod tests {
         }
     }
 
-    /// A rebuild is linear **by count**: the elements the planner visits
-    /// per key (one sizing sweep, the weight sum, one or two cutting
-    /// sweeps) stay under a small constant and do not grow with `n` on the
-    /// benchmark's clustered shape — runs of 256 at 42 % fill, where the
-    /// prefix-array planner took 16 × the time for 4 × the keys.
+    /// A rebuild is linear **by count**: the planner visits each element
+    /// exactly twice — one sizing sweep, one cutting sweep that takes the
+    /// weight from the sizing — and the write pass costs none of them
+    /// again. On uniform keys, an RMAT edge set and the benchmark's
+    /// clustered shape (runs of 256 at 42 % fill, where the prefix-array
+    /// planner took 16 × the time for 4 × the keys), in a build, a grow
+    /// and a shrink.
     #[test]
-    fn rebuild_visits_are_linear_on_clustered_keys() {
-        use cpma_workloads::{ClusteredKeys, SplitMix64};
-        let visits_per_key = |n: usize| {
-            let mut rng = SplitMix64::new(42);
-            let keys: Vec<u64> = ClusteredKeys::new(256, 1 << 16, 1)
-                .sorted(n * 100 / 42)
-                .into_iter()
-                .filter(|_| rng.next_below(100) < 42)
-                .collect();
-            PLANNER_VISITS.with(|v| v.set(0));
-            let set = crate::Cpma::build_sorted(&keys);
-            assert_eq!(set.len(), keys.len());
-            PLANNER_VISITS.with(|v| v.get()) as f64 / keys.len() as f64
+    fn rebuilds_visit_each_key_twice_and_cost_none_again() {
+        use cpma_workloads::{
+            dedup_sorted, uniform_keys, ClusteredKeys, RmatGenerator, SplitMix64,
         };
-        let (small, large) = (visits_per_key(840_000), visits_per_key(4 * 840_000));
-        assert!(
-            small <= 4.0 && large <= 4.0,
-            "{small} / {large} visits per key"
-        );
-        assert!(large <= small * 1.25, "{small} → {large} visits per key");
+        // One thread: the counts are per thread, and the write pass forks.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let counted = |rebuild: &mut (dyn FnMut() + Send)| {
+            pool.install(|| {
+                PLANNER_VISITS.with(|v| v.set(0));
+                STORE_RECOSTS.with(|v| v.set(0));
+                rebuild();
+                (
+                    PLANNER_VISITS.with(|v| v.get()),
+                    STORE_RECOSTS.with(|v| v.get()),
+                )
+            })
+        };
+        let clustered = |n: usize| {
+            let mut rng = SplitMix64::new(42);
+            let keys = ClusteredKeys::new(256, 1 << 16, 1).sorted(n * 100 / 42);
+            keys.into_iter()
+                .filter(|_| rng.next_below(100) < 42)
+                .collect::<Vec<u64>>()
+        };
+        let shapes = [
+            ("uniform", dedup_sorted(uniform_keys(300_000, 40, 1))),
+            (
+                "rmat",
+                RmatGenerator::paper_config(16, 1).undirected_graph(150_000),
+            ),
+            ("clustered", clustered(840_000)),
+            ("clustered ×4", clustered(4 * 840_000)),
+        ];
+        for (shape, keys) in &shapes {
+            let n = keys.len() as u64;
+            let mut set = None;
+            let build = counted(&mut || set = Some(crate::Cpma::build_sorted(keys)));
+            assert_eq!(build, (2 * n, 0), "{shape}: build");
+            let mut set = set.unwrap();
+            assert_eq!(set.len(), keys.len());
+            let leaves = set.storage().num_leaves();
+            assert_eq!(
+                counted(&mut || set.grow_and_rebuild(keys)),
+                (2 * n, 0),
+                "{shape}: grow"
+            );
+            assert!(set.storage().num_leaves() > leaves, "{shape}: grew");
+            let leaves = set.storage().num_leaves();
+            assert_eq!(
+                counted(&mut || set.shrink_and_rebuild(keys)),
+                (2 * n, 0),
+                "{shape}: shrink"
+            );
+            assert!(set.storage().num_leaves() < leaves, "{shape}: shrank");
+            set.check_invariants();
+        }
     }
 
     #[test]
@@ -2529,7 +2645,7 @@ mod tests {
         let mut s = store(2);
         // SAFETY: disjoint-leaf contract — one thread, one call.
         unsafe {
-            s.shared().write_leaf(1, &[], 77);
+            s.shared().write_leaf(1, &[], 77, 0);
         }
         assert_eq!(s.head(1), 77);
         assert_eq!(s.count(1), 0);

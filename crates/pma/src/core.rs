@@ -236,10 +236,11 @@ impl<L: LeafStorage> PmaCore<L> {
         (size.stream + k.saturating_sub(1) * L::HEAD_UNITS).max(size.packed)
     }
 
-    /// Geometry hosting `elems` at the rebuild target density, and never
-    /// fewer leaves than hold them. One sizing sweep; a second only when
-    /// the answer crosses into another leaf size.
-    pub(crate) fn geometry_for_target(&self, elems: &[u64]) -> Geometry {
+    /// Re-spread `elems` (sorted unique) over the geometry hosting them at
+    /// the rebuild target density, and never fewer leaves than hold them:
+    /// one sizing sweep (a second only when the answer crosses into
+    /// another leaf size), then [`Self::rebuild_into`].
+    pub(crate) fn rebuild_at_target(&mut self, elems: &[u64]) {
         let target = BOUNDS.rebuild_target;
         let sized = |leaf_units: usize| {
             let size = self.storage.size_run(elems, leaf_units);
@@ -248,42 +249,41 @@ impl<L: LeafStorage> PmaCore<L> {
             let k = self.geometry_of(cap.max(1)).leaves;
             let cap = ((Self::units_at(&size, k) as f64) / target).ceil() as usize;
             let leaves = cap.div_ceil(leaf_units).max(size.min_leaves);
-            Geometry {
+            let geo = Geometry {
                 leaf_units,
                 leaves: leaves.max(MIN_LEAVES),
-            }
+            };
+            (geo, size.weight)
         };
-        let mut geo = sized(self.storage.leaf_units());
+        let (mut geo, mut weight) = sized(self.storage.leaf_units());
         let canonical = Self::leaf_units_for_cap(geo.leaves * geo.leaf_units);
         if canonical != geo.leaf_units {
-            geo = sized(canonical);
+            (geo, weight) = sized(canonical);
         }
-        geo
+        self.rebuild_into(elems, geo, weight);
     }
 
     /// Replace storage with a fresh layout of geometry `geo` holding
-    /// exactly `elems` (sorted unique), spread evenly: one plan, one write
-    /// pass. Every caller sized `geo` to hold the run; the fresh storage
-    /// plans, so the policy that costs a slice is the one that encodes it.
-    pub(crate) fn rebuild_into(&mut self, elems: &[u64], geo: Geometry) {
+    /// exactly `elems` (sorted unique, of balance weight `weight`, which
+    /// the caller's sizing sweep returned), spread evenly: one cutting
+    /// sweep, one write pass that encodes each leaf at the cost the cut
+    /// measured. Every caller sized `geo` to hold the run; the fresh
+    /// storage plans, so the policy that costs a slice is the one that
+    /// encodes it.
+    pub(crate) fn rebuild_into(&mut self, elems: &[u64], geo: Geometry, weight: u64) {
         let (k, leaf_units) = (geo.leaves, geo.leaf_units);
         let mut storage = L::with_geometry(k, leaf_units);
         storage.set_codec_policy(self.cfg.force_codec);
-        let offsets = storage
-            .plan_split(elems, k, leaf_units)
+        let plan = storage
+            .plan_split(elems, k, leaf_units, weight)
             .expect("rebuild geometry was sized to hold the run");
         let shared = storage.shared();
         let units: usize = (0..k)
             .into_par_iter()
             .map(|j| {
-                let slice = &elems[offsets[j]..offsets[j + 1]];
-                let inherited = if offsets[j] > 0 {
-                    elems[offsets[j] - 1]
-                } else {
-                    0
-                };
+                let (slice, inherited) = (plan.slice(elems, j), plan.inherited(elems, j, 0));
                 // SAFETY: each iteration owns a distinct leaf.
-                unsafe { shared.write_leaf(j, slice, inherited) }
+                unsafe { shared.write_leaf(j, slice, inherited, plan.costs[j]) }
             })
             .sum();
         debug_assert!((0..k).all(|j| !storage.is_overflowed(j)));
@@ -297,19 +297,24 @@ impl<L: LeafStorage> PmaCore<L> {
 
     /// Re-spread `elems` over the smallest capacity, stepping up from the
     /// current one by the growing factor, that holds them within the
-    /// root's upper bound (one sizing sweep per step tried).
+    /// root's upper bound (one sizing sweep per leaf size the steps pass
+    /// through).
     pub(crate) fn grow_and_rebuild(&mut self, elems: &[u64]) {
+        let mut swept = (0, RunSize::default());
         let mut cap = self.capacity_units();
         let geo = loop {
             cap = ((cap as f64) * self.cfg.growing_factor).ceil() as usize;
             let geo = self.geometry_of(cap);
-            let size = self.storage.size_run(elems, geo.leaf_units);
+            if swept.0 != geo.leaf_units {
+                swept = (geo.leaf_units, self.storage.size_run(elems, geo.leaf_units));
+            }
+            let size = &swept.1;
             let bound = BOUNDS.upper_root * (geo.leaves * geo.leaf_units) as f64;
-            if geo.leaves >= size.min_leaves && Self::units_at(&size, geo.leaves) as f64 <= bound {
+            if geo.leaves >= size.min_leaves && Self::units_at(size, geo.leaves) as f64 <= bound {
                 break geo;
             }
         };
-        self.rebuild_into(elems, geo);
+        self.rebuild_into(elems, geo, swept.1.weight);
     }
 
     /// Shrink capacity by the growing factor while the root is under its
@@ -342,7 +347,8 @@ impl<L: LeafStorage> PmaCore<L> {
                 break;
             }
         }
-        self.rebuild_into(elems, self.geometry_of(cap));
+        // The last sweep's weight: it is the same at every leaf size.
+        self.rebuild_into(elems, self.geometry_of(cap), swept.1.weight);
     }
 
     // ------------------------------------------------------------------

@@ -174,13 +174,48 @@ impl BlockFill<'_> {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunSize {
     /// Units of the run as one stream with one head (`k` leaves add
-    /// `(k − 1) · HEAD_UNITS`): the weight `plan_split` spreads evenly. A
-    /// hybrid storage's is a floor, each element at its cheaper codec.
+    /// `(k − 1) · HEAD_UNITS`): its `weight` in units. A hybrid storage's
+    /// is a floor, each element at its cheaper codec.
     pub stream: usize,
     /// Fewest leaves that hold the run (maximal prefixes; exact).
     pub min_leaves: usize,
     /// Units of that tightest packing, likewise with one head (exact).
     pub packed: usize,
+    /// The run's balance weight, what [`LeafStorage::plan_split`] spreads
+    /// evenly: the same for every leaf size, so the cut after a sizing
+    /// sweep takes it from here instead of sweeping for it again.
+    pub weight: u64,
+}
+
+/// A cut of a run into `k` leaves ([`LeafStorage::plan_split`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Plan {
+    /// `k + 1` offsets into the run, first 0, last its length: leaf `j`
+    /// gets `offsets[j]..offsets[j + 1]`.
+    pub offsets: Vec<usize>,
+    /// Leaf `j`'s cost as the cut measured it, what
+    /// [`SharedLeaves::write_leaf`] takes so that no slice is costed twice:
+    /// the CPMA's delta-coded bytes (its codec choice is O(1) from them),
+    /// the PMA's cells. 0 for an empty slice.
+    pub costs: Vec<usize>,
+}
+
+impl Plan {
+    /// Leaf `j`'s slice of `elems`, the run this plan cut.
+    #[inline]
+    pub fn slice<'a>(&self, elems: &'a [u64], j: usize) -> &'a [u64] {
+        &elems[self.offsets[j]..self.offsets[j + 1]]
+    }
+
+    /// The element before leaf `j`'s slice, or `before` at the run's
+    /// start: the head an empty leaf `j` inherits.
+    #[inline]
+    pub fn inherited(&self, elems: &[u64], j: usize, before: u64) -> u64 {
+        match self.offsets[j] {
+            0 => before,
+            at => elems[at - 1],
+        }
+    }
 }
 
 /// Storage for the leaves of a PMA. See module docs.
@@ -307,18 +342,19 @@ pub trait LeafStorage: Send + Sync + Sized {
     }
 
     /// One **sizing** sweep: what a strictly-increasing run costs in leaves
-    /// of `leaf_units` under this instance's codec policy. Every capacity
-    /// decision is arithmetic on the answer, so a geometry the core accepts
-    /// is one [`Self::plan_split`] can cut.
+    /// of `leaf_units` under this instance's codec policy, and its balance
+    /// weight. Every capacity decision is arithmetic on the answer, so a
+    /// geometry the core accepts is one [`Self::plan_split`] can cut.
     fn size_run(&self, elems: &[u64], leaf_units: usize) -> RunSize;
 
-    /// **Cut** `elems` into `k` leaves of `leaf_units`: `k + 1` offsets
-    /// into `elems` (first 0, last `elems.len()`), occupancies near-equal
-    /// and every slice fitting its leaf as `write_leaf` will encode it — or
-    /// `None` when no `k`-way split fits (`k < size_run(..).min_leaves`).
-    /// O(`elems.len() + k`) however far off `k` is. The storage that is
-    /// written plans: one policy costs the slices and encodes them.
-    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>>;
+    /// **Cut** `elems`, whose [`RunSize::weight`] is `weight`, into `k`
+    /// leaves of `leaf_units`: occupancies near-equal and every slice
+    /// fitting its leaf as `write_leaf` will encode it — or `None` when no
+    /// `k`-way split fits (`k < size_run(..).min_leaves`). One sweep,
+    /// O(`elems.len() + k`) however far off `k` is (a second, packing one
+    /// only when the even spread overflows). The storage that is written
+    /// plans: one policy costs the slices and encodes them.
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize, weight: u64) -> Option<Plan>;
 
     /// Install the per-leaf codec policy (hybrid storages only; the
     /// default ignores it). Called at construction and when loading a
@@ -406,12 +442,20 @@ pub trait SharedLeaves {
     fn prefetch(&self, _leaf: usize) {}
 
     /// Overwrite `leaf` with `elems`, a slice of a `plan_split` plan (so it
-    /// fits). For an empty `elems`, the head is set to `inherited_head`.
-    /// Clears any overflow buffer. Returns the leaf's new unit count.
+    /// fits) whose cost the plan measured as `cost` ([`Plan::costs`]), so
+    /// the write encodes it without costing it again. For an empty `elems`,
+    /// the head is set to `inherited_head`. Clears any overflow buffer.
+    /// Returns the leaf's new unit count.
     ///
     /// # Safety
     /// The disjoint-leaf contract (trait docs).
-    unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize;
+    unsafe fn write_leaf(
+        &self,
+        leaf: usize,
+        elems: &[u64],
+        inherited_head: u64,
+        cost: usize,
+    ) -> usize;
 
     /// Append `leaf`'s elements to `out` (reads through the shared view).
     ///

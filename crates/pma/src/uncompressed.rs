@@ -13,7 +13,9 @@
 //! spill slot.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use crate::leaf::{apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, RunSize, SharedLeaves};
+use crate::leaf::{
+    apply_run_into, ChunkBlock, LeafScratch, OpsOutcome, Plan, RunSize, SharedLeaves,
+};
 use crate::run::Run;
 use crate::{stats, LeafStorage};
 use cpma_api::PersistError;
@@ -259,13 +261,18 @@ impl LeafStorage for UncompressedLeaves {
             stream: elems.len(),
             min_leaves: elems.len().div_ceil(leaf_units),
             packed: elems.len(),
+            weight: elems.len() as u64,
         }
     }
 
-    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize, _weight: u64) -> Option<Plan> {
         // Even count split: slice sizes differ by at most one.
         let n = elems.len();
-        (n.div_ceil(k) <= leaf_units).then(|| (0..=k).map(|j| j * n / k).collect())
+        (n.div_ceil(k) <= leaf_units).then(|| {
+            let offsets: Vec<usize> = (0..=k).map(|j| j * n / k).collect();
+            let costs = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+            Plan { offsets, costs }
+        })
     }
 
     fn copy_leaves_from(&mut self, src: &Self, start: usize, end: usize) -> usize {
@@ -406,8 +413,15 @@ impl SharedLeaves for UncompressedShared<'_> {
         }
     }
 
-    unsafe fn write_leaf(&self, leaf: usize, elems: &[u64], inherited_head: u64) -> usize {
+    unsafe fn write_leaf(
+        &self,
+        leaf: usize,
+        elems: &[u64],
+        inherited_head: u64,
+        cost: usize,
+    ) -> usize {
         debug_assert!(elems.len() <= self.leaf_units, "write_leaf must fit");
+        debug_assert_eq!(cost, elems.len());
         // SAFETY: the caller's disjoint-leaf contract for `leaf`.
         let (units, _) = self.store(leaf, elems, inherited_head);
         units
@@ -570,7 +584,7 @@ mod tests {
         apply(&mut s, 1, &ins(1000..1020));
         assert!(s.is_overflowed(1));
         // SAFETY: single-threaded; the accessor lives for this one call.
-        unsafe { s.shared().write_leaf(1, &[1, 2, 3], 0) };
+        unsafe { s.shared().write_leaf(1, &[1, 2, 3], 0, 3) };
         assert!(!s.is_overflowed(1));
         assert_eq!(s.count(1), 3);
     }
@@ -578,12 +592,16 @@ mod tests {
     #[test]
     fn plan_split_even() {
         let elems: Vec<u64> = (0..10).collect();
-        let plan = store3().plan_split(&elems, 4, 16);
-        assert_eq!(plan, Some(vec![0, 2, 5, 7, 10]));
-        let plan = store3().plan_split(&[], 3, 16);
-        assert_eq!(plan, Some(vec![0, 0, 0, 0]));
+        let plan = store3().plan_split(&elems, 4, 16, 10).unwrap();
+        assert_eq!(plan.offsets, [0, 2, 5, 7, 10]);
+        assert_eq!(plan.costs, [2, 3, 2, 3]);
+        let plan = store3().plan_split(&[], 3, 16, 0).unwrap();
+        assert_eq!(
+            (plan.offsets, plan.costs),
+            (vec![0, 0, 0, 0], vec![0, 0, 0])
+        );
         // No fit is reported, not planned: 10 cells into 4 leaves of 2.
-        assert_eq!(store3().plan_split(&elems, 4, 2), None);
+        assert_eq!(store3().plan_split(&elems, 4, 2, 10), None);
         assert_eq!(store3().size_run(&elems, 2).min_leaves, 5);
     }
 
@@ -592,7 +610,7 @@ mod tests {
         let mut s = store3();
         // SAFETY: single-threaded; the accessor lives for this one call.
         unsafe {
-            s.shared().write_leaf(1, &[], 42);
+            s.shared().write_leaf(1, &[], 42, 0);
         }
         assert_eq!(s.head(1), 42);
         assert_eq!(s.count(1), 0);

@@ -12,7 +12,9 @@
 
 use cpma_api::{BatchSet, OrderedSet, PersistError};
 use cpma_persist::snapshot::SnapshotReader;
-use cpma_pma::{ChunkBlock, LeafStorage, Pma, PmaCore, RunSize, UncompressedLeaves, CHUNK_KEYS};
+use cpma_pma::{
+    ChunkBlock, LeafStorage, Plan, Pma, PmaCore, RunSize, UncompressedLeaves, CHUNK_KEYS,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 type Inner = UncompressedLeaves;
@@ -143,8 +145,8 @@ impl LeafStorage for CountingLeaves {
         }
     }
 
-    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize) -> Option<Vec<usize>> {
-        self.inner.plan_split(elems, k, leaf_units)
+    fn plan_split(&self, elems: &[u64], k: usize, leaf_units: usize, weight: u64) -> Option<Plan> {
+        self.inner.plan_split(elems, k, leaf_units, weight)
     }
 
     fn copy_leaves_from(&mut self, src: &Self, start: usize, end: usize) -> usize {
